@@ -158,17 +158,9 @@ func main() {
 
 	partStart := time.Now()
 	var part *partition.Partition
-	switch *method {
-	case "multilevel":
-		part, err = partition.Multilevel(g, *p, partition.MultilevelOptions{Seed: *seed, NoRefine: *noRefine})
-	case "bfs":
-		part, err = partition.BFS(g, *p, *seed)
-	case "block":
-		part, err = partition.Block1D(g, *p)
-	case "random":
-		part, err = partition.Random(g, *p, *seed)
-	default:
-		err = fmt.Errorf("unknown partitioner %q", *method)
+	partitioner, err := partition.ByName(*method)
+	if err == nil {
+		part, err = partitioner(g, *p, partition.MultilevelOptions{Seed: *seed, NoRefine: *noRefine})
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
@@ -180,16 +172,9 @@ func main() {
 		runJP(g, part, *seed, *jsonOut)
 		return
 	}
-	var mode coloring.CommMode
-	switch *comm {
-	case "neighbors":
-		mode = coloring.CommNeighbors
-	case "customized-all":
-		mode = coloring.CommCustomizedAll
-	case "broadcast":
-		mode = coloring.CommBroadcast
-	default:
-		fmt.Fprintf(os.Stderr, "dmgm-color: unknown comm mode %q\n", *comm)
+	mode, err := coloring.ParseCommMode(*comm)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
 		os.Exit(2)
 	}
 	obsr := of.NewObserver(part.P)
@@ -212,15 +197,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "live: http://%s/snapshot (watch with: dmgm-trace -watch %s)\n", addr, addr)
 	}
 	start := time.Now()
+	// The distance-2 variant has one communication scheme and ignores CommMode.
+	opt := dmgm.ColorParallelOptions{SuperstepSize: *superstep, CommMode: mode, Seed: *seed}
 	var res *dmgm.ColorParallelResult
 	if *distance2 {
-		res, err = dmgm.ColorParallelDistance2World(w, g, part, dmgm.ColorParallelOptions{
-			SuperstepSize: *superstep, Seed: *seed,
-		})
+		res, err = dmgm.ColorParallelDistance2World(w, g, part, opt)
 	} else {
-		res, err = dmgm.ColorParallelWorld(w, g, part, dmgm.ColorParallelOptions{
-			SuperstepSize: *superstep, CommMode: mode, Seed: *seed,
-		})
+		res, err = dmgm.ColorParallelWorld(w, g, part, opt)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)

@@ -146,17 +146,9 @@ func main() {
 			*p = part.P
 		}
 	} else {
-		switch *method {
-		case "multilevel":
-			part, err = partition.Multilevel(g, *p, partition.MultilevelOptions{Seed: *seed})
-		case "bfs":
-			part, err = partition.BFS(g, *p, *seed)
-		case "block":
-			part, err = partition.Block1D(g, *p)
-		case "random":
-			part, err = partition.Random(g, *p, *seed)
-		default:
-			err = fmt.Errorf("unknown partitioner %q", *method)
+		var partitioner partition.Partitioner
+		if partitioner, err = partition.ByName(*method); err == nil {
+			part, err = partitioner(g, *p, partition.MultilevelOptions{Seed: *seed})
 		}
 	}
 	if err != nil {

@@ -38,17 +38,9 @@ func main() {
 		os.Exit(1)
 	}
 	var part *partition.Partition
-	switch *method {
-	case "multilevel":
-		part, err = partition.Multilevel(g, *p, partition.MultilevelOptions{Seed: *seed, NoRefine: *noRefine})
-	case "bfs":
-		part, err = partition.BFS(g, *p, *seed)
-	case "block":
-		part, err = partition.Block1D(g, *p)
-	case "random":
-		part, err = partition.Random(g, *p, *seed)
-	default:
-		err = fmt.Errorf("unknown method %q", *method)
+	partitioner, err := partition.ByName(*method)
+	if err == nil {
+		part, err = partitioner(g, *p, partition.MultilevelOptions{Seed: *seed, NoRefine: *noRefine})
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmgm-part: %v\n", err)

@@ -148,6 +148,14 @@ func TestStrategyAndModeStrings(t *testing.T) {
 			t.Error("empty CommMode string")
 		}
 	}
+	for _, m := range []CommMode{CommNeighbors, CommCustomizedAll, CommBroadcast} {
+		if got, err := ParseCommMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseCommMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if _, err := ParseCommMode("gossip"); err == nil {
+		t.Error("ParseCommMode accepted an unknown mode")
+	}
 	for _, o := range []VertexOrder{BoundaryFirst, InteriorFirst, Interleaved, VertexOrder(9)} {
 		if o.String() == "" {
 			t.Error("empty VertexOrder string")

@@ -36,6 +36,22 @@ func (m CommMode) String() string {
 	return fmt.Sprintf("commmode(%d)", int(m))
 }
 
+// ParseCommMode maps a name (as printed by String) back to a CommMode — the
+// -comm flag of dmgm-color and the "comm" field of a service job. It is the
+// only place the names are parsed, so the daemon and the CLI cannot disagree
+// on what a name runs.
+func ParseCommMode(s string) (CommMode, error) {
+	switch s {
+	case "neighbors":
+		return CommNeighbors, nil
+	case "customized-all":
+		return CommCustomizedAll, nil
+	case "broadcast":
+		return CommBroadcast, nil
+	}
+	return 0, fmt.Errorf("unknown comm mode %q: want neighbors | customized-all | broadcast", s)
+}
+
 // VertexOrder selects the relative order of interior and boundary vertices —
 // the framework's "before, after, or interleaved" knob. The experiments in
 // the framework paper favor strictly-before or strictly-after.

@@ -105,3 +105,26 @@ func PartVertices(p *Partition) [][]graph.Vertex {
 	}
 	return out
 }
+
+// Partitioner computes a p-way partition of g. opt carries the seed every
+// randomized partitioner draws from and the multilevel refinement knobs;
+// partitioners without a use for a field ignore it.
+type Partitioner func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error)
+
+// ByName maps a partitioner name — the -partition / -method flag of the
+// CLIs, the "partition" field of a service job — to its implementation. It
+// is the only place the names are spelled, so the daemon and the CLIs cannot
+// disagree on what a name runs.
+func ByName(name string) (Partitioner, error) {
+	switch name {
+	case "multilevel":
+		return Multilevel, nil
+	case "bfs":
+		return func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error) { return BFS(g, p, opt.Seed) }, nil
+	case "block":
+		return func(g *graph.Graph, p int, _ MultilevelOptions) (*Partition, error) { return Block1D(g, p) }, nil
+	case "random":
+		return func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error) { return Random(g, p, opt.Seed) }, nil
+	}
+	return nil, fmt.Errorf("unknown partitioner %q: want multilevel | bfs | block | random", name)
+}

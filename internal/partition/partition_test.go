@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -293,5 +294,42 @@ func TestQuickPartitionersValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestByNameRunsTheNamedPartitioner: each name resolves to the partitioner it
+// names, with the seed threaded through — the same call the CLIs and the
+// daemon make.
+func TestByNameRunsTheNamedPartitioner(t *testing.T) {
+	g, err := gen.ErdosRenyi(80, 240, true, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p, seed = 4, 9
+	direct := map[string]func() (*Partition, error){
+		"multilevel": func() (*Partition, error) { return Multilevel(g, p, MultilevelOptions{Seed: seed}) },
+		"bfs":        func() (*Partition, error) { return BFS(g, p, seed) },
+		"block":      func() (*Partition, error) { return Block1D(g, p) },
+		"random":     func() (*Partition, error) { return Random(g, p, seed) },
+	}
+	for name, mk := range direct {
+		build, err := ByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := build(g, p, MultilevelOptions{Seed: seed})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := mk()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) did not run %s", name, name)
+		}
+	}
+	if _, err := ByName("hash"); err == nil {
+		t.Fatal("ByName accepted an unknown partitioner")
 	}
 }

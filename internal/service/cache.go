@@ -1,8 +1,9 @@
 package service
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // resultCache is a mutex-guarded LRU over completed job responses, keyed by
@@ -17,85 +18,57 @@ import (
 // recent traffic.
 type resultCache struct {
 	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	lru *lru.Cache[string, Response]
 	// fps counts live entries per graph fingerprint — the index the upload
 	// short-circuit probes: a fingerprint with any cached result is one the
-	// daemon can answer for without the graph bytes.
+	// daemon can answer for without the graph bytes. Evictions leave it
+	// through the cache's on-evict callback.
 	fps map[string]int
-}
-
-// cacheEntry is one LRU node.
-type cacheEntry struct {
-	key string
-	val Response
 }
 
 // newResultCache builds a cache holding up to cap entries; cap <= 0
 // disables caching (every lookup misses, every store is dropped).
 func newResultCache(cap int) *resultCache {
-	return &resultCache{cap: cap, ll: list.New(), m: make(map[string]*list.Element), fps: make(map[string]int)}
+	c := &resultCache{fps: make(map[string]int)}
+	c.lru = lru.New(int64(cap), func(_ string, evicted Response) {
+		if c.fps[evicted.Fingerprint]--; c.fps[evicted.Fingerprint] <= 0 {
+			delete(c.fps, evicted.Fingerprint)
+		}
+	})
+	return c
 }
 
 // hasFingerprint reports whether any cached result was computed over the
 // graph with this fingerprint.
 func (c *resultCache) hasFingerprint(fp string) bool {
-	if c.cap <= 0 || fp == "" {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.fps[fp] > 0
+	return fp != "" && c.fps[fp] > 0
 }
 
 // get returns a copy of the cached response and marks the entry recently
 // used.
 func (c *resultCache) get(key string) (Response, bool) {
-	if c.cap <= 0 {
-		return Response{}, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return Response{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	return c.lru.Get(key)
 }
 
 // put stores (or refreshes) a response, evicting the least recently used
 // entry beyond capacity. Returns the number of evictions (0 or 1).
 func (c *resultCache) put(key string, val Response) int {
-	if c.cap <= 0 {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.ll.MoveToFront(el)
-		return 0
+	inserted, evicted := c.lru.Put(key, val, 1)
+	if inserted {
+		c.fps[val.Fingerprint]++
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-	c.fps[val.Fingerprint]++
-	if c.ll.Len() <= c.cap {
-		return 0
-	}
-	last := c.ll.Back()
-	c.ll.Remove(last)
-	ent := last.Value.(*cacheEntry)
-	delete(c.m, ent.key)
-	if c.fps[ent.val.Fingerprint]--; c.fps[ent.val.Fingerprint] <= 0 {
-		delete(c.fps, ent.val.Fingerprint)
-	}
-	return 1
+	return evicted
 }
 
 // len reports the current entry count.
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.lru.Len()
 }

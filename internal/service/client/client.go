@@ -138,9 +138,11 @@ func (c *Client) SubmitRetry(ctx context.Context, req *service.Request, maxRetri
 	}
 }
 
-// Health polls /healthz; nil means the server is up and admitting jobs.
-func (c *Client) Health(ctx context.Context) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
+// get fetches path and decodes a 200 answer's JSON body into out (nil
+// discards the body); any other status returns an *APIError. what names the
+// body in a decode error.
+func (c *Client) get(ctx context.Context, path, what string, out any) error {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
 		return err
 	}
@@ -152,7 +154,18 @@ func (c *Client) Health(ctx context.Context) error {
 	if hresp.StatusCode != http.StatusOK {
 		return decodeError(hresp)
 	}
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(hresp.Body).Decode(out); err != nil {
+		return fmt.Errorf("decoding %s: %w", what, err)
+	}
 	return nil
+}
+
+// Health polls /healthz; nil means the server is up and admitting jobs.
+func (c *Client) Health(ctx context.Context) error {
+	return c.get(ctx, "/healthz", "", nil)
 }
 
 // WaitReady polls Health until it succeeds or the deadline passes — for
@@ -178,21 +191,9 @@ func (c *Client) WaitReady(ctx context.Context, deadline time.Duration) error {
 // are retained (per the server's -trace-slow-ms policy) and the ring is
 // bounded, so a 404 means "not retained", not "never ran".
 func (c *Client) JobTrace(ctx context.Context, jobID string) (*service.JobTrace, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/jobs/"+jobID+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
-	}
 	var jt service.JobTrace
-	if err := json.NewDecoder(hresp.Body).Decode(&jt); err != nil {
-		return nil, fmt.Errorf("decoding trace: %w", err)
+	if err := c.get(ctx, "/v1/jobs/"+jobID+"/trace", "trace", &jt); err != nil {
+		return nil, err
 	}
 	return &jt, nil
 }
@@ -200,21 +201,9 @@ func (c *Client) JobTrace(ctx context.Context, jobID string) (*service.JobTrace,
 // Metrics scrapes /metrics into a registry snapshot — how dmgm-load reads
 // the server-side cache hit and shed counters after a run.
 func (c *Client) Metrics(ctx context.Context) (*obs.MetricsSnapshot, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
-	}
 	var s obs.MetricsSnapshot
-	if err := json.NewDecoder(hresp.Body).Decode(&s); err != nil {
-		return nil, fmt.Errorf("decoding metrics: %w", err)
+	if err := c.get(ctx, "/metrics", "metrics", &s); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }

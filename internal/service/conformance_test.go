@@ -23,8 +23,8 @@ import (
 // TestServiceMatchesCLI is the service↔CLI conformance gate: a job submitted
 // over HTTP must produce byte-identical output to what dmgm-match/dmgm-color
 // write for the same graph and parameters. The reference below is the CLI
-// execution path verbatim — same partitioner dispatch, same dmgm entry
-// points on a fresh world, same text serializers — minus flag parsing.
+// execution path verbatim — same name parsers, same dmgm entry points on a
+// fresh world, same text serializers — minus flag parsing.
 func TestServiceMatchesCLI(t *testing.T) {
 	g, err := gen.ErdosRenyi(300, 900, true, 11)
 	if err != nil {
@@ -40,9 +40,25 @@ func TestServiceMatchesCLI(t *testing.T) {
 
 	const ranks = 4
 	const seed = 5
-	part, err := partition.Multilevel(g, ranks, partition.MultilevelOptions{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+	// The reference resolves partitioner and comm mode from the same strings
+	// the request carries, through the same parsers the CLIs use — a name
+	// that meant one implementation to the daemon and another to the CLI
+	// would show up as a diverging result below.
+	reference := func(partitioner, comm string) (*partition.Partition, coloring.CommMode) {
+		t.Helper()
+		build, err := partition.ByName(partitioner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := build(g, ranks, partition.MultilevelOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mode, err := coloring.ParseCommMode(comm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part, mode
 	}
 	freshWorld := func() *mpi.World {
 		w, err := mpi.NewWorld(ranks, mpi.WithDeadline(10*time.Minute))
@@ -51,72 +67,86 @@ func TestServiceMatchesCLI(t *testing.T) {
 		}
 		return w
 	}
+	// The request defaults, and a non-default pair so a name→implementation
+	// mismatch cannot hide behind the defaults.
+	names := []struct{ partitioner, comm string }{
+		{"multilevel", "neighbors"},
+		{"bfs", "customized-all"},
+	}
 
 	t.Run("match", func(t *testing.T) {
-		for _, noBundle := range []bool{false, true} {
-			resp, err := cl.Submit(context.Background(), &service.Request{
-				Algorithm: service.AlgoMatch, Graph: gtext, Ranks: ranks, Seed: seed, NoBundle: noBundle,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := dmgm.MatchParallelOptions{}
-			if noBundle {
-				opt.BundleBytes = 17
-			}
-			res, err := dmgm.MatchParallelWorld(freshWorld(), g, part, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want strings.Builder
-			if err := matching.WriteMates(&want, res.Mates); err != nil {
-				t.Fatal(err)
-			}
-			if resp.Result != want.String() {
-				t.Fatalf("no_bundle=%v: service result diverges from the CLI serialization", noBundle)
-			}
-			if resp.Weight != res.Weight || resp.Cardinality != res.Mates.Cardinality() {
-				t.Fatalf("no_bundle=%v: summary fields diverge: service (%g, %d) vs CLI (%g, %d)",
-					noBundle, resp.Weight, resp.Cardinality, res.Weight, res.Mates.Cardinality())
-			}
-			// Traffic counts are scheduling-dependent (a rank that receives
-			// early answers fewer requests), so only their presence is
-			// asserted — the result itself is what must agree exactly.
-			if resp.Messages == 0 || resp.Bytes == 0 {
-				t.Fatalf("no_bundle=%v: service reported no traffic (%d msgs, %d B)", noBundle, resp.Messages, resp.Bytes)
+		for _, n := range names {
+			part, _ := reference(n.partitioner, n.comm)
+			for _, noBundle := range []bool{false, true} {
+				resp, err := cl.Submit(context.Background(), &service.Request{
+					Algorithm: service.AlgoMatch, Graph: gtext, Ranks: ranks, Seed: seed,
+					Partition: n.partitioner, NoBundle: noBundle,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := dmgm.MatchParallelOptions{}
+				if noBundle {
+					opt.BundleBytes = 17
+				}
+				res, err := dmgm.MatchParallelWorld(freshWorld(), g, part, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want strings.Builder
+				if err := matching.WriteMates(&want, res.Mates); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Result != want.String() {
+					t.Fatalf("%s no_bundle=%v: service result diverges from the CLI serialization", n.partitioner, noBundle)
+				}
+				if resp.Weight != res.Weight || resp.Cardinality != res.Mates.Cardinality() {
+					t.Fatalf("%s no_bundle=%v: summary fields diverge: service (%g, %d) vs CLI (%g, %d)",
+						n.partitioner, noBundle, resp.Weight, resp.Cardinality, res.Weight, res.Mates.Cardinality())
+				}
+				// Traffic counts are scheduling-dependent (a rank that receives
+				// early answers fewer requests), so only their presence is
+				// asserted — the result itself is what must agree exactly.
+				if resp.Messages == 0 || resp.Bytes == 0 {
+					t.Fatalf("%s no_bundle=%v: service reported no traffic (%d msgs, %d B)",
+						n.partitioner, noBundle, resp.Messages, resp.Bytes)
+				}
 			}
 		}
 	})
 
 	t.Run("color", func(t *testing.T) {
-		for _, distance2 := range []bool{false, true} {
-			resp, err := cl.Submit(context.Background(), &service.Request{
-				Algorithm: service.AlgoColor, Graph: gtext, Ranks: ranks, Seed: seed,
-				Superstep: 100, Distance2: distance2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := dmgm.ColorParallelOptions{SuperstepSize: 100, Seed: seed, CommMode: dmgm.CommNeighbors}
-			var res *dmgm.ColorParallelResult
-			if distance2 {
-				res, err = dmgm.ColorParallelDistance2World(freshWorld(), g, part, opt)
-			} else {
-				res, err = dmgm.ColorParallelWorld(freshWorld(), g, part, opt)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want strings.Builder
-			if err := coloring.WriteColors(&want, res.Colors); err != nil {
-				t.Fatal(err)
-			}
-			if resp.Result != want.String() {
-				t.Fatalf("distance2=%v: service result diverges from the CLI serialization", distance2)
-			}
-			if resp.Colors != res.NumColors || resp.Rounds != res.Rounds {
-				t.Fatalf("distance2=%v: summary fields diverge: service (%d colors, %d rounds) vs CLI (%d, %d)",
-					distance2, resp.Colors, resp.Rounds, res.NumColors, res.Rounds)
+		for _, n := range names {
+			part, mode := reference(n.partitioner, n.comm)
+			for _, distance2 := range []bool{false, true} {
+				resp, err := cl.Submit(context.Background(), &service.Request{
+					Algorithm: service.AlgoColor, Graph: gtext, Ranks: ranks, Seed: seed,
+					Partition: n.partitioner, Comm: n.comm, Superstep: 100, Distance2: distance2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := dmgm.ColorParallelOptions{SuperstepSize: 100, Seed: seed, CommMode: mode}
+				var res *dmgm.ColorParallelResult
+				if distance2 {
+					res, err = dmgm.ColorParallelDistance2World(freshWorld(), g, part, opt)
+				} else {
+					res, err = dmgm.ColorParallelWorld(freshWorld(), g, part, opt)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want strings.Builder
+				if err := coloring.WriteColors(&want, res.Colors); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Result != want.String() {
+					t.Fatalf("%s/%s distance2=%v: service result diverges from the CLI serialization", n.partitioner, n.comm, distance2)
+				}
+				if resp.Colors != res.NumColors || resp.Rounds != res.Rounds {
+					t.Fatalf("%s/%s distance2=%v: summary fields diverge: service (%d colors, %d rounds) vs CLI (%d, %d)",
+						n.partitioner, n.comm, distance2, resp.Colors, resp.Rounds, res.NumColors, res.Rounds)
+				}
 			}
 		}
 	})

@@ -806,6 +806,20 @@ func jsonStatus(w http.ResponseWriter, st *Status) {
 	json.NewEncoder(w).Encode(st) //nolint:errcheck // response committed
 }
 
+// answer writes the outcome of a session call: its status, a ChunkError
+// under the error's own code, or anything else as a 500.
+func answer(w http.ResponseWriter, st *Status, err error) {
+	var ce *ChunkError
+	switch {
+	case err == nil:
+		jsonStatus(w, st)
+	case errors.As(err, &ce):
+		writeChunkError(w, ce)
+	default:
+		jsonError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
 func (m *Manager) handleOpen(w http.ResponseWriter, r *http.Request) {
 	// Session opens join the caller's W3C trace like job submissions do
 	// (docs/PROTOCOL.md §9): accept a valid traceparent or mint a trace id,
@@ -879,17 +893,8 @@ func (m *Manager) handleChunk(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "reading chunk body: %v", err)
 		return
 	}
-	st, aerr := m.Append(s, idx, data, r.Header.Get("X-Chunk-SHA256"))
-	if aerr != nil {
-		var ce *ChunkError
-		if errors.As(aerr, &ce) {
-			writeChunkError(w, ce)
-			return
-		}
-		jsonError(w, http.StatusInternalServerError, "%v", aerr)
-		return
-	}
-	jsonStatus(w, st)
+	st, err := m.Append(s, idx, data, r.Header.Get("X-Chunk-SHA256"))
+	answer(w, st, err)
 }
 
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -908,17 +913,8 @@ func (m *Manager) handleComplete(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "decoding complete request: %v", err)
 		return
 	}
-	st, cerr := m.Complete(s, req.Chunks, r.Context().Done())
-	if cerr != nil {
-		var ce *ChunkError
-		if errors.As(cerr, &ce) {
-			writeChunkError(w, ce)
-			return
-		}
-		jsonError(w, http.StatusInternalServerError, "%v", cerr)
-		return
-	}
-	jsonStatus(w, st)
+	st, err := m.Complete(s, req.Chunks, r.Context().Done())
+	answer(w, st, err)
 }
 
 func (m *Manager) handleAbort(w http.ResponseWriter, r *http.Request) {

@@ -425,8 +425,8 @@ func TestStoreEvictionUnderConcurrentJobs(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st.Bytes() > 1<<20 && st.Len() > 1 {
-		t.Fatalf("store over budget: %d bytes in %d entries", st.Bytes(), st.Len())
+	if s := st.Stats(); s.Bytes > 1<<20 && s.Entries > 1 {
+		t.Fatalf("store over budget: %d bytes in %d entries", s.Bytes, s.Entries)
 	}
 	if v := reg.Snapshot().Counters["ingest.store_evictions"]; v == 0 {
 		t.Fatal("no evictions under a 1 MiB budget")

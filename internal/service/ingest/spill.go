@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bufio"
-	"container/list"
 	"fmt"
 	"io"
 	"os"
@@ -13,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -63,10 +63,12 @@ type spillTier struct {
 	dir      string
 	maxBytes int64
 
-	mu    sync.Mutex
-	ll    *list.List               // front = most recently used
-	m     map[string]*list.Element // fingerprint → element
-	bytes int64
+	mu  sync.Mutex
+	idx *lru.Cache[string, struct{}] // fingerprint → nothing; cost = file size
+	// doomed collects the files of evicted index entries (the cache's
+	// on-evict callback appends under mu); index, which caused the eviction,
+	// deletes them once it has released the lock.
+	doomed []string
 
 	bytesG       *obs.Gauge
 	filesG       *obs.Gauge
@@ -75,11 +77,6 @@ type spillTier struct {
 	rehydrations *obs.Counter
 	corrupt      *obs.Counter
 	evictions    *obs.Counter
-}
-
-type spillEntry struct {
-	fp   string
-	size int64
 }
 
 // EnableSpill attaches a persistent tier to the store: the directory is
@@ -103,8 +100,6 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 	sp := &spillTier{
 		dir:          cfg.Dir,
 		maxBytes:     cfg.MaxBytes,
-		ll:           list.New(),
-		m:            make(map[string]*list.Element),
 		bytesG:       reg.Gauge("ingest.spill_bytes"),
 		filesG:       reg.Gauge("ingest.spill_files"),
 		writes:       reg.Counter("ingest.spill_writes"),
@@ -113,6 +108,9 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 		corrupt:      reg.Counter("ingest.spill_corrupt"),
 		evictions:    reg.Counter("ingest.spill_evictions"),
 	}
+	sp.idx = lru.New(cfg.MaxBytes, func(fp string, _ struct{}) {
+		sp.doomed = append(sp.doomed, filepath.Join(sp.dir, fp+spillExt))
+	})
 	if err := sp.scan(); err != nil {
 		return err
 	}
@@ -166,15 +164,9 @@ func (sp *spillTier) scan() error {
 		found = append(found, candidate{fp: fp, size: info.Size(), mtime: info.ModTime().UnixNano()})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
-	sp.mu.Lock()
 	for _, c := range found {
-		sp.m[c.fp] = sp.ll.PushFront(&spillEntry{fp: c.fp, size: c.size})
-		sp.bytes += c.size
+		sp.index(c.fp, c.size)
 	}
-	doomed := sp.evictOverBudgetLocked()
-	sp.gaugesLocked()
-	sp.mu.Unlock()
-	sp.removeFiles(doomed)
 	return nil
 }
 
@@ -203,8 +195,7 @@ func (sp *spillTier) headerMatches(name, fp string, size int64) bool {
 func (sp *spillTier) contains(fp string) bool {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	_, ok := sp.m[fp]
-	return ok
+	return sp.idx.Contains(fp)
 }
 
 // write spills one graph, committing via temp file + rename so a crash at
@@ -212,13 +203,9 @@ func (sp *spillTier) contains(fp string) bool {
 // and swallowed: persistence is best-effort; the in-memory store already
 // holds the graph.
 func (sp *spillTier) write(fp string, g *graph.Graph) {
-	sp.mu.Lock()
-	if el, ok := sp.m[fp]; ok {
-		sp.ll.MoveToFront(el)
-		sp.mu.Unlock()
+	if sp.touch(fp) {
 		return // content-addressed: the file on disk is this graph
 	}
-	sp.mu.Unlock()
 
 	f, err := os.CreateTemp(sp.dir, spillTmpPattern)
 	if err != nil {
@@ -250,16 +237,9 @@ func (sp *spillTier) write(fp string, g *graph.Graph) {
 		sp.writeErrs.Inc()
 		return
 	}
-	sp.mu.Lock()
-	if _, ok := sp.m[fp]; !ok { // a concurrent writer may have won the rename
-		sp.m[fp] = sp.ll.PushFront(&spillEntry{fp: fp, size: size})
-		sp.bytes += size
+	if sp.index(fp, size) { // false: a concurrent writer won the rename
 		sp.writes.Inc()
 	}
-	doomed := sp.evictOverBudgetLocked()
-	sp.gaugesLocked()
-	sp.mu.Unlock()
-	sp.removeFiles(doomed)
 }
 
 // load rehydrates one spilled graph, re-verifying it end to end: the
@@ -285,11 +265,7 @@ func (sp *spillTier) load(fp string) (*graph.Graph, error) {
 		sp.discard(fp, true)
 		return nil, fmt.Errorf("ingest: spill file %s holds graph %s", fp[:12], hdr.Fingerprint[:12])
 	}
-	sp.mu.Lock()
-	if el, ok := sp.m[fp]; ok {
-		sp.ll.MoveToFront(el)
-	}
-	sp.mu.Unlock()
+	sp.touch(fp)
 	sp.rehydrations.Inc()
 	return g, nil
 }
@@ -299,12 +275,7 @@ func (sp *spillTier) load(fp string) (*graph.Graph, error) {
 func (sp *spillTier) discard(fp string, quarantine bool) {
 	sp.corrupt.Inc()
 	sp.mu.Lock()
-	if el, ok := sp.m[fp]; ok {
-		ent := el.Value.(*spillEntry)
-		sp.ll.Remove(el)
-		delete(sp.m, fp)
-		sp.bytes -= ent.size
-	}
+	sp.idx.Remove(fp)
 	sp.gaugesLocked()
 	sp.mu.Unlock()
 	if quarantine {
@@ -321,37 +292,34 @@ func (sp *spillTier) quarantineFile(name string) {
 	}
 }
 
-// evictOverBudgetLocked trims the LRU tail past the byte budget (always
-// keeping the newest entry) and returns the paths to delete once the lock
-// is released.
-func (sp *spillTier) evictOverBudgetLocked() []string {
-	var doomed []string
-	for sp.bytes > sp.maxBytes && sp.ll.Len() > 1 {
-		last := sp.ll.Back()
-		ent := last.Value.(*spillEntry)
-		sp.ll.Remove(last)
-		delete(sp.m, ent.fp)
-		sp.bytes -= ent.size
-		sp.evictions.Inc()
-		doomed = append(doomed, filepath.Join(sp.dir, ent.fp+spillExt))
-	}
-	return doomed
+// touch marks an indexed fingerprint recently used and reports whether it
+// was indexed at all.
+func (sp *spillTier) touch(fp string) bool {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	_, ok := sp.idx.Get(fp)
+	return ok
 }
 
-func (sp *spillTier) removeFiles(paths []string) {
-	for _, p := range paths {
+// index records one spill file and reports whether it was new. Entries the
+// byte budget pushes out (never the newest) are counted, and their files —
+// queued on sp.doomed by the on-evict callback — deleted once the lock is
+// released.
+func (sp *spillTier) index(fp string, size int64) bool {
+	sp.mu.Lock()
+	inserted, evicted := sp.idx.Put(fp, struct{}{}, size)
+	sp.evictions.Add(int64(evicted))
+	sp.gaugesLocked()
+	doomed := sp.doomed
+	sp.doomed = nil
+	sp.mu.Unlock()
+	for _, p := range doomed {
 		os.Remove(p) //nolint:errcheck // the index entry is already gone
 	}
+	return inserted
 }
 
 func (sp *spillTier) gaugesLocked() {
-	sp.bytesG.Set(sp.bytes)
-	sp.filesG.Set(int64(sp.ll.Len()))
-}
-
-// stats snapshots the tier for /healthz.
-func (sp *spillTier) stats() (dir string, bytes int64, files int, budget int64) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.dir, sp.bytes, sp.ll.Len(), sp.maxBytes
+	sp.bytesG.Set(sp.idx.Cost())
+	sp.filesG.Set(int64(sp.idx.Len()))
 }

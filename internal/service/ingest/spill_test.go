@@ -47,8 +47,8 @@ func TestSpillPersistsAcrossRestart(t *testing.T) {
 	// A second store on the same directory models the restarted daemon:
 	// empty memory, same disk.
 	st2, reg := spillStore(t, dir)
-	if st2.Len() != 0 {
-		t.Fatalf("restart scan decoded %d graphs eagerly; the index must be headers-only", st2.Len())
+	if n := st2.Stats().Entries; n != 0 {
+		t.Fatalf("restart scan decoded %d graphs eagerly; the index must be headers-only", n)
 	}
 	if !st2.Contains(fp) {
 		t.Fatal("spilled fingerprint unknown after restart")
@@ -264,17 +264,26 @@ func TestSpillScanSweepsTempsSkipsQuarantined(t *testing.T) {
 func TestSpillDiskBudgetEvictsOldest(t *testing.T) {
 	dir := t.TempDir()
 	st, reg := spillStore(t, dir)
-	g1, g2, g3 := spillGraph(t, 21), spillGraph(t, 22), spillGraph(t, 23)
-	enc, err := graph.EncodeDMGB(g1)
+	// Sized against the budget spillStore gets (EnableSpill's 1 MiB floor):
+	// room for two spill files, not three.
+	var gs []*graph.Graph
+	for seed := uint64(21); seed <= 23; seed++ {
+		g, err := gen.ErdosRenyi(6000, 22000, true, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	enc, err := graph.EncodeDMGB(gs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for two spill files, not three (the clamp in EnableSpill is for
-	// production dirs; the test sizes the budget to its graphs directly).
-	st.spill.maxBytes = int64(len(enc)) * 5 / 2
+	if n := int64(len(enc)); 2*n > st.spill.maxBytes || 3*n <= st.spill.maxBytes {
+		t.Fatalf("a %d-byte spill file does not fit the %d-byte budget exactly twice", n, st.spill.maxBytes)
+	}
 
 	fps := make([]string, 0, 3)
-	for _, g := range []*graph.Graph{g1, g2, g3} {
+	for _, g := range gs {
 		fp := graph.Fingerprint(g)
 		fps = append(fps, fp)
 		st.Put(fp, g)

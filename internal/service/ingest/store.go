@@ -1,13 +1,13 @@
 package ingest
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -30,11 +30,9 @@ func GraphBytes(g *graph.Graph) int64 {
 type Store struct {
 	mu       sync.Mutex
 	maxBytes int64
-	bytes    int64
-	ll       *list.List               // front = most recently used
-	m        map[string]*list.Element // fingerprint → element
-	flight   map[string]*flightCall   // in-progress loads, by caller key
-	paths    map[string]pathEntry     // daemon-local file loads, by path
+	lru      *lru.Cache[string, *graph.Graph] // by fingerprint, cost = GraphBytes
+	flight   map[string]*flightCall           // in-progress loads, by caller key
+	paths    map[string]pathEntry             // daemon-local file loads, by path
 
 	// spill is the persistent tier (spill.go); nil means memory-only, the
 	// pre-persistence behavior. reg is kept so EnableSpill can register its
@@ -48,12 +46,6 @@ type Store struct {
 	shared    *obs.Counter // single-flight loads answered by another caller's decode
 	bytesG    *obs.Gauge
 	entriesG  *obs.Gauge
-}
-
-type storeEntry struct {
-	fp   string
-	g    *graph.Graph
-	size int64
 }
 
 // flightCall is one in-progress load other callers can wait on.
@@ -86,8 +78,7 @@ func NewStore(maxBytes int64, reg *obs.Registry) *Store {
 	}
 	return &Store{
 		maxBytes:  maxBytes,
-		ll:        list.New(),
-		m:         make(map[string]*list.Element),
+		lru:       lru.New[string, *graph.Graph](maxBytes, nil),
 		flight:    make(map[string]*flightCall),
 		paths:     make(map[string]pathEntry),
 		reg:       reg,
@@ -105,14 +96,13 @@ func NewStore(maxBytes int64, reg *obs.Registry) *Store {
 func (s *Store) Get(fp string) (*graph.Graph, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.m[fp]
-	if !ok {
+	g, ok := s.lru.Get(fp)
+	if ok {
+		s.hits.Inc()
+	} else {
 		s.misses.Inc()
-		return nil, false
 	}
-	s.hits.Inc()
-	s.ll.MoveToFront(el)
-	return el.Value.(*storeEntry).g, true
+	return g, ok
 }
 
 // Contains reports presence without touching LRU order or the hit counters —
@@ -122,7 +112,7 @@ func (s *Store) Get(fp string) (*graph.Graph, bool) {
 // wasted work.
 func (s *Store) Contains(fp string) bool {
 	s.mu.Lock()
-	_, ok := s.m[fp]
+	ok := s.lru.Contains(fp)
 	s.mu.Unlock()
 	if ok {
 		return true
@@ -137,32 +127,19 @@ func (s *Store) Contains(fp string) bool {
 // content-addressed names make concurrent duplicate writes harmless), so
 // the ref survives both memory eviction and a daemon restart.
 func (s *Store) Put(fp string, g *graph.Graph) {
-	size := GraphBytes(g)
 	s.mu.Lock()
-	if el, ok := s.m[fp]; ok {
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		// Content-addressed: an existing entry is the same graph. Still make
-		// sure the spill file exists — it may have been evicted by the disk
-		// budget or quarantined since the first deposit.
-		if s.spill != nil {
-			s.spill.write(fp, g)
-		}
-		return
+	// Content-addressed: an existing entry is the same graph, so it is only
+	// marked recently used.
+	if _, ok := s.lru.Get(fp); !ok {
+		_, evicted := s.lru.Put(fp, g, GraphBytes(g))
+		s.evictions.Add(int64(evicted))
+		s.bytesG.Set(s.lru.Cost())
+		s.entriesG.Set(int64(s.lru.Len()))
 	}
-	s.m[fp] = s.ll.PushFront(&storeEntry{fp: fp, g: g, size: size})
-	s.bytes += size
-	for s.bytes > s.maxBytes && s.ll.Len() > 1 {
-		last := s.ll.Back()
-		ent := last.Value.(*storeEntry)
-		s.ll.Remove(last)
-		delete(s.m, ent.fp)
-		s.bytes -= ent.size
-		s.evictions.Inc()
-	}
-	s.bytesG.Set(s.bytes)
-	s.entriesG.Set(int64(s.ll.Len()))
 	s.mu.Unlock()
+	// Even for an existing entry, make sure the spill file exists — it may
+	// have been evicted by the disk budget or quarantined since the first
+	// deposit.
 	if s.spill != nil {
 		s.spill.write(fp, g)
 	}
@@ -198,20 +175,6 @@ func (s *Store) Resolve(fp string) (g *graph.Graph, rehydrated bool, ok bool) {
 	return g, true, true
 }
 
-// Len reports the entry count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
-
-// Bytes reports the resident byte total.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
 // LoadPath resolves a daemon-local graph file through the store: the file is
 // streamed through the sniffing decoder at most once per content version
 // (stat identity), concurrent loads of the same path share one decode
@@ -225,10 +188,8 @@ func (s *Store) LoadPath(path string) (*graph.Graph, string, error) {
 	s.mu.Lock()
 	if pe, ok := s.paths[path]; ok &&
 		pe.size == info.Size() && pe.modTime.Equal(info.ModTime()) && pe.ino == fileIno(info) {
-		if el, ok := s.m[pe.fp]; ok {
+		if g, ok := s.lru.Get(pe.fp); ok {
 			s.hits.Inc()
-			s.ll.MoveToFront(el)
-			g := el.Value.(*storeEntry).g
 			s.mu.Unlock()
 			return g, pe.fp, nil
 		}
@@ -304,16 +265,15 @@ type StoreStats struct {
 // Stats snapshots the store for the health endpoint.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
-	st := StoreStats{Entries: s.ll.Len(), Bytes: s.bytes, MaxBytes: s.maxBytes}
+	st := StoreStats{Entries: s.lru.Len(), Bytes: s.lru.Cost(), MaxBytes: s.maxBytes}
 	s.mu.Unlock()
-	if s.spill != nil {
-		dir, bytes, files, budget := s.spill.stats()
-		st.SpillDir = dir
-		st.SpillBytes = bytes
-		st.SpillFiles = int64(files)
-		st.SpillBudget = budget
-		st.Rehydrations = s.spill.rehydrations.Load()
-		st.Corrupt = s.spill.corrupt.Load()
+	if sp := s.spill; sp != nil {
+		sp.mu.Lock()
+		st.SpillDir, st.SpillBudget = sp.dir, sp.maxBytes
+		st.SpillBytes, st.SpillFiles = sp.idx.Cost(), int64(sp.idx.Len())
+		sp.mu.Unlock()
+		st.Rehydrations = sp.rehydrations.Load()
+		st.Corrupt = sp.corrupt.Load()
 	}
 	return st
 }

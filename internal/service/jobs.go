@@ -29,7 +29,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/graph"
+	"repro/internal/coloring"
 	"repro/internal/partition"
 )
 
@@ -116,10 +116,8 @@ func (r *Request) normalize(maxRanks int) string {
 	if r.Partition == "" {
 		r.Partition = "multilevel"
 	}
-	switch r.Partition {
-	case "multilevel", "bfs", "block", "random":
-	default:
-		return fmt.Sprintf("unknown partitioner %q: want multilevel | bfs | block | random", r.Partition)
+	if _, err := partition.ByName(r.Partition); err != nil {
+		return err.Error()
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -133,10 +131,8 @@ func (r *Request) normalize(maxRanks int) string {
 	if r.Comm == "" {
 		r.Comm = "neighbors"
 	}
-	switch r.Comm {
-	case "neighbors", "customized-all", "broadcast":
-	default:
-		return fmt.Sprintf("unknown comm mode %q: want neighbors | customized-all | broadcast", r.Comm)
+	if _, err := coloring.ParseCommMode(r.Comm); err != nil {
+		return err.Error()
 	}
 	if r.Algorithm == AlgoMatch && r.Distance2 {
 		return "distance2 applies to color jobs only"
@@ -172,23 +168,6 @@ func (r *Request) timeout(def time.Duration) time.Duration {
 		return def
 	}
 	return d
-}
-
-// buildPartition runs the requested partitioner — the same dispatch the CLIs
-// use, so service and CLI runs agree bit-for-bit.
-func (r *Request) buildPartition(g *graph.Graph) (*partition.Partition, error) {
-	switch r.Partition {
-	case "multilevel":
-		return partition.Multilevel(g, r.Ranks, partition.MultilevelOptions{Seed: r.Seed})
-	case "bfs":
-		return partition.BFS(g, r.Ranks, r.Seed)
-	case "block":
-		return partition.Block1D(g, r.Ranks)
-	case "random":
-		return partition.Random(g, r.Ranks, r.Seed)
-	default:
-		return nil, fmt.Errorf("unknown partitioner %q", r.Partition)
-	}
 }
 
 // Response is the job result, the JSON body of a 200 answer. Result carries

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/partition"
 )
 
@@ -22,20 +22,13 @@ import (
 // it rather than mutating it.
 type partCache struct {
 	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
-}
-
-type partEntry struct {
-	key  string
-	part *partition.Partition
+	lru *lru.Cache[string, *partition.Partition]
 }
 
 // newPartCache builds a cache holding up to cap partitions; cap <= 0
 // disables it.
 func newPartCache(cap int) *partCache {
-	return &partCache{cap: cap, ll: list.New(), m: make(map[string]*list.Element)}
+	return &partCache{lru: lru.New[string, *partition.Partition](int64(cap), nil)}
 }
 
 // partitionKey identifies a partition by its full derivation.
@@ -44,42 +37,16 @@ func partitionKey(fp, partitioner string, ranks int, seed uint64) string {
 }
 
 func (c *partCache) get(key string) (*partition.Partition, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*partEntry).part, true
+	return c.lru.Get(key)
 }
 
-// put stores a partition; returns the number of evictions (0 or 1).
+// put stores a partition; returns the number of evictions (0 or 1). A key
+// already present is refreshed: same key ⇒ same derivation ⇒ same partition.
 func (c *partCache) put(key string, p *partition.Partition) int {
-	if c.cap <= 0 {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		return 0 // same key ⇒ same derivation ⇒ same partition
-	}
-	c.m[key] = c.ll.PushFront(&partEntry{key: key, part: p})
-	if c.ll.Len() <= c.cap {
-		return 0
-	}
-	last := c.ll.Back()
-	c.ll.Remove(last)
-	delete(c.m, last.Value.(*partEntry).key)
-	return 1
-}
-
-func (c *partCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	_, evicted := c.lru.Put(key, p, 1)
+	return evicted
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,9 +35,6 @@ type Config struct {
 	// DefaultTimeout caps a job's queue wait plus run time; requests may
 	// shorten it per job, never extend it (default 2 minutes).
 	DefaultTimeout time.Duration
-	// WorldDeadline is the watchdog on pooled worlds — the backstop against
-	// a wedged algorithm outliving every job deadline (default 10 minutes).
-	WorldDeadline time.Duration
 	// CacheEntries bounds the LRU result cache (default 128; negative
 	// disables caching).
 	CacheEntries int
@@ -66,9 +64,6 @@ type Config struct {
 	UploadTTL time.Duration
 	// MaxUploadBytes bounds one upload session (default 1 GiB).
 	MaxUploadBytes int64
-	// MaxUploadSessions bounds concurrently open upload sessions
-	// (default 64).
-	MaxUploadSessions int
 	// Policies carries the per-tenant admission budgets (weights, rate
 	// limits, queue/concurrency/upload bounds — docs/PROTOCOL.md §8). nil
 	// applies the permissive default policy to every tenant: weight 1, no
@@ -113,9 +108,6 @@ type Config struct {
 	// TraceRing bounds the retained-trace ring (default 256; negative
 	// disables retention).
 	TraceRing int
-	// RuntimeSpanCap is the per-rank span-ring capacity of each job's runtime
-	// observer (default 2048). A long job keeps the tail of its phase spans.
-	RuntimeSpanCap int
 	// AccessLog, when set, receives one structured JSON line per job request:
 	// trace id, tenant, status, queue wait, run time, cache disposition.
 	AccessLog io.Writer
@@ -130,9 +122,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Minute
-	}
-	if c.WorldDeadline <= 0 {
-		c.WorldDeadline = 10 * time.Minute
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 128
@@ -164,38 +153,45 @@ func (c *Config) fillDefaults() {
 	if c.TraceRing == 0 {
 		c.TraceRing = 256
 	}
-	if c.RuntimeSpanCap <= 0 {
-		c.RuntimeSpanCap = 2048
-	}
 }
+
+// Sizes with one value in use everywhere; constants, not Config fields.
+const (
+	// worldDeadline is the watchdog on pooled worlds — the backstop against
+	// a wedged algorithm outliving every job deadline.
+	worldDeadline = 10 * time.Minute
+	// maxUploadSessions bounds concurrently open upload sessions across all
+	// tenants.
+	maxUploadSessions = 64
+	// runtimeSpanCap is the per-rank span-ring capacity of each job's runtime
+	// observer. A long job keeps the tail of its phase spans.
+	runtimeSpanCap = 2048
+)
 
 // job is one admitted submission moving through its tenant's queue.
 type job struct {
-	id     string
-	tenant string
-	tq     *tenantQueue
-	req    *Request
-	g      *graph.Graph
-	fp     string
-	key    string
-	ctx    context.Context
-	done   chan struct{} // closed exactly once, after resp/status are set
+	tq   *tenantQueue
+	req  *Request
+	g    *graph.Graph
+	fp   string
+	key  string
+	ctx  context.Context
+	done chan struct{} // closed exactly once, after resp/rej are set
 
-	// jt is the request's trace state. The handler owns it until enqueue,
-	// the worker between dequeue and close(done) — see trace.go.
+	// jt is the request's trace state, which also names the job (jobID,
+	// tenant). The handler owns it until enqueue, the worker between dequeue
+	// and close(done) — see trace.go.
 	jt         *jobTrace
 	enqueuedAt time.Time
 
-	resp   *Response
-	status int
-	errMsg string
+	// The outcome: exactly one of resp and rej is set.
+	resp *Response
+	rej  *reject
 }
 
 // finish publishes the job's outcome and releases its waiter.
-func (j *job) finish(status int, resp *Response, errMsg string) {
-	j.status = status
-	j.resp = resp
-	j.errMsg = errMsg
+func (j *job) finish(resp *Response, rej *reject) {
+	j.resp, j.rej = resp, rej
 	close(j.done)
 }
 
@@ -207,7 +203,6 @@ func (j *job) finish(status int, resp *Response, errMsg string) {
 // use once NewServer returns.
 type Server struct {
 	cfg    Config
-	obsr   *obs.Observer
 	pool   *worldPool
 	cache  *resultCache
 	store  *ingest.Store
@@ -234,15 +229,11 @@ type Server struct {
 	pumpStop   chan struct{} // closes to stop the periodic metrics push
 	pumpDone   chan struct{}
 
-	// spanMu serializes per-job span recording: the driver tracer is a
-	// single-goroutine structure and the workers are not.
-	spanMu sync.Mutex
-
-	// Instruments (nil-safe no-ops without an observer).
-	submitted   *obs.Counter
-	completed   *obs.Counter
+	// Instruments (nil-safe no-ops without an observer). The per-job
+	// counters and histograms that have a per-tenant twin (submitted,
+	// rejected, completed, latency, queue wait, run time) live on the
+	// tenantQueue, paired with their service-wide instrument.
 	failed      *obs.Counter
-	rejected    *obs.Counter
 	drainRejs   *obs.Counter
 	timeouts    *obs.Counter
 	hits        *obs.Counter
@@ -251,15 +242,11 @@ type Server struct {
 	partHits    *obs.Counter
 	partMisses  *obs.Counter
 	partEvicts  *obs.Counter
-	queueDepth  *obs.Gauge
 	inflight    *obs.Gauge
 	cacheGauge  *obs.Gauge
 	idleWorlds  *obs.Gauge
 	drainGauge  *obs.Gauge
 	tracesGauge *obs.Gauge
-	latencyHist *obs.Histogram
-	qwaitHist   *obs.Histogram
-	runHist     *obs.Histogram
 }
 
 // NewServer builds a server from cfg. Call Start before serving traffic.
@@ -270,17 +257,13 @@ func NewServer(cfg Config) (*Server, error) {
 	reg := cfg.Observer.Registry()
 	s := &Server{
 		cfg:   cfg,
-		obsr:  cfg.Observer,
-		pool:  newWorldPool(cfg.WorldDeadline, cfg.Workers*2, reg),
+		pool:  newWorldPool(worldDeadline, cfg.Workers*2, reg),
 		cache: newResultCache(cfg.CacheEntries),
 		store: ingest.NewStore(cfg.StoreBytes, reg),
 		parts: newPartCache(cfg.PartitionCacheEntries),
 		sched: newTenantSched(cfg.Policies, cfg.QueueLen, cfg.MaxTenants, reg),
 
-		submitted:   reg.Counter("service.jobs_submitted"),
-		completed:   reg.Counter("service.jobs_completed"),
 		failed:      reg.Counter("service.jobs_failed"),
-		rejected:    reg.Counter("service.jobs_rejected"),
 		drainRejs:   reg.Counter("service.jobs_rejected_draining"),
 		timeouts:    reg.Counter("service.jobs_timeout"),
 		hits:        reg.Counter("service.cache_hits"),
@@ -289,15 +272,11 @@ func NewServer(cfg Config) (*Server, error) {
 		partHits:    reg.Counter("service.partition_cache_hits"),
 		partMisses:  reg.Counter("service.partition_cache_misses"),
 		partEvicts:  reg.Counter("service.partition_cache_evictions"),
-		queueDepth:  reg.Gauge("service.queue_depth"),
 		inflight:    reg.Gauge("service.inflight"),
 		cacheGauge:  reg.Gauge("service.cache_entries"),
 		idleWorlds:  reg.Gauge("service.pool_idle"),
 		drainGauge:  reg.Gauge("service.draining"),
 		tracesGauge: reg.Gauge("service.traces_retained"),
-		latencyHist: reg.Histogram("service.job_latency_ms", obs.ExpBounds(1, 1<<22)),
-		qwaitHist:   reg.Histogram("service.queue_wait_ms", obs.ExpBounds(1, 1<<22)),
-		runHist:     reg.Histogram("service.run_ms", obs.ExpBounds(1, 1<<22)),
 
 		traces:    newTraceRing(cfg.TraceRing),
 		accessLog: newAccessLogger(cfg.AccessLog),
@@ -314,7 +293,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.ingest = ingest.NewManager(ingest.Config{
 		TTL:         cfg.UploadTTL,
-		MaxSessions: cfg.MaxUploadSessions,
+		MaxSessions: maxUploadSessions,
 		MaxBytes:    cfg.MaxUploadBytes,
 		Store:       s.store,
 		// Fingerprints with a cached result are answerable without the
@@ -380,7 +359,7 @@ func (s *Server) Start() {
 	if s.cfg.OTLPEndpoint != "" {
 		s.exporter = obs.NewOTLPExporter(s.cfg.OTLPEndpoint, obs.OTLPOptions{
 			Identity: obs.OTLPIdentity{RunID: s.cfg.RunID, Service: otlpServiceName},
-			Registry: s.obsr.Registry(),
+			Registry: s.cfg.Observer.Registry(),
 		})
 		s.pumpStop = make(chan struct{})
 		s.pumpDone = make(chan struct{})
@@ -400,7 +379,7 @@ func (s *Server) metricsPump() {
 	defer t.Stop()
 	push := func() {
 		s.refreshGauges()
-		s.exporter.ExportMetrics(s.obsr.Registry().Snapshot(), s.startNanos.Load())
+		s.exporter.ExportMetrics(s.cfg.Observer.Registry().Snapshot(), s.startNanos.Load())
 	}
 	for {
 		select {
@@ -510,13 +489,13 @@ func (s *Server) LiveSnapshot() *obs.LiveSnapshot {
 	s.refreshGauges()
 	return &obs.LiveSnapshot{
 		CapturedUnixNanos: time.Now().UnixNano(),
-		Metrics:           s.obsr.Registry().Snapshot(),
+		Metrics:           s.cfg.Observer.Registry().Snapshot(),
 	}
 }
 
-// refreshGauges recomputes the sampled gauges a scrape observes.
+// refreshGauges recomputes the sampled gauges a scrape observes (the
+// scheduler keeps service.queue_depth exact on every enqueue and dispatch).
 func (s *Server) refreshGauges() {
-	s.queueDepth.Set(int64(s.sched.totalQueued()))
 	s.cacheGauge.Set(int64(s.cache.len()))
 	s.idleWorlds.Set(int64(s.pool.idle()))
 	s.tracesGauge.Set(int64(s.traces.len()))
@@ -563,7 +542,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.refreshGauges()
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.obsr.Registry().Snapshot().CanonicalJSONIndent()) //nolint:errcheck // best-effort scrape
+	w.Write(s.cfg.Observer.Registry().Snapshot().CanonicalJSONIndent()) //nolint:errcheck // best-effort scrape
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -587,6 +566,24 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // tenant's own token bucket instead (tenantSched.takeToken).
 const retryAfterSeconds = 1
 
+// reject is a non-200 answer to a job submission, whichever stage decided it,
+// on the handler or on the worker.
+type reject struct {
+	status     int
+	retryAfter int // seconds; 0 sends no Retry-After header
+	msg        string
+}
+
+func rejectf(status int, format string, args ...any) *reject {
+	return &reject{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// rejectDraining refuses a submission because the server is shutting down.
+func (s *Server) rejectDraining() *reject {
+	s.drainRejs.Inc()
+	return &reject{http.StatusServiceUnavailable, retryAfterSeconds, "draining: not accepting jobs"}
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -597,141 +594,141 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// every answer including rejects, and every outcome logs one access line.
 	jt := newJobTrace(r.Header.Get(TraceparentHeader), !s.cfg.DisableTracing)
 	w.Header().Set(TraceHeader, jt.traceID)
-	fail := func(status int, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		writeError(w, status, "%s", msg)
-		s.finishTrace(jt, status, msg)
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
-		s.drainRejs.Inc()
-		fail(http.StatusServiceUnavailable, "draining: not accepting jobs")
+	resp, rej := s.submit(w, r, jt)
+	if rej != nil {
+		if rej.retryAfter > 0 {
+			w.Header().Set("Retry-After", fmt.Sprint(rej.retryAfter))
+		}
+		writeError(w, rej.status, "%s", rej.msg)
+		s.finishTrace(jt, rej.status, rej.msg)
 		return
+	}
+	resp.TraceID = jt.traceID
+	// Serialization and the first write of a (possibly large) result body.
+	jt.stage(spanRespond, func() int64 {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(resp) //nolint:errcheck // the header is already out; nothing to repair mid-stream
+		return int64(len(resp.Result))
+	})
+	s.finishTrace(jt, http.StatusOK, "")
+}
+
+// submit takes one request through the handler-side stages in order — drain
+// gate, tenancy, admit, resolve, cache lookup, enqueue — and then waits for
+// the worker-side stages (work). It returns the answer or the reject of the
+// first stage that refused.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, jt *jobTrace) (*Response, *reject) {
+	if s.draining.Load() {
+		return nil, s.rejectDraining()
 	}
 	tenant, ok := tenantFrom(r)
 	if !ok {
-		fail(http.StatusBadRequest, "invalid %s header %q: want %s",
+		return nil, rejectf(http.StatusBadRequest, "invalid %s header %q: want %s",
 			TenantHeader, r.Header.Get(TenantHeader), tenantNameRe)
-		return
 	}
 	jt.tenant = tenant
 	tq := s.sched.tenantFor(tenant)
-	s.submitted.Inc()
 	tq.submitted.Inc()
-	// Admission: the rate bucket gates ingress before any request work — a
-	// tenant over its rate is shed before the body is even decoded, and the
-	// Retry-After hint is when its own bucket next grants a token.
-	admitTok := jt.begin(spanAdmit)
-	if secs, ok := s.sched.takeToken(tq); !ok {
-		jt.end(admitTok, 0)
-		s.rejected.Inc()
-		tq.rejected.Inc()
-		tq.rejRate.Inc()
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
-		fail(http.StatusTooManyRequests, "tenant %q over its rate limit: retry in %ds", tenant, secs)
-		return
-	}
+
 	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		jt.end(admitTok, 0)
-		fail(http.StatusBadRequest, "decoding request: %v", err)
-		return
+	var rej *reject
+	jt.stage(spanAdmit, func() int64 {
+		rej = s.admit(w, r, tq, tenant, &req)
+		return 0
+	})
+	if rej != nil {
+		return nil, rej
 	}
-	if msg := req.normalize(s.cfg.MaxRanks); msg != "" {
-		jt.end(admitTok, 0)
-		fail(http.StatusBadRequest, "%s", msg)
-		return
-	}
-	jt.end(admitTok, 0)
 	jt.algo, jt.ranks = req.Algorithm, req.Ranks
+
 	// Resolve: inline parse, store lookup, or path load.
-	resolveTok := jt.begin(spanResolve)
-	g, fp, status, err := s.loadGraph(&req, jt)
-	if err != nil {
-		jt.end(resolveTok, 0)
-		fail(status, "loading graph: %v", err)
-		return
+	var g *graph.Graph
+	var fp string
+	jt.stage(spanResolve, func() int64 {
+		if g, fp, rej = s.loadGraph(&req, jt); rej != nil {
+			return 0
+		}
+		return int64(g.NumVertices())
+	})
+	if rej != nil {
+		return nil, rej
 	}
-	jt.end(resolveTok, int64(g.NumVertices()))
+
 	key := req.cacheKey(fp)
-	id := fmt.Sprintf("job-%d", s.nextID.Add(1))
-	jt.jobID = id
+	jt.jobID = fmt.Sprintf("job-%d", s.nextID.Add(1))
+	jt.cache = cacheBypass
 	if !req.NoCache {
 		lookupStart := time.Now()
 		if resp, ok := s.cache.get(key); ok {
 			s.hits.Inc()
 			jt.cache = cacheHit
-			jt.observe(spanCacheHit, lookupStart, 0)
-			resp.JobID = id
-			resp.Tenant = tenant
-			resp.Cached = true
-			resp.TraceID = jt.traceID
-			s.respondTraced(w, &resp, jt)
-			s.finishTrace(jt, http.StatusOK, "")
-			return
+			jt.record(spanCacheHit, lookupStart, time.Since(lookupStart), 0, nil)
+			resp.JobID, resp.Tenant, resp.Cached = jt.jobID, tenant, true
+			return &resp, nil
 		}
 		jt.cache = cacheMiss
-	} else {
-		jt.cache = cacheBypass
 	}
+	// A bypassed lookup counts as a miss too: hits + misses is every request
+	// that reached the cache stage.
 	s.misses.Inc()
 
 	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout))
 	defer cancel()
-	j := &job{id: id, tenant: tenant, tq: tq, req: &req, g: g, fp: fp, key: key,
-		ctx: ctx, done: make(chan struct{}), jt: jt}
-	// Authoritative drain check: the early one above is a fast path, but a
-	// drain beginning mid-request must still see either this job in pending
+	j := &job{tq: tq, req: &req, g: g, fp: fp, key: key, ctx: ctx, done: make(chan struct{}), jt: jt}
+	if rej := s.enqueue(j); rej != nil {
+		return nil, rej
+	}
+	<-j.done
+	return j.resp, j.rej
+}
+
+// admit is the admission stage. The rate bucket gates ingress before any
+// request work — a tenant over its rate is shed before the body is even
+// decoded, and the Retry-After hint is when its own bucket next grants a
+// token. Then the body is decoded under the size bound and validated.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, tq *tenantQueue, tenant string, req *Request) *reject {
+	if secs, ok := s.sched.takeToken(tq); !ok {
+		tq.rejRate.Inc()
+		return &reject{http.StatusTooManyRequests, secs,
+			fmt.Sprintf("tenant %q over its rate limit: retry in %ds", tenant, secs)}
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return rejectf(http.StatusRequestEntityTooLarge,
+				"request body exceeds the %d-byte bound: upload the graph through /v1/uploads and submit it by graph_ref", tooBig.Limit)
+		}
+		return rejectf(http.StatusBadRequest, "decoding request: %v", err)
+	}
+	if msg := req.normalize(s.cfg.MaxRanks); msg != "" {
+		return rejectf(http.StatusBadRequest, "%s", msg)
+	}
+	return nil
+}
+
+// enqueue hands an admitted job to its tenant's queue. From a successful
+// enqueue to <-j.done the worker owns j.jt (see trace.go); the handler
+// records nothing in between.
+func (s *Server) enqueue(j *job) *reject {
+	// Authoritative drain check: the one opening submit is a fast path, but
+	// a drain beginning mid-request must still see either this job in pending
 	// or this request rejected — never neither, for any tenant.
 	s.admitMu.Lock()
 	if s.draining.Load() {
 		s.admitMu.Unlock()
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
-		s.drainRejs.Inc()
-		fail(http.StatusServiceUnavailable, "draining: not accepting jobs")
-		return
+		return s.rejectDraining()
 	}
 	s.pending.Add(1)
 	s.admitMu.Unlock()
 	j.enqueuedAt = time.Now()
-	// From enqueue to <-j.done the worker owns j.jt (see trace.go); the
-	// handler records nothing in between.
-	if !s.sched.enqueue(tq, j) {
+	if !s.sched.enqueue(j.tq, j) {
 		s.pending.Done()
-		s.rejected.Inc()
-		tq.rejected.Inc()
-		tq.rejQueue.Inc()
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
-		fail(http.StatusTooManyRequests,
-			"tenant %q queue full (%d jobs queued): retry later", tenant, tq.pol.MaxQueued)
-		return
+		j.tq.rejQueue.Inc()
+		return &reject{http.StatusTooManyRequests, retryAfterSeconds,
+			fmt.Sprintf("tenant %q queue full (%d jobs queued): retry later", j.jt.tenant, j.tq.pol.MaxQueued)}
 	}
-	tq.admitted.Inc()
-	<-j.done
-	if j.status != http.StatusOK {
-		fail(j.status, "%s", j.errMsg)
-		return
-	}
-	j.resp.TraceID = jt.traceID
-	s.respondTraced(w, j.resp, jt)
-	s.finishTrace(jt, http.StatusOK, "")
-}
-
-func (s *Server) respond(w http.ResponseWriter, resp *Response) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// The header is already out; nothing to repair mid-stream.
-		return
-	}
-}
-
-// respondTraced is respond under a serve.respond span — serialization and
-// the first write of a (possibly large) result body.
-func (s *Server) respondTraced(w http.ResponseWriter, resp *Response, jt *jobTrace) {
-	tok := jt.begin(spanRespond)
-	s.respond(w, resp)
-	jt.end(tok, int64(len(resp.Result)))
+	j.tq.admitted.Inc()
+	return nil
 }
 
 // finishTrace closes the request's root span and settles its telemetry: the
@@ -739,9 +736,6 @@ func (s *Server) respondTraced(w http.ResponseWriter, resp *Response, jt *jobTra
 // was slow or failed, and summarized as one access-log line. Runs on the
 // handler goroutine, after the worker's last jt write (<-j.done).
 func (s *Server) finishTrace(jt *jobTrace, status int, errMsg string) {
-	if jt == nil {
-		return
-	}
 	jt.tr.End(jt.root)
 	total := time.Since(jt.start)
 	retained := false
@@ -750,11 +744,8 @@ func (s *Server) finishTrace(jt *jobTrace, status int, errMsg string) {
 		retained = s.traces != nil
 	}
 	if e := s.exporter; e != nil && jt.tr != nil {
-		svcID := jt.identity(otlpServiceName, jt.parentSpan)
-		e.ExportSpansFor(jt.tr.Spans(), svcID, 0)
-		if len(jt.runtime) > 0 {
-			runID := jt.identity(otlpServiceName, svcID.SpanID(obs.DriverRank, jt.runSeq))
-			e.ExportSpansFor(jt.runtime, runID, 0)
+		for _, b := range jt.batches() {
+			e.ExportSpansFor(b.spans, b.id, 0)
 		}
 	}
 	s.accessLog.log(&accessEntry{
@@ -787,45 +778,48 @@ func (s *Server) shouldRetain(status int, total time.Duration) bool {
 }
 
 // loadGraph resolves the request's graph — inline, by reference, or
-// daemon-local — returning the graph, its fingerprint, and on failure the
-// HTTP status to answer with. A graph_ref rehydrated from the spill tier
-// records a span under the request's resolve stage.
-func (s *Server) loadGraph(req *Request, jt *jobTrace) (*graph.Graph, string, int, error) {
+// daemon-local — returning the graph and its fingerprint, or the reject to
+// answer with. A graph_ref rehydrated from the spill tier records a span
+// under the request's resolve stage.
+func (s *Server) loadGraph(req *Request, jt *jobTrace) (*graph.Graph, string, *reject) {
+	fail := func(status int, err error) (*graph.Graph, string, *reject) {
+		return nil, "", rejectf(status, "loading graph: %v", err)
+	}
 	switch {
 	case req.Graph != "":
 		g, err := graph.ReadText(strings.NewReader(req.Graph))
 		if err != nil {
-			return nil, "", http.StatusBadRequest, err
+			return fail(http.StatusBadRequest, err)
 		}
 		fp := graph.Fingerprint(g)
 		// Inline graphs land in the store too, so the caller can switch to
 		// graph_ref (the response fingerprint) and uploads of the same
 		// content short-circuit.
 		s.store.Put(fp, g)
-		return g, fp, 0, nil
+		return g, fp, nil
 	case req.GraphRef != "":
 		start := time.Now()
 		g, rehydrated, ok := s.store.Resolve(req.GraphRef)
 		if !ok {
-			return nil, "", http.StatusNotFound,
-				fmt.Errorf("unknown graph_ref %s (never uploaded, or evicted): upload the graph again", req.GraphRef)
+			return fail(http.StatusNotFound,
+				fmt.Errorf("unknown graph_ref %s (never uploaded, or evicted): upload the graph again", req.GraphRef))
 		}
 		if rehydrated {
-			jt.observe(spanRehydrate, start, int64(g.NumVertices()))
+			jt.record(spanRehydrate, start, time.Since(start), int64(g.NumVertices()), nil)
 		}
-		return g, req.GraphRef, 0, nil
+		return g, req.GraphRef, nil
 	default:
 		if !s.cfg.AllowGraphPaths {
-			return nil, "", http.StatusBadRequest,
-				fmt.Errorf("graph_path is disabled on this server; send the graph inline or upload it")
+			return fail(http.StatusBadRequest,
+				fmt.Errorf("graph_path is disabled on this server; send the graph inline or upload it"))
 		}
 		// Daemon-local files stream through the store: decoded at most once
 		// per content version, shared across concurrent jobs.
 		g, fp, err := s.store.LoadPath(req.GraphPath)
 		if err != nil {
-			return nil, "", http.StatusBadRequest, err
+			return fail(http.StatusBadRequest, err)
 		}
-		return g, fp, 0, nil
+		return g, fp, nil
 	}
 }
 
@@ -839,68 +833,55 @@ func (s *Server) workerLoop() {
 		if !ok {
 			return
 		}
-		s.noteQueueWait(j)
-		if err := j.ctx.Err(); err != nil {
-			// Expired while queued: never ran, shed cheaply.
-			s.finishTimeout(j)
-		} else {
-			s.execute(j)
-		}
+		j.finish(s.work(j))
+		s.pending.Done()
 		s.sched.release(tq)
 	}
 }
 
-// noteQueueWait records the job's tenant-queue wait — the span, the global
-// and per-tenant histograms, and the access-log summary field. Runs on the
-// worker right after dispatch, before any jt write of the execute path.
-func (s *Server) noteQueueWait(j *job) {
-	wait := time.Since(j.enqueuedAt)
-	j.jt.setQueueWait(wait)
-	j.jt.observe(spanQueueWait, j.enqueuedAt, 0)
-	s.qwaitHist.Observe(wait.Milliseconds())
-	j.tq.qwait.Observe(wait.Milliseconds())
-}
-
-// finishTimeout resolves a job whose deadline fired.
-func (s *Server) finishTimeout(j *job) {
-	s.timeouts.Inc()
-	j.finish(http.StatusGatewayTimeout, nil, "job deadline exceeded")
-	s.pending.Done()
-}
-
 // execResult carries a finished run out of its goroutine, with the partition
-// measurement the worker turns into a span (the run goroutine must never
+// stage's timing the worker turns into a span (the run goroutine must never
 // touch the jobTrace itself — on timeout the worker abandons it mid-flight).
 type execResult struct {
-	resp *Response
-	part partMeasure
-	err  error
+	resp       *Response
+	err        error
+	partCached bool
+	partStart  time.Time
+	partDur    time.Duration
 }
 
-// partMeasure is the partition stage's timing, handed from the run goroutine
-// to the worker through the result channel.
-type partMeasure struct {
-	cached bool
-	start  time.Time
-	dur    time.Duration
+// timedOut is the outcome of a job whose deadline fired, queued or running.
+func (s *Server) timedOut() *reject {
+	s.timeouts.Inc()
+	return rejectf(http.StatusGatewayTimeout, "job deadline exceeded")
 }
 
-// execute runs one job on a pooled world, enforcing the job deadline. On
-// timeout the job resolves immediately; the abandoned run keeps the world
-// until it finishes (the algorithms terminate in bounded rounds, and the
-// pool's watchdog deadline is the backstop), after which the world is reset
-// and recycled — or discarded if its ranks are genuinely wedged.
-func (s *Server) execute(j *job) {
-	start := time.Now()
+// work takes one dispatched job through the worker-side stages in order —
+// queue wait, pool acquire, run (partition inside), cache deposit — and
+// returns its outcome for job.finish. The run happens on a pooled world
+// under the job deadline: on timeout the job resolves immediately; the
+// abandoned run keeps the world until it finishes (the algorithms terminate
+// in bounded rounds, and the pool's watchdog deadline is the backstop), after
+// which the world is reset and recycled — or discarded if its ranks are
+// genuinely wedged.
+func (s *Server) work(j *job) (*Response, *reject) {
 	jt := j.jt
-	poolTok := jt.begin(spanPoolAcquire)
-	w, err := s.pool.get(j.req.Ranks)
-	jt.end(poolTok, 0)
+	jt.queueWait = time.Since(j.enqueuedAt)
+	jt.record(spanQueueWait, j.enqueuedAt, jt.queueWait, 0, j.tq.qwait)
+	if j.ctx.Err() != nil {
+		// Expired while queued: never ran, shed cheaply.
+		return nil, s.timedOut()
+	}
+	start := time.Now()
+	var w *mpi.World
+	var err error
+	jt.stage(spanPoolAcquire, func() int64 {
+		w, err = s.pool.get(j.req.Ranks)
+		return 0
+	})
 	if err != nil {
 		s.failed.Inc()
-		j.finish(http.StatusInternalServerError, nil, fmt.Sprintf("world: %v", err))
-		s.pending.Done()
-		return
+		return nil, rejectf(http.StatusInternalServerError, "world: %v", err)
 	}
 	// The job's own runtime observer: per-rank span rings the algorithms
 	// record into, isolated per job so a pooled world never mixes two jobs'
@@ -908,7 +889,7 @@ func (s *Server) execute(j *job) {
 	// simply never collected.
 	var runObs *obs.Observer
 	if !s.cfg.DisableTracing {
-		runObs = obs.NewObserver(j.req.Ranks, s.cfg.RuntimeSpanCap)
+		runObs = obs.NewObserver(j.req.Ranks, runtimeSpanCap)
 		if err := w.SetObserver(runObs); err != nil {
 			runObs = nil // not runnable-fresh; run untraced rather than fail
 		}
@@ -919,61 +900,21 @@ func (s *Server) execute(j *job) {
 	runStart := time.Now()
 	resCh := make(chan execResult, 1)
 	go func() {
-		resp, part, err := s.runJob(w, j)
-		resCh <- execResult{resp, part, err}
+		r := execResult{partStart: time.Now()}
+		var part *partition.Partition
+		part, r.partCached, r.err = s.getPartition(j)
+		r.partDur = time.Since(r.partStart)
+		if r.err == nil {
+			r.resp, r.err = s.runJob(w, j, part)
+		}
+		resCh <- r
 	}()
+	var r execResult
 	select {
-	case r := <-resCh:
-		runDur := time.Since(runStart)
-		jt.setRunDur(runDur)
-		s.runHist.Observe(runDur.Milliseconds())
-		j.tq.runh.Observe(runDur.Milliseconds())
-		// Collect the run's per-rank spans before the world returns to the
-		// pool (put detaches the observer).
-		if runObs != nil && jt != nil {
-			var spans []obs.Span
-			for rank := 0; rank < j.req.Ranks; rank++ {
-				spans = append(spans, runObs.Tracer(rank).Spans()...)
-			}
-			jt.runtime = spans
-		}
-		s.pool.put(w)
-		elapsed := time.Since(start)
-		s.observeJob(j, start, elapsed)
-		if !r.part.start.IsZero() {
-			name := spanPartCompute
-			if r.part.cached {
-				name = spanPartCached
-			}
-			jt.observeSpan(name, r.part.start, r.part.dur, int64(j.req.Ranks))
-		}
-		if jt != nil {
-			jt.runSeq = jt.tr.ObserveSpan(spanRun, runStart.UnixNano(), runDur.Nanoseconds(), 0, jt.root)
-		}
-		if r.err != nil {
-			s.failed.Inc()
-			j.finish(http.StatusInternalServerError, nil, fmt.Sprintf("executing %s: %v", j.req.Algorithm, r.err))
-			s.pending.Done()
-			return
-		}
-		r.resp.JobID = j.id
-		r.resp.ElapsedSeconds = elapsed.Seconds()
-		depositTok := jt.begin(spanDeposit)
-		// The cached copy carries no tenant: a hit may serve any tenant,
-		// which stamps its own id on its copy.
-		s.evictions.Add(int64(s.cache.put(j.key, *r.resp)))
-		jt.end(depositTok, int64(len(r.resp.Result)))
-		r.resp.Tenant = j.tenant
-		s.completed.Inc()
-		j.tq.completed.Inc()
-		s.latencyHist.Observe(elapsed.Milliseconds())
-		j.tq.lat.Observe(elapsed.Milliseconds())
-		j.finish(http.StatusOK, r.resp, "")
-		s.pending.Done()
+	case r = <-resCh:
 	case <-j.ctx.Done():
-		jt.setRunDur(time.Since(runStart))
-		jt.observe(spanRunAbandon, runStart, 0)
-		s.finishTimeout(j)
+		jt.runDur = time.Since(runStart)
+		jt.record(spanRunAbandon, runStart, jt.runDur, 0, nil)
 		// Recycle (or discard) the world once the abandoned run returns. The
 		// abandoned run still holds the per-job observer; put resets and
 		// detaches it with the world, and its spans are dropped with it.
@@ -981,25 +922,48 @@ func (s *Server) execute(j *job) {
 			<-resCh
 			s.pool.put(w)
 		}()
+		return nil, s.timedOut()
 	}
-}
-
-// observeJob records the per-job span on the driver tracer (serialized: the
-// tracer is a single-goroutine structure).
-func (s *Server) observeJob(j *job, start time.Time, elapsed time.Duration) {
-	if s.obsr == nil {
-		return
+	jt.runDur = time.Since(runStart)
+	// Collect the run's per-rank spans before the world returns to the pool
+	// (put detaches the observer).
+	if runObs != nil {
+		for rank := 0; rank < j.req.Ranks; rank++ {
+			jt.runtime = append(jt.runtime, runObs.Tracer(rank).Spans()...)
+		}
 	}
-	s.spanMu.Lock()
-	s.obsr.Driver().Observe("job."+j.req.Algorithm, start, int64(j.g.NumVertices()))
-	s.spanMu.Unlock()
+	s.pool.put(w)
+	elapsed := time.Since(start)
+	partSpan := spanPartCompute
+	if r.partCached {
+		partSpan = spanPartCached
+	}
+	jt.record(partSpan, r.partStart, r.partDur, int64(j.req.Ranks), nil)
+	jt.runSeq = jt.record(spanRun, runStart, jt.runDur, 0, j.tq.runh)
+	if r.err != nil {
+		s.failed.Inc()
+		return nil, rejectf(http.StatusInternalServerError, "executing %s: %v", j.req.Algorithm, r.err)
+	}
+	r.resp.JobID = jt.jobID
+	r.resp.ElapsedSeconds = elapsed.Seconds()
+	jt.stage(spanDeposit, func() int64 {
+		// The cached copy carries no tenant: a hit may serve any tenant,
+		// which stamps its own id on its copy.
+		s.evictions.Add(int64(s.cache.put(j.key, *r.resp)))
+		return int64(len(r.resp.Result))
+	})
+	r.resp.Tenant = jt.tenant
+	j.tq.completed.Inc()
+	j.tq.lat.Observe(elapsed)
+	return r.resp, nil
 }
 
 // getPartition resolves the job's partition through the warm partition
-// cache; a miss runs the requested partitioner and warms the cache. The key
-// covers the full derivation (fingerprint, partitioner, ranks, seed), and
-// partitions are read-only downstream, so sharing one instance across
-// concurrent jobs is safe.
+// cache; a miss runs the requested partitioner — through the same
+// partition.ByName the CLIs use, so service and CLI runs agree bit-for-bit —
+// and warms the cache. The key covers the full derivation (fingerprint,
+// partitioner, ranks, seed), and partitions are read-only downstream, so
+// sharing one instance across concurrent jobs is safe.
 func (s *Server) getPartition(j *job) (*partition.Partition, bool, error) {
 	key := partitionKey(j.fp, j.req.Partition, j.req.Ranks, j.req.Seed)
 	if p, ok := s.parts.get(key); ok {
@@ -1007,7 +971,11 @@ func (s *Server) getPartition(j *job) (*partition.Partition, bool, error) {
 		return p, true, nil
 	}
 	s.partMisses.Inc()
-	p, err := j.req.buildPartition(j.g)
+	partitioner, err := partition.ByName(j.req.Partition)
+	if err != nil {
+		return nil, false, err
+	}
+	p, err := partitioner(j.g, j.req.Ranks, partition.MultilevelOptions{Seed: j.req.Seed})
 	if err != nil {
 		return nil, false, err
 	}
@@ -1015,16 +983,10 @@ func (s *Server) getPartition(j *job) (*partition.Partition, bool, error) {
 	return p, false, nil
 }
 
-// runJob executes the algorithm on the given world — the same dmgm entry
-// points the CLIs call, so a service job and a CLI run with equal inputs
-// produce byte-identical results (asserted by the conformance tests).
-func (s *Server) runJob(w *mpi.World, j *job) (*Response, partMeasure, error) {
-	partStart := time.Now()
-	part, partCached, err := s.getPartition(j)
-	pm := partMeasure{cached: partCached, start: partStart, dur: time.Since(partStart)}
-	if err != nil {
-		return nil, pm, err
-	}
+// runJob executes the algorithm on the given world and partition — the same
+// dmgm entry points the CLIs call, so a service job and a CLI run with equal
+// inputs produce byte-identical results (asserted by the conformance tests).
+func (s *Server) runJob(w *mpi.World, j *job, part *partition.Partition) (*Response, error) {
 	resp := &Response{
 		Algorithm:   j.req.Algorithm,
 		Ranks:       j.req.Ranks,
@@ -1038,14 +1000,14 @@ func (s *Server) runJob(w *mpi.World, j *job) (*Response, partMeasure, error) {
 		}
 		res, err := dmgm.MatchParallelWorld(w, j.g, part, opt)
 		if err != nil {
-			return nil, pm, err
+			return nil, err
 		}
 		if err := res.Mates.VerifyMaximal(j.g); err != nil {
-			return nil, pm, fmt.Errorf("result verification: %w", err)
+			return nil, fmt.Errorf("result verification: %w", err)
 		}
 		var sb strings.Builder
 		if err := matching.WriteMates(&sb, res.Mates); err != nil {
-			return nil, pm, err
+			return nil, err
 		}
 		resp.Weight = res.Weight
 		resp.Cardinality = res.Mates.Cardinality()
@@ -1053,27 +1015,23 @@ func (s *Server) runJob(w *mpi.World, j *job) (*Response, partMeasure, error) {
 		resp.Bytes = res.Bytes
 		resp.Result = sb.String()
 	case AlgoColor:
+		mode, err := coloring.ParseCommMode(j.req.Comm)
+		if err != nil {
+			return nil, err
+		}
 		opt := dmgm.ColorParallelOptions{
 			SuperstepSize: j.req.Superstep,
+			CommMode:      mode,
 			Seed:          j.req.Seed,
 		}
-		switch j.req.Comm {
-		case "neighbors":
-			opt.CommMode = dmgm.CommNeighbors
-		case "customized-all":
-			opt.CommMode = dmgm.CommCustomizedAll
-		case "broadcast":
-			opt.CommMode = dmgm.CommBroadcast
-		}
 		var res *dmgm.ColorParallelResult
-		var err error
 		if j.req.Distance2 {
 			res, err = dmgm.ColorParallelDistance2World(w, j.g, part, opt)
 		} else {
 			res, err = dmgm.ColorParallelWorld(w, j.g, part, opt)
 		}
 		if err != nil {
-			return nil, pm, err
+			return nil, err
 		}
 		if j.req.Distance2 {
 			err = coloring.VerifyDistance2(j.g, res.Colors)
@@ -1081,11 +1039,11 @@ func (s *Server) runJob(w *mpi.World, j *job) (*Response, partMeasure, error) {
 			err = res.Colors.Verify(j.g)
 		}
 		if err != nil {
-			return nil, pm, fmt.Errorf("result verification: %w", err)
+			return nil, fmt.Errorf("result verification: %w", err)
 		}
 		var sb strings.Builder
 		if err := coloring.WriteColors(&sb, res.Colors); err != nil {
-			return nil, pm, err
+			return nil, err
 		}
 		resp.Colors = res.NumColors
 		resp.Rounds = res.Rounds
@@ -1094,5 +1052,5 @@ func (s *Server) runJob(w *mpi.World, j *job) (*Response, partMeasure, error) {
 		resp.Bytes = res.Bytes
 		resp.Result = sb.String()
 	}
-	return resp, pm, nil
+	return resp, nil
 }

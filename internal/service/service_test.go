@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -280,7 +281,8 @@ func TestCacheHitOnRepeat(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, gtext := testGraph(t)
-	_, cl := startServer(t, service.Config{QueueLen: 4, Workers: 1}, true)
+	const maxBody = 64 << 10 // room for gtext, not for the oversize case
+	_, cl := startServer(t, service.Config{QueueLen: 4, Workers: 1, MaxBodyBytes: maxBody}, true)
 	cases := []struct {
 		name string
 		req  service.Request
@@ -291,12 +293,19 @@ func TestBadRequests(t *testing.T) {
 		{"graph_path disabled", service.Request{Algorithm: service.AlgoMatch, GraphPath: "/etc/hosts"}, http.StatusBadRequest},
 		{"ranks over bound", service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 1 << 20}, http.StatusBadRequest},
 		{"malformed graph", service.Request{Algorithm: service.AlgoMatch, Graph: "not a graph\n"}, http.StatusBadRequest},
+		{"body over MaxBodyBytes", service.Request{Algorithm: service.AlgoMatch, Graph: gtext + strings.Repeat("\n", maxBody)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		_, err := cl.Submit(context.Background(), &tc.req)
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != tc.want {
 			t.Errorf("%s: %v, want status %d", tc.name, err, tc.want)
+			continue
+		}
+		// The 413 tells the caller the bound and the way around it.
+		if tc.want == http.StatusRequestEntityTooLarge &&
+			(!strings.Contains(apiErr.Message, fmt.Sprint(maxBody)) || !strings.Contains(apiErr.Message, "/v1/uploads")) {
+			t.Errorf("%s: message %q names neither the %d-byte bound nor /v1/uploads", tc.name, apiErr.Message, maxBody)
 		}
 	}
 

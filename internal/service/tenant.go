@@ -63,8 +63,8 @@ type TenantPolicy struct {
 	// the total).
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	// MaxUploads bounds the tenant's concurrently open upload sessions
-	// (0 = no per-tenant bound; the server's MaxUploadSessions still
-	// applies globally).
+	// (0 = no per-tenant bound; the server-wide session bound still
+	// applies).
 	MaxUploads int `json:"max_uploads,omitempty"`
 }
 
@@ -190,20 +190,21 @@ type tenantQueue struct {
 	tokens   float64   // token bucket level
 	lastFill time.Time // zero until the bucket's first refill
 
-	// Instruments (nil-safe no-ops without a registry).
-	submitted  *obs.Counter
+	// Instruments (nil-safe no-ops without a registry). The counters and
+	// histograms types carry the service-wide instrument together with this
+	// tenant's, so one call feeds both.
+	submitted  counters // service.jobs_submitted + .submitted
 	admitted   *obs.Counter
-	rejected   *obs.Counter // all per-tenant 429s (rate + queue)
-	rejRate    *obs.Counter
-	rejQueue   *obs.Counter
-	completed  *obs.Counter
+	rejRate    counters // service.jobs_rejected + .rejected (all 429s) + .rejected_rate
+	rejQueue   counters // service.jobs_rejected + .rejected + .rejected_queue
+	completed  counters // service.jobs_completed + .completed
 	upRejected *obs.Counter
 	depth      *obs.Gauge
 	runningG   *obs.Gauge
 	uploadsG   *obs.Gauge
-	lat        *obs.Histogram
-	qwait      *obs.Histogram // queue wait, dispatch minus enqueue
-	runh       *obs.Histogram // run time on the worker (partition + supersteps)
+	lat        histograms // service.job_latency_ms + .latency_ms
+	qwait      histograms // queue wait, dispatch minus enqueue
+	runh       histograms // run time on the worker (partition + supersteps)
 }
 
 // queuedLocked reports the tenant's queue depth.
@@ -279,22 +280,33 @@ func newTenantSched(pol *TenantPolicies, defaultQueue, maxTenants int, reg *obs.
 func (s *tenantSched) addTenantLocked(name string) *tenantQueue {
 	pol := s.policies.policyFor(name)
 	pol.normalize(s.defaultQueue)
+	prefix := "service.tenant." + name + "."
+	counter := func(global string, tenant ...string) counters {
+		cs := counters{s.reg.Counter("service." + global)}
+		for _, t := range tenant {
+			cs = append(cs, s.reg.Counter(prefix+t))
+		}
+		return cs
+	}
+	hist := func(global, tenant string) histograms {
+		bounds := obs.ExpBounds(1, 1<<22)
+		return histograms{s.reg.Histogram("service."+global, bounds), s.reg.Histogram(prefix+tenant, bounds)}
+	}
 	tq := &tenantQueue{
 		name:       name,
 		pol:        pol,
-		submitted:  s.reg.Counter("service.tenant." + name + ".submitted"),
-		admitted:   s.reg.Counter("service.tenant." + name + ".admitted"),
-		rejected:   s.reg.Counter("service.tenant." + name + ".rejected"),
-		rejRate:    s.reg.Counter("service.tenant." + name + ".rejected_rate"),
-		rejQueue:   s.reg.Counter("service.tenant." + name + ".rejected_queue"),
-		completed:  s.reg.Counter("service.tenant." + name + ".completed"),
-		upRejected: s.reg.Counter("service.tenant." + name + ".uploads_rejected"),
-		depth:      s.reg.Gauge("service.tenant." + name + ".queue_depth"),
-		runningG:   s.reg.Gauge("service.tenant." + name + ".running"),
-		uploadsG:   s.reg.Gauge("service.tenant." + name + ".uploads_open"),
-		lat:        s.reg.Histogram("service.tenant."+name+".latency_ms", obs.ExpBounds(1, 1<<22)),
-		qwait:      s.reg.Histogram("service.tenant."+name+".queue_wait_ms", obs.ExpBounds(1, 1<<22)),
-		runh:       s.reg.Histogram("service.tenant."+name+".run_ms", obs.ExpBounds(1, 1<<22)),
+		submitted:  counter("jobs_submitted", "submitted"),
+		admitted:   s.reg.Counter(prefix + "admitted"),
+		rejRate:    counter("jobs_rejected", "rejected", "rejected_rate"),
+		rejQueue:   counter("jobs_rejected", "rejected", "rejected_queue"),
+		completed:  counter("jobs_completed", "completed"),
+		upRejected: s.reg.Counter(prefix + "uploads_rejected"),
+		depth:      s.reg.Gauge(prefix + "queue_depth"),
+		runningG:   s.reg.Gauge(prefix + "running"),
+		uploadsG:   s.reg.Gauge(prefix + "uploads_open"),
+		lat:        hist("job_latency_ms", "latency_ms"),
+		qwait:      hist("queue_wait_ms", "queue_wait_ms"),
+		runh:       hist("run_ms", "run_ms"),
 	}
 	s.tenants[name] = tq
 	s.ring = append(s.ring, tq)

@@ -68,9 +68,10 @@ const (
 // a dozen spans; the headroom is for future phases.
 const jobTraceSpanCap = 64
 
-// jobTrace is the per-request tracing state. A nil jobTrace is the disabled
-// state: every method is a nil-check no-op, so the request path reads the
-// same with tracing off.
+// jobTrace is the per-request tracing state and the lifecycle's one stage
+// recorder (stage, record). With tracing disabled the tracer is nil — every
+// obs.Tracer method is a nil-check no-op — so the request path reads the same
+// with tracing off and only the identity and summary fields are live.
 type jobTrace struct {
 	traceID    string // 32-hex W3C trace id (accepted or minted)
 	parentSpan string // 16-hex span id of the caller's enclosing span, or ""
@@ -113,60 +114,69 @@ func newJobTrace(traceparent string, enabled bool) *jobTrace {
 	return jt
 }
 
-func (jt *jobTrace) begin(name string) uint64 {
-	if jt == nil {
-		return 0
-	}
-	return jt.tr.BeginUnder(name, jt.root)
-}
+// counters and histograms are a global instrument and its per-tenant twins,
+// fed by one call so the two can never drift apart.
+type (
+	counters   []*obs.Counter
+	histograms []*obs.Histogram
+)
 
-func (jt *jobTrace) end(tok uint64, n int64) {
-	if jt != nil {
-		jt.tr.EndN(tok, n)
-	}
-}
-
-func (jt *jobTrace) setQueueWait(d time.Duration) {
-	if jt != nil {
-		jt.queueWait = d
+func (cs counters) Inc() {
+	for _, c := range cs {
+		c.Inc()
 	}
 }
 
-func (jt *jobTrace) setRunDur(d time.Duration) {
-	if jt != nil {
-		jt.runDur = d
+func (hs histograms) Observe(d time.Duration) {
+	for _, h := range hs {
+		h.Observe(d.Milliseconds())
 	}
 }
 
-// observe records a retroactive child of the root span.
-func (jt *jobTrace) observe(name string, start time.Time, n int64) uint64 {
-	if jt == nil {
-		return 0
-	}
-	return jt.tr.ObserveUnder(name, start, n, jt.root)
+// stage runs fn as one named lifecycle stage: its span opens under serve.job
+// before fn and closes on every exit of fn with the n fn reports. The stage
+// table in DESIGN.md §9 lists every stage with its span and instruments.
+func (jt *jobTrace) stage(name string, fn func() (n int64)) {
+	tok := jt.tr.BeginUnder(name, jt.root)
+	var n int64
+	defer func() { jt.tr.EndN(tok, n) }()
+	n = fn()
 }
 
-// observeSpan records a retroactive child with an explicit duration —
-// measurements handed over from the run goroutine.
-func (jt *jobTrace) observeSpan(name string, start time.Time, dur time.Duration, n int64) uint64 {
-	if jt == nil {
-		return 0
-	}
+// record files a stage its caller timed — a wait, or work measured on the
+// run goroutine and handed over — as a retroactive span under serve.job, and
+// feeds the stage's histograms (nil for stages without one). It returns the
+// span's token so further spans can parent under it.
+func (jt *jobTrace) record(name string, start time.Time, dur time.Duration, n int64, hs histograms) uint64 {
+	hs.Observe(dur)
 	return jt.tr.ObserveSpan(name, start.UnixNano(), dur.Nanoseconds(), n, jt.root)
 }
 
-// identity builds the job's OTLP identity: the job id seeds deterministic
-// span ids, the W3C trace id pins the trace, and parentHex (the caller's
-// span for service spans, the serve.run span for runtime spans) parents the
-// batch's roots.
-func (jt *jobTrace) identity(service string, parentHex string) obs.OTLPIdentity {
-	return obs.OTLPIdentity{
+// spanBatch is one set of a job's spans with the OTLP identity it is exported
+// and retained under.
+type spanBatch struct {
+	spans []obs.Span
+	id    obs.OTLPIdentity
+}
+
+// batches returns the job's spans grouped by identity: the job id seeds
+// deterministic span ids, the W3C trace id pins the trace, and the batch's
+// roots are parented under the caller's span for the service spans, under
+// the serve.run span for the runtime's per-rank spans.
+func (jt *jobTrace) batches() []spanBatch {
+	id := obs.OTLPIdentity{
 		RunID:         jt.jobID,
-		Service:       service,
+		Service:       otlpServiceName,
 		WorldSize:     jt.ranks,
 		TraceIDHex:    jt.traceID,
-		ParentSpanHex: parentHex,
+		ParentSpanHex: jt.parentSpan,
 	}
+	out := []spanBatch{{jt.tr.Spans(), id}}
+	if len(jt.runtime) > 0 {
+		id.ParentSpanHex = id.SpanID(obs.DriverRank, jt.runSeq)
+		out = append(out, spanBatch{jt.runtime, id})
+	}
+	return out
 }
 
 // TraceSpan is one span of a retained job trace, the JSON shape served by
@@ -218,14 +228,9 @@ func (jt *jobTrace) snapshot(status int, errMsg string, total time.Duration) *Jo
 		RunMillis:       durMillis(jt.runDur),
 		TotalMillis:     durMillis(total),
 	}
-	svcID := jt.identity("dmgm-serve", jt.parentSpan)
-	for _, s := range jt.tr.Spans() {
-		out.Spans = append(out.Spans, traceSpanOf(s, svcID))
-	}
-	if len(jt.runtime) > 0 {
-		runID := jt.identity("dmgm-serve", svcID.SpanID(obs.DriverRank, jt.runSeq))
-		for _, s := range jt.runtime {
-			out.Spans = append(out.Spans, traceSpanOf(s, runID))
+	for _, b := range jt.batches() {
+		for _, s := range b.spans {
+			out.Spans = append(out.Spans, traceSpanOf(s, b.id))
 		}
 	}
 	return out
