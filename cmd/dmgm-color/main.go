@@ -11,22 +11,22 @@
 //	dmgm-color -in graph.bin -p 4 -transport tcp -rank 2 -registry host:9000
 //	dmgm-color -in graph.bin -p 4 -launch -trace out.json   # Chrome trace
 //	dmgm-color -in graph.bin -p 4 -json                     # machine-readable
+//
+// Everything that is not about coloring — the shared flags, -launch, reading
+// and partitioning the graph, the world, tracing — is launch.CLI; the
+// distributed run itself is dmgm.RunJob (DESIGN.md §9).
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sync"
+	"strings"
 	"time"
 
 	"repro/internal/coloring"
-	"repro/internal/dgraph"
 	"repro/internal/graph"
 	"repro/internal/launch"
-	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/partition"
 
@@ -45,278 +45,106 @@ type summary struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
-func main() {
-	tf := launch.RegisterFlags()
-	of := obs.RegisterFlags()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := launch.NewCLI("dmgm-color", stdout, stderr)
 	var (
-		in        = flag.String("in", "", "input graph path (required)")
-		ordName   = flag.String("order", "natural", "sequential ordering: natural | random | largest-first | smallest-last | incidence-degree | saturation-degree")
-		p         = flag.Int("p", 1, "ranks for the distributed run (1 = sequential)")
-		algo      = flag.String("algo", "speculative", "speculative | jp (distributed only)")
-		method    = flag.String("partition", "multilevel", "partitioner: multilevel | bfs | block | random")
-		noRefine  = flag.Bool("norefine", false, "unrefined multilevel (ParMETIS-like)")
-		superstep = flag.Int("superstep", 1000, "superstep size s")
-		comm      = flag.String("comm", "neighbors", "neighbors | customized-all | broadcast")
-		seed      = flag.Uint64("seed", 1, "seed")
-		outPath   = flag.String("o", "", "write the coloring to this file (verifiable with dmgm-verify)")
-		distance2 = flag.Bool("distance2", false, "compute a distance-2 coloring (sequential or distributed)")
-		jsonOut   = flag.Bool("json", false, "print the result summary as one JSON object on stdout (progress goes to stderr)")
+		ordName   = c.Flags.String("order", "natural", "sequential ordering: natural | random | largest-first | smallest-last | incidence-degree | saturation-degree")
+		algo      = c.Flags.String("algo", "speculative", "speculative | jp (distributed only)")
+		noRefine  = c.Flags.Bool("norefine", false, "unrefined multilevel (ParMETIS-like)")
+		superstep = c.Flags.Int("superstep", 1000, "superstep size s")
+		comm      = c.Flags.String("comm", "neighbors", "neighbors | customized-all | broadcast")
+		distance2 = c.Flags.Bool("distance2", false, "compute a distance-2 coloring (sequential or distributed)")
 	)
-	flag.Parse()
-	// With -json, stdout carries exactly one JSON object; narration moves to
-	// stderr so `dmgm-color -json | jq` just works.
-	info := infoPrinter(*jsonOut)
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "dmgm-color: -in is required")
-		os.Exit(2)
-	}
-	if (tf.Remote() || tf.Launch) && *algo == "jp" {
-		fmt.Fprintln(os.Stderr, "dmgm-color: -algo jp runs in-process only (no -transport tcp)")
-		os.Exit(2)
-	}
-	if tf.Launch {
-		if *p <= 1 {
-			fmt.Fprintln(os.Stderr, "dmgm-color: -launch needs -p > 1")
-			os.Exit(2)
+	return c.Main(args, func() error {
+		if c.Transport.Remote() && *algo == "jp" {
+			return launch.Usagef("-algo jp runs in-process only (no -transport tcp)")
 		}
-		if of.OTLP != "" {
-			// Resolve the run id before spawning workers: they inherit it via
-			// the environment, so every shard exports into one OTLP trace.
-			of.RunID()
-		}
-		code := launch.Local(*p, "launch")
-		if err := of.Merge(*p); err != nil {
-			fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		os.Exit(code)
-	}
-	if tf.Remote() && *p <= 1 {
-		fmt.Fprintln(os.Stderr, "dmgm-color: -transport tcp needs -p > 1")
-		os.Exit(2)
-	}
-	if of.Pprof != "" {
-		addr, err := obs.ServePprof(of.PprofAddr(tf.Rank, tf.Remote()))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
-	readStart := time.Now()
-	g, err := graph.ReadFile(*in)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
-	}
-	info("input: %s\n", graph.Summarize(g))
-	lo, hi := coloring.Bounds(g)
-	info("chromatic bounds: [%d, %d]\n", lo, hi)
-
-	if *p <= 1 {
-		o, err := order.ParseOrdering(*ordName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-			os.Exit(2)
-		}
-		start := time.Now()
-		var c coloring.Colors
-		if *distance2 {
-			c, err = coloring.GreedyDistance2(g, o, *seed)
-		} else {
-			c, err = coloring.Greedy(g, o, *seed)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-			os.Exit(1)
-		}
-		elapsed := time.Since(start)
-		if *distance2 {
-			err = coloring.VerifyDistance2(g, c)
-		} else {
-			err = c.Verify(g)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmgm-color: verification failed: %v\n", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			printJSON(summary{
-				Algorithm: "sequential-greedy", Ranks: 1,
-				Colors:         c.NumColors(),
-				ElapsedSeconds: elapsed.Seconds(),
-			})
-		} else {
-			fmt.Printf("algorithm: sequential greedy (distance2=%v), %s order\ncolors: %d\ntime: %v\n",
-				*distance2, o, c.NumColors(), elapsed)
-		}
-		writeColors(*outPath, c)
-		return
-	}
-
-	partStart := time.Now()
-	var part *partition.Partition
-	partitioner, err := partition.ByName(*method)
-	if err == nil {
-		part, err = partitioner(g, *p, partition.MultilevelOptions{Seed: *seed, NoRefine: *noRefine})
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
-	}
-	info("partition: %s\n", partition.Measure(g, part))
-
-	if *algo == "jp" {
-		runJP(g, part, *seed, *jsonOut)
-		return
-	}
-	mode, err := coloring.ParseCommMode(*comm)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(2)
-	}
-	obsr := of.NewObserver(part.P)
-	// The observer is sized by the partition, so the driver-side phases that
-	// preceded it are recorded retroactively.
-	obsr.Driver().Observe("driver.read_graph", readStart, int64(g.NumVertices()))
-	obsr.Driver().Observe("driver.partition", partStart, int64(part.P))
-
-	w, err := tf.World(part.P, mpi.WithDeadline(10*time.Minute), mpi.WithObserver(obsr))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
-	}
-	if of.HTTP != "" {
-		addr, err := obs.ServeLive(of.HTTPAddr(tf.Rank, tf.Remote()), w.LiveSnapshot)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "live: http://%s/snapshot (watch with: dmgm-trace -watch %s)\n", addr, addr)
-	}
-	start := time.Now()
-	// The distance-2 variant has one communication scheme and ignores CommMode.
-	opt := dmgm.ColorParallelOptions{SuperstepSize: *superstep, CommMode: mode, Seed: *seed}
-	var res *dmgm.ColorParallelResult
-	if *distance2 {
-		res, err = dmgm.ColorParallelDistance2World(w, g, part, opt)
-	} else {
-		res, err = dmgm.ColorParallelWorld(w, g, part, opt)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
-	if werr := of.Write(obsr, w.LocalRanks(), tf.Rank, tf.Remote()); werr != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", werr)
-		os.Exit(1)
-	}
-	if oerr := of.ExportOTLP(obsr, w.LocalRanks(), part.P); oerr != nil {
-		// Export is best-effort: warn, never fail the run.
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", oerr)
-	}
-	if res == nil {
-		// A tcp worker that does not host rank 0: the gathered result lives
-		// on rank 0's process, this one just reports completion.
-		info("rank %d: done in %v\n", tf.Rank, elapsed)
-		return
-	}
-	if *distance2 {
-		err = coloring.VerifyDistance2(g, res.Colors)
-	} else {
-		err = res.Colors.Verify(g)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: verification failed: %v\n", err)
-		os.Exit(1)
-	}
-	if *jsonOut {
-		printJSON(summary{
-			Algorithm: "speculative-" + mode.String(), Ranks: *p,
-			Colors: res.NumColors, Rounds: res.Rounds, Conflicts: res.Conflicts,
-			Messages: res.Messages, Bytes: res.Bytes,
-			ElapsedSeconds: elapsed.Seconds(),
-		})
-	} else {
-		fmt.Printf("algorithm: speculative framework (distance2=%v), %d ranks, s=%d, comm=%s\n", *distance2, *p, *superstep, mode)
-		fmt.Printf("colors: %d\nrounds: %d\nconflicts: %d\nmessages: %d (%d bytes)\nhost wall: %v\n",
-			res.NumColors, res.Rounds, res.Conflicts, res.Messages, res.Bytes, elapsed)
-	}
-	writeColors(*outPath, res.Colors)
-}
-
-// infoPrinter routes narration to stdout normally, stderr under -json.
-func infoPrinter(jsonOut bool) func(format string, args ...any) {
-	w := os.Stdout
-	if jsonOut {
-		w = os.Stderr
-	}
-	return func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-}
-
-func printJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// writeColors saves the coloring when an output path was given.
-func writeColors(path string, c coloring.Colors) {
-	if path == "" {
-		return
-	}
-	if err := coloring.WriteColorsFile(path, c); err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func runJP(g *graph.Graph, part *partition.Partition, seed uint64, jsonOut bool) {
-	shares, err := dgraph.Distribute(g, part)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
-	}
-	results := make([]*coloring.ParallelResult, part.P)
-	var mu sync.Mutex
-	start := time.Now()
-	err = mpi.Run(part.P, func(c *mpi.Comm) error {
-		res, err := coloring.JonesPlassmann(c, shares[c.Rank()], seed, 0)
+		g, err := c.ReadGraph()
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		results[c.Rank()] = res
-		mu.Unlock()
-		return nil
-	}, mpi.WithDeadline(10*time.Minute))
+		lo, hi := coloring.Bounds(g)
+		c.Info("chromatic bounds: [%d, %d]\n", lo, hi)
+		if *c.P <= 1 {
+			return sequential(c, g, *ordName, *distance2)
+		}
+		part, err := c.Partition(g, "", partition.MultilevelOptions{Seed: *c.Seed, NoRefine: *noRefine})
+		if err != nil {
+			return err
+		}
+		job := dmgm.Job{Algorithm: dmgm.AlgoColor, Comm: *comm, Superstep: *superstep, Distance2: *distance2, Seed: *c.Seed}
+		if *algo == "jp" {
+			job = dmgm.Job{Algorithm: dmgm.AlgoJP, Seed: *c.Seed}
+		} else if _, err := coloring.ParseCommMode(*comm); err != nil {
+			return launch.Usagef("%v", err)
+		}
+		res, err := c.Run(g, part, job)
+		if err != nil || res == nil {
+			return err
+		}
+		var sum summary
+		var text string
+		if job.Algorithm == dmgm.AlgoJP {
+			// Jones–Plassmann has no conflicts, and its record no traffic.
+			sum = summary{Algorithm: "jones-plassmann", Ranks: *c.P, Colors: res.Colors, Rounds: res.Rounds}
+			text = fmt.Sprintf("algorithm: Jones-Plassmann, %d ranks\ncolors: %d\nrounds: %d\n", *c.P, res.Colors, res.Rounds)
+		} else {
+			sum = summary{
+				Algorithm: "speculative-" + *comm, Ranks: *c.P,
+				Colors: res.Colors, Rounds: res.Rounds, Conflicts: res.Conflicts,
+				Messages: res.Messages, Bytes: res.Bytes,
+			}
+			text = fmt.Sprintf("algorithm: speculative framework (distance2=%v), %d ranks, s=%d, comm=%s\n"+
+				"colors: %d\nrounds: %d\nconflicts: %d\nmessages: %d (%d bytes)\n",
+				*distance2, *c.P, *superstep, *comm, res.Colors, res.Rounds, res.Conflicts, res.Messages, res.Bytes)
+		}
+		sum.ElapsedSeconds = res.Elapsed.Seconds()
+		if err := c.Report(sum, fmt.Sprintf("%shost wall: %v\n", text, res.Elapsed)); err != nil {
+			return err
+		}
+		return c.WriteOut(res.Text)
+	})
+}
+
+// sequential is the -p 1 run: greedy over the chosen ordering, verified.
+func sequential(c *launch.CLI, g *graph.Graph, ordName string, distance2 bool) error {
+	o, err := order.ParseOrdering(ordName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
+		return launch.Usagef("%v", err)
+	}
+	start := time.Now()
+	var col coloring.Colors
+	if distance2 {
+		col, err = coloring.GreedyDistance2(g, o, *c.Seed)
+	} else {
+		col, err = coloring.Greedy(g, o, *c.Seed)
+	}
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
-	colors, err := coloring.Gather(shares, results)
+	if distance2 {
+		err = coloring.VerifyDistance2(g, col)
+	} else {
+		err = col.Verify(g)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("verification failed: %w", err)
 	}
-	if err := colors.Verify(g); err != nil {
-		fmt.Fprintf(os.Stderr, "dmgm-color: verification failed: %v\n", err)
-		os.Exit(1)
+	err = c.Report(summary{
+		Algorithm: "sequential-greedy", Ranks: 1,
+		Colors:         col.NumColors(),
+		ElapsedSeconds: elapsed.Seconds(),
+	}, fmt.Sprintf("algorithm: sequential greedy (distance2=%v), %s order\ncolors: %d\ntime: %v\n",
+		distance2, o, col.NumColors(), elapsed))
+	if err != nil {
+		return err
 	}
-	if jsonOut {
-		printJSON(summary{
-			Algorithm: "jones-plassmann", Ranks: part.P,
-			Colors: results[0].NumColors, Rounds: results[0].Rounds,
-			ElapsedSeconds: elapsed.Seconds(),
-		})
-		return
+	var text strings.Builder
+	if err := coloring.WriteColors(&text, col); err != nil {
+		return err
 	}
-	fmt.Printf("algorithm: Jones-Plassmann, %d ranks\ncolors: %d\nrounds: %d\nhost wall: %v\n",
-		part.P, results[0].NumColors, results[0].Rounds, elapsed)
+	return c.WriteOut(text.String())
 }

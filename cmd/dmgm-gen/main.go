@@ -8,19 +8,18 @@
 //	dmgm-gen -kind circuit -k1 200 -k2 200 -taps 0.45 -o circuit.g
 //	dmgm-gen -kind rmat -scale 16 -edgefactor 8 -o rmat.bin
 //	dmgm-gen -kind er -n 100000 -m 400000 -o er.g
-//	dmgm-gen -kind er -n 100000 -m 400000 -format dmgb -o er.g
+//	dmgm-gen -kind er -n 100000 -m 400000 -o er.dmgb
 //	dmgm-gen -kind geometric -n 50000 -radius 0.01 -o geo.g
 //
-// The output format follows the extension (.dmgb streaming binary, .bin
-// legacy binary, text otherwise); -format overrides it. DMGB is the format
-// the chunked upload path of dmgm-serve is built around — its header
-// carries the graph fingerprint, so repeat uploads short-circuit.
+// The output format follows the extension (.dmgb or .bin: the DMGB binary
+// codec; text otherwise). DMGB is the format the chunked upload path of
+// dmgm-serve is built around — its header carries the graph fingerprint, so
+// repeat uploads short-circuit.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/gen"
@@ -41,8 +40,7 @@ func main() {
 		taps       = flag.Float64("taps", 0.45, "circuit taps per node")
 		weighted   = flag.Bool("weighted", true, "assign random edge weights")
 		seed       = flag.Uint64("seed", 1, "generator seed")
-		out        = flag.String("o", "", "output path (.dmgb = streaming binary, .bin = legacy binary); required")
-		format     = flag.String("format", "", "output format: text | bin | dmgb (default: by extension)")
+		out        = flag.String("o", "", "output path (.dmgb or .bin = DMGB binary, anything else = text); required")
 		stats      = flag.Bool("stats", true, "print summary statistics")
 	)
 	flag.Parse()
@@ -77,38 +75,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dmgm-gen: %v\n", err)
 		os.Exit(1)
 	}
-	if err := writeOut(*out, *format, g); err != nil {
+	if err := graph.WriteFile(*out, g); err != nil {
 		fmt.Fprintf(os.Stderr, "dmgm-gen: %v\n", err)
 		os.Exit(1)
 	}
 	if *stats {
 		fmt.Printf("%s: %s\n", *out, graph.Summarize(g))
 	}
-}
-
-// writeOut writes g to path in the selected format; an empty format defers
-// to the extension routing of graph.WriteFile.
-func writeOut(path, format string, g *graph.Graph) error {
-	var write func(io.Writer, *graph.Graph) error
-	switch format {
-	case "":
-		return graph.WriteFile(path, g)
-	case "text":
-		write = graph.WriteText
-	case "bin":
-		write = graph.WriteBinary
-	case "dmgb":
-		write = graph.WriteDMGB
-	default:
-		return fmt.Errorf("unknown format %q: want text | bin | dmgb", format)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -63,7 +63,7 @@ import (
 )
 
 func main() {
-	of := obs.RegisterFlags()
+	of := obs.RegisterFlags(flag.CommandLine)
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8321", "HTTP listen address for the job API")
 		queueLen     = flag.Int("queue", 32, "admission queue bound; beyond it submissions are shed with 429")

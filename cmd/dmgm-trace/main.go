@@ -73,7 +73,7 @@ func main() {
 		os.Exit(watch(flag.Args(), *interval, *watchIters, !*noClear))
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dmgm-trace [-details] [-metrics-only] [-replay] [-otlp-convert <endpoint>] <trace.json|trace.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: dmgm-trace [-details] [-metrics-only] [-replay] [-otlp-convert <endpoint>] <trace.json>")
 		os.Exit(2)
 	}
 	tf, err := obs.ReadTraceFile(flag.Arg(0))

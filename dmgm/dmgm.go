@@ -16,7 +16,10 @@
 //
 // The distributed entry points run every rank as a goroutine over the
 // in-process message-passing runtime (internal/mpi), this repository's
-// substitute for MPI; see DESIGN.md for the substitution inventory. Lower
+// substitute for MPI; see DESIGN.md for the substitution inventory. They
+// are kernel closures around one driver (distributed), and RunJob is the
+// one function that takes a named job through run, verification and text
+// serialization — what the CLIs and the daemon call (DESIGN.md §9). Lower
 // level control (building per-rank shares, running inside your own world,
 // collecting traffic statistics) is available through the internal packages
 // for in-module code, and mirrors what the examples under examples/ do.
@@ -77,8 +80,9 @@ var (
 	NewBipartite = func(nrows, ncols int, entries []Entry) (*Bipartite, error) {
 		return graph.BuildBipartite(nrows, ncols, entries, graph.DedupeMax)
 	}
-	// ReadGraphFile / WriteGraphFile use the text (default) or binary
-	// (".bin") formats.
+	// ReadGraphFile reads either graph format, sniffed by content;
+	// WriteGraphFile writes DMGB for a ".dmgb" or ".bin" name, text
+	// otherwise.
 	ReadGraphFile  = graph.ReadFile
 	WriteGraphFile = graph.WriteFile
 
@@ -148,40 +152,48 @@ func MatchB(g *Graph, b []int) (*BMatching, error) { return matching.GreedyB(g, 
 // MatchBParallel distributes g by part and runs the round-synchronized
 // distributed b-suitor; the result equals MatchB(g, b) for any partition.
 func MatchBParallel(g *Graph, part *Partition, b []int, deadline time.Duration) (*BMatching, error) {
-	if err := part.Validate(g); err != nil {
-		return nil, err
-	}
 	if len(b) != g.NumVertices() {
 		return nil, fmt.Errorf("dmgm: %d capacities for %d vertices", len(b), g.NumVertices())
 	}
-	shares, err := dgraph.Distribute(g, part)
+	w, err := newWorld(part, deadline)
 	if err != nil {
 		return nil, err
 	}
-	localB := make([][]int, part.P)
-	for rank, d := range shares {
+	// capacities restricts b to a share's owned vertices, in local order.
+	capacities := func(d *dgraph.DistGraph) []int {
 		lb := make([]int, d.NLocal)
-		for v := 0; v < d.NLocal; v++ {
-			lb[v] = b[d.GlobalOf(int32(v))]
+		for v := range lb {
+			lb[v] = b[d.GlobalID[v]]
 		}
-		localB[rank] = lb
+		return lb
 	}
-	if deadline == 0 {
-		deadline = 10 * time.Minute
-	}
-	results := make([]*matching.BParallelResult, part.P)
-	err = mpi.Run(part.P, func(c *mpi.Comm) error {
-		res, err := matching.BParallel(c, shares[c.Rank()], localB[c.Rank()], matching.BParallelOptions{})
-		if err != nil {
-			return err
-		}
-		results[c.Rank()] = res
-		return nil
-	}, mpi.WithDeadline(deadline))
-	if err != nil {
-		return nil, err
-	}
-	return matching.GatherB(shares, results, localB)
+	return distributed(w, g, part,
+		func(c *mpi.Comm, d *dgraph.DistGraph) (*BMatching, []byte, error) {
+			res, err := matching.BParallel(c, d, capacities(d), matching.BParallelOptions{})
+			if err != nil {
+				return nil, nil, err
+			}
+			// A vertex has a list of partners, not one value: the payload is
+			// each owned vertex's partner count followed by the partners.
+			var flat []int64
+			for _, partners := range res.PartnerGIDs {
+				flat = append(append(flat, int64(len(partners))), partners...)
+			}
+			return nil, encodeInts(flat), nil
+		},
+		func(_ *BMatching, _ traffic, shares []*dgraph.DistGraph, payloads [][]byte) (*BMatching, error) {
+			results := make([]*matching.BParallelResult, len(payloads))
+			localB := make([][]int, len(payloads))
+			for rank, p := range payloads {
+				flat := decodeInts[int64](p)
+				results[rank] = &matching.BParallelResult{}
+				for i := 0; i < len(flat); i += 1 + int(flat[i]) {
+					results[rank].PartnerGIDs = append(results[rank].PartnerGIDs, flat[i+1:i+1+int(flat[i])])
+				}
+				localB[rank] = capacities(shares[rank])
+			}
+			return matching.GatherB(shares, results, localB)
+		})
 }
 
 // Color greedily colors g in the given vertex ordering.
@@ -212,7 +224,7 @@ func ColoringBounds(g *Graph) (lower, upper int) { return coloring.Bounds(g) }
 // MatchParallelOptions configures MatchParallel.
 type MatchParallelOptions struct {
 	// BundleBytes caps the message-aggregation buffers (0 = 64 KiB; set to
-	// 17, one record, to disable the paper's bundling).
+	// matching.RecordBytes, one record, to disable the paper's bundling).
 	BundleBytes int
 	// Deadline aborts a wedged run (0 = 10 minutes).
 	Deadline time.Duration
@@ -232,10 +244,7 @@ type MatchParallelResult struct {
 // matching with one goroutine rank per part, and gathers the global result.
 // The matching is identical to Match(g) for any partition.
 func MatchParallel(g *Graph, part *Partition, opt MatchParallelOptions) (*MatchParallelResult, error) {
-	if opt.Deadline == 0 {
-		opt.Deadline = 10 * time.Minute
-	}
-	w, err := mpi.NewWorld(part.P, mpi.WithDeadline(opt.Deadline))
+	w, err := newWorld(part, opt.Deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -249,86 +258,27 @@ func MatchParallel(g *Graph, part *Partition, opt MatchParallelOptions) (*MatchP
 // returned on the process hosting rank 0 and is nil (with a nil error) on
 // every other process.
 func MatchParallelWorld(w *mpi.World, g *Graph, part *Partition, opt MatchParallelOptions) (*MatchParallelResult, error) {
-	if err := part.Validate(g); err != nil {
-		return nil, err
-	}
-	if w.Size() != part.P {
-		return nil, fmt.Errorf("dmgm: world of %d ranks for a %d-way partition", w.Size(), part.P)
-	}
-	shares, err := dgraph.Distribute(g, part)
-	if err != nil {
-		return nil, err
-	}
-	var out *MatchParallelResult
-	err = w.Run(func(c *mpi.Comm) error {
-		res, err := matching.Parallel(c, shares[c.Rank()], matching.ParallelOptions{
-			MaxBundleBytes: opt.BundleBytes,
+	return distributed(w, g, part,
+		func(c *mpi.Comm, d *dgraph.DistGraph) (*MatchParallelResult, []byte, error) {
+			res, err := matching.Parallel(c, d, matching.ParallelOptions{MaxBundleBytes: opt.BundleBytes})
+			if err != nil {
+				return nil, nil, err
+			}
+			return &MatchParallelResult{
+				Weight:          c.AllreduceFloat64(res.LocalWeight, mpi.OpSum),
+				OuterIterations: c.AllreduceInt64(res.OuterIterations, mpi.OpMax),
+			}, encodeInts(res.MateGlobal), nil
+		},
+		func(out *MatchParallelResult, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (*MatchParallelResult, error) {
+			results := make([]*matching.ParallelResult, len(payloads))
+			for rank, p := range payloads {
+				results[rank] = &matching.ParallelResult{MateGlobal: decodeInts[int64](p)}
+			}
+			var err error
+			out.Mates, err = matching.Gather(shares, results)
+			out.Messages, out.Bytes = t.messages, t.bytes
+			return out, err
 		})
-		if err != nil {
-			return err
-		}
-		weight := c.AllreduceFloat64(res.LocalWeight, mpi.OpSum)
-		iters := c.AllreduceInt64(res.OuterIterations, mpi.OpMax)
-		snap := c.StatsSnapshot() // collectives are uncounted, so this is final
-		msgs := c.AllreduceInt64(snap.SentMsgs, mpi.OpSum)
-		bytes := c.AllreduceInt64(snap.SentBytes, mpi.OpSum)
-		parts := c.Allgather(encodeInt64s(res.MateGlobal))
-		if c.Rank() != 0 {
-			return nil
-		}
-		results := make([]*matching.ParallelResult, w.Size())
-		for r, p := range parts {
-			results[r] = &matching.ParallelResult{MateGlobal: decodeInt64s(p)}
-		}
-		mates, err := matching.Gather(shares, results)
-		if err != nil {
-			return err
-		}
-		out = &MatchParallelResult{
-			Mates:           mates,
-			Weight:          weight,
-			OuterIterations: iters,
-			Messages:        msgs,
-			Bytes:           bytes,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func encodeInt64s(xs []int64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
-	}
-	return out
-}
-
-func decodeInt64s(b []byte) []int64 {
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func encodeInt32s(xs []int32) []byte {
-	out := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-	}
-	return out
-}
-
-func decodeInt32s(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
 }
 
 // Coloring communication modes (Section 4.2).
@@ -367,14 +317,23 @@ type ColorParallelResult struct {
 // ColorParallel distributes g by part and runs the speculative iterative
 // distance-1 coloring with one goroutine rank per part.
 func ColorParallel(g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	if opt.Deadline == 0 {
-		opt.Deadline = 10 * time.Minute
-	}
-	w, err := mpi.NewWorld(part.P, mpi.WithDeadline(opt.Deadline))
+	w, err := newWorld(part, opt.Deadline)
 	if err != nil {
 		return nil, err
 	}
 	return ColorParallelWorld(w, g, part, opt)
+}
+
+// ColorParallelDistance2 distributes g by part and runs the speculative
+// distance-2 coloring (one-layer ghosts, middle-vertex conflict detection,
+// forbidden-color notices). The paper's Jacobian motivation consumes exactly
+// this variant.
+func ColorParallelDistance2(g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
+	w, err := newWorld(part, opt.Deadline)
+	if err != nil {
+		return nil, err
+	}
+	return ColorParallelDistance2World(w, g, part, opt)
 }
 
 // ColorParallelWorld runs the speculative distance-1 coloring over an
@@ -383,98 +342,143 @@ func ColorParallel(g *Graph, part *Partition, opt ColorParallelOptions) (*ColorP
 // the global result is returned on the process hosting rank 0 and is nil
 // (with a nil error) elsewhere.
 func ColorParallelWorld(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	return colorParallelOver(w, g, part, opt, false)
+	return colorDistributed(w, g, part, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return coloring.Parallel(c, d, coloring.ParallelOptions{
+			SuperstepSize: opt.SuperstepSize,
+			CommMode:      opt.CommMode,
+			Strategy:      opt.Strategy,
+			Order:         opt.Order,
+			Conflict:      opt.Conflict,
+			Seed:          opt.Seed,
+			Threads:       opt.Threads,
+		})
+	})
 }
 
 // ColorParallelDistance2World is ColorParallelWorld for the distance-2
-// variant.
+// variant, which has one communication scheme and ignores CommMode.
 func ColorParallelDistance2World(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	return colorParallelOver(w, g, part, opt, true)
+	return colorDistributed(w, g, part, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return coloring.ParallelDistance2(c, d, coloring.ParallelOptions{
+			SuperstepSize: opt.SuperstepSize,
+			Conflict:      opt.Conflict,
+			Seed:          opt.Seed,
+		})
+	})
 }
 
-// colorParallelOver is the shared driver for both coloring variants: run the
-// per-rank algorithm, then assemble the global result through collectives so
-// the code path is identical for in-process and wire-transport worlds.
-func colorParallelOver(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions, distance2 bool) (*ColorParallelResult, error) {
-	if err := part.Validate(g); err != nil {
-		return nil, err
+// colorDistributed is the driver of every coloring kernel — speculative
+// distance-1 and distance-2, and the Jones–Plassmann baseline of RunJob —
+// which all hand back a coloring.ParallelResult per rank.
+func colorDistributed(w *mpi.World, g *Graph, part *Partition,
+	kernel func(*mpi.Comm, *dgraph.DistGraph) (*coloring.ParallelResult, error)) (*ColorParallelResult, error) {
+	return distributed(w, g, part,
+		func(c *mpi.Comm, d *dgraph.DistGraph) (*ColorParallelResult, []byte, error) {
+			res, err := kernel(c, d)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &ColorParallelResult{
+				NumColors: res.NumColors, // identical on every rank
+				Rounds:    res.Rounds,
+				Conflicts: c.AllreduceInt64(res.Conflicts, mpi.OpSum),
+			}, encodeInts(res.Colors), nil
+		},
+		func(out *ColorParallelResult, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (*ColorParallelResult, error) {
+			results := make([]*coloring.ParallelResult, len(payloads))
+			for rank, p := range payloads {
+				results[rank] = &coloring.ParallelResult{Colors: decodeInts[int32](p)}
+			}
+			var err error
+			out.Colors, err = coloring.Gather(shares, results)
+			out.Messages, out.Bytes = t.messages, t.bytes
+			return out, err
+		})
+}
+
+// traffic totals a run's point-to-point messages over all ranks.
+type traffic struct{ messages, bytes int64 }
+
+// distributed is the one driver every distributed entry point of this
+// package is a kernel closure around: check the partition against the graph
+// and the world, distribute the graph, run kernel on every rank, reduce the
+// traffic totals, allgather the ranks' per-vertex payloads, and assemble the
+// global result on rank 0. Everything after the kernel goes through
+// collectives, so the path is the same for in-process and wire-transport
+// worlds; on a process that does not host rank 0 the result is the zero R
+// (nil) with a nil error.
+//
+// kernel runs one rank's share: it returns the rank's per-owned-vertex
+// payload, encoded for the wire, and a partial result holding the scalars
+// it has already allreduced (which scalars, and under which operator, is the
+// algorithm's business). assemble runs on rank 0 only and completes rank 0's
+// partial result from every rank's payload.
+func distributed[R any](w *mpi.World, g *Graph, part *Partition,
+	kernel func(*mpi.Comm, *dgraph.DistGraph) (R, []byte, error),
+	assemble func(partial R, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (R, error)) (R, error) {
+	var out R
+	shares, err := dgraph.Distribute(g, part) // validates part against g
+	if err != nil {
+		return out, err
 	}
 	if w.Size() != part.P {
-		return nil, fmt.Errorf("dmgm: world of %d ranks for a %d-way partition", w.Size(), part.P)
+		return out, fmt.Errorf("dmgm: world of %d ranks for a %d-way partition", w.Size(), part.P)
 	}
-	shares, err := dgraph.Distribute(g, part)
-	if err != nil {
-		return nil, err
-	}
-	var out *ColorParallelResult
 	err = w.Run(func(c *mpi.Comm) error {
-		var res *coloring.ParallelResult
-		var err error
-		if distance2 {
-			res, err = coloring.ParallelDistance2(c, shares[c.Rank()], coloring.ParallelOptions{
-				SuperstepSize: opt.SuperstepSize,
-				Conflict:      opt.Conflict,
-				Seed:          opt.Seed,
-			})
-		} else {
-			res, err = coloring.Parallel(c, shares[c.Rank()], coloring.ParallelOptions{
-				SuperstepSize: opt.SuperstepSize,
-				CommMode:      opt.CommMode,
-				Strategy:      opt.Strategy,
-				Order:         opt.Order,
-				Conflict:      opt.Conflict,
-				Seed:          opt.Seed,
-				Threads:       opt.Threads,
-			})
-		}
+		partial, payload, err := kernel(c, shares[c.Rank()])
 		if err != nil {
 			return err
 		}
-		conflicts := c.AllreduceInt64(res.Conflicts, mpi.OpSum)
 		snap := c.StatsSnapshot() // collectives are uncounted, so this is final
-		msgs := c.AllreduceInt64(snap.SentMsgs, mpi.OpSum)
-		bytes := c.AllreduceInt64(snap.SentBytes, mpi.OpSum)
-		parts := c.Allgather(encodeInt32s(res.Colors))
+		t := traffic{
+			messages: c.AllreduceInt64(snap.SentMsgs, mpi.OpSum),
+			bytes:    c.AllreduceInt64(snap.SentBytes, mpi.OpSum),
+		}
+		payloads := c.Allgather(payload)
 		if c.Rank() != 0 {
 			return nil
 		}
-		results := make([]*coloring.ParallelResult, w.Size())
-		for r, p := range parts {
-			results[r] = &coloring.ParallelResult{Colors: decodeInt32s(p)}
-		}
-		colors, err := coloring.Gather(shares, results)
-		if err != nil {
-			return err
-		}
-		out = &ColorParallelResult{
-			Colors:    colors,
-			NumColors: res.NumColors, // identical on every rank
-			Rounds:    res.Rounds,
-			Conflicts: conflicts,
-			Messages:  msgs,
-			Bytes:     bytes,
-		}
-		return nil
+		out, err = assemble(partial, t, shares, payloads)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-// ColorParallelDistance2 distributes g by part and runs the speculative
-// distance-2 coloring (one-layer ghosts, middle-vertex conflict detection,
-// forbidden-color notices). The paper's Jacobian motivation consumes exactly
-// this variant.
-func ColorParallelDistance2(g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	if opt.Deadline == 0 {
-		opt.Deadline = 10 * time.Minute
+// newWorld builds the in-process world of the one-call entry points: one
+// goroutine rank per part, aborted after deadline (0 = 10 minutes).
+func newWorld(part *Partition, deadline time.Duration) (*mpi.World, error) {
+	if deadline == 0 {
+		deadline = 10 * time.Minute
 	}
-	w, err := mpi.NewWorld(part.P, mpi.WithDeadline(opt.Deadline))
-	if err != nil {
-		return nil, err
+	return mpi.NewWorld(part.P, mpi.WithDeadline(deadline))
+}
+
+// encodeInts / decodeInts carry a rank's per-vertex integers through
+// Allgather, little-endian at the type's own width.
+func encodeInts[T int32 | int64](xs []T) []byte {
+	size := binary.Size(T(0))
+	out := make([]byte, size*len(xs))
+	for i, x := range xs {
+		if size == 4 {
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
+		} else {
+			binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
+		}
 	}
-	return ColorParallelDistance2World(w, g, part, opt)
+	return out
+}
+
+func decodeInts[T int32 | int64](b []byte) []T {
+	size := binary.Size(T(0))
+	out := make([]T, len(b)/size)
+	for i := range out {
+		if size == 4 {
+			out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+		} else {
+			out[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	return out
 }
 
 // VerifyMatching checks validity and maximality of a matching on g.

@@ -7,34 +7,18 @@ import (
 )
 
 // Gather assembles per-rank parallel coloring results into one global Colors
-// array indexed by global vertex id.
+// array indexed by global vertex id (dgraph.Gather does the per-vertex
+// assembly).
 func Gather(shares []*dgraph.DistGraph, results []*ParallelResult) (Colors, error) {
-	if len(shares) == 0 || len(shares) != len(results) {
-		return nil, fmt.Errorf("coloring: gather over %d shares, %d results", len(shares), len(results))
-	}
-	globalN := shares[0].GlobalN
-	if globalN > 1<<31-1 {
-		return nil, fmt.Errorf("coloring: graph too large to gather (%d vertices)", globalN)
-	}
-	colors := make(Colors, globalN)
-	for i := range colors {
-		colors[i] = -1
-	}
-	for rank, d := range shares {
-		r := results[rank]
-		if r == nil {
-			return nil, fmt.Errorf("coloring: rank %d has no result", rank)
+	local := make([][]int32, len(results))
+	for rank, r := range results {
+		if r != nil {
+			local[rank] = r.Colors
 		}
-		if len(r.Colors) != d.NLocal {
-			return nil, fmt.Errorf("coloring: rank %d result covers %d of %d vertices", rank, len(r.Colors), d.NLocal)
-		}
-		for v := 0; v < d.NLocal; v++ {
-			gid := d.GlobalOf(int32(v))
-			if colors[gid] != -1 {
-				return nil, fmt.Errorf("coloring: vertex %d colored by two ranks", gid)
-			}
-			colors[gid] = r.Colors[v]
-		}
+	}
+	colors, err := dgraph.Gather[int32, int32](shares, local)
+	if err != nil {
+		return nil, fmt.Errorf("coloring: %w", err)
 	}
 	return colors, nil
 }

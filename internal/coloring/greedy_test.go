@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -213,7 +214,11 @@ func TestColorsRoundTrip(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "c.txt")
-	if err := WriteColorsFile(path, c); err != nil {
+	var file bytes.Buffer
+	if err := WriteColors(&file, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fromFile, err := ReadColorsFile(path)

@@ -72,19 +72,6 @@ func ReadColors(r io.Reader) (Colors, error) {
 	return c, nil
 }
 
-// WriteColorsFile writes a coloring to path.
-func WriteColorsFile(path string, c Colors) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteColors(f, c); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 // ReadColorsFile reads a coloring from path.
 func ReadColorsFile(path string) (Colors, error) {
 	f, err := os.Open(path)

@@ -232,16 +232,13 @@ func TestParallelSuperstepSizes(t *testing.T) {
 			t.Fatalf("s=%d: %d rounds", s, results[0].Rounds)
 		}
 	}
-	if _, err := dgraph.Distribute(g, part); err != nil {
+	// Negative superstep size must be rejected.
+	whole, err := dgraph.Distribute(g, &partition.Partition{P: 1, Part: make([]int32, g.NumVertices())})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Negative superstep size must be rejected.
 	err = mpi.Run(1, func(c *mpi.Comm) error {
-		share, err := dgraph.DistributeRank(g, &partition.Partition{P: 1, Part: make([]int32, g.NumVertices())}, 0)
-		if err != nil {
-			return err
-		}
-		if _, err := Parallel(c, share, ParallelOptions{SuperstepSize: -1}); err == nil {
+		if _, err := Parallel(c, whole[0], ParallelOptions{SuperstepSize: -1}); err == nil {
 			t.Error("accepted negative superstep size")
 		}
 		return nil

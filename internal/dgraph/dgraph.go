@@ -172,24 +172,6 @@ func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error)
 	return out, nil
 }
 
-// DistributeRank builds only the given rank's share, for use inside mpi.Run
-// bodies that do not want to materialize all shares up front.
-func DistributeRank(g *graph.Graph, part *partition.Partition, rank int) (*DistGraph, error) {
-	if err := part.Validate(g); err != nil {
-		return nil, err
-	}
-	if rank < 0 || rank >= part.P {
-		return nil, fmt.Errorf("dgraph: rank %d of %d", rank, part.P)
-	}
-	var owned []graph.Vertex
-	for v, pt := range part.Part {
-		if int(pt) == rank {
-			owned = append(owned, graph.Vertex(v))
-		}
-	}
-	return buildLocal(g, part, rank, owned)
-}
-
 func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex) (*DistGraph, error) {
 	d := &DistGraph{
 		Rank:        rank,

@@ -107,28 +107,6 @@ func TestDistributeGhostOwners(t *testing.T) {
 	}
 }
 
-func TestDistributeRankMatchesDistribute(t *testing.T) {
-	g, _ := gen.ErdosRenyi(40, 100, true, 9)
-	part, _ := partition.Random(g, 4, 2)
-	all, err := Distribute(g, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < 4; rank++ {
-		one, err := DistributeRank(g, part, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if one.NLocal != all[rank].NLocal || one.NGhost != all[rank].NGhost ||
-			one.CrossArcs != all[rank].CrossArcs || one.NumBoundary != all[rank].NumBoundary {
-			t.Fatalf("rank %d: DistributeRank differs from Distribute", rank)
-		}
-	}
-	if _, err := DistributeRank(g, part, 99); err == nil {
-		t.Fatal("accepted invalid rank")
-	}
-}
-
 func TestBuildGridMatchesDistribute(t *testing.T) {
 	// The direct distributed builder must agree exactly with distributing the
 	// globally generated grid.

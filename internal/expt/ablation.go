@@ -2,8 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/dgraph"
@@ -63,7 +61,7 @@ func Ablations(o Options) error {
 		opt  matching.ParallelOptions
 	}{
 		{"bundled (64 KiB)", matching.ParallelOptions{}},
-		{"unbundled (1 record/msg)", matching.ParallelOptions{MaxBundleBytes: 17}},
+		{"unbundled (1 record/msg)", matching.ParallelOptions{MaxBundleBytes: matching.RecordBytes}},
 	} {
 		m, err := MeasureMatching(gridShares, tc.opt)
 		if err != nil {
@@ -74,7 +72,7 @@ func Ablations(o Options) error {
 			msgs += r.Msgs
 			bytes += r.Bytes
 		}
-		t.AddRow(tc.name, msgs, bytes, bytes/17, fmt.Sprintf("%.1f", m.MatchWeight))
+		t.AddRow(tc.name, msgs, bytes, bytes/matching.RecordBytes, fmt.Sprintf("%.1f", m.MatchWeight))
 	}
 	t.AddComment("same matching weight; bundling collapses per-record messages into per-pair bundles")
 	if err := o.emit(t); err != nil {
@@ -173,66 +171,31 @@ func Ablations(o Options) error {
 // measureConflictSkew runs the coloring and reports the maximum per-rank
 // re-color count (the load-balance quantity the randomized policy improves).
 func measureConflictSkew(shares []*dgraph.DistGraph, opt coloring.ParallelOptions) (int64, *Measurement, error) {
-	p := len(shares)
-	w, err := mpi.NewWorld(p, mpi.WithDeadline(10*time.Minute))
-	if err != nil {
-		return 0, nil, err
-	}
-	perRank := make([]int64, p)
-	results := make([]*coloring.ParallelResult, p)
-	var mu sync.Mutex
-	start := time.Now()
-	err = w.Run(func(c *mpi.Comm) error {
-		res, err := coloring.Parallel(c, shares[c.Rank()], opt)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		perRank[c.Rank()] = res.Conflicts
-		results[c.Rank()] = res
-		mu.Unlock()
-		return nil
+	m, results, err := measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return coloring.Parallel(c, d, opt)
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	out := &Measurement{P: p, WallHost: time.Since(start)}
 	var maxRe int64
-	for r := 0; r < p; r++ {
-		if perRank[r] > maxRe {
-			maxRe = perRank[r]
-		}
-		out.Conflicts += results[r].Conflicts
-		if int64(results[r].Rounds) > out.Epochs {
-			out.Epochs = int64(results[r].Rounds)
+	for _, r := range results {
+		if r.Conflicts > maxRe {
+			maxRe = r.Conflicts
 		}
 	}
-	out.NumColors = results[0].NumColors
-	return maxRe, out, nil
+	return maxRe, m, nil
 }
 
 // measureJP runs the Jones–Plassmann baseline over the shares.
 func measureJP(shares []*dgraph.DistGraph, seed uint64) (rounds int, colors int, msgs int64, err error) {
-	p := len(shares)
-	w, err := mpi.NewWorld(p, mpi.WithDeadline(10*time.Minute))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	results := make([]*coloring.ParallelResult, p)
-	var mu sync.Mutex
-	err = w.Run(func(c *mpi.Comm) error {
-		res, err := coloring.JonesPlassmann(c, shares[c.Rank()], seed, 0)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[c.Rank()] = res
-		mu.Unlock()
-		return nil
+	m, _, err := measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return coloring.JonesPlassmann(c, d, seed, 0)
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	st := w.TotalStats()
-	return results[0].Rounds, results[0].NumColors, st.SentMsgs, nil
+	for _, prof := range m.Ranks {
+		msgs += prof.Msgs
+	}
+	return int(m.Epochs), m.NumColors, msgs, nil
 }

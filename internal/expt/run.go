@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/coloring"
@@ -81,32 +80,29 @@ func vtimeOf(m perfmodel.Machine) mpi.VirtualTime {
 	}
 }
 
-// MeasureMatching runs the distributed matching over pre-built shares and
-// collects profiles. shares[r] must be rank r's view of one common graph.
-func MeasureMatching(shares []*dgraph.DistGraph, opt matching.ParallelOptions) (*Measurement, error) {
+// measure is the one measured run of this package: kernel on every rank of
+// a fresh world over pre-built shares (shares[r] must be rank r's view of one
+// common graph), under virtual time and a metrics-only observer, with each
+// rank's profile read back afterwards. epochs extracts a rank's epoch count
+// from its result; the per-rank results come back for whatever else the
+// caller totals.
+func measure[R any](shares []*dgraph.DistGraph, kernel func(*mpi.Comm, *dgraph.DistGraph) (R, error), epochs func(R) int64) (*Measurement, []R, error) {
 	p := len(shares)
 	obsr := obs.NewObserver(p, -1) // metrics only: op counters for the profiles
 	w, err := mpi.NewWorld(p, mpi.WithDeadline(10*time.Minute),
 		mpi.WithVirtualTime(vtimeOf(perfmodel.BlueGeneP())),
 		mpi.WithObserver(obsr))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	results := make([]*matching.ParallelResult, p)
-	var mu sync.Mutex
+	results := make([]R, p) // each rank writes its own element
 	start := time.Now()
-	err = w.Run(func(c *mpi.Comm) error {
-		res, err := matching.Parallel(c, shares[c.Rank()], opt)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[c.Rank()] = res
-		mu.Unlock()
-		return nil
+	err = w.Run(func(c *mpi.Comm) (err error) {
+		results[c.Rank()], err = kernel(c, shares[c.Rank()])
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m := &Measurement{P: p, WallHost: time.Since(start), Ranks: make([]perfmodel.Profile, p)}
 	m.VirtualSeconds = w.MaxVirtualTime()
@@ -115,58 +111,52 @@ func MeasureMatching(shares []*dgraph.DistGraph, opt matching.ParallelOptions) (
 		st := w.RankStats(r)
 		prof.Msgs = st.SentMsgs
 		prof.Bytes = st.SentBytes
-		prof.Epochs = results[r].OuterIterations
+		prof.Epochs = epochs(results[r])
 		m.Ranks[r] = prof
 		if prof.Epochs > m.Epochs {
 			m.Epochs = prof.Epochs
 		}
-		m.MatchWeight += results[r].LocalWeight
+	}
+	return m, results, nil
+}
+
+// MeasureMatching runs the distributed matching over pre-built shares and
+// collects profiles.
+func MeasureMatching(shares []*dgraph.DistGraph, opt matching.ParallelOptions) (*Measurement, error) {
+	m, results, err := measure(shares,
+		func(c *mpi.Comm, d *dgraph.DistGraph) (*matching.ParallelResult, error) {
+			return matching.Parallel(c, d, opt)
+		},
+		func(r *matching.ParallelResult) int64 { return r.OuterIterations })
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range results {
+		m.MatchWeight += r.LocalWeight
 	}
 	return m, nil
 }
 
 // MeasureColoring runs the distributed coloring over pre-built shares.
 func MeasureColoring(shares []*dgraph.DistGraph, opt coloring.ParallelOptions) (*Measurement, error) {
-	p := len(shares)
-	obsr := obs.NewObserver(p, -1) // metrics only: op counters for the profiles
-	w, err := mpi.NewWorld(p, mpi.WithDeadline(10*time.Minute),
-		mpi.WithVirtualTime(vtimeOf(perfmodel.BlueGeneP())),
-		mpi.WithObserver(obsr))
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*coloring.ParallelResult, p)
-	var mu sync.Mutex
-	start := time.Now()
-	err = w.Run(func(c *mpi.Comm) error {
-		res, err := coloring.Parallel(c, shares[c.Rank()], opt)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[c.Rank()] = res
-		mu.Unlock()
-		return nil
+	m, _, err := measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return coloring.Parallel(c, d, opt)
 	})
+	return m, err
+}
+
+// measureColoring measures any kernel that colors — the speculative
+// framework or the Jones–Plassmann baseline.
+func measureColoring(shares []*dgraph.DistGraph, kernel func(*mpi.Comm, *dgraph.DistGraph) (*coloring.ParallelResult, error)) (*Measurement, []*coloring.ParallelResult, error) {
+	m, results, err := measure(shares, kernel, func(r *coloring.ParallelResult) int64 { return int64(r.Rounds) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m := &Measurement{P: p, WallHost: time.Since(start), Ranks: make([]perfmodel.Profile, p)}
-	m.VirtualSeconds = w.MaxVirtualTime()
-	for r := 0; r < p; r++ {
-		prof := measuredProfile(obsr.Registry(), p, r)
-		st := w.RankStats(r)
-		prof.Msgs = st.SentMsgs
-		prof.Bytes = st.SentBytes
-		prof.Epochs = int64(results[r].Rounds)
-		m.Ranks[r] = prof
-		if prof.Epochs > m.Epochs {
-			m.Epochs = prof.Epochs
-		}
-		m.Conflicts += results[r].Conflicts
+	for _, r := range results {
+		m.Conflicts += r.Conflicts
 	}
 	m.NumColors = results[0].NumColors
-	return m, nil
+	return m, results, nil
 }
 
 // CommScalars are the per-structure traffic densities extracted from a

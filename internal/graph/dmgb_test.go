@@ -107,13 +107,13 @@ func TestDMGBCanonical(t *testing.T) {
 }
 
 // TestFormatsAgreeOnFingerprint is the cross-format equivalence gate: the
-// same graph written as text, legacy binary, and DMGB must read back with
-// identical fingerprints through the sniffing ReadAuto path.
+// same graph written as text and as DMGB must read back with identical
+// fingerprints through the sniffing ReadAuto path.
 func TestFormatsAgreeOnFingerprint(t *testing.T) {
 	g := dmgbTestGraph(t)
 	want := Fingerprint(g)
 	writers := map[string]func(io.Writer, *Graph) error{
-		"text": WriteText, "binary": WriteBinary, "dmgb": WriteDMGB,
+		"text": WriteText, "dmgb": WriteDMGB,
 	}
 	for name, write := range writers {
 		var buf bytes.Buffer

@@ -244,24 +244,11 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := randomTestGraph(t, 100, 400, 13)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g, g2) {
-		t.Fatal("binary round trip changed graph")
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all........."))); err == nil {
-		t.Fatal("accepted garbage binary input")
+// TestReadTextHeaderIsOnlyAClaim: a header declaring more edges than any
+// stream could carry must fail on the count, not in the first allocation.
+func TestReadTextHeaderIsOnlyAClaim(t *testing.T) {
+	if _, err := ReadText(bytes.NewReader([]byte("g 4 9000000000000000000\ne 0 1 1\n"))); err == nil {
+		t.Fatal("accepted a header declaring 9e18 edges over a one-edge stream")
 	}
 }
 
@@ -380,10 +367,10 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 			return false
 		}
 		var bin, txt bytes.Buffer
-		if WriteBinary(&bin, g) != nil || WriteText(&txt, g) != nil {
+		if WriteDMGB(&bin, g) != nil || WriteText(&txt, g) != nil {
 			return false
 		}
-		gb, err1 := ReadBinary(&bin)
+		gb, err1 := ReadDMGB(&bin)
 		gt, err2 := ReadText(&txt)
 		if err1 != nil || err2 != nil {
 			return false

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -17,15 +16,7 @@ import (
 //	e <u> <v> <weight>
 //	...
 //
-// one "e" line per undirected edge. The binary format is a fixed little-endian
-// layout (magic, version, n, m, Xadj, Adj, W) that round-trips a Graph exactly
-// and loads without re-sorting; it is what cmd/dmgm-gen writes by default for
-// large instances.
-
-const (
-	binMagic   = 0x444d_474d // "DMGM"
-	binVersion = 1
-)
+// one "e" line per undirected edge. The one binary format is DMGB (dmgb.go).
 
 // WriteText writes g in the text edge-list format.
 func WriteText(w io.Writer, g *Graph) error {
@@ -77,7 +68,9 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}
-			edges = make([]Edge, 0, m)
+			// The header is a claim, not a fact: it sizes the first allocation
+			// only as far as capHint lets it.
+			edges = make([]Edge, 0, capHint(int(m)))
 		case "e":
 			if n < 0 {
 				return nil, fmt.Errorf("graph: line %d: edge before header", lineNo)
@@ -117,115 +110,35 @@ func ReadText(r io.Reader) (*Graph, error) {
 	return BuildUndirected(n, edges, DedupeFirst)
 }
 
-// WriteBinary writes g in the binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint64{binMagic, binVersion, uint64(g.NumVertices()), uint64(len(g.Adj))}
-	weighted := uint64(0)
-	if g.W != nil {
-		weighted = 1
-	}
-	hdr = append(hdr, weighted)
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Xadj); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Adj); err != nil {
-		return err
-	}
-	if g.W != nil {
-		if err := binary.Write(bw, binary.LittleEndian, g.W); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the binary format and validates the header.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [5]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("graph: short binary header: %w", err)
-		}
-	}
-	if hdr[0] != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
-	}
-	if hdr[1] != binVersion {
-		return nil, fmt.Errorf("graph: unsupported binary version %d", hdr[1])
-	}
-	n, nadj, weighted := hdr[2], hdr[3], hdr[4]
-	g := &Graph{
-		Xadj: make([]int64, n+1),
-		Adj:  make([]Vertex, nadj),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Xadj); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Adj); err != nil {
-		return nil, err
-	}
-	if weighted == 1 {
-		g.W = make([]float64, nadj)
-		if err := binary.Read(br, binary.LittleEndian, g.W); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// ReadAuto reads a graph in any of this repository's formats, sniffing the
-// stream by its magic bytes: "DMGB" selects the streaming DMGB codec, the
-// legacy fixed-layout binary magic selects ReadBinary, anything else is
-// parsed as the text edge-list format. Every reader path that accepts "a
-// graph file" routes through here, so a .dmgb file works wherever a text or
-// .bin one does.
+// ReadAuto reads a graph in either of this repository's formats, sniffing
+// the stream by its magic bytes: "DMGB" selects the streaming DMGB codec,
+// anything else is parsed as the text edge-list format. Every reader path
+// that accepts "a graph file" routes through here — uploads included, so both
+// decoders must hold up against hostile bytes.
 func ReadAuto(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	prefix, err := br.Peek(8)
 	if err != nil && len(prefix) == 0 {
 		return nil, fmt.Errorf("graph: empty input: %w", err)
 	}
-	switch {
-	case IsDMGB(prefix):
+	if IsDMGB(prefix) {
 		g, _, err := readDMGB(br)
 		return g, err
-	case isLegacyBinary(prefix):
-		return ReadBinary(br)
-	default:
-		return ReadText(br)
 	}
+	return ReadText(br)
 }
 
-// isLegacyBinary reports whether the prefix begins the fixed-layout binary
-// format (the little-endian encoding of binMagic).
-func isLegacyBinary(prefix []byte) bool {
-	if len(prefix) < 8 {
-		return false
-	}
-	return binary.LittleEndian.Uint64(prefix) == binMagic
-}
-
-// WriteFile writes g to path; the format is DMGB if the name ends in
-// ".dmgb", the legacy fixed binary if it ends in ".bin", text otherwise.
+// WriteFile writes g to path: DMGB if the name ends in ".dmgb" or ".bin",
+// text otherwise.
 func WriteFile(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".dmgb"):
+	if strings.HasSuffix(path, ".dmgb") || strings.HasSuffix(path, ".bin") {
 		err = WriteDMGB(f, g)
-	case strings.HasSuffix(path, ".bin"):
-		err = WriteBinary(f, g)
-	default:
+	} else {
 		err = WriteText(f, g)
 	}
 	if err != nil {

@@ -21,15 +21,15 @@ type TransportFlags struct {
 	Launch    bool
 }
 
-// RegisterFlags installs the transport flag block on the default flag set.
-func RegisterFlags() *TransportFlags {
+// RegisterFlags installs the transport flag block on fs.
+func RegisterFlags(fs *flag.FlagSet) *TransportFlags {
 	f := &TransportFlags{}
-	flag.StringVar(&f.Transport, "transport", "inproc", "rank substrate: inproc (goroutines in this process) | tcp (one process per rank)")
-	flag.IntVar(&f.Rank, "rank", 0, "this process's rank in the tcp job")
-	flag.StringVar(&f.Registry, "registry", "", "rank-0 rendezvous address host:port (tcp)")
-	flag.StringVar(&f.Peers, "peers", "", "comma-separated per-rank listen addresses (tcp; overrides -registry)")
-	flag.StringVar(&f.Bind, "bind", "", "data-listener bind address for this rank (tcp registry mode; default 127.0.0.1:0)")
-	flag.BoolVar(&f.Launch, "launch", false, "spawn -p local tcp worker processes of this binary and wait for them")
+	fs.StringVar(&f.Transport, "transport", "inproc", "rank substrate: inproc (goroutines in this process) | tcp (one process per rank)")
+	fs.IntVar(&f.Rank, "rank", 0, "this process's rank in the tcp job")
+	fs.StringVar(&f.Registry, "registry", "", "rank-0 rendezvous address host:port (tcp)")
+	fs.StringVar(&f.Peers, "peers", "", "comma-separated per-rank listen addresses (tcp; overrides -registry)")
+	fs.StringVar(&f.Bind, "bind", "", "data-listener bind address for this rank (tcp registry mode; default 127.0.0.1:0)")
+	fs.BoolVar(&f.Launch, "launch", false, "spawn -p local tcp worker processes of this binary and wait for them")
 	return f
 }
 

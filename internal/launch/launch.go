@@ -57,14 +57,6 @@ func FilterArgs(args []string, dropBool ...string) []string {
 	return out
 }
 
-// Local re-executes this binary n times as the TCP-transport workers of
-// ranks 0..n-1 and supervises them (see Fleet). strip names boolean flags to
-// remove from the inherited command line — at minimum the flag that invoked
-// the launcher itself.
-func Local(n int, strip ...string) int {
-	return Fleet(os.Args[0], FilterArgs(os.Args[1:], strip...), n)
-}
-
 // Fleet spawns n copies of bin, appending `-transport tcp -rank i -registry
 // <addr>` to baseArgs for each rank i, streams their stdout/stderr with a
 // `[rank i]` prefix, waits for all of them, and returns the first non-zero

@@ -8,38 +8,21 @@ import (
 )
 
 // Gather assembles the per-rank results of a Parallel run into one global
-// Mates array, verifying on the way that the ranks agree: the two owners of
-// every matched cross edge must each name the other endpoint. It is used by
-// tests and by the experiment harness to validate distributed runs against
-// the sequential algorithm.
+// Mates array (dgraph.Gather does the per-vertex assembly), then verifies
+// that the ranks agree: the two owners of every matched cross edge must each
+// name the other endpoint.
 func Gather(shares []*dgraph.DistGraph, results []*ParallelResult) (Mates, error) {
-	if len(shares) == 0 || len(shares) != len(results) {
-		return nil, fmt.Errorf("matching: gather over %d shares, %d results", len(shares), len(results))
-	}
-	globalN := shares[0].GlobalN
-	if globalN > 1<<31-1 {
-		return nil, fmt.Errorf("matching: graph too large to gather (%d vertices)", globalN)
-	}
-	mates := make(Mates, globalN)
-	for i := range mates {
-		mates[i] = graph.None
-	}
-	for rank, d := range shares {
-		r := results[rank]
-		if r == nil {
-			return nil, fmt.Errorf("matching: rank %d has no result", rank)
+	local := make([][]int64, len(results))
+	for rank, r := range results {
+		if r != nil {
+			local[rank] = r.MateGlobal
 		}
-		if len(r.MateGlobal) != d.NLocal {
-			return nil, fmt.Errorf("matching: rank %d result covers %d of %d vertices", rank, len(r.MateGlobal), d.NLocal)
-		}
-		for v := 0; v < d.NLocal; v++ {
-			gid := d.GlobalOf(int32(v))
-			mg := r.MateGlobal[v]
-			if mg < 0 {
-				continue
-			}
-			mates[gid] = graph.Vertex(mg)
-		}
+	}
+	// An unmatched vertex is -1 on both sides: MateGlobal's marker is
+	// graph.None's value.
+	mates, err := dgraph.Gather[int64, graph.Vertex](shares, local)
+	if err != nil {
+		return nil, fmt.Errorf("matching: %w", err)
 	}
 	// Symmetry check covers both interior consistency and cross-rank
 	// agreement.
@@ -47,9 +30,12 @@ func Gather(shares []*dgraph.DistGraph, results []*ParallelResult) (Mates, error
 		if u == graph.None {
 			continue
 		}
+		if u < 0 || int(u) >= len(mates) {
+			return nil, fmt.Errorf("matching: vertex %d names mate %d outside the graph", v, u)
+		}
 		if mates[u] != graph.Vertex(v) {
 			return nil, fmt.Errorf("matching: ranks disagree: %d->%d but %d->%d", v, u, u, mates[u])
 		}
 	}
-	return mates, nil
+	return Mates(mates), nil
 }

@@ -83,19 +83,6 @@ func ReadMates(r io.Reader) (Mates, error) {
 	return m, nil
 }
 
-// WriteMatesFile writes a matching to path.
-func WriteMatesFile(path string, m Mates) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteMates(f, m); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 // ReadMatesFile reads a matching from path.
 func ReadMatesFile(path string) (Mates, error) {
 	f, err := os.Open(path)

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -36,7 +37,11 @@ func TestMatesFileRoundTrip(t *testing.T) {
 	g, _ := gen.Grid2D(6, 6, true, 1)
 	m := LocallyDominant(g)
 	path := filepath.Join(t.TempDir(), "m.txt")
-	if err := WriteMatesFile(path, m); err != nil {
+	var buf bytes.Buffer
+	if err := WriteMates(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadMatesFile(path)

@@ -27,9 +27,11 @@ const (
 // runtime attributes this traffic to the "match" tag family.
 const matchTag = mpi.TagMatchBase
 
-// recordSize is the wire size of one protocol record:
+// RecordBytes is the wire size of one protocol record:
 // kind (1 byte) + source global id (8) + destination global id (8).
-const recordSize = 17
+// As a MaxBundleBytes value it means one record per message, i.e. the
+// paper's bundling switched off — the only spelling of that setting.
+const RecordBytes = 17
 
 func encodeRecord(buf []byte, kind byte, src, dst int64) {
 	buf[0] = kind
@@ -44,9 +46,9 @@ func decodeRecord(rec []byte) (kind byte, src, dst int64) {
 // ParallelOptions tunes the distributed matching run.
 type ParallelOptions struct {
 	// MaxBundleBytes caps the per-destination aggregation buffer; 0 selects
-	// the 64 KiB default. Setting it to one record (17 bytes) disables the
-	// paper's message bundling, the configuration the ablation bench uses as
-	// its baseline.
+	// the 64 KiB default. Setting it to one record (RecordBytes) disables
+	// the paper's message bundling, the configuration the ablation bench
+	// uses as its baseline.
 	MaxBundleBytes int
 }
 
@@ -150,7 +152,7 @@ func (s *matchState) run() {
 		s.reqTo[i] = noCM
 	}
 	s.undecided = n
-	s.out = mpi.NewBundler(s.c, matchTag, recordSize, s.opt.MaxBundleBytes)
+	s.out = mpi.NewBundler(s.c, matchTag, RecordBytes, s.opt.MaxBundleBytes)
 	s.tr = s.c.Tracer()
 
 	// Initialization: compute every candidate mate; request across cross
@@ -259,7 +261,7 @@ func (s *matchState) edgeWeight(v, u int32) float64 {
 // sendRecord ships a protocol record about owned vertex v to the owner of
 // ghost u.
 func (s *matchState) sendRecord(kind byte, v, u int32) {
-	var rec [recordSize]byte
+	var rec [RecordBytes]byte
 	encodeRecord(rec[:], kind, s.d.GlobalOf(v), s.d.GlobalOf(u))
 	s.out.Add(s.d.OwnerOf(u), rec[:])
 }
@@ -367,8 +369,8 @@ func (s *matchState) handleBundle(m mpi.Message) {
 		panic(fmt.Sprintf("matching: unexpected tag %d", m.Tag))
 	}
 	defer s.out.Recycle(m.Data) // records alias m.Data; consumed by loop end
-	s.c.ChargeOps(int64(len(m.Data)/recordSize), 0)
-	for _, rec := range mpi.Records(m.Data, recordSize) {
+	s.c.ChargeOps(int64(len(m.Data)/RecordBytes), 0)
+	for _, rec := range mpi.Records(m.Data, RecordBytes) {
 		kind, srcG, dstG := decodeRecord(rec)
 		v, ok := s.d.LocalOf(dstG)
 		if !ok || s.d.IsGhost(v) {

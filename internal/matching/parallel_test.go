@@ -204,7 +204,7 @@ func TestParallelBundlingReducesMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, bundled := runParallel(t, g, part, ParallelOptions{})
-	_, single := runParallel(t, g, part, ParallelOptions{MaxBundleBytes: recordSize})
+	_, single := runParallel(t, g, part, ParallelOptions{MaxBundleBytes: RecordBytes})
 	var bundledMsgs, singleMsgs, bundledRecs, singleRecs int64
 	for i := range bundled {
 		bundledMsgs += bundled[i].Bundles
@@ -339,5 +339,36 @@ func TestParallelStarContention(t *testing.T) {
 	}
 	if matched != 2 {
 		t.Fatalf("%d matched vertices, want 2", matched)
+	}
+}
+
+// TestGatherRefusesDisagreeingRanks: the assembly is dgraph.Gather's, the
+// mate-symmetry check on top of it is this package's — the last line of
+// defence against a protocol bug handing back a non-matching.
+func TestGatherRefusesDisagreeingRanks(t *testing.T) {
+	g := paperTriangle(t)
+	shares, err := dgraph.Distribute(g, &partition.Partition{P: 3, Part: []int32{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := func(mates ...int64) []*ParallelResult {
+		out := make([]*ParallelResult, len(mates))
+		for rank, m := range mates {
+			out[rank] = &ParallelResult{MateGlobal: []int64{m}}
+		}
+		return out
+	}
+	if mates, err := Gather(shares, results(1, 0, -1)); err != nil || mates[0] != 1 || mates[1] != 0 || mates[2] != graph.None {
+		t.Fatalf("agreeing ranks: %v, %v", mates, err)
+	}
+	for name, bad := range map[string][]*ParallelResult{
+		"0 names 1, 1 names 2":      results(1, 2, 1),
+		"0 names 1, 1 is unmatched": results(1, -1, -1),
+		"mate outside the graph":    results(7, -1, -1),
+		"rank without a result":     {results(1)[0], nil, results(-1)[0]},
+	} {
+		if _, err := Gather(shares, bad); err == nil {
+			t.Errorf("%s: gathered without complaint", name)
+		}
 	}
 }

@@ -1,24 +1,20 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strings"
 )
 
-// Trace export. Two formats:
-//
-//   - Chrome trace_event JSON (the "JSON object format": {"traceEvents":
-//     [...]}), loadable in chrome://tracing and Perfetto. Each rank becomes a
-//     process (pid = rank) so the per-rank timelines stack vertically;
-//     driver-side spans live under pid = DriverPID. The registry snapshot
-//     rides along under the top-level "dmgmMetrics" key, which trace viewers
-//     ignore but dmgm-trace consumes.
-//   - JSONL: one Span per line, for ad-hoc jq/awk processing.
+// Trace export, in one file format: Chrome trace_event JSON (the "JSON object
+// format": {"traceEvents": [...]}), loadable in chrome://tracing and Perfetto
+// and read back by dmgm-trace. Each rank becomes a process (pid = rank) so
+// the per-rank timelines stack vertically; driver-side spans live under pid =
+// DriverPID. The registry snapshot rides along under the top-level
+// "dmgmMetrics" key, which trace viewers ignore but dmgm-trace consumes.
+// (OTLP, the other exporter, pushes to a collector — otlp.go.)
 //
 // A multi-process (-launch) job writes one shard per worker; shards are the
 // same TraceFile shape and merge by event concatenation + metrics summation
@@ -142,40 +138,17 @@ func (o *Observer) WriteChrome(w io.Writer, ranks []int, driverTID int) error {
 	return enc.Encode(&tf)
 }
 
-// WriteJSONL writes one span per line for the given ranks plus the driver.
-func (o *Observer) WriteJSONL(w io.Writer, ranks []int) error {
-	if o == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range ranks {
-		for _, s := range o.Tracer(r).Spans() {
-			if err := enc.Encode(s); err != nil {
-				return err
-			}
-		}
-	}
-	for _, s := range o.Driver().Spans() {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteTraceFile writes the trace for the given ranks to path, choosing
-// JSONL when the path ends in ".jsonl" and Chrome JSON otherwise.
+// WriteTraceFile writes the Chrome-trace JSON for the given ranks to path.
 func (o *Observer) WriteTraceFile(path string, ranks []int, driverTID int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return o.WriteJSONL(f, ranks)
+	if err := o.WriteChrome(f, ranks, driverTID); err != nil {
+		return err
 	}
-	return o.WriteChrome(f, ranks, driverTID)
+	return f.Close()
 }
 
 // WriteMetricsFile writes the registry snapshot as standalone JSON, keys in
@@ -184,56 +157,17 @@ func (o *Observer) WriteMetricsFile(path string) error {
 	return os.WriteFile(path, o.Registry().Snapshot().CanonicalJSONIndent(), 0o644)
 }
 
-// ReadTraceFile loads a trace written by WriteTraceFile or a shard merge; it
-// accepts the Chrome object format, a bare event array, and JSONL spans.
+// ReadTraceFile loads a trace written by WriteTraceFile or a shard merge.
 func ReadTraceFile(path string) (*TraceFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	switch {
-	case strings.HasPrefix(trimmed, "{"):
-		// Both the Chrome object format and JSONL span lines start with '{';
-		// only the former has a "traceEvents" key in its first object.
-		var probe struct {
-			Events *json.RawMessage `json:"traceEvents"`
-		}
-		dec := json.NewDecoder(strings.NewReader(trimmed))
-		if err := dec.Decode(&probe); err != nil {
-			return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
-		}
-		if probe.Events == nil {
-			return readSpanLines(path, trimmed) // JSONL spans
-		}
-		var tf TraceFile
-		if err := json.Unmarshal(data, &tf); err != nil {
-			return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
-		}
-		return &tf, nil
-	case strings.HasPrefix(trimmed, "["):
-		var events []TraceEvent
-		if err := json.Unmarshal(data, &events); err != nil {
-			return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
-		}
-		return &TraceFile{Events: events}, nil
-	default:
-		return readSpanLines(path, trimmed)
+	var tf TraceFile
+	if err := json.Unmarshal(data, &tf); err != nil {
+		return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
 	}
-}
-
-// readSpanLines parses a JSONL stream of Span objects.
-func readSpanLines(path, data string) (*TraceFile, error) {
-	tf := &TraceFile{}
-	dec := json.NewDecoder(strings.NewReader(data))
-	for dec.More() {
-		var s Span
-		if err := dec.Decode(&s); err != nil {
-			return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
-		}
-		tf.Events = append(tf.Events, eventOf(s, 0))
-	}
-	return tf, nil
+	return &tf, nil
 }
 
 // ShardPath names the per-worker trace/metrics shard for one rank.

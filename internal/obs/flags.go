@@ -15,8 +15,7 @@ import (
 // binaries: where to write the trace and metrics, and whether to serve
 // net/http/pprof.
 type Flags struct {
-	// Trace is the trace output path ("" = off). ".jsonl" selects the JSONL
-	// format, anything else the Chrome trace_event JSON.
+	// Trace is the trace output path ("" = off), Chrome trace_event JSON.
 	Trace string
 	// Metrics is the standalone metrics JSON output path ("" = off).
 	Metrics string
@@ -47,18 +46,17 @@ type Flags struct {
 // otlpRunEnv carries the run id from the -launch supervisor to its workers.
 const otlpRunEnv = "DMGM_OTLP_RUN"
 
-// RegisterFlags installs the observability flag block on the default flag
-// set.
-func RegisterFlags() *Flags {
+// RegisterFlags installs the observability flag block on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.Trace, "trace", "", "write a span trace to this path (.json = Chrome trace_event, .jsonl = one span per line)")
-	flag.StringVar(&f.Metrics, "metrics", "", "write the metrics registry to this JSON path")
-	flag.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof on this address (workers add their rank to a fixed port)")
-	flag.StringVar(&f.HTTP, "http", "", "serve live observability on this address: /snapshot (per-rank per-tag-family traffic JSON for dmgm-trace -watch), /metrics, /debug/pprof (workers add their rank to a fixed port)")
-	flag.IntVar(&f.SpanCap, "trace-spans", 0, "per-rank span ring capacity (0 = 65536; older spans are overwritten)")
-	flag.BoolVar(&f.Sample, "trace-sample", false, "sample detail spans across the whole run instead of keeping only the newest when the ring overflows")
-	flag.StringVar(&f.OTLP, "otlp", "", "export spans and metrics to this OTLP/HTTP collector endpoint after the run (e.g. http://localhost:4318)")
-	flag.StringVar(&f.OTLPRun, "otlp-run", "", "run id grouping OTLP spans into one trace (default: inherited from the launch supervisor, or generated)")
+	fs.StringVar(&f.Trace, "trace", "", "write a span trace to this path (Chrome trace_event JSON; read it with dmgm-trace, chrome://tracing or Perfetto)")
+	fs.StringVar(&f.Metrics, "metrics", "", "write the metrics registry to this JSON path")
+	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof on this address (workers add their rank to a fixed port)")
+	fs.StringVar(&f.HTTP, "http", "", "serve live observability on this address: /snapshot (per-rank per-tag-family traffic JSON for dmgm-trace -watch), /metrics, /debug/pprof (workers add their rank to a fixed port)")
+	fs.IntVar(&f.SpanCap, "trace-spans", 0, "per-rank span ring capacity (0 = 65536; older spans are overwritten)")
+	fs.BoolVar(&f.Sample, "trace-sample", false, "sample detail spans across the whole run instead of keeping only the newest when the ring overflows")
+	fs.StringVar(&f.OTLP, "otlp", "", "export spans and metrics to this OTLP/HTTP collector endpoint after the run (e.g. http://localhost:4318)")
+	fs.StringVar(&f.OTLPRun, "otlp-run", "", "run id grouping OTLP spans into one trace (default: inherited from the launch supervisor, or generated)")
 	return f
 }
 
@@ -174,22 +172,11 @@ func (f *Flags) Merge(p int) error {
 	return nil
 }
 
-// PprofAddr resolves the pprof listen address for this process: in remote
-// mode a fixed port is offset by the rank so every worker of a launch gets
-// its own listener (port 0 stays 0 — the kernel picks).
-func (f *Flags) PprofAddr(rank int, remote bool) string {
-	return offsetAddr(f.Pprof, rank, remote)
-}
-
-// HTTPAddr resolves the live-observability listen address for this process,
-// with the same per-rank port offsetting as PprofAddr.
-func (f *Flags) HTTPAddr(rank int, remote bool) string {
-	return offsetAddr(f.HTTP, rank, remote)
-}
-
-// offsetAddr adds rank to addr's port in remote mode; addresses without a
-// fixed numeric port pass through unchanged.
-func offsetAddr(addr string, rank int, remote bool) string {
+// OffsetAddr resolves a -pprof or -http listen address for this process: in
+// remote mode a fixed port is offset by the rank so every worker of a launch
+// gets its own listener; addresses without a fixed numeric port (port 0
+// stays 0 — the kernel picks) pass through unchanged.
+func OffsetAddr(addr string, rank int, remote bool) string {
 	if addr == "" || !remote {
 		return addr
 	}

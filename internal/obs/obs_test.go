@@ -237,26 +237,23 @@ func TestChromeExportGolden(t *testing.T) {
 
 func TestTraceFileRoundTrip(t *testing.T) {
 	o := buildGoldenObserver()
-	dir := t.TempDir()
-	for _, name := range []string{"t.json", "t.jsonl"} {
-		path := filepath.Join(dir, name)
-		if err := o.WriteTraceFile(path, []int{0, 1}, 0); err != nil {
-			t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "t.json")
+	if err := o.WriteTraceFile(path, []int{0, 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var complete int
+	for _, e := range tf.Events {
+		if e.Ph == "X" {
+			complete++
 		}
-		tf, err := ReadTraceFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var complete int
-		for _, e := range tf.Events {
-			if e.Ph == "X" {
-				complete++
-			}
-		}
-		// 4 closed spans (match.outer stayed open; the driver span counts).
-		if complete != 4 {
-			t.Errorf("%s: %d complete spans, want 4", name, complete)
-		}
+	}
+	// 4 closed spans (match.outer stayed open; the driver span counts).
+	if complete != 4 {
+		t.Errorf("%d complete spans, want 4", complete)
 	}
 }
 

@@ -58,9 +58,9 @@ type Client struct {
 	// quotas (docs/PROTOCOL.md §8). Empty means the server's default tenant.
 	Tenant string
 	// Traceparent, when non-empty, is sent as the W3C traceparent header on
-	// every job submission, joining the job to the caller's own trace
-	// (docs/PROTOCOL.md §9). Empty lets the server mint a fresh trace id;
-	// either way Response.TraceID reports the id the job ran under.
+	// every call, joining the job (or the upload session) to the caller's
+	// own trace (docs/PROTOCOL.md §9). Empty lets the server mint a fresh
+	// trace id; either way Response.TraceID reports the id the job ran under.
 	Traceparent string
 }
 
@@ -80,18 +80,22 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Submit posts one job and waits for its result. A non-200 answer returns
-// an *APIError; transport failures return their underlying error.
-func (c *Client) Submit(ctx context.Context, req *service.Request) (*service.Response, error) {
-	body, err := json.Marshal(req)
+// jsonBody is the header of a call whose body is JSON.
+var jsonBody = http.Header{"Content-Type": {"application/json"}}
+
+// do performs one API call: build the request (body nil = none) with the
+// call's own header lines, stamp the tenant and traceparent headers, send
+// it, turn any answer outside 2xx into an *APIError, and decode a JSON answer
+// into out (nil discards it). Every typed method of the client is this plus
+// its own path and types.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, header http.Header, out any) error {
+	hreq, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	for k, v := range header {
+		hreq.Header[k] = v
 	}
-	hreq.Header.Set("Content-Type", "application/json")
 	if c.Tenant != "" {
 		hreq.Header.Set(service.TenantHeader, c.Tenant)
 	}
@@ -100,15 +104,31 @@ func (c *Client) Submit(ctx context.Context, req *service.Request) (*service.Res
 	}
 	hresp, err := c.httpClient().Do(hreq)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
+	if hresp.StatusCode < 200 || hresp.StatusCode > 299 {
+		return decodeError(hresp)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(hresp.Body).Decode(out); err != nil {
+		return fmt.Errorf("decoding %s %s answer: %w", method, path, err)
+	}
+	return nil
+}
+
+// Submit posts one job and waits for its result. A non-200 answer returns
+// an *APIError; transport failures return their underlying error.
+func (c *Client) Submit(ctx context.Context, req *service.Request) (*service.Response, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
 	}
 	var resp service.Response
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("decoding response: %w", err)
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", body, jsonBody, &resp); err != nil {
+		return nil, err
 	}
 	return &resp, nil
 }
@@ -138,34 +158,9 @@ func (c *Client) SubmitRetry(ctx context.Context, req *service.Request, maxRetri
 	}
 }
 
-// get fetches path and decodes a 200 answer's JSON body into out (nil
-// discards the body); any other status returns an *APIError. what names the
-// body in a decode error.
-func (c *Client) get(ctx context.Context, path, what string, out any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return decodeError(hresp)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(hresp.Body).Decode(out); err != nil {
-		return fmt.Errorf("decoding %s: %w", what, err)
-	}
-	return nil
-}
-
 // Health polls /healthz; nil means the server is up and admitting jobs.
 func (c *Client) Health(ctx context.Context) error {
-	return c.get(ctx, "/healthz", "", nil)
+	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
 }
 
 // WaitReady polls Health until it succeeds or the deadline passes — for
@@ -192,7 +187,7 @@ func (c *Client) WaitReady(ctx context.Context, deadline time.Duration) error {
 // bounded, so a 404 means "not retained", not "never ran".
 func (c *Client) JobTrace(ctx context.Context, jobID string) (*service.JobTrace, error) {
 	var jt service.JobTrace
-	if err := c.get(ctx, "/v1/jobs/"+jobID+"/trace", "trace", &jt); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+jobID+"/trace", nil, nil, &jt); err != nil {
 		return nil, err
 	}
 	return &jt, nil
@@ -202,7 +197,7 @@ func (c *Client) JobTrace(ctx context.Context, jobID string) (*service.JobTrace,
 // the server-side cache hit and shed counters after a run.
 func (c *Client) Metrics(ctx context.Context) (*obs.MetricsSnapshot, error) {
 	var s obs.MetricsSnapshot
-	if err := c.get(ctx, "/metrics", "metrics", &s); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, &s); err != nil {
 		return nil, err
 	}
 	return &s, nil

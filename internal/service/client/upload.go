@@ -1,17 +1,16 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/service"
 	"repro/internal/service/ingest"
 )
 
@@ -83,12 +82,12 @@ func (c *Client) UploadOpen(ctx context.Context, chunkBytes int64) (*ingest.Stat
 	if err != nil {
 		return nil, err
 	}
-	return c.uploadCall(ctx, http.MethodPost, "/v1/uploads", body, "application/json")
+	return c.uploadCall(ctx, http.MethodPost, "/v1/uploads", body, jsonBody)
 }
 
 // UploadStatus fetches a session's status — the resume point.
 func (c *Client) UploadStatus(ctx context.Context, id string) (*ingest.Status, error) {
-	return c.uploadCall(ctx, http.MethodGet, "/v1/uploads/"+id, nil, "")
+	return c.uploadCall(ctx, http.MethodGet, "/v1/uploads/"+id, nil, nil)
 }
 
 // UploadChunk sends one chunk, with its checksum, retrying transient
@@ -97,33 +96,19 @@ func (c *Client) UploadStatus(ctx context.Context, id string) (*ingest.Status, e
 func (c *Client) UploadChunk(ctx context.Context, id string, idx int, data []byte, maxRetries int) (*ingest.Status, int, error) {
 	sum := sha256.Sum256(data)
 	path := fmt.Sprintf("/v1/uploads/%s/chunks/%d", id, idx)
-	var lastErr error
+	header := http.Header{"Content-Type": {"application/octet-stream"}, "X-Chunk-Sha256": {hex.EncodeToString(sum[:])}}
 	for attempt := 0; ; attempt++ {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPut, c.Base+path, bytes.NewReader(data))
-		if err != nil {
+		st, err := c.uploadCall(ctx, http.MethodPut, path, data, header)
+		if err == nil {
+			return st, attempt, nil
+		}
+		// Client errors (4xx) are not transient; give up at once.
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError {
 			return nil, attempt, err
 		}
-		hreq.Header.Set("Content-Type", "application/octet-stream")
-		hreq.Header.Set("X-Chunk-SHA256", hex.EncodeToString(sum[:]))
-		if c.Tenant != "" {
-			hreq.Header.Set(service.TenantHeader, c.Tenant)
-		}
-		hresp, err := c.httpClient().Do(hreq)
-		if err == nil {
-			if hresp.StatusCode == http.StatusOK {
-				st, derr := decodeUploadStatus(hresp)
-				return st, attempt, derr
-			}
-			lastErr = decodeError(hresp)
-			// Client errors (4xx) are not transient; give up at once.
-			if hresp.StatusCode < http.StatusInternalServerError {
-				return nil, attempt, lastErr
-			}
-		} else {
-			lastErr = err
-		}
 		if attempt >= maxRetries {
-			return nil, attempt, fmt.Errorf("chunk %d failed after %d retries: %w", idx, attempt, lastErr)
+			return nil, attempt, fmt.Errorf("chunk %d failed after %d retries: %w", idx, attempt, err)
 		}
 		select {
 		case <-ctx.Done():
@@ -141,24 +126,12 @@ func (c *Client) UploadComplete(ctx context.Context, id string, chunks int) (*in
 	if err != nil {
 		return nil, err
 	}
-	return c.uploadCall(ctx, http.MethodPost, "/v1/uploads/"+id+"/complete", body, "application/json")
+	return c.uploadCall(ctx, http.MethodPost, "/v1/uploads/"+id+"/complete", body, jsonBody)
 }
 
 // UploadAbort discards a session.
 func (c *Client) UploadAbort(ctx context.Context, id string) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.Base+"/v1/uploads/"+id, nil)
-	if err != nil {
-		return err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusNoContent {
-		return decodeError(hresp)
-	}
-	return nil
+	return c.do(ctx, http.MethodDelete, "/v1/uploads/"+id, nil, nil, nil)
 }
 
 // UploadResume continues an interrupted upload: it reads the session's
@@ -242,40 +215,10 @@ func settledRef(st *ingest.Status, stats *UploadStats) string {
 }
 
 // uploadCall performs one upload-API request expecting a Status body.
-func (c *Client) uploadCall(ctx context.Context, method, path string, body []byte, contentType string) (*ingest.Status, error) {
-	var rd *bytes.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	} else {
-		rd = bytes.NewReader(nil)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if contentType != "" {
-		hreq.Header.Set("Content-Type", contentType)
-	}
-	if c.Tenant != "" {
-		hreq.Header.Set(service.TenantHeader, c.Tenant)
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	if hresp.StatusCode != http.StatusOK {
-		defer hresp.Body.Close()
-		return nil, decodeError(hresp)
-	}
-	return decodeUploadStatus(hresp)
-}
-
-// decodeUploadStatus reads a Status answer and closes the body.
-func decodeUploadStatus(hresp *http.Response) (*ingest.Status, error) {
-	defer hresp.Body.Close()
+func (c *Client) uploadCall(ctx context.Context, method, path string, body []byte, header http.Header) (*ingest.Status, error) {
 	var st ingest.Status
-	if err := json.NewDecoder(hresp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("decoding upload status: %w", err)
+	if err := c.do(ctx, method, path, body, header, &st); err != nil {
+		return nil, err
 	}
 	return &st, nil
 }

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"repro/dmgm"
-	"repro/internal/coloring"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/service"
@@ -22,9 +20,15 @@ import (
 
 // TestServiceMatchesCLI is the service↔CLI conformance gate: a job submitted
 // over HTTP must produce byte-identical output to what dmgm-match/dmgm-color
-// write for the same graph and parameters. The reference below is the CLI
-// execution path verbatim — same name parsers, same dmgm entry points on a
-// fresh world, same text serializers — minus flag parsing.
+// write for the same graph and parameters. Both sides end in dmgm.RunJob, so
+// what the test compares is everything around it that differs:
+//
+//   - the reference is the CLI's way in — the partitioner resolved by name, a
+//     freshly computed partition, a fresh world with no observer;
+//   - the service answer is the second submission of the job, with no_cache:
+//     it must have run (not been served from the result cache) on a pooled
+//     world another job used before, on a partition-cache hit, with per-job
+//     tracing on. Each of those is asserted, not assumed.
 func TestServiceMatchesCLI(t *testing.T) {
 	g, err := gen.ErdosRenyi(300, 900, true, 11)
 	if err != nil {
@@ -37,16 +41,13 @@ func TestServiceMatchesCLI(t *testing.T) {
 	gtext := sb.String()
 
 	_, cl := startServer(t, service.Config{QueueLen: 8, Workers: 2}, true)
+	ctx := context.Background()
 
 	const ranks = 4
 	const seed = 5
-	// The reference resolves partitioner and comm mode from the same strings
-	// the request carries, through the same parsers the CLIs use — a name
-	// that meant one implementation to the daemon and another to the CLI
-	// would show up as a diverging result below.
-	reference := func(partitioner, comm string) (*partition.Partition, coloring.CommMode) {
+	reference := func(req *service.Request) *dmgm.JobResult {
 		t.Helper()
-		build, err := partition.ByName(partitioner)
+		build, err := partition.ByName(req.Partition)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,18 +55,64 @@ func TestServiceMatchesCLI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mode, err := coloring.ParseCommMode(comm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return part, mode
-	}
-	freshWorld := func() *mpi.World {
 		w, err := mpi.NewWorld(ranks, mpi.WithDeadline(10*time.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w
+		res, err := dmgm.RunJob(w, g, part, dmgm.Job{
+			Algorithm: req.Algorithm, NoBundle: req.NoBundle,
+			Comm: req.Comm, Superstep: req.Superstep, Distance2: req.Distance2, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	counters := func() map[string]int64 {
+		t.Helper()
+		m, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Counters
+	}
+	// served submits req twice and returns the second answer, having checked
+	// it took the daemon's warm path end to end.
+	served := func(req service.Request) *service.Response {
+		t.Helper()
+		if _, err := cl.Submit(ctx, &req); err != nil {
+			t.Fatal(err)
+		}
+		before := counters()
+		req.NoCache = true
+		resp, err := cl.Submit(ctx, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := counters()
+		if resp.Cached {
+			t.Fatal("no_cache submission was served from the result cache")
+		}
+		for _, name := range []string{"service.pool_worlds_reused", "service.partition_cache_hits"} {
+			if after[name] != before[name]+1 {
+				t.Fatalf("%s went %d → %d over the second submission, want +1", name, before[name], after[name])
+			}
+		}
+		if after["service.pool_worlds_created"] != before["service.pool_worlds_created"] {
+			t.Fatal("second submission ran on a newly created world")
+		}
+		jt, err := cl.JobTrace(ctx, resp.JobID)
+		if err != nil {
+			t.Fatalf("tracing is on, yet the job has no trace: %v", err)
+		}
+		cachedSpan := false
+		for _, sp := range jt.Spans {
+			cachedSpan = cachedSpan || sp.Name == "serve.partition.cached"
+		}
+		if !cachedSpan {
+			t.Fatal("the job's trace has no serve.partition.cached span")
+		}
+		return resp
 	}
 	// The request defaults, and a non-default pair so a name→implementation
 	// mismatch cannot hide behind the defaults.
@@ -76,33 +123,18 @@ func TestServiceMatchesCLI(t *testing.T) {
 
 	t.Run("match", func(t *testing.T) {
 		for _, n := range names {
-			part, _ := reference(n.partitioner, n.comm)
 			for _, noBundle := range []bool{false, true} {
-				resp, err := cl.Submit(context.Background(), &service.Request{
+				req := service.Request{
 					Algorithm: service.AlgoMatch, Graph: gtext, Ranks: ranks, Seed: seed,
 					Partition: n.partitioner, NoBundle: noBundle,
-				})
-				if err != nil {
-					t.Fatal(err)
 				}
-				opt := dmgm.MatchParallelOptions{}
-				if noBundle {
-					opt.BundleBytes = 17
-				}
-				res, err := dmgm.MatchParallelWorld(freshWorld(), g, part, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want strings.Builder
-				if err := matching.WriteMates(&want, res.Mates); err != nil {
-					t.Fatal(err)
-				}
-				if resp.Result != want.String() {
+				resp, want := served(req), reference(&req)
+				if resp.Result != want.Text {
 					t.Fatalf("%s no_bundle=%v: service result diverges from the CLI serialization", n.partitioner, noBundle)
 				}
-				if resp.Weight != res.Weight || resp.Cardinality != res.Mates.Cardinality() {
+				if resp.Weight != want.Weight || resp.Cardinality != want.Cardinality {
 					t.Fatalf("%s no_bundle=%v: summary fields diverge: service (%g, %d) vs CLI (%g, %d)",
-						n.partitioner, noBundle, resp.Weight, resp.Cardinality, res.Weight, res.Mates.Cardinality())
+						n.partitioner, noBundle, resp.Weight, resp.Cardinality, want.Weight, want.Cardinality)
 				}
 				// Traffic counts are scheduling-dependent (a rank that receives
 				// early answers fewer requests), so only their presence is
@@ -117,35 +149,18 @@ func TestServiceMatchesCLI(t *testing.T) {
 
 	t.Run("color", func(t *testing.T) {
 		for _, n := range names {
-			part, mode := reference(n.partitioner, n.comm)
 			for _, distance2 := range []bool{false, true} {
-				resp, err := cl.Submit(context.Background(), &service.Request{
+				req := service.Request{
 					Algorithm: service.AlgoColor, Graph: gtext, Ranks: ranks, Seed: seed,
 					Partition: n.partitioner, Comm: n.comm, Superstep: 100, Distance2: distance2,
-				})
-				if err != nil {
-					t.Fatal(err)
 				}
-				opt := dmgm.ColorParallelOptions{SuperstepSize: 100, Seed: seed, CommMode: mode}
-				var res *dmgm.ColorParallelResult
-				if distance2 {
-					res, err = dmgm.ColorParallelDistance2World(freshWorld(), g, part, opt)
-				} else {
-					res, err = dmgm.ColorParallelWorld(freshWorld(), g, part, opt)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want strings.Builder
-				if err := coloring.WriteColors(&want, res.Colors); err != nil {
-					t.Fatal(err)
-				}
-				if resp.Result != want.String() {
+				resp, want := served(req), reference(&req)
+				if resp.Result != want.Text {
 					t.Fatalf("%s/%s distance2=%v: service result diverges from the CLI serialization", n.partitioner, n.comm, distance2)
 				}
-				if resp.Colors != res.NumColors || resp.Rounds != res.Rounds {
+				if resp.Colors != want.Colors || resp.Rounds != want.Rounds {
 					t.Fatalf("%s/%s distance2=%v: summary fields diverge: service (%d colors, %d rounds) vs CLI (%d, %d)",
-						n.partitioner, n.comm, distance2, resp.Colors, resp.Rounds, res.NumColors, res.Rounds)
+						n.partitioner, n.comm, distance2, resp.Colors, resp.Rounds, want.Colors, want.Rounds)
 				}
 			}
 		}

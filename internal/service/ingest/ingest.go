@@ -69,9 +69,9 @@ type Config struct {
 	// per-tenant budgets here (docs/PROTOCOL.md §8). Called before the
 	// session exists, it returns either a release hook, which the manager
 	// runs exactly once when the session leaves the uploading state (or
-	// immediately, if opening fails), or a *ChunkError to answer the open
+	// immediately, if opening fails), or the *Refusal to answer the open
 	// with. nil admits every open.
-	Admit func(r *http.Request) (release func(), err *ChunkError)
+	Admit func(r *http.Request) (release func(), err *Refusal)
 	// Registry carries the ingest metrics; nil disables them.
 	Registry *obs.Registry
 }
@@ -421,25 +421,23 @@ func (s *session) decodeLoop(pr *io.PipeReader) {
 }
 
 // Append records one chunk. Replays of an identical chunk are idempotent;
-// conflicting replays and shape violations are rejected with a *ChunkError.
+// conflicting replays and shape violations are rejected with a *Refusal.
 // The returned status reflects the session after the append — a client that
 // sees a terminal state stops sending.
 func (m *Manager) Append(s *session, idx int, data []byte, declaredSum string) (*Status, error) {
 	if idx < 0 {
-		return nil, &ChunkError{Code: http.StatusBadRequest, Msg: fmt.Sprintf("negative chunk index %d", idx)}
+		return nil, Refusef(http.StatusBadRequest, "negative chunk index %d", idx)
 	}
 	if int64(len(data)) > s.chunkBytes {
-		return nil, &ChunkError{Code: http.StatusBadRequest,
-			Msg: fmt.Sprintf("chunk %d carries %d bytes, session chunk_bytes is %d", idx, len(data), s.chunkBytes)}
+		return nil, Refusef(http.StatusBadRequest, "chunk %d carries %d bytes, session chunk_bytes is %d", idx, len(data), s.chunkBytes)
 	}
 	if len(data) == 0 {
-		return nil, &ChunkError{Code: http.StatusBadRequest, Msg: fmt.Sprintf("chunk %d is empty", idx)}
+		return nil, Refusef(http.StatusBadRequest, "chunk %d is empty", idx)
 	}
 	sum := sha256.Sum256(data)
 	if declaredSum != "" && declaredSum != hex.EncodeToString(sum[:]) {
 		m.checksumErrs.Inc()
-		return nil, &ChunkError{Code: http.StatusBadRequest,
-			Msg: fmt.Sprintf("chunk %d checksum mismatch: body hashes to %s", idx, hex.EncodeToString(sum[:]))}
+		return nil, Refusef(http.StatusBadRequest, "chunk %d checksum mismatch: body hashes to %s", idx, hex.EncodeToString(sum[:]))
 	}
 	m.bytesIn.Add(int64(len(data)))
 
@@ -454,7 +452,7 @@ func (m *Manager) Append(s *session, idx int, data []byte, declaredSum string) (
 	case StateFailed:
 		msg := s.failure
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusConflict, Msg: "session failed: " + msg}
+		return nil, Refusef(http.StatusConflict, "session failed: %s", msg)
 	}
 	if prev, ok := s.chunks[idx]; ok {
 		if prev.sum == sum {
@@ -464,33 +462,28 @@ func (m *Manager) Append(s *session, idx int, data []byte, declaredSum string) (
 			return st, nil
 		}
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusConflict,
-			Msg: fmt.Sprintf("chunk %d replayed with different content", idx)}
+		return nil, Refusef(http.StatusConflict, "chunk %d replayed with different content", idx)
 	}
 	short := int64(len(data)) < s.chunkBytes
 	if short {
 		if s.shortIdx >= 0 {
 			s.mu.Unlock()
-			return nil, &ChunkError{Code: http.StatusConflict,
-				Msg: fmt.Sprintf("chunks %d and %d are both short; only the final chunk may be", s.shortIdx, idx)}
+			return nil, Refusef(http.StatusConflict, "chunks %d and %d are both short; only the final chunk may be", s.shortIdx, idx)
 		}
 		for other := range s.chunks {
 			if other > idx {
 				s.mu.Unlock()
-				return nil, &ChunkError{Code: http.StatusConflict,
-					Msg: fmt.Sprintf("short chunk %d below existing chunk %d; only the final chunk may be short", idx, other)}
+				return nil, Refusef(http.StatusConflict, "short chunk %d below existing chunk %d; only the final chunk may be short", idx, other)
 			}
 		}
 		s.shortIdx = idx
 	} else if s.shortIdx >= 0 && idx > s.shortIdx {
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusConflict,
-			Msg: fmt.Sprintf("chunk %d beyond short chunk %d; only the final chunk may be short", idx, s.shortIdx)}
+		return nil, Refusef(http.StatusConflict, "chunk %d beyond short chunk %d; only the final chunk may be short", idx, s.shortIdx)
 	}
 	if s.bytesIn+int64(len(data)) > s.maxBytes {
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusRequestEntityTooLarge,
-			Msg: fmt.Sprintf("session exceeds the %d-byte upload bound", s.maxBytes)}
+		return nil, Refusef(http.StatusRequestEntityTooLarge, "session exceeds the %d-byte upload bound", s.maxBytes)
 	}
 	s.chunks[idx] = chunkMeta{size: int64(len(data)), sum: sum}
 	s.bytesIn += int64(len(data))
@@ -594,11 +587,11 @@ func (m *Manager) Complete(s *session, totalChunks int, cancel <-chan struct{}) 
 	case StateFailed:
 		msg := s.failure
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusConflict, Msg: "session failed: " + msg}
+		return nil, Refusef(http.StatusConflict, "session failed: %s", msg)
 	}
 	if totalChunks <= 0 {
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusBadRequest, Msg: fmt.Sprintf("chunks must be positive, got %d", totalChunks)}
+		return nil, Refusef(http.StatusBadRequest, "chunks must be positive, got %d", totalChunks)
 	}
 	var missing []int
 	for i := 0; i < totalChunks; i++ {
@@ -611,18 +604,15 @@ func (m *Manager) Complete(s *session, totalChunks int, cancel <-chan struct{}) 
 	}
 	if len(missing) > 0 {
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusConflict,
-			Msg: fmt.Sprintf("cannot complete: %d chunks received of %d declared; first missing %v", len(s.chunks), totalChunks, missing)}
+		return nil, Refusef(http.StatusConflict, "cannot complete: %d chunks received of %d declared; first missing %v", len(s.chunks), totalChunks, missing)
 	}
 	if len(s.chunks) > totalChunks {
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusConflict,
-			Msg: fmt.Sprintf("%d chunks received exceed the %d declared", len(s.chunks), totalChunks)}
+		return nil, Refusef(http.StatusConflict, "%d chunks received exceed the %d declared", len(s.chunks), totalChunks)
 	}
 	if s.shortIdx >= 0 && s.shortIdx != totalChunks-1 {
 		s.mu.Unlock()
-		return nil, &ChunkError{Code: http.StatusConflict,
-			Msg: fmt.Sprintf("short chunk %d is not the final chunk %d", s.shortIdx, totalChunks-1)}
+		return nil, Refusef(http.StatusConflict, "short chunk %d is not the final chunk %d", s.shortIdx, totalChunks-1)
 	}
 	s.finalized = true
 	s.total = totalChunks
@@ -632,7 +622,7 @@ func (m *Manager) Complete(s *session, totalChunks int, cancel <-chan struct{}) 
 	select {
 	case <-s.decodedCh:
 	case <-cancel:
-		return nil, &ChunkError{Code: http.StatusGatewayTimeout, Msg: "request cancelled while decoding"}
+		return nil, Refusef(http.StatusGatewayTimeout, "request cancelled while decoding")
 	}
 
 	s.mu.Lock()
@@ -651,10 +641,10 @@ func (m *Manager) Complete(s *session, totalChunks int, cancel <-chan struct{}) 
 			s.pending = nil
 		}
 		m.failed.Inc()
-		return nil, &ChunkError{Code: http.StatusUnprocessableEntity, Msg: "decoding upload: " + res.err.Error()}
+		return nil, Refusef(http.StatusUnprocessableEntity, "decoding upload: %v", res.err)
 	}
 	if s.state != StateUploading {
-		return nil, &ChunkError{Code: http.StatusConflict, Msg: "session failed: " + s.failure}
+		return nil, Refusef(http.StatusConflict, "session failed: %s", s.failure)
 	}
 	m.cfg.Store.Put(res.fp, res.g)
 	s.state = StateComplete
@@ -751,24 +741,34 @@ func (s *session) statusLocked() *Status {
 	return st
 }
 
-// ChunkError is a client-visible upload error with its HTTP status.
-// RetryAfter, when positive, becomes a Retry-After header (seconds) — rate
-// and budget rejections carry the wait the caller's own bucket implies.
-type ChunkError struct {
-	Code       int
+// Refusal is a non-200 answer of the daemon's HTTP surface — to a job
+// submission, an upload call or an upload admission, whichever stage decided
+// it — and Write is the one writer of the {"error": ...} body and the
+// Retry-After header (docs/PROTOCOL.md §6). It lives in this package because
+// service imports ingest, not the other way round.
+type Refusal struct {
+	Status     int
+	RetryAfter int // seconds; 0 sends no Retry-After header
 	Msg        string
-	RetryAfter int
 }
 
-func (e *ChunkError) Error() string { return e.Msg }
+func (e *Refusal) Error() string { return e.Msg }
 
-// writeChunkError answers with the error's status, message, and (when set)
-// Retry-After header.
-func writeChunkError(w http.ResponseWriter, ce *ChunkError) {
-	if ce.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ce.RetryAfter))
+// Refusef builds a refusal without a Retry-After hint.
+func Refusef(status int, format string, args ...any) *Refusal {
+	return &Refusal{Status: status, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Write answers the request with the refusal.
+func (e *Refusal) Write(w http.ResponseWriter) {
+	if e.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
 	}
-	jsonError(w, ce.Code, "%s", ce.Msg)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(e.Status)
+	json.NewEncoder(w).Encode(struct { //nolint:errcheck // response committed
+		Error string `json:"error"`
+	}{e.Msg})
 }
 
 // ---- HTTP surface -------------------------------------------------------
@@ -792,31 +792,22 @@ func (m *Manager) RegisterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("DELETE /v1/uploads/{id}", m.handleAbort)
 }
 
-// jsonError answers with the service's error shape.
-func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct { //nolint:errcheck // response committed
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
-}
-
 func jsonStatus(w http.ResponseWriter, st *Status) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st) //nolint:errcheck // response committed
 }
 
-// answer writes the outcome of a session call: its status, a ChunkError
-// under the error's own code, or anything else as a 500.
+// answer writes the outcome of a session call: its status, a Refusal under
+// its own code, or anything else as a 500.
 func answer(w http.ResponseWriter, st *Status, err error) {
-	var ce *ChunkError
+	var ref *Refusal
 	switch {
 	case err == nil:
 		jsonStatus(w, st)
-	case errors.As(err, &ce):
-		writeChunkError(w, ce)
+	case errors.As(err, &ref):
+		ref.Write(w)
 	default:
-		jsonError(w, http.StatusInternalServerError, "%v", err)
+		Refusef(http.StatusInternalServerError, "%v", err).Write(w)
 	}
 }
 
@@ -834,15 +825,15 @@ func (m *Manager) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var req openRequest
 	if r.ContentLength != 0 {
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			jsonError(w, http.StatusBadRequest, "decoding open request: %v", err)
+			Refusef(http.StatusBadRequest, "decoding open request: %v", err).Write(w)
 			return
 		}
 	}
 	var release func()
 	if m.cfg.Admit != nil {
-		rel, ce := m.cfg.Admit(r)
-		if ce != nil {
-			writeChunkError(w, ce)
+		rel, refusal := m.cfg.Admit(r)
+		if refusal != nil {
+			refusal.Write(w)
 			return
 		}
 		release = rel
@@ -853,11 +844,10 @@ func (m *Manager) handleOpen(w http.ResponseWriter, r *http.Request) {
 			release()
 		}
 		if errors.Is(err, errTooManySessions) {
-			w.Header().Set("Retry-After", "1")
-			jsonError(w, http.StatusTooManyRequests, "%v: retry later", err)
+			(&Refusal{Status: http.StatusTooManyRequests, RetryAfter: 1, Msg: fmt.Sprintf("%v: retry later", err)}).Write(w)
 			return
 		}
-		jsonError(w, http.StatusBadRequest, "%v", err)
+		Refusef(http.StatusBadRequest, "%v", err).Write(w)
 		return
 	}
 	if release != nil {
@@ -872,7 +862,7 @@ func (m *Manager) sessionFor(w http.ResponseWriter, r *http.Request) (*session, 
 	id := r.PathValue("id")
 	s, ok := m.lookup(id)
 	if !ok {
-		jsonError(w, http.StatusNotFound, "unknown upload session %q (expired or never opened); open a new session", id)
+		Refusef(http.StatusNotFound, "unknown upload session %q (expired or never opened); open a new session", id).Write(w)
 		return nil, false
 	}
 	return s, true
@@ -885,12 +875,12 @@ func (m *Manager) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	idx, err := strconv.Atoi(r.PathValue("chunk"))
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "chunk index: %v", err)
+		Refusef(http.StatusBadRequest, "chunk index: %v", err).Write(w)
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.chunkBytes+1))
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "reading chunk body: %v", err)
+		Refusef(http.StatusBadRequest, "reading chunk body: %v", err).Write(w)
 		return
 	}
 	st, err := m.Append(s, idx, data, r.Header.Get("X-Chunk-SHA256"))
@@ -910,7 +900,7 @@ func (m *Manager) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	var req completeRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "decoding complete request: %v", err)
+		Refusef(http.StatusBadRequest, "decoding complete request: %v", err).Write(w)
 		return
 	}
 	st, err := m.Complete(s, req.Chunks, r.Context().Done())
@@ -919,7 +909,7 @@ func (m *Manager) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleAbort(w http.ResponseWriter, r *http.Request) {
 	if !m.Abort(r.PathValue("id")) {
-		jsonError(w, http.StatusNotFound, "unknown upload session %q", r.PathValue("id"))
+		Refusef(http.StatusNotFound, "unknown upload session %q", r.PathValue("id")).Write(w)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -136,8 +136,8 @@ func TestUploadOutOfOrderAndReplay(t *testing.T) {
 	bogus[0] ^= 0xff
 	if _, err := m.Append(s, 1, bogus, ""); err == nil {
 		t.Fatal("conflicting replay accepted")
-	} else if ce := err.(*ChunkError); ce.Code != http.StatusConflict {
-		t.Fatalf("conflicting replay status %d, want 409", ce.Code)
+	} else if ce := err.(*Refusal); ce.Status != http.StatusConflict {
+		t.Fatalf("conflicting replay status %d, want 409", ce.Status)
 	}
 	st = mustComplete(t, m, s, len(chunks))
 	if st.State != StateComplete || st.GraphRef != graph.Fingerprint(g) {
@@ -160,8 +160,8 @@ func TestUploadChecksumEnforced(t *testing.T) {
 	if err == nil {
 		t.Fatal("wrong checksum accepted")
 	}
-	if ce := err.(*ChunkError); ce.Code != http.StatusBadRequest {
-		t.Fatalf("checksum mismatch status %d, want 400", ce.Code)
+	if ce := err.(*Refusal); ce.Status != http.StatusBadRequest {
+		t.Fatalf("checksum mismatch status %d, want 400", ce.Status)
 	}
 }
 
@@ -296,9 +296,9 @@ func TestUploadCorruptStreamFails(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupt stream completed")
 	}
-	ce := err.(*ChunkError)
-	if ce.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("corrupt stream status %d, want 422", ce.Code)
+	ce := err.(*Refusal)
+	if ce.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("corrupt stream status %d, want 422", ce.Status)
 	}
 	if m.Status(s).State != StateFailed {
 		t.Fatalf("state %s, want failed", m.Status(s).State)
@@ -321,8 +321,8 @@ func TestUploadIncompleteRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("completed with a missing chunk")
 	}
-	if ce := err.(*ChunkError); ce.Code != http.StatusConflict {
-		t.Fatalf("missing chunk status %d, want 409", ce.Code)
+	if ce := err.(*Refusal); ce.Status != http.StatusConflict {
+		t.Fatalf("missing chunk status %d, want 409", ce.Status)
 	}
 	// The session is still uploading; filling the hole completes it.
 	mustAppend(t, m, s, 2, chunks[2])
@@ -384,8 +384,8 @@ func TestUploadByteBudget(t *testing.T) {
 	if err == nil {
 		t.Fatal("session exceeded MaxBytes")
 	}
-	if ce := err.(*ChunkError); ce.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over-budget status %d, want 413", ce.Code)
+	if ce := err.(*Refusal); ce.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-budget status %d, want 413", ce.Status)
 	}
 }
 

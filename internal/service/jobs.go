@@ -29,14 +29,15 @@ import (
 	"strings"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/coloring"
 	"repro/internal/partition"
 )
 
 // Algorithm names accepted in a job request.
 const (
-	AlgoMatch = "match"
-	AlgoColor = "color"
+	AlgoMatch = dmgm.AlgoMatch
+	AlgoColor = dmgm.AlgoColor
 )
 
 // Request is one job submission, the JSON body of POST /v1/jobs.
@@ -208,9 +209,4 @@ type Response struct {
 	Result string `json:"result"`
 	// ElapsedSeconds is the execution time of the producing run.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-}
-
-// errorBody is the JSON shape of every non-200 answer.
-type errorBody struct {
-	Error string `json:"error"`
 }

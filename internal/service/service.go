@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"repro/dmgm"
-	"repro/internal/coloring"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -186,11 +184,11 @@ type job struct {
 
 	// The outcome: exactly one of resp and rej is set.
 	resp *Response
-	rej  *reject
+	rej  *ingest.Refusal
 }
 
 // finish publishes the job's outcome and releases its waiter.
-func (j *job) finish(resp *Response, rej *reject) {
+func (j *job) finish(resp *Response, rej *ingest.Refusal) {
 	j.resp, j.rej = resp, rej
 	close(j.done)
 }
@@ -322,26 +320,22 @@ func (s *Server) SetPolicies(p *TenantPolicies) {
 // tenant's upload cap until it settles. The returned release func gives the
 // slot back; ingest calls it exactly once when the session leaves the
 // uploading state.
-func (s *Server) admitUpload(r *http.Request) (func(), *ingest.ChunkError) {
+func (s *Server) admitUpload(r *http.Request) (func(), *ingest.Refusal) {
 	tenant, ok := tenantFrom(r)
 	if !ok {
-		return nil, &ingest.ChunkError{Code: http.StatusBadRequest,
-			Msg: fmt.Sprintf("invalid %s header %q: want %s", TenantHeader, r.Header.Get(TenantHeader), tenantNameRe)}
+		return nil, badTenant(r)
 	}
 	if s.draining.Load() {
-		s.drainRejs.Inc()
-		return nil, &ingest.ChunkError{Code: http.StatusServiceUnavailable,
-			RetryAfter: retryAfterSeconds, Msg: "draining: not accepting uploads"}
+		return nil, s.refuseDraining("uploads")
 	}
 	tq := s.sched.tenantFor(tenant)
 	if secs, ok := s.sched.takeToken(tq); !ok {
 		tq.upRejected.Inc()
-		return nil, &ingest.ChunkError{Code: http.StatusTooManyRequests, RetryAfter: secs,
-			Msg: fmt.Sprintf("tenant %q over its rate limit: retry in %ds", tenant, secs)}
+		return nil, overRate(tenant, secs)
 	}
 	if !s.sched.addUpload(tq) {
 		tq.upRejected.Inc()
-		return nil, &ingest.ChunkError{Code: http.StatusTooManyRequests, RetryAfter: retryAfterSeconds,
+		return nil, &ingest.Refusal{Status: http.StatusTooManyRequests, RetryAfter: retryAfterSeconds,
 			Msg: fmt.Sprintf("tenant %q is at its %d-session upload cap: finish or abort one", tenant, tq.pol.MaxUploads)}
 	}
 	return func() { s.sched.dropUpload(tq) }, nil
@@ -464,19 +458,19 @@ func (s *Server) Handler() http.Handler {
 // answers 404.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		ingest.Refusef(http.StatusMethodNotAllowed, "GET only").Write(w)
 		return
 	}
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	id, verb, ok := strings.Cut(rest, "/")
 	if !ok || verb != "trace" || id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "unknown path %q: want /v1/jobs/{id}/trace", r.URL.Path)
+		ingest.Refusef(http.StatusNotFound, "unknown path %q: want /v1/jobs/{id}/trace", r.URL.Path).Write(w)
 		return
 	}
 	t, ok := s.traces.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
-			"no retained trace for job %q: only jobs over the slow threshold or ending in error are kept, bounded by the trace ring", id)
+		ingest.Refusef(http.StatusNotFound,
+			"no retained trace for job %q: only jobs over the slow threshold or ending in error are kept, bounded by the trace ring", id).Write(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -552,13 +546,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeError answers with the JSON error shape of docs/PROTOCOL.md §6.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)}) //nolint:errcheck // response already committed
-}
-
 // retryAfterSeconds is the backpressure hint on queue-full 429 and
 // draining 503 answers: queues turn over in job-latency units, so a short
 // fixed hint keeps rejected clients closely packed behind the current burst
@@ -566,27 +553,30 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // tenant's own token bucket instead (tenantSched.takeToken).
 const retryAfterSeconds = 1
 
-// reject is a non-200 answer to a job submission, whichever stage decided it,
-// on the handler or on the worker.
-type reject struct {
-	status     int
-	retryAfter int // seconds; 0 sends no Retry-After header
-	msg        string
-}
-
-func rejectf(status int, format string, args ...any) *reject {
-	return &reject{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-// rejectDraining refuses a submission because the server is shutting down.
-func (s *Server) rejectDraining() *reject {
+// refuseDraining refuses new work ("jobs" or "uploads") because the server
+// is shutting down. Like every non-200 answer of the daemon — to a job
+// submission from either goroutine, an upload admission, a trace fetch — it
+// is an ingest.Refusal, written by its Write; this one, badTenant and
+// overRate are the refusals jobs and uploads share.
+func (s *Server) refuseDraining(what string) *ingest.Refusal {
 	s.drainRejs.Inc()
-	return &reject{http.StatusServiceUnavailable, retryAfterSeconds, "draining: not accepting jobs"}
+	return &ingest.Refusal{Status: http.StatusServiceUnavailable, RetryAfter: retryAfterSeconds, Msg: "draining: not accepting " + what}
+}
+
+func badTenant(r *http.Request) *ingest.Refusal {
+	return ingest.Refusef(http.StatusBadRequest, "invalid %s header %q: want %s", TenantHeader, r.Header.Get(TenantHeader), tenantNameRe)
+}
+
+// overRate sheds a caller whose token bucket is empty; secs is when the
+// bucket next grants a token.
+func overRate(tenant string, secs int) *ingest.Refusal {
+	return &ingest.Refusal{Status: http.StatusTooManyRequests, RetryAfter: secs,
+		Msg: fmt.Sprintf("tenant %q over its rate limit: retry in %ds", tenant, secs)}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		ingest.Refusef(http.StatusMethodNotAllowed, "POST only").Write(w)
 		return
 	}
 	// The trace identity exists before any decision: the caller's traceparent
@@ -596,11 +586,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(TraceHeader, jt.traceID)
 	resp, rej := s.submit(w, r, jt)
 	if rej != nil {
-		if rej.retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprint(rej.retryAfter))
-		}
-		writeError(w, rej.status, "%s", rej.msg)
-		s.finishTrace(jt, rej.status, rej.msg)
+		rej.Write(w)
+		s.finishTrace(jt, rej.Status, rej.Msg)
 		return
 	}
 	resp.TraceID = jt.traceID
@@ -617,21 +604,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // gate, tenancy, admit, resolve, cache lookup, enqueue — and then waits for
 // the worker-side stages (work). It returns the answer or the reject of the
 // first stage that refused.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, jt *jobTrace) (*Response, *reject) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, jt *jobTrace) (*Response, *ingest.Refusal) {
 	if s.draining.Load() {
-		return nil, s.rejectDraining()
+		return nil, s.refuseDraining("jobs")
 	}
 	tenant, ok := tenantFrom(r)
 	if !ok {
-		return nil, rejectf(http.StatusBadRequest, "invalid %s header %q: want %s",
-			TenantHeader, r.Header.Get(TenantHeader), tenantNameRe)
+		return nil, badTenant(r)
 	}
 	jt.tenant = tenant
 	tq := s.sched.tenantFor(tenant)
 	tq.submitted.Inc()
 
 	var req Request
-	var rej *reject
+	var rej *ingest.Refusal
 	jt.stage(spanAdmit, func() int64 {
 		rej = s.admit(w, r, tq, tenant, &req)
 		return 0
@@ -686,22 +672,21 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, jt *jobTrace) (*
 // request work — a tenant over its rate is shed before the body is even
 // decoded, and the Retry-After hint is when its own bucket next grants a
 // token. Then the body is decoded under the size bound and validated.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, tq *tenantQueue, tenant string, req *Request) *reject {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, tq *tenantQueue, tenant string, req *Request) *ingest.Refusal {
 	if secs, ok := s.sched.takeToken(tq); !ok {
 		tq.rejRate.Inc()
-		return &reject{http.StatusTooManyRequests, secs,
-			fmt.Sprintf("tenant %q over its rate limit: retry in %ds", tenant, secs)}
+		return overRate(tenant, secs)
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return rejectf(http.StatusRequestEntityTooLarge,
+			return ingest.Refusef(http.StatusRequestEntityTooLarge,
 				"request body exceeds the %d-byte bound: upload the graph through /v1/uploads and submit it by graph_ref", tooBig.Limit)
 		}
-		return rejectf(http.StatusBadRequest, "decoding request: %v", err)
+		return ingest.Refusef(http.StatusBadRequest, "decoding request: %v", err)
 	}
 	if msg := req.normalize(s.cfg.MaxRanks); msg != "" {
-		return rejectf(http.StatusBadRequest, "%s", msg)
+		return ingest.Refusef(http.StatusBadRequest, "%s", msg)
 	}
 	return nil
 }
@@ -709,14 +694,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, tq *tenantQueue, 
 // enqueue hands an admitted job to its tenant's queue. From a successful
 // enqueue to <-j.done the worker owns j.jt (see trace.go); the handler
 // records nothing in between.
-func (s *Server) enqueue(j *job) *reject {
+func (s *Server) enqueue(j *job) *ingest.Refusal {
 	// Authoritative drain check: the one opening submit is a fast path, but
 	// a drain beginning mid-request must still see either this job in pending
 	// or this request rejected — never neither, for any tenant.
 	s.admitMu.Lock()
 	if s.draining.Load() {
 		s.admitMu.Unlock()
-		return s.rejectDraining()
+		return s.refuseDraining("jobs")
 	}
 	s.pending.Add(1)
 	s.admitMu.Unlock()
@@ -724,8 +709,8 @@ func (s *Server) enqueue(j *job) *reject {
 	if !s.sched.enqueue(j.tq, j) {
 		s.pending.Done()
 		j.tq.rejQueue.Inc()
-		return &reject{http.StatusTooManyRequests, retryAfterSeconds,
-			fmt.Sprintf("tenant %q queue full (%d jobs queued): retry later", j.jt.tenant, j.tq.pol.MaxQueued)}
+		return &ingest.Refusal{Status: http.StatusTooManyRequests, RetryAfter: retryAfterSeconds,
+			Msg: fmt.Sprintf("tenant %q queue full (%d jobs queued): retry later", j.jt.tenant, j.tq.pol.MaxQueued)}
 	}
 	j.tq.admitted.Inc()
 	return nil
@@ -781,9 +766,9 @@ func (s *Server) shouldRetain(status int, total time.Duration) bool {
 // daemon-local — returning the graph and its fingerprint, or the reject to
 // answer with. A graph_ref rehydrated from the spill tier records a span
 // under the request's resolve stage.
-func (s *Server) loadGraph(req *Request, jt *jobTrace) (*graph.Graph, string, *reject) {
-	fail := func(status int, err error) (*graph.Graph, string, *reject) {
-		return nil, "", rejectf(status, "loading graph: %v", err)
+func (s *Server) loadGraph(req *Request, jt *jobTrace) (*graph.Graph, string, *ingest.Refusal) {
+	fail := func(status int, err error) (*graph.Graph, string, *ingest.Refusal) {
+		return nil, "", ingest.Refusef(status, "loading graph: %v", err)
 	}
 	switch {
 	case req.Graph != "":
@@ -851,9 +836,9 @@ type execResult struct {
 }
 
 // timedOut is the outcome of a job whose deadline fired, queued or running.
-func (s *Server) timedOut() *reject {
+func (s *Server) timedOut() *ingest.Refusal {
 	s.timeouts.Inc()
-	return rejectf(http.StatusGatewayTimeout, "job deadline exceeded")
+	return ingest.Refusef(http.StatusGatewayTimeout, "job deadline exceeded")
 }
 
 // work takes one dispatched job through the worker-side stages in order —
@@ -864,7 +849,7 @@ func (s *Server) timedOut() *reject {
 // in bounded rounds, and the pool's watchdog deadline is the backstop), after
 // which the world is reset and recycled — or discarded if its ranks are
 // genuinely wedged.
-func (s *Server) work(j *job) (*Response, *reject) {
+func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 	jt := j.jt
 	jt.queueWait = time.Since(j.enqueuedAt)
 	jt.record(spanQueueWait, j.enqueuedAt, jt.queueWait, 0, j.tq.qwait)
@@ -881,7 +866,7 @@ func (s *Server) work(j *job) (*Response, *reject) {
 	})
 	if err != nil {
 		s.failed.Inc()
-		return nil, rejectf(http.StatusInternalServerError, "world: %v", err)
+		return nil, ingest.Refusef(http.StatusInternalServerError, "world: %v", err)
 	}
 	// The job's own runtime observer: per-rank span rings the algorithms
 	// record into, isolated per job so a pooled world never mixes two jobs'
@@ -942,7 +927,7 @@ func (s *Server) work(j *job) (*Response, *reject) {
 	jt.runSeq = jt.record(spanRun, runStart, jt.runDur, 0, j.tq.runh)
 	if r.err != nil {
 		s.failed.Inc()
-		return nil, rejectf(http.StatusInternalServerError, "executing %s: %v", j.req.Algorithm, r.err)
+		return nil, ingest.Refusef(http.StatusInternalServerError, "executing %s: %v", j.req.Algorithm, r.err)
 	}
 	r.resp.JobID = jt.jobID
 	r.resp.ElapsedSeconds = elapsed.Seconds()
@@ -983,74 +968,33 @@ func (s *Server) getPartition(j *job) (*partition.Partition, bool, error) {
 	return p, false, nil
 }
 
-// runJob executes the algorithm on the given world and partition — the same
-// dmgm entry points the CLIs call, so a service job and a CLI run with equal
-// inputs produce byte-identical results (asserted by the conformance tests).
+// runJob executes the job on the given world and partition through
+// dmgm.RunJob — the run → verify → serialize function the CLIs call too, so a
+// service job and a CLI run with equal inputs produce byte-identical results
+// (asserted by the conformance tests).
 func (s *Server) runJob(w *mpi.World, j *job, part *partition.Partition) (*Response, error) {
-	resp := &Response{
+	res, err := dmgm.RunJob(w, j.g, part, dmgm.Job{
+		Algorithm: j.req.Algorithm,
+		NoBundle:  j.req.NoBundle,
+		Comm:      j.req.Comm,
+		Superstep: j.req.Superstep,
+		Distance2: j.req.Distance2,
+		Seed:      j.req.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Response{
 		Algorithm:   j.req.Algorithm,
 		Ranks:       j.req.Ranks,
 		Fingerprint: j.fp,
-	}
-	switch j.req.Algorithm {
-	case AlgoMatch:
-		opt := dmgm.MatchParallelOptions{}
-		if j.req.NoBundle {
-			opt.BundleBytes = 17 // one protocol record per message
-		}
-		res, err := dmgm.MatchParallelWorld(w, j.g, part, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := res.Mates.VerifyMaximal(j.g); err != nil {
-			return nil, fmt.Errorf("result verification: %w", err)
-		}
-		var sb strings.Builder
-		if err := matching.WriteMates(&sb, res.Mates); err != nil {
-			return nil, err
-		}
-		resp.Weight = res.Weight
-		resp.Cardinality = res.Mates.Cardinality()
-		resp.Messages = res.Messages
-		resp.Bytes = res.Bytes
-		resp.Result = sb.String()
-	case AlgoColor:
-		mode, err := coloring.ParseCommMode(j.req.Comm)
-		if err != nil {
-			return nil, err
-		}
-		opt := dmgm.ColorParallelOptions{
-			SuperstepSize: j.req.Superstep,
-			CommMode:      mode,
-			Seed:          j.req.Seed,
-		}
-		var res *dmgm.ColorParallelResult
-		if j.req.Distance2 {
-			res, err = dmgm.ColorParallelDistance2World(w, j.g, part, opt)
-		} else {
-			res, err = dmgm.ColorParallelWorld(w, j.g, part, opt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if j.req.Distance2 {
-			err = coloring.VerifyDistance2(j.g, res.Colors)
-		} else {
-			err = res.Colors.Verify(j.g)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("result verification: %w", err)
-		}
-		var sb strings.Builder
-		if err := coloring.WriteColors(&sb, res.Colors); err != nil {
-			return nil, err
-		}
-		resp.Colors = res.NumColors
-		resp.Rounds = res.Rounds
-		resp.Conflicts = res.Conflicts
-		resp.Messages = res.Messages
-		resp.Bytes = res.Bytes
-		resp.Result = sb.String()
-	}
-	return resp, nil
+		Weight:      res.Weight,
+		Cardinality: res.Cardinality,
+		Colors:      res.Colors,
+		Rounds:      res.Rounds,
+		Conflicts:   res.Conflicts,
+		Messages:    res.Messages,
+		Bytes:       res.Bytes,
+		Result:      res.Text,
+	}, nil
 }

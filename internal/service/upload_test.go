@@ -3,6 +3,8 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/http"
 	"testing"
@@ -264,30 +266,85 @@ func TestUploadSessionExpiryOverHTTP(t *testing.T) {
 	}
 }
 
-// TestUploadLegacyFormatsAccepted uploads the text and legacy-binary
-// encodings through the chunked path; both decode (no short-circuit —
-// neither carries a declared fingerprint) and answer jobs by ref.
-func TestUploadLegacyFormatsAccepted(t *testing.T) {
+// TestUploadTextAccepted uploads the text encoding through the chunked path:
+// it decodes (no short-circuit — text carries no declared fingerprint) and
+// answers jobs by ref.
+func TestUploadTextAccepted(t *testing.T) {
 	g, gtext := testGraph(t)
 	_, cl := startServer(t, service.Config{Workers: 1}, true)
 	ctx := context.Background()
-	var bin bytes.Buffer
-	if err := graph.WriteBinary(&bin, g); err != nil {
+	ref, stats, err := cl.Upload(ctx, []byte(gtext), client.UploadOptions{ChunkBytes: 1024})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, enc := range map[string][]byte{"text": []byte(gtext), "binary": bin.Bytes()} {
-		ref, stats, err := cl.Upload(ctx, enc, client.UploadOptions{ChunkBytes: 1024})
+	if ref != graph.Fingerprint(g) {
+		t.Fatalf("upload ref %s", ref)
+	}
+	if stats.ShortCircuit {
+		t.Fatal("text upload cannot short-circuit (no declared fingerprint)")
+	}
+	if _, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, NoCache: true}); err != nil {
+		t.Fatalf("by-ref job: %v", err)
+	}
+}
+
+// legacyBinary lays a graph out in the fixed little-endian format the daemon
+// once accepted: five uint64 of header (magic "DMGM", version 1, n, the
+// adjacency length, weighted), then Xadj, Adj and W verbatim.
+func legacyBinary(n, nadj uint64, xadj []int64, adj []int32, w []float64) []byte {
+	var buf bytes.Buffer
+	weighted := uint64(0)
+	if w != nil {
+		weighted = 1
+	}
+	for _, v := range []any{[]uint64{0x444d_474d, 1, n, nadj, weighted}, xadj, adj, w} {
+		binary.Write(&buf, binary.LittleEndian, v) //nolint:errcheck // fixed-size values into a buffer
+	}
+	return buf.Bytes()
+}
+
+// TestUploadRefusesHostileAndLegacyBinary is the regression gate of the
+// format's removal. The legacy reader trusted its header: a 40-byte upload
+// declaring 2^62 vertices died in make() on the session's decode goroutine
+// and took the daemon with it, and a body with out-of-range adjacency was
+// accepted, stored, and panicked the first kernel that touched it. Now the
+// format is gone — an honest legacy file is refused like the hostile ones —
+// each upload ends in a failed session under a 4xx answer, and the daemon
+// keeps serving. The text reader's own header claim gets the same treatment.
+func TestUploadRefusesHostileAndLegacyBinary(t *testing.T) {
+	g, gtext := testGraph(t)
+	_, cl := startServer(t, service.Config{Workers: 1}, true)
+	ctx := context.Background()
+	for name, enc := range map[string][]byte{
+		"legacy header declaring 2^62 vertices":   legacyBinary(1<<62, 0, nil, nil, nil),
+		"legacy body with out-of-range adjacency": legacyBinary(2, 2, []int64{0, 1, 2}, []int32{7, -3}, nil),
+		"well-formed legacy binary":               legacyBinary(uint64(g.NumVertices()), uint64(len(g.Adj)), g.Xadj, g.Adj, g.W),
+		"text header declaring 9e18 edges":        []byte("g 4 9000000000000000000\ne 0 1 1\n"),
+	} {
+		before, err := cl.Metrics(ctx)
 		if err != nil {
-			t.Fatalf("%s upload: %v", name, err)
+			t.Fatal(err)
 		}
-		if ref != graph.Fingerprint(g) {
-			t.Fatalf("%s upload ref %s", name, ref)
+		_, _, err = cl.Upload(ctx, enc, client.UploadOptions{ChunkBytes: 1 << 20})
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status < 400 || apiErr.Status >= 500 {
+			t.Fatalf("%s: upload ended in %v, want a 4xx refusal", name, err)
 		}
-		if stats.ShortCircuit && name == "text" {
-			t.Fatal("text upload cannot short-circuit (no declared fingerprint)")
+		after, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatalf("%s: daemon stopped answering /metrics: %v", name, err)
 		}
-		if _, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, NoCache: true}); err != nil {
-			t.Fatalf("%s by-ref job: %v", name, err)
+		if got := after.Counters["ingest.sessions_failed"] - before.Counters["ingest.sessions_failed"]; got != 1 {
+			t.Fatalf("%s: %d sessions failed over the upload, want 1", name, got)
+		}
+		if after.Gauges["ingest.store_entries"] != before.Gauges["ingest.store_entries"] {
+			t.Fatalf("%s: the refused upload left a graph in the store", name)
+		}
+		if err := cl.Health(ctx); err != nil {
+			t.Fatalf("%s: daemon unhealthy after the upload: %v", name, err)
+		}
+		if _, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, NoCache: true}); err != nil {
+			t.Fatalf("%s: next job failed: %v", name, err)
 		}
 	}
 }
