@@ -564,3 +564,95 @@ func BenchmarkDistance2Distributed(b *testing.B) {
 		}
 	}
 }
+
+// --- Non-kernel stages of a served job ----------------------------------
+//
+// What a warm dmgm-serve job pays around its kernel: building the per-rank
+// shares, resolving wire ids to local indices, rendering the result text.
+
+func BenchmarkDistribute(b *testing.B) {
+	grid, err := gen.Grid2D(512, 512, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rmat, err := gen.RMAT(16, 8, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"grid512", grid}, {"rmat16", rmat}} {
+		part, err := partition.Multilevel(in.g, 4, partition.MultilevelOptions{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dgraph.Distribute(in.g, part); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkLocalOf(b *testing.B) {
+	d, err := dgraph.BuildGrid(dgraph.GridSpec{K1: 512, K2: 512, PR: 2, PC: 2}, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := d.NLocal + d.NGhost
+	for _, tc := range []struct {
+		name string
+		id   func(i int) int64
+		hit  bool
+	}{
+		{"hit", func(i int) int64 { return d.GlobalID[i%n] }, true},
+		// Rank 0's block: nothing in it is owned by or borders rank 3.
+		{"miss", func(i int) int64 { return int64(i%200)*512 + int64(i%251) }, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := d.LocalOf(tc.id(i)); ok != tc.hit {
+					b.Fatalf("LocalOf(%d) found = %v", tc.id(i), ok)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkWriteMates(b *testing.B) {
+	g, err := gen.Grid2D(512, 512, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := matching.LocallyDominant(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := matching.WriteMates(io.Discard, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteColors(b *testing.B) {
+	g, err := gen.Grid2D(512, 512, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := coloring.Greedy(g, order.Natural, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := coloring.WriteColors(io.Discard, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

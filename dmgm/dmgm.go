@@ -400,8 +400,8 @@ func colorDistributed(w *mpi.World, g *Graph, part *Partition,
 type traffic struct{ messages, bytes int64 }
 
 // distributed is the one driver every distributed entry point of this
-// package is a kernel closure around: check the partition against the graph
-// and the world, distribute the graph, run kernel on every rank, reduce the
+// package is a kernel closure around: check the partition against the world
+// and the graph, distribute the graph, run kernel on every rank, reduce the
 // traffic totals, allgather the ranks' per-vertex payloads, and assemble the
 // global result on rank 0. Everything after the kernel goes through
 // collectives, so the path is the same for in-process and wire-transport
@@ -417,12 +417,12 @@ func distributed[R any](w *mpi.World, g *Graph, part *Partition,
 	kernel func(*mpi.Comm, *dgraph.DistGraph) (R, []byte, error),
 	assemble func(partial R, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (R, error)) (R, error) {
 	var out R
+	if w.Size() != part.P { // before Distribute: the cheap refusal first
+		return out, fmt.Errorf("dmgm: world of %d ranks for a %d-way partition", w.Size(), part.P)
+	}
 	shares, err := dgraph.Distribute(g, part) // validates part against g
 	if err != nil {
 		return out, err
-	}
-	if w.Size() != part.P {
-		return out, fmt.Errorf("dmgm: world of %d ranks for a %d-way partition", w.Size(), part.P)
 	}
 	err = w.Run(func(c *mpi.Comm) error {
 		partial, payload, err := kernel(c, shares[c.Rank()])

@@ -3,6 +3,8 @@ package dmgm
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 func TestEndToEndMatching(t *testing.T) {
@@ -101,6 +103,29 @@ func TestFacadeRejectsBadPartition(t *testing.T) {
 	}
 	if _, err := ColorParallel(g, bad, ColorParallelOptions{}); err == nil {
 		t.Error("ColorParallel accepted bad partition")
+	}
+}
+
+func TestMismatchedWorldRefusedBeforeDistribute(t *testing.T) {
+	g, err := Grid2D(4, 4, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := PartitionBlock1D(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second partition is also invalid for g, which only distributing
+	// would find out: the world-size refusal must come first.
+	for name, part := range map[string]*Partition{"valid": good, "invalid": {P: 2, Part: []int32{0}}} {
+		_, err := MatchParallelWorld(w, g, part, MatchParallelOptions{})
+		if err == nil || !strings.Contains(err.Error(), "world of 3 ranks for a 2-way partition") {
+			t.Errorf("%s partition on a mismatched world: %v", name, err)
+		}
 	}
 }
 

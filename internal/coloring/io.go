@@ -10,18 +10,20 @@ import (
 )
 
 // WriteColors writes a coloring as text: a "coloring <n>" header, then one
-// color per line in vertex order.
+// color per line in vertex order. The text is rendered into one buffer —
+// sized for colors below 1000, which is every coloring but a pathological
+// one — and handed to w in a single Write.
 func WriteColors(w io.Writer, c Colors) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := fmt.Fprintf(bw, "coloring %d\n", len(c)); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, len("coloring \n")+20+4*len(c))
+	buf = append(buf, "coloring "...)
+	buf = strconv.AppendInt(buf, int64(len(c)), 10)
+	buf = append(buf, '\n')
 	for _, col := range c {
-		if _, err := fmt.Fprintln(bw, col); err != nil {
-			return err
-		}
+		buf = strconv.AppendInt(buf, int64(col), 10)
+		buf = append(buf, '\n')
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadColors parses the format written by WriteColors.

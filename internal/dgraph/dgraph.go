@@ -15,7 +15,8 @@ package dgraph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -55,7 +56,37 @@ type DistGraph struct {
 	// variant restricts communication to.
 	NeighborRanks []int
 
-	globalToLocal map[int64]int32
+	index index
+}
+
+// index resolves global ids to local indices: an open-addressing table,
+// probed linearly from a Fibonacci hash, whose slots hold local index + 1
+// (0 = empty). The keys are not stored — a slot is a hit when the share's
+// GlobalID at that local index equals the id asked for — so the table is one
+// []int32, at most half full, and an absent id of any value ends at an empty
+// slot.
+type index struct {
+	slots []int32 // power-of-two length, or nil (every lookup misses)
+	shift uint    // 64 - log2(len(slots))
+}
+
+func hashID(global int64, shift uint) uint64 {
+	return uint64(global) * 0x9E3779B97F4A7C15 >> shift
+}
+
+// newIndex builds the table over a share's complete GlobalID.
+func newIndex(globalID []int64) index {
+	logCap := uint(bits.Len(uint(2 * len(globalID)))) // 2n < 2^logCap: load < 1/2, never full
+	ix := index{slots: make([]int32, 1<<logCap), shift: 64 - logCap}
+	mask := uint64(len(ix.slots) - 1)
+	for l, g := range globalID {
+		h := hashID(g, ix.shift)
+		for ix.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		ix.slots[h] = int32(l) + 1
+	}
+	return ix
 }
 
 // Degree reports the degree of an owned vertex (cross edges included).
@@ -92,10 +123,24 @@ func (d *DistGraph) OwnerOf(v int32) int {
 	return d.Rank
 }
 
-// LocalOf resolves a global id to a local index (owned or ghost).
+// LocalOf resolves a global id to a local index (owned or ghost). Any id
+// that is neither — negative, beyond GlobalN, or simply not on this rank, as
+// ids read off the wire may be — yields (0, false).
 func (d *DistGraph) LocalOf(global int64) (int32, bool) {
-	l, ok := d.globalToLocal[global]
-	return l, ok
+	slots := d.index.slots
+	if len(slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(slots) - 1)
+	for h := hashID(global, d.index.shift); ; h++ {
+		s := slots[h&mask]
+		if s == 0 {
+			return 0, false
+		}
+		if d.GlobalID[s-1] == global {
+			return s - 1, true
+		}
+	}
 }
 
 // GlobalOf resolves a local index to its global id.
@@ -144,9 +189,17 @@ func (d *DistGraph) Validate() error {
 	if cross != d.CrossArcs {
 		return fmt.Errorf("dgraph: CrossArcs %d, computed %d", d.CrossArcs, cross)
 	}
-	for g, l := range d.globalToLocal {
-		if d.GlobalID[l] != g {
-			return fmt.Errorf("dgraph: globalToLocal inconsistent at %d", g)
+	for l, g := range d.GlobalID {
+		if g < 0 || g >= d.GlobalN {
+			return fmt.Errorf("dgraph: local %d has global id %d outside [0, %d)", l, g, d.GlobalN)
+		}
+		if got, ok := d.LocalOf(g); !ok || int(got) != l {
+			return fmt.Errorf("dgraph: LocalOf(%d) = (%d, %v), want local %d", g, got, ok, l)
+		}
+	}
+	for _, g := range [...]int64{-1, d.GlobalN} {
+		if l, ok := d.LocalOf(g); ok {
+			return fmt.Errorf("dgraph: LocalOf(%d) found local %d for an id outside the graph", g, l)
 		}
 	}
 	return nil
@@ -155,24 +208,35 @@ func (d *DistGraph) Validate() error {
 // Distribute splits a global graph over p ranks according to part, producing
 // every rank's DistGraph. Since the runtime is in-process, ranks typically
 // index into the returned slice rather than deserializing anything.
+//
+// The build works over dense arrays indexed by global id — every vertex's
+// position within its part, and the current rank's ghost slots — so that an
+// arc is translated by two array reads instead of a hash lookup. The arrays
+// are per call: concurrent calls on the same (g, part) share nothing.
 func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error) {
 	if err := part.Validate(g); err != nil {
 		return nil, err
 	}
-	p := part.P
+	n := g.NumVertices()
 	owned := partition.PartVertices(part) // ascending ids per part
-	out := make([]*DistGraph, p)
-	for rank := 0; rank < p; rank++ {
-		d, err := buildLocal(g, part, rank, owned[rank])
-		if err != nil {
-			return nil, err
+	local := make([]int32, n)             // every vertex's index on its owner
+	for _, vs := range owned {
+		for i, v := range vs {
+			local[v] = int32(i)
 		}
-		out[rank] = d
+	}
+	ghostAt := make([]int32, n)   // local index + 1 of a ghost of the rank being built, else 0
+	isNbr := make([]bool, part.P) // ranks owning a ghost of the rank being built
+	out := make([]*DistGraph, part.P)
+	for rank := range out {
+		out[rank] = buildLocal(g, part, rank, owned[rank], local, ghostAt, isNbr)
 	}
 	return out, nil
 }
 
-func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex) (*DistGraph, error) {
+// buildLocal builds one rank's share. ghostAt and isNbr are scratch: all
+// zero on entry and on return.
+func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex, local, ghostAt []int32, isNbr []bool) *DistGraph {
 	d := &DistGraph{
 		Rank:        rank,
 		P:           part.P,
@@ -180,71 +244,72 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 		GlobalEdges: g.NumEdges(),
 		NLocal:      len(owned),
 	}
-	d.globalToLocal = make(map[int64]int32, len(owned)*2)
-	d.GlobalID = make([]int64, len(owned), len(owned)*2)
-	for i, v := range owned {
-		d.GlobalID[i] = int64(v)
-		d.globalToLocal[int64(v)] = int32(i)
-	}
-	// Discover ghosts.
-	ghostSet := make(map[int64]int32) // global id -> owner
+	// Discover ghosts: each remote endpoint once, then ascending.
+	var ghosts []graph.Vertex
+	var arcs int64
 	for _, v := range owned {
-		for _, u := range g.Neighbors(v) {
-			if part.Part[u] != int32(rank) {
-				ghostSet[int64(u)] = part.Part[u]
+		adj := g.Neighbors(v)
+		arcs += int64(len(adj))
+		for _, u := range adj {
+			if part.Part[u] != int32(rank) && ghostAt[u] == 0 {
+				ghostAt[u] = 1
+				ghosts = append(ghosts, u)
 			}
 		}
 	}
-	ghosts := make([]int64, 0, len(ghostSet))
-	for gid := range ghostSet {
-		ghosts = append(ghosts, gid)
-	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	slices.Sort(ghosts)
 	d.NGhost = len(ghosts)
-	d.GhostOwner = make([]int32, len(ghosts))
-	neighborRanks := map[int]bool{}
-	for i, gid := range ghosts {
-		d.GlobalID = append(d.GlobalID, gid)
-		d.globalToLocal[gid] = int32(d.NLocal + i)
-		d.GhostOwner[i] = ghostSet[gid]
-		neighborRanks[int(ghostSet[gid])] = true
+	d.GlobalID = make([]int64, d.NLocal+d.NGhost)
+	for i, v := range owned {
+		d.GlobalID[i] = int64(v)
 	}
-	for r := range neighborRanks {
-		d.NeighborRanks = append(d.NeighborRanks, r)
+	d.GhostOwner = make([]int32, d.NGhost)
+	for i, u := range ghosts {
+		d.GlobalID[d.NLocal+i] = int64(u)
+		ghostAt[u] = int32(d.NLocal+i) + 1
+		d.GhostOwner[i] = part.Part[u]
+		isNbr[part.Part[u]] = true
 	}
-	sort.Ints(d.NeighborRanks)
+	for r, is := range isNbr {
+		if is {
+			d.NeighborRanks = append(d.NeighborRanks, r)
+			isNbr[r] = false
+		}
+	}
+	d.index = newIndex(d.GlobalID)
 	// CSR rows for owned vertices.
 	d.Xadj = make([]int64, d.NLocal+1)
-	var arcs int64
-	for i, v := range owned {
-		arcs += int64(g.Degree(v))
-		d.Xadj[i+1] = arcs
-	}
 	d.Adj = make([]int32, arcs)
 	if g.W != nil {
 		d.W = make([]float64, arcs)
 	}
 	d.IsBoundary = make([]bool, d.NLocal)
+	var pos int64
 	for i, v := range owned {
-		pos := d.Xadj[i]
 		adj := g.Neighbors(v)
+		row := d.Adj[pos : pos+int64(len(adj))]
+		cross := 0
 		for k, u := range adj {
-			lu := d.globalToLocal[int64(u)]
-			d.Adj[pos] = lu
-			if d.W != nil {
-				d.W[pos] = g.W[g.Xadj[v]+int64(k)]
+			if gl := ghostAt[u]; gl != 0 {
+				row[k] = gl - 1
+				cross++
+			} else {
+				row[k] = local[u]
 			}
-			if d.IsGhost(lu) {
-				d.IsBoundary[i] = true
-				d.CrossArcs++
-			}
-			pos++
 		}
-	}
-	for _, b := range d.IsBoundary {
-		if b {
+		if cross > 0 {
+			d.IsBoundary[i] = true
 			d.NumBoundary++
+			d.CrossArcs += int64(cross)
 		}
+		if d.W != nil {
+			copy(d.W[pos:], g.W[g.Xadj[v]:g.Xadj[v+1]])
+		}
+		pos += int64(len(adj))
+		d.Xadj[i+1] = pos
 	}
-	return d, nil
+	for _, u := range ghosts {
+		ghostAt[u] = 0
+	}
+	return d
 }

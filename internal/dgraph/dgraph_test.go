@@ -1,6 +1,11 @@
 package dgraph
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -108,76 +113,39 @@ func TestDistributeGhostOwners(t *testing.T) {
 }
 
 func TestBuildGridMatchesDistribute(t *testing.T) {
-	// The direct distributed builder must agree exactly with distributing the
-	// globally generated grid.
-	const k1, k2, pr, pc = 9, 11, 3, 2
-	spec := GridSpec{K1: k1, K2: k2, PR: pr, PC: pc, Weighted: true, Seed: 42}
-	g, err := gen.Grid2D(k1, k2, true, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := partition.Grid2D(k1, k2, pr, pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Distribute(g, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < spec.P(); rank++ {
-		d, err := BuildGrid(spec, rank)
+	// The direct distributed builder must agree field for field with
+	// distributing the globally generated grid.
+	for _, spec := range []GridSpec{
+		{K1: 9, K2: 11, PR: 3, PC: 2, Weighted: true, Seed: 42},
+		{K1: 8, K2: 8, PR: 2, PC: 2},
+		{K1: 7, K2: 5, PR: 1, PC: 5, Weighted: true, Seed: 1},
+		{K1: 6, K2: 6, PR: 1, PC: 1, Weighted: true, Seed: 9},
+	} {
+		g, err := gen.Grid2D(spec.K1, spec.K2, spec.Weighted, spec.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Validate(); err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
+		if !spec.Weighted {
+			g = &graph.Graph{Xadj: g.Xadj, Adj: g.Adj} // the generator stores unit weights
 		}
-		r := ref[rank]
-		if d.NLocal != r.NLocal || d.NGhost != r.NGhost || d.CrossArcs != r.CrossArcs ||
-			d.NumBoundary != r.NumBoundary {
-			t.Fatalf("rank %d: direct(NLocal=%d NGhost=%d cross=%d bnd=%d) vs ref(%d %d %d %d)",
-				rank, d.NLocal, d.NGhost, d.CrossArcs, d.NumBoundary,
-				r.NLocal, r.NGhost, r.CrossArcs, r.NumBoundary)
+		part, err := partition.Grid2D(spec.K1, spec.K2, spec.PR, spec.PC)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Same owned vertices in the same order.
-		for i := 0; i < d.NLocal; i++ {
-			if d.GlobalID[i] != r.GlobalID[i] {
-				t.Fatalf("rank %d owned[%d]: %d vs %d", rank, i, d.GlobalID[i], r.GlobalID[i])
-			}
+		ref, err := Distribute(g, part)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Same ghost set and owners.
-		for i := 0; i < d.NGhost; i++ {
-			if d.GlobalID[d.NLocal+i] != r.GlobalID[r.NLocal+i] ||
-				d.GhostOwner[i] != r.GhostOwner[i] {
-				t.Fatalf("rank %d ghost[%d] differs", rank, i)
+		for rank := 0; rank < spec.P(); rank++ {
+			d, err := BuildGrid(spec, rank)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Same edges and weights (adjacency order may differ; compare sets).
-		for v := 0; v < d.NLocal; v++ {
-			got := map[int64]float64{}
-			for k, u := range d.Neighbors(int32(v)) {
-				got[d.GlobalOf(u)] = d.Weight(d.Xadj[v] + int64(k))
+			if err := d.Validate(); err != nil {
+				t.Fatalf("%+v rank %d: %v", spec, rank, err)
 			}
-			want := map[int64]float64{}
-			for k, u := range r.Neighbors(int32(v)) {
-				want[r.GlobalOf(u)] = r.Weight(r.Xadj[v] + int64(k))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("rank %d vertex %d degree %d vs %d", rank, v, len(got), len(want))
-			}
-			for gid, w := range want {
-				if got[gid] != w {
-					t.Fatalf("rank %d vertex %d -> %d weight %g vs %g", rank, v, gid, got[gid], w)
-				}
-			}
-		}
-		// Neighbor ranks agree.
-		if len(d.NeighborRanks) != len(r.NeighborRanks) {
-			t.Fatalf("rank %d neighbor ranks %v vs %v", rank, d.NeighborRanks, r.NeighborRanks)
-		}
-		for i := range d.NeighborRanks {
-			if d.NeighborRanks[i] != r.NeighborRanks[i] {
-				t.Fatalf("rank %d neighbor ranks %v vs %v", rank, d.NeighborRanks, r.NeighborRanks)
+			if diff := exportedDiff(d, ref[rank]); diff != "" {
+				t.Fatalf("%+v rank %d: BuildGrid vs Distribute: %s", spec, rank, diff)
 			}
 		}
 	}
@@ -234,18 +202,62 @@ func TestBuildGridRejectsBadSpecs(t *testing.T) {
 
 func TestLocalOfGlobalOfRoundTrip(t *testing.T) {
 	spec := GridSpec{K1: 6, K2: 6, PR: 2, PC: 2, Weighted: false, Seed: 0}
-	d, err := BuildGrid(spec, 1)
+	direct, err := BuildGrid(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l := int32(0); int(l) < d.NLocal+d.NGhost; l++ {
-		got, ok := d.LocalOf(d.GlobalOf(l))
-		if !ok || got != l {
-			t.Fatalf("round trip failed at local %d", l)
+	g, _ := gen.Grid2D(6, 6, false, 0)
+	part, _ := partition.Grid2D(6, 6, 2, 2)
+	shares, err := Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*DistGraph{"BuildGrid": direct, "Distribute": shares[1]} {
+		onRank := make([]bool, d.GlobalN)
+		for l := int32(0); int(l) < d.NLocal+d.NGhost; l++ {
+			got, ok := d.LocalOf(d.GlobalOf(l))
+			if !ok || got != l {
+				t.Fatalf("%s: round trip failed at local %d", name, l)
+			}
+			onRank[d.GlobalOf(l)] = true
+		}
+		// Ids read off the wire may be anything: every id that is neither
+		// owned nor a ghost here must miss as (0, false).
+		absent := []int64{-1, -36, math.MinInt64, d.GlobalN, d.GlobalN + 1, 999999, math.MaxInt64}
+		outOfRange := len(absent)
+		for gid, on := range onRank {
+			if !on {
+				absent = append(absent, int64(gid))
+			}
+		}
+		if len(absent) == outOfRange {
+			t.Fatalf("%s: rank 1 of a 2x2 split sees every vertex", name)
+		}
+		for _, gid := range absent {
+			if l, ok := d.LocalOf(gid); ok || l != 0 {
+				t.Errorf("%s: LocalOf(%d) = (%d, %v) for an id not on this rank", name, gid, l, ok)
+			}
 		}
 	}
-	if _, ok := d.LocalOf(999999); ok {
-		t.Error("LocalOf found a vertex not on this rank")
+	if l, ok := new(DistGraph).LocalOf(0); ok || l != 0 {
+		t.Errorf("LocalOf on a zero DistGraph = (%d, %v)", l, ok)
+	}
+}
+
+func TestValidateCatchesBrokenIndex(t *testing.T) {
+	d, err := BuildGrid(GridSpec{K1: 6, K2: 6, PR: 2, PC: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An id the index does not resolve back to its own slot.
+	d.GlobalID[0], d.GlobalID[1] = d.GlobalID[1], d.GlobalID[0]
+	if err := d.Validate(); err == nil {
+		t.Error("accepted a share whose index disagrees with GlobalID")
+	}
+	d.GlobalID[0], d.GlobalID[1] = d.GlobalID[1], d.GlobalID[0]
+	d.GlobalID[d.NLocal+d.NGhost-1] = d.GlobalN
+	if err := d.Validate(); err == nil {
+		t.Error("accepted a ghost id beyond GlobalN")
 	}
 }
 
@@ -331,5 +343,246 @@ func TestUnweightedShareWeights(t *testing.T) {
 	}
 	if d.Weight(0) != 1 {
 		t.Fatal("unweighted arc weight != 1")
+	}
+}
+
+// exportedDiff names the first exported field in which two shares differ
+// under reflect.DeepEqual, or returns "".
+func exportedDiff(got, want *DistGraph) string {
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		f := gv.Type().Field(i)
+		if f.IsExported() && !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			return fmt.Sprintf("%s = %v, want %v", f.Name, gv.Field(i).Interface(), wv.Field(i).Interface())
+		}
+	}
+	return ""
+}
+
+// referenceBuildLocal is the map-based construction Distribute used before
+// it went map-free, kept as the oracle the dense-array build is compared
+// against: same fields, same order, one hash lookup per arc.
+func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex) *DistGraph {
+	d := &DistGraph{
+		Rank:        rank,
+		P:           part.P,
+		GlobalN:     int64(g.NumVertices()),
+		GlobalEdges: g.NumEdges(),
+		NLocal:      len(owned),
+	}
+	globalToLocal := make(map[int64]int32, len(owned)*2)
+	d.GlobalID = make([]int64, len(owned), len(owned)*2)
+	for i, v := range owned {
+		d.GlobalID[i] = int64(v)
+		globalToLocal[int64(v)] = int32(i)
+	}
+	ghostSet := make(map[int64]int32) // global id -> owner
+	for _, v := range owned {
+		for _, u := range g.Neighbors(v) {
+			if part.Part[u] != int32(rank) {
+				ghostSet[int64(u)] = part.Part[u]
+			}
+		}
+	}
+	ghosts := make([]int64, 0, len(ghostSet))
+	for gid := range ghostSet {
+		ghosts = append(ghosts, gid)
+	}
+	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	d.NGhost = len(ghosts)
+	d.GhostOwner = make([]int32, len(ghosts))
+	neighborRanks := map[int]bool{}
+	for i, gid := range ghosts {
+		d.GlobalID = append(d.GlobalID, gid)
+		globalToLocal[gid] = int32(d.NLocal + i)
+		d.GhostOwner[i] = ghostSet[gid]
+		neighborRanks[int(ghostSet[gid])] = true
+	}
+	for r := range neighborRanks {
+		d.NeighborRanks = append(d.NeighborRanks, r)
+	}
+	sort.Ints(d.NeighborRanks)
+	d.Xadj = make([]int64, d.NLocal+1)
+	var arcs int64
+	for i, v := range owned {
+		arcs += int64(g.Degree(v))
+		d.Xadj[i+1] = arcs
+	}
+	d.Adj = make([]int32, arcs)
+	if g.W != nil {
+		d.W = make([]float64, arcs)
+	}
+	d.IsBoundary = make([]bool, d.NLocal)
+	for i, v := range owned {
+		pos := d.Xadj[i]
+		for k, u := range g.Neighbors(v) {
+			lu := globalToLocal[int64(u)]
+			d.Adj[pos] = lu
+			if d.W != nil {
+				d.W[pos] = g.W[g.Xadj[v]+int64(k)]
+			}
+			if d.IsGhost(lu) {
+				d.IsBoundary[i] = true
+				d.CrossArcs++
+			}
+			pos++
+		}
+	}
+	for _, b := range d.IsBoundary {
+		if b {
+			d.NumBoundary++
+		}
+	}
+	return d
+}
+
+// differentialGraphs are the inputs the differential and concurrency tests
+// share: regular, irregular, skewed, with isolated vertices, unweighted.
+func differentialGraphs(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	must := func(g *graph.Graph, err error) *graph.Graph {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	graphs := map[string]*graph.Graph{
+		"grid":     must(gen.Grid2D(13, 17, true, 5)),
+		"er":       must(gen.ErdosRenyi(200, 900, true, 3)),
+		"rmat":     must(gen.RMAT(8, 8, true, 7)),
+		"circuit":  must(gen.Circuit(14, 14, 0.45, true, 1)),
+		"isolated": must(gen.ErdosRenyi(120, 40, true, 11)),
+	}
+	er := must(gen.ErdosRenyi(150, 600, false, 2))
+	graphs["unweighted"] = &graph.Graph{Xadj: er.Xadj, Adj: er.Adj} // generators store unit weights; W == nil is its own path
+	isolated := 0
+	for v := 0; v < graphs["isolated"].NumVertices(); v++ {
+		if graphs["isolated"].Degree(graph.Vertex(v)) == 0 {
+			isolated++
+		}
+	}
+	if isolated == 0 {
+		t.Fatal("the sparse input has no isolated vertex")
+	}
+	return graphs
+}
+
+// TestDistributeMatchesMapReference pins every exported field of every share
+// against the old construction, including on a partition one of whose parts
+// owns nothing (partition.Validate permits it).
+func TestDistributeMatchesMapReference(t *testing.T) {
+	for gname, g := range differentialGraphs(t) {
+		for _, pname := range []string{"block", "random", "bfs", "multilevel"} {
+			partitioner, err := partition.ByName(pname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []int{1, 2, 3, 4, 7, 16} {
+				part, err := partitioner(g, p, partition.MultilevelOptions{Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The same assignment with an empty part wedged in at p/2.
+				holed := &partition.Partition{P: p + 1, Part: make([]int32, len(part.Part))}
+				for v, r := range part.Part {
+					if int(r) >= p/2 {
+						r++
+					}
+					holed.Part[v] = r
+				}
+				for _, part := range []*partition.Partition{part, holed} {
+					name := fmt.Sprintf("%s/%s/p=%d of %d", gname, pname, p, part.P)
+					shares, err := Distribute(g, part)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					owned := partition.PartVertices(part)
+					for rank, d := range shares {
+						if err := d.Validate(); err != nil {
+							t.Fatalf("%s rank %d: %v", name, rank, err)
+						}
+						if diff := exportedDiff(d, referenceBuildLocal(g, part, rank, owned[rank])); diff != "" {
+							t.Fatalf("%s rank %d: %s", name, rank, diff)
+						}
+					}
+					if part.P > p && shares[p/2].NLocal+shares[p/2].NGhost != 0 {
+						t.Fatalf("%s: the empty part's share is not empty", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDistributeConcurrent runs Distribute twice at once on the same graph
+// and partition, as the daemon's two workers do; under -race this is what
+// would catch build scratch shared between calls.
+func TestDistributeConcurrent(t *testing.T) {
+	g := differentialGraphs(t)["rmat"]
+	part, err := partition.Multilevel(g, 4, partition.MultilevelOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				got, err := Distribute(g, part)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for rank := range got {
+					if diff := exportedDiff(got[rank], want[rank]); diff != "" {
+						t.Errorf("rank %d differs under concurrency: %s", rank, diff)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAllocationBudget keeps a map from creeping back in: a lookup allocates
+// nothing, and a build allocates a fixed number of slices per rank plus a
+// logarithmic number of ghost-list growths — where one map insert per vertex
+// would be thousands.
+func TestAllocationBudget(t *testing.T) {
+	g, err := gen.Grid2D(128, 128, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	part, err := partition.Random(g, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := shares[1]
+	id := int64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		d.LocalOf(id)
+		d.LocalOf(-id)
+		id += 37
+	}); n != 0 {
+		t.Errorf("LocalOf allocates %v times per call pair", n)
+	}
+	const perRank = 40
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := Distribute(g, part); err != nil {
+			t.Fatal(err)
+		}
+	}); n > perRank*p {
+		t.Errorf("Distribute allocates %v times for %d ranks, budget %d per rank", n, p, perRank)
 	}
 }

@@ -129,57 +129,49 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 	gid := func(r, c int) int64 { return int64(r)*int64(spec.K2) + int64(c) }
 	localIdx := func(r, c int) int32 { return int32((r-rLo)*cols + (c - cLo)) }
 
-	d.GlobalID = make([]int64, nLocal, nLocal+2*(rows+cols))
-	d.globalToLocal = make(map[int64]int32, nLocal+2*(rows+cols))
+	halo := 2 * (rows + cols)
+	d.GlobalID = make([]int64, nLocal, nLocal+halo)
 	for r := rLo; r < rHi; r++ {
 		for c := cLo; c < cHi; c++ {
-			l := localIdx(r, c)
-			d.GlobalID[l] = gid(r, c)
-			d.globalToLocal[gid(r, c)] = l
+			d.GlobalID[localIdx(r, c)] = gid(r, c)
 		}
 	}
-	// Ghost halo: the four one-deep strips, in ascending global-id order
-	// (north strip first, then per-row west/east, then south strip).
-	type ghost struct {
-		id    int64
-		owner int32
+	// Ghost halo: the four one-deep strips. The order below is ascending in
+	// global id: north strip < all local rows < south strip, and within each
+	// local row west < row < east; across rows ids grow with r.
+	d.GhostOwner = make([]int32, 0, halo)
+	seenRank := make([]bool, p)
+	addGhost := func(r, c int) {
+		owner := spec.ownerOf(r, c)
+		d.GlobalID = append(d.GlobalID, gid(r, c))
+		d.GhostOwner = append(d.GhostOwner, int32(owner))
+		seenRank[owner] = true
 	}
-	var ghosts []ghost
 	if rLo > 0 {
 		for c := cLo; c < cHi; c++ {
-			ghosts = append(ghosts, ghost{gid(rLo-1, c), int32(spec.ownerOf(rLo-1, c))})
+			addGhost(rLo-1, c)
 		}
 	}
 	for r := rLo; r < rHi; r++ {
 		if cLo > 0 {
-			ghosts = append(ghosts, ghost{gid(r, cLo-1), int32(spec.ownerOf(r, cLo-1))})
+			addGhost(r, cLo-1)
 		}
 		if cHi < spec.K2 {
-			ghosts = append(ghosts, ghost{gid(r, cHi), int32(spec.ownerOf(r, cHi))})
+			addGhost(r, cHi)
 		}
 	}
 	if rHi < spec.K1 {
 		for c := cLo; c < cHi; c++ {
-			ghosts = append(ghosts, ghost{gid(rHi, c), int32(spec.ownerOf(rHi, c))})
+			addGhost(rHi, c)
 		}
 	}
-	// The construction order above is already ascending in global id:
-	// north strip < all local rows < south strip, and within each local row
-	// west < row < east; across rows ids grow with r.
-	d.NGhost = len(ghosts)
-	d.GhostOwner = make([]int32, len(ghosts))
-	seenRank := map[int]bool{}
-	for i, gh := range ghosts {
-		d.GlobalID = append(d.GlobalID, gh.id)
-		d.globalToLocal[gh.id] = int32(nLocal + i)
-		d.GhostOwner[i] = gh.owner
-		seenRank[int(gh.owner)] = true
-	}
-	for r := 0; r < p; r++ {
-		if seenRank[r] {
+	d.NGhost = len(d.GhostOwner)
+	for r, seen := range seenRank {
+		if seen {
 			d.NeighborRanks = append(d.NeighborRanks, r)
 		}
 	}
+	d.index = newIndex(d.GlobalID)
 
 	// CSR: up to 4 arcs per vertex.
 	d.Xadj = make([]int64, nLocal+1)
@@ -189,7 +181,7 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 	}
 	d.IsBoundary = make([]bool, nLocal)
 	addArc := func(v int32, ur, uc int) {
-		u := d.globalToLocal[gid(ur, uc)]
+		u, _ := d.LocalOf(gid(ur, uc)) // a grid neighbor is owned or in the halo
 		d.Adj = append(d.Adj, u)
 		if spec.Weighted {
 			d.W = append(d.W, gen.EdgeWeight(spec.Seed, d.GlobalID[v], gid(ur, uc)))

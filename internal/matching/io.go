@@ -13,19 +13,24 @@ import (
 
 // WriteMates writes a matching as text: a "matching <n>" header, then one
 // "v mate" pair per matched edge (smaller endpoint first, each edge once).
+// The text is rendered into one buffer — at most len(m)/2 pairs of two ids
+// no longer than len(m)'s — and handed to w in a single Write.
 func WriteMates(w io.Writer, m Mates) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := fmt.Fprintf(bw, "matching %d\n", len(m)); err != nil {
-		return err
-	}
+	idLen := len(strconv.Itoa(len(m)))
+	buf := make([]byte, 0, len("matching \n")+idLen+len(m)/2*(2*idLen+2))
+	buf = append(buf, "matching "...)
+	buf = strconv.AppendInt(buf, int64(len(m)), 10)
+	buf = append(buf, '\n')
 	for v, u := range m {
 		if u != graph.None && graph.Vertex(v) < u {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", v, u); err != nil {
-				return err
-			}
+			buf = strconv.AppendInt(buf, int64(v), 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(u), 10)
+			buf = append(buf, '\n')
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadMates parses the format written by WriteMates.

@@ -2,11 +2,17 @@ package matching
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func TestMatesRoundTrip(t *testing.T) {
@@ -75,5 +81,83 @@ func TestReadMatesErrors(t *testing.T) {
 	m, err := ReadMates(bytes.NewBufferString("# c\nmatching 4\n"))
 	if err != nil || len(m) != 4 || m.Cardinality() != 0 {
 		t.Fatalf("empty matching parse: %v %v", m, err)
+	}
+}
+
+// fmtMates is the rendering WriteMates had before it stopped going through
+// fmt, line for line; the format is pinned against it.
+func fmtMates(m Mates) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "matching %d\n", len(m))
+	for v, u := range m {
+		if u != graph.None && graph.Vertex(v) < u {
+			fmt.Fprintf(&sb, "%d %d\n", v, u)
+		}
+	}
+	return sb.String()
+}
+
+func TestWriteMatesPinnedToFmtRendering(t *testing.T) {
+	allNone := make(Mates, 1000)
+	for v := range allNone {
+		allNone[v] = graph.None
+	}
+	// A perfect matching {v, v+1} over enough vertices that ids reach the
+	// full width of the header's count.
+	wide := make(Mates, 100000)
+	for v := 0; v < len(wide); v += 2 {
+		wide[v], wide[v+1] = graph.Vertex(v+1), graph.Vertex(v)
+	}
+	g, err := gen.Grid2D(40, 40, true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		m         Mates
+		roundTrip bool
+	}{
+		"nil":      {nil, true},
+		"empty":    {Mates{}, true},
+		"all none": {allNone, true},
+		"one edge": {Mates{1, 0}, true},
+		"wide ids": {wide, true},
+		"grid":     {LocallyDominant(g), true},
+		// Not a matching ReadMates would accept (the mate is beyond len(m)),
+		// but the widest id the writer can be handed.
+		"max int32 mate": {Mates{math.MaxInt32, graph.None, 3, 2}, false},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMates(&buf, tc.m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := buf.String(), fmtMates(tc.m); got != want {
+			t.Errorf("%s: WriteMates wrote %d bytes %.60q, fmt renders %d bytes %.60q", name, len(got), got, len(want), want)
+		}
+		if !tc.roundTrip {
+			continue
+		}
+		back, err := ReadMates(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadMates: %v", name, err)
+		}
+		if len(back) != len(tc.m) {
+			t.Fatalf("%s: read back %d vertices, wrote %d", name, len(back), len(tc.m))
+		}
+		for v := range tc.m {
+			if back[v] != tc.m[v] {
+				t.Fatalf("%s: vertex %d mate %d after round trip, want %d", name, v, back[v], tc.m[v])
+			}
+		}
+	}
+}
+
+// failWriter refuses everything, as a closed connection would.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+func TestWriteMatesReportsWriteError(t *testing.T) {
+	if err := WriteMates(failWriter{}, Mates{1, 0}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("WriteMates on a failing writer returned %v", err)
 	}
 }

@@ -97,9 +97,20 @@ func (m Metrics) String() string {
 		100*m.Imbalance, 100*m.BoundaryFrac)
 }
 
-// PartVertices groups vertex ids by part.
+// PartVertices groups vertex ids by part, ascending within each part. The
+// groups are cut from one array sized by a counting pass, so no group ever
+// grows.
 func PartVertices(p *Partition) [][]graph.Vertex {
+	sizes := make([]int, p.P)
+	for _, part := range p.Part {
+		sizes[part]++
+	}
+	flat := make([]graph.Vertex, len(p.Part))
 	out := make([][]graph.Vertex, p.P)
+	for part, off := 0, 0; part < p.P; part++ {
+		out[part] = flat[off : off : off+sizes[part]]
+		off += sizes[part]
+	}
 	for v, part := range p.Part {
 		out[part] = append(out[part], graph.Vertex(v))
 	}
