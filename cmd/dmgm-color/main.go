@@ -84,22 +84,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil || res == nil {
 			return err
 		}
-		var sum summary
-		var text string
+		// Jones–Plassmann differs only in name, and in having no conflicts to
+		// report.
+		name := "speculative-" + *comm
+		header := fmt.Sprintf("speculative framework (distance2=%v), %d ranks, s=%d, comm=%s", *distance2, *c.P, *superstep, *comm)
+		conflicts := fmt.Sprintf("conflicts: %d\n", res.Conflicts)
 		if job.Algorithm == dmgm.AlgoJP {
-			// Jones–Plassmann has no conflicts, and its record no traffic.
-			sum = summary{Algorithm: "jones-plassmann", Ranks: *c.P, Colors: res.Colors, Rounds: res.Rounds}
-			text = fmt.Sprintf("algorithm: Jones-Plassmann, %d ranks\ncolors: %d\nrounds: %d\n", *c.P, res.Colors, res.Rounds)
-		} else {
-			sum = summary{
-				Algorithm: "speculative-" + *comm, Ranks: *c.P,
-				Colors: res.Colors, Rounds: res.Rounds, Conflicts: res.Conflicts,
-				Messages: res.Messages, Bytes: res.Bytes,
-			}
-			text = fmt.Sprintf("algorithm: speculative framework (distance2=%v), %d ranks, s=%d, comm=%s\n"+
-				"colors: %d\nrounds: %d\nconflicts: %d\nmessages: %d (%d bytes)\n",
-				*distance2, *c.P, *superstep, *comm, res.Colors, res.Rounds, res.Conflicts, res.Messages, res.Bytes)
+			name, header, conflicts = "jones-plassmann", fmt.Sprintf("Jones-Plassmann, %d ranks", *c.P), ""
 		}
+		sum := summary{
+			Algorithm: name, Ranks: *c.P,
+			Colors: res.Colors, Rounds: res.Rounds, Conflicts: res.Conflicts,
+			Messages: res.Messages, Bytes: res.Bytes,
+		}
+		text := fmt.Sprintf("algorithm: %s\ncolors: %d\nrounds: %d\n%smessages: %d (%d bytes)\n",
+			header, res.Colors, res.Rounds, conflicts, res.Messages, res.Bytes)
 		sum.ElapsedSeconds = res.Elapsed.Seconds()
 		if err := c.Report(sum, fmt.Sprintf("%shost wall: %v\n", text, res.Elapsed)); err != nil {
 			return err

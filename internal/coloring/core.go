@@ -1,0 +1,292 @@
+package coloring
+
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+
+	"repro/internal/dgraph"
+	"repro/internal/mpi"
+	"repro/internal/obs"
+)
+
+// The speculative-coloring core. Section 4 of the paper is one framework —
+// color speculatively in supersteps, exchange boundary colors, detect
+// conflicts without communication through a pre-assigned r(v), re-color the
+// losers — and this file is that framework, written once: one rank's state
+// and its set-up, the color-notice exchange, the tentative phase and round
+// bookkeeping, and the two rules (first fit over the visible colors, who
+// loses a conflict). The kernels on top of it own only what tells them
+// apart: Parallel the strategy / order / FIAC-FIAB shipping and ghost-edge
+// detection, ParallelDistance2 the two-hop marking, middle-vertex detection
+// and RECOLOR notices, JonesPlassmann its wins rule and round loop.
+
+const (
+	// colorTag is the color-notice tag, shared by every communication
+	// variant (FIAB / FIAC / NEW) and every kernel — the base of the coloring
+	// range of the tag-space contract (docs/PROTOCOL.md), metered as the
+	// "color" family.
+	colorTag = mpi.TagColorBase
+	// recolorTag carries distance-2 RECOLOR notices: the addressed vertex
+	// lost a distance-2 conflict against the carried color.
+	recolorTag = mpi.TagColorBase + 10
+	// colorRecSize is the one record layout both tags use: global id (8) +
+	// color (4).
+	colorRecSize = 12
+)
+
+func encodeColorRec(buf []byte, gid int64, color int32) {
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(gid))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(color))
+}
+
+func decodeColorRec(rec []byte) (int64, int32) {
+	return int64(binary.LittleEndian.Uint64(rec[0:8])), int32(binary.LittleEndian.Uint32(rec[8:12]))
+}
+
+// rnd deterministically maps a global vertex id to its random priority r(v);
+// every rank computes identical values without communication, which is the
+// point of the paper's "random function defined over boundary vertices at
+// the beginning of the algorithm".
+func rnd(seed uint64, gid int64) uint64 {
+	z := seed ^ (uint64(gid)+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// loses is the conflict rule: of two vertices with global ids ga and gb that
+// may not both keep their color, does a give way? Every rank that sees the
+// pair answers alike, so no messages are needed to agree.
+func loses(policy ConflictPolicy, seed uint64, ga, gb int64) bool {
+	if policy == ConflictMinID {
+		return ga < gb
+	}
+	return outranked(rnd(seed, ga), ga, rnd(seed, gb), gb)
+}
+
+// outranked is the random priority order behind ConflictRandom — and behind
+// Jones–Plassmann's wins and the shared-memory kernel's detection: of two
+// (r(v), global id) pairs the smaller r gives way, ids break ties.
+func outranked(ra uint64, ga int64, rb uint64, gb int64) bool {
+	return ra < rb || (ra == rb && ga < gb)
+}
+
+// colorState is one rank's state in a distributed coloring run.
+type colorState struct {
+	c *mpi.Comm
+	d *dgraph.DistGraph
+
+	colors     []int32 // owned, -1 until colored
+	ghostColor []int32 // latest known ghost colors, -1 unknown
+	maxDeg     int     // global Δ, which sizes every kernel's palette
+	picker     *firstFit
+
+	// rankOff/rankList is a CSR of the distinct ranks owning a neighbor of
+	// each owned vertex — who receives a notice about it.
+	rankOff  []int32
+	rankList []int32
+	out      *mpi.Bundler
+
+	// onRecolor, when set, is handed every record of a RECOLOR bundle
+	// (distance-2 only). Any other foreign tag is a protocol violation.
+	onRecolor func(gid int64, color int32)
+
+	rounds    int
+	conflicts int64
+	tr        *obs.Tracer
+}
+
+// newColorState checks that d is this rank's share of c's world and sets up
+// everything the kernels have in common. It is collective (the Δ allreduce).
+// The caller sizes picker from maxDeg.
+func newColorState(c *mpi.Comm, d *dgraph.DistGraph) (*colorState, error) {
+	if c.Size() != d.P {
+		return nil, fmt.Errorf("coloring: world size %d, graph distributed over %d", c.Size(), d.P)
+	}
+	if c.Rank() != d.Rank {
+		return nil, fmt.Errorf("coloring: rank %d given share of rank %d", c.Rank(), d.Rank)
+	}
+	s := &colorState{c: c, d: d, colors: make([]int32, d.NLocal), ghostColor: make([]int32, d.NGhost), tr: c.Tracer()}
+	for i := range s.colors {
+		s.colors[i] = -1
+	}
+	for i := range s.ghostColor {
+		s.ghostColor[i] = -1
+	}
+	localMaxDeg := 0
+	for v := 0; v < d.NLocal; v++ {
+		if deg := d.Degree(int32(v)); deg > localMaxDeg {
+			localMaxDeg = deg
+		}
+	}
+	s.maxDeg = int(c.AllreduceInt64(int64(localMaxDeg), mpi.OpMax))
+	s.rankOff = make([]int32, d.NLocal+1)
+	var scratch []int32
+	for v := 0; v < d.NLocal; v++ {
+		if d.IsBoundary[v] { // interior vertices have no ghost neighbors to find
+			scratch = scratch[:0]
+			for _, u := range d.Neighbors(int32(v)) {
+				if d.IsGhost(u) {
+					scratch = append(scratch, int32(d.OwnerOf(u)))
+				}
+			}
+			slices.Sort(scratch)
+			s.rankList = append(s.rankList, slices.Compact(scratch)...)
+		}
+		s.rankOff[v+1] = int32(len(s.rankList))
+	}
+	s.out = mpi.NewBundler(c, colorTag, colorRecSize, 0)
+	return s, nil
+}
+
+// result is the common epilogue: the global color count (collective).
+func (s *colorState) result() *ParallelResult {
+	localMax := int32(-1)
+	for _, col := range s.colors {
+		if col > localMax {
+			localMax = col
+		}
+	}
+	globalMax := s.c.AllreduceInt64(int64(localMax), mpi.OpMax)
+	return &ParallelResult{Colors: s.colors, Rounds: s.rounds, Conflicts: s.conflicts, NumColors: int(globalMax + 1)}
+}
+
+// allOwned lists the owned vertices in natural local order.
+func (s *colorState) allOwned() []int32 {
+	u := make([]int32, s.d.NLocal)
+	for v := range u {
+		u[v] = int32(v)
+	}
+	return u
+}
+
+// neighborRanks lists the ranks owning a neighbor of owned vertex v.
+func (s *colorState) neighborRanks(v int32) []int32 {
+	return s.rankList[s.rankOff[v]:s.rankOff[v+1]]
+}
+
+// colorOf reads the current color of a local index, owned or ghost.
+func (s *colorState) colorOf(l int32) int32 {
+	if s.d.IsGhost(l) {
+		return s.ghostColor[int(l)-s.d.NLocal]
+	}
+	return s.colors[l]
+}
+
+// markAdjacent marks the colors visible on v's neighbors, owned and ghost,
+// under the picker's current stamp.
+func (s *colorState) markAdjacent(v int32) {
+	f := s.picker
+	for _, u := range s.d.Neighbors(v) {
+		f.use(s.colorOf(u))
+	}
+}
+
+// pickFirstFit returns the smallest color no neighbor of v is known to hold.
+func (s *colorState) pickFirstFit(v int32) int32 {
+	s.picker.stamp++
+	s.markAdjacent(v)
+	return s.picker.firstFree()
+}
+
+// announce ships the colors of the chunk's boundary vertices to the ranks
+// owning their neighbors — the paper's NEW scheme, one bundle per neighbor
+// rank. Interior vertices never generate traffic.
+func (s *colorState) announce(chunk []int32) {
+	var rec [colorRecSize]byte
+	for _, v := range chunk {
+		if !s.d.IsBoundary[v] {
+			continue
+		}
+		encodeColorRec(rec[:], s.d.GlobalOf(v), s.colors[v])
+		for _, rk := range s.neighborRanks(v) {
+			s.out.Add(int(rk), rec[:])
+		}
+	}
+	s.out.Flush()
+}
+
+// drain consumes pending notices without blocking; completeness at a round
+// boundary comes from the barrier that precedes the drain there. Color
+// records about vertices that are not ghosts here (broadcast mode) are
+// ignored.
+func (s *colorState) drain() {
+	for {
+		m, ok := s.c.TryRecv()
+		if !ok {
+			return
+		}
+		recolor := m.Tag == recolorTag && s.onRecolor != nil
+		if !recolor {
+			if m.Tag != colorTag {
+				panic(fmt.Sprintf("coloring: unexpected tag %d", m.Tag))
+			}
+			s.c.ChargeOps(int64(len(m.Data)/colorRecSize), 0)
+		}
+		for _, rec := range mpi.Records(m.Data, colorRecSize) {
+			gid, col := decodeColorRec(rec)
+			if recolor {
+				s.onRecolor(gid, col)
+			} else if l, ok := s.d.LocalOf(gid); ok && s.d.IsGhost(l) {
+				s.ghostColor[int(l)-s.d.NLocal] = col
+			}
+		}
+		s.out.Recycle(m.Data) // fully consumed; reuse for outbound bundles
+	}
+}
+
+// beginRound opens the next round, refusing to go past maxRounds.
+func (s *colorState) beginRound(kernel string, maxRounds int) (uint64, error) {
+	if s.rounds == maxRounds {
+		return 0, fmt.Errorf("coloring: %s did not converge in %d rounds", kernel, maxRounds)
+	}
+	s.rounds++
+	return s.tr.Begin("color.round"), nil
+}
+
+// endRound closes the round and reports whether every rank is out of work
+// (collective).
+func (s *colorState) endRound(tok uint64, remaining int) bool {
+	done := s.c.AllreduceInt64(int64(remaining), mpi.OpSum) == 0
+	s.tr.EndN(tok, int64(s.rounds))
+	return done
+}
+
+// speculate runs the framework's rounds over the work list u until no rank
+// has a vertex left to re-color. A round colors u tentatively, step vertices
+// per superstep — pick, ship the chunk, drain what has arrived — then fences
+// with a barrier so that every notice of the round is in, and asks detect
+// for the vertices that must re-color; they are the next round's u.
+func (s *colorState) speculate(kernel string, u []int32, step, maxRounds int,
+	pick func(v int32) int32, ship func(chunk []int32), detect func(u []int32) []int32) error {
+	for {
+		roundTok, err := s.beginRound(kernel, maxRounds)
+		if err != nil {
+			return err
+		}
+		for lo := 0; lo < len(u); lo += step {
+			chunk := u[lo:min(lo+step, len(u))]
+			stepTok := s.tr.BeginDetail("color.superstep")
+			var arcs int64
+			for _, v := range chunk {
+				s.colors[v] = pick(v)
+				arcs += int64(s.d.Degree(v))
+			}
+			s.c.ChargeOps(arcs, int64(len(chunk)))
+			ship(chunk)
+			s.drain()
+			s.tr.EndN(stepTok, int64(len(chunk)))
+		}
+		s.c.Barrier()
+		s.drain()
+
+		detectTok := s.tr.BeginDetail("color.detect")
+		u = detect(u)
+		s.conflicts += int64(len(u))
+		s.tr.EndN(detectTok, int64(len(u)))
+		if s.endRound(roundTok, len(u)) {
+			return nil
+		}
+	}
+}

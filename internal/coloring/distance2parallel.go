@@ -2,7 +2,7 @@ package coloring
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
@@ -24,28 +24,15 @@ import (
 //     re-colored — locally if owned, by a RECOLOR notice to its owner if
 //     not;
 //   - rounds repeat until a global Allreduce finds no re-color work.
-type d2State struct {
-	c   *mpi.Comm
-	d   *dgraph.DistGraph
-	opt ParallelOptions
-
-	colors     []int32
-	ghostColor []int32
-	picker     *firstFit
-	maxColors  int
-
-	vertexRankOff  []int32
-	vertexRankList []int32
-
-	out       *mpi.Bundler
-	notices   *mpi.Bundler
-	rounds    int
-	conflicts int64
-	// pendingNotices buffers RECOLOR notices that arrive early: a fast peer
-	// can pass the post-coloring barrier and start sending detection
-	// notices while this rank is still draining color updates. Each notice
-	// carries the winner's color.
-	pendingNotices []noticeRec
+type d2Kernel struct {
+	*colorState
+	opt     ParallelOptions
+	notices *mpi.Bundler // outbound RECOLOR notices
+	// pending buffers RECOLOR notices until the conflict phase reads them —
+	// they can arrive early: a fast peer can pass the post-coloring barrier
+	// and start sending detection notices while this rank is still draining
+	// color updates. Each notice carries the winner's color.
+	pending []noticeRec
 	// forbidden accumulates, per owned vertex, colors of remote two-hop
 	// conflictors learned from notices. A loser cannot see the winner's
 	// color through its one-layer ghosts (the conflict's middle vertex lives
@@ -61,20 +48,11 @@ type noticeRec struct {
 	color int32
 }
 
-// recolorTag carries distance-2 RECOLOR notices (global id + round marker).
-const recolorTag = 210
-
 // ParallelDistance2 runs the speculative distance-2 coloring on this rank's
 // share. Options are interpreted as for Parallel (CommMode is ignored: the
 // distance-2 scheme always uses neighbor-customized messages, the paper's
 // NEW mode).
 func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelResult, error) {
-	if c.Size() != d.P {
-		return nil, fmt.Errorf("coloring: world size %d, graph distributed over %d", c.Size(), d.P)
-	}
-	if c.Rank() != d.Rank {
-		return nil, fmt.Errorf("coloring: rank %d given share of rank %d", c.Rank(), d.Rank)
-	}
 	if opt.SuperstepSize == 0 {
 		opt.SuperstepSize = 200
 	}
@@ -84,287 +62,125 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	if opt.MaxRounds == 0 {
 		opt.MaxRounds = 128
 	}
-	s := &d2State{c: c, d: d, opt: opt}
-	if err := s.run(); err != nil {
+	s, err := newColorState(c, d)
+	if err != nil {
 		return nil, err
 	}
-	localMax := int32(-1)
-	for _, col := range s.colors {
-		if col > localMax {
-			localMax = col
-		}
-	}
-	globalMax := c.AllreduceInt64(int64(localMax), mpi.OpMax)
-	return &ParallelResult{
-		Colors:    s.colors,
-		Rounds:    s.rounds,
-		Conflicts: s.conflicts,
-		NumColors: int(globalMax + 1),
-	}, nil
-}
-
-func (s *d2State) run() error {
-	d := s.d
-	n := d.NLocal
-	s.colors = make([]int32, n)
-	for i := range s.colors {
-		s.colors[i] = -1
-	}
-	s.ghostColor = make([]int32, d.NGhost)
-	for i := range s.ghostColor {
-		s.ghostColor[i] = -1
-	}
-	// Distance-2 degree bound: Δ² + 1 colors always suffice.
-	localMaxDeg := 0
-	for v := 0; v < n; v++ {
-		if deg := d.Degree(int32(v)); deg > localMaxDeg {
-			localMaxDeg = deg
-		}
-	}
-	globalMaxDeg := int(s.c.AllreduceInt64(int64(localMaxDeg), mpi.OpMax))
-	s.maxColors = globalMaxDeg*globalMaxDeg + 1
-	if int64(s.maxColors) > d.GlobalN {
-		s.maxColors = int(d.GlobalN)
-	}
-	if s.maxColors < 1 {
-		s.maxColors = 1
-	}
-	// Headroom for accumulated forbidden colors: a loser may collect one
+	// Distance-2 degree bound: Δ² + 1 colors always suffice. On top of that,
+	// headroom for accumulated forbidden colors: a loser may collect one
 	// stale forbidden color per round beyond its live distance-2
 	// neighborhood, so the first-fit palette must not be able to fill up.
-	s.maxColors += s.opt.MaxRounds
-	s.picker = newFirstFit(s.maxColors)
-	s.forbidden = map[int32]map[int32]bool{}
-	s.buildVertexRanks()
-	s.out = mpi.NewBundler(s.c, colorTag, colorRecSize, 0)
-	s.notices = mpi.NewBundler(s.c, recolorTag, colorRecSize, 0)
-
-	u := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		u = append(u, int32(v))
+	maxColors := max(1, min(s.maxDeg*s.maxDeg+1, int(d.GlobalN)))
+	s.picker = newFirstFit(maxColors + opt.MaxRounds)
+	k := &d2Kernel{
+		colorState: s,
+		opt:        opt,
+		notices:    mpi.NewBundler(c, recolorTag, colorRecSize, 0),
+		forbidden:  map[int32]map[int32]bool{},
 	}
-	for {
-		s.rounds++
-		if s.rounds > s.opt.MaxRounds {
-			return fmt.Errorf("coloring: distance-2 did not converge in %d rounds", s.opt.MaxRounds)
-		}
-		// Tentative coloring in supersteps; boundary colors ship to every
-		// neighbor rank (they may be two-hop-relevant there).
-		for lo := 0; lo < len(u); lo += s.opt.SuperstepSize {
-			hi := lo + s.opt.SuperstepSize
-			if hi > len(u) {
-				hi = len(u)
-			}
-			chunk := u[lo:hi]
-			var arcs int64
-			for _, v := range chunk {
-				s.colors[v] = s.pickColorD2(v)
-				arcs += int64(d.Degree(v))
-			}
-			s.c.ChargeOps(arcs, int64(len(chunk)))
-			s.shipChunk(chunk)
-			s.drain()
-		}
-		s.c.Barrier()
-		s.drain()
-
-		// Conflict detection at middle vertices. For every owned middle u,
-		// equal-colored neighbor pairs produce a loser; owned losers queue
-		// locally, remote losers get a RECOLOR notice.
-		recolorLocal := map[int32]bool{}
-		var detectArcs int64
-		for mid := int32(0); int(mid) < n; mid++ {
-			adj := d.Neighbors(mid)
-			detectArcs += int64(len(adj)) * int64(len(adj))
-			for i := 0; i < len(adj); i++ {
-				ci := s.colorOf(adj[i])
-				if ci < 0 {
-					continue
-				}
-				for j := i + 1; j < len(adj); j++ {
-					if s.colorOf(adj[j]) != ci {
-						continue
-					}
-					loser := s.loserOf(adj[i], adj[j])
-					if d.IsGhost(loser) {
-						var rec [colorRecSize]byte
-						encodeColorRec(rec[:], d.GlobalOf(loser), ci)
-						s.notices.Add(d.OwnerOf(loser), rec[:])
-					} else {
-						recolorLocal[loser] = true
-					}
-				}
-			}
-			// The middle vertex itself also conflicts with any neighbor of
-			// equal color (distance-1 ⊂ distance-2).
-			cm := s.colors[mid]
-			if cm < 0 {
-				continue
-			}
-			for _, nb := range adj {
-				if s.colorOf(nb) != cm {
-					continue
-				}
-				loser := s.loserOf(mid, nb)
-				if d.IsGhost(loser) {
-					var rec [colorRecSize]byte
-					encodeColorRec(rec[:], d.GlobalOf(loser), cm)
-					s.notices.Add(d.OwnerOf(loser), rec[:])
-				} else {
-					recolorLocal[loser] = true
-				}
-			}
-		}
-		s.c.ChargeOps(detectArcs, 0)
-		s.notices.Flush()
-		s.c.Barrier()
-		// Collect remote recolor notices (buffered early arrivals included).
-		s.drain()
-		for _, nr := range s.pendingNotices {
-			l, ok := d.LocalOf(nr.gid)
-			if !ok || d.IsGhost(l) {
-				panic("coloring: recolor notice for non-owned vertex")
-			}
-			recolorLocal[l] = true
-			if s.forbidden[l] == nil {
-				s.forbidden[l] = map[int32]bool{}
-			}
-			s.forbidden[l][nr.color] = true
-		}
-		s.pendingNotices = s.pendingNotices[:0]
-		u = u[:0]
-		for v := range recolorLocal {
-			u = append(u, v)
-			s.colors[v] = -1 // do not let stale colors mask new conflicts
-		}
-		sortInt32(u)
-		s.conflicts += int64(len(u))
-		// Re-announce cleared colors? Not needed: losers re-color next round
-		// and ship fresh colors then; peers comparing against the stale value
-		// may raise a spurious extra notice, which is harmless.
-		if s.c.AllreduceInt64(int64(len(u)), mpi.OpSum) == 0 {
-			return nil
-		}
+	s.onRecolor = func(gid int64, color int32) { k.pending = append(k.pending, noticeRec{gid, color}) }
+	// Boundary colors ship to every neighbor rank: they may be
+	// two-hop-relevant there.
+	if err := s.speculate("distance-2", s.allOwned(), opt.SuperstepSize, opt.MaxRounds, k.pickColor, s.announce, k.detect); err != nil {
+		return nil, err
 	}
+	return s.result(), nil
 }
 
-// colorOf reads the current color of a local index (owned or ghost).
-func (s *d2State) colorOf(l int32) int32 {
-	if s.d.IsGhost(l) {
-		return s.ghostColor[int(l)-s.d.NLocal]
-	}
-	return s.colors[l]
-}
-
-// loserOf picks the endpoint that must re-color, by the framework's random
-// priority with id tie-break.
-func (s *d2State) loserOf(a, b int32) int32 {
-	ga, gb := s.d.GlobalOf(a), s.d.GlobalOf(b)
-	if s.opt.Conflict == ConflictMinID {
-		if ga < gb {
-			return a
+// detect finds conflicts at middle vertices. For every owned middle vertex,
+// equal-colored neighbor pairs produce a loser; owned losers queue locally,
+// remote losers get a RECOLOR notice. It returns the owned vertices that must
+// re-color, ascending, with their colors cleared.
+func (k *d2Kernel) detect(u []int32) []int32 {
+	d := k.d
+	recolor := map[int32]bool{}
+	// lost records that the loser of the pair (a, b), both colored col, must
+	// re-color.
+	lost := func(a, b, col int32) {
+		loser := b
+		if loses(k.opt.Conflict, k.opt.Seed, d.GlobalOf(a), d.GlobalOf(b)) {
+			loser = a
 		}
-		return b
-	}
-	ra, rb := rnd(s.opt.Seed, ga), rnd(s.opt.Seed, gb)
-	if ra < rb || (ra == rb && ga < gb) {
-		return a
-	}
-	return b
-}
-
-// pickColorD2 selects the smallest color not used in v's known distance-2
-// neighborhood: neighbors (owned and ghost) and neighbors-of-owned-neighbors.
-func (s *d2State) pickColorD2(v int32) int32 {
-	d := s.d
-	f := s.picker
-	f.stamp++
-	mark := func(c int32) {
-		if c >= 0 && int(c) < len(f.mark) {
-			f.mark[c] = f.stamp
-		}
-	}
-	for _, u := range d.Neighbors(v) {
-		mark(s.colorOf(u))
-		if d.IsGhost(u) {
-			continue // the remote two-hop layer is invisible: speculate
-		}
-		for _, w := range d.Neighbors(u) {
-			if w != v {
-				mark(s.colorOf(w))
-			}
-		}
-	}
-	for c := range s.forbidden[v] {
-		mark(c)
-	}
-	for c := range f.mark {
-		if f.mark[c] != f.stamp {
-			return int32(c)
-		}
-	}
-	panic("coloring: distance-2 first fit ran out of colors")
-}
-
-// shipChunk sends freshly colored boundary vertices to neighbor ranks (the
-// NEW customized scheme).
-func (s *d2State) shipChunk(chunk []int32) {
-	d := s.d
-	var rec [colorRecSize]byte
-	for _, v := range chunk {
-		if !d.IsBoundary[v] {
-			continue
-		}
-		encodeColorRec(rec[:], d.GlobalOf(v), s.colors[v])
-		for _, rk := range s.vertexRankList[s.vertexRankOff[v]:s.vertexRankOff[v+1]] {
-			s.out.Add(int(rk), rec[:])
-		}
-	}
-	s.out.Flush()
-}
-
-// drain consumes pending traffic without blocking: color updates apply
-// immediately, recolor notices buffer for the conflict phase.
-func (s *d2State) drain() {
-	for {
-		m, ok := s.c.TryRecv()
-		if !ok {
+		if !d.IsGhost(loser) {
+			recolor[loser] = true
 			return
 		}
-		switch m.Tag {
-		case colorTag:
-			s.applyColorRecords(m.Data)
-		case recolorTag:
-			for _, rec := range mpi.Records(m.Data, colorRecSize) {
-				gid, col := decodeColorRec(rec)
-				s.pendingNotices = append(s.pendingNotices, noticeRec{gid, col})
+		var rec [colorRecSize]byte
+		encodeColorRec(rec[:], d.GlobalOf(loser), col)
+		k.notices.Add(d.OwnerOf(loser), rec[:])
+	}
+	var arcs int64
+	for mid := int32(0); int(mid) < d.NLocal; mid++ {
+		adj := d.Neighbors(mid)
+		arcs += int64(len(adj)) * int64(len(adj))
+		for i, a := range adj {
+			ca := k.colorOf(a)
+			if ca < 0 {
+				continue
 			}
-		default:
-			panic(fmt.Sprintf("coloring: unexpected tag %d", m.Tag))
+			for _, b := range adj[i+1:] {
+				if k.colorOf(b) == ca {
+					lost(a, b, ca)
+				}
+			}
+		}
+		// The middle vertex itself also conflicts with any neighbor of
+		// equal color (distance-1 ⊂ distance-2).
+		cm := k.colors[mid]
+		if cm < 0 {
+			continue
+		}
+		for _, nb := range adj {
+			if k.colorOf(nb) == cm {
+				lost(mid, nb, cm)
+			}
 		}
 	}
+	k.c.ChargeOps(arcs, 0)
+	k.notices.Flush()
+	k.c.Barrier()
+	// Collect remote recolor notices (buffered early arrivals included).
+	k.drain()
+	for _, nr := range k.pending {
+		l, ok := d.LocalOf(nr.gid)
+		if !ok || d.IsGhost(l) {
+			panic("coloring: recolor notice for non-owned vertex")
+		}
+		recolor[l] = true
+		if k.forbidden[l] == nil {
+			k.forbidden[l] = map[int32]bool{}
+		}
+		k.forbidden[l][nr.color] = true
+	}
+	k.pending = k.pending[:0]
+	u = u[:0]
+	for v := range recolor {
+		u = append(u, v)
+		k.colors[v] = -1 // do not let stale colors mask new conflicts
+	}
+	// Ascending, so that the recolor order (and hence the final coloring) is
+	// deterministic regardless of map iteration order. Cleared colors are not
+	// re-announced: losers re-color next round and ship fresh colors then;
+	// peers comparing against the stale value may raise a spurious extra
+	// notice, which is harmless.
+	slices.Sort(u)
+	return u
 }
 
-func (s *d2State) applyColorRecords(data []byte) {
-	s.c.ChargeOps(int64(len(data)/colorRecSize), 0)
-	for _, rec := range mpi.Records(data, colorRecSize) {
-		gid, col := decodeColorRec(rec)
-		if l, ok := s.d.LocalOf(gid); ok && s.d.IsGhost(l) {
-			s.ghostColor[int(l)-s.d.NLocal] = col
+// pickColor selects the smallest color not used in v's known distance-2
+// neighborhood — neighbors (owned and ghost) and neighbors of owned
+// neighbors; the remote two-hop layer is invisible, which is exactly what
+// speculation tolerates — and not forbidden to v by an earlier notice.
+func (k *d2Kernel) pickColor(v int32) int32 {
+	k.picker.stamp++
+	k.markAdjacent(v) // v itself is uncolored here, so marking around it is harmless below
+	for _, u := range k.d.Neighbors(v) {
+		if !k.d.IsGhost(u) {
+			k.markAdjacent(u)
 		}
 	}
-}
-
-// buildVertexRanks mirrors colorState.buildVertexRanks for the d2 state.
-func (s *d2State) buildVertexRanks() {
-	cs := &colorState{d: s.d}
-	cs.buildVertexRanks()
-	s.vertexRankOff = cs.vertexRankOff
-	s.vertexRankList = cs.vertexRankList
-}
-
-// sortInt32 sorts ascending so the recolor order (and hence the final
-// coloring) is deterministic regardless of map iteration order.
-func sortInt32(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+	for c := range k.forbidden[v] {
+		k.picker.use(c)
+	}
+	return k.picker.firstFree()
 }

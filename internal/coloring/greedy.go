@@ -117,16 +117,27 @@ func newFirstFit(maxColors int) *firstFit {
 func (f *firstFit) pick(colors Colors, neighbors []graph.Vertex) int32 {
 	f.stamp++
 	for _, u := range neighbors {
-		if c := colors[u]; c >= 0 && int(c) < len(f.mark) {
-			f.mark[c] = f.stamp
-		}
+		f.use(colors[u])
 	}
+	return f.firstFree()
+}
+
+// use marks color c as taken for the current stamp; uncolored (-1) and
+// out-of-palette values are ignored.
+func (f *firstFit) use(c int32) {
+	if c >= 0 && int(c) < len(f.mark) {
+		f.mark[c] = f.stamp
+	}
+}
+
+// firstFree returns the smallest color not marked under the current stamp.
+func (f *firstFit) firstFree() int32 {
 	for c := range f.mark {
 		if f.mark[c] != f.stamp {
 			return int32(c)
 		}
 	}
-	// Unreachable: mark has maxDegree+2 slots and a vertex has at most
+	// Unreachable when mark has maxDegree+2 slots: a vertex has at most
 	// maxDegree neighbors.
 	panic("coloring: first-fit ran out of colors")
 }

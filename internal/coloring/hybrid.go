@@ -1,10 +1,5 @@
 package coloring
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // The hybrid path implements the outlook of the paper's Section 6:
 // "implementations that harness the full potential of such architectures
 // will need to rely on the use of hybrid distributed-memory and
@@ -19,95 +14,12 @@ import (
 
 // colorInteriorThreaded colors every interior owned vertex using `threads`
 // workers; boundary vertices stay uncolored. Safe because interior vertices
-// only neighbor owned vertices.
-func (s *colorState) colorInteriorThreaded(threads int) {
-	d := s.d
-	interior := make([]int32, 0, d.NLocal-s.d.NumBoundary)
-	for v := 0; v < d.NLocal; v++ {
-		if !d.IsBoundary[v] {
-			interior = append(interior, int32(v))
-		}
-	}
-	if threads > len(interior) {
-		threads = len(interior)
-	}
-	if threads < 1 || len(interior) == 0 {
+// only neighbor owned vertices, so every index the workers touch is in
+// colors.
+func (k *d1Kernel) colorInteriorThreaded(threads int) {
+	interior := k.appendWhere(nil, false)
+	if len(interior) == 0 {
 		return
 	}
-
-	parallelOver := func(items []int32, fn func(worker int, chunk []int32)) {
-		w := threads
-		if w > len(items) {
-			w = len(items)
-		}
-		chunk := (len(items) + w - 1) / w
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			lo := i * chunk
-			hi := lo + chunk
-			if hi > len(items) {
-				hi = len(items)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				fn(i, items[lo:hi])
-			}(i, lo, hi)
-		}
-		wg.Wait()
-	}
-
-	u := interior
-	recolor := make([][]int32, threads)
-	for len(u) > 0 {
-		parallelOver(u, func(_ int, chunk []int32) {
-			mark := make([]int64, s.maxColors+1)
-			var stamp int64
-			for _, v := range chunk {
-				stamp++
-				for _, nb := range d.Neighbors(v) {
-					if d.IsGhost(nb) {
-						continue // cannot happen for interior v; belt only
-					}
-					c := atomic.LoadInt32(&s.colors[nb])
-					if c >= 0 && int(c) < len(mark) {
-						mark[c] = stamp
-					}
-				}
-				for c := range mark {
-					if mark[c] != stamp {
-						atomic.StoreInt32(&s.colors[v], int32(c))
-						break
-					}
-				}
-			}
-		})
-		parallelOver(u, func(worker int, chunk []int32) {
-			var losers []int32
-			for _, v := range chunk {
-				cv := atomic.LoadInt32(&s.colors[v])
-				gv := d.GlobalOf(v)
-				for _, nb := range d.Neighbors(v) {
-					if d.IsGhost(nb) || atomic.LoadInt32(&s.colors[nb]) != cv {
-						continue
-					}
-					gu := d.GlobalOf(nb)
-					rv, ru := rnd(s.opt.Seed, gv), rnd(s.opt.Seed, gu)
-					if rv < ru || (rv == ru && gv < gu) {
-						losers = append(losers, v)
-						break
-					}
-				}
-			}
-			recolor[worker] = losers
-		})
-		u = nil
-		for i := range recolor {
-			u = append(u, recolor[i]...)
-			recolor[i] = nil
-		}
-	}
+	speculateShared(interior, min(threads, len(interior)), k.maxColors, k.colors, k.d.Xadj, k.d.Adj, k.d.GlobalID, k.opt.Seed)
 }

@@ -1,8 +1,6 @@
 package coloring
 
 import (
-	"fmt"
-
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
 )
@@ -16,137 +14,52 @@ import (
 // conflicts, but it needs more rounds — one per "layer" of the random
 // priority order rather than one per surviving conflict generation.
 func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int) (*ParallelResult, error) {
-	if c.Size() != d.P {
-		return nil, fmt.Errorf("coloring: world size %d, graph distributed over %d", c.Size(), d.P)
-	}
-	if c.Rank() != d.Rank {
-		return nil, fmt.Errorf("coloring: rank %d given share of rank %d", c.Rank(), d.Rank)
-	}
 	if maxRounds <= 0 {
 		maxRounds = 10000
 	}
-	n := d.NLocal
-	colors := make([]int32, n)
-	for i := range colors {
-		colors[i] = -1
+	s, err := newColorState(c, d)
+	if err != nil {
+		return nil, err
 	}
-	ghostColor := make([]int32, d.NGhost)
-	for i := range ghostColor {
-		ghostColor[i] = -1
-	}
-	localMaxDeg := 0
-	for v := 0; v < n; v++ {
-		if deg := d.Degree(int32(v)); deg > localMaxDeg {
-			localMaxDeg = deg
-		}
-	}
-	globalMaxDeg := int(c.AllreduceInt64(int64(localMaxDeg), mpi.OpMax))
-	picker := newFirstFit(globalMaxDeg + 1)
-	out := mpi.NewBundler(c, colorTag, colorRecSize, 0)
+	s.picker = newFirstFit(s.maxDeg + 1)
 
-	// prio(v) with global-id tie-breaking folded in.
+	// wins: no uncolored neighbor of v outranks it in the random priority
+	// order (global-id tie-breaking folded in).
 	wins := func(v int32) bool {
-		gv := d.GlobalOf(v)
-		rv := rnd(seed, gv)
 		for _, u := range d.Neighbors(v) {
-			var uncolored bool
-			if d.IsGhost(u) {
-				uncolored = ghostColor[int(u)-d.NLocal] < 0
-			} else {
-				uncolored = colors[u] < 0
-			}
-			if !uncolored {
-				continue
-			}
-			gu := d.GlobalOf(u)
-			ru := rnd(seed, gu)
-			if ru > rv || (ru == rv && gu > gv) {
+			if s.colorOf(u) < 0 && loses(ConflictRandom, seed, d.GlobalOf(v), d.GlobalOf(u)) {
 				return false
 			}
 		}
 		return true
 	}
 
-	uncolored := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		uncolored = append(uncolored, int32(v))
-	}
-	rounds := 0
+	uncolored := s.allOwned()
+	var winners []int32
 	for {
-		rounds++
-		if rounds > maxRounds {
-			return nil, fmt.Errorf("coloring: jones-plassmann did not converge in %d rounds", maxRounds)
+		roundTok, err := s.beginRound("jones-plassmann", maxRounds)
+		if err != nil {
+			return nil, err
 		}
-		var rec [colorRecSize]byte
-		next := uncolored[:0]
+		// A vertex colored earlier in the sweep no longer blocks its
+		// neighbors, so local chains of the priority order resolve in one
+		// round.
+		winners = winners[:0]
+		waiting := uncolored[:0]
 		for _, v := range uncolored {
-			if !wins(v) {
-				next = append(next, v)
-				continue
-			}
-			picker.stamp++
-			for _, u := range d.Neighbors(v) {
-				var col int32
-				if d.IsGhost(u) {
-					col = ghostColor[int(u)-d.NLocal]
-				} else {
-					col = colors[u]
-				}
-				if col >= 0 && int(col) < len(picker.mark) {
-					picker.mark[col] = picker.stamp
-				}
-			}
-			for cc := range picker.mark {
-				if picker.mark[cc] != picker.stamp {
-					colors[v] = int32(cc)
-					break
-				}
-			}
-			if d.IsBoundary[v] {
-				encodeColorRec(rec[:], d.GlobalOf(v), colors[v])
-				seen := int32(-1)
-				for _, u := range d.Neighbors(v) {
-					if !d.IsGhost(u) {
-						continue
-					}
-					rk := int32(d.OwnerOf(u))
-					if rk == seen {
-						continue // cheap dedupe for runs of same-owner ghosts
-					}
-					seen = rk
-					out.Add(int(rk), rec[:])
-				}
+			if wins(v) {
+				s.colors[v] = s.pickFirstFit(v)
+				winners = append(winners, v)
+			} else {
+				waiting = append(waiting, v)
 			}
 		}
-		uncolored = next
-		out.Flush()
-		c.Barrier()
-		for {
-			m, ok := c.TryRecv()
-			if !ok {
-				break
-			}
-			for _, r := range mpi.Records(m.Data, colorRecSize) {
-				gid, col := decodeColorRec(r)
-				if l, ok := d.LocalOf(gid); ok && d.IsGhost(l) {
-					ghostColor[int(l)-d.NLocal] = col
-				}
-			}
-		}
-		if c.AllreduceInt64(int64(len(uncolored)), mpi.OpSum) == 0 {
-			break
+		uncolored = waiting
+		s.announce(winners)
+		s.c.Barrier()
+		s.drain()
+		if s.endRound(roundTok, len(uncolored)) {
+			return s.result(), nil
 		}
 	}
-	localMax := int32(-1)
-	for _, col := range colors {
-		if col > localMax {
-			localMax = col
-		}
-	}
-	globalMax := c.AllreduceInt64(int64(localMax), mpi.OpMax)
-	return &ParallelResult{
-		Colors:    colors,
-		Rounds:    rounds,
-		NumColors: int(globalMax + 1),
-	}, nil
 }

@@ -24,60 +24,43 @@ func SharedMemory(g *graph.Graph, workers int, seed uint64) Colors {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
 	colors := make([]int32, n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	maxColors := g.MaxDegree() + 1
-
-	// parallelOver splits items into contiguous chunks, one per worker.
-	parallelOver := func(items []graph.Vertex, fn func(worker int, chunk []graph.Vertex)) {
-		if len(items) == 0 {
-			return
-		}
-		w := workers
-		if w > len(items) {
-			w = len(items)
-		}
-		chunk := (len(items) + w - 1) / w
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			lo := i * chunk
-			hi := lo + chunk
-			if hi > len(items) {
-				hi = len(items)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				fn(i, items[lo:hi])
-			}(i, lo, hi)
-		}
-		wg.Wait()
-	}
-
 	u := make([]graph.Vertex, n)
 	for i := range u {
+		colors[i] = -1
 		u[i] = graph.Vertex(i)
 	}
-	recolor := make([][]graph.Vertex, workers)
+	speculateShared(u, min(workers, n), g.MaxDegree()+1, colors, g.Xadj, g.Adj, nil, seed)
+	return colors
+}
 
+// speculateShared colors the vertices u of one address space with up to
+// `workers` goroutines, writing colors[v] for v in u (u is consumed). The
+// adjacency is a CSR whose columns index colors; globalID names a vertex for
+// the conflict rule (nil: its index); maxColors is Δ+1 over the vertices in
+// play. Both SharedMemory and the hybrid mode's interior phase run on it.
+func speculateShared(u []int32, workers, maxColors int, colors []int32,
+	xadj []int64, adj []int32, globalID []int64, seed uint64) {
+	gid := func(v int32) int64 {
+		if globalID == nil {
+			return int64(v)
+		}
+		return globalID[v]
+	}
+	recolor := make([][]int32, workers)
 	for len(u) > 0 {
 		// Speculative coloring phase: racy reads of neighbor colors are
 		// benign — a missed concurrent assignment at worst produces a
 		// conflict that the next phase catches.
-		parallelOver(u, func(_ int, chunk []graph.Vertex) {
+		parallelOver(u, workers, func(_ int, chunk []int32) {
+			// firstFit's stamp-mark scan over atomic loads, spelled out so
+			// that mark and stamp live in the worker's registers: through a
+			// firstFit this loop measured 4–5 % slower on the 512² grid.
 			mark := make([]int64, maxColors+1)
 			var stamp int64
 			for _, v := range chunk {
 				stamp++
-				for _, nb := range g.Neighbors(v) {
+				for _, nb := range adj[xadj[v]:xadj[v+1]] {
 					c := atomic.LoadInt32(&colors[nb])
 					if c >= 0 && int(c) < len(mark) {
 						mark[c] = stamp
@@ -92,19 +75,19 @@ func SharedMemory(g *graph.Graph, workers int, seed uint64) Colors {
 			}
 		})
 		// Conflict detection: the endpoint with the smaller random priority
-		// (ties by id) re-colors, exactly as in the distributed framework.
-		parallelOver(u, func(worker int, chunk []graph.Vertex) {
-			var losers []graph.Vertex
+		// (ties by id) re-colors, exactly as in the distributed framework
+		// under ConflictRandom (outranked inlines; loses would be a call in
+		// this loop).
+		parallelOver(u, workers, func(worker int, chunk []int32) {
+			var losers []int32
 			for _, v := range chunk {
 				cv := atomic.LoadInt32(&colors[v])
-				gv := int64(v)
-				for _, nb := range g.Neighbors(v) {
+				for _, nb := range adj[xadj[v]:xadj[v+1]] {
 					if atomic.LoadInt32(&colors[nb]) != cv {
 						continue
 					}
-					gu := int64(nb)
-					rv, ru := rnd(seed, gv), rnd(seed, gu)
-					if rv < ru || (rv == ru && gv < gu) {
+					gv, gu := gid(v), gid(nb)
+					if outranked(rnd(seed, gv), gv, rnd(seed, gu), gu) {
 						losers = append(losers, v)
 						break
 					}
@@ -118,5 +101,25 @@ func SharedMemory(g *graph.Graph, workers int, seed uint64) Colors {
 			recolor[i] = nil
 		}
 	}
-	return colors
+}
+
+// parallelOver splits items into contiguous chunks, one per worker, runs fn
+// on each concurrently and waits for all of them.
+func parallelOver(items []int32, workers int, fn func(worker int, chunk []int32)) {
+	w := min(workers, len(items))
+	chunk := (len(items) + w - 1) / w
+	var wg sync.WaitGroup
+	for i := 0; i < w; i++ {
+		lo := i * chunk
+		hi := min(lo+chunk, len(items))
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(i, lo, hi int) {
+			defer wg.Done()
+			fn(i, items[lo:hi])
+		}(i, lo, hi)
+	}
+	wg.Wait()
 }

@@ -271,29 +271,32 @@ func TestTracingInvariance(t *testing.T) {
 				t.Fatal("traced run recorded no spans")
 			}
 
-			copt := dmgm.ColorParallelOptions{
-				SuperstepSize: ins.g.NumVertices(),
-				Seed:          3,
-				Deadline:      60 * time.Second,
-			}
-			runColor := func(opts ...mpi.Option) *dmgm.ColorParallelResult {
-				w, err := mpi.NewWorld(nRanks, append([]mpi.Option{mpi.WithDeadline(60 * time.Second)}, opts...)...)
-				if err != nil {
-					t.Fatal(err)
+			// Every distributed coloring kernel, in the deterministic regime
+			// (one superstep per round).
+			for _, job := range []dmgm.Job{
+				{Algorithm: dmgm.AlgoColor, Comm: "neighbors", Superstep: ins.g.NumVertices(), Seed: 3},
+				{Algorithm: dmgm.AlgoColor, Comm: "neighbors", Superstep: ins.g.NumVertices(), Seed: 3, Distance2: true},
+				{Algorithm: dmgm.AlgoJP, Seed: 3},
+			} {
+				runColor := func(opts ...mpi.Option) *dmgm.JobResult {
+					w, err := mpi.NewWorld(nRanks, append([]mpi.Option{mpi.WithDeadline(60 * time.Second)}, opts...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := dmgm.RunJob(w, ins.g, ins.part, job)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
 				}
-				res, err := dmgm.ColorParallelWorld(w, ins.g, ins.part, copt)
-				if err != nil {
-					t.Fatal(err)
+				cplain, ctraced := runColor(), runColor(mpi.WithObserver(obs.NewObserver(nRanks, 0)))
+				if cplain.Text != ctraced.Text ||
+					cplain.Colors != ctraced.Colors || cplain.Rounds != ctraced.Rounds ||
+					cplain.Messages != ctraced.Messages || cplain.Bytes != ctraced.Bytes {
+					t.Fatalf("%+v differs with tracing on: (%d colors, %d rounds, %d msgs) vs (%d, %d, %d)", job,
+						cplain.Colors, cplain.Rounds, cplain.Messages,
+						ctraced.Colors, ctraced.Rounds, ctraced.Messages)
 				}
-				return res
-			}
-			cplain, ctraced := runColor(), runColor(mpi.WithObserver(obs.NewObserver(nRanks, 0)))
-			if fmt.Sprint(cplain.Colors) != fmt.Sprint(ctraced.Colors) ||
-				cplain.NumColors != ctraced.NumColors || cplain.Rounds != ctraced.Rounds ||
-				cplain.Messages != ctraced.Messages || cplain.Bytes != ctraced.Bytes {
-				t.Fatalf("coloring differs with tracing on: (%d colors, %d rounds, %d msgs) vs (%d, %d, %d)",
-					cplain.NumColors, cplain.Rounds, cplain.Messages,
-					ctraced.NumColors, ctraced.Rounds, ctraced.Messages)
 			}
 		})
 	}

@@ -2,10 +2,13 @@
 // an offline link checker over every *.md file: relative links must point at
 // files that exist and fragment anchors at headings that exist. It runs in CI
 // (the docs job) so documentation cannot silently drift from the tree — no
-// network access, external URLs are not followed.
+// network access, external URLs are not followed. TestDgraphIsBelowTheRuntime
+// holds the tree to a layering claim DESIGN.md makes.
 package docs
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -145,6 +148,29 @@ func TestMarkdownLinks(t *testing.T) {
 			}
 			if !anchors(destBody)[frag] {
 				t.Errorf("%s: link %q: no heading in %s slugs to %q", rel, target, filepath.Base(dest), frag)
+			}
+		}
+	}
+}
+
+// TestDgraphIsBelowTheRuntime pins the layering DESIGN.md's module table
+// describes: internal/dgraph is a data structure built from (graph,
+// partition) and knows nothing of the message-passing runtime — the
+// protocols that ship ghost values live in the kernels, over internal/mpi.
+func TestDgraphIsBelowTheRuntime(t *testing.T) {
+	dir := filepath.Join(repoRoot(t), "internal", "dgraph")
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				if imp.Path.Value == `"repro/internal/mpi"` {
+					t.Errorf("%s imports internal/mpi", filepath.Base(name))
+				}
 			}
 		}
 	}

@@ -2,9 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -249,6 +253,55 @@ func TestTextRoundTrip(t *testing.T) {
 func TestReadTextHeaderIsOnlyAClaim(t *testing.T) {
 	if _, err := ReadText(bytes.NewReader([]byte("g 4 9000000000000000000\ne 0 1 1\n"))); err == nil {
 		t.Fatal("accepted a header declaring 9e18 edges over a one-edge stream")
+	}
+}
+
+// TestReadTextVertexClaim: the vertex count sizes BuildUndirected's offsets,
+// so a claim above 2²⁰ must be backed by at least that many input bytes — the
+// 16-byte body asking for 16 GiB is refused, by both entry points, without
+// the allocation — while honest inputs on either side of the line parse.
+func TestReadTextVertexClaim(t *testing.T) {
+	const hostile = "g 2000000000 0\n"
+	for name, read := range map[string]func(io.Reader) (*Graph, error){"ReadText": ReadText, "ReadAuto": ReadAuto} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read(strings.NewReader(hostile))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted %q", name, hostile)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Errorf("%s allocated %d MiB refusing %q", name, grew>>20, hostile)
+		}
+	}
+	if _, err := ReadText(strings.NewReader("g -1 0\n")); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("negative vertex count: got %v, want a refusal at the header line", err)
+	}
+	if g, err := ReadText(strings.NewReader("g 1000 0\n")); err != nil || g.NumVertices() != 1000 {
+		t.Errorf("g 1000 0: %v", err)
+	}
+	// A 512x512 grid: the largest text graph the benchmark parses.
+	const k = 512
+	var grid bytes.Buffer
+	fmt.Fprintf(&grid, "g %d %d\n", k*k, 2*k*(k-1))
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			if j+1 < k {
+				fmt.Fprintf(&grid, "e %d %d 1\n", i*k+j, i*k+j+1)
+			}
+			if i+1 < k {
+				fmt.Fprintf(&grid, "e %d %d 1\n", i*k+j, (i+1)*k+j)
+			}
+		}
+	}
+	if g, err := ReadText(&grid); err != nil || g.NumVertices() != k*k || g.NumEdges() != 2*k*(k-1) {
+		t.Errorf("512x512 grid: %v", err)
+	}
+	// Above the line, a claim the input's own length backs is honoured.
+	n := maxUnbackedVertices + 1
+	backed := fmt.Sprintf("g %d 0\n", n) + strings.Repeat("#"+strings.Repeat(" ", 62)+"\n", n/64+1)
+	if g, err := ReadText(strings.NewReader(backed)); err != nil || g.NumVertices() != n {
+		t.Errorf("claim of %d vertices backed by %d bytes: %v", n, len(backed), err)
 	}
 }
 

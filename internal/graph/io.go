@@ -37,6 +37,12 @@ func WriteText(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// maxUnbackedVertices is how many vertices a text header may claim on its
+// word alone: 2²⁰ isolated vertices cost 8 MiB of offsets. A larger claim must
+// be backed by at least one input byte per vertex — every real text graph has
+// far more — so that a 16-byte body cannot ask for 16 GiB.
+const maxUnbackedVertices = 1 << 20
+
 // ReadText parses the text edge-list format.
 func ReadText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
@@ -46,9 +52,11 @@ func ReadText(r io.Reader) (*Graph, error) {
 		m      int64
 		edges  []Edge
 		lineNo int
+		size   int64 // input bytes seen (line terminators counted as one)
 	)
 	for sc.Scan() {
 		lineNo++
+		size += int64(len(sc.Bytes())) + 1
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -63,6 +71,9 @@ func ReadText(r io.Reader) (*Graph, error) {
 			n, err = strconv.Atoi(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+			}
+			if n < 0 {
+				return nil, fmt.Errorf("graph: line %d: negative vertex count %d", lineNo, n)
 			}
 			m, err = strconv.ParseInt(fields[2], 10, 64)
 			if err != nil {
@@ -106,6 +117,9 @@ func ReadText(r io.Reader) (*Graph, error) {
 	}
 	if int64(len(edges)) != m {
 		return nil, fmt.Errorf("graph: header declares %d edges, file has %d", m, len(edges))
+	}
+	if n > maxUnbackedVertices && int64(n) > size {
+		return nil, fmt.Errorf("graph: header declares %d vertices, but the input is only %d bytes", n, size)
 	}
 	return BuildUndirected(n, edges, DedupeFirst)
 }

@@ -131,16 +131,6 @@ func (b *Bundler) flushOne(to int) {
 	b.sizeHist.Observe(int64(len(buf)))
 }
 
-// Pending reports whether any record is buffered but unsent.
-func (b *Bundler) Pending() bool {
-	for _, buf := range b.bufs {
-		if len(buf) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Records splits a received bundle back into fixed-size records. The
 // returned slices alias data.
 func Records(data []byte, recordSize int) [][]byte {

@@ -140,8 +140,10 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 
 // Alltoallv sends chunks[r] to each rank r (nil chunks allowed) and returns
 // the chunks received from every rank, indexed by source. It is built from
-// point-to-point sends plus a barrier, and is what the coloring algorithm's
-// FIAC variant ("a customized message to every other processor") uses.
+// point-to-point sends plus a barrier. (The coloring framework's FIAC
+// variant, "a customized message to every other processor", has the same
+// traffic shape but does not use it: it issues the raw Sends itself and
+// drains without blocking.)
 func (c *Comm) Alltoallv(tag int, chunks [][]byte) [][]byte {
 	if len(chunks) != c.world.size {
 		panic("mpi: Alltoallv chunk count != world size")

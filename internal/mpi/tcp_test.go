@@ -190,11 +190,11 @@ func TestTCPVirtualTime(t *testing.T) {
 	const n = 3
 	vt := VirtualTime{Alpha: 1, Beta: 0.5, Sync: 10}
 	worlds := runOverTCP(t, n, func(c *Comm) error {
-		c.ChargeSeconds(float64(c.Rank() * 100))
+		c.vclock = float64(c.Rank() * 100)
 		c.Barrier()
 		want := float64((n-1)*100) + vt.Sync
-		if c.VTime() != want {
-			return fmt.Errorf("rank %d clock %v, want %v", c.Rank(), c.VTime(), want)
+		if c.vclock != want {
+			return fmt.Errorf("rank %d clock %v, want %v", c.Rank(), c.vclock, want)
 		}
 		return nil
 	}, WithVirtualTime(vt))

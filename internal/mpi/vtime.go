@@ -56,16 +56,6 @@ func (c *Comm) ChargeOps(edgeOps, vertexOps int64) {
 	c.vclock += float64(edgeOps)*vt.GammaEdge + float64(vertexOps)*vt.GammaVertex
 }
 
-// ChargeSeconds advances this rank's virtual clock directly.
-func (c *Comm) ChargeSeconds(s float64) {
-	if c.world.vt != nil {
-		c.vclock += s
-	}
-}
-
-// VTime reports this rank's current virtual clock (0 when disabled).
-func (c *Comm) VTime() float64 { return c.vclock }
-
 // RankVirtualTime reports a rank's final virtual clock after Run.
 func (w *World) RankVirtualTime(rank int) float64 {
 	return math.Float64frombits(w.finalVTime[rank].Load())

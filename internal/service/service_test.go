@@ -293,6 +293,7 @@ func TestBadRequests(t *testing.T) {
 		{"graph_path disabled", service.Request{Algorithm: service.AlgoMatch, GraphPath: "/etc/hosts"}, http.StatusBadRequest},
 		{"ranks over bound", service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 1 << 20}, http.StatusBadRequest},
 		{"malformed graph", service.Request{Algorithm: service.AlgoMatch, Graph: "not a graph\n"}, http.StatusBadRequest},
+		{"16 bytes claiming 2e9 vertices", service.Request{Algorithm: service.AlgoMatch, Graph: "g 2000000000 0\n"}, http.StatusBadRequest},
 		{"body over MaxBodyBytes", service.Request{Algorithm: service.AlgoMatch, Graph: gtext + strings.Repeat("\n", maxBody)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
