@@ -510,7 +510,7 @@ func BenchmarkBMatchingDistributed(b *testing.B) {
 		results := make([]*matching.BParallelResult, len(shares))
 		var mu sync.Mutex
 		err := mpi.Run(len(shares), func(c *mpi.Comm) error {
-			res, err := matching.BParallel(c, shares[c.Rank()], caps[c.Rank()], matching.BParallelOptions{})
+			res, err := matching.BParallel(c, shares[c.Rank()], caps[c.Rank()], matching.ParallelOptions{})
 			if err != nil {
 				return err
 			}

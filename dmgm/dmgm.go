@@ -169,7 +169,7 @@ func MatchBParallel(g *Graph, part *Partition, b []int, deadline time.Duration) 
 	}
 	return distributed(w, g, part,
 		func(c *mpi.Comm, d *dgraph.DistGraph) (*BMatching, []byte, error) {
-			res, err := matching.BParallel(c, d, capacities(d), matching.BParallelOptions{})
+			res, err := matching.BParallel(c, d, capacities(d), matching.ParallelOptions{})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -3,10 +3,11 @@
 // files that exist and fragment anchors at headings that exist. It runs in CI
 // (the docs job) so documentation cannot silently drift from the tree — no
 // network access, external URLs are not followed. TestDgraphIsBelowTheRuntime
-// holds the tree to a layering claim DESIGN.md makes.
+// and TestMatchingHasNoMaps hold the tree to claims DESIGN.md makes.
 package docs
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -158,20 +159,44 @@ func TestMarkdownLinks(t *testing.T) {
 // partition) and knows nothing of the message-passing runtime — the
 // protocols that ship ghost values live in the kernels, over internal/mpi.
 func TestDgraphIsBelowTheRuntime(t *testing.T) {
-	dir := filepath.Join(repoRoot(t), "internal", "dgraph")
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ImportsOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for name, file := range pkg.Files {
-			for _, imp := range file.Imports {
-				if imp.Path.Value == `"repro/internal/mpi"` {
-					t.Errorf("%s imports internal/mpi", filepath.Base(name))
-				}
+	for name, file := range nonTestFiles(t, "dgraph", parser.ImportsOnly) {
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"repro/internal/mpi"` {
+				t.Errorf("%s imports internal/mpi", name)
 			}
 		}
 	}
+}
+
+// TestMatchingHasNoMaps pins the rule DESIGN.md states for the matching
+// kernels: every per-vertex and per-round structure is a dense slice, so
+// nothing a kernel sends or decides can depend on a map's iteration order.
+func TestMatchingHasNoMaps(t *testing.T) {
+	for name, file := range nonTestFiles(t, "matching", 0) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if _, ok := n.(*ast.MapType); ok {
+				t.Errorf("%s declares a map type", name)
+			}
+			return true
+		})
+	}
+}
+
+// nonTestFiles parses the non-test Go files of internal/<pkg>, by base name.
+func nonTestFiles(t *testing.T, pkg string, mode parser.Mode) map[string]*ast.File {
+	t.Helper()
+	dir := filepath.Join(repoRoot(t), "internal", pkg)
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]*ast.File{}
+	for _, p := range pkgs {
+		for name, file := range p.Files {
+			files[filepath.Base(name)] = file
+		}
+	}
+	return files
 }

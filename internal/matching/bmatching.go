@@ -2,7 +2,7 @@ package matching
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -74,7 +74,7 @@ func (m *BMatching) Verify(g *graph.Graph) error {
 			if !g.HasEdge(graph.Vertex(v), u) {
 				return fmt.Errorf("matching: pair {%d,%d} is not an edge", v, u)
 			}
-			if !containsVertex(m.Partners[u], graph.Vertex(v)) {
+			if !slices.Contains(m.Partners[u], graph.Vertex(v)) {
 				return fmt.Errorf("matching: asymmetric pair {%d,%d}", v, u)
 			}
 		}
@@ -94,44 +94,16 @@ func (m *BMatching) VerifyMaximal(g *graph.Graph) error {
 			return
 		}
 		if len(m.Partners[u]) < m.B[u] && len(m.Partners[v]) < m.B[v] &&
-			!containsVertex(m.Partners[u], v) {
+			!slices.Contains(m.Partners[u], v) {
 			bad = fmt.Errorf("matching: not b-maximal, edge {%d,%d} joins under-capacity vertices", u, v)
 		}
 	})
 	return bad
 }
 
-func containsVertex(s []graph.Vertex, v graph.Vertex) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// edgeLess is the strict total order on edges shared by every b-matching
-// algorithm here: heavier first, then lexicographic on the sorted endpoint
-// pair. A consistent total order is what makes the greedy fixed point unique
-// and lets the distributed protocol reproduce it exactly.
-func edgeLess(wa float64, a1, a2 graph.Vertex, wb float64, b1, b2 graph.Vertex) bool {
-	if wa != wb {
-		return wa > wb
-	}
-	if a1 > a2 {
-		a1, a2 = a2, a1
-	}
-	if b1 > b2 {
-		b1, b2 = b2, b1
-	}
-	if a1 != b1 {
-		return a1 < b1
-	}
-	return a2 < b2
-}
-
 // GreedyB computes the greedy ½-approximate b-matching: edges in the
-// edgeLess order, take each whose endpoints both have spare capacity.
+// package's edge order, take each whose endpoints both have spare capacity.
+// At b ≡ 1 it is Greedy.
 func GreedyB(g *graph.Graph, b []int) (*BMatching, error) {
 	n := g.NumVertices()
 	if len(b) != n {
@@ -142,13 +114,9 @@ func GreedyB(g *graph.Graph, b []int) (*BMatching, error) {
 			return nil, fmt.Errorf("matching: negative capacity at vertex %d", v)
 		}
 	}
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		return edgeLess(edges[i].W, edges[i].U, edges[i].V, edges[j].W, edges[j].U, edges[j].V)
-	})
 	m := &BMatching{B: b, Partners: make([][]graph.Vertex, n)}
 	left := append([]int(nil), b...)
-	for _, e := range edges {
+	for _, e := range edgesInOrder(g) {
 		if left[e.U] > 0 && left[e.V] > 0 {
 			m.Partners[e.U] = append(m.Partners[e.U], e.V)
 			m.Partners[e.V] = append(m.Partners[e.V], e.U)
@@ -157,7 +125,7 @@ func GreedyB(g *graph.Graph, b []int) (*BMatching, error) {
 		}
 	}
 	for v := range m.Partners {
-		sort.Slice(m.Partners[v], func(i, j int) bool { return m.Partners[v][i] < m.Partners[v][j] })
+		slices.Sort(m.Partners[v])
 	}
 	return m, nil
 }

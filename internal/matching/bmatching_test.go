@@ -129,7 +129,7 @@ func runBParallel(t *testing.T, g *graph.Graph, part *partition.Partition, b []i
 	var mu sync.Mutex
 	mpiOpts = append(mpiOpts, mpi.WithDeadline(60*time.Second))
 	err = mpi.Run(part.P, func(c *mpi.Comm) error {
-		res, err := BParallel(c, shares[c.Rank()], localB[c.Rank()], BParallelOptions{})
+		res, err := BParallel(c, shares[c.Rank()], localB[c.Rank()], ParallelOptions{})
 		if err != nil {
 			return err
 		}
@@ -258,7 +258,7 @@ func TestBParallelRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = mpi.Run(2, func(c *mpi.Comm) error {
-		if _, err := BParallel(c, shares[c.Rank()], []int{1}, BParallelOptions{}); err == nil {
+		if _, err := BParallel(c, shares[c.Rank()], []int{1}, ParallelOptions{}); err == nil {
 			return nil // should have errored
 		}
 		return nil
@@ -309,7 +309,7 @@ func TestQuickBParallelEqualsGreedy(t *testing.T) {
 		results := make([]*BParallelResult, p)
 		var mu sync.Mutex
 		err = mpi.Run(p, func(c *mpi.Comm) error {
-			res, err := BParallel(c, shares[c.Rank()], localB[c.Rank()], BParallelOptions{})
+			res, err := BParallel(c, shares[c.Rank()], localB[c.Rank()], ParallelOptions{})
 			if err != nil {
 				return err
 			}

@@ -2,7 +2,7 @@ package matching
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dgraph"
 	"repro/internal/graph"
@@ -34,22 +34,18 @@ const (
 	bTagReply   = mpi.TagBMatchReplyBase
 )
 
-// Reply kinds (both return one unit of proposal budget to the proposer).
+// Record kinds, per family: propose carries only PROPOSE; both reply kinds
+// return one unit of proposal budget to the proposer.
 const (
-	bReject byte = iota
-	bDisplaced
+	bPropose byte = 0
+
+	bReject    byte = 0
+	bDisplaced byte = 1
 )
 
-// bRecSize: kind (1) + src gid (8) + dst gid (8).
-const bRecSize = 17
-
-// BParallelOptions tunes the distributed b-matching.
-type BParallelOptions struct {
-	// MaxRounds aborts a non-converging run (safety net). 0 selects 1024.
-	MaxRounds int
-	// MaxBundleBytes configures message aggregation as in ParallelOptions.
-	MaxBundleBytes int
-}
+// bMaxRounds aborts a non-converging run (safety net; a round retires at
+// least one arc per active vertex, so real inputs stay far below it).
+const bMaxRounds = 1024
 
 // BParallelResult is one rank's share of a distributed b-matching.
 type BParallelResult struct {
@@ -61,37 +57,48 @@ type BParallelResult struct {
 	LocalWeight float64
 }
 
-// bPartner is one entry of a vertex's suitor set.
-type bPartner struct {
-	gid int64
-	w   float64
+// bArc is an arc from an owned vertex v to neighbor u (local index) with the
+// two keys the edge order reads, looked up once: a preference-list entry, a
+// pooled proposal (u proposes to v), or a held suitor.
+type bArc struct {
+	v, u int32
+	gid  int64 // global id of u
+	w    float64
+}
+
+// compare orders arcs by owned endpoint, then by preference; distinct arcs
+// never tie.
+func (a bArc) compare(b bArc) int {
+	if a.v != b.v {
+		return int(a.v) - int(b.v)
+	}
+	if better(a.w, a.gid, b.w, b.gid) {
+		return -1
+	}
+	return 1
 }
 
 type bState struct {
-	c   *mpi.Comm
-	d   *dgraph.DistGraph
-	b   []int
-	opt BParallelOptions
+	rank
+	b []int
 
-	suitors [][]bPartner // S(v) per owned vertex, small unordered set
-	held    []int        // outgoing proposals currently believed held
-	pref    [][]int32    // adjacency sorted by edge preference
-	cursor  []int
+	propose, reply link
 
-	out      *mpi.Bundler
-	reply    *mpi.Bundler
-	proposed int64
-	pending  map[int][][]byte
+	pref    []bArc   // the owned arcs, each vertex's segment sorted by edge preference
+	cursor  []int64  // per owned vertex: next arc of pref to propose along
+	held    []int    // outgoing proposals currently believed held
+	suitors [][]bArc // S(v) per owned vertex, small unordered set
+
+	proposed int64  // proposals this rank sent this round
+	pool     []bArc // this round's received proposals
 }
 
 // BParallel runs the distributed b-suitor on this rank's share; b holds the
 // capacities of the owned vertices in local index order.
-func BParallel(c *mpi.Comm, d *dgraph.DistGraph, b []int, opt BParallelOptions) (*BParallelResult, error) {
-	if c.Size() != d.P {
-		return nil, fmt.Errorf("matching: world size %d, graph distributed over %d", c.Size(), d.P)
-	}
-	if c.Rank() != d.Rank {
-		return nil, fmt.Errorf("matching: rank %d given share of rank %d", c.Rank(), d.Rank)
+func BParallel(c *mpi.Comm, d *dgraph.DistGraph, b []int, opt ParallelOptions) (*BParallelResult, error) {
+	r, err := newRank(c, d, opt)
+	if err != nil {
+		return nil, err
 	}
 	if len(b) != d.NLocal {
 		return nil, fmt.Errorf("matching: %d capacities for %d owned vertices", len(b), d.NLocal)
@@ -101,25 +108,21 @@ func BParallel(c *mpi.Comm, d *dgraph.DistGraph, b []int, opt BParallelOptions) 
 			return nil, fmt.Errorf("matching: negative capacity at local vertex %d", v)
 		}
 	}
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 1024
-	}
-	s := &bState{c: c, d: d, b: b, opt: opt}
+	s := &bState{rank: r, b: b}
 	rounds, err := s.run()
 	if err != nil {
 		return nil, err
 	}
 	res := &BParallelResult{PartnerGIDs: make([][]int64, d.NLocal), Rounds: rounds}
-	for v := 0; v < d.NLocal; v++ {
-		gv := d.GlobalOf(int32(v))
-		gids := make([]int64, 0, len(s.suitors[v]))
-		for _, p := range s.suitors[v] {
-			gids = append(gids, p.gid)
-			if gv < p.gid {
+	for v, set := range s.suitors {
+		gids := make([]int64, len(set))
+		for i, p := range set {
+			gids[i] = p.gid
+			if s.countsEdge(int32(v), p.gid) {
 				res.LocalWeight += p.w
 			}
 		}
-		sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+		slices.Sort(gids)
 		res.PartnerGIDs[v] = gids
 	}
 	return res, nil
@@ -128,185 +131,119 @@ func BParallel(c *mpi.Comm, d *dgraph.DistGraph, b []int, opt BParallelOptions) 
 func (s *bState) run() (int, error) {
 	d := s.d
 	n := d.NLocal
-	s.suitors = make([][]bPartner, n)
 	s.held = make([]int, n)
-	s.cursor = make([]int, n)
-	s.pref = make([][]int32, n)
-	for v := 0; v < n; v++ {
-		adj := append([]int32(nil), d.Neighbors(int32(v))...)
-		gv := d.GlobalOf(int32(v))
-		sort.Slice(adj, func(i, j int) bool {
-			wi := s.weightTo(int32(v), adj[i])
-			wj := s.weightTo(int32(v), adj[j])
-			return gidEdgeLess(wi, gv, d.GlobalOf(adj[i]), wj, gv, d.GlobalOf(adj[j]))
-		})
-		s.pref[v] = adj
-	}
-	s.out = mpi.NewBundler(s.c, bTagPropose, bRecSize, s.opt.MaxBundleBytes)
-	s.reply = mpi.NewBundler(s.c, bTagReply, bRecSize, s.opt.MaxBundleBytes)
-
-	for round := 1; ; round++ {
-		if round > s.opt.MaxRounds {
-			return round, fmt.Errorf("matching: b-suitor did not converge in %d rounds", s.opt.MaxRounds)
+	s.cursor = make([]int64, n)
+	s.suitors = make([][]bArc, n)
+	s.pref = make([]bArc, d.Xadj[n])
+	for v := int32(0); int(v) < n; v++ {
+		s.cursor[v] = d.Xadj[v]
+		for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
+			s.pref[i] = bArc{v: v, u: d.Adj[i], gid: d.GlobalOf(d.Adj[i]), w: d.Weight(i)}
 		}
-		s.proposed = 0
+		slices.SortFunc(s.pref[d.Xadj[v]:d.Xadj[v+1]], bArc.compare)
+		s.suitors[v] = make([]bArc, 0, min(s.b[v], d.Degree(v))) // full at its capacity
+	}
+	s.propose, s.reply = s.newLink(bTagPropose), s.newLink(bTagReply)
+
+	for round := 1; round <= bMaxRounds; round++ {
 		s.phasePropose()
-		s.out.Flush()
+		s.propose.out.Flush()
 		s.c.Barrier()
-		s.phaseDecide(s.drainAll(bTagPropose))
-		s.reply.Flush()
+		s.drain()
+		s.phaseDecide()
+		s.reply.out.Flush()
 		s.c.Barrier()
-		s.phaseApplyReplies(s.drainAll(bTagReply))
+		s.drain()
 		if s.c.AllreduceInt64(s.proposed, mpi.OpSum) == 0 {
 			return round, nil
 		}
 	}
+	return bMaxRounds, fmt.Errorf("matching: b-suitor did not converge in %d rounds", bMaxRounds)
 }
 
-// weightTo returns the weight of the arc from owned v to local neighbor u.
-func (s *bState) weightTo(v, u int32) float64 {
-	d := s.d
-	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
-		if d.Adj[i] == u {
-			return d.Weight(i)
+// drain takes everything in the mailbox, which after a barrier is all of the
+// phase just ended. A peer already past that barrier may have sent its
+// replies, so the proposal drain can meet the reply family too; replies only
+// return budget, which nothing reads before the next propose phase, so they
+// are applied on arrival and nothing is held. The next round's proposals wait
+// behind the Allreduce, and any other family is refused by receive.
+func (s *bState) drain() {
+	for m, ok := s.c.TryRecv(); ok; m, ok = s.c.TryRecv() {
+		if m.Tag == bTagReply {
+			s.reply.receive(m, s.applyReplies)
+		} else {
+			s.propose.receive(m, s.poolProposals)
 		}
 	}
-	panic("matching: weightTo on non-neighbor")
-}
-
-// gidEdgeLess orders edges by (weight desc, sorted endpoint gids asc) — the
-// strict total order shared with GreedyB that makes the fixed point unique.
-func gidEdgeLess(wa float64, a1, a2 int64, wb float64, b1, b2 int64) bool {
-	if wa != wb {
-		return wa > wb
-	}
-	if a1 > a2 {
-		a1, a2 = a2, a1
-	}
-	if b1 > b2 {
-		b1, b2 = b2, b1
-	}
-	if a1 != b1 {
-		return a1 < b1
-	}
-	return a2 < b2
-}
-
-// worstSuitor returns the index of v's least preferred held proposal, or -1.
-func (s *bState) worstSuitor(v int32) int {
-	gv := s.d.GlobalOf(v)
-	worst := -1
-	for i, p := range s.suitors[v] {
-		if worst < 0 || gidEdgeLess(s.suitors[v][worst].w, gv, s.suitors[v][worst].gid, p.w, gv, p.gid) {
-			worst = i
-		}
-	}
-	return worst
-}
-
-// send emits one record about owned vertex v to the owner of target gid.
-func (s *bState) send(bundler *mpi.Bundler, kind byte, v int32, targetGID int64) {
-	var rec [bRecSize]byte
-	encodeRecord(rec[:], kind, s.d.GlobalOf(v), targetGID)
-	l, ok := s.d.LocalOf(targetGID)
-	if !ok {
-		panic(fmt.Sprintf("matching: target %d unknown on rank %d", targetGID, s.d.Rank))
-	}
-	bundler.Add(s.d.OwnerOf(l), rec[:])
 }
 
 // phasePropose advances every vertex with spare proposal budget down its
 // preference list, optimistically counting each proposal as held.
 func (s *bState) phasePropose() {
+	s.proposed = 0
 	for v := int32(0); int(v) < s.d.NLocal; v++ {
-		for s.held[v] < s.b[v] && s.cursor[v] < len(s.pref[v]) {
-			u := s.pref[v][s.cursor[v]]
+		for s.held[v] < s.b[v] && s.cursor[v] < s.d.Xadj[v+1] {
+			s.propose.send(bPropose, v, s.pref[s.cursor[v]].u)
 			s.cursor[v]++
-			s.send(s.out, 0, v, s.d.GlobalOf(u))
 			s.held[v]++
 			s.proposed++
 		}
 	}
 }
 
-// phaseDecide pools the round's proposals per target, best first, and
-// admits each into the suitor set if there is room or it beats the minimum
-// of a full set (displacing and notifying the old holder); losers are
-// rejected. Full-set minima are monotone, so every rejection is final.
-func (s *bState) phaseDecide(proposals [][]byte) {
-	d := s.d
-	byTarget := map[int32][]int64{}
-	for _, rec := range proposals {
-		_, src, dst := decodeRecord(rec)
-		v, ok := d.LocalOf(dst)
-		if !ok || d.IsGhost(v) {
-			panic(fmt.Sprintf("matching: proposal for %d not owned by rank %d", dst, d.Rank))
-		}
-		byTarget[v] = append(byTarget[v], src)
-	}
-	for v, pool := range byTarget {
-		gv := d.GlobalOf(v)
-		sort.Slice(pool, func(i, j int) bool {
-			li, _ := d.LocalOf(pool[i])
-			lj, _ := d.LocalOf(pool[j])
-			return gidEdgeLess(s.weightTo(v, li), gv, pool[i], s.weightTo(v, lj), gv, pool[j])
-		})
-		for _, gid := range pool {
-			l, _ := d.LocalOf(gid)
-			w := s.weightTo(v, l)
-			switch {
-			case s.b[v] == 0:
-				s.send(s.reply, bReject, v, gid)
-			case len(s.suitors[v]) < s.b[v]:
-				s.suitors[v] = append(s.suitors[v], bPartner{gid, w})
-			default:
-				wi := s.worstSuitor(v)
-				if gidEdgeLess(w, gv, gid, s.suitors[v][wi].w, gv, s.suitors[v][wi].gid) {
-					old := s.suitors[v][wi]
-					s.suitors[v][wi] = bPartner{gid, w}
-					s.send(s.reply, bDisplaced, v, old.gid)
-				} else {
-					s.send(s.reply, bReject, v, gid)
-				}
-			}
-		}
+// poolProposals files a bundle of proposals into the round's pool, looking
+// each proposal's keys up once.
+func (s *bState) poolProposals(bundle []byte) {
+	for off := 0; off < len(bundle); off += RecordBytes {
+		_, v, u := s.decode(bundle, off)
+		s.pool = append(s.pool, bArc{v: v, u: u, gid: s.d.GlobalOf(u), w: s.arcWeight(v, u)})
 	}
 }
 
-// phaseApplyReplies returns rejected/displaced proposal budget to the
-// proposers; their cursors already sit past the failed edges, so the next
-// propose phase moves on down the preference lists.
-func (s *bState) phaseApplyReplies(replies [][]byte) {
-	for _, rec := range replies {
-		_, _, dst := decodeRecord(rec)
-		v, ok := s.d.LocalOf(dst)
-		if !ok || s.d.IsGhost(v) {
-			panic("matching: reply for non-owned vertex")
+// phaseDecide takes the round's proposals in target-vertex order, best first
+// per target, and admits each into the suitor set if there is room or it
+// beats the minimum of a full set (displacing and notifying the old holder);
+// losers are rejected. Full-set minima are monotone, so every rejection is
+// final.
+func (s *bState) phaseDecide() {
+	slices.SortFunc(s.pool, bArc.compare)
+	for _, p := range s.pool {
+		set := s.suitors[p.v]
+		if len(set) < cap(set) {
+			s.suitors[p.v] = append(set, p)
+		} else if worst := worstOf(set); worst >= 0 && p.compare(set[worst]) < 0 {
+			s.reply.send(bDisplaced, p.v, set[worst].u)
+			set[worst] = p
+		} else {
+			s.reply.send(bReject, p.v, p.u)
 		}
+	}
+	s.pool = s.pool[:0]
+}
+
+// worstOf returns the index of a suitor set's least preferred proposal, or -1
+// for an empty set.
+func worstOf(set []bArc) int {
+	worst := -1
+	for i, p := range set {
+		if worst < 0 || set[worst].compare(p) < 0 {
+			worst = i
+		}
+	}
+	return worst
+}
+
+// applyReplies returns rejected/displaced proposal budget to the proposers;
+// their cursors already sit past the failed edges, so the next propose phase
+// moves on down the preference lists.
+func (s *bState) applyReplies(bundle []byte) {
+	for off := 0; off < len(bundle); off += RecordBytes {
+		_, v, _ := s.decode(bundle, off)
 		s.held[v]--
 		if s.held[v] < 0 {
 			panic("matching: proposal budget underflow")
 		}
 	}
-}
-
-// drainAll returns every record of the given tag; the preceding barrier
-// guarantees completeness for that tag, while records of other tags (a fast
-// peer's next phase) are buffered for their own phase.
-func (s *bState) drainAll(tag int) [][]byte {
-	if s.pending == nil {
-		s.pending = map[int][][]byte{}
-	}
-	for {
-		m, ok := s.c.TryRecv()
-		if !ok {
-			break
-		}
-		s.pending[m.Tag] = append(s.pending[m.Tag], mpi.Records(m.Data, bRecSize)...)
-	}
-	out := s.pending[tag]
-	s.pending[tag] = nil
-	return out
 }
 
 // GatherB assembles per-rank BParallel results into a global BMatching,
@@ -338,10 +275,9 @@ func GatherB(shares []*dgraph.DistGraph, results []*BParallelResult, b [][]int) 
 			}
 		}
 	}
-	for v := range m.Partners {
-		sort.Slice(m.Partners[v], func(i, j int) bool { return m.Partners[v][i] < m.Partners[v][j] })
+	for v := range m.Partners { // each sorted already: one rank's sorted PartnerGIDs
 		for _, u := range m.Partners[v] {
-			if !containsVertex(m.Partners[u], graph.Vertex(v)) {
+			if !slices.Contains(m.Partners[u], graph.Vertex(v)) {
 				return nil, fmt.Errorf("matching: ranks disagree on pair {%d,%d}", v, u)
 			}
 		}

@@ -192,10 +192,7 @@ func ExactBipartite(b *graph.Bipartite) (Mates, error) {
 		}
 	}
 
-	out := make(Mates, nr+nc)
-	for i := range out {
-		out[i] = graph.None
-	}
+	out := unmatched(nr + nc)
 	for r, c := range rowMate {
 		if c >= 0 {
 			out[r] = graph.Vertex(nr + c)

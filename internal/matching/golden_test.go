@@ -175,7 +175,7 @@ func bsuitorKernel(name string, capacity func(v int) int) goldenKernel {
 			}
 		}
 		results := runRanks(t, w, what, func(c *mpi.Comm) (*BParallelResult, error) {
-			return BParallel(c, cell.shares[c.Rank()], localB[c.Rank()], BParallelOptions{})
+			return BParallel(c, cell.shares[c.Rank()], localB[c.Rank()], ParallelOptions{})
 		})
 		bm, err := GatherB(cell.shares, results, localB)
 		if err != nil {

@@ -1,10 +1,6 @@
 package matching
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Greedy computes the classic sorted-edge half-approximate matching: visit
 // edges in non-increasing weight order (ties by endpoint labels) and take
@@ -14,22 +10,8 @@ import (
 // preference order — but needs a global sort, which is what makes it
 // unattractive for distributed memory and motivates the paper's choice.
 func Greedy(g *graph.Graph) Mates {
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.W != b.W {
-			return a.W > b.W
-		}
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		return a.V < b.V
-	})
-	m := make(Mates, g.NumVertices())
-	for i := range m {
-		m[i] = graph.None
-	}
-	for _, e := range edges {
+	m := unmatched(g.NumVertices())
+	for _, e := range edgesInOrder(g) {
 		if m[e.U] == graph.None && m[e.V] == graph.None {
 			m[e.U], m[e.V] = e.V, e.U
 		}

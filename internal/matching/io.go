@@ -54,10 +54,7 @@ func ReadMates(r io.Reader) (Mates, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("matching: line %d: bad vertex count", lineNo)
 			}
-			m = make(Mates, n)
-			for i := range m {
-				m[i] = graph.None
-			}
+			m = unmatched(n)
 			continue
 		}
 		if m == nil {

@@ -16,11 +16,8 @@ import "repro/internal/graph"
 // edges only locally, which is the property the parallel version exploits.
 func LocallyDominant(g *graph.Graph) Mates {
 	n := g.NumVertices()
-	mate := make(Mates, n)
+	mate := unmatched(n)
 	cm := make([]graph.Vertex, n)
-	for i := range mate {
-		mate[i] = graph.None
-	}
 
 	available := func(u graph.Vertex) bool { return mate[u] == graph.None && cm[u] != deadMark }
 

@@ -1,9 +1,19 @@
 // Package matching implements the paper's edge-weighted matching algorithms
-// (Section 3): the sequential locally-dominant half-approximation algorithm
-// of Preis/Hoepman/Manne–Bisseling built on candidate mates, the distributed
-// asynchronous version with REQUEST/SUCCEEDED/FAILED messages and aggressive
-// message bundling, an exact maximum-weight bipartite solver used as the
-// quality reference of Table 1.1, and a sorted-edge greedy baseline.
+// (Section 3), all under one strict edge order (core.go: heavier first, then
+// the sorted endpoint pair), which makes the half-approximate
+// locally-dominant matching unique:
+//
+//   - core.go: that order, and what the distributed kernels share, each
+//     written once — the 17-byte record link, the bundle receive, rank set-up
+//     and epilogue — so that the kernels own only their protocol;
+//   - parallel.go (result assembled by gather.go): the asynchronous
+//     REQUEST/SUCCEEDED/FAILED kernel with aggressive message bundling;
+//     bparallel.go: the round-based b-suitor, its b(v) > 1 generalization;
+//   - the sequential references they are tested against: localdom.go
+//     (Algorithm 3.1, candidate mates), greedy.go and bmatching.go (sorted
+//     edges), suitor.go (shared memory);
+//   - exact.go, the maximum-weight bipartite solver behind Table 1.1's
+//     quality ratios; vertexweighted.go, the vertex-weight reduction; io.go.
 package matching
 
 import (
@@ -16,6 +26,15 @@ import (
 // Mates describes a matching on a graph with n vertices: Mates[v] is the
 // vertex matched to v, or graph.None. A valid matching is symmetric.
 type Mates []graph.Vertex
+
+// unmatched returns the empty matching on n vertices.
+func unmatched(n int) Mates {
+	m := make(Mates, n)
+	for i := range m {
+		m[i] = graph.None
+	}
+	return m
+}
 
 // Weight sums the weights of the matched edges.
 func (m Mates) Weight(g *graph.Graph) float64 {
@@ -82,15 +101,4 @@ func (m Mates) VerifyMaximal(g *graph.Graph) error {
 		}
 	})
 	return bad
-}
-
-// better reports whether arc (weight wa to vertex a) beats arc (wb to b)
-// under the paper's preference order: heavier weight first, then smaller
-// vertex label. Identical (weight, label) pairs cannot occur between
-// distinct neighbors.
-func better(wa float64, a graph.Vertex, wb float64, b graph.Vertex) bool {
-	if wa != wb {
-		return wa > wb
-	}
-	return a < b
 }

@@ -1,12 +1,10 @@
 package matching
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 )
 
 // Message kinds of the distributed protocol (Section 3.2):
@@ -26,31 +24,6 @@ const (
 // matching range of the tag-space contract (docs/PROTOCOL.md), so the
 // runtime attributes this traffic to the "match" tag family.
 const matchTag = mpi.TagMatchBase
-
-// RecordBytes is the wire size of one protocol record:
-// kind (1 byte) + source global id (8) + destination global id (8).
-// As a MaxBundleBytes value it means one record per message, i.e. the
-// paper's bundling switched off — the only spelling of that setting.
-const RecordBytes = 17
-
-func encodeRecord(buf []byte, kind byte, src, dst int64) {
-	buf[0] = kind
-	binary.LittleEndian.PutUint64(buf[1:9], uint64(src))
-	binary.LittleEndian.PutUint64(buf[9:17], uint64(dst))
-}
-
-func decodeRecord(rec []byte) (kind byte, src, dst int64) {
-	return rec[0], int64(binary.LittleEndian.Uint64(rec[1:9])), int64(binary.LittleEndian.Uint64(rec[9:17]))
-}
-
-// ParallelOptions tunes the distributed matching run.
-type ParallelOptions struct {
-	// MaxBundleBytes caps the per-destination aggregation buffer; 0 selects
-	// the 64 KiB default. Setting it to one record (RecordBytes) disables
-	// the paper's message bundling, the configuration the ablation bench
-	// uses as its baseline.
-	MaxBundleBytes int
-}
 
 // ParallelResult is one rank's share of the distributed matching.
 type ParallelResult struct {
@@ -84,35 +57,25 @@ const (
 // FAILED messages for the boundary (Section 3.3); it terminates when every
 // owned vertex is decided.
 func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelResult, error) {
-	if c.Size() != d.P {
-		return nil, fmt.Errorf("matching: world size %d, graph distributed over %d", c.Size(), d.P)
+	r, err := newRank(c, d, opt)
+	if err != nil {
+		return nil, err
 	}
-	if c.Rank() != d.Rank {
-		return nil, fmt.Errorf("matching: rank %d given share of rank %d", c.Rank(), d.Rank)
-	}
-	s := &matchState{
-		c:   c,
-		d:   d,
-		opt: opt,
-	}
+	s := &matchState{rank: r}
 	s.run()
 	res := &ParallelResult{
 		MateGlobal:      make([]int64, d.NLocal),
 		OuterIterations: s.outerIters,
-		Bundles:         s.out.Flushes,
-		Records:         s.out.Records,
+		Bundles:         s.match.out.Flushes,
+		Records:         s.match.out.Records,
 	}
-	for v := 0; v < d.NLocal; v++ {
+	for v := int32(0); int(v) < d.NLocal; v++ {
+		res.MateGlobal[v] = -1
 		if s.state[v] == stMatched {
-			gid := d.GlobalOf(s.mate[v])
-			res.MateGlobal[v] = gid
-			// Count each matched edge exactly once globally: on the side
-			// (and, for cross edges, the rank) owning the smaller global id.
-			if d.GlobalOf(int32(v)) < gid {
-				res.LocalWeight += s.mateWeight[v]
+			res.MateGlobal[v] = d.GlobalOf(s.cm[v])
+			if s.countsEdge(v, res.MateGlobal[v]) {
+				res.LocalWeight += s.cmWeight[v]
 			}
-		} else {
-			res.MateGlobal[v] = -1
 		}
 	}
 	return res, nil
@@ -120,21 +83,17 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 
 // matchState carries the per-rank protocol state.
 type matchState struct {
-	c   *mpi.Comm
-	d   *dgraph.DistGraph
-	opt ParallelOptions
+	rank
+	match link // the REQUEST / SUCCEEDED / FAILED records
 
 	state      []int8    // per owned vertex
-	mate       []int32   // local index of mate, for matched owned vertices
-	mateWeight []float64 // weight of the matched edge
-	cm         []int32   // candidate mate (local index), or -1
+	cm         []int32   // candidate mate (local index), or -1; once matched, the mate
+	cmWeight   []float64 // weight of the arc to cm; once matched, of the matched edge
 	ghostGone  []bool    // per ghost: matched or failed remotely
 	reqTo      []int32   // per ghost: owned vertex it currently requests (the sets R), or noCM
 	undecided  int       // owned vertices still free
 	queue      []int32   // owned vertices that just became unavailable
-	out        *mpi.Bundler
 	outerIters int64
-	tr         *obs.Tracer
 }
 
 const noCM int32 = -1
@@ -143,17 +102,15 @@ func (s *matchState) run() {
 	d := s.d
 	n := d.NLocal
 	s.state = make([]int8, n)
-	s.mate = make([]int32, n)
-	s.mateWeight = make([]float64, n)
 	s.cm = make([]int32, n)
+	s.cmWeight = make([]float64, n)
 	s.ghostGone = make([]bool, d.NGhost)
 	s.reqTo = make([]int32, d.NGhost)
 	for i := range s.reqTo {
 		s.reqTo[i] = noCM
 	}
 	s.undecided = n
-	s.out = mpi.NewBundler(s.c, matchTag, RecordBytes, s.opt.MaxBundleBytes)
-	s.tr = s.c.Tracer()
+	s.match = s.newLink(matchTag)
 
 	// Initialization: compute every candidate mate; request across cross
 	// edges; match mutual local pairs. Virtual-time accounting: one edge op
@@ -161,20 +118,11 @@ func (s *matchState) run() {
 	initTok := s.tr.Begin("match.init")
 	s.c.ChargeOps(d.Xadj[n], int64(n))
 	for v := int32(0); int(v) < n; v++ {
-		s.cm[v] = s.computeCandidate(v)
+		s.cm[v], s.cmWeight[v] = s.computeCandidate(v)
 	}
 	for v := int32(0); int(v) < n; v++ {
-		if s.state[v] != stFree {
-			continue
-		}
-		u := s.cm[v]
-		switch {
-		case u == noCM:
-			s.fail(v)
-		case d.IsGhost(u):
-			s.sendRecord(msgRequest, v, u)
-		case s.cm[u] == v && s.state[u] == stFree && u > v:
-			s.matchLocal(v, u)
+		if s.state[v] == stFree { // not yet matched by a smaller mutual candidate
+			s.pursue(v)
 		}
 	}
 	s.drainQueue()
@@ -187,21 +135,16 @@ func (s *matchState) run() {
 	for s.undecided > 0 {
 		s.outerIters++
 		outerTok := s.tr.Begin("match.outer")
-		s.out.Flush()
-		m := s.c.Recv()
-		s.handleBundle(m)
-		for {
-			mm, ok := s.c.TryRecv()
-			if !ok {
-				break
-			}
-			s.handleBundle(mm)
+		s.match.out.Flush()
+		s.match.receive(s.c.Recv(), s.handleBundle)
+		for m, ok := s.c.TryRecv(); ok; m, ok = s.c.TryRecv() {
+			s.match.receive(m, s.handleBundle)
 		}
 		s.drainQueue()
 		s.tr.EndN(outerTok, s.outerIters)
 	}
 	finTok := s.tr.Begin("match.finalize")
-	s.out.Flush()
+	s.match.out.Flush()
 	// Termination is local (the paper's outer loop stops when this rank's
 	// cross edges are resolved), so slower peers' stale SUCCEEDED/FAILED
 	// messages may still be addressed to us. Align on a barrier — by which
@@ -214,8 +157,9 @@ func (s *matchState) run() {
 }
 
 // computeCandidate returns the most preferred available neighbor of owned
-// vertex v under (weight desc, global id asc), or noCM.
-func (s *matchState) computeCandidate(v int32) int32 {
+// vertex v (by global id, so every rank sees the same order) and the weight
+// of the arc to it, or noCM.
+func (s *matchState) computeCandidate(v int32) (int32, float64) {
 	d := s.d
 	adj := d.Neighbors(v)
 	wts := d.Weights(v)
@@ -231,11 +175,11 @@ func (s *matchState) computeCandidate(v int32) int32 {
 			w = wts[k]
 		}
 		gid := d.GlobalOf(u)
-		if best == noCM || w > bestW || (w == bestW && gid < bestGID) {
+		if best == noCM || better(w, gid, bestW, bestGID) {
 			best, bestW, bestGID = u, w, gid
 		}
 	}
-	return best
+	return best, bestW
 }
 
 // available reports whether neighbor u (owned or ghost, by local index) can
@@ -247,72 +191,18 @@ func (s *matchState) available(u int32) bool {
 	return s.state[u] == stFree
 }
 
-// edgeWeight returns the weight of the arc from owned v to neighbor u.
-func (s *matchState) edgeWeight(v, u int32) float64 {
-	d := s.d
-	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
-		if d.Adj[i] == u {
-			return d.Weight(i)
-		}
-	}
-	panic("matching: edgeWeight on non-neighbor")
-}
-
-// sendRecord ships a protocol record about owned vertex v to the owner of
-// ghost u.
-func (s *matchState) sendRecord(kind byte, v, u int32) {
-	var rec [RecordBytes]byte
-	encodeRecord(rec[:], kind, s.d.GlobalOf(v), s.d.GlobalOf(u))
-	s.out.Add(s.d.OwnerOf(u), rec[:])
-}
-
-// matchLocal matches two owned vertices and queues the fallout.
-func (s *matchState) matchLocal(v, u int32) {
-	w := s.edgeWeight(v, u)
-	s.setMatched(v, u, w)
-	s.setMatched(u, v, w)
-	s.announce(v, u)
-	s.announce(u, v)
-}
-
-// matchCross matches owned vertex v to ghost u.
-func (s *matchState) matchCross(v, u int32) {
-	s.setMatched(v, u, s.edgeWeight(v, u))
-	s.announce(v, u)
-}
-
-func (s *matchState) setMatched(v, u int32, w float64) {
-	s.state[v] = stMatched
-	s.mate[v] = u
-	s.mateWeight[v] = w
-	s.undecided--
-	s.queue = append(s.queue, v)
-}
-
-// announce tells every neighbor of v except its mate that v is taken:
-// SUCCEEDED messages across cross edges; owned neighbors learn during the
-// queue drain. Pending requests R(v) are implicitly cleared because v is no
-// longer free.
-func (s *matchState) announce(v, mate int32) {
-	for _, nb := range s.d.Neighbors(v) {
-		if nb == mate || !s.d.IsGhost(nb) {
-			continue
-		}
-		if !s.ghostGone[int(nb)-s.d.NLocal] {
-			s.sendRecord(msgSucceeded, v, nb)
-		}
-	}
-}
-
-// fail marks owned vertex v as permanently unmatchable and informs all
-// remaining neighbors.
-func (s *matchState) fail(v int32) {
-	s.state[v] = stFailed
+// retire takes owned vertex v out of the free set — matched to its candidate
+// cm[v] (owned or ghost), or failed with cm[v] = noCM — queues the fallout,
+// and tells every remaining neighbor but the mate: SUCCEEDED / FAILED records
+// across cross edges; owned neighbors learn during the queue drain. Pending
+// requests R(v) are implicitly cleared because v is no longer free.
+func (s *matchState) retire(v int32, state int8, kind byte) {
+	s.state[v] = state
 	s.undecided--
 	s.queue = append(s.queue, v)
 	for _, nb := range s.d.Neighbors(v) {
-		if s.d.IsGhost(nb) && !s.ghostGone[int(nb)-s.d.NLocal] {
-			s.sendRecord(msgFailed, v, nb)
+		if nb != s.cm[v] && s.d.IsGhost(nb) && !s.ghostGone[int(nb)-s.d.NLocal] {
+			s.match.send(kind, v, nb)
 		}
 	}
 }
@@ -342,44 +232,39 @@ func (s *matchState) drainQueue() {
 }
 
 // recompute refreshes the candidate mate of free owned vertex w after its
-// previous candidate became unavailable, taking whatever action the new
-// candidate allows (Algorithm 3.3's PROCESSSUCCEEDEDMESSAGE body).
+// previous candidate became unavailable, and acts on the new one.
 func (s *matchState) recompute(w int32) {
 	s.c.ChargeOps(int64(s.d.Degree(w)), 1)
-	nc := s.computeCandidate(w)
-	s.cm[w] = nc
+	s.cm[w], s.cmWeight[w] = s.computeCandidate(w)
+	s.pursue(w)
+}
+
+// pursue takes whatever action free owned vertex w's fresh candidate allows
+// (Algorithm 3.3's PROCESSSUCCEEDEDMESSAGE body): fail without one, request
+// a ghost, match an owned vertex that points back.
+func (s *matchState) pursue(w int32) {
+	nc := s.cm[w]
 	switch {
 	case nc == noCM:
-		s.fail(w)
+		s.retire(w, stFailed, msgFailed)
 	case s.d.IsGhost(nc):
-		s.sendRecord(msgRequest, w, nc)
+		s.match.send(msgRequest, w, nc)
 		if s.reqTo[int(nc)-s.d.NLocal] == w {
 			// The ghost already asked for w: handshake complete
 			// (Algorithm 3.3's "if candidateMate(v) is in R(v)" branch).
-			s.matchCross(w, nc)
+			s.retire(w, stMatched, msgSucceeded)
 		}
 	case s.cm[nc] == w && s.state[nc] == stFree:
-		s.matchLocal(w, nc)
+		s.retire(w, stMatched, msgSucceeded)
+		s.retire(nc, stMatched, msgSucceeded)
 	}
 }
 
-// handleBundle processes one received bundle of protocol records.
-func (s *matchState) handleBundle(m mpi.Message) {
-	if m.Tag != matchTag {
-		panic(fmt.Sprintf("matching: unexpected tag %d", m.Tag))
-	}
-	defer s.out.Recycle(m.Data) // records alias m.Data; consumed by loop end
-	s.c.ChargeOps(int64(len(m.Data)/RecordBytes), 0)
-	for _, rec := range mpi.Records(m.Data, RecordBytes) {
-		kind, srcG, dstG := decodeRecord(rec)
-		v, ok := s.d.LocalOf(dstG)
-		if !ok || s.d.IsGhost(v) {
-			panic(fmt.Sprintf("matching: record for vertex %d not owned by rank %d", dstG, s.d.Rank))
-		}
-		u, ok := s.d.LocalOf(srcG)
-		if !ok || !s.d.IsGhost(u) {
-			panic(fmt.Sprintf("matching: record from vertex %d that is not a ghost on rank %d", srcG, s.d.Rank))
-		}
+// handleBundle processes one received bundle of protocol records, each from
+// ghost u about owned vertex v.
+func (s *matchState) handleBundle(bundle []byte) {
+	for off := 0; off < len(bundle); off += RecordBytes {
+		kind, v, u := s.decode(bundle, off)
 		gi := int(u) - s.d.NLocal
 		switch kind {
 		case msgRequest:
@@ -390,7 +275,7 @@ func (s *matchState) handleBundle(m mpi.Message) {
 				continue // v already matched or failed; u was informed then
 			}
 			if s.cm[v] == u {
-				s.matchCross(v, u)
+				s.retire(v, stMatched, msgSucceeded)
 			} else {
 				// Remember the request; a later REQUEST from the same ghost
 				// (after it recomputed) supersedes this one.
@@ -400,10 +285,7 @@ func (s *matchState) handleBundle(m mpi.Message) {
 			// Algorithm 3.3 (FAILED differs only in skipping the handshake
 			// bookkeeping; both remove u from S(v)).
 			s.ghostGone[gi] = true
-			if s.state[v] != stFree {
-				continue
-			}
-			if s.cm[v] == u {
+			if s.state[v] == stFree && s.cm[v] == u {
 				s.recompute(v)
 			}
 		default:

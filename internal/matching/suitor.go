@@ -30,11 +30,8 @@ func Suitor(g *graph.Graph, workers int) Mates {
 	// suitor[u] is the best proposal u has received (None if none yet);
 	// ws[u] is the weight of that proposal's edge. Both are guarded by
 	// locks[u].
-	suitor := make([]graph.Vertex, n)
+	suitor := unmatched(n)
 	ws := make([]float64, n)
-	for i := range suitor {
-		suitor[i] = graph.None
-	}
 	locks := make([]sync.Mutex, n)
 
 	// beats reports whether a proposal from candidate c with weight w wins
@@ -119,10 +116,7 @@ func Suitor(g *graph.Graph, workers int) Mates {
 
 	// At the fixed point suitor pointers are mutual exactly on matched
 	// edges.
-	mates := make(Mates, n)
-	for v := range mates {
-		mates[v] = graph.None
-	}
+	mates := unmatched(n)
 	for v := 0; v < n; v++ {
 		u := suitor[v]
 		if u != graph.None && suitor[u] == graph.Vertex(v) {

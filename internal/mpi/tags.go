@@ -15,7 +15,7 @@ package mpi
 //
 //	[100,110)  matching bundles (REQUEST / SUCCEEDED / FAILED records)
 //	[110,120)  b-suitor proposals
-//	[120,130)  b-suitor replies (accept / reject)
+//	[120,130)  b-suitor replies (REJECT / DISPLACED)
 //	[200,300)  color notices (FIAB / FIAC / NEW variants share the range)
 //
 // Every tag maps to exactly one TagFamily via FamilyOf; traffic counters are
@@ -48,7 +48,7 @@ const (
 	FamilyMatch TagFamily = iota
 	// FamilyBMatchPropose is the distributed b-suitor's proposal traffic.
 	FamilyBMatchPropose
-	// FamilyBMatchReply is the distributed b-suitor's accept/reject traffic.
+	// FamilyBMatchReply is the distributed b-suitor's reject/displaced traffic.
 	FamilyBMatchReply
 	// FamilyColor is the coloring framework's color-notice traffic, shared
 	// by the FIAB, FIAC and NEW communication variants (tag 200).
