@@ -182,6 +182,48 @@ func TestMatchingHasNoMaps(t *testing.T) {
 	}
 }
 
+// TestRuntimeWaitPoints pins two structural facts DESIGN.md and the ROADMAP's
+// cancellation item state about internal/mpi (its transports aside): a rank
+// blocks on a condition variable in exactly two functions — mailbox.get for a
+// message, barrier.await for its peers — and whether the world hosts every
+// rank is consulted in three, so no collective forks per transport.
+func TestRuntimeWaitPoints(t *testing.T) {
+	waits, local := map[string]bool{}, map[string]bool{}
+	for _, file := range nonTestFiles(t, "mpi", 0) {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			written := map[ast.Expr]bool{} // NewWorld sets allLocal; only reads count
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok {
+					for _, lhs := range as.Lhs {
+						written[lhs] = true
+					}
+				}
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if on, ok := sel.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && on.Sel.Name == "cond" {
+					waits[fn.Name.Name] = true
+				}
+				if sel.Sel.Name == "allLocal" && !written[sel] {
+					local[fn.Name.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	if len(waits) != 2 || !waits["get"] || !waits["await"] {
+		t.Errorf("sync.Cond waits in %v, want exactly mailbox.get and barrier.await", waits)
+	}
+	if len(local) > 3 || !local["Barrier"] || !local["exchange"] || !local["Reset"] {
+		t.Errorf("allLocal read in %v, want Barrier, exchange and Reset only", local)
+	}
+}
+
 // nonTestFiles parses the non-test Go files of internal/<pkg>, by base name.
 func nonTestFiles(t *testing.T, pkg string, mode parser.Mode) map[string]*ast.File {
 	t.Helper()

@@ -1,24 +1,106 @@
 package mpi
 
-import "sync"
+import (
+	"encoding/binary"
+	"math"
+	"slices"
 
-// collectives holds the shared reduction slots. Each collective call is two
-// barrier phases: all ranks deposit, one combines (rank 0 side happens on
-// every rank identically from the shared slots — cheap at these sizes), all
-// ranks read.
-type collectives struct {
-	mu    sync.Mutex
-	i64   []int64
-	f64   []float64
-	bytes [][]byte
+	"repro/internal/mpi/transport"
+)
+
+// Collectives. Barrier, the two allreduces and Allgather are each written
+// once; what depends on the transport is how the ranks meet. When the World
+// hosts every rank they meet in shared memory — the cyclic barrier, plus a
+// slot per rank for payloads. When it does not (a remote transport backend),
+// the same meeting is a symmetric all-to-all on a reserved negative tag: each
+// rank sends its contribution to every peer and collects exactly one message
+// of that tag from each. Reserved traffic is metered in the runtime tag
+// family only, which the aggregate Stats exclude (the modeled machine's
+// collectives are charged via Sync, not α–β), so an algorithm's message
+// counts are identical across backends — the shared-memory meeting never
+// touches the counters.
+//
+// The model clock follows one rule on both: the ranks leave a meeting on the
+// maximum of the clocks they entered it with, plus its synchronization cost.
+const (
+	tagBarrier = -1 // no payload
+	tagReduceI = -2 // payload: one int64 contribution
+	tagReduceF = -3 // payload: one float64 contribution
+	tagGather  = -4 // payload: the sender's Allgather bytes
+)
+
+// Barrier blocks until every rank has entered it. In virtual-time mode the
+// ranks' clocks synchronize to the maximum plus the σ barrier cost.
+//
+// Barrier is also the runtime's delivery fence: everything sent to this rank
+// before the senders entered the barrier is in this rank's mailbox (or stash)
+// once Barrier returns. In-process that follows from sends being synchronous
+// hand-offs; over the wire it follows from per-pair FIFO — the remote barrier
+// exchanges a message with every peer, and receiving a peer's barrier message
+// means everything it sent earlier has already been delivered.
+func (c *Comm) Barrier() {
+	if c.world.allLocal {
+		// Not through exchange: a barrier carries no payload, and the slot
+		// deposit — every rank storing into one shared array — costs 10–15 %
+		// of a barrier at P = 4–8 (0.99 → 1.15 µs at -cpu 2).
+		c.observeArrival(c.world.barrier.await(c.vclock))
+	} else {
+		c.exchange(tagBarrier, nil)
+	}
+	c.synced(1)
 }
 
-func newCollectives(size int) *collectives {
-	return &collectives{
-		i64:   make([]int64, size),
-		f64:   make([]float64, size),
-		bytes: make([][]byte, size),
+// exchange is the meeting under every collective: it returns every rank's
+// payload indexed by rank and leaves this rank's clock on the maximum of the
+// clocks the ranks entered with. The result is only good until this rank's
+// next exchange; a caller that hands it on copies it.
+//
+// Locally each rank deposits into its slot, one barrier generation publishes
+// them all, and the slot array itself is the result. The two arrays alternate
+// by the parity of the rank's exchange count, so a rank already depositing
+// for the next exchange cannot overwrite a slot a slower rank is still
+// reading: it cannot reach the exchange after that before every rank has
+// entered the next one, done with this one's result.
+//
+// Over the wire the entry clock rides in each message's arrival stamp, and
+// taking the message is what pulls the receiver's clock up to it. Collection
+// is per peer: take pops only the named sender's queue, so overlapping rounds
+// cannot steal each other's messages — per-pair FIFO guarantees the oldest
+// matching message is taken first, and anything else popped on the way lands
+// in the stash for later receives.
+func (c *Comm) exchange(tag int, payload []byte) [][]byte {
+	w := c.world
+	if w.allLocal {
+		slots := w.slots[c.round&1]
+		c.round++
+		slots[c.rank] = payload
+		c.observeArrival(w.barrier.await(c.vclock))
+		return slots
 	}
+	out := make([][]byte, w.size)
+	for to := range out {
+		if to != c.rank {
+			w.stats[c.rank].countSent(FamilyRuntime, int64(len(payload)))
+			c.send(transport.Msg{From: c.rank, To: to, Tag: tag, ArriveV: c.vclock, Payload: payload})
+		}
+	}
+	out[c.rank] = payload
+	for from := range out {
+		if from != c.rank {
+			m, _ := c.take(true, from, tag)
+			out[from] = m.Data
+		}
+	}
+	return out
+}
+
+// collective is the exchange under the payload-carrying collectives. The
+// model charges each as two synchronizations — the deposit and the read the
+// shared-slot collectives have always been — on either transport.
+func (c *Comm) collective(tag int, payload []byte) [][]byte {
+	parts := c.exchange(tag, payload)
+	c.synced(2)
+	return parts
 }
 
 // ReduceOp names a reduction operator.
@@ -29,158 +111,44 @@ const (
 	OpSum ReduceOp = iota
 	// OpMax takes the maximum contribution.
 	OpMax
-	// OpMin takes the minimum contribution.
-	OpMin
-	// OpLor is logical OR: nonzero if any contribution is nonzero.
-	OpLor
 )
+
+// reduce folds the exchanged words with op in rank order — on every rank and
+// every backend alike, so the result, floating-point included, is bitwise
+// identical everywhere.
+func reduce[T int64 | float64](parts [][]byte, op ReduceOp, decode func(uint64) T) T {
+	var out T
+	for r, p := range parts {
+		v := decode(binary.BigEndian.Uint64(p))
+		switch {
+		case r == 0:
+			out = v
+		case op == OpSum:
+			out += v
+		case op == OpMax && v > out:
+			out = v
+		}
+	}
+	return out
+}
 
 // AllreduceInt64 combines one int64 per rank with op and returns the result
 // on every rank.
 func (c *Comm) AllreduceInt64(x int64, op ReduceOp) int64 {
-	if !c.world.allLocal {
-		return c.remoteAllreduceInt64(x, op)
-	}
-	w := c.world
-	w.coll.mu.Lock()
-	w.coll.i64[c.rank] = x
-	w.coll.mu.Unlock()
-	c.Barrier()
-	out := reduceInt64(w.coll.i64, op)
-	c.Barrier() // no rank may overwrite its slot before all have read
-	return out
+	parts := c.collective(tagReduceI, binary.BigEndian.AppendUint64(nil, uint64(x)))
+	return reduce(parts, op, func(u uint64) int64 { return int64(u) })
 }
 
-func reduceInt64(xs []int64, op ReduceOp) int64 {
-	out := xs[0]
-	for _, v := range xs[1:] {
-		switch op {
-		case OpSum:
-			out += v
-		case OpMax:
-			if v > out {
-				out = v
-			}
-		case OpMin:
-			if v < out {
-				out = v
-			}
-		case OpLor:
-			if v != 0 || out != 0 {
-				out = 1
-			}
-		}
-	}
-	if op == OpLor && out != 0 {
-		out = 1
-	}
-	return out
-}
-
-// AllreduceFloat64 combines one float64 per rank with op. The fold runs in
-// rank order on every rank (and on every backend), so the result is bitwise
-// identical everywhere.
+// AllreduceFloat64 combines one float64 per rank with op; see reduce for why
+// every rank gets the same bits.
 func (c *Comm) AllreduceFloat64(x float64, op ReduceOp) float64 {
-	if !c.world.allLocal {
-		return c.remoteAllreduceFloat64(x, op)
-	}
-	w := c.world
-	w.coll.mu.Lock()
-	w.coll.f64[c.rank] = x
-	w.coll.mu.Unlock()
-	c.Barrier()
-	out := reduceFloat64(w.coll.f64, op)
-	c.Barrier()
-	return out
-}
-
-func reduceFloat64(xs []float64, op ReduceOp) float64 {
-	out := xs[0]
-	for _, v := range xs[1:] {
-		switch op {
-		case OpSum:
-			out += v
-		case OpMax:
-			if v > out {
-				out = v
-			}
-		case OpMin:
-			if v < out {
-				out = v
-			}
-		case OpLor:
-			if v != 0 || out != 0 {
-				out = 1
-			}
-		}
-	}
-	if op == OpLor && out != 0 {
-		out = 1
-	}
-	return out
+	parts := c.collective(tagReduceF, binary.BigEndian.AppendUint64(nil, math.Float64bits(x)))
+	return reduce(parts, op, math.Float64frombits)
 }
 
 // Allgather deposits each rank's byte slice and returns the full set indexed
 // by rank, identical on every rank. The returned inner slices are shared;
 // callers must not modify them.
 func (c *Comm) Allgather(data []byte) [][]byte {
-	if !c.world.allLocal {
-		return c.remoteAllgather(data)
-	}
-	w := c.world
-	w.coll.mu.Lock()
-	w.coll.bytes[c.rank] = data
-	w.coll.mu.Unlock()
-	c.Barrier()
-	out := make([][]byte, w.size)
-	copy(out, w.coll.bytes)
-	c.Barrier()
-	return out
-}
-
-// Alltoallv sends chunks[r] to each rank r (nil chunks allowed) and returns
-// the chunks received from every rank, indexed by source. It is built from
-// point-to-point sends plus a barrier. (The coloring framework's FIAC
-// variant, "a customized message to every other processor", has the same
-// traffic shape but does not use it: it issues the raw Sends itself and
-// drains without blocking.)
-func (c *Comm) Alltoallv(tag int, chunks [][]byte) [][]byte {
-	if len(chunks) != c.world.size {
-		panic("mpi: Alltoallv chunk count != world size")
-	}
-	for to, data := range chunks {
-		if to == c.rank {
-			continue
-		}
-		c.Send(to, tag, data)
-	}
-	out := make([][]byte, c.world.size)
-	out[c.rank] = chunks[c.rank]
-	for i := 0; i < c.world.size-1; i++ {
-		m := c.recvTagged(tag)
-		out[m.From] = m.Data
-	}
-	c.Barrier()
-	return out
-}
-
-// recvTagged blocks for the next message with the given tag, stashing any
-// differently-tagged messages for later receives (see Comm.stash).
-func (c *Comm) recvTagged(tag int) Message {
-	for i, m := range c.stash {
-		if m.Tag == tag {
-			c.stash = append(c.stash[:i], c.stash[i+1:]...)
-			c.observeArrival(m)
-			return m
-		}
-	}
-	for {
-		m, _ := c.world.boxes[c.rank].get(true, c.nextPick())
-		c.countRecv(m)
-		c.observeArrival(m)
-		if m.Tag == tag {
-			return m
-		}
-		c.stash = append(c.stash, m)
-	}
+	return slices.Clone(c.collective(tagGather, data))
 }

@@ -113,7 +113,7 @@ var contractTable = []struct {
 			p.barrier()
 		}
 	}},
-	{"collectives back to back", knownDrift, func(p probe) {
+	{"collectives back to back", equal, func(p probe) {
 		c := p.c
 		for i := 0; i < 50; i++ {
 			p.work(i)
@@ -129,21 +129,21 @@ var contractTable = []struct {
 	// A user message sent before the sender's collective and received after
 	// the receiver's: over tcp the collective's own receive pops it first
 	// and must park it without touching the clock.
-	{"send crosses barrier", knownDrift, func(p probe) {
+	{"send crosses barrier", equal, func(p probe) {
 		p.work(1)
 		p.sendNext(7, 3)
 		p.barrier()
 		p.recv()
 		p.barrier()
 	}},
-	{"send crosses allreduce", knownDrift, func(p probe) {
+	{"send crosses allreduce", equal, func(p probe) {
 		p.work(2)
 		p.sendNext(TagColorBase, 16)
 		p.step("sum %d", p.c.AllreduceInt64(int64(p.c.Rank()), OpSum))
 		p.recv()
 		p.barrier()
 	}},
-	{"send crosses allgather", knownDrift, func(p probe) {
+	{"send crosses allgather", equal, func(p probe) {
 		p.work(3)
 		p.sendNext(TagMatchBase, 17)
 		p.step("gather %v", p.c.Allgather([]byte{byte(p.c.Rank())}))
@@ -169,7 +169,7 @@ var contractTable = []struct {
 	}},
 	// Two messages cross the barrier; the first is then drained unseen, the
 	// second received — each counted once, neither moving the clock early.
-	{"drain after barrier", knownDrift, func(p probe) {
+	{"drain after barrier", equal, func(p probe) {
 		p.sendNext(5, 40)
 		p.sendNext(6, 8)
 		p.barrier()
@@ -180,7 +180,7 @@ var contractTable = []struct {
 	}},
 	// The speculative-coloring round: ship to every peer, Barrier, drain
 	// without blocking, agree on a count.
-	{"ship barrier drain rounds", knownDrift, func(p probe) {
+	{"ship barrier drain rounds", equal, func(p probe) {
 		c := p.c
 		for round := 0; round < 4; round++ {
 			p.work(round)

@@ -19,15 +19,17 @@
 //
 // The runtime also meters traffic: per-rank sent/received message and byte
 // counters, which both the experiments and the α–β performance model
-// consume. Counters are kept in aggregate and per message-tag family (see
-// FamilyOf and docs/PROTOCOL.md), so every byte on the wire is attributed to
-// a protocol phase; World.LiveSnapshot exposes the same breakdown for live
-// polling while a run is in flight.
+// consume. Counters are kept per message-tag family (see FamilyOf and
+// docs/PROTOCOL.md), so every byte on the wire is attributed to a protocol
+// phase, and the aggregates are the sum of the user families;
+// World.LiveSnapshot exposes the same breakdown for live polling while a run
+// is in flight.
 package mpi
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +62,8 @@ type World struct {
 	boxes    []*mailbox
 	stats    []rankCounters // lock-free live traffic counters, one per rank
 	barrier  *barrier
-	coll     *collectives
-	perturb  uint64 // nonzero enables randomized cross-sender receive order
+	slots    [2][][]byte // the local exchange's deposit slots, see Comm.exchange
+	perturb  uint64      // nonzero enables randomized cross-sender receive order
 	deadline time.Duration
 	vt       *VirtualTime
 	obs      *obs.Observer
@@ -123,14 +125,19 @@ func (w *World) SetObserver(o *obs.Observer) error {
 	if w.running {
 		return fmt.Errorf("mpi: SetObserver while ranks are still running")
 	}
+	w.attach(o)
+	return nil
+}
+
+// attach makes o the world's observer. A transport backend that meters
+// itself (frames, wire bytes, write batches) hooks into the same registry; a
+// nil observer has a nil registry, whose instruments are no-ops.
+func (w *World) attach(o *obs.Observer) {
 	w.obs = o
 	if m, ok := w.tr.(transport.MetricSetter); ok {
-		m.SetMetrics(o.Registry()) // nil observer → nil registry → no-op instruments
+		m.SetMetrics(o.Registry())
 	}
-	if o != nil {
-		o.Registry().Gauge("mpi.world_size").Set(int64(w.size))
-	}
-	return nil
+	o.Registry().Gauge("mpi.world_size").Set(int64(w.size))
 }
 
 // NewWorld creates a world with the given number of ranks.
@@ -143,9 +150,9 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		boxes:      make([]*mailbox, size),
 		stats:      make([]rankCounters, size),
 		barrier:    newBarrier(size),
+		slots:      [2][][]byte{make([][]byte, size), make([][]byte, size)},
 		finalVTime: make([]atomic.Uint64, size),
 	}
-	w.coll = newCollectives(size)
 	for _, o := range opts {
 		o(w)
 	}
@@ -161,14 +168,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		w.boxes[r] = newMailbox(size)
 		w.tr.Register(r, w.boxes[r].sink())
 	}
-	if w.obs != nil {
-		// A transport backend that meters itself (frames, wire bytes, write
-		// batches) hooks into the same registry.
-		if m, ok := w.tr.(transport.MetricSetter); ok {
-			m.SetMetrics(w.obs.Registry())
-		}
-		w.obs.Registry().Gauge("mpi.world_size").Set(int64(size))
-	}
+	w.attach(w.obs)
 	return w, nil
 }
 
@@ -225,51 +225,38 @@ func (w *World) Run(fn func(c *Comm) error) error {
 // observer's registry, so an exported trace/metrics file reconciles exactly
 // with RankStats/TotalStats. Only local ranks are published: in a
 // multi-process job each worker reports its own rank and the shard merge
-// sums them into the global totals.
+// sums them into the global totals. A per-family vector exists only for a
+// family that saw traffic, so the registry stays readable.
 func (w *World) publishStats() {
 	if w.obs == nil {
 		return
 	}
 	reg := w.obs.Registry()
-	snaps := make([]Stats, len(w.local))
-	for i, r := range w.local {
-		snaps[i] = w.stats[r].snapshot()
-	}
-	sm := reg.Vec("mpi.sent_msgs", w.size)
-	sb := reg.Vec("mpi.sent_bytes", w.size)
-	rm := reg.Vec("mpi.recv_msgs", w.size)
-	rb := reg.Vec("mpi.recv_bytes", w.size)
-	for i, r := range w.local {
-		s := snaps[i]
-		sm.At(r).Add(s.SentMsgs)
-		sb.At(r).Add(s.SentBytes)
-		rm.At(r).Add(s.RecvMsgs)
-		rb.At(r).Add(s.RecvBytes)
-	}
-	// Per-tag-family vectors, published only for families that saw traffic so
-	// the registry stays readable. Family sums reconcile with the aggregates
-	// above by construction (runtime excluded from both).
-	for _, f := range TagFamilies() {
-		any := false
-		for i := range snaps {
-			if snaps[i].ByFamily[f] != (FamilyStats{}) {
-				any = true
-				break
+	w.eachTraffic(func(rank int, family string, fs FamilyStats) {
+		suffix := ""
+		if family != "" {
+			if fs == (FamilyStats{}) {
+				return
 			}
+			suffix = "." + family
 		}
-		if !any {
-			continue
-		}
-		fsm := reg.Vec("mpi.sent_msgs."+f.String(), w.size)
-		fsb := reg.Vec("mpi.sent_bytes."+f.String(), w.size)
-		frm := reg.Vec("mpi.recv_msgs."+f.String(), w.size)
-		frb := reg.Vec("mpi.recv_bytes."+f.String(), w.size)
-		for i, r := range w.local {
-			fs := snaps[i].ByFamily[f]
-			fsm.At(r).Add(fs.SentMsgs)
-			fsb.At(r).Add(fs.SentBytes)
-			frm.At(r).Add(fs.RecvMsgs)
-			frb.At(r).Add(fs.RecvBytes)
+		reg.Vec("mpi.sent_msgs"+suffix, w.size).At(rank).Add(fs.SentMsgs)
+		reg.Vec("mpi.sent_bytes"+suffix, w.size).At(rank).Add(fs.SentBytes)
+		reg.Vec("mpi.recv_msgs"+suffix, w.size).At(rank).Add(fs.RecvMsgs)
+		reg.Vec("mpi.recv_bytes"+suffix, w.size).At(rank).Add(fs.RecvBytes)
+	})
+}
+
+// eachTraffic is the one walk behind both the end-of-run publication and the
+// live view: for every local rank, ascending, it calls fn with the rank's
+// aggregate (family "") and then with each tag family's counts by name, in
+// declaration order.
+func (w *World) eachTraffic(fn func(rank int, family string, fs FamilyStats)) {
+	for _, r := range w.local {
+		s := w.stats[r].snapshot()
+		fn(r, "", s.UserFamilyTotals())
+		for f, fs := range s.ByFamily {
+			fn(r, TagFamily(f).String(), fs)
 		}
 	}
 }
@@ -297,7 +284,8 @@ func (w *World) run(fn func(c *Comm) error) error {
 			if w.obs != nil {
 				c.tr = w.obs.Tracer(rank)
 				c.tr.SetStatsFunc(func() (int64, int64) {
-					return w.stats[rank].sentMsgs.Load(), w.stats[rank].sentBytes.Load()
+					s := w.stats[rank].snapshot()
+					return s.SentMsgs, s.SentBytes
 				})
 				reg := w.obs.Registry()
 				c.vops = reg.Vec("mpi.vertex_ops", w.size).At(rank)
@@ -392,9 +380,9 @@ func (w *World) Reset() (stale int, err error) {
 		w.stats[r].reset()
 		w.finalVTime[r].Store(0)
 	}
-	// Drop references to the last run's allgather payloads.
-	for i := range w.coll.bytes {
-		w.coll.bytes[i] = nil
+	// Drop references to the last run's collective payloads.
+	for i := range w.slots {
+		clear(w.slots[i])
 	}
 	w.ran = false
 	return stale, nil
@@ -403,9 +391,7 @@ func (w *World) Reset() (stale int, err error) {
 // LocalRanks lists the ranks this World instance hosts — all of them for the
 // default in-process transport, typically one for a remote backend.
 func (w *World) LocalRanks() []int {
-	out := make([]int, len(w.local))
-	copy(out, w.local)
-	return out
+	return slices.Clone(w.local)
 }
 
 // RankStats returns the traffic counters of one rank. Safe to call from any
@@ -427,27 +413,26 @@ func (w *World) LiveSnapshot() *obs.LiveSnapshot {
 		WorldSize:         w.size,
 		LocalRanks:        w.LocalRanks(),
 	}
-	for _, r := range w.local {
-		st := w.stats[r].snapshot()
-		rt := obs.RankTraffic{
-			Rank:      r,
-			SentMsgs:  st.SentMsgs,
-			SentBytes: st.SentBytes,
-			RecvMsgs:  st.RecvMsgs,
-			RecvBytes: st.RecvBytes,
-		}
-		for _, f := range TagFamilies() {
-			fs := st.ByFamily[f]
-			rt.Families = append(rt.Families, obs.FamilyTraffic{
-				Family:    f.String(),
+	w.eachTraffic(func(rank int, family string, fs FamilyStats) {
+		if family == "" {
+			s.Ranks = append(s.Ranks, obs.RankTraffic{
+				Rank:      rank,
 				SentMsgs:  fs.SentMsgs,
 				SentBytes: fs.SentBytes,
 				RecvMsgs:  fs.RecvMsgs,
 				RecvBytes: fs.RecvBytes,
 			})
+			return
 		}
-		s.Ranks = append(s.Ranks, rt)
-	}
+		rt := &s.Ranks[len(s.Ranks)-1]
+		rt.Families = append(rt.Families, obs.FamilyTraffic{
+			Family:    family,
+			SentMsgs:  fs.SentMsgs,
+			SentBytes: fs.SentBytes,
+			RecvMsgs:  fs.RecvMsgs,
+			RecvBytes: fs.RecvBytes,
+		})
+	})
 	if w.obs != nil {
 		s.Metrics = w.obs.Registry().Snapshot()
 	}
@@ -469,9 +454,12 @@ type Comm struct {
 	world *World
 	rank  int
 	rng   uint64
-	// stash holds messages drained while waiting for a specific tag inside a
-	// collective; Recv and TryRecv serve from it first.
+	// stash holds, oldest first, the messages take popped on the way to the
+	// one it was asked for; every later take serves from it first.
 	stash []Message
+	// round counts this rank's local exchanges; its parity selects the slot
+	// array (see exchange).
+	round uint
 	// vclock is this rank's virtual clock (see vtime.go).
 	vclock float64
 	// Observability hooks (all nil when the world has no observer; the nil
@@ -531,67 +519,58 @@ func (c *Comm) send(m transport.Msg) {
 // the next collective) is stashed for the collective that expects it, never
 // surfaced here.
 func (c *Comm) Recv() Message {
-	if m, ok := c.takeStashedUser(); ok {
-		c.observeArrival(m)
-		return m
-	}
-	for {
-		m, _ := c.world.boxes[c.rank].get(true, c.nextPick())
-		c.countRecv(m)
-		if m.Tag < 0 {
-			c.stash = append(c.stash, m)
-			continue
-		}
-		c.observeArrival(m)
-		return m
-	}
+	m, _ := c.take(true, anySender, anyUserTag)
+	return m
 }
 
 // TryRecv returns a pending user message if one is available, without
 // blocking.
 func (c *Comm) TryRecv() (Message, bool) {
-	if m, ok := c.takeStashedUser(); ok {
-		c.observeArrival(m)
-		return m, true
-	}
-	for {
-		m, ok := c.world.boxes[c.rank].get(false, c.nextPick())
-		if !ok {
-			return Message{}, false
-		}
-		c.countRecv(m)
-		if m.Tag < 0 {
-			c.stash = append(c.stash, m)
-			continue
-		}
-		c.observeArrival(m)
-		return m, true
-	}
+	return c.take(false, anySender, anyUserTag)
 }
 
-// takeStashedUser pops the oldest stashed user (non-negative tag) message.
-func (c *Comm) takeStashedUser() (Message, bool) {
+// What take may be asked for besides one sender and one tag.
+const (
+	anySender  = -1
+	anyUserTag = math.MinInt // every non-negative tag
+)
+
+func wanted(m Message, from, tag int) bool {
+	return (from == anySender || m.From == from) && (m.Tag == tag || tag == anyUserTag && m.Tag >= 0)
+}
+
+// take is the one way a message leaves this rank's stash or mailbox: it
+// returns the oldest pending message from sender from (or anySender) whose
+// tag is tag (or anyUserTag), waiting for one if block is set. The stash is
+// scanned oldest first; after it, messages are popped from the mailbox — from
+// that sender's queue only when one is named, so per-pair FIFO makes the
+// first match the oldest — counted as received, and stashed when they are
+// not the one asked for. The model clock advances only for the message
+// handed to the caller, never for one that is stashed: its receiver has not
+// seen it yet.
+func (c *Comm) take(block bool, from, tag int) (Message, bool) {
 	for i, m := range c.stash {
-		if m.Tag >= 0 {
-			c.stash = append(c.stash[:i], c.stash[i+1:]...)
+		if wanted(m, from, tag) {
+			c.stash = slices.Delete(c.stash, i, i+1)
+			c.observeArrival(m.ArriveV)
 			return m, true
 		}
 	}
-	return Message{}, false
-}
-
-func (c *Comm) countRecv(m Message) {
-	rc := &c.world.stats[c.rank]
-	if m.Tag < 0 {
-		// Runtime-internal traffic is not part of the algorithm's cost:
-		// metered in its own family, excluded from the aggregates.
-		rc.countRecvRuntime(int64(len(m.Data)))
-		return
+	for {
+		m, ok := c.world.boxes[c.rank].get(block, from, c.nextPick())
+		if !ok {
+			return Message{}, false
+		}
+		c.world.stats[c.rank].countRecv(FamilyOf(m.Tag), 1, int64(len(m.Data)))
+		if wanted(m, from, tag) {
+			c.observeArrival(m.ArriveV)
+			return m, true
+		}
+		c.stash = append(c.stash, m)
 	}
-	rc.countRecv(FamilyOf(m.Tag), 1, int64(len(m.Data)))
 }
 
-// nextPick returns the cross-sender selection key for this receive: 0 for
+// nextPick returns the cross-sender selection key for one mailbox pop: 0 for
 // round-robin, or a fresh pseudo-random value in perturbation mode.
 func (c *Comm) nextPick() uint64 {
 	if c.world.perturb == 0 {
@@ -604,27 +583,6 @@ func (c *Comm) nextPick() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Barrier blocks until every rank has entered it. In virtual-time mode the
-// ranks' clocks synchronize to the maximum plus the σ barrier cost.
-//
-// Barrier is also the runtime's delivery fence: everything sent to this rank
-// before the senders entered the barrier is in this rank's mailbox (or stash)
-// once Barrier returns. In-process that follows from sends being synchronous
-// hand-offs; over the wire it follows from per-pair FIFO — the remote barrier
-// exchanges a message with every peer, and receiving a peer's barrier message
-// means everything it sent earlier has already been delivered.
-func (c *Comm) Barrier() {
-	c.epochs.Add(1)
-	if !c.world.allLocal {
-		c.remoteBarrier()
-		return
-	}
-	max := c.world.barrier.await(c.vclock)
-	if vt := c.world.vt; vt != nil {
-		c.vclock = max + vt.Sync
-	}
-}
-
 // DrainTag removes and discards every currently pending message with the
 // given tag (stashed or mailboxed), leaving other traffic untouched, and
 // reports how many were dropped. Protocols whose termination is local (a
@@ -632,22 +590,13 @@ func (c *Comm) Barrier() {
 // algorithm's outer loop) call Barrier and then DrainTag so that a
 // subsequent phase on the same world starts with a clean mailbox.
 func (c *Comm) DrainTag(tag int) int {
-	dropped := 0
-	keep := c.stash[:0]
-	for _, m := range c.stash {
-		if m.Tag == tag {
-			dropped++
-		} else {
-			keep = append(keep, m)
-		}
-	}
-	c.stash = keep
+	stashed := len(c.stash)
+	c.stash = slices.DeleteFunc(c.stash, func(m Message) bool { return m.Tag == tag })
 	n, bytes := c.world.boxes[c.rank].drainTag(tag)
-	dropped += n
 	// Stashed messages were already counted when popped from the mailbox;
 	// only the mailbox-drained ones are counted here, under the tag's family.
 	c.world.stats[c.rank].countRecv(FamilyOf(tag), int64(n), bytes)
-	return dropped
+	return stashed - len(c.stash) + n
 }
 
 // mailbox is an unbounded per-receiver queue with per-sender sub-queues, so
@@ -655,71 +604,95 @@ func (c *Comm) DrainTag(tag int) int {
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queues  [][]Message // one per sender
+	queues  []senderQueue // one per sender
 	pending int
 	next    int // round-robin cursor
 }
 
+// senderQueue is one sender's FIFO: q is the pending messages, a window that
+// slides along a backing array as messages are popped; front is the start of
+// that array, where the window returns whenever it empties. A steady
+// request/answer stream therefore reuses one small array instead of walking
+// it to the next reallocation.
+type senderQueue struct {
+	q, front []Message
+}
+
 func newMailbox(senders int) *mailbox {
-	mb := &mailbox{queues: make([][]Message, senders)}
+	mb := &mailbox{queues: make([]senderQueue, senders)}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
 func (mb *mailbox) put(m Message) {
 	mb.mu.Lock()
-	mb.queues[m.From] = append(mb.queues[m.From], m)
+	s := &mb.queues[m.From]
+	grows := len(s.q) == cap(s.q)
+	s.q = append(s.q, m)
+	if grows {
+		s.front = s.q[:0] // append moved the window to the front of a new array
+	}
 	mb.pending++
 	mb.mu.Unlock()
 	mb.cond.Signal()
 }
 
-// get pops one message. pick == 0 selects round-robin across non-empty
-// sender queues; otherwise pick seeds a random choice among them.
-func (mb *mailbox) get(block bool, pick uint64) (Message, bool) {
+// get pops the oldest message of one sender's queue: sender from, or with
+// anySender a non-empty queue selected by pick (see choose). It is the only
+// place a rank waits for a message: with block set it sleeps until the queue
+// it was asked for has one. Only the owning rank's goroutine receives, so one
+// condition variable serves both kinds of wait.
+func (mb *mailbox) get(block bool, from int, pick uint64) (Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for mb.pending == 0 {
+	for mb.pending == 0 || from != anySender && len(mb.queues[from].q) == 0 {
 		if !block {
 			return Message{}, false
 		}
 		mb.cond.Wait()
 	}
+	if from == anySender {
+		from = mb.choose(pick)
+	}
+	s := &mb.queues[from]
+	m := s.q[0]
+	// Clear the vacated slot: the array outlives the pop, and must not keep
+	// a consumed bundle reachable behind the head.
+	s.q[0] = Message{}
+	if s.q = s.q[1:]; len(s.q) == 0 {
+		s.q = s.front
+	}
+	mb.pending--
+	return m, true
+}
+
+// choose names a non-empty sender queue (one exists): the next one round-robin
+// when pick is 0, otherwise the (pick mod count)-th of them.
+func (mb *mailbox) choose(pick uint64) int {
 	n := len(mb.queues)
-	var chosen = -1
 	if pick == 0 {
-		for i := 0; i < n; i++ {
-			s := (mb.next + i) % n
-			if len(mb.queues[s]) > 0 {
-				chosen = s
+		for i := 0; ; i++ {
+			if s := (mb.next + i) % n; len(mb.queues[s].q) > 0 {
 				mb.next = (s + 1) % n
-				break
-			}
-		}
-	} else {
-		// Count non-empty queues, then index by pick.
-		nonEmpty := 0
-		for s := 0; s < n; s++ {
-			if len(mb.queues[s]) > 0 {
-				nonEmpty++
-			}
-		}
-		k := int(pick % uint64(nonEmpty))
-		for s := 0; s < n; s++ {
-			if len(mb.queues[s]) > 0 {
-				if k == 0 {
-					chosen = s
-					break
-				}
-				k--
+				return s
 			}
 		}
 	}
-	q := mb.queues[chosen]
-	m := q[0]
-	mb.queues[chosen] = q[1:]
-	mb.pending--
-	return m, true
+	nonEmpty := 0
+	for s := range mb.queues {
+		if len(mb.queues[s].q) > 0 {
+			nonEmpty++
+		}
+	}
+	k := int(pick % uint64(nonEmpty))
+	for s := 0; ; s++ {
+		if len(mb.queues[s].q) > 0 {
+			if k == 0 {
+				return s
+			}
+			k--
+		}
+	}
 }
 
 // drainAll empties the mailbox, returning how many messages were discarded,
@@ -729,9 +702,7 @@ func (mb *mailbox) drainAll() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	n := mb.pending
-	for s := range mb.queues {
-		mb.queues[s] = nil
-	}
+	clear(mb.queues)
 	mb.pending = 0
 	mb.next = 0
 	return n
@@ -742,19 +713,21 @@ func (mb *mailbox) drainAll() int {
 func (mb *mailbox) drainTag(tag int) (n int, bytes int64) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for s := range mb.queues {
-		keep := mb.queues[s][:0]
-		for _, m := range mb.queues[s] {
-			if m.Tag == tag {
-				n++
-				bytes += int64(len(m.Data))
-				mb.pending--
-			} else {
-				keep = append(keep, m)
+	for i := range mb.queues {
+		s := &mb.queues[i]
+		s.q = slices.DeleteFunc(s.q, func(m Message) bool {
+			if m.Tag != tag {
+				return false
 			}
+			n++
+			bytes += int64(len(m.Data))
+			return true
+		})
+		if len(s.q) == 0 {
+			s.q = s.front
 		}
-		mb.queues[s] = keep
 	}
+	mb.pending -= n
 	return n, bytes
 }
 

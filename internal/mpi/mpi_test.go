@@ -124,6 +124,45 @@ func TestExactlyOnceDelivery(t *testing.T) {
 	}
 }
 
+// TestMailboxPopReleasesSlots is the white-box check on the one pop: a long
+// request/answer stream keeps reusing one small array per sender queue (the
+// window rewinds whenever it empties), and no vacated slot keeps its payload
+// reachable.
+func TestMailboxPopReleasesSlots(t *testing.T) {
+	w, err := NewWorld(2, WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *Comm) error {
+		other := 1 - c.Rank()
+		for i := 0; i < 100000; i++ {
+			if c.Rank() == 0 {
+				c.Send(other, 1, make([]byte, 64))
+				c.Recv()
+			} else {
+				c.Recv()
+				c.Send(other, 1, make([]byte, 64))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		s := w.boxes[r].queues[1-r]
+		if len(s.q) != 0 || cap(s.front) == 0 || cap(s.front) > 4 || cap(s.q) != cap(s.front) {
+			t.Errorf("rank %d: queue len %d cap %d over an array of %d slots, want empty and rewound to a small array",
+				r, len(s.q), cap(s.q), cap(s.front))
+		}
+		for i, m := range s.front[:cap(s.front)] {
+			if m.Data != nil {
+				t.Errorf("rank %d: popped slot %d still holds its payload", r, i)
+			}
+		}
+	}
+}
+
 func TestTryRecvEmpty(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if _, ok := c.TryRecv(); ok {
@@ -162,16 +201,6 @@ func TestAllreduceOps(t *testing.T) {
 		if got := c.AllreduceInt64(r, OpMax); got != 4 {
 			return fmt.Errorf("max = %d, want 4", got)
 		}
-		if got := c.AllreduceInt64(r, OpMin); got != 0 {
-			return fmt.Errorf("min = %d, want 0", got)
-		}
-		if got := c.AllreduceInt64(r, OpLor); got != 1 {
-			return fmt.Errorf("lor = %d, want 1", got)
-		}
-		zero := c.AllreduceInt64(0, OpLor)
-		if zero != 0 {
-			return fmt.Errorf("lor(all zero) = %d, want 0", zero)
-		}
 		f := c.AllreduceFloat64(float64(c.Rank())+0.5, OpSum)
 		if f != 12.5 {
 			return fmt.Errorf("fsum = %g, want 12.5", f)
@@ -209,58 +238,6 @@ func TestAllgather(t *testing.T) {
 		}
 		return nil
 	}, WithDeadline(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallv(t *testing.T) {
-	const p = 5
-	err := Run(p, func(c *Comm) error {
-		chunks := make([][]byte, p)
-		for to := 0; to < p; to++ {
-			chunks[to] = []byte{byte(c.Rank()), byte(to)}
-		}
-		got := c.Alltoallv(3, chunks)
-		for from := 0; from < p; from++ {
-			want := []byte{byte(from), byte(c.Rank())}
-			if len(got[from]) != 2 || got[from][0] != want[0] || got[from][1] != want[1] {
-				return fmt.Errorf("from %d: got %v, want %v", from, got[from], want)
-			}
-		}
-		return nil
-	}, WithDeadline(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallvRepeatedPhases(t *testing.T) {
-	// Alternating Alltoallv and point-to-point traffic with different tags
-	// must not lose or mix messages (stash path).
-	const p = 3
-	err := Run(p, func(c *Comm) error {
-		for round := 0; round < 10; round++ {
-			// P2P burst on tag 50.
-			c.Send((c.Rank()+1)%p, 50, []byte{byte(round)})
-			chunks := make([][]byte, p)
-			for to := 0; to < p; to++ {
-				chunks[to] = []byte{byte(round * 2)}
-			}
-			got := c.Alltoallv(60, chunks)
-			for from := 0; from < p; from++ {
-				if got[from][0] != byte(round*2) {
-					return fmt.Errorf("round %d: chunk %v", round, got[from])
-				}
-			}
-			// Now collect the P2P message.
-			m := c.Recv()
-			if m.Tag != 50 || m.Data[0] != byte(round) {
-				return fmt.Errorf("round %d: p2p tag %d data %v", round, m.Tag, m.Data)
-			}
-		}
-		return nil
-	}, WithDeadline(15*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,23 +498,6 @@ func TestDrainTag(t *testing.T) {
 	}
 }
 
-func TestDrainTagClearsStash(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		other := 1 - c.Rank()
-		c.Send(other, 7, []byte{9}) // will be stashed by recvTagged
-		chunks := make([][]byte, 2)
-		chunks[other] = []byte{1}
-		c.Alltoallv(8, chunks) // forces the tag-7 message into the stash
-		if n := c.DrainTag(7); n != 1 {
-			return fmt.Errorf("drained %d stashed messages, want 1", n)
-		}
-		return nil
-	}, WithDeadline(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestVirtualTimeBasics(t *testing.T) {
 	vt := VirtualTime{Alpha: 1, Beta: 0.01, GammaVertex: 0.1, GammaEdge: 0.2, Sync: 0.5}
 	w, err := NewWorld(2, WithVirtualTime(vt), WithDeadline(10*time.Second))
@@ -619,41 +579,6 @@ func TestVirtualTimeIdleWaitIsFree(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDrainTagStatsAccounting checks that dropped bundles still count as
-// received traffic: DrainTag is a receive-and-discard, not a rollback, so the
-// global sent/received balance holds after a drain.
-func TestDrainTagStatsAccounting(t *testing.T) {
-	w, err := NewWorld(2, WithDeadline(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
-		other := 1 - c.Rank()
-		c.Send(other, 5, make([]byte, 40)) // dropped from the mailbox
-		c.Send(other, 7, make([]byte, 8))  // stashed by Alltoallv, then dropped
-		chunks := make([][]byte, 2)
-		chunks[other] = []byte{1}
-		c.Alltoallv(9, chunks) // forces both pending messages into the stash
-		if n := c.DrainTag(5); n != 1 {
-			return fmt.Errorf("drained %d tag-5, want 1", n)
-		}
-		if n := c.DrainTag(7); n != 1 {
-			return fmt.Errorf("drained %d tag-7, want 1", n)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := w.TotalStats()
-	if total.SentMsgs != total.RecvMsgs {
-		t.Fatalf("message imbalance after drains: %v", total)
-	}
-	if total.SentBytes != total.RecvBytes {
-		t.Fatalf("byte imbalance after drains: %v", total)
 	}
 }
 

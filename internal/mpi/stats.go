@@ -35,11 +35,10 @@ func (s FamilyStats) Sub(o FamilyStats) FamilyStats {
 // phase; the α–β performance model consumes (SentMsgs, SentBytes) to predict
 // Blue Gene/P-scale times.
 //
-// The aggregate fields cover user traffic only (the algorithm's cost); the
-// ByFamily breakdown attributes the same counts to protocol phases and
-// additionally meters the runtime's reserved-tag collective traffic, which
-// the aggregates exclude by design. The user families therefore reconcile
-// exactly: UserFamilyTotals() equals the aggregate fields on any backend.
+// The aggregate fields cover user traffic only (the algorithm's cost): they
+// are UserFamilyTotals(), the sum of the ByFamily breakdown less the runtime
+// family, which meters the reserved-tag collective traffic of remote
+// transports and is excluded by design.
 type Stats struct {
 	SentMsgs  int64
 	SentBytes int64
@@ -49,9 +48,8 @@ type Stats struct {
 	ByFamily [NumTagFamilies]FamilyStats
 }
 
-// UserFamilyTotals sums the non-runtime families — the per-family view of
-// the aggregate counters. It equals {SentMsgs, SentBytes, RecvMsgs,
-// RecvBytes} exactly; the conformance suite asserts this on every backend.
+// UserFamilyTotals sums the non-runtime families: {SentMsgs, SentBytes,
+// RecvMsgs, RecvBytes} of a rank's Stats are defined as this sum.
 func (s Stats) UserFamilyTotals() FamilyStats {
 	var t FamilyStats
 	for f := TagFamily(0); f < NumTagFamilies; f++ {
@@ -71,57 +69,31 @@ type famCounters struct {
 	recvBytes atomic.Int64
 }
 
-// rankCounters is the live form of Stats: lock-free atomic cells, written by
-// the owning rank's goroutine on every send/receive and readable from any
-// goroutine at any time — live metrics polling (RankStats/TotalStats while
-// Run is in flight) never races and never blocks the hot path.
+// rankCounters is the live form of Stats: lock-free atomic cells, one set
+// per tag family, written by the owning rank's goroutine on every
+// send/receive and readable from any goroutine at any time — live metrics
+// polling (RankStats/TotalStats while Run is in flight) never races and never
+// blocks the hot path. There are no aggregate cells: the aggregates are the
+// sum of the user families, taken when a snapshot is read.
 type rankCounters struct {
-	sentMsgs  atomic.Int64
-	sentBytes atomic.Int64
-	recvMsgs  atomic.Int64
-	recvBytes atomic.Int64
-	fam       [NumTagFamilies]famCounters
+	fam [NumTagFamilies]famCounters
 }
 
-// countSent records one outbound user message in the aggregate and family
-// counters.
+// countSent records one outbound message of family f, user or runtime.
 func (rc *rankCounters) countSent(f TagFamily, bytes int64) {
-	rc.sentMsgs.Add(1)
-	rc.sentBytes.Add(bytes)
 	rc.fam[f].sentMsgs.Add(1)
 	rc.fam[f].sentBytes.Add(bytes)
 }
 
-// countSentRuntime records one reserved-tag outbound message: family only,
-// never the aggregates.
-func (rc *rankCounters) countSentRuntime(bytes int64) {
-	rc.fam[FamilyRuntime].sentMsgs.Add(1)
-	rc.fam[FamilyRuntime].sentBytes.Add(bytes)
-}
-
-// countRecv records inbound messages in the aggregate and family counters.
+// countRecv records inbound messages of family f, user or runtime.
 func (rc *rankCounters) countRecv(f TagFamily, msgs, bytes int64) {
-	rc.recvMsgs.Add(msgs)
-	rc.recvBytes.Add(bytes)
 	rc.fam[f].recvMsgs.Add(msgs)
 	rc.fam[f].recvBytes.Add(bytes)
 }
 
-// countRecvRuntime records one reserved-tag inbound message: family only,
-// never the aggregates.
-func (rc *rankCounters) countRecvRuntime(bytes int64) {
-	rc.fam[FamilyRuntime].recvMsgs.Add(1)
-	rc.fam[FamilyRuntime].recvBytes.Add(bytes)
-}
-
-// reset zeroes every counter, aggregate and per-family — the per-job stats
-// isolation World.Reset gives pooled worlds. Only called between runs, when
-// no rank goroutine is writing.
+// reset zeroes every counter — the per-job stats isolation World.Reset gives
+// pooled worlds. Only called between runs, when no rank goroutine is writing.
 func (rc *rankCounters) reset() {
-	rc.sentMsgs.Store(0)
-	rc.sentBytes.Store(0)
-	rc.recvMsgs.Store(0)
-	rc.recvBytes.Store(0)
 	for f := range rc.fam {
 		rc.fam[f].sentMsgs.Store(0)
 		rc.fam[f].sentBytes.Store(0)
@@ -134,12 +106,7 @@ func (rc *rankCounters) reset() {
 // consistent cut — momentary skew between fields is inherent to live
 // polling and irrelevant to end-of-run reads.
 func (rc *rankCounters) snapshot() Stats {
-	s := Stats{
-		SentMsgs:  rc.sentMsgs.Load(),
-		SentBytes: rc.sentBytes.Load(),
-		RecvMsgs:  rc.recvMsgs.Load(),
-		RecvBytes: rc.recvBytes.Load(),
-	}
+	var s Stats
 	for f := range rc.fam {
 		s.ByFamily[f] = FamilyStats{
 			SentMsgs:  rc.fam[f].sentMsgs.Load(),
@@ -148,6 +115,8 @@ func (rc *rankCounters) snapshot() Stats {
 			RecvBytes: rc.fam[f].recvBytes.Load(),
 		}
 	}
+	t := s.UserFamilyTotals()
+	s.SentMsgs, s.SentBytes, s.RecvMsgs, s.RecvBytes = t.SentMsgs, t.SentBytes, t.RecvMsgs, t.RecvBytes
 	return s
 }
 

@@ -7,7 +7,7 @@ package mpi
 //   - Non-negative tags belong to user code. Comm.Send rejects negative tags,
 //     so user and runtime traffic can never collide.
 //   - Negative tags are reserved for the runtime's own over-the-wire
-//     collectives (see collectives in remote.go).
+//     collectives (see collectives.go).
 //
 // Within the user space the algorithms of this repository carve out fixed
 // ranges, one per protocol phase, so that every byte on the wire can be
@@ -19,11 +19,10 @@ package mpi
 //	[200,300)  color notices (FIAB / FIAC / NEW variants share the range)
 //
 // Every tag maps to exactly one TagFamily via FamilyOf; traffic counters are
-// kept both in aggregate and per family (see Stats), and the per-family
-// counters of the user families sum exactly to the aggregate — the runtime
-// family meters reserved-tag traffic that the aggregate deliberately
-// excludes, so that algorithm message counts stay identical across transport
-// backends.
+// kept per family (see Stats) and the aggregates are the sum of the user
+// families — the runtime family meters reserved-tag traffic that the
+// aggregates deliberately exclude, so that algorithm message counts stay
+// identical across transport backends.
 const (
 	// TagMatchBase is the first tag of the matching-bundle range.
 	TagMatchBase = 100
@@ -100,14 +99,4 @@ func FamilyOf(tag int) TagFamily {
 	default:
 		return FamilyUser
 	}
-}
-
-// TagFamilies lists every family in declaration order, for renderers that
-// iterate the whole breakdown.
-func TagFamilies() []TagFamily {
-	out := make([]TagFamily, NumTagFamilies)
-	for i := range out {
-		out[i] = TagFamily(i)
-	}
-	return out
 }

@@ -36,7 +36,7 @@ func TestFamilyOf(t *testing.T) {
 	// Every family must have a distinct, stable name — the metric suffixes and
 	// the live-snapshot JSON both key on it.
 	seen := map[string]bool{}
-	for _, f := range TagFamilies() {
+	for f := TagFamily(0); f < NumTagFamilies; f++ {
 		name := f.String()
 		if name == "" || seen[name] {
 			t.Errorf("family %d name %q empty or duplicated", f, name)
@@ -184,7 +184,7 @@ func TestTCPDrainTagLeavesStashedRuntime(t *testing.T) {
 
 // TestTCPDrainTagStashedUserDuringBarrier covers the complementary
 // interleaving: a user message sent before the peer's Barrier is popped and
-// stashed by the barrier's own tagged receive, and DrainTag then removes it
+// stashed by the barrier's own per-peer take, and DrainTag then removes it
 // from the stash — exactly once, with no double counting — while the runtime
 // traffic it crossed paths with stays out of the aggregates.
 func TestTCPDrainTagStashedUserDuringBarrier(t *testing.T) {
@@ -201,7 +201,7 @@ func TestTCPDrainTagStashedUserDuringBarrier(t *testing.T) {
 			if len(c.stash) != 1 || c.stash[0].Tag != 5 {
 				t.Errorf("after barrier stash = %+v, want one tag-5 message", c.stash)
 			}
-			m := c.recvTagged(6)
+			m, _ := c.take(true, anySender, 6)
 			if string(m.Data) != "fresh" {
 				return fmt.Errorf("tag 6 payload %q", m.Data)
 			}
@@ -226,5 +226,52 @@ func TestTCPDrainTagStashedUserDuringBarrier(t *testing.T) {
 	}
 	if rt := s.ByFamily[FamilyRuntime]; rt.RecvMsgs == 0 {
 		t.Errorf("rank 0 runtime family saw no barrier traffic: %+v", rt)
+	}
+}
+
+// Only a remote collective can push a user message into the stash (the
+// in-process ones meet in shared memory and receive nothing), so the two
+// stash-side DrainTag checks run over tcp: both ranks post before the barrier,
+// whose per-peer take pops and stashes what precedes the barrier message.
+
+// TestDrainTagClearsStash: a stashed message is drained, exactly once.
+func TestDrainTagClearsStash(t *testing.T) {
+	runOverTCP(t, 2, func(c *Comm) error {
+		c.Send(1-c.Rank(), 7, []byte{9})
+		c.Barrier()
+		if len(c.stash) != 1 {
+			return fmt.Errorf("stash holds %d messages after the barrier, want 1", len(c.stash))
+		}
+		if n := c.DrainTag(7); n != 1 {
+			return fmt.Errorf("drained %d stashed messages, want 1", n)
+		}
+		if n := c.DrainTag(7); n != 0 {
+			return fmt.Errorf("second drain found %d", n)
+		}
+		return nil
+	})
+}
+
+// TestDrainTagStatsAccounting checks that dropped bundles still count as
+// received traffic, once: DrainTag is a receive-and-discard, not a rollback,
+// so the global sent/received balance holds after a drain from the stash.
+func TestDrainTagStatsAccounting(t *testing.T) {
+	worlds := runOverTCP(t, 2, func(c *Comm) error {
+		c.Send(1-c.Rank(), 5, make([]byte, 40))
+		c.Send(1-c.Rank(), 7, make([]byte, 8))
+		c.Barrier() // stashes both
+		for _, tag := range []int{5, 7} {
+			if n := c.DrainTag(tag); n != 1 {
+				return fmt.Errorf("drained %d tag-%d, want 1", n, tag)
+			}
+		}
+		return nil
+	})
+	var total Stats
+	for r, w := range worlds {
+		total.Add(w.RankStats(r))
+	}
+	if total.SentMsgs != 4 || total.RecvMsgs != 4 || total.SentBytes != 96 || total.RecvBytes != 96 {
+		t.Fatalf("stats after drains %v, want 4 msgs / 96 B each way", total)
 	}
 }

@@ -55,12 +55,6 @@ func TestTCPWorldCollectives(t *testing.T) {
 		if m := c.AllreduceInt64(int64(c.Rank()), OpMax); m != n-1 {
 			return fmt.Errorf("max = %d", m)
 		}
-		if m := c.AllreduceInt64(int64(c.Rank()), OpMin); m != 0 {
-			return fmt.Errorf("min = %d", m)
-		}
-		if l := c.AllreduceInt64(int64(c.Rank()), OpLor); l != 1 {
-			return fmt.Errorf("lor = %d", l)
-		}
 		if f := c.AllreduceFloat64(float64(c.Rank())+0.5, OpSum); f != float64(n*(n-1))/2+float64(n)*0.5 {
 			return fmt.Errorf("fsum = %v", f)
 		}

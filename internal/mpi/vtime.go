@@ -81,9 +81,22 @@ func (c *Comm) stampSend(bytes int) float64 {
 	return c.vclock + vt.Alpha + vt.Beta*float64(bytes)
 }
 
-// observeArrival pulls the receiver's clock to the message's arrival.
-func (c *Comm) observeArrival(m Message) {
-	if c.world.vt != nil && m.ArriveV > c.vclock {
-		c.vclock = m.ArriveV
+// observeArrival pulls this rank's clock forward to an arrival time: that of
+// a message handed to it, or the latest entry into a barrier it just left.
+func (c *Comm) observeArrival(t float64) {
+	if c.world.vt != nil && t > c.vclock {
+		c.vclock = t
+	}
+}
+
+// synced charges n barrier synchronizations: n epochs for the replay model,
+// and σ onto the clock n times over (one addition per epoch, so a collective
+// lands on the same bits as the two barriers it replaces).
+func (c *Comm) synced(n int64) {
+	c.epochs.Add(n)
+	if vt := c.world.vt; vt != nil {
+		for ; n > 0; n-- {
+			c.vclock += vt.Sync
+		}
 	}
 }

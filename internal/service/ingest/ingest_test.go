@@ -475,3 +475,33 @@ func TestStoreLoadPathSingleFlight(t *testing.T) {
 		t.Fatal("repeat LoadPath did not hit the store")
 	}
 }
+
+// TestStoreResolveSingleFlight is the spill-tier twin: concurrent resolves of
+// one fingerprint that is on disk but not in memory read the file once.
+func TestStoreResolveSingleFlight(t *testing.T) {
+	dir := t.TempDir()
+	g := ingestTestGraph(t)
+	fp := graph.Fingerprint(g)
+	st1, _ := spillStore(t, dir)
+	st1.Put(fp, g)
+	st, reg := spillStore(t, dir) // same disk, empty memory
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, _, ok := st.Resolve(fp); !ok || graph.Fingerprint(got) != fp {
+				errs <- fmt.Errorf("Resolve ok=%v or the wrong graph", ok)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if v := reg.Snapshot().Counters["ingest.spill_rehydrations"]; v != 1 {
+		t.Fatalf("spill_rehydrations = %d, want 1 (single flight)", v)
+	}
+}

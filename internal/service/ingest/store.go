@@ -159,7 +159,10 @@ func (s *Store) Resolve(fp string) (g *graph.Graph, rehydrated bool, ok bool) {
 	if s.spill == nil || !s.spill.contains(fp) {
 		return nil, false, false
 	}
-	g, _, err := s.loadShared("spill:"+fp, false, func() (*graph.Graph, string, error) {
+	g, _, err := s.loadShared("spill:"+fp, false, func() (*graph.Graph, string, bool) {
+		g, ok := s.lru.Get(fp)
+		return g, fp, ok
+	}, func() (*graph.Graph, string, error) {
 		g, err := s.spill.load(fp)
 		if err != nil {
 			return nil, "", err
@@ -171,7 +174,6 @@ func (s *Store) Resolve(fp string) (g *graph.Graph, rehydrated bool, ok bool) {
 		// and dropped the index entry, so this ref now reads as absent.
 		return nil, false, false
 	}
-	s.Put(fp, g)
 	return g, true, true
 }
 
@@ -185,17 +187,16 @@ func (s *Store) LoadPath(path string) (*graph.Graph, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	s.mu.Lock()
-	if pe, ok := s.paths[path]; ok &&
-		pe.size == info.Size() && pe.modTime.Equal(info.ModTime()) && pe.ino == fileIno(info) {
-		if g, ok := s.lru.Get(pe.fp); ok {
-			s.hits.Inc()
-			s.mu.Unlock()
-			return g, pe.fp, nil
+	return s.loadShared("path:"+path, true, func() (*graph.Graph, string, bool) {
+		if pe, ok := s.paths[path]; ok &&
+			pe.size == info.Size() && pe.modTime.Equal(info.ModTime()) && pe.ino == fileIno(info) {
+			if g, ok := s.lru.Get(pe.fp); ok {
+				s.hits.Inc()
+				return g, pe.fp, true
+			}
 		}
-	}
-	s.mu.Unlock()
-	g, fp, err := s.loadShared("path:"+path, true, func() (*graph.Graph, string, error) {
+		return nil, "", false
+	}, func() (*graph.Graph, string, error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, "", err
@@ -216,18 +217,23 @@ func (s *Store) LoadPath(path string) (*graph.Graph, string, error) {
 		}
 		return g, fp, nil
 	})
-	if err != nil {
-		return nil, "", err
-	}
-	s.Put(fp, g)
-	return g, fp, nil
 }
 
-// loadShared runs load once per key across concurrent callers. countMiss
-// governs whether the losing-the-race path counts as a store miss; Resolve
-// passes false because its preceding Get already counted one.
-func (s *Store) loadShared(key string, countMiss bool, load func() (*graph.Graph, string, error)) (*graph.Graph, string, error) {
+// loadShared returns the graph cached finds in the store, or else runs load
+// once per key across concurrent callers and deposits its graph. cached runs
+// under the store lock together with the flight lookup, and the deposit
+// happens before the flight entry is removed, so a caller always sees either
+// the flight or the stored graph — never neither, which would decode the same
+// bytes a second time. countMiss governs whether starting a load counts as a
+// store miss; Resolve passes false because its preceding Get already counted
+// one.
+func (s *Store) loadShared(key string, countMiss bool, cached func() (*graph.Graph, string, bool),
+	load func() (*graph.Graph, string, error)) (*graph.Graph, string, error) {
 	s.mu.Lock()
+	if g, fp, ok := cached(); ok {
+		s.mu.Unlock()
+		return g, fp, nil
+	}
 	if c, ok := s.flight[key]; ok {
 		s.mu.Unlock()
 		s.shared.Inc()
@@ -241,7 +247,9 @@ func (s *Store) loadShared(key string, countMiss bool, load func() (*graph.Graph
 	}
 	s.mu.Unlock()
 
-	c.g, c.fp, c.err = load()
+	if c.g, c.fp, c.err = load(); c.err == nil {
+		s.Put(c.fp, c.g)
+	}
 	s.mu.Lock()
 	delete(s.flight, key)
 	s.mu.Unlock()
