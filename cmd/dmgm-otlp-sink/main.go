@@ -14,7 +14,7 @@
 // The summary lists one line per trace id — span count and the sorted,
 // "|"-joined distinct span names — then a metric data-point total:
 //
-//	trace 0af7651916cd43dd8448eb211c80319c spans=12 names=mpi.run|serve.admit|serve.job|...
+//	trace 0af7651916cd43dd8448eb211c80319c spans=12 names=match.outer|serve.admit|serve.job|...
 //	metric_points 84
 package main
 
@@ -29,34 +29,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/obs"
 )
-
-// otlpTraces mirrors just enough of the OTLP trace request to count spans;
-// unknown fields (resources, attributes) are ignored by encoding/json.
-type otlpTraces struct {
-	ResourceSpans []struct {
-		ScopeSpans []struct {
-			Spans []struct {
-				TraceID string `json:"traceId"`
-				Name    string `json:"name"`
-			} `json:"spans"`
-		} `json:"scopeSpans"`
-	} `json:"resourceSpans"`
-}
-
-// otlpMetrics counts data points across every metric shape the exporter
-// emits (sums, gauges, histograms).
-type otlpMetrics struct {
-	ResourceMetrics []struct {
-		ScopeMetrics []struct {
-			Metrics []struct {
-				Sum       *struct{ DataPoints []json.RawMessage } `json:"sum"`
-				Gauge     *struct{ DataPoints []json.RawMessage } `json:"gauge"`
-				Histogram *struct{ DataPoints []json.RawMessage } `json:"histogram"`
-			} `json:"metrics"`
-		} `json:"scopeMetrics"`
-	} `json:"resourceMetrics"`
-}
 
 type sink struct {
 	mu           sync.Mutex
@@ -71,7 +46,7 @@ func (s *sink) handleTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var req otlpTraces
+	var req obs.OTLPTraceRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -100,26 +75,14 @@ func (s *sink) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var req otlpMetrics
+	var req obs.OTLPMetricsRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	points := 0
-	for _, rm := range req.ResourceMetrics {
-		for _, sm := range rm.ScopeMetrics {
-			for _, m := range sm.Metrics {
-				for _, dp := range []*struct{ DataPoints []json.RawMessage }{m.Sum, m.Gauge, m.Histogram} {
-					if dp != nil {
-						points += len(dp.DataPoints)
-					}
-				}
-			}
-		}
-	}
 	s.mu.Lock()
 	s.pushes++
-	s.metricPoints += points
+	s.metricPoints += req.DataPoints()
 	s.mu.Unlock()
 	w.Write([]byte("{}")) //nolint:errcheck // best-effort ack
 }

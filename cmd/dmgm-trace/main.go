@@ -144,7 +144,7 @@ func report(tf *obs.TraceFile, details bool) {
 	fmt.Fprintln(w, "rank\tspan\tcount\ttotal\tmean\tmsgs\tbytes")
 	for _, r := range ranks {
 		m := perRank[r]
-		for _, name := range sortedNames(m) {
+		for _, name := range obs.SortedKeys(m) {
 			a := m[name]
 			if a.detail && !details {
 				continue
@@ -266,68 +266,22 @@ func printMetrics(m *obs.MetricsSnapshot) {
 	}
 }
 
-// printFamilyTable condenses the mpi.{sent,recv}_{msgs,bytes}.<family>
-// per-rank vecs into one traffic row per tag family (summed across ranks).
-// The "runtime" family meters the reserved-tag collectives that the plain
-// mpi.sent_* aggregates exclude (see docs/PROTOCOL.md).
+// printFamilyTable renders one traffic row per tag family (summed across
+// ranks; obs.MetricsSnapshot.FamilyTraffic). The "runtime" family meters the
+// reserved-tag collectives that the plain mpi.sent_* aggregates exclude (see
+// docs/PROTOCOL.md).
 func printFamilyTable(m *obs.MetricsSnapshot) {
-	type famRow struct{ sentMsgs, sentBytes, recvMsgs, recvBytes int64 }
-	fams := map[string]*famRow{}
-	sum := func(vals []int64) int64 {
-		var s int64
-		for _, v := range vals {
-			s += v
-		}
-		return s
-	}
-	for key, vals := range m.PerRank {
-		var kind string
-		var fam string
-		for _, pre := range []string{"mpi.sent_msgs.", "mpi.sent_bytes.", "mpi.recv_msgs.", "mpi.recv_bytes."} {
-			if len(key) > len(pre) && key[:len(pre)] == pre {
-				kind, fam = pre, key[len(pre):]
-				break
-			}
-		}
-		if kind == "" {
-			continue
-		}
-		f := fams[fam]
-		if f == nil {
-			f = &famRow{}
-			fams[fam] = f
-		}
-		switch kind {
-		case "mpi.sent_msgs.":
-			f.sentMsgs += sum(vals)
-		case "mpi.sent_bytes.":
-			f.sentBytes += sum(vals)
-		case "mpi.recv_msgs.":
-			f.recvMsgs += sum(vals)
-		case "mpi.recv_bytes.":
-			f.recvBytes += sum(vals)
-		}
-	}
+	fams := m.FamilyTraffic()
 	if len(fams) == 0 {
 		return
 	}
 	fmt.Println("\n== per-tag-family traffic ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "family\tsent msgs\tsent bytes\trecv msgs\trecv bytes")
-	for _, fam := range obs.SortedKeys(fams) {
-		f := fams[fam]
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%s\n", fam, f.sentMsgs, fmtBytes(f.sentBytes), f.recvMsgs, fmtBytes(f.recvBytes))
+	for _, f := range fams {
+		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%s\n", f.Family, f.SentMsgs, fmtBytes(f.SentBytes), f.RecvMsgs, fmtBytes(f.RecvBytes))
 	}
 	w.Flush()
-}
-
-func sortedNames(m map[string]*agg) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func rankLabel(pid int) string {

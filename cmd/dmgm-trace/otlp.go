@@ -33,7 +33,7 @@ func otlpPush(tf *obs.TraceFile, path, endpoint, runID string) int {
 	exp := obs.NewOTLPExporter(endpoint, obs.OTLPOptions{
 		Identity: obs.OTLPIdentity{RunID: runID, WorldSize: worldSize},
 	})
-	exp.ExportSpans(spans, 0)
+	exp.ExportSpans(spans)
 	if tf.Metrics != nil {
 		var startNanos int64
 		for _, s := range spans {

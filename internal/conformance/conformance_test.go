@@ -407,7 +407,7 @@ func TestOTLPExportInvariance(t *testing.T) {
 	obsr := obs.NewObserver(nRanks, 0)
 	healthy := run(obsr)
 	exp := obs.NewOTLPExporter(srv.URL, obs.OTLPOptions{Identity: obs.OTLPIdentity{RunID: "conf", WorldSize: nRanks}})
-	exp.ExportObserver(obsr, []int{0, 1, 2, 3}, 0)
+	exp.ExportObserver(obsr, []int{0, 1, 2, 3})
 	if err := exp.Close(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestOTLPExportInvariance(t *testing.T) {
 	dead := obs.NewOTLPExporter("http://127.0.0.1:1", obs.OTLPOptions{MaxRetries: 1})
 	obsr2 := obs.NewObserver(nRanks, 0)
 	broken := run(obsr2)
-	dead.ExportObserver(obsr2, []int{0, 1, 2, 3}, 0)
+	dead.ExportObserver(obsr2, []int{0, 1, 2, 3})
 	dead.Close(10 * time.Second) //nolint:errcheck // drops are the point
 	for name, res := range map[string]*dmgm.MatchParallelResult{"healthy": healthy, "broken": broken} {
 		if fmt.Sprint(plain.Mates) != fmt.Sprint(res.Mates) || plain.Weight != res.Weight {

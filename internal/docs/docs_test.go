@@ -3,7 +3,9 @@
 // files that exist and fragment anchors at headings that exist. It runs in CI
 // (the docs job) so documentation cannot silently drift from the tree — no
 // network access, external URLs are not followed. TestDgraphIsBelowTheRuntime
-// and TestMatchingHasNoMaps hold the tree to claims DESIGN.md makes.
+// and TestMatchingHasNoMaps hold the tree to claims DESIGN.md makes;
+// TestSignalCatalogue and TestObservabilityWrittenOnce hold it to
+// docs/OBSERVABILITY.md.
 package docs
 
 import (
@@ -11,8 +13,11 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -222,6 +227,257 @@ func TestRuntimeWaitPoints(t *testing.T) {
 	if len(local) > 3 || !local["Barrier"] || !local["exchange"] || !local["Reset"] {
 		t.Errorf("allLocal read in %v, want Barrier, exchange and Reset only", local)
 	}
+}
+
+// signalCalls maps the methods that take a signal's name as their first
+// argument to the catalogue kind they emit, with the argument count that
+// tells the tracer's Observe(name, start, n) from a histogram's Observe(v).
+var signalCalls = map[string]struct {
+	kind string
+	args int
+}{
+	"Counter": {"counter", 1}, "Gauge": {"gauge", 1}, "Vec": {"vec", 2}, "Histogram": {"histogram", 2},
+	"Begin": {"span", 1}, "BeginUnder": {"span", 2}, "BeginDetail": {"detail span", 1},
+	"Observe": {"span", 3}, "ObserveUnder": {"span", 4}, "ObserveSpan": {"span", 5},
+	"stage": {"span", 2}, "record": {"span", 5},
+}
+
+// signalNames evaluates the name argument of a signal call to the catalogue
+// names it can produce. String literals and constants are themselves, +
+// concatenates, a local variable is whatever the enclosing function assigns
+// it, obs.FamilyKey(base, f) is base and base.<family>, and anything only
+// known at run time (a tenant's name) reads <id>.
+func signalNames(e ast.Expr, fn *ast.FuncDecl, consts map[string]string) []string {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		if s, err := strconv.Unquote(e.Value); err == nil && e.Kind == token.STRING {
+			return []string{s}
+		}
+	case *ast.ParenExpr:
+		return signalNames(e.X, fn, consts)
+	case *ast.BinaryExpr:
+		var out []string
+		for _, l := range signalNames(e.X, fn, consts) {
+			for _, r := range signalNames(e.Y, fn, consts) {
+				out = append(out, l+r)
+			}
+		}
+		return out
+	case *ast.CallExpr:
+		if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "FamilyKey" && len(e.Args) == 2 {
+			var out []string
+			for _, base := range signalNames(e.Args[0], fn, consts) {
+				out = append(out, base, base+".<family>")
+			}
+			return out
+		}
+	case *ast.Ident:
+		if v, ok := consts[e.Name]; ok {
+			return []string{v}
+		}
+		var out []string
+		if fn != nil {
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+					for i, lhs := range as.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok && id.Name == e.Name {
+							out = append(out, signalNames(as.Rhs[i], fn, consts)...)
+						}
+					}
+				}
+				return true
+			})
+		}
+		if len(out) > 0 {
+			return out
+		}
+	}
+	return []string{"<id>"}
+}
+
+// TestSignalCatalogue holds docs/OBSERVABILITY.md's catalogue to the code in
+// both directions: every metric and span name the non-test code can emit has
+// a row of the right kind, every row is emitted somewhere, and every row says
+// where it is emitted and who reads it. A signal without a reader does not
+// get a row; it gets deleted.
+func TestSignalCatalogue(t *testing.T) {
+	emitted := map[string]string{} // name -> kind
+	where := map[string]string{}
+	byDir := map[string]map[string]*ast.File{}
+	for name, file := range repoFiles(t) {
+		dir := path.Dir(name)
+		if byDir[dir] == nil {
+			byDir[dir] = map[string]*ast.File{}
+		}
+		byDir[dir][name] = file
+	}
+	for _, files := range byDir {
+		consts := map[string]string{} // the package's string constants
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+					for _, spec := range gd.Specs {
+						vs := spec.(*ast.ValueSpec)
+						for i, id := range vs.Names {
+							if i < len(vs.Values) {
+								if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+									consts[id.Name], _ = strconv.Unquote(lit.Value)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		for name, file := range files {
+			for _, decl := range file.Decls {
+				fn, _ := decl.(*ast.FuncDecl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					sig, known := signalCalls[sel.Sel.Name]
+					if !known || len(call.Args) != sig.args {
+						return true
+					}
+					for _, sn := range signalNames(call.Args[0], fn, consts) {
+						if sn == "<id>" {
+							// A signal method may hand its own name parameter
+							// on (Observe -> ObserveSpan, stage -> BeginUnder);
+							// anything else hides a name from this test.
+							forwards := false
+							if fn != nil {
+								_, forwards = signalCalls[fn.Name.Name]
+							}
+							if !forwards {
+								t.Errorf("%s: %s(...) takes a name this test cannot read; pass a literal or a constant", name, sel.Sel.Name)
+							}
+							continue
+						}
+						if prev, ok := emitted[sn]; ok && prev != sig.kind {
+							t.Errorf("%s: %q emitted as %s here and as %s in %s", name, sn, sig.kind, prev, where[sn])
+						}
+						emitted[sn], where[sn] = sig.kind, name
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowRe := regexp.MustCompile("(?m)^\\| `([^`]+)` \\| ([^|]+) \\| ([^|]+) \\| ([^|]+) \\| ([^|]+) \\|$")
+	listed := map[string]bool{}
+	for _, m := range rowRe.FindAllStringSubmatch(string(doc), -1) {
+		name, kind, emitter, reader := m[1], strings.TrimSpace(m[2]), strings.TrimSpace(m[4]), strings.TrimSpace(m[5])
+		if listed[name] {
+			t.Errorf("catalogue lists %q twice", name)
+		}
+		listed[name] = true
+		switch got, ok := emitted[name]; {
+		case !ok:
+			t.Errorf("catalogue row %q: no non-test code emits it; delete the row", name)
+		case got != kind:
+			t.Errorf("catalogue row %q says %s, %s emits a %s", name, kind, where[name], got)
+		}
+		if emitter == "" || reader == "" || strings.EqualFold(reader, "nobody") || reader == "-" || reader == "—" {
+			t.Errorf("catalogue row %q must name its emitter and a reader (got %q, %q)", name, emitter, reader)
+		}
+	}
+	var missing []string
+	for name := range emitted {
+		if !listed[name] {
+			missing = append(missing, name+" ("+emitted[name]+", "+where[name]+")")
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("emitted but not in docs/OBSERVABILITY.md's catalogue: %s — add a row naming who reads it, or delete the signal", m)
+	}
+}
+
+// TestObservabilityWrittenOnce pins the structure docs/OBSERVABILITY.md
+// describes: pprof is mounted by one function, the traffic and bundler key
+// names are spelled only by the package that owns the key shape
+// (internal/obs) and by their producers (internal/mpi), the transports meter
+// nothing themselves, and the OTLP exporter has at most four options.
+func TestObservabilityWrittenOnce(t *testing.T) {
+	pprofIn := map[string]bool{}
+	for name, file := range repoFiles(t) {
+		for _, decl := range file.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "pprof" && n.Sel.Name == "Index" {
+						fn, _ := decl.(*ast.FuncDecl)
+						pprofIn[name+":"+fn.Name.Name] = true
+					}
+				case *ast.BasicLit:
+					switch n.Value {
+					case `"mpi.sent_msgs"`, `"mpi.recv_bytes"`, `"mpi.bundle_flushes"`:
+						if dir := path.Dir(name); dir != "internal/obs" && dir != "internal/mpi" {
+							t.Errorf("%s spells %s; only internal/obs and the producers in internal/mpi may", name, n.Value)
+						}
+					}
+				case *ast.FuncDecl:
+					if n.Recv != nil && n.Name.Name == "SetMetrics" && path.Dir(name) == "internal/mpi/transport" {
+						t.Errorf("%s: a transport has a SetMetrics method again", name)
+					}
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "OTLPOptions" && st.Fields.NumFields() > 4 {
+						t.Errorf("%s: OTLPOptions has %d fields, want at most 4", name, st.Fields.NumFields())
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(pprofIn) != 1 {
+		t.Errorf("pprof.Index referenced in %v, want exactly one function", pprofIn)
+	}
+}
+
+// repoFiles parses every non-test Go file of the root module, keyed by its
+// slash-separated path from the repository root. bench/ is a module of its
+// own and is not walked.
+func repoFiles(t *testing.T) map[string]*ast.File {
+	t.Helper()
+	root := repoRoot(t)
+	files := map[string]*ast.File{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		files[filepath.ToSlash(rel)] = file
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // nonTestFiles parses the non-test Go files of internal/<pkg>, by base name.

@@ -74,8 +74,8 @@ func NewBundler(c *Comm, tag, recordSize, maxBytes int) *Bundler {
 		fam := FamilyOf(tag).String()
 		b.flushCtr = reg.Counter("mpi.bundle_flushes")
 		b.recordCtr = reg.Counter("mpi.bundle_records")
-		b.famFlushCtr = reg.Counter("mpi.bundle_flushes." + fam)
-		b.famRecordCtr = reg.Counter("mpi.bundle_records." + fam)
+		b.famFlushCtr = reg.Counter(obs.FamilyKey("mpi.bundle_flushes", fam))
+		b.famRecordCtr = reg.Counter(obs.FamilyKey("mpi.bundle_records", fam))
 		b.sizeHist = reg.Histogram("mpi.bundle_bytes", obs.ExpBounds(16, 128<<10))
 	}
 	return b

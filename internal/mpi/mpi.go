@@ -106,10 +106,9 @@ func WithTransport(t transport.Transport) Option {
 }
 
 // WithObserver attaches an observability collector: each local rank gets the
-// observer's tracer for its rank (see Comm.Tracer), the runtime's counters
-// flow into the observer's registry, and a transport that supports metrics
-// is wired to it too. A nil observer is the disabled state and costs
-// nothing on any hot path.
+// observer's tracer for its rank (see Comm.Tracer) and the runtime's
+// counters flow into the observer's registry. A nil observer is the disabled
+// state and costs nothing on any hot path.
 func WithObserver(o *obs.Observer) Option {
 	return func(w *World) { w.obs = o }
 }
@@ -129,14 +128,10 @@ func (w *World) SetObserver(o *obs.Observer) error {
 	return nil
 }
 
-// attach makes o the world's observer. A transport backend that meters
-// itself (frames, wire bytes, write batches) hooks into the same registry; a
-// nil observer has a nil registry, whose instruments are no-ops.
+// attach makes o the world's observer; a nil observer has a nil registry,
+// whose instruments are no-ops.
 func (w *World) attach(o *obs.Observer) {
 	w.obs = o
-	if m, ok := w.tr.(transport.MetricSetter); ok {
-		m.SetMetrics(o.Registry())
-	}
 	o.Registry().Gauge("mpi.world_size").Set(int64(w.size))
 }
 
@@ -233,17 +228,13 @@ func (w *World) publishStats() {
 	}
 	reg := w.obs.Registry()
 	w.eachTraffic(func(rank int, family string, fs FamilyStats) {
-		suffix := ""
-		if family != "" {
-			if fs == (FamilyStats{}) {
-				return
-			}
-			suffix = "." + family
+		if family != "" && fs == (FamilyStats{}) {
+			return
 		}
-		reg.Vec("mpi.sent_msgs"+suffix, w.size).At(rank).Add(fs.SentMsgs)
-		reg.Vec("mpi.sent_bytes"+suffix, w.size).At(rank).Add(fs.SentBytes)
-		reg.Vec("mpi.recv_msgs"+suffix, w.size).At(rank).Add(fs.RecvMsgs)
-		reg.Vec("mpi.recv_bytes"+suffix, w.size).At(rank).Add(fs.RecvBytes)
+		reg.Vec(obs.FamilyKey("mpi.sent_msgs", family), w.size).At(rank).Add(fs.SentMsgs)
+		reg.Vec(obs.FamilyKey("mpi.sent_bytes", family), w.size).At(rank).Add(fs.SentBytes)
+		reg.Vec(obs.FamilyKey("mpi.recv_msgs", family), w.size).At(rank).Add(fs.RecvMsgs)
+		reg.Vec(obs.FamilyKey("mpi.recv_bytes", family), w.size).At(rank).Add(fs.RecvBytes)
 	})
 }
 

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // Inproc is the shared-memory backend: all ranks live in this process and a
 // send is a synchronous call into the receiver's sink (which, in the mpi
@@ -15,9 +11,6 @@ import (
 type Inproc struct {
 	size  int
 	sinks []Sink
-
-	msgs  *obs.Counter // delivered messages (nil = unmetered)
-	bytes *obs.Counter // delivered payload bytes
 }
 
 // NewInproc creates the shared-memory transport for size ranks.
@@ -40,12 +33,6 @@ func (t *Inproc) Local() []int {
 // Register implements Transport.
 func (t *Inproc) Register(rank int, sink Sink) { t.sinks[rank] = sink }
 
-// SetMetrics implements MetricSetter.
-func (t *Inproc) SetMetrics(reg *obs.Registry) {
-	t.msgs = reg.Counter("transport.inproc.msgs")
-	t.bytes = reg.Counter("transport.inproc.bytes")
-}
-
 // Start implements Transport; nothing to bring up.
 func (t *Inproc) Start() error {
 	for r, s := range t.sinks {
@@ -59,8 +46,6 @@ func (t *Inproc) Start() error {
 // Send implements Transport: a synchronous hand-off, so anything sent before
 // a synchronization point is already in the receiver's mailbox after it.
 func (t *Inproc) Send(m Msg) error {
-	t.msgs.Inc()
-	t.bytes.Add(int64(len(m.Payload)))
 	t.sinks[m.To](m)
 	return nil
 }

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // TCP is the socket backend: one persistent connection per rank pair carries
@@ -37,12 +35,6 @@ type TCP struct {
 
 	ln   net.Listener
 	sink Sink
-
-	// Wire-level meters (nil = unmetered; obs instruments no-op on nil).
-	framesSent, framesRecv *obs.Counter
-	wireSent, wireRecv     *obs.Counter
-	writeBatches           *obs.Counter
-	batchFrames            *obs.Histogram
 
 	mu       sync.Mutex
 	err      error // first fatal transport error
@@ -161,18 +153,6 @@ func (t *TCP) Register(rank int, sink Sink) {
 		panic(fmt.Sprintf("transport: sink for rank %d registered on tcp endpoint of rank %d", rank, t.rank))
 	}
 	t.sink = sink
-}
-
-// SetMetrics implements MetricSetter: wire-level frame/byte counters, the
-// number of writer wakeups (write batches), and a histogram of frames per
-// batch — the socket-level analogue of the bundler's record aggregation.
-func (t *TCP) SetMetrics(reg *obs.Registry) {
-	t.framesSent = reg.Counter("transport.tcp.frames_sent")
-	t.framesRecv = reg.Counter("transport.tcp.frames_recv")
-	t.wireSent = reg.Counter("transport.tcp.wire_bytes_sent")
-	t.wireRecv = reg.Counter("transport.tcp.wire_bytes_recv")
-	t.writeBatches = reg.Counter("transport.tcp.write_batches")
-	t.batchFrames = reg.Histogram("transport.tcp.batch_frames", obs.ExpBounds(1, 1024))
 }
 
 // Addr reports the data-listener address, available once Start has bound it.
@@ -435,8 +415,6 @@ func (t *TCP) Send(m Msg) error {
 		return fmt.Errorf("transport: rank %d has no connection to rank %d (not started?)", t.rank, m.To)
 	}
 	frame := encodeData(m)
-	t.framesSent.Inc()
-	t.wireSent.Add(int64(len(frame)))
 	p.mu.Lock()
 	if p.closing || p.broken {
 		p.mu.Unlock()
@@ -463,8 +441,6 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 		done := p.closing && len(batch) == 0
 		p.mu.Unlock()
 		if len(batch) > 0 {
-			t.writeBatches.Inc()
-			t.batchFrames.Observe(int64(len(batch)))
 			bufs := net.Buffers(batch)
 			if _, err := bufs.WriteTo(p.conn); err != nil {
 				t.fail(fmt.Errorf("transport: write %d->%d: %w", t.rank, p.rank, err))
@@ -501,9 +477,6 @@ func (t *TCP) readLoop(p *tcpPeer) {
 			t.fail(fmt.Errorf("transport: unexpected frame kind %d on data connection %d<-%d", kind, t.rank, p.rank))
 			return
 		}
-		t.framesRecv.Inc()
-		t.wireRecv.Add(int64(4 + 1 + len(body))) // length prefix + kind + body
-
 		m, err := decodeData(p.rank, body)
 		if err != nil {
 			t.fail(err)

@@ -24,8 +24,6 @@
 //     receiver (mirrors buffered MPI_Isend).
 package transport
 
-import "repro/internal/obs"
-
 // Msg is one point-to-point message as the transport sees it.
 type Msg struct {
 	From, To int
@@ -62,12 +60,4 @@ type Transport interface {
 	// Close no further Sends are accepted; inbound messages already on the
 	// wire may still be delivered while peers finish closing.
 	Close() error
-}
-
-// MetricSetter is implemented by backends that meter their own delivery
-// (frames, wire bytes, write batches) into an observability registry. The
-// mpi runtime wires it when a world runs with an observer; backends must
-// treat an unset registry as free (nil instruments are no-ops).
-type MetricSetter interface {
-	SetMetrics(*obs.Registry)
 }

@@ -21,7 +21,7 @@ func BenchmarkDisabledExporter(b *testing.B) {
 	spans := []Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		exp.ExportSpans(spans, 0)
+		exp.ExportSpans(spans)
 		_ = exp.Dropped()
 	}
 }

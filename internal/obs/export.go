@@ -79,14 +79,11 @@ func eventOf(s Span, driverTID int) TraceEvent {
 	return e
 }
 
-// CollectEvents flattens the observer's spans for the given ranks (plus the
-// driver tracer) into Chrome events. driverTID distinguishes driver spans of
-// different worker processes after a shard merge; pass 0 for single-process
-// runs.
-func (o *Observer) CollectEvents(ranks []int, driverTID int) []TraceEvent {
-	if o == nil {
-		return nil
-	}
+// WriteChrome writes the Chrome-trace JSON for the given ranks (plus the
+// driver tracer), embedding the registry snapshot. driverTID distinguishes
+// driver spans of different worker processes after a shard merge; pass 0 for
+// single-process runs.
+func (o *Observer) WriteChrome(w io.Writer, ranks []int, driverTID int) error {
 	var events []TraceEvent
 	for _, r := range ranks {
 		t := o.Tracer(r)
@@ -104,9 +101,10 @@ func (o *Observer) CollectEvents(ranks []int, driverTID int) []TraceEvent {
 	for _, s := range o.Driver().Spans() {
 		events = append(events, eventOf(s, driverTID))
 	}
-	// Name the per-rank processes so viewers label the timeline rows.
+	// Name the per-rank processes so viewers label the timeline rows. The
+	// list starts non-nil: a loadable file even when empty.
 	seen := map[int]bool{}
-	var meta []TraceEvent
+	meta := []TraceEvent{}
 	for _, e := range events {
 		if !seen[e.PID] {
 			seen[e.PID] = true
@@ -121,53 +119,45 @@ func (o *Observer) CollectEvents(ranks []int, driverTID int) []TraceEvent {
 					Args: map[string]any{"sort_index": int64(e.PID)}})
 		}
 	}
-	return append(meta, events...)
-}
-
-// WriteChrome writes the Chrome-trace JSON for the given ranks, embedding
-// the registry snapshot.
-func (o *Observer) WriteChrome(w io.Writer, ranks []int, driverTID int) error {
-	tf := TraceFile{Events: o.CollectEvents(ranks, driverTID)}
-	if tf.Events == nil {
-		tf.Events = []TraceEvent{} // a loadable file even when empty
-	}
+	tf := TraceFile{Events: append(meta, events...)}
 	if o != nil {
 		tf.Metrics = o.Registry().Snapshot()
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&tf)
+	return json.NewEncoder(w).Encode(&tf)
 }
 
 // WriteTraceFile writes the Chrome-trace JSON for the given ranks to path.
 func (o *Observer) WriteTraceFile(path string, ranks []int, driverTID int) error {
+	return writeFile(path, func(w io.Writer) error { return o.WriteChrome(w, ranks, driverTID) })
+}
+
+// writeFile creates path and fills it through encode, reporting the first of
+// the create, encode and close errors.
+func writeFile(path string, encode func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := o.WriteChrome(f, ranks, driverTID); err != nil {
+	if err := encode(f); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// WriteMetricsFile writes the registry snapshot as standalone JSON, keys in
-// canonical (sorted) order so repeated exports diff cleanly.
-func (o *Observer) WriteMetricsFile(path string) error {
-	return os.WriteFile(path, o.Registry().Snapshot().CanonicalJSONIndent(), 0o644)
-}
-
 // ReadTraceFile loads a trace written by WriteTraceFile or a shard merge.
-func ReadTraceFile(path string) (*TraceFile, error) {
+func ReadTraceFile(path string) (*TraceFile, error) { return readJSON[TraceFile](path) }
+
+func readJSON[T any](path string) (*T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var tf TraceFile
-	if err := json.Unmarshal(data, &tf); err != nil {
+	var v T
+	if err := json.Unmarshal(data, &v); err != nil {
 		return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
 	}
-	return &tf, nil
+	return &v, nil
 }
 
 // ShardPath names the per-worker trace/metrics shard for one rank.
@@ -175,68 +165,52 @@ func ShardPath(path string, rank int) string {
 	return fmt.Sprintf("%s.rank%d", path, rank)
 }
 
-// MergeShards combines the per-worker shards path.rank0..path.rank(p-1)
-// into path: trace events concatenate, metrics snapshots merge. Missing
-// shards (a worker that died before writing) are skipped with an error
-// return listing them; the merged file is still written from what exists.
+// MergeShards combines the per-worker trace shards path.rank0..path.rank(p-1)
+// into path: trace events concatenate (ordered by process, then time),
+// metrics snapshots merge.
 func MergeShards(path string, p int) error {
 	merged := TraceFile{Events: []TraceEvent{}, Metrics: (*Registry)(nil).Snapshot()}
-	var missing []int
-	for r := 0; r < p; r++ {
-		shard := ShardPath(path, r)
-		tf, err := ReadTraceFile(shard)
-		if err != nil {
-			missing = append(missing, r)
-			continue
-		}
+	return mergeShards(path, p, func(tf *TraceFile) {
 		merged.Events = append(merged.Events, tf.Events...)
 		merged.Metrics.Merge(tf.Metrics)
-		os.Remove(shard)
-	}
-	sort.SliceStable(merged.Events, func(i, j int) bool {
-		if merged.Events[i].PID != merged.Events[j].PID {
-			return merged.Events[i].PID < merged.Events[j].PID
-		}
-		return merged.Events[i].TS < merged.Events[j].TS
+	}, func(w io.Writer) error {
+		sort.SliceStable(merged.Events, func(i, j int) bool {
+			if merged.Events[i].PID != merged.Events[j].PID {
+				return merged.Events[i].PID < merged.Events[j].PID
+			}
+			return merged.Events[i].TS < merged.Events[j].TS
+		})
+		return json.NewEncoder(w).Encode(&merged)
 	})
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(&merged); err != nil {
-		return err
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("obs: shards missing for ranks %v", missing)
-	}
-	return nil
 }
 
-// MergeMetricsShards combines per-worker metrics JSON shards into path.
-func MergeMetricsShards(path string, p int) error {
-	merged := (*Registry)(nil).Snapshot()
+// mergeShards is the one loop behind a launch's merged outputs: every shard
+// path.rank<r> that exists and decodes is folded, encode writes the merged
+// file, and only once that file is written and closed are the folded shards
+// removed — a merge that fails leaves every worker's output on disk. Missing
+// or unreadable shards (a worker that died before writing) do not stop the
+// merge: the file is written from what exists and the error lists them.
+func mergeShards[T any](path string, p int, fold func(*T), encode func(io.Writer) error) error {
+	var folded []string
 	var missing []int
 	for r := 0; r < p; r++ {
 		shard := ShardPath(path, r)
-		data, err := os.ReadFile(shard)
+		v, err := readJSON[T](shard)
 		if err != nil {
 			missing = append(missing, r)
 			continue
 		}
-		var s MetricsSnapshot
-		if err := json.Unmarshal(data, &s); err != nil {
-			missing = append(missing, r)
-			continue
-		}
-		merged.Merge(&s)
-		os.Remove(shard)
+		fold(v)
+		folded = append(folded, shard)
 	}
-	if err := os.WriteFile(path, merged.CanonicalJSONIndent(), 0o644); err != nil {
-		return err
+	if err := writeFile(path, encode); err != nil {
+		return fmt.Errorf("obs: merging shards into %s: %w (the shards are left in place)", path, err)
+	}
+	for _, shard := range folded {
+		os.Remove(shard) //nolint:errcheck // a leftover shard is clutter, not data loss
 	}
 	if len(missing) > 0 {
-		return fmt.Errorf("obs: metrics shards missing for ranks %v", missing)
+		return fmt.Errorf("obs: %s: shards missing for ranks %v", path, missing)
 	}
 	return nil
 }

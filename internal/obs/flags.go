@@ -1,11 +1,11 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"strconv"
 	"time"
@@ -110,21 +110,15 @@ func (f *Flags) ExportOTLP(o *Observer, localRanks []int, worldSize int) error {
 	}
 	id := OTLPIdentity{RunID: f.RunID(), WorldSize: worldSize}
 	exp := NewOTLPExporter(f.OTLP, OTLPOptions{Identity: id, Registry: o.Registry()})
-	exp.ExportObserver(o, localRanks, 0)
+	exp.ExportObserver(o, localRanks)
 	err := exp.Close(10 * time.Second)
 	if dropped := exp.Dropped(); dropped > 0 {
-		err = fmt.Errorf("obs: otlp export to %s dropped %d batches (%w)", f.OTLP, dropped, errOrTimeout(err))
+		if err == nil { // Close drained in time, but batches were dropped along the way
+			err = errors.New("delivery failures; see collector logs")
+		}
+		err = fmt.Errorf("obs: otlp export to %s dropped %d batches (%w)", f.OTLP, dropped, err)
 	}
 	return err
-}
-
-// errOrTimeout keeps error wrapping simple when Close itself succeeded but
-// batches were dropped along the way.
-func errOrTimeout(err error) error {
-	if err != nil {
-		return err
-	}
-	return fmt.Errorf("delivery failures; see collector logs")
 }
 
 // Write dumps the requested outputs for the given local ranks. In remote
@@ -149,7 +143,7 @@ func (f *Flags) Write(o *Observer, localRanks []int, rank int, remote bool) erro
 		if remote {
 			path = ShardPath(f.Metrics, rank)
 		}
-		if err := o.WriteMetricsFile(path); err != nil {
+		if err := os.WriteFile(path, o.Registry().Snapshot().indentedJSON(), 0o644); err != nil {
 			return fmt.Errorf("obs: writing metrics: %w", err)
 		}
 	}
@@ -164,12 +158,14 @@ func (f *Flags) Merge(p int) error {
 			return err
 		}
 	}
-	if f.Metrics != "" {
-		if err := MergeMetricsShards(f.Metrics, p); err != nil {
-			return err
-		}
+	if f.Metrics == "" {
+		return nil
 	}
-	return nil
+	merged := (*Registry)(nil).Snapshot()
+	return mergeShards(f.Metrics, p, merged.Merge, func(w io.Writer) error {
+		_, err := w.Write(merged.indentedJSON())
+		return err
+	})
 }
 
 // OffsetAddr resolves a -pprof or -http listen address for this process: in
@@ -189,21 +185,4 @@ func OffsetAddr(addr string, rank int, remote bool) string {
 		return addr
 	}
 	return net.JoinHostPort(host, strconv.Itoa(port+rank))
-}
-
-// ServePprof starts an HTTP server exposing net/http/pprof on addr and
-// returns the bound address. The server runs until the process exits.
-func ServePprof(addr string) (string, error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("obs: pprof listen %s: %w", addr, err)
-	}
-	go http.Serve(ln, mux) //nolint:errcheck // serves for the process lifetime
-	return ln.Addr().String(), nil
 }

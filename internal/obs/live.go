@@ -90,19 +90,16 @@ func (s *LiveSnapshot) Merge(o *LiveSnapshot) {
 	}
 }
 
-// ServeLive starts an HTTP server on addr exposing the live observability
-// surface and returns the bound address. Routes:
+// MountLive registers the two scrape routes every live surface shares — the
+// CLIs' -http listener and dmgm-serve's job port — on mux:
 //
-//	/snapshot     the LiveSnapshot JSON produced by snap()
-//	/metrics      the metrics registry portion alone
-//	/debug/pprof  the standard net/http/pprof handlers
-//	/             a plain-text index of the above
+//	/snapshot  the LiveSnapshot JSON produced by snap()
+//	/metrics   its metrics registry alone, indented, keys sorted, so repeated
+//	           scrapes of an idle process are byte-identical
 //
 // snap is invoked per request from the server's goroutines; it must be safe
-// to call concurrently with the run (World.LiveSnapshot is). The server runs
-// until the process exits, matching ServePprof.
-func ServeLive(addr string, snap func() *LiveSnapshot) (string, error) {
-	mux := http.NewServeMux()
+// to call concurrently with the run (World.LiveSnapshot is).
+func MountLive(mux *http.ServeMux, snap func() *LiveSnapshot) {
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(snap()); err != nil {
@@ -111,20 +108,30 @@ func ServeLive(addr string, snap func() *LiveSnapshot) (string, error) {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		s := snap()
-		m := s.Metrics
+		m := snap().Metrics
 		if m == nil {
 			m = (*Registry)(nil).Snapshot()
 		}
-		// Canonical key order: repeated scrapes of an idle run are
-		// byte-identical, so golden tests and diff-based tooling stay stable.
-		w.Write(m.CanonicalJSONIndent()) //nolint:errcheck // best-effort scrape
+		w.Write(m.indentedJSON()) //nolint:errcheck // best-effort scrape
 	})
+}
+
+// MountPprof registers the standard net/http/pprof handlers on mux.
+func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// ServeLive starts an HTTP server on addr exposing the live observability
+// surface — MountLive's routes, MountPprof's, and a plain-text index at / —
+// and returns the bound address. The server runs until the process exits.
+func ServeLive(addr string, snap func() *LiveSnapshot) (string, error) {
+	mux := http.NewServeMux()
+	MountLive(mux, snap)
+	MountPprof(mux)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -132,9 +139,21 @@ func ServeLive(addr string, snap func() *LiveSnapshot) (string, error) {
 		}
 		fmt.Fprintln(w, "dmgm live observability\n\n  /snapshot      per-rank per-tag-family traffic + metrics (JSON)\n  /metrics       metrics registry alone (JSON)\n  /debug/pprof/  net/http/pprof")
 	})
+	return serve("live", addr, mux)
+}
+
+// ServePprof starts an HTTP server exposing net/http/pprof alone on addr and
+// returns the bound address. The server runs until the process exits.
+func ServePprof(addr string) (string, error) {
+	mux := http.NewServeMux()
+	MountPprof(mux)
+	return serve("pprof", addr, mux)
+}
+
+func serve(what, addr string, mux *http.ServeMux) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("obs: live listen %s: %w", addr, err)
+		return "", fmt.Errorf("obs: %s listen %s: %w", what, addr, err)
 	}
 	go http.Serve(ln, mux) //nolint:errcheck // serves for the process lifetime
 	return ln.Addr().String(), nil

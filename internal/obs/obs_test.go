@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -299,6 +301,64 @@ func TestShardMerge(t *testing.T) {
 		if _, err := os.Stat(ShardPath(path, r)); !os.IsNotExist(err) {
 			t.Errorf("shard %d not removed after merge", r)
 		}
+	}
+}
+
+// TestShardMergeFailures: a merge never destroys what it could not merge. A
+// merged file that cannot be created (a directory has its name) returns an
+// error saying so and leaves every worker's trace and metrics shard on disk,
+// byte for byte; a missing shard still yields a merged file from what exists,
+// consumes the shards it read, and names the missing rank in the error.
+func TestShardMergeFailures(t *testing.T) {
+	dir := t.TempDir()
+	f := &Flags{Trace: filepath.Join(dir, "trace.json"), Metrics: filepath.Join(dir, "metrics.json")}
+	for r := 0; r < 2; r++ {
+		if err := f.Write(buildSurfaceObserver(r), []int{r}, r, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shards := func() map[string]string {
+		out := map[string]string{}
+		for r := 0; r < 2; r++ {
+			for _, base := range []string{f.Trace, f.Metrics} {
+				if data, err := os.ReadFile(ShardPath(base, r)); err == nil {
+					out[ShardPath(base, r)] = string(data)
+				}
+			}
+		}
+		return out
+	}
+	before := shards()
+	if len(before) != 4 {
+		t.Fatalf("workers wrote %d shards, want 4", len(before))
+	}
+	if err := os.Mkdir(f.Trace, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Merge(2); err == nil || !strings.Contains(err.Error(), "left in place") {
+		t.Fatalf("merge into an uncreatable file: err = %v, want one saying the shards are left in place", err)
+	}
+	if after := shards(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a failed merge changed the shards on disk: %d intact of %d", len(after), len(before))
+	}
+
+	// Rank 1 never wrote: the merge proceeds on rank 0's shards.
+	if err := os.Remove(f.Trace); err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []string{f.Trace, f.Metrics} {
+		if err := os.Remove(ShardPath(base, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Merge(2); err == nil || !strings.Contains(err.Error(), "missing for ranks [1]") {
+		t.Fatalf("merge with a missing shard: err = %v, want the missing rank named", err)
+	}
+	if tf, err := ReadTraceFile(f.Trace); err != nil || len(tf.Events) == 0 {
+		t.Fatalf("merged file not written from the shard that exists: %v", err)
+	}
+	if _, err := os.Stat(ShardPath(f.Trace, 0)); !os.IsNotExist(err) {
+		t.Error("the shard that was merged is still on disk")
 	}
 }
 

@@ -4,8 +4,6 @@ package obs
 // one run. A nil Observer is the disabled state: every accessor returns nil
 // and the nil instruments make all instrumentation free.
 type Observer struct {
-	size    int
-	spanCap int
 	tracers []*Tracer
 	driver  *Tracer
 	reg     *Registry
@@ -23,7 +21,7 @@ func NewObserver(ranks, spanCap int) *Observer {
 	if spanCap == 0 {
 		spanCap = DefaultSpanCapacity
 	}
-	o := &Observer{size: ranks, spanCap: spanCap, reg: NewRegistry()}
+	o := &Observer{reg: NewRegistry()}
 	o.tracers = make([]*Tracer, ranks)
 	if spanCap > 0 {
 		for r := range o.tracers {
@@ -45,14 +43,6 @@ func (o *Observer) EnableDetailSampling() {
 		t.EnableDetailSampling()
 	}
 	o.driver.EnableDetailSampling()
-}
-
-// Size reports the rank count the observer was built for (0 on nil).
-func (o *Observer) Size() int {
-	if o == nil {
-		return 0
-	}
-	return o.size
 }
 
 // Tracer returns rank r's tracer, or nil when disabled.

@@ -1,11 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strconv"
-	"strings"
 )
 
 // OTLP/JSON encoding: the span ring and the metrics registry mapped onto the
@@ -29,9 +30,9 @@ import (
 //     become dmgm.* attributes and the phase name doubles as dmgm.phase.
 //   - Counter → Sum (monotonic, cumulative), Gauge → Gauge, Vec → Sum with
 //     one data point per rank (attribute "rank"), Histogram → Histogram with
-//     explicitBounds/bucketCounts. Registry keys carrying a tag-family
-//     suffix (mpi.sent_bytes.color, …) additionally get a "family" data
-//     point attribute so backends can group by protocol phase.
+//     explicitBounds/bucketCounts. Registry keys carrying a tag family
+//     (mpi.sent_bytes.color, …; SplitFamilyKey) additionally get a "family"
+//     data point attribute so backends can group by protocol phase.
 //
 // Per the proto3 JSON mapping, 64-bit integers (timestamps, counts, intValue)
 // are encoded as JSON strings, and trace/span ids as lowercase hex.
@@ -165,6 +166,26 @@ type OTLPMetricsRequest struct {
 	ResourceMetrics []OTLPResourceMetrics `json:"resourceMetrics"`
 }
 
+// DataPoints counts the request's data points over every metric shape the
+// encoder emits — the item count of the exporter's and the sink's accounting.
+func (r *OTLPMetricsRequest) DataPoints() (n int) {
+	for _, rm := range r.ResourceMetrics {
+		for _, sm := range rm.ScopeMetrics {
+			for _, m := range sm.Metrics {
+				switch {
+				case m.Sum != nil:
+					n += len(m.Sum.DataPoints)
+				case m.Gauge != nil:
+					n += len(m.Gauge.DataPoints)
+				case m.Histogram != nil:
+					n += len(m.Histogram.DataPoints)
+				}
+			}
+		}
+	}
+	return n
+}
+
 // Enum values from the OTLP proto: span kind and aggregation temporality.
 const (
 	otlpSpanKindInternal = 1
@@ -193,13 +214,6 @@ type OTLPIdentity struct {
 	// parentSpanId of every span whose Parent token is 0 — hanging a whole
 	// span batch (a runtime's flat per-rank phases) under one enclosing span.
 	ParentSpanHex string
-}
-
-func (id OTLPIdentity) service() string {
-	if id.Service == "" {
-		return defaultOTLPService
-	}
-	return id.Service
 }
 
 // TraceID derives the 16-byte OTLP trace id from the run id, hex-encoded,
@@ -243,7 +257,7 @@ func allZero(b []byte) bool {
 // scalar registry metrics the pseudo-rank otlpMetricsRankKey.
 func (id OTLPIdentity) resourceFor(rank int) OTLPResource {
 	attrs := []OTLPKeyValue{
-		otlpStr("service.name", id.service()),
+		otlpStr("service.name", cmp.Or(id.Service, defaultOTLPService)),
 		otlpStr("dmgm.run", id.RunID),
 	}
 	switch rank {
@@ -279,7 +293,9 @@ func EncodeOTLPSpans(spans []Span, id OTLPIdentity) *OTLPTraceRequest {
 		}
 		byRank[s.Rank] = append(byRank[s.Rank], s)
 	}
-	sortRanksDriverLast(ranks)
+	// Worker ranks ascending, the driver (rank -1) after them, matching the
+	// Chrome export's process ordering.
+	sort.Slice(ranks, func(i, j int) bool { return uint(ranks[i]) < uint(ranks[j]) })
 	traceID := id.TraceID()
 	req := &OTLPTraceRequest{ResourceSpans: []OTLPResourceSpans{}}
 	for _, r := range ranks {
@@ -322,23 +338,6 @@ func EncodeOTLPSpans(spans []Span, id OTLPIdentity) *OTLPTraceRequest {
 	return req
 }
 
-// familyOfKey extracts the tag-family suffix of a registry key that carries
-// one (mpi.sent_bytes.color → color), or "" when the key is an aggregate.
-// String-only on purpose: obs cannot import mpi (mpi imports obs), so the
-// family taxonomy is recognized by its documented key shapes (docs/PROTOCOL.md
-// §3) rather than by the mpi enum.
-func familyOfKey(key string) string {
-	for _, pre := range []string{
-		"mpi.sent_msgs.", "mpi.sent_bytes.", "mpi.recv_msgs.", "mpi.recv_bytes.",
-		"mpi.bundle_flushes.", "mpi.bundle_records.",
-	} {
-		if strings.HasPrefix(key, pre) {
-			return key[len(pre):]
-		}
-	}
-	return ""
-}
-
 // EncodeOTLPMetrics maps a registry snapshot onto an OTLP metrics request.
 // All metrics land under one registry resource; per-rank vectors become one
 // data point per rank with a "rank" attribute, and family-suffixed keys get a
@@ -358,17 +357,16 @@ func EncodeOTLPMetrics(s *MetricsSnapshot, id OTLPIdentity, startNanos, now int6
 		return OTLPNumberPoint{Attributes: attrs, StartTimeUnixNano: start, TimeUnixNano: ts, AsInt: strconv.FormatInt(v, 10)}
 	}
 	famAttrs := func(key string, more ...OTLPKeyValue) []OTLPKeyValue {
-		if fam := familyOfKey(key); fam != "" {
+		if _, fam := SplitFamilyKey(key); fam != "" {
 			return append(more, otlpStr("family", fam))
 		}
 		return more
 	}
+	sum := func(name string, points []OTLPNumberPoint) OTLPMetric {
+		return OTLPMetric{Name: name, Sum: &OTLPSum{DataPoints: points, AggregationTemporality: otlpTemporalityCumul, IsMonotonic: true}}
+	}
 	for _, k := range SortedKeys(s.Counters) {
-		metrics = append(metrics, OTLPMetric{Name: k, Sum: &OTLPSum{
-			DataPoints:             []OTLPNumberPoint{point(s.Counters[k], famAttrs(k)...)},
-			AggregationTemporality: otlpTemporalityCumul,
-			IsMonotonic:            true,
-		}})
+		metrics = append(metrics, sum(k, []OTLPNumberPoint{point(s.Counters[k], famAttrs(k)...)}))
 	}
 	for _, k := range SortedKeys(s.Gauges) {
 		metrics = append(metrics, OTLPMetric{Name: k, Gauge: &OTLPGauge{
@@ -381,11 +379,7 @@ func EncodeOTLPMetrics(s *MetricsSnapshot, id OTLPIdentity, startNanos, now int6
 		for r, v := range vals {
 			points = append(points, point(v, famAttrs(k, otlpInt("rank", int64(r)))...))
 		}
-		metrics = append(metrics, OTLPMetric{Name: k, Sum: &OTLPSum{
-			DataPoints:             points,
-			AggregationTemporality: otlpTemporalityCumul,
-			IsMonotonic:            true,
-		}})
+		metrics = append(metrics, sum(k, points))
 	}
 	for _, k := range SortedKeys(s.Histograms) {
 		h := s.Histograms[k]
@@ -448,21 +442,4 @@ func SpansOfEvents(events []TraceEvent) []Span {
 		})
 	}
 	return out
-}
-
-// sortRanksDriverLast orders worker ranks ascending with the driver after
-// them, matching the Chrome export's process ordering.
-func sortRanksDriverLast(ranks []int) {
-	for i := 1; i < len(ranks); i++ {
-		for j := i; j > 0 && rankOrd(ranks[j]) < rankOrd(ranks[j-1]); j-- {
-			ranks[j], ranks[j-1] = ranks[j-1], ranks[j]
-		}
-	}
-}
-
-func rankOrd(r int) int {
-	if r == DriverRank {
-		return int(^uint(0) >> 1) // driver sorts last
-	}
-	return r
 }

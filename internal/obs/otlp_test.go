@@ -99,7 +99,7 @@ func TestOTLPRoundTrip(t *testing.T) {
 	c := newFakeCollector()
 	defer c.srv.Close()
 	exp := NewOTLPExporter(c.srv.URL, OTLPOptions{Identity: testIdentity})
-	exp.ExportObserver(o, []int{0, 1}, 0)
+	exp.ExportObserver(o, []int{0, 1})
 	if err := exp.Close(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestOTLPRetryBackoff(t *testing.T) {
 		slept = append(slept, d)
 		sleptMu.Unlock()
 	}
-	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}}, 0)
+	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}})
 	if err := exp.Close(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestOTLPExhaustedRetriesDrop(t *testing.T) {
 	reg := NewRegistry()
 	exp := NewOTLPExporter(srv.URL, OTLPOptions{Identity: testIdentity, MaxRetries: 2, Registry: reg})
 	exp.sleep = func(time.Duration) {}
-	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}}, 0)
+	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}})
 	if err := exp.Close(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestOTLPPermanent4xxDrops(t *testing.T) {
 	defer srv.Close()
 	exp := NewOTLPExporter(srv.URL, OTLPOptions{Identity: testIdentity})
 	exp.sleep = func(time.Duration) {}
-	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}}, 0)
+	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}})
 	if err := exp.Close(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestOTLPRefusedConnection(t *testing.T) {
 	srv.Close() // the port now refuses connections
 	exp := NewOTLPExporter(url, OTLPOptions{Identity: testIdentity, MaxRetries: 1})
 	exp.sleep = func(time.Duration) {}
-	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}}, 0)
+	exp.ExportSpans([]Span{{Seq: 1, Rank: 0, Name: "phase", Start: 1, Dur: 2}})
 	if err := exp.Close(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -370,12 +370,12 @@ func TestOTLPSlowCollectorBoundedQueue(t *testing.T) {
 	const queueCap = 2
 	exp := NewOTLPExporter(srv.URL, OTLPOptions{Identity: testIdentity, QueueCap: queueCap, MaxRetries: 1})
 	span := func(seq uint64) []Span { return []Span{{Seq: seq, Rank: 0, Name: "phase", Start: 1, Dur: 2}} }
-	exp.ExportSpans(span(1), 0) // picked up by the delivery goroutine, wedges
+	exp.ExportSpans(span(1)) // picked up by the delivery goroutine, wedges
 	wedged.Wait()
 	// Fill the queue, then overflow it: every batch past queueCap must drop.
 	const extra = 5
 	for i := 0; i < queueCap+extra; i++ {
-		exp.ExportSpans(span(uint64(i+2)), 0)
+		exp.ExportSpans(span(uint64(i + 2)))
 	}
 	if got := exp.Dropped(); got != extra {
 		t.Errorf("dropped=%d, want %d (queue holds %d)", got, extra, queueCap)
@@ -394,9 +394,9 @@ func TestOTLPNilExporter(t *testing.T) {
 	if exp2 := NewOTLPExporter("", OTLPOptions{}); exp2 != nil {
 		t.Fatal("empty endpoint must yield the nil exporter")
 	}
-	exp.ExportSpans([]Span{{Seq: 1}}, 0)
+	exp.ExportSpans([]Span{{Seq: 1}})
 	exp.ExportMetrics(NewRegistry().Snapshot(), 0)
-	exp.ExportObserver(buildGoldenObserver(), []int{0, 1}, 0)
+	exp.ExportObserver(buildGoldenObserver(), []int{0, 1})
 	if err := exp.Close(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestOTLPDisabledZeroAlloc(t *testing.T) {
 	var exp *OTLPExporter
 	spans := []Span{{Seq: 1, Rank: 0, Name: "x", Start: 1, Dur: 2}}
 	if allocs := testing.AllocsPerRun(100, func() {
-		exp.ExportSpans(spans, 0)
+		exp.ExportSpans(spans)
 		_ = exp.Exported()
 		_ = exp.Dropped()
 	}); allocs != 0 {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +33,8 @@ type OTLPExporter struct {
 	closed   bool
 	closeOne sync.Once
 
-	maxRetries  int
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	now         func() int64
-	sleep       func(time.Duration) // replaceable by tests
+	maxRetries int
+	sleep      func(time.Duration) // replaceable by tests
 
 	// Outcome accounting. Items are spans or metric data points.
 	exported atomic.Int64 // items delivered (2xx)
@@ -57,30 +55,27 @@ type otlpBatch struct {
 	items int64
 }
 
+// Delivery constants: no caller ever needed another value.
+const (
+	otlpBatchSpans  = 512                    // spans per trace request
+	otlpBackoffBase = 250 * time.Millisecond // first retry delay; doubles per attempt
+	otlpBackoffMax  = 5 * time.Second        // cap on that delay; a Retry-After header overrides both
+	otlpHTTPTimeout = 10 * time.Second       // per POST
+)
+
 // OTLPOptions configures NewOTLPExporter. The zero value of every field
 // selects a sane default.
 type OTLPOptions struct {
 	// Identity pins the resource attributes and trace identity.
 	Identity OTLPIdentity
-	// QueueCap bounds the number of in-flight batches (default 64); when the
-	// queue is full new batches are dropped and counted, never blocked on.
-	QueueCap int
-	// BatchSpans caps spans per trace request (default 512).
-	BatchSpans int
-	// MaxRetries bounds delivery attempts per batch (default 4 retries).
-	MaxRetries int
-	// BackoffBase is the first retry delay, doubling per attempt up to
-	// BackoffMax (defaults 250ms and 5s). A Retry-After response header
-	// overrides the computed delay.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Client is the HTTP client (default: 10s timeout).
-	Client *http.Client
 	// Registry, when set, receives the obs.otlp_dropped / obs.otlp_exported
 	// counters.
 	Registry *Registry
-	// Now is the clock for metric data-point timestamps (tests).
-	Now func() int64
+	// QueueCap bounds the number of in-flight batches (default 64); when the
+	// queue is full new batches are dropped and counted, never blocked on.
+	QueueCap int
+	// MaxRetries bounds delivery attempts per batch (default 4 retries).
+	MaxRetries int
 }
 
 // NewOTLPExporter starts the background delivery goroutine for the given
@@ -94,47 +89,22 @@ func NewOTLPExporter(endpoint string, opt OTLPOptions) *OTLPExporter {
 	if opt.QueueCap <= 0 {
 		opt.QueueCap = 64
 	}
-	if opt.BatchSpans <= 0 {
-		opt.BatchSpans = 512
-	}
 	if opt.MaxRetries <= 0 {
 		opt.MaxRetries = 4
 	}
-	if opt.BackoffBase <= 0 {
-		opt.BackoffBase = 250 * time.Millisecond
-	}
-	if opt.BackoffMax <= 0 {
-		opt.BackoffMax = 5 * time.Second
-	}
-	if opt.Client == nil {
-		opt.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if opt.Now == nil {
-		opt.Now = wallNow
-	}
 	e := &OTLPExporter{
-		endpoint:    trimSlash(endpoint),
+		endpoint:    strings.TrimRight(endpoint, "/"),
 		id:          opt.Identity,
-		client:      opt.Client,
+		client:      &http.Client{Timeout: otlpHTTPTimeout},
 		queue:       make(chan otlpBatch, opt.QueueCap),
 		done:        make(chan struct{}),
 		maxRetries:  opt.MaxRetries,
-		backoffBase: opt.BackoffBase,
-		backoffMax:  opt.BackoffMax,
-		now:         opt.Now,
 		sleep:       time.Sleep,
 		droppedCtr:  opt.Registry.Counter("obs.otlp_dropped"),
 		exportedCtr: opt.Registry.Counter("obs.otlp_exported"),
 	}
 	go e.run()
 	return e
-}
-
-func trimSlash(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '/' {
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 // run is the delivery goroutine: it drains the queue until Close.
@@ -145,38 +115,26 @@ func (e *OTLPExporter) run() {
 	}
 }
 
-// ExportSpans encodes and enqueues the given spans, split into bounded
-// per-request batches. Safe on a nil exporter.
-func (e *OTLPExporter) ExportSpans(spans []Span, batchSpans int) {
+// ExportSpans is ExportSpansFor under the exporter's own identity. Safe on a
+// nil exporter.
+func (e *OTLPExporter) ExportSpans(spans []Span) {
+	if e != nil {
+		e.ExportSpansFor(spans, e.id)
+	}
+}
+
+// ExportSpansFor encodes and enqueues the given spans, split into bounded
+// per-request batches, under an explicit identity — the serving daemon runs
+// one long-lived exporter but gives every job its own trace id and run id, so
+// the identity travels with the spans rather than with the exporter. Safe on
+// a nil exporter.
+func (e *OTLPExporter) ExportSpansFor(spans []Span, id OTLPIdentity) {
 	if e == nil {
 		return
 	}
-	e.ExportSpansFor(spans, e.id, batchSpans)
-}
-
-// ExportSpansFor is ExportSpans under an explicit per-batch identity — the
-// serving daemon runs one long-lived exporter but gives every job its own
-// trace id and run id, so the identity travels with the spans rather than
-// with the exporter. Safe on a nil exporter.
-func (e *OTLPExporter) ExportSpansFor(spans []Span, id OTLPIdentity, batchSpans int) {
-	if e == nil || len(spans) == 0 {
-		return
-	}
-	if batchSpans <= 0 {
-		batchSpans = 512
-	}
-	for lo := 0; lo < len(spans); lo += batchSpans {
-		hi := lo + batchSpans
-		if hi > len(spans) {
-			hi = len(spans)
-		}
-		chunk := spans[lo:hi]
-		body, err := json.Marshal(EncodeOTLPSpans(chunk, id))
-		if err != nil {
-			e.drop(int64(len(chunk)))
-			continue
-		}
-		e.enqueue(otlpBatch{path: otlpTracesPath, body: body, items: int64(len(chunk))})
+	for lo := 0; lo < len(spans); lo += otlpBatchSpans {
+		chunk := spans[lo:min(lo+otlpBatchSpans, len(spans))]
+		e.enqueue(otlpTracesPath, EncodeOTLPSpans(chunk, id), int64(len(chunk)))
 	}
 }
 
@@ -186,36 +144,15 @@ func (e *OTLPExporter) ExportMetrics(s *MetricsSnapshot, startNanos int64) {
 	if e == nil || s == nil {
 		return
 	}
-	req := EncodeOTLPMetrics(s, e.id, startNanos, e.now())
-	var items int64
-	for _, rm := range req.ResourceMetrics {
-		for _, sm := range rm.ScopeMetrics {
-			for _, m := range sm.Metrics {
-				switch {
-				case m.Sum != nil:
-					items += int64(len(m.Sum.DataPoints))
-				case m.Gauge != nil:
-					items += int64(len(m.Gauge.DataPoints))
-				case m.Histogram != nil:
-					items += int64(len(m.Histogram.DataPoints))
-				}
-			}
-		}
+	req := EncodeOTLPMetrics(s, e.id, startNanos, wallNow())
+	if items := int64(req.DataPoints()); items > 0 {
+		e.enqueue(otlpMetricsPath, req, items)
 	}
-	if items == 0 {
-		return
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		e.drop(items)
-		return
-	}
-	e.enqueue(otlpBatch{path: otlpMetricsPath, body: body, items: items})
 }
 
 // ExportObserver ships the observer's spans (per local rank, plus the
 // driver's) and its registry snapshot. Safe on nil exporter or observer.
-func (e *OTLPExporter) ExportObserver(o *Observer, localRanks []int, batchSpans int) {
+func (e *OTLPExporter) ExportObserver(o *Observer, localRanks []int) {
 	if e == nil || o == nil {
 		return
 	}
@@ -225,25 +162,27 @@ func (e *OTLPExporter) ExportObserver(o *Observer, localRanks []int, batchSpans 
 		if len(spans) > 0 && (startNanos == 0 || spans[0].Start < startNanos) {
 			startNanos = spans[0].Start
 		}
-		e.ExportSpans(spans, batchSpans)
+		e.ExportSpans(spans)
 	}
-	e.ExportSpans(o.Driver().Spans(), batchSpans)
+	e.ExportSpans(o.Driver().Spans())
 	e.ExportMetrics(o.Registry().Snapshot(), startNanos)
 }
 
-// enqueue hands a batch to the delivery goroutine without ever blocking: a
-// full queue (slow or unreachable collector) drops the batch and counts it.
-func (e *OTLPExporter) enqueue(b otlpBatch) {
+// enqueue encodes one request and hands it to the delivery goroutine without
+// ever blocking: a full queue (slow or unreachable collector) drops the batch
+// and counts its items, as does an exporter already closed.
+func (e *OTLPExporter) enqueue(path string, req any, items int64) {
+	body, err := json.Marshal(req)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed {
-		e.drop(b.items)
+	if err != nil || e.closed {
+		e.drop(items)
 		return
 	}
 	select {
-	case e.queue <- b:
+	case e.queue <- otlpBatch{path: path, body: body, items: items}:
 	default:
-		e.drop(b.items)
+		e.drop(items)
 	}
 }
 
@@ -256,7 +195,7 @@ func (e *OTLPExporter) drop(items int64) {
 // backoff. 429/503 Retry-After is honored; other 4xx statuses are permanent
 // and drop immediately.
 func (e *OTLPExporter) deliver(b otlpBatch) {
-	delay := e.backoffBase
+	delay := otlpBackoffBase
 	for attempt := 0; ; attempt++ {
 		resp, err := e.client.Post(e.endpoint+b.path, "application/json", bytes.NewReader(b.body))
 		var status int
@@ -282,16 +221,11 @@ func (e *OTLPExporter) deliver(b otlpBatch) {
 		}
 		e.retries.Add(1)
 		wait := delay
-		if wait > e.backoffMax {
-			wait = e.backoffMax
-		}
 		if retryAfter > 0 {
 			wait = retryAfter // the collector's explicit delay beats our backoff cap
 		}
 		e.sleep(wait)
-		if delay *= 2; delay > e.backoffMax {
-			delay = e.backoffMax
-		}
+		delay = min(2*delay, otlpBackoffMax)
 	}
 }
 

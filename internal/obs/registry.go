@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,14 +120,6 @@ func (h *Histogram) Observe(v int64) {
 	h.n.Add(1)
 }
 
-// Count reports the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
 // ExpBounds builds power-of-two histogram bounds from lo to hi inclusive
 // (both rounded to powers of two), e.g. ExpBounds(64, 1<<20) for bundle
 // sizes from one cache line to a megabyte.
@@ -143,20 +133,27 @@ func ExpBounds(lo, hi int64) []int64 {
 	return out
 }
 
+// instrument is the one get-or-create behind the four lookups below: the
+// first caller of a name fixes the instrument (and so a vec's length and a
+// histogram's bounds), every later caller gets the same one.
+func instrument[T any](r *Registry, m map[string]*T, name string, create func() *T) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = create()
+		m[name] = v
+	}
+	return v
+}
+
 // Counter returns (creating if needed) the named counter; nil on a nil
 // registry.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return instrument(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (creating if needed) the named gauge; nil on a nil registry.
@@ -164,14 +161,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return instrument(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Vec returns (creating if needed) the named per-rank counter vector of the
@@ -181,14 +171,7 @@ func (r *Registry) Vec(name string, n int) *Vec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.vecs[name]
-	if !ok {
-		v = &Vec{cells: make([]Counter, n)}
-		r.vecs[name] = v
-	}
-	return v
+	return instrument(r, r.vecs, name, func() *Vec { return &Vec{cells: make([]Counter, n)} })
 }
 
 // Histogram returns (creating if needed) the named histogram with the given
@@ -197,14 +180,9 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-		r.hists[name] = h
-	}
-	return h
+	return instrument(r, r.hists, name, func() *Histogram {
+		return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	})
 }
 
 // HistogramSnapshot is the serializable state of one histogram.
@@ -268,48 +246,30 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 
 // Merge folds o into s: counters, per-rank vectors, and histogram buckets
 // add; gauges keep the maximum. Vectors and histograms of mismatched shape
-// keep the longer/first shape and add what overlaps. s may come from a JSON
-// decode with nil maps (omitempty skips empty sections); Merge initializes
-// them on demand.
+// keep the longer/first shape and add what overlaps.
 func (s *MetricsSnapshot) Merge(o *MetricsSnapshot) {
 	if o == nil {
 		return
 	}
-	if s.Counters == nil && len(o.Counters) > 0 {
-		s.Counters = map[string]int64{}
-	}
-	if s.Gauges == nil && len(o.Gauges) > 0 {
-		s.Gauges = map[string]int64{}
-	}
-	if s.PerRank == nil && len(o.PerRank) > 0 {
-		s.PerRank = map[string][]int64{}
-	}
-	if s.Histograms == nil && len(o.Histograms) > 0 {
-		s.Histograms = map[string]HistogramSnapshot{}
-	}
-	for k, v := range o.Counters {
-		s.Counters[k] += v
-	}
-	for k, v := range o.Gauges {
-		if cur, ok := s.Gauges[k]; !ok || v > cur {
-			s.Gauges[k] = v
+	mergeSection(&s.Counters, o.Counters, func(cur int64, _ bool, v int64) int64 { return cur + v })
+	mergeSection(&s.Gauges, o.Gauges, func(cur int64, ok bool, v int64) int64 {
+		if ok && cur > v {
+			return cur
 		}
-	}
-	for k, vals := range o.PerRank {
-		cur := s.PerRank[k]
+		return v
+	})
+	mergeSection(&s.PerRank, o.PerRank, func(cur []int64, _ bool, vals []int64) []int64 {
 		if len(vals) > len(cur) {
 			cur = append(cur, make([]int64, len(vals)-len(cur))...)
 		}
 		for i, v := range vals {
 			cur[i] += v
 		}
-		s.PerRank[k] = cur
-	}
-	for k, h := range o.Histograms {
-		cur, ok := s.Histograms[k]
+		return cur
+	})
+	mergeSection(&s.Histograms, o.Histograms, func(cur HistogramSnapshot, ok bool, h HistogramSnapshot) HistogramSnapshot {
 		if !ok {
-			s.Histograms[k] = h
-			continue
+			return h
 		}
 		for i := range h.Counts {
 			if i < len(cur.Counts) {
@@ -318,53 +278,30 @@ func (s *MetricsSnapshot) Merge(o *MetricsSnapshot) {
 		}
 		cur.Sum += h.Sum
 		cur.Count += h.Count
-		s.Histograms[k] = cur
+		return cur
+	})
+}
+
+// mergeSection folds src into *dst key by key. *dst may be nil — a JSON
+// decode leaves an omitted section nil — and is made on demand.
+func mergeSection[V any](dst *map[string]V, src map[string]V, fold func(cur V, ok bool, v V) V) {
+	if *dst == nil && len(src) > 0 {
+		*dst = map[string]V{}
+	}
+	for k, v := range src {
+		cur, ok := (*dst)[k]
+		(*dst)[k] = fold(cur, ok, v)
 	}
 }
 
-// CanonicalJSON renders the snapshot with every registry key emitted in
-// SortedKeys order, built explicitly rather than trusting the json package's
-// map ordering, so repeated /metrics scrapes, metrics files, and golden
-// tests are byte-stable. Sections mirror the struct's omitempty behavior.
-func (s *MetricsSnapshot) CanonicalJSON() []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('{')
-	first := true
-	section := func(name string, keys []string, value func(string) any) {
-		if len(keys) == 0 {
-			return
-		}
-		if !first {
-			buf.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&buf, "%q:{", name)
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			v, _ := json.Marshal(value(k)) // values are ints, slices, structs: cannot fail
-			fmt.Fprintf(&buf, "%q:%s", k, v)
-		}
-		buf.WriteByte('}')
-	}
-	section("counters", SortedKeys(s.Counters), func(k string) any { return s.Counters[k] })
-	section("gauges", SortedKeys(s.Gauges), func(k string) any { return s.Gauges[k] })
-	section("perRank", SortedKeys(s.PerRank), func(k string) any { return s.PerRank[k] })
-	section("histograms", SortedKeys(s.Histograms), func(k string) any { return s.Histograms[k] })
-	buf.WriteByte('}')
-	return buf.Bytes()
-}
-
-// CanonicalJSONIndent is CanonicalJSON re-indented for files and scrapes
-// meant for human eyes.
-func (s *MetricsSnapshot) CanonicalJSONIndent() []byte {
-	var out bytes.Buffer
-	if err := json.Indent(&out, s.CanonicalJSON(), "", "  "); err != nil {
-		return s.CanonicalJSON()
-	}
-	out.WriteByte('\n')
-	return out.Bytes()
+// indentedJSON is the one encoding of a snapshot for files and scrapes
+// (/metrics, the -metrics file, a merged launch): encoding/json, which sorts
+// map keys, indented and newline-terminated — so repeated exports of an idle
+// registry are byte-identical and diff cleanly. Sections with no entries are
+// omitted; the empty snapshot is "{}".
+func (s *MetricsSnapshot) indentedJSON() []byte {
+	out, _ := json.MarshalIndent(s, "", "  ") // maps of ints, slices and structs: cannot fail
+	return append(out, '\n')
 }
 
 // SortedKeys returns map keys in deterministic order, for rendering.

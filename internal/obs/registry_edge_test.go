@@ -138,8 +138,9 @@ func TestMergeCounterProperties(t *testing.T) {
 	}
 }
 
-// TestCanonicalJSONStable: repeated renderings are byte-identical, decode to
-// the same snapshot, and omit empty sections like the struct's omitempty.
+// TestCanonicalJSONStable: the one encoder — encoding/json, which sorts map
+// keys — renders repeated snapshots of a live registry byte-identically,
+// decodes to the same snapshot, and omits empty sections.
 func TestCanonicalJSONStable(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("z.last").Add(1)
@@ -147,31 +148,42 @@ func TestCanonicalJSONStable(t *testing.T) {
 	reg.Gauge("m.mid").Set(3)
 	reg.Vec("v", 2).At(0).Add(4)
 	reg.Histogram("h", []int64{8}).Observe(5)
-	s := reg.Snapshot()
+	encode := func() []byte {
+		b, err := json.Marshal(reg.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 
-	first := s.CanonicalJSON()
+	first := encode()
 	for i := 0; i < 50; i++ {
-		if got := s.CanonicalJSON(); !bytes.Equal(got, first) {
+		if got := encode(); !bytes.Equal(got, first) {
 			t.Fatalf("rendering %d differs:\n%s\n%s", i, got, first)
 		}
 	}
+	s := reg.Snapshot()
 	var decoded MetricsSnapshot
 	if err := json.Unmarshal(first, &decoded); err != nil {
-		t.Fatalf("canonical JSON does not decode: %v", err)
+		t.Fatalf("snapshot JSON does not decode: %v", err)
 	}
 	if !reflect.DeepEqual(decoded.Counters, s.Counters) || !reflect.DeepEqual(decoded.Histograms, s.Histograms) {
-		t.Errorf("canonical JSON round-trip drifted: %+v vs %+v", decoded, s)
+		t.Errorf("snapshot JSON round-trip drifted: %+v vs %+v", decoded, s)
 	}
 	// Key order inside a section is sorted.
 	if ia, iz := bytes.Index(first, []byte(`"a.first"`)), bytes.Index(first, []byte(`"z.last"`)); ia < 0 || iz < 0 || ia > iz {
 		t.Errorf("counters not in sorted order: %s", first)
 	}
-	// Empty snapshot renders as bare braces (all sections omitted).
-	if got := (*Registry)(nil).Snapshot().CanonicalJSON(); string(got) != "{}" {
+	// The nil registry's snapshot renders as bare braces (all sections omitted).
+	if got, _ := json.Marshal((*Registry)(nil).Snapshot()); string(got) != "{}" {
 		t.Errorf("empty snapshot: %s, want {}", got)
 	}
-	// Indented form also stable and valid.
-	if a, b := s.CanonicalJSONIndent(), s.CanonicalJSONIndent(); !bytes.Equal(a, b) {
-		t.Error("CanonicalJSONIndent not stable")
+	if got := (*Registry)(nil).Snapshot().indentedJSON(); string(got) != "{}\n" {
+		t.Errorf("empty snapshot, indented: %q, want {}\\n", got)
+	}
+	// The indented form is the same encoding re-indented, newline-terminated.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, s.indentedJSON()); err != nil || !bytes.Equal(compact.Bytes(), first) {
+		t.Errorf("indentedJSON is not the compact encoding re-indented (%v):\n%s\n%s", err, compact.Bytes(), first)
 	}
 }

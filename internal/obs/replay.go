@@ -42,21 +42,12 @@ func ReplayFromTrace(tf *TraceFile) ([]perfmodel.RankReplay, error) {
 		return nil, fmt.Errorf("obs: trace has no rank phase spans to replay")
 	}
 
-	vec := func(name string) []int64 {
-		if tf.Metrics == nil {
-			return nil
-		}
-		return tf.Metrics.PerRank[name]
-	}
-	at := func(vals []int64, r int) int64 {
-		if r < 0 || r >= len(vals) {
+	cell := func(name string, r int) int64 {
+		if tf.Metrics == nil || r < 0 || r >= len(tf.Metrics.PerRank[name]) {
 			return 0
 		}
-		return vals[r]
+		return tf.Metrics.PerRank[name][r]
 	}
-	vops, eops := vec("mpi.vertex_ops"), vec("mpi.edge_ops")
-	msgs, bytes := vec("mpi.sent_msgs"), vec("mpi.sent_bytes")
-	epochs := vec("mpi.barrier_epochs")
 
 	var ranks []int
 	for r := range perRank {
@@ -68,11 +59,11 @@ func ReplayFromTrace(tf *TraceFile) ([]perfmodel.RankReplay, error) {
 		rr := perfmodel.RankReplay{
 			Rank: r,
 			Total: perfmodel.Profile{
-				VertexOps: at(vops, r),
-				EdgeOps:   at(eops, r),
-				Msgs:      at(msgs, r),
-				Bytes:     at(bytes, r),
-				Epochs:    at(epochs, r),
+				VertexOps: cell("mpi.vertex_ops", r),
+				EdgeOps:   cell("mpi.edge_ops", r),
+				Msgs:      cell("mpi.sent_msgs", r),
+				Bytes:     cell("mpi.sent_bytes", r),
+				Epochs:    cell("mpi.barrier_epochs", r),
 			},
 		}
 		m := perRank[r]

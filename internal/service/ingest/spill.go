@@ -72,7 +72,6 @@ type spillTier struct {
 
 	bytesG       *obs.Gauge
 	filesG       *obs.Gauge
-	writes       *obs.Counter
 	writeErrs    *obs.Counter
 	rehydrations *obs.Counter
 	corrupt      *obs.Counter
@@ -102,7 +101,6 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 		maxBytes:     cfg.MaxBytes,
 		bytesG:       reg.Gauge("ingest.spill_bytes"),
 		filesG:       reg.Gauge("ingest.spill_files"),
-		writes:       reg.Counter("ingest.spill_writes"),
 		writeErrs:    reg.Counter("ingest.spill_write_errors"),
 		rehydrations: reg.Counter("ingest.spill_rehydrations"),
 		corrupt:      reg.Counter("ingest.spill_corrupt"),
@@ -237,9 +235,7 @@ func (sp *spillTier) write(fp string, g *graph.Graph) {
 		sp.writeErrs.Inc()
 		return
 	}
-	if sp.index(fp, size) { // false: a concurrent writer won the rename
-		sp.writes.Inc()
-	}
+	sp.index(fp, size)
 }
 
 // load rehydrates one spilled graph, re-verifying it end to end: the
@@ -301,13 +297,12 @@ func (sp *spillTier) touch(fp string) bool {
 	return ok
 }
 
-// index records one spill file and reports whether it was new. Entries the
-// byte budget pushes out (never the newest) are counted, and their files —
-// queued on sp.doomed by the on-evict callback — deleted once the lock is
-// released.
-func (sp *spillTier) index(fp string, size int64) bool {
+// index records one spill file. Entries the byte budget pushes out (never
+// the newest) are counted, and their files — queued on sp.doomed by the
+// on-evict callback — deleted once the lock is released.
+func (sp *spillTier) index(fp string, size int64) {
 	sp.mu.Lock()
-	inserted, evicted := sp.idx.Put(fp, struct{}{}, size)
+	_, evicted := sp.idx.Put(fp, struct{}{}, size)
 	sp.evictions.Add(int64(evicted))
 	sp.gaugesLocked()
 	doomed := sp.doomed
@@ -316,7 +311,6 @@ func (sp *spillTier) index(fp string, size int64) bool {
 	for _, p := range doomed {
 		os.Remove(p) //nolint:errcheck // the index entry is already gone
 	}
-	return inserted
 }
 
 func (sp *spillTier) gaugesLocked() {

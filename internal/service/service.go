@@ -440,16 +440,15 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 //	POST   /v1/uploads/{id}/complete     finalize, obtain the graph_ref
 //	DELETE /v1/uploads/{id}              abort a session
 //	GET    /healthz                      liveness JSON (200 ok / 503 draining)
-//	GET    /metrics                      the metrics registry, canonical JSON
-//	GET    /snapshot                     obs.LiveSnapshot (metrics only)
+//	GET    /metrics                      the metrics registry (obs.MountLive)
+//	GET    /snapshot                     obs.LiveSnapshot, metrics only (same)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", s.handleSubmit)
 	mux.HandleFunc("/v1/jobs/", s.handleJobTrace)
 	s.ingest.RegisterRoutes(mux)
 	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
+	obs.MountLive(mux, s.LiveSnapshot)
 	return mux
 }
 
@@ -531,19 +530,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(body) //nolint:errcheck // response already committed
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.refreshGauges()
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.cfg.Observer.Registry().Snapshot().CanonicalJSONIndent()) //nolint:errcheck // best-effort scrape
-}
-
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.LiveSnapshot()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // retryAfterSeconds is the backpressure hint on queue-full 429 and
@@ -730,7 +716,7 @@ func (s *Server) finishTrace(jt *jobTrace, status int, errMsg string) {
 	}
 	if e := s.exporter; e != nil && jt.tr != nil {
 		for _, b := range jt.batches() {
-			e.ExportSpansFor(b.spans, b.id, 0)
+			e.ExportSpansFor(b.spans, b.id)
 		}
 	}
 	s.accessLog.log(&accessEntry{

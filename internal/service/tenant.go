@@ -281,32 +281,23 @@ func (s *tenantSched) addTenantLocked(name string) *tenantQueue {
 	pol := s.policies.policyFor(name)
 	pol.normalize(s.defaultQueue)
 	prefix := "service.tenant." + name + "."
-	counter := func(global string, tenant ...string) counters {
-		cs := counters{s.reg.Counter("service." + global)}
-		for _, t := range tenant {
-			cs = append(cs, s.reg.Counter(prefix+t))
-		}
-		return cs
-	}
-	hist := func(global, tenant string) histograms {
-		bounds := obs.ExpBounds(1, 1<<22)
-		return histograms{s.reg.Histogram("service."+global, bounds), s.reg.Histogram(prefix+tenant, bounds)}
-	}
+	reg, bounds := s.reg, obs.ExpBounds(1, 1<<22)
+	rejected, tenantRejected := reg.Counter("service.jobs_rejected"), reg.Counter(prefix+"rejected")
 	tq := &tenantQueue{
 		name:       name,
 		pol:        pol,
-		submitted:  counter("jobs_submitted", "submitted"),
-		admitted:   s.reg.Counter(prefix + "admitted"),
-		rejRate:    counter("jobs_rejected", "rejected", "rejected_rate"),
-		rejQueue:   counter("jobs_rejected", "rejected", "rejected_queue"),
-		completed:  counter("jobs_completed", "completed"),
-		upRejected: s.reg.Counter(prefix + "uploads_rejected"),
-		depth:      s.reg.Gauge(prefix + "queue_depth"),
-		runningG:   s.reg.Gauge(prefix + "running"),
-		uploadsG:   s.reg.Gauge(prefix + "uploads_open"),
-		lat:        hist("job_latency_ms", "latency_ms"),
-		qwait:      hist("queue_wait_ms", "queue_wait_ms"),
-		runh:       hist("run_ms", "run_ms"),
+		submitted:  counters{reg.Counter("service.jobs_submitted"), reg.Counter(prefix + "submitted")},
+		admitted:   reg.Counter(prefix + "admitted"),
+		rejRate:    counters{rejected, tenantRejected, reg.Counter(prefix + "rejected_rate")},
+		rejQueue:   counters{rejected, tenantRejected, reg.Counter(prefix + "rejected_queue")},
+		completed:  counters{reg.Counter("service.jobs_completed"), reg.Counter(prefix + "completed")},
+		upRejected: reg.Counter(prefix + "uploads_rejected"),
+		depth:      reg.Gauge(prefix + "queue_depth"),
+		runningG:   reg.Gauge(prefix + "running"),
+		uploadsG:   reg.Gauge(prefix + "uploads_open"),
+		lat:        histograms{reg.Histogram("service.job_latency_ms", bounds), reg.Histogram(prefix+"latency_ms", bounds)},
+		qwait:      histograms{reg.Histogram("service.queue_wait_ms", bounds), reg.Histogram(prefix+"queue_wait_ms", bounds)},
+		runh:       histograms{reg.Histogram("service.run_ms", bounds), reg.Histogram(prefix+"run_ms", bounds)},
 	}
 	s.tenants[name] = tq
 	s.ring = append(s.ring, tq)
