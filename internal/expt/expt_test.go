@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dgraph"
 	"repro/internal/matching"
+	"repro/internal/partition"
 )
 
 func quickOpts(buf *bytes.Buffer) Options {
@@ -247,6 +248,18 @@ func TestSquareFactor(t *testing.T) {
 		pr, pc := squareFactor(tc.p)
 		if pr*pc != tc.p || pr != tc.pr || pc != tc.pc {
 			t.Errorf("squareFactor(%d) = %d,%d want %d,%d", tc.p, pr, pc, tc.pr, tc.pc)
+		}
+	}
+}
+
+// TestSquareFactorIsProcessorGrid shows the harness's own factorisation is
+// partition.ProcessorGrid on every rank count the figures reach, so the one
+// can replace the other.
+func TestSquareFactorIsProcessorGrid(t *testing.T) {
+	for p := 1; p <= 16384; p++ {
+		pr, pc := squareFactor(p)
+		if gr, gc := partition.ProcessorGrid(p); pr != gr || pc != gc {
+			t.Fatalf("p=%d: squareFactor %dx%d, ProcessorGrid %dx%d", p, pr, pc, gr, gc)
 		}
 	}
 }

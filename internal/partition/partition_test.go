@@ -97,7 +97,7 @@ func TestGrid2DPartitionRejectsBadShapes(t *testing.T) {
 
 func TestProcessorGrid(t *testing.T) {
 	for _, tc := range []struct{ p, pr, pc int }{
-		{1, 1, 1}, {2, 1, 2}, {4, 2, 2}, {6, 2, 3}, {12, 3, 4}, {16, 4, 4}, {7, 1, 7}, {36, 6, 6},
+		{1, 1, 1}, {2, 1, 2}, {4, 2, 2}, {6, 2, 3}, {8, 2, 4}, {12, 3, 4}, {16, 4, 4}, {7, 1, 7}, {36, 6, 6},
 	} {
 		pr, pc := ProcessorGrid(tc.p)
 		if pr*pc != tc.p {
