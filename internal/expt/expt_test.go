@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
 	"strings"
 	"testing"
@@ -36,6 +37,47 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.HasPrefix(csv.String(), "A,BB\n") {
 		t.Fatalf("csv header wrong: %q", csv.String())
+	}
+}
+
+// tableChunks collects each Write, which RenderCSV issues once per table.
+type tableChunks [][]byte
+
+func (c *tableChunks) Write(p []byte) (int, error) {
+	*c = append(*c, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestCSVParsesBack reads every table a full run emits as CSV back through
+// encoding/csv: each record must have as many fields as its table's header
+// ("k x k grids, 24x24 per rank" and "integer [1,1000] (ties)" used to split
+// into two).
+func TestCSVParsesBack(t *testing.T) {
+	var tables tableChunks
+	o := quickOpts(new(bytes.Buffer))
+	o.CSV = &tables
+	if err := RunAll(o); err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) < 15 {
+		t.Fatalf("only %d tables emitted as CSV", len(tables))
+	}
+	for _, tab := range tables {
+		r := csv.NewReader(bytes.NewReader(tab))
+		r.Comment = '#'
+		r.FieldsPerRecord = -1
+		records, err := r.ReadAll()
+		if err != nil {
+			t.Fatalf("%v in:\n%s", err, tab)
+		}
+		if len(records) < 2 {
+			t.Fatalf("table without rows:\n%s", tab)
+		}
+		for _, rec := range records[1:] {
+			if len(rec) != len(records[0]) {
+				t.Errorf("record %q has %d fields under a %d-field header %q", rec, len(rec), len(records[0]), records[0])
+			}
+		}
 	}
 }
 

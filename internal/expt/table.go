@@ -9,6 +9,8 @@
 package expt
 
 import (
+	"bytes"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -106,16 +108,17 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// RenderCSV writes the table as CSV (comments become # lines).
+// RenderCSV writes the table as CSV (comments become # lines), in one Write
+// so that a table is never left half-written.
 func (t *Table) RenderCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Header, ",") + "\n")
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ",") + "\n")
+	var b bytes.Buffer
+	cw := csv.NewWriter(&b)
+	if err := cw.WriteAll(append([][]string{t.Header}, t.rows...)); err != nil {
+		return err
 	}
 	for _, c := range t.comment {
 		fmt.Fprintf(&b, "# %s\n", c)
 	}
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b.Bytes())
 	return err
 }
