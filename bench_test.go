@@ -99,24 +99,13 @@ func benchGridFigure(b *testing.B, weak, isMatching bool) {
 		b.Fatal(err)
 	}
 	// Timed portion: the largest measured point.
-	var spec dgraph.GridSpec
+	in, p := expt.GridInstance{Side: o.StrongGrid, Seed: o.Seed}, o.StrongProcs[len(o.StrongProcs)-1]
 	if weak {
-		p := o.WeakProcs[len(o.WeakProcs)-1]
-		pr := 1
-		for pr*pr < p {
-			pr++
-		}
-		spec = dgraph.GridSpec{K1: o.WeakSubgrid * pr, K2: o.WeakSubgrid * pr, PR: pr, PC: pr, Weighted: true, Seed: o.Seed}
-	} else {
-		spec = dgraph.GridSpec{K1: o.StrongGrid, K2: o.StrongGrid, PR: 4, PC: 4, Weighted: true, Seed: o.Seed}
+		in, p = expt.GridInstance{Side: o.WeakSubgrid, Weak: true, Seed: o.Seed}, o.WeakProcs[len(o.WeakProcs)-1]
 	}
-	shares := make([]*dgraph.DistGraph, spec.P())
-	for r := range shares {
-		d, err := dgraph.BuildGrid(spec, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		shares[r] = d
+	shares, err := in.Shares(p)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,7 +130,10 @@ func BenchmarkFig53CircuitMatching(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shares := circuitShares(b, bp.Graph, 16, true, o.Seed)
+	shares, err := expt.CircuitInstance{G: bp.Graph, Refine: true, Seed: o.Seed}.Shares(16)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := expt.MeasureMatching(shares, matching.ParallelOptions{}); err != nil {
@@ -159,7 +151,10 @@ func BenchmarkFig54CircuitColoring(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shares := circuitShares(b, g, 16, false, o.Seed)
+	shares, err := expt.CircuitInstance{G: g, Seed: o.Seed}.Shares(16)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := expt.MeasureColoring(shares, coloring.ParallelOptions{Seed: o.Seed, SuperstepSize: 100}); err != nil {
@@ -168,33 +163,15 @@ func BenchmarkFig54CircuitColoring(b *testing.B) {
 	}
 }
 
-func circuitShares(b *testing.B, g *graph.Graph, p int, refine bool, seed uint64) []*dgraph.DistGraph {
-	b.Helper()
-	part, err := partition.Multilevel(g, p, partition.MultilevelOptions{Seed: seed, NoRefine: !refine})
-	if err != nil {
-		b.Fatal(err)
-	}
-	shares, err := dgraph.Distribute(g, part)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return shares
-}
-
 // --- Ablations ----------------------------------------------------------
 
 // ablationMatchingShares prepares a 16-rank grid distribution whose cross
 // traffic is heavy enough for bundling to matter.
 func ablationMatchingShares(b *testing.B) []*dgraph.DistGraph {
 	b.Helper()
-	spec := dgraph.GridSpec{K1: 256, K2: 256, PR: 4, PC: 4, Weighted: true, Seed: 7}
-	shares := make([]*dgraph.DistGraph, spec.P())
-	for r := range shares {
-		d, err := dgraph.BuildGrid(spec, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		shares[r] = d
+	shares, err := expt.GridInstance{Side: 256, Seed: 7}.Shares(16)
+	if err != nil {
+		b.Fatal(err)
 	}
 	return shares
 }
@@ -208,7 +185,7 @@ func BenchmarkAblationBundlingOn(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(float64(totalMsgs(m)), "msgs")
+			b.ReportMetric(float64(m.Traffic.SentMsgs), "msgs")
 		}
 	}
 }
@@ -222,31 +199,15 @@ func BenchmarkAblationBundlingOff(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(float64(totalMsgs(m)), "msgs")
+			b.ReportMetric(float64(m.Traffic.SentMsgs), "msgs")
 		}
 	}
-}
-
-func totalMsgs(m *expt.Measurement) int64 {
-	var t int64
-	for _, r := range m.Ranks {
-		t += r.Msgs
-	}
-	return t
 }
 
 // ablationColoringShares prepares a 12-rank irregular distribution.
 func ablationColoringShares(b *testing.B) []*dgraph.DistGraph {
 	b.Helper()
-	g, err := gen.Circuit(120, 120, 0.45, false, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	part, err := partition.BFS(g, 12, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shares, err := dgraph.Distribute(g, part)
+	_, shares, err := expt.AblationInput(expt.Options{CircuitSide: 120, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +223,7 @@ func benchColoring(b *testing.B, opt coloring.ParallelOptions) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(float64(totalMsgs(m)), "msgs")
+			b.ReportMetric(float64(m.Traffic.SentMsgs), "msgs")
 			b.ReportMetric(float64(m.NumColors), "colors")
 			b.ReportMetric(float64(m.Epochs), "rounds")
 		}

@@ -5,7 +5,7 @@
 // network access, external URLs are not followed. TestDgraphIsBelowTheRuntime
 // and TestMatchingHasNoMaps hold the tree to claims DESIGN.md makes;
 // TestSignalCatalogue and TestObservabilityWrittenOnce hold it to
-// docs/OBSERVABILITY.md.
+// docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt row.
 package docs
 
 import (
@@ -442,6 +442,94 @@ func TestObservabilityWrittenOnce(t *testing.T) {
 	}
 	if len(pprofIn) != 1 {
 		t.Errorf("pprof.Index referenced in %v, want exactly one function", pprofIn)
+	}
+}
+
+// TestEvaluationWrittenOnce pins the structure DESIGN.md's expt row
+// describes: the harness fits one epoch trend (the one scaling study), starts
+// worlds in one place (the one measured run), solves the exact matching in
+// one place (the one quality computation) and totals traffic nowhere — a
+// Measurement carries the world's own totals — and the module declares the
+// machine coefficients once.
+func TestEvaluationWrittenOnce(t *testing.T) {
+	calls := map[string]int{}
+	for name, file := range nonTestFiles(t, "expt", 0) {
+		for _, decl := range file.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			onMeasurement := false
+			if fn != nil && fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					onMeasurement = id.Name == "Measurement"
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					switch fun := n.Fun.(type) {
+					case *ast.Ident:
+						calls[fun.Name]++
+					case *ast.SelectorExpr:
+						if x, ok := fun.X.(*ast.Ident); ok {
+							calls[x.Name+"."+fun.Sel.Name]++
+						}
+					}
+				case *ast.RangeStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Ranks" || onMeasurement {
+						return true
+					}
+					ast.Inspect(n.Body, func(b ast.Node) bool {
+						as, ok := b.(*ast.AssignStmt)
+						if !ok || as.Tok != token.ADD_ASSIGN {
+							return true
+						}
+						ast.Inspect(as.Rhs[0], func(r ast.Node) bool {
+							if sel, ok := r.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Msgs" || sel.Sel.Name == "Bytes") {
+								t.Errorf("%s: %s totals per-rank %s inline; read Measurement.Traffic", name, fn.Name.Name, sel.Sel.Name)
+							}
+							return true
+						})
+						return true
+					})
+				}
+				return true
+			})
+		}
+	}
+	for _, fn := range []string{"FitLogTrend", "mpi.NewWorld", "matching.ExactBipartite"} {
+		if calls[fn] != 1 {
+			t.Errorf("internal/expt calls %s %d times, want exactly once", fn, calls[fn])
+		}
+	}
+
+	var machines []string
+	for name, file := range repoFiles(t) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			have := map[string]bool{}
+			for _, f := range st.Fields.List {
+				for _, id := range f.Names {
+					have[id.Name] = true
+				}
+			}
+			if have["Alpha"] && have["Beta"] && have["GammaVertex"] && have["GammaEdge"] && have["Sync"] {
+				machines = append(machines, name+":"+ts.Name.Name)
+			}
+			return true
+		})
+	}
+	if len(machines) != 1 {
+		t.Errorf("machine coefficient structs %v, want exactly one", machines)
 	}
 }
 

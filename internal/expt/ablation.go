@@ -6,10 +6,32 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/dgraph"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mpi"
 	"repro/internal/partition"
 )
+
+// AblationInput builds the irregular input the ablation and traffic tables
+// run on: the circuit adjacency graph of o's die, grown breadth-first into
+// 12 parts (4 when Quick) — decent locality, no refinement — and distributed.
+func AblationInput(o Options) (*graph.Graph, []*dgraph.DistGraph, error) {
+	o = o.withDefaults()
+	g, err := gen.Circuit(o.CircuitSide, o.CircuitSide, 0.45, false, o.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := 12
+	if o.Quick {
+		p = 4
+	}
+	part, err := partition.BFS(g, p, o.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	shares, err := dgraph.Distribute(g, part)
+	return g, shares, err
+}
 
 // Ablations runs the design-choice studies DESIGN.md §5 calls out and
 // prints one table per knob, each measured on real distributed runs:
@@ -22,33 +44,13 @@ import (
 //  6. speculative framework vs Jones–Plassmann rounds.
 func Ablations(o Options) error {
 	o = o.withDefaults()
-	side := o.CircuitSide
-	g, err := gen.Circuit(side, side, 0.45, false, o.Seed)
+	_, shares, err := AblationInput(o)
 	if err != nil {
 		return err
 	}
-	p := 12
-	if o.Quick {
-		p = 4
-	}
-	part, err := partition.BFS(g, p, o.Seed)
-	if err != nil {
-		return err
-	}
-	shares, err := dgraph.Distribute(g, part)
-	if err != nil {
-		return err
-	}
-	wg, err := gen.Grid2D(side, side, true, o.Seed)
-	if err != nil {
-		return err
-	}
-	pr, pc := partition.ProcessorGrid(p)
-	gridPart, err := partition.Grid2D(side, side, pr, pc)
-	if err != nil {
-		return err
-	}
-	gridShares, err := dgraph.Distribute(wg, gridPart)
+	// Bundling is measured on the weighted grid of the same side instead,
+	// over the same number of ranks.
+	gridShares, err := GridInstance{Side: o.CircuitSide, Seed: o.Seed}.Shares(len(shares))
 	if err != nil {
 		return err
 	}
@@ -67,12 +69,8 @@ func Ablations(o Options) error {
 		if err != nil {
 			return err
 		}
-		var msgs, bytes int64
-		for _, r := range m.Ranks {
-			msgs += r.Msgs
-			bytes += r.Bytes
-		}
-		t.AddRow(tc.name, msgs, bytes, bytes/matching.RecordBytes, fmt.Sprintf("%.1f", m.MatchWeight))
+		bytes := m.Traffic.SentBytes
+		t.AddRow(tc.name, m.Traffic.SentMsgs, bytes, bytes/matching.RecordBytes, fmt.Sprintf("%.1f", m.MatchWeight))
 	}
 	t.AddComment("same matching weight; bundling collapses per-record messages into per-pair bundles")
 	if err := o.emit(t); err != nil {
@@ -87,12 +85,7 @@ func Ablations(o Options) error {
 		if err != nil {
 			return err
 		}
-		var msgs, bytes int64
-		for _, r := range m.Ranks {
-			msgs += r.Msgs
-			bytes += r.Bytes
-		}
-		t.AddRow(mode.String(), msgs, bytes, m.Epochs, m.NumColors)
+		t.AddRow(mode.String(), m.Traffic.SentMsgs, m.Traffic.SentBytes, m.Epochs, m.NumColors)
 	}
 	t.AddComment("NEW < FIAC in messages; FIAC < FIAB in volume — the paper's hierarchy")
 	if err := o.emit(t); err != nil {
@@ -107,24 +100,30 @@ func Ablations(o Options) error {
 		if err != nil {
 			return err
 		}
-		var msgs int64
-		for _, r := range m.Ranks {
-			msgs += r.Msgs
-		}
-		t.AddRow(s, msgs, m.Conflicts, m.Epochs, m.NumColors)
+		t.AddRow(s, m.Traffic.SentMsgs, m.Conflicts, m.Epochs, m.NumColors)
 	}
 	t.AddComment("small s: fresh information, few conflicts, many messages; large s: the reverse")
 	if err := o.emit(t); err != nil {
 		return err
 	}
 
-	// 4. Conflict policy.
+	// 4. Conflict policy. The maximum per-rank re-color count is the
+	// load-balance quantity the randomized policy improves.
 	t = NewTable("Ablation — conflict resolution policy (randomized vs deterministic)",
 		"Policy", "Conflicts", "Rounds", "Colors", "Max per-rank re-colors")
 	for _, cp := range []coloring.ConflictPolicy{coloring.ConflictRandom, coloring.ConflictMinID} {
-		maxRe, m, err := measureConflictSkew(shares, coloring.ParallelOptions{Seed: o.Seed, Conflict: cp, SuperstepSize: 50})
+		opt := coloring.ParallelOptions{Seed: o.Seed, Conflict: cp, SuperstepSize: 50}
+		m, results, err := measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+			return coloring.Parallel(c, d, opt)
+		})
 		if err != nil {
 			return err
+		}
+		var maxRe int64
+		for _, r := range results {
+			if r.Conflicts > maxRe {
+				maxRe = r.Conflicts
+			}
 		}
 		t.AddRow(cp.String(), m.Conflicts, m.Epochs, m.NumColors, maxRe)
 	}
@@ -150,52 +149,71 @@ func Ablations(o Options) error {
 	// 6. Framework vs Jones–Plassmann.
 	t = NewTable("Ablation — speculative framework vs Jones–Plassmann baseline",
 		"Algorithm", "Rounds", "Colors", "Runtime msgs")
-	spec, err := MeasureColoring(shares, coloring.ParallelOptions{Seed: o.Seed})
+	m, err := MeasureColoring(shares, coloring.ParallelOptions{Seed: o.Seed})
 	if err != nil {
 		return err
 	}
-	var specMsgs int64
-	for _, r := range spec.Ranks {
-		specMsgs += r.Msgs
-	}
-	t.AddRow("speculative (this paper)", spec.Epochs, spec.NumColors, specMsgs)
-	jpRounds, jpColors, jpMsgs, err := measureJP(shares, o.Seed)
+	t.AddRow("speculative (this paper)", m.Epochs, m.NumColors, m.Traffic.SentMsgs)
+	m, _, err = measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return coloring.JonesPlassmann(c, d, o.Seed, 0)
+	})
 	if err != nil {
 		return err
 	}
-	t.AddRow("Jones-Plassmann (MIS)", jpRounds, jpColors, jpMsgs)
+	t.AddRow("Jones-Plassmann (MIS)", m.Epochs, m.NumColors, m.Traffic.SentMsgs)
 	t.AddComment("the framework provably needs no more rounds than MIS coloring [Bozdag et al.]")
 	return o.emit(t)
 }
 
-// measureConflictSkew runs the coloring and reports the maximum per-rank
-// re-color count (the load-balance quantity the randomized policy improves).
-func measureConflictSkew(shares []*dgraph.DistGraph, opt coloring.ParallelOptions) (int64, *Measurement, error) {
-	m, results, err := measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
-		return coloring.Parallel(c, d, opt)
-	})
+// Traffic runs one matching and one NEW-variant coloring over the ablation
+// input and prints the per-tag-family traffic breakdown — the live view
+// `dmgm-trace -watch` renders mid-run, recorded here from finished runs so
+// the numbers are reproducible. The user families sum exactly to the
+// aggregate counters (asserted in conformance); the runtime family is the
+// reserved-tag collective traffic, zero on the in-process backend used here.
+func Traffic(o Options) error {
+	o = o.withDefaults()
+	g, shares, err := AblationInput(o)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	var maxRe int64
-	for _, r := range results {
-		if r.Conflicts > maxRe {
-			maxRe = r.Conflicts
-		}
+	on := fmt.Sprintf("circuit graph (n=%d, m=%d, p=%d)", g.NumVertices(), g.NumEdges(), len(shares))
+
+	m, err := MeasureMatching(shares, matching.ParallelOptions{})
+	if err != nil {
+		return err
 	}
-	return maxRe, m, nil
+	if err := emitTrafficTable(o, "Per-tag-family traffic — matching, "+on, m.Traffic,
+		"REQUEST/SUCCEEDED/FAILED records ride in 17-byte units inside per-destination bundles (docs/PROTOCOL.md)"); err != nil {
+		return err
+	}
+	m, err = MeasureColoring(shares, coloring.ParallelOptions{Seed: o.Seed, CommMode: coloring.CommNeighbors, SuperstepSize: 100})
+	if err != nil {
+		return err
+	}
+	return emitTrafficTable(o, "Per-tag-family traffic — coloring NEW variant, "+on, m.Traffic,
+		"color notices are 12-byte gid|color records, sent to affected neighbor ranks only (NEW)")
 }
 
-// measureJP runs the Jones–Plassmann baseline over the shares.
-func measureJP(shares []*dgraph.DistGraph, seed uint64) (rounds int, colors int, msgs int64, err error) {
-	m, _, err := measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
-		return coloring.JonesPlassmann(c, d, seed, 0)
-	})
-	if err != nil {
-		return 0, 0, 0, err
+// emitTrafficTable renders one per-family breakdown table with its
+// reconciliation footer.
+func emitTrafficTable(o Options, title string, total mpi.Stats, note string) error {
+	t := NewTable(title, "Tag family", "Sent msgs", "Sent bytes", "Recv msgs", "Recv bytes", "Byte share")
+	for f := mpi.TagFamily(0); f < mpi.NumTagFamilies; f++ {
+		fs := total.ByFamily[f]
+		if fs == (mpi.FamilyStats{}) {
+			continue
+		}
+		share := "-"
+		if total.SentBytes > 0 && f != mpi.FamilyRuntime {
+			share = fmt.Sprintf("%.1f%%", 100*float64(fs.SentBytes)/float64(total.SentBytes))
+		}
+		t.AddRow(f.String(), fs.SentMsgs, fs.SentBytes, fs.RecvMsgs, fs.RecvBytes, share)
 	}
-	for _, prof := range m.Ranks {
-		msgs += prof.Msgs
-	}
-	return int(m.Epochs), m.NumColors, msgs, nil
+	t.AddRow("aggregate (user)", total.SentMsgs, total.SentBytes, total.RecvMsgs, total.RecvBytes, "100.0%")
+	user := total.UserFamilyTotals()
+	t.AddComment("user families sum to the aggregate exactly: %d msgs / %d B sent == %d msgs / %d B",
+		user.SentMsgs, user.SentBytes, total.SentMsgs, total.SentBytes)
+	t.AddComment("%s", note)
+	return o.emit(t)
 }

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dgraph"
 	"repro/internal/matching"
-	"repro/internal/partition"
 )
 
 func quickOpts(buf *bytes.Buffer) Options {
@@ -254,25 +252,34 @@ func TestFig54QuickCircuitColoring(t *testing.T) {
 	}
 }
 
-func TestMeasurementMaxRank(t *testing.T) {
-	spec := dgraph.GridSpec{K1: 8, K2: 8, PR: 2, PC: 2, Weighted: true, Seed: 1}
-	shares, err := gridShares(spec)
+// TestSynthesizedProfiles checks the model's input where no run happened: the
+// traffic densities of a measured run, applied to the shares' structure.
+func TestSynthesizedProfiles(t *testing.T) {
+	shares, err := GridInstance{Side: 8, Seed: 1}.Shares(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := MeasureMatching(shares, matchingOptions())
+	m, err := MeasureMatching(shares, matching.ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst := m.MaxRank()
-	if worst.EdgeOps == 0 {
-		t.Fatal("max rank has no work")
+	var msgs, bytes int64
+	for _, r := range m.Ranks {
+		msgs += r.Msgs
+		bytes += r.Bytes
 	}
-	cs := ExtractCommScalars(shares, m)
+	if msgs == 0 || msgs != m.Traffic.SentMsgs || bytes != m.Traffic.SentBytes {
+		t.Fatalf("ranks sent %d msgs / %d B, Traffic says %d / %d", msgs, bytes, m.Traffic.SentMsgs, m.Traffic.SentBytes)
+	}
+	st := structureOf(shares)
+	cs := commScalarsOf(st, m)
 	if cs.BytesPerCrossArc <= 0 {
 		t.Fatalf("bytes per cross arc %g", cs.BytesPerCrossArc)
 	}
-	synth := SynthesizeProfiles(shares, cs, m.Epochs)
+	if cut := cutFraction(st); cut <= 0 || cut >= 1 {
+		t.Fatalf("cut fraction %g of a 2x2-blocked grid", cut)
+	}
+	synth := cs.profiles(st, m.Epochs)
 	if len(synth) != 4 {
 		t.Fatal("wrong synthesized profile count")
 	}
@@ -282,32 +289,6 @@ func TestMeasurementMaxRank(t *testing.T) {
 		}
 	}
 }
-
-func TestSquareFactor(t *testing.T) {
-	for _, tc := range []struct{ p, pr, pc int }{
-		{1, 1, 1}, {4, 2, 2}, {16, 4, 4}, {2, 1, 2}, {8, 2, 4}, {12, 3, 4},
-	} {
-		pr, pc := squareFactor(tc.p)
-		if pr*pc != tc.p || pr != tc.pr || pc != tc.pc {
-			t.Errorf("squareFactor(%d) = %d,%d want %d,%d", tc.p, pr, pc, tc.pr, tc.pc)
-		}
-	}
-}
-
-// TestSquareFactorIsProcessorGrid shows the harness's own factorisation is
-// partition.ProcessorGrid on every rank count the figures reach, so the one
-// can replace the other.
-func TestSquareFactorIsProcessorGrid(t *testing.T) {
-	for p := 1; p <= 16384; p++ {
-		pr, pc := squareFactor(p)
-		if gr, gc := partition.ProcessorGrid(p); pr != gr || pc != gc {
-			t.Fatalf("p=%d: squareFactor %dx%d, ProcessorGrid %dx%d", p, pr, pc, gr, gc)
-		}
-	}
-}
-
-// matchingOptions returns default parallel matching options.
-func matchingOptions() matching.ParallelOptions { return matching.ParallelOptions{} }
 
 func TestAblationsQuick(t *testing.T) {
 	var buf bytes.Buffer

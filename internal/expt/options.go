@@ -37,7 +37,7 @@ type Options struct {
 	CircuitModelProcs []int
 
 	// Superstep is the coloring superstep size for Figs 5.1/5.2 (paper
-	// regime: ~1000); Fig 5.4's poorly-partitioned regime uses Superstep100.
+	// regime: ~1000); Fig 5.4's poorly-partitioned regime always uses 100.
 	Superstep int
 
 	// Quick shrinks every instance for fast test runs.
@@ -65,48 +65,21 @@ func (o Options) withDefaults() Options {
 	o.StrongGrid = def(o.StrongGrid, 512, 60)
 	o.CircuitSide = def(o.CircuitSide, 200, 40)
 	o.Superstep = def(o.Superstep, 1000, 100)
-	if o.WeakProcs == nil {
+	procs := func(v *[]int, d, q []int) {
+		if *v != nil {
+			return
+		}
+		*v = d
 		if o.Quick {
-			o.WeakProcs = []int{1, 4}
-		} else {
-			o.WeakProcs = []int{1, 4, 16, 64}
+			*v = q
 		}
 	}
-	if o.WeakModelProcs == nil {
-		if o.Quick {
-			o.WeakModelProcs = []int{16}
-		} else {
-			o.WeakModelProcs = []int{256, 1024, 4096, 16384}
-		}
-	}
-	if o.StrongProcs == nil {
-		if o.Quick {
-			o.StrongProcs = []int{1, 4}
-		} else {
-			o.StrongProcs = []int{1, 2, 4, 8, 16, 32, 64}
-		}
-	}
-	if o.StrongModelProcs == nil {
-		if o.Quick {
-			o.StrongModelProcs = []int{16}
-		} else {
-			o.StrongModelProcs = []int{128, 256, 512, 1024, 2048, 4096, 8192, 16384}
-		}
-	}
-	if o.CircuitProcs == nil {
-		if o.Quick {
-			o.CircuitProcs = []int{2, 4}
-		} else {
-			o.CircuitProcs = []int{2, 4, 8, 16, 32, 64}
-		}
-	}
-	if o.CircuitModelProcs == nil {
-		if o.Quick {
-			o.CircuitModelProcs = []int{16}
-		} else {
-			o.CircuitModelProcs = []int{128, 256, 512, 1024, 2048, 4096}
-		}
-	}
+	procs(&o.WeakProcs, []int{1, 4, 16, 64}, []int{1, 4})
+	procs(&o.WeakModelProcs, []int{256, 1024, 4096, 16384}, []int{16})
+	procs(&o.StrongProcs, []int{1, 2, 4, 8, 16, 32, 64}, []int{1, 4})
+	procs(&o.StrongModelProcs, []int{128, 256, 512, 1024, 2048, 4096, 8192, 16384}, []int{16})
+	procs(&o.CircuitProcs, []int{2, 4, 8, 16, 32, 64}, []int{2, 4})
+	procs(&o.CircuitModelProcs, []int{128, 256, 512, 1024, 2048, 4096}, []int{16})
 	return o
 }
 

@@ -20,10 +20,14 @@ type Measurement struct {
 	Ranks    []perfmodel.Profile
 	Epochs   int64 // outer iterations (matching) or rounds (coloring), max over ranks
 	// VirtualSeconds is the LogP-style asynchronous simulation makespan
-	// under Blue Gene/P coefficients (see mpi.VirtualTime): the virtual
+	// under Blue Gene/P coefficients (see mpi.WithVirtualTime): the virtual
 	// clocks honor compute/communication overlap, unlike the
 	// bulk-synchronous analytic model.
 	VirtualSeconds float64
+
+	// Traffic is the run's traffic summed over ranks: the totals every
+	// table prints, and their split by tag family.
+	Traffic mpi.Stats
 
 	// Algorithm-specific outputs.
 	MatchWeight float64
@@ -31,52 +35,15 @@ type Measurement struct {
 	Conflicts   int64
 }
 
-// MaxRank returns the heaviest rank profile.
-func (m *Measurement) MaxRank() perfmodel.Profile {
-	var out perfmodel.Profile
-	var worst float64
-	bg := perfmodel.BlueGeneP()
-	for _, p := range m.Ranks {
-		if t := bg.Time(p); t >= worst {
-			worst = t
-			out = p
-		}
-	}
-	return out
-}
-
-// structuralProfile seeds a rank profile with the share's structure. It is
-// used only when no run happened (SynthesizeProfiles); measured runs read the
-// actual operation counts the algorithms charged into the observability
-// registry instead (measuredProfile).
-func structuralProfile(d *dgraph.DistGraph) perfmodel.Profile {
-	return perfmodel.Profile{
-		VertexOps: int64(d.NLocal),
-		EdgeOps:   d.Xadj[d.NLocal],
-	}
-}
-
 // measuredProfile reads rank r's compute profile from the registry the world
 // populated during the run: mpi.vertex_ops / mpi.edge_ops carry exactly what
 // the algorithm charged via ChargeOps (init scans, recomputations, bundle
 // processing), which is what the α–β–γ model should price — not the static
-// share structure the old seeding approximated it with.
+// share structure that stands in for it where no run happened (rankStructure).
 func measuredProfile(reg *obs.Registry, p, r int) perfmodel.Profile {
 	return perfmodel.Profile{
 		VertexOps: reg.Vec("mpi.vertex_ops", p).At(r).Load(),
 		EdgeOps:   reg.Vec("mpi.edge_ops", p).At(r).Load(),
-	}
-}
-
-// vtimeOf converts machine-model coefficients into runtime virtual-time
-// coefficients.
-func vtimeOf(m perfmodel.Machine) mpi.VirtualTime {
-	return mpi.VirtualTime{
-		Alpha:       m.Alpha,
-		Beta:        m.Beta,
-		GammaVertex: m.GammaVertex,
-		GammaEdge:   m.GammaEdge,
-		Sync:        m.Sync,
 	}
 }
 
@@ -90,7 +57,7 @@ func measure[R any](shares []*dgraph.DistGraph, kernel func(*mpi.Comm, *dgraph.D
 	p := len(shares)
 	obsr := obs.NewObserver(p, -1) // metrics only: op counters for the profiles
 	w, err := mpi.NewWorld(p, mpi.WithDeadline(10*time.Minute),
-		mpi.WithVirtualTime(vtimeOf(perfmodel.BlueGeneP())),
+		mpi.WithVirtualTime(perfmodel.BlueGeneP()),
 		mpi.WithObserver(obsr))
 	if err != nil {
 		return nil, nil, err
@@ -106,6 +73,7 @@ func measure[R any](shares []*dgraph.DistGraph, kernel func(*mpi.Comm, *dgraph.D
 	}
 	m := &Measurement{P: p, WallHost: time.Since(start), Ranks: make([]perfmodel.Profile, p)}
 	m.VirtualSeconds = w.MaxVirtualTime()
+	m.Traffic = w.TotalStats()
 	for r := 0; r < p; r++ {
 		prof := measuredProfile(obsr.Registry(), p, r)
 		st := w.RankStats(r)
@@ -159,6 +127,37 @@ func measureColoring(shares []*dgraph.DistGraph, kernel func(*mpi.Comm, *dgraph.
 	return m, results, nil
 }
 
+// rankStructure is what the model knows of one rank's share without a run:
+// owned vertices, stored arcs, cross arcs and neighbor ranks.
+type rankStructure struct {
+	nLocal      int
+	arcs, cross int64
+	nbrs        int
+}
+
+// structureOf reads the structure off built shares.
+func structureOf(shares []*dgraph.DistGraph) []rankStructure {
+	out := make([]rankStructure, len(shares))
+	for r, d := range shares {
+		out[r] = rankStructure{d.NLocal, d.Xadj[d.NLocal], d.CrossArcs, len(d.NeighborRanks)}
+	}
+	return out
+}
+
+// cutFraction is the share of edges that cross ranks: every cut edge is one
+// cross arc on each side, every edge two stored arcs.
+func cutFraction(st []rankStructure) float64 {
+	var arcs, cross int64
+	for _, s := range st {
+		arcs += s.arcs
+		cross += s.cross
+	}
+	if arcs == 0 {
+		return 0
+	}
+	return float64(cross) / float64(arcs)
+}
+
 // CommScalars are the per-structure traffic densities extracted from a
 // measured run, used to synthesize profiles at rank counts the host cannot
 // run. See EXPERIMENTS.md ("model methodology").
@@ -167,39 +166,39 @@ type CommScalars struct {
 	BytesPerCrossArc float64
 	// MsgsPerNeighborEpoch is sent messages per (neighbor rank × epoch).
 	MsgsPerNeighborEpoch float64
-	// Epochs is the measured epoch count.
-	Epochs int64
 }
 
-// ExtractCommScalars derives CommScalars from a measured run over shares.
-func ExtractCommScalars(shares []*dgraph.DistGraph, m *Measurement) CommScalars {
-	var bytes, msgs, cross, nbrEpochs float64
-	for r, d := range shares {
-		bytes += float64(m.Ranks[r].Bytes)
-		msgs += float64(m.Ranks[r].Msgs)
-		cross += float64(d.CrossArcs)
-		nbrEpochs += float64(len(d.NeighborRanks)) * float64(m.Epochs)
+// commScalarsOf derives CommScalars from a measured run over shares of
+// structure st.
+func commScalarsOf(st []rankStructure, m *Measurement) CommScalars {
+	var cross, nbrs float64
+	for _, s := range st {
+		cross += float64(s.cross)
+		nbrs += float64(s.nbrs)
 	}
-	cs := CommScalars{Epochs: m.Epochs}
+	var cs CommScalars
 	if cross > 0 {
-		cs.BytesPerCrossArc = bytes / cross
+		cs.BytesPerCrossArc = float64(m.Traffic.SentBytes) / cross
 	}
-	if nbrEpochs > 0 {
-		cs.MsgsPerNeighborEpoch = msgs / nbrEpochs
+	if nbrEpochs := nbrs * float64(m.Epochs); nbrEpochs > 0 {
+		cs.MsgsPerNeighborEpoch = float64(m.Traffic.SentMsgs) / nbrEpochs
 	}
 	return cs
 }
 
-// SynthesizeProfiles builds model-input rank profiles for a structure-only
-// distribution (no algorithm run), applying measured traffic densities.
-func SynthesizeProfiles(shares []*dgraph.DistGraph, cs CommScalars, epochs int64) []perfmodel.Profile {
-	out := make([]perfmodel.Profile, len(shares))
-	for r, d := range shares {
-		p := structuralProfile(d)
-		p.Bytes = int64(cs.BytesPerCrossArc * float64(d.CrossArcs))
-		p.Msgs = int64(cs.MsgsPerNeighborEpoch * float64(len(d.NeighborRanks)) * float64(epochs))
-		p.Epochs = epochs
-		out[r] = p
+// profiles prices a structure-only distribution (no algorithm run) at the
+// measured traffic densities: the model's input at rank counts the host
+// cannot run.
+func (cs CommScalars) profiles(st []rankStructure, epochs int64) []perfmodel.Profile {
+	out := make([]perfmodel.Profile, len(st))
+	for r, s := range st {
+		out[r] = perfmodel.Profile{
+			VertexOps: int64(s.nLocal),
+			EdgeOps:   s.arcs,
+			Msgs:      int64(cs.MsgsPerNeighborEpoch * float64(s.nbrs) * float64(epochs)),
+			Bytes:     int64(cs.BytesPerCrossArc * float64(s.cross)),
+			Epochs:    epochs,
+		}
 	}
 	return out
 }

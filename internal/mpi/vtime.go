@@ -1,6 +1,10 @@
 package mpi
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/perfmodel"
+)
 
 // Virtual time: a LogP-flavored simulation layer over the runtime. When a
 // World is created WithVirtualTime, every rank carries a virtual clock:
@@ -19,17 +23,11 @@ import "math"
 // idle time, exactly as on the paper's Blue Gene/P. Virtual waiting costs
 // nothing; only arrivals pull clocks forward. See EXPERIMENTS.md ("model
 // methodology") for how the two estimators are used together.
-type VirtualTime struct {
-	// Alpha is the per-message latency in seconds.
-	Alpha float64
-	// Beta is the per-byte cost in seconds.
-	Beta float64
-	// GammaVertex and GammaEdge are per-operation compute costs in seconds.
-	GammaVertex float64
-	GammaEdge   float64
-	// Sync is the per-barrier synchronization cost in seconds.
-	Sync float64
-}
+//
+// The coefficients (α per message, β per byte, γv / γe per vertex / edge
+// operation, σ per barrier, all in seconds) are those of the analytic model:
+// VirtualTime is perfmodel.Machine, declared once.
+type VirtualTime = perfmodel.Machine
 
 // WithVirtualTime enables virtual-time tracking with the given coefficients.
 func WithVirtualTime(vt VirtualTime) Option {
