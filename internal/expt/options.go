@@ -37,7 +37,7 @@ type Options struct {
 	CircuitModelProcs []int
 
 	// Superstep is the coloring superstep size for Figs 5.1/5.2 (paper
-	// regime: ~1000); Fig 5.4's poorly-partitioned regime always uses 100.
+	// regime: ~1000); Fig 5.4's poorly-partitioned regime uses Superstep100.
 	Superstep int
 
 	// Quick shrinks every instance for fast test runs.

@@ -272,8 +272,9 @@ func (f figure) emit(o Options, in instance, measured, model []int) ([]ScalingRo
 }
 
 // gridFigure emits the matching (top) and coloring (bottom) series of a grid
-// figure.
-func gridFigure(o Options, top, bottom figure, in GridInstance, measured, model []int) (matchRows, colorRows []ScalingRow, err error) {
+// figure; whether the grid grows with p is the figure's weak flag.
+func gridFigure(o Options, top, bottom figure, side int, measured, model []int) (matchRows, colorRows []ScalingRow, err error) {
+	in := GridInstance{Side: side, Weak: top.weak, Seed: o.Seed}
 	if matchRows, err = top.emit(o, in, measured, model); err != nil {
 		return nil, nil, err
 	}
@@ -291,8 +292,7 @@ func Fig51(o Options) (matchRows, colorRows []ScalingRow, err error) {
 	if err := checkPositive("WeakSubgrid", o.WeakSubgrid); err != nil {
 		return nil, nil, err
 	}
-	in := GridInstance{Side: o.WeakSubgrid, Weak: true, Seed: o.Seed}
-	return gridFigure(o, fig51top, fig51bottom, in, o.WeakProcs, o.WeakModelProcs)
+	return gridFigure(o, fig51top, fig51bottom, o.WeakSubgrid, o.WeakProcs, o.WeakModelProcs)
 }
 
 // Fig52 reproduces the strong-scaling study on a fixed five-point grid
@@ -302,8 +302,7 @@ func Fig52(o Options) (matchRows, colorRows []ScalingRow, err error) {
 	if err := checkPositive("StrongGrid", o.StrongGrid); err != nil {
 		return nil, nil, err
 	}
-	in := GridInstance{Side: o.StrongGrid, Seed: o.Seed}
-	matchRows, colorRows, err = gridFigure(o, fig52top, fig52bottom, in, o.StrongProcs, o.StrongModelProcs)
+	matchRows, colorRows, err = gridFigure(o, fig52top, fig52bottom, o.StrongGrid, o.StrongProcs, o.StrongModelProcs)
 	// The paper's invariance check: identical weight at every p.
 	var w0 string
 	for _, r := range matchRows {
