@@ -29,7 +29,11 @@ var update = flag.Bool("update", false, "rewrite testdata/kernels.golden from wh
 // (graph, partition, options) alone: with SuperstepSize ≥ n a round is one
 // superstep, so no pick ever depends on which notices happened to arrive
 // mid-phase. The file was recorded before the kernels were moved onto the
-// shared core and must not change when they are touched.
+// shared core and must not change when they are touched — with one
+// distinction between its columns: colors / rounds / conflicts / msgs / hash
+// are what the kernels compute and whom they tell, and never move; bytes= is
+// what the notice encoding makes of that, so a change of encoding re-records
+// that cell and nothing else.
 
 type goldenGraph struct {
 	name string

@@ -8,14 +8,15 @@
 // Local indices are dense: owned vertices occupy [0, NLocal) in ascending
 // global-id order, ghosts occupy [NLocal, NLocal+NGhost), also in ascending
 // global-id order. The CSR rows cover owned vertices only; columns may point
-// at ghosts. Per-vertex classification into interior and boundary, the
-// per-neighbor-rank send lists, and the cross-edge counts that control the
-// matching algorithm's outer-loop termination are all precomputed here.
+// at ghosts, and every row keeps the global graph's order: ascending global
+// id. Per-vertex classification into interior and boundary, the cross-edge
+// counts that control the matching algorithm's outer-loop termination, and the
+// pair tables (pairs.go) under which two neighboring ranks name their shared
+// cross edges and boundary vertices on the wire are all precomputed here.
 package dgraph
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -56,37 +57,21 @@ type DistGraph struct {
 	// variant restricts communication to.
 	NeighborRanks []int
 
-	index index
-}
-
-// index resolves global ids to local indices: an open-addressing table,
-// probed linearly from a Fibonacci hash, whose slots hold local index + 1
-// (0 = empty). The keys are not stored — a slot is a hit when the share's
-// GlobalID at that local index equals the id asked for — so the table is one
-// []int32, at most half full, and an absent id of any value ends at an empty
-// slot.
-type index struct {
-	slots []int32 // power-of-two length, or nil (every lookup misses)
-	shift uint    // 64 - log2(len(slots))
-}
-
-func hashID(global int64, shift uint) uint64 {
-	return uint64(global) * 0x9E3779B97F4A7C15 >> shift
-}
-
-// newIndex builds the table over a share's complete GlobalID.
-func newIndex(globalID []int64) index {
-	logCap := uint(bits.Len(uint(2 * len(globalID)))) // 2n < 2^logCap: load < 1/2, never full
-	ix := index{slots: make([]int32, 1<<logCap), shift: 64 - logCap}
-	mask := uint64(len(ix.slots) - 1)
-	for l, g := range globalID {
-		h := hashID(g, ix.shift)
-		for ix.slots[h] != 0 {
-			h = (h + 1) & mask
-		}
-		ix.slots[h] = int32(l) + 1
-	}
-	return ix
+	// Pairs[i] is this share's half of the pair table it keeps with
+	// NeighborRanks[i]; EdgeAt, GhostAt and ShownOff/ShownList are the tables
+	// read the other way, from a local index to its pair-local one. See
+	// pairs.go.
+	Pairs []Pair
+	// EdgeAt is aligned with Adj: for an arc to a ghost, the index of that
+	// cross edge in the pair table kept with the ghost's owner. Entries of
+	// interior arcs are zero and mean nothing.
+	EdgeAt []int32
+	// GhostAt maps ghost slot -> the ghost's index in its owner's Ghosts.
+	GhostAt []int32
+	// ShownOff/ShownList is a CSR over owned vertices: under which index each
+	// boundary vertex is shown to each rank owning a neighbor of it.
+	ShownOff  []int32
+	ShownList []ShownAt
 }
 
 // Degree reports the degree of an owned vertex (cross edges included).
@@ -123,24 +108,19 @@ func (d *DistGraph) OwnerOf(v int32) int {
 	return d.Rank
 }
 
-// LocalOf resolves a global id to a local index (owned or ghost). Any id
-// that is neither — negative, beyond GlobalN, or simply not on this rank, as
-// ids read off the wire may be — yields (0, false).
+// LocalOf resolves a global id to a local index (owned or ghost): a binary
+// search of the owned ids, then of the ghost ids. Any id that is neither —
+// negative, beyond GlobalN, or simply not on this rank — yields (0, false).
+// Nothing on a kernel's path asks: records on the wire carry pair-local
+// indices (pairs.go), not global ids.
 func (d *DistGraph) LocalOf(global int64) (int32, bool) {
-	slots := d.index.slots
-	if len(slots) == 0 {
-		return 0, false
+	if l, ok := slices.BinarySearch(d.GlobalID[:d.NLocal], global); ok {
+		return int32(l), true
 	}
-	mask := uint64(len(slots) - 1)
-	for h := hashID(global, d.index.shift); ; h++ {
-		s := slots[h&mask]
-		if s == 0 {
-			return 0, false
-		}
-		if d.GlobalID[s-1] == global {
-			return s - 1, true
-		}
+	if l, ok := slices.BinarySearch(d.GlobalID[d.NLocal:], global); ok {
+		return int32(d.NLocal + l), true
 	}
+	return 0, false
 }
 
 // GlobalOf resolves a local index to its global id.
@@ -173,9 +153,13 @@ func (d *DistGraph) Validate() error {
 	var cross int64
 	for v := 0; v < d.NLocal; v++ {
 		boundary := false
-		for _, u := range d.Neighbors(int32(v)) {
+		row := d.Neighbors(int32(v))
+		for k, u := range row {
 			if u < 0 || int(u) >= d.NLocal+d.NGhost {
 				return fmt.Errorf("dgraph: vertex %d has out-of-range neighbor %d", v, u)
+			}
+			if k > 0 && d.GlobalID[row[k-1]] >= d.GlobalID[u] {
+				return fmt.Errorf("dgraph: row of vertex %d not ascending in global id at %d", v, k)
 			}
 			if d.IsGhost(u) {
 				boundary = true
@@ -193,16 +177,11 @@ func (d *DistGraph) Validate() error {
 		if g < 0 || g >= d.GlobalN {
 			return fmt.Errorf("dgraph: local %d has global id %d outside [0, %d)", l, g, d.GlobalN)
 		}
-		if got, ok := d.LocalOf(g); !ok || int(got) != l {
+		if got, ok := d.LocalOf(g); !ok || int(got) != l { // an id both owned and ghost
 			return fmt.Errorf("dgraph: LocalOf(%d) = (%d, %v), want local %d", g, got, ok, l)
 		}
 	}
-	for _, g := range [...]int64{-1, d.GlobalN} {
-		if l, ok := d.LocalOf(g); ok {
-			return fmt.Errorf("dgraph: LocalOf(%d) found local %d for an id outside the graph", g, l)
-		}
-	}
-	return nil
+	return d.validatePairs()
 }
 
 // Distribute splits a global graph over p ranks according to part, producing
@@ -244,16 +223,19 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 		GlobalEdges: g.NumEdges(),
 		NLocal:      len(owned),
 	}
-	// Discover ghosts: each remote endpoint once, then ascending.
+	// Discover ghosts: each remote endpoint once — counting its owned
+	// neighbors in ghostAt meanwhile — then ascending.
 	var ghosts []graph.Vertex
 	var arcs int64
 	for _, v := range owned {
 		adj := g.Neighbors(v)
 		arcs += int64(len(adj))
 		for _, u := range adj {
-			if part.Part[u] != int32(rank) && ghostAt[u] == 0 {
-				ghostAt[u] = 1
-				ghosts = append(ghosts, u)
+			if part.Part[u] != int32(rank) {
+				if ghostAt[u] == 0 {
+					ghosts = append(ghosts, u)
+				}
+				ghostAt[u]++
 			}
 		}
 	}
@@ -264,8 +246,10 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 		d.GlobalID[i] = int64(v)
 	}
 	d.GhostOwner = make([]int32, d.NGhost)
+	deg := make([]int32, d.NGhost)
 	for i, u := range ghosts {
 		d.GlobalID[d.NLocal+i] = int64(u)
+		deg[i] = ghostAt[u]
 		ghostAt[u] = int32(d.NLocal+i) + 1
 		d.GhostOwner[i] = part.Part[u]
 		isNbr[part.Part[u]] = true
@@ -276,7 +260,6 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 			isNbr[r] = false
 		}
 	}
-	d.index = newIndex(d.GlobalID)
 	// CSR rows for owned vertices.
 	d.Xadj = make([]int64, d.NLocal+1)
 	d.Adj = make([]int32, arcs)
@@ -311,5 +294,6 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 	for _, u := range ghosts {
 		ghostAt[u] = 0
 	}
+	d.buildPairs(deg)
 	return d
 }

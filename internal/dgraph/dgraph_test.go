@@ -433,6 +433,7 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 			d.NumBoundary++
 		}
 	}
+	referencePairs(d)
 	return d
 }
 

@@ -171,7 +171,6 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 			d.NeighborRanks = append(d.NeighborRanks, r)
 		}
 	}
-	d.index = newIndex(d.GlobalID)
 
 	// CSR: up to 4 arcs per vertex.
 	d.Xadj = make([]int64, nLocal+1)
@@ -180,8 +179,12 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 		d.W = make([]float64, 0, 4*nLocal)
 	}
 	d.IsBoundary = make([]bool, nLocal)
+	deg := make([]int32, d.NGhost) // per ghost: its owned neighbors
 	addArc := func(v int32, ur, uc int) {
-		u, _ := d.LocalOf(gid(ur, uc)) // a grid neighbor is owned or in the halo
+		u := localIdx(ur, uc)
+		if ur < rLo || ur >= rHi || uc < cLo || uc >= cHi {
+			u, _ = d.LocalOf(gid(ur, uc)) // in the halo
+		}
 		d.Adj = append(d.Adj, u)
 		if spec.Weighted {
 			d.W = append(d.W, gen.EdgeWeight(spec.Seed, d.GlobalID[v], gid(ur, uc)))
@@ -189,6 +192,7 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 		if d.IsGhost(u) {
 			d.IsBoundary[v] = true
 			d.CrossArcs++
+			deg[int(u)-nLocal]++
 		}
 	}
 	for r := rLo; r < rHi; r++ {
@@ -214,5 +218,6 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 			d.NumBoundary++
 		}
 	}
+	d.buildPairs(deg)
 	return d, nil
 }

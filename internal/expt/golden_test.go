@@ -16,7 +16,9 @@ var update = flag.Bool("update", false, "re-record testdata/quick.golden")
 // order (the asynchronous matching's iteration and traffic counts, coloring
 // with a superstep below n, anything timed) and so differ between two runs of
 // one commit. Every other cell — and every title, header and comment line —
-// is compared byte for byte.
+// is compared byte for byte. Two comment lines under the traffic tables spell
+// out the record layouts; they are the encoding's, and a change of encoding
+// re-records those two lines and nothing else.
 var scheduleDependent = map[string]bool{
 	"Host wall": true, "Sim async": true, "Model (BG/P)": true, "Ideal": true, "Epochs": true,
 	"Runtime msgs": true, "Bytes": true, "Records": true,

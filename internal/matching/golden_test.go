@@ -31,7 +31,11 @@ var update = flag.Bool("update", false, "rewrite testdata/kernels.golden from wh
 // are asserted as bounds instead. The round-synchronised b-suitor is pinned
 // down to its round count and the traffic of its two tag families. The file
 // was recorded before the kernels were moved onto the shared core and must
-// not change when they are touched.
+// not change when they are touched — with one distinction between its
+// columns: card / size / weight / rounds / hash are what the kernels compute
+// and never move; propose= / reply= (messages / bytes) are what the record
+// encoding puts on the wire for it, so a change of encoding, or of which
+// records travel at all, re-records those two cells and nothing else.
 
 type goldenGraph struct {
 	name string
