@@ -3,7 +3,7 @@ package coloring
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
@@ -30,18 +30,32 @@ const (
 	// recolorTag carries distance-2 RECOLOR notices: the addressed vertex
 	// lost a distance-2 conflict against the carried color.
 	recolorTag = mpi.TagColorBase + 10
-	// colorRecSize is the one record layout both tags use: global id (8) +
-	// color (4).
-	colorRecSize = 12
+	// noticeMax bounds the one record layout both tags use:
+	// uvarint(pair-local vertex index) | uvarint(color), two to four bytes in
+	// practice.
+	noticeMax = 2 * binary.MaxVarintLen32
 )
 
-func encodeColorRec(buf []byte, gid int64, color int32) {
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(gid))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(color))
+// appendNotice appends the notice (index, color) to buf. The index is the
+// vertex's place in the table the sending and the receiving rank keep with
+// each other (dgraph.Pair): among the sender's shown vertices for a color
+// notice, among the receiver's for a RECOLOR.
+func appendNotice(buf []byte, index, color int32) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(buf, uint64(uint32(index))), uint64(uint32(color)))
 }
 
-func decodeColorRec(rec []byte) (int64, int32) {
-	return int64(binary.LittleEndian.Uint64(rec[0:8])), int32(binary.LittleEndian.Uint32(rec[8:12]))
+// readNotice reads the notice at the head of data and reports its length, or
+// 0 if data does not begin with a whole notice.
+func readNotice(data []byte) (index uint64, color int32, n int) {
+	index, n1 := binary.Uvarint(data)
+	if n1 <= 0 {
+		return 0, 0, 0
+	}
+	col, n2 := binary.Uvarint(data[n1:])
+	if n2 <= 0 || col > math.MaxUint32 {
+		return 0, 0, 0
+	}
+	return index, int32(uint32(col)), n1 + n2
 }
 
 // rnd deterministically maps a global vertex id to its random priority r(v);
@@ -82,15 +96,12 @@ type colorState struct {
 	maxDeg     int     // global Δ, which sizes every kernel's palette
 	picker     *firstFit
 
-	// rankOff/rankList is a CSR of the distinct ranks owning a neighbor of
-	// each owned vertex — who receives a notice about it.
-	rankOff  []int32
-	rankList []int32
-	out      *mpi.Bundler
+	out *mpi.Bundler
 
-	// onRecolor, when set, is handed every record of a RECOLOR bundle
-	// (distance-2 only). Any other foreign tag is a protocol violation.
-	onRecolor func(gid int64, color int32)
+	// onRecolor, when set, is handed every record of a RECOLOR bundle — the
+	// owned vertex addressed and the color it lost to (distance-2 only). Any
+	// other foreign tag is a protocol violation.
+	onRecolor func(v, color int32)
 
 	rounds    int
 	conflicts int64
@@ -121,22 +132,7 @@ func newColorState(c *mpi.Comm, d *dgraph.DistGraph) (*colorState, error) {
 		}
 	}
 	s.maxDeg = int(c.AllreduceInt64(int64(localMaxDeg), mpi.OpMax))
-	s.rankOff = make([]int32, d.NLocal+1)
-	var scratch []int32
-	for v := 0; v < d.NLocal; v++ {
-		if d.IsBoundary[v] { // interior vertices have no ghost neighbors to find
-			scratch = scratch[:0]
-			for _, u := range d.Neighbors(int32(v)) {
-				if d.IsGhost(u) {
-					scratch = append(scratch, int32(d.OwnerOf(u)))
-				}
-			}
-			slices.Sort(scratch)
-			s.rankList = append(s.rankList, slices.Compact(scratch)...)
-		}
-		s.rankOff[v+1] = int32(len(s.rankList))
-	}
-	s.out = mpi.NewBundler(c, colorTag, colorRecSize, 0)
+	s.out = mpi.NewBundler(c, colorTag, noticeMax, 0)
 	return s, nil
 }
 
@@ -159,11 +155,6 @@ func (s *colorState) allOwned() []int32 {
 		u[v] = int32(v)
 	}
 	return u
-}
-
-// neighborRanks lists the ranks owning a neighbor of owned vertex v.
-func (s *colorState) neighborRanks(v int32) []int32 {
-	return s.rankList[s.rankOff[v]:s.rankOff[v+1]]
 }
 
 // colorOf reads the current color of a local index, owned or ghost.
@@ -192,25 +183,24 @@ func (s *colorState) pickFirstFit(v int32) int32 {
 
 // announce ships the colors of the chunk's boundary vertices to the ranks
 // owning their neighbors — the paper's NEW scheme, one bundle per neighbor
-// rank. Interior vertices never generate traffic.
+// rank. Interior vertices are shown to nobody and never generate traffic.
 func (s *colorState) announce(chunk []int32) {
-	var rec [colorRecSize]byte
+	var rec [noticeMax]byte
 	for _, v := range chunk {
-		if !s.d.IsBoundary[v] {
-			continue
-		}
-		encodeColorRec(rec[:], s.d.GlobalOf(v), s.colors[v])
-		for _, rk := range s.neighborRanks(v) {
-			s.out.Add(int(rk), rec[:])
+		for _, at := range s.d.ShownTo(v) {
+			s.out.Add(int(at.Rank), appendNotice(rec[:0], at.Index, s.colors[v]))
 		}
 	}
 	s.out.Flush()
 }
 
 // drain consumes pending notices without blocking; completeness at a round
-// boundary comes from the barrier that precedes the drain there. Color
-// records about vertices that are not ghosts here (broadcast mode) are
-// ignored.
+// boundary comes from the barrier that precedes the drain there. A notice's
+// index is read against the pair table kept with the sender: a color notice
+// names one of the sender's vertices that are ghosts here — or, one past the
+// last of them, a vertex that is not (FIAB tells every rank about every
+// boundary vertex); a RECOLOR names one of the vertices shown to the sender.
+// Anything else is a protocol violation.
 func (s *colorState) drain() {
 	for {
 		m, ok := s.c.TryRecv()
@@ -218,19 +208,33 @@ func (s *colorState) drain() {
 			return
 		}
 		recolor := m.Tag == recolorTag && s.onRecolor != nil
-		if !recolor {
-			if m.Tag != colorTag {
-				panic(fmt.Sprintf("coloring: unexpected tag %d", m.Tag))
-			}
-			s.c.ChargeOps(int64(len(m.Data)/colorRecSize), 0)
+		if !recolor && m.Tag != colorTag {
+			panic(fmt.Sprintf("coloring: unexpected tag %d", m.Tag))
 		}
-		for _, rec := range mpi.Records(m.Data, colorRecSize) {
-			gid, col := decodeColorRec(rec)
-			if recolor {
-				s.onRecolor(gid, col)
-			} else if l, ok := s.d.LocalOf(gid); ok && s.d.IsGhost(l) {
-				s.ghostColor[int(l)-s.d.NLocal] = col
+		pair := s.d.PairWith(m.From)
+		table := pair.Ghosts
+		if recolor {
+			table = pair.Shown
+		}
+		var notices int64
+		for data := m.Data; len(data) > 0; notices++ {
+			index, color, n := readNotice(data)
+			elsewhere := !recolor && index == uint64(len(table))
+			if n == 0 || (index >= uint64(len(table)) && !elsewhere) {
+				panic(fmt.Sprintf("coloring: rank %d: notice %d of a %d-byte bundle with tag %d from rank %d is cut short or names none of the %d vertices it could",
+					s.d.Rank, notices, len(m.Data), m.Tag, m.From, len(table)))
 			}
+			data = data[n:]
+			switch {
+			case elsewhere:
+			case recolor:
+				s.onRecolor(table[index], color)
+			default:
+				s.ghostColor[int(table[index])-s.d.NLocal] = color
+			}
+		}
+		if !recolor {
+			s.c.ChargeOps(notices, 0)
 		}
 		s.out.Recycle(m.Data) // fully consumed; reuse for outbound bundles
 	}

@@ -116,7 +116,7 @@ func TestForeignTagPanics(t *testing.T) {
 				continue
 			}
 			err := mpi.Run(1, func(c *mpi.Comm) error {
-				c.Send(0, tag, make([]byte, colorRecSize))
+				c.Send(0, tag, make([]byte, noticeMax))
 				_, err := k.run(c, shares[0])
 				return err
 			}, mpi.WithDeadline(30*time.Second))

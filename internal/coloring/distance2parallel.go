@@ -41,11 +41,10 @@ type d2Kernel struct {
 	forbidden map[int32]map[int32]bool
 }
 
-// noticeRec is one received RECOLOR notice: the losing vertex and the color
-// it must avoid.
+// noticeRec is one received RECOLOR notice: the losing owned vertex and the
+// color it must avoid.
 type noticeRec struct {
-	gid   int64
-	color int32
+	v, color int32
 }
 
 // ParallelDistance2 runs the speculative distance-2 coloring on this rank's
@@ -75,10 +74,10 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	k := &d2Kernel{
 		colorState: s,
 		opt:        opt,
-		notices:    mpi.NewBundler(c, recolorTag, colorRecSize, 0),
+		notices:    mpi.NewBundler(c, recolorTag, noticeMax, 0),
 		forbidden:  map[int32]map[int32]bool{},
 	}
-	s.onRecolor = func(gid int64, color int32) { k.pending = append(k.pending, noticeRec{gid, color}) }
+	s.onRecolor = func(v, color int32) { k.pending = append(k.pending, noticeRec{v, color}) }
 	// Boundary colors ship to every neighbor rank: they may be
 	// two-hop-relevant there.
 	if err := s.speculate("distance-2", s.allOwned(), opt.SuperstepSize, opt.MaxRounds, k.pickColor, s.announce, k.detect); err != nil {
@@ -105,9 +104,8 @@ func (k *d2Kernel) detect(u []int32) []int32 {
 			recolor[loser] = true
 			return
 		}
-		var rec [colorRecSize]byte
-		encodeColorRec(rec[:], d.GlobalOf(loser), col)
-		k.notices.Add(d.OwnerOf(loser), rec[:])
+		var rec [noticeMax]byte
+		k.notices.Add(d.OwnerOf(loser), appendNotice(rec[:0], d.GhostAt[int(loser)-d.NLocal], col))
 	}
 	var arcs int64
 	for mid := int32(0); int(mid) < d.NLocal; mid++ {
@@ -142,15 +140,11 @@ func (k *d2Kernel) detect(u []int32) []int32 {
 	// Collect remote recolor notices (buffered early arrivals included).
 	k.drain()
 	for _, nr := range k.pending {
-		l, ok := d.LocalOf(nr.gid)
-		if !ok || d.IsGhost(l) {
-			panic("coloring: recolor notice for non-owned vertex")
+		recolor[nr.v] = true
+		if k.forbidden[nr.v] == nil {
+			k.forbidden[nr.v] = map[int32]bool{}
 		}
-		recolor[l] = true
-		if k.forbidden[l] == nil {
-			k.forbidden[l] = map[int32]bool{}
-		}
-		k.forbidden[l][nr.color] = true
+		k.forbidden[nr.v][nr.color] = true
 	}
 	k.pending = k.pending[:0]
 	u = u[:0]

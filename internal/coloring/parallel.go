@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
@@ -158,6 +159,12 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	s.picker = newFirstFit(k.maxColors)
 	k.usage = make([]int64, k.maxColors+1)
 	k.staggerAt = d.Rank * k.maxColors / d.P
+	if opt.CommMode == CommBroadcast {
+		k.elsewhere = make([]int32, d.P)
+		for rk := range k.elsewhere {
+			k.elsewhere[rk] = int32(len(d.PairWith(rk).Shown))
+		}
+	}
 
 	// U starts as all owned vertices in the configured order — or, in the
 	// hybrid mode, as the boundary only, the interior having been colored by
@@ -192,6 +199,7 @@ type d1Kernel struct {
 	usage     []int64 // per-color local usage, for LeastUsed
 	maxColors int     // palette size (global Δ + 1)
 	staggerAt int     // starting color for StaggeredFirstFit
+	elsewhere []int32 // FIAB, per rank: the index one past its table of this rank's shown vertices
 }
 
 // appendWhere appends to u, ascending, the owned vertices whose boundary flag
@@ -264,36 +272,43 @@ func (k *d1Kernel) paletteSize() int {
 
 // shipToAll sends the freshly assigned colors of the chunk's boundary
 // vertices in one message to every other rank, needed there or not: FIAC
-// customizes each rank's contents (possibly to nothing), FIAB sends everyone
-// the same full bundle.
+// customizes each rank's contents (possibly to nothing), FIAB tells every
+// rank about every boundary vertex of the chunk — under the index one past
+// the rank's table ("not adjacent to you") where the vertex is no ghost.
 func (k *d1Kernel) shipToAll(chunk []int32) {
 	d := k.d
-	broadcast := k.opt.CommMode == CommBroadcast
 	bufs := make([][]byte, d.P)
-	var all []byte
-	var rec [colorRecSize]byte
+	var index []int32 // per rank: where the vertex at hand is in its table
+	if k.opt.CommMode == CommBroadcast {
+		index = slices.Clone(k.elsewhere)
+	}
 	for _, v := range chunk {
 		if !d.IsBoundary[v] {
 			continue
 		}
-		encodeColorRec(rec[:], d.GlobalOf(v), k.colors[v])
-		if broadcast {
-			all = append(all, rec[:]...)
+		shown := d.ShownTo(v)
+		if index == nil {
+			for _, at := range shown {
+				bufs[at.Rank] = appendNotice(bufs[at.Rank], at.Index, k.colors[v])
+			}
 			continue
 		}
-		for _, rk := range k.neighborRanks(v) {
-			bufs[rk] = append(bufs[rk], rec[:]...)
+		for _, at := range shown {
+			index[at.Rank] = at.Index
+		}
+		for rk := range bufs {
+			if rk != d.Rank {
+				bufs[rk] = appendNotice(bufs[rk], index[rk], k.colors[v])
+			}
+		}
+		for _, at := range shown {
+			index[at.Rank] = k.elsewhere[at.Rank]
 		}
 	}
 	for rk := 0; rk < d.P; rk++ {
-		if rk == d.Rank {
-			continue
+		if rk != d.Rank {
+			k.c.Send(rk, colorTag, bufs[rk])
 		}
-		if broadcast {
-			// Each recipient gets its own copy (receivers own message data).
-			bufs[rk] = append([]byte(nil), all...)
-		}
-		k.c.Send(rk, colorTag, bufs[rk])
 	}
 }
 

@@ -187,6 +187,32 @@ func TestMatchingHasNoMaps(t *testing.T) {
 	}
 }
 
+// TestRecordsAreAddressedPairLocally pins what DESIGN.md and PROTOCOL.md §4
+// say of the wire: a record names an edge or a vertex by its index in the
+// pair table the two ranks share (internal/dgraph/pairs.go), which is dense
+// arrays all the way down — so neither kernel package resolves a global id
+// (LocalOf) anywhere, and internal/dgraph declares no map.
+func TestRecordsAreAddressedPairLocally(t *testing.T) {
+	for name, file := range nonTestFiles(t, "dgraph", 0) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if _, ok := n.(*ast.MapType); ok {
+				t.Errorf("dgraph/%s declares a map type", name)
+			}
+			return true
+		})
+	}
+	for _, pkg := range []string{"matching", "coloring"} {
+		for name, file := range nonTestFiles(t, pkg, 0) {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "LocalOf" {
+					t.Errorf("%s/%s resolves a global id with LocalOf", pkg, name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // TestRuntimeWaitPoints pins two structural facts DESIGN.md and the ROADMAP's
 // cancellation item state about internal/mpi (its transports aside): a rank
 // blocks on a condition variable in exactly two functions — mailbox.get for a

@@ -69,8 +69,7 @@ func Ablations(o Options) error {
 		if err != nil {
 			return err
 		}
-		bytes := m.Traffic.SentBytes
-		t.AddRow(tc.name, m.Traffic.SentMsgs, bytes, bytes/matching.RecordBytes, fmt.Sprintf("%.1f", m.MatchWeight))
+		t.AddRow(tc.name, m.Traffic.SentMsgs, m.Traffic.SentBytes, m.Records, fmt.Sprintf("%.1f", m.MatchWeight))
 	}
 	t.AddComment("same matching weight; bundling collapses per-record messages into per-pair bundles")
 	if err := o.emit(t); err != nil {
@@ -184,7 +183,7 @@ func Traffic(o Options) error {
 		return err
 	}
 	if err := emitTrafficTable(o, "Per-tag-family traffic — matching, "+on, m.Traffic,
-		"REQUEST/SUCCEEDED/FAILED records ride in 17-byte units inside per-destination bundles (docs/PROTOCOL.md)"); err != nil {
+		"REQUEST/SUCCEEDED/FAILED records are one varint each - pair-local edge index, kind in its low bits - inside per-destination bundles (docs/PROTOCOL.md)"); err != nil {
 		return err
 	}
 	m, err = MeasureColoring(shares, coloring.ParallelOptions{Seed: o.Seed, CommMode: coloring.CommNeighbors, SuperstepSize: 100})
@@ -192,7 +191,7 @@ func Traffic(o Options) error {
 		return err
 	}
 	return emitTrafficTable(o, "Per-tag-family traffic — coloring NEW variant, "+on, m.Traffic,
-		"color notices are 12-byte gid|color records, sent to affected neighbor ranks only (NEW)")
+		"color notices are two varints each - pair-local vertex index, color - sent to affected neighbor ranks only (NEW)")
 }
 
 // emitTrafficTable renders one per-family breakdown table with its

@@ -31,6 +31,7 @@ type Measurement struct {
 
 	// Algorithm-specific outputs.
 	MatchWeight float64
+	Records     int64 // protocol records the matching kernels count as sent
 	NumColors   int
 	Conflicts   int64
 }
@@ -101,6 +102,7 @@ func MeasureMatching(shares []*dgraph.DistGraph, opt matching.ParallelOptions) (
 	}
 	for _, r := range results {
 		m.MatchWeight += r.LocalWeight
+		m.Records += r.Records
 	}
 	return m, nil
 }

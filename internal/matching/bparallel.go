@@ -57,11 +57,13 @@ type BParallelResult struct {
 	LocalWeight float64
 }
 
-// bArc is an arc from an owned vertex v to neighbor u (local index) with the
-// two keys the edge order reads, looked up once: a preference-list entry, a
-// pooled proposal (u proposes to v), or a held suitor.
+// bArc is an arc from an owned vertex v to neighbor u (local index) with its
+// position in the CSR and the two keys the edge order reads, looked up once: a
+// preference-list entry, a pooled proposal (u proposes to v), or a held
+// suitor.
 type bArc struct {
 	v, u int32
+	arc  int64
 	gid  int64 // global id of u
 	w    float64
 }
@@ -138,7 +140,7 @@ func (s *bState) run() (int, error) {
 	for v := int32(0); int(v) < n; v++ {
 		s.cursor[v] = d.Xadj[v]
 		for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
-			s.pref[i] = bArc{v: v, u: d.Adj[i], gid: d.GlobalOf(d.Adj[i]), w: d.Weight(i)}
+			s.pref[i] = bArc{v: v, u: d.Adj[i], arc: i, gid: d.GlobalOf(d.Adj[i]), w: d.Weight(i)}
 		}
 		slices.SortFunc(s.pref[d.Xadj[v]:d.Xadj[v+1]], bArc.compare)
 		s.suitors[v] = make([]bArc, 0, min(s.b[v], d.Degree(v))) // full at its capacity
@@ -170,34 +172,42 @@ func (s *bState) run() (int, error) {
 func (s *bState) drain() {
 	for m, ok := s.c.TryRecv(); ok; m, ok = s.c.TryRecv() {
 		if m.Tag == bTagReply {
-			s.reply.receive(m, s.applyReplies)
+			s.reply.receive(m, func(_ byte, v, _ int32) { s.returnBudget(v) })
 		} else {
-			s.propose.receive(m, s.poolProposals)
+			s.propose.receive(m, func(_ byte, v, u int32) { s.poolProposal(v, s.arcOf(v, u)) })
 		}
 	}
 }
 
 // phasePropose advances every vertex with spare proposal budget down its
-// preference list, optimistically counting each proposal as held.
+// preference list, optimistically counting each proposal as held. A proposal
+// to a ghost is a record to its owner; one to an owned vertex has no rank pair
+// to travel between and goes straight into the pool (charged like a record
+// received).
 func (s *bState) phasePropose() {
 	s.proposed = 0
+	var interior int64
 	for v := int32(0); int(v) < s.d.NLocal; v++ {
 		for s.held[v] < s.b[v] && s.cursor[v] < s.d.Xadj[v+1] {
-			s.propose.send(bPropose, v, s.pref[s.cursor[v]].u)
+			if a := s.pref[s.cursor[v]]; s.d.IsGhost(a.u) {
+				s.propose.send(bPropose, a.arc)
+			} else {
+				s.poolProposal(a.u, s.arcOf(a.u, v))
+				interior++
+			}
 			s.cursor[v]++
 			s.held[v]++
 			s.proposed++
 		}
 	}
+	s.c.ChargeOps(interior, 0)
 }
 
-// poolProposals files a bundle of proposals into the round's pool, looking
-// each proposal's keys up once.
-func (s *bState) poolProposals(bundle []byte) {
-	for off := 0; off < len(bundle); off += RecordBytes {
-		_, v, u := s.decode(bundle, off)
-		s.pool = append(s.pool, bArc{v: v, u: u, gid: s.d.GlobalOf(u), w: s.arcWeight(v, u)})
-	}
+// poolProposal files the proposal that arrives at owned v along its arc at
+// position arc into the round's pool, looking its keys up once.
+func (s *bState) poolProposal(v int32, arc int64) {
+	u := s.d.Adj[arc]
+	s.pool = append(s.pool, bArc{v: v, u: u, arc: arc, gid: s.d.GlobalOf(u), w: s.d.Weight(arc)})
 }
 
 // phaseDecide takes the round's proposals in target-vertex order, best first
@@ -207,18 +217,31 @@ func (s *bState) poolProposals(bundle []byte) {
 // final.
 func (s *bState) phaseDecide() {
 	slices.SortFunc(s.pool, bArc.compare)
+	var interior int64
+	// turnDown tells p's proposer it does not (or no longer) hold p.v: a
+	// reply record across a cross edge, the budget handed back on the spot
+	// within the rank.
+	turnDown := func(kind byte, p bArc) {
+		if s.d.IsGhost(p.u) {
+			s.reply.send(kind, p.arc)
+		} else {
+			s.returnBudget(p.u)
+			interior++
+		}
+	}
 	for _, p := range s.pool {
 		set := s.suitors[p.v]
 		if len(set) < cap(set) {
 			s.suitors[p.v] = append(set, p)
 		} else if worst := worstOf(set); worst >= 0 && p.compare(set[worst]) < 0 {
-			s.reply.send(bDisplaced, p.v, set[worst].u)
+			turnDown(bDisplaced, set[worst])
 			set[worst] = p
 		} else {
-			s.reply.send(bReject, p.v, p.u)
+			turnDown(bReject, p)
 		}
 	}
 	s.pool = s.pool[:0]
+	s.c.ChargeOps(interior, 0)
 }
 
 // worstOf returns the index of a suitor set's least preferred proposal, or -1
@@ -233,16 +256,13 @@ func worstOf(set []bArc) int {
 	return worst
 }
 
-// applyReplies returns rejected/displaced proposal budget to the proposers;
-// their cursors already sit past the failed edges, so the next propose phase
-// moves on down the preference lists.
-func (s *bState) applyReplies(bundle []byte) {
-	for off := 0; off < len(bundle); off += RecordBytes {
-		_, v, _ := s.decode(bundle, off)
-		s.held[v]--
-		if s.held[v] < 0 {
-			panic("matching: proposal budget underflow")
-		}
+// returnBudget hands one rejected or displaced proposal's budget back to its
+// proposer v; v's cursor already sits past the failed edge, so the next
+// propose phase moves on down the preference list.
+func (s *bState) returnBudget(v int32) {
+	s.held[v]--
+	if s.held[v] < 0 {
+		panic("matching: proposal budget underflow")
 	}
 }
 

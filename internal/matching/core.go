@@ -55,28 +55,26 @@ func edgesInOrder(g *graph.Graph) []graph.Edge {
 	return edges
 }
 
-// RecordBytes is the wire size of one protocol record:
-// kind (1 byte) + source global id (8) + destination global id (8).
-// As a MaxBundleBytes value it means one record per message, i.e. the
-// paper's bundling switched off — the only spelling of that setting.
+// A protocol record names a cross edge and says one of up to four things about
+// it: uvarint(edge << kindBits | kind), where edge is the edge's index in the
+// table the sending and the receiving rank keep with each other
+// (dgraph.Pair) — one to five bytes, two or three on anything but a toy.
+const kindBits = 2
+
+// RecordBytes is the upper bound on the wire size of one record that the
+// bundlers are built for; no record comes near it. As a MaxBundleBytes value
+// it means one record per message, i.e. the paper's bundling switched off —
+// the only spelling of that setting (any value up to RecordBytes has that
+// effect: a bundle ships as soon as another RecordBytes might not fit).
 const RecordBytes = 17
-
-func encodeRecord(buf []byte, kind byte, src, dst int64) {
-	buf[0] = kind
-	binary.LittleEndian.PutUint64(buf[1:9], uint64(src))
-	binary.LittleEndian.PutUint64(buf[9:17], uint64(dst))
-}
-
-func decodeRecord(rec []byte) (kind byte, src, dst int64) {
-	return rec[0], int64(binary.LittleEndian.Uint64(rec[1:9])), int64(binary.LittleEndian.Uint64(rec[9:17]))
-}
 
 // ParallelOptions tunes a distributed matching run.
 type ParallelOptions struct {
 	// MaxBundleBytes caps the per-destination aggregation buffer; 0 selects
-	// the 64 KiB default. Setting it to one record (RecordBytes) disables
-	// the paper's message bundling, the configuration the ablation bench
-	// uses as its baseline.
+	// the 64 KiB default. A buffer ships once another record of RecordBytes
+	// might not fit, so setting it to RecordBytes disables the paper's
+	// message bundling — one record per message, the configuration the
+	// ablation bench uses as its baseline.
 	MaxBundleBytes int
 }
 
@@ -100,15 +98,16 @@ func newRank(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (rank, error
 	return rank{c: c, d: d, tr: c.Tracer(), opt: opt}, nil
 }
 
-// arcWeight returns the weight of the arc from owned v to its neighbor u.
-func (r *rank) arcWeight(v, u int32) float64 {
+// arcOf returns the position in the CSR of the arc from owned v to its
+// neighbor u.
+func (r *rank) arcOf(v, u int32) int64 {
 	d := r.d
 	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
 		if d.Adj[i] == u {
-			return d.Weight(i)
+			return i
 		}
 	}
-	panic("matching: arcWeight on non-neighbor")
+	panic("matching: arcOf on non-neighbor")
 }
 
 // countsEdge reports whether owned vertex v is the side on which the matched
@@ -130,37 +129,38 @@ func (r *rank) newLink(tag int) link {
 	return link{rank: r, tag: tag, out: mpi.NewBundler(r.c, tag, RecordBytes, r.opt.MaxBundleBytes)}
 }
 
-// send ships a record of the given kind about owned vertex v to the owner of
-// u, both by local index.
-func (l *link) send(kind byte, v, u int32) {
-	var rec [RecordBytes]byte
-	encodeRecord(rec[:], kind, l.d.GlobalOf(v), l.d.GlobalOf(u))
-	l.out.Add(l.d.OwnerOf(u), rec[:])
+// send ships a record of the given kind along the cross arc at position arc
+// of the CSR — from its owned end to the owner of its ghost end.
+func (l *link) send(kind byte, arc int64) {
+	d := l.d
+	var rec [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(rec[:], uint64(d.EdgeAt[arc])<<kindBits|uint64(kind))
+	l.out.Add(d.OwnerOf(d.Adj[arc]), rec[:n])
 }
 
 // receive is the one way a message comes off the wire for a matching kernel:
-// it refuses a tag family the link does not speak, charges one virtual-time
-// edge op per record, lets the kernel walk the bundle — by offset, in
-// RecordBytes steps, with decode — and then recycles the buffer for the
-// link's future sends.
-func (l *link) receive(m mpi.Message, walk func(bundle []byte)) {
-	if m.Tag != l.tag || len(m.Data)%RecordBytes != 0 {
+// it refuses a tag family the link does not speak, walks the bundle — handing
+// the kernel each record's kind, the owned vertex v it is addressed to and
+// the ghost u it comes from, read out of the pair table kept with the sender —
+// charges one virtual-time edge op per record, and then recycles the buffer
+// for the link's future sends. A record that is cut short, or names an edge
+// the two ranks do not share, is a protocol violation.
+func (l *link) receive(m mpi.Message, each func(kind byte, v, u int32)) {
+	if m.Tag != l.tag {
 		panic(fmt.Sprintf("matching: rank %d speaking tag %d got a %d-byte message with tag %d", l.d.Rank, l.tag, len(m.Data), m.Tag))
 	}
-	l.c.ChargeOps(int64(len(m.Data)/RecordBytes), 0)
-	walk(m.Data)
-	l.out.Recycle(m.Data)
-}
-
-// decode reads the record at bundle[off:] and resolves its endpoints to
-// local indices: the destination v must be owned by this rank and the source
-// u known to it (a ghost; or, for b-suitor's interior proposals, owned).
-func (r *rank) decode(bundle []byte, off int) (kind byte, v, u int32) {
-	kind, src, dst := decodeRecord(bundle[off : off+RecordBytes])
-	v, okV := r.d.LocalOf(dst)
-	u, okU := r.d.LocalOf(src)
-	if !okV || !okU || r.d.IsGhost(v) {
-		panic(fmt.Sprintf("matching: record %d -> %d on rank %d: destination not owned or source unknown here", src, dst, r.d.Rank))
+	edges := l.d.PairWith(m.From).Edges
+	var records int64
+	for data := m.Data; len(data) > 0; records++ {
+		x, n := binary.Uvarint(data)
+		if n <= 0 || x>>kindBits >= uint64(len(edges)) {
+			panic(fmt.Sprintf("matching: rank %d: record %d of a %d-byte bundle from rank %d is cut short or names none of the %d edges the two share",
+				l.d.Rank, records, len(m.Data), m.From, len(edges)))
+		}
+		data = data[n:]
+		e := edges[x>>kindBits]
+		each(byte(x&(1<<kindBits-1)), e.V, e.U)
 	}
-	return kind, v, u
+	l.c.ChargeOps(records, 0)
+	l.out.Recycle(m.Data)
 }

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
+	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
@@ -97,7 +99,7 @@ func (r *replyRecorder) Send(m transport.Msg) error {
 	if m.Tag == bTagReply {
 		r.mu.Lock()
 		key := [2]int{m.From, m.To}
-		r.sent[key] = append(append(r.sent[key], byte(len(m.Payload)/RecordBytes)), m.Payload...)
+		r.sent[key] = append(binary.AppendUvarint(r.sent[key], uint64(len(m.Payload))), m.Payload...)
 		r.mu.Unlock()
 	}
 	return r.Inproc.Send(m)
@@ -153,13 +155,20 @@ func TestBSuitorRepliesLeaveInVertexOrder(t *testing.T) {
 		}
 	}
 
-	// One edge op per record received: with γe = 1 and everything else free,
-	// the makespan is the busiest rank's record count or more, and at least
-	// the mean.
-	_, w := run(mpi.WithVirtualTime(mpi.VirtualTime{GammaEdge: 1}))
+	// One edge op per record handled, off the wire or within the rank: with
+	// γe = 1 and everything else free, the makespan is the busiest rank's
+	// count or more, and at least the mean.
+	o := obs.NewObserver(part.P, -1)
+	_, w := run(mpi.WithVirtualTime(mpi.VirtualTime{GammaEdge: 1}), mpi.WithObserver(o))
 	stats := w.TotalStats()
-	records := (stats.ByFamily[mpi.FamilyBMatchPropose].RecvBytes + stats.ByFamily[mpi.FamilyBMatchReply].RecvBytes) / RecordBytes
-	if got := w.MaxVirtualTime(); got < float64(records)/float64(part.P) || got > float64(records) {
-		t.Errorf("virtual makespan %v for %d received records over %d ranks", got, records, part.P)
+	var handled int64
+	for r := 0; r < part.P; r++ {
+		handled += o.Registry().Vec("mpi.edge_ops", part.P).At(r).Load()
+	}
+	if wire := stats.ByFamily[mpi.FamilyBMatchPropose].RecvBytes + stats.ByFamily[mpi.FamilyBMatchReply].RecvBytes; handled*RecordBytes < wire || handled == 0 {
+		t.Errorf("%d records handled for %d bytes received", handled, wire)
+	}
+	if got := w.MaxVirtualTime(); got < float64(handled)/float64(part.P) || got > float64(handled) {
+		t.Errorf("virtual makespan %v for %d handled records over %d ranks", got, handled, part.P)
 	}
 }

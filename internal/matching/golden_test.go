@@ -18,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/mpi/transport"
 	"repro/internal/partition"
 )
 
@@ -80,7 +81,32 @@ type goldenCell struct {
 // matching it computed.
 type goldenKernel struct {
 	name string
-	run  func(t *testing.T, cell *goldenCell, w *mpi.World) (line string, hash uint64)
+	run  func(t *testing.T, cell *goldenCell, w *mpi.World, on *wire) (line string, hash uint64)
+}
+
+// wire is an in-process transport that counts what is put on it per tag:
+// messages, and records — one ends at every byte without a varint
+// continuation bit, whatever a receiver goes on to make of the bundle.
+type wire struct {
+	*transport.Inproc
+	mu            sync.Mutex
+	msgs, records map[int]int64
+}
+
+func newWire(p int) *wire {
+	return &wire{Inproc: transport.NewInproc(p), msgs: map[int]int64{}, records: map[int]int64{}}
+}
+
+func (w *wire) Send(m transport.Msg) error {
+	w.mu.Lock()
+	w.msgs[m.Tag]++
+	for _, b := range m.Payload {
+		if b < 0x80 {
+			w.records[m.Tag]++
+		}
+	}
+	w.mu.Unlock()
+	return w.Inproc.Send(m)
 }
 
 // hashPartners hashes a matching as per-vertex partner lists, so a
@@ -126,8 +152,9 @@ func runRanks[R any](t *testing.T, w *mpi.World, what string, fn func(c *mpi.Com
 }
 
 func asyncKernel(name string, opt ParallelOptions) goldenKernel {
-	return goldenKernel{name: name, run: func(t *testing.T, cell *goldenCell, w *mpi.World) (string, uint64) {
+	return goldenKernel{name: name, run: func(t *testing.T, cell *goldenCell, w *mpi.World, on *wire) (string, uint64) {
 		what := cell.name + " " + name
+		before := on.records[matchTag]
 		results := runRanks(t, w, what, func(c *mpi.Comm) (*ParallelResult, error) {
 			return Parallel(c, cell.shares[c.Rank()], opt)
 		})
@@ -152,9 +179,18 @@ func asyncKernel(name string, opt ParallelOptions) goldenKernel {
 		if len(cell.shares) == 1 && (records != 0 || outer != 0) {
 			t.Errorf("%s: single rank sent %d records in %d outer iterations", what, records, outer)
 		}
+		// What the kernels count as records is what a walk of the bundles on
+		// the wire finds, each of them a varint within the record bound, and
+		// with bundling off each in a message of its own.
 		sent := w.TotalStats().ByFamily[mpi.FamilyMatch]
-		if sent.SentBytes != records*RecordBytes {
-			t.Errorf("%s: %d match-family bytes for %d records", what, sent.SentBytes, records)
+		if walked := on.records[matchTag] - before; walked != records {
+			t.Errorf("%s: ranks count %d records sent, the bundles on the wire hold %d", what, records, walked)
+		}
+		if sent.SentBytes < records || sent.SentBytes > records*RecordBytes {
+			t.Errorf("%s: %d match-family bytes for %d records of 1 to %d bytes", what, sent.SentBytes, records, RecordBytes)
+		}
+		if opt.MaxBundleBytes == RecordBytes && sent.SentMsgs != records {
+			t.Errorf("%s: %d messages for %d records with bundling off", what, sent.SentMsgs, records)
 		}
 		if want := mates.Weight(cell.g); math.Abs(weight-want) > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("%s: ranks' LocalWeight sums to %v, matching weighs %v", what, weight, want)
@@ -165,7 +201,7 @@ func asyncKernel(name string, opt ParallelOptions) goldenKernel {
 }
 
 func bsuitorKernel(name string, capacity func(v int) int) goldenKernel {
-	return goldenKernel{name: name, run: func(t *testing.T, cell *goldenCell, w *mpi.World) (string, uint64) {
+	return goldenKernel{name: name, run: func(t *testing.T, cell *goldenCell, w *mpi.World, _ *wire) (string, uint64) {
 		what := cell.name + " " + name
 		b := make([]int, cell.g.NumVertices())
 		for v := range b {
@@ -234,11 +270,12 @@ func goldenKernels() []goldenKernel {
 // property the daemon's world pool relies on.
 func goldenLine(t *testing.T, cell *goldenCell, k goldenKernel, mpiOpts ...mpi.Option) (string, uint64) {
 	t.Helper()
-	w, err := mpi.NewWorld(len(cell.shares), append(mpiOpts, mpi.WithDeadline(60*time.Second))...)
+	on := newWire(len(cell.shares))
+	w, err := mpi.NewWorld(len(cell.shares), append(mpiOpts, mpi.WithTransport(on), mpi.WithDeadline(60*time.Second))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	line, hash := k.run(t, cell, w)
+	line, hash := k.run(t, cell, w, on)
 	stale, err := w.Reset()
 	if err != nil {
 		t.Fatalf("%s %s: %v", cell.name, k.name, err)
@@ -246,7 +283,7 @@ func goldenLine(t *testing.T, cell *goldenCell, k goldenKernel, mpiOpts ...mpi.O
 	if stale != 0 {
 		t.Errorf("%s %s: %d stale messages left in the world", cell.name, k.name, stale)
 	}
-	if again, _ := k.run(t, cell, w); again != line {
+	if again, _ := k.run(t, cell, w, on); again != line {
 		t.Errorf("%s: rerun on the reset world differs:\n  first  %s\n  second %s", cell.name, line, again)
 	}
 	return line, hash

@@ -4,8 +4,9 @@
 // locally-dominant matching unique:
 //
 //   - core.go: that order, and what the distributed kernels share, each
-//     written once — the 17-byte record link, the bundle receive, rank set-up
-//     and epilogue — so that the kernels own only their protocol;
+//     written once — the record link (one varint per record: pair-local
+//     edge index and kind), the bundle receive, rank set-up and epilogue — so
+//     that the kernels own only their protocol;
 //   - parallel.go (result assembled by gather.go): the asynchronous
 //     REQUEST/SUCCEEDED/FAILED kernel with aggressive message bundling;
 //     bparallel.go: the round-based b-suitor, its b(v) > 1 generalization;

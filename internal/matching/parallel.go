@@ -74,7 +74,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 		if s.state[v] == stMatched {
 			res.MateGlobal[v] = d.GlobalOf(s.cm[v])
 			if s.countsEdge(v, res.MateGlobal[v]) {
-				res.LocalWeight += s.cmWeight[v]
+				res.LocalWeight += d.Weight(s.cmArc[v])
 			}
 		}
 	}
@@ -86,13 +86,13 @@ type matchState struct {
 	rank
 	match link // the REQUEST / SUCCEEDED / FAILED records
 
-	state      []int8    // per owned vertex
-	cm         []int32   // candidate mate (local index), or -1; once matched, the mate
-	cmWeight   []float64 // weight of the arc to cm; once matched, of the matched edge
-	ghostGone  []bool    // per ghost: matched or failed remotely
-	reqTo      []int32   // per ghost: owned vertex it currently requests (the sets R), or noCM
-	undecided  int       // owned vertices still free
-	queue      []int32   // owned vertices that just became unavailable
+	state      []int8  // per owned vertex
+	cm         []int32 // candidate mate (local index), or -1; once matched, the mate
+	cmArc      []int64 // position in the CSR of the arc to cm; once matched, of the matched edge
+	ghostGone  []bool  // per ghost: matched or failed remotely
+	reqTo      []int32 // per ghost: owned vertex it currently requests (the sets R), or noCM
+	undecided  int     // owned vertices still free
+	queue      []int32 // owned vertices that just became unavailable
 	outerIters int64
 }
 
@@ -103,7 +103,7 @@ func (s *matchState) run() {
 	n := d.NLocal
 	s.state = make([]int8, n)
 	s.cm = make([]int32, n)
-	s.cmWeight = make([]float64, n)
+	s.cmArc = make([]int64, n)
 	s.ghostGone = make([]bool, d.NGhost)
 	s.reqTo = make([]int32, d.NGhost)
 	for i := range s.reqTo {
@@ -118,7 +118,7 @@ func (s *matchState) run() {
 	initTok := s.tr.Begin("match.init")
 	s.c.ChargeOps(d.Xadj[n], int64(n))
 	for v := int32(0); int(v) < n; v++ {
-		s.cm[v], s.cmWeight[v] = s.computeCandidate(v)
+		s.cm[v], s.cmArc[v] = s.computeCandidate(v)
 	}
 	for v := int32(0); int(v) < n; v++ {
 		if s.state[v] == stFree { // not yet matched by a smaller mutual candidate
@@ -136,9 +136,9 @@ func (s *matchState) run() {
 		s.outerIters++
 		outerTok := s.tr.Begin("match.outer")
 		s.match.out.Flush()
-		s.match.receive(s.c.Recv(), s.handleBundle)
+		s.match.receive(s.c.Recv(), s.handle)
 		for m, ok := s.c.TryRecv(); ok; m, ok = s.c.TryRecv() {
-			s.match.receive(m, s.handleBundle)
+			s.match.receive(m, s.handle)
 		}
 		s.drainQueue()
 		s.tr.EndN(outerTok, s.outerIters)
@@ -157,29 +157,24 @@ func (s *matchState) run() {
 }
 
 // computeCandidate returns the most preferred available neighbor of owned
-// vertex v (by global id, so every rank sees the same order) and the weight
+// vertex v (by global id, so every rank sees the same order) and the position
 // of the arc to it, or noCM.
-func (s *matchState) computeCandidate(v int32) (int32, float64) {
+func (s *matchState) computeCandidate(v int32) (int32, int64) {
 	d := s.d
-	adj := d.Neighbors(v)
-	wts := d.Weights(v)
-	best := noCM
+	best, bestArc := noCM, int64(-1)
 	bestW := 0.0
 	var bestGID int64
-	for k, u := range adj {
+	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
+		u := d.Adj[i]
 		if !s.available(u) {
 			continue
 		}
-		w := 1.0
-		if wts != nil {
-			w = wts[k]
-		}
-		gid := d.GlobalOf(u)
+		w, gid := d.Weight(i), d.GlobalOf(u)
 		if best == noCM || better(w, gid, bestW, bestGID) {
-			best, bestW, bestGID = u, w, gid
+			best, bestArc, bestW, bestGID = u, i, w, gid
 		}
 	}
-	return best, bestW
+	return best, bestArc
 }
 
 // available reports whether neighbor u (owned or ghost, by local index) can
@@ -200,9 +195,10 @@ func (s *matchState) retire(v int32, state int8, kind byte) {
 	s.state[v] = state
 	s.undecided--
 	s.queue = append(s.queue, v)
-	for _, nb := range s.d.Neighbors(v) {
-		if nb != s.cm[v] && s.d.IsGhost(nb) && !s.ghostGone[int(nb)-s.d.NLocal] {
-			s.match.send(kind, v, nb)
+	d := s.d
+	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
+		if nb := d.Adj[i]; nb != s.cm[v] && d.IsGhost(nb) && !s.ghostGone[int(nb)-d.NLocal] {
+			s.match.send(kind, i)
 		}
 	}
 }
@@ -235,7 +231,7 @@ func (s *matchState) drainQueue() {
 // previous candidate became unavailable, and acts on the new one.
 func (s *matchState) recompute(w int32) {
 	s.c.ChargeOps(int64(s.d.Degree(w)), 1)
-	s.cm[w], s.cmWeight[w] = s.computeCandidate(w)
+	s.cm[w], s.cmArc[w] = s.computeCandidate(w)
 	s.pursue(w)
 }
 
@@ -248,7 +244,7 @@ func (s *matchState) pursue(w int32) {
 	case nc == noCM:
 		s.retire(w, stFailed, msgFailed)
 	case s.d.IsGhost(nc):
-		s.match.send(msgRequest, w, nc)
+		s.match.send(msgRequest, s.cmArc[w])
 		if s.reqTo[int(nc)-s.d.NLocal] == w {
 			// The ghost already asked for w: handshake complete
 			// (Algorithm 3.3's "if candidateMate(v) is in R(v)" branch).
@@ -260,36 +256,33 @@ func (s *matchState) pursue(w int32) {
 	}
 }
 
-// handleBundle processes one received bundle of protocol records, each from
-// ghost u about owned vertex v.
-func (s *matchState) handleBundle(bundle []byte) {
-	for off := 0; off < len(bundle); off += RecordBytes {
-		kind, v, u := s.decode(bundle, off)
-		gi := int(u) - s.d.NLocal
-		switch kind {
-		case msgRequest:
-			// Algorithm 3.2. A request from an already-gone ghost cannot
-			// happen under per-pair FIFO (its SUCCEEDED/FAILED would follow,
-			// not precede, its REQUEST).
-			if s.state[v] != stFree {
-				continue // v already matched or failed; u was informed then
-			}
-			if s.cm[v] == u {
-				s.retire(v, stMatched, msgSucceeded)
-			} else {
-				// Remember the request; a later REQUEST from the same ghost
-				// (after it recomputed) supersedes this one.
-				s.reqTo[gi] = v
-			}
-		case msgSucceeded, msgFailed:
-			// Algorithm 3.3 (FAILED differs only in skipping the handshake
-			// bookkeeping; both remove u from S(v)).
-			s.ghostGone[gi] = true
-			if s.state[v] == stFree && s.cm[v] == u {
-				s.recompute(v)
-			}
-		default:
-			panic(fmt.Sprintf("matching: unknown record kind %d", kind))
+// handle processes one received protocol record, from ghost u about owned
+// vertex v.
+func (s *matchState) handle(kind byte, v, u int32) {
+	gi := int(u) - s.d.NLocal
+	switch kind {
+	case msgRequest:
+		// Algorithm 3.2. A request from an already-gone ghost cannot
+		// happen under per-pair FIFO (its SUCCEEDED/FAILED would follow,
+		// not precede, its REQUEST).
+		if s.state[v] != stFree {
+			return // v already matched or failed; u was informed then
 		}
+		if s.cm[v] == u {
+			s.retire(v, stMatched, msgSucceeded)
+		} else {
+			// Remember the request; a later REQUEST from the same ghost
+			// (after it recomputed) supersedes this one.
+			s.reqTo[gi] = v
+		}
+	case msgSucceeded, msgFailed:
+		// Algorithm 3.3 (FAILED differs only in skipping the handshake
+		// bookkeeping; both remove u from S(v)).
+		s.ghostGone[gi] = true
+		if s.state[v] == stFree && s.cm[v] == u {
+			s.recompute(v)
+		}
+	default:
+		panic(fmt.Sprintf("matching: unknown record kind %d", kind))
 	}
 }

@@ -10,12 +10,14 @@ import (
 // "aggressive message bundling, where messages sent between the same pair of
 // processors are grouped as often as possible" (Section 1). Algorithm-level
 // records destined for the same rank accumulate in a per-destination buffer
-// and ship as one runtime message when the algorithm flushes (or when a
-// buffer reaches MaxBytes). The receiving side iterates the fixed-size
-// records of a bundle with Records.
+// and ship as one runtime message when the algorithm flushes, or as soon as
+// another record of the maximal size might not fit under MaxBytes. Records
+// may be shorter than that size (the kernels' are varints); how a bundle
+// splits back into records is then the family's codec's business. Bundles of
+// records all of the maximal size split with Records.
 //
-// With bundling disabled (MaxBytes = 1 record), every record travels alone —
-// the configuration the ablation benchmarks compare against.
+// With bundling disabled (MaxBytes ≤ 1 maximal record), every record travels
+// alone — the configuration the ablation benchmarks compare against.
 //
 // Buffer ownership: a flushed buffer is owned by the receiver (Send's
 // contract), so the sender drops its reference and starts the next bundle
@@ -25,7 +27,9 @@ import (
 // because the receiver owns the delivered slice — recycling something the
 // runtime still references is impossible by construction. (Over a wire
 // transport the payload is copied into a frame at Send time and inbound
-// payloads are fresh per-frame allocations, so the same contract holds.)
+// payloads are fresh per-frame allocations, so the same contract holds.) The
+// free list holds at most one buffer per destination — all that Add can have
+// in use at once — so a rank that receives more than it sends parks nothing.
 type Bundler struct {
 	c          *Comm
 	tag        int
@@ -49,10 +53,10 @@ type Bundler struct {
 	sizeHist     *obs.Histogram // bundle payload bytes at flush time
 }
 
-// NewBundler creates a bundler for fixed-size records on the given tag.
-// maxBytes caps the per-destination buffer; 0 selects 64 KiB, the
+// NewBundler creates a bundler for records of up to recordSize bytes on the
+// given tag. maxBytes caps the per-destination buffer; 0 selects 64 KiB, the
 // "infrequent, large messages" regime of the paper. Setting maxBytes to
-// recordSize disables aggregation.
+// recordSize (or less) disables aggregation.
 func NewBundler(c *Comm, tag, recordSize, maxBytes int) *Bundler {
 	if recordSize <= 0 {
 		panic("mpi: non-positive record size")
@@ -81,11 +85,11 @@ func NewBundler(c *Comm, tag, recordSize, maxBytes int) *Bundler {
 	return b
 }
 
-// Add appends one record destined for rank to, shipping the buffer if it is
-// full. rec must be exactly recordSize bytes.
+// Add appends one record destined for rank to, shipping the buffer once
+// another maximal record might not fit. rec must be 1 to recordSize bytes.
 func (b *Bundler) Add(to int, rec []byte) {
-	if len(rec) != b.recordSize {
-		panic(fmt.Sprintf("mpi: record size %d, want %d", len(rec), b.recordSize))
+	if len(rec) == 0 || len(rec) > b.recordSize {
+		panic(fmt.Sprintf("mpi: record of %d bytes, want 1 to %d", len(rec), b.recordSize))
 	}
 	b.Records++
 	b.recordCtr.Inc()
@@ -105,9 +109,9 @@ func (b *Bundler) Add(to int, rec []byte) {
 // Recycle donates a fully consumed inbound bundle's backing array to the
 // free list. The caller must not touch buf afterwards; only buffers it owns
 // (i.e. payloads delivered to this rank) may be recycled. Tiny buffers are
-// not worth keeping.
+// not worth keeping, and neither are more than Add can ever draw on.
 func (b *Bundler) Recycle(buf []byte) {
-	if cap(buf) >= b.recordSize {
+	if cap(buf) >= b.recordSize && len(b.free) < len(b.bufs) {
 		b.free = append(b.free, buf[:0])
 	}
 }
@@ -131,7 +135,7 @@ func (b *Bundler) flushOne(to int) {
 	b.sizeHist.Observe(int64(len(buf)))
 }
 
-// Records splits a received bundle back into fixed-size records. The
+// Records splits a received bundle of fixed-size records back into them. The
 // returned slices alias data.
 func Records(data []byte, recordSize int) [][]byte {
 	if len(data)%recordSize != 0 {

@@ -427,6 +427,100 @@ func TestBundlerUnbundledMode(t *testing.T) {
 	}
 }
 
+// TestBundlerShortRecords: records may be shorter than the size the bundler
+// is built for; a bundle ships as soon as another maximal record might not
+// fit, so a cap of one maximal record (or less) still means one record per
+// message, whatever the records' actual sizes.
+func TestBundlerShortRecords(t *testing.T) {
+	for _, tc := range []struct {
+		maxBytes, records int
+		wantMsgs          int64
+	}{
+		{0, 1000, 1},     // 3000 bytes under the 64 KiB default
+		{17, 1000, 1000}, // bundling off
+		{5, 1000, 1000},  // below one maximal record: the same
+		{40, 1000, 125},  // ships once it holds more than 40 - 17 bytes: at 8 records of 3
+	} {
+		w, err := NewWorld(2, WithDeadline(10*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c *Comm) error {
+			if c.Rank() == 0 {
+				b := NewBundler(c, 9, 17, tc.maxBytes)
+				for i := 0; i < tc.records; i++ {
+					b.Add(1, []byte{byte(i), byte(i >> 8), 0xee})
+				}
+				b.Flush()
+				if b.Records != int64(tc.records) {
+					return fmt.Errorf("Records = %d, want %d", b.Records, tc.records)
+				}
+				return nil
+			}
+			for got := 0; got < 3*tc.records; {
+				m := c.Recv()
+				if len(m.Data) == 0 || len(m.Data)%3 != 0 {
+					return fmt.Errorf("bundle of %d bytes splits a record", len(m.Data))
+				}
+				for off := 0; off < len(m.Data); off += 3 {
+					if i := got / 3; m.Data[off] != byte(i) || m.Data[off+1] != byte(i>>8) || m.Data[off+2] != 0xee {
+						return fmt.Errorf("record %d corrupted or out of order", i)
+					}
+					got += 3
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("maxBytes %d: %v", tc.maxBytes, err)
+		}
+		if got := w.RankStats(0).SentMsgs; got != tc.wantMsgs {
+			t.Errorf("maxBytes %d: %d messages for %d records, want %d", tc.maxBytes, got, tc.records, tc.wantMsgs)
+		}
+	}
+	for name, rec := range map[string][]byte{"empty": {}, "oversize": make([]byte, 18)} {
+		err := Run(1, func(c *Comm) error {
+			NewBundler(c, 9, 17, 0).Add(0, rec)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "want 1 to 17") {
+			t.Errorf("%s record: err = %v", name, err)
+		}
+	}
+}
+
+// TestBundlerRecycleBounded: a rank that receives far more than it sends —
+// FIAB / FIAC coloring recycles every inbound copy into a bundler that never
+// ships anything, and so did the unbundled matching run with its tens of
+// thousands of one-record messages — keeps at most one spare buffer per
+// destination, not every buffer it was ever handed.
+func TestBundlerRecycleBounded(t *testing.T) {
+	const p, perPeer = 4, 3400 // 10200 messages into every rank
+	err := Run(p, func(c *Comm) error {
+		b := NewBundler(c, 9, 10, 0)
+		for i := 0; i < perPeer; i++ {
+			for to := 0; to < p; to++ {
+				if to != c.Rank() {
+					c.Send(to, 9, make([]byte, 12)) // receivers own message data
+				}
+			}
+		}
+		for got := 0; got < perPeer*(p-1); got++ {
+			b.Recycle(c.Recv().Data)
+			if len(b.free) > p {
+				return fmt.Errorf("free list holds %d buffers after %d messages, more than one per destination (%d)", len(b.free), got+1, p)
+			}
+		}
+		if len(b.free) != p {
+			return fmt.Errorf("free list holds %d buffers, want the %d it can use", len(b.free), p)
+		}
+		return nil
+	}, WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecordsRejectsMisalignedBundle(t *testing.T) {
 	defer func() {
 		if recover() == nil {
