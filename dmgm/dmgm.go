@@ -223,8 +223,10 @@ func ColoringBounds(g *Graph) (lower, upper int) { return coloring.Bounds(g) }
 
 // MatchParallelOptions configures MatchParallel.
 type MatchParallelOptions struct {
-	// BundleBytes caps the message-aggregation buffers (0 = 64 KiB; set to
-	// matching.RecordBytes, one record, to disable the paper's bundling).
+	// BundleBytes caps the message-aggregation buffers (0 = 64 KiB). A
+	// buffer ships once another record of matching.RecordBytes — the upper
+	// bound on a record — might not fit, so matching.RecordBytes itself
+	// disables the paper's bundling: one record per message.
 	BundleBytes int
 	// Deadline aborts a wedged run (0 = 10 minutes).
 	Deadline time.Duration

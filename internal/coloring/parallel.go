@@ -278,16 +278,13 @@ func (k *d1Kernel) paletteSize() int {
 func (k *d1Kernel) shipToAll(chunk []int32) {
 	d := k.d
 	bufs := make([][]byte, d.P)
-	var index []int32 // per rank: where the vertex at hand is in its table
-	if k.opt.CommMode == CommBroadcast {
-		index = slices.Clone(k.elsewhere)
-	}
+	index := slices.Clone(k.elsewhere) // FIAB only: per rank, where the vertex at hand is in its table
 	for _, v := range chunk {
 		if !d.IsBoundary[v] {
 			continue
 		}
 		shown := d.ShownTo(v)
-		if index == nil {
+		if index == nil { // FIAC
 			for _, at := range shown {
 				bufs[at.Rank] = appendNotice(bufs[at.Rank], at.Index, k.colors[v])
 			}

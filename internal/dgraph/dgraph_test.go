@@ -249,10 +249,10 @@ func TestValidateCatchesBrokenIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An id the index does not resolve back to its own slot.
+	// An id LocalOf does not resolve back to its own slot.
 	d.GlobalID[0], d.GlobalID[1] = d.GlobalID[1], d.GlobalID[0]
 	if err := d.Validate(); err == nil {
-		t.Error("accepted a share whose index disagrees with GlobalID")
+		t.Error("accepted a share whose GlobalID is out of order")
 	}
 	d.GlobalID[0], d.GlobalID[1] = d.GlobalID[1], d.GlobalID[0]
 	d.GlobalID[d.NLocal+d.NGhost-1] = d.GlobalN

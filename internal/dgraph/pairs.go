@@ -84,14 +84,15 @@ func (d *DistGraph) buildPairs(deg []int32) {
 		nGhosts[s]++
 		nEdges[s] += deg[gi]
 	}
+	maxShown := func(s int) int { return min(int(nEdges[s]), d.NumBoundary) }
 	shown := 0
-	for _, n := range nEdges {
-		shown += min(int(n), d.NumBoundary)
+	for s := range d.Pairs {
+		shown += maxShown(s)
 	}
 	ghosts, shownTo, edges := make([]int32, d.NGhost), make([]int32, shown), make([]CrossEdge, d.CrossArcs)
 	for s := range d.Pairs {
-		d.Pairs[s] = Pair{Edges: edges[:nEdges[s]], Shown: shownTo[:0], Ghosts: ghosts[:0:nGhosts[s]]}
-		ghosts, shownTo, edges = ghosts[nGhosts[s]:], shownTo[min(int(nEdges[s]), d.NumBoundary):], edges[nEdges[s]:]
+		d.Pairs[s] = Pair{Edges: edges[:nEdges[s]], Shown: shownTo[:0:maxShown(s)], Ghosts: ghosts[:0:nGhosts[s]]}
+		ghosts, shownTo, edges = ghosts[nGhosts[s]:], shownTo[maxShown(s):], edges[nEdges[s]:]
 	}
 	d.ShownList = make([]ShownAt, 0, shown)
 

@@ -84,22 +84,21 @@ type goldenKernel struct {
 	run  func(t *testing.T, cell *goldenCell, w *mpi.World, on *wire) (line string, hash uint64)
 }
 
-// wire is an in-process transport that counts what is put on it per tag:
-// messages, and records — one ends at every byte without a varint
-// continuation bit, whatever a receiver goes on to make of the bundle.
+// wire is an in-process transport that counts the records put on it per tag
+// — one ends at every byte without a varint continuation bit, whatever a
+// receiver goes on to make of the bundle.
 type wire struct {
 	*transport.Inproc
-	mu            sync.Mutex
-	msgs, records map[int]int64
+	mu      sync.Mutex
+	records map[int]int64
 }
 
 func newWire(p int) *wire {
-	return &wire{Inproc: transport.NewInproc(p), msgs: map[int]int64{}, records: map[int]int64{}}
+	return &wire{Inproc: transport.NewInproc(p), records: map[int]int64{}}
 }
 
 func (w *wire) Send(m transport.Msg) error {
 	w.mu.Lock()
-	w.msgs[m.Tag]++
 	for _, b := range m.Payload {
 		if b < 0x80 {
 			w.records[m.Tag]++

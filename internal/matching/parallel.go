@@ -158,23 +158,28 @@ func (s *matchState) run() {
 
 // computeCandidate returns the most preferred available neighbor of owned
 // vertex v (by global id, so every rank sees the same order) and the position
-// of the arc to it, or noCM.
+// of the arc to it — or noCM, and no position worth reading.
 func (s *matchState) computeCandidate(v int32) (int32, int64) {
 	d := s.d
-	best, bestArc := noCM, int64(-1)
+	adj := d.Neighbors(v)
+	wts := d.Weights(v)
+	best, bestAt := noCM, -1
 	bestW := 0.0
 	var bestGID int64
-	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
-		u := d.Adj[i]
+	for k, u := range adj {
 		if !s.available(u) {
 			continue
 		}
-		w, gid := d.Weight(i), d.GlobalOf(u)
+		w := 1.0
+		if wts != nil {
+			w = wts[k]
+		}
+		gid := d.GlobalOf(u)
 		if best == noCM || better(w, gid, bestW, bestGID) {
-			best, bestArc, bestW, bestGID = u, i, w, gid
+			best, bestAt, bestW, bestGID = u, k, w, gid
 		}
 	}
-	return best, bestArc
+	return best, d.Xadj[v] + int64(bestAt)
 }
 
 // available reports whether neighbor u (owned or ghost, by local index) can
