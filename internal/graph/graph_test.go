@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -524,5 +525,59 @@ func TestValidateBipartiteCatchesSameSideEdge(t *testing.T) {
 	short := &Bipartite{NRows: 3, NCols: 2, Graph: g}
 	if err := short.ValidateBipartite(); err == nil {
 		t.Fatal("accepted wrong vertex count")
+	}
+}
+
+// TestReadTextErrorTexts pins every error ReadText can return — text and line
+// number — and the spellings it accepts, so that a faster line parser cannot
+// change what a caller of the inline-job path is told. The table was recorded
+// before the parser stopped allocating per line.
+func TestReadTextErrorTexts(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"", "graph: missing header"},
+		{"# only a comment\n\n", "graph: missing header"},
+		{"e 0 1 1\n", "graph: line 1: edge before header"},
+		{"g 2\n", "graph: line 1: malformed header"},
+		{"g 2 1 7\n", "graph: line 1: malformed header"},
+		{"g one two\n", `graph: line 1: strconv.Atoi: parsing "one": invalid syntax`},
+		{"g 99999999999999999999 0\n", `graph: line 1: strconv.Atoi: parsing "99999999999999999999": value out of range`},
+		{"g -1 0\n", "graph: line 1: negative vertex count -1"},
+		{"g 2 x\n", `graph: line 1: strconv.ParseInt: parsing "x": invalid syntax`},
+		{"g 2 5\ne 0 1 1\n", "graph: header declares 5 edges, file has 1"},
+		{"g 1 0\nz\n", `graph: line 2: unknown record "z"`},
+		{"g 1 0\ngraph 1 0\n", `graph: line 2: unknown record "graph"`},
+		{"g 3 1\ne 0\n", "graph: line 2: malformed edge"},
+		{"g 3 1\ne 0 1 2 3\n", "graph: line 2: malformed edge"},
+		{"g 3 1\ne 0 1 2 3 4 5 6\n", "graph: line 2: malformed edge"},
+		{"# c\n\ng 3 1\n  e a 1 1\n", `graph: line 4: strconv.ParseInt: parsing "a": invalid syntax`},
+		{"g 3 1\ne 0 b\n", `graph: line 2: strconv.ParseInt: parsing "b": invalid syntax`},
+		{"g 3 1\ne 0 1x 1\n", `graph: line 2: strconv.ParseInt: parsing "1x": invalid syntax`},
+		{"g 3 1\ne 0 - 1\n", `graph: line 2: strconv.ParseInt: parsing "-": invalid syntax`},
+		{"g 3 1\ne 1_0 1 1\n", `graph: line 2: strconv.ParseInt: parsing "1_0": invalid syntax`},
+		{"g 3 1\ne 0 2147483648 1\n", `graph: line 2: strconv.ParseInt: parsing "2147483648": value out of range`},
+		{"g 3 1\ne -2147483649 0 1\n", `graph: line 2: strconv.ParseInt: parsing "-2147483649": value out of range`},
+		{"g 3 1\ne 0 99999999999999999999999 1\n", `graph: line 2: strconv.ParseInt: parsing "99999999999999999999999": value out of range`},
+		{"g 3 1\ne 0 1 heavy\n", `graph: line 2: strconv.ParseFloat: parsing "heavy": invalid syntax`},
+		{"g 3 1\ne 0 1 1e999\n", `graph: line 2: strconv.ParseFloat: parsing "1e999": value out of range`},
+		{"g 3 1\ne 0 5 1\n", "graph: edge {0,5} out of range [0,3)"},
+		{"g 3 1\ne -1 2 1\n", "graph: edge {-1,2} out of range [0,3)"},
+		{"g 3 1\r\ne 0 1 1\r\ne 1 2 1\r\n", "graph: header declares 1 edges, file has 2"},
+	} {
+		_, err := ReadText(strings.NewReader(tc.in))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q:\n  got  %v\n  want %s", tc.in, err, tc.want)
+		}
+	}
+	// Spellings the parser accepts: signs, leading zeros, any Unicode white
+	// space between and around fields, a missing weight, a final line without
+	// a terminator, a second header.
+	in := "g 9 9\n\u00a0g\t4\u20034 \ne +1 002 2.5\r\n\te\u00a03\v2\ne 0 1 0x1p-1\ne 0 3 1e0"
+	g, err := ReadText(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{{U: 0, V: 1, W: 0.5}, {U: 0, V: 3, W: 1}, {U: 1, V: 2, W: 2.5}, {U: 2, V: 3, W: 1}}
+	if g.NumVertices() != 4 || !slices.Equal(g.Edges(), want) {
+		t.Errorf("accepted spellings: n=%d edges=%v, want n=4 %v", g.NumVertices(), g.Edges(), want)
 	}
 }
