@@ -1,15 +1,17 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BuildUndirected assembles a CSR graph from an undirected edge list.
 //
 // Self loops are dropped. Duplicate edges (in either orientation) are merged;
 // the policy for the merged weight is dedupe. The adjacency lists of the
 // result are sorted by neighbor id, as required by Graph's invariants.
+//
+// The work is O(n + len(edges)): the normalised list is put in (U, V) order
+// by a stable counting sort, and not at all when it already ascends, as a
+// list read back from a CSR graph does. Stable means parallel edges stay in
+// input order, which is the order the dedupe policies see them in.
 func BuildUndirected(n int, edges []Edge, dedupe DedupePolicy) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -19,6 +21,7 @@ func BuildUndirected(n int, edges []Edge, dedupe DedupePolicy) (*Graph, error) {
 	}
 	// Normalize: drop self loops, orient u < v, validate ranges.
 	norm := make([]Edge, 0, len(edges))
+	ascending := true
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
@@ -29,14 +32,20 @@ func BuildUndirected(n int, edges []Edge, dedupe DedupePolicy) (*Graph, error) {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
+		if k := len(norm); k > 0 && (norm[k-1].U > e.U || norm[k-1].U == e.U && norm[k-1].V > e.V) {
+			ascending = false
+		}
 		norm = append(norm, e)
 	}
-	sort.Slice(norm, func(i, j int) bool {
-		if norm[i].U != norm[j].U {
-			return norm[i].U < norm[j].U
-		}
-		return norm[i].V < norm[j].V
-	})
+	if !ascending {
+		// Least significant key first; the second pass is stable, so edges
+		// with equal U keep the V order the first pass gave them.
+		scratch := make([]Edge, len(norm))
+		count := make([]int, n+1)
+		countingSort(scratch, norm, count, func(e Edge) Vertex { return e.V })
+		clear(count)
+		countingSort(norm, scratch, count, func(e Edge) Vertex { return e.U })
+	}
 	// Merge duplicates in place.
 	out := norm[:0]
 	for _, e := range norm {
@@ -61,13 +70,30 @@ func BuildUndirected(n int, edges []Edge, dedupe DedupePolicy) (*Graph, error) {
 	return fromSortedEdges(n, out), nil
 }
 
+// countingSort writes src into dst ordered by key, equal keys in src order.
+// count must hold one zero per key value plus one.
+func countingSort(dst, src []Edge, count []int, key func(Edge) Vertex) {
+	for _, e := range src {
+		count[key(e)+1]++
+	}
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[count[k]] = e
+		count[k]++
+	}
+}
+
 // DedupePolicy says how BuildUndirected merges parallel edges.
 type DedupePolicy int
 
 const (
-	// DedupeFirst keeps the weight of the first occurrence.
+	// DedupeFirst keeps the weight of the first occurrence in the edge list.
 	DedupeFirst DedupePolicy = iota
-	// DedupeSum adds the weights of parallel edges.
+	// DedupeSum adds the weights of parallel edges, in edge-list order (the
+	// order matters to the last bit of a floating-point sum).
 	DedupeSum
 	// DedupeMax keeps the heaviest parallel edge.
 	DedupeMax

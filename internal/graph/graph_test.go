@@ -93,6 +93,51 @@ func TestDedupePolicies(t *testing.T) {
 	}
 }
 
+// TestDedupeFirstKeepsInputOrder: which parallel edge is "first" is decided
+// by the edge list, not by the sort — under an unstable sort DedupeFirst kept
+// an arbitrary one (ReadText, the inline-job path, uses this policy) and
+// DedupeSum added in an arbitrary order.
+func TestDedupeFirstKeepsInputOrder(t *testing.T) {
+	const n = 50
+	rng := rand.New(rand.NewSource(1))
+	edges := make([]Edge, 2000)
+	first := map[[2]Vertex]float64{}
+	sum := map[[2]Vertex]float64{}
+	for i := range edges {
+		u, v := Vertex(rng.Intn(n)), Vertex(rng.Intn(n))
+		// Weights spread over 32 binary orders of magnitude, so that a sum
+		// taken in another order differs.
+		e := Edge{U: u, V: v, W: rng.Float64() * float64(uint64(1)<<rng.Intn(32))}
+		edges[i] = e
+		key := [2]Vertex{min(u, v), max(u, v)}
+		if _, seen := first[key]; !seen {
+			first[key] = e.W
+		}
+		sum[key] += e.W
+	}
+	for _, tc := range []struct {
+		policy DedupePolicy
+		want   map[[2]Vertex]float64
+	}{{DedupeFirst, first}, {DedupeSum, sum}} {
+		g, err := BuildUndirected(n, edges, tc.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		wrong := 0
+		g.ForEachEdge(func(u, v Vertex, w float64) {
+			if w != tc.want[[2]Vertex{u, v}] {
+				wrong++
+			}
+		})
+		if wrong > 0 {
+			t.Errorf("policy %v: %d of %d merged edges do not carry the weight input order gives", tc.policy, wrong, g.NumEdges())
+		}
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g, err := BuildUndirected(0, nil, DedupeFirst)
 	if err != nil {
