@@ -187,6 +187,37 @@ func TestMatchingHasNoMaps(t *testing.T) {
 	}
 }
 
+// TestPartitionHasNoMaps pins what DESIGN.md says of internal/partition: its
+// working memory is dense slices, so no assignment can depend on a map's
+// iteration order, and coarsening contracts CSR to CSR — no partitioner
+// builds a []graph.Edge or calls graph.BuildUndirected (whose own ordering is
+// a counting sort: neither it nor this package imports sort).
+func TestPartitionHasNoMaps(t *testing.T) {
+	for name, file := range nonTestFiles(t, "partition", 0) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.MapType:
+				t.Errorf("partition/%s declares a map type", name)
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "graph" && (n.Sel.Name == "Edge" || n.Sel.Name == "BuildUndirected") {
+					t.Errorf("partition/%s uses graph.%s: an edge list where a CSR pass will do", name, n.Sel.Name)
+				}
+			}
+			return true
+		})
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"sort"` {
+				t.Errorf("partition/%s imports sort", name)
+			}
+		}
+	}
+	for _, imp := range nonTestFiles(t, "graph", parser.ImportsOnly)["builder.go"].Imports {
+		if imp.Path.Value == `"sort"` || imp.Path.Value == `"slices"` {
+			t.Errorf("graph/builder.go imports %s: BuildUndirected orders edges by counting", imp.Path.Value)
+		}
+	}
+}
+
 // TestRecordsAreAddressedPairLocally pins what DESIGN.md and PROTOCOL.md §4
 // say of the wire: a record names an edge or a vertex by its index in the
 // pair table the two ranks share (internal/dgraph/pairs.go), which is dense

@@ -52,14 +52,21 @@ func (r *RNG) Intn(n int) int {
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	FillPerm(r, p)
+	return p
+}
+
+// FillPerm overwrites p with a random permutation of [0, len(p)), making the
+// draws Perm makes, so a caller that visits vertices in a fresh random order
+// every pass can reuse one buffer and keep its sequence.
+func FillPerm[T ~int | ~int32](r *RNG, p []T) {
 	for i := range p {
-		p[i] = i
+		p[i] = T(i)
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // mix combines two 64-bit values into a well-distributed seed.

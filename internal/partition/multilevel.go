@@ -2,7 +2,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -37,6 +37,11 @@ const DefaultRefinePasses = 4
 // coarsening, recursive-bisection initial partitioning of the coarsest
 // graph, and greedy boundary refinement during uncoarsening. It is the
 // repo's stand-in for METIS.
+//
+// The result is a function of (g, p, opt) alone — the same Part on every run,
+// at any GOMAXPROCS: every random draw comes from opt.Seed, vertices are
+// visited in that order over dense arrays, and refine breaks a tie between
+// equally good moves by part id.
 func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("partition: non-positive part count %d", p)
@@ -69,8 +74,9 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 	lev := &level{g: g, vwgt: unitWeights(n)}
 	var stack []*level
 	rng := gen.NewRNG(opt.Seed)
+	s := &scratch{perm: make([]graph.Vertex, n), mate: make([]graph.Vertex, n)}
 	for lev.g.NumVertices() > opt.CoarsenTo {
-		next := coarsen(lev, rng)
+		next := coarsen(lev, rng, s)
 		if next == nil { // matching stalled; stop coarsening
 			break
 		}
@@ -84,8 +90,10 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 	for i := range all {
 		all[i] = graph.Vertex(i)
 	}
-	bisect(lev, all, 0, p, part, rng)
-	refine(lev, part, p, passes, opt.Imbalance, rng)
+	s.mark = make([]int32, len(all))
+	bisect(lev, all, 0, p, part, rng, s)
+	s.ext = make([]float64, p)
+	refine(lev, part, p, passes, opt.Imbalance, rng, s)
 
 	// Uncoarsen, projecting and refining at each level.
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -95,8 +103,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 			finePart[v] = part[fine.coarseOf[v]]
 		}
 		part = finePart
-		refine(fine, part, p, passes, opt.Imbalance, rng)
-		lev = fine
+		refine(fine, part, p, passes, opt.Imbalance, rng, s)
 	}
 	return &Partition{P: p, Part: part}, nil
 }
@@ -107,6 +114,24 @@ type level struct {
 	g        *graph.Graph
 	vwgt     []int64
 	coarseOf []graph.Vertex
+}
+
+// scratch is the dense working memory of one Multilevel call: allocated once,
+// for the finest level, and resliced by every coarser level and every pass.
+type scratch struct {
+	perm, mate []graph.Vertex // a pass's visiting order; coarsen's matching
+	// contract: the upper rows it merges before it lays out the coarse CSR.
+	slot, cursor, upStart []int64
+	upAdj                 []graph.Vertex
+	upW                   []float64
+	// bisect: mark[v] is the stamp of the last set v was put in. Each call
+	// takes two fresh stamps, so no call ever clears the array.
+	mark  []int32
+	stamp int32
+	// refine: the weight from the vertex in hand to each part, and the parts
+	// for which it is set.
+	ext     []float64
+	touched []int32
 }
 
 func unitWeights(n int) []int64 {
@@ -120,17 +145,17 @@ func unitWeights(n int) []int64 {
 // coarsen performs one round of heavy-edge matching and contracts the graph.
 // It returns nil when the matching shrinks the graph by less than 10 %, the
 // customary stall condition.
-func coarsen(lev *level, rng *gen.RNG) *level {
+func coarsen(lev *level, rng *gen.RNG, s *scratch) *level {
 	g := lev.g
 	n := g.NumVertices()
-	mate := make([]graph.Vertex, n)
+	mate := s.mate[:n]
 	for i := range mate {
 		mate[i] = graph.None
 	}
-	orderIdx := rng.Perm(n)
+	order := s.perm[:n]
+	gen.FillPerm(rng, order)
 	matched := 0
-	for _, vi := range orderIdx {
-		v := graph.Vertex(vi)
+	for _, v := range order {
 		if mate[v] != graph.None {
 			continue
 		}
@@ -159,51 +184,116 @@ func coarsen(lev *level, rng *gen.RNG) *level {
 	if coarseN > n*9/10 {
 		return nil
 	}
+	// A coarse vertex is numbered by its lower member, so that ascending fine
+	// id visits the coarse vertices in order.
 	coarseOf := make([]graph.Vertex, n)
+	vwgt := make([]int64, coarseN)
 	next := graph.Vertex(0)
 	for v := 0; v < n; v++ {
 		u := mate[v]
 		switch {
 		case u == graph.None:
 			coarseOf[v] = next
+			vwgt[next] = lev.vwgt[v]
 			next++
 		case graph.Vertex(v) < u:
 			coarseOf[v] = next
 			coarseOf[u] = next
+			vwgt[next] = lev.vwgt[v] + lev.vwgt[u]
 			next++
 		}
 	}
-	vwgt := make([]int64, coarseN)
-	for v := 0; v < n; v++ {
-		vwgt[coarseOf[v]] += lev.vwgt[v]
+	lev.coarseOf = coarseOf
+	return &level{g: contract(g, mate, coarseOf, coarseN, s), vwgt: vwgt}
+}
+
+// contract builds the graph of the matched pairs and unmatched vertices of g,
+// an edge between two of them weighing what the fine edges between them weigh
+// together. It goes from CSR to CSR in time linear in g, with no edge list and
+// no sort: first every coarse vertex a, in order, merges its neighbours b > a
+// through a dense slot table, adding each fine edge once, from a's side, in
+// member-then-adjacency order — so both arcs of a coarse edge carry one sum.
+// Then two scatters lay the rows out ascending: walking a upward appends a to
+// the front zone of every such b (its lower neighbours, ascending because a
+// ascends), and walking b upward over those zones appends b to the back zone
+// of every a (its higher neighbours, ascending because b ascends).
+func contract(g *graph.Graph, mate, coarseOf []graph.Vertex, coarseN int, s *scratch) *graph.Graph {
+	if s.slot == nil { // the first and largest contraction sizes them all
+		s.slot = make([]int64, coarseN)
+		s.cursor = make([]int64, coarseN)
+		s.upStart = make([]int64, coarseN+1)
+		s.upAdj = make([]graph.Vertex, 0, g.NumEdges())
+		s.upW = make([]float64, 0, g.NumEdges())
 	}
-	// Aggregate coarse edges, merging parallels by weight sum.
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := 0; v < n; v++ {
-		cv := coarseOf[v]
-		adj := g.Neighbors(graph.Vertex(v))
-		for k, u := range adj {
-			cu := coarseOf[u]
-			if cv >= cu { // each coarse pair once per fine arc orientation
+	slot, cursor, upStart := s.slot[:coarseN], s.cursor[:coarseN], s.upStart[:coarseN+1]
+	upAdj, upW := s.upAdj[:0], s.upW[:0]
+	for c := range slot {
+		slot[c] = -1
+	}
+	clear(cursor)
+	a := graph.Vertex(0)
+	for v := 0; v < g.NumVertices(); v++ {
+		if mate[v] != graph.None && mate[v] < graph.Vertex(v) {
+			continue // the higher member of a pair: merged with the lower
+		}
+		rowStart := int64(len(upAdj))
+		upStart[a] = rowStart
+		for _, x := range [2]graph.Vertex{graph.Vertex(v), mate[v]} {
+			if x == graph.None {
 				continue
 			}
-			edges = append(edges, graph.Edge{U: cv, V: cu, W: g.Weight(g.Xadj[v] + int64(k))})
+			wts := g.Weights(x)
+			for k, u := range g.Neighbors(x) {
+				b := coarseOf[u]
+				if b <= a {
+					continue
+				}
+				w := 1.0
+				if wts != nil {
+					w = wts[k]
+				}
+				if at := slot[b]; at >= rowStart {
+					upW[at] += w
+					continue
+				}
+				slot[b] = int64(len(upAdj))
+				upAdj, upW = append(upAdj, b), append(upW, w)
+				cursor[b]++
+			}
+		}
+		a++
+	}
+	upStart[coarseN] = int64(len(upAdj))
+
+	cg := &graph.Graph{Xadj: make([]int64, coarseN+1)}
+	for c := 0; c < coarseN; c++ {
+		cg.Xadj[c+1] = cg.Xadj[c] + cursor[c] + upStart[c+1] - upStart[c]
+		cursor[c] = cg.Xadj[c]
+	}
+	cg.Adj = make([]graph.Vertex, cg.Xadj[coarseN])
+	cg.W = make([]float64, cg.Xadj[coarseN])
+	for a := 0; a < coarseN; a++ {
+		for i := upStart[a]; i < upStart[a+1]; i++ {
+			b := upAdj[i]
+			cg.Adj[cursor[b]], cg.W[cursor[b]] = graph.Vertex(a), upW[i]
+			cursor[b]++
 		}
 	}
-	cg, err := graph.BuildUndirected(coarseN, edges, graph.DedupeSum)
-	if err != nil {
-		// Inputs are internally generated; failure indicates a programming
-		// error, not bad user input.
-		panic(fmt.Sprintf("partition: coarsen produced invalid graph: %v", err))
+	for b := 0; b < coarseN; b++ {
+		// cursor[b] is where b's front zone ends: only higher rows move it.
+		for i := cg.Xadj[b]; i < cursor[b]; i++ {
+			a := cg.Adj[i]
+			cg.Adj[cursor[a]], cg.W[cursor[a]] = graph.Vertex(b), cg.W[i]
+			cursor[a]++
+		}
 	}
-	lev.coarseOf = coarseOf
-	return &level{g: cg, vwgt: vwgt}
+	return cg
 }
 
 // bisect recursively splits the vertex set into p parts labeled
 // [base, base+p), growing one side breadth-first until it holds its share of
 // the total vertex weight.
-func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *gen.RNG) {
+func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *gen.RNG, s *scratch) {
 	if p == 1 {
 		for _, v := range verts {
 			part[v] = int32(base)
@@ -218,11 +308,13 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 	}
 	target := total * int64(pl) / int64(p)
 
-	in := make(map[graph.Vertex]bool, len(verts))
+	// A vertex of verts carries the stamp in until it is grown into the left
+	// side, and side from then on; every other vertex carries an older one.
+	in, side := s.stamp+1, s.stamp+2
+	s.stamp = side
 	for _, v := range verts {
-		in[v] = true
+		s.mark[v] = in
 	}
-	side := make(map[graph.Vertex]bool, len(verts)/2)
 	var grown int64
 	queue := make([]graph.Vertex, 0, len(verts)/2)
 	// Grow from (pseudo-)peripheral seeds until the target weight is reached;
@@ -231,14 +323,14 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 		var seed graph.Vertex = graph.None
 		for try := 0; try < 16; try++ {
 			c := verts[rng.Intn(len(verts))]
-			if !side[c] {
+			if s.mark[c] == in {
 				seed = c
 				break
 			}
 		}
 		if seed == graph.None {
 			for _, v := range verts {
-				if !side[v] {
+				if s.mark[v] == in {
 					seed = v
 					break
 				}
@@ -248,14 +340,14 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 			break
 		}
 		queue = append(queue[:0], seed)
-		side[seed] = true
+		s.mark[seed] = side
 		grown += lev.vwgt[seed]
 		for len(queue) > 0 && grown < target {
 			v := queue[0]
 			queue = queue[1:]
 			for _, u := range lev.g.Neighbors(v) {
-				if in[u] && !side[u] && grown < target {
-					side[u] = true
+				if s.mark[u] == in && grown < target {
+					s.mark[u] = side
 					grown += lev.vwgt[u]
 					queue = append(queue, u)
 				}
@@ -265,7 +357,7 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 	left := make([]graph.Vertex, 0, len(verts)/2)
 	right := make([]graph.Vertex, 0, len(verts)/2)
 	for _, v := range verts {
-		if side[v] {
+		if s.mark[v] == side {
 			left = append(left, v)
 		} else {
 			right = append(right, v)
@@ -273,21 +365,22 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 	}
 	// Degenerate splits (all vertices on one side) are rebalanced bluntly.
 	if len(left) == 0 || len(right) == 0 {
-		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+		slices.Sort(verts)
 		mid := len(verts) * pl / p
 		left = append(left[:0], verts[:mid]...)
 		right = append(right[:0], verts[mid:]...)
 	}
-	bisect(lev, left, base, pl, part, rng)
-	bisect(lev, right, base+pl, pr, part, rng)
+	bisect(lev, left, base, pl, part, rng, s)
+	bisect(lev, right, base+pl, pr, part, rng, s)
 }
 
 // refine performs greedy boundary-move passes: each boundary vertex moves to
 // the neighboring part with the largest positive gain (external minus
 // internal edge weight) provided the move keeps both parts within the load
-// bound. This is the lightweight cousin of Kernighan–Lin/Fiduccia–Mattheyses
-// refinement used at every level of the multilevel scheme.
-func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng *gen.RNG) {
+// bound; of several parts with that gain, to the one with the lowest id. This
+// is the lightweight cousin of Kernighan–Lin/Fiduccia–Mattheyses refinement
+// used at every level of the multilevel scheme.
+func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng *gen.RNG, s *scratch) {
 	if passes <= 0 {
 		return
 	}
@@ -300,43 +393,49 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 		total += lev.vwgt[v]
 	}
 	maxLoad := int64(float64(total)/float64(p)*(1+imbalance)) + 1
-	ext := make(map[int32]float64, 8)
+	ext := s.ext
+	order := s.perm[:n]
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for _, vi := range rng.Perm(n) {
-			v := graph.Vertex(vi)
+		gen.FillPerm(rng, order)
+		for _, v := range order {
 			home := part[v]
 			adj := g.Neighbors(v)
-			if len(adj) == 0 {
-				continue
-			}
-			clear(ext)
 			internal := 0.0
-			boundary := false
+			touched := s.touched[:0]
 			wts := g.Weights(v)
 			for k, u := range adj {
 				w := 1.0
 				if wts != nil {
 					w = wts[k]
 				}
-				if part[u] == home {
+				q := part[u]
+				if q == home {
 					internal += w
-				} else {
-					ext[part[u]] += w
-					boundary = true
+					continue
 				}
-			}
-			if !boundary {
-				continue
+				// A part is listed when its sum leaves zero. Weights that
+				// cancel can list it twice, which neither loop below minds.
+				if ext[q] == 0 {
+					touched = append(touched, q)
+				}
+				ext[q] += w
 			}
 			bestPart := home
 			bestGain := 0.0
-			for tp, w := range ext {
-				gain := w - internal
-				if gain > bestGain && load[tp]+lev.vwgt[v] <= maxLoad {
-					bestGain, bestPart = gain, tp
+			for _, q := range touched {
+				gain := ext[q] - internal
+				if load[q]+lev.vwgt[v] > maxLoad {
+					continue
+				}
+				if gain > bestGain || gain == bestGain && bestPart != home && q < bestPart {
+					bestGain, bestPart = gain, q
 				}
 			}
+			for _, q := range touched {
+				ext[q] = 0
+			}
+			s.touched = touched
 			if bestPart != home {
 				load[home] -= lev.vwgt[v]
 				load[bestPart] += lev.vwgt[v]
