@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The text format is a minimal weighted edge-list dialect:
@@ -46,7 +48,7 @@ const maxUnbackedVertices = 1 << 20
 // ReadText parses the text edge-list format.
 func ReadText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	var (
 		n      = -1
 		m      int64
@@ -56,26 +58,30 @@ func ReadText(r io.Reader) (*Graph, error) {
 	)
 	for sc.Scan() {
 		lineNo++
-		size += int64(len(sc.Bytes())) + 1
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		// The line's bytes are split and parsed in place, with no string and
+		// no []string per line: strconv keeps no reference to its argument,
+		// so a short string(field) lives on the stack.
+		line := sc.Bytes()
+		size += int64(len(line)) + 1
+		var fields [5][]byte // one more than any valid line has
+		nf := splitFields(fields[:], line)
+		if nf == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "g":
-			if len(fields) != 3 {
+			if nf != 3 {
 				return nil, fmt.Errorf("graph: line %d: malformed header", lineNo)
 			}
 			var err error
-			n, err = strconv.Atoi(fields[1])
+			n, err = strconv.Atoi(string(fields[1]))
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}
 			if n < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative vertex count %d", lineNo, n)
 			}
-			m, err = strconv.ParseInt(fields[2], 10, 64)
+			m, err = strconv.ParseInt(string(fields[2]), 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}
@@ -86,20 +92,20 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if n < 0 {
 				return nil, fmt.Errorf("graph: line %d: edge before header", lineNo)
 			}
-			if len(fields) != 3 && len(fields) != 4 {
+			if nf != 3 && nf != 4 {
 				return nil, fmt.Errorf("graph: line %d: malformed edge", lineNo)
 			}
-			u, err := strconv.ParseInt(fields[1], 10, 32)
+			u, err := parseVertex(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}
-			v, err := strconv.ParseInt(fields[2], 10, 32)
+			v, err := parseVertex(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}
 			w := 1.0
-			if len(fields) == 4 {
-				w, err = strconv.ParseFloat(fields[3], 64)
+			if nf == 4 {
+				w, err = strconv.ParseFloat(string(fields[3]), 64)
 				if err != nil {
 					return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 				}
@@ -122,6 +128,54 @@ func ReadText(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: header declares %d vertices, but the input is only %d bytes", n, size)
 	}
 	return BuildUndirected(n, edges, DedupeFirst)
+}
+
+// parseVertex is strconv.ParseInt(string(b), 10, 32), which it leaves every
+// spelling but the usual one to: up to nine digits and nothing else.
+func parseVertex(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > 9 {
+		return strconv.ParseInt(string(b), 10, 32)
+	}
+	var v int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 32)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, nil
+}
+
+// splitFields cuts line around runs of white space, as strings.Fields
+// defines it, into dst, and reports how many fields it stored; it stops when
+// dst is full.
+func splitFields(dst [][]byte, line []byte) int {
+	n, start := 0, -1
+	for i := 0; i < len(line) && n < len(dst); {
+		c, width := line[i], 1
+		space := c == ' ' || c-'\t' < 5 // \t \n \v \f \r
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, width = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space:
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst[n] = line[start:i]
+			n++
+			start = -1
+		}
+		i += width
+	}
+	if start >= 0 && n < len(dst) {
+		dst[n] = line[start:]
+		n++
+	}
+	return n
 }
 
 // ReadAuto reads a graph in either of this repository's formats, sniffing
