@@ -28,18 +28,23 @@ type goldenGraph struct {
 // of the refinement ever tie and Part is a function of (graph, P, options).
 func goldenGraphs(t *testing.T) []goldenGraph {
 	t.Helper()
-	must := func(g *graph.Graph, err error) *graph.Graph {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
+	must := mustGraph(t)
 	return []goldenGraph{
 		{"circuit128", must(gen.Circuit(128, 128, 0.45, true, 3))},
 		{"rmat13", must(gen.RMAT(13, 8, true, 5))},
 		{"grid100x90", must(gen.Grid2D(100, 90, true, 7))},
 		{"er5000", must(gen.ErdosRenyi(5000, 20000, true, 11))},
+	}
+}
+
+// mustGraph returns the function that unwraps a generator's (graph, error).
+func mustGraph(t *testing.T) func(*graph.Graph, error) *graph.Graph {
+	return func(g *graph.Graph, err error) *graph.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
 }
 
@@ -131,13 +136,7 @@ func TestMultilevelGolden(t *testing.T) {
 // holds across processes and GOMAXPROCS (CI runs this under -count=20 and
 // -cpu 1,4). When ties went by map iteration order, no two runs agreed.
 func TestMultilevelReproducible(t *testing.T) {
-	must := func(g *graph.Graph, err error) *graph.Graph {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
+	must := mustGraph(t)
 	var got bytes.Buffer
 	for _, gg := range []goldenGraph{
 		{"grid60x50-unit", must(gen.Grid2D(60, 50, false, 0))},
@@ -164,10 +163,7 @@ func TestMultilevelReproducible(t *testing.T) {
 // graphs, down every level of the coarsening.
 func TestContractMatchesEdgeListBuild(t *testing.T) {
 	graphs := goldenGraphs(t)[1:]
-	unit, err := gen.RMAT(10, 8, false, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unit := mustGraph(t)(gen.RMAT(10, 8, false, 23))
 	bare := unit.Clone()
 	bare.W = nil
 	graphs = append(graphs, goldenGraph{"rmat10-unit", unit}, goldenGraph{"rmat10-bare", bare})

@@ -92,7 +92,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 	}
 	s.mark = make([]int32, len(all))
 	bisect(lev, all, 0, p, part, rng, s)
-	s.ext = make([]float64, p)
+	s.ext, s.touched = make([]float64, p), make([]int32, 0, p)
 	refine(lev, part, p, passes, opt.Imbalance, rng, s)
 
 	// Uncoarsen, projecting and refining at each level.
@@ -435,7 +435,6 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 			for _, q := range touched {
 				ext[q] = 0
 			}
-			s.touched = touched
 			if bestPart != home {
 				load[home] -= lev.vwgt[v]
 				load[bestPart] += lev.vwgt[v]
