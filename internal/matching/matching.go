@@ -90,16 +90,23 @@ func (m Mates) Verify(g *graph.Graph) error {
 }
 
 // VerifyMaximal additionally checks maximality: no edge joins two free
-// vertices. Locally-dominant matchings are always maximal.
+// vertices. Locally-dominant matchings are always maximal. Only the row of a
+// free vertex can hold such an edge, and a maximal matching leaves few, so
+// those rows are the ones scanned; the edge reported is the first in (lower
+// endpoint, row position) order.
 func (m Mates) VerifyMaximal(g *graph.Graph) error {
 	if err := m.Verify(g); err != nil {
 		return err
 	}
-	var bad error
-	g.ForEachEdge(func(u, v graph.Vertex, _ float64) {
-		if bad == nil && m[u] == graph.None && m[v] == graph.None {
-			bad = fmt.Errorf("matching: not maximal, edge {%d,%d} has two free endpoints", u, v)
+	for u, mate := range m {
+		if mate != graph.None {
+			continue
 		}
-	})
-	return bad
+		for _, v := range g.Neighbors(graph.Vertex(u)) {
+			if graph.Vertex(u) < v && m[v] == graph.None {
+				return fmt.Errorf("matching: not maximal, edge {%d,%d} has two free endpoints", u, v)
+			}
+		}
+	}
+	return nil
 }
