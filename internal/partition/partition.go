@@ -122,20 +122,39 @@ func PartVertices(p *Partition) [][]graph.Vertex {
 // partitioners without a use for a field ignore it.
 type Partitioner func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error)
 
-// ByName maps a partitioner name — the -partition / -method flag of the
-// CLIs, the "partition" field of a service job — to its implementation. It
-// is the only place the names are spelled, so the daemon and the CLIs cannot
-// disagree on what a name runs.
+// named is the one table of partitioner names — the -partition / -method
+// flag of the CLIs, the "partition" field of a service job — so the daemon
+// and the CLIs cannot disagree on what a name runs, or on whether its result
+// depends on the seed.
+var named = []struct {
+	name   string
+	seeded bool // the result depends on opt.Seed
+	build  Partitioner
+}{
+	{"multilevel", true, Multilevel},
+	{"bfs", true, func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error) { return BFS(g, p, opt.Seed) }},
+	{"block", false, func(g *graph.Graph, p int, _ MultilevelOptions) (*Partition, error) { return Block1D(g, p) }},
+	{"random", true, func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error) { return Random(g, p, opt.Seed) }},
+}
+
+// ByName maps a partitioner name to its implementation.
 func ByName(name string) (Partitioner, error) {
-	switch name {
-	case "multilevel":
-		return Multilevel, nil
-	case "bfs":
-		return func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error) { return BFS(g, p, opt.Seed) }, nil
-	case "block":
-		return func(g *graph.Graph, p int, _ MultilevelOptions) (*Partition, error) { return Block1D(g, p) }, nil
-	case "random":
-		return func(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error) { return Random(g, p, opt.Seed) }, nil
+	for _, n := range named {
+		if n.name == name {
+			return n.build, nil
+		}
 	}
 	return nil, fmt.Errorf("unknown partitioner %q: want multilevel | bfs | block | random", name)
+}
+
+// Seeded reports whether the named partitioner's result depends on the seed;
+// a cache of partitions leaves the seed out of a seedless partitioner's key.
+// An unknown name is reported as seeded: ByName is what refuses it.
+func Seeded(name string) bool {
+	for _, n := range named {
+		if n.name == name {
+			return n.seeded
+		}
+	}
+	return true
 }

@@ -328,6 +328,18 @@ func TestByNameRunsTheNamedPartitioner(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("ByName(%q) did not run %s", name, name)
 		}
+		// Seeded is what a partition cache keys on: a seedless partitioner
+		// must return the same parts for another seed, a seeded one moves.
+		other, err := build(g, p, MultilevelOptions{Seed: seed + 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if moved := !reflect.DeepEqual(got, other); moved != Seeded(name) {
+			t.Errorf("Seeded(%q) = %v, but another seed moved the parts: %v", name, Seeded(name), moved)
+		}
+	}
+	if !Seeded("hash") {
+		t.Error("an unknown partitioner is reported seedless")
 	}
 	if _, err := ByName("hash"); err == nil {
 		t.Fatal("ByName accepted an unknown partitioner")
