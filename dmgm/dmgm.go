@@ -159,6 +159,10 @@ func MatchBParallel(g *Graph, part *Partition, b []int, deadline time.Duration) 
 	if err != nil {
 		return nil, err
 	}
+	pl, err := placeFor(w, g, part)
+	if err != nil {
+		return nil, err
+	}
 	// capacities restricts b to a share's owned vertices, in local order.
 	capacities := func(d *dgraph.DistGraph) []int {
 		lb := make([]int, d.NLocal)
@@ -167,7 +171,7 @@ func MatchBParallel(g *Graph, part *Partition, b []int, deadline time.Duration) 
 		}
 		return lb
 	}
-	return distributed(w, g, part,
+	return distributed(w, pl,
 		func(c *mpi.Comm, d *dgraph.DistGraph) (*BMatching, []byte, error) {
 			res, err := matching.BParallel(c, d, capacities(d), matching.ParallelOptions{})
 			if err != nil {
@@ -260,7 +264,16 @@ func MatchParallel(g *Graph, part *Partition, opt MatchParallelOptions) (*MatchP
 // returned on the process hosting rank 0 and is nil (with a nil error) on
 // every other process.
 func MatchParallelWorld(w *mpi.World, g *Graph, part *Partition, opt MatchParallelOptions) (*MatchParallelResult, error) {
-	return distributed(w, g, part,
+	pl, err := placeFor(w, g, part)
+	if err != nil {
+		return nil, err
+	}
+	return matchPlaced(w, pl, opt)
+}
+
+// matchPlaced is MatchParallelWorld on shares already cut.
+func matchPlaced(w *mpi.World, pl *Placement, opt MatchParallelOptions) (*MatchParallelResult, error) {
+	return distributed(w, pl,
 		func(c *mpi.Comm, d *dgraph.DistGraph) (*MatchParallelResult, []byte, error) {
 			res, err := matching.Parallel(c, d, matching.ParallelOptions{MaxBundleBytes: opt.BundleBytes})
 			if err != nil {
@@ -344,7 +357,19 @@ func ColorParallelDistance2(g *Graph, part *Partition, opt ColorParallelOptions)
 // the global result is returned on the process hosting rank 0 and is nil
 // (with a nil error) elsewhere.
 func ColorParallelWorld(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	return colorDistributed(w, g, part, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+	pl, err := placeFor(w, g, part)
+	if err != nil {
+		return nil, err
+	}
+	return colorDistributed(w, pl, distance1(opt))
+}
+
+// colorKernel is what one rank of a coloring run executes on its share.
+type colorKernel func(*mpi.Comm, *dgraph.DistGraph) (*coloring.ParallelResult, error)
+
+// distance1 is the speculative distance-1 kernel under opt.
+func distance1(opt ColorParallelOptions) colorKernel {
+	return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
 		return coloring.Parallel(c, d, coloring.ParallelOptions{
 			SuperstepSize: opt.SuperstepSize,
 			CommMode:      opt.CommMode,
@@ -354,27 +379,35 @@ func ColorParallelWorld(w *mpi.World, g *Graph, part *Partition, opt ColorParall
 			Seed:          opt.Seed,
 			Threads:       opt.Threads,
 		})
-	})
+	}
 }
 
 // ColorParallelDistance2World is ColorParallelWorld for the distance-2
 // variant, which has one communication scheme and ignores CommMode.
 func ColorParallelDistance2World(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	return colorDistributed(w, g, part, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+	pl, err := placeFor(w, g, part)
+	if err != nil {
+		return nil, err
+	}
+	return colorDistributed(w, pl, distance2(opt))
+}
+
+// distance2 is the speculative distance-2 kernel under opt.
+func distance2(opt ColorParallelOptions) colorKernel {
+	return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
 		return coloring.ParallelDistance2(c, d, coloring.ParallelOptions{
 			SuperstepSize: opt.SuperstepSize,
 			Conflict:      opt.Conflict,
 			Seed:          opt.Seed,
 		})
-	})
+	}
 }
 
 // colorDistributed is the driver of every coloring kernel — speculative
 // distance-1 and distance-2, and the Jones–Plassmann baseline of RunJob —
 // which all hand back a coloring.ParallelResult per rank.
-func colorDistributed(w *mpi.World, g *Graph, part *Partition,
-	kernel func(*mpi.Comm, *dgraph.DistGraph) (*coloring.ParallelResult, error)) (*ColorParallelResult, error) {
-	return distributed(w, g, part,
+func colorDistributed(w *mpi.World, pl *Placement, kernel colorKernel) (*ColorParallelResult, error) {
+	return distributed(w, pl,
 		func(c *mpi.Comm, d *dgraph.DistGraph) (*ColorParallelResult, []byte, error) {
 			res, err := kernel(c, d)
 			if err != nil {
@@ -401,32 +434,87 @@ func colorDistributed(w *mpi.World, g *Graph, part *Partition,
 // traffic totals a run's point-to-point messages over all ranks.
 type traffic struct{ messages, bytes int64 }
 
+// Placement is a graph placed on ranks: a partition together with the
+// per-rank shares cut from the graph by it — the already-distributed input
+// the paper's kernels start from (Section 3.3). It is what every distributed
+// run of this package is handed. Kernels only read their share, so one
+// placement serves any number of runs, concurrent ones included
+// (TestSharesAreReadOnly).
+type Placement struct {
+	part   *Partition
+	shares []*dgraph.DistGraph
+}
+
+// Place cuts g into shares by part, validating part against g on the way.
+// Outside the evaluation harness it is the one caller of dgraph.Distribute.
+func Place(g *Graph, part *Partition) (*Placement, error) {
+	shares, err := dgraph.Distribute(g, part)
+	if err != nil {
+		return nil, err
+	}
+	return &Placement{part: part, shares: shares}, nil
+}
+
+// Bytes is the resident size of the shares, the unit a holder of placements
+// budgets them in.
+func (pl *Placement) Bytes() int64 {
+	var n int64
+	for _, d := range pl.shares {
+		n += d.Bytes()
+	}
+	return n
+}
+
+// cutFrom refuses, in O(1), a placement that was not cut from g: every share
+// records the size of the graph it came from.
+func (pl *Placement) cutFrom(g *Graph) error {
+	if d := pl.shares[0]; d.GlobalN != int64(g.NumVertices()) || d.GlobalEdges != g.NumEdges() {
+		return fmt.Errorf("dmgm: placement of a graph with %d vertices and %d edges for a graph with %d and %d",
+			d.GlobalN, d.GlobalEdges, g.NumVertices(), g.NumEdges())
+	}
+	return nil
+}
+
+// fits is the free refusal that comes before any work on a world: it must
+// have one rank per part.
+func fits(w *mpi.World, part *Partition) error {
+	if w.Size() != part.P {
+		return fmt.Errorf("dmgm: world of %d ranks for a %d-way partition", w.Size(), part.P)
+	}
+	return nil
+}
+
+// placeFor is the "place, then run" of the (g, part) entry points: the world
+// is checked against the partition before the shares are paid for.
+func placeFor(w *mpi.World, g *Graph, part *Partition) (*Placement, error) {
+	if err := fits(w, part); err != nil {
+		return nil, err
+	}
+	return Place(g, part)
+}
+
 // distributed is the one driver every distributed entry point of this
-// package is a kernel closure around: check the partition against the world
-// and the graph, distribute the graph, run kernel on every rank, reduce the
-// traffic totals, allgather the ranks' per-vertex payloads, and assemble the
-// global result on rank 0. Everything after the kernel goes through
-// collectives, so the path is the same for in-process and wire-transport
-// worlds; on a process that does not host rank 0 the result is the zero R
-// (nil) with a nil error.
+// package is a kernel closure around: check the placement against the world,
+// run kernel on every rank's share, reduce the traffic totals, allgather the
+// ranks' per-vertex payloads, and assemble the global result on rank 0.
+// Everything after the kernel goes through collectives, so the path is the
+// same for in-process and wire-transport worlds; on a process that does not
+// host rank 0 the result is the zero R (nil) with a nil error.
 //
 // kernel runs one rank's share: it returns the rank's per-owned-vertex
 // payload, encoded for the wire, and a partial result holding the scalars
 // it has already allreduced (which scalars, and under which operator, is the
 // algorithm's business). assemble runs on rank 0 only and completes rank 0's
 // partial result from every rank's payload.
-func distributed[R any](w *mpi.World, g *Graph, part *Partition,
+func distributed[R any](w *mpi.World, pl *Placement,
 	kernel func(*mpi.Comm, *dgraph.DistGraph) (R, []byte, error),
 	assemble func(partial R, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (R, error)) (R, error) {
 	var out R
-	if w.Size() != part.P { // before Distribute: the cheap refusal first
-		return out, fmt.Errorf("dmgm: world of %d ranks for a %d-way partition", w.Size(), part.P)
-	}
-	shares, err := dgraph.Distribute(g, part) // validates part against g
-	if err != nil {
+	if err := fits(w, pl.part); err != nil {
 		return out, err
 	}
-	err = w.Run(func(c *mpi.Comm) error {
+	shares := pl.shares
+	err := w.Run(func(c *mpi.Comm) error {
 		partial, payload, err := kernel(c, shares[c.Rank()])
 		if err != nil {
 			return err

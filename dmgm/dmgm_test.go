@@ -211,3 +211,42 @@ func TestSharedMemoryFacades(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunJobRefusesForeignPlacement: a placement is only good for the graph
+// it was cut from, and RunJob says so before anything runs — a cache handing
+// out placements by key must not be able to pair one with another graph.
+func TestRunJobRefusesForeignPlacement(t *testing.T) {
+	g, err := Grid2D(6, 6, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{Algorithm: AlgoMatch}
+	for name, other := range map[string]func() (*Graph, error){
+		"another size":            func() (*Graph, error) { return Grid2D(6, 7, true, 1) },
+		"same size, another edge": func() (*Graph, error) { return ErdosRenyi(36, 59, true, 1) },
+	} {
+		og, err := other()
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := PartitionBlock1D(og, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign, err := Place(og, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mpi.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunJob(w, g, foreign, job); err == nil || !strings.Contains(err.Error(), "placement of a graph with") {
+			t.Errorf("%s: RunJob on a placement cut from another graph: %v", name, err)
+		}
+		// The world was not touched: the same one still runs the right pair.
+		if res, err := RunJob(w, og, foreign, job); err != nil || res.Text == "" {
+			t.Errorf("%s: RunJob on the placement's own graph after the refusal: %v", name, err)
+		}
+	}
+}

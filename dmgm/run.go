@@ -61,8 +61,10 @@ type JobResult struct {
 
 	// Messages and Bytes total the run's point-to-point traffic.
 	Messages, Bytes int64
-	// Elapsed is the wall time of the distributed run proper — distribute,
-	// kernel, gather — before verification and serialization.
+	// Elapsed is the wall time of the distributed run proper — kernel and
+	// gather on the placement's shares — before verification and
+	// serialization. Cutting the shares (Place) happened before RunJob and is
+	// not in it.
 	Elapsed time.Duration
 }
 
@@ -73,7 +75,10 @@ type JobResult struct {
 // their results byte-identical for equal (graph, partition, job). Like the
 // *World drivers it returns nil (and a nil error) on a process that does not
 // host rank 0.
-func RunJob(w *mpi.World, g *Graph, part *Partition, job Job) (*JobResult, error) {
+func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) {
+	if err := pl.cutFrom(g); err != nil {
+		return nil, err
+	}
 	var (
 		out     *JobResult
 		verdict error
@@ -86,7 +91,7 @@ func RunJob(w *mpi.World, g *Graph, part *Partition, job Job) (*JobResult, error
 		if job.NoBundle {
 			opt.BundleBytes = matching.RecordBytes
 		}
-		res, err := MatchParallelWorld(w, g, part, opt)
+		res, err := matchPlaced(w, pl, opt)
 		if err != nil || res == nil {
 			return nil, err
 		}
@@ -97,7 +102,7 @@ func RunJob(w *mpi.World, g *Graph, part *Partition, job Job) (*JobResult, error
 		verdict = res.Mates.VerifyMaximal(g)
 		write = func(w io.Writer) error { return matching.WriteMates(w, res.Mates) }
 	case AlgoColor, AlgoJP:
-		res, verify, err := runColor(w, g, part, job)
+		res, verify, err := runColor(w, pl, job)
 		if err != nil || res == nil {
 			return nil, err
 		}
@@ -123,9 +128,9 @@ func RunJob(w *mpi.World, g *Graph, part *Partition, job Job) (*JobResult, error
 
 // runColor runs the coloring kernel the job names and returns the verifier
 // that matches it.
-func runColor(w *mpi.World, g *Graph, part *Partition, job Job) (*ColorParallelResult, func(*Graph, Colors) error, error) {
+func runColor(w *mpi.World, pl *Placement, job Job) (*ColorParallelResult, func(*Graph, Colors) error, error) {
 	if job.Algorithm == AlgoJP {
-		res, err := colorDistributed(w, g, part, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		res, err := colorDistributed(w, pl, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
 			return coloring.JonesPlassmann(c, d, job.Seed, 0)
 		})
 		return res, VerifyColoring, err
@@ -136,9 +141,9 @@ func runColor(w *mpi.World, g *Graph, part *Partition, job Job) (*ColorParallelR
 	}
 	opt := ColorParallelOptions{SuperstepSize: job.Superstep, CommMode: mode, Seed: job.Seed}
 	if job.Distance2 {
-		res, err := ColorParallelDistance2World(w, g, part, opt)
+		res, err := colorDistributed(w, pl, distance2(opt))
 		return res, VerifyColoringDistance2, err
 	}
-	res, err := ColorParallelWorld(w, g, part, opt)
+	res, err := colorDistributed(w, pl, distance1(opt))
 	return res, VerifyColoring, err
 }

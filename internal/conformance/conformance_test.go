@@ -283,7 +283,11 @@ func TestTracingInvariance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := dmgm.RunJob(w, ins.g, ins.part, job)
+					placement, err := dmgm.Place(ins.g, ins.part)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := dmgm.RunJob(w, ins.g, placement, job)
 					if err != nil {
 						t.Fatal(err)
 					}

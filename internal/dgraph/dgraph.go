@@ -126,6 +126,20 @@ func (d *DistGraph) LocalOf(global int64) (int32, bool) {
 // GlobalOf resolves a local index to its global id.
 func (d *DistGraph) GlobalOf(v int32) int64 { return d.GlobalID[v] }
 
+// Bytes estimates the resident size of the share — the unit a holder of
+// shares budgets them in, as ingest.GraphBytes is for whole graphs.
+func (d *DistGraph) Bytes() int64 {
+	n := int64(len(d.GlobalID))*8 + int64(len(d.GhostOwner))*4 +
+		int64(len(d.Xadj))*8 + int64(len(d.Adj))*4 + int64(len(d.W))*8 +
+		int64(len(d.IsBoundary)) + int64(len(d.NeighborRanks))*8 +
+		int64(len(d.EdgeAt))*4 + int64(len(d.GhostAt))*4 +
+		int64(len(d.ShownOff))*4 + int64(len(d.ShownList))*8
+	for _, p := range d.Pairs {
+		n += int64(len(p.Edges))*8 + int64(len(p.Shown))*4 + int64(len(p.Ghosts))*4
+	}
+	return n
+}
+
 // Validate checks the structural invariants of the distributed view.
 func (d *DistGraph) Validate() error {
 	if d.NLocal < 0 || d.NGhost < 0 {

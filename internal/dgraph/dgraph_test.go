@@ -587,3 +587,48 @@ func TestAllocationBudget(t *testing.T) {
 		t.Errorf("Distribute allocates %v times for %d ranks, budget %d per rank", n, p, perRank)
 	}
 }
+
+// TestPlacementBytesCountEverySlice holds Bytes — what a retained share is
+// charged against the daemon's byte budget — to the struct by reflection: the
+// sum over every slice a share holds, the pair tables' included, of length
+// times element size. A slice field added to DistGraph or Pair later fails
+// here until Bytes counts it.
+func TestPlacementBytesCountEverySlice(t *testing.T) {
+	g, err := gen.ErdosRenyi(300, 1500, true, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.Random(g, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slices func(v reflect.Value) int64
+	slices = func(v reflect.Value) int64 {
+		var n int64
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				n += slices(v.Field(i))
+			}
+		case reflect.Slice:
+			n += int64(v.Len()) * int64(v.Type().Elem().Size())
+			if k := v.Type().Elem().Kind(); k == reflect.Struct || k == reflect.Slice {
+				for i := 0; i < v.Len(); i++ {
+					n += slices(v.Index(i))
+				}
+			}
+		}
+		return n
+	}
+	for rank, d := range shares {
+		// A Pair is three slice headers; Bytes charges what they point at.
+		want := slices(reflect.ValueOf(*d)) - int64(len(d.Pairs))*int64(reflect.TypeOf(Pair{}).Size())
+		if got := d.Bytes(); got != want || got == 0 {
+			t.Errorf("rank %d: Bytes() = %d, the share's slices hold %d", rank, got, want)
+		}
+	}
+}

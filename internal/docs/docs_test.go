@@ -5,7 +5,8 @@
 // network access, external URLs are not followed. TestDgraphIsBelowTheRuntime
 // and TestMatchingHasNoMaps hold the tree to claims DESIGN.md makes;
 // TestSignalCatalogue and TestObservabilityWrittenOnce hold it to
-// docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt row.
+// docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt row,
+// TestSharesAreCutInOnePlace to its §9.
 package docs
 
 import (
@@ -587,6 +588,46 @@ func TestEvaluationWrittenOnce(t *testing.T) {
 	}
 	if len(machines) != 1 {
 		t.Errorf("machine coefficient structs %v, want exactly one", machines)
+	}
+}
+
+// TestSharesAreCutInOnePlace pins what DESIGN.md §9 says of the placement:
+// outside the evaluation harness (which times Distribute itself), the only
+// function that cuts a graph into shares is dmgm.Place — so every run the
+// CLIs, the daemon and the one-call entry points make starts from a
+// placement, and a cache of placements sees every share set there is.
+func TestSharesAreCutInOnePlace(t *testing.T) {
+	var callers []string
+	for name, file := range repoFiles(t) {
+		if strings.HasPrefix(name, "internal/expt/") {
+			continue
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch fun := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "dgraph" && fun.Sel.Name == "Distribute" {
+						callers = append(callers, name+":"+fn.Name.Name)
+					}
+				case *ast.Ident:
+					if fun.Name == "Distribute" && strings.HasPrefix(name, "internal/dgraph/") {
+						callers = append(callers, name+":"+fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if want := "dmgm/dmgm.go:Place"; len(callers) != 1 || callers[0] != want {
+		t.Errorf("dgraph.Distribute is called from %v, want %s only", callers, want)
 	}
 }
 

@@ -10,6 +10,7 @@
 package integration_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -260,6 +261,85 @@ func TestWeightInvarianceSweep(t *testing.T) {
 			if got := mates.Weight(g); got != want {
 				t.Fatalf("p=%d: weight %g, want %g", p, got, want)
 			}
+		}
+	}
+}
+
+// shareDigest hashes every field of every share, the pair tables included:
+// %+v walks a struct's fields and slices by itself, so a field added to
+// DistGraph later is covered without anyone remembering to.
+func shareDigest(shares []*dgraph.DistGraph) [sha256.Size]byte {
+	h := sha256.New()
+	for _, d := range shares {
+		fmt.Fprintf(h, "%+v\n", *d)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// TestSharesAreReadOnly pins what lets the daemon hand one retained share set
+// to any number of jobs, two at once included: no distributed kernel writes
+// to its share. Every variant runs on the same shares, on a world that
+// perturbs message delivery, and the shares hash the same afterwards.
+func TestSharesAreReadOnly(t *testing.T) {
+	g, err := gen.RMAT(8, 6, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 5
+	part, err := partition.Multilevel(g, p, partition.MultilevelOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := dgraph.Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := shareDigest(shares)
+	if other, err := dgraph.Distribute(g, part); err != nil || shareDigest(other) != before {
+		t.Fatalf("a second Distribute of the same (graph, partition) hashes differently (err %v): the digest sees addresses", err)
+	}
+	color := func(opt coloring.ParallelOptions) func(*mpi.Comm, *dgraph.DistGraph) error {
+		return func(c *mpi.Comm, d *dgraph.DistGraph) error {
+			_, err := coloring.Parallel(c, d, opt)
+			return err
+		}
+	}
+	for _, k := range []struct {
+		name string
+		run  func(*mpi.Comm, *dgraph.DistGraph) error
+	}{
+		{"match bundled", func(c *mpi.Comm, d *dgraph.DistGraph) error {
+			_, err := matching.Parallel(c, d, matching.ParallelOptions{})
+			return err
+		}},
+		{"match no-bundle", func(c *mpi.Comm, d *dgraph.DistGraph) error {
+			_, err := matching.Parallel(c, d, matching.ParallelOptions{MaxBundleBytes: matching.RecordBytes})
+			return err
+		}},
+		{"b-matching", func(c *mpi.Comm, d *dgraph.DistGraph) error {
+			_, err := matching.BParallel(c, d, matching.UniformB(d.NLocal, 2), matching.ParallelOptions{})
+			return err
+		}},
+		{"color NEW", color(coloring.ParallelOptions{CommMode: coloring.CommNeighbors, SuperstepSize: 16, Seed: 3})},
+		{"color FIAC", color(coloring.ParallelOptions{CommMode: coloring.CommCustomizedAll, SuperstepSize: 16, Seed: 3})},
+		{"color FIAB", color(coloring.ParallelOptions{CommMode: coloring.CommBroadcast, SuperstepSize: 16, Seed: 3})},
+		{"color threads", color(coloring.ParallelOptions{SuperstepSize: 16, Seed: 3, Threads: 3})},
+		{"distance-2", func(c *mpi.Comm, d *dgraph.DistGraph) error {
+			_, err := coloring.ParallelDistance2(c, d, coloring.ParallelOptions{SuperstepSize: 16, Seed: 3})
+			return err
+		}},
+		{"jones-plassmann", func(c *mpi.Comm, d *dgraph.DistGraph) error {
+			_, err := coloring.JonesPlassmann(c, d, 3, 0)
+			return err
+		}},
+	} {
+		err := mpi.Run(p, func(c *mpi.Comm) error { return k.run(c, shares[c.Rank()]) },
+			mpi.WithDeadline(60*time.Second), mpi.WithPerturbation(17))
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if shareDigest(shares) != before {
+			t.Fatalf("%s wrote to its share", k.name)
 		}
 	}
 }

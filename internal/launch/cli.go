@@ -215,7 +215,11 @@ func (c *CLI) Run(g *graph.Graph, part *partition.Partition, job dmgm.Job) (*dmg
 		fmt.Fprintf(c.Stderr, "live: http://%s/snapshot (watch with: dmgm-trace -watch %s)\n", addr, addr)
 	}
 	start := time.Now()
-	res, err := dmgm.RunJob(w, g, part, job)
+	placement, err := dmgm.Place(g, part)
+	if err != nil {
+		return nil, err
+	}
+	res, err := dmgm.RunJob(w, g, placement, job)
 	if err != nil {
 		return nil, err
 	}

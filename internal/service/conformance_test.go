@@ -59,7 +59,11 @@ func TestServiceMatchesCLI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dmgm.RunJob(w, g, part, dmgm.Job{
+		placement, err := dmgm.Place(g, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dmgm.RunJob(w, g, placement, dmgm.Job{
 			Algorithm: req.Algorithm, NoBundle: req.NoBundle,
 			Comm: req.Comm, Superstep: req.Superstep, Distance2: req.Distance2, Seed: seed,
 		})

@@ -240,6 +240,7 @@ type Server struct {
 	partHits    *obs.Counter
 	partMisses  *obs.Counter
 	partEvicts  *obs.Counter
+	placeBuilds *obs.Counter
 	inflight    *obs.Gauge
 	cacheGauge  *obs.Gauge
 	idleWorlds  *obs.Gauge
@@ -258,7 +259,6 @@ func NewServer(cfg Config) (*Server, error) {
 		pool:  newWorldPool(worldDeadline, cfg.Workers*2, reg),
 		cache: newResultCache(cfg.CacheEntries),
 		store: ingest.NewStore(cfg.StoreBytes, reg),
-		parts: newPartCache(cfg.PartitionCacheEntries),
 		sched: newTenantSched(cfg.Policies, cfg.QueueLen, cfg.MaxTenants, reg),
 
 		failed:      reg.Counter("service.jobs_failed"),
@@ -270,6 +270,7 @@ func NewServer(cfg Config) (*Server, error) {
 		partHits:    reg.Counter("service.partition_cache_hits"),
 		partMisses:  reg.Counter("service.partition_cache_misses"),
 		partEvicts:  reg.Counter("service.partition_cache_evictions"),
+		placeBuilds: reg.Counter("service.placement_builds"),
 		inflight:    reg.Gauge("service.inflight"),
 		cacheGauge:  reg.Gauge("service.cache_entries"),
 		idleWorlds:  reg.Gauge("service.pool_idle"),
@@ -279,6 +280,9 @@ func NewServer(cfg Config) (*Server, error) {
 		traces:    newTraceRing(cfg.TraceRing),
 		accessLog: newAccessLogger(cfg.AccessLog),
 	}
+	// Retained shares get a budget of their own, of the size the graphs they
+	// are cut from are held under.
+	s.parts = newPartCache(cfg.PartitionCacheEntries, s.store.Stats().MaxBytes, reg)
 	reg.Gauge("service.queue_cap").Set(int64(cfg.QueueLen))
 	reg.Gauge("service.workers").Set(int64(cfg.Workers))
 	if cfg.StoreDir != "" {
@@ -810,15 +814,24 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// execResult carries a finished run out of its goroutine, with the partition
-// stage's timing the worker turns into a span (the run goroutine must never
+// execResult carries a finished run out of its goroutine, with the placement
+// stage's timings the worker turns into spans (the run goroutine must never
 // touch the jobTrace itself — on timeout the worker abandons it mid-flight).
 type execResult struct {
-	resp       *Response
-	err        error
+	resp  *Response
+	err   error
+	place placeTiming
+}
+
+// placeTiming is when the placement stage resolved the partition and, on the
+// job that cut shares to retain, when it built them.
+type placeTiming struct {
 	partCached bool
 	partStart  time.Time
 	partDur    time.Duration
+	buildStart time.Time // zero unless this job built retained shares
+	buildDur   time.Duration
+	buildBytes int64
 }
 
 // timedOut is the outcome of a job whose deadline fired, queued or running.
@@ -871,12 +884,11 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 	runStart := time.Now()
 	resCh := make(chan execResult, 1)
 	go func() {
-		r := execResult{partStart: time.Now()}
-		var part *partition.Partition
-		part, r.partCached, r.err = s.getPartition(j)
-		r.partDur = time.Since(r.partStart)
+		var r execResult
+		var placement *dmgm.Placement
+		placement, r.place, r.err = s.getPlacement(j)
 		if r.err == nil {
-			r.resp, r.err = s.runJob(w, j, part)
+			r.resp, r.err = s.runJob(w, j, placement)
 		}
 		resCh <- r
 	}()
@@ -906,10 +918,13 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 	s.pool.put(w)
 	elapsed := time.Since(start)
 	partSpan := spanPartCompute
-	if r.partCached {
+	if r.place.partCached {
 		partSpan = spanPartCached
 	}
-	jt.record(partSpan, r.partStart, r.partDur, int64(j.req.Ranks), nil)
+	jt.record(partSpan, r.place.partStart, r.place.partDur, int64(j.req.Ranks), nil)
+	if !r.place.buildStart.IsZero() {
+		jt.record(spanPlaceBuild, r.place.buildStart, r.place.buildDur, r.place.buildBytes, nil)
+	}
 	jt.runSeq = jt.record(spanRun, runStart, jt.runDur, 0, j.tq.runh)
 	if r.err != nil {
 		s.failed.Inc()
@@ -929,37 +944,67 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 	return r.resp, nil
 }
 
-// getPartition resolves the job's partition through the warm partition
-// cache; a miss runs the requested partitioner — through the same
-// partition.ByName the CLIs use, so service and CLI runs agree bit-for-bit —
-// and warms the cache. The key covers the full derivation (fingerprint,
-// partitioner, ranks, seed), and partitions are read-only downstream, so
-// sharing one instance across concurrent jobs is safe.
-func (s *Server) getPartition(j *job) (*partition.Partition, bool, error) {
+// getPlacement resolves what the job runs on: its partition through the warm
+// partition cache — a miss runs the requested partitioner, through the same
+// partition.ByName the CLIs use, so service and CLI runs agree bit-for-bit,
+// and warms the cache — and then the shares cut by it. A job that named its
+// graph by reference (graph_ref, graph_path) has declared reuse: its shares
+// are cut once under the cache entry and retained there for every later job
+// on the key. An inline job re-parses its graph per job anyway; it runs on
+// retained shares when a by-reference job left some, and otherwise cuts its
+// own and retains nothing. The key covers the full derivation, and both
+// partitions and shares are read-only downstream, so sharing one instance
+// across concurrent jobs is safe.
+func (s *Server) getPlacement(j *job) (*dmgm.Placement, placeTiming, error) {
+	t := placeTiming{partStart: time.Now()}
 	key := partitionKey(j.fp, j.req.Partition, j.req.Ranks, j.req.Seed)
-	if p, ok := s.parts.get(key); ok {
+	e, placement, ok := s.parts.get(key)
+	if t.partCached = ok; ok {
 		s.partHits.Inc()
-		return p, true, nil
+	} else {
+		s.partMisses.Inc()
+		partitioner, err := partition.ByName(j.req.Partition)
+		if err != nil {
+			return nil, t, err
+		}
+		p, err := partitioner(j.g, j.req.Ranks, partition.MultilevelOptions{Seed: j.req.Seed})
+		if err != nil {
+			return nil, t, err
+		}
+		var evicted int
+		e, evicted = s.parts.put(key, p)
+		s.partEvicts.Add(int64(evicted))
 	}
-	s.partMisses.Inc()
-	partitioner, err := partition.ByName(j.req.Partition)
+	t.partDur = time.Since(t.partStart)
+	if placement != nil {
+		return placement, t, nil
+	}
+	if j.req.Graph != "" {
+		placement, err := dmgm.Place(j.g, e.part)
+		return placement, t, err
+	}
+	e.build.Lock()
+	defer e.build.Unlock()
+	if _, placement, _ := s.parts.get(key); placement != nil {
+		return placement, t, nil // another worker built it meanwhile
+	}
+	t.buildStart = time.Now()
+	placement, err := dmgm.Place(j.g, e.part)
 	if err != nil {
-		return nil, false, err
+		return nil, t, err
 	}
-	p, err := partitioner(j.g, j.req.Ranks, partition.MultilevelOptions{Seed: j.req.Seed})
-	if err != nil {
-		return nil, false, err
-	}
-	s.partEvicts.Add(int64(s.parts.put(key, p)))
-	return p, false, nil
+	s.placeBuilds.Inc()
+	s.parts.retain(key, e, placement)
+	t.buildDur, t.buildBytes = time.Since(t.buildStart), placement.Bytes()
+	return placement, t, nil
 }
 
-// runJob executes the job on the given world and partition through
+// runJob executes the job on the given world and placement through
 // dmgm.RunJob — the run → verify → serialize function the CLIs call too, so a
 // service job and a CLI run with equal inputs produce byte-identical results
 // (asserted by the conformance tests).
-func (s *Server) runJob(w *mpi.World, j *job, part *partition.Partition) (*Response, error) {
-	res, err := dmgm.RunJob(w, j.g, part, dmgm.Job{
+func (s *Server) runJob(w *mpi.World, j *job, placement *dmgm.Placement) (*Response, error) {
+	res, err := dmgm.RunJob(w, j.g, placement, dmgm.Job{
 		Algorithm: j.req.Algorithm,
 		NoBundle:  j.req.NoBundle,
 		Comm:      j.req.Comm,

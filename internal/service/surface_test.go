@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -57,6 +58,8 @@ var surfaceMetricNames = []string{
 	"service.partition_cache_evictions",
 	"service.partition_cache_hits",
 	"service.partition_cache_misses",
+	"service.placement_builds",
+	"service.placement_bytes",
 	"service.pool_idle",
 	"service.pool_stale_msgs",
 	"service.pool_worlds_created",
@@ -80,8 +83,13 @@ var tenantMetricSuffixes = []string{
 }
 
 // resultLen marks a span whose n attribute is the length of the answer's
-// result text, known only once the job ran.
-const resultLen = -1
+// result text, known only once the job ran; placementLen one whose n is the
+// bytes of the one placement the script retains, read back from the
+// service.placement_bytes gauge.
+const (
+	resultLen    = -1
+	placementLen = -2
+)
 
 // TestObservableSurface pins what an operator or the benchmark can see of one
 // request, outcome by outcome: the ordered serve.* spans under serve.job
@@ -119,12 +127,27 @@ func TestObservableSurface(t *testing.T) {
 		}
 		return global
 	}
-	ranSpans := func(partition string) []string {
-		return []string{"serve.job", "serve.admit", "serve.resolve", "serve.queue_wait", "serve.pool_acquire",
-			partition, "serve.run", "serve.cache_deposit", "serve.respond"}
+	ranSpans := func(partition ...string) []string {
+		return append(append([]string{"serve.job", "serve.admit", "serve.resolve", "serve.queue_wait", "serve.pool_acquire"},
+			partition...), "serve.run", "serve.cache_deposit", "serve.respond")
 	}
 	ranN := func(partition string) map[string]int64 {
-		return map[string]int64{"serve.resolve": vertices, partition: 2, "serve.cache_deposit": resultLen, "serve.respond": resultLen}
+		return map[string]int64{"serve.resolve": vertices, partition: 2, "serve.placement.build": placementLen,
+			"serve.cache_deposit": resultLen, "serve.respond": resultLen}
+	}
+	// The inline rows left the graph in the store, so it can be named by its
+	// fingerprint: the by-reference rows.
+	byRef := func(r *service.Request) { r.Graph, r.GraphRef, r.NoCache = "", graph.Fingerprint(g), true }
+	warmRun := func(extra ...string) map[string]int64 {
+		d := tenantDelta("pin", map[string]int64{
+			"service.jobs_submitted": 1, "service.cache_misses": 1, "service.partition_cache_hits": 1,
+			"service.pool_worlds_reused": 1, "service.jobs_completed": 1,
+			"service.queue_wait_ms": 1, "service.run_ms": 1, "service.job_latency_ms": 1,
+		}, "submitted", "admitted", "completed", "queue_wait_ms", "run_ms", "latency_ms")
+		for _, name := range extra {
+			d[name] = 1
+		}
+		return d
 	}
 
 	rows := []struct {
@@ -170,12 +193,15 @@ func TestObservableSurface(t *testing.T) {
 			req:   with(func(r *service.Request) { r.NoCache = true }),
 			spans: ranSpans("serve.partition.cached"), n: ranN("serve.partition.cached"),
 			// A bypassed lookup still counts a miss: hits + misses = submitted
-			// past admission, which bench/serve.go reconciles per window.
-			delta: tenantDelta("pin", map[string]int64{
-				"service.jobs_submitted": 1, "service.cache_misses": 1, "service.partition_cache_hits": 1,
-				"service.pool_worlds_reused": 1, "service.jobs_completed": 1,
-				"service.queue_wait_ms": 1, "service.run_ms": 1, "service.job_latency_ms": 1,
-			}, "submitted", "admitted", "completed", "queue_wait_ms", "run_ms", "latency_ms")},
+			// past admission, which bench/serve.go reconciles per window. The
+			// inline job cut its own shares and retained none.
+			delta: warmRun()},
+		{name: "by reference, first: builds the retained shares", tenant: "pin", status: http.StatusOK, req: with(byRef),
+			spans: ranSpans("serve.partition.cached", "serve.placement.build"), n: ranN("serve.partition.cached"),
+			delta: warmRun("ingest.store_hits", "service.placement_builds")},
+		{name: "by reference, again: runs on them", tenant: "pin", status: http.StatusOK, req: with(byRef),
+			spans: ranSpans("serve.partition.cached"), n: ranN("serve.partition.cached"),
+			delta: warmRun("ingest.store_hits")},
 		{name: "400 undecodable body", tenant: "pin", status: http.StatusBadRequest, raw: "{",
 			spans: []string{"serve.job", "serve.admit"},
 			delta: tenantDelta("pin", map[string]int64{"service.jobs_submitted": 1}, "submitted")},
@@ -400,8 +426,13 @@ func TestObservableSurface(t *testing.T) {
 			if k == 0 {
 				wantParent = callerSpan
 			}
-			if wantN == resultLen {
+			switch wantN {
+			case resultLen:
 				wantN = resultLens[i]
+			case placementLen:
+				if wantN = m.Gauges["service.placement_bytes"]; wantN <= 0 {
+					t.Errorf("service.placement_bytes = %d with one placement retained", wantN)
+				}
 			}
 			if s.parent != wantParent {
 				t.Errorf("%s: %s parent %q, want %q", row.name, s.name, s.parent, wantParent)

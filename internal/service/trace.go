@@ -50,6 +50,7 @@ const (
 	spanPoolAcquire = "serve.pool_acquire"
 	spanPartCached  = "serve.partition.cached"
 	spanPartCompute = "serve.partition.compute"
+	spanPlaceBuild  = "serve.placement.build" // shares cut once, retained for later by-reference jobs
 	spanRun         = "serve.run"
 	spanRunAbandon  = "serve.run.abandoned"
 	spanDeposit     = "serve.cache_deposit"
