@@ -17,8 +17,9 @@
 // The distributed entry points run every rank as a goroutine over the
 // in-process message-passing runtime (internal/mpi), this repository's
 // substitute for MPI; see DESIGN.md for the substitution inventory. They
-// are kernel closures around one driver (distributed), and RunJob is the
-// one function that takes a named job through run, verification and text
+// are kernel closures around one driver (distributed) that is handed a
+// Placement — a partition and the shares Place cuts by it — and RunJob is
+// the one function that takes a named job through run, verification and text
 // serialization — what the CLIs and the daemon call (DESIGN.md §9). Lower
 // level control (building per-rank shares, running inside your own world,
 // collecting traffic statistics) is available through the internal packages

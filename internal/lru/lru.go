@@ -1,8 +1,9 @@
 // Package lru is the one eviction policy of the serving layer: a
 // least-recently-used map bounded by a caller-defined cost. The result cache
-// and the partition cache count entries (cost 1 each), the graph store and
-// its spill tier count bytes; all four share the rules below instead of each
-// carrying its own list, map and eviction loop.
+// and the partition cache count entries (cost 1 each), the graph store, its
+// spill tier and the shares retained under partition-cache entries count
+// bytes; all five share the rules below instead of each carrying its own
+// list, map and eviction loop.
 //
 //   - Capacity is a total cost. Put evicts from the least recently used end
 //     until the total fits again.

@@ -10,6 +10,7 @@ package partition
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -144,7 +145,11 @@ func ByName(name string) (Partitioner, error) {
 			return n.build, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown partitioner %q: want multilevel | bfs | block | random", name)
+	names := make([]string, len(named))
+	for i, n := range named {
+		names[i] = n.name
+	}
+	return nil, fmt.Errorf("unknown partitioner %q: want %s", name, strings.Join(names, " | "))
 }
 
 // Seeded reports whether the named partitioner's result depends on the seed;

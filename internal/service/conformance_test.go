@@ -6,13 +6,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/dmgm"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mpi"
-	"repro/internal/partition"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/service/ingest"
@@ -47,29 +44,7 @@ func TestServiceMatchesCLI(t *testing.T) {
 	const seed = 5
 	reference := func(req *service.Request) *dmgm.JobResult {
 		t.Helper()
-		build, err := partition.ByName(req.Partition)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := build(g, ranks, partition.MultilevelOptions{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := mpi.NewWorld(ranks, mpi.WithDeadline(10*time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		placement, err := dmgm.Place(g, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := dmgm.RunJob(w, g, placement, dmgm.Job{
-			Algorithm: req.Algorithm, NoBundle: req.NoBundle,
-			Comm: req.Comm, Superstep: req.Superstep, Distance2: req.Distance2, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := freshly(t, g, *req)
 		return res
 	}
 	counters := func() map[string]int64 {

@@ -958,8 +958,9 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 func (s *Server) getPlacement(j *job) (*dmgm.Placement, placeTiming, error) {
 	t := placeTiming{partStart: time.Now()}
 	key := partitionKey(j.fp, j.req.Partition, j.req.Ranks, j.req.Seed)
-	e, placement, ok := s.parts.get(key)
-	if t.partCached = ok; ok {
+	e, placement, hit := s.parts.get(key)
+	t.partCached = hit
+	if hit {
 		s.partHits.Inc()
 	} else {
 		s.partMisses.Inc()
