@@ -73,7 +73,7 @@ func main() {
 		maxRanks     = flag.Int("max-ranks", 64, "per-job rank bound")
 		allowPaths   = flag.Bool("allow-paths", false, "permit graph_path requests (daemon-local file reads); trusted callers only")
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT before abandoning queued jobs")
-		storeMB      = flag.Int64("store-mb", 512, "content-addressed graph store budget, MiB")
+		storeMB      = flag.Int64("store-mb", 512, "content-addressed graph store budget, MiB; shares retained for by-reference jobs get as much again")
 		storeDir     = flag.String("store-dir", "", "persist deposited graphs (canonical DMGB) under this directory; graph_refs then survive restarts (docs/PROTOCOL.md §7)")
 		storeDiskMB  = flag.Int64("store-disk-mb", 4096, "spill-directory byte budget, MiB; least recently used spill files beyond it are deleted (with -store-dir)")
 		partCache    = flag.Int("part-cache", 64, "warm partition cache entries (negative disables)")

@@ -44,7 +44,9 @@ type Config struct {
 	// AllowGraphPaths permits graph_path requests, which read daemon-local
 	// files. Leave false for anything but a trusted-caller deployment.
 	AllowGraphPaths bool
-	// StoreBytes bounds the content-addressed graph store (default 512 MiB).
+	// StoreBytes bounds the content-addressed graph store (default 512 MiB),
+	// and is the size of the second budget the shares retained under
+	// partition-cache entries are held to (partcache.go).
 	StoreBytes int64
 	// StoreDir, when set, persists every deposited graph's canonical DMGB
 	// encoding under this directory (docs/PROTOCOL.md §7): refs survive both
