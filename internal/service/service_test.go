@@ -597,3 +597,50 @@ func TestMetricsEndpointStable(t *testing.T) {
 		t.Fatal("idle /metrics scrapes not byte-stable")
 	}
 }
+
+// TestJobRoutes pins the status code of every (method, path) under /v1/jobs:
+// 405 for a wrong method on a known path, 404 for an unknown path or a job
+// with no retained trace, 200 otherwise.
+func TestJobRoutes(t *testing.T) {
+	_, gtext := testGraph(t)
+	_, cl := startServer(t, service.Config{QueueLen: 8, Workers: 1, TraceSlowMillis: 0}, true) // 0: every job's trace is retained
+	done, err := cl.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := `{"algorithm":"color","ranks":2,"graph":` + fmt.Sprintf("%q", gtext) + `}`
+	retained := "/v1/jobs/" + done.JobID + "/trace"
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodPost, "/v1/jobs", job, http.StatusOK},
+		{http.MethodPost, "/v1/jobs", "{", http.StatusBadRequest},
+		{http.MethodGet, "/v1/jobs", "", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/v1/jobs", job, http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/jobs", "", http.StatusMethodNotAllowed},
+		{http.MethodGet, retained, "", http.StatusOK},
+		{http.MethodPost, retained, "", http.StatusMethodNotAllowed},
+		{http.MethodDelete, retained, "", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/jobs/no-such-job/trace", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/" + done.JobID, "", http.StatusNotFound},
+		{http.MethodGet, retained + "/", "", http.StatusNotFound},
+		{http.MethodGet, retained + "/spans", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/" + done.JobID + "/result", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/job", "", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.method, cl.Base+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
