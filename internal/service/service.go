@@ -450,8 +450,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 //	GET    /snapshot                     obs.LiveSnapshot, metrics only (same)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/jobs", s.handleSubmit)
-	mux.HandleFunc("/v1/jobs/", s.handleJobTrace)
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.ingest.RegisterRoutes(mux)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	obs.MountLive(mux, s.LiveSnapshot)
@@ -462,16 +462,7 @@ func (s *Server) Handler() http.Handler {
 // (docs/PROTOCOL.md §9). Only slow/error jobs are retained; everything else
 // answers 404.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		ingest.Refusef(http.StatusMethodNotAllowed, "GET only").Write(w)
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	id, verb, ok := strings.Cut(rest, "/")
-	if !ok || verb != "trace" || id == "" || strings.Contains(id, "/") {
-		ingest.Refusef(http.StatusNotFound, "unknown path %q: want /v1/jobs/{id}/trace", r.URL.Path).Write(w)
-		return
-	}
+	id := r.PathValue("id")
 	t, ok := s.traces.get(id)
 	if !ok {
 		ingest.Refusef(http.StatusNotFound,
@@ -546,9 +537,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 const retryAfterSeconds = 1
 
 // refuseDraining refuses new work ("jobs" or "uploads") because the server
-// is shutting down. Like every non-200 answer of the daemon — to a job
-// submission from either goroutine, an upload admission, a trace fetch — it
-// is an ingest.Refusal, written by its Write; this one, badTenant and
+// is shutting down. Like every non-200 answer a handler of the daemon gives —
+// to a job submission from either goroutine, an upload admission, a trace
+// fetch — it is an ingest.Refusal, written by its Write (the 405 for a wrong
+// method on a known path and the 404 for a path that is none are the mux's
+// own plain-text answers, before any handler runs); this one, badTenant and
 // overRate are the refusals jobs and uploads share.
 func (s *Server) refuseDraining(what string) *ingest.Refusal {
 	s.drainRejs.Inc()
@@ -567,10 +560,6 @@ func overRate(tenant string, secs int) *ingest.Refusal {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		ingest.Refusef(http.StatusMethodNotAllowed, "POST only").Write(w)
-		return
-	}
 	// The trace identity exists before any decision: the caller's traceparent
 	// is honored (or a trace id minted), the X-DMGM-Trace header goes out on
 	// every answer including rejects, and every outcome logs one access line.
