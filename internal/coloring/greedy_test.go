@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -238,9 +239,12 @@ func TestReadColorsErrors(t *testing.T) {
 		"too few colors":      "coloring 2\n0\n",
 		"garbage":             "coloring 1\nzzz\n",
 		"no header":           "# nothing\n",
+		"second header":       "coloring 3\n1\n2\n3\ncoloring 5\n7\n8\n", // two result files concatenated
 	} {
 		if _, err := ReadColors(bytes.NewBufferString(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if name == "second header" && !strings.Contains(err.Error(), "line 5") {
+			t.Errorf("%s: %v, want the header's line named", name, err)
 		}
 	}
 }

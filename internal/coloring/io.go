@@ -42,6 +42,9 @@ func ReadColors(r io.Reader) (Colors, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "coloring ") {
+			if c != nil {
+				return nil, fmt.Errorf("coloring: line %d: second header", lineNo)
+			}
 			n, err := strconv.Atoi(strings.TrimSpace(line[len("coloring "):]))
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("coloring: line %d: bad header", lineNo)

@@ -47,6 +47,9 @@ func ReadMates(r io.Reader) (Mates, error) {
 		}
 		fields := strings.Fields(line)
 		if fields[0] == "matching" {
+			if m != nil {
+				return nil, fmt.Errorf("matching: line %d: second header", lineNo)
+			}
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("matching: line %d: malformed header", lineNo)
 			}

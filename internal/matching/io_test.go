@@ -72,9 +72,12 @@ func TestReadMatesErrors(t *testing.T) {
 		"double match":       "matching 3\n0 1\n1 2\n",
 		"garbage":            "matching 2\na b\n",
 		"no header":          "# only a comment\n",
+		"second header":      "matching 4\n0 1\nmatching 4\n2 3\n", // two result files concatenated
 	} {
 		if _, err := ReadMates(bytes.NewBufferString(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if name == "second header" && !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: %v, want the header's line named", name, err)
 		}
 	}
 	// Comments and empty matching are fine.
