@@ -390,48 +390,7 @@ func BenchmarkExactBipartite(b *testing.B) {
 	}
 }
 
-// --- Hybrid / shared-memory extensions (paper Section 6 outlook) ---------
-
-func BenchmarkSuitorSharedMemory(b *testing.B) {
-	g, err := gen.Grid2D(512, 512, true, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matching.Suitor(g, workers)
-			}
-		})
-	}
-}
-
-func BenchmarkColoringSharedMemory(b *testing.B) {
-	g, err := gen.Grid2D(512, 512, false, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				coloring.SharedMemory(g, workers, 1)
-			}
-		})
-	}
-}
-
-func BenchmarkHybridDistributedColoring(b *testing.B) {
-	shares := ablationColoringShares(b)
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := expt.MeasureColoring(shares, coloring.ParallelOptions{Seed: 1, Threads: threads}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- Distance-2 coloring ------------------------------------------------
 
 func BenchmarkDistance2Coloring(b *testing.B) {
 	g, err := gen.Grid2D(256, 256, false, 0)
@@ -442,49 +401,6 @@ func BenchmarkDistance2Coloring(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := coloring.GreedyDistance2(g, order.Natural, 0); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBMatchingGreedy(b *testing.B) {
-	g, err := gen.Grid2D(256, 256, true, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	caps := matching.UniformB(g.NumVertices(), 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matching.GreedyB(g, caps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBMatchingDistributed(b *testing.B) {
-	shares := ablationMatchingShares(b)
-	caps := make([][]int, len(shares))
-	for rank, d := range shares {
-		caps[rank] = matching.UniformB(d.NLocal, 3)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results := make([]*matching.BParallelResult, len(shares))
-		var mu sync.Mutex
-		err := mpi.Run(len(shares), func(c *mpi.Comm) error {
-			res, err := matching.BParallel(c, shares[c.Rank()], caps[c.Rank()], matching.ParallelOptions{})
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			results[c.Rank()] = res
-			mu.Unlock()
-			return nil
-		}, mpi.WithDeadline(5*time.Minute))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(results[0].Rounds), "rounds")
 		}
 	}
 }

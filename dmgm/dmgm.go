@@ -135,81 +135,9 @@ func MatchGreedy(g *Graph) Mates { return matching.Greedy(g) }
 // (the Table 1.1 quality reference).
 func MatchExactBipartite(b *Bipartite) (Mates, error) { return matching.ExactBipartite(b) }
 
-// MatchSharedMemory computes the same matching as Match with the
-// shared-memory suitor algorithm on the given number of worker goroutines —
-// the single-node building block of the paper's hybrid (Section 6) outlook.
-func MatchSharedMemory(g *Graph, workers int) Mates { return matching.Suitor(g, workers) }
-
-// BMatching is a degree-constrained matching (vertex v may have up to B[v]
-// partners).
-type BMatching = matching.BMatching
-
-// UniformB builds a constant capacity vector.
-var UniformB = matching.UniformB
-
-// MatchB computes the greedy ½-approximate b-matching.
-func MatchB(g *Graph, b []int) (*BMatching, error) { return matching.GreedyB(g, b) }
-
-// MatchBParallel distributes g by part and runs the round-synchronized
-// distributed b-suitor; the result equals MatchB(g, b) for any partition.
-func MatchBParallel(g *Graph, part *Partition, b []int, deadline time.Duration) (*BMatching, error) {
-	if len(b) != g.NumVertices() {
-		return nil, fmt.Errorf("dmgm: %d capacities for %d vertices", len(b), g.NumVertices())
-	}
-	w, err := newWorld(part, deadline)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := placeFor(w, g, part)
-	if err != nil {
-		return nil, err
-	}
-	// capacities restricts b to a share's owned vertices, in local order.
-	capacities := func(d *dgraph.DistGraph) []int {
-		lb := make([]int, d.NLocal)
-		for v := range lb {
-			lb[v] = b[d.GlobalID[v]]
-		}
-		return lb
-	}
-	return distributed(w, pl,
-		func(c *mpi.Comm, d *dgraph.DistGraph) (*BMatching, []byte, error) {
-			res, err := matching.BParallel(c, d, capacities(d), matching.ParallelOptions{})
-			if err != nil {
-				return nil, nil, err
-			}
-			// A vertex has a list of partners, not one value: the payload is
-			// each owned vertex's partner count followed by the partners.
-			var flat []int64
-			for _, partners := range res.PartnerGIDs {
-				flat = append(append(flat, int64(len(partners))), partners...)
-			}
-			return nil, encodeInts(flat), nil
-		},
-		func(_ *BMatching, _ traffic, shares []*dgraph.DistGraph, payloads [][]byte) (*BMatching, error) {
-			results := make([]*matching.BParallelResult, len(payloads))
-			localB := make([][]int, len(payloads))
-			for rank, p := range payloads {
-				flat := decodeInts[int64](p)
-				results[rank] = &matching.BParallelResult{}
-				for i := 0; i < len(flat); i += 1 + int(flat[i]) {
-					results[rank].PartnerGIDs = append(results[rank].PartnerGIDs, flat[i+1:i+1+int(flat[i])])
-				}
-				localB[rank] = capacities(shares[rank])
-			}
-			return matching.GatherB(shares, results, localB)
-		})
-}
-
 // Color greedily colors g in the given vertex ordering.
 func Color(g *Graph, o Ordering, seed uint64) (Colors, error) {
 	return coloring.Greedy(g, o, seed)
-}
-
-// ColorSharedMemory colors g with the speculative iterative scheme on
-// shared-memory worker goroutines.
-func ColorSharedMemory(g *Graph, workers int, seed uint64) Colors {
-	return coloring.SharedMemory(g, workers, seed)
 }
 
 // ColorDistance2 computes a distance-2 coloring (the variant consumed by
@@ -315,9 +243,6 @@ type ColorParallelOptions struct {
 	Conflict      coloring.ConflictPolicy
 	Seed          uint64
 	Deadline      time.Duration
-	// Threads > 1 selects the hybrid mode: each rank colors its interior
-	// with this many worker goroutines (Section 6's MPI+OpenMP analogue).
-	Threads int
 }
 
 // ColorParallelResult reports a distributed coloring run.
@@ -378,7 +303,6 @@ func distance1(opt ColorParallelOptions) colorKernel {
 			Order:         opt.Order,
 			Conflict:      opt.Conflict,
 			Seed:          opt.Seed,
-			Threads:       opt.Threads,
 		})
 	}
 }

@@ -135,32 +135,6 @@ func TestBanner(t *testing.T) {
 	}
 }
 
-func TestBMatchingFacade(t *testing.T) {
-	g, err := Grid2D(14, 14, true, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := UniformB(g.NumVertices(), 2)
-	seq, err := MatchB(g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.VerifyMaximal(g); err != nil {
-		t.Fatal(err)
-	}
-	part, err := PartitionGrid2D(14, 14, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MatchBParallel(g, part, b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Weight(g) != seq.Weight(g) {
-		t.Fatalf("parallel b-matching weight %g, sequential %g", par.Weight(g), seq.Weight(g))
-	}
-}
-
 func TestDistance2Facade(t *testing.T) {
 	g, err := Circuit(16, 16, 0.45, false, 3)
 	if err != nil {
@@ -191,24 +165,6 @@ func TestDistance2Facade(t *testing.T) {
 	}
 	if res.NumColors < d1.NumColors() {
 		t.Fatalf("distance-2 used %d colors, distance-1 %d", res.NumColors, d1.NumColors())
-	}
-}
-
-func TestSharedMemoryFacades(t *testing.T) {
-	g, err := Grid2D(20, 20, true, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := MatchSharedMemory(g, 4)
-	if err := VerifyMatching(g, m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Weight(g) != Match(g).Weight(g) {
-		t.Fatal("suitor facade weight differs from sequential")
-	}
-	c := ColorSharedMemory(g, 4, 9)
-	if err := VerifyColoring(g, c); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -71,18 +71,14 @@ func rnd(seed uint64, gid int64) uint64 {
 
 // loses is the conflict rule: of two vertices with global ids ga and gb that
 // may not both keep their color, does a give way? Every rank that sees the
-// pair answers alike, so no messages are needed to agree.
+// pair answers alike, so no messages are needed to agree. Under
+// ConflictRandom — also Jones–Plassmann's wins — the smaller r gives way,
+// ids break ties.
 func loses(policy ConflictPolicy, seed uint64, ga, gb int64) bool {
 	if policy == ConflictMinID {
 		return ga < gb
 	}
-	return outranked(rnd(seed, ga), ga, rnd(seed, gb), gb)
-}
-
-// outranked is the random priority order behind ConflictRandom — and behind
-// Jones–Plassmann's wins and the shared-memory kernel's detection: of two
-// (r(v), global id) pairs the smaller r gives way, ids break ties.
-func outranked(ra uint64, ga int64, rb uint64, gb int64) bool {
+	ra, rb := rnd(seed, ga), rnd(seed, gb)
 	return ra < rb || (ra == rb && ga < gb)
 }
 

@@ -9,66 +9,6 @@ import (
 	"repro/internal/order"
 )
 
-func TestSharedMemoryProper(t *testing.T) {
-	g, err := gen.ErdosRenyi(400, 2400, false, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		c := SharedMemory(g, workers, 7)
-		if err := c.Verify(g); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if c.NumColors() > g.MaxDegree()+1 {
-			t.Fatalf("workers=%d: %d colors exceeds Δ+1 = %d", workers, c.NumColors(), g.MaxDegree()+1)
-		}
-	}
-}
-
-func TestSharedMemorySingleWorkerEqualsGreedy(t *testing.T) {
-	// With one worker there are no races and no conflicts: the result is
-	// plain first-fit in natural order.
-	g, err := gen.Circuit(25, 25, 0.45, false, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smp := SharedMemory(g, 1, 3)
-	seq, err := Greedy(g, order.Natural, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range seq {
-		if smp[v] != seq[v] {
-			t.Fatalf("vertex %d: smp %d, greedy %d", v, smp[v], seq[v])
-		}
-	}
-}
-
-func TestSharedMemoryRepeatedRuns(t *testing.T) {
-	// Different interleavings must all converge to proper colorings.
-	g, err := gen.RMAT(10, 6, false, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 6; run++ {
-		c := SharedMemory(g, 8, 11)
-		if err := c.Verify(g); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-	}
-}
-
-func TestSharedMemoryEdgeCases(t *testing.T) {
-	empty, _ := graph.BuildUndirected(0, nil, graph.DedupeFirst)
-	if c := SharedMemory(empty, 4, 0); len(c) != 0 {
-		t.Fatal("empty graph coloring not empty")
-	}
-	single, _ := graph.BuildUndirected(1, nil, graph.DedupeFirst)
-	if c := SharedMemory(single, 0, 0); c[0] != 0 {
-		t.Fatalf("singleton color %d", c[0])
-	}
-}
-
 func TestGreedyDistance2Proper(t *testing.T) {
 	g, err := gen.Grid2D(10, 10, false, 0)
 	if err != nil {
@@ -132,17 +72,12 @@ func TestVerifyDistance2CatchesViolations(t *testing.T) {
 	}
 }
 
-// Property: SMP coloring is proper for any worker count; distance-2 greedy
-// is distance-2 proper.
-func TestQuickSMPAndDistance2(t *testing.T) {
-	f := func(nRaw, mRaw, wRaw uint8, seed uint64) bool {
+// Property: distance-2 greedy is distance-2 proper.
+func TestQuickDistance2(t *testing.T) {
+	f := func(nRaw, mRaw uint8, seed uint64) bool {
 		n := int(nRaw)%40 + 1
 		g, err := gen.ErdosRenyi(n, int64(mRaw), false, seed)
 		if err != nil {
-			return false
-		}
-		smp := SharedMemory(g, int(wRaw)%5+1, seed)
-		if smp.Verify(g) != nil || smp.NumColors() > g.MaxDegree()+1 {
 			return false
 		}
 		d2, err := GreedyDistance2(g, order.Natural, 0)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/order"
 	"repro/internal/partition"
 )
 
@@ -227,43 +225,6 @@ func TestKernelGolden(t *testing.T) {
 		if gotLines[i] != wantLines[i] && shown < 20 {
 			t.Errorf("line %d:\n  got  %s\n  want %s", i+1, gotLines[i], wantLines[i])
 			shown++
-		}
-	}
-}
-
-// TestRacyKernelsProper covers the two kernels whose output is racy by
-// design — the hybrid interior phase and SharedMemory — on the golden
-// graphs: proper, within Δ+1, and with one worker equal to sequential greedy.
-// It earns its keep under -race.
-func TestRacyKernelsProper(t *testing.T) {
-	for _, gg := range goldenGraphs(t) {
-		g := gg.g
-		check := func(what string, c Colors) {
-			t.Helper()
-			if err := c.Verify(g); err != nil {
-				t.Fatalf("%s %s: %v", gg.name, what, err)
-			}
-			if c.NumColors() > g.MaxDegree()+1 {
-				t.Fatalf("%s %s: %d colors exceeds Δ+1 = %d", gg.name, what, c.NumColors(), g.MaxDegree()+1)
-			}
-		}
-		part, err := partition.Block1D(g, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, threads := range []int{2, 4} {
-			colors, _ := runParallel(t, g, part, ParallelOptions{Seed: 7, Threads: threads})
-			check(fmt.Sprintf("hybrid threads=%d", threads), colors)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			check(fmt.Sprintf("smp workers=%d", workers), SharedMemory(g, workers, 7))
-		}
-		seq, err := Greedy(g, order.Natural, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(SharedMemory(g, 1, 7), seq) {
-			t.Fatalf("%s: smp with one worker differs from sequential greedy", gg.name)
 		}
 	}
 }

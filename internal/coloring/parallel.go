@@ -118,11 +118,6 @@ type ParallelOptions struct {
 	// MaxRounds aborts a run that fails to converge (safety net; the
 	// framework converges in a handful of rounds). 0 selects 64.
 	MaxRounds int
-	// Threads > 1 enables the hybrid distributed/shared-memory mode of the
-	// paper's Section 6 outlook: each rank colors its interior vertices with
-	// this many worker goroutines before the boundary enters the distributed
-	// rounds (forcing interior-strictly-before-boundary order).
-	Threads int
 }
 
 // ParallelResult is one rank's share of the distributed coloring.
@@ -166,16 +161,8 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 		}
 	}
 
-	// U starts as all owned vertices in the configured order — or, in the
-	// hybrid mode, as the boundary only, the interior having been colored by
-	// the rank's worker threads.
-	var u []int32
-	if opt.Threads > 1 {
-		k.colorInteriorThreaded(opt.Threads)
-		u = k.appendWhere(nil, true)
-	} else {
-		u = k.initialOrder()
-	}
+	// U starts as all owned vertices in the configured order.
+	u := k.initialOrder()
 	// The paper's defaults — first fit, NEW — are the core's own pick and
 	// ship; the other strategies and FIAC / FIAB are this kernel's.
 	pick, ship := s.pickFirstFit, s.announce

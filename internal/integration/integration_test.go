@@ -316,14 +316,9 @@ func TestSharesAreReadOnly(t *testing.T) {
 			_, err := matching.Parallel(c, d, matching.ParallelOptions{MaxBundleBytes: matching.RecordBytes})
 			return err
 		}},
-		{"b-matching", func(c *mpi.Comm, d *dgraph.DistGraph) error {
-			_, err := matching.BParallel(c, d, matching.UniformB(d.NLocal, 2), matching.ParallelOptions{})
-			return err
-		}},
 		{"color NEW", color(coloring.ParallelOptions{CommMode: coloring.CommNeighbors, SuperstepSize: 16, Seed: 3})},
 		{"color FIAC", color(coloring.ParallelOptions{CommMode: coloring.CommCustomizedAll, SuperstepSize: 16, Seed: 3})},
 		{"color FIAB", color(coloring.ParallelOptions{CommMode: coloring.CommBroadcast, SuperstepSize: 16, Seed: 3})},
-		{"color threads", color(coloring.ParallelOptions{SuperstepSize: 16, Seed: 3, Threads: 3})},
 		{"distance-2", func(c *mpi.Comm, d *dgraph.DistGraph) error {
 			_, err := coloring.ParallelDistance2(c, d, coloring.ParallelOptions{SuperstepSize: 16, Seed: 3})
 			return err

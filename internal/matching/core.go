@@ -3,10 +3,8 @@ package matching
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/dgraph"
-	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
@@ -40,19 +38,6 @@ func precedes[L ~int32 | ~int64](wa float64, a1, a2 L, wb float64, b1, b2 L) boo
 // candidate-mate scans' comparison small enough to inline.
 func better[L ~int32 | ~int64](wa float64, a L, wb float64, b L) bool {
 	return precedes(wa, a, a, wb, b, b)
-}
-
-// edgesInOrder returns g's edges sorted by precedes: the visiting order of
-// the sorted-edge greedy references.
-func edgesInOrder(g *graph.Graph) []graph.Edge {
-	edges := g.Edges()
-	slices.SortFunc(edges, func(a, b graph.Edge) int {
-		if precedes(a.W, a.U, a.V, b.W, b.U, b.V) {
-			return -1
-		}
-		return 1 // a simple graph's edges are distinct
-	})
-	return edges
 }
 
 // A protocol record names a cross edge and says one of up to four things about
@@ -97,24 +82,6 @@ func newRank(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (rank, error
 	}
 	return rank{c: c, d: d, tr: c.Tracer(), opt: opt}, nil
 }
-
-// arcOf returns the position in the CSR of the arc from owned v to its
-// neighbor u.
-func (r *rank) arcOf(v, u int32) int64 {
-	d := r.d
-	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
-		if d.Adj[i] == u {
-			return i
-		}
-	}
-	panic("matching: arcOf on non-neighbor")
-}
-
-// countsEdge reports whether owned vertex v is the side on which the matched
-// edge to the vertex with global id mate counts toward LocalWeight: the
-// smaller global id, so that summing over ranks counts every matched edge
-// exactly once — interior or cross.
-func (r *rank) countsEdge(v int32, mate int64) bool { return r.d.GlobalOf(v) < mate }
 
 // link is one tag family's record channel on a rank: the bundler that ships
 // this rank's records of that family, and the pool the family's consumed

@@ -1,20 +1,14 @@
 package matching
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dgraph"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/mpi/transport"
-	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
@@ -58,9 +52,9 @@ func crossEdgeShares(t *testing.T) []*dgraph.DistGraph {
 }
 
 // TestKernelsRefuseForeignFamily: a bundle of a tag family the running kernel
-// does not speak is a protocol violation in both kernels, not something to
-// park. Each rank plants the foreign bundle at its peer before the kernel
-// starts, so per-pair FIFO puts it ahead of the kernel's own traffic.
+// does not speak is a protocol violation, not something to park. Each rank
+// plants the foreign bundle at its peer before the kernel starts, so per-pair
+// FIFO puts it ahead of the kernel's own traffic.
 func TestKernelsRefuseForeignFamily(t *testing.T) {
 	shares := crossEdgeShares(t)
 	for _, tc := range []struct {
@@ -68,12 +62,8 @@ func TestKernelsRefuseForeignFamily(t *testing.T) {
 		foreign int
 		run     func(c *mpi.Comm) error
 	}{
-		{"async gets a proposal", bTagPropose, func(c *mpi.Comm) error {
+		{"async gets a color notice", mpi.TagColorBase, func(c *mpi.Comm) error {
 			_, err := Parallel(c, shares[c.Rank()], ParallelOptions{})
-			return err
-		}},
-		{"b-suitor gets a match record", matchTag, func(c *mpi.Comm) error {
-			_, err := BParallel(c, shares[c.Rank()], []int{1}, ParallelOptions{})
 			return err
 		}},
 	} {
@@ -84,91 +74,5 @@ func TestKernelsRefuseForeignFamily(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("with tag %d", tc.foreign)) {
 			t.Errorf("%s: err = %v, want a refusal of tag %d", tc.name, err, tc.foreign)
 		}
-	}
-}
-
-// replyRecorder is an in-process transport that keeps, per (sender, receiver)
-// pair, every reply-family payload in send order.
-type replyRecorder struct {
-	*transport.Inproc
-	mu   sync.Mutex
-	sent map[[2]int][]byte
-}
-
-func (r *replyRecorder) Send(m transport.Msg) error {
-	if m.Tag == bTagReply {
-		r.mu.Lock()
-		key := [2]int{m.From, m.To}
-		r.sent[key] = append(binary.AppendUvarint(r.sent[key], uint64(len(m.Payload))), m.Payload...)
-		r.mu.Unlock()
-	}
-	return r.Inproc.Send(m)
-}
-
-// TestBSuitorRepliesLeaveInVertexOrder: reply records are a function of the
-// input, not of a map's iteration order or of the arrival order of the
-// round's proposals — every run puts byte-identical reply bundles on every
-// pair of ranks. Virtual time is charged per received record, as in the
-// asynchronous kernel.
-func TestBSuitorRepliesLeaveInVertexOrder(t *testing.T) {
-	g, err := gen.RMAT(7, 5, true, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := partition.Random(g, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares, err := dgraph.Distribute(g, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(opts ...mpi.Option) (*replyRecorder, *mpi.World) {
-		rec := &replyRecorder{Inproc: transport.NewInproc(part.P), sent: map[[2]int][]byte{}}
-		w, err := mpi.NewWorld(part.P, append(opts, mpi.WithTransport(rec), mpi.WithDeadline(30*time.Second))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = w.Run(func(c *mpi.Comm) error {
-			d := shares[c.Rank()]
-			_, err := BParallel(c, d, UniformB(d.NLocal, 2), ParallelOptions{})
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec, w
-	}
-	first, _ := run()
-	if len(first.sent) == 0 {
-		t.Fatal("no reply traffic recorded")
-	}
-	for seed := uint64(0); seed <= 3; seed++ {
-		again, _ := run(mpi.WithPerturbation(seed))
-		if len(again.sent) != len(first.sent) {
-			t.Fatalf("seed %d: replies on %d rank pairs, first run %d", seed, len(again.sent), len(first.sent))
-		}
-		for pair, want := range first.sent {
-			if !bytes.Equal(again.sent[pair], want) {
-				t.Errorf("seed %d: reply bundles %d -> %d differ between runs", seed, pair[0], pair[1])
-			}
-		}
-	}
-
-	// One edge op per record handled, off the wire or within the rank: with
-	// γe = 1 and everything else free, the makespan is the busiest rank's
-	// count or more, and at least the mean.
-	o := obs.NewObserver(part.P, -1)
-	_, w := run(mpi.WithVirtualTime(mpi.VirtualTime{GammaEdge: 1}), mpi.WithObserver(o))
-	stats := w.TotalStats()
-	var handled int64
-	for r := 0; r < part.P; r++ {
-		handled += o.Registry().Vec("mpi.edge_ops", part.P).At(r).Load()
-	}
-	if wire := stats.ByFamily[mpi.FamilyBMatchPropose].RecvBytes + stats.ByFamily[mpi.FamilyBMatchReply].RecvBytes; handled*RecordBytes < wire || handled == 0 {
-		t.Errorf("%d records handled for %d bytes received", handled, wire)
-	}
-	if got := w.MaxVirtualTime(); got < float64(handled)/float64(part.P) || got > float64(handled) {
-		t.Errorf("virtual makespan %v for %d handled records over %d ranks", got, handled, part.P)
 	}
 }

@@ -1,6 +1,10 @@
 package matching
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // Greedy computes the classic sorted-edge half-approximate matching: visit
 // edges in non-increasing weight order (ties by endpoint labels) and take
@@ -11,7 +15,14 @@ import "repro/internal/graph"
 // unattractive for distributed memory and motivates the paper's choice.
 func Greedy(g *graph.Graph) Mates {
 	m := unmatched(g.NumVertices())
-	for _, e := range edgesInOrder(g) {
+	edges := g.Edges()
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		if precedes(a.W, a.U, a.V, b.W, b.U, b.V) {
+			return -1
+		}
+		return 1 // a simple graph's edges are distinct
+	})
+	for _, e := range edges {
 		if m[e.U] == graph.None && m[e.V] == graph.None {
 			m[e.U], m[e.V] = e.V, e.U
 		}

@@ -3,18 +3,16 @@
 // the sorted endpoint pair), which makes the half-approximate
 // locally-dominant matching unique:
 //
-//   - core.go: that order, and what the distributed kernels share, each
-//     written once — the record link (one varint per record: pair-local
-//     edge index and kind), the bundle receive, rank set-up and epilogue — so
-//     that the kernels own only their protocol;
+//   - core.go: that order, and what a distributed kernel is written over —
+//     the record link (one varint per record: pair-local edge index and
+//     kind), the bundle receive and rank set-up — so that a kernel owns only
+//     its protocol;
 //   - parallel.go (result assembled by gather.go): the asynchronous
 //     REQUEST/SUCCEEDED/FAILED kernel with aggressive message bundling;
-//     bparallel.go: the round-based b-suitor, its b(v) > 1 generalization;
-//   - the sequential references they are tested against: localdom.go
-//     (Algorithm 3.1, candidate mates), greedy.go and bmatching.go (sorted
-//     edges), suitor.go (shared memory);
+//   - the sequential references it is tested against: localdom.go
+//     (Algorithm 3.1, candidate mates) and greedy.go (sorted edges);
 //   - exact.go, the maximum-weight bipartite solver behind Table 1.1's
-//     quality ratios; vertexweighted.go, the vertex-weight reduction; io.go.
+//     quality ratios; io.go.
 package matching
 
 import (

@@ -73,7 +73,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 		res.MateGlobal[v] = -1
 		if s.state[v] == stMatched {
 			res.MateGlobal[v] = d.GlobalOf(s.cm[v])
-			if s.countsEdge(v, res.MateGlobal[v]) {
+			if d.GlobalOf(v) < res.MateGlobal[v] { // the LocalWeight convention
 				res.LocalWeight += d.Weight(s.cmArc[v])
 			}
 		}

@@ -14,8 +14,6 @@ package mpi
 // attributed to the phase that produced it:
 //
 //	[100,110)  matching bundles (REQUEST / SUCCEEDED / FAILED records)
-//	[110,120)  b-suitor proposals
-//	[120,130)  b-suitor replies (REJECT / DISPLACED)
 //	[200,300)  color notices (FIAB / FIAC / NEW variants share the range)
 //
 // Every tag maps to exactly one TagFamily via FamilyOf; traffic counters are
@@ -26,10 +24,6 @@ package mpi
 const (
 	// TagMatchBase is the first tag of the matching-bundle range.
 	TagMatchBase = 100
-	// TagBMatchProposeBase is the first tag of the b-suitor proposal range.
-	TagBMatchProposeBase = 110
-	// TagBMatchReplyBase is the first tag of the b-suitor reply range.
-	TagBMatchReplyBase = 120
 	// TagColorBase is the first tag of the color-notice range.
 	TagColorBase = 200
 	// TagColorEnd is one past the last color-notice tag.
@@ -45,10 +39,6 @@ const (
 	// FamilyMatch is the matching protocol's bundle traffic: REQUEST,
 	// SUCCEEDED and FAILED records aggregated per destination (tag 100).
 	FamilyMatch TagFamily = iota
-	// FamilyBMatchPropose is the distributed b-suitor's proposal traffic.
-	FamilyBMatchPropose
-	// FamilyBMatchReply is the distributed b-suitor's reject/displaced traffic.
-	FamilyBMatchReply
 	// FamilyColor is the coloring framework's color-notice traffic, shared
 	// by the FIAB, FIAC and NEW communication variants (tag 200).
 	FamilyColor
@@ -65,12 +55,10 @@ const (
 )
 
 var tagFamilyNames = [NumTagFamilies]string{
-	FamilyMatch:         "match",
-	FamilyBMatchPropose: "bmatch.propose",
-	FamilyBMatchReply:   "bmatch.reply",
-	FamilyColor:         "color",
-	FamilyUser:          "user",
-	FamilyRuntime:       "runtime",
+	FamilyMatch:   "match",
+	FamilyColor:   "color",
+	FamilyUser:    "user",
+	FamilyRuntime: "runtime",
 }
 
 // String returns the family's stable name, used as a metric-name suffix
@@ -88,12 +76,8 @@ func FamilyOf(tag int) TagFamily {
 	switch {
 	case tag < 0:
 		return FamilyRuntime
-	case tag >= TagMatchBase && tag < TagBMatchProposeBase:
+	case tag >= TagMatchBase && tag < TagMatchBase+10:
 		return FamilyMatch
-	case tag >= TagBMatchProposeBase && tag < TagBMatchReplyBase:
-		return FamilyBMatchPropose
-	case tag >= TagBMatchReplyBase && tag < TagBMatchReplyBase+10:
-		return FamilyBMatchReply
 	case tag >= TagColorBase && tag < TagColorEnd:
 		return FamilyColor
 	default:

@@ -20,9 +20,10 @@ func TestFamilyOf(t *testing.T) {
 		{99, FamilyUser},
 		{TagMatchBase, FamilyMatch},
 		{TagMatchBase + 9, FamilyMatch},
-		{TagBMatchProposeBase, FamilyBMatchPropose},
-		{TagBMatchReplyBase, FamilyBMatchReply},
-		{TagBMatchReplyBase + 9, FamilyBMatchReply},
+		{110, FamilyUser}, // the matching range ends at 109; nothing is reserved up to the color range
+		{119, FamilyUser},
+		{120, FamilyUser},
+		{129, FamilyUser},
 		{130, FamilyUser},
 		{TagColorBase, FamilyColor},
 		{TagColorEnd - 1, FamilyColor},
@@ -32,6 +33,9 @@ func TestFamilyOf(t *testing.T) {
 		if got := FamilyOf(c.tag); got != c.want {
 			t.Errorf("FamilyOf(%d) = %v, want %v", c.tag, got, c.want)
 		}
+	}
+	if NumTagFamilies != 4 {
+		t.Errorf("NumTagFamilies = %d, want 4 (match, color, user, runtime)", NumTagFamilies)
 	}
 	// Every family must have a distinct, stable name — the metric suffixes and
 	// the live-snapshot JSON both key on it.

@@ -8,8 +8,8 @@ import "strings"
 // This file is the only place that knows that shape — producers compose with
 // FamilyKey, readers split with SplitFamilyKey. A base is "mpi.<metric>": the
 // runtime is the only layer with tag families, which is what lets a family
-// name carry a dot of its own (bmatch.propose) and keeps a key like
-// service.tenant.<id>.run_ms from reading as one.
+// name carry a dot of its own (none does today; the split allows one) and
+// keeps a key like service.tenant.<id>.run_ms from reading as one.
 
 // familyLayer prefixes every base that can carry a family.
 const familyLayer = "mpi."

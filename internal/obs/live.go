@@ -24,8 +24,7 @@ import (
 
 // FamilyTraffic is one tag family's share of a rank's live traffic.
 type FamilyTraffic struct {
-	// Family is the stable family name (match, bmatch.propose, bmatch.reply,
-	// color, user, runtime).
+	// Family is the stable family name (match, color, user, runtime).
 	Family    string `json:"family"`
 	SentMsgs  int64  `json:"sentMsgs"`
 	SentBytes int64  `json:"sentBytes"`

@@ -12,9 +12,10 @@ import (
 )
 
 // surfaceFamilies are the tag families the surface observer carries traffic
-// for, with each one's base message count. bmatch.propose is there because
-// its name has a dot of its own, which any split of "<base>.<family>" must
-// survive; runtime because the aggregates exclude it.
+// for, with each one's base message count. bmatch.propose is a synthetic
+// family name with a dot of its own, which any split of "<base>.<family>"
+// must survive (obs never resolves a name against internal/mpi); runtime is
+// there because the aggregates exclude it.
 var surfaceFamilies = []struct {
 	name string
 	msgs int64
