@@ -12,10 +12,13 @@
 //	curl -s 127.0.0.1:4318/summary
 //
 // The summary lists one line per trace id — span count and the sorted,
-// "|"-joined distinct span names — then a metric data-point total:
+// "|"-joined distinct span names — then a metric data-point total and the
+// number of spans that arrived with a span id their trace already had (two
+// exporters colliding, which a backend would fold into one span):
 //
 //	trace 0af7651916cd43dd8448eb211c80319c spans=12 names=match.outer|serve.admit|serve.job|...
 //	metric_points 84
+//	duplicate_span_ids 0
 package main
 
 import (
@@ -36,6 +39,8 @@ import (
 type sink struct {
 	mu           sync.Mutex
 	spanNames    map[string]map[string]int // trace id -> span name -> count
+	spanIDs      map[string]bool           // trace id + span id
+	duplicates   int
 	metricPoints int
 	pushes       int
 }
@@ -62,6 +67,11 @@ func (s *sink) handleTraces(w http.ResponseWriter, r *http.Request) {
 					s.spanNames[sp.TraceID] = m
 				}
 				m[sp.Name]++
+				id := sp.TraceID + sp.SpanID
+				if s.spanIDs[id] {
+					s.duplicates++
+				}
+				s.spanIDs[id] = true
 			}
 		}
 	}
@@ -108,6 +118,7 @@ func (s *sink) handleSummary(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "trace %s spans=%d names=%s\n", id, total, strings.Join(keys, "|"))
 	}
 	fmt.Fprintf(&b, "metric_points %d\n", s.metricPoints)
+	fmt.Fprintf(&b, "duplicate_span_ids %d\n", s.duplicates)
 	fmt.Fprintf(&b, "pushes %d\n", s.pushes)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte(b.String())) //nolint:errcheck // summary is advisory
@@ -116,7 +127,7 @@ func (s *sink) handleSummary(w http.ResponseWriter, _ *http.Request) {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:4318", "listen address (OTLP/HTTP default port is 4318)")
 	flag.Parse()
-	s := &sink{spanNames: map[string]map[string]int{}}
+	s := &sink{spanNames: map[string]map[string]int{}, spanIDs: map[string]bool{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/traces", s.handleTraces)
 	mux.HandleFunc("POST /v1/metrics", s.handleMetrics)

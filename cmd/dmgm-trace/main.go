@@ -17,13 +17,9 @@
 //	dmgm-trace -watch localhost:7070
 //	dmgm-trace -watch -interval 500ms localhost:7070 localhost:7071
 //
-// With -otlp-convert it pushes a recorded trace to an OTLP/HTTP collector
-// (Jaeger, an otel-collector, ...) post-mortem — the offline counterpart of
-// the runtimes' -otlp flag. With -replay it feeds the recorded per-phase
-// durations and traffic into the α–β–γ performance model and reports how
-// well the model explains each phase.
+// With -replay it feeds the recorded per-phase durations and traffic into the
+// α–β–γ performance model and reports how well the model explains each phase.
 //
-//	dmgm-trace -otlp-convert http://localhost:4318 out.json
 //	dmgm-trace -replay out.json
 //
 // With -job it renders the span tree a dmgm-serve daemon retained for one
@@ -53,8 +49,6 @@ func main() {
 	interval := flag.Duration("interval", time.Second, "poll interval for -watch")
 	watchIters := flag.Int("watch-iters", 0, "stop -watch after this many frames (0 = until the endpoints disappear)")
 	noClear := flag.Bool("no-clear", false, "do not clear the terminal between -watch frames (append frames instead)")
-	otlpConvert := flag.String("otlp-convert", "", "push the trace file to this OTLP/HTTP collector endpoint instead of printing a report")
-	otlpRun := flag.String("otlp-run", "", "run id for -otlp-convert (default: derived from the trace file name)")
 	replayMode := flag.Bool("replay", false, "feed the recorded phases into the performance model and report predicted-vs-observed error")
 	jobMode := flag.Bool("job", false, "render a dmgm-serve job trace (GET /v1/jobs/{id}/trace); arg is that URL or a file of its JSON")
 	flag.Parse()
@@ -73,16 +67,13 @@ func main() {
 		os.Exit(watch(flag.Args(), *interval, *watchIters, !*noClear))
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dmgm-trace [-details] [-metrics-only] [-replay] [-otlp-convert <endpoint>] <trace.json>")
+		fmt.Fprintln(os.Stderr, "usage: dmgm-trace [-details] [-metrics-only] [-replay] <trace.json>")
 		os.Exit(2)
 	}
 	tf, err := obs.ReadTraceFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmgm-trace: %v\n", err)
 		os.Exit(1)
-	}
-	if *otlpConvert != "" {
-		os.Exit(otlpPush(tf, flag.Arg(0), *otlpConvert, *otlpRun))
 	}
 	if *replayMode {
 		os.Exit(replay(tf))

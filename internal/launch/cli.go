@@ -19,9 +19,9 @@ import (
 // CLI is the main() that dmgm-match and dmgm-color share around the one thing
 // each decides for itself — its sequential algorithms, its dmgm.Job and how
 // it prints a result: the flags both spell the same way, the -launch
-// supervisor, pprof, reading the graph, partitioning it by name, the
-// observer + world + live endpoint of a distributed run, the trace / OTLP
-// write-out, and the quiet exit of a tcp worker that does not host rank 0.
+// supervisor, reading the graph, partitioning it by name, the observer +
+// world + live endpoint of a distributed run, the trace / OTLP write-out, and
+// the quiet exit of a tcp worker that does not host rank 0.
 type CLI struct {
 	// Name prefixes diagnostics ("dmgm-match: ...").
 	Name           string
@@ -69,9 +69,9 @@ func Usagef(format string, args ...any) error {
 }
 
 // Main parses args, does everything that precedes reading the graph — the
-// usage checks, the -launch supervisor (which never reaches body: it spawns
-// the workers, waits, and merges their trace shards), pprof — then runs
-// body, and turns the outcome into the process exit status.
+// usage checks and the -launch supervisor (which never reaches body: it
+// spawns the workers, waits, and merges their trace shards) — then runs body,
+// and turns the outcome into the process exit status.
 func (c *CLI) Main(args []string, body func() error) int {
 	if err := c.Flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -102,13 +102,6 @@ func (c *CLI) Main(args []string, body func() error) int {
 	}
 	if c.Transport.Remote() && *c.P <= 1 {
 		return c.exit(Usagef("-transport tcp needs -p > 1"))
-	}
-	if c.Obs.Pprof != "" {
-		addr, err := obs.ServePprof(obs.OffsetAddr(c.Obs.Pprof, c.Transport.Rank, c.Transport.Remote()))
-		if err != nil {
-			return c.exit(err)
-		}
-		fmt.Fprintf(c.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
 	}
 	return c.exit(body())
 }
@@ -192,8 +185,8 @@ func (c *CLI) Partition(g *graph.Graph, partFile string, opt partition.Multileve
 }
 
 // Run executes job over the world the transport flags describe, with the
-// observer the observability flags describe, and writes the trace, metrics
-// and OTLP outputs. On a tcp worker that does not host rank 0 the result is
+// observer the observability flags describe, and writes the trace and OTLP
+// outputs. On a tcp worker that does not host rank 0 the result is
 // nil: the gathered result lives on rank 0's process, this one has narrated
 // its completion and has nothing more to print.
 func (c *CLI) Run(g *graph.Graph, part *partition.Partition, job dmgm.Job) (*dmgm.JobResult, error) {

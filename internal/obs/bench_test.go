@@ -34,15 +34,6 @@ func BenchmarkEnabledSpan(b *testing.B) {
 	}
 }
 
-func BenchmarkEnabledSampledDetailSpan(b *testing.B) {
-	tr := NewTracer(0, 1024)
-	tr.EnableDetailSampling()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.End(tr.BeginDetail("inner"))
-	}
-}
-
 func BenchmarkCounterAdd(b *testing.B) {
 	reg := NewRegistry()
 	c := reg.Counter("c")

@@ -18,7 +18,7 @@ import (
 //
 // A multi-process (-launch) job writes one shard per worker; shards are the
 // same TraceFile shape and merge by event concatenation + metrics summation
-// (see MergeShards). Wall-clock timestamps keep shards aligned.
+// (see mergeShards). Wall-clock timestamps keep shards aligned.
 
 // DriverPID is the Chrome-trace pid under which driver spans are filed.
 const DriverPID = 1 << 20
@@ -146,64 +146,52 @@ func writeFile(path string, encode func(io.Writer) error) error {
 }
 
 // ReadTraceFile loads a trace written by WriteTraceFile or a shard merge.
-func ReadTraceFile(path string) (*TraceFile, error) { return readJSON[TraceFile](path) }
-
-func readJSON[T any](path string) (*T, error) {
+func ReadTraceFile(path string) (*TraceFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var v T
-	if err := json.Unmarshal(data, &v); err != nil {
+	var tf TraceFile
+	if err := json.Unmarshal(data, &tf); err != nil {
 		return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
 	}
-	return &v, nil
+	return &tf, nil
 }
 
-// ShardPath names the per-worker trace/metrics shard for one rank.
-func ShardPath(path string, rank int) string {
+// shardPath names the per-worker trace shard for one rank.
+func shardPath(path string, rank int) string {
 	return fmt.Sprintf("%s.rank%d", path, rank)
 }
 
-// MergeShards combines the per-worker trace shards path.rank0..path.rank(p-1)
+// mergeShards combines the per-worker trace shards path.rank0..path.rank(p-1)
 // into path: trace events concatenate (ordered by process, then time),
-// metrics snapshots merge.
-func MergeShards(path string, p int) error {
+// metrics snapshots merge. Only once the merged file is written and closed
+// are the shards removed — a merge that fails leaves every worker's output on
+// disk. Missing or unreadable shards (a worker that died before writing) do
+// not stop the merge: the file is written from what exists and the error
+// lists them.
+func mergeShards(path string, p int) error {
 	merged := TraceFile{Events: []TraceEvent{}, Metrics: (*Registry)(nil).Snapshot()}
-	return mergeShards(path, p, func(tf *TraceFile) {
-		merged.Events = append(merged.Events, tf.Events...)
-		merged.Metrics.Merge(tf.Metrics)
-	}, func(w io.Writer) error {
-		sort.SliceStable(merged.Events, func(i, j int) bool {
-			if merged.Events[i].PID != merged.Events[j].PID {
-				return merged.Events[i].PID < merged.Events[j].PID
-			}
-			return merged.Events[i].TS < merged.Events[j].TS
-		})
-		return json.NewEncoder(w).Encode(&merged)
-	})
-}
-
-// mergeShards is the one loop behind a launch's merged outputs: every shard
-// path.rank<r> that exists and decodes is folded, encode writes the merged
-// file, and only once that file is written and closed are the folded shards
-// removed — a merge that fails leaves every worker's output on disk. Missing
-// or unreadable shards (a worker that died before writing) do not stop the
-// merge: the file is written from what exists and the error lists them.
-func mergeShards[T any](path string, p int, fold func(*T), encode func(io.Writer) error) error {
 	var folded []string
 	var missing []int
 	for r := 0; r < p; r++ {
-		shard := ShardPath(path, r)
-		v, err := readJSON[T](shard)
+		shard := shardPath(path, r)
+		tf, err := ReadTraceFile(shard)
 		if err != nil {
 			missing = append(missing, r)
 			continue
 		}
-		fold(v)
+		merged.Events = append(merged.Events, tf.Events...)
+		merged.Metrics.Merge(tf.Metrics)
 		folded = append(folded, shard)
 	}
-	if err := writeFile(path, encode); err != nil {
+	sort.SliceStable(merged.Events, func(i, j int) bool {
+		if merged.Events[i].PID != merged.Events[j].PID {
+			return merged.Events[i].PID < merged.Events[j].PID
+		}
+		return merged.Events[i].TS < merged.Events[j].TS
+	})
+	if err := writeFile(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(&merged) }); err != nil {
 		return fmt.Errorf("obs: merging shards into %s: %w (the shards are left in place)", path, err)
 	}
 	for _, shard := range folded {

@@ -4,35 +4,26 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"strconv"
 	"time"
 )
 
-// Flags is the standard observability flag block shared by the cmd/
-// binaries: where to write the trace and metrics, and whether to serve
-// net/http/pprof.
+// Flags is the standard observability flag block of dmgm-match and
+// dmgm-color: where to write the trace, where to serve the live endpoint, and
+// where to push OTLP.
 type Flags struct {
-	// Trace is the trace output path ("" = off), Chrome trace_event JSON.
+	// Trace is the trace output path ("" = off), Chrome trace_event JSON; the
+	// registry snapshot rides along under "dmgmMetrics".
 	Trace string
-	// Metrics is the standalone metrics JSON output path ("" = off).
-	Metrics string
-	// Pprof is the pprof listen address ("" = off). Multi-process workers
-	// offset a fixed port by their rank so the fleet never collides.
-	Pprof string
 	// HTTP is the live-observability listen address ("" = off): /snapshot
 	// serves the per-rank per-tag-family traffic JSON that dmgm-trace -watch
 	// polls, alongside /metrics and /debug/pprof. Multi-process workers
-	// offset a fixed port by their rank, like Pprof.
+	// offset a fixed port by their rank so the fleet never collides.
 	HTTP string
 	// SpanCap is the per-rank span ring capacity (0 = default).
 	SpanCap int
-	// Sample switches detail spans from ring eviction to systematic
-	// sampling, keeping long-run tails representative (see
-	// Tracer.EnableDetailSampling).
-	Sample bool
 	// OTLP is the OTLP/HTTP collector base endpoint ("" = off), e.g.
 	// http://localhost:4318; spans go to /v1/traces, the registry to
 	// /v1/metrics, after the run completes.
@@ -50,37 +41,23 @@ const otlpRunEnv = "DMGM_OTLP_RUN"
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Trace, "trace", "", "write a span trace to this path (Chrome trace_event JSON; read it with dmgm-trace, chrome://tracing or Perfetto)")
-	fs.StringVar(&f.Metrics, "metrics", "", "write the metrics registry to this JSON path")
-	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof on this address (workers add their rank to a fixed port)")
 	fs.StringVar(&f.HTTP, "http", "", "serve live observability on this address: /snapshot (per-rank per-tag-family traffic JSON for dmgm-trace -watch), /metrics, /debug/pprof (workers add their rank to a fixed port)")
 	fs.IntVar(&f.SpanCap, "trace-spans", 0, "per-rank span ring capacity (0 = 65536; older spans are overwritten)")
-	fs.BoolVar(&f.Sample, "trace-sample", false, "sample detail spans across the whole run instead of keeping only the newest when the ring overflows")
 	fs.StringVar(&f.OTLP, "otlp", "", "export spans and metrics to this OTLP/HTTP collector endpoint after the run (e.g. http://localhost:4318)")
 	fs.StringVar(&f.OTLPRun, "otlp-run", "", "run id grouping OTLP spans into one trace (default: inherited from the launch supervisor, or generated)")
 	return f
 }
 
-// Enabled reports whether any collection output was requested — a file
-// export, the live HTTP endpoint, or an OTLP push.
-func (f *Flags) Enabled() bool {
-	return f.Trace != "" || f.Metrics != "" || f.HTTP != "" || f.OTLP != ""
-}
-
 // NewObserver builds the observer the flags describe, or nil when
 // observability is off — the nil observer makes all instrumentation free.
 func (f *Flags) NewObserver(ranks int) *Observer {
-	if !f.Enabled() {
-		return nil
+	switch {
+	case f.Trace != "" || f.OTLP != "":
+		return NewObserver(ranks, f.SpanCap)
+	case f.HTTP != "":
+		return NewObserver(ranks, -1) // metrics only: no rings
 	}
-	cap := f.SpanCap
-	if f.Trace == "" && f.OTLP == "" {
-		cap = -1 // metrics only: no rings
-	}
-	o := NewObserver(ranks, cap)
-	if f.Sample {
-		o.EnableDetailSampling()
-	}
-	return o
+	return nil
 }
 
 // RunID resolves the OTLP run id, in precedence order: the -otlp-run flag,
@@ -104,11 +81,19 @@ func (f *Flags) RunID() string {
 // Export is strictly post-run and best-effort: every failure is reported in
 // the returned error (for a stderr warning) and never affects the run's
 // results. No-op when the flag is unset or the observer is nil.
+//
+// A process hosting only part of the world is one -launch worker of several
+// exporting into the run's one trace, so its driver and registry resources
+// and its span ids carry the first rank it hosts: "driver-<rank>" and
+// "registry-<rank>", where an in-process run has "driver" and "registry".
 func (f *Flags) ExportOTLP(o *Observer, localRanks []int, worldSize int) error {
 	if f.OTLP == "" || o == nil {
 		return nil
 	}
 	id := OTLPIdentity{RunID: f.RunID(), WorldSize: worldSize}
+	if len(localRanks) > 0 && len(localRanks) < worldSize {
+		id.worker = fmt.Sprintf("-%d", localRanks[0])
+	}
 	exp := NewOTLPExporter(f.OTLP, OTLPOptions{Identity: id, Registry: o.Registry()})
 	exp.ExportObserver(o, localRanks)
 	err := exp.Close(10 * time.Second)
@@ -121,54 +106,34 @@ func (f *Flags) ExportOTLP(o *Observer, localRanks []int, worldSize int) error {
 	return err
 }
 
-// Write dumps the requested outputs for the given local ranks. In remote
-// mode (one process per rank) each worker writes per-rank shards that the
-// supervisor later merges; otherwise the final files are written directly.
-// rank is this process's rank (used as shard suffix and driver tid).
+// Write writes the -trace file for the given local ranks. In remote mode (one
+// process per rank) each worker writes a per-rank shard that the supervisor
+// later merges; otherwise the final file is written directly. rank is this
+// process's rank (the shard suffix and the driver tid).
 func (f *Flags) Write(o *Observer, localRanks []int, rank int, remote bool) error {
-	if o == nil {
+	if o == nil || f.Trace == "" {
 		return nil
 	}
-	if f.Trace != "" {
-		path, tid := f.Trace, 0
-		if remote {
-			path, tid = ShardPath(f.Trace, rank), rank
-		}
-		if err := o.WriteTraceFile(path, localRanks, tid); err != nil {
-			return fmt.Errorf("obs: writing trace: %w", err)
-		}
+	path, tid := f.Trace, 0
+	if remote {
+		path, tid = shardPath(f.Trace, rank), rank
 	}
-	if f.Metrics != "" {
-		path := f.Metrics
-		if remote {
-			path = ShardPath(f.Metrics, rank)
-		}
-		if err := os.WriteFile(path, o.Registry().Snapshot().indentedJSON(), 0o644); err != nil {
-			return fmt.Errorf("obs: writing metrics: %w", err)
-		}
+	if err := o.WriteTraceFile(path, localRanks, tid); err != nil {
+		return fmt.Errorf("obs: writing trace: %w", err)
 	}
 	return nil
 }
 
-// Merge combines the per-worker shards of a p-rank launch into the final
-// trace and metrics files.
+// Merge combines the per-worker trace shards of a p-rank launch into the
+// final -trace file.
 func (f *Flags) Merge(p int) error {
-	if f.Trace != "" {
-		if err := MergeShards(f.Trace, p); err != nil {
-			return err
-		}
-	}
-	if f.Metrics == "" {
+	if f.Trace == "" {
 		return nil
 	}
-	merged := (*Registry)(nil).Snapshot()
-	return mergeShards(f.Metrics, p, merged.Merge, func(w io.Writer) error {
-		_, err := w.Write(merged.indentedJSON())
-		return err
-	})
+	return mergeShards(f.Trace, p)
 }
 
-// OffsetAddr resolves a -pprof or -http listen address for this process: in
+// OffsetAddr resolves an -http listen address for this process: in
 // remote mode a fixed port is offset by the rank so every worker of a launch
 // gets its own listener; addresses without a fixed numeric port (port 0
 // stays 0 — the kernel picks) pass through unchanged.

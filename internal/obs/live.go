@@ -115,22 +115,18 @@ func MountLive(mux *http.ServeMux, snap func() *LiveSnapshot) {
 	})
 }
 
-// MountPprof registers the standard net/http/pprof handlers on mux.
-func MountPprof(mux *http.ServeMux) {
+// ServeLive starts an HTTP server on addr exposing the live observability
+// surface — MountLive's routes, net/http/pprof under /debug/pprof/, and a
+// plain-text index at / — and returns the bound address. The server runs
+// until the process exits.
+func ServeLive(addr string, snap func() *LiveSnapshot) (string, error) {
+	mux := http.NewServeMux()
+	MountLive(mux, snap)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// ServeLive starts an HTTP server on addr exposing the live observability
-// surface — MountLive's routes, MountPprof's, and a plain-text index at / —
-// and returns the bound address. The server runs until the process exits.
-func ServeLive(addr string, snap func() *LiveSnapshot) (string, error) {
-	mux := http.NewServeMux()
-	MountLive(mux, snap)
-	MountPprof(mux)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -138,21 +134,9 @@ func ServeLive(addr string, snap func() *LiveSnapshot) (string, error) {
 		}
 		fmt.Fprintln(w, "dmgm live observability\n\n  /snapshot      per-rank per-tag-family traffic + metrics (JSON)\n  /metrics       metrics registry alone (JSON)\n  /debug/pprof/  net/http/pprof")
 	})
-	return serve("live", addr, mux)
-}
-
-// ServePprof starts an HTTP server exposing net/http/pprof alone on addr and
-// returns the bound address. The server runs until the process exits.
-func ServePprof(addr string) (string, error) {
-	mux := http.NewServeMux()
-	MountPprof(mux)
-	return serve("pprof", addr, mux)
-}
-
-func serve(what, addr string, mux *http.ServeMux) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("obs: %s listen %s: %w", what, addr, err)
+		return "", fmt.Errorf("obs: live listen %s: %w", addr, err)
 	}
 	go http.Serve(ln, mux) //nolint:errcheck // serves for the process lifetime
 	return ln.Addr().String(), nil

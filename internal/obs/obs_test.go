@@ -270,11 +270,11 @@ func TestShardMerge(t *testing.T) {
 		tr.EndN(tr.Begin("match.init"), int64(r))
 		o.Registry().Vec("mpi.sent_msgs", 2).At(r).Add(int64(r + 1))
 		o.Registry().Counter("mpi.bundle_flushes").Add(5)
-		if err := o.WriteTraceFile(ShardPath(path, r), []int{r}, r); err != nil {
+		if err := o.WriteTraceFile(shardPath(path, r), []int{r}, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := MergeShards(path, 2); err != nil {
+	if err := mergeShards(path, 2); err != nil {
 		t.Fatal(err)
 	}
 	tf, err := ReadTraceFile(path)
@@ -298,7 +298,7 @@ func TestShardMerge(t *testing.T) {
 	}
 	// Shards are consumed by the merge.
 	for r := 0; r < 2; r++ {
-		if _, err := os.Stat(ShardPath(path, r)); !os.IsNotExist(err) {
+		if _, err := os.Stat(shardPath(path, r)); !os.IsNotExist(err) {
 			t.Errorf("shard %d not removed after merge", r)
 		}
 	}
@@ -306,12 +306,12 @@ func TestShardMerge(t *testing.T) {
 
 // TestShardMergeFailures: a merge never destroys what it could not merge. A
 // merged file that cannot be created (a directory has its name) returns an
-// error saying so and leaves every worker's trace and metrics shard on disk,
-// byte for byte; a missing shard still yields a merged file from what exists,
-// consumes the shards it read, and names the missing rank in the error.
+// error saying so and leaves every worker's trace shard on disk, byte for
+// byte; a missing shard still yields a merged file from what exists, consumes
+// the shards it read, and names the missing rank in the error.
 func TestShardMergeFailures(t *testing.T) {
 	dir := t.TempDir()
-	f := &Flags{Trace: filepath.Join(dir, "trace.json"), Metrics: filepath.Join(dir, "metrics.json")}
+	f := &Flags{Trace: filepath.Join(dir, "trace.json")}
 	for r := 0; r < 2; r++ {
 		if err := f.Write(buildSurfaceObserver(r), []int{r}, r, true); err != nil {
 			t.Fatal(err)
@@ -320,17 +320,15 @@ func TestShardMergeFailures(t *testing.T) {
 	shards := func() map[string]string {
 		out := map[string]string{}
 		for r := 0; r < 2; r++ {
-			for _, base := range []string{f.Trace, f.Metrics} {
-				if data, err := os.ReadFile(ShardPath(base, r)); err == nil {
-					out[ShardPath(base, r)] = string(data)
-				}
+			if data, err := os.ReadFile(shardPath(f.Trace, r)); err == nil {
+				out[shardPath(f.Trace, r)] = string(data)
 			}
 		}
 		return out
 	}
 	before := shards()
-	if len(before) != 4 {
-		t.Fatalf("workers wrote %d shards, want 4", len(before))
+	if len(before) != 2 {
+		t.Fatalf("workers wrote %d shards, want 2", len(before))
 	}
 	if err := os.Mkdir(f.Trace, 0o755); err != nil {
 		t.Fatal(err)
@@ -342,14 +340,12 @@ func TestShardMergeFailures(t *testing.T) {
 		t.Fatalf("a failed merge changed the shards on disk: %d intact of %d", len(after), len(before))
 	}
 
-	// Rank 1 never wrote: the merge proceeds on rank 0's shards.
+	// Rank 1 never wrote: the merge proceeds on rank 0's shard.
 	if err := os.Remove(f.Trace); err != nil {
 		t.Fatal(err)
 	}
-	for _, base := range []string{f.Trace, f.Metrics} {
-		if err := os.Remove(ShardPath(base, 1)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(shardPath(f.Trace, 1)); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.Merge(2); err == nil || !strings.Contains(err.Error(), "missing for ranks [1]") {
 		t.Fatalf("merge with a missing shard: err = %v, want the missing rank named", err)
@@ -357,7 +353,7 @@ func TestShardMergeFailures(t *testing.T) {
 	if tf, err := ReadTraceFile(f.Trace); err != nil || len(tf.Events) == 0 {
 		t.Fatalf("merged file not written from the shard that exists: %v", err)
 	}
-	if _, err := os.Stat(ShardPath(f.Trace, 0)); !os.IsNotExist(err) {
+	if _, err := os.Stat(shardPath(f.Trace, 0)); !os.IsNotExist(err) {
 		t.Error("the shard that was merged is still on disk")
 	}
 }
@@ -377,9 +373,9 @@ func TestFlagsObserver(t *testing.T) {
 	if f.NewObserver(4) != nil {
 		t.Error("no outputs requested: observer must be nil")
 	}
-	f = &Flags{Metrics: "m.json"}
+	f = &Flags{HTTP: "127.0.0.1:0"}
 	if o := f.NewObserver(4); o == nil || o.Tracer(0) != nil {
-		t.Error("metrics-only flags must produce a ringless observer")
+		t.Error("a live endpoint alone must produce a ringless observer")
 	}
 	f = &Flags{Trace: "t.json"}
 	if o := f.NewObserver(4); o == nil || o.Tracer(0) == nil {

@@ -32,19 +32,6 @@ func NewObserver(ranks, spanCap int) *Observer {
 	return o
 }
 
-// EnableDetailSampling switches every rank's tracer (and the driver's) from
-// ring eviction to systematic detail-span sampling, keeping long-run tails
-// representative. No-op on nil or a metrics-only observer.
-func (o *Observer) EnableDetailSampling() {
-	if o == nil {
-		return
-	}
-	for _, t := range o.tracers {
-		t.EnableDetailSampling()
-	}
-	o.driver.EnableDetailSampling()
-}
-
 // Tracer returns rank r's tracer, or nil when disabled.
 func (o *Observer) Tracer(r int) *Tracer {
 	if o == nil || r < 0 || r >= len(o.tracers) {

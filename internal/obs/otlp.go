@@ -24,9 +24,10 @@ import (
 //     service.name=<service>, dmgm.run, dmgm.rank and dmgm.world_size
 //     resource attributes. Under -launch every worker derives the same run id
 //     (inherited through the DMGM_OTLP_RUN environment variable), so the
-//     shards of one job share one trace and shard-consistent resources.
+//     shards of one job share one trace; each worker's driver and registry
+//     resources are its own (driver-<rank>, registry-<rank>).
 //   - Span → OTLP span: traceId is derived from the run id, spanId from
-//     (run, rank, seq); start/end nanos carry over; N/Msgs/Bytes/Detail/Seq
+//     (run, worker, rank, seq); start/end nanos carry over; N/Msgs/Bytes/Detail/Seq
 //     become dmgm.* attributes and the phase name doubles as dmgm.phase.
 //   - Counter → Sum (monotonic, cumulative), Gauge → Gauge, Vec → Sum with
 //     one data point per rank (attribute "rank"), Histogram → Histogram with
@@ -214,6 +215,10 @@ type OTLPIdentity struct {
 	// parentSpanId of every span whose Parent token is 0 — hanging a whole
 	// span batch (a runtime's flat per-rank phases) under one enclosing span.
 	ParentSpanHex string
+	// worker tells one -launch worker's driver and registry resources and
+	// span ids from its peers' in the run's shared trace: "-<rank>", set by
+	// Flags.ExportOTLP; empty for a process that hosts the whole world.
+	worker string
 }
 
 // TraceID derives the 16-byte OTLP trace id from the run id, hex-encoded,
@@ -232,11 +237,11 @@ func (id OTLPIdentity) TraceID() string {
 }
 
 // SpanID derives the 8-byte OTLP span id for one recorded span, hex-encoded.
-// It is deterministic in (run, rank, seq), so a re-export of the same trace
-// file produces the same ids.
+// It is deterministic in (run, worker, rank, seq), so a re-export of the same
+// spans produces the same ids.
 func (id OTLPIdentity) SpanID(rank int, seq uint64) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "dmgm-span:%s:%d:%d", id.RunID, rank, seq)
+	fmt.Fprintf(h, "dmgm-span:%s%s:%d:%d", id.RunID, id.worker, rank, seq)
 	sum := h.Sum(nil)
 	if allZero(sum) {
 		sum[0] = 1
@@ -262,9 +267,9 @@ func (id OTLPIdentity) resourceFor(rank int) OTLPResource {
 	}
 	switch rank {
 	case DriverRank:
-		attrs = append(attrs, otlpStr("service.instance.id", "driver"))
+		attrs = append(attrs, otlpStr("service.instance.id", "driver"+id.worker))
 	case otlpMetricsRankKey:
-		attrs = append(attrs, otlpStr("service.instance.id", "registry"))
+		attrs = append(attrs, otlpStr("service.instance.id", "registry"+id.worker))
 	default:
 		attrs = append(attrs,
 			otlpStr("service.instance.id", fmt.Sprintf("rank-%d", rank)),
@@ -410,36 +415,4 @@ func EncodeOTLPMetrics(s *MetricsSnapshot, id OTLPIdentity, startNanos, now int6
 		Resource:     id.resourceFor(otlpMetricsRankKey),
 		ScopeMetrics: []OTLPScopeMetrics{{Scope: OTLPScope{Name: otlpScopeName}, Metrics: metrics}},
 	}}}
-}
-
-// SpansOfEvents reconstructs Spans from Chrome trace events, for pushing a
-// recorded trace file to an OTLP backend post-mortem (dmgm-trace
-// -otlp-convert). Only complete "X" events convert; sequence numbers are
-// resynthesized per rank in file order, so span ids are stable for a given
-// file but unrelated to the original ring sequence.
-func SpansOfEvents(events []TraceEvent) []Span {
-	seqs := map[int]uint64{}
-	var out []Span
-	for _, e := range events {
-		if e.Ph != "X" {
-			continue
-		}
-		rank := e.PID
-		if rank == DriverPID {
-			rank = DriverRank
-		}
-		seqs[rank]++
-		out = append(out, Span{
-			Seq:    seqs[rank],
-			Rank:   rank,
-			Name:   e.Name,
-			Detail: e.Cat == "detail",
-			Start:  int64(e.TS * 1e3),
-			Dur:    int64(e.Dur * 1e3),
-			N:      e.ArgInt("n"),
-			Msgs:   e.ArgInt("msgs"),
-			Bytes:  e.ArgInt("bytes"),
-		})
-	}
-	return out
 }

@@ -37,12 +37,12 @@ type OTLPExporter struct {
 	sleep      func(time.Duration) // replaceable by tests
 
 	// Outcome accounting. Items are spans or metric data points.
-	exported atomic.Int64 // items delivered (2xx)
-	dropped  atomic.Int64 // items lost: full queue, exhausted retries, or non-retryable status
-	retries  atomic.Int64 // delivery attempts beyond the first
+	dropped atomic.Int64 // items lost: full queue, exhausted retries, or non-retryable status
+	retries atomic.Int64 // delivery attempts beyond the first
 
 	// droppedCtr mirrors dropped into the run's registry (obs.otlp_dropped)
-	// so drop accounting rides along every metrics export and trace sidecar.
+	// so drop accounting rides along every metrics export and trace sidecar;
+	// exportedCtr counts items delivered (2xx) there (obs.otlp_exported).
 	droppedCtr  *Counter
 	exportedCtr *Counter
 }
@@ -206,7 +206,6 @@ func (e *OTLPExporter) deliver(b otlpBatch) {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
 			resp.Body.Close()
 			if status >= 200 && status < 300 {
-				e.exported.Add(b.items)
 				e.exportedCtr.Add(b.items)
 				return
 			}
@@ -271,14 +270,6 @@ func (e *OTLPExporter) Close(timeout time.Duration) error {
 	case <-time.After(timeout):
 		return fmt.Errorf("obs: otlp exporter still draining after %v (pending batches dropped)", timeout)
 	}
-}
-
-// Exported reports items (spans + metric data points) delivered (0 on nil).
-func (e *OTLPExporter) Exported() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.exported.Load()
 }
 
 // Dropped reports items lost to a full queue, exhausted retries, or a

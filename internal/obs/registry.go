@@ -294,10 +294,9 @@ func mergeSection[V any](dst *map[string]V, src map[string]V, fold func(cur V, o
 	}
 }
 
-// indentedJSON is the one encoding of a snapshot for files and scrapes
-// (/metrics, the -metrics file, a merged launch): encoding/json, which sorts
-// map keys, indented and newline-terminated — so repeated exports of an idle
-// registry are byte-identical and diff cleanly. Sections with no entries are
+// indentedJSON is the encoding of a snapshot for the /metrics scrape:
+// encoding/json, which sorts map keys, indented and newline-terminated — so
+// repeated scrapes of an idle registry are byte-identical and diff cleanly. Sections with no entries are
 // omitted; the empty snapshot is "{}".
 func (s *MetricsSnapshot) indentedJSON() []byte {
 	out, _ := json.MarshalIndent(s, "", "  ") // maps of ints, slices and structs: cannot fail

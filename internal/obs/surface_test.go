@@ -106,8 +106,8 @@ func httpBody(t *testing.T, url string) []byte {
 
 // TestSurfaceGolden pins the bytes of every rendering of one observer: the
 // trace file (also the input of cmd/dmgm-trace's view goldens), the /metrics
-// and /snapshot bodies, the -metrics file, and the OTLP metrics request with
-// its family attributes. Recorded before the encoders, the live routes and
+// and /snapshot bodies, and the OTLP metrics request with its family
+// attributes. Recorded before the encoders, the live routes and
 // the family-key parse were each reduced to one copy; a diff here is a
 // change to what operators and tools read, never noise.
 func TestSurfaceGolden(t *testing.T) {
@@ -130,16 +130,6 @@ func TestSurfaceGolden(t *testing.T) {
 	goldenCheck(t, "surface_metrics.json", httpBody(t, "http://"+addr+"/metrics"))
 	goldenCheck(t, "surface_snapshot.json", httpBody(t, "http://"+addr+"/snapshot"))
 
-	f := &Flags{Metrics: filepath.Join(t.TempDir(), "m.json")}
-	if err := f.Write(o, []int{0, 1}, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.ReadFile(f.Metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCheck(t, "surface_metrics.json", file) // the scrape and the file are one encoding
-
 	otlp, err := json.Marshal(EncodeOTLPMetrics(o.Registry().Snapshot(), testIdentity, 1_000_000, 9_000_000))
 	if err != nil {
 		t.Fatal(err)
@@ -148,12 +138,10 @@ func TestSurfaceGolden(t *testing.T) {
 }
 
 // TestSurfaceLaunchGolden pins a merged two-worker launch: each worker writes
-// its -trace and -metrics shards the way Flags.Write does in remote mode, the
-// supervisor's Flags.Merge folds them, and both merged files are compared
-// byte for byte.
+// its -trace shard the way Flags.Write does in remote mode, the supervisor's
+// Flags.Merge folds them, and the merged file is compared byte for byte.
 func TestSurfaceLaunchGolden(t *testing.T) {
-	dir := t.TempDir()
-	f := &Flags{Trace: filepath.Join(dir, "trace.json"), Metrics: filepath.Join(dir, "metrics.json")}
+	f := &Flags{Trace: filepath.Join(t.TempDir(), "trace.json")}
 	for r := 0; r < 2; r++ {
 		if err := f.Write(buildSurfaceObserver(r), []int{r}, r, true); err != nil {
 			t.Fatal(err)
@@ -162,13 +150,9 @@ func TestSurfaceLaunchGolden(t *testing.T) {
 	if err := f.Merge(2); err != nil {
 		t.Fatal(err)
 	}
-	for name, path := range map[string]string{
-		"surface_launch_trace.json": f.Trace, "surface_launch_metrics.json": f.Metrics,
-	} {
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenCheck(t, name, got)
+	got, err := os.ReadFile(f.Trace)
+	if err != nil {
+		t.Fatal(err)
 	}
+	goldenCheck(t, "surface_launch_trace.json", got)
 }

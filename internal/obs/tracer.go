@@ -23,10 +23,7 @@
 // exactly that property.
 package obs
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Span is one completed traced interval on one rank.
 type Span struct {
@@ -63,16 +60,9 @@ type Span struct {
 const DriverRank = -1
 
 // Tracer records spans for one rank into a fixed-capacity ring buffer. The
-// zero-capacity and nil tracers are valid and record nothing.
-//
-// Two overload policies exist. The default ring evicts the oldest span on
-// wraparound, so a long run keeps only its tail. EnableDetailSampling
-// switches detail (inner-loop) spans to systematic sampling instead: every
-// k-th detail span is admitted into a fixed-size sample buffer, and when the
-// buffer fills it is decimated (every other retained sample dropped, k
-// doubled), so the retained samples always span the whole run at roughly
-// uniform spacing. Coarse (non-detail) spans keep the ring and are always
-// recorded. Recorded() counts every Begin in either mode.
+// zero-capacity and nil tracers are valid and record nothing. The ring evicts
+// the oldest span on wraparound, so a long run keeps its tail; Recorded()
+// counts every begin, so an export can say how many were dropped.
 type Tracer struct {
 	rank int
 	ring []Span
@@ -82,13 +72,6 @@ type Tracer struct {
 	stats func() (msgs, bytes int64)
 	// now is the clock, replaceable by tests for deterministic exports.
 	now func() int64
-
-	// Detail-sampling state (nil samples = default evict policy).
-	samples       []Span
-	sn            int    // filled prefix of samples
-	stride        uint64 // admit every stride-th detail span
-	detailSeen    uint64
-	openSampleIdx int // index of the open admitted detail span, -1 = none
 }
 
 // NewTracer creates a tracer for the given rank with room for capacity
@@ -140,9 +123,6 @@ func (t *Tracer) BeginDetail(name string) uint64 {
 func (t *Tracer) begin(name string, detail bool, parent uint64) uint64 {
 	t.seq++
 	seq := t.seq
-	if detail && t.samples != nil {
-		return t.beginSampled(name, seq)
-	}
 	var m, b int64
 	if t.stats != nil {
 		m, b = t.stats()
@@ -156,58 +136,6 @@ func (t *Tracer) begin(name string, detail bool, parent uint64) uint64 {
 	return seq
 }
 
-// EnableDetailSampling switches the tracer's detail spans from ring eviction
-// to systematic sampling (see the type comment). Idempotent; no-op on nil.
-func (t *Tracer) EnableDetailSampling() {
-	if t == nil || t.samples != nil {
-		return
-	}
-	t.samples = make([]Span, len(t.ring))
-	t.stride = 1
-	t.openSampleIdx = -1
-}
-
-// beginSampled admits every stride-th detail span into the sample buffer.
-// Unadmitted spans return token 0, making their End a single comparison;
-// the already-bumped t.seq keeps Recorded() counting every begin.
-func (t *Tracer) beginSampled(name string, seq uint64) uint64 {
-	t.detailSeen++
-	if (t.detailSeen-1)%t.stride != 0 {
-		return 0
-	}
-	if t.sn == len(t.samples) {
-		t.decimateSamples()
-	}
-	var m, b int64
-	if t.stats != nil {
-		m, b = t.stats()
-	}
-	t.samples[t.sn] = Span{
-		Seq: seq, Rank: t.rank, Name: name, Detail: true,
-		Start: t.now(), Dur: -1, Msgs: m, Bytes: b,
-	}
-	t.openSampleIdx = t.sn
-	t.sn++
-	return seq
-}
-
-// decimateSamples keeps every other retained sample and doubles the stride,
-// so the buffer always holds a systematic sample of the whole run.
-func (t *Tracer) decimateSamples() {
-	newOpen := -1
-	keep := 0
-	for i := 0; i < t.sn; i += 2 {
-		if i == t.openSampleIdx {
-			newOpen = keep
-		}
-		t.samples[keep] = t.samples[i]
-		keep++
-	}
-	t.sn = keep
-	t.openSampleIdx = newOpen // an open span at an odd index is dropped
-	t.stride <<= 1
-}
-
 // End closes the span opened under tok. A span whose ring slot was
 // overwritten by wraparound is silently dropped.
 func (t *Tracer) End(tok uint64) { t.EndN(tok, 0) }
@@ -218,10 +146,6 @@ func (t *Tracer) EndN(tok uint64, n int64) {
 		return
 	}
 	s := &t.ring[tok%uint64(len(t.ring))]
-	if t.samples != nil && t.openSampleIdx >= 0 && t.samples[t.openSampleIdx].Seq == tok {
-		s = &t.samples[t.openSampleIdx]
-		t.openSampleIdx = -1
-	}
 	if s.Seq != tok || s.Dur >= 0 {
 		return // overwritten by wraparound (or already closed)
 	}
@@ -274,32 +198,13 @@ func (t *Tracer) ObserveSpan(name string, startNanos, durNanos, n int64, parent 
 	return seq
 }
 
-// Spans returns the completed spans still held by the tracer — the ring's,
-// oldest first, merged with the detail samples when sampling is enabled —
-// in sequence order. Call only after the owning goroutine has finished
-// recording.
+// Spans returns the completed spans still held in the ring, oldest first.
+// Call only after the owning goroutine has finished recording.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(t.ring)+t.sn)
-	if t.samples != nil {
-		// Sampling mode: detail begins bump seq without occupying ring
-		// slots, so the ring's sequence numbers are sparse — scan the slots
-		// and the sample buffer, then order by sequence.
-		for _, s := range t.ring {
-			if s.Seq != 0 && s.Dur >= 0 {
-				out = append(out, s)
-			}
-		}
-		for i := 0; i < t.sn; i++ {
-			if t.samples[i].Dur >= 0 {
-				out = append(out, t.samples[i])
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-		return out
-	}
+	out := make([]Span, 0, len(t.ring))
 	n := uint64(len(t.ring))
 	lo := uint64(1)
 	if t.seq > n {

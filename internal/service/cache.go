@@ -55,20 +55,11 @@ func (c *resultCache) get(key string) (Response, bool) {
 }
 
 // put stores (or refreshes) a response, evicting the least recently used
-// entry beyond capacity. Returns the number of evictions (0 or 1).
-func (c *resultCache) put(key string, val Response) int {
+// entry beyond capacity.
+func (c *resultCache) put(key string, val Response) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	inserted, evicted := c.lru.Put(key, val, 1)
-	if inserted {
+	if inserted, _ := c.lru.Put(key, val, 1); inserted {
 		c.fps[val.Fingerprint]++
 	}
-	return evicted
-}
-
-// len reports the current entry count.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }

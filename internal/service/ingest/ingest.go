@@ -115,14 +115,10 @@ type Manager struct {
 	stopOnce sync.Once
 	sweeper  sync.WaitGroup
 
-	opened       *obs.Counter
-	completed    *obs.Counter
 	expired      *obs.Counter
-	aborted      *obs.Counter
 	failed       *obs.Counter
 	shortCircs   *obs.Counter
 	bytesIn      *obs.Counter
-	chunksIn     *obs.Counter
 	replayed     *obs.Counter
 	checksumErrs *obs.Counter
 	openGauge    *obs.Gauge
@@ -139,14 +135,10 @@ func NewManager(cfg Config) *Manager {
 		cfg:          cfg,
 		sessions:     make(map[string]*session),
 		quit:         make(chan struct{}),
-		opened:       reg.Counter("ingest.sessions_opened"),
-		completed:    reg.Counter("ingest.sessions_completed"),
 		expired:      reg.Counter("ingest.sessions_expired"),
-		aborted:      reg.Counter("ingest.sessions_aborted"),
 		failed:       reg.Counter("ingest.sessions_failed"),
 		shortCircs:   reg.Counter("ingest.short_circuits"),
 		bytesIn:      reg.Counter("ingest.bytes_in"),
-		chunksIn:     reg.Counter("ingest.chunks_in"),
 		replayed:     reg.Counter("ingest.chunks_replayed"),
 		checksumErrs: reg.Counter("ingest.chunk_checksum_errors"),
 		openGauge:    reg.Gauge("ingest.sessions_open"),
@@ -348,7 +340,6 @@ func (m *Manager) Open(chunkBytes int64) (*session, error) {
 	m.sessions[id] = s
 	m.openGauge.Set(int64(len(m.sessions)))
 	m.mu.Unlock()
-	m.opened.Inc()
 
 	go s.feedLoop()
 	go s.decodeLoop(pr)
@@ -494,7 +485,6 @@ func (m *Manager) Append(s *session, idx int, data []byte, declaredSum string) (
 		s.growPrefixLocked()
 	}
 	s.cond.Broadcast()
-	m.chunksIn.Inc()
 	sc := !s.sniffed && len(s.prefix) >= graph.DMGBHeaderSize
 	s.mu.Unlock()
 
@@ -651,7 +641,6 @@ func (m *Manager) Complete(s *session, totalChunks int, cancel <-chan struct{}) 
 	s.fp = res.fp
 	s.ref = res.fp
 	s.pending = nil
-	m.completed.Inc()
 	return s.statusLocked(), nil
 }
 
@@ -667,9 +656,7 @@ func (m *Manager) Abort(id string) bool {
 	if !ok {
 		return false
 	}
-	if s.end(StateFailed, "aborted by client") {
-		m.aborted.Inc()
-	}
+	s.end(StateFailed, "aborted by client")
 	return true
 }
 

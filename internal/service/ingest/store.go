@@ -43,8 +43,6 @@ type Store struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
-	shared    *obs.Counter // single-flight loads answered by another caller's decode
-	bytesG    *obs.Gauge
 	entriesG  *obs.Gauge
 }
 
@@ -85,8 +83,6 @@ func NewStore(maxBytes int64, reg *obs.Registry) *Store {
 		hits:      reg.Counter("ingest.store_hits"),
 		misses:    reg.Counter("ingest.store_misses"),
 		evictions: reg.Counter("ingest.store_evictions"),
-		shared:    reg.Counter("ingest.store_flight_shared"),
-		bytesG:    reg.Gauge("ingest.store_bytes"),
 		entriesG:  reg.Gauge("ingest.store_entries"),
 	}
 }
@@ -133,7 +129,6 @@ func (s *Store) Put(fp string, g *graph.Graph) {
 	if _, ok := s.lru.Get(fp); !ok {
 		_, evicted := s.lru.Put(fp, g, GraphBytes(g))
 		s.evictions.Add(int64(evicted))
-		s.bytesG.Set(s.lru.Cost())
 		s.entriesG.Set(int64(s.lru.Len()))
 	}
 	s.mu.Unlock()
@@ -236,7 +231,6 @@ func (s *Store) loadShared(key string, countMiss bool, cached func() (*graph.Gra
 	}
 	if c, ok := s.flight[key]; ok {
 		s.mu.Unlock()
-		s.shared.Inc()
 		<-c.done
 		return c.g, c.fp, c.err
 	}

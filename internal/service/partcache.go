@@ -76,19 +76,19 @@ func (c *partCache) get(key string) (*partEntry, *dmgm.Placement, bool) {
 	return e, pl, true
 }
 
-// put stores a partition and returns its entry and the number of evictions
-// (0 or 1). A key already present keeps its entry, and whatever is retained
-// under it: same key ⇒ same derivation ⇒ same partition.
-func (c *partCache) put(key string, p *partition.Partition) (*partEntry, int) {
+// put stores a partition and returns its entry. A key already present keeps
+// its entry, and whatever is retained under it: same key ⇒ same derivation ⇒
+// same partition.
+func (c *partCache) put(key string, p *partition.Partition) *partEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.lru.Get(key); ok {
-		return e, 0
+		return e
 	}
 	e := &partEntry{part: p}
-	_, evicted := c.lru.Put(key, e, 1)
+	c.lru.Put(key, e, 1)
 	c.bytesG.Set(c.shares.Cost())
-	return e, evicted
+	return e
 }
 
 // retain keeps pl under e's key, dropping least recently used shares beyond

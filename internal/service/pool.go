@@ -25,7 +25,6 @@ type worldPool struct {
 	created   *obs.Counter
 	reused    *obs.Counter
 	discarded *obs.Counter
-	staleMsgs *obs.Counter
 }
 
 // newWorldPool builds a pool whose worlds carry the given run watchdog.
@@ -41,7 +40,6 @@ func newWorldPool(deadline time.Duration, maxIdle int, reg *obs.Registry) *world
 		created:   reg.Counter("service.pool_worlds_created"),
 		reused:    reg.Counter("service.pool_worlds_reused"),
 		discarded: reg.Counter("service.pool_worlds_discarded"),
-		staleMsgs: reg.Counter("service.pool_stale_msgs"),
 	}
 }
 
@@ -72,9 +70,7 @@ func (p *worldPool) put(w *mpi.World) {
 	// finished job's registry and span rings. Refused while ranks are still
 	// running — exactly the case Reset below also refuses and discards.
 	w.SetObserver(nil) //nolint:errcheck // Reset catches the running case
-	stale, err := w.Reset()
-	p.staleMsgs.Add(int64(stale))
-	if err != nil {
+	if _, err := w.Reset(); err != nil {
 		p.discarded.Inc()
 		return
 	}

@@ -217,8 +217,8 @@ type Server struct {
 	workers  sync.WaitGroup // worker goroutines
 	pending  sync.WaitGroup // admitted, unfinished jobs
 
-	nextID    atomic.Int64
-	inflightN atomic.Int64 // jobs executing right now (healthz; gauge-independent)
+	nextID   atomic.Int64
+	inflight atomic.Int64 // jobs executing right now (/healthz)
 
 	// Tracing pipeline (trace.go). exporter/traces/accessLog are nil when the
 	// respective feature is off; every use is nil-safe.
@@ -238,16 +238,11 @@ type Server struct {
 	timeouts    *obs.Counter
 	hits        *obs.Counter
 	misses      *obs.Counter
-	evictions   *obs.Counter
 	partHits    *obs.Counter
 	partMisses  *obs.Counter
-	partEvicts  *obs.Counter
 	placeBuilds *obs.Counter
-	inflight    *obs.Gauge
-	cacheGauge  *obs.Gauge
 	idleWorlds  *obs.Gauge
 	drainGauge  *obs.Gauge
-	tracesGauge *obs.Gauge
 }
 
 // NewServer builds a server from cfg. Call Start before serving traffic.
@@ -268,16 +263,11 @@ func NewServer(cfg Config) (*Server, error) {
 		timeouts:    reg.Counter("service.jobs_timeout"),
 		hits:        reg.Counter("service.cache_hits"),
 		misses:      reg.Counter("service.cache_misses"),
-		evictions:   reg.Counter("service.cache_evictions"),
 		partHits:    reg.Counter("service.partition_cache_hits"),
 		partMisses:  reg.Counter("service.partition_cache_misses"),
-		partEvicts:  reg.Counter("service.partition_cache_evictions"),
 		placeBuilds: reg.Counter("service.placement_builds"),
-		inflight:    reg.Gauge("service.inflight"),
-		cacheGauge:  reg.Gauge("service.cache_entries"),
 		idleWorlds:  reg.Gauge("service.pool_idle"),
 		drainGauge:  reg.Gauge("service.draining"),
-		tracesGauge: reg.Gauge("service.traces_retained"),
 
 		traces:    newTraceRing(cfg.TraceRing),
 		accessLog: newAccessLogger(cfg.AccessLog),
@@ -286,7 +276,6 @@ func NewServer(cfg Config) (*Server, error) {
 	// are cut from are held under.
 	s.parts = newPartCache(cfg.PartitionCacheEntries, s.store.Stats().MaxBytes, reg)
 	reg.Gauge("service.queue_cap").Set(int64(cfg.QueueLen))
-	reg.Gauge("service.workers").Set(int64(cfg.Workers))
 	if cfg.StoreDir != "" {
 		// Enabled before any deposit can happen: the startup scan indexes
 		// what a previous daemon run left behind, so old refs resolve and
@@ -483,12 +472,11 @@ func (s *Server) LiveSnapshot() *obs.LiveSnapshot {
 	}
 }
 
-// refreshGauges recomputes the sampled gauges a scrape observes (the
-// scheduler keeps service.queue_depth exact on every enqueue and dispatch).
+// refreshGauges recomputes the one sampled gauge a scrape observes,
+// service.pool_idle (the scheduler keeps service.queue_depth exact on every
+// enqueue and dispatch).
 func (s *Server) refreshGauges() {
-	s.cacheGauge.Set(int64(s.cache.len()))
 	s.idleWorlds.Set(int64(s.pool.idle()))
-	s.tracesGauge.Set(int64(s.traces.len()))
 }
 
 // healthBody is the GET /healthz answer (docs/PROTOCOL.md §6): the drain
@@ -512,7 +500,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	body := healthBody{
 		Status:         "ok",
 		Workers:        s.cfg.Workers,
-		Inflight:       s.inflightN.Load(),
+		Inflight:       s.inflight.Load(),
 		QueueDepth:     s.sched.totalQueued(),
 		Queues:         s.sched.depths(),
 		IdleWorlds:     s.pool.idle(),
@@ -870,8 +858,7 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 		}
 	}
 	s.inflight.Add(1)
-	s.inflightN.Add(1)
-	defer func() { s.inflight.Add(-1); s.inflightN.Add(-1) }()
+	defer s.inflight.Add(-1)
 	runStart := time.Now()
 	resCh := make(chan execResult, 1)
 	go func() {
@@ -926,7 +913,7 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 	jt.stage(spanDeposit, func() int64 {
 		// The cached copy carries no tenant: a hit may serve any tenant,
 		// which stamps its own id on its copy.
-		s.evictions.Add(int64(s.cache.put(j.key, *r.resp)))
+		s.cache.put(j.key, *r.resp)
 		return int64(len(r.resp.Result))
 	})
 	r.resp.Tenant = jt.tenant
@@ -963,9 +950,7 @@ func (s *Server) getPlacement(j *job) (*dmgm.Placement, placeTiming, error) {
 		if err != nil {
 			return nil, t, err
 		}
-		var evicted int
-		e, evicted = s.parts.put(key, p)
-		s.partEvicts.Add(int64(evicted))
+		e = s.parts.put(key, p)
 	}
 	t.partDur = time.Since(t.partStart)
 	if placement != nil {

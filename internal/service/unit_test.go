@@ -11,24 +11,20 @@ import (
 
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)
-	if ev := c.put("a", Response{JobID: "a"}); ev != 0 {
-		t.Fatalf("put a evicted %d", ev)
-	}
+	c.put("a", Response{JobID: "a"})
 	c.put("b", Response{JobID: "b"})
 	if _, ok := c.get("a"); !ok { // a is now most recently used
 		t.Fatal("a missing")
 	}
-	if ev := c.put("c", Response{JobID: "c"}); ev != 1 {
-		t.Fatalf("put c evicted %d, want 1", ev)
-	}
+	c.put("c", Response{JobID: "c"})
 	if _, ok := c.get("b"); ok {
 		t.Fatal("b survived eviction; LRU order wrong")
 	}
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a evicted; LRU order wrong")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if n := c.lru.Len(); n != 2 {
+		t.Fatalf("len = %d, want 2", n)
 	}
 }
 
@@ -49,15 +45,13 @@ func TestResultCacheCopySemantics(t *testing.T) {
 func TestResultCacheRefresh(t *testing.T) {
 	c := newResultCache(2)
 	c.put("k", Response{Result: "v1"})
-	if ev := c.put("k", Response{Result: "v2"}); ev != 0 {
-		t.Fatalf("refresh evicted %d", ev)
-	}
+	c.put("k", Response{Result: "v2"})
 	got, _ := c.get("k")
 	if got.Result != "v2" {
 		t.Fatalf("refresh kept %q", got.Result)
 	}
-	if c.len() != 1 {
-		t.Fatalf("len = %d after refresh, want 1", c.len())
+	if n := c.lru.Len(); n != 1 {
+		t.Fatalf("len = %d after refresh, want 1", n)
 	}
 }
 
@@ -67,8 +61,8 @@ func TestResultCacheDisabled(t *testing.T) {
 	if _, ok := c.get("k"); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
-	if c.len() != 0 {
-		t.Fatalf("disabled cache holds %d entries", c.len())
+	if n := c.lru.Len(); n != 0 {
+		t.Fatalf("disabled cache holds %d entries", n)
 	}
 }
 
