@@ -355,16 +355,22 @@ func BenchmarkSequentialColoringSmallestLast(b *testing.B) {
 	}
 }
 
+// BenchmarkMultilevelPartition times the partitioner on a 150² circuit at
+// P = 16 and on serve_cold_inline's shape, a 128² circuit at P = 4.
 func BenchmarkMultilevelPartition(b *testing.B) {
-	g, err := gen.Circuit(150, 150, 0.45, true, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.Multilevel(g, 16, partition.MultilevelOptions{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ side, p int }{{150, 16}, {128, 4}} {
+		b.Run(fmt.Sprintf("circuit%d/P=%d", c.side, c.p), func(b *testing.B) {
+			g, err := gen.Circuit(c.side, c.side, 0.45, true, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := partition.Multilevel(g, c.p, partition.MultilevelOptions{Seed: uint64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

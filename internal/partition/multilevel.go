@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -48,7 +49,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 	}
 	n := g.NumVertices()
 	if p > n && n > 0 {
-		return nil, fmt.Errorf("partition: %d parts for %d vertices", p, n)
+		return nil, fmt.Errorf("%w (%d parts for %d vertices)", ErrPartsExceedVertices, p, n)
 	}
 	if n == 0 {
 		return &Partition{P: p, Part: []int32{}}, nil
@@ -74,7 +75,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 	lev := &level{g: g, vwgt: unitWeights(n)}
 	var stack []*level
 	rng := gen.NewRNG(opt.Seed)
-	s := &scratch{perm: make([]graph.Vertex, n), mate: make([]graph.Vertex, n)}
+	s := &scratch{perm: make([]graph.Vertex, n), mate: make([]graph.Vertex, n), cut: make([]int32, n), coarseCut: make([]int32, n)}
 	for lev.g.NumVertices() > opt.CoarsenTo {
 		next := coarsen(lev, rng, s)
 		if next == nil { // matching stalled; stop coarsening
@@ -103,10 +104,15 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 			finePart[v] = part[fine.coarseOf[v]]
 		}
 		part = finePart
+		s.cut, s.coarseCut = s.coarseCut, s.cut
 		refine(fine, part, p, passes, opt.Imbalance, rng, s)
 	}
 	return &Partition{P: p, Part: part}, nil
 }
+
+// ErrPartsExceedVertices is what Multilevel, which leaves no part empty,
+// wraps when asked for more parts than vertices: a fault of the request.
+var ErrPartsExceedVertices = errors.New("partition: more parts than vertices")
 
 // level is one rung of the multilevel stack. coarseOf maps this level's
 // vertices to the next-coarser level's ids (nil at the coarsest level).
@@ -128,10 +134,11 @@ type scratch struct {
 	// takes two fresh stamps, so no call ever clears the array.
 	mark  []int32
 	stamp int32
-	// refine: the weight from the vertex in hand to each part, and the parts
-	// for which it is set.
-	ext     []float64
-	touched []int32
+	// refine: the weight from the vertex in hand to each part, the parts for
+	// which it is set, and cut[v], v's arcs into other parts (coarseCut: a level up).
+	ext            []float64
+	touched        []int32
+	cut, coarseCut []int32
 }
 
 func unitWeights(n int) []int64 {
@@ -380,17 +387,24 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 // bound; of several parts with that gain, to the one with the lowest id. This
 // is the lightweight cousin of Kernighan–Lin/Fiduccia–Mattheyses refinement
 // used at every level of the multilevel scheme.
+//
+// A vertex with no arc into another part lists no part, so it is skipped.
+// s.cut counts those arcs across moves; a vertex whose coarse vertex had none
+// has none (its neighbours lie in it or its neighbours) and is not counted.
 func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng *gen.RNG, s *scratch) {
 	if passes <= 0 {
 		return
 	}
 	g := lev.g
 	n := g.NumVertices()
-	load := make([]int64, p)
+	load, cut := make([]int64, p), s.cut[:n]
 	var total int64
 	for v := 0; v < n; v++ {
 		load[part[v]] += lev.vwgt[v]
 		total += lev.vwgt[v]
+		if cut[v] = 0; lev.coarseOf == nil || s.coarseCut[lev.coarseOf[v]] != 0 {
+			cut[v] = arcsOut(g, part, graph.Vertex(v))
+		}
 	}
 	maxLoad := int64(float64(total)/float64(p)*(1+imbalance)) + 1
 	ext := s.ext
@@ -399,6 +413,9 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 		moved := 0
 		gen.FillPerm(rng, order)
 		for _, v := range order {
+			if cut[v] == 0 {
+				continue
+			}
 			home := part[v]
 			adj := g.Neighbors(v)
 			internal := 0.0
@@ -440,10 +457,28 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 				load[bestPart] += lev.vwgt[v]
 				part[v] = bestPart
 				moved++
+				for _, u := range adj {
+					if part[u] == home {
+						cut[u]++
+					} else if part[u] == bestPart {
+						cut[u]--
+					}
+				}
+				cut[v] = arcsOut(g, part, v)
 			}
 		}
 		if moved == 0 {
 			break
 		}
 	}
+}
+
+// arcsOut counts v's arcs into parts other than its own.
+func arcsOut(g *graph.Graph, part []int32, v graph.Vertex) (n int32) {
+	for _, u := range g.Neighbors(v) {
+		if part[u] != part[v] {
+			n++
+		}
+	}
+	return n
 }

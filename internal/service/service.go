@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -640,13 +641,19 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, jt *jobTrace) (*
 // admit is the admission stage. The rate bucket gates ingress before any
 // request work — a tenant over its rate is shed before the body is even
 // decoded, and the Retry-After hint is when its own bucket next grants a
-// token. Then the body is decoded under the size bound and validated.
+// token. Then the body is read under the size bound, decoded and validated.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, tq *tenantQueue, tenant string, req *Request) *ingest.Refusal {
 	if secs, ok := s.sched.takeToken(tq); !ok {
 		tq.rejRate.Inc()
 		return overRate(tenant, secs)
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(req); err != nil {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bodyBufs.Put(buf) }()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = decodeRequest(buf.Bytes(), req)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return ingest.Refusef(http.StatusRequestEntityTooLarge,
@@ -904,6 +911,10 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 		jt.record(spanPlaceBuild, r.place.buildStart, r.place.buildDur, r.place.buildBytes, nil)
 	}
 	jt.runSeq = jt.record(spanRun, runStart, jt.runDur, 0, j.tq.runh)
+	var rej *ingest.Refusal
+	if errors.As(r.err, &rej) {
+		return nil, rej
+	}
 	if r.err != nil {
 		s.failed.Inc()
 		return nil, ingest.Refusef(http.StatusInternalServerError, "executing %s: %v", j.req.Algorithm, r.err)
@@ -932,7 +943,7 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 // retained shares when a by-reference job left some, and otherwise cuts its
 // own and retains nothing. The key covers the full derivation, and both
 // partitions and shares are read-only downstream, so sharing one instance
-// across concurrent jobs is safe.
+// across concurrent jobs is safe. A refusal of more ranks than vertices is a 400.
 func (s *Server) getPlacement(j *job) (*dmgm.Placement, placeTiming, error) {
 	t := placeTiming{partStart: time.Now()}
 	key := partitionKey(j.fp, j.req.Partition, j.req.Ranks, j.req.Seed)
@@ -947,6 +958,10 @@ func (s *Server) getPlacement(j *job) (*dmgm.Placement, placeTiming, error) {
 			return nil, t, err
 		}
 		p, err := partitioner(j.g, j.req.Ranks, partition.MultilevelOptions{Seed: j.req.Seed})
+		if n := j.g.NumVertices(); errors.Is(err, partition.ErrPartsExceedVertices) {
+			return nil, t, ingest.Refusef(http.StatusBadRequest, "ranks %d exceed the graph's %d vertices and partition %q cannot leave a rank empty: ask for at most %d ranks",
+				j.req.Ranks, n, j.req.Partition, n)
+		}
 		if err != nil {
 			return nil, t, err
 		}

@@ -284,6 +284,10 @@ func TestBadRequests(t *testing.T) {
 	_, gtext := testGraph(t)
 	const maxBody = 64 << 10 // room for gtext, not for the oversize case
 	_, cl := startServer(t, service.Config{QueueLen: 4, Workers: 1, MaxBodyBytes: maxBody}, true)
+	before, err := cl.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		req  service.Request
@@ -308,6 +312,43 @@ func TestBadRequests(t *testing.T) {
 		if tc.want == http.StatusRequestEntityTooLarge &&
 			(!strings.Contains(apiErr.Message, fmt.Sprint(maxBody)) || !strings.Contains(apiErr.Message, "/v1/uploads")) {
 			t.Errorf("%s: message %q names neither the %d-byte bound nor /v1/uploads", tc.name, apiErr.Message, maxBody)
+		}
+	}
+	// Raw bodies, each answered 400 with a message that says why.
+	job := `{"algorithm":"match","graph":"g 6 3\ne 0 1 1\ne 2 3 2\ne 4 5 3\n"}`
+	for _, tc := range []struct{ name, body, msg string }{
+		{"bytes after the job object", job + " trailing garbage", "after top-level value"},
+		{"a second job object", job + job, "after top-level value"},
+		{"ranks above the vertex count under multilevel", `{"algorithm":"match","graph":"g 2 1\ne 0 1 1\n"}`, "ranks 4 exceed the graph's 2 vertices"},
+	} {
+		resp, err := http.Post(cl.Base+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var answer struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&answer) //nolint:errcheck // an empty Error fails below
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(answer.Error, tc.msg) {
+			t.Errorf("%s: %d %q, want 400 saying %q", tc.name, resp.StatusCode, answer.Error, tc.msg)
+		}
+	}
+	// None of them is a failed run: that counter is a correctness signal.
+	after, err := cl.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.Counters["service.jobs_failed"] - before.Counters["service.jobs_failed"]; d != 0 {
+		t.Errorf("service.jobs_failed moved by %d over bad requests", d)
+	}
+}
+
+// TestEmptyPartsStillRun: the partitioners that can leave a rank without
+// vertices keep running a graph smaller than the rank count.
+func TestEmptyPartsStillRun(t *testing.T) {
+	_, cl := startServer(t, service.Config{QueueLen: 4, Workers: 1}, true)
+	for _, p := range []string{"block", "bfs", "random"} {
+		if _, err := cl.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: "g 2 1\ne 0 1 1\n", Partition: p}); err != nil {
+			t.Errorf("%s, 4 ranks, 2 vertices: %v", p, err)
 		}
 	}
 }
