@@ -19,31 +19,12 @@ import (
 type resultCache struct {
 	mu  sync.Mutex
 	lru *lru.Cache[string, Response]
-	// fps counts live entries per graph fingerprint — the index the upload
-	// short-circuit probes: a fingerprint with any cached result is one the
-	// daemon can answer for without the graph bytes. Evictions leave it
-	// through the cache's on-evict callback.
-	fps map[string]int
 }
 
 // newResultCache builds a cache holding up to cap entries; cap <= 0
 // disables caching (every lookup misses, every store is dropped).
 func newResultCache(cap int) *resultCache {
-	c := &resultCache{fps: make(map[string]int)}
-	c.lru = lru.New(int64(cap), func(_ string, evicted Response) {
-		if c.fps[evicted.Fingerprint]--; c.fps[evicted.Fingerprint] <= 0 {
-			delete(c.fps, evicted.Fingerprint)
-		}
-	})
-	return c
-}
-
-// hasFingerprint reports whether any cached result was computed over the
-// graph with this fingerprint.
-func (c *resultCache) hasFingerprint(fp string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return fp != "" && c.fps[fp] > 0
+	return &resultCache{lru: lru.New[string, Response](int64(cap), nil)}
 }
 
 // get returns a copy of the cached response and marks the entry recently
@@ -59,7 +40,5 @@ func (c *resultCache) get(key string) (Response, bool) {
 func (c *resultCache) put(key string, val Response) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if inserted, _ := c.lru.Put(key, val, 1); inserted {
-		c.fps[val.Fingerprint]++
-	}
+	c.lru.Put(key, val, 1)
 }

@@ -59,12 +59,9 @@ type Config struct {
 	MaxBytes int64
 	// MaxChunkBytes bounds the declared chunk size (default 16 MiB).
 	MaxChunkBytes int64
-	// Store receives decoded graphs; required.
+	// Store receives decoded graphs; required. A DMGB session declaring a
+	// fingerprint it contains short-circuits.
 	Store *Store
-	// Known reports fingerprints the daemon can already answer for (the
-	// graph store, the result cache); a DMGB session declaring one
-	// short-circuits. nil means only Store.Contains is consulted.
-	Known func(fp string) bool
 	// Admit gates session opens — the serving layer charges uploads against
 	// per-tenant budgets here (docs/PROTOCOL.md §8). Called before the
 	// session exists, it returns either a release hook, which the manager
@@ -163,14 +160,6 @@ func (m *Manager) Stop() {
 		s.end(StateFailed, "server shutting down")
 	}
 	m.openGauge.Set(0)
-}
-
-// known reports whether the daemon can already answer for a fingerprint.
-func (m *Manager) known(fp string) bool {
-	if m.cfg.Store.Contains(fp) {
-		return true
-	}
-	return m.cfg.Known != nil && m.cfg.Known(fp)
 }
 
 func (m *Manager) sweepLoop() {
@@ -521,7 +510,7 @@ func (s *session) growPrefixLocked() {
 }
 
 // maybeShortCircuit parses the declared DMGB header once the prefix covers
-// it; a fingerprint the daemon already knows settles the session without
+// it; a fingerprint the store already holds settles the session without
 // the rest of the transfer.
 func (m *Manager) maybeShortCircuit(s *session) {
 	s.mu.Lock()
@@ -544,7 +533,7 @@ func (m *Manager) maybeShortCircuit(s *session) {
 	fp := s.fp
 	s.mu.Unlock()
 
-	if !m.known(fp) {
+	if !m.cfg.Store.Contains(fp) {
 		return
 	}
 	s.mu.Lock()

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -32,7 +35,14 @@ type Store struct {
 	maxBytes int64
 	lru      *lru.Cache[string, *graph.Graph] // by fingerprint, cost = GraphBytes
 	flight   map[string]*flightCall           // in-progress loads, by caller key
-	paths    map[string]pathEntry             // daemon-local file loads, by path
+	// paths and texts name stored graphs by how a caller reached them, so a
+	// repeated path or inline text is decoded once. An entry exists only
+	// while its fingerprint is in memory: the LRU's on-evict callback
+	// (forget) drops it with the graph. texts holds at most one digest per
+	// fingerprint (the newest), so it never outgrows the store's entry count.
+	paths  map[string]pathEntry // daemon-local file loads, by path
+	texts  map[string]string    // inline text SHA-256 → fingerprint
+	textOf map[string]string    // fingerprint → its entry in texts
 
 	// spill is the persistent tier (spill.go); nil means memory-only, the
 	// pre-persistence behavior. reg is kept so EnableSpill can register its
@@ -74,16 +84,33 @@ func NewStore(maxBytes int64, reg *obs.Registry) *Store {
 	if maxBytes < 1<<20 {
 		maxBytes = 1 << 20
 	}
-	return &Store{
+	s := &Store{
 		maxBytes:  maxBytes,
-		lru:       lru.New[string, *graph.Graph](maxBytes, nil),
 		flight:    make(map[string]*flightCall),
 		paths:     make(map[string]pathEntry),
+		texts:     make(map[string]string),
+		textOf:    make(map[string]string),
 		reg:       reg,
 		hits:      reg.Counter("ingest.store_hits"),
 		misses:    reg.Counter("ingest.store_misses"),
 		evictions: reg.Counter("ingest.store_evictions"),
 		entriesG:  reg.Gauge("ingest.store_entries"),
+	}
+	s.lru = lru.New(maxBytes, s.forget)
+	return s
+}
+
+// forget is the LRU's on-evict callback (run under s.mu): the names that led
+// to an evicted graph go with it.
+func (s *Store) forget(fp string, _ *graph.Graph) {
+	if d, ok := s.textOf[fp]; ok {
+		delete(s.texts, d)
+		delete(s.textOf, fp)
+	}
+	for path, pe := range s.paths {
+		if pe.fp == fp {
+			delete(s.paths, path)
+		}
 	}
 }
 
@@ -102,10 +129,11 @@ func (s *Store) Get(fp string) (*graph.Graph, bool) {
 }
 
 // Contains reports presence without touching LRU order or the hit counters —
-// the probe an upload session uses to decide a short-circuit. A graph that
-// has been evicted from memory but still has its spill file counts as
-// present: the next job rehydrates it, so re-uploading the bytes would be
-// wasted work.
+// the probe an upload session uses to decide a short-circuit, and the only
+// one: a session settles without the bytes only if a graph_ref job can then
+// find the graph. A graph that has been evicted from memory but still has
+// its spill file counts as present: the next job rehydrates it, so
+// re-uploading the bytes would be wasted work.
 func (s *Store) Contains(fp string) bool {
 	s.mu.Lock()
 	ok := s.lru.Contains(fp)
@@ -163,7 +191,7 @@ func (s *Store) Resolve(fp string) (g *graph.Graph, rehydrated bool, ok bool) {
 			return nil, "", err
 		}
 		return g, fp, nil
-	})
+	}, nil)
 	if err != nil {
 		// The spill file was corrupt or vanished; load() already quarantined
 		// and dropped the index entry, so this ref now reads as absent.
@@ -182,6 +210,7 @@ func (s *Store) LoadPath(path string) (*graph.Graph, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	var read *pathEntry // the stat identity of the bytes the load decoded
 	return s.loadShared("path:"+path, true, func() (*graph.Graph, string, bool) {
 		if pe, ok := s.paths[path]; ok &&
 			pe.size == info.Size() && pe.modTime.Equal(info.ModTime()) && pe.ino == fileIno(info) {
@@ -206,12 +235,69 @@ func (s *Store) LoadPath(path string) (*graph.Graph, string, error) {
 		// pre-open Stat: if the file was replaced between stat and open, the
 		// cache entry must describe the bytes that were actually decoded.
 		if fi, err := f.Stat(); err == nil {
-			s.mu.Lock()
-			s.paths[path] = pathEntry{fp: fp, size: fi.Size(), modTime: fi.ModTime(), ino: fileIno(fi)}
-			s.mu.Unlock()
+			read = &pathEntry{fp: fp, size: fi.Size(), modTime: fi.ModTime(), ino: fileIno(fi)}
 		}
 		return g, fp, nil
+	}, func(string) {
+		if read != nil {
+			s.paths[path] = *read
+		}
 	})
+}
+
+// LoadText resolves an inline graph text through the store, the twin of
+// LoadPath: a text whose SHA-256 names a stored graph is answered with that
+// graph, unparsed — graph.ReadText is a pure function of its bytes, and the
+// fingerprint pins the graph down to its CSR arrays. Otherwise the text is
+// parsed and fingerprinted once across concurrent callers and deposited, and
+// its digest replaces any earlier text of the same graph. A text that fails
+// to parse is never remembered: every caller gets ReadText's own error.
+func (s *Store) LoadText(text string) (*graph.Graph, string, error) {
+	d := textDigest(text)
+	hit := false
+	g, fp, err := s.loadShared("text:"+d, true, func() (*graph.Graph, string, bool) {
+		fp, ok := s.texts[d]
+		if !ok {
+			return nil, "", false
+		}
+		g, ok := s.lru.Get(fp)
+		if ok {
+			s.hits.Inc()
+			hit = true
+		}
+		return g, fp, ok
+	}, func() (*graph.Graph, string, error) {
+		g, err := graph.ReadText(strings.NewReader(text))
+		if err != nil {
+			return nil, "", err
+		}
+		return g, graph.Fingerprint(g), nil
+	}, func(fp string) {
+		if old, ok := s.textOf[fp]; ok {
+			delete(s.texts, old)
+		}
+		s.texts[d], s.textOf[fp] = fp, d
+	})
+	// A hit touches the spill file as a deposit would: it may have been
+	// evicted by the disk budget or quarantined since.
+	if hit && s.spill != nil {
+		s.spill.write(fp, g)
+	}
+	return g, fp, err
+}
+
+// textDigest is the hex SHA-256 of text, fed through a fixed buffer so the
+// text is never copied whole.
+func textDigest(text string) string {
+	h := sha256.New()
+	var buf [4 << 10]byte
+	for len(text) > 0 {
+		n := copy(buf[:], text)
+		h.Write(buf[:n])
+		text = text[n:]
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // loadShared returns the graph cached finds in the store, or else runs load
@@ -219,11 +305,13 @@ func (s *Store) LoadPath(path string) (*graph.Graph, string, error) {
 // under the store lock together with the flight lookup, and the deposit
 // happens before the flight entry is removed, so a caller always sees either
 // the flight or the stored graph — never neither, which would decode the same
-// bytes a second time. countMiss governs whether starting a load counts as a
-// store miss; Resolve passes false because its preceding Get already counted
-// one.
+// bytes a second time. After a successful load, remember (if not nil) records
+// how the caller named the graph; it runs under the store lock and only while
+// the graph is still in memory, so no name outlives its graph. countMiss
+// governs whether starting a load counts as a store miss; Resolve passes false
+// because its preceding Get already counted one.
 func (s *Store) loadShared(key string, countMiss bool, cached func() (*graph.Graph, string, bool),
-	load func() (*graph.Graph, string, error)) (*graph.Graph, string, error) {
+	load func() (*graph.Graph, string, error), remember func(fp string)) (*graph.Graph, string, error) {
 	s.mu.Lock()
 	if g, fp, ok := cached(); ok {
 		s.mu.Unlock()
@@ -245,6 +333,9 @@ func (s *Store) loadShared(key string, countMiss bool, cached func() (*graph.Gra
 		s.Put(c.fp, c.g)
 	}
 	s.mu.Lock()
+	if c.err == nil && remember != nil && s.lru.Contains(c.fp) {
+		remember(c.fp)
+	}
 	delete(s.flight, key)
 	s.mu.Unlock()
 	close(c.done)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,9 +289,6 @@ func NewServer(cfg Config) (*Server, error) {
 		MaxSessions: maxUploadSessions,
 		MaxBytes:    cfg.MaxUploadBytes,
 		Store:       s.store,
-		// Fingerprints with a cached result are answerable without the
-		// graph bytes, so uploads of them short-circuit too.
-		Known: s.cache.hasFingerprint,
 		// Uploads pass the same per-tenant admission as jobs: one rate
 		// token per session open, counted against the tenant's upload cap.
 		Admit:    s.admitUpload,
@@ -748,15 +744,13 @@ func (s *Server) loadGraph(req *Request, jt *jobTrace) (*graph.Graph, string, *i
 	}
 	switch {
 	case req.Graph != "":
-		g, err := graph.ReadText(strings.NewReader(req.Graph))
+		// Inline graphs land in the store too, so the caller can switch to
+		// graph_ref (the response fingerprint) and uploads of the same
+		// content short-circuit; a repeated text is parsed once.
+		g, fp, err := s.store.LoadText(req.Graph)
 		if err != nil {
 			return fail(http.StatusBadRequest, err)
 		}
-		fp := graph.Fingerprint(g)
-		// Inline graphs land in the store too, so the caller can switch to
-		// graph_ref (the response fingerprint) and uploads of the same
-		// content short-circuit.
-		s.store.Put(fp, g)
 		return g, fp, nil
 	case req.GraphRef != "":
 		start := time.Now()

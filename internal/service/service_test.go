@@ -280,6 +280,45 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	}
 }
 
+// TestInlineTextVariantsAreOneGraph: an inline text and a variant of it
+// that differs in comments and whitespace are one graph — the same
+// fingerprint and answer, the second a result-cache hit.
+func TestInlineTextVariantsAreOneGraph(t *testing.T) {
+	_, gtext := testGraph(t)
+	_, cl := startServer(t, service.Config{Workers: 1}, true)
+	ctx := context.Background()
+	first, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoColor, Graph: gtext, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := "# the same graph\n" + strings.ReplaceAll(gtext, " ", "  ")
+	second, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoColor, Graph: variant, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Fingerprint != first.Fingerprint || second.Result != first.Result || !second.Cached {
+		t.Fatalf("variant: fingerprint %s (want %s), cached %v, or its result differs", second.Fingerprint, first.Fingerprint, second.Cached)
+	}
+}
+
+// TestMalformedInlineGraphAnswersOne400: a text that does not parse is
+// refused with the same message however often it is sent.
+func TestMalformedInlineGraphAnswersOne400(t *testing.T) {
+	_, cl := startServer(t, service.Config{Workers: 1}, true)
+	var msgs []string
+	for i := 0; i < 2; i++ {
+		_, err := cl.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: "g 3 2\ne 0 1 1\ne 1 7 1\n"})
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Fatalf("submission %d: %v, want a 400", i, err)
+		}
+		msgs = append(msgs, apiErr.Message)
+	}
+	if msgs[0] != msgs[1] || !strings.Contains(msgs[0], "out of range") {
+		t.Fatalf("two refusals of one text: %q and %q", msgs[0], msgs[1])
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, gtext := testGraph(t)
 	const maxBody = 64 << 10 // room for gtext, not for the oversize case

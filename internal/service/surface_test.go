@@ -124,8 +124,9 @@ func TestObservableSurface(t *testing.T) {
 		return map[string]int64{"serve.resolve": vertices, partition: 2, "serve.placement.build": placementLen,
 			"serve.cache_deposit": resultLen, "serve.respond": resultLen}
 	}
-	// The inline rows left the graph in the store, so it can be named by its
-	// fingerprint: the by-reference rows.
+	// The first inline row parses the text (a store miss) and leaves the graph
+	// in the store; every later row with the same text is a store hit, and so
+	// is naming the graph by its fingerprint: the by-reference rows.
 	byRef := func(r *service.Request) { r.Graph, r.GraphRef, r.NoCache = "", graph.Fingerprint(g), true }
 	warmRun := func(extra ...string) map[string]int64 {
 		d := tenantDelta("pin", map[string]int64{
@@ -158,33 +159,34 @@ func TestObservableSurface(t *testing.T) {
 			spans: []string{"serve.job", "serve.admit", "serve.resolve", "serve.queue_wait"},
 			n:     map[string]int64{"serve.resolve": vertices},
 			delta: tenantDelta("q", map[string]int64{
-				"service.jobs_submitted": 1, "service.cache_misses": 1, "service.jobs_timeout": 1, "service.queue_wait_ms": 1,
+				"service.jobs_submitted": 1, "ingest.store_misses": 1, "service.cache_misses": 1, "service.jobs_timeout": 1,
+				"service.queue_wait_ms": 1,
 			}, "submitted", "admitted", "queue_wait_ms")},
 		{name: "queue-full 429", tenant: "q", status: http.StatusTooManyRequests,
 			req:   with(func(r *service.Request) { r.Seed = 4 }),
 			spans: []string{"serve.job", "serve.admit", "serve.resolve"},
 			n:     map[string]int64{"serve.resolve": vertices},
 			delta: tenantDelta("q", map[string]int64{
-				"service.jobs_submitted": 1, "service.cache_misses": 1, "service.jobs_rejected": 1,
+				"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_misses": 1, "service.jobs_rejected": 1,
 			}, "submitted", "rejected", "rejected_queue")},
 		{name: "cache miss", tenant: "pin", status: http.StatusOK, req: &job,
 			spans: ranSpans("serve.partition.compute"), n: ranN("serve.partition.compute"),
 			delta: tenantDelta("pin", map[string]int64{
-				"service.jobs_submitted": 1, "service.cache_misses": 1, "service.partition_cache_misses": 1,
+				"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_misses": 1, "service.partition_cache_misses": 1,
 				"service.pool_worlds_created": 1, "service.jobs_completed": 1,
 				"service.queue_wait_ms": 1, "service.run_ms": 1, "service.job_latency_ms": 1,
 			}, "submitted", "admitted", "completed", "queue_wait_ms", "run_ms", "latency_ms")},
 		{name: "cache hit", tenant: "pin", status: http.StatusOK, req: &job,
 			spans: []string{"serve.job", "serve.admit", "serve.resolve", "serve.cache.hit", "serve.respond"},
 			n:     map[string]int64{"serve.resolve": vertices, "serve.respond": resultLen},
-			delta: tenantDelta("pin", map[string]int64{"service.jobs_submitted": 1, "service.cache_hits": 1}, "submitted")},
+			delta: tenantDelta("pin", map[string]int64{"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_hits": 1}, "submitted")},
 		{name: "no_cache", tenant: "pin", status: http.StatusOK,
 			req:   with(func(r *service.Request) { r.NoCache = true }),
 			spans: ranSpans("serve.partition.cached"), n: ranN("serve.partition.cached"),
 			// A bypassed lookup still counts a miss: hits + misses = submitted
 			// past admission, which bench/serve.go reconciles per window. The
 			// inline job cut its own shares and retained none.
-			delta: warmRun()},
+			delta: warmRun("ingest.store_hits")},
 		{name: "by reference, first: builds the retained shares", tenant: "pin", status: http.StatusOK, req: with(byRef),
 			spans: ranSpans("serve.partition.cached", "serve.placement.build"), n: ranN("serve.partition.cached"),
 			delta: warmRun("ingest.store_hits", "service.placement_builds")},
@@ -201,13 +203,13 @@ func TestObservableSurface(t *testing.T) {
 		{name: "400 malformed graph", tenant: "pin", status: http.StatusBadRequest,
 			req:   with(func(r *service.Request) { r.Graph = "not a graph\n" }),
 			spans: []string{"serve.job", "serve.admit", "serve.resolve"},
-			delta: tenantDelta("pin", map[string]int64{"service.jobs_submitted": 1}, "submitted")},
+			delta: tenantDelta("pin", map[string]int64{"service.jobs_submitted": 1, "ingest.store_misses": 1}, "submitted")},
 		{name: "400 invalid tenant header", tenant: "no spaces allowed", status: http.StatusBadRequest, req: &job,
 			spans: []string{"serve.job"}, delta: map[string]int64{}},
 		{name: "cache hit spending the rate burst", tenant: "slow", status: http.StatusOK, req: &job,
 			spans: []string{"serve.job", "serve.admit", "serve.resolve", "serve.cache.hit", "serve.respond"},
 			n:     map[string]int64{"serve.resolve": vertices, "serve.respond": resultLen},
-			delta: tenantDelta("slow", map[string]int64{"service.jobs_submitted": 1, "service.cache_hits": 1}, "submitted")},
+			delta: tenantDelta("slow", map[string]int64{"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_hits": 1}, "submitted")},
 		{name: "rate 429", tenant: "slow", status: http.StatusTooManyRequests, req: &job,
 			spans: []string{"serve.job", "serve.admit"},
 			delta: tenantDelta("slow", map[string]int64{"service.jobs_submitted": 1, "service.jobs_rejected": 1},

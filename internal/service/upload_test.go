@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -144,22 +146,103 @@ func TestSecondUploadShortCircuits(t *testing.T) {
 	waitMetric(t, cl, "ingest.short_circuits", 1)
 }
 
-// TestUploadShortCircuitsOnCachedResult exercises the other Known source:
-// an inline job warms the result cache (and the store), after which an
-// upload of the same graph short-circuits.
-func TestUploadShortCircuitsOnCachedResult(t *testing.T) {
+// TestUploadShortCircuitsOnInlineGraph: an inline job leaves its graph in
+// the store, after which an upload of the same graph short-circuits. The
+// result cache is off, so the store is what answered.
+func TestUploadShortCircuitsOnInlineGraph(t *testing.T) {
 	g, gtext := testGraph(t)
-	_, cl := startServer(t, service.Config{Workers: 1}, true)
+	_, cl := startServer(t, service.Config{Workers: 1, CacheEntries: -1}, true)
 	ctx := context.Background()
 	if _, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoColor, Graph: gtext, Ranks: 2}); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := cl.Upload(ctx, encodeDMGB(t, g), client.UploadOptions{ChunkBytes: uploadChunkSize})
+	ref, stats, err := cl.Upload(ctx, encodeDMGB(t, g), client.UploadOptions{ChunkBytes: uploadChunkSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats.ShortCircuit {
 		t.Fatal("upload after an inline job of the same graph did not short-circuit")
+	}
+	if _, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoColor, GraphRef: ref, Ranks: 2}); err != nil {
+		t.Fatalf("job by the short-circuited ref: %v", err)
+	}
+}
+
+// TestUploadAfterEvictionTransfersTheGraph is the regression test of a
+// short-circuit that handed out a dead ref. A cached result once counted as
+// holding its graph: after the graph left the store, an upload of it
+// short-circuited on the cached result alone, and every job by the ref it
+// returned answered 404 — as did every re-upload's. Only the store (memory or
+// spill) may settle an upload without its bytes.
+func TestUploadAfterEvictionTransfersTheGraph(t *testing.T) {
+	g, gtext := testGraph(t)
+	_, cl := startServer(t, service.Config{Workers: 1, StoreBytes: 1 << 20}, true)
+	ctx := context.Background()
+	color := service.Request{Algorithm: service.AlgoColor, Graph: gtext, Ranks: 2}
+	first, err := cl.Submit(ctx, &color)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 300² grid outgrows the 1 MiB store on its own and evicts the graph.
+	grid, err := gen.Grid2D(300, 300, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := graph.WriteText(&sb, grid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoColor, Graph: sb.String(), Ranks: 2, Partition: "block"}); err != nil {
+		t.Fatal(err)
+	}
+	ref, stats, err := cl.Upload(ctx, encodeDMGB(t, g), client.UploadOptions{ChunkBytes: uploadChunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ShortCircuit {
+		t.Fatal("upload short-circuited on a graph the store no longer holds")
+	}
+	byRef := color
+	byRef.Graph, byRef.GraphRef = "", ref
+	resp, err := cl.Submit(ctx, &byRef)
+	if err != nil {
+		t.Fatalf("job by the uploaded ref: %v", err)
+	}
+	if resp.Result != first.Result {
+		t.Fatal("the by-ref answer differs from the inline one")
+	}
+}
+
+// TestInlineJobAfterUpload: once an inline text of an uploaded graph has
+// been seen, later inline jobs run on the uploaded graph itself, unparsed —
+// and answer byte for byte as the job by reference does.
+func TestInlineJobAfterUpload(t *testing.T) {
+	g, gtext := testGraph(t)
+	_, cl := startServer(t, service.Config{Workers: 1}, true)
+	ctx := context.Background()
+	ref, _, err := cl.UploadGraph(ctx, g, client.UploadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRef, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Seed: 3, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the first parses the text, the second hits the memo
+		inline, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Seed: 3, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inline.Fingerprint != ref || inline.Result != byRef.Result {
+			t.Fatalf("inline job %d: fingerprint %s, or its result, differs from the by-ref job's", i, inline.Fingerprint)
+		}
+	}
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Counters["ingest.store_misses"] != 1 {
+		t.Fatalf("store_misses = %d, want 1: the repeated text parsed again", m.Counters["ingest.store_misses"])
 	}
 }
 
