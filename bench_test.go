@@ -329,6 +329,71 @@ func BenchmarkSequentialGreedySortMatching(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelMatching times what one solve_* job of bench/ times:
+// Reset + Run of the distributed matching + Gather, on 4-rank shares and a
+// world built once — the kernel alone, with no harness around it.
+func BenchmarkParallelMatching(b *testing.B) {
+	grid := func() (*graph.Graph, *partition.Partition, error) {
+		g, err := gen.Grid2D(512, 512, true, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		part, err := partition.Grid2D(512, 512, 2, 2)
+		return g, part, err
+	}
+	rmat := func() (*graph.Graph, *partition.Partition, error) {
+		g, err := gen.RMAT(16, 8, true, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		part, err := partition.Multilevel(g, 4, partition.MultilevelOptions{Seed: 1})
+		return g, part, err
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*graph.Graph, *partition.Partition, error)
+		opt   matching.ParallelOptions
+	}{
+		{"grid512", grid, matching.ParallelOptions{}},
+		{"rmat16", rmat, matching.ParallelOptions{}},
+		{"rmat16_unbundled", rmat, matching.ParallelOptions{MaxBundleBytes: matching.RecordBytes}},
+	} {
+		var shares []*dgraph.DistGraph
+		b.Run(tc.name, func(b *testing.B) {
+			if shares == nil { // built once per case, not once per b.N
+				g, part, err := tc.build()
+				if err == nil {
+					shares, err = dgraph.Distribute(g, part)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			w, err := mpi.NewWorld(len(shares), mpi.WithDeadline(time.Minute))
+			if err != nil {
+				b.Fatal(err)
+			}
+			results := make([]*matching.ParallelResult, len(shares))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Reset(); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Run(func(c *mpi.Comm) (err error) {
+					results[c.Rank()], err = matching.Parallel(c, shares[c.Rank()], tc.opt)
+					return err
+				}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := matching.Gather(shares, results); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSequentialColoringGrid(b *testing.B) {
 	g, err := gen.Grid2D(512, 512, false, 0)
 	if err != nil {

@@ -38,7 +38,29 @@ type d2Kernel struct {
 	// color through its one-layer ghosts (the conflict's middle vertex lives
 	// on another rank), so without this memory it could re-pick the same
 	// color forever.
-	forbidden map[int32]map[int32]bool
+	forbidden colorLists
+	// queued[v] == stamp marks owned vertex v as already in detect's list.
+	queued []int32
+	stamp  int32
+}
+
+// colorLists holds a set of colors per owned vertex as linked lists over one
+// append-only pool: head[v] is one past the pool position of the color added
+// to v last (0: none), and next[i] is likewise the entry added before entry i.
+type colorLists struct {
+	head, next, color []int32
+}
+
+// add puts color c into v's set unless it is there already.
+func (l *colorLists) add(v, c int32) {
+	for i := l.head[v]; i != 0; i = l.next[i-1] {
+		if l.color[i-1] == c {
+			return
+		}
+	}
+	l.color = append(l.color, c)
+	l.next = append(l.next, l.head[v])
+	l.head[v] = int32(len(l.color))
 }
 
 // noticeRec is one received RECOLOR notice: the losing owned vertex and the
@@ -75,7 +97,8 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 		colorState: s,
 		opt:        opt,
 		notices:    mpi.NewBundler(c, recolorTag, noticeMax, 0),
-		forbidden:  map[int32]map[int32]bool{},
+		forbidden:  colorLists{head: make([]int32, d.NLocal)},
+		queued:     make([]int32, d.NLocal),
 	}
 	s.onRecolor = func(v, color int32) { k.pending = append(k.pending, noticeRec{v, color}) }
 	// Boundary colors ship to every neighbor rank: they may be
@@ -92,7 +115,16 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 // re-color, ascending, with their colors cleared.
 func (k *d2Kernel) detect(u []int32) []int32 {
 	d := k.d
-	recolor := map[int32]bool{}
+	// The owned vertices to re-color, each once: u's storage is free (the
+	// round that colored it is over), and queued marks who is in it.
+	u = u[:0]
+	k.stamp++
+	recolor := func(v int32) {
+		if k.queued[v] != k.stamp {
+			k.queued[v] = k.stamp
+			u = append(u, v)
+		}
+	}
 	// lost records that the loser of the pair (a, b), both colored col, must
 	// re-color.
 	lost := func(a, b, col int32) {
@@ -101,7 +133,7 @@ func (k *d2Kernel) detect(u []int32) []int32 {
 			loser = a
 		}
 		if !d.IsGhost(loser) {
-			recolor[loser] = true
+			recolor(loser)
 			return
 		}
 		var rec [noticeMax]byte
@@ -140,23 +172,18 @@ func (k *d2Kernel) detect(u []int32) []int32 {
 	// Collect remote recolor notices (buffered early arrivals included).
 	k.drain()
 	for _, nr := range k.pending {
-		recolor[nr.v] = true
-		if k.forbidden[nr.v] == nil {
-			k.forbidden[nr.v] = map[int32]bool{}
-		}
-		k.forbidden[nr.v][nr.color] = true
+		recolor(nr.v)
+		k.forbidden.add(nr.v, nr.color)
 	}
 	k.pending = k.pending[:0]
-	u = u[:0]
-	for v := range recolor {
-		u = append(u, v)
+	for _, v := range u {
 		k.colors[v] = -1 // do not let stale colors mask new conflicts
 	}
-	// Ascending, so that the recolor order (and hence the final coloring) is
-	// deterministic regardless of map iteration order. Cleared colors are not
-	// re-announced: losers re-color next round and ship fresh colors then;
-	// peers comparing against the stale value may raise a spurious extra
-	// notice, which is harmless.
+	// Ascending, so that the recolor order (and hence the final coloring)
+	// does not depend on the order conflicts and notices were found in.
+	// Cleared colors are not re-announced: losers re-color next round and
+	// ship fresh colors then; peers comparing against the stale value may
+	// raise a spurious extra notice, which is harmless.
 	slices.Sort(u)
 	return u
 }
@@ -173,8 +200,9 @@ func (k *d2Kernel) pickColor(v int32) int32 {
 			k.markAdjacent(u)
 		}
 	}
-	for c := range k.forbidden[v] {
-		k.picker.use(c)
+	f := &k.forbidden
+	for i := f.head[v]; i != 0; i = f.next[i-1] {
+		k.picker.use(f.color[i-1])
 	}
 	return k.picker.firstFree()
 }

@@ -2,11 +2,11 @@
 // an offline link checker over every *.md file: relative links must point at
 // files that exist and fragment anchors at headings that exist. It runs in CI
 // (the docs job) so documentation cannot silently drift from the tree — no
-// network access, external URLs are not followed. TestDgraphIsBelowTheRuntime
-// and TestMatchingHasNoMaps hold the tree to claims DESIGN.md makes;
-// TestSignalCatalogue and TestObservabilityWrittenOnce hold it to
-// docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt row,
-// TestSharesAreCutInOnePlace to its §9.
+// network access, external URLs are not followed. TestDgraphIsBelowTheRuntime,
+// TestMatchingHasNoMaps and TestColoringHasNoMaps hold the tree to claims
+// DESIGN.md makes; TestSignalCatalogue and TestObservabilityWrittenOnce hold
+// it to docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt
+// row, TestSharesAreCutInOnePlace to its §9.
 package docs
 
 import (
@@ -182,6 +182,21 @@ func TestMatchingHasNoMaps(t *testing.T) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if _, ok := n.(*ast.MapType); ok {
 				t.Errorf("%s declares a map type", name)
+			}
+			return true
+		})
+	}
+}
+
+// TestColoringHasNoMaps pins the same rule for the coloring kernels: the
+// distance-2 kernel's forbidden colors and re-color set are dense arrays
+// like every other per-vertex structure, so no color a kernel picks can
+// depend on a map's iteration order.
+func TestColoringHasNoMaps(t *testing.T) {
+	for name, file := range nonTestFiles(t, "coloring", 0) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if _, ok := n.(*ast.MapType); ok {
+				t.Errorf("coloring/%s declares a map type", name)
 			}
 			return true
 		})

@@ -14,7 +14,9 @@ import (
 // consistent total order is what makes the locally-dominant (greedy) matching
 // unique — the reason the result is identical at any rank count, and the
 // reason the distributed protocols can reproduce the sequential one exactly.
-// It is generic so that vertex labels and global ids share one text.
+// Greedy sorts by it; the candidate-mate scans realise it through row order
+// (bestArc). It is generic so that vertex labels and global ids share one
+// text.
 func precedes[L ~int32 | ~int64](wa float64, a1, a2 L, wb float64, b1, b2 L) bool {
 	if wa != wb {
 		return wa > wb
@@ -31,13 +33,32 @@ func precedes[L ~int32 | ~int64](wa float64, a1, a2 L, wb float64, b1, b2 L) boo
 	return a2 < b2
 }
 
-// better is precedes for two edges out of one vertex: arc (weight wa to a)
-// beats arc (wb to b). Wherever the shared endpoint v falls among a and b,
-// comparing the sorted pairs {v,a} and {v,b} comes down to a < b, so v drops
-// out and each label stands for both ends of its pair — which keeps the
-// candidate-mate scans' comparison small enough to inline.
-func better[L ~int32 | ~int64](wa float64, a L, wb float64, b L) bool {
-	return precedes(wa, a, a, wb, b, b)
+// bestArc is the candidate-mate scan of both matchings: the position in row
+// adj (weights wts aligned with it, nil for unit weights) of the heaviest arc
+// to a neighbor u with !gone[u], the earliest on a tie — or -1 when every
+// neighbor is gone. That is the arc precedes puts first: for two arcs out of
+// one vertex, comparing the sorted pairs comes down to comparing the other
+// ends' labels, and every row is ascending in the label precedes reads
+// (graph.Graph's vertex ids, dgraph's global ids; both Validates check it).
+// So no label is loaded, and an arc too light to win is never checked for
+// liveness.
+func bestArc(adj []int32, wts []float64, gone []bool) int {
+	if wts == nil {
+		for k, u := range adj {
+			if !gone[u] {
+				return k
+			}
+		}
+		return -1
+	}
+	adj = adj[:len(wts)]
+	best, bestW := -1, 0.0
+	for k, w := range wts {
+		if (best < 0 || w > bestW) && !gone[adj[k]] {
+			best, bestW = k, w
+		}
+	}
+	return best
 }
 
 // A protocol record names a cross edge and says one of up to four things about

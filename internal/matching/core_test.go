@@ -2,37 +2,123 @@ package matching
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dgraph"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/partition"
 )
 
-// TestPrecedesIsOneOrder pins the order's two spellings against each other:
-// for edges out of one vertex, the shared-endpoint form agrees with the full
-// rule wherever the shared endpoint falls, and ties in weight fall to labels.
-func TestPrecedesIsOneOrder(t *testing.T) {
-	for v := int64(0); v < 5; v++ {
-		for a := int64(0); a < 5; a++ {
-			for b := int64(0); b < 5; b++ {
-				if a == v || b == v || a == b {
-					continue
-				}
-				for _, w := range [][2]float64{{1, 1}, {2, 1}, {1, 2}} {
-					full := precedes(w[0], v, a, w[1], b, v)
-					if got := better(w[0], a, w[1], b); got != full {
-						t.Fatalf("v=%d: better(%g,%d,%g,%d) = %v, precedes says %v", v, w[0], a, w[1], b, got, full)
-					}
-					if full == precedes(w[1], v, b, w[0], v, a) {
-						t.Fatalf("v=%d a=%d b=%d w=%v: order is not strict", v, a, b, w)
-					}
-				}
+// rowScanCase checks both candidate-mate scans on one row against an oracle:
+// center vertex c has neighbors ids (ascending, c not among them) with
+// weights wts (nil: an unweighted graph), of which those with gone[k] set are
+// no longer available. The oracle is the arc precedes puts first among the
+// live ones, compared as whole edges {c, u}. The sequential scan reads c's row
+// of the star graph; the parallel one reads c's row of rank 0's share of the
+// same star cut over two ranks, where the neighbors of odd id are ghosts — so
+// the row's local indices are not ascending, only its global ids are.
+func rowScanCase(t *testing.T, c int32, ids []int32, wts []float64, gone []bool) {
+	t.Helper()
+	weight := func(k int) float64 {
+		if wts == nil {
+			return 1
+		}
+		return wts[k]
+	}
+	want := graph.None
+	for k, u := range ids {
+		if gone[k] {
+			continue
+		}
+		if want == graph.None || precedes(weight(k), c, u, weight(slices.Index(ids, want)), c, want) {
+			want = u
+		}
+	}
+
+	n := int(c) + 1
+	if len(ids) > 0 {
+		n = max(n, int(ids[len(ids)-1])+1)
+	}
+	edges := make([]graph.Edge, len(ids))
+	for k, u := range ids {
+		edges[k] = graph.Edge{U: c, V: u, W: weight(k)}
+	}
+	g, err := graph.BuildUndirected(n, edges, graph.DedupeFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wts == nil {
+		g.W = nil
+	}
+	goneAt := make([]bool, n)
+	for k, u := range ids {
+		goneAt[u] = gone[k]
+	}
+	seq := graph.None
+	if k := bestArc(g.Neighbors(c), g.Weights(c), goneAt); k >= 0 {
+		seq = g.Neighbors(c)[k]
+	}
+
+	part := &partition.Partition{P: 2, Part: make([]int32, n)}
+	for u := range part.Part {
+		part.Part[u] = int32(u % 2)
+	}
+	part.Part[c] = 0
+	shares, err := dgraph.Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := shares[0]
+	s := &matchState{rank: rank{d: d}, gone: make([]bool, d.NLocal+d.NGhost)}
+	for k, u := range ids {
+		l, _ := d.LocalOf(int64(u))
+		s.gone[l] = gone[k]
+	}
+	lc, _ := d.LocalOf(int64(c))
+	par := graph.None
+	if best, arc := s.computeCandidate(lc); best != noCM {
+		par = graph.Vertex(d.GlobalOf(best))
+		if d.Adj[arc] != best {
+			t.Fatalf("row %v: the parallel scan names %d but its arc %d leads to local %d", ids, best, arc, d.Adj[arc])
+		}
+	}
+	if seq != want || par != want {
+		t.Fatalf("center %d, row %v, weights %v, gone %v: sequential scan picks %d, parallel %d, precedes %d",
+			c, ids, wts, gone, seq, par, want)
+	}
+}
+
+// TestRowScanIsPrecedes pins the tie rule both matchings rest on: over rows
+// ascending in id, the earliest of the heaviest live arcs is the one precedes
+// puts first — random rows with weights in {1, 2, 3} (ties everywhere),
+// unweighted rows, and random gone masks.
+func TestRowScanIsPrecedes(t *testing.T) {
+	rng := gen.NewRNG(7)
+	for i := 0; i < 2000; i++ {
+		c := int32(rng.Intn(40))
+		var ids []int32
+		for u := int32(0); u < 40; u++ {
+			if u != c && rng.Intn(4) == 0 {
+				ids = append(ids, u)
 			}
 		}
+		var wts []float64
+		if i%4 != 0 {
+			wts = make([]float64, len(ids))
+			for k := range wts {
+				wts[k] = float64(1 + rng.Intn(3))
+			}
+		}
+		gone := make([]bool, len(ids))
+		for k := range gone {
+			gone[k] = rng.Intn(3) == 0
+		}
+		rowScanCase(t, c, ids, wts, gone)
 	}
 }
 

@@ -18,40 +18,29 @@ func LocallyDominant(g *graph.Graph) Mates {
 	n := g.NumVertices()
 	mate := unmatched(n)
 	cm := make([]graph.Vertex, n)
+	gone := make([]bool, n) // matched, or failed: the candidate pool is exhausted
 
-	available := func(u graph.Vertex) bool { return mate[u] == graph.None && cm[u] != deadMark }
-
-	// computeCandidate returns the best available neighbor of v, or None.
+	// computeCandidate returns the best neighbor of v not gone, or None.
 	computeCandidate := func(v graph.Vertex) graph.Vertex {
 		adj := g.Neighbors(v)
-		wts := g.Weights(v)
-		best := graph.None
-		bestW := 0.0
-		for k, u := range adj {
-			if !available(u) {
-				continue
-			}
-			w := 1.0
-			if wts != nil {
-				w = wts[k]
-			}
-			if best == graph.None || better(w, u, bestW, best) {
-				best, bestW = u, w
-			}
+		if k := bestArc(adj, g.Weights(v), gone); k >= 0 {
+			return adj[k]
 		}
-		return best
+		return graph.None
 	}
 
 	queue := make([]graph.Vertex, 0, n)
 	// matchPair records the matched edge and queues both endpoints.
 	matchPair := func(u, v graph.Vertex) {
 		mate[u], mate[v] = v, u
+		gone[u], gone[v] = true, true
 		queue = append(queue, u, v)
 	}
-	// fail marks v permanently unmatchable and queues it so neighbors
-	// pointing at it recompute.
+	// fail marks v permanently unmatchable — the sequential counterpart of
+	// the FAILED message — and queues it so neighbors pointing at it
+	// recompute.
 	fail := func(v graph.Vertex) {
-		cm[v] = deadMark
+		gone[v] = true
 		queue = append(queue, v)
 	}
 
@@ -59,23 +48,22 @@ func LocallyDominant(g *graph.Graph) Mates {
 		cm[v] = computeCandidate(graph.Vertex(v))
 	}
 	for v := 0; v < n; v++ {
-		if mate[v] == graph.None && cm[v] == graph.None {
-			fail(graph.Vertex(v)) // isolated (or all-dead) vertex
+		u := cm[v]
+		if u == graph.None {
+			fail(graph.Vertex(v)) // isolated vertex
 			continue
 		}
-		u := cm[v]
-		if mate[v] == graph.None && u != graph.None && u > graph.Vertex(v) && cm[u] == graph.Vertex(v) {
+		if !gone[v] && u > graph.Vertex(v) && cm[u] == graph.Vertex(v) {
 			matchPair(graph.Vertex(v), u)
 		}
 	}
 
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
 		// v just became unavailable (matched or failed): every free neighbor
 		// pointing at v recomputes its candidate.
 		for _, w := range g.Neighbors(v) {
-			if mate[w] != graph.None || cm[w] == deadMark || cm[w] != v {
+			if cm[w] != v || gone[w] {
 				continue
 			}
 			nc := computeCandidate(w)
@@ -83,14 +71,10 @@ func LocallyDominant(g *graph.Graph) Mates {
 			switch {
 			case nc == graph.None:
 				fail(w)
-			case cm[nc] == w && mate[nc] == graph.None:
+			case cm[nc] == w && !gone[nc]:
 				matchPair(w, nc)
 			}
 		}
 	}
 	return mate
 }
-
-// deadMark flags a vertex that can never be matched (its candidate pool is
-// exhausted) — the sequential counterpart of the FAILED message.
-const deadMark graph.Vertex = -2

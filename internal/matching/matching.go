@@ -3,10 +3,11 @@
 // the sorted endpoint pair), which makes the half-approximate
 // locally-dominant matching unique:
 //
-//   - core.go: that order, and what a distributed kernel is written over —
-//     the record link (one varint per record: pair-local edge index and
-//     kind), the bundle receive and rank set-up — so that a kernel owns only
-//     its protocol;
+//   - core.go: that order, the one candidate-mate scan that realises it over
+//     rows ascending in id (bestArc), and what a distributed kernel is
+//     written over — the record link (one varint per record: pair-local edge
+//     index and kind), the bundle receive and rank set-up — so that a kernel
+//     owns only its protocol;
 //   - parallel.go (result assembled by gather.go): the asynchronous
 //     REQUEST/SUCCEEDED/FAILED kernel with aggressive message bundling;
 //   - the sequential references it is tested against: localdom.go

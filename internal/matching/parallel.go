@@ -42,13 +42,6 @@ type ParallelResult struct {
 	Records int64
 }
 
-// vertex protocol states.
-const (
-	stFree int8 = iota
-	stMatched
-	stFailed
-)
-
 // Parallel runs the distributed locally-dominant matching on this rank's
 // share d, communicating over c. Every rank of the world must call Parallel
 // with its own share of the same graph. The computation interleaves an inner
@@ -71,7 +64,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	}
 	for v := int32(0); int(v) < d.NLocal; v++ {
 		res.MateGlobal[v] = -1
-		if s.state[v] == stMatched {
+		if s.cm[v] != noCM { // every owned vertex is retired; only a failed one has no candidate
 			res.MateGlobal[v] = d.GlobalOf(s.cm[v])
 			if d.GlobalOf(v) < res.MateGlobal[v] { // the LocalWeight convention
 				res.LocalWeight += d.Weight(s.cmArc[v])
@@ -86,10 +79,13 @@ type matchState struct {
 	rank
 	match link // the REQUEST / SUCCEEDED / FAILED records
 
-	state      []int8  // per owned vertex
+	// gone is the one liveness array, over every local index (owned vertices
+	// first, then ghosts): an owned vertex once retired, a ghost once its
+	// SUCCEEDED / FAILED is in. A retired vertex is matched iff it has a
+	// candidate, since a vertex only fails with none.
+	gone       []bool
 	cm         []int32 // candidate mate (local index), or -1; once matched, the mate
 	cmArc      []int64 // position in the CSR of the arc to cm; once matched, of the matched edge
-	ghostGone  []bool  // per ghost: matched or failed remotely
 	reqTo      []int32 // per ghost: owned vertex it currently requests (the sets R), or noCM
 	undecided  int     // owned vertices still free
 	queue      []int32 // owned vertices that just became unavailable
@@ -101,10 +97,9 @@ const noCM int32 = -1
 func (s *matchState) run() {
 	d := s.d
 	n := d.NLocal
-	s.state = make([]int8, n)
+	s.gone = make([]bool, n+d.NGhost)
 	s.cm = make([]int32, n)
 	s.cmArc = make([]int64, n)
-	s.ghostGone = make([]bool, d.NGhost)
 	s.reqTo = make([]int32, d.NGhost)
 	for i := range s.reqTo {
 		s.reqTo[i] = noCM
@@ -121,7 +116,7 @@ func (s *matchState) run() {
 		s.cm[v], s.cmArc[v] = s.computeCandidate(v)
 	}
 	for v := int32(0); int(v) < n; v++ {
-		if s.state[v] == stFree { // not yet matched by a smaller mutual candidate
+		if !s.gone[v] { // not yet matched by a smaller mutual candidate
 			s.pursue(v)
 		}
 	}
@@ -156,39 +151,17 @@ func (s *matchState) run() {
 	s.tr.End(finTok)
 }
 
-// computeCandidate returns the most preferred available neighbor of owned
-// vertex v (by global id, so every rank sees the same order) and the position
-// of the arc to it — or noCM, and no position worth reading.
+// computeCandidate returns the most preferred neighbor of owned vertex v that
+// is not gone — bestArc over v's row, whose global-id order every rank shares
+// — and the position of the arc to it; or noCM, and no position worth
+// reading.
 func (s *matchState) computeCandidate(v int32) (int32, int64) {
-	d := s.d
-	adj := d.Neighbors(v)
-	wts := d.Weights(v)
-	best, bestAt := noCM, -1
-	bestW := 0.0
-	var bestGID int64
-	for k, u := range adj {
-		if !s.available(u) {
-			continue
-		}
-		w := 1.0
-		if wts != nil {
-			w = wts[k]
-		}
-		gid := d.GlobalOf(u)
-		if best == noCM || better(w, gid, bestW, bestGID) {
-			best, bestAt, bestW, bestGID = u, k, w, gid
-		}
+	adj := s.d.Neighbors(v)
+	k := bestArc(adj, s.d.Weights(v), s.gone)
+	if k < 0 {
+		return noCM, -1
 	}
-	return best, d.Xadj[v] + int64(bestAt)
-}
-
-// available reports whether neighbor u (owned or ghost, by local index) can
-// still be matched from this rank's perspective.
-func (s *matchState) available(u int32) bool {
-	if s.d.IsGhost(u) {
-		return !s.ghostGone[int(u)-s.d.NLocal]
-	}
-	return s.state[u] == stFree
+	return adj[k], s.d.Xadj[v] + int64(k)
 }
 
 // retire takes owned vertex v out of the free set — matched to its candidate
@@ -196,13 +169,17 @@ func (s *matchState) available(u int32) bool {
 // and tells every remaining neighbor but the mate: SUCCEEDED / FAILED records
 // across cross edges; owned neighbors learn during the queue drain. Pending
 // requests R(v) are implicitly cleared because v is no longer free.
-func (s *matchState) retire(v int32, state int8, kind byte) {
-	s.state[v] = state
+func (s *matchState) retire(v int32, kind byte) {
+	s.gone[v] = true
 	s.undecided--
 	s.queue = append(s.queue, v)
 	d := s.d
+	if !d.IsBoundary[v] {
+		return // an interior vertex has no cross arc to walk
+	}
+	n := int32(d.NLocal)
 	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
-		if nb := d.Adj[i]; nb != s.cm[v] && d.IsGhost(nb) && !s.ghostGone[int(nb)-d.NLocal] {
+		if nb := d.Adj[i]; nb >= n && nb != s.cm[v] && !s.gone[nb] {
 			s.match.send(kind, i)
 		}
 	}
@@ -211,25 +188,26 @@ func (s *matchState) retire(v int32, state int8, kind byte) {
 // drainQueue is the inner loop: every queued vertex just became unavailable,
 // so each free owned neighbor pointing at it recomputes its candidate and may
 // match, request, or fail — cascading without any communication (messages to
-// ghosts are only *buffered* here; the outer loop ships them).
+// ghosts are only *buffered* here; the outer loop ships them). The queue is
+// walked by index, so what recompute appends is reached in turn, and its
+// backing array serves the next drain.
 func (s *matchState) drainQueue() {
 	if len(s.queue) == 0 {
 		return
 	}
 	tok := s.tr.BeginDetail("match.inner")
-	var drained int64
-	for len(s.queue) > 0 {
-		drained++
-		v := s.queue[0]
-		s.queue = s.queue[1:]
+	n := int32(s.d.NLocal)
+	for i := 0; i < len(s.queue); i++ {
+		v := s.queue[i]
 		for _, w := range s.d.Neighbors(v) {
-			if s.d.IsGhost(w) || s.state[w] != stFree || s.cm[w] != v {
+			if w >= n || s.cm[w] != v || s.gone[w] {
 				continue
 			}
 			s.recompute(w)
 		}
 	}
-	s.tr.EndN(tok, drained)
+	s.tr.EndN(tok, int64(len(s.queue)))
+	s.queue = s.queue[:0]
 }
 
 // recompute refreshes the candidate mate of free owned vertex w after its
@@ -247,44 +225,43 @@ func (s *matchState) pursue(w int32) {
 	nc := s.cm[w]
 	switch {
 	case nc == noCM:
-		s.retire(w, stFailed, msgFailed)
+		s.retire(w, msgFailed)
 	case s.d.IsGhost(nc):
 		s.match.send(msgRequest, s.cmArc[w])
 		if s.reqTo[int(nc)-s.d.NLocal] == w {
 			// The ghost already asked for w: handshake complete
 			// (Algorithm 3.3's "if candidateMate(v) is in R(v)" branch).
-			s.retire(w, stMatched, msgSucceeded)
+			s.retire(w, msgSucceeded)
 		}
-	case s.cm[nc] == w && s.state[nc] == stFree:
-		s.retire(w, stMatched, msgSucceeded)
-		s.retire(nc, stMatched, msgSucceeded)
+	case s.cm[nc] == w && !s.gone[nc]:
+		s.retire(w, msgSucceeded)
+		s.retire(nc, msgSucceeded)
 	}
 }
 
 // handle processes one received protocol record, from ghost u about owned
 // vertex v.
 func (s *matchState) handle(kind byte, v, u int32) {
-	gi := int(u) - s.d.NLocal
 	switch kind {
 	case msgRequest:
 		// Algorithm 3.2. A request from an already-gone ghost cannot
 		// happen under per-pair FIFO (its SUCCEEDED/FAILED would follow,
 		// not precede, its REQUEST).
-		if s.state[v] != stFree {
+		if s.gone[v] {
 			return // v already matched or failed; u was informed then
 		}
 		if s.cm[v] == u {
-			s.retire(v, stMatched, msgSucceeded)
+			s.retire(v, msgSucceeded)
 		} else {
 			// Remember the request; a later REQUEST from the same ghost
 			// (after it recomputed) supersedes this one.
-			s.reqTo[gi] = v
+			s.reqTo[int(u)-s.d.NLocal] = v
 		}
 	case msgSucceeded, msgFailed:
 		// Algorithm 3.3 (FAILED differs only in skipping the handshake
 		// bookkeeping; both remove u from S(v)).
-		s.ghostGone[gi] = true
-		if s.state[v] == stFree && s.cm[v] == u {
+		s.gone[u] = true
+		if !s.gone[v] && s.cm[v] == u {
 			s.recompute(v)
 		}
 	default:
