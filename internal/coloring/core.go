@@ -87,10 +87,11 @@ type colorState struct {
 	c *mpi.Comm
 	d *dgraph.DistGraph
 
-	colors     []int32 // owned, -1 until colored
-	ghostColor []int32 // latest known ghost colors, -1 unknown
-	maxDeg     int     // global Δ, which sizes every kernel's palette
-	picker     *firstFit
+	// color is the one color array over every local index, owned vertices
+	// first, then ghosts (-1: not yet known); colors is its owned prefix.
+	color, colors []int32
+	maxDeg        int // global Δ, which sizes every kernel's palette
+	picker        *firstFit
 
 	out *mpi.Bundler
 
@@ -114,18 +115,14 @@ func newColorState(c *mpi.Comm, d *dgraph.DistGraph) (*colorState, error) {
 	if c.Rank() != d.Rank {
 		return nil, fmt.Errorf("coloring: rank %d given share of rank %d", c.Rank(), d.Rank)
 	}
-	s := &colorState{c: c, d: d, colors: make([]int32, d.NLocal), ghostColor: make([]int32, d.NGhost), tr: c.Tracer()}
-	for i := range s.colors {
-		s.colors[i] = -1
+	s := &colorState{c: c, d: d, color: make([]int32, d.NLocal+d.NGhost), tr: c.Tracer()}
+	for i := range s.color {
+		s.color[i] = -1
 	}
-	for i := range s.ghostColor {
-		s.ghostColor[i] = -1
-	}
+	s.colors = s.color[:d.NLocal:d.NLocal]
 	localMaxDeg := 0
 	for v := 0; v < d.NLocal; v++ {
-		if deg := d.Degree(int32(v)); deg > localMaxDeg {
-			localMaxDeg = deg
-		}
+		localMaxDeg = max(localMaxDeg, d.Degree(int32(v)))
 	}
 	s.maxDeg = int(c.AllreduceInt64(int64(localMaxDeg), mpi.OpMax))
 	s.out = mpi.NewBundler(c, colorTag, noticeMax, 0)
@@ -136,9 +133,7 @@ func newColorState(c *mpi.Comm, d *dgraph.DistGraph) (*colorState, error) {
 func (s *colorState) result() *ParallelResult {
 	localMax := int32(-1)
 	for _, col := range s.colors {
-		if col > localMax {
-			localMax = col
-		}
+		localMax = max(localMax, col)
 	}
 	globalMax := s.c.AllreduceInt64(int64(localMax), mpi.OpMax)
 	return &ParallelResult{Colors: s.colors, Rounds: s.rounds, Conflicts: s.conflicts, NumColors: int(globalMax + 1)}
@@ -153,20 +148,12 @@ func (s *colorState) allOwned() []int32 {
 	return u
 }
 
-// colorOf reads the current color of a local index, owned or ghost.
-func (s *colorState) colorOf(l int32) int32 {
-	if s.d.IsGhost(l) {
-		return s.ghostColor[int(l)-s.d.NLocal]
-	}
-	return s.colors[l]
-}
-
 // markAdjacent marks the colors visible on v's neighbors, owned and ghost,
 // under the picker's current stamp.
 func (s *colorState) markAdjacent(v int32) {
-	f := s.picker
+	f, color := s.picker, s.color
 	for _, u := range s.d.Neighbors(v) {
-		f.use(s.colorOf(u))
+		f.use(color[u])
 	}
 }
 
@@ -226,7 +213,7 @@ func (s *colorState) drain() {
 			case recolor:
 				s.onRecolor(table[index], color)
 			default:
-				s.ghostColor[int(table[index])-s.d.NLocal] = color
+				s.color[table[index]] = color
 			}
 		}
 		if !recolor {

@@ -140,28 +140,29 @@ func (k *d2Kernel) detect(u []int32) []int32 {
 		k.notices.Add(d.OwnerOf(loser), appendNotice(rec[:0], d.GhostAt[int(loser)-d.NLocal], col))
 	}
 	var arcs int64
+	color := k.color
 	for mid := int32(0); int(mid) < d.NLocal; mid++ {
 		adj := d.Neighbors(mid)
 		arcs += int64(len(adj)) * int64(len(adj))
 		for i, a := range adj {
-			ca := k.colorOf(a)
+			ca := color[a]
 			if ca < 0 {
 				continue
 			}
 			for _, b := range adj[i+1:] {
-				if k.colorOf(b) == ca {
+				if color[b] == ca {
 					lost(a, b, ca)
 				}
 			}
 		}
 		// The middle vertex itself also conflicts with any neighbor of
 		// equal color (distance-1 ⊂ distance-2).
-		cm := k.colors[mid]
+		cm := color[mid]
 		if cm < 0 {
 			continue
 		}
 		for _, nb := range adj {
-			if k.colorOf(nb) == cm {
+			if color[nb] == cm {
 				lost(mid, nb, cm)
 			}
 		}

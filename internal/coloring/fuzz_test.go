@@ -15,8 +15,8 @@ import (
 // bundle to rank 0 of a 6 × 6 grid cut into three strips — rank 1 its one
 // neighbor, rank 2 none — and rank 0 drain it. The drain ends cleanly, having
 // touched only ghosts of the sender (or, for a RECOLOR, vertices shown to
-// it), or in the protocol panic; never in an index out of range, and never
-// without consuming the bundle.
+// it), or in the protocol panic; never in an index out of range, never in a
+// color on an owned vertex, and never without consuming the bundle.
 func FuzzNoticeWalk(f *testing.F) {
 	g, err := gen.Grid2D(6, 6, false, 0)
 	if err != nil {
@@ -79,7 +79,14 @@ func FuzzNoticeWalk(f *testing.F) {
 				}
 			}
 			s.drain()
-			for gi, col := range s.ghostColor {
+			// One array holds owned and ghost colors: a bad table entry would
+			// color an owned slot here rather than fail an index check.
+			for v, col := range s.color[:d.NLocal] {
+				if col != -1 {
+					t.Errorf("bundle with tag %d from rank %d colored owned vertex %d", tag, sender, v)
+				}
+			}
+			for gi, col := range s.color[d.NLocal:] {
 				if col != -1 && (recolor || sender != int(d.GhostOwner[gi])) {
 					t.Errorf("bundle with tag %d from rank %d colored ghost slot %d of rank %d", tag, sender, gi, d.GhostOwner[gi])
 				}

@@ -123,10 +123,10 @@ func (f *firstFit) pick(colors Colors, neighbors []graph.Vertex) int32 {
 }
 
 // use marks color c as taken for the current stamp; uncolored (-1) and
-// out-of-palette values are ignored.
+// out-of-palette values are ignored, both by one unsigned comparison.
 func (f *firstFit) use(c int32) {
-	if c >= 0 && int(c) < len(f.mark) {
-		f.mark[c] = f.stamp
+	if i := uint(uint32(c)); i < uint(len(f.mark)) {
+		f.mark[i] = f.stamp
 	}
 }
 

@@ -27,7 +27,7 @@ func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int
 	// order (global-id tie-breaking folded in).
 	wins := func(v int32) bool {
 		for _, u := range d.Neighbors(v) {
-			if s.colorOf(u) < 0 && loses(ConflictRandom, seed, d.GlobalOf(v), d.GlobalOf(u)) {
+			if s.color[u] < 0 && loses(ConflictRandom, seed, d.GlobalOf(v), d.GlobalOf(u)) {
 				return false
 			}
 		}

@@ -189,26 +189,37 @@ type d1Kernel struct {
 	elsewhere []int32 // FIAB, per rank: the index one past its table of this rank's shown vertices
 }
 
-// appendWhere appends to u, ascending, the owned vertices whose boundary flag
-// equals boundary.
-func (k *d1Kernel) appendWhere(u []int32, boundary bool) []int32 {
-	for v, b := range k.d.IsBoundary {
-		if b == boundary {
-			u = append(u, int32(v))
-		}
-	}
-	return u
-}
-
 // initialOrder lists the owned vertices in the configured interior/boundary
-// order.
+// order, each group ascending. It counts the first group, then places every
+// vertex in one pass at its group's cursor — front from the start, back from
+// where the first group ends — picked by a conditional move, not a branch.
 func (k *d1Kernel) initialOrder() []int32 {
 	boundaryFirst := k.opt.Order == BoundaryFirst
 	if !boundaryFirst && k.opt.Order != InteriorFirst {
 		return k.allOwned()
 	}
-	u := make([]int32, 0, k.d.NLocal)
-	return k.appendWhere(k.appendWhere(u, boundaryFirst), !boundaryFirst)
+	back := 0
+	for _, b := range k.d.IsBoundary {
+		back += bit(b == boundaryFirst)
+	}
+	u, front := make([]int32, k.d.NLocal), 0
+	for v, b := range k.d.IsBoundary {
+		f, at := bit(b == boundaryFirst), back
+		if f == 1 {
+			at = front
+		}
+		u[at] = int32(v)
+		front, back = front+f, back+1-f
+	}
+	return u
+}
+
+// bit is 1 for true and 0 for false, without a branch.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // pickColor selects a permissible color for owned vertex v, given current
@@ -298,9 +309,10 @@ func (k *d1Kernel) shipToAll(chunk []int32) {
 
 // detect is the communication-free conflict detection: it returns the
 // vertices of u that share a color with a ghost neighbor and are the
-// endpoint that must re-color.
+// endpoint that must re-color. The color is compared first, so the ghost
+// test and the global ids are read only on an actual conflict.
 func (k *d1Kernel) detect(u []int32) []int32 {
-	d := k.d
+	d, color := k.d, k.color
 	recolor := u[:0]
 	var arcs int64
 	for _, v := range u {
@@ -308,12 +320,12 @@ func (k *d1Kernel) detect(u []int32) []int32 {
 			continue
 		}
 		arcs += int64(d.Degree(v))
-		cv, gv := k.colors[v], d.GlobalOf(v)
+		cv := color[v]
 		for _, w := range d.Neighbors(v) {
-			if !d.IsGhost(w) || k.ghostColor[int(w)-d.NLocal] != cv {
+			if color[w] != cv || !d.IsGhost(w) {
 				continue
 			}
-			if loses(k.opt.Conflict, k.opt.Seed, gv, d.GlobalOf(w)) {
+			if loses(k.opt.Conflict, k.opt.Seed, d.GlobalOf(v), d.GlobalOf(w)) {
 				recolor = append(recolor, v)
 				break
 			}

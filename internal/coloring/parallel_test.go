@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -399,4 +400,195 @@ func TestGatherRejectsInconsistentResults(t *testing.T) {
 	if _, err := Gather(nil, nil); err == nil {
 		t.Error("accepted empty gather")
 	}
+}
+
+// ghostScanDetect is detect as it was before the one color array: the ghost
+// test first, then the ghost's color, with v's global id loaded up front.
+func ghostScanDetect(d *dgraph.DistGraph, color []int32, opt ParallelOptions, u []int32) []int32 {
+	var recolor []int32
+	for _, v := range u {
+		if !d.IsBoundary[v] {
+			continue
+		}
+		cv, gv := color[v], d.GlobalOf(v)
+		for _, w := range d.Neighbors(v) {
+			if !d.IsGhost(w) || color[w] != cv {
+				continue
+			}
+			if loses(opt.Conflict, opt.Seed, gv, d.GlobalOf(w)) {
+				recolor = append(recolor, v)
+				break
+			}
+		}
+	}
+	return recolor
+}
+
+// TestDetectMatchesGhostScan holds detect, which compares colors before it
+// asks whether the neighbor is a ghost, to the ghost-first loop kept above:
+// the same re-color list, in the same order, on every rank's share of ER,
+// RMAT and circuit graphs cut by block, random and multilevel partitions over
+// 2, 3, 4 and 7 ranks, under both conflict policies. The colorings are
+// random over a few colors, so equal-colored owned neighbors abound, and
+// about every third boundary vertex gets a ghost neighbor of its own color.
+func TestDetectMatchesGhostScan(t *testing.T) {
+	er, err := gen.ErdosRenyi(400, 1600, false, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmat, err := gen.RMAT(9, 8, false, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuit, err := gen.Circuit(20, 20, 0.45, false, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{{"er", er}, {"rmat", rmat}, {"circuit", circuit}}
+	cuts := []struct {
+		name string
+		cut  func(g *graph.Graph, p int) (*partition.Partition, error)
+	}{
+		{"block", partition.Block1D},
+		{"random", func(g *graph.Graph, p int) (*partition.Partition, error) { return partition.Random(g, p, 3) }},
+		{"multilevel", func(g *graph.Graph, p int) (*partition.Partition, error) {
+			return partition.Multilevel(g, p, partition.MultilevelOptions{Seed: 1})
+		}},
+	}
+	rng := gen.NewRNG(11)
+	var conflicts int
+	err = mpi.Run(1, func(c *mpi.Comm) error {
+		for _, gg := range graphs {
+			for _, cc := range cuts {
+				gname, g, cname := gg.name, gg.g, cc.name
+				for _, p := range []int{2, 3, 4, 7} {
+					part, err := cc.cut(g, p)
+					if err != nil {
+						return err
+					}
+					shares, err := dgraph.Distribute(g, part)
+					if err != nil {
+						return err
+					}
+					for _, d := range shares {
+						for _, policy := range []ConflictPolicy{ConflictRandom, ConflictMinID} {
+							color := plantedColoring(d, rng)
+							perm := rng.Perm(d.NLocal)
+							u := make([]int32, rng.Intn(d.NLocal+1))
+							for i := range u {
+								u[i] = int32(perm[i])
+							}
+							opt := ParallelOptions{Conflict: policy, Seed: uint64(rng.Intn(1000))}
+							k := &d1Kernel{colorState: &colorState{c: c, d: d, color: color, colors: color[:d.NLocal]}, opt: opt}
+							want := ghostScanDetect(d, color, opt, u)
+							if got := k.detect(slices.Clone(u)); !slices.Equal(got, want) {
+								t.Errorf("%s/%s P=%d rank %d %v: detect re-colors %v, the ghost scan %v", gname, cname, p, d.Rank, policy, got, want)
+							}
+							conflicts += len(want)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conflicts == 0 {
+		t.Fatal("no cell had a conflict to detect")
+	}
+}
+
+// plantedColoring colors every local index of d at random from -1 and a few
+// colors, then gives about every third boundary vertex a ghost neighbor of
+// its own color.
+func plantedColoring(d *dgraph.DistGraph, rng *gen.RNG) []int32 {
+	palette := 2 + rng.Intn(5)
+	color := make([]int32, d.NLocal+d.NGhost)
+	for i := range color {
+		color[i] = int32(rng.Intn(palette+1)) - 1
+	}
+	var ghosts []int32
+	for v := int32(0); int(v) < d.NLocal; v++ {
+		if !d.IsBoundary[v] || rng.Intn(3) != 0 {
+			continue
+		}
+		ghosts = ghosts[:0]
+		for _, w := range d.Neighbors(v) {
+			if d.IsGhost(w) {
+				ghosts = append(ghosts, w)
+			}
+		}
+		color[ghosts[rng.Intn(len(ghosts))]] = color[v]
+	}
+	return color
+}
+
+// TestInitialOrder holds initialOrder's one pass to the two-pass listing —
+// the first group ascending, then the other — for all three orders, on every
+// share of a boundary-heavy cut (RMAT, random parts) and a boundary-light one
+// (a grid in strips).
+func TestInitialOrder(t *testing.T) {
+	rmat, err := gen.RMAT(10, 8, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy, err := partition.Random(rmat, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.Grid2D(60, 60, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, err := partition.Block1D(grid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		part     *partition.Partition
+		min, max float64 // bounds on the boundary share of each rank's vertices
+	}{{"rmat-random", rmat, heavy, 0.5, 1}, {"grid-strips", grid, light, 0, 0.1}} {
+		shares, err := dgraph.Distribute(tc.g, tc.part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range shares {
+			if frac := float64(d.NumBoundary) / float64(d.NLocal); frac < tc.min || frac > tc.max {
+				t.Fatalf("%s rank %d: boundary share %.2f, outside [%g, %g]", tc.name, d.Rank, frac, tc.min, tc.max)
+			}
+			for _, o := range []VertexOrder{BoundaryFirst, InteriorFirst, Interleaved} {
+				k := &d1Kernel{colorState: &colorState{d: d}, opt: ParallelOptions{Order: o}}
+				if got, want := k.initialOrder(), twoPassOrder(d, o); !slices.Equal(got, want) {
+					t.Errorf("%s rank %d %v: initialOrder %v, two passes %v", tc.name, d.Rank, o, got, want)
+				}
+			}
+		}
+	}
+}
+
+// twoPassOrder lists d's owned vertices in order o the way initialOrder used
+// to: one ascending pass per group.
+func twoPassOrder(d *dgraph.DistGraph, o VertexOrder) []int32 {
+	var u []int32
+	if o == Interleaved {
+		for v := 0; v < d.NLocal; v++ {
+			u = append(u, int32(v))
+		}
+		return u
+	}
+	for _, boundary := range []bool{o == BoundaryFirst, o != BoundaryFirst} {
+		for v, b := range d.IsBoundary {
+			if b == boundary {
+				u = append(u, int32(v))
+			}
+		}
+	}
+	return u
 }
