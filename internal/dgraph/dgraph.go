@@ -11,11 +11,11 @@
 // at ghosts, and every row keeps the global graph's order: ascending global
 // id. The matching kernels read that order: their candidate-mate scan gives a
 // weight tie to the earlier arc, which is the smaller global id, so no rank
-// loads a neighbor's id to break it (Validate checks the order). Per-vertex
-// classification into interior and boundary, the cross-edge counts that
-// control the matching algorithm's outer-loop termination, and the pair
-// tables (pairs.go) under which two neighboring ranks name their shared cross
-// edges and boundary vertices on the wire are all precomputed here.
+// loads a neighbor's id to break it (Validate checks the order). Interior and
+// boundary vertices, every matching's first candidates (Preferred), the
+// cross-edge counts that end the matching's outer loop, and the pair tables
+// (pairs.go) under which two neighboring ranks name their shared cross edges
+// and boundary vertices on the wire are all precomputed here.
 package dgraph
 
 import (
@@ -47,6 +47,9 @@ type DistGraph struct {
 	Adj  []int32
 	W    []float64
 
+	// Preferred is, per owned vertex, the position in its row of the arc
+	// graph.BestArc picks with nothing gone (-1: isolated): its first candidate.
+	Preferred []int32
 	// IsBoundary marks owned vertices with at least one ghost neighbor.
 	IsBoundary []bool
 	// NumBoundary counts owned boundary vertices.
@@ -134,8 +137,8 @@ func (d *DistGraph) GlobalOf(v int32) int64 { return d.GlobalID[v] }
 func (d *DistGraph) Bytes() int64 {
 	n := int64(len(d.GlobalID))*8 + int64(len(d.GhostOwner))*4 +
 		int64(len(d.Xadj))*8 + int64(len(d.Adj))*4 + int64(len(d.W))*8 +
-		int64(len(d.IsBoundary)) + int64(len(d.NeighborRanks))*8 +
-		int64(len(d.EdgeAt))*4 + int64(len(d.GhostAt))*4 +
+		int64(len(d.Preferred))*4 + int64(len(d.IsBoundary)) +
+		int64(len(d.NeighborRanks))*8 + int64(len(d.EdgeAt))*4 + int64(len(d.GhostAt))*4 +
 		int64(len(d.ShownOff))*4 + int64(len(d.ShownList))*8
 	for _, p := range d.Pairs {
 		n += int64(len(p.Edges))*8 + int64(len(p.Shown))*4 + int64(len(p.Ghosts))*4
@@ -190,6 +193,9 @@ func (d *DistGraph) Validate() error {
 	if cross != d.CrossArcs {
 		return fmt.Errorf("dgraph: CrossArcs %d, computed %d", d.CrossArcs, cross)
 	}
+	if !slices.Equal(d.Preferred, d.preferred(make([]bool, len(d.GlobalID)))) {
+		return fmt.Errorf("dgraph: Preferred is not what the scan of each row picks")
+	}
 	for l, g := range d.GlobalID {
 		if g < 0 || g >= d.GlobalN {
 			return fmt.Errorf("dgraph: local %d has global id %d outside [0, %d)", l, g, d.GlobalN)
@@ -223,16 +229,17 @@ func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error)
 	}
 	ghostAt := make([]int32, n)   // local index + 1 of a ghost of the rank being built, else 0
 	isNbr := make([]bool, part.P) // ranks owning a ghost of the rank being built
+	none := make([]bool, n)       // no local index is gone, for preferred
 	out := make([]*DistGraph, part.P)
 	for rank := range out {
-		out[rank] = buildLocal(g, part, rank, owned[rank], local, ghostAt, isNbr)
+		out[rank] = buildLocal(g, part, rank, owned[rank], local, ghostAt, isNbr, none)
 	}
 	return out, nil
 }
 
 // buildLocal builds one rank's share. ghostAt and isNbr are scratch: all
-// zero on entry and on return.
-func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex, local, ghostAt []int32, isNbr []bool) *DistGraph {
+// zero on entry and on return; none is all false and never written.
+func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex, local, ghostAt []int32, isNbr, none []bool) *DistGraph {
 	d := &DistGraph{
 		Rank:        rank,
 		P:           part.P,
@@ -311,6 +318,16 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 	for _, u := range ghosts {
 		ghostAt[u] = 0
 	}
+	d.Preferred = d.preferred(none)
 	d.buildPairs(deg)
 	return d
+}
+
+// preferred scans each owned row with none (all false) marking nothing gone.
+func (d *DistGraph) preferred(none []bool) []int32 {
+	first := make([]int32, d.NLocal)
+	for v := range first {
+		first[v] = int32(graph.BestArc(d.Neighbors(int32(v)), d.Weights(int32(v)), none))
+	}
+	return first
 }

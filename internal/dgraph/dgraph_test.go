@@ -261,6 +261,33 @@ func TestValidateCatchesBrokenIndex(t *testing.T) {
 	}
 }
 
+// TestValidateRecomputesPreferred: Validate holds every Preferred entry to
+// the scan — a stale first candidate would start every job on a share from a
+// choice the graph does not make.
+func TestValidateRecomputesPreferred(t *testing.T) {
+	for _, weighted := range []bool{true, false} {
+		d, err := BuildGrid(GridSpec{K1: 6, K2: 6, PR: 2, PC: 2, Weighted: weighted, Seed: 4}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for v := range d.Preferred {
+			k := d.Preferred[v]
+			d.Preferred[v] = (k + 1) % int32(d.Degree(int32(v)))
+			if err := d.Validate(); err == nil {
+				t.Errorf("weighted %v: accepted vertex %d preferring arc %d where the scan picks %d", weighted, v, d.Preferred[v], k)
+			}
+			d.Preferred[v] = k
+		}
+		d.Preferred = d.Preferred[:len(d.Preferred)-1]
+		if err := d.Validate(); err == nil {
+			t.Errorf("weighted %v: accepted a Preferred one entry short", weighted)
+		}
+	}
+}
+
 // Property: distributing an arbitrary random graph over an arbitrary
 // partition yields consistent shares (ownership partition, symmetric cross
 // arcs, valid views).
@@ -413,6 +440,20 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 		d.W = make([]float64, arcs)
 	}
 	d.IsBoundary = make([]bool, d.NLocal)
+	// Preferred, by the rule rather than by row order: the heaviest edge, and
+	// of equally heavy ones the one to the smallest global id.
+	d.Preferred = make([]int32, d.NLocal)
+	for i, v := range owned {
+		d.Preferred[i] = -1
+		var bestW float64
+		var bestU graph.Vertex
+		for k, u := range g.Neighbors(v) {
+			w := g.Weight(g.Xadj[v] + int64(k))
+			if d.Preferred[i] < 0 || w > bestW || w == bestW && u < bestU {
+				d.Preferred[i], bestW, bestU = int32(k), w, u
+			}
+		}
+	}
 	for i, v := range owned {
 		pos := d.Xadj[i]
 		for k, u := range g.Neighbors(v) {
@@ -456,6 +497,7 @@ func differentialGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 	er := must(gen.ErdosRenyi(150, 600, false, 2))
 	graphs["unweighted"] = &graph.Graph{Xadj: er.Xadj, Adj: er.Adj} // generators store unit weights; W == nil is its own path
+	graphs["ties"] = er                                             // every arc weighs 1: Preferred rests on the tie rule alone
 	isolated := 0
 	for v := 0; v < graphs["isolated"].NumVertices(); v++ {
 		if graphs["isolated"].Degree(graph.Vertex(v)) == 0 {

@@ -190,6 +190,9 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 			d.W = append(d.W, gen.EdgeWeight(spec.Seed, d.GlobalID[v], gid(ur, uc)))
 		}
 		if d.IsGhost(u) {
+			if !d.IsBoundary[v] {
+				d.NumBoundary++
+			}
 			d.IsBoundary[v] = true
 			d.CrossArcs++
 			deg[int(u)-nLocal]++
@@ -213,11 +216,7 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 			d.Xadj[v+1] = int64(len(d.Adj))
 		}
 	}
-	for _, b := range d.IsBoundary {
-		if b {
-			d.NumBoundary++
-		}
-	}
+	d.Preferred = d.preferred(make([]bool, nLocal+d.NGhost))
 	d.buildPairs(deg)
 	return d, nil
 }

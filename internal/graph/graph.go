@@ -74,6 +74,29 @@ func (g *Graph) Weight(i int64) float64 {
 	return g.W[i]
 }
 
+// BestArc is every matching's candidate-mate scan: the position in row adj
+// (weights wts, nil for unit) of the heaviest arc to a u with !gone[u], the
+// earliest on a tie — the edge order's first, as rows ascend in id (both
+// Validates check it) — or -1 if all are gone. Light arcs' liveness is unread.
+func BestArc(adj []Vertex, wts []float64, gone []bool) int {
+	if wts == nil {
+		for k, u := range adj {
+			if !gone[u] {
+				return k
+			}
+		}
+		return -1
+	}
+	adj = adj[:len(wts)]
+	best, bestW := -1, 0.0
+	for k, w := range wts {
+		if (best < 0 || w > bestW) && !gone[adj[k]] {
+			best, bestW = k, w
+		}
+	}
+	return best
+}
+
 // HasEdge reports whether {u, v} is an edge, by binary search in u's list.
 func (g *Graph) HasEdge(u, v Vertex) bool {
 	_, ok := g.findArc(u, v)

@@ -15,8 +15,8 @@ import (
 // unique — the reason the result is identical at any rank count, and the
 // reason the distributed protocols can reproduce the sequential one exactly.
 // Greedy sorts by it; the candidate-mate scans realise it through row order
-// (bestArc). It is generic so that vertex labels and global ids share one
-// text.
+// (graph.BestArc). It is generic so that vertex labels and global ids share
+// one text.
 func precedes[L ~int32 | ~int64](wa float64, a1, a2 L, wb float64, b1, b2 L) bool {
 	if wa != wb {
 		return wa > wb
@@ -31,34 +31,6 @@ func precedes[L ~int32 | ~int64](wa float64, a1, a2 L, wb float64, b1, b2 L) boo
 		return a1 < b1
 	}
 	return a2 < b2
-}
-
-// bestArc is the candidate-mate scan of both matchings: the position in row
-// adj (weights wts aligned with it, nil for unit weights) of the heaviest arc
-// to a neighbor u with !gone[u], the earliest on a tie — or -1 when every
-// neighbor is gone. That is the arc precedes puts first: for two arcs out of
-// one vertex, comparing the sorted pairs comes down to comparing the other
-// ends' labels, and every row is ascending in the label precedes reads
-// (graph.Graph's vertex ids, dgraph's global ids; both Validates check it).
-// So no label is loaded, and an arc too light to win is never checked for
-// liveness.
-func bestArc(adj []int32, wts []float64, gone []bool) int {
-	if wts == nil {
-		for k, u := range adj {
-			if !gone[u] {
-				return k
-			}
-		}
-		return -1
-	}
-	adj = adj[:len(wts)]
-	best, bestW := -1, 0.0
-	for k, w := range wts {
-		if (best < 0 || w > bestW) && !gone[adj[k]] {
-			best, bestW = k, w
-		}
-	}
-	return best
 }
 
 // A protocol record names a cross edge and says one of up to four things about

@@ -86,40 +86,3 @@ func FuzzRecordWalk(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCandidateScan runs rowScanCase on rows read out of arbitrary bytes:
-// every byte of ids other than the center names a neighbor (so a row has at
-// most 255 arcs), the k-th weight is 1 + wts[k mod
-// len(wts)] mod 3 (so ties abound), and the k-th bit of gone marks the k-th
-// neighbor gone.
-func FuzzCandidateScan(f *testing.F) {
-	f.Add(byte(0), []byte{}, []byte{}, []byte{}, true)
-	f.Add(byte(3), []byte{1, 2, 4, 5, 9}, []byte{0, 0, 1, 1, 2}, []byte{0x01}, true)
-	f.Add(byte(9), []byte{200, 1, 7, 7, 30}, []byte{2}, []byte{0xfe}, true)
-	f.Add(byte(5), []byte{0, 1, 2, 3, 4, 6}, []byte{}, []byte{0x03}, false)
-	f.Fuzz(func(t *testing.T, c byte, idBytes, wtBytes, goneBits []byte, weighted bool) {
-		var ids []int32
-		for _, b := range idBytes {
-			if b != c {
-				ids = append(ids, int32(b))
-			}
-		}
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
-		var wts []float64
-		if weighted {
-			wts = make([]float64, len(ids))
-			for k := range wts {
-				wts[k] = 1
-				if len(wtBytes) > 0 {
-					wts[k] += float64(wtBytes[k%len(wtBytes)] % 3)
-				}
-			}
-		}
-		gone := make([]bool, len(ids))
-		for k := range gone {
-			gone[k] = k/8 < len(goneBits) && goneBits[k/8]>>(k%8)&1 == 1
-		}
-		rowScanCase(t, int32(c), ids, wts, gone)
-	})
-}

@@ -23,7 +23,7 @@ func LocallyDominant(g *graph.Graph) Mates {
 	// computeCandidate returns the best neighbor of v not gone, or None.
 	computeCandidate := func(v graph.Vertex) graph.Vertex {
 		adj := g.Neighbors(v)
-		if k := bestArc(adj, g.Weights(v), gone); k >= 0 {
+		if k := graph.BestArc(adj, g.Weights(v), gone); k >= 0 {
 			return adj[k]
 		}
 		return graph.None

@@ -3,8 +3,8 @@
 // the sorted endpoint pair), which makes the half-approximate
 // locally-dominant matching unique:
 //
-//   - core.go: that order, the one candidate-mate scan that realises it over
-//     rows ascending in id (bestArc), and what a distributed kernel is
+//   - core.go: that order — realised over rows ascending in id by one
+//     candidate-mate scan, graph.BestArc — and what a distributed kernel is
 //     written over — the record link (one varint per record: pair-local edge
 //     index and kind), the bundle receive and rank set-up — so that a kernel
 //     owns only its protocol;

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dgraph"
+	"repro/internal/graph"
 	"repro/internal/mpi"
 )
 
@@ -107,13 +108,14 @@ func (s *matchState) run() {
 	s.undecided = n
 	s.match = s.newLink(matchTag)
 
-	// Initialization: compute every candidate mate; request across cross
-	// edges; match mutual local pairs. Virtual-time accounting: one edge op
-	// per arc scanned, one vertex op per vertex initialized.
+	// Initialization: every candidate mate is the share's preferred arc —
+	// what the scan finds while nothing is gone; request across cross edges;
+	// match mutual local pairs. Virtual-time accounting stays the paper's:
+	// one edge op per arc scanned, one vertex op per vertex initialized.
 	initTok := s.tr.Begin("match.init")
 	s.c.ChargeOps(d.Xadj[n], int64(n))
 	for v := int32(0); int(v) < n; v++ {
-		s.cm[v], s.cmArc[v] = s.computeCandidate(v)
+		s.cm[v], s.cmArc[v] = s.arcAt(v, int(d.Preferred[v]))
 	}
 	for v := int32(0); int(v) < n; v++ {
 		if !s.gone[v] { // not yet matched by a smaller mutual candidate
@@ -152,16 +154,21 @@ func (s *matchState) run() {
 }
 
 // computeCandidate returns the most preferred neighbor of owned vertex v that
-// is not gone — bestArc over v's row, whose global-id order every rank shares
-// — and the position of the arc to it; or noCM, and no position worth
+// is not gone — graph.BestArc over v's row, whose global-id order every rank
+// shares — and the position of the arc to it; or noCM, and no position worth
 // reading.
 func (s *matchState) computeCandidate(v int32) (int32, int64) {
-	adj := s.d.Neighbors(v)
-	k := bestArc(adj, s.d.Weights(v), s.gone)
+	return s.arcAt(v, graph.BestArc(s.d.Neighbors(v), s.d.Weights(v), s.gone))
+}
+
+// arcAt returns the neighbor at position k of owned vertex v's row and the
+// arc's position in the CSR, or noCM and -1 for k < 0.
+func (s *matchState) arcAt(v int32, k int) (int32, int64) {
 	if k < 0 {
 		return noCM, -1
 	}
-	return adj[k], s.d.Xadj[v] + int64(k)
+	arc := s.d.Xadj[v] + int64(k)
+	return s.d.Adj[arc], arc
 }
 
 // retire takes owned vertex v out of the free set — matched to its candidate

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock returns a deterministic now() advancing 1ms per call.
@@ -152,6 +153,30 @@ func TestRegistryInstruments(t *testing.T) {
 		if hs.Counts[i] != w {
 			t.Errorf("bucket %d: %d, want %d (all %v)", i, hs.Counts[i], w, hs.Counts)
 		}
+	}
+}
+
+// TestVecCellsOwnCacheLines pins the layout of a per-rank vector: every cell
+// takes a whole 64-byte line, so two ranks' counters never share one, and
+// At, Len and the snapshot read the cells as before.
+func TestVecCellsOwnCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(paddedCounter{}); size != 64 {
+		t.Fatalf("a Vec cell is %d bytes, want 64", size)
+	}
+	v := NewRegistry().Vec("v", 4)
+	for i := 0; i+1 < v.Len(); i++ {
+		if gap := uintptr(unsafe.Pointer(v.At(i+1))) - uintptr(unsafe.Pointer(v.At(i))); gap != 64 {
+			t.Errorf("cells %d and %d are %d bytes apart, want 64", i, i+1, gap)
+		}
+		v.At(i).Add(int64(i + 1))
+	}
+	if v.Len() != 4 || v.At(4) != nil {
+		t.Errorf("Len() = %d, At(4) = %v", v.Len(), v.At(4))
+	}
+	reg := NewRegistry()
+	reg.Vec("v", 3).At(2).Add(7)
+	if got := reg.Snapshot().PerRank["v"]; !reflect.DeepEqual(got, []int64{0, 0, 7}) {
+		t.Errorf("snapshot of the vec = %v, want [0 0 7]", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Registry is a process-wide metrics namespace: named counters, gauges,
@@ -82,14 +83,21 @@ func (g *Gauge) Load() int64 {
 }
 
 // Vec is a fixed-length vector of counters, indexed by rank.
-type Vec struct{ cells []Counter }
+type Vec struct{ cells []paddedCounter }
+
+// paddedCounter is a Vec cell alone on its 64-byte cache line, so ranks
+// adding to their own cells at once do not contend for one line.
+type paddedCounter struct {
+	Counter
+	_ [64 - unsafe.Sizeof(Counter{})]byte
+}
 
 // At returns the rank's cell (nil on a nil vec or out-of-range index).
 func (v *Vec) At(i int) *Counter {
 	if v == nil || i < 0 || i >= len(v.cells) {
 		return nil
 	}
-	return &v.cells[i]
+	return &v.cells[i].Counter
 }
 
 // Len reports the vector length (0 on nil).
@@ -171,7 +179,7 @@ func (r *Registry) Vec(name string, n int) *Vec {
 	if r == nil {
 		return nil
 	}
-	return instrument(r, r.vecs, name, func() *Vec { return &Vec{cells: make([]Counter, n)} })
+	return instrument(r, r.vecs, name, func() *Vec { return &Vec{cells: make([]paddedCounter, n)} })
 }
 
 // Histogram returns (creating if needed) the named histogram with the given

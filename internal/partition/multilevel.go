@@ -75,7 +75,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 	lev := &level{g: g, vwgt: unitWeights(n)}
 	var stack []*level
 	rng := gen.NewRNG(opt.Seed)
-	s := &scratch{perm: make([]graph.Vertex, n), mate: make([]graph.Vertex, n), cut: make([]int32, n), coarseCut: make([]int32, n)}
+	s := &scratch{perm: make([]graph.Vertex, n), mate: make([]graph.Vertex, n), cut: make([]int32, n), coarseCut: make([]int32, n), settled: make([]bool, n)}
 	for lev.g.NumVertices() > opt.CoarsenTo {
 		next := coarsen(lev, rng, s)
 		if next == nil { // matching stalled; stop coarsening
@@ -135,10 +135,13 @@ type scratch struct {
 	mark  []int32
 	stamp int32
 	// refine: the weight from the vertex in hand to each part, the parts for
-	// which it is set, and cut[v], v's arcs into other parts (coarseCut: a level up).
+	// which it is set, cut[v], v's arcs into other parts (coarseCut: a level
+	// up), and settled[v]: v's last evaluation saw no positive gain, and
+	// neither v nor a neighbour has moved since.
 	ext            []float64
 	touched        []int32
 	cut, coarseCut []int32
+	settled        []bool
 }
 
 func unitWeights(n int) []int64 {
@@ -171,14 +174,11 @@ func coarsen(lev *level, rng *gen.RNG, s *scratch) *level {
 		var best graph.Vertex = graph.None
 		bestW := -1.0
 		for k, u := range adj {
-			if mate[u] != graph.None {
-				continue
-			}
 			w := 1.0
 			if wts != nil {
 				w = wts[k]
 			}
-			if w > bestW {
+			if w > bestW && mate[u] == graph.None { // too light to win: liveness unread
 				bestW, best = w, u
 			}
 		}
@@ -391,13 +391,17 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 // A vertex with no arc into another part lists no part, so it is skipped.
 // s.cut counts those arcs across moves; a vertex whose coarse vertex had none
 // has none (its neighbours lie in it or its neighbours) and is not counted.
+// A settled vertex is skipped too: its gains depend on its own and its
+// neighbours' parts alone, so evaluating it again would sum the same row in
+// the same order and again find no positive gain, whatever the loads.
 func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng *gen.RNG, s *scratch) {
 	if passes <= 0 {
 		return
 	}
 	g := lev.g
 	n := g.NumVertices()
-	load, cut := make([]int64, p), s.cut[:n]
+	load, cut, settled := make([]int64, p), s.cut[:n], s.settled[:n]
+	clear(settled)
 	var total int64
 	for v := 0; v < n; v++ {
 		load[part[v]] += lev.vwgt[v]
@@ -413,7 +417,7 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 		moved := 0
 		gen.FillPerm(rng, order)
 		for _, v := range order {
-			if cut[v] == 0 {
+			if cut[v] == 0 || settled[v] {
 				continue
 			}
 			home := part[v]
@@ -440,8 +444,10 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 			}
 			bestPart := home
 			bestGain := 0.0
+			settled[v] = true
 			for _, q := range touched {
 				gain := ext[q] - internal
+				settled[v] = settled[v] && gain <= 0
 				if load[q]+lev.vwgt[v] > maxLoad {
 					continue
 				}
@@ -457,7 +463,8 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 				load[bestPart] += lev.vwgt[v]
 				part[v] = bestPart
 				moved++
-				for _, u := range adj {
+				for _, u := range adj { // v itself moved on a positive gain: not settled
+					settled[u] = false
 					if part[u] == home {
 						cut[u]++
 					} else if part[u] == bestPart {
