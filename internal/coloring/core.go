@@ -244,7 +244,8 @@ func (s *colorState) endRound(tok uint64, remaining int) bool {
 // has a vertex left to re-color. A round colors u tentatively, step vertices
 // per superstep — pick, ship the chunk, drain what has arrived — then fences
 // with a barrier so that every notice of the round is in, and asks detect
-// for the vertices that must re-color; they are the next round's u.
+// for the vertices that must re-color; they are the next round's u. A
+// canceled world stops it at the next superstep with mpi.ErrCanceled.
 func (s *colorState) speculate(kernel string, u []int32, step, maxRounds int,
 	pick func(v int32) int32, ship func(chunk []int32), detect func(u []int32) []int32) error {
 	for {
@@ -253,6 +254,9 @@ func (s *colorState) speculate(kernel string, u []int32, step, maxRounds int,
 			return err
 		}
 		for lo := 0; lo < len(u); lo += step {
+			if err := s.c.Err(); err != nil {
+				return err
+			}
 			chunk := u[lo:min(lo+step, len(u))]
 			stepTok := s.tr.BeginDetail("color.superstep")
 			var arcs int64

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -591,4 +592,33 @@ func twoPassOrder(d *dgraph.DistGraph, o VertexOrder) []int32 {
 		}
 	}
 	return u
+}
+
+// TestParallelStopsWhenCanceled pins speculate's check of the cancel signal:
+// on a canceled one-rank world, whose collectives never wait, the coloring
+// stops at its first superstep with mpi.ErrCanceled.
+func TestParallelStopsWhenCanceled(t *testing.T) {
+	g, err := gen.Grid2D(20, 20, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := dgraph.Distribute(g, &partition.Partition{P: 1, Part: make([]int32, g.NumVertices())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(1, mpi.WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *mpi.Comm) error {
+		w.Cancel()
+		res, err := Parallel(c, shares[0], ParallelOptions{Seed: 5})
+		if res != nil {
+			t.Error("a canceled world returned a coloring")
+		}
+		return err
+	})
+	if !errors.Is(err, mpi.ErrCanceled) {
+		t.Fatalf("Run = %v, want mpi.ErrCanceled", err)
+	}
 }

@@ -49,14 +49,17 @@ type ParallelResult struct {
 // loop that drains a queue of locally decided vertices (interior work, no
 // messages) with an outer loop that exchanges bundled REQUEST / SUCCEEDED /
 // FAILED messages for the boundary (Section 3.3); it terminates when every
-// owned vertex is decided.
+// owned vertex is decided, or returns mpi.ErrCanceled once the world is
+// canceled.
 func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelResult, error) {
 	r, err := newRank(c, d, opt)
 	if err != nil {
 		return nil, err
 	}
 	s := &matchState{rank: r}
-	s.run()
+	if err := s.run(); err != nil {
+		return nil, err
+	}
 	res := &ParallelResult{
 		MateGlobal:      make([]int64, d.NLocal),
 		OuterIterations: s.outerIters,
@@ -95,7 +98,7 @@ type matchState struct {
 
 const noCM int32 = -1
 
-func (s *matchState) run() {
+func (s *matchState) run() error {
 	d := s.d
 	n := d.NLocal
 	s.gone = make([]bool, n+d.NGhost)
@@ -128,8 +131,12 @@ func (s *matchState) run() {
 	// Outer loop: flush bundles, block for traffic, process, repeat, until
 	// every owned vertex is decided. Ranks whose vertices are all decided
 	// have already informed every neighbor (SUCCEEDED/FAILED were sent at
-	// decision time), so exiting early starves nobody.
+	// decision time), so exiting early starves nobody. A canceled world
+	// stops here, once per outer iteration.
 	for s.undecided > 0 {
+		if err := s.c.Err(); err != nil {
+			return err
+		}
 		s.outerIters++
 		outerTok := s.tr.Begin("match.outer")
 		s.match.out.Flush()
@@ -151,6 +158,7 @@ func (s *matchState) run() {
 	s.c.Barrier()
 	s.c.DrainTag(matchTag)
 	s.tr.End(finTok)
+	return nil
 }
 
 // computeCandidate returns the most preferred neighbor of owned vertex v that

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -370,5 +371,46 @@ func TestGatherRefusesDisagreeingRanks(t *testing.T) {
 		if _, err := Gather(shares, bad); err == nil {
 			t.Errorf("%s: gathered without complaint", name)
 		}
+	}
+}
+
+// TestParallelStopsWhenCanceled pins the kernel's own check of the cancel
+// signal: a rank whose world is canceled before it starts runs the
+// initialization and returns mpi.ErrCanceled at the head of its first outer
+// iteration, without waiting for traffic.
+func TestParallelStopsWhenCanceled(t *testing.T) {
+	g, err := gen.Grid2D(20, 20, true, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.Grid2D(20, 20, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := dgraph.Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(2, mpi.WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rank0 error
+	err = w.Run(func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			w.Cancel()
+		}
+		res, err := Parallel(c, shares[c.Rank()], ParallelOptions{})
+		if c.Rank() == 0 {
+			if res != nil {
+				rank0 = fmt.Errorf("rank 0 returned a result from a canceled world")
+			} else {
+				rank0 = err
+			}
+		}
+		return err
+	})
+	if !errors.Is(err, mpi.ErrCanceled) || !errors.Is(rank0, mpi.ErrCanceled) {
+		t.Fatalf("Run = %v, rank 0's Parallel = %v; want mpi.ErrCanceled from both", err, rank0)
 	}
 }

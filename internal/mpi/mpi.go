@@ -17,6 +17,18 @@
 //   - Sends never block the sender (unbounded mailboxes), mirroring buffered
 //     MPI_Isend as used with aggregated message bundles.
 //
+// Each rank's mailbox has two sides per sender. A send appends to the
+// sender's queue on one side under the mailbox lock; the receiving rank pops
+// from its own side with no lock, and only when that runs dry takes the lock
+// once to swap every filled sender queue across whole. A stream of tiny
+// messages therefore costs the receiver one lock per batch, not one per
+// message.
+//
+// A rank waits in exactly two places, the mailbox and the cyclic barrier.
+// World.Cancel wakes both, and a rank waiting in a canceled world unwinds
+// with ErrCanceled; the kernels also check Comm.Err once per outer iteration
+// or superstep. A canceled world is runnable again after Reset.
+//
 // The runtime also meters traffic: per-rank sent/received message and byte
 // counters, which both the experiments and the α–β performance model
 // consume. Counters are kept per message-tag family (see FamilyOf and
@@ -27,6 +39,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -70,6 +83,9 @@ type World struct {
 	// finalVTime records each rank's virtual clock (as Float64bits) when its
 	// Run body returned.
 	finalVTime []atomic.Uint64
+	// stop is the cancel signal (see Cancel); every mailbox and the barrier
+	// read it through a pointer.
+	stop atomic.Bool
 
 	runMu   sync.Mutex
 	ran     bool
@@ -91,7 +107,8 @@ func WithPerturbation(seed uint64) Option {
 }
 
 // WithDeadline aborts Run if the ranks have not all finished within d,
-// reporting which ranks were still alive — a deadlock watchdog for tests.
+// reporting which ranks were still alive — a deadlock watchdog for tests. The
+// abort cancels the world (see Cancel), so ranks stuck in a wait unwind.
 func WithDeadline(d time.Duration) Option {
 	return func(w *World) { w.deadline = d }
 }
@@ -144,10 +161,10 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		size:       size,
 		boxes:      make([]*mailbox, size),
 		stats:      make([]rankCounters, size),
-		barrier:    newBarrier(size),
 		slots:      [2][][]byte{make([][]byte, size), make([][]byte, size)},
 		finalVTime: make([]atomic.Uint64, size),
 	}
+	w.barrier = newBarrier(size, &w.stop)
 	for _, o := range opts {
 		o(w)
 	}
@@ -160,7 +177,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	w.local = w.tr.Local()
 	w.allLocal = len(w.local) == size
 	for _, r := range w.local {
-		w.boxes[r] = newMailbox(size)
+		w.boxes[r] = newMailbox(size, &w.stop)
 		w.tr.Register(r, w.boxes[r].sink())
 	}
 	w.attach(w.obs)
@@ -252,7 +269,32 @@ func (w *World) eachTraffic(fn func(rank int, family string, fs FamilyStats)) {
 	}
 }
 
+// ErrCanceled is what a rank of a canceled world unwinds with, out of a wait
+// in Comm.take or the barrier, and what the kernels return when they see the
+// signal at the head of an outer iteration or superstep (Comm.Err). Run's
+// error wraps it.
+var ErrCanceled = errors.New("mpi: run canceled")
+
+// Cancel stops the world's run in flight, or its next Run until Reset: it
+// raises the cancel signal, then wakes every local mailbox and the barrier.
+// Each wait rechecks the signal after every wake, so every rank blocked in a
+// receive or a collective unwinds with ErrCanceled, and one that is
+// computing stops at its kernel's next check. Once the ranks have returned,
+// Reset makes the world runnable again. Safe to call from any goroutine, any
+// number of times.
+func (w *World) Cancel() {
+	w.stop.Store(true)
+	for _, r := range w.local {
+		w.boxes[r].wake()
+	}
+	w.barrier.wake()
+}
+
 func (w *World) run(fn func(c *Comm) error) error {
+	if w.stop.Load() {
+		w.setNotRunning()
+		return ErrCanceled
+	}
 	errs := make([]error, len(w.local))
 	done := make([]bool, len(w.local))
 	var mu sync.Mutex
@@ -263,8 +305,12 @@ func (w *World) run(fn func(c *Comm) error) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
+					err := fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+					if p == ErrCanceled {
+						err = fmt.Errorf("mpi: rank %d: %w", rank, ErrCanceled)
+					}
 					mu.Lock()
-					errs[i] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+					errs[i] = err
 					mu.Unlock()
 				}
 				mu.Lock()
@@ -321,6 +367,9 @@ func (w *World) run(fn func(c *Comm) error) error {
 				}
 			}
 			mu.Unlock()
+			// The stuck ranks unwind in the background; Reset refuses until
+			// they have.
+			w.Cancel()
 			if firstErr != nil {
 				return fmt.Errorf("mpi: deadline exceeded; ranks still running: %v; first failure: %w", stuck, firstErr)
 			}
@@ -348,15 +397,16 @@ func (w *World) setNotRunning() {
 // stale messages is returned), all per-rank traffic counters and virtual
 // clocks are zeroed, and the mailbox round-robin cursors rewind so a reused
 // World receives in exactly the same order as a fresh one — results stay
-// bit-identical across pool reuse. The cyclic barrier and the collective
-// slots need no resetting (each use overwrites them); the inproc transport's
+// bit-identical across pool reuse. A canceled world is un-canceled, and the
+// barrier generation its ranks abandoned is cleared; the collective slots
+// need no resetting (each use overwrites them); the inproc transport's
 // Start/Close are stateless.
 //
 // Reset fails on a World with a remote transport (its wire state is
 // genuinely single-use) and on a World whose ranks have not all returned —
-// a deadline-abandoned run may still have goroutines mutating mailboxes, in
-// which case the World must be discarded, not recycled. The serving layer's
-// World pool calls Reset between jobs and drops the World on any error.
+// they may still be mutating mailboxes (a canceled rank that has not reached
+// its next wait or check yet). The serving layer's World pool calls Reset
+// between jobs, canceled ones included, and drops the World on any error.
 func (w *World) Reset() (stale int, err error) {
 	if !w.allLocal {
 		return 0, fmt.Errorf("mpi: Reset on a world with a remote transport")
@@ -375,6 +425,8 @@ func (w *World) Reset() (stale int, err error) {
 	for i := range w.slots {
 		clear(w.slots[i])
 	}
+	w.barrier.reset()
+	w.stop.Store(false)
 	w.ran = false
 	return stale, nil
 }
@@ -538,7 +590,8 @@ func wanted(m Message, from, tag int) bool {
 // first match the oldest — counted as received, and stashed when they are
 // not the one asked for. The model clock advances only for the message
 // handed to the caller, never for one that is stashed: its receiver has not
-// seen it yet.
+// seen it yet. A blocked take in a canceled world unwinds the rank with
+// ErrCanceled.
 func (c *Comm) take(block bool, from, tag int) (Message, bool) {
 	for i, m := range c.stash {
 		if wanted(m, from, tag) {
@@ -550,6 +603,9 @@ func (c *Comm) take(block bool, from, tag int) (Message, bool) {
 	for {
 		m, ok := c.world.boxes[c.rank].get(block, from, c.nextPick())
 		if !ok {
+			if block {
+				panic(ErrCanceled)
+			}
 			return Message{}, false
 		}
 		c.world.stats[c.rank].countRecv(FamilyOf(m.Tag), 1, int64(len(m.Data)))
@@ -559,6 +615,16 @@ func (c *Comm) take(block bool, from, tag int) (Message, bool) {
 		}
 		c.stash = append(c.stash, m)
 	}
+}
+
+// Err returns ErrCanceled once the world is canceled, and nil before. The
+// kernels check it once per outer iteration or superstep, so that a rank
+// busy computing stops too, not only the ranks Cancel wakes from a wait.
+func (c *Comm) Err() error {
+	if c.world.stop.Load() {
+		return ErrCanceled
+	}
+	return nil
 }
 
 // nextPick returns the cross-sender selection key for one mailbox pop: 0 for
@@ -590,94 +656,131 @@ func (c *Comm) DrainTag(tag int) int {
 	return stashed - len(c.stash) + n
 }
 
-// mailbox is an unbounded per-receiver queue with per-sender sub-queues, so
-// that per-pair FIFO survives randomized cross-sender draining.
+// mailbox is one rank's unbounded inbox, kept per sender so that per-pair
+// FIFO survives randomized cross-sender draining, and in two sides so that
+// the owner pays for the lock once per batch rather than once per message.
+// Senders append to their queue in in[s] under mu. The owning rank's
+// goroutine pops from its own queues out[s] without any lock; only when the
+// queue it was asked for is empty does it take mu, once, and swap every
+// filled in[s] whose out[s] is empty (refill) — an O(1) slice swap per
+// sender, so each pair's two arrays ping-pong between the sides. An out[s]
+// is refilled only when empty, so it always holds older messages than in[s].
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queues  []senderQueue // one per sender
-	pending int
-	next    int // round-robin cursor
+	in      [][]Message  // the senders' side, one queue per sender; under mu
+	pending int          // messages in in; under mu
+	stop    *atomic.Bool // the world's cancel signal, see World.Cancel
+
+	// The owner's side, touched by the owning rank's goroutine alone (and by
+	// Reset, when no rank runs).
+	out   []ownerQueue // one per sender
+	local int          // messages in out
+	next  int          // round-robin cursor over out
 }
 
-// senderQueue is one sender's FIFO: q is the pending messages, a window that
-// slides along a backing array as messages are popped; front is the start of
-// that array, where the window returns whenever it empties. A steady
-// request/answer stream therefore reuses one small array instead of walking
-// it to the next reallocation.
-type senderQueue struct {
-	q, front []Message
+// ownerQueue is one sender's batch on the owner's side: msgs[head:] are still
+// to be popped, and every slot of the array outside them is cleared — a pop
+// must not keep a consumed bundle reachable once its array changes sides. An
+// empty queue is rewound to the front of its array.
+type ownerQueue struct {
+	msgs []Message
+	head int
 }
 
-func newMailbox(senders int) *mailbox {
-	mb := &mailbox{queues: make([]senderQueue, senders)}
+func newMailbox(senders int, stop *atomic.Bool) *mailbox {
+	mb := &mailbox{in: make([][]Message, senders), out: make([]ownerQueue, senders), stop: stop}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
 func (mb *mailbox) put(m Message) {
 	mb.mu.Lock()
-	s := &mb.queues[m.From]
-	grows := len(s.q) == cap(s.q)
-	s.q = append(s.q, m)
-	if grows {
-		s.front = s.q[:0] // append moved the window to the front of a new array
-	}
+	mb.in[m.From] = append(mb.in[m.From], m)
 	mb.pending++
 	mb.mu.Unlock()
 	mb.cond.Signal()
 }
 
+// holds reports whether the owner's side has a message for a get from sender
+// from (or anySender).
+func (mb *mailbox) holds(from int) bool {
+	if from == anySender {
+		return mb.local > 0
+	}
+	return len(mb.out[from].msgs) > 0
+}
+
 // get pops the oldest message of one sender's queue: sender from, or with
-// anySender a non-empty queue selected by pick (see choose). It is the only
-// place a rank waits for a message: with block set it sleeps until the queue
-// it was asked for has one. Only the owning rank's goroutine receives, so one
-// condition variable serves both kinds of wait.
+// anySender a non-empty owner-side queue selected by pick (see choose). It is
+// the only place a rank waits for a message: when the owner's side holds
+// nothing for the request it refills under mu, and with block set it sleeps
+// until a refill brings something. Only the owning rank's goroutine receives,
+// so one condition variable serves both kinds of wait. A blocking get
+// returns false only when the world is canceled.
 func (mb *mailbox) get(block bool, from int, pick uint64) (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for mb.pending == 0 || from != anySender && len(mb.queues[from].q) == 0 {
-		if !block {
-			return Message{}, false
+	if !mb.holds(from) {
+		mb.mu.Lock()
+		for mb.refill(); !mb.holds(from); mb.refill() {
+			if !block || mb.stop.Load() {
+				mb.mu.Unlock()
+				return Message{}, false
+			}
+			mb.cond.Wait()
 		}
-		mb.cond.Wait()
+		mb.mu.Unlock()
 	}
 	if from == anySender {
 		from = mb.choose(pick)
 	}
-	s := &mb.queues[from]
-	m := s.q[0]
-	// Clear the vacated slot: the array outlives the pop, and must not keep
-	// a consumed bundle reachable behind the head.
-	s.q[0] = Message{}
-	if s.q = s.q[1:]; len(s.q) == 0 {
-		s.q = s.front
+	q := &mb.out[from]
+	m := q.msgs[q.head]
+	q.msgs[q.head] = Message{}
+	if q.head++; q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
 	}
-	mb.pending--
+	mb.local--
 	return m, true
 }
 
-// choose names a non-empty sender queue (one exists): the next one round-robin
-// when pick is 0, otherwise the (pick mod count)-th of them.
+// refill moves every filled sender-side queue whose owner-side queue is empty
+// across, handing the emptied owner-side array back to the sender. Called
+// with mu held.
+func (mb *mailbox) refill() {
+	if mb.pending == 0 {
+		return
+	}
+	for s, batch := range mb.in {
+		if len(batch) > 0 && len(mb.out[s].msgs) == 0 {
+			mb.in[s] = mb.out[s].msgs
+			mb.out[s].msgs = batch
+			mb.pending -= len(batch)
+			mb.local += len(batch)
+		}
+	}
+}
+
+// choose names a non-empty owner-side queue (one exists): the next one
+// round-robin when pick is 0, otherwise the (pick mod count)-th of them.
 func (mb *mailbox) choose(pick uint64) int {
-	n := len(mb.queues)
+	n := len(mb.out)
 	if pick == 0 {
 		for i := 0; ; i++ {
-			if s := (mb.next + i) % n; len(mb.queues[s].q) > 0 {
+			if s := (mb.next + i) % n; len(mb.out[s].msgs) > 0 {
 				mb.next = (s + 1) % n
 				return s
 			}
 		}
 	}
 	nonEmpty := 0
-	for s := range mb.queues {
-		if len(mb.queues[s].q) > 0 {
+	for s := range mb.out {
+		if len(mb.out[s].msgs) > 0 {
 			nonEmpty++
 		}
 	}
 	k := int(pick % uint64(nonEmpty))
 	for s := 0; ; s++ {
-		if len(mb.queues[s].q) > 0 {
+		if len(mb.out[s].msgs) > 0 {
 			if k == 0 {
 				return s
 			}
@@ -686,40 +789,55 @@ func (mb *mailbox) choose(pick uint64) int {
 	}
 }
 
-// drainAll empties the mailbox, returning how many messages were discarded,
-// and rewinds the round-robin cursor so receive order after a Reset matches
-// a fresh mailbox.
+// drainAll empties both sides of the mailbox and drops their arrays,
+// returning how many messages were discarded, and rewinds the round-robin
+// cursor so receive order after a Reset matches a fresh mailbox.
 func (mb *mailbox) drainAll() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	n := mb.pending
-	clear(mb.queues)
-	mb.pending = 0
-	mb.next = 0
+	n := mb.pending + mb.local
+	clear(mb.in)
+	clear(mb.out)
+	mb.pending, mb.local, mb.next = 0, 0, 0
 	return n
 }
 
-// drainTag removes all pending messages with the given tag, returning how
-// many were removed and their total payload size.
+// drainTag removes all pending messages with the given tag from both sides,
+// returning how many were removed and their total payload size. The owning
+// rank calls it.
 func (mb *mailbox) drainTag(tag int) (n int, bytes int64) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for i := range mb.queues {
-		s := &mb.queues[i]
-		s.q = slices.DeleteFunc(s.q, func(m Message) bool {
-			if m.Tag != tag {
-				return false
-			}
-			n++
-			bytes += int64(len(m.Data))
-			return true
-		})
-		if len(s.q) == 0 {
-			s.q = s.front
+	drop := func(m Message) bool {
+		if m.Tag != tag {
+			return false
 		}
+		n++
+		bytes += int64(len(m.Data))
+		return true
 	}
-	mb.pending -= n
+	for s := range mb.out {
+		q := &mb.out[s]
+		// The slots before head are cleared already; DeleteFunc clears the
+		// ones it vacates.
+		q.msgs, q.head = slices.DeleteFunc(q.msgs[q.head:], drop), 0
+	}
+	mb.local -= n
+	owned := n
+	mb.mu.Lock()
+	for s := range mb.in {
+		mb.in[s] = slices.DeleteFunc(mb.in[s], drop)
+	}
+	mb.pending -= n - owned
+	mb.mu.Unlock()
 	return n, bytes
+}
+
+// wake broadcasts on the mailbox's condition under its lock, so that a
+// receiver between its check of the cancel signal and its wait cannot miss
+// the signal.
+func (mb *mailbox) wake() {
+	mb.mu.Lock()
+	mb.cond.Broadcast()
+	mb.mu.Unlock()
 }
 
 // barrier is a reusable (cyclic) barrier that also reduces a float64
@@ -732,16 +850,18 @@ type barrier struct {
 	gen      uint64
 	curMax   float64
 	readyMax float64
+	stop     *atomic.Bool // the world's cancel signal, see World.Cancel
 }
 
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
+func newBarrier(size int, stop *atomic.Bool) *barrier {
+	b := &barrier{size: size, stop: stop}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
 // await blocks until all ranks arrive and returns the maximum payload of
-// this generation.
+// this generation. A rank waiting in a canceled world unwinds with
+// ErrCanceled instead, leaving the generation incomplete for Reset to clear.
 func (b *barrier) await(v float64) float64 {
 	b.mu.Lock()
 	gen := b.gen
@@ -760,9 +880,27 @@ func (b *barrier) await(v float64) float64 {
 		return out
 	}
 	for gen == b.gen {
+		if b.stop.Load() {
+			b.mu.Unlock()
+			panic(ErrCanceled)
+		}
 		b.cond.Wait()
 	}
 	out := b.readyMax
 	b.mu.Unlock()
 	return out
+}
+
+// reset abandons an incomplete generation (Reset after a cancel).
+func (b *barrier) reset() {
+	b.mu.Lock()
+	b.count, b.curMax = 0, 0
+	b.mu.Unlock()
+}
+
+// wake is mailbox.wake for the barrier's waiters.
+func (b *barrier) wake() {
+	b.mu.Lock()
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }

@@ -65,34 +65,49 @@ func TestPerPairFIFO(t *testing.T) {
 	}
 }
 
+// TestPerPairFIFOUnderPerturbation holds two senders' streams to per-pair
+// FIFO under two perturbation seeds, and the seeds to their purpose: with
+// every message queued before the receiver starts (the barrier), the
+// cross-sender order is the seed's alone, and two seeds must not agree on it.
 func TestPerPairFIFOUnderPerturbation(t *testing.T) {
 	const n = 200
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() != 2 {
-			for i := 0; i < n; i++ {
-				buf := make([]byte, 8)
-				binary.LittleEndian.PutUint64(buf, uint64(c.Rank())<<32|uint64(i))
-				c.Send(2, 0, buf)
+	orders := map[uint64]string{}
+	for _, seed := range []uint64{12345, 54321} {
+		var order []byte
+		err := Run(3, func(c *Comm) error {
+			if c.Rank() != 2 {
+				for i := 0; i < n; i++ {
+					buf := make([]byte, 8)
+					binary.LittleEndian.PutUint64(buf, uint64(c.Rank())<<32|uint64(i))
+					c.Send(2, 0, buf)
+				}
+				c.Barrier()
+				return nil
+			}
+			c.Barrier()
+			nextFrom := map[int]uint64{}
+			for i := 0; i < 2*n; i++ {
+				m := c.Recv()
+				v := binary.LittleEndian.Uint64(m.Data)
+				from, seq := int(v>>32), v&0xffffffff
+				if from != m.From {
+					return fmt.Errorf("sender mismatch: %d vs %d", from, m.From)
+				}
+				if seq != nextFrom[from] {
+					return fmt.Errorf("from %d: seq %d, want %d", from, seq, nextFrom[from])
+				}
+				nextFrom[from]++
+				order = append(order, byte(from))
 			}
 			return nil
+		}, WithPerturbation(seed), WithDeadline(10*time.Second))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		nextFrom := map[int]uint64{}
-		for i := 0; i < 2*n; i++ {
-			m := c.Recv()
-			v := binary.LittleEndian.Uint64(m.Data)
-			from, seq := int(v>>32), v&0xffffffff
-			if from != m.From {
-				return fmt.Errorf("sender mismatch: %d vs %d", from, m.From)
-			}
-			if seq != nextFrom[from] {
-				return fmt.Errorf("from %d: seq %d, want %d", from, seq, nextFrom[from])
-			}
-			nextFrom[from]++
-		}
-		return nil
-	}, WithPerturbation(12345), WithDeadline(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
+		orders[seed] = string(order)
+	}
+	if orders[12345] == orders[54321] {
+		t.Fatal("two perturbation seeds drained the senders in the same order")
 	}
 }
 
@@ -124,10 +139,10 @@ func TestExactlyOnceDelivery(t *testing.T) {
 	}
 }
 
-// TestMailboxPopReleasesSlots is the white-box check on the one pop: a long
-// request/answer stream keeps reusing one small array per sender queue (the
-// window rewinds whenever it empties), and no vacated slot keeps its payload
-// reachable.
+// TestMailboxPopReleasesSlots is the white-box check on the two sides of a
+// mailbox: a long request/answer stream keeps reusing one small array per
+// side — each refill hands the emptied owner-side array back to the sender —
+// and no slot on either side keeps a consumed payload reachable.
 func TestMailboxPopReleasesSlots(t *testing.T) {
 	w, err := NewWorld(2, WithDeadline(30*time.Second))
 	if err != nil {
@@ -150,14 +165,17 @@ func TestMailboxPopReleasesSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 2; r++ {
-		s := w.boxes[r].queues[1-r]
-		if len(s.q) != 0 || cap(s.front) == 0 || cap(s.front) > 4 || cap(s.q) != cap(s.front) {
-			t.Errorf("rank %d: queue len %d cap %d over an array of %d slots, want empty and rewound to a small array",
-				r, len(s.q), cap(s.q), cap(s.front))
+		mb := w.boxes[r]
+		in, out := mb.in[1-r], mb.out[1-r].msgs
+		if len(in) != 0 || len(out) != 0 || cap(in)+cap(out) == 0 || cap(in) > 4 || cap(out) > 4 {
+			t.Errorf("rank %d: sender side len %d cap %d, owner side len %d cap %d; want both empty over small reused arrays",
+				r, len(in), cap(in), len(out), cap(out))
 		}
-		for i, m := range s.front[:cap(s.front)] {
-			if m.Data != nil {
-				t.Errorf("rank %d: popped slot %d still holds its payload", r, i)
+		for side, slots := range map[string][]Message{"sender": in[:cap(in)], "owner": out[:cap(out)]} {
+			for i, m := range slots {
+				if m.Data != nil {
+					t.Errorf("rank %d: %s-side slot %d still holds its payload", r, side, i)
+				}
 			}
 		}
 	}

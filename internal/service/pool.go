@@ -12,9 +12,10 @@ import (
 // rank count. A World's construction cost (mailboxes, barrier, collectives,
 // counter arrays) is paid once; between jobs the pool calls World.Reset,
 // which drains stale traffic and zeroes per-rank stats so every job sees a
-// bit-identical substrate to a fresh World. A World whose Reset fails —
-// ranks still running after a deadline abandonment — is discarded, never
-// handed to another job.
+// bit-identical substrate to a fresh World. A timed-out job's world comes
+// back too, once Cancel has unwound its ranks; a World whose Reset fails —
+// ranks still running after the watchdog deadline gave up on them — is
+// discarded, never handed to another job.
 type worldPool struct {
 	mu       sync.Mutex
 	free     map[int][]*mpi.World

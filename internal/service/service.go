@@ -823,11 +823,10 @@ func (s *Server) timedOut() *ingest.Refusal {
 // work takes one dispatched job through the worker-side stages in order —
 // queue wait, pool acquire, run (partition inside), cache deposit — and
 // returns its outcome for job.finish. The run happens on a pooled world
-// under the job deadline: on timeout the job resolves immediately; the
-// abandoned run keeps the world until it finishes (the algorithms terminate
-// in bounded rounds, and the pool's watchdog deadline is the backstop), after
-// which the world is reset and recycled — or discarded if its ranks are
-// genuinely wedged.
+// under the job deadline: on timeout the job resolves immediately and the
+// world is canceled, so its ranks unwind from their next wait or kernel
+// check; once the abandoned run has returned, the world is reset and
+// recycled like any other.
 func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 	jt := j.jt
 	jt.queueWait = time.Since(j.enqueuedAt)
@@ -877,9 +876,11 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 	case <-j.ctx.Done():
 		jt.runDur = time.Since(runStart)
 		jt.record(spanRunAbandon, runStart, jt.runDur, 0, nil)
-		// Recycle (or discard) the world once the abandoned run returns. The
-		// abandoned run still holds the per-job observer; put resets and
-		// detaches it with the world, and its spans are dropped with it.
+		// Stop the ranks, and recycle the world once the abandoned run
+		// returns. The abandoned run still holds the per-job observer; put
+		// resets and detaches it with the world, and its spans are dropped
+		// with it.
+		w.Cancel()
 		go func() {
 			<-resCh
 			s.pool.put(w)
