@@ -13,9 +13,10 @@
 // weight tie to the earlier arc, which is the smaller global id, so no rank
 // loads a neighbor's id to break it (Validate checks the order). Interior and
 // boundary vertices, every matching's first candidates (Preferred), the
-// cross-edge counts that end the matching's outer loop, and the pair tables
-// (pairs.go) under which two neighboring ranks name their shared cross edges
-// and boundary vertices on the wire are all precomputed here.
+// cross-edge counts that end the matching's outer loop, each row's arcs to
+// ghosts (CrossOff/CrossPos), and the pair tables (pairs.go) under which two
+// neighboring ranks name their shared cross edges and boundary vertices on
+// the wire are all precomputed here.
 package dgraph
 
 import (
@@ -57,6 +58,10 @@ type DistGraph struct {
 	// CrossArcs counts arcs from owned vertices to ghosts (each cross edge
 	// once per side).
 	CrossArcs int64
+	// CrossOff/CrossPos is a CSR over owned vertices: the positions within
+	// each row, ascending, of its arcs to ghosts. An interior vertex has none.
+	CrossOff []int32
+	CrossPos []int32
 
 	// NeighborRanks lists the distinct ranks owning at least one ghost,
 	// ascending — the "neighboring processors" the paper's NEW coloring
@@ -85,6 +90,9 @@ func (d *DistGraph) Degree(v int32) int { return int(d.Xadj[v+1] - d.Xadj[v]) }
 
 // Neighbors returns the local-index neighbor list of owned vertex v.
 func (d *DistGraph) Neighbors(v int32) []int32 { return d.Adj[d.Xadj[v]:d.Xadj[v+1]] }
+
+// CrossArcsOf returns the row positions of owned vertex v's arcs to ghosts.
+func (d *DistGraph) CrossArcsOf(v int32) []int32 { return d.CrossPos[d.CrossOff[v]:d.CrossOff[v+1]] }
 
 // Weights returns the arc weights aligned with Neighbors(v); nil if the
 // graph is unweighted.
@@ -137,7 +145,7 @@ func (d *DistGraph) GlobalOf(v int32) int64 { return d.GlobalID[v] }
 func (d *DistGraph) Bytes() int64 {
 	n := int64(len(d.GlobalID))*8 + int64(len(d.GhostOwner))*4 +
 		int64(len(d.Xadj))*8 + int64(len(d.Adj))*4 + int64(len(d.W))*8 +
-		int64(len(d.Preferred))*4 + int64(len(d.IsBoundary)) +
+		int64(len(d.Preferred))*4 + int64(len(d.IsBoundary)) + int64(len(d.CrossOff))*4 + int64(len(d.CrossPos))*4 +
 		int64(len(d.NeighborRanks))*8 + int64(len(d.EdgeAt))*4 + int64(len(d.GhostAt))*4 +
 		int64(len(d.ShownOff))*4 + int64(len(d.ShownList))*8
 	for _, p := range d.Pairs {
@@ -193,6 +201,9 @@ func (d *DistGraph) Validate() error {
 	if cross != d.CrossArcs {
 		return fmt.Errorf("dgraph: CrossArcs %d, computed %d", d.CrossArcs, cross)
 	}
+	if err := d.validateCross(); err != nil {
+		return err
+	}
 	if !slices.Equal(d.Preferred, d.preferred(make([]bool, len(d.GlobalID)))) {
 		return fmt.Errorf("dgraph: Preferred is not what the scan of each row picks")
 	}
@@ -230,16 +241,18 @@ func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error)
 	ghostAt := make([]int32, n)   // local index + 1 of a ghost of the rank being built, else 0
 	isNbr := make([]bool, part.P) // ranks owning a ghost of the rank being built
 	none := make([]bool, n)       // no local index is gone, for preferred
+	var ghosts []graph.Vertex     // the rank being built's ghosts, unsorted and then sorted
 	out := make([]*DistGraph, part.P)
 	for rank := range out {
-		out[rank] = buildLocal(g, part, rank, owned[rank], local, ghostAt, isNbr, none)
+		out[rank], ghosts = buildLocal(g, part, rank, owned[rank], local, ghostAt, isNbr, none, ghosts[:0])
 	}
 	return out, nil
 }
 
 // buildLocal builds one rank's share. ghostAt and isNbr are scratch: all
-// zero on entry and on return; none is all false and never written.
-func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex, local, ghostAt []int32, isNbr, none []bool) *DistGraph {
+// zero on entry and on return; none is all false and never written; ghosts
+// is empty scratch, returned with what the build grew it to.
+func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex, local, ghostAt []int32, isNbr, none []bool, ghosts []graph.Vertex) (*DistGraph, []graph.Vertex) {
 	d := &DistGraph{
 		Rank:        rank,
 		P:           part.P,
@@ -249,8 +262,7 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 	}
 	// Discover ghosts: each remote endpoint once — counting its owned
 	// neighbors in ghostAt meanwhile — then ascending.
-	var ghosts []graph.Vertex
-	var arcs int64
+	var arcs, crossArcs int64
 	for _, v := range owned {
 		adj := g.Neighbors(v)
 		arcs += int64(len(adj))
@@ -260,6 +272,7 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 					ghosts = append(ghosts, u)
 				}
 				ghostAt[u]++
+				crossArcs++
 			}
 		}
 	}
@@ -291,23 +304,25 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 		d.W = make([]float64, arcs)
 	}
 	d.IsBoundary = make([]bool, d.NLocal)
+	d.CrossArcs = crossArcs
+	d.CrossOff = make([]int32, d.NLocal+1)
+	d.CrossPos = make([]int32, 0, crossArcs)
 	var pos int64
 	for i, v := range owned {
 		adj := g.Neighbors(v)
 		row := d.Adj[pos : pos+int64(len(adj))]
-		cross := 0
 		for k, u := range adj {
 			if gl := ghostAt[u]; gl != 0 {
 				row[k] = gl - 1
-				cross++
+				d.CrossPos = append(d.CrossPos, int32(k))
 			} else {
 				row[k] = local[u]
 			}
 		}
-		if cross > 0 {
+		d.CrossOff[i+1] = int32(len(d.CrossPos))
+		if d.CrossOff[i+1] > d.CrossOff[i] {
 			d.IsBoundary[i] = true
 			d.NumBoundary++
-			d.CrossArcs += int64(cross)
 		}
 		if d.W != nil {
 			copy(d.W[pos:], g.W[g.Xadj[v]:g.Xadj[v+1]])
@@ -320,7 +335,31 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 	}
 	d.Preferred = d.preferred(none)
 	d.buildPairs(deg)
-	return d
+	return d, ghosts
+}
+
+// validateCross holds CrossOff/CrossPos to a filter of each row for its arcs
+// to ghosts.
+func (d *DistGraph) validateCross() error {
+	if len(d.CrossOff) != d.NLocal+1 || d.CrossOff[0] != 0 || int64(len(d.CrossPos)) != d.CrossArcs {
+		return fmt.Errorf("dgraph: cross-arc index sized %d rows / %d arcs, want %d / %d", len(d.CrossOff)-1, len(d.CrossPos), d.NLocal, d.CrossArcs)
+	}
+	var next int32
+	for v := int32(0); int(v) < d.NLocal; v++ {
+		for k, u := range d.Neighbors(v) {
+			if !d.IsGhost(u) {
+				continue
+			}
+			if next >= d.CrossOff[v+1] || d.CrossPos[next] != int32(k) {
+				return fmt.Errorf("dgraph: cross-arc index of vertex %d misses its arc %d to a ghost", v, k)
+			}
+			next++
+		}
+		if next != d.CrossOff[v+1] {
+			return fmt.Errorf("dgraph: cross-arc index of vertex %d lists %d arcs, its row has %d to ghosts", v, d.CrossOff[v+1]-d.CrossOff[v], next-d.CrossOff[v])
+		}
+	}
+	return nil
 }
 
 // preferred scans each owned row with none (all false) marking nothing gone.

@@ -288,6 +288,60 @@ func TestValidateRecomputesPreferred(t *testing.T) {
 	}
 }
 
+// TestValidateRecomputesCross: Validate holds the cross-arc index to a filter
+// of each row — an entry shifted to an interior arc, or an index one entry
+// short, would have the matching's retire skip a ghost or send along an
+// interior arc.
+func TestValidateRecomputesCross(t *testing.T) {
+	g, err := gen.ErdosRenyi(60, 240, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.Random(g, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := shares[1]
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for v := int32(0); int(v) < d.NLocal; v++ {
+		if d.Degree(v) < 2 {
+			continue // no other position to shift to
+		}
+		for i := d.CrossOff[v]; i < d.CrossOff[v+1]; i++ {
+			k := d.CrossPos[i]
+			d.CrossPos[i] = (k + 1) % int32(d.Degree(v))
+			if err := d.Validate(); err == nil {
+				t.Errorf("accepted vertex %d listing arc %d to a ghost where its row has arc %d", v, d.CrossPos[i], k)
+			}
+			d.CrossPos[i] = k
+		}
+	}
+	if d.CrossArcs == 0 {
+		t.Fatal("rank 1 of a random 3-way split has no cross arc")
+	}
+	pos := d.CrossPos
+	d.CrossPos = pos[:len(pos)-1]
+	if err := d.Validate(); err == nil {
+		t.Error("accepted a CrossPos one entry short")
+	}
+	d.CrossPos = pos
+	off := d.CrossOff
+	d.CrossOff = off[:len(off)-1]
+	if err := d.Validate(); err == nil {
+		t.Error("accepted a CrossOff one row short")
+	}
+	d.CrossOff = off
+	if err := d.Validate(); err != nil {
+		t.Fatalf("restored share: %v", err)
+	}
+}
+
 // Property: distributing an arbitrary random graph over an arbitrary
 // partition yields consistent shares (ownership partition, symmetric cross
 // arcs, valid views).
@@ -473,6 +527,17 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 		if b {
 			d.NumBoundary++
 		}
+	}
+	// The cross-arc index, by filtering each row for ghosts.
+	d.CrossOff = make([]int32, d.NLocal+1)
+	d.CrossPos = []int32{}
+	for v := 0; v < d.NLocal; v++ {
+		for k, u := range d.Neighbors(int32(v)) {
+			if d.IsGhost(u) {
+				d.CrossPos = append(d.CrossPos, int32(k))
+			}
+		}
+		d.CrossOff[v+1] = int32(len(d.CrossPos))
 	}
 	referencePairs(d)
 	return d

@@ -179,6 +179,8 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 		d.W = make([]float64, 0, 4*nLocal)
 	}
 	d.IsBoundary = make([]bool, nLocal)
+	d.CrossOff = make([]int32, nLocal+1)
+	d.CrossPos = make([]int32, 0, d.NGhost)
 	deg := make([]int32, d.NGhost) // per ghost: its owned neighbors
 	addArc := func(v int32, ur, uc int) {
 		u := localIdx(ur, uc)
@@ -195,6 +197,7 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 			}
 			d.IsBoundary[v] = true
 			d.CrossArcs++
+			d.CrossPos = append(d.CrossPos, int32(int64(len(d.Adj)-1)-d.Xadj[v]))
 			deg[int(u)-nLocal]++
 		}
 	}
@@ -214,6 +217,7 @@ func BuildGrid(spec GridSpec, rank int) (*DistGraph, error) {
 				addArc(v, r+1, c)
 			}
 			d.Xadj[v+1] = int64(len(d.Adj))
+			d.CrossOff[v+1] = int32(len(d.CrossPos))
 		}
 	}
 	d.Preferred = d.preferred(make([]bool, nLocal+d.NGhost))

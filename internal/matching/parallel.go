@@ -60,6 +60,12 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	if err := s.run(); err != nil {
 		return nil, err
 	}
+	return s.result(), nil
+}
+
+// result reads this rank's share of the matching off the finished state.
+func (s *matchState) result() *ParallelResult {
+	d := s.d
 	res := &ParallelResult{
 		MateGlobal:      make([]int64, d.NLocal),
 		OuterIterations: s.outerIters,
@@ -75,7 +81,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // matchState carries the per-rank protocol state.
@@ -90,10 +96,16 @@ type matchState struct {
 	gone       []bool
 	cm         []int32 // candidate mate (local index), or -1; once matched, the mate
 	cmArc      []int64 // position in the CSR of the arc to cm; once matched, of the matched edge
+	by         []int32 // per owned vertex: the last owned vertex that took it as candidate, or noCM
+	next       []int32 // per owned vertex w: the vertex before w in its candidate's by list
 	reqTo      []int32 // per ghost: owned vertex it currently requests (the sets R), or noCM
 	undecided  int     // owned vertices still free
 	queue      []int32 // owned vertices that just became unavailable
 	outerIters int64
+
+	// onDrain, set only by tests, sees each queued vertex just before
+	// drainQueue walks its by list.
+	onDrain func(v int32)
 }
 
 const noCM int32 = -1
@@ -104,6 +116,11 @@ func (s *matchState) run() error {
 	s.gone = make([]bool, n+d.NGhost)
 	s.cm = make([]int32, n)
 	s.cmArc = make([]int64, n)
+	s.by = make([]int32, n)
+	s.next = make([]int32, n)
+	for i := range s.by {
+		s.by[i] = noCM
+	}
 	s.reqTo = make([]int32, d.NGhost)
 	for i := range s.reqTo {
 		s.reqTo[i] = noCM
@@ -118,7 +135,7 @@ func (s *matchState) run() error {
 	initTok := s.tr.Begin("match.init")
 	s.c.ChargeOps(d.Xadj[n], int64(n))
 	for v := int32(0); int(v) < n; v++ {
-		s.cm[v], s.cmArc[v] = s.arcAt(v, int(d.Preferred[v]))
+		s.setCandidate(v, int(d.Preferred[v]))
 	}
 	for v := int32(0); int(v) < n; v++ {
 		if !s.gone[v] { // not yet matched by a smaller mutual candidate
@@ -161,22 +178,26 @@ func (s *matchState) run() error {
 	return nil
 }
 
-// computeCandidate returns the most preferred neighbor of owned vertex v that
-// is not gone — graph.BestArc over v's row, whose global-id order every rank
-// shares — and the position of the arc to it; or noCM, and no position worth
-// reading.
-func (s *matchState) computeCandidate(v int32) (int32, int64) {
-	return s.arcAt(v, graph.BestArc(s.d.Neighbors(v), s.d.Weights(v), s.gone))
-}
-
-// arcAt returns the neighbor at position k of owned vertex v's row and the
-// arc's position in the CSR, or noCM and -1 for k < 0.
-func (s *matchState) arcAt(v int32, k int) (int32, int64) {
+// setCandidate makes the neighbor at position k of owned vertex v's row its
+// candidate mate (noCM for k < 0), and puts v on that candidate's by list if
+// it is owned. It is the one place an owned vertex's candidate is written.
+//
+// No list is ever unlinked. cm[v] changes only once its candidate is gone:
+// from drainQueue walking that candidate's list, which has read next[v]
+// already, or from handle for a ghost, which keeps no list. So of the lists
+// v has been pushed onto, only the last can still be walked, and overwriting
+// next[v] cuts nothing that will be read.
+func (s *matchState) setCandidate(v int32, k int) {
 	if k < 0 {
-		return noCM, -1
+		s.cm[v], s.cmArc[v] = noCM, -1
+		return
 	}
 	arc := s.d.Xadj[v] + int64(k)
-	return s.d.Adj[arc], arc
+	c := s.d.Adj[arc]
+	s.cm[v], s.cmArc[v] = c, arc
+	if int(c) < s.d.NLocal {
+		s.next[v], s.by[c] = s.by[c], v
+	}
 }
 
 // retire takes owned vertex v out of the free set — matched to its candidate
@@ -189,12 +210,9 @@ func (s *matchState) retire(v int32, kind byte) {
 	s.undecided--
 	s.queue = append(s.queue, v)
 	d := s.d
-	if !d.IsBoundary[v] {
-		return // an interior vertex has no cross arc to walk
-	}
-	n := int32(d.NLocal)
-	for i := d.Xadj[v]; i < d.Xadj[v+1]; i++ {
-		if nb := d.Adj[i]; nb >= n && nb != s.cm[v] && !s.gone[nb] {
+	row := d.Xadj[v]
+	for _, k := range d.CrossArcsOf(v) { // none for an interior vertex
+		if i := row + int64(k); d.Adj[i] != s.cm[v] && !s.gone[d.Adj[i]] {
 			s.match.send(kind, i)
 		}
 	}
@@ -203,22 +221,27 @@ func (s *matchState) retire(v int32, kind byte) {
 // drainQueue is the inner loop: every queued vertex just became unavailable,
 // so each free owned neighbor pointing at it recomputes its candidate and may
 // match, request, or fail — cascading without any communication (messages to
-// ghosts are only *buffered* here; the outer loop ships them). The queue is
-// walked by index, so what recompute appends is reached in turn, and its
-// backing array serves the next drain.
+// ghosts are only *buffered* here; the outer loop ships them). Those
+// neighbors are found on the retired vertex's by list, not by a walk of its
+// row; the list also holds vertices that have since retired, which the guard
+// skips. The queue is walked by index, so what recompute appends is reached
+// in turn, and its backing array serves the next drain.
 func (s *matchState) drainQueue() {
 	if len(s.queue) == 0 {
 		return
 	}
 	tok := s.tr.BeginDetail("match.inner")
-	n := int32(s.d.NLocal)
 	for i := 0; i < len(s.queue); i++ {
 		v := s.queue[i]
-		for _, w := range s.d.Neighbors(v) {
-			if w >= n || s.cm[w] != v || s.gone[w] {
-				continue
+		if s.onDrain != nil {
+			s.onDrain(v)
+		}
+		for w := s.by[v]; w != noCM; {
+			next := s.next[w] // recompute pushes w onto its new candidate's list
+			if s.cm[w] == v && !s.gone[w] {
+				s.recompute(w)
 			}
-			s.recompute(w)
+			w = next
 		}
 	}
 	s.tr.EndN(tok, int64(len(s.queue)))
@@ -229,7 +252,7 @@ func (s *matchState) drainQueue() {
 // previous candidate became unavailable, and acts on the new one.
 func (s *matchState) recompute(w int32) {
 	s.c.ChargeOps(int64(s.d.Degree(w)), 1)
-	s.cm[w], s.cmArc[w] = s.computeCandidate(w)
+	s.setCandidate(w, graph.BestArc(s.d.Neighbors(w), s.d.Weights(w), s.gone))
 	s.pursue(w)
 }
 

@@ -3,6 +3,7 @@ package matching
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -412,5 +413,90 @@ func TestParallelStopsWhenCanceled(t *testing.T) {
 	})
 	if !errors.Is(err, mpi.ErrCanceled) || !errors.Is(rank0, mpi.ErrCanceled) {
 		t.Fatalf("Run = %v, rank 0's Parallel = %v; want mpi.ErrCanceled from both", err, rank0)
+	}
+}
+
+// TestDrainWalksWhatTheRowWalkFinds: drainQueue finds the free owned
+// vertices whose candidate just retired on the retired vertex's by list, not
+// by walking its row. At every step of every drain — small random graphs,
+// weighted and all-ties, over 1 to 4 ranks, bundled and unbundled, plain and
+// under perturbation — the list walk through the guard finds exactly the
+// vertices the row walk finds, and the matching is the sequential one.
+func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		n := 20 + int(seed)*7
+		g, err := gen.ErdosRenyi(n, int64(n)*3, seed%3 != 0, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := LocallyDominant(g)
+		for p := 1; p <= 4; p++ {
+			part, err := partition.Random(g, p, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares, err := dgraph.Distribute(g, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range []ParallelOptions{{}, {MaxBundleBytes: RecordBytes}} {
+				for pert := uint64(0); pert <= 3; pert++ {
+					name := fmt.Sprintf("n=%d p=%d bundle=%d perturbation=%d", n, p, opt.MaxBundleBytes, pert)
+					mpiOpts := []mpi.Option{mpi.WithDeadline(30 * time.Second)}
+					if pert > 0 {
+						mpiOpts = append(mpiOpts, mpi.WithPerturbation(pert))
+					}
+					results := make([]*ParallelResult, p)
+					steps := make([]int, p)
+					err := mpi.Run(p, func(c *mpi.Comm) error {
+						r, err := newRank(c, shares[c.Rank()], opt)
+						if err != nil {
+							return err
+						}
+						s := &matchState{rank: r}
+						s.onDrain = func(v int32) {
+							steps[c.Rank()]++
+							var list, row []int32
+							for w := s.by[v]; w != noCM; w = s.next[w] {
+								if s.cm[w] == v && !s.gone[w] {
+									list = append(list, w)
+								}
+							}
+							for _, w := range s.d.Neighbors(v) {
+								if !s.d.IsGhost(w) && s.cm[w] == v && !s.gone[w] {
+									row = append(row, w)
+								}
+							}
+							slices.Sort(list)
+							if !slices.Equal(list, row) {
+								t.Errorf("%s rank %d: drain of %d walks %v, the row walk finds %v", name, c.Rank(), v, list, row)
+							}
+						}
+						if err := s.run(); err != nil {
+							return err
+						}
+						results[c.Rank()] = s.result()
+						return nil
+					}, mpiOpts...)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					mates, err := Gather(shares, results)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !slices.Equal(mates, seq) {
+						t.Fatalf("%s: differs from the sequential locally-dominant matching", name)
+					}
+					total := 0
+					for _, k := range steps {
+						total += k
+					}
+					if total != n {
+						t.Fatalf("%s: %d drain steps, want one per vertex (%d)", name, total, n)
+					}
+				}
+			}
+		}
 	}
 }

@@ -187,7 +187,9 @@ func TestPlacementBudget(t *testing.T) {
 		t.Helper()
 		var ins []*input
 		for seed := uint64(1); seed <= uint64(n); seed++ {
-			g, err := gen.Grid2D(75, 75, true, seed)
+			// 74² vertices: two share sets of ≈ 93 B per vertex fit the
+			// budget, three do not.
+			g, err := gen.Grid2D(74, 74, true, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

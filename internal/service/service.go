@@ -238,6 +238,7 @@ type Server struct {
 	timeouts    *obs.Counter
 	hits        *obs.Counter
 	misses      *obs.Counter
+	coalesced   *obs.Counter
 	partHits    *obs.Counter
 	partMisses  *obs.Counter
 	placeBuilds *obs.Counter
@@ -263,6 +264,7 @@ func NewServer(cfg Config) (*Server, error) {
 		timeouts:    reg.Counter("service.jobs_timeout"),
 		hits:        reg.Counter("service.cache_hits"),
 		misses:      reg.Counter("service.cache_misses"),
+		coalesced:   reg.Counter("service.cache_coalesced"),
 		partHits:    reg.Counter("service.partition_cache_hits"),
 		partMisses:  reg.Counter("service.partition_cache_misses"),
 		placeBuilds: reg.Counter("service.placement_builds"),
@@ -608,30 +610,74 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, jt *jobTrace) (*
 
 	key := req.cacheKey(fp)
 	jt.jobID = fmt.Sprintf("job-%d", s.nextID.Add(1))
+	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout))
+	defer cancel()
 	jt.cache = cacheBypass
+	var lead *flight
 	if !req.NoCache {
-		lookupStart := time.Now()
-		if resp, ok := s.cache.get(key); ok {
-			s.hits.Inc()
-			jt.cache = cacheHit
-			jt.record(spanCacheHit, lookupStart, time.Since(lookupStart), 0, nil)
+		resp, f, rej := s.lookup(ctx, key, jt)
+		if resp != nil {
 			resp.JobID, resp.Tenant, resp.Cached = jt.jobID, tenant, true
-			return &resp, nil
+			return resp, nil
 		}
+		if rej != nil {
+			return nil, rej
+		}
+		lead = f
 		jt.cache = cacheMiss
 	}
 	// A bypassed lookup counts as a miss too: hits + misses is every request
 	// that reached the cache stage.
 	s.misses.Inc()
 
-	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout))
-	defer cancel()
 	j := &job{tq: tq, req: &req, g: g, fp: fp, key: key, ctx: ctx, done: make(chan struct{}), jt: jt}
-	if rej := s.enqueue(j); rej != nil {
-		return nil, rej
+	var resp *Response
+	rej = s.enqueue(j)
+	if rej == nil {
+		<-j.done
+		resp, rej = j.resp, j.rej
 	}
-	<-j.done
-	return j.resp, j.rej
+	if lead != nil {
+		s.cache.land(key, lead, resp)
+	}
+	return resp, rej
+}
+
+// lookup is the cache stage of a request that may use the cache. It answers
+// from the cache (a hit), or from the run of an identical request already in
+// flight (coalesced: counted a hit, answered like one), or returns the flight
+// this request now leads. A follower waits under its own deadline and holds
+// no queue slot; when its deadline passes first it is a 504 and a miss, and
+// when its leader fails or times out it looks again, so it may lead the next
+// flight itself.
+func (s *Server) lookup(ctx context.Context, key string, jt *jobTrace) (*Response, *flight, *ingest.Refusal) {
+	for {
+		start := time.Now()
+		resp, hit, f, lead := s.cache.lookup(key)
+		if hit {
+			s.hits.Inc()
+			jt.cache = cacheHit
+			jt.record(spanCacheHit, start, time.Since(start), 0, nil)
+			return &resp, nil, nil
+		}
+		if lead {
+			return nil, f, nil
+		}
+		s.coalesced.Inc()
+		jt.cache = cacheJoined
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			s.misses.Inc()
+			return nil, nil, s.timedOut()
+		}
+		if f.resp != nil {
+			s.hits.Inc()
+			jt.record(spanCoalesced, start, time.Since(start), 0, nil)
+			resp := *f.resp
+			return &resp, nil, nil
+		}
+	}
 }
 
 // admit is the admission stage. The rate bucket gates ingress before any

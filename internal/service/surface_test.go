@@ -38,6 +38,7 @@ var surfaceMetricNames = []string{
 	"ingest.store_misses",
 	"obs.otlp_dropped",
 	"obs.otlp_exported",
+	"service.cache_coalesced",
 	"service.cache_hits",
 	"service.cache_misses",
 	"service.draining",
@@ -146,22 +147,42 @@ func TestObservableSurface(t *testing.T) {
 		req    *service.Request // nil sends raw instead
 		raw    string
 		// park submits before the workers start; the job resolves after the
-		// next row, once the workers run.
-		park   bool
-		drain  bool // drain the server before submitting
-		status int
-		spans  []string         // serve.* spans in sequence order
-		n      map[string]int64 // non-zero n attributes, by span name
-		delta  map[string]int64 // counters and histogram counts that moved
+		// next row that does not park, once the workers run. A parked row
+		// that follows joins the flight of the parked row before it, which
+		// asks for the same result.
+		park    bool
+		follows bool
+		drain   bool // drain the server before submitting
+		status  int
+		spans   []string         // serve.* spans in sequence order
+		n       map[string]int64 // non-zero n attributes, by span name
+		delta   map[string]int64 // counters and histogram counts that moved
 	}{
+		// Its own seed: a request for job's result would lead the flight the
+		// cache-miss row must lead.
 		{name: "queued-timeout 504", tenant: "q", park: true, status: http.StatusGatewayTimeout,
-			req:   with(func(r *service.Request) { r.TimeoutMillis = 30 }),
+			req:   with(func(r *service.Request) { r.TimeoutMillis, r.Seed = 30, 6 }),
 			spans: []string{"serve.job", "serve.admit", "serve.resolve", "serve.queue_wait"},
 			n:     map[string]int64{"serve.resolve": vertices},
 			delta: tenantDelta("q", map[string]int64{
 				"service.jobs_submitted": 1, "ingest.store_misses": 1, "service.cache_misses": 1, "service.jobs_timeout": 1,
 				"service.queue_wait_ms": 1,
 			}, "submitted", "admitted", "queue_wait_ms")},
+		{name: "cache miss", tenant: "pin", park: true, status: http.StatusOK, req: &job,
+			spans: ranSpans("serve.partition.compute"), n: ranN("serve.partition.compute"),
+			delta: tenantDelta("pin", map[string]int64{
+				"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_misses": 1, "service.partition_cache_misses": 1,
+				"service.pool_worlds_created": 1, "service.jobs_completed": 1,
+				"service.queue_wait_ms": 1, "service.run_ms": 1, "service.job_latency_ms": 1,
+			}, "submitted", "admitted", "completed", "queue_wait_ms", "run_ms", "latency_ms")},
+		// Asked while the cache miss is queued: it waits on that run, holds
+		// no queue slot, and answers from it as a hit.
+		{name: "coalesced", tenant: "pin", park: true, follows: true, status: http.StatusOK, req: &job,
+			spans: []string{"serve.job", "serve.admit", "serve.resolve", "serve.cache.coalesced", "serve.respond"},
+			n:     map[string]int64{"serve.resolve": vertices, "serve.respond": resultLen},
+			delta: tenantDelta("pin", map[string]int64{
+				"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_coalesced": 1, "service.cache_hits": 1,
+			}, "submitted")},
 		{name: "queue-full 429", tenant: "q", status: http.StatusTooManyRequests,
 			req:   with(func(r *service.Request) { r.Seed = 4 }),
 			spans: []string{"serve.job", "serve.admit", "serve.resolve"},
@@ -169,13 +190,6 @@ func TestObservableSurface(t *testing.T) {
 			delta: tenantDelta("q", map[string]int64{
 				"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_misses": 1, "service.jobs_rejected": 1,
 			}, "submitted", "rejected", "rejected_queue")},
-		{name: "cache miss", tenant: "pin", status: http.StatusOK, req: &job,
-			spans: ranSpans("serve.partition.compute"), n: ranN("serve.partition.compute"),
-			delta: tenantDelta("pin", map[string]int64{
-				"service.jobs_submitted": 1, "ingest.store_hits": 1, "service.cache_misses": 1, "service.partition_cache_misses": 1,
-				"service.pool_worlds_created": 1, "service.jobs_completed": 1,
-				"service.queue_wait_ms": 1, "service.run_ms": 1, "service.job_latency_ms": 1,
-			}, "submitted", "admitted", "completed", "queue_wait_ms", "run_ms", "latency_ms")},
 		{name: "cache hit", tenant: "pin", status: http.StatusOK, req: &job,
 			spans: []string{"serve.job", "serve.admit", "serve.resolve", "serve.cache.hit", "serve.respond"},
 			n:     map[string]int64{"serve.resolve": vertices, "serve.respond": resultLen},
@@ -297,7 +311,9 @@ func TestObservableSurface(t *testing.T) {
 		delta  map[string]int64
 		status chan int
 	}
-	var parked *parkedJob
+	// Parked rows resolve together once the workers start, so what moved
+	// after the start is checked against their sum.
+	var parked []*parkedJob
 	for i, row := range rows {
 		if row.drain {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -309,22 +325,39 @@ func TestObservableSurface(t *testing.T) {
 		before := snap()
 		if row.park {
 			p := &parkedJob{row: i, status: make(chan int, 1)}
-			go func() { s, _ := submit(p.row); p.status <- s }()
-			// admitted is the handler's last write before it blocks on the job.
-			waitMetric(t, cl, "service.tenant."+row.tenant+".admitted", 1)
+			go func() { s, n := submit(p.row); resultLens[p.row] = n; p.status <- s }()
+			// admitted is a queued job handler's last write before it blocks
+			// on the job, the coalesced count a follower's before it blocks
+			// on its leader.
+			if row.follows {
+				waitMetric(t, cl, "service.cache_coalesced", 1)
+			} else {
+				waitMetric(t, cl, "service.tenant."+row.tenant+".admitted", 1)
+			}
 			p.delta = moved(map[string]int64{}, before, snap())
-			parked = p
+			parked = append(parked, p)
 			continue
 		}
 		status, n := submit(i)
 		resultLens[i] = n
 		check(i, status, moved(map[string]int64{}, before, snap()))
-		if parked != nil {
-			time.Sleep(60 * time.Millisecond) // the parked job's 30 ms deadline fires while queued
+		if len(parked) > 0 {
+			time.Sleep(60 * time.Millisecond) // the parked 504's 30 ms deadline fires while queued
 			before := snap()
 			srv.Start()
-			status := <-parked.status
-			check(parked.row, status, moved(parked.delta, before, snap()))
+			got, want := map[string]int64{}, map[string]int64{}
+			var names []string
+			for _, p := range parked {
+				if status := <-p.status; status != rows[p.row].status {
+					t.Errorf("%s: status %d, want %d", rows[p.row].name, status, rows[p.row].status)
+				}
+				moved(got, map[string]int64{}, p.delta)
+				moved(want, map[string]int64{}, rows[p.row].delta)
+				names = append(names, rows[p.row].name)
+			}
+			if got = moved(got, before, snap()); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: counters moved\n got  %v\n want %v", strings.Join(names, " + "), got, want)
+			}
 			parked = nil
 		}
 	}

@@ -46,6 +46,7 @@ const (
 	spanResolve     = "serve.resolve"
 	spanRehydrate   = "serve.partition.rehydrate" // graph_ref served from the disk spill tier
 	spanCacheHit    = "serve.cache.hit"
+	spanCoalesced   = "serve.cache.coalesced" // a follower's wait on an identical request's run
 	spanQueueWait   = "serve.queue_wait"
 	spanPoolAcquire = "serve.pool_acquire"
 	spanPartCached  = "serve.partition.cached"
@@ -61,8 +62,9 @@ const (
 const (
 	cacheHit    = "hit"
 	cacheMiss   = "miss"
-	cacheBypass = "bypass" // no_cache request
-	cacheNone   = ""       // rejected before the cache was consulted
+	cacheBypass = "bypass"    // no_cache request
+	cacheJoined = "coalesced" // waited on an identical request's run (answered from it, or a 504)
+	cacheNone   = ""          // rejected before the cache was consulted
 )
 
 // jobTraceSpanCap bounds one job's service-lifecycle spans. The lifecycle is

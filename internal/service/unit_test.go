@@ -9,6 +9,13 @@ import (
 	"repro/internal/obs"
 )
 
+// get is lookup read as a plain cache: hit or miss. A miss opens a flight
+// that these tests never land, which nothing here waits on.
+func (c *resultCache) get(key string) (Response, bool) {
+	resp, hit, _, _ := c.lookup(key)
+	return resp, hit
+}
+
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)
 	c.put("a", Response{JobID: "a"})
