@@ -11,7 +11,8 @@
 //   - a World pool that recycles rank goroutine worlds across jobs
 //     (mpi.World.Reset), so per-job World setup disappears;
 //   - an LRU result cache keyed by (graph fingerprint, algorithm, params),
-//     so repeated identical requests never recompute;
+//     so repeated identical requests never recompute, and concurrent
+//     identical ones run once;
 //   - per-tenant fair admission: every job and upload is accounted to a
 //     tenant (the X-DMGM-Tenant header, or "default"), each tenant has a
 //     token-bucket rate limit, a bounded queue, and concurrency budgets,
