@@ -318,17 +318,6 @@ func BenchmarkSequentialMatchingRMAT(b *testing.B) {
 	}
 }
 
-func BenchmarkSequentialGreedySortMatching(b *testing.B) {
-	g, err := gen.Grid2D(512, 512, true, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matching.Greedy(g)
-	}
-}
-
 // kernelShare is a solve_* input of bench/: the 512² weighted grid on a 2×2
 // block cut, or RMAT-16 on a 4-way multilevel cut.
 type kernelShare struct {
@@ -603,10 +592,19 @@ func BenchmarkDistribute(b *testing.B) {
 }
 
 func BenchmarkLocalOf(b *testing.B) {
-	d, err := dgraph.BuildGrid(dgraph.GridSpec{K1: 512, K2: 512, PR: 2, PC: 2}, 3)
+	g, err := gen.Grid2D(512, 512, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	part, err := partition.Grid2D(512, 512, 2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shares, err := dgraph.Distribute(g, part)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := shares[3]
 	n := d.NLocal + d.NGhost
 	for _, tc := range []struct {
 		name string

@@ -55,15 +55,13 @@ func TestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, args := range map[string][]string{
-		"seq":          {},
-		"seq_greedy":   {"-algo", "greedy"},
-		"seq_json":     {"-json"},
-		"p4":           {"-p", "4", "-seed", "5"},
-		"p4_json":      {"-p", "4", "-seed", "5", "-json"},
-		"p4_nobundle":  {"-p", "4", "-seed", "5", "-nobundle"},
-		"p4_bfs":       {"-p", "4", "-seed", "5", "-partition", "bfs"},
-		"partfile":     {"-partfile", partFile},
-		"usage_noalgo": {"-algo", "bogus"},
+		"seq":         {},
+		"seq_json":    {"-json"},
+		"p4":          {"-p", "4", "-seed", "5"},
+		"p4_json":     {"-p", "4", "-seed", "5", "-json"},
+		"p4_nobundle": {"-p", "4", "-seed", "5", "-nobundle"},
+		"p4_bfs":      {"-p", "4", "-seed", "5", "-partition", "bfs"},
+		"partfile":    {"-partfile", partFile},
 	} {
 		t.Run(name, func(t *testing.T) {
 			out := filepath.Join(dir, name+".out")

@@ -1,13 +1,12 @@
 // Command dmgm-match computes edge-weighted matchings: sequential locally
-// dominant (default), sorted greedy, or the distributed algorithm with a
-// chosen rank count, and reports weight, cardinality and traffic.
+// dominant, or the distributed algorithm with a chosen rank count, and
+// reports weight, cardinality and traffic.
 //
 // Usage:
 //
 //	dmgm-match -in graph.bin                      # sequential ½-approx
 //	dmgm-match -in graph.bin -p 16                # distributed over 16 ranks
 //	dmgm-match -in graph.bin -p 16 -nobundle      # ablate message bundling
-//	dmgm-match -in graph.bin -algo greedy
 //	dmgm-match -in graph.bin -p 4 -launch         # 4 local processes over TCP
 //	dmgm-match -in graph.bin -p 4 -transport tcp -rank 2 -registry host:9000
 //	dmgm-match -in graph.bin -p 4 -launch -trace out.json   # Chrome trace
@@ -50,7 +49,6 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	c := launch.NewCLI("dmgm-match", stdout, stderr)
 	var (
-		algo     = c.Flags.String("algo", "localdom", "localdom | greedy")
 		partFile = c.Flags.String("partfile", "", "load the partition from a file written by dmgm-part (overrides -partition and -p)")
 		noBundle = c.Flags.Bool("nobundle", false, "disable message bundling (ablation)")
 	)
@@ -60,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 		if *c.P <= 1 && *partFile == "" {
-			return sequential(c, g, *algo)
+			return sequential(c, g)
 		}
 		part, err := c.Partition(g, *partFile, partition.MultilevelOptions{Seed: *c.Seed})
 		if err != nil {
@@ -86,28 +84,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// sequential is the -p 1 run: one of the two sequential algorithms, verified.
-func sequential(c *launch.CLI, g *graph.Graph, algo string) error {
+// sequential is the -p 1 run: the locally-dominant matching, verified.
+func sequential(c *launch.CLI, g *graph.Graph) error {
 	start := time.Now()
-	var m matching.Mates
-	switch algo {
-	case "localdom":
-		m = matching.LocallyDominant(g)
-	case "greedy":
-		m = matching.Greedy(g)
-	default:
-		return launch.Usagef("unknown algo %q", algo)
-	}
+	m := matching.LocallyDominant(g)
 	elapsed := time.Since(start)
 	if err := m.VerifyMaximal(g); err != nil {
 		return fmt.Errorf("result verification failed: %w", err)
 	}
 	err := c.Report(summary{
-		Algorithm: "sequential-" + algo, Ranks: 1,
+		Algorithm: "sequential-localdom", Ranks: 1,
 		Weight: m.Weight(g), Cardinality: m.Cardinality(),
 		ElapsedSeconds: elapsed.Seconds(),
-	}, fmt.Sprintf("algorithm: sequential %s\nweight: %.4f\ncardinality: %d\ntime: %v\n",
-		algo, m.Weight(g), m.Cardinality(), elapsed))
+	}, fmt.Sprintf("algorithm: sequential localdom\nweight: %.4f\ncardinality: %d\ntime: %v\n",
+		m.Weight(g), m.Cardinality(), elapsed))
 	if err != nil {
 		return err
 	}

@@ -127,10 +127,6 @@ const (
 // Match computes the sequential locally-dominant ½-approximate matching.
 func Match(g *Graph) Mates { return matching.LocallyDominant(g) }
 
-// MatchGreedy computes the sorted-edge greedy matching (same result, global
-// sort — the baseline the paper's local algorithm replaces).
-func MatchGreedy(g *Graph) Mates { return matching.Greedy(g) }
-
 // MatchExactBipartite computes the exact maximum-weight bipartite matching
 // (the Table 1.1 quality reference).
 func MatchExactBipartite(b *Bipartite) (Mates, error) { return matching.ExactBipartite(b) }

@@ -112,71 +112,66 @@ func TestDistributeGhostOwners(t *testing.T) {
 	}
 }
 
-func TestBuildGridMatchesDistribute(t *testing.T) {
-	// The direct distributed builder must agree field for field with
-	// distributing the globally generated grid.
-	for _, spec := range []GridSpec{
-		{K1: 9, K2: 11, PR: 3, PC: 2, Weighted: true, Seed: 42},
-		{K1: 8, K2: 8, PR: 2, PC: 2},
-		{K1: 7, K2: 5, PR: 1, PC: 5, Weighted: true, Seed: 1},
-		{K1: 6, K2: 6, PR: 1, PC: 1, Weighted: true, Seed: 9},
-	} {
-		g, err := gen.Grid2D(spec.K1, spec.K2, spec.Weighted, spec.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !spec.Weighted {
-			g = &graph.Graph{Xadj: g.Xadj, Adj: g.Adj} // the generator stores unit weights
-		}
-		part, err := partition.Grid2D(spec.K1, spec.K2, spec.PR, spec.PC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := Distribute(g, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rank := 0; rank < spec.P(); rank++ {
-			d, err := BuildGrid(spec, rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Validate(); err != nil {
-				t.Fatalf("%+v rank %d: %v", spec, rank, err)
-			}
-			if diff := exportedDiff(d, ref[rank]); diff != "" {
-				t.Fatalf("%+v rank %d: BuildGrid vs Distribute: %s", spec, rank, diff)
-			}
-		}
-	}
-}
-
-func TestBuildGridPaperSubgridExample(t *testing.T) {
-	// Paper: 8,000x8,000 grid on 1,024 processors (32x32) gives each a
-	// 250x250 subgrid. Shrunk: 80x80 on 16 (4x4) gives 20x20 = 400 each.
-	spec := GridSpec{K1: 80, K2: 80, PR: 4, PC: 4, Weighted: false, Seed: 0}
-	for rank := 0; rank < 16; rank++ {
-		d, err := BuildGrid(spec, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.NLocal != 400 {
-			t.Fatalf("rank %d owns %d vertices, want 400", rank, d.NLocal)
-		}
-		// Interior blocks have 4*20 boundary vertices minus corner sharing;
-		// all blocks have boundary fraction well under half.
-		if float64(d.NumBoundary)/float64(d.NLocal) > 0.5 {
-			t.Fatalf("rank %d boundary fraction too high", rank)
-		}
-	}
-}
-
-func TestBuildGridSingleRank(t *testing.T) {
-	spec := GridSpec{K1: 5, K2: 5, PR: 1, PC: 1, Weighted: true, Seed: 1}
-	d, err := BuildGrid(spec, 0)
+// gridShares cuts the k1 × k2 five-point grid into spec's blocks the way the
+// grid figures do: generate it whole, partition.Grid2D, Distribute. An
+// unweighted grid keeps no weights (the generator stores unit ones).
+func gridShares(t testing.TB, spec GridSpec, weighted bool, seed uint64) []*DistGraph {
+	t.Helper()
+	g, err := gen.Grid2D(spec.K1, spec.K2, weighted, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !weighted {
+		g = &graph.Graph{Xadj: g.Xadj, Adj: g.Adj}
+	}
+	part, err := partition.Grid2D(spec.K1, spec.K2, spec.PR, spec.PC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shares
+}
+
+// TestRankStructurePaperSubgridExample is the paper's own example, checked as
+// arithmetic: an 8,000 × 8,000 grid on 1,024 processors (32 × 32) gives each
+// a 250 × 250 subgrid.
+func TestRankStructurePaperSubgridExample(t *testing.T) {
+	spec := GridSpec{K1: 8000, K2: 8000, PR: 32, PC: 32}
+	for rank := 0; rank < spec.P(); rank++ {
+		nLocal, _, _, _, err := spec.RankStructure(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nLocal != 62500 {
+			t.Fatalf("rank %d owns %d vertices, want 62500", rank, nLocal)
+		}
+	}
+	for _, tc := range []struct {
+		rank        int
+		arcs, cross int64
+		nbrs        int
+	}{
+		{33, 250000, 1000, 4}, // interior: row 1, column 1
+		{0, 249500, 500, 2},
+		{31, 249500, 500, 2},
+		{1023, 249500, 500, 2},
+	} {
+		_, arcs, cross, nbrs, err := spec.RankStructure(tc.rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arcs != tc.arcs || cross != tc.cross || nbrs != tc.nbrs {
+			t.Errorf("rank %d: %d arcs, %d cross arcs, %d neighbour ranks; want %d, %d, %d",
+				tc.rank, arcs, cross, nbrs, tc.arcs, tc.cross, tc.nbrs)
+		}
+	}
+}
+
+func TestSingleRankGridShare(t *testing.T) {
+	d := gridShares(t, GridSpec{K1: 5, K2: 5, PR: 1, PC: 1}, true, 1)[0]
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,55 +183,43 @@ func TestBuildGridSingleRank(t *testing.T) {
 	}
 }
 
-func TestBuildGridRejectsBadSpecs(t *testing.T) {
-	if _, err := BuildGrid(GridSpec{K1: 0, K2: 5, PR: 1, PC: 1}, 0); err == nil {
+func TestRankStructureRejectsBadSpecs(t *testing.T) {
+	if _, _, _, _, err := (GridSpec{K1: 0, K2: 5, PR: 1, PC: 1}).RankStructure(0); err == nil {
 		t.Error("accepted zero grid")
 	}
-	if _, err := BuildGrid(GridSpec{K1: 2, K2: 2, PR: 3, PC: 1}, 0); err == nil {
+	if _, _, _, _, err := (GridSpec{K1: 2, K2: 2, PR: 3, PC: 1}).RankStructure(0); err == nil {
 		t.Error("accepted pr > k1")
 	}
-	if _, err := BuildGrid(GridSpec{K1: 4, K2: 4, PR: 2, PC: 2}, 7); err == nil {
+	if _, _, _, _, err := (GridSpec{K1: 4, K2: 4, PR: 2, PC: 2}).RankStructure(7); err == nil {
 		t.Error("accepted out-of-range rank")
 	}
 }
 
 func TestLocalOfGlobalOfRoundTrip(t *testing.T) {
-	spec := GridSpec{K1: 6, K2: 6, PR: 2, PC: 2, Weighted: false, Seed: 0}
-	direct, err := BuildGrid(spec, 1)
-	if err != nil {
-		t.Fatal(err)
+	d := gridShares(t, GridSpec{K1: 6, K2: 6, PR: 2, PC: 2}, false, 0)[1]
+	onRank := make([]bool, d.GlobalN)
+	for l := int32(0); int(l) < d.NLocal+d.NGhost; l++ {
+		got, ok := d.LocalOf(d.GlobalOf(l))
+		if !ok || got != l {
+			t.Fatalf("round trip failed at local %d", l)
+		}
+		onRank[d.GlobalOf(l)] = true
 	}
-	g, _ := gen.Grid2D(6, 6, false, 0)
-	part, _ := partition.Grid2D(6, 6, 2, 2)
-	shares, err := Distribute(g, part)
-	if err != nil {
-		t.Fatal(err)
+	// Ids read off the wire may be anything: every id that is neither
+	// owned nor a ghost here must miss as (0, false).
+	absent := []int64{-1, -36, math.MinInt64, d.GlobalN, d.GlobalN + 1, 999999, math.MaxInt64}
+	outOfRange := len(absent)
+	for gid, on := range onRank {
+		if !on {
+			absent = append(absent, int64(gid))
+		}
 	}
-	for name, d := range map[string]*DistGraph{"BuildGrid": direct, "Distribute": shares[1]} {
-		onRank := make([]bool, d.GlobalN)
-		for l := int32(0); int(l) < d.NLocal+d.NGhost; l++ {
-			got, ok := d.LocalOf(d.GlobalOf(l))
-			if !ok || got != l {
-				t.Fatalf("%s: round trip failed at local %d", name, l)
-			}
-			onRank[d.GlobalOf(l)] = true
-		}
-		// Ids read off the wire may be anything: every id that is neither
-		// owned nor a ghost here must miss as (0, false).
-		absent := []int64{-1, -36, math.MinInt64, d.GlobalN, d.GlobalN + 1, 999999, math.MaxInt64}
-		outOfRange := len(absent)
-		for gid, on := range onRank {
-			if !on {
-				absent = append(absent, int64(gid))
-			}
-		}
-		if len(absent) == outOfRange {
-			t.Fatalf("%s: rank 1 of a 2x2 split sees every vertex", name)
-		}
-		for _, gid := range absent {
-			if l, ok := d.LocalOf(gid); ok || l != 0 {
-				t.Errorf("%s: LocalOf(%d) = (%d, %v) for an id not on this rank", name, gid, l, ok)
-			}
+	if len(absent) == outOfRange {
+		t.Fatal("rank 1 of a 2x2 split sees every vertex")
+	}
+	for _, gid := range absent {
+		if l, ok := d.LocalOf(gid); ok || l != 0 {
+			t.Errorf("LocalOf(%d) = (%d, %v) for an id not on this rank", gid, l, ok)
 		}
 	}
 	if l, ok := new(DistGraph).LocalOf(0); ok || l != 0 {
@@ -245,10 +228,7 @@ func TestLocalOfGlobalOfRoundTrip(t *testing.T) {
 }
 
 func TestValidateCatchesBrokenIndex(t *testing.T) {
-	d, err := BuildGrid(GridSpec{K1: 6, K2: 6, PR: 2, PC: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := gridShares(t, GridSpec{K1: 6, K2: 6, PR: 2, PC: 2}, false, 0)[1]
 	// An id LocalOf does not resolve back to its own slot.
 	d.GlobalID[0], d.GlobalID[1] = d.GlobalID[1], d.GlobalID[0]
 	if err := d.Validate(); err == nil {
@@ -266,10 +246,7 @@ func TestValidateCatchesBrokenIndex(t *testing.T) {
 // choice the graph does not make.
 func TestValidateRecomputesPreferred(t *testing.T) {
 	for _, weighted := range []bool{true, false} {
-		d, err := BuildGrid(GridSpec{K1: 6, K2: 6, PR: 2, PC: 2, Weighted: weighted, Seed: 4}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := gridShares(t, GridSpec{K1: 6, K2: 6, PR: 2, PC: 2}, weighted, 4)[1]
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -379,46 +356,46 @@ func TestQuickDistributeConsistent(t *testing.T) {
 	}
 }
 
+// TestAccessorsAndRankStructure holds the block arithmetic the grid figures
+// extend to model scale to the shares Distribute cuts, at every rank.
 func TestAccessorsAndRankStructure(t *testing.T) {
-	spec := GridSpec{K1: 6, K2: 8, PR: 2, PC: 2, Weighted: true, Seed: 3}
-	for rank := 0; rank < spec.P(); rank++ {
-		d, err := BuildGrid(spec, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nLocal, arcs, cross, nbrs, err := spec.RankStructure(rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nLocal != d.NLocal || arcs != d.Xadj[d.NLocal] || cross != d.CrossArcs || nbrs != len(d.NeighborRanks) {
-			t.Fatalf("rank %d: RankStructure (%d,%d,%d,%d) vs built (%d,%d,%d,%d)",
-				rank, nLocal, arcs, cross, nbrs,
-				d.NLocal, d.Xadj[d.NLocal], d.CrossArcs, len(d.NeighborRanks))
-		}
-		for v := int32(0); int(v) < d.NLocal; v++ {
-			if d.Degree(v) != len(d.Neighbors(v)) {
-				t.Fatal("Degree inconsistent with Neighbors")
+	for _, tc := range []struct {
+		spec     GridSpec
+		weighted bool
+		seed     uint64
+	}{
+		{GridSpec{K1: 9, K2: 11, PR: 3, PC: 2}, true, 42},
+		{GridSpec{K1: 8, K2: 8, PR: 2, PC: 2}, false, 0},
+		{GridSpec{K1: 7, K2: 5, PR: 1, PC: 5}, true, 1},
+		{GridSpec{K1: 6, K2: 6, PR: 1, PC: 1}, true, 9},
+	} {
+		for rank, d := range gridShares(t, tc.spec, tc.weighted, tc.seed) {
+			if err := d.Validate(); err != nil {
+				t.Fatalf("%+v rank %d: %v", tc.spec, rank, err)
 			}
-			if w := d.Weights(v); len(w) != d.Degree(v) {
-				t.Fatal("Weights length mismatch")
+			nLocal, arcs, cross, nbrs, err := tc.spec.RankStructure(rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nLocal != d.NLocal || arcs != d.Xadj[d.NLocal] || cross != d.CrossArcs || nbrs != len(d.NeighborRanks) {
+				t.Fatalf("%+v rank %d: RankStructure (%d,%d,%d,%d) vs built (%d,%d,%d,%d)",
+					tc.spec, rank, nLocal, arcs, cross, nbrs,
+					d.NLocal, d.Xadj[d.NLocal], d.CrossArcs, len(d.NeighborRanks))
+			}
+			for v := int32(0); int(v) < d.NLocal; v++ {
+				if d.Degree(v) != len(d.Neighbors(v)) {
+					t.Fatal("Degree inconsistent with Neighbors")
+				}
+				if w := d.Weights(v); tc.weighted && len(w) != d.Degree(v) {
+					t.Fatal("Weights length mismatch")
+				}
 			}
 		}
-	}
-	if _, _, _, _, err := spec.RankStructure(99); err == nil {
-		t.Fatal("accepted bad rank")
-	}
-	bad := GridSpec{K1: 0, K2: 1, PR: 1, PC: 1}
-	if _, _, _, _, err := bad.RankStructure(0); err == nil {
-		t.Fatal("accepted bad spec")
 	}
 }
 
 func TestUnweightedShareWeights(t *testing.T) {
-	spec := GridSpec{K1: 4, K2: 4, PR: 2, PC: 1, Weighted: false}
-	d, err := BuildGrid(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := gridShares(t, GridSpec{K1: 4, K2: 4, PR: 2, PC: 1}, false, 0)[0]
 	if d.Weights(0) != nil {
 		t.Fatal("unweighted share has weights")
 	}

@@ -58,10 +58,9 @@ func (d *DistGraph) ShownTo(v int32) []ShownAt {
 }
 
 // buildPairs derives the pair tables from the rest of a complete share. It is
-// the one place the numbering is computed; buildLocal and BuildGrid both end
-// with it. deg[gi] is the number of owned neighbors of ghost slot gi, which
-// either builder has counted by the time its CSR is complete; buildPairs
-// turns it into scratch.
+// the one place the numbering is computed, and ends buildLocal. deg[gi] is
+// the number of owned neighbors of ghost slot gi, which buildLocal counts
+// while it discovers ghosts; buildPairs turns it into scratch.
 func (d *DistGraph) buildPairs(deg []int32) {
 	np := len(d.NeighborRanks)
 	d.Pairs = make([]Pair, np)

@@ -150,7 +150,7 @@ func checkPairTables(t *testing.T, name string, shares []*DistGraph) {
 // TestPairTablesAgree is the property the pair-local codecs rest on, over
 // generated graphs × partitioners × rank counts — with an empty part wedged
 // in, and on the sparse input ranks without any neighbor — and over the
-// directly built grid shares.
+// grid shares cut in the figures' blocks.
 func TestPairTablesAgree(t *testing.T) {
 	lonely := false
 	for gname, g := range differentialGraphs(t) {
@@ -187,23 +187,20 @@ func TestPairTablesAgree(t *testing.T) {
 	if !lonely {
 		t.Error("no input left a non-empty rank without a neighbor")
 	}
-	for _, spec := range []GridSpec{
-		{K1: 1, K2: 1, PR: 1, PC: 1},
-		{K1: 9, K2: 7, PR: 1, PC: 1},
-		{K1: 9, K2: 7, PR: 3, PC: 1, Weighted: true, Seed: 3},
-		{K1: 9, K2: 7, PR: 1, PC: 7},
-		{K1: 9, K2: 7, PR: 2, PC: 2},
-		{K1: 10, K2: 11, PR: 4, PC: 3, Weighted: true, Seed: 1},
-		{K1: 5, K2: 5, PR: 5, PC: 5},
+	for _, tc := range []struct {
+		spec     GridSpec
+		weighted bool
+		seed     uint64
+	}{
+		{GridSpec{K1: 1, K2: 1, PR: 1, PC: 1}, false, 0},
+		{GridSpec{K1: 9, K2: 7, PR: 1, PC: 1}, false, 0},
+		{GridSpec{K1: 9, K2: 7, PR: 3, PC: 1}, true, 3},
+		{GridSpec{K1: 9, K2: 7, PR: 1, PC: 7}, false, 0},
+		{GridSpec{K1: 9, K2: 7, PR: 2, PC: 2}, false, 0},
+		{GridSpec{K1: 10, K2: 11, PR: 4, PC: 3}, true, 1},
+		{GridSpec{K1: 5, K2: 5, PR: 5, PC: 5}, false, 0},
 	} {
-		shares := make([]*DistGraph, spec.P())
-		for rank := range shares {
-			var err error
-			if shares[rank], err = BuildGrid(spec, rank); err != nil {
-				t.Fatal(err)
-			}
-		}
-		checkPairTables(t, fmt.Sprintf("BuildGrid %+v", spec), shares)
+		checkPairTables(t, fmt.Sprintf("grid %+v", tc.spec), gridShares(t, tc.spec, tc.weighted, tc.seed))
 	}
 }
 
@@ -211,10 +208,7 @@ func TestPairTablesAgree(t *testing.T) {
 // is held to the share by Validate, so one wrong entry anywhere is an error
 // before it is a wrong vertex on some other rank.
 func TestValidateRejectsCorruptPairTables(t *testing.T) {
-	d, err := BuildGrid(GridSpec{K1: 8, K2: 8, PR: 2, PC: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := gridShares(t, GridSpec{K1: 8, K2: 8, PR: 2, PC: 2}, false, 0)[1]
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}

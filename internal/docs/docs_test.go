@@ -6,7 +6,8 @@
 // TestMatchingHasNoMaps and TestColoringHasNoMaps hold the tree to claims
 // DESIGN.md makes; TestSignalCatalogue and TestObservabilityWrittenOnce hold
 // it to docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt
-// row, TestSharesAreCutInOnePlace to its §9.
+// row, TestSharesAreCutInOnePlace to its §9, and TestRunPatternsNameTests
+// holds CI's and the verify skill's -run patterns to the tests they name.
 package docs
 
 import (
@@ -17,6 +18,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -378,7 +380,7 @@ func TestSignalCatalogue(t *testing.T) {
 	emitted := map[string]string{} // name -> kind
 	where := map[string]string{}
 	byDir := map[string]map[string]*ast.File{}
-	for name, file := range repoFiles(t) {
+	for name, file := range repoFiles(t, false) {
 		dir := path.Dir(name)
 		if byDir[dir] == nil {
 			byDir[dir] = map[string]*ast.File{}
@@ -488,7 +490,7 @@ func TestSignalCatalogue(t *testing.T) {
 // nothing themselves, and the OTLP exporter has at most four options.
 func TestObservabilityWrittenOnce(t *testing.T) {
 	pprofIn := map[string]bool{}
-	for name, file := range repoFiles(t) {
+	for name, file := range repoFiles(t, false) {
 		for _, decl := range file.Decls {
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -583,7 +585,7 @@ func TestEvaluationWrittenOnce(t *testing.T) {
 	}
 
 	var machines []string
-	for name, file := range repoFiles(t) {
+	for name, file := range repoFiles(t, false) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -617,7 +619,7 @@ func TestEvaluationWrittenOnce(t *testing.T) {
 // placement, and a cache of placements sees every share set there is.
 func TestSharesAreCutInOnePlace(t *testing.T) {
 	var callers []string
-	for name, file := range repoFiles(t) {
+	for name, file := range repoFiles(t, false) {
 		if strings.HasPrefix(name, "internal/expt/") {
 			continue
 		}
@@ -650,10 +652,73 @@ func TestSharesAreCutInOnePlace(t *testing.T) {
 	}
 }
 
-// repoFiles parses every non-test Go file of the root module, keyed by its
-// slash-separated path from the repository root. bench/ is a module of its
-// own and is not walked.
-func repoFiles(t *testing.T) map[string]*ast.File {
+var (
+	// runFlagRe finds a -run / -test.run pattern or a -fuzz target, quoted
+	// or bare; goCmdRe the go commands a -run can belong to; testFuncRe the
+	// functions go test runs.
+	runFlagRe  = regexp.MustCompile("-(test\\.)?(?:run|fuzz)[= ]('[^']*'|\"[^\"]*\"|[^\\s`'\"]+)")
+	goCmdRe    = regexp.MustCompile(`\bgo (test|run)\b`)
+	testFuncRe = regexp.MustCompile(`^(Test|Fuzz|Benchmark)`)
+)
+
+// TestRunPatternsNameTests: a -run alternative that names no test makes go
+// test print "no tests to run" and pass, so a CI step or a verify-skill
+// command can quietly stop testing anything. Every alternative of every -run
+// pattern and -fuzz target in ci.yml and the verify skill must match a Test,
+// Fuzz or Benchmark function of the root module's test files; '^$' is the one
+// spelling of "run nothing". A -run whose nearest go command before it is
+// `go run` is that program's own flag, not a test pattern.
+func TestRunPatternsNameTests(t *testing.T) {
+	var names []string
+	for _, file := range repoFiles(t, true) {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && testFuncRe.MatchString(fn.Name.Name) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	checked := 0
+	for _, rel := range []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(filepath.Join(repoRoot(t), filepath.FromSlash(rel)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.Join(strings.Fields(string(b)), " ") // the skill wraps commands across lines
+		for _, m := range runFlagRe.FindAllStringSubmatchIndex(text, -1) {
+			if cmds := goCmdRe.FindAllStringSubmatch(text[:m[0]], -1); m[2] < 0 && len(cmds) > 0 && cmds[len(cmds)-1][1] == "run" {
+				continue
+			}
+			pattern := text[m[4]:m[5]]
+			if q := pattern[0]; q == '\'' || q == '"' {
+				pattern = pattern[1 : len(pattern)-1]
+			} else {
+				pattern = strings.TrimRight(pattern, ".,;:)")
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				checked++
+				if alt == "^$" {
+					continue
+				}
+				top, _, _ := strings.Cut(alt, "/")
+				re, err := regexp.Compile(top)
+				if err != nil {
+					t.Errorf("%s: %s: %v", rel, text[m[0]:m[1]], err)
+				} else if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("%s: %s: %q names no Test, Fuzz or Benchmark function", rel, text[m[0]:m[1]], alt)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run pattern or -fuzz target")
+	}
+}
+
+// repoFiles parses the Go files of the root module — its test files if
+// tests, else the rest — keyed by their slash-separated paths from the
+// repository root. bench/ is a module of its own and is not walked.
+func repoFiles(t *testing.T, tests bool) map[string]*ast.File {
 	t.Helper()
 	root := repoRoot(t)
 	files := map[string]*ast.File{}
@@ -668,7 +733,7 @@ func repoFiles(t *testing.T) map[string]*ast.File {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") != tests {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, p, nil, 0)

@@ -52,23 +52,26 @@ func (g GridInstance) spec(p int) (dgraph.GridSpec, error) {
 	if g.Weak {
 		k1, k2 = g.Side*pr, g.Side*pc
 	}
-	spec := dgraph.GridSpec{K1: k1, K2: k2, PR: pr, PC: pc, Weighted: true, Seed: g.Seed}
+	spec := dgraph.GridSpec{K1: k1, K2: k2, PR: pr, PC: pc}
 	return spec, spec.Validate()
 }
 
-// Shares builds every rank's share of the grid at p ranks.
+// Shares generates the weighted grid and distributes it in the spec's
+// blocks, as every other input is cut.
 func (g GridInstance) Shares(p int) ([]*dgraph.DistGraph, error) {
 	spec, err := g.spec(p)
 	if err != nil {
 		return nil, err
 	}
-	shares := make([]*dgraph.DistGraph, p)
-	for r := range shares {
-		if shares[r], err = dgraph.BuildGrid(spec, r); err != nil {
-			return nil, err
-		}
+	gg, err := gen.Grid2D(spec.K1, spec.K2, true, g.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return shares, nil
+	part, err := partition.Grid2D(spec.K1, spec.K2, spec.PR, spec.PC)
+	if err != nil {
+		return nil, err
+	}
+	return dgraph.Distribute(gg, part)
 }
 
 // structure is block arithmetic: the weak-scaling axis reaches grids of

@@ -78,9 +78,9 @@ func mix(a, b uint64) uint64 {
 }
 
 // EdgeWeight returns a deterministic pseudo-random weight for the undirected
-// edge {u, v} under the given seed, independent of orientation. Distributed
-// generators use it so that the two owners of a cross edge agree on its
-// weight without exchanging messages. Weights are strictly positive and, with
+// edge {u, v} under the given seed, independent of orientation, so an edge's
+// weight depends on its endpoints alone, not on the order in which a
+// generator meets it. Weights are strictly positive and, with
 // probability 1 in practice, pairwise distinct — distinct weights give the
 // locally-dominant matching algorithm a unique fixed point, which is what
 // makes the parallel matching weight independent of the processor count

@@ -9,30 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// precedes is the strict total order on edges that every algorithm here
-// follows: heavier first, then lexicographic on the sorted endpoint pair. A
-// consistent total order is what makes the locally-dominant (greedy) matching
-// unique — the reason the result is identical at any rank count, and the
-// reason the distributed protocols can reproduce the sequential one exactly.
-// Greedy sorts by it; the candidate-mate scans realise it through row order
-// (graph.BestArc). It is generic so that vertex labels and global ids share
-// one text.
-func precedes[L ~int32 | ~int64](wa float64, a1, a2 L, wb float64, b1, b2 L) bool {
-	if wa != wb {
-		return wa > wb
-	}
-	if a1 > a2 {
-		a1, a2 = a2, a1
-	}
-	if b1 > b2 {
-		b1, b2 = b2, b1
-	}
-	if a1 != b1 {
-		return a1 < b1
-	}
-	return a2 < b2
-}
-
 // A protocol record names a cross edge and says one of up to four things about
 // it: uvarint(edge << kindBits | kind), where edge is the edge's index in the
 // table the sending and the receiving rank keep with each other

@@ -1,17 +1,17 @@
 // Package matching implements the paper's edge-weighted matching algorithms
-// (Section 3), all under one strict edge order (core.go: heavier first, then
-// the sorted endpoint pair), which makes the half-approximate
-// locally-dominant matching unique:
+// (Section 3), all under one strict edge order (heavier first, then the
+// sorted endpoint pair), which makes the half-approximate locally-dominant
+// matching unique. Every candidate-mate scan realises it over rows ascending
+// in id with one rule, graph.BestArc; the test files state it as precedes and
+// keep Greedy, the sorted-edge matching, as the oracle that follows it:
 //
-//   - core.go: that order — realised over rows ascending in id by one
-//     candidate-mate scan, graph.BestArc — and what a distributed kernel is
-//     written over — the record link (one varint per record: pair-local edge
-//     index and kind), the bundle receive and rank set-up — so that a kernel
-//     owns only its protocol;
+//   - core.go: what a distributed kernel is written over — the record link
+//     (one varint per record: pair-local edge index and kind), the bundle
+//     receive and rank set-up — so that a kernel owns only its protocol;
 //   - parallel.go (result assembled by gather.go): the asynchronous
 //     REQUEST/SUCCEEDED/FAILED kernel with aggressive message bundling;
-//   - the sequential references it is tested against: localdom.go
-//     (Algorithm 3.1, candidate mates) and greedy.go (sorted edges);
+//   - localdom.go: the sequential reference it is tested against
+//     (Algorithm 3.1, candidate mates);
 //   - exact.go, the maximum-weight bipartite solver behind Table 1.1's
 //     quality ratios; io.go.
 package matching
