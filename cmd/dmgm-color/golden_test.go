@@ -58,6 +58,12 @@ func TestGolden(t *testing.T) {
 		"p4_jp_json":      {"-p", "4", "-seed", "5", "-algo", "jp", "-json"},
 		"usage_badcomm":   {"-p", "4", "-comm", "bogus"},
 		"usage_jp_remote": {"-p", "4", "-algo", "jp", "-transport", "tcp"},
+		// Refused by dmgm.Job.Normalize, in the daemon's words, where the
+		// -comm check runs: after the partition, before any rank starts.
+		"usage_badsuperstep": {"-p", "4", "-superstep", "-5"},
+		"usage_jp_distance2": {"-p", "4", "-algo", "jp", "-distance2"},
+		// Refused before the graph is read.
+		"usage_badalgo": {"-p", "4", "-algo", "bogus"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			out := filepath.Join(dir, name+".out")

@@ -28,7 +28,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/launch"
 	"repro/internal/order"
-	"repro/internal/partition"
 
 	"repro/dmgm"
 )
@@ -48,17 +47,25 @@ type summary struct {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := launch.NewCLI("dmgm-color", stdout, stderr)
+	c := launch.NewCLI("dmgm-color", dmgm.AlgoColor, stdout, stderr)
 	var (
-		ordName   = c.Flags.String("order", "natural", "sequential ordering: natural | random | largest-first | smallest-last | incidence-degree | saturation-degree")
-		algo      = c.Flags.String("algo", "speculative", "speculative | jp (distributed only)")
-		noRefine  = c.Flags.Bool("norefine", false, "unrefined multilevel (ParMETIS-like)")
-		superstep = c.Flags.Int("superstep", 1000, "superstep size s")
-		comm      = c.Flags.String("comm", "neighbors", "neighbors | customized-all | broadcast")
-		distance2 = c.Flags.Bool("distance2", false, "compute a distance-2 coloring (sequential or distributed)")
+		ordName  = c.Flags.String("order", "natural", "sequential ordering: natural | random | largest-first | smallest-last | incidence-degree | saturation-degree")
+		algo     = c.Flags.String("algo", "speculative", "speculative | jp (distributed only)")
+		noRefine = c.Flags.Bool("norefine", false, "unrefined multilevel (ParMETIS-like)")
+		job      = &c.Job
 	)
+	c.Flags.IntVar(&job.Superstep, "superstep", job.Superstep, "superstep size s")
+	c.Flags.StringVar(&job.Comm, "comm", job.Comm, "neighbors | customized-all | broadcast")
+	c.Flags.BoolVar(&job.Distance2, "distance2", job.Distance2, "compute a distance-2 coloring (sequential or distributed)")
 	return c.Main(args, func() error {
-		if c.Transport.Remote() && *algo == "jp" {
+		switch *algo {
+		case "speculative":
+		case "jp":
+			job.Algorithm = dmgm.AlgoJP
+		default:
+			return launch.Usagef("unknown -algo %q: want speculative | jp", *algo)
+		}
+		if c.Transport.Remote() && job.Algorithm == dmgm.AlgoJP {
 			return launch.Usagef("-algo jp runs in-process only (no -transport tcp)")
 		}
 		g, err := c.ReadGraph()
@@ -68,26 +75,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lo, hi := coloring.Bounds(g)
 		c.Info("chromatic bounds: [%d, %d]\n", lo, hi)
 		if *c.P <= 1 {
-			return sequential(c, g, *ordName, *distance2)
+			return sequential(c, g, *ordName)
 		}
-		part, err := c.Partition(g, "", partition.MultilevelOptions{Seed: *c.Seed, NoRefine: *noRefine})
+		part, err := c.Partition(g, "", *noRefine)
 		if err != nil {
 			return err
 		}
-		job := dmgm.Job{Algorithm: dmgm.AlgoColor, Comm: *comm, Superstep: *superstep, Distance2: *distance2, Seed: *c.Seed}
-		if *algo == "jp" {
-			job = dmgm.Job{Algorithm: dmgm.AlgoJP, Seed: *c.Seed}
-		} else if _, err := coloring.ParseCommMode(*comm); err != nil {
-			return launch.Usagef("%v", err)
-		}
-		res, err := c.Run(g, part, job)
+		res, err := c.Run(g, part)
 		if err != nil || res == nil {
 			return err
 		}
 		// Jones–Plassmann differs only in name, and in having no conflicts to
 		// report.
-		name := "speculative-" + *comm
-		header := fmt.Sprintf("speculative framework (distance2=%v), %d ranks, s=%d, comm=%s", *distance2, *c.P, *superstep, *comm)
+		name := "speculative-" + job.Comm
+		header := fmt.Sprintf("speculative framework (distance2=%v), %d ranks, s=%d, comm=%s", job.Distance2, *c.P, job.Superstep, job.Comm)
 		conflicts := fmt.Sprintf("conflicts: %d\n", res.Conflicts)
 		if job.Algorithm == dmgm.AlgoJP {
 			name, header, conflicts = "jones-plassmann", fmt.Sprintf("Jones-Plassmann, %d ranks", *c.P), ""
@@ -108,23 +109,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // sequential is the -p 1 run: greedy over the chosen ordering, verified.
-func sequential(c *launch.CLI, g *graph.Graph, ordName string, distance2 bool) error {
+func sequential(c *launch.CLI, g *graph.Graph, ordName string) error {
 	o, err := order.ParseOrdering(ordName)
 	if err != nil {
 		return launch.Usagef("%v", err)
 	}
 	start := time.Now()
 	var col coloring.Colors
-	if distance2 {
-		col, err = coloring.GreedyDistance2(g, o, *c.Seed)
+	if c.Job.Distance2 {
+		col, err = coloring.GreedyDistance2(g, o, c.Job.Seed)
 	} else {
-		col, err = coloring.Greedy(g, o, *c.Seed)
+		col, err = coloring.Greedy(g, o, c.Job.Seed)
 	}
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	if distance2 {
+	if c.Job.Distance2 {
 		err = coloring.VerifyDistance2(g, col)
 	} else {
 		err = col.Verify(g)
@@ -137,7 +138,7 @@ func sequential(c *launch.CLI, g *graph.Graph, ordName string, distance2 bool) e
 		Colors:         col.NumColors(),
 		ElapsedSeconds: elapsed.Seconds(),
 	}, fmt.Sprintf("algorithm: sequential greedy (distance2=%v), %s order\ncolors: %d\ntime: %v\n",
-		distance2, o, col.NumColors(), elapsed))
+		c.Job.Distance2, o, col.NumColors(), elapsed))
 	if err != nil {
 		return err
 	}

@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/graph"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -165,8 +166,8 @@ func main() {
 			// with smaller supersteps the speculative colors depend on message
 			// arrival timing and two identical jobs can legitimately disagree.
 			for _, a := range algos {
-				base := service.Request{Algorithm: a, Ranks: *ranks, Partition: *part, Seed: *seed,
-					Superstep: g.NumVertices(), NoCache: true}
+				base := service.Request{Algorithm: a, Ranks: *ranks, Partition: *part,
+					Params: dmgm.Params{Seed: *seed, Superstep: g.NumVertices()}, NoCache: true}
 				byRef, inline := base, base
 				byRef.GraphRef = ref
 				inline.Graph = gtext.String()
@@ -238,7 +239,7 @@ func main() {
 					Algorithm: spec.algo,
 					Ranks:     *ranks,
 					Partition: *part,
-					Seed:      spec.seed,
+					Params:    dmgm.Params{Seed: spec.seed},
 				}
 				if graphRef != "" {
 					req.GraphRef = graphRef
@@ -405,12 +406,11 @@ func main() {
 // daemon handed out, the deterministic job parameters, and the SHA-256 of
 // each algorithm's result text.
 type restartState struct {
-	GraphRef  string            `json:"graph_ref"`
-	Ranks     int               `json:"ranks"`
-	Partition string            `json:"partition"`
-	Seed      uint64            `json:"seed"`
-	Superstep int               `json:"superstep"`
-	Digests   map[string]string `json:"result_sha256"`
+	GraphRef  string `json:"graph_ref"`
+	Ranks     int    `json:"ranks"`
+	Partition string `json:"partition"`
+	dmgm.Params
+	Digests map[string]string `json:"result_sha256"`
 }
 
 // restartRequest shapes the deterministic by-ref job both halves run: cache
@@ -418,7 +418,7 @@ type restartState struct {
 // reasoning as -compare-inline).
 func (st *restartState) request(algo string) *service.Request {
 	return &service.Request{Algorithm: algo, GraphRef: st.GraphRef, Ranks: st.Ranks,
-		Partition: st.Partition, Seed: st.Seed, Superstep: st.Superstep, NoCache: true}
+		Partition: st.Partition, Params: st.Params, NoCache: true}
 }
 
 func resultDigest(resp *service.Response) string {
@@ -431,8 +431,8 @@ func resultDigest(resp *service.Response) string {
 // after the daemon is killed and restarted.
 func recordRestartState(ctx context.Context, cl *client.Client, g *graph.Graph,
 	path, ref string, algos []string, ranks int, part string, seed uint64, timeout time.Duration) {
-	st := restartState{GraphRef: ref, Ranks: ranks, Partition: part, Seed: seed,
-		Superstep: g.NumVertices(), Digests: make(map[string]string)}
+	st := restartState{GraphRef: ref, Ranks: ranks, Partition: part,
+		Params: dmgm.Params{Seed: seed, Superstep: g.NumVertices()}, Digests: make(map[string]string)}
 	for _, a := range algos {
 		jctx, cancel := context.WithTimeout(ctx, timeout)
 		resp, err := cl.Submit(jctx, st.request(a))

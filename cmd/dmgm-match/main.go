@@ -27,7 +27,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/launch"
 	"repro/internal/matching"
-	"repro/internal/partition"
 
 	"repro/dmgm"
 )
@@ -47,11 +46,9 @@ type summary struct {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := launch.NewCLI("dmgm-match", stdout, stderr)
-	var (
-		partFile = c.Flags.String("partfile", "", "load the partition from a file written by dmgm-part (overrides -partition and -p)")
-		noBundle = c.Flags.Bool("nobundle", false, "disable message bundling (ablation)")
-	)
+	c := launch.NewCLI("dmgm-match", dmgm.AlgoMatch, stdout, stderr)
+	partFile := c.Flags.String("partfile", "", "load the partition from a file written by dmgm-part (overrides -partition and -p)")
+	c.Flags.BoolVar(&c.Job.NoBundle, "nobundle", c.Job.NoBundle, "disable message bundling (ablation)")
 	return c.Main(args, func() error {
 		g, err := c.ReadGraph()
 		if err != nil {
@@ -60,11 +57,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *c.P <= 1 && *partFile == "" {
 			return sequential(c, g)
 		}
-		part, err := c.Partition(g, *partFile, partition.MultilevelOptions{Seed: *c.Seed})
+		part, err := c.Partition(g, *partFile, false)
 		if err != nil {
 			return err
 		}
-		res, err := c.Run(g, part, dmgm.Job{Algorithm: dmgm.AlgoMatch, NoBundle: *noBundle})
+		res, err := c.Run(g, part)
 		if err != nil || res == nil {
 			return err
 		}
@@ -76,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ElapsedSeconds: res.Elapsed.Seconds(),
 		}, fmt.Sprintf("algorithm: distributed locally-dominant, %d ranks (bundling %v)\n"+
 			"weight: %.4f\ncardinality: %d\nouter iterations: %d\nmessages: %d (%d bytes)\nhost wall: %v\n",
-			*c.P, !*noBundle, res.Weight, res.Cardinality, res.OuterIterations, res.Messages, res.Bytes, res.Elapsed))
+			*c.P, !c.Job.NoBundle, res.Weight, res.Cardinality, res.OuterIterations, res.Messages, res.Bytes, res.Elapsed))
 		if err != nil {
 			return err
 		}

@@ -136,12 +136,6 @@ func Color(g *Graph, o Ordering, seed uint64) (Colors, error) {
 	return coloring.Greedy(g, o, seed)
 }
 
-// ColorDistance2 computes a distance-2 coloring (the variant consumed by
-// sparse-derivative compression).
-func ColorDistance2(g *Graph, o Ordering, seed uint64) (Colors, error) {
-	return coloring.GreedyDistance2(g, o, seed)
-}
-
 // VerifyColoringDistance2 checks a distance-2 coloring.
 func VerifyColoringDistance2(g *Graph, c Colors) error {
 	return coloring.VerifyDistance2(g, c)
@@ -261,18 +255,6 @@ func ColorParallel(g *Graph, part *Partition, opt ColorParallelOptions) (*ColorP
 	return ColorParallelWorld(w, g, part, opt)
 }
 
-// ColorParallelDistance2 distributes g by part and runs the speculative
-// distance-2 coloring (one-layer ghosts, middle-vertex conflict detection,
-// forbidden-color notices). The paper's Jacobian motivation consumes exactly
-// this variant.
-func ColorParallelDistance2(g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	w, err := newWorld(part, opt.Deadline)
-	if err != nil {
-		return nil, err
-	}
-	return ColorParallelDistance2World(w, g, part, opt)
-}
-
 // ColorParallelWorld runs the speculative distance-1 coloring over an
 // existing world, which may span multiple processes through a remote
 // transport. Every process must call it with the same graph and partition;
@@ -297,27 +279,6 @@ func distance1(opt ColorParallelOptions) colorKernel {
 			CommMode:      opt.CommMode,
 			Strategy:      opt.Strategy,
 			Order:         opt.Order,
-			Conflict:      opt.Conflict,
-			Seed:          opt.Seed,
-		})
-	}
-}
-
-// ColorParallelDistance2World is ColorParallelWorld for the distance-2
-// variant, which has one communication scheme and ignores CommMode.
-func ColorParallelDistance2World(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	pl, err := placeFor(w, g, part)
-	if err != nil {
-		return nil, err
-	}
-	return colorDistributed(w, pl, distance2(opt))
-}
-
-// distance2 is the speculative distance-2 kernel under opt.
-func distance2(opt ColorParallelOptions) colorKernel {
-	return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
-		return coloring.ParallelDistance2(c, d, coloring.ParallelOptions{
-			SuperstepSize: opt.SuperstepSize,
 			Conflict:      opt.Conflict,
 			Seed:          opt.Seed,
 		})

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coloring"
 	"repro/internal/mpi"
 )
 
@@ -137,7 +138,7 @@ func TestDistance2Facade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := ColorDistance2(g, OrderNatural, 0)
+	seq, err := coloring.GreedyDistance2(g, OrderNatural, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,20 +149,73 @@ func TestDistance2Facade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ColorParallelDistance2(g, part, ColorParallelOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyColoringDistance2(g, res.Colors); err != nil {
-		t.Fatal(err)
-	}
+	// RunJob verifies the distance-2 coloring before it serializes it.
+	res := runJob(t, g, part, Job{Algorithm: AlgoColor, Params: Params{Seed: 5, Distance2: true}})
 	// Distance-2 needs at least as many colors as distance-1.
 	d1, err := Color(g, OrderNatural, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumColors < d1.NumColors() {
-		t.Fatalf("distance-2 used %d colors, distance-1 %d", res.NumColors, d1.NumColors())
+	if res.Colors < d1.NumColors() {
+		t.Fatalf("distance-2 used %d colors, distance-1 %d", res.Colors, d1.NumColors())
+	}
+}
+
+// runJob runs job on a fresh in-process world over part's shares of g.
+func runJob(t *testing.T, g *Graph, part *Partition, job Job) *JobResult {
+	t.Helper()
+	w, err := mpi.NewWorld(part.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := Place(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunJob(w, g, pl, job)
+	if err != nil {
+		t.Fatalf("%+v: %v", job, err)
+	}
+	return res
+}
+
+// TestZeroJobRuns: a job that names only its algorithm runs with the
+// defaults Normalize fills in — the same result as the job that spells them.
+func TestZeroJobRuns(t *testing.T) {
+	g, err := Grid2D(12, 12, true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := PartitionBlock1D(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for zero, explicit := range map[Job]Job{
+		{Algorithm: AlgoColor}: {Algorithm: AlgoColor, Params: Params{Seed: 1, Superstep: 1000, Comm: "neighbors"}},
+		{Algorithm: AlgoMatch}: {Algorithm: AlgoMatch, Params: Params{Seed: 1, Superstep: 1000, Comm: "neighbors"}},
+	} {
+		if got, want := runJob(t, g, part, zero).Text, runJob(t, g, part, explicit).Text; got != want {
+			t.Errorf("%+v gives another result than %+v", zero, explicit)
+		}
+	}
+}
+
+// TestNormalizeRefuses: the checks are the daemon's, word for word, for every
+// algorithm a CLI can name.
+func TestNormalizeRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		job  Job
+		want string
+	}{
+		{Job{Algorithm: "sort"}, `unknown algorithm "sort"`},
+		{Job{Algorithm: AlgoColor, Params: Params{Superstep: -5}}, "superstep must be positive, got -5"},
+		{Job{Algorithm: AlgoColor, Params: Params{Comm: "gossip"}}, `unknown comm mode "gossip"`},
+		{Job{Algorithm: AlgoMatch, Params: Params{Distance2: true}}, "distance2 applies to color jobs only"},
+		{Job{Algorithm: AlgoJP, Params: Params{Distance2: true}}, "distance2 applies to color jobs only"},
+	} {
+		if err := tc.job.Normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: %v, want %q", tc.job, err, tc.want)
+		}
 	}
 }
 

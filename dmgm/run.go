@@ -1,8 +1,10 @@
 package dmgm
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -21,24 +23,78 @@ const (
 	AlgoJP = "jp"
 )
 
+// Params are a job's run parameters, spelled once: the JSON fields of a
+// service request (docs/PROTOCOL.md §6) and the flags of dmgm-match /
+// dmgm-color bind to them. A zero field takes its default in Job.Normalize.
+type Params struct {
+	// Seed seeds the partitioner, the coloring tie-breaks and the JP
+	// priorities (default 1).
+	Seed uint64 `json:"seed,omitempty"`
+	// Superstep is the coloring superstep size s (default 1000).
+	Superstep int `json:"superstep,omitempty"`
+	// Comm selects the coloring communication variant: neighbors (default)
+	// | customized-all | broadcast. Distance2 has one scheme and ignores it.
+	Comm string `json:"comm,omitempty"`
+	// Distance2 selects the distance-2 coloring variant (AlgoColor only).
+	Distance2 bool `json:"distance2,omitempty"`
+	// NoBundle sends one protocol record per message (AlgoMatch; the
+	// bundling ablation).
+	NoBundle bool `json:"no_bundle,omitempty"`
+}
+
 // Job names one distributed run in the vocabulary the CLIs' flags and the
-// daemon's request fields share. RunJob is the only place these names turn
-// into kernel options.
+// daemon's request fields share. Normalize is the one place its defaults and
+// checks live, Key the one place its result-relevant names are spelled, and
+// RunJob the only place they turn into kernel options.
 type Job struct {
 	// Algorithm is AlgoMatch, AlgoColor or AlgoJP.
 	Algorithm string
-	// NoBundle sends one protocol record per message (AlgoMatch; the
-	// bundling ablation).
-	NoBundle bool
-	// Comm names the communication variant (AlgoColor; Distance2 has one
-	// scheme and ignores it): neighbors | customized-all | broadcast.
-	Comm string
-	// Superstep is the superstep size s (AlgoColor).
-	Superstep int
-	// Distance2 selects the distance-2 variant (AlgoColor).
-	Distance2 bool
-	// Seed seeds the coloring tie-breaks and the JP priorities.
-	Seed uint64
+	Params
+}
+
+// Normalize fills the defaults of j's zero parameters and refuses a job that
+// cannot run, in the words the daemon answers 400 with. RunJob, the daemon's
+// admission and the CLIs all call it.
+func (j *Job) Normalize() error {
+	switch j.Algorithm {
+	case AlgoMatch, AlgoColor, AlgoJP:
+	default:
+		return fmt.Errorf("unknown algorithm %q: want %s | %s | %s", j.Algorithm, AlgoMatch, AlgoColor, AlgoJP)
+	}
+	if j.Seed == 0 {
+		j.Seed = 1
+	}
+	if j.Superstep == 0 {
+		j.Superstep = 1000
+	}
+	if j.Superstep < 0 {
+		return fmt.Errorf("superstep must be positive, got %d", j.Superstep)
+	}
+	if j.Comm == "" {
+		j.Comm = coloring.CommNeighbors.String()
+	}
+	if _, err := coloring.ParseCommMode(j.Comm); err != nil {
+		return err
+	}
+	if j.Distance2 && j.Algorithm != AlgoColor {
+		return errors.New("distance2 applies to color jobs only")
+	}
+	return nil
+}
+
+// Key names the algorithm of a normalized job and only the parameters it
+// reads: two jobs with one key on one placement give one result. The
+// matching reads no seed — a seeded partitioner's key carries it.
+func (j Job) Key() string {
+	switch {
+	case j.Algorithm == AlgoMatch:
+		return "match|nb=" + strconv.FormatBool(j.NoBundle)
+	case j.Algorithm == AlgoJP:
+		return "jp|s" + strconv.FormatUint(j.Seed, 10)
+	case j.Distance2:
+		return fmt.Sprintf("color|s%d|ss%d|d2", j.Seed, j.Superstep)
+	}
+	return fmt.Sprintf("color|s%d|ss%d|%s", j.Seed, j.Superstep, j.Comm)
 }
 
 // JobResult is a verified run: the text serialization dmgm-match /
@@ -69,13 +125,16 @@ type JobResult struct {
 }
 
 // RunJob takes a job from its names to a verified text result on the given
-// world: names → kernel options, the distributed run, the verifier that
-// matches the job, the text serializer, the summary numbers. The CLIs, the
+// world: Normalize, names → kernel options, the distributed run, the verifier
+// that matches the job, the text serializer, the summary numbers. The CLIs, the
 // daemon and the conformance reference all call it, which is what makes
 // their results byte-identical for equal (graph, partition, job). Like the
 // *World drivers it returns nil (and a nil error) on a process that does not
 // host rank 0.
 func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) {
+	if err := job.Normalize(); err != nil {
+		return nil, err
+	}
 	if err := pl.cutFrom(g); err != nil {
 		return nil, err
 	}
@@ -112,8 +171,6 @@ func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) 
 		}
 		verdict = verify(g, res.Colors)
 		write = func(w io.Writer) error { return coloring.WriteColors(w, res.Colors) }
-	default:
-		return nil, fmt.Errorf("dmgm: unknown algorithm %q: want %s | %s | %s", job.Algorithm, AlgoMatch, AlgoColor, AlgoJP)
 	}
 	if verdict != nil {
 		return nil, fmt.Errorf("result verification: %w", verdict)
@@ -129,21 +186,19 @@ func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) 
 // runColor runs the coloring kernel the job names and returns the verifier
 // that matches it.
 func runColor(w *mpi.World, pl *Placement, job Job) (*ColorParallelResult, func(*Graph, Colors) error, error) {
-	if job.Algorithm == AlgoJP {
-		res, err := colorDistributed(w, pl, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+	mode, _ := coloring.ParseCommMode(job.Comm) // Normalize checked it
+	kernel, verify := distance1(ColorParallelOptions{SuperstepSize: job.Superstep, CommMode: mode, Seed: job.Seed}), VerifyColoring
+	switch {
+	case job.Algorithm == AlgoJP:
+		kernel = func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
 			return coloring.JonesPlassmann(c, d, job.Seed, 0)
-		})
-		return res, VerifyColoring, err
+		}
+	case job.Distance2:
+		kernel = func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+			return coloring.ParallelDistance2(c, d, coloring.ParallelOptions{SuperstepSize: job.Superstep, Seed: job.Seed})
+		}
+		verify = VerifyColoringDistance2
 	}
-	mode, err := coloring.ParseCommMode(job.Comm)
-	if err != nil {
-		return nil, nil, err
-	}
-	opt := ColorParallelOptions{SuperstepSize: job.Superstep, CommMode: mode, Seed: job.Seed}
-	if job.Distance2 {
-		res, err := colorDistributed(w, pl, distance2(opt))
-		return res, VerifyColoringDistance2, err
-	}
-	res, err := colorDistributed(w, pl, distance1(opt))
-	return res, VerifyColoring, err
+	res, err := colorDistributed(w, pl, kernel)
+	return res, verify, err
 }

@@ -12,11 +12,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/dmgm"
+	"repro/internal/coloring"
 	"repro/internal/gen"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
@@ -215,28 +217,35 @@ func TestColoringConformance(t *testing.T) {
 
 func TestDistance2ColoringConformance(t *testing.T) {
 	ins := buildInstances(t)[0]
-	opt := dmgm.ColorParallelOptions{
-		SuperstepSize: ins.g.NumVertices(),
-		Seed:          3,
-		Deadline:      60 * time.Second,
+	job := dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Superstep: ins.g.NumVertices(), Seed: 3, Distance2: true}}
+	run := func(w *mpi.World) (*dmgm.JobResult, error) {
+		placement, err := dmgm.Place(ins.g, ins.part)
+		if err != nil {
+			return nil, err
+		}
+		return dmgm.RunJob(w, ins.g, placement, job)
 	}
-	inproc, err := dmgm.ColorParallelDistance2(ins.g, ins.part, opt)
+	w, err := mpi.NewWorld(nRanks, mpi.WithDeadline(60*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp := overTCP(t, nRanks, func(w *mpi.World) (*dmgm.ColorParallelResult, error) {
-		return dmgm.ColorParallelDistance2World(w, ins.g, ins.part, opt)
-	})
-	if err := dmgm.VerifyColoringDistance2(ins.g, tcp.Colors); err != nil {
+	inproc, err := run(w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range inproc.Colors {
-		if inproc.Colors[v] != tcp.Colors[v] {
-			t.Fatalf("vertex %d: inproc color %d, tcp color %d", v, inproc.Colors[v], tcp.Colors[v])
-		}
+	tcp := overTCP(t, nRanks, run)
+	colors, err := coloring.ReadColors(strings.NewReader(tcp.Text))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if inproc.NumColors != tcp.NumColors {
-		t.Fatalf("inproc %d colors, tcp %d", inproc.NumColors, tcp.NumColors)
+	if err := dmgm.VerifyColoringDistance2(ins.g, colors); err != nil {
+		t.Fatal(err)
+	}
+	if inproc.Text != tcp.Text {
+		t.Fatal("inproc and tcp distance-2 colorings differ")
+	}
+	if inproc.Colors != tcp.Colors {
+		t.Fatalf("inproc %d colors, tcp %d", inproc.Colors, tcp.Colors)
 	}
 }
 
@@ -274,9 +283,9 @@ func TestTracingInvariance(t *testing.T) {
 			// Every distributed coloring kernel, in the deterministic regime
 			// (one superstep per round).
 			for _, job := range []dmgm.Job{
-				{Algorithm: dmgm.AlgoColor, Comm: "neighbors", Superstep: ins.g.NumVertices(), Seed: 3},
-				{Algorithm: dmgm.AlgoColor, Comm: "neighbors", Superstep: ins.g.NumVertices(), Seed: 3, Distance2: true},
-				{Algorithm: dmgm.AlgoJP, Seed: 3},
+				{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Comm: "neighbors", Superstep: ins.g.NumVertices(), Seed: 3}},
+				{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Comm: "neighbors", Superstep: ins.g.NumVertices(), Seed: 3, Distance2: true}},
+				{Algorithm: dmgm.AlgoJP, Params: dmgm.Params{Seed: 3}},
 			} {
 				runColor := func(opts ...mpi.Option) *dmgm.JobResult {
 					w, err := mpi.NewWorld(nRanks, append([]mpi.Option{mpi.WithDeadline(60 * time.Second)}, opts...)...)

@@ -17,11 +17,12 @@ import (
 )
 
 // CLI is the main() that dmgm-match and dmgm-color share around the one thing
-// each decides for itself — its sequential algorithms, its dmgm.Job and how
-// it prints a result: the flags both spell the same way, the -launch
-// supervisor, reading the graph, partitioning it by name, the observer +
-// world + live endpoint of a distributed run, the trace / OTLP write-out, and
-// the quiet exit of a tcp worker that does not host rank 0.
+// each decides for itself — its sequential algorithms, the job flags it binds
+// and how it prints a result: the dmgm.Job those flags fill, the flags both
+// spell the same way, the -launch supervisor, reading the graph, partitioning
+// it by name, the observer + world + live endpoint of a distributed run, the
+// trace / OTLP write-out, and the quiet exit of a tcp worker that does not
+// host rank 0.
 type CLI struct {
 	// Name prefixes diagnostics ("dmgm-match: ...").
 	Name           string
@@ -35,18 +36,22 @@ type CLI struct {
 	In          *string
 	P           *int
 	Partitioner *string
-	Seed        *uint64
 	Out         *string
 	JSON        *bool
+	// Job is the distributed run the flags name. It starts as the binary's
+	// algorithm normalized, so the job flags a binary binds onto it show
+	// dmgm's defaults; Run normalizes it again after parsing.
+	Job dmgm.Job
 
 	readStart, partStart time.Time
 }
 
-// NewCLI builds the shared flag set of one binary.
-func NewCLI(name string, stdout, stderr io.Writer) *CLI {
+// NewCLI builds the shared flag set of one binary, whose distributed runs
+// are algorithm jobs.
+func NewCLI(name, algorithm string, stdout, stderr io.Writer) *CLI {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	return &CLI{
+	c := &CLI{
 		Name: name, Stdout: stdout, Stderr: stderr,
 		Flags:       fs,
 		Transport:   RegisterFlags(fs),
@@ -54,10 +59,13 @@ func NewCLI(name string, stdout, stderr io.Writer) *CLI {
 		In:          fs.String("in", "", "input graph path (required)"),
 		P:           fs.Int("p", 1, "ranks for the distributed run (1 = sequential)"),
 		Partitioner: fs.String("partition", "multilevel", "partitioner for p > 1: multilevel | bfs | block | random"),
-		Seed:        fs.Uint64("seed", 1, "seed"),
 		Out:         fs.String("o", "", "write the result to this file (verifiable with dmgm-verify)"),
 		JSON:        fs.Bool("json", false, "print the result summary as one JSON object on stdout (progress goes to stderr)"),
+		Job:         dmgm.Job{Algorithm: algorithm},
 	}
+	_ = c.Job.Normalize() // for the flags' defaults; Run reports a refusal
+	fs.Uint64Var(&c.Job.Seed, "seed", c.Job.Seed, "seed")
+	return c
 }
 
 // usageError marks a bad command line: exit status 2, not 1.
@@ -158,9 +166,10 @@ func (c *CLI) ReadGraph() (*graph.Graph, error) {
 	return g, nil
 }
 
-// Partition builds the -p-way partition with the -partition partitioner, or
-// loads partFile (written by dmgm-part), which then also decides -p.
-func (c *CLI) Partition(g *graph.Graph, partFile string, opt partition.MultilevelOptions) (*partition.Partition, error) {
+// Partition builds the -p-way partition with the -partition partitioner and
+// the job's seed (unrefined if noRefine), or loads partFile (written by
+// dmgm-part), which then also decides -p.
+func (c *CLI) Partition(g *graph.Graph, partFile string, noRefine bool) (*partition.Partition, error) {
 	c.partStart = time.Now()
 	var part *partition.Partition
 	var err error
@@ -174,7 +183,7 @@ func (c *CLI) Partition(g *graph.Graph, partFile string, opt partition.Multileve
 	} else {
 		var build partition.Partitioner
 		if build, err = partition.ByName(*c.Partitioner); err == nil {
-			part, err = build(g, *c.P, opt)
+			part, err = build(g, *c.P, partition.MultilevelOptions{Seed: c.Job.Seed, NoRefine: noRefine})
 		}
 	}
 	if err != nil {
@@ -184,12 +193,16 @@ func (c *CLI) Partition(g *graph.Graph, partFile string, opt partition.Multileve
 	return part, nil
 }
 
-// Run executes job over the world the transport flags describe, with the
-// observer the observability flags describe, and writes the trace and OTLP
-// outputs. On a tcp worker that does not host rank 0 the result is
-// nil: the gathered result lives on rank 0's process, this one has narrated
-// its completion and has nothing more to print.
-func (c *CLI) Run(g *graph.Graph, part *partition.Partition, job dmgm.Job) (*dmgm.JobResult, error) {
+// Run normalizes c.Job — a refusal is a usage error — and executes it over
+// the world the transport flags describe, with the observer the
+// observability flags describe, and writes the trace and OTLP outputs. On a
+// tcp worker that does not host rank 0 the result is nil: the gathered
+// result lives on rank 0's process, this one has narrated its completion and
+// has nothing more to print.
+func (c *CLI) Run(g *graph.Graph, part *partition.Partition) (*dmgm.JobResult, error) {
+	if err := c.Job.Normalize(); err != nil {
+		return nil, Usagef("%v", err)
+	}
 	rank, remote := c.Transport.Rank, c.Transport.Remote()
 	obsr := c.Obs.NewObserver(part.P)
 	// The observer is sized by the partition, so the driver-side phases that
@@ -212,7 +225,7 @@ func (c *CLI) Run(g *graph.Graph, part *partition.Partition, job dmgm.Job) (*dmg
 	if err != nil {
 		return nil, err
 	}
-	res, err := dmgm.RunJob(w, g, placement, job)
+	res, err := dmgm.RunJob(w, g, placement, c.Job)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/service"
@@ -35,7 +36,7 @@ func TestTimedOutJobsStopTheirRanks(t *testing.T) {
 	}
 	_, cl := startServer(t, service.Config{QueueLen: 16, Workers: 1, AllowGraphPaths: true}, true)
 	heavy := service.Request{Algorithm: service.AlgoColor, GraphPath: path, Ranks: 4, Partition: "block",
-		Superstep: 1, Comm: "broadcast", NoCache: true}
+		Params: dmgm.Params{Superstep: 1, Comm: "broadcast"}, NoCache: true}
 	ctx := context.Background()
 
 	// The first untimed run loads the graph and retains its shares, so the
@@ -93,7 +94,7 @@ func TestTimedOutJobsStopTheirRanks(t *testing.T) {
 	// The next job runs on a recycled world; a fresh server runs it on a
 	// fresh one.
 	_, gtext := testGraph(t)
-	small := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 4, Seed: 3}
+	small := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 4, Params: dmgm.Params{Seed: 3}}
 	reused, err := cl.Submit(ctx, &small)
 	if err != nil {
 		t.Fatal(err)

@@ -104,8 +104,8 @@ func TestServiceMatchesCLI(t *testing.T) {
 		for _, n := range names {
 			for _, noBundle := range []bool{false, true} {
 				req := service.Request{
-					Algorithm: service.AlgoMatch, Graph: gtext, Ranks: ranks, Seed: seed,
-					Partition: n.partitioner, NoBundle: noBundle,
+					Algorithm: service.AlgoMatch, Graph: gtext, Ranks: ranks, Partition: n.partitioner,
+					Params: dmgm.Params{Seed: seed, NoBundle: noBundle},
 				}
 				resp, want := served(req), reference(&req)
 				if resp.Result != want.Text {
@@ -130,8 +130,8 @@ func TestServiceMatchesCLI(t *testing.T) {
 		for _, n := range names {
 			for _, distance2 := range []bool{false, true} {
 				req := service.Request{
-					Algorithm: service.AlgoColor, Graph: gtext, Ranks: ranks, Seed: seed,
-					Partition: n.partitioner, Comm: n.comm, Superstep: 100, Distance2: distance2,
+					Algorithm: service.AlgoColor, Graph: gtext, Ranks: ranks, Partition: n.partitioner,
+					Params: dmgm.Params{Seed: seed, Comm: n.comm, Superstep: 100, Distance2: distance2},
 				}
 				resp, want := served(req), reference(&req)
 				if resp.Result != want.Text {
@@ -172,7 +172,7 @@ func TestRestartConformance(t *testing.T) {
 	if stats.ChunksSent < 4 {
 		t.Fatalf("upload went in %d chunks, want >=4 (grow the graph or shrink the chunks)", stats.ChunksSent)
 	}
-	req := &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Seed: 5}
+	req := &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Params: dmgm.Params{Seed: 5}}
 	before, err := cl1.Submit(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/dmgm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -29,12 +30,13 @@ func circuitText(tb testing.TB, side int) string {
 // is decoded by decodeFast to the Request that was sent.
 func TestClientBodiesTakeFastPath(t *testing.T) {
 	reqs := []Request{
-		{Algorithm: AlgoMatch, Graph: circuitText(t, 32), Seed: 5<<24 + 17},                           // serve_cold_inline
+		{Algorithm: AlgoMatch, Graph: circuitText(t, 32), Params: dmgm.Params{Seed: 5<<24 + 17}},      // serve_cold_inline
 		{Algorithm: AlgoColor, GraphRef: strings.Repeat("ab", 32), Partition: "block", NoCache: true}, // serve_warm_ref
 		{Algorithm: AlgoColor, Graph: "# a comment\ng 3 2\ne 0 1 0.5\ne 1 2 -1e-07\n\t\r\"\\/"},
-		{Algorithm: AlgoMatch, GraphPath: "/data/g é.dmgb", Ranks: 16, Partition: "bfs", Seed: 1<<64 - 1,
-			NoBundle: true, TimeoutMillis: 1<<63 - 1},
-		{Algorithm: AlgoColor, Graph: "g 1 0\n", Ranks: -3, Superstep: 100, Comm: "broadcast", Distance2: true, TimeoutMillis: -1},
+		{Algorithm: AlgoMatch, GraphPath: "/data/g é.dmgb", Ranks: 16, Partition: "bfs",
+			Params: dmgm.Params{Seed: 1<<64 - 1, NoBundle: true}, TimeoutMillis: 1<<63 - 1},
+		{Algorithm: AlgoColor, Graph: "g 1 0\n", Ranks: -3,
+			Params: dmgm.Params{Superstep: 100, Comm: "broadcast", Distance2: true}, TimeoutMillis: -1},
 		{Algorithm: " match ", Graph: "\n g 1 0\n", Partition: "\tblock"},
 		{},
 	}
@@ -61,7 +63,7 @@ func TestClientBodiesTakeFastPath(t *testing.T) {
 // FuzzDecodeRequest holds decodeRequest to json.Unmarshal, the reference: on
 // any bytes both fail or both succeed, and then with the same Request.
 func FuzzDecodeRequest(f *testing.F) {
-	bench, err := json.Marshal(&Request{Algorithm: AlgoMatch, Graph: circuitText(f, 8), Seed: 1<<24 + 1})
+	bench, err := json.Marshal(&Request{Algorithm: AlgoMatch, Graph: circuitText(f, 8), Params: dmgm.Params{Seed: 1<<24 + 1}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // BenchmarkDecodeRequest decodes serve_cold_inline's body: a 128² circuit
 // inline, about 1.25 MB.
 func BenchmarkDecodeRequest(b *testing.B) {
-	body, err := json.Marshal(&Request{Algorithm: AlgoMatch, Graph: circuitText(b, 128), Seed: 1<<24 + 1})
+	body, err := json.Marshal(&Request{Algorithm: AlgoMatch, Graph: circuitText(b, 128), Params: dmgm.Params{Seed: 1<<24 + 1}})
 	if err != nil {
 		b.Fatal(err)
 	}

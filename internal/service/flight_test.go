@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
@@ -22,7 +23,7 @@ func TestIdenticalMissesRunOnce(t *testing.T) {
 	_, gtext := testGraph(t)
 	srv, cl := startServer(t, service.Config{QueueLen: 1, Workers: 1}, false)
 	ctx := context.Background()
-	req := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Seed: 3}
+	req := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Params: dmgm.Params{Seed: 3}}
 
 	const n = 8
 	type answer struct {
@@ -108,7 +109,7 @@ func TestFollowerRunsWhenItsLeaderTimesOut(t *testing.T) {
 	_, gtext := testGraph(t)
 	srv, cl := startServer(t, service.Config{QueueLen: 4, Workers: 1}, false)
 	ctx := context.Background()
-	req := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Seed: 3}
+	req := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Params: dmgm.Params{Seed: 3}}
 
 	leader := make(chan error, 1)
 	go func() {

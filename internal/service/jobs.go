@@ -27,11 +27,9 @@ package service
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/dmgm"
-	"repro/internal/coloring"
 	"repro/internal/partition"
 )
 
@@ -47,10 +45,9 @@ const (
 // internal/graph), GraphPath (a daemon-local file in any supported format),
 // and GraphRef (the fingerprint of a graph already held by the daemon —
 // from a chunked upload, a prior job, or a previous path load) must be set.
-// The remaining fields are the distributed-run parameters the
-// dmgm-match / dmgm-color CLIs expose; zero values select the same defaults
-// the CLIs use, so a service job and a CLI run with equal inputs produce
-// byte-identical results.
+// The run parameters are dmgm.Params, the fields the dmgm-match / dmgm-color
+// flags bind too, defaulted and checked by the one dmgm.Job.Normalize — so a
+// service job and a CLI run with equal inputs produce byte-identical results.
 type Request struct {
 	// Algorithm is "match" or "color".
 	Algorithm string `json:"algorithm"`
@@ -68,17 +65,7 @@ type Request struct {
 	// Partition selects the partitioner: multilevel (default) | bfs |
 	// block | random.
 	Partition string `json:"partition,omitempty"`
-	// Seed seeds the partitioner and the coloring tie-breaks (default 1).
-	Seed uint64 `json:"seed,omitempty"`
-	// Superstep is the coloring superstep size s (default 1000).
-	Superstep int `json:"superstep,omitempty"`
-	// Comm selects the coloring communication variant: neighbors (default)
-	// | customized-all | broadcast.
-	Comm string `json:"comm,omitempty"`
-	// Distance2 selects the distance-2 coloring variant.
-	Distance2 bool `json:"distance2,omitempty"`
-	// NoBundle disables message bundling for matching (the ablation).
-	NoBundle bool `json:"no_bundle,omitempty"`
+	dmgm.Params
 	// TimeoutMillis caps this job's queue wait plus run time; 0 uses the
 	// server default. The cap is clamped to the server default.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
@@ -88,7 +75,8 @@ type Request struct {
 }
 
 // normalize fills defaults and validates the request shape (everything
-// checkable without the graph). It returns a client-error message ("" = ok).
+// checkable without the graph); the job's parameters are dmgm.Job.Normalize's.
+// It returns a client-error message ("" = ok).
 func (r *Request) normalize(maxRanks int) string {
 	switch r.Algorithm {
 	case AlgoMatch, AlgoColor:
@@ -121,42 +109,26 @@ func (r *Request) normalize(maxRanks int) string {
 	if _, err := partition.ByName(r.Partition); err != nil {
 		return err.Error()
 	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Superstep == 0 {
-		r.Superstep = 1000
-	}
-	if r.Superstep < 0 {
-		return fmt.Sprintf("superstep must be positive, got %d", r.Superstep)
-	}
-	if r.Comm == "" {
-		r.Comm = "neighbors"
-	}
-	if _, err := coloring.ParseCommMode(r.Comm); err != nil {
+	job := r.job()
+	if err := job.Normalize(); err != nil {
 		return err.Error()
 	}
-	if r.Algorithm == AlgoMatch && r.Distance2 {
-		return "distance2 applies to color jobs only"
-	}
+	r.Params = job.Params
 	if r.TimeoutMillis < 0 {
 		return fmt.Sprintf("timeout_ms must be non-negative, got %d", r.TimeoutMillis)
 	}
 	return ""
 }
 
-// cacheKey derives the result-cache key: the graph content fingerprint plus
-// every parameter that can change the result. Timeout and cache directives
-// are deliberately excluded — they affect scheduling, never the answer.
+// job is the run the request names.
+func (r *Request) job() dmgm.Job { return dmgm.Job{Algorithm: r.Algorithm, Params: r.Params} }
+
+// cacheKey derives the result-cache key: the partition's derivation plus the
+// job's key, which between them name every parameter that can change the
+// result. Timeout and cache directives are deliberately excluded — they
+// affect scheduling, never the answer.
 func (r *Request) cacheKey(fingerprint string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|p%d|%s|s%d", fingerprint, r.Algorithm, r.Ranks, r.Partition, r.Seed)
-	if r.Algorithm == AlgoColor {
-		fmt.Fprintf(&b, "|ss%d|%s|d2=%v", r.Superstep, r.Comm, r.Distance2)
-	} else {
-		fmt.Fprintf(&b, "|nb=%v", r.NoBundle)
-	}
-	return b.String()
+	return partitionKey(fingerprint, r.Partition, r.Ranks, r.Seed) + "|" + r.job().Key()
 }
 
 // timeout resolves the per-job deadline against the server default: jobs may

@@ -36,10 +36,7 @@ func freshly(t *testing.T, g *graph.Graph, req service.Request) (*dmgm.Placement
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dmgm.RunJob(w, g, placement, dmgm.Job{
-		Algorithm: req.Algorithm, NoBundle: req.NoBundle,
-		Comm: req.Comm, Superstep: req.Superstep, Distance2: req.Distance2, Seed: req.Seed,
-	})
+	res, err := dmgm.RunJob(w, g, placement, dmgm.Job{Algorithm: req.Algorithm, Params: req.Params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func TestPlacementSeedlessKey(t *testing.T) {
 	}
 	var results []string
 	for _, seed := range []uint64{3, 4} {
-		req := service.Request{Algorithm: service.AlgoColor, GraphRef: ref, Ranks: 2, Partition: "block", Comm: "neighbors", Superstep: 1000, Seed: seed}
+		req := service.Request{Algorithm: service.AlgoColor, GraphRef: ref, Ranks: 2, Partition: "block", Params: dmgm.Params{Comm: "neighbors", Superstep: 1000, Seed: seed}}
 		resp, err := cl.Submit(ctx, &req)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +89,7 @@ func TestPlacementSeedlessKey(t *testing.T) {
 	}
 	// A partitioner that reads the seed keeps it in its key.
 	for _, seed := range []uint64{3, 4} {
-		req := service.Request{Algorithm: service.AlgoColor, GraphRef: ref, Ranks: 2, Partition: "random", Seed: seed}
+		req := service.Request{Algorithm: service.AlgoColor, GraphRef: ref, Ranks: 2, Partition: "random", Params: dmgm.Params{Seed: seed}}
 		if _, err := cl.Submit(ctx, &req); err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +112,7 @@ func TestPlacementSharedByConcurrentJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := service.Request{GraphRef: ref, Ranks: 4, Partition: "multilevel", Comm: "neighbors", Superstep: 1000, Seed: 5, NoCache: true}
+	base := service.Request{GraphRef: ref, Ranks: 4, Partition: "multilevel", Params: dmgm.Params{Comm: "neighbors", Superstep: 1000, Seed: 5}, NoCache: true}
 	want := map[string]*dmgm.JobResult{}
 	var placed *dmgm.Placement
 	for _, algo := range []string{service.AlgoMatch, service.AlgoColor} {
@@ -197,7 +194,7 @@ func TestPlacementBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := &input{g: g, req: service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Partition: "block", Seed: 1, NoCache: true}}
+			in := &input{g: g, req: service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Partition: "block", Params: dmgm.Params{Seed: 1}, NoCache: true}}
 			placement, res := freshly(t, g, in.req)
 			in.size, in.want = placement.Bytes(), res.Text
 			ins = append(ins, in)

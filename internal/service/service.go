@@ -1037,14 +1037,7 @@ func (s *Server) getPlacement(j *job) (*dmgm.Placement, placeTiming, error) {
 // service job and a CLI run with equal inputs produce byte-identical results
 // (asserted by the conformance tests).
 func (s *Server) runJob(w *mpi.World, j *job, placement *dmgm.Placement) (*Response, error) {
-	res, err := dmgm.RunJob(w, j.g, placement, dmgm.Job{
-		Algorithm: j.req.Algorithm,
-		NoBundle:  j.req.NoBundle,
-		Comm:      j.req.Comm,
-		Superstep: j.req.Superstep,
-		Distance2: j.req.Distance2,
-		Seed:      j.req.Seed,
-	})
+	res, err := dmgm.RunJob(w, j.g, placement, j.req.job())
 	if err != nil {
 		return nil, err
 	}

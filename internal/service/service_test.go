@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -90,7 +91,7 @@ func TestQueueFullSheds429(t *testing.T) {
 	}()
 	waitMetric(t, cl, "service.queue_depth", 1)
 
-	_, err := cl.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Seed: 2})
+	_, err := cl.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Params: dmgm.Params{Seed: 2}})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("overflow submit: %v, want *client.APIError", err)
@@ -157,7 +158,7 @@ func TestConcurrentJobsAllSucceed(t *testing.T) {
 				algo = service.AlgoColor
 			}
 			_, _, err := cl.SubmitRetry(context.Background(), &service.Request{
-				Algorithm: algo, Graph: gtext, Ranks: 4, Seed: uint64(1 + i%4),
+				Algorithm: algo, Graph: gtext, Ranks: 4, Params: dmgm.Params{Seed: uint64(1 + i%4)},
 			}, 10)
 			errs[i] = err
 		}(i)
@@ -183,7 +184,7 @@ func TestGracefulDrain(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = cl.Submit(context.Background(), &service.Request{
-				Algorithm: service.AlgoColor, Graph: gtext, Seed: uint64(i + 1),
+				Algorithm: service.AlgoColor, Graph: gtext, Params: dmgm.Params{Seed: uint64(i + 1)},
 			})
 		}(i)
 	}
@@ -224,7 +225,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestCacheHitOnRepeat(t *testing.T) {
 	_, gtext := testGraph(t)
 	_, cl := startServer(t, service.Config{QueueLen: 8, Workers: 1}, true)
-	req := &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 4, Seed: 3}
+	req := &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 4, Params: dmgm.Params{Seed: 3}}
 
 	first, err := cl.Submit(context.Background(), req)
 	if err != nil {
@@ -418,7 +419,7 @@ func TestTenantQueueIsolation(t *testing.T) {
 	waitMetric(t, cl, "service.tenant.hot.queue_depth", 1)
 
 	// hot overflows its own queue...
-	_, err := hot.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Seed: 2})
+	_, err := hot.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Params: dmgm.Params{Seed: 2}})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("hot overflow: %v, want 429", err)
@@ -429,7 +430,7 @@ func TestTenantQueueIsolation(t *testing.T) {
 
 	// ...while bg, under the same roof, still queues freely.
 	go func() {
-		_, err := bg.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Seed: 3})
+		_, err := bg.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Params: dmgm.Params{Seed: 3}})
 		parked <- err
 	}()
 	waitMetric(t, cl, "service.tenant.bg.queue_depth", 1)
@@ -469,7 +470,7 @@ func TestTenantRateLimit429(t *testing.T) {
 	if _, err := slow.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext}); err != nil {
 		t.Fatalf("first (burst) submission: %v", err)
 	}
-	_, err := slow.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Seed: 2})
+	_, err := slow.Submit(context.Background(), &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Params: dmgm.Params{Seed: 2}})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("over-rate submission: %v, want 429", err)
@@ -511,7 +512,7 @@ func TestInvalidTenantHeader400(t *testing.T) {
 func TestResponseCarriesTenant(t *testing.T) {
 	_, gtext := testGraph(t)
 	_, cl := startServer(t, service.Config{QueueLen: 8, Workers: 1}, true)
-	req := &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Seed: 9}
+	req := &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Params: dmgm.Params{Seed: 9}}
 
 	alice := asTenant(cl, "alice")
 	first, err := alice.Submit(context.Background(), req)
@@ -559,7 +560,7 @@ func TestDrainFlipsAllTenants(t *testing.T) {
 			defer wg.Done()
 			c := asTenant(cl, tenants[i%len(tenants)])
 			_, errs[i] = c.Submit(context.Background(), &service.Request{
-				Algorithm: service.AlgoColor, Graph: gtext, Seed: uint64(i + 1),
+				Algorithm: service.AlgoColor, Graph: gtext, Params: dmgm.Params{Seed: uint64(i + 1)},
 			})
 		}(i)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -105,7 +106,7 @@ func TestObservableSurface(t *testing.T) {
 		}},
 	}, false)
 
-	job := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Seed: 3}
+	job := service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Params: dmgm.Params{Seed: 3}}
 	with := func(mutate func(r *service.Request)) *service.Request {
 		r := job
 		mutate(&r)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -241,8 +242,7 @@ func TestTracingConformance(t *testing.T) {
 
 	for _, algo := range []string{service.AlgoMatch, service.AlgoColor} {
 		req := service.Request{
-			Algorithm: algo, Graph: gtext, Ranks: 3, Seed: 9,
-			Superstep: g.NumVertices(), NoCache: true,
+			Algorithm: algo, Graph: gtext, Ranks: 3, Params: dmgm.Params{Seed: 9, Superstep: g.NumVertices()}, NoCache: true,
 		}
 		r1, r2 := req, req
 		a, err := traced.Submit(context.Background(), &r1)
@@ -324,7 +324,7 @@ func TestQueueWaitAndRunHistograms(t *testing.T) {
 	cl.Tenant = "acme"
 	for seed := uint64(1); seed <= 2; seed++ {
 		if _, err := cl.Submit(context.Background(), &service.Request{
-			Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Seed: seed,
+			Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Params: dmgm.Params{Seed: seed},
 		}); err != nil {
 			t.Fatal(err)
 		}

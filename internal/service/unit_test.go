@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
@@ -176,8 +177,8 @@ func TestNormalizeDefaultsAndErrors(t *testing.T) {
 		{"negative ranks", Request{Algorithm: AlgoMatch, Graph: "g", Ranks: -1}, "ranks must be positive"},
 		{"ranks over bound", Request{Algorithm: AlgoMatch, Graph: "g", Ranks: 65}, "exceeds the server bound"},
 		{"unknown partitioner", Request{Algorithm: AlgoMatch, Graph: "g", Partition: "hash"}, "unknown partitioner"},
-		{"unknown comm", Request{Algorithm: AlgoColor, Graph: "g", Comm: "gossip"}, "unknown comm mode"},
-		{"distance2 on match", Request{Algorithm: AlgoMatch, Graph: "g", Distance2: true}, "color jobs only"},
+		{"unknown comm", Request{Algorithm: AlgoColor, Graph: "g", Params: dmgm.Params{Comm: "gossip"}}, "unknown comm mode"},
+		{"distance2 on match", Request{Algorithm: AlgoMatch, Graph: "g", Params: dmgm.Params{Distance2: true}}, "color jobs only"},
 		{"negative timeout", Request{Algorithm: AlgoMatch, Graph: "g", TimeoutMillis: -1}, "timeout_ms"},
 	}
 	for _, tc := range cases {
@@ -226,6 +227,35 @@ func TestCacheKeyCoversResultParams(t *testing.T) {
 	nb.NoBundle = true
 	if nb.cacheKey("fp") == mk {
 		t.Error("no_bundle not part of the match cache key")
+	}
+	cs := m
+	cs.Superstep, cs.Comm = 500, "broadcast"
+	if cs.cacheKey("fp") != mk {
+		t.Error("coloring params leaked into the match cache key")
+	}
+	// The seed splits a key only where it is read: the matching reads none,
+	// so under block two seeds share one result and under multilevel (which
+	// the seed drives) they do not; every coloring reads it.
+	for _, tc := range []struct {
+		algo, partition string
+		split           bool
+	}{
+		{AlgoMatch, "block", false},
+		{AlgoMatch, "multilevel", true},
+		{AlgoColor, "block", true},
+		{AlgoColor, "multilevel", true},
+	} {
+		keys := make(map[string]bool)
+		for _, seed := range []uint64{1, 2} {
+			r := Request{Algorithm: tc.algo, Graph: "g", Partition: tc.partition, Params: dmgm.Params{Seed: seed}}
+			if msg := r.normalize(64); msg != "" {
+				t.Fatal(msg)
+			}
+			keys[r.cacheKey("fp")] = true
+		}
+		if split := len(keys) == 2; split != tc.split {
+			t.Errorf("%s under %s: seeds 1 and 2 split the key: %v, want %v", tc.algo, tc.partition, split, tc.split)
+		}
 	}
 }
 

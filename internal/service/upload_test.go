@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dmgm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/service"
@@ -88,12 +89,12 @@ func TestUploadedGraphMatchesInlineResult(t *testing.T) {
 
 	// The by-ref job must answer byte-identically to an inline submission
 	// of the same graph.
-	inlineReq := &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Seed: 3, NoCache: true}
+	inlineReq := &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Params: dmgm.Params{Seed: 3}, NoCache: true}
 	inline, err := cl.Submit(ctx, inlineReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refReq := &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Seed: 3, NoCache: true}
+	refReq := &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Params: dmgm.Params{Seed: 3}, NoCache: true}
 	byRef, err := cl.Submit(ctx, refReq)
 	if err != nil {
 		t.Fatal(err)
@@ -224,12 +225,12 @@ func TestInlineJobAfterUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRef, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Seed: 3, NoCache: true})
+	byRef, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, GraphRef: ref, Ranks: 2, Params: dmgm.Params{Seed: 3}, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // the first parses the text, the second hits the memo
-		inline, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Seed: 3, NoCache: true})
+		inline, err := cl.Submit(ctx, &service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 2, Params: dmgm.Params{Seed: 3}, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +295,7 @@ func TestPartitionCacheWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := service.Request{GraphRef: ref, Ranks: 2, Seed: 5}
+	base := service.Request{GraphRef: ref, Ranks: 2, Params: dmgm.Params{Seed: 5}}
 
 	match := base
 	match.Algorithm = service.AlgoMatch
