@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -208,6 +209,10 @@ func report(tf *obs.TraceFile, details bool) {
 	fmt.Printf("\ncritical path (sum of per-phase maxima): %s\n", fmtUS(critUS))
 }
 
+// peakVecs are the per-rank vecs whose cells are high-water marks, not
+// counts: their row shows the largest rank's where the others show a total.
+var peakVecs = map[string]bool{"mpi.mailbox_peak_bytes": true}
+
 func printMetrics(m *obs.MetricsSnapshot) {
 	if len(m.Counters) > 0 || len(m.Gauges) > 0 {
 		fmt.Println("\n== metrics ==")
@@ -226,6 +231,10 @@ func printMetrics(m *obs.MetricsSnapshot) {
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		for _, k := range obs.SortedKeys(m.PerRank) {
 			vals := m.PerRank[k]
+			if peakVecs[k] {
+				fmt.Fprintf(w, "%s\tmax %d\t%v\n", k, slices.Max(vals), vals)
+				continue
+			}
 			var sum int64
 			for _, v := range vals {
 				sum += v

@@ -30,18 +30,24 @@ func TestMain(m *testing.M) {
 // vecs, the compute vecs -replay calibrates on) and pins byte for byte.
 var surfaceTrace = filepath.Join("..", "..", "internal", "obs", "testdata", "surface_trace.json")
 
+// peakTrace is a trace file holding only a registry: a high-water-mark vec
+// (mpi.mailbox_peak_bytes, which the surface observer does not emit) beside
+// a count vec.
+var peakTrace = filepath.Join("testdata", "peak_trace.json")
+
 // TestGolden pins the four rendered views of a trace file — the report every
 // perf investigation reads — so the code under them can be rearranged without
-// a character of output moving.
+// a character of output moving, and the per-rank counters row of a peak.
 func TestGolden(t *testing.T) {
 	for name, args := range map[string][]string{
-		"report":       {},
-		"details":      {"-details"},
-		"metrics_only": {"-metrics-only"},
-		"replay":       {"-replay"},
+		"report":       {surfaceTrace},
+		"details":      {"-details", surfaceTrace},
+		"metrics_only": {"-metrics-only", surfaceTrace},
+		"replay":       {"-replay", surfaceTrace},
+		"mailbox_peak": {"-metrics-only", peakTrace},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], append(args, surfaceTrace)...)
+			cmd := exec.Command(os.Args[0], args...)
 			cmd.Env = append(os.Environ(), runMainEnv+"=1")
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr

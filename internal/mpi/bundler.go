@@ -30,6 +30,12 @@ import (
 // payloads are fresh per-frame allocations, so the same contract holds.) The
 // free list holds at most one buffer per destination — all that Add can have
 // in use at once — so a rank that receives more than it sends parks nothing.
+//
+// A bundler whose cap is at most slabRecords maximal records (bundling off,
+// or nearly) sends many buffers too small to be worth an allocation each:
+// with nothing to recycle, Add carves them out of a slab of slabBytes
+// instead. Each carved buffer's capacity ends at the cap, so no append can
+// reach a neighbour's bytes, and it is the receiver's like any other.
 type Bundler struct {
 	c          *Comm
 	tag        int
@@ -37,6 +43,7 @@ type Bundler struct {
 	maxBytes   int
 	bufs       [][]byte
 	free       [][]byte // recycled buffers, reused by Add for new bundles
+	slab       []byte   // carved up to len; nil unless maxBytes is small
 	// Flushes counts runtime messages actually sent, for ablation reporting.
 	Flushes int64
 	// Records counts algorithm-level records added.
@@ -52,6 +59,13 @@ type Bundler struct {
 	famRecordCtr *obs.Counter
 	sizeHist     *obs.Histogram // bundle payload bytes at flush time
 }
+
+// Small bundles come from slabs of slabBytes when the cap is at most
+// slabRecords maximal records.
+const (
+	slabBytes   = 4 << 10
+	slabRecords = 4
+)
 
 // NewBundler creates a bundler for records of up to recordSize bytes on the
 // given tag. maxBytes caps the per-destination buffer; 0 selects 64 KiB, the
@@ -98,12 +112,26 @@ func (b *Bundler) Add(to int, rec []byte) {
 		if n := len(b.free); n > 0 {
 			b.bufs[to] = b.free[n-1]
 			b.free = b.free[:n-1]
+		} else if b.maxBytes <= slabRecords*b.recordSize {
+			b.bufs[to] = b.carve()
 		}
 	}
 	b.bufs[to] = append(b.bufs[to], rec...)
 	if len(b.bufs[to])+b.recordSize > b.maxBytes {
 		b.flushOne(to)
 	}
+}
+
+// carve cuts an empty buffer of capacity maxBytes from the slab, starting a
+// new slab when the rest of this one is too short. The old slab stays alive
+// only as long as buffers cut from it do.
+func (b *Bundler) carve() []byte {
+	i := len(b.slab)
+	if i+b.maxBytes > cap(b.slab) {
+		b.slab, i = make([]byte, 0, max(slabBytes, b.maxBytes)), 0
+	}
+	b.slab = b.slab[:i+b.maxBytes]
+	return b.slab[i : i : i+b.maxBytes]
 }
 
 // Recycle donates a fully consumed inbound bundle's backing array to the

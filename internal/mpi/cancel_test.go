@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -194,7 +195,7 @@ func TestCanceledWorldResets(t *testing.T) {
 		if err := fresh.Run(next); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := w.TotalStats(), fresh.TotalStats(); got != want {
+		if got, want := traffic(w.TotalStats()), traffic(fresh.TotalStats()); got != want {
 			t.Fatalf("run %d: reused world stats diverge from fresh:\n reused: %+v\n fresh:  %+v", run, got, want)
 		}
 	}
@@ -228,5 +229,170 @@ func TestDeadlineCancelsStuckRanks(t *testing.T) {
 	}
 	if err := w.Run(exchange(3)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedRankCancelsPeers: a rank that fails while its peers wait — one
+// in Recv, one in Barrier, one in a collective — cancels the world, so Run
+// returns without a deadline or a Cancel from outside, and it returns the
+// failure, not the ErrCanceled the others unwind with. The world then resets
+// and runs.
+func TestFailedRankCancelsPeers(t *testing.T) {
+	boom := errors.New("boom")
+	for _, panics := range []bool{false, true} {
+		t.Run(fmt.Sprint("panic=", panics), func(t *testing.T) {
+			w, err := NewWorld(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var parked sync.WaitGroup
+			parked.Add(3)
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(c *Comm) error {
+					switch c.Rank() {
+					case 0:
+						parked.Wait()
+						time.Sleep(20 * time.Millisecond) // most likely asleep in their waits now
+						if panics {
+							panic(boom)
+						}
+						return boom
+					case 1:
+						parked.Done()
+						c.Recv() // nobody sends
+					case 2:
+						parked.Done()
+						c.Barrier() // rank 0 never arrives
+					default:
+						parked.Done()
+						c.AllreduceInt64(1, OpSum)
+					}
+					return fmt.Errorf("rank %d left its wait", c.Rank())
+				})
+			}()
+			select {
+			case err := <-done:
+				if errors.Is(err, ErrCanceled) || !strings.Contains(err.Error(), "rank 0") || !strings.Contains(err.Error(), "boom") {
+					t.Fatalf("Run = %v, want rank 0's failure", err)
+				}
+				if !panics && !errors.Is(err, boom) {
+					t.Fatalf("Run = %v, want it to wrap rank 0's error", err)
+				}
+			case <-time.After(cancelBound):
+				t.Fatalf("Run still waiting %v after rank 0 failed: the failure did not cancel its peers", cancelBound)
+			}
+			if _, err := w.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(exchange(4)); err != nil {
+				t.Fatalf("run after the failed one: %v", err)
+			}
+		})
+	}
+}
+
+// TestMailboxBoundFailsCleanly floods a rank that never receives — it only
+// checks the cancel signal, as a computing kernel does — past its mailbox's
+// bound. The send must not block; Run must fail with ErrMailboxFull naming
+// the mailbox, long before the watchdog's deadline; every goroutine must
+// return; and, inproc, the reset world must then run as a fresh one does.
+// Over tcp the flood crosses the wire and the receiving world fails.
+func TestMailboxBoundFailsCleanly(t *testing.T) {
+	const bound = 64 << 10
+	payload := make([]byte, 16)
+	flood := 4 * bound / (len(payload) + int(messageBytes))
+	program := func(c *Comm) error {
+		if c.Rank() == 0 {
+			for range flood {
+				c.Send(1, 1, payload)
+			}
+			return nil
+		}
+		for c.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		return c.Err()
+	}
+	checkFull := func(t *testing.T, err error, elapsed time.Duration) {
+		t.Helper()
+		var full *MailboxFullError
+		if !errors.As(err, &full) || !errors.Is(err, ErrMailboxFull) {
+			t.Fatalf("Run = %v, want ErrMailboxFull", err)
+		}
+		if full.Receiver != 1 || full.Sender != 0 || full.Limit != bound || full.Bytes > bound || full.Depth == 0 {
+			t.Fatalf("%+v: want receiver 1, sender 0, a bound of %d and what it held", full, bound)
+		}
+		if elapsed > cancelBound {
+			t.Fatalf("Run took %v: the full mailbox did not stop it", elapsed)
+		}
+	}
+	t.Run("inproc", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		w, err := NewWorld(2, WithMailboxBytes(bound), WithDeadline(time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		err = w.Run(program)
+		checkFull(t, err, time.Since(start))
+		awaitGoroutines(t, base)
+		if s := w.RankStats(1); s.MailboxPeakBytes > bound || s.MailboxPeakBytes < bound-int64(len(payload))-messageBytes {
+			t.Fatalf("rank 1's mailbox peaked at %d bytes, want just under the bound of %d", s.MailboxPeakBytes, bound)
+		}
+		if _, err := w.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewWorld(2, WithMailboxBytes(bound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []*World{w, fresh} {
+			if err := w.Run(exchange(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := traffic(w.TotalStats()), traffic(fresh.TotalStats()); got != want {
+			t.Fatalf("reset world's stats diverge from a fresh one's:\n reset: %+v\n fresh: %+v", got, want)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		eps, err := transport.NewLocalTCPCluster(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, 2)
+		took := make([]time.Duration, 2)
+		var wg sync.WaitGroup
+		for i, ep := range eps {
+			w, err := NewWorld(2, WithTransport(ep), WithMailboxBytes(bound), WithDeadline(time.Minute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				start := time.Now()
+				errs[i] = w.Run(program)
+				took[i] = time.Since(start)
+			}(i)
+		}
+		wg.Wait()
+		checkFull(t, errs[1], took[1])
+		awaitGoroutines(t, base)
+	})
+}
+
+// awaitGoroutines waits up to cancelBound for the goroutine count to fall
+// back to base.
+func awaitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	limit := time.Now().Add(cancelBound)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(limit) {
+			t.Fatalf("%d goroutines %v after the run, %d before it", runtime.NumGoroutine(), cancelBound, base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

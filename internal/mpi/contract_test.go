@@ -199,7 +199,8 @@ var contractTable = []struct {
 }
 
 // contractRun is one backend's account of a program: per-rank logs and
-// per-rank traffic with the backend-specific runtime family set aside.
+// per-rank traffic with the backend-specific runtime family and the
+// schedule-dependent mailbox peak set aside.
 type contractRun struct {
 	logs    []rankLog
 	stats   []Stats
@@ -229,7 +230,7 @@ func runContract(t *testing.T, backend string, p int, prog func(probe), opts ...
 		}
 	}
 	for r, w := range worlds {
-		s := w.RankStats(r)
+		s := traffic(w.RankStats(r))
 		run.runtime.Add(s.ByFamily[FamilyRuntime])
 		s.ByFamily[FamilyRuntime] = FamilyStats{}
 		run.stats[r] = s

@@ -57,7 +57,7 @@ func runMailboxModel(t *testing.T, seed int64) {
 	}
 
 	var stop atomic.Bool
-	mb := newMailbox(modelSenders, &stop)
+	mb := newMailbox(0, modelSenders, DefaultMailboxBytes, &stop, nil)
 	m := &mailboxModel{t: t, mb: mb, tags: &tags}
 	var seq [modelSenders]int // next sequence number per sender
 	for p := range plan {
@@ -85,10 +85,10 @@ func runMailboxModel(t *testing.T, seed int64) {
 		}
 		skipped := m.quiet(seq)
 		if rng.Intn(3) == 0 {
-			m.reset(seq, skipped)
+			m.reset(rng, seq, skipped)
 		}
 	}
-	m.reset(seq, m.quiet(seq))
+	m.reset(rng, seq, m.quiet(seq))
 }
 
 // mailboxModel is the owner's side of the model test: the per-sender
@@ -206,8 +206,9 @@ func (m *mailboxModel) ownerSide() {
 // quiet checks the whole mailbox while no sender runs: pending + local is
 // what was sent and neither received nor drained; what is queued per sender
 // is in order, past what was received, and every message missing between is
-// one a DrainTag took; and no slot on the sender side outside a queue holds
-// a payload. It returns the skipped counts with those missing messages in.
+// one a DrainTag took; the byte count the bound reads is what is queued; and
+// no slot on the sender side outside a queue holds a payload. It returns the
+// skipped counts with those missing messages in.
 func (m *mailboxModel) quiet(seq [modelSenders]int) [3]int {
 	m.ownerSide()
 	m.mb.mu.Lock()
@@ -230,10 +231,12 @@ func (m *mailboxModel) quiet(seq [modelSenders]int) [3]int {
 			m.mb.pending, m.mb.local, queued)
 	}
 	skipped := m.skipped
+	var bytes int64
 	for s := range modelSenders {
 		q := m.mb.out[s]
 		j := m.next[s]
 		for _, msg := range append(q.msgs[q.head:len(q.msgs):len(q.msgs)], m.mb.in[s]...) {
+			bytes += int64(len(msg.Data)) + messageBytes
 			k := int(binary.LittleEndian.Uint64(msg.Data))
 			if msg.From != s || k < j {
 				m.t.Fatalf("sender %d: queued message %d (from %d) out of order, %d expected at the earliest", s, k, msg.From, j)
@@ -250,25 +253,89 @@ func (m *mailboxModel) quiet(seq [modelSenders]int) [3]int {
 	if skipped[0] != 0 || skipped[1] != m.drained[1] || skipped[2] != m.drained[2] {
 		m.t.Fatalf("messages gone from the FIFOs by tag %v, DrainTag reported %v", skipped, m.drained)
 	}
+	if got := m.mb.bytes - m.mb.popped; got != bytes {
+		m.t.Fatalf("the mailbox counts %d bytes less %d popped, %d are queued", m.mb.bytes, m.mb.popped, bytes)
+	}
+	if m.mb.peak < m.mb.bytes {
+		m.t.Fatalf("peak %d below the %d bytes counted", m.mb.peak, m.mb.bytes)
+	}
 	return skipped
 }
 
 // reset drops everything queued, as World.Reset does, checks the count, and
-// checks that both sides are empty and hold no arrays. skipped is quiet's
-// account of the messages DrainTag took, which a reset makes final.
-func (m *mailboxModel) reset(seq [modelSenders]int, skipped [3]int) {
+// checks that both sides are empty. The queue arrays must survive, emptied
+// and with no payload in any slot up to their capacity, when together they
+// fit in the mailbox's keep, and be gone when they do not; keep is drawn
+// from the default and the two values either side of what the arrays hold,
+// so both outcomes and the boundary between them are taken. skipped is
+// quiet's account of the messages DrainTag took, which a reset makes final.
+func (m *mailboxModel) reset(rng *rand.Rand, seq [modelSenders]int, skipped [3]int) {
+	var caps [modelSenders][2]int
+	var held int64
+	for s := range modelSenders {
+		caps[s] = [2]int{cap(m.mb.in[s]), cap(m.mb.out[s].msgs)}
+		held += int64(caps[s][0]+caps[s][1]) * messageBytes
+	}
+	m.mb.keep = [...]int64{keepBytes, held, held - 1}[rng.Intn(3)]
 	queued := m.mb.pending + m.mb.local
 	if n := m.mb.drainAll(); n != queued {
 		m.t.Fatalf("drainAll dropped %d, %d were queued", n, queued)
 	}
 	m.dropped += queued
 	m.skipped, m.next = skipped, seq
+	kept := held <= m.mb.keep
 	for s := range modelSenders {
-		if m.mb.in[s] != nil || m.mb.out[s].msgs != nil || m.mb.out[s].head != 0 {
-			m.t.Fatalf("sender %d: queues survived drainAll", s)
+		in, q := m.mb.in[s], m.mb.out[s]
+		if len(in) != 0 || len(q.msgs) != 0 || q.head != 0 {
+			m.t.Fatalf("sender %d: drainAll left %d + %d messages (head %d)", s, len(in), len(q.msgs), q.head)
+		}
+		if !kept {
+			if in != nil || q.msgs != nil {
+				m.t.Fatalf("sender %d: %d bytes of arrays over a keep of %d survived drainAll", s, held, m.mb.keep)
+			}
+			continue
+		}
+		if got := [2]int{cap(in), cap(q.msgs)}; got != caps[s] {
+			m.t.Fatalf("sender %d: array capacities %v after drainAll, %v before, within a keep of %d", s, got, caps[s], m.mb.keep)
+		}
+		for i, msg := range append(in[:cap(in)], q.msgs[:cap(q.msgs)]...) {
+			if msg.Data != nil {
+				m.t.Fatalf("sender %d: slot %d of a kept array holds a payload", s, i)
+			}
 		}
 	}
 	if m.mb.pending != 0 || m.mb.local != 0 || m.mb.next != 0 {
 		m.t.Fatalf("drainAll left pending %d, local %d, cursor %d", m.mb.pending, m.mb.local, m.mb.next)
+	}
+	if m.mb.bytes != 0 || m.mb.popped != 0 || m.mb.peak != 0 {
+		m.t.Fatalf("drainAll left bytes %d, popped %d, peak %d", m.mb.bytes, m.mb.popped, m.mb.peak)
+	}
+}
+
+// TestMailboxCycleAllocatesNothing pins the retention: once a mailbox's two
+// sides have grown, a cycle of puts, gets, drainAll (what World.Reset runs)
+// and more puts allocates nothing.
+func TestMailboxCycleAllocatesNothing(t *testing.T) {
+	var stop atomic.Bool
+	mb := newMailbox(0, 2, DefaultMailboxBytes, &stop, nil)
+	data := []byte{1}
+	const n = 1000
+	putN := func() {
+		for i := range n {
+			mb.put(Message{From: i % 2, Tag: 1, Data: data})
+		}
+	}
+	cycle := func() {
+		putN()
+		for range n / 2 {
+			mb.get(false, anySender, 0)
+		}
+		mb.drainAll()
+		putN()
+		mb.drainAll()
+	}
+	cycle() // the arrays grow on both sides
+	if got := testing.AllocsPerRun(10, cycle); got != 0 {
+		t.Fatalf("a put / get / drainAll / put cycle allocates %.1f objects, want 0", got)
 	}
 }

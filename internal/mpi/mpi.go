@@ -14,20 +14,26 @@
 //     stress-test the asynchronous algorithms (the paper's Fig. 3.1
 //     discussion — "if the two SUCCEEDED messages arrive in reverse order…" —
 //     is exactly the behavior this mode exercises).
-//   - Sends never block the sender (unbounded mailboxes), mirroring buffered
-//     MPI_Isend as used with aggregated message bundles.
+//   - Sends never block the sender, mirroring buffered MPI_Isend as used
+//     with aggregated message bundles. Every mailbox has a bound in bytes
+//     (DefaultMailboxBytes, or WithMailboxBytes): a send that would take it
+//     past the bound is dropped instead, and the run fails with
+//     ErrMailboxFull — blocking there could deadlock a protocol whose ranks
+//     all send before they first receive.
 //
 // Each rank's mailbox has two sides per sender. A send appends to the
 // sender's queue on one side under the mailbox lock; the receiving rank pops
 // from its own side with no lock, and only when that runs dry takes the lock
 // once to swap every filled sender queue across whole. A stream of tiny
 // messages therefore costs the receiver one lock per batch, not one per
-// message.
+// message. The queue arrays survive Reset, up to keepBytes per mailbox, so a
+// reused world does not grow them again.
 //
 // A rank waits in exactly two places, the mailbox and the cyclic barrier.
 // World.Cancel wakes both, and a rank waiting in a canceled world unwinds
 // with ErrCanceled; the kernels also check Comm.Err once per outer iteration
-// or superstep. A canceled world is runnable again after Reset.
+// or superstep. The first rank to fail cancels its world the same way. A
+// canceled world is runnable again after Reset.
 //
 // The runtime also meters traffic: per-rank sent/received message and byte
 // counters, which both the experiments and the α–β performance model
@@ -46,6 +52,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/mpi/transport"
 	"repro/internal/obs"
@@ -86,6 +93,11 @@ type World struct {
 	// stop is the cancel signal (see Cancel); every mailbox and the barrier
 	// read it through a pointer.
 	stop atomic.Bool
+	// mailboxBytes bounds every local mailbox (see WithMailboxBytes).
+	mailboxBytes int64
+	// failed is the run's first failure, which canceled it (see fail).
+	failMu sync.Mutex
+	failed error
 
 	runMu   sync.Mutex
 	ran     bool
@@ -111,6 +123,12 @@ func WithPerturbation(seed uint64) Option {
 // abort cancels the world (see Cancel), so ranks stuck in a wait unwind.
 func WithDeadline(d time.Duration) Option {
 	return func(w *World) { w.deadline = d }
+}
+
+// WithMailboxBytes bounds each of the world's mailboxes at n bytes instead
+// of DefaultMailboxBytes; see ErrMailboxFull.
+func WithMailboxBytes(n int64) Option {
+	return func(w *World) { w.mailboxBytes = n }
 }
 
 // WithTransport runs the world over the given message transport instead of
@@ -158,15 +176,19 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		return nil, fmt.Errorf("mpi: non-positive world size %d", size)
 	}
 	w := &World{
-		size:       size,
-		boxes:      make([]*mailbox, size),
-		stats:      make([]rankCounters, size),
-		slots:      [2][][]byte{make([][]byte, size), make([][]byte, size)},
-		finalVTime: make([]atomic.Uint64, size),
+		size:         size,
+		boxes:        make([]*mailbox, size),
+		stats:        make([]rankCounters, size),
+		slots:        [2][][]byte{make([][]byte, size), make([][]byte, size)},
+		finalVTime:   make([]atomic.Uint64, size),
+		mailboxBytes: DefaultMailboxBytes,
 	}
 	w.barrier = newBarrier(size, &w.stop)
 	for _, o := range opts {
 		o(w)
+	}
+	if w.mailboxBytes <= 0 {
+		return nil, fmt.Errorf("mpi: non-positive mailbox bound %d", w.mailboxBytes)
 	}
 	if w.tr == nil {
 		w.tr = transport.NewInproc(size)
@@ -177,7 +199,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	w.local = w.tr.Local()
 	w.allLocal = len(w.local) == size
 	for _, r := range w.local {
-		w.boxes[r] = newMailbox(size, &w.stop)
+		w.boxes[r] = newMailbox(r, size, w.mailboxBytes, &w.stop, w.fail)
 		w.tr.Register(r, w.boxes[r].sink())
 	}
 	w.attach(w.obs)
@@ -195,8 +217,9 @@ func (mb *mailbox) sink() transport.Sink {
 func (w *World) Size() int { return w.size }
 
 // Run executes fn once per rank, each on its own goroutine, and waits for all
-// of them. It returns the first non-nil error; a panic in a rank is captured
-// and returned as an error rather than crashing the process.
+// of them. The first rank to return an error or panic cancels the world, so
+// the others unwind, and Run returns that first failure; a panic is captured
+// rather than crashing the process.
 func Run(size int, fn func(c *Comm) error, opts ...Option) error {
 	w, err := NewWorld(size, opts...)
 	if err != nil {
@@ -253,6 +276,9 @@ func (w *World) publishStats() {
 		reg.Vec(obs.FamilyKey("mpi.recv_msgs", family), w.size).At(rank).Add(fs.RecvMsgs)
 		reg.Vec(obs.FamilyKey("mpi.recv_bytes", family), w.size).At(rank).Add(fs.RecvBytes)
 	})
+	for _, r := range w.local {
+		reg.Vec("mpi.mailbox_peak_bytes", w.size).At(r).Add(w.boxes[r].peakBytes())
+	}
 }
 
 // eachTraffic is the one walk behind both the end-of-run publication and the
@@ -275,6 +301,36 @@ func (w *World) eachTraffic(fn func(rank int, family string, fs FamilyStats)) {
 // error wraps it.
 var ErrCanceled = errors.New("mpi: run canceled")
 
+// ErrMailboxFull is what Run's error wraps (as a *MailboxFullError) when a
+// send would have taken a mailbox past its bound. The send is dropped rather
+// than blocked, the world is canceled, and its ranks unwind.
+var ErrMailboxFull = errors.New("mpi: mailbox full")
+
+// MailboxFullError names the mailbox that reached its bound and the send
+// that would have passed it.
+type MailboxFullError struct {
+	Receiver, Sender int
+	// Depth is the messages queued on the senders' side, not yet taken up
+	// by the receiver; Bytes is what the mailbox held as the bound counts
+	// it, and Limit the bound.
+	Depth        int
+	Bytes, Limit int64
+}
+
+func (e *MailboxFullError) Error() string {
+	return fmt.Sprintf("mpi: mailbox of rank %d full: a send from rank %d would pass its %d bytes (%d messages, %d bytes queued)",
+		e.Receiver, e.Sender, e.Limit, e.Depth, e.Bytes)
+}
+
+func (e *MailboxFullError) Unwrap() error { return ErrMailboxFull }
+
+// DefaultMailboxBytes is a mailbox's bound unless WithMailboxBytes sets
+// another. It is over 32× the largest high-water mark
+// (Stats.MailboxPeakBytes) of the benchmark's six workloads: 3.5–4.4 MiB
+// when every matching record travels alone (solve_rmat_chatty), at most
+// 0.25 MiB on the others.
+const DefaultMailboxBytes = 256 << 20
+
 // Cancel stops the world's run in flight, or its next Run until Reset: it
 // raises the cancel signal, then wakes every local mailbox and the barrier.
 // Each wait rechecks the signal after every wake, so every rank blocked in a
@@ -290,12 +346,30 @@ func (w *World) Cancel() {
 	w.barrier.wake()
 }
 
+// fail records err as the run's failure unless one is recorded already, and
+// cancels the world so that every rank unwinds. It is how a failing rank and
+// a full mailbox stop the run.
+func (w *World) fail(err error) {
+	w.failMu.Lock()
+	if w.failed == nil {
+		w.failed = err
+	}
+	w.failMu.Unlock()
+	w.Cancel()
+}
+
+// failure is the error fail recorded first, or nil.
+func (w *World) failure() error {
+	w.failMu.Lock()
+	defer w.failMu.Unlock()
+	return w.failed
+}
+
 func (w *World) run(fn func(c *Comm) error) error {
 	if w.stop.Load() {
 		w.setNotRunning()
 		return ErrCanceled
 	}
-	errs := make([]error, len(w.local))
 	done := make([]bool, len(w.local))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -309,9 +383,7 @@ func (w *World) run(fn func(c *Comm) error) error {
 					if p == ErrCanceled {
 						err = fmt.Errorf("mpi: rank %d: %w", rank, ErrCanceled)
 					}
-					mu.Lock()
-					errs[i] = err
-					mu.Unlock()
+					w.fail(err)
 				}
 				mu.Lock()
 				done[i] = true
@@ -330,9 +402,7 @@ func (w *World) run(fn func(c *Comm) error) error {
 				c.epochs = reg.Vec("mpi.barrier_epochs", w.size).At(rank)
 			}
 			if err := fn(c); err != nil {
-				mu.Lock()
-				errs[i] = fmt.Errorf("mpi: rank %d: %w", rank, err)
-				mu.Unlock()
+				w.fail(fmt.Errorf("mpi: rank %d: %w", rank, err))
 			}
 			w.finalVTime[rank].Store(math.Float64bits(c.vclock))
 		}(i, r)
@@ -357,16 +427,10 @@ func (w *World) run(fn func(c *Comm) error) error {
 					stuck = append(stuck, w.local[i])
 				}
 			}
-			// A rank that already failed usually explains why the others
-			// are wedged; surface its error alongside the deadline.
-			var firstErr error
-			for _, e := range errs {
-				if e != nil {
-					firstErr = e
-					break
-				}
-			}
 			mu.Unlock()
+			// A failure that canceled the run before the deadline usually
+			// explains why ranks are still running; surface it too.
+			firstErr := w.failure()
 			// The stuck ranks unwind in the background; Reset refuses until
 			// they have.
 			w.Cancel()
@@ -378,12 +442,7 @@ func (w *World) run(fn func(c *Comm) error) error {
 	} else {
 		<-finished
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.failure()
 }
 
 func (w *World) setNotRunning() {
@@ -394,13 +453,14 @@ func (w *World) setNotRunning() {
 
 // Reset returns a completed all-local World to a runnable state so the next
 // Run starts from scratch: every mailbox is drained (the count of discarded
-// stale messages is returned), all per-rank traffic counters and virtual
+// stale messages is returned) and keeps its queue arrays if they fit in
+// keepBytes, all per-rank traffic counters, mailbox peaks and virtual
 // clocks are zeroed, and the mailbox round-robin cursors rewind so a reused
 // World receives in exactly the same order as a fresh one — results stay
-// bit-identical across pool reuse. A canceled world is un-canceled, and the
-// barrier generation its ranks abandoned is cleared; the collective slots
-// need no resetting (each use overwrites them); the inproc transport's
-// Start/Close are stateless.
+// bit-identical across pool reuse. A canceled or failed world is
+// un-canceled and its failure forgotten, and the barrier generation its
+// ranks abandoned is cleared; the collective slots need no resetting (each
+// use overwrites them); the inproc transport's Start/Close are stateless.
 //
 // Reset fails on a World with a remote transport (its wire state is
 // genuinely single-use) and on a World whose ranks have not all returned —
@@ -427,6 +487,9 @@ func (w *World) Reset() (stale int, err error) {
 	}
 	w.barrier.reset()
 	w.stop.Store(false)
+	w.failMu.Lock()
+	w.failed = nil
+	w.failMu.Unlock()
 	w.ran = false
 	return stale, nil
 }
@@ -437,11 +500,17 @@ func (w *World) LocalRanks() []int {
 	return slices.Clone(w.local)
 }
 
-// RankStats returns the traffic counters of one rank. Safe to call from any
-// goroutine at any time, including while Run is in flight — the counters are
-// lock-free atomics, so live polling never races with the ranks.
+// RankStats returns the traffic counters and mailbox peak of one rank. Safe
+// to call from any goroutine at any time, including while Run is in flight —
+// the counters are lock-free atomics and the peak is read under the mailbox
+// lock a send holds only for its append, so live polling never races with
+// the ranks.
 func (w *World) RankStats(rank int) Stats {
-	return w.stats[rank].snapshot()
+	s := w.stats[rank].snapshot()
+	if mb := w.boxes[rank]; mb != nil {
+		s.MailboxPeakBytes = mb.peakBytes()
+	}
+	return s
 }
 
 // LiveSnapshot builds the serializable live view of this world's traffic —
@@ -482,7 +551,8 @@ func (w *World) LiveSnapshot() *obs.LiveSnapshot {
 	return s
 }
 
-// TotalStats sums the counters over all ranks.
+// TotalStats sums the counters over all ranks; its MailboxPeakBytes is the
+// largest rank's (see Stats.Add).
 func (w *World) TotalStats() Stats {
 	var t Stats
 	for r := 0; r < w.size; r++ {
@@ -656,28 +726,53 @@ func (c *Comm) DrainTag(tag int) int {
 	return stashed - len(c.stash) + n
 }
 
-// mailbox is one rank's unbounded inbox, kept per sender so that per-pair
-// FIFO survives randomized cross-sender draining, and in two sides so that
-// the owner pays for the lock once per batch rather than once per message.
+// mailbox is one rank's inbox, kept per sender so that per-pair FIFO
+// survives randomized cross-sender draining, and in two sides so that the
+// owner pays for the lock once per batch rather than once per message.
 // Senders append to their queue in in[s] under mu. The owning rank's
 // goroutine pops from its own queues out[s] without any lock; only when the
 // queue it was asked for is empty does it take mu, once, and swap every
 // filled in[s] whose out[s] is empty (refill) — an O(1) slice swap per
 // sender, so each pair's two arrays ping-pong between the sides. An out[s]
 // is refilled only when empty, so it always holds older messages than in[s].
+//
+// A mailbox is bounded: it counts each queued message as its payload plus
+// messageBytes, and a put that would pass limit is dropped and reported
+// through full (see ErrMailboxFull). The owner pops without the lock, so
+// bytes counts the owner's side as of its last lock: popped, what it took
+// since, comes off there. The count can run over what is queued by at most
+// one batch, never under it.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	in      [][]Message  // the senders' side, one queue per sender; under mu
 	pending int          // messages in in; under mu
+	bytes   int64        // what the mailbox holds, as counted above; under mu
+	peak    int64        // the high-water mark of bytes; under mu
+	refused bool         // a put passed limit; the run is failing; under mu
+	limit   int64        // the bound on bytes
+	keep    int64        // drainAll keeps the queue arrays up to this size
+	rank    int          // the owner, for the error
+	full    func(error)  // told of the first refused put, with mu released
 	stop    *atomic.Bool // the world's cancel signal, see World.Cancel
 
 	// The owner's side, touched by the owning rank's goroutine alone (and by
 	// Reset, when no rank runs).
-	out   []ownerQueue // one per sender
-	local int          // messages in out
-	next  int          // round-robin cursor over out
+	out    []ownerQueue // one per sender
+	local  int          // messages in out
+	popped int64        // bytes popped since the owner last held mu
+	next   int          // round-robin cursor over out
 }
+
+// messageBytes is what a queued message costs its mailbox besides its
+// payload: its queue slot.
+const messageBytes = int64(unsafe.Sizeof(Message{}))
+
+// keepBytes caps the queue arrays a mailbox keeps across Reset, so an idle
+// pooled world holds at most this much per rank. Measured on RMAT-16 at 4
+// ranks: 11 MiB per world (≤ 5.4 MiB per rank) after jobs that send every
+// matching record alone, a few KiB after bundled ones.
+const keepBytes = 8 << 20
 
 // ownerQueue is one sender's batch on the owner's side: msgs[head:] are still
 // to be popped, and every slot of the array outside them is cleared — a pop
@@ -688,18 +783,45 @@ type ownerQueue struct {
 	head int
 }
 
-func newMailbox(senders int, stop *atomic.Bool) *mailbox {
-	mb := &mailbox{in: make([][]Message, senders), out: make([]ownerQueue, senders), stop: stop}
+func newMailbox(rank, senders int, limit int64, stop *atomic.Bool, full func(error)) *mailbox {
+	mb := &mailbox{
+		in: make([][]Message, senders), out: make([]ownerQueue, senders),
+		limit: limit, keep: keepBytes, rank: rank, full: full, stop: stop,
+	}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
+// put queues m, or, if that would take the mailbox past its bound, drops it
+// and reports the first such put. It never blocks on the receiver.
 func (mb *mailbox) put(m Message) {
+	cost := int64(len(m.Data)) + messageBytes
 	mb.mu.Lock()
+	if mb.bytes+cost > mb.limit {
+		first := !mb.refused
+		mb.refused = true
+		err := &MailboxFullError{Receiver: mb.rank, Sender: m.From, Depth: mb.pending, Bytes: mb.bytes, Limit: mb.limit}
+		mb.mu.Unlock()
+		if first {
+			mb.full(err)
+		}
+		return
+	}
 	mb.in[m.From] = append(mb.in[m.From], m)
 	mb.pending++
+	if mb.bytes += cost; mb.bytes > mb.peak {
+		mb.peak = mb.bytes
+	}
 	mb.mu.Unlock()
 	mb.cond.Signal()
+}
+
+// peakBytes reports the mailbox's high-water mark since it was made or last
+// drained whole.
+func (mb *mailbox) peakBytes() int64 {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return mb.peak
 }
 
 // holds reports whether the owner's side has a message for a get from sender
@@ -740,13 +862,17 @@ func (mb *mailbox) get(block bool, from int, pick uint64) (Message, bool) {
 		q.msgs, q.head = q.msgs[:0], 0
 	}
 	mb.local--
+	mb.popped += int64(len(m.Data)) + messageBytes
 	return m, true
 }
 
-// refill moves every filled sender-side queue whose owner-side queue is empty
-// across, handing the emptied owner-side array back to the sender. Called
-// with mu held.
+// refill settles what the owner popped since it last held mu, then moves
+// every filled sender-side queue whose owner-side queue is empty across,
+// handing the emptied owner-side array back to the sender. Called with mu
+// held.
 func (mb *mailbox) refill() {
+	mb.bytes -= mb.popped
+	mb.popped = 0
 	if mb.pending == 0 {
 		return
 	}
@@ -789,22 +915,40 @@ func (mb *mailbox) choose(pick uint64) int {
 	}
 }
 
-// drainAll empties both sides of the mailbox and drops their arrays,
-// returning how many messages were discarded, and rewinds the round-robin
-// cursor so receive order after a Reset matches a fresh mailbox.
+// drainAll empties both sides of the mailbox, returning how many messages
+// were discarded, zeroes its count and peak, and rewinds the round-robin
+// cursor so receive order after a Reset matches a fresh mailbox. The queue
+// arrays stay, emptied and cleared, unless together they are larger than
+// keep; then they go, as in a fresh mailbox.
 func (mb *mailbox) drainAll() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	n := mb.pending + mb.local
-	clear(mb.in)
-	clear(mb.out)
+	var slots int
+	for s := range mb.in {
+		slots += cap(mb.in[s]) + cap(mb.out[s].msgs)
+	}
+	if int64(slots)*messageBytes > mb.keep {
+		clear(mb.in)
+		clear(mb.out)
+	} else {
+		// Slots outside the queues are clear already.
+		for s := range mb.in {
+			clear(mb.in[s])
+			mb.in[s] = mb.in[s][:0]
+			q := &mb.out[s]
+			clear(q.msgs[q.head:])
+			q.msgs, q.head = q.msgs[:0], 0
+		}
+	}
 	mb.pending, mb.local, mb.next = 0, 0, 0
+	mb.bytes, mb.peak, mb.popped, mb.refused = 0, 0, 0, false
 	return n
 }
 
 // drainTag removes all pending messages with the given tag from both sides,
-// returning how many were removed and their total payload size. The owning
-// rank calls it.
+// compacting each queue in place to the front of its array, and returns how
+// many were removed and their total payload size. The owning rank calls it.
 func (mb *mailbox) drainTag(tag int) (n int, bytes int64) {
 	drop := func(m Message) bool {
 		if m.Tag != tag {
@@ -816,17 +960,26 @@ func (mb *mailbox) drainTag(tag int) (n int, bytes int64) {
 	}
 	for s := range mb.out {
 		q := &mb.out[s]
-		// The slots before head are cleared already; DeleteFunc clears the
-		// ones it vacates.
-		q.msgs, q.head = slices.DeleteFunc(q.msgs[q.head:], drop), 0
+		kept := 0
+		for _, m := range q.msgs[q.head:] {
+			if !drop(m) {
+				q.msgs[kept] = m
+				kept++
+			}
+		}
+		clear(q.msgs[kept:])
+		q.msgs, q.head = q.msgs[:kept], 0
 	}
 	mb.local -= n
 	owned := n
 	mb.mu.Lock()
 	for s := range mb.in {
+		// DeleteFunc clears the slots it vacates.
 		mb.in[s] = slices.DeleteFunc(mb.in[s], drop)
 	}
 	mb.pending -= n - owned
+	mb.bytes -= mb.popped + bytes + int64(n)*messageBytes
+	mb.popped = 0
 	mb.mu.Unlock()
 	return n, bytes
 }

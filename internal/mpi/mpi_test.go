@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -739,13 +740,20 @@ func TestDeadlineReportsStuckRanks(t *testing.T) {
 }
 
 // TestDeadlineReportsFirstFailure checks that when one rank fails and the
-// rest consequently hang, the watchdog surfaces the root-cause error.
+// rest still run past the deadline, the watchdog surfaces the root-cause
+// error. The failure cancels the world, so a rank waiting in Recv would
+// unwind at once (TestFailedRankCancelsPeers); the stuck rank here is one
+// that never looks at the signal.
 func TestDeadlineReportsFirstFailure(t *testing.T) {
+	var released atomic.Bool
+	defer released.Store(true)
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return fmt.Errorf("rank 0 exploded")
 		}
-		c.Recv() // waits forever: rank 0 died before sending
+		for !released.Load() {
+			time.Sleep(time.Millisecond)
+		}
 		return nil
 	}, WithDeadline(200*time.Millisecond))
 	if err == nil {
@@ -785,6 +793,73 @@ func TestNegativeTagReserved(t *testing.T) {
 	}, WithDeadline(5*time.Second))
 	if err == nil || !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("negative-tag send not rejected: %v", err)
+	}
+}
+
+// TestSmallBundlesComeFromSlabs pins the slabs: with bundling off (a cap of
+// one matching record, 17 bytes), 1000 Adds allocate one slab per slabBytes
+// of buffers carved, plus one for a slab begun before them, and nothing
+// else once the mailbox's arrays have grown.
+func TestSmallBundlesComeFromSlabs(t *testing.T) {
+	const recordBytes = 17 // matching.RecordBytes, which mpi cannot import
+	const adds = 1000
+	limit := float64((adds*recordBytes+slabBytes-1)/slabBytes + 1)
+	err := Run(1, func(c *Comm) error {
+		b := NewBundler(c, 1, recordBytes, recordBytes)
+		rec := make([]byte, recordBytes)
+		add := func() {
+			for range adds {
+				b.Add(0, rec)
+			}
+		}
+		// Grow the pair's arrays on both sides of the mailbox past the
+		// 2 × adds messages AllocsPerRun's two calls leave queued.
+		for range 2 {
+			add()
+			add()
+			add()
+			for range 3 * adds {
+				c.Recv()
+			}
+		}
+		if got := testing.AllocsPerRun(1, add); got > limit {
+			return fmt.Errorf("%d Adds allocated %.0f objects, want at most %.0f", adds, got, limit)
+		}
+		if b.Flushes != 8*adds {
+			return fmt.Errorf("%d flushes, want one per record", b.Flushes)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCarvedBundlesStayApart checks what a carved buffer promises: its
+// capacity ends at the cap, so appending past it copies instead of writing
+// into the next buffer cut from the same slab.
+func TestCarvedBundlesStayApart(t *testing.T) {
+	err := Run(1, func(c *Comm) error {
+		b := NewBundler(c, 1, 4, 8) // two records per bundle: carved
+		for i := range 3 {
+			b.Add(0, []byte{byte(i), byte(i), byte(i), byte(i)})
+		}
+		b.Flush()
+		first, second := c.Recv().Data, c.Recv().Data
+		if cap(first) != 8 || len(second) != 4 {
+			return fmt.Errorf("bundles of len/cap %d/%d and %d/%d, want 8/8 and 4/8", len(first), cap(first), len(second), cap(second))
+		}
+		if !bytes.Equal(first, []byte{0, 0, 0, 0, 1, 1, 1, 1}) {
+			return fmt.Errorf("first bundle %v", first)
+		}
+		_ = append(first, 7) // full: must copy, not write the slab's next bytes
+		if !bytes.Equal(second, []byte{2, 2, 2, 2}) {
+			return fmt.Errorf("an append to one bundle wrote into the next: %v", second)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
