@@ -741,7 +741,7 @@ func (c *Comm) DrainTag(tag int) int {
 // through full (see ErrMailboxFull). The owner pops without the lock, so
 // bytes counts the owner's side as of its last lock: popped, what it took
 // since, comes off there. The count can run over what is queued by at most
-// one batch, never under it.
+// what the owner's side held at that lock, never under it.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

@@ -4,10 +4,10 @@ import "fmt"
 
 // Inproc is the shared-memory backend: all ranks live in this process and a
 // send is a synchronous call into the receiver's sink (which, in the mpi
-// runtime, is an unbounded mailbox enqueue). This is the extracted form of
-// the original in-process delivery path and remains the zero-overhead
-// default; it exists as a Transport so that the runtime above it is
-// backend-agnostic.
+// runtime, is a bounded mailbox enqueue that never waits). This is the
+// extracted form of the original in-process delivery path and remains the
+// zero-overhead default; it exists as a Transport so that the runtime above
+// it is backend-agnostic.
 type Inproc struct {
 	size  int
 	sinks []Sink
