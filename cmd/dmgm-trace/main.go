@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -232,7 +231,11 @@ func printMetrics(m *obs.MetricsSnapshot) {
 		for _, k := range obs.SortedKeys(m.PerRank) {
 			vals := m.PerRank[k]
 			if peakVecs[k] {
-				fmt.Fprintf(w, "%s\tmax %d\t%v\n", k, slices.Max(vals), vals)
+				var peak int64 // an empty vec, as a hand-made file may hold, shows 0
+				for _, v := range vals {
+					peak = max(peak, v)
+				}
+				fmt.Fprintf(w, "%s\tmax %d\t%v\n", k, peak, vals)
 				continue
 			}
 			var sum int64

@@ -32,19 +32,24 @@ var surfaceTrace = filepath.Join("..", "..", "internal", "obs", "testdata", "sur
 
 // peakTrace is a trace file holding only a registry: a high-water-mark vec
 // (mpi.mailbox_peak_bytes, which the surface observer does not emit) beside
-// a count vec.
-var peakTrace = filepath.Join("testdata", "peak_trace.json")
+// a count vec. emptyPeakTrace holds the same vec with no cells.
+var (
+	peakTrace      = filepath.Join("testdata", "peak_trace.json")
+	emptyPeakTrace = filepath.Join("testdata", "empty_peak_trace.json")
+)
 
 // TestGolden pins the four rendered views of a trace file — the report every
 // perf investigation reads — so the code under them can be rearranged without
-// a character of output moving, and the per-rank counters row of a peak.
+// a character of output moving, and the per-rank counters row of a peak,
+// an empty one included.
 func TestGolden(t *testing.T) {
 	for name, args := range map[string][]string{
-		"report":       {surfaceTrace},
-		"details":      {"-details", surfaceTrace},
-		"metrics_only": {"-metrics-only", surfaceTrace},
-		"replay":       {"-replay", surfaceTrace},
-		"mailbox_peak": {"-metrics-only", peakTrace},
+		"report":             {surfaceTrace},
+		"details":            {"-details", surfaceTrace},
+		"metrics_only":       {"-metrics-only", surfaceTrace},
+		"replay":             {"-replay", surfaceTrace},
+		"mailbox_peak":       {"-metrics-only", peakTrace},
+		"mailbox_peak_empty": {"-metrics-only", emptyPeakTrace},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], args...)

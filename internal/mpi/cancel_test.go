@@ -3,7 +3,9 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -195,7 +197,7 @@ func TestCanceledWorldResets(t *testing.T) {
 		if err := fresh.Run(next); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := traffic(w.TotalStats()), traffic(fresh.TotalStats()); got != want {
+		if got, want := w.TotalStats(), fresh.TotalStats(); got != want {
 			t.Fatalf("run %d: reused world stats diverge from fresh:\n reused: %+v\n fresh:  %+v", run, got, want)
 		}
 	}
@@ -329,30 +331,32 @@ func TestMailboxBoundFailsCleanly(t *testing.T) {
 	}
 	t.Run("inproc", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		w, err := NewWorld(2, WithMailboxBytes(bound), WithDeadline(time.Minute))
+		w, err := NewWorld(2, WithDeadline(time.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}
+		bounded(w, bound)
 		start := time.Now()
 		err = w.Run(program)
 		checkFull(t, err, time.Since(start))
 		awaitGoroutines(t, base)
-		if s := w.RankStats(1); s.MailboxPeakBytes > bound || s.MailboxPeakBytes < bound-int64(len(payload))-messageBytes {
-			t.Fatalf("rank 1's mailbox peaked at %d bytes, want just under the bound of %d", s.MailboxPeakBytes, bound)
+		if peak := w.boxes[1].peakBytes(); peak > bound || peak < bound-int64(len(payload))-messageBytes {
+			t.Fatalf("rank 1's mailbox peaked at %d bytes, want just under the bound of %d", peak, bound)
 		}
 		if _, err := w.Reset(); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewWorld(2, WithMailboxBytes(bound))
+		fresh, err := NewWorld(2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bounded(fresh, bound)
 		for _, w := range []*World{w, fresh} {
 			if err := w.Run(exchange(2)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got, want := traffic(w.TotalStats()), traffic(fresh.TotalStats()); got != want {
+		if got, want := w.TotalStats(), fresh.TotalStats(); got != want {
 			t.Fatalf("reset world's stats diverge from a fresh one's:\n reset: %+v\n fresh: %+v", got, want)
 		}
 	})
@@ -366,10 +370,11 @@ func TestMailboxBoundFailsCleanly(t *testing.T) {
 		took := make([]time.Duration, 2)
 		var wg sync.WaitGroup
 		for i, ep := range eps {
-			w, err := NewWorld(2, WithTransport(ep), WithMailboxBytes(bound), WithDeadline(time.Minute))
+			w, err := NewWorld(2, WithTransport(ep), WithDeadline(time.Minute))
 			if err != nil {
 				t.Fatal(err)
 			}
+			bounded(w, bound)
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
@@ -382,6 +387,33 @@ func TestMailboxBoundFailsCleanly(t *testing.T) {
 		checkFull(t, errs[1], took[1])
 		awaitGoroutines(t, base)
 	})
+}
+
+// TestMailboxBoundFollowsMemoryLimit pins where the bound comes from: a
+// world made under a Go memory limit bounds each mailbox at a quarter of it,
+// and with no limit, the default, at a quarter of math.MaxInt64.
+func TestMailboxBoundFollowsMemoryLimit(t *testing.T) {
+	prev := debug.SetMemoryLimit(-1)
+	defer debug.SetMemoryLimit(prev)
+	for _, limit := range []int64{8 << 30, math.MaxInt64} {
+		debug.SetMemoryLimit(limit)
+		w, err := NewWorld(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, mb := range w.boxes {
+			if mb.limit != limit/4 {
+				t.Fatalf("memory limit %d: rank %d's mailbox bound %d, want %d", limit, r, mb.limit, limit/4)
+			}
+		}
+	}
+}
+
+// bounded lowers the bound of each of w's mailboxes to limit bytes.
+func bounded(w *World, limit int64) {
+	for _, r := range w.local {
+		w.boxes[r].limit = limit
+	}
 }
 
 // awaitGoroutines waits up to cancelBound for the goroutine count to fall

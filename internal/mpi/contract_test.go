@@ -199,8 +199,7 @@ var contractTable = []struct {
 }
 
 // contractRun is one backend's account of a program: per-rank logs and
-// per-rank traffic with the backend-specific runtime family and the
-// schedule-dependent mailbox peak set aside.
+// per-rank traffic with the backend-specific runtime family set aside.
 type contractRun struct {
 	logs    []rankLog
 	stats   []Stats
@@ -230,7 +229,7 @@ func runContract(t *testing.T, backend string, p int, prog func(probe), opts ...
 		}
 	}
 	for r, w := range worlds {
-		s := traffic(w.RankStats(r))
+		s := w.RankStats(r)
 		run.runtime.Add(s.ByFamily[FamilyRuntime])
 		s.ByFamily[FamilyRuntime] = FamilyStats{}
 		run.stats[r] = s

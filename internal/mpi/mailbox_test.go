@@ -3,6 +3,7 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -57,7 +58,7 @@ func runMailboxModel(t *testing.T, seed int64) {
 	}
 
 	var stop atomic.Bool
-	mb := newMailbox(0, modelSenders, DefaultMailboxBytes, &stop, nil)
+	mb := newMailbox(0, modelSenders, math.MaxInt64, &stop, nil)
 	m := &mailboxModel{t: t, mb: mb, tags: &tags}
 	var seq [modelSenders]int // next sequence number per sender
 	for p := range plan {
@@ -276,7 +277,7 @@ func (m *mailboxModel) reset(rng *rand.Rand, seq [modelSenders]int, skipped [3]i
 		caps[s] = [2]int{cap(m.mb.in[s]), cap(m.mb.out[s].msgs)}
 		held += int64(caps[s][0]+caps[s][1]) * messageBytes
 	}
-	m.mb.keep = [...]int64{keepBytes, held, held - 1}[rng.Intn(3)]
+	m.mb.keep = [...]int64{keepBytes / modelSenders, held, held - 1}[rng.Intn(3)]
 	queued := m.mb.pending + m.mb.local
 	if n := m.mb.drainAll(); n != queued {
 		m.t.Fatalf("drainAll dropped %d, %d were queued", n, queued)
@@ -317,7 +318,7 @@ func (m *mailboxModel) reset(rng *rand.Rand, seq [modelSenders]int, skipped [3]i
 // and more puts allocates nothing.
 func TestMailboxCycleAllocatesNothing(t *testing.T) {
 	var stop atomic.Bool
-	mb := newMailbox(0, 2, DefaultMailboxBytes, &stop, nil)
+	mb := newMailbox(0, 2, math.MaxInt64, &stop, nil)
 	data := []byte{1}
 	const n = 1000
 	putN := func() {

@@ -15,18 +15,18 @@
 //     discussion — "if the two SUCCEEDED messages arrive in reverse order…" —
 //     is exactly the behavior this mode exercises).
 //   - Sends never block the sender, mirroring buffered MPI_Isend as used
-//     with aggregated message bundles. Every mailbox has a bound in bytes
-//     (DefaultMailboxBytes, or WithMailboxBytes): a send that would take it
-//     past the bound is dropped instead, and the run fails with
-//     ErrMailboxFull — blocking there could deadlock a protocol whose ranks
-//     all send before they first receive.
+//     with aggregated message bundles. Every mailbox has a bound in bytes, a
+//     share of the process's memory limit (see mailboxBytes): a send that
+//     would take it past the bound is dropped instead, and the run fails
+//     with ErrMailboxFull — blocking there could deadlock a protocol whose
+//     ranks all send before they first receive.
 //
 // Each rank's mailbox has two sides per sender. A send appends to the
 // sender's queue on one side under the mailbox lock; the receiving rank pops
 // from its own side with no lock, and only when that runs dry takes the lock
 // once to swap every filled sender queue across whole. A stream of tiny
 // messages therefore costs the receiver one lock per batch, not one per
-// message. The queue arrays survive Reset, up to keepBytes per mailbox, so a
+// message. The queue arrays survive Reset, up to keepBytes per world, so a
 // reused world does not grow them again.
 //
 // A rank waits in exactly two places, the mailbox and the cyclic barrier.
@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -93,8 +94,6 @@ type World struct {
 	// stop is the cancel signal (see Cancel); every mailbox and the barrier
 	// read it through a pointer.
 	stop atomic.Bool
-	// mailboxBytes bounds every local mailbox (see WithMailboxBytes).
-	mailboxBytes int64
 	// failed is the run's first failure, which canceled it (see fail).
 	failMu sync.Mutex
 	failed error
@@ -123,12 +122,6 @@ func WithPerturbation(seed uint64) Option {
 // abort cancels the world (see Cancel), so ranks stuck in a wait unwind.
 func WithDeadline(d time.Duration) Option {
 	return func(w *World) { w.deadline = d }
-}
-
-// WithMailboxBytes bounds each of the world's mailboxes at n bytes instead
-// of DefaultMailboxBytes; see ErrMailboxFull.
-func WithMailboxBytes(n int64) Option {
-	return func(w *World) { w.mailboxBytes = n }
 }
 
 // WithTransport runs the world over the given message transport instead of
@@ -176,19 +169,15 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		return nil, fmt.Errorf("mpi: non-positive world size %d", size)
 	}
 	w := &World{
-		size:         size,
-		boxes:        make([]*mailbox, size),
-		stats:        make([]rankCounters, size),
-		slots:        [2][][]byte{make([][]byte, size), make([][]byte, size)},
-		finalVTime:   make([]atomic.Uint64, size),
-		mailboxBytes: DefaultMailboxBytes,
+		size:       size,
+		boxes:      make([]*mailbox, size),
+		stats:      make([]rankCounters, size),
+		slots:      [2][][]byte{make([][]byte, size), make([][]byte, size)},
+		finalVTime: make([]atomic.Uint64, size),
 	}
 	w.barrier = newBarrier(size, &w.stop)
 	for _, o := range opts {
 		o(w)
-	}
-	if w.mailboxBytes <= 0 {
-		return nil, fmt.Errorf("mpi: non-positive mailbox bound %d", w.mailboxBytes)
 	}
 	if w.tr == nil {
 		w.tr = transport.NewInproc(size)
@@ -198,8 +187,9 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	}
 	w.local = w.tr.Local()
 	w.allLocal = len(w.local) == size
+	limit := mailboxBytes()
 	for _, r := range w.local {
-		w.boxes[r] = newMailbox(r, size, w.mailboxBytes, &w.stop, w.fail)
+		w.boxes[r] = newMailbox(r, size, limit, &w.stop, w.fail)
 		w.tr.Register(r, w.boxes[r].sink())
 	}
 	w.attach(w.obs)
@@ -324,12 +314,13 @@ func (e *MailboxFullError) Error() string {
 
 func (e *MailboxFullError) Unwrap() error { return ErrMailboxFull }
 
-// DefaultMailboxBytes is a mailbox's bound unless WithMailboxBytes sets
-// another. It is over 32× the largest high-water mark
-// (Stats.MailboxPeakBytes) of the benchmark's six workloads: 3.5–4.4 MiB
-// when every matching record travels alone (solve_rmat_chatty), at most
-// 0.25 MiB on the others.
-const DefaultMailboxBytes = 256 << 20
+// mailboxBytes is the bound NewWorld gives each mailbox: a quarter of the Go
+// runtime's memory limit (GOMEMLIMIT, or debug.SetMemoryLimit), the one
+// memory budget a process states, read when the world is made. One queue
+// holding more would leave the rest of the process too little to run in.
+// With no limit set, as by default, the bound is a quarter of math.MaxInt64
+// and a queue grows as long as its job needs.
+func mailboxBytes() int64 { return debug.SetMemoryLimit(-1) / 4 }
 
 // Cancel stops the world's run in flight, or its next Run until Reset: it
 // raises the cancel signal, then wakes every local mailbox and the barrier.
@@ -453,10 +444,10 @@ func (w *World) setNotRunning() {
 
 // Reset returns a completed all-local World to a runnable state so the next
 // Run starts from scratch: every mailbox is drained (the count of discarded
-// stale messages is returned) and keeps its queue arrays if they fit in
-// keepBytes, all per-rank traffic counters, mailbox peaks and virtual
-// clocks are zeroed, and the mailbox round-robin cursors rewind so a reused
-// World receives in exactly the same order as a fresh one — results stay
+// stale messages is returned) and keeps its queue arrays if they fit in its
+// share of keepBytes, all per-rank traffic counters, mailbox peaks and
+// virtual clocks are zeroed, and the mailbox round-robin cursors rewind so a
+// reused World receives in exactly the same order as a fresh one — results stay
 // bit-identical across pool reuse. A canceled or failed world is
 // un-canceled and its failure forgotten, and the barrier generation its
 // ranks abandoned is cleared; the collective slots need no resetting (each
@@ -500,17 +491,11 @@ func (w *World) LocalRanks() []int {
 	return slices.Clone(w.local)
 }
 
-// RankStats returns the traffic counters and mailbox peak of one rank. Safe
-// to call from any goroutine at any time, including while Run is in flight —
-// the counters are lock-free atomics and the peak is read under the mailbox
-// lock a send holds only for its append, so live polling never races with
-// the ranks.
+// RankStats returns the traffic counters of one rank. Safe to call from any
+// goroutine at any time, including while Run is in flight — the counters are
+// lock-free atomics, so live polling never races with the ranks.
 func (w *World) RankStats(rank int) Stats {
-	s := w.stats[rank].snapshot()
-	if mb := w.boxes[rank]; mb != nil {
-		s.MailboxPeakBytes = mb.peakBytes()
-	}
-	return s
+	return w.stats[rank].snapshot()
 }
 
 // LiveSnapshot builds the serializable live view of this world's traffic —
@@ -551,8 +536,7 @@ func (w *World) LiveSnapshot() *obs.LiveSnapshot {
 	return s
 }
 
-// TotalStats sums the counters over all ranks; its MailboxPeakBytes is the
-// largest rank's (see Stats.Add).
+// TotalStats sums the counters over all ranks.
 func (w *World) TotalStats() Stats {
 	var t Stats
 	for r := 0; r < w.size; r++ {
@@ -768,11 +752,14 @@ type mailbox struct {
 // payload: its queue slot.
 const messageBytes = int64(unsafe.Sizeof(Message{}))
 
-// keepBytes caps the queue arrays a mailbox keeps across Reset, so an idle
-// pooled world holds at most this much per rank. Measured on RMAT-16 at 4
-// ranks: 11 MiB per world (≤ 5.4 MiB per rank) after jobs that send every
-// matching record alone, a few KiB after bundled ones.
-const keepBytes = 8 << 20
+// keepBytes caps the queue arrays a world keeps across Reset, split evenly
+// over its mailboxes (newMailbox), so an idle pooled world holds at most
+// this much whatever its size. Measured on RMAT-16 after jobs that send
+// every matching record alone: ≤ 8.4 MiB per world at 4 ranks (≤ 4.3 MiB a
+// mailbox, under the 8 MiB each may keep), ≤ 7.4 MiB at 8 and 16 ranks,
+// where the fullest mailboxes pass their share and drop their arrays; a few
+// KiB after bundled jobs.
+const keepBytes = 32 << 20
 
 // ownerQueue is one sender's batch on the owner's side: msgs[head:] are still
 // to be popped, and every slot of the array outside them is cleared — a pop
@@ -786,7 +773,7 @@ type ownerQueue struct {
 func newMailbox(rank, senders int, limit int64, stop *atomic.Bool, full func(error)) *mailbox {
 	mb := &mailbox{
 		in: make([][]Message, senders), out: make([]ownerQueue, senders),
-		limit: limit, keep: keepBytes, rank: rank, full: full, stop: stop,
+		limit: limit, keep: keepBytes / int64(senders), rank: rank, full: full, stop: stop,
 	}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
@@ -924,11 +911,7 @@ func (mb *mailbox) drainAll() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	n := mb.pending + mb.local
-	var slots int
-	for s := range mb.in {
-		slots += cap(mb.in[s]) + cap(mb.out[s].msgs)
-	}
-	if int64(slots)*messageBytes > mb.keep {
+	if mb.arrayBytes() > mb.keep {
 		clear(mb.in)
 		clear(mb.out)
 	} else {
@@ -944,6 +927,16 @@ func (mb *mailbox) drainAll() int {
 	mb.pending, mb.local, mb.next = 0, 0, 0
 	mb.bytes, mb.peak, mb.popped, mb.refused = 0, 0, 0, false
 	return n
+}
+
+// arrayBytes is what the queue arrays of both sides take, filled or not.
+// Called with mu held, or when no rank runs.
+func (mb *mailbox) arrayBytes() int64 {
+	var slots int
+	for s := range mb.in {
+		slots += cap(mb.in[s]) + cap(mb.out[s].msgs)
+	}
+	return int64(slots) * messageBytes
 }
 
 // drainTag removes all pending messages with the given tag from both sides,

@@ -37,13 +37,6 @@ func exchange(p int) func(c *Comm) error {
 	}
 }
 
-// traffic is s without its mailbox peak, which depends on how sends and
-// receives interleave: what two runs of one program must agree on.
-func traffic(s Stats) Stats {
-	s.MailboxPeakBytes = 0
-	return s
-}
-
 // TestResetReuse is the world-pool contract: after Reset, a world must be
 // indistinguishable from a fresh one — stale unreceived messages drained,
 // per-rank stats zeroed, and a second run producing exactly the traffic a
@@ -99,7 +92,7 @@ func TestResetReuse(t *testing.T) {
 	if err := w.Run(reused); err != nil {
 		t.Fatal(err)
 	}
-	got := traffic(w.TotalStats())
+	got := w.TotalStats()
 
 	fresh, err := NewWorld(p, WithDeadline(10*time.Second))
 	if err != nil {
@@ -108,7 +101,7 @@ func TestResetReuse(t *testing.T) {
 	if err := fresh.Run(reused); err != nil {
 		t.Fatal(err)
 	}
-	if want := traffic(fresh.TotalStats()); got != want {
+	if want := fresh.TotalStats(); got != want {
 		t.Fatalf("reused world stats diverge from fresh:\n reused: %+v\n fresh:  %+v", got, want)
 	}
 }
@@ -135,13 +128,62 @@ func TestResetRepeatedRuns(t *testing.T) {
 		if err := w.Run(exchange(p)); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		got := traffic(w.TotalStats())
+		got := w.TotalStats()
 		if i == 0 {
 			want = got
 			continue
 		}
 		if got != want {
 			t.Fatalf("run %d stats drifted (leakage across Reset):\n got:  %+v\n want: %+v", i, got, want)
+		}
+	}
+}
+
+// TestResetKeepsKeepBytesPerWorld pins what an idle world holds: Reset
+// keeps a mailbox's queue arrays only within its share of keepBytes, so a
+// world keeps at most keepBytes whatever its size. One burst of about 5 MiB
+// into rank 1's mailbox fits the share at 4 ranks and is dropped at 8; the
+// one message every rank also sends every other leaves small arrays.
+func TestResetKeepsKeepBytesPerWorld(t *testing.T) {
+	const burst = 5 << 20 / messageBytes
+	for _, p := range []int{4, 8} {
+		w, err := NewWorld(p, WithDeadline(10*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c *Comm) error {
+			if c.Rank() == 0 {
+				for range burst {
+					c.Send(1, 1, nil)
+				}
+			}
+			for to := range p {
+				if to != c.Rank() {
+					c.Send(to, 1, nil)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		var held int64
+		for r, mb := range w.boxes {
+			b := mb.arrayBytes()
+			if b > keepBytes/int64(p) {
+				t.Fatalf("P=%d: rank %d's mailbox keeps %d bytes of arrays, over its share of %d", p, r, b, keepBytes/int64(p))
+			}
+			held += b
+		}
+		if held > keepBytes {
+			t.Fatalf("P=%d: the reset world keeps %d bytes of arrays, over %d", p, held, keepBytes)
+		}
+		kept := w.boxes[1].arrayBytes() > burst*messageBytes
+		if want := p == 4; kept != want {
+			t.Fatalf("P=%d: the %d-byte burst's array kept = %v, want %v", p, burst*messageBytes, kept, want)
 		}
 	}
 }

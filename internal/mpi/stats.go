@@ -46,12 +46,6 @@ type Stats struct {
 	RecvBytes int64
 	// ByFamily splits the traffic by message-tag family (see FamilyOf).
 	ByFamily [NumTagFamilies]FamilyStats
-	// MailboxPeakBytes is the high-water mark of the rank's mailbox in the
-	// run, counted as its bound counts (see ErrMailboxFull); 0 for a rank
-	// the World does not host. It depends on how sends and receives
-	// interleave, so unlike the traffic counters it differs between two
-	// runs of one job.
-	MailboxPeakBytes int64
 }
 
 // UserFamilyTotals sums the non-runtime families: {SentMsgs, SentBytes,
@@ -126,10 +120,8 @@ func (rc *rankCounters) snapshot() Stats {
 	return s
 }
 
-// Add accumulates o into s, families included; a peak is not a sum, so
-// MailboxPeakBytes becomes the larger of the two.
+// Add accumulates o into s, families included.
 func (s *Stats) Add(o Stats) {
-	s.MailboxPeakBytes = max(s.MailboxPeakBytes, o.MailboxPeakBytes)
 	s.SentMsgs += o.SentMsgs
 	s.SentBytes += o.SentBytes
 	s.RecvMsgs += o.RecvMsgs
@@ -139,15 +131,13 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// Sub returns s - o, for computing per-phase deltas between snapshots. A
-// peak has no per-phase share: MailboxPeakBytes stays s's.
+// Sub returns s - o, for computing per-phase deltas between snapshots.
 func (s Stats) Sub(o Stats) Stats {
 	out := Stats{
-		SentMsgs:         s.SentMsgs - o.SentMsgs,
-		SentBytes:        s.SentBytes - o.SentBytes,
-		RecvMsgs:         s.RecvMsgs - o.RecvMsgs,
-		RecvBytes:        s.RecvBytes - o.RecvBytes,
-		MailboxPeakBytes: s.MailboxPeakBytes,
+		SentMsgs:  s.SentMsgs - o.SentMsgs,
+		SentBytes: s.SentBytes - o.SentBytes,
+		RecvMsgs:  s.RecvMsgs - o.RecvMsgs,
+		RecvBytes: s.RecvBytes - o.RecvBytes,
 	}
 	for f := range s.ByFamily {
 		out.ByFamily[f] = s.ByFamily[f].Sub(o.ByFamily[f])
