@@ -90,7 +90,6 @@ type colorState struct {
 	// color is the one color array over every local index, owned vertices
 	// first, then ghosts (-1: not yet known); colors is its owned prefix.
 	color, colors []int32
-	maxDeg        int // global Δ, which sizes every kernel's palette
 	picker        *firstFit
 
 	out *mpi.Bundler
@@ -106,8 +105,8 @@ type colorState struct {
 }
 
 // newColorState checks that d is this rank's share of c's world and sets up
-// everything the kernels have in common. It is collective (the Δ allreduce).
-// The caller sizes picker from maxDeg.
+// everything the kernels have in common. The caller sizes picker from the
+// share's global Δ.
 func newColorState(c *mpi.Comm, d *dgraph.DistGraph) (*colorState, error) {
 	if c.Size() != d.P {
 		return nil, fmt.Errorf("coloring: world size %d, graph distributed over %d", c.Size(), d.P)
@@ -120,11 +119,6 @@ func newColorState(c *mpi.Comm, d *dgraph.DistGraph) (*colorState, error) {
 		s.color[i] = -1
 	}
 	s.colors = s.color[:d.NLocal:d.NLocal]
-	localMaxDeg := 0
-	for v := 0; v < d.NLocal; v++ {
-		localMaxDeg = max(localMaxDeg, d.Degree(int32(v)))
-	}
-	s.maxDeg = int(c.AllreduceInt64(int64(localMaxDeg), mpi.OpMax))
 	s.out = mpi.NewBundler(c, colorTag, noticeMax, 0)
 	return s, nil
 }
@@ -149,27 +143,30 @@ func (s *colorState) allOwned() []int32 {
 }
 
 // markAdjacent marks the colors visible on v's neighbors, owned and ghost,
-// under the picker's current stamp.
-func (s *colorState) markAdjacent(v int32) {
-	f, color := s.picker, s.color
-	for _, u := range s.d.Neighbors(v) {
+// under the picker's current stamp, and reports v's degree.
+func (s *colorState) markAdjacent(v int32) int {
+	f, color, adj := s.picker, s.color, s.d.Neighbors(v)
+	for _, u := range adj {
 		f.use(color[u])
 	}
+	return len(adj)
 }
 
-// pickFirstFit returns the smallest color no neighbor of v is known to hold.
-func (s *colorState) pickFirstFit(v int32) int32 {
+// colorFirstFit gives v the smallest color no neighbor of v is known to hold,
+// and reports v's degree.
+func (s *colorState) colorFirstFit(v int32) int {
 	s.picker.stamp++
-	s.markAdjacent(v)
-	return s.picker.firstFree()
+	deg := s.markAdjacent(v)
+	s.colors[v] = s.picker.firstFree()
+	return deg
 }
 
-// announce ships the colors of the chunk's boundary vertices to the ranks
-// owning their neighbors — the paper's NEW scheme, one bundle per neighbor
-// rank. Interior vertices are shown to nobody and never generate traffic.
-func (s *colorState) announce(chunk []int32) {
+// announce ships the colors of boundary vertices to the ranks owning their
+// neighbors — the paper's NEW scheme, one bundle per neighbor rank. Interior
+// vertices are shown to nobody and never generate traffic.
+func (s *colorState) announce(boundary []int32) {
 	var rec [noticeMax]byte
-	for _, v := range chunk {
+	for _, v := range boundary {
 		for _, at := range s.d.ShownTo(v) {
 			s.out.Add(int(at.Rank), appendNotice(rec[:0], at.Index, s.colors[v]))
 		}
@@ -242,30 +239,40 @@ func (s *colorState) endRound(tok uint64, remaining int) bool {
 
 // speculate runs the framework's rounds over the work list u until no rank
 // has a vertex left to re-color. A round colors u tentatively, step vertices
-// per superstep — pick, ship the chunk, drain what has arrived — then fences
-// with a barrier so that every notice of the round is in, and asks detect
-// for the vertices that must re-color; they are the next round's u. A
-// canceled world stops it at the next superstep with mpi.ErrCanceled.
+// per superstep — pick, ship the chunk's boundary vertices, drain what has
+// arrived — then fences with a barrier so that every notice of the round is
+// in, and asks detect for the vertices that must re-color; they are the next
+// round's u. A nil pick is first fit, called directly. detect gets u, whose
+// storage it may reuse, and the round's boundary vertices in u order, kept
+// apart. A canceled world stops it at the next superstep with mpi.ErrCanceled.
 func (s *colorState) speculate(kernel string, u []int32, step, maxRounds int,
-	pick func(v int32) int32, ship func(chunk []int32), detect func(u []int32) []int32) error {
+	pick func(v int32) int32, ship func(boundary []int32), detect func(u, boundary []int32) []int32) error {
+	boundary := make([]int32, 0, s.d.NumBoundary)
 	for {
 		roundTok, err := s.beginRound(kernel, maxRounds)
 		if err != nil {
 			return err
 		}
+		boundary = boundary[:0]
 		for lo := 0; lo < len(u); lo += step {
 			if err := s.c.Err(); err != nil {
 				return err
 			}
-			chunk := u[lo:min(lo+step, len(u))]
+			chunk, from := u[lo:min(lo+step, len(u))], len(boundary)
 			stepTok := s.tr.BeginDetail("color.superstep")
 			var arcs int64
 			for _, v := range chunk {
-				s.colors[v] = pick(v)
-				arcs += int64(s.d.Degree(v))
+				if pick == nil {
+					arcs += int64(s.colorFirstFit(v))
+				} else {
+					s.colors[v], arcs = pick(v), arcs+int64(s.d.Degree(v))
+				}
+				if s.d.IsBoundary[v] {
+					boundary = append(boundary, v)
+				}
 			}
 			s.c.ChargeOps(arcs, int64(len(chunk)))
-			ship(chunk)
+			ship(boundary[from:])
 			s.drain()
 			s.tr.EndN(stepTok, int64(len(chunk)))
 		}
@@ -273,7 +280,7 @@ func (s *colorState) speculate(kernel string, u []int32, step, maxRounds int,
 		s.drain()
 
 		detectTok := s.tr.BeginDetail("color.detect")
-		u = detect(u)
+		u = detect(u, boundary)
 		s.conflicts += int64(len(u))
 		s.tr.EndN(detectTok, int64(len(u)))
 		if s.endRound(roundTok, len(u)) {

@@ -80,6 +80,9 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	if opt.SuperstepSize < 1 {
 		return nil, fmt.Errorf("coloring: non-positive superstep size %d", opt.SuperstepSize)
 	}
+	if opt.MaxRounds < 0 {
+		return nil, fmt.Errorf("coloring: negative round limit %d", opt.MaxRounds)
+	}
 	if opt.MaxRounds == 0 {
 		opt.MaxRounds = 128
 	}
@@ -91,7 +94,7 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	// headroom for accumulated forbidden colors: a loser may collect one
 	// stale forbidden color per round beyond its live distance-2
 	// neighborhood, so the first-fit palette must not be able to fill up.
-	maxColors := max(1, min(s.maxDeg*s.maxDeg+1, int(d.GlobalN)))
+	maxColors := max(1, min(d.GlobalMaxDegree*d.GlobalMaxDegree+1, int(d.GlobalN)))
 	s.picker = newFirstFit(maxColors + opt.MaxRounds)
 	k := &d2Kernel{
 		colorState: s,
@@ -113,7 +116,7 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 // equal-colored neighbor pairs produce a loser; owned losers queue locally,
 // remote losers get a RECOLOR notice. It returns the owned vertices that must
 // re-color, ascending, with their colors cleared.
-func (k *d2Kernel) detect(u []int32) []int32 {
+func (k *d2Kernel) detect(u, _ []int32) []int32 {
 	d := k.d
 	// The owned vertices to re-color, each once: u's storage is free (the
 	// round that colored it is over), and queued marks who is in it.

@@ -21,7 +21,7 @@ func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int
 	if err != nil {
 		return nil, err
 	}
-	s.picker = newFirstFit(s.maxDeg + 1)
+	s.picker = newFirstFit(d.GlobalMaxDegree + 1)
 
 	// wins: no uncolored neighbor of v outranks it in the random priority
 	// order (global-id tie-breaking folded in).
@@ -48,7 +48,7 @@ func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int
 		waiting := uncolored[:0]
 		for _, v := range uncolored {
 			if wins(v) {
-				s.colors[v] = s.pickFirstFit(v)
+				s.colorFirstFit(v)
 				winners = append(winners, v)
 			} else {
 				waiting = append(waiting, v)

@@ -116,7 +116,8 @@ type ParallelOptions struct {
 	// Seed drives r(v); all ranks must pass the same value.
 	Seed uint64
 	// MaxRounds aborts a run that fails to converge (safety net; the
-	// framework converges in a handful of rounds). 0 selects 64.
+	// framework converges in a handful of rounds). 0 selects 64; negative
+	// values are refused.
 	MaxRounds int
 }
 
@@ -142,6 +143,9 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	if opt.SuperstepSize < 1 {
 		return nil, fmt.Errorf("coloring: non-positive superstep size %d", opt.SuperstepSize)
 	}
+	if opt.MaxRounds < 0 {
+		return nil, fmt.Errorf("coloring: negative round limit %d", opt.MaxRounds)
+	}
 	if opt.MaxRounds == 0 {
 		opt.MaxRounds = 64
 	}
@@ -150,7 +154,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 		return nil, err
 	}
 	// Global Δ bounds every first-fit color.
-	k := &d1Kernel{colorState: s, opt: opt, maxColors: s.maxDeg + 1}
+	k := &d1Kernel{colorState: s, opt: opt, maxColors: d.GlobalMaxDegree + 1, bufs: make([][]byte, d.P)}
 	s.picker = newFirstFit(k.maxColors)
 	k.usage = make([]int64, k.maxColors+1)
 	k.staggerAt = d.Rank * k.maxColors / d.P
@@ -159,13 +163,15 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 		for rk := range k.elsewhere {
 			k.elsewhere[rk] = int32(len(d.PairWith(rk).Shown))
 		}
+		k.index = slices.Clone(k.elsewhere)
 	}
 
 	// U starts as all owned vertices in the configured order.
 	u := k.initialOrder()
-	// The paper's defaults — first fit, NEW — are the core's own pick and
-	// ship; the other strategies and FIAC / FIAB are this kernel's.
-	pick, ship := s.pickFirstFit, s.announce
+	// The paper's defaults — first fit, NEW — are the core's own pick (nil)
+	// and ship; the other strategies and FIAC / FIAB are this kernel's.
+	var pick func(v int32) int32
+	ship := s.announce
 	if opt.Strategy != FirstFit {
 		pick = k.pickColor
 	}
@@ -183,24 +189,26 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 type d1Kernel struct {
 	*colorState
 	opt       ParallelOptions
-	usage     []int64 // per-color local usage, for LeastUsed
-	maxColors int     // palette size (global Δ + 1)
-	staggerAt int     // starting color for StaggeredFirstFit
-	elsewhere []int32 // FIAB, per rank: the index one past its table of this rank's shown vertices
+	usage     []int64  // per-color local usage, for LeastUsed
+	maxColors int      // palette size (global Δ + 1)
+	staggerAt int      // starting color for StaggeredFirstFit
+	elsewhere []int32  // FIAB, per rank: the index one past its table of this rank's shown vertices
+	bufs      [][]byte // FIAB / FIAC, per rank: the message being built
+	index     []int32  // FIAB, per rank: the vertex at hand's index there; elsewhere between vertices
 }
 
 // initialOrder lists the owned vertices in the configured interior/boundary
-// order, each group ascending. It counts the first group, then places every
-// vertex in one pass at its group's cursor — front from the start, back from
-// where the first group ends — picked by a conditional move, not a branch.
+// order, each group ascending. The share gives the first group's size; one
+// pass places every vertex at its group's cursor — front from the start, back
+// from where the first group ends — picked by a conditional move, not a branch.
 func (k *d1Kernel) initialOrder() []int32 {
 	boundaryFirst := k.opt.Order == BoundaryFirst
 	if !boundaryFirst && k.opt.Order != InteriorFirst {
 		return k.allOwned()
 	}
-	back := 0
-	for _, b := range k.d.IsBoundary {
-		back += bit(b == boundaryFirst)
+	back := k.d.NumBoundary
+	if !boundaryFirst {
+		back = k.d.NLocal - back
 	}
 	u, front := make([]int32, k.d.NLocal), 0
 	for v, b := range k.d.IsBoundary {
@@ -268,19 +276,26 @@ func (k *d1Kernel) paletteSize() int {
 	return 1
 }
 
-// shipToAll sends the freshly assigned colors of the chunk's boundary
-// vertices in one message to every other rank, needed there or not: FIAC
-// customizes each rank's contents (possibly to nothing), FIAB tells every
-// rank about every boundary vertex of the chunk — under the index one past
-// the rank's table ("not adjacent to you") where the vertex is no ghost.
-func (k *d1Kernel) shipToAll(chunk []int32) {
-	d := k.d
-	bufs := make([][]byte, d.P)
-	index := slices.Clone(k.elsewhere) // FIAB only: per rank, where the vertex at hand is in its table
-	for _, v := range chunk {
-		if !d.IsBoundary[v] {
-			continue
+// shipToAll sends the freshly assigned colors of boundary vertices in one
+// message to every other rank, needed there or not: FIAC customizes each
+// rank's contents (possibly to nothing), FIAB tells every rank about every
+// boundary vertex — under the index one past the rank's table ("not adjacent
+// to you") where the vertex is no ghost — in a consumed inbound bundle that
+// out spares, or else a piece of one block with room for a notice per vertex.
+func (k *d1Kernel) shipToAll(boundary []int32) {
+	d, bufs, index := k.d, k.bufs, k.index
+	need, block := len(boundary)*noticeMax, []byte(nil)
+	for rk := range bufs {
+		if rk != d.Rank {
+			if bufs[rk] = k.out.Spare(); bufs[rk] == nil {
+				if len(block) < need {
+					block = make([]byte, (d.P-1)*need)
+				}
+				bufs[rk], block = block[:0:need], block[need:]
+			}
 		}
+	}
+	for _, v := range boundary {
 		shown := d.ShownTo(v)
 		if index == nil { // FIAC
 			for _, at := range shown {
@@ -307,25 +322,20 @@ func (k *d1Kernel) shipToAll(chunk []int32) {
 	}
 }
 
-// detect is the communication-free conflict detection: it returns the
-// vertices of u that share a color with a ghost neighbor and are the
-// endpoint that must re-color. The color is compared first, so the ghost
-// test and the global ids are read only on an actual conflict.
-func (k *d1Kernel) detect(u []int32) []int32 {
+// detect is the communication-free conflict detection: it returns, in u's
+// storage, the boundary vertices that share a color with a ghost neighbor
+// and are the endpoint that must re-color. Only v's arcs to ghosts are
+// walked, and the global ids are read only on an actual conflict.
+func (k *d1Kernel) detect(u, boundary []int32) []int32 {
 	d, color := k.d, k.color
 	recolor := u[:0]
 	var arcs int64
-	for _, v := range u {
-		if !d.IsBoundary[v] {
-			continue
-		}
-		arcs += int64(d.Degree(v))
+	for _, v := range boundary {
+		row := d.Neighbors(v)
+		arcs += int64(len(row))
 		cv := color[v]
-		for _, w := range d.Neighbors(v) {
-			if color[w] != cv || !d.IsGhost(w) {
-				continue
-			}
-			if loses(k.opt.Conflict, k.opt.Seed, d.GlobalOf(v), d.GlobalOf(w)) {
+		for _, at := range d.CrossArcsOf(v) {
+			if w := row[at]; color[w] == cv && loses(k.opt.Conflict, k.opt.Seed, d.GlobalOf(v), d.GlobalOf(w)) {
 				recolor = append(recolor, v)
 				break
 			}

@@ -243,6 +243,14 @@ func TestParallelSuperstepSizes(t *testing.T) {
 		if _, err := Parallel(c, whole[0], ParallelOptions{SuperstepSize: -1}); err == nil {
 			t.Error("accepted negative superstep size")
 		}
+		// A negative round limit must be rejected too: no round count ever
+		// reaches it, so a run that does not converge would never stop.
+		if _, err := Parallel(c, whole[0], ParallelOptions{MaxRounds: -1}); err == nil {
+			t.Error("distance-1 accepted a negative round limit")
+		}
+		if _, err := ParallelDistance2(c, whole[0], ParallelOptions{MaxRounds: -1}); err == nil {
+			t.Error("distance-2 accepted a negative round limit")
+		}
 		return nil
 	})
 	if err != nil {
@@ -425,13 +433,14 @@ func ghostScanDetect(d *dgraph.DistGraph, color []int32, opt ParallelOptions, u 
 	return recolor
 }
 
-// TestDetectMatchesGhostScan holds detect, which compares colors before it
-// asks whether the neighbor is a ghost, to the ghost-first loop kept above:
-// the same re-color list, in the same order, on every rank's share of ER,
-// RMAT and circuit graphs cut by block, random and multilevel partitions over
-// 2, 3, 4 and 7 ranks, under both conflict policies. The colorings are
-// random over a few colors, so equal-colored owned neighbors abound, and
-// about every third boundary vertex gets a ghost neighbor of its own color.
+// TestDetectMatchesGhostScan holds detect, which walks only the round's
+// boundary vertices and their arcs to ghosts (the cross-arc index), to the
+// ghost-first loop over all of u kept above: the same re-color list, in the
+// same order, on every rank's share of ER, RMAT and circuit graphs cut by
+// block, random and multilevel partitions over 2, 3, 4 and 7 ranks, under
+// both conflict policies. The colorings are random over a few colors, so
+// equal-colored owned neighbors abound, and about every third boundary vertex
+// gets a ghost neighbor of its own color.
 func TestDetectMatchesGhostScan(t *testing.T) {
 	er, err := gen.ErdosRenyi(400, 1600, false, 3)
 	if err != nil {
@@ -485,7 +494,13 @@ func TestDetectMatchesGhostScan(t *testing.T) {
 							opt := ParallelOptions{Conflict: policy, Seed: uint64(rng.Intn(1000))}
 							k := &d1Kernel{colorState: &colorState{c: c, d: d, color: color, colors: color[:d.NLocal]}, opt: opt}
 							want := ghostScanDetect(d, color, opt, u)
-							if got := k.detect(slices.Clone(u)); !slices.Equal(got, want) {
+							var boundary []int32 // what speculate collects: u's boundary vertices, in u order
+							for _, v := range u {
+								if d.IsBoundary[v] {
+									boundary = append(boundary, v)
+								}
+							}
+							if got := k.detect(slices.Clone(u), boundary); !slices.Equal(got, want) {
 								t.Errorf("%s/%s P=%d rank %d %v: detect re-colors %v, the ghost scan %v", gname, cname, p, d.Rank, policy, got, want)
 							}
 							conflicts += len(want)

@@ -11,12 +11,12 @@
 // at ghosts, and every row keeps the global graph's order: ascending global
 // id. The matching kernels read that order: their candidate-mate scan gives a
 // weight tie to the earlier arc, which is the smaller global id, so no rank
-// loads a neighbor's id to break it (Validate checks the order). Interior and
-// boundary vertices, every matching's first candidates (Preferred), the
-// cross-edge counts that end the matching's outer loop, each row's arcs to
-// ghosts (CrossOff/CrossPos), and the pair tables (pairs.go) under which two
-// neighboring ranks name their shared cross edges and boundary vertices on
-// the wire are all precomputed here.
+// loads a neighbor's id to break it (Validate checks the order). The graph's
+// Δ, interior and boundary vertices, every matching's first candidates
+// (Preferred), the cross-edge counts that end the matching's outer loop, each
+// row's arcs to ghosts (CrossOff/CrossPos), and the pair tables (pairs.go)
+// under which two neighboring ranks name their shared cross edges and
+// boundary vertices on the wire are all precomputed here.
 package dgraph
 
 import (
@@ -32,8 +32,9 @@ type DistGraph struct {
 	Rank int // owning rank
 	P    int // total ranks
 
-	GlobalN     int64 // vertices in the whole graph
-	GlobalEdges int64 // undirected edges in the whole graph
+	GlobalN         int64 // vertices in the whole graph
+	GlobalEdges     int64 // undirected edges in the whole graph
+	GlobalMaxDegree int   // Δ of the whole graph, the same on every share
 
 	NLocal int // owned vertices
 	NGhost int // distinct remote endpoints of cross edges
@@ -179,9 +180,13 @@ func (d *DistGraph) Validate() error {
 		}
 	}
 	var cross int64
+	numBoundary := 0
 	for v := 0; v < d.NLocal; v++ {
 		boundary := false
 		row := d.Neighbors(int32(v))
+		if len(row) > d.GlobalMaxDegree {
+			return fmt.Errorf("dgraph: vertex %d has degree %d, above GlobalMaxDegree %d", v, len(row), d.GlobalMaxDegree)
+		}
 		for k, u := range row {
 			if u < 0 || int(u) >= d.NLocal+d.NGhost {
 				return fmt.Errorf("dgraph: vertex %d has out-of-range neighbor %d", v, u)
@@ -197,9 +202,12 @@ func (d *DistGraph) Validate() error {
 		if boundary != d.IsBoundary[v] {
 			return fmt.Errorf("dgraph: vertex %d boundary flag %v, computed %v", v, d.IsBoundary[v], boundary)
 		}
+		if boundary {
+			numBoundary++
+		}
 	}
-	if cross != d.CrossArcs {
-		return fmt.Errorf("dgraph: CrossArcs %d, computed %d", d.CrossArcs, cross)
+	if cross != d.CrossArcs || numBoundary != d.NumBoundary {
+		return fmt.Errorf("dgraph: CrossArcs %d and NumBoundary %d, computed %d and %d", d.CrossArcs, d.NumBoundary, cross, numBoundary)
 	}
 	if err := d.validateCross(); err != nil {
 		return err
@@ -242,9 +250,11 @@ func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error)
 	isNbr := make([]bool, part.P) // ranks owning a ghost of the rank being built
 	none := make([]bool, n)       // no local index is gone, for preferred
 	var ghosts []graph.Vertex     // the rank being built's ghosts, unsorted and then sorted
+	maxDeg := g.MaxDegree()
 	out := make([]*DistGraph, part.P)
 	for rank := range out {
 		out[rank], ghosts = buildLocal(g, part, rank, owned[rank], local, ghostAt, isNbr, none, ghosts[:0])
+		out[rank].GlobalMaxDegree = maxDeg
 	}
 	return out, nil
 }

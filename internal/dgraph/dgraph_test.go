@@ -239,6 +239,23 @@ func TestValidateCatchesBrokenIndex(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Error("accepted a ghost id beyond GlobalN")
 	}
+	// A palette sized from a Δ below an owned vertex's degree could run out
+	// of colors; a boundary count off by one would misplace the first round's
+	// order.
+	d = gridShares(t, GridSpec{K1: 6, K2: 6, PR: 2, PC: 2}, false, 0)[1]
+	d.GlobalMaxDegree--
+	if err := d.Validate(); err == nil {
+		t.Error("accepted a GlobalMaxDegree below an owned vertex's degree")
+	}
+	d.GlobalMaxDegree++
+	d.NumBoundary++
+	if err := d.Validate(); err == nil {
+		t.Error("accepted a NumBoundary one above the boundary flags")
+	}
+	d.NumBoundary--
+	if err := d.Validate(); err != nil {
+		t.Fatalf("restored share: %v", err)
+	}
 }
 
 // TestValidateRecomputesPreferred: Validate holds every Preferred entry to
@@ -427,6 +444,11 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 		GlobalN:     int64(g.NumVertices()),
 		GlobalEdges: g.NumEdges(),
 		NLocal:      len(owned),
+	}
+	// Δ over every vertex of the graph, owned here or not: the same on every
+	// share.
+	for v := 0; v < g.NumVertices(); v++ {
+		d.GlobalMaxDegree = max(d.GlobalMaxDegree, len(g.Neighbors(graph.Vertex(v))))
 	}
 	globalToLocal := make(map[int64]int32, len(owned)*2)
 	d.GlobalID = make([]int64, len(owned), len(owned)*2)

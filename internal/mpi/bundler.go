@@ -109,10 +109,7 @@ func (b *Bundler) Add(to int, rec []byte) {
 	b.recordCtr.Inc()
 	b.famRecordCtr.Inc()
 	if b.bufs[to] == nil {
-		if n := len(b.free); n > 0 {
-			b.bufs[to] = b.free[n-1]
-			b.free = b.free[:n-1]
-		} else if b.maxBytes <= slabRecords*b.recordSize {
+		if b.bufs[to] = b.Spare(); b.bufs[to] == nil && b.maxBytes <= slabRecords*b.recordSize {
 			b.bufs[to] = b.carve()
 		}
 	}
@@ -142,6 +139,19 @@ func (b *Bundler) Recycle(buf []byte) {
 	if cap(buf) >= b.recordSize && len(b.free) < len(b.bufs) {
 		b.free = append(b.free, buf[:0])
 	}
+}
+
+// Spare hands out a recycled buffer, emptied, or nil when none is left: what
+// Add starts a bundle in, and what a caller that builds and sends its own
+// messages on the bundler's behalf may start one in.
+func (b *Bundler) Spare() []byte {
+	n := len(b.free)
+	if n == 0 {
+		return nil
+	}
+	buf := b.free[n-1]
+	b.free = b.free[:n-1]
+	return buf
 }
 
 // Flush ships every non-empty buffer.

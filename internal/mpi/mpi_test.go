@@ -884,6 +884,14 @@ func TestBundlerRecycleReuses(t *testing.T) {
 		if len(m.Data) != 8 {
 			return fmt.Errorf("bundle of %d bytes", len(m.Data))
 		}
+		// A caller that builds its own messages draws on the same list.
+		b.Recycle(m.Data)
+		if got := b.Spare(); len(got) != 0 || cap(got) != 128 {
+			return fmt.Errorf("Spare gave len %d cap %d, want the recycled array emptied", len(got), cap(got))
+		}
+		if got := b.Spare(); got != nil {
+			return fmt.Errorf("Spare gave cap %d from an empty free list", cap(got))
+		}
 		return nil
 	}, WithDeadline(5*time.Second))
 	if err != nil {
