@@ -23,7 +23,6 @@
 //	dmgm-serve -addr :8321 -store-mb 1024 -upload-ttl 5m
 //	dmgm-serve -addr :8321 -store-dir /var/lib/dmgm/store  # graph_refs survive restarts
 //	dmgm-serve -addr :8321 -tenants tenants.json   # per-tenant quotas
-//	dmgm-serve -addr :8321 -allow-paths            # permit graph_path jobs
 //	dmgm-serve -addr :8321 -http :9321             # live obs endpoint + /debug/pprof
 //	dmgm-serve -addr :8321 -otlp http://localhost:4318
 //	dmgm-serve -addr :8321 -trace-slow-ms 250 -access-log access.jsonl
@@ -35,8 +34,12 @@
 // rendered by dmgm-trace -job. With -otlp set, traces stream to the
 // collector as jobs finish and metrics push periodically — a continuous
 // pipeline, not an exit-time dump. Of the observability flags the CLIs
-// share, the daemon takes the three it reads (-http, -otlp, -otlp-run): its
-// spans are per job, so there is no -trace file.
+// share, the daemon takes the two it reads (-http, -otlp): its spans are per
+// job, so there is no -trace file, and its metrics stream is labelled by
+// DMGM_OTLP_RUN or a generated run id.
+//
+// Every flag names its reader — a bench/ workload, a CI step or an
+// operator procedure — in docs/OPERATIONS.md's flag reference.
 //
 // Submit with curl (inline graph, text edge-list format):
 //
@@ -65,10 +68,9 @@ import (
 )
 
 func main() {
-	of := &obs.Flags{} // the three of the CLIs' obs flags the daemon reads
+	of := &obs.Flags{} // the two of the CLIs' obs flags the daemon reads
 	flag.StringVar(&of.HTTP, "http", "", "also serve live observability on this address: /snapshot and /metrics (as the job port does), /debug/pprof")
 	flag.StringVar(&of.OTLP, "otlp", "", "stream finished jobs' span trees and push the metrics registry to this OTLP/HTTP collector endpoint (e.g. http://localhost:4318)")
-	flag.StringVar(&of.OTLPRun, "otlp-run", "", "run id labelling the daemon's OTLP metrics stream (default: DMGM_OTLP_RUN, or generated)")
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8321", "HTTP listen address for the job API")
 		queueLen     = flag.Int("queue", 32, "admission queue bound; beyond it submissions are shed with 429")
@@ -76,7 +78,6 @@ func main() {
 		timeout      = flag.Duration("timeout", 2*time.Minute, "default per-job deadline (queue wait + run); requests may shorten it")
 		cacheEntries = flag.Int("cache", 128, "result-cache entries (negative disables)")
 		maxRanks     = flag.Int("max-ranks", 64, "per-job rank bound")
-		allowPaths   = flag.Bool("allow-paths", false, "permit graph_path requests (daemon-local file reads); trusted callers only")
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT before abandoning queued jobs")
 		storeMB      = flag.Int64("store-mb", 512, "content-addressed graph store budget, MiB; shares retained for by-reference jobs get as much again")
 		storeDir     = flag.String("store-dir", "", "persist deposited graphs (canonical DMGB) under this directory; graph_refs then survive restarts (docs/PROTOCOL.md §7)")
@@ -88,8 +89,7 @@ func main() {
 		maxTenants   = flag.Int("max-tenants", 64, "distinct tenant queues; further tenant names fold into the default queue")
 		otlpInterval = flag.Duration("otlp-interval", 10*time.Second, "periodic OTLP metrics push interval (with -otlp)")
 		otlpDrain    = flag.Duration("otlp-drain", 5*time.Second, "OTLP delivery-queue drain budget at shutdown (with -otlp)")
-		traceSlowMS  = flag.Int64("trace-slow-ms", 1000, "retain the span tree of jobs slower than this, ms (0 retains every job, -1 none; errors always retained unless -1); serve them at GET /v1/jobs/{id}/trace")
-		traceRing    = flag.Int("trace-ring", 256, "retained job traces kept (FIFO; negative disables retention)")
+		traceSlowMS  = flag.Int64("trace-slow-ms", 1000, "retain the span tree of jobs slower than this, ms (0 retains every job, -1 none; errors always retained unless -1), the newest 256; serve them at GET /v1/jobs/{id}/trace")
 		accessLog    = flag.String("access-log", "", "structured JSON access log path, one line per request (\"-\" = stderr)")
 		noTracing    = flag.Bool("no-tracing", false, "disable request-scoped tracing entirely (results stay byte-identical either way)")
 	)
@@ -132,7 +132,6 @@ func main() {
 		DefaultTimeout:        *timeout,
 		CacheEntries:          *cacheEntries,
 		MaxRanks:              *maxRanks,
-		AllowGraphPaths:       *allowPaths,
 		StoreBytes:            *storeMB << 20,
 		StoreDir:              *storeDir,
 		StoreDiskBytes:        *storeDiskMB << 20,
@@ -148,7 +147,6 @@ func main() {
 		RunID:                 of.RunID(),
 		DisableTracing:        *noTracing,
 		TraceSlowMillis:       *traceSlowMS,
-		TraceRing:             *traceRing,
 		AccessLog:             accessW,
 	})
 	if err != nil {

@@ -35,7 +35,7 @@ func jobTrace(arg string) int {
 			fmt.Fprintf(os.Stderr, "dmgm-trace: %s: %d %s: %s\n", arg, resp.StatusCode,
 				http.StatusText(resp.StatusCode), strings.TrimSpace(string(body)))
 			if resp.StatusCode == http.StatusNotFound {
-				fmt.Fprintln(os.Stderr, "dmgm-trace: (trace not retained: only slow and failed jobs are kept, in a bounded ring — see -trace-slow-ms / -trace-ring on dmgm-serve)")
+				fmt.Fprintln(os.Stderr, "dmgm-trace: (trace not retained: only slow and failed jobs are kept, the newest 256 — see -trace-slow-ms on dmgm-serve)")
 			}
 			return 1
 		}

@@ -6,8 +6,10 @@
 // TestMatchingHasNoMaps and TestColoringHasNoMaps hold the tree to claims
 // DESIGN.md makes; TestSignalCatalogue and TestObservabilityWrittenOnce hold
 // it to docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt
-// row, TestSharesAreCutInOnePlace to its §9, and TestRunPatternsNameTests
-// holds CI's and the verify skill's -run patterns to the tests they name.
+// row, TestSharesAreCutInOnePlace to its §9, TestRunPatternsNameTests
+// holds CI's and the verify skill's -run patterns to the tests they name, and
+// TestDaemonFlagsHaveReaders holds dmgm-serve's flags to docs/OPERATIONS.md's
+// flag reference.
 package docs
 
 import (
@@ -649,6 +651,162 @@ func TestSharesAreCutInOnePlace(t *testing.T) {
 	}
 	if want := "dmgm/dmgm.go:Place"; len(callers) != 1 || callers[0] != want {
 		t.Errorf("dgraph.Distribute is called from %v, want %s only", callers, want)
+	}
+}
+
+// daemonFlags returns the flags cmd/dmgm-serve/main.go registers on the flag
+// package, each with its usage text: the first and the last string literal of
+// a flag.X call.
+func daemonFlags(t *testing.T) map[string]string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(repoRoot(t), "cmd", "dmgm-serve", "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]string{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		var lits []string
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				s, _ := strconv.Unquote(lit.Value)
+				lits = append(lits, s)
+			}
+		}
+		if len(lits) >= 2 {
+			flags[lits[0]] = lits[len(lits)-1]
+		}
+		return true
+	})
+	return flags
+}
+
+var (
+	// flagRowRe is a row of docs/OPERATIONS.md's flag reference; the reader
+	// cell names bench/, CI steps, sections of the guide linked by anchor,
+	// or (for an address) a deployment setting.
+	flagRowRe     = regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\| ([^|]*) \\|$")
+	ciStepRe      = regexp.MustCompile("CI `([^`]+)`")
+	sectionLinkRe = regexp.MustCompile(`\]\(#([^)]+)\)`)
+	stepStartRe   = regexp.MustCompile(`(?m)^\s*- name: `)
+)
+
+// mentions reports whether text names -flag as a whole word.
+func mentions(text, flag string) bool {
+	return regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(flag) + `([^\w-]|$)`).MatchString(text)
+}
+
+// TestDaemonFlagsHaveReaders holds dmgm-serve to ROADMAP item 9's service
+// rule: a flag stays only if a bench/ workload, a CI step that is not its
+// own test, or an operator procedure in docs/OPERATIONS.md reaches it. Every
+// registered flag has one row of the guide's flag reference and every row a
+// flag, and every reader a row names must really reach it: bench/ passes the
+// flag to the daemon, the named CI step starts dmgm-serve with it, the linked
+// section of the guide mentions it. An address needs only to say it is a
+// deployment setting. README alone is no reader.
+func TestDaemonFlagsHaveReaders(t *testing.T) {
+	root := repoRoot(t)
+	flags := daemonFlags(t)
+	if len(flags) == 0 {
+		t.Fatal("found no flag registered in cmd/dmgm-serve/main.go")
+	}
+	read := func(rel string) string {
+		b, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(rel)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	guide := read("docs/OPERATIONS.md")
+	sections := map[string]string{} // anchor -> the section's text up to the next heading
+	heads := headingRe.FindAllStringSubmatchIndex(guide, -1)
+	for i, h := range heads {
+		end := len(guide)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		sections[slug(guide[h[2]:h[3]])] = guide[h[1]:end]
+	}
+	steps := map[string]string{} // CI step name -> its body, continuation lines joined
+	ci := strings.ReplaceAll(read(".github/workflows/ci.yml"), "\\\n", " ")
+	for _, body := range stepStartRe.Split(ci, -1)[1:] {
+		name, rest, _ := strings.Cut(body, "\n")
+		steps[strings.TrimSpace(name)] = rest
+	}
+	var bench strings.Builder
+	for _, f := range []string{"main.go", "serve.go"} {
+		bench.WriteString(read("bench/" + f))
+	}
+
+	rows := map[string]bool{}
+	for _, m := range flagRowRe.FindAllStringSubmatch(guide, -1) {
+		flag, reader := m[1], m[2]
+		if rows[flag] {
+			t.Errorf("flag reference lists -%s twice", flag)
+		}
+		rows[flag] = true
+		usage, registered := flags[flag]
+		if !registered {
+			t.Errorf("flag reference row -%s: cmd/dmgm-serve registers no such flag; delete the row", flag)
+			continue
+		}
+		readers := 0
+		if strings.Contains(reader, "deployment setting") {
+			readers++
+			if !strings.Contains(usage, "address") {
+				t.Errorf("-%s: only an address is a deployment setting by itself (usage %q)", flag, usage)
+			}
+		}
+		if strings.Contains(reader, "`bench/`") {
+			readers++
+			if !strings.Contains(bench.String(), `"-`+flag+`"`) {
+				t.Errorf("-%s: bench/ is named as its reader, but bench/main.go and bench/serve.go never pass it", flag)
+			}
+		}
+		for _, c := range ciStepRe.FindAllStringSubmatch(reader, -1) {
+			readers++
+			body, ok := steps[c[1]]
+			if !ok {
+				t.Errorf("-%s: CI step %q is not in ci.yml", flag, c[1])
+				continue
+			}
+			started := false
+			for _, line := range strings.Split(body, "\n") {
+				started = started || strings.Contains(line, "dmgm-serve -") && mentions(line, flag)
+			}
+			if !started {
+				t.Errorf("-%s: CI step %q never starts dmgm-serve with it", flag, c[1])
+			}
+		}
+		for _, l := range sectionLinkRe.FindAllStringSubmatch(reader, -1) {
+			readers++
+			if l[1] == "flag-reference" || !mentions(sections[l[1]], flag) {
+				t.Errorf("-%s: OPERATIONS section #%s is named as its reader but does not mention it", flag, l[1])
+			}
+		}
+		if readers == 0 {
+			t.Errorf("-%s: reader %q names no bench/ workload, CI step or OPERATIONS section (README alone is no reader); name one, or delete the flag", flag, strings.TrimSpace(reader))
+		}
+	}
+	var missing []string
+	for flag := range flags {
+		if !rows[flag] {
+			missing = append(missing, "-"+flag)
+		}
+	}
+	sort.Strings(missing)
+	for _, f := range missing {
+		t.Errorf("dmgm-serve registers %s but docs/OPERATIONS.md's flag reference has no row for it: add one naming its reader, or delete the flag", f)
 	}
 }
 

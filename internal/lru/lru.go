@@ -18,8 +18,9 @@
 //
 // A Cache is never locked internally. Every user already holds a mutex that
 // also covers what hangs off the cache — byte gauges, the graph store's text
-// and path indexes, a doomed-file list — so a second lock inside would only add an ordering to
-// get wrong; the callback runs under the caller's lock for the same reason.
+// index, a doomed-file list — so a second lock inside would only add an
+// ordering to get wrong; the callback runs under the caller's lock for the
+// same reason.
 package lru
 
 import "container/list"

@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/dmgm"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
@@ -30,17 +28,18 @@ func TestTimedOutJobsStopTheirRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "grid.dmgb")
-	if err := graph.WriteFile(path, g); err != nil {
+	_, cl := startServer(t, service.Config{QueueLen: 16, Workers: 1}, true)
+	ctx := context.Background()
+	ref, _, err := cl.UploadGraph(ctx, g, client.UploadOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, cl := startServer(t, service.Config{QueueLen: 16, Workers: 1, AllowGraphPaths: true}, true)
-	heavy := service.Request{Algorithm: service.AlgoColor, GraphPath: path, Ranks: 4, Partition: "block",
+	heavy := service.Request{Algorithm: service.AlgoColor, GraphRef: ref, Ranks: 4, Partition: "block",
 		Params: dmgm.Params{Superstep: 1, Comm: "broadcast"}, NoCache: true}
-	ctx := context.Background()
 
-	// The first untimed run loads the graph and retains its shares, so the
-	// second, and the timed runs below, spend their time in the kernel.
+	// The first untimed run retains the graph's shares (it names the graph
+	// by reference), so the second, and the timed runs below, spend their
+	// time in the kernel.
 	var full time.Duration
 	for range 2 {
 		start := time.Now()

@@ -29,7 +29,7 @@ func decodeRequest(body []byte, req *Request) error {
 // value reads — and reports whether it did; on false req holds partial writes.
 func decodeFast(body []byte, req *Request) bool {
 	fields := map[string]any{
-		"algorithm": &req.Algorithm, "graph": &req.Graph, "graph_path": &req.GraphPath, "graph_ref": &req.GraphRef,
+		"algorithm": &req.Algorithm, "graph": &req.Graph, "graph_ref": &req.GraphRef,
 		"ranks": &req.Ranks, "partition": &req.Partition, "seed": &req.Seed, "superstep": &req.Superstep,
 		"comm": &req.Comm, "distance2": &req.Distance2, "no_bundle": &req.NoBundle,
 		"timeout_ms": &req.TimeoutMillis, "no_cache": &req.NoCache,

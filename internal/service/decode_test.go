@@ -33,7 +33,7 @@ func TestClientBodiesTakeFastPath(t *testing.T) {
 		{Algorithm: AlgoMatch, Graph: circuitText(t, 32), Params: dmgm.Params{Seed: 5<<24 + 17}},      // serve_cold_inline
 		{Algorithm: AlgoColor, GraphRef: strings.Repeat("ab", 32), Partition: "block", NoCache: true}, // serve_warm_ref
 		{Algorithm: AlgoColor, Graph: "# a comment\ng 3 2\ne 0 1 0.5\ne 1 2 -1e-07\n\t\r\"\\/"},
-		{Algorithm: AlgoMatch, GraphPath: "/data/g é.dmgb", Ranks: 16, Partition: "bfs",
+		{Algorithm: AlgoMatch, GraphRef: "/data/g é.dmgb", Ranks: 16, Partition: "bfs",
 			Params: dmgm.Params{Seed: 1<<64 - 1, NoBundle: true}, TimeoutMillis: 1<<63 - 1},
 		{Algorithm: AlgoColor, Graph: "g 1 0\n", Ranks: -3,
 			Params: dmgm.Params{Superstep: 100, Comm: "broadcast", Distance2: true}, TimeoutMillis: -1},
@@ -72,7 +72,6 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, r := range []Request{
 		{Algorithm: "sort", Graph: "g 2 1\ne 0 1 1\n"},
 		{Algorithm: AlgoMatch},
-		{Algorithm: AlgoMatch, GraphPath: "/etc/hosts"},
 		{Algorithm: AlgoMatch, Graph: "g 2 1\ne 0 1 1\n", Ranks: 1 << 20},
 		{Algorithm: AlgoMatch, Graph: "not a graph\n"},
 		{Algorithm: AlgoMatch, Graph: "g 2000000000 0\n"},
@@ -90,6 +89,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"algorithm":"match","graph":"g 2 1\ne 0 1 1\n"}`,
 		// Keys: case variants, unknown, duplicated, escaped.
 		`{"Algorithm":"match","GRAPH":"g 1 0\n"}`, `{"algorithm":"match","colour":"red"}`,
+		`{"algorithm":"match","graph_path":"/etc/hosts"}`,
 		`{"ranks":2,"ranks":3,"algorithm":"color","algorithm":"match"}`, `{"\u0061lgorithm":"match"}`,
 		// Escapes, UTF-8, control characters.
 		`{"graph":"g 1 0\n"}`, `{ "graph" : " g 1 0" }`, `{"graph":"\ud800"}`, `{"graph":"a\b\f"}`, `{"graph":"é"}`,

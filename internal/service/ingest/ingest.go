@@ -521,7 +521,7 @@ func (m *Manager) maybeShortCircuit(s *session) {
 	s.sniffed = true
 	if !graph.IsDMGB(s.prefix) {
 		s.mu.Unlock()
-		return // text or legacy binary: fingerprint only known after decode
+		return // text: fingerprint only known after decode
 	}
 	hdr, err := graph.ParseDMGBHeader(s.prefix)
 	if err != nil {

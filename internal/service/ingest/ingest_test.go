@@ -433,51 +433,9 @@ func TestStoreEvictionUnderConcurrentJobs(t *testing.T) {
 	}
 }
 
-func TestStoreLoadPathSingleFlight(t *testing.T) {
-	reg := obs.NewRegistry()
-	st := NewStore(64<<20, reg)
-	g := ingestTestGraph(t)
-	dir := t.TempDir()
-	path := dir + "/g.dmgb"
-	if err := graph.WriteFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, fp, err := st.LoadPath(path)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if fp != graph.Fingerprint(g) || graph.Fingerprint(got) != fp {
-				errs <- fmt.Errorf("LoadPath returned the wrong graph")
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["ingest.store_misses"] != 1 {
-		t.Fatalf("store_misses = %d, want 1 (single flight)", snap.Counters["ingest.store_misses"])
-	}
-	// A second round is all hits via the path index.
-	if _, _, err := st.LoadPath(path); err != nil {
-		t.Fatal(err)
-	}
-	if hits := reg.Snapshot().Counters["ingest.store_hits"]; hits == 0 {
-		t.Fatal("repeat LoadPath did not hit the store")
-	}
-}
-
-// TestStoreResolveSingleFlight is the spill-tier twin: concurrent resolves of
-// one fingerprint that is on disk but not in memory read the file once.
+// TestStoreResolveSingleFlight is TestLoadTextSingleFlight's spill-tier twin:
+// concurrent resolves of one fingerprint that is on disk but not in memory
+// read the file once.
 func TestStoreResolveSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	g := ingestTestGraph(t)

@@ -3,11 +3,8 @@ package ingest
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/lru"
@@ -35,14 +32,13 @@ type Store struct {
 	maxBytes int64
 	lru      *lru.Cache[string, *graph.Graph] // by fingerprint, cost = GraphBytes
 	flight   map[string]*flightCall           // in-progress loads, by caller key
-	// paths and texts name stored graphs by how a caller reached them, so a
-	// repeated path or inline text is decoded once. An entry exists only
-	// while its fingerprint is in memory: the LRU's on-evict callback
-	// (forget) drops it with the graph. texts holds at most one digest per
-	// fingerprint (the newest), so it never outgrows the store's entry count.
-	paths  map[string]pathEntry // daemon-local file loads, by path
-	texts  map[string]string    // inline text SHA-256 → fingerprint
-	textOf map[string]string    // fingerprint → its entry in texts
+	// texts names stored graphs by the inline text that reached them, so a
+	// repeated text is parsed once. An entry exists only while its
+	// fingerprint is in memory: the LRU's on-evict callback (forget) drops it
+	// with the graph. texts holds at most one digest per fingerprint (the
+	// newest), so it never outgrows the store's entry count.
+	texts  map[string]string // inline text SHA-256 → fingerprint
+	textOf map[string]string // fingerprint → its entry in texts
 
 	// spill is the persistent tier (spill.go); nil means memory-only, the
 	// pre-persistence behavior. reg is kept so EnableSpill can register its
@@ -64,19 +60,6 @@ type flightCall struct {
 	err  error
 }
 
-// pathEntry remembers what a daemon-local file decoded to, keyed by the
-// file's stat identity so an overwritten file is re-decoded. Size and
-// modtime alone are spoofable on coarse-timestamp filesystems (replace a
-// file with an equal-sized one inside the same second), so the inode is
-// part of the identity, and all three are captured from the open descriptor
-// after the decode finished — the identity of the bytes actually read.
-type pathEntry struct {
-	fp      string
-	size    int64
-	modTime time.Time
-	ino     uint64 // 0 where the platform exposes no inode
-}
-
 // NewStore builds a store holding up to maxBytes of decoded graphs
 // (clamped to at least 1 MiB). reg may carry a nil registry; every
 // instrument is then a no-op.
@@ -87,7 +70,6 @@ func NewStore(maxBytes int64, reg *obs.Registry) *Store {
 	s := &Store{
 		maxBytes:  maxBytes,
 		flight:    make(map[string]*flightCall),
-		paths:     make(map[string]pathEntry),
 		texts:     make(map[string]string),
 		textOf:    make(map[string]string),
 		reg:       reg,
@@ -100,17 +82,12 @@ func NewStore(maxBytes int64, reg *obs.Registry) *Store {
 	return s
 }
 
-// forget is the LRU's on-evict callback (run under s.mu): the names that led
-// to an evicted graph go with it.
+// forget is the LRU's on-evict callback (run under s.mu): the text that led
+// to an evicted graph goes with it.
 func (s *Store) forget(fp string, _ *graph.Graph) {
 	if d, ok := s.textOf[fp]; ok {
 		delete(s.texts, d)
 		delete(s.textOf, fp)
-	}
-	for path, pe := range s.paths {
-		if pe.fp == fp {
-			delete(s.paths, path)
-		}
 	}
 }
 
@@ -200,54 +177,8 @@ func (s *Store) Resolve(fp string) (g *graph.Graph, rehydrated bool, ok bool) {
 	return g, true, true
 }
 
-// LoadPath resolves a daemon-local graph file through the store: the file is
-// streamed through the sniffing decoder at most once per content version
-// (stat identity), concurrent loads of the same path share one decode
-// (single flight), and the decoded graph lands in the store under its
-// fingerprint. Returns the graph and its fingerprint.
-func (s *Store) LoadPath(path string) (*graph.Graph, string, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, "", err
-	}
-	var read *pathEntry // the stat identity of the bytes the load decoded
-	return s.loadShared("path:"+path, true, func() (*graph.Graph, string, bool) {
-		if pe, ok := s.paths[path]; ok &&
-			pe.size == info.Size() && pe.modTime.Equal(info.ModTime()) && pe.ino == fileIno(info) {
-			if g, ok := s.lru.Get(pe.fp); ok {
-				s.hits.Inc()
-				return g, pe.fp, true
-			}
-		}
-		return nil, "", false
-	}, func() (*graph.Graph, string, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		g, err := graph.ReadAuto(f) // streaming decode; never buffers the file
-		if err != nil {
-			return nil, "", fmt.Errorf("decoding %s: %w", path, err)
-		}
-		fp := graph.Fingerprint(g)
-		// Record the stat identity from the descriptor we just read, not the
-		// pre-open Stat: if the file was replaced between stat and open, the
-		// cache entry must describe the bytes that were actually decoded.
-		if fi, err := f.Stat(); err == nil {
-			read = &pathEntry{fp: fp, size: fi.Size(), modTime: fi.ModTime(), ino: fileIno(fi)}
-		}
-		return g, fp, nil
-	}, func(string) {
-		if read != nil {
-			s.paths[path] = *read
-		}
-	})
-}
-
-// LoadText resolves an inline graph text through the store, the twin of
-// LoadPath: a text whose SHA-256 names a stored graph is answered with that
-// graph, unparsed — graph.ReadText is a pure function of its bytes, and the
+// LoadText resolves an inline graph text through the store: a text whose
+// SHA-256 names a stored graph is answered with that graph, unparsed — graph.ReadText is a pure function of its bytes, and the
 // fingerprint pins the graph down to its CSR arrays. Otherwise the text is
 // parsed and fingerprinted once across concurrent callers and deposited, and
 // its digest replaces any earlier text of the same graph. A text that fails

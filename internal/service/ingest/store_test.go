@@ -3,7 +3,6 @@ package ingest
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,64 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
-
-// TestLoadPathDetectsSameSecondReplace is the regression test for the
-// path-cache identity: replacing a daemon-local graph file with an
-// equal-sized one carrying the very same modtime (the worst case of a
-// 1-second-granularity filesystem) must still invalidate the cached decode.
-// Size and modtime are identical by construction here; only the inode
-// distinguishes the files.
-func TestLoadPathDetectsSameSecondReplace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.txt")
-	// Same byte length, different weight — different fingerprints.
-	a := "g 2 1\ne 0 1 1.0\n"
-	b := "g 2 1\ne 0 1 2.0\n"
-	if err := os.WriteFile(path, []byte(a), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fileIno(info) == 0 {
-		t.Skip("platform exposes no inode identity; size+modtime fallback is untestable here")
-	}
-
-	st := NewStore(64<<20, obs.NewRegistry())
-	_, fp1, err := st.LoadPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-cache sanity: an untouched file is served from the path cache.
-	if _, again, err := st.LoadPath(path); err != nil || again != fp1 {
-		t.Fatalf("repeat load: fp %s err %v, want cached %s", again, err, fp1)
-	}
-
-	// Replace via rename (a new inode) and pin the replacement's stat to the
-	// original's exact size and modtime.
-	repl := filepath.Join(dir, "g.txt.new")
-	if err := os.WriteFile(repl, []byte(b), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(repl, path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(path, info.ModTime(), info.ModTime()); err != nil {
-		t.Fatal(err)
-	}
-	if ni, err := os.Stat(path); err != nil || ni.Size() != info.Size() || !ni.ModTime().Equal(info.ModTime()) {
-		t.Fatalf("fixture broken: replacement must match size and modtime exactly (err %v)", err)
-	}
-
-	_, fp2, err := st.LoadPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp2 == fp1 {
-		t.Fatal("stale path-cache entry: replaced file decoded to the old fingerprint")
-	}
-}
 
 // inlineText renders g as the text an inline job carries.
 func inlineText(t testing.TB, g *graph.Graph) string {
@@ -194,28 +135,6 @@ func TestLoadTextVariantsShareOneMemoEntry(t *testing.T) {
 	}
 	if m := counter(reg, "ingest.store_misses"); m != int64(len(variants))+1 {
 		t.Fatalf("store_misses = %d, want %d", m, len(variants)+1)
-	}
-}
-
-// TestStorePathsForgetEvictedGraphs: a path whose graph was evicted leaves
-// the path index with it, so the index never outgrows the store.
-func TestStorePathsForgetEvictedGraphs(t *testing.T) {
-	st := NewStore(1, obs.NewRegistry()) // clamps to 1 MiB: one big graph at a time
-	dir := t.TempDir()
-	for i := 0; i < 4; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("g%d.dmgb", i))
-		if err := graph.WriteFile(path, bigGraph(t, uint64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := st.LoadPath(path); err != nil {
-			t.Fatal(err)
-		}
-		st.mu.Lock()
-		paths, entries := len(st.paths), st.lru.Len()
-		st.mu.Unlock()
-		if paths > entries {
-			t.Fatalf("after %d paths: %d remembered for %d stored graphs", i+1, paths, entries)
-		}
 	}
 }
 

@@ -42,9 +42,8 @@ const (
 // Request is one job submission, the JSON body of POST /v1/jobs.
 //
 // Exactly one of Graph (the inline text edge-list format of
-// internal/graph), GraphPath (a daemon-local file in any supported format),
-// and GraphRef (the fingerprint of a graph already held by the daemon —
-// from a chunked upload, a prior job, or a previous path load) must be set.
+// internal/graph) and GraphRef (the fingerprint of a graph already held by
+// the daemon — from a chunked upload or a prior inline job) must be set.
 // The run parameters are dmgm.Params, the fields the dmgm-match / dmgm-color
 // flags bind too, defaulted and checked by the one dmgm.Job.Normalize — so a
 // service job and a CLI run with equal inputs produce byte-identical results.
@@ -53,9 +52,6 @@ type Request struct {
 	Algorithm string `json:"algorithm"`
 	// Graph is the graph inline, in the text edge-list format.
 	Graph string `json:"graph,omitempty"`
-	// GraphPath is a daemon-local graph file path (any supported format,
-	// sniffed by content).
-	GraphPath string `json:"graph_path,omitempty"`
 	// GraphRef is a graph fingerprint resolved against the daemon's
 	// content-addressed store (docs/PROTOCOL.md §7). An unknown ref — never
 	// uploaded, or evicted — answers 404; re-upload to restore it.
@@ -85,14 +81,8 @@ func (r *Request) normalize(maxRanks int) string {
 	default:
 		return fmt.Sprintf("unknown algorithm %q: want match | color", r.Algorithm)
 	}
-	sources := 0
-	for _, set := range []bool{r.Graph != "", r.GraphPath != "", r.GraphRef != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return "exactly one of graph (inline), graph_path, and graph_ref must be set"
+	if (r.Graph == "") == (r.GraphRef == "") {
+		return "exactly one of graph (inline) and graph_ref must be set"
 	}
 	if r.Ranks == 0 {
 		r.Ranks = 4

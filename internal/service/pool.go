@@ -29,11 +29,8 @@ type worldPool struct {
 }
 
 // newWorldPool builds a pool whose worlds carry the given run watchdog.
-// maxIdle bounds the idle worlds kept per rank count (0 = a sane default).
+// maxIdle bounds the idle worlds kept per rank count.
 func newWorldPool(deadline time.Duration, maxIdle int, reg *obs.Registry) *worldPool {
-	if maxIdle <= 0 {
-		maxIdle = 8
-	}
 	return &worldPool{
 		free:      make(map[int][]*mpi.World),
 		maxIdle:   maxIdle,

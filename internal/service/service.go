@@ -41,9 +41,6 @@ type Config struct {
 	// MaxBodyBytes bounds a request body, inline graph included
 	// (default 256 MiB).
 	MaxBodyBytes int64
-	// AllowGraphPaths permits graph_path requests, which read daemon-local
-	// files. Leave false for anything but a trusted-caller deployment.
-	AllowGraphPaths bool
 	// StoreBytes bounds the content-addressed graph store (default 512 MiB),
 	// and is the size of the second budget the shares retained under
 	// partition-cache entries are held to (partcache.go).
@@ -105,9 +102,6 @@ type Config struct {
 	// retention. The default (zero value) retains every job — the ring is
 	// bounded, so this is cheap and the friendliest debugging default.
 	TraceSlowMillis int64
-	// TraceRing bounds the retained-trace ring (default 256; negative
-	// disables retention).
-	TraceRing int
 	// AccessLog, when set, receives one structured JSON line per job request:
 	// trace id, tenant, status, queue wait, run time, cache disposition.
 	AccessLog io.Writer
@@ -150,9 +144,6 @@ func (c *Config) fillDefaults() {
 	if c.OTLPDrainTimeout <= 0 {
 		c.OTLPDrainTimeout = 5 * time.Second
 	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 256
-	}
 }
 
 // Sizes with one value in use everywhere; constants, not Config fields.
@@ -160,9 +151,6 @@ const (
 	// worldDeadline is the watchdog on pooled worlds — the backstop against
 	// a wedged algorithm outliving every job deadline.
 	worldDeadline = 10 * time.Minute
-	// maxUploadSessions bounds concurrently open upload sessions across all
-	// tenants.
-	maxUploadSessions = 64
 	// runtimeSpanCap is the per-rank span-ring capacity of each job's runtime
 	// observer. A long job keeps the tail of its phase spans.
 	runtimeSpanCap = 2048
@@ -220,8 +208,8 @@ type Server struct {
 	nextID   atomic.Int64
 	inflight atomic.Int64 // jobs executing right now (/healthz)
 
-	// Tracing pipeline (trace.go). exporter/traces/accessLog are nil when the
-	// respective feature is off; every use is nil-safe.
+	// Tracing pipeline (trace.go). exporter and accessLog are nil when their
+	// feature is off; every use is nil-safe.
 	exporter   *obs.OTLPExporter
 	traces     *traceRing
 	accessLog  *accessLogger
@@ -271,7 +259,7 @@ func NewServer(cfg Config) (*Server, error) {
 		idleWorlds:  reg.Gauge("service.pool_idle"),
 		drainGauge:  reg.Gauge("service.draining"),
 
-		traces:    newTraceRing(cfg.TraceRing),
+		traces:    newTraceRing(),
 		accessLog: newAccessLogger(cfg.AccessLog),
 	}
 	// Retained shares get a budget of their own, of the size the graphs they
@@ -287,10 +275,9 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s.ingest = ingest.NewManager(ingest.Config{
-		TTL:         cfg.UploadTTL,
-		MaxSessions: maxUploadSessions,
-		MaxBytes:    cfg.MaxUploadBytes,
-		Store:       s.store,
+		TTL:      cfg.UploadTTL,
+		MaxBytes: cfg.MaxUploadBytes,
+		Store:    s.store,
 		// Uploads pass the same per-tenant admission as jobs: one rate
 		// token per session open, counted against the tenant's upload cap.
 		Admit:    s.admitUpload,
@@ -595,7 +582,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, jt *jobTrace) (*
 	}
 	jt.algo, jt.ranks = req.Algorithm, req.Ranks
 
-	// Resolve: inline parse, store lookup, or path load.
+	// Resolve: inline parse or store lookup.
 	var g *graph.Graph
 	var fp string
 	jt.stage(spanResolve, func() int64 {
@@ -741,31 +728,17 @@ func (s *Server) enqueue(j *job) *ingest.Refusal {
 func (s *Server) finishTrace(jt *jobTrace, status int, errMsg string) {
 	jt.tr.End(jt.root)
 	total := time.Since(jt.start)
-	retained := false
-	if jt.tr != nil && jt.jobID != "" && s.shouldRetain(status, total) {
-		s.traces.add(jt.snapshot(status, errMsg, total))
-		retained = s.traces != nil
+	sum := jt.summary(status, errMsg, total)
+	retained := jt.tr != nil && jt.jobID != "" && s.shouldRetain(status, total)
+	if retained {
+		s.traces.add(jt.snapshot(sum))
 	}
 	if e := s.exporter; e != nil && jt.tr != nil {
 		for _, b := range jt.batches() {
 			e.ExportSpansFor(b.spans, b.id)
 		}
 	}
-	s.accessLog.log(&accessEntry{
-		TimeUnixNano:    time.Now().UnixNano(),
-		TraceID:         jt.traceID,
-		JobID:           jt.jobID,
-		Tenant:          jt.tenant,
-		Algorithm:       jt.algo,
-		Ranks:           jt.ranks,
-		Status:          status,
-		Error:           errMsg,
-		Cache:           jt.cache,
-		QueueWaitMillis: durMillis(jt.queueWait),
-		RunMillis:       durMillis(jt.runDur),
-		TotalMillis:     durMillis(total),
-		TraceRetained:   retained,
-	})
+	s.accessLog.log(&accessEntry{TimeUnixNano: time.Now().UnixNano(), jobSummary: sum, TraceRetained: retained})
 }
 
 // shouldRetain decides tail-based capture: every error, plus anything over
@@ -780,48 +753,31 @@ func (s *Server) shouldRetain(status int, total time.Duration) bool {
 	return total.Milliseconds() >= s.cfg.TraceSlowMillis
 }
 
-// loadGraph resolves the request's graph — inline, by reference, or
-// daemon-local — returning the graph and its fingerprint, or the reject to
-// answer with. A graph_ref rehydrated from the spill tier records a span
-// under the request's resolve stage.
+// loadGraph resolves the request's graph — inline or by reference —
+// returning the graph and its fingerprint, or the reject to answer with. A
+// graph_ref rehydrated from the spill tier records a span under the
+// request's resolve stage.
 func (s *Server) loadGraph(req *Request, jt *jobTrace) (*graph.Graph, string, *ingest.Refusal) {
-	fail := func(status int, err error) (*graph.Graph, string, *ingest.Refusal) {
-		return nil, "", ingest.Refusef(status, "loading graph: %v", err)
-	}
-	switch {
-	case req.Graph != "":
+	if req.Graph != "" {
 		// Inline graphs land in the store too, so the caller can switch to
 		// graph_ref (the response fingerprint) and uploads of the same
 		// content short-circuit; a repeated text is parsed once.
 		g, fp, err := s.store.LoadText(req.Graph)
 		if err != nil {
-			return fail(http.StatusBadRequest, err)
-		}
-		return g, fp, nil
-	case req.GraphRef != "":
-		start := time.Now()
-		g, rehydrated, ok := s.store.Resolve(req.GraphRef)
-		if !ok {
-			return fail(http.StatusNotFound,
-				fmt.Errorf("unknown graph_ref %s (never uploaded, or evicted): upload the graph again", req.GraphRef))
-		}
-		if rehydrated {
-			jt.record(spanRehydrate, start, time.Since(start), int64(g.NumVertices()), nil)
-		}
-		return g, req.GraphRef, nil
-	default:
-		if !s.cfg.AllowGraphPaths {
-			return fail(http.StatusBadRequest,
-				fmt.Errorf("graph_path is disabled on this server; send the graph inline or upload it"))
-		}
-		// Daemon-local files stream through the store: decoded at most once
-		// per content version, shared across concurrent jobs.
-		g, fp, err := s.store.LoadPath(req.GraphPath)
-		if err != nil {
-			return fail(http.StatusBadRequest, err)
+			return nil, "", ingest.Refusef(http.StatusBadRequest, "loading graph: %v", err)
 		}
 		return g, fp, nil
 	}
+	start := time.Now()
+	g, rehydrated, ok := s.store.Resolve(req.GraphRef)
+	if !ok {
+		return nil, "", ingest.Refusef(http.StatusNotFound,
+			"loading graph: unknown graph_ref %s (never uploaded, or evicted): upload the graph again", req.GraphRef)
+	}
+	if rehydrated {
+		jt.record(spanRehydrate, start, time.Since(start), int64(g.NumVertices()), nil)
+	}
+	return g, req.GraphRef, nil
 }
 
 // workerLoop pulls dispatched jobs until Stop. The scheduler charges the
@@ -978,9 +934,9 @@ func (s *Server) work(j *job) (*Response, *ingest.Refusal) {
 // partition cache — a miss runs the requested partitioner, through the same
 // partition.ByName the CLIs use, so service and CLI runs agree bit-for-bit,
 // and warms the cache — and then the shares cut by it. A job that named its
-// graph by reference (graph_ref, graph_path) has declared reuse: its shares
-// are cut once under the cache entry and retained there for every later job
-// on the key. An inline job re-parses its graph per job anyway; it runs on
+// graph by reference (graph_ref) has declared reuse: its shares are cut
+// once under the cache entry and retained there for every later job on the
+// key. An inline job re-parses its graph per job anyway; it runs on
 // retained shares when a by-reference job left some, and otherwise cuts its
 // own and retains nothing. The key covers the full derivation, and both
 // partitions and shares are read-only downstream, so sharing one instance

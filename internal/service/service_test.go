@@ -335,7 +335,6 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"unknown algorithm", service.Request{Algorithm: "sort", Graph: gtext}, http.StatusBadRequest},
 		{"missing graph", service.Request{Algorithm: service.AlgoMatch}, http.StatusBadRequest},
-		{"graph_path disabled", service.Request{Algorithm: service.AlgoMatch, GraphPath: "/etc/hosts"}, http.StatusBadRequest},
 		{"ranks over bound", service.Request{Algorithm: service.AlgoMatch, Graph: gtext, Ranks: 1 << 20}, http.StatusBadRequest},
 		{"malformed graph", service.Request{Algorithm: service.AlgoMatch, Graph: "not a graph\n"}, http.StatusBadRequest},
 		{"16 bytes claiming 2e9 vertices", service.Request{Algorithm: service.AlgoMatch, Graph: "g 2000000000 0\n"}, http.StatusBadRequest},
@@ -360,6 +359,7 @@ func TestBadRequests(t *testing.T) {
 		{"bytes after the job object", job + " trailing garbage", "after top-level value"},
 		{"a second job object", job + job, "after top-level value"},
 		{"ranks above the vertex count under multilevel", `{"algorithm":"match","graph":"g 2 1\ne 0 1 1\n"}`, "ranks 4 exceed the graph's 2 vertices"},
+		{"an old client's graph_path", `{"algorithm":"match","graph_path":"/etc/hosts"}`, "exactly one of graph (inline) and graph_ref"},
 	} {
 		resp, err := http.Post(cl.Base+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -198,27 +198,27 @@ type TraceSpan struct {
 	Detail        bool   `json:"detail,omitempty"`
 }
 
-// JobTrace is a retained job's span tree plus its request summary — the body
-// of GET /v1/jobs/{id}/trace.
-type JobTrace struct {
-	JobID           string      `json:"job_id"`
-	TraceID         string      `json:"trace_id"`
-	Tenant          string      `json:"tenant"`
-	Algorithm       string      `json:"algorithm,omitempty"`
-	Ranks           int         `json:"ranks,omitempty"`
-	Status          int         `json:"status"`
-	Error           string      `json:"error,omitempty"`
-	Cache           string      `json:"cache,omitempty"`
-	QueueWaitMillis float64     `json:"queue_wait_ms"`
-	RunMillis       float64     `json:"run_ms"`
-	TotalMillis     float64     `json:"total_ms"`
-	Spans           []TraceSpan `json:"spans"`
+// jobSummary is a finished request's identity, outcome and time breakdown:
+// the head of a retained trace and the body of an access-log line. A
+// retained trace always has a job id and a tenant; a request refused before
+// either was known logs without them.
+type jobSummary struct {
+	JobID           string  `json:"job_id,omitempty"`
+	TraceID         string  `json:"trace_id"`
+	Tenant          string  `json:"tenant,omitempty"`
+	Algorithm       string  `json:"algorithm,omitempty"`
+	Ranks           int     `json:"ranks,omitempty"`
+	Status          int     `json:"status"`
+	Error           string  `json:"error,omitempty"`
+	Cache           string  `json:"cache,omitempty"`
+	QueueWaitMillis float64 `json:"queue_wait_ms"`
+	RunMillis       float64 `json:"run_ms"`
+	TotalMillis     float64 `json:"total_ms"`
 }
 
-// snapshot freezes the jobTrace into its retained/served form. Call only
-// after the root span is closed (request finished).
-func (jt *jobTrace) snapshot(status int, errMsg string, total time.Duration) *JobTrace {
-	out := &JobTrace{
+// summary is the request's jobSummary once it has answered status.
+func (jt *jobTrace) summary(status int, errMsg string, total time.Duration) jobSummary {
+	return jobSummary{
 		JobID:           jt.jobID,
 		TraceID:         jt.traceID,
 		Tenant:          jt.tenant,
@@ -231,6 +231,19 @@ func (jt *jobTrace) snapshot(status int, errMsg string, total time.Duration) *Jo
 		RunMillis:       durMillis(jt.runDur),
 		TotalMillis:     durMillis(total),
 	}
+}
+
+// JobTrace is a retained job's span tree plus its request summary — the body
+// of GET /v1/jobs/{id}/trace.
+type JobTrace struct {
+	jobSummary
+	Spans []TraceSpan `json:"spans"`
+}
+
+// snapshot freezes the jobTrace into its retained/served form. Call only
+// after the root span is closed (request finished).
+func (jt *jobTrace) snapshot(sum jobSummary) *JobTrace {
+	out := &JobTrace{jobSummary: sum}
 	for _, b := range jt.batches() {
 		for _, s := range b.spans {
 			out.Spans = append(out.Spans, traceSpanOf(s, b.id))
@@ -260,31 +273,28 @@ func traceSpanOf(s obs.Span, id obs.OTLPIdentity) TraceSpan {
 
 func durMillis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
+// traceRingCap bounds the retained-trace ring. A negative TraceSlowMillis is
+// the one way to retain nothing.
+const traceRingCap = 256
+
 // traceRing retains the most recent slow/error job traces, bounded and
 // indexed by job id. Safe for concurrent use.
 type traceRing struct {
 	mu   sync.Mutex
-	cap  int
 	fifo []string // job ids, oldest first
 	byID map[string]*JobTrace
 }
 
-func newTraceRing(capacity int) *traceRing {
-	if capacity <= 0 {
-		return nil // retention disabled
-	}
-	return &traceRing{cap: capacity, byID: make(map[string]*JobTrace, capacity)}
+func newTraceRing() *traceRing {
+	return &traceRing{byID: make(map[string]*JobTrace, traceRingCap)}
 }
 
-// add retains one trace, evicting the oldest beyond capacity. Nil-safe.
+// add retains one trace, evicting the oldest beyond capacity.
 func (r *traceRing) add(t *JobTrace) {
-	if r == nil || t == nil || t.JobID == "" {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byID[t.JobID]; !dup {
-		if len(r.fifo) == r.cap {
+		if len(r.fifo) == traceRingCap {
 			delete(r.byID, r.fifo[0])
 			copy(r.fifo, r.fifo[1:])
 			r.fifo = r.fifo[:len(r.fifo)-1]
@@ -294,44 +304,28 @@ func (r *traceRing) add(t *JobTrace) {
 	r.byID[t.JobID] = t
 }
 
-// get looks a retained trace up by job id. Nil-safe.
+// get looks a retained trace up by job id.
 func (r *traceRing) get(jobID string) (*JobTrace, bool) {
-	if r == nil {
-		return nil, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, ok := r.byID[jobID]
 	return t, ok
 }
 
-// len reports the retained-trace count. Nil-safe.
+// len reports the retained-trace count.
 func (r *traceRing) len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.fifo)
 }
 
 // accessEntry is one structured access-log line (JSON, one object per line):
-// the request's identity, outcome, and time breakdown — enough to find the
-// slow tail and jump to its trace without a collector.
+// the request's summary — enough to find the slow tail and jump to its trace
+// without a collector.
 type accessEntry struct {
-	TimeUnixNano    int64   `json:"ts_unix_nano"`
-	TraceID         string  `json:"trace_id"`
-	JobID           string  `json:"job_id,omitempty"`
-	Tenant          string  `json:"tenant,omitempty"`
-	Algorithm       string  `json:"algorithm,omitempty"`
-	Ranks           int     `json:"ranks,omitempty"`
-	Status          int     `json:"status"`
-	Error           string  `json:"error,omitempty"`
-	Cache           string  `json:"cache,omitempty"`
-	QueueWaitMillis float64 `json:"queue_wait_ms"`
-	RunMillis       float64 `json:"run_ms"`
-	TotalMillis     float64 `json:"total_ms"`
-	TraceRetained   bool    `json:"trace_retained,omitempty"`
+	TimeUnixNano int64 `json:"ts_unix_nano"`
+	jobSummary
+	TraceRetained bool `json:"trace_retained,omitempty"`
 }
 
 // accessLogger serializes access-log lines onto one writer. A nil logger

@@ -173,7 +173,7 @@ func TestNormalizeDefaultsAndErrors(t *testing.T) {
 		{"missing algorithm", Request{Graph: "g"}, "algorithm is required"},
 		{"unknown algorithm", Request{Algorithm: "sort", Graph: "g"}, "unknown algorithm"},
 		{"no graph", Request{Algorithm: AlgoMatch}, "exactly one of"},
-		{"both graphs", Request{Algorithm: AlgoMatch, Graph: "g", GraphPath: "p"}, "exactly one of"},
+		{"both graphs", Request{Algorithm: AlgoMatch, Graph: "g", GraphRef: "p"}, "exactly one of"},
 		{"negative ranks", Request{Algorithm: AlgoMatch, Graph: "g", Ranks: -1}, "ranks must be positive"},
 		{"ranks over bound", Request{Algorithm: AlgoMatch, Graph: "g", Ranks: 65}, "exceeds the server bound"},
 		{"unknown partitioner", Request{Algorithm: AlgoMatch, Graph: "g", Partition: "hash"}, "unknown partitioner"},
