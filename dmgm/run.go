@@ -3,9 +3,7 @@ package dmgm
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/coloring"
@@ -141,7 +139,7 @@ func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) 
 	var (
 		out     *JobResult
 		verdict error
-		write   func(io.Writer) error
+		render  func([]byte) []byte
 		start   = time.Now()
 	)
 	switch job.Algorithm {
@@ -159,7 +157,7 @@ func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) 
 			Messages: res.Messages, Bytes: res.Bytes, Elapsed: time.Since(start),
 		}
 		verdict = res.Mates.VerifyMaximal(g)
-		write = func(w io.Writer) error { return matching.WriteMates(w, res.Mates) }
+		render = func(b []byte) []byte { return matching.AppendMates(b, res.Mates) }
 	case AlgoColor, AlgoJP:
 		res, verify, err := runColor(w, pl, job)
 		if err != nil || res == nil {
@@ -170,16 +168,12 @@ func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) 
 			Messages: res.Messages, Bytes: res.Bytes, Elapsed: time.Since(start),
 		}
 		verdict = verify(g, res.Colors)
-		write = func(w io.Writer) error { return coloring.WriteColors(w, res.Colors) }
+		render = func(b []byte) []byte { return coloring.AppendColors(b, res.Colors) }
 	}
 	if verdict != nil {
 		return nil, fmt.Errorf("result verification: %w", verdict)
 	}
-	var sb strings.Builder
-	if err := write(&sb); err != nil {
-		return nil, err
-	}
-	out.Text = sb.String()
+	out.Text = string(render(nil))
 	return out, nil
 }
 

@@ -5,25 +5,42 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/graph"
 )
 
 // WriteColors writes a coloring as text: a "coloring <n>" header, then one
-// color per line in vertex order. The text is rendered into one buffer —
-// sized for colors below 1000, which is every coloring but a pathological
-// one — and handed to w in a single Write.
+// color per line in vertex order, rendered by AppendColors into one buffer
+// and handed to w in a single Write.
 func WriteColors(w io.Writer, c Colors) error {
-	buf := make([]byte, 0, len("coloring \n")+20+4*len(c))
-	buf = append(buf, "coloring "...)
-	buf = strconv.AppendInt(buf, int64(len(c)), 10)
-	buf = append(buf, '\n')
-	for _, col := range c {
-		buf = strconv.AppendInt(buf, int64(col), 10)
-		buf = append(buf, '\n')
-	}
-	_, err := w.Write(buf)
+	_, err := w.Write(AppendColors(nil, c))
 	return err
+}
+
+// AppendColors appends WriteColors' text of c to dst, growing it first to
+// three bytes a vertex, which holds every color below 100. Such a color is
+// one or two graph.DigitPairs bytes; the unsigned compare sends the rest,
+// -1 included, to strconv.
+func AppendColors(dst []byte, c Colors) []byte {
+	dst = slices.Grow(dst, len("coloring \n")+20+3*len(c))
+	dst = append(dst, "coloring "...)
+	dst = strconv.AppendInt(dst, int64(len(c)), 10)
+	dst = append(dst, '\n')
+	for _, col := range c {
+		switch {
+		case uint32(col) < 10:
+			dst = append(dst, byte('0'+col), '\n')
+		case uint32(col) < 100:
+			dst = append(dst, graph.DigitPairs[2*col], graph.DigitPairs[2*col+1], '\n')
+		default:
+			dst = strconv.AppendInt(dst, int64(col), 10)
+			dst = append(dst, '\n')
+		}
+	}
+	return dst
 }
 
 // ReadColors parses the format written by WriteColors.

@@ -814,15 +814,16 @@ var (
 	// runFlagRe finds a -run / -test.run pattern or a -fuzz target, quoted
 	// or bare; goCmdRe the go commands a -run can belong to; testFuncRe the
 	// functions go test runs.
-	runFlagRe  = regexp.MustCompile("-(test\\.)?(?:run|fuzz)[= ]('[^']*'|\"[^\"]*\"|[^\\s`'\"]+)")
+	runFlagRe  = regexp.MustCompile("-(test\\.)?(?:run|fuzz|bench)[= ]('[^']*'|\"[^\"]*\"|[^\\s`'\"]+)")
 	goCmdRe    = regexp.MustCompile(`\bgo (test|run)\b`)
 	testFuncRe = regexp.MustCompile(`^(Test|Fuzz|Benchmark)`)
 )
 
 // TestRunPatternsNameTests: a -run alternative that names no test makes go
 // test print "no tests to run" and pass, so a CI step or a verify-skill
-// command can quietly stop testing anything. Every alternative of every -run
-// pattern and -fuzz target in ci.yml and the verify skill must match a Test,
+// command can quietly stop testing anything (and a -bench one, timing
+// anything). Every top-level alternative of every -run and -bench pattern
+// and -fuzz target in ci.yml and the verify skill must match a Test,
 // Fuzz or Benchmark function of the root module's test files; '^$' is the one
 // spelling of "run nothing". A -run whose nearest go command before it is
 // `go run` is that program's own flag, not a test pattern.
@@ -853,7 +854,7 @@ func TestRunPatternsNameTests(t *testing.T) {
 			} else {
 				pattern = strings.TrimRight(pattern, ".,;:)")
 			}
-			for _, alt := range strings.Split(pattern, "|") {
+			for _, alt := range splitTopLevel(pattern) {
 				checked++
 				if alt == "^$" {
 					continue
@@ -871,6 +872,27 @@ func TestRunPatternsNameTests(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("found no -run pattern or -fuzz target")
 	}
+}
+
+// splitTopLevel splits a pattern at the | outside parentheses, so that
+// 'Parallel(Coloring|Matching)' stays one alternative.
+func splitTopLevel(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, c := range pattern {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
 }
 
 // repoFiles parses the Go files of the root module — its test files if

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -12,25 +13,33 @@ import (
 )
 
 // WriteMates writes a matching as text: a "matching <n>" header, then one
-// "v mate" pair per matched edge (smaller endpoint first, each edge once).
-// The text is rendered into one buffer — at most len(m)/2 pairs of two ids
-// no longer than len(m)'s — and handed to w in a single Write.
+// "v mate" pair per matched edge (smaller endpoint first, each edge once),
+// rendered by AppendMates into one buffer and handed to w in a single Write.
 func WriteMates(w io.Writer, m Mates) error {
-	idLen := len(strconv.Itoa(len(m)))
-	buf := make([]byte, 0, len("matching \n")+idLen+len(m)/2*(2*idLen+2))
-	buf = append(buf, "matching "...)
-	buf = strconv.AppendInt(buf, int64(len(m)), 10)
-	buf = append(buf, '\n')
+	_, err := w.Write(AppendMates(nil, m))
+	return err
+}
+
+// AppendMates appends WriteMates' text of m to dst, growing it first to the
+// bound — at most len(m)/2 pairs of two ids no longer than len(m)'s. Ids are
+// rendered by graph.AppendUint32.
+func AppendMates(dst []byte, m Mates) []byte {
+	idLen := len(graph.AppendUint32(make([]byte, 0, 10), uint32(len(m))))
+	dst = slices.Grow(dst, len("matching \n")+idLen+len(m)/2*(2*idLen+2))
+	dst = append(dst, "matching "...)
+	dst = graph.AppendUint32(dst, uint32(len(m)))
+	dst = append(dst, '\n')
 	for v, u := range m {
-		if u != graph.None && graph.Vertex(v) < u {
-			buf = strconv.AppendInt(buf, int64(v), 10)
-			buf = append(buf, ' ')
-			buf = strconv.AppendInt(buf, int64(u), 10)
-			buf = append(buf, '\n')
+		// graph.None is -1, below every vertex: v < u means matched, and
+		// this pair's first sighting.
+		if graph.Vertex(v) < u {
+			dst = graph.AppendUint32(dst, uint32(v))
+			dst = append(dst, ' ')
+			dst = graph.AppendUint32(dst, uint32(u))
+			dst = append(dst, '\n')
 		}
 	}
-	_, err := w.Write(buf)
-	return err
+	return dst
 }
 
 // ReadMates parses the format written by WriteMates.

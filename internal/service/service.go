@@ -548,8 +548,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	resp.TraceID = jt.traceID
 	// Serialization and the first write of a (possibly large) result body.
 	jt.stage(spanRespond, func() int64 {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp) //nolint:errcheck // the header is already out; nothing to repair mid-stream
+		writeResponse(w, resp) //nolint:errcheck // nothing to repair: a failed marshal sends an empty 200, as Encode did
 		return int64(len(resp.Result))
 	})
 	s.finishTrace(jt, http.StatusOK, "")
