@@ -14,8 +14,8 @@
 //
 // With -upload the graph ships once through the resumable chunked upload
 // API (DMGB encoding, docs/PROTOCOL.md §7) and every job references it by
-// graph_ref — the streaming-ingest path. -upload-fault n injects a
-// simulated transport fault every n-th chunk to exercise per-chunk retry;
+// graph_ref — the ingest path. -upload-fault n fails the first PUT of every
+// n-th chunk in the client's transport, so the per-chunk retry path runs;
 // upload throughput and retry counts are reported alongside job latency.
 // Without -upload the graph is sent inline as text with every request.
 //
@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -72,7 +73,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "print the summary as JSON")
 		upload   = flag.Bool("upload", false, "upload the graph once (chunked DMGB) and submit jobs by graph_ref")
 		upChunk  = flag.Int64("upload-chunk", 0, "upload chunk size in bytes (0: server default)")
-		upFault  = flag.Int("upload-fault", 0, "inject a simulated fault every n-th chunk (0 disables)")
+		upFault  = flag.Int("upload-fault", 0, "fail the first PUT of every n-th chunk in the transport, so it is retried (0 disables)")
 		compare  = flag.Bool("compare-inline", false, "with -upload: fail unless a by-ref job answers byte-identically to the same job sent inline")
 		restartC = flag.String("restart-check", "", "crash/restart conformance state file (docs/PROTOCOL.md §7): with -upload and no existing file, records graph_ref + result digests after the upload; when the file exists, verifies the recorded ref still resolves with byte-identical results and a 1-chunk re-upload, then exits")
 		tenant   = flag.String("tenant", "", "tenant to account requests to (X-DMGM-Tenant header; empty = server default tenant)")
@@ -145,10 +146,10 @@ func main() {
 	var upStats *client.UploadStats
 	if *upload {
 		uctx, cancel := context.WithTimeout(ctx, *timeout)
-		ref, st, err := cl.UploadGraph(uctx, g, client.UploadOptions{
-			ChunkBytes: *upChunk,
-			FaultEvery: *upFault,
-		})
+		if *upFault > 0 {
+			cl.HTTP = &http.Client{Transport: &client.FaultTransport{Every: *upFault}}
+		}
+		ref, st, err := cl.UploadGraph(uctx, g, client.UploadOptions{ChunkBytes: *upChunk})
 		cancel()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dmgm-load: upload: %v\n", err)

@@ -160,17 +160,17 @@ func WriteDMGB(w io.Writer, g *Graph) error {
 
 // ReadDMGB decodes one DMGB stream, verifying the declared fingerprint
 // against the decoded content. The decode is streaming: it consumes r
-// incrementally and never buffers the whole stream, so it works off a pipe
-// fed by an in-flight upload just as well as off a file.
+// incrementally and never buffers the whole stream.
 func ReadDMGB(r io.Reader) (*Graph, error) {
 	g, _, err := readDMGB(asByteReader(r))
 	return g, err
 }
 
-// ReadDMGBWithHeader is ReadDMGB returning the verified header too — the
-// re-verifying read of the persistent graph store, which must additionally
-// check that the stream's (content-verified) fingerprint matches the address
-// the file was stored under.
+// ReadDMGBWithHeader is ReadDMGB returning the verified header too, whose
+// fingerprint the decoder has checked against the content: an upload's
+// complete keeps it as the graph's address rather than hashing the graph
+// again, and the persistent graph store's re-verifying read checks it
+// against the address the file was stored under.
 func ReadDMGBWithHeader(r io.Reader) (*Graph, *DMGBHeader, error) {
 	return readDMGB(asByteReader(r))
 }

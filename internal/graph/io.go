@@ -181,8 +181,9 @@ func splitFields(dst [][]byte, line []byte) int {
 // ReadAuto reads a graph in either of this repository's formats, sniffing
 // the stream by its magic bytes: "DMGB" selects the streaming DMGB codec,
 // anything else is parsed as the text edge-list format. Every reader path
-// that accepts "a graph file" routes through here — uploads included, so both
-// decoders must hold up against hostile bytes.
+// that accepts "a graph file" routes through here, and uploads pick between
+// the same two decoders by the same magic, so both must hold up against
+// hostile bytes.
 func ReadAuto(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	prefix, err := br.Peek(8)

@@ -8,6 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -37,29 +42,36 @@ type UploadOptions struct {
 	ChunkBytes int64
 	// MaxChunkRetries bounds per-chunk retry attempts (default 3).
 	MaxChunkRetries int
-	// FaultEvery injects a simulated transport fault before sending every
-	// FaultEvery-th chunk (testing and the load generator's fault mode;
-	// 0 disables). The faulted chunk is retried like a real failure.
-	FaultEvery int
 }
 
 // Upload ships an encoded graph to the daemon through the chunked upload
 // API (docs/PROTOCOL.md §7) and returns the graph_ref to submit jobs
 // against. The transfer is resumable and content-addressed: chunks are
 // retried individually on failure, and a graph the daemon already holds
-// short-circuits after the first chunk.
+// short-circuits after the first chunk. An upload that fails after its
+// session opened aborts the session, so it does not hold the tenant's
+// upload slot until the session expires.
 func (c *Client) Upload(ctx context.Context, enc []byte, opts UploadOptions) (string, *UploadStats, error) {
+	stats := &UploadStats{}
+	if len(enc) == 0 {
+		return "", stats, errors.New("upload: empty payload")
+	}
 	if opts.MaxChunkRetries <= 0 {
 		opts.MaxChunkRetries = 3
 	}
 	start := time.Now()
-	stats := &UploadStats{}
 	st, err := c.UploadOpen(ctx, opts.ChunkBytes)
 	if err != nil {
 		return "", stats, err
 	}
 	ref, err := c.uploadChunks(ctx, st, enc, opts, stats)
 	stats.Elapsed = time.Since(start)
+	if err != nil {
+		// Best effort, and even when ctx is what failed; the TTL is the backstop.
+		actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+		c.UploadAbort(actx, st.UploadID) //nolint:errcheck // the upload's own error is the one to report
+		cancel()
+	}
 	return ref, stats, err
 }
 
@@ -155,9 +167,6 @@ func (c *Client) uploadChunks(ctx context.Context, st *ingest.Status, enc []byte
 	}
 	id, size := st.UploadID, st.ChunkBytes
 	total := int((int64(len(enc)) + size - 1) / size)
-	if total == 0 {
-		total = 1 // an empty payload still fails decode server-side, cleanly
-	}
 	have := make(map[int]bool)
 	for _, r := range st.ReceivedRanges {
 		for i := r[0]; i < r[1]; i++ {
@@ -174,13 +183,6 @@ func (c *Client) uploadChunks(ctx context.Context, st *ingest.Status, enc []byte
 			end = int64(len(enc))
 		}
 		data := enc[off:end]
-		if opts.FaultEvery > 0 && (idx+1)%opts.FaultEvery == 0 {
-			// Simulated transport fault: count a lost attempt, then send
-			// the chunk for real — exercising the retry path end to end.
-			stats.ChunksSent++
-			stats.ChunksRetried++
-			stats.BytesSent += int64(len(data))
-		}
 		cst, retries, err := c.UploadChunk(ctx, id, idx, data, opts.MaxChunkRetries)
 		stats.ChunksSent += 1 + retries
 		stats.ChunksRetried += retries
@@ -221,4 +223,29 @@ func (c *Client) uploadCall(ctx context.Context, method, path string, body []byt
 		return nil, err
 	}
 	return &st, nil
+}
+
+// FaultTransport fails the first PUT of every Every-th chunk of an upload
+// (chunk indexes Every-1, 2*Every-1, ...) with a transport error, so that
+// UploadChunk's retry loop runs for real: the load generator's
+// -upload-fault mode.
+type FaultTransport struct {
+	Every  int
+	Faults atomic.Int64 // failures injected
+	failed sync.Map     // chunk paths already failed once
+}
+
+func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	dir, file := path.Split(req.URL.Path)
+	idx, err := strconv.Atoi(file)
+	if err == nil && req.Method == http.MethodPut && strings.HasSuffix(dir, "/chunks/") && (idx+1)%t.Every == 0 {
+		if _, again := t.failed.LoadOrStore(req.URL.Path, true); !again {
+			t.Faults.Add(1)
+			if req.Body != nil {
+				req.Body.Close()
+			}
+			return nil, fmt.Errorf("injected fault: first PUT of chunk %d", idx)
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }

@@ -1,22 +1,23 @@
-// Package ingest is the streaming graph-ingest subsystem of the serving
-// layer: resumable chunked uploads feeding a streaming decoder, with a
-// content-addressed graph store underneath (docs/PROTOCOL.md §7).
+// Package ingest is the graph-ingest subsystem of the serving layer:
+// resumable chunked uploads, with a content-addressed graph store underneath
+// (docs/PROTOCOL.md §7).
 //
 // A client opens a session (POST /v1/uploads), sends the encoded graph as
 // fixed-size chunks (PUT /v1/uploads/{id}/chunks/{n}) in any order, each
 // idempotently replayable and checksum-guarded, and finalizes (POST
-// .../complete). The session feeds the contiguous prefix to a streaming
-// decoder as chunks land, so by the time the last chunk arrives the graph is
-// already decoded and fingerprinted — and for DMGB streams, whose header
-// carries the graph fingerprint, a session over content the daemon already
-// holds short-circuits after the first chunk: the client learns the
-// graph_ref immediately and aborts the remaining transfer.
+// .../complete). A session is plain data: it holds the chunks as they land,
+// and the complete decodes them once, in index order, and fingerprints the
+// graph. For DMGB streams, whose header carries the graph fingerprint, a
+// session over content the daemon already holds short-circuits at chunk 0:
+// the client learns the graph_ref immediately and aborts the remaining
+// transfer.
 //
 // Jobs then reference the graph by fingerprint (`graph_ref`), decoupling the
 // upload's lifetime from the jobs': one transfer, any number of runs.
 package ingest
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -49,16 +50,11 @@ const (
 
 // Config sizes a Manager. The zero value gets production-sane defaults.
 type Config struct {
-	// TTL expires sessions idle longer than this (default 2 minutes).
+	// TTL expires sessions idle longer than this (default 2 minutes); the
+	// sweeper scans every TTL/4.
 	TTL time.Duration
-	// SweepEvery is the expiry scan interval (default TTL/4, clamped).
-	SweepEvery time.Duration
-	// MaxSessions bounds concurrently open sessions (default 64).
-	MaxSessions int
 	// MaxBytes bounds one session's received bytes (default 1 GiB).
 	MaxBytes int64
-	// MaxChunkBytes bounds the declared chunk size (default 16 MiB).
-	MaxChunkBytes int64
 	// Store receives decoded graphs; required. A DMGB session declaring a
 	// fingerprint it contains short-circuits.
 	Store *Store
@@ -67,40 +63,24 @@ type Config struct {
 	// session exists, it returns either a release hook, which the manager
 	// runs exactly once when the session leaves the uploading state (or
 	// immediately, if opening fails), or the *Refusal to answer the open
-	// with. nil admits every open.
+	// with. The hook runs under the session's lock: it must be quick and
+	// must not call into the Manager. nil admits every open.
 	Admit func(r *http.Request) (release func(), err *Refusal)
 	// Registry carries the ingest metrics; nil disables them.
 	Registry *obs.Registry
 }
 
-func (c *Config) fillDefaults() {
-	if c.TTL <= 0 {
-		c.TTL = 2 * time.Minute
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.TTL / 4
-	}
-	if c.SweepEvery < 10*time.Millisecond {
-		c.SweepEvery = 10 * time.Millisecond
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 64
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 1 << 30
-	}
-	if c.MaxChunkBytes <= 0 {
-		c.MaxChunkBytes = 16 << 20
-	}
-}
-
-// minChunkBytes guarantees chunk 0 covers the DMGB header, so the
-// short-circuit decision never waits on a second chunk.
-const minChunkBytes = 1024
-
-// errAborted closes the decode pipe of a session that ended before its
-// stream did (short-circuit, expiry, abort).
-var errAborted = errors.New("ingest: session ended")
+const (
+	// maxSessions bounds concurrently open sessions, settled ones included
+	// until they expire or are aborted.
+	maxSessions = 64
+	// minChunkBytes guarantees chunk 0 covers the DMGB header, so the
+	// short-circuit decision never waits on a second chunk.
+	minChunkBytes = 1024
+	// defaultChunkBytes and maxChunkBytes bound the declared chunk size.
+	defaultChunkBytes = 4 << 20
+	maxChunkBytes     = 16 << 20
+)
 
 // Manager owns the upload sessions and their TTL sweeper.
 type Manager struct {
@@ -123,7 +103,12 @@ type Manager struct {
 
 // NewManager builds a manager and starts its sweeper; Stop it on shutdown.
 func NewManager(cfg Config) *Manager {
-	cfg.fillDefaults()
+	if cfg.TTL <= 0 {
+		cfg.TTL = 2 * time.Minute
+	}
+	if cfg.MaxBytes <= 0 {
+		cfg.MaxBytes = 1 << 30
+	}
 	if cfg.Store == nil {
 		panic("ingest: Config.Store is required")
 	}
@@ -141,7 +126,7 @@ func NewManager(cfg Config) *Manager {
 		openGauge:    reg.Gauge("ingest.sessions_open"),
 	}
 	m.sweeper.Add(1)
-	go m.sweepLoop()
+	go m.sweepLoop(max(cfg.TTL/4, 10*time.Millisecond))
 	return m
 }
 
@@ -150,21 +135,18 @@ func (m *Manager) Stop() {
 	m.stopOnce.Do(func() { close(m.quit) })
 	m.sweeper.Wait()
 	m.mu.Lock()
-	open := make([]*session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		open = append(open, s)
-	}
+	open := m.sessions
 	m.sessions = make(map[string]*session)
 	m.mu.Unlock()
 	for _, s := range open {
-		s.end(StateFailed, "server shutting down")
+		s.end("server shutting down")
 	}
 	m.openGauge.Set(0)
 }
 
-func (m *Manager) sweepLoop() {
+func (m *Manager) sweepLoop(every time.Duration) {
 	defer m.sweeper.Done()
-	tick := time.NewTicker(m.cfg.SweepEvery)
+	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
 		select {
@@ -190,59 +172,39 @@ func (m *Manager) sweep(now time.Time) {
 	m.openGauge.Set(int64(len(m.sessions)))
 	m.mu.Unlock()
 	for _, s := range gone {
-		if s.end(StateFailed, "session expired") {
+		if s.end("session expired") {
 			m.expired.Inc()
 		}
 	}
 }
 
-// chunkMeta records a received chunk for idempotent replays and resume.
-type chunkMeta struct {
-	size int64
+// chunk is one received chunk: its checksum, for idempotent replays, and
+// its bytes until the session leaves the uploading state.
+type chunk struct {
 	sum  [sha256.Size]byte
+	data []byte
 }
 
-// decodeResult carries the streaming decoder's outcome.
-type decodeResult struct {
-	g   *graph.Graph
-	fp  string
-	err error
-}
-
-// session is one upload in flight. The mutex guards every field; the
-// feeder goroutine moves contiguous chunks to the decode pipe so HTTP
-// handlers never block on the decoder.
+// session is one upload: plain data under mu, and no goroutine of its own.
+// It holds the chunks as they arrive; Complete decodes them. decode is a
+// one-slot semaphore, so at most one Complete decodes a session at a time.
 type session struct {
 	id         string
 	chunkBytes int64
 	maxBytes   int64
 	ttl        time.Duration
+	release    func() // the admission hook; leaveLocked runs it
+	decode     chan struct{}
 
 	mu         sync.Mutex
-	cond       *sync.Cond
 	state      string
 	failure    string
 	lastActive time.Time
-	chunks     map[int]chunkMeta // every received chunk
-	pending    map[int][]byte    // received, not yet fed to the decoder
-	next       int               // next chunk index the feeder wants
+	chunks     map[int]chunk
 	bytesIn    int64
-	shortIdx   int // index of the (provisionally last) short chunk, -1 if none
-	finalized  bool
-	total      int // declared chunk count, -1 until complete
-	prefix     []byte
-	sniffed    bool
+	shortIdx   int    // index of the (provisionally last) short chunk, -1 if none
 	fp         string // declared (DMGB header), then verified on completion
 	ref        string // graph_ref once complete / short-circuited
-
-	pw        *io.PipeWriter
-	decoded   *decodeResult
-	decodedCh chan struct{} // closed once decoded is set
-
-	// release is the admission hook from Config.Admit; relOnce guarantees
-	// it runs at most once, however many paths observe the terminal state.
-	release func()
-	relOnce sync.Once
 }
 
 func (s *session) deadline() time.Time {
@@ -251,87 +213,64 @@ func (s *session) deadline() time.Time {
 	return s.lastActive.Add(s.ttl)
 }
 
-// end moves the session to a terminal state (unless already terminal),
-// wakes the feeder, and tears down the decode pipe. Reports whether the
-// session was still uploading.
-func (s *session) end(state, why string) bool {
-	s.mu.Lock()
-	wasUploading := s.state == StateUploading
-	if wasUploading {
-		s.state = state
-		s.failure = why
-		s.pending = nil
-		s.cond.Broadcast()
+// leaveLocked is the one transition out of the uploading state: it settles
+// the session, drops the chunk bytes and runs the admission release hook.
+// The caller holds mu and has seen the session uploading.
+func (s *session) leaveLocked(state, why string) {
+	s.state, s.failure = state, why
+	for i, c := range s.chunks {
+		s.chunks[i] = chunk{sum: c.sum}
 	}
-	s.mu.Unlock()
-	if wasUploading {
-		s.pw.CloseWithError(errAborted)
-	}
-	s.settle()
-	return wasUploading
+	s.release()
 }
 
-// setRelease attaches the admission release hook. If the session already
-// ended — possible the instant after Open — the hook runs immediately.
-func (s *session) setRelease(rel func()) {
+// end fails the session unless it has already settled, and reports whether
+// it was still uploading.
+func (s *session) end(why string) bool {
 	s.mu.Lock()
-	s.release = rel
-	terminal := s.state != StateUploading
-	s.mu.Unlock()
-	if terminal {
-		s.relOnce.Do(rel)
+	defer s.mu.Unlock()
+	if s.state != StateUploading {
+		return false
 	}
+	s.leaveLocked(StateFailed, why)
+	return true
 }
 
-// settle runs the admission release hook if the session has left the
-// uploading state. Idempotent and safe from any goroutine; every terminal
-// transition calls it after dropping the session lock.
-func (s *session) settle() {
-	s.mu.Lock()
-	terminal := s.state != StateUploading
-	rel := s.release
-	s.mu.Unlock()
-	if terminal && rel != nil {
-		s.relOnce.Do(rel)
+// Open creates a session; chunkBytes 0 selects the 4 MiB default. Open owns
+// release (nil for none): it runs once, when the session leaves the
+// uploading state, or at once if Open refuses.
+func (m *Manager) Open(chunkBytes int64, release func()) (*session, error) {
+	if release == nil {
+		release = func() {}
 	}
-}
-
-// Open creates a session. chunkBytes 0 selects the 4 MiB default.
-func (m *Manager) Open(chunkBytes int64) (*session, error) {
 	if chunkBytes == 0 {
-		chunkBytes = 4 << 20
+		chunkBytes = defaultChunkBytes
 	}
-	if chunkBytes < minChunkBytes || chunkBytes > m.cfg.MaxChunkBytes {
-		return nil, fmt.Errorf("chunk_bytes %d outside [%d, %d]", chunkBytes, minChunkBytes, m.cfg.MaxChunkBytes)
+	if chunkBytes < minChunkBytes || chunkBytes > maxChunkBytes {
+		release()
+		return nil, fmt.Errorf("chunk_bytes %d outside [%d, %d]", chunkBytes, minChunkBytes, maxChunkBytes)
 	}
 	m.mu.Lock()
-	if len(m.sessions) >= m.cfg.MaxSessions {
+	if len(m.sessions) >= maxSessions {
 		m.mu.Unlock()
+		release()
 		return nil, errTooManySessions
 	}
-	id := fmt.Sprintf("up-%d", m.nextID.Add(1))
-	pr, pw := io.Pipe()
 	s := &session{
-		id:         id,
+		id:         fmt.Sprintf("up-%d", m.nextID.Add(1)),
 		chunkBytes: chunkBytes,
 		maxBytes:   m.cfg.MaxBytes,
 		ttl:        m.cfg.TTL,
+		release:    release,
+		decode:     make(chan struct{}, 1),
 		state:      StateUploading,
 		lastActive: time.Now(),
-		chunks:     make(map[int]chunkMeta),
-		pending:    make(map[int][]byte),
+		chunks:     make(map[int]chunk),
 		shortIdx:   -1,
-		total:      -1,
-		pw:         pw,
-		decodedCh:  make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	m.sessions[id] = s
+	m.sessions[s.id] = s
 	m.openGauge.Set(int64(len(m.sessions)))
 	m.mu.Unlock()
-
-	go s.feedLoop()
-	go s.decodeLoop(pr)
 	return s, nil
 }
 
@@ -343,61 +282,6 @@ func (m *Manager) lookup(id string) (*session, bool) {
 	defer m.mu.Unlock()
 	s, ok := m.sessions[id]
 	return s, ok
-}
-
-// feedLoop moves contiguous pending chunks into the decode pipe, in index
-// order, without holding the session lock across pipe writes. It exits when
-// the session leaves the uploading state or every declared chunk is fed.
-func (s *session) feedLoop() {
-	for {
-		s.mu.Lock()
-		for s.state == StateUploading && s.pending[s.next] == nil &&
-			!(s.finalized && s.next >= s.total) {
-			s.cond.Wait()
-		}
-		if s.state != StateUploading {
-			s.mu.Unlock()
-			return // end() closed the pipe
-		}
-		if buf := s.pending[s.next]; buf != nil {
-			delete(s.pending, s.next)
-			s.next++
-			s.mu.Unlock()
-			if _, err := s.pw.Write(buf); err != nil {
-				// The decoder stopped reading (done, or failed): nothing
-				// more to feed; completion reads the decode result.
-				return
-			}
-			continue
-		}
-		// Finalized and fully fed: EOF tells a text decoder to finish.
-		s.mu.Unlock()
-		s.pw.Close()
-		return
-	}
-}
-
-// decodeLoop runs the streaming decoder against the fed prefix, computes
-// the fingerprint, and publishes the result.
-func (s *session) decodeLoop(pr *io.PipeReader) {
-	g, err := graph.ReadAuto(pr)
-	// Unblock any in-flight feeder write; harmless if the pipe is done.
-	pr.CloseWithError(errAborted) //nolint:errcheck // pipe close cannot fail
-	res := &decodeResult{g: g, err: err}
-	if err == nil {
-		res.fp = graph.Fingerprint(g)
-	}
-	s.mu.Lock()
-	s.decoded = res
-	if err != nil && s.state == StateUploading && s.finalized {
-		// The stream was fully delivered and still did not decode.
-		s.state = StateFailed
-		s.failure = err.Error()
-		s.pending = nil
-	}
-	s.mu.Unlock()
-	s.settle()
-	close(s.decodedCh)
 }
 
 // Append records one chunk. Replays of an identical chunk are idempotent;
@@ -422,215 +306,189 @@ func (m *Manager) Append(s *session, idx int, data []byte, declaredSum string) (
 	m.bytesIn.Add(int64(len(data)))
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.lastActive = time.Now()
 	switch s.state {
 	case StateComplete, StateShortCircuit:
 		// The transfer is already settled; tell the client to stop.
-		st := s.statusLocked()
-		s.mu.Unlock()
-		return st, nil
+		return s.statusLocked(), nil
 	case StateFailed:
-		msg := s.failure
-		s.mu.Unlock()
-		return nil, Refusef(http.StatusConflict, "session failed: %s", msg)
+		return nil, Refusef(http.StatusConflict, "session failed: %s", s.failure)
 	}
 	if prev, ok := s.chunks[idx]; ok {
-		if prev.sum == sum {
-			m.replayed.Inc()
-			st := s.statusLocked()
-			s.mu.Unlock()
-			return st, nil
+		if prev.sum != sum {
+			return nil, Refusef(http.StatusConflict, "chunk %d replayed with different content", idx)
 		}
-		s.mu.Unlock()
-		return nil, Refusef(http.StatusConflict, "chunk %d replayed with different content", idx)
+		m.replayed.Inc()
+		return s.statusLocked(), nil
 	}
-	short := int64(len(data)) < s.chunkBytes
-	if short {
+	if int64(len(data)) < s.chunkBytes {
 		if s.shortIdx >= 0 {
-			s.mu.Unlock()
 			return nil, Refusef(http.StatusConflict, "chunks %d and %d are both short; only the final chunk may be", s.shortIdx, idx)
 		}
 		for other := range s.chunks {
 			if other > idx {
-				s.mu.Unlock()
 				return nil, Refusef(http.StatusConflict, "short chunk %d below existing chunk %d; only the final chunk may be short", idx, other)
 			}
 		}
-		s.shortIdx = idx
 	} else if s.shortIdx >= 0 && idx > s.shortIdx {
-		s.mu.Unlock()
 		return nil, Refusef(http.StatusConflict, "chunk %d beyond short chunk %d; only the final chunk may be short", idx, s.shortIdx)
 	}
 	if s.bytesIn+int64(len(data)) > s.maxBytes {
-		s.mu.Unlock()
 		return nil, Refusef(http.StatusRequestEntityTooLarge, "session exceeds the %d-byte upload bound", s.maxBytes)
 	}
-	s.chunks[idx] = chunkMeta{size: int64(len(data)), sum: sum}
+	if int64(len(data)) < s.chunkBytes {
+		s.shortIdx = idx
+	}
+	s.chunks[idx] = chunk{sum: sum, data: append([]byte(nil), data...)}
 	s.bytesIn += int64(len(data))
-	owned := append([]byte(nil), data...)
-	s.pending[idx] = owned
-	// Grow the sniffing prefix while the header may still be incomplete.
-	if off := int64(idx) * s.chunkBytes; !s.sniffed && off < graph.DMGBHeaderSize {
-		s.growPrefixLocked()
+	if idx == 0 {
+		m.sniffLocked(s, data)
 	}
-	s.cond.Broadcast()
-	sc := !s.sniffed && len(s.prefix) >= graph.DMGBHeaderSize
-	s.mu.Unlock()
-
-	if sc {
-		m.maybeShortCircuit(s)
-	}
-
-	s.mu.Lock()
-	st := s.statusLocked()
-	s.mu.Unlock()
-	return st, nil
+	return s.statusLocked(), nil
 }
 
-// growPrefixLocked assembles the contiguous byte prefix (up to the DMGB
-// header size) from whichever leading chunks have arrived.
-func (s *session) growPrefixLocked() {
-	for {
-		idx := int(int64(len(s.prefix)) / s.chunkBytes)
-		buf, ok := s.pending[idx]
-		if !ok || len(s.prefix) >= graph.DMGBHeaderSize {
-			return
-		}
-		skip := int64(len(s.prefix)) - int64(idx)*s.chunkBytes
-		if skip < 0 || skip >= int64(len(buf)) {
-			return
-		}
-		need := graph.DMGBHeaderSize - len(s.prefix)
-		rest := buf[skip:]
-		if len(rest) > need {
-			rest = rest[:need]
-		}
-		s.prefix = append(s.prefix, rest...)
-	}
-}
-
-// maybeShortCircuit parses the declared DMGB header once the prefix covers
-// it; a fingerprint the store already holds settles the session without
-// the rest of the transfer.
-func (m *Manager) maybeShortCircuit(s *session) {
-	s.mu.Lock()
-	if s.sniffed || len(s.prefix) < graph.DMGBHeaderSize || s.state != StateUploading {
-		s.mu.Unlock()
-		return
-	}
-	s.sniffed = true
-	if !graph.IsDMGB(s.prefix) {
-		s.mu.Unlock()
-		return // text: fingerprint only known after decode
-	}
-	hdr, err := graph.ParseDMGBHeader(s.prefix)
+// sniffLocked reads the DMGB header off chunk 0, which minChunkBytes makes
+// long enough to hold it unless chunk 0 is the whole upload. A declared
+// fingerprint the store already holds settles the session without the rest
+// of the transfer. Text, and a malformed header, wait for Complete, whose
+// decoder says precisely what is wrong.
+func (m *Manager) sniffLocked(s *session, chunk0 []byte) {
+	hdr, err := graph.ParseDMGBHeader(chunk0)
 	if err != nil {
-		s.mu.Unlock()
-		// A malformed header fails in the decoder with a precise error.
 		return
 	}
 	s.fp = hdr.Fingerprint
-	fp := s.fp
-	s.mu.Unlock()
-
-	if !m.cfg.Store.Contains(fp) {
-		return
+	if m.cfg.Store.Contains(s.fp) {
+		s.ref = s.fp
+		s.leaveLocked(StateShortCircuit, "")
+		m.shortCircs.Inc()
 	}
-	s.mu.Lock()
-	if s.state != StateUploading {
-		s.mu.Unlock()
-		return
-	}
-	s.state = StateShortCircuit
-	s.ref = fp
-	s.pending = nil
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.pw.CloseWithError(errAborted)
-	s.settle()
-	m.shortCircs.Inc()
 }
 
-// Complete finalizes the upload: it validates that every one of the
-// declared chunks arrived, waits for the streaming decoder to finish the
-// tail, deposits the graph in the store, and returns the settled status.
-// cancel aborts the wait (the caller's request context).
+// Complete finalizes the upload: it checks that exactly the declared chunks
+// arrived, decodes them once, in index order, deposits the graph in the
+// store, and returns the settled status. A closed cancel (the caller's
+// request context) stops the decode with a 504 and leaves the session
+// uploading, for a later complete to finish.
 func (m *Manager) Complete(s *session, totalChunks int, cancel <-chan struct{}) (*Status, error) {
+	// Take the decode slot, waiting (or giving up on cancel) only while
+	// another complete holds it.
+	select {
+	case s.decode <- struct{}{}:
+	default:
+		select {
+		case s.decode <- struct{}{}:
+		case <-cancel:
+			return nil, errCancelled
+		}
+	}
+	defer func() { <-s.decode }()
 	s.mu.Lock()
+	parts, st, err := s.partsLocked(totalChunks)
+	s.mu.Unlock()
+	if parts == nil {
+		return st, err
+	}
+	readers := make([]io.Reader, len(parts))
+	for i, p := range parts {
+		readers[i] = bytes.NewReader(p)
+	}
+	r := &cancelReader{r: io.MultiReader(readers...), cancel: cancel}
+	g, fp, err := decodeParts(parts[0], r)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lastActive = time.Now()
+	switch {
+	case r.cancelled:
+		return nil, errCancelled
+	case s.state != StateUploading:
+		// Aborted or expired while decoding.
+		return nil, Refusef(http.StatusConflict, "session failed: %s", s.failure)
+	case err != nil:
+		s.leaveLocked(StateFailed, err.Error())
+		m.failed.Inc()
+		return nil, Refusef(http.StatusUnprocessableEntity, "decoding upload: %v", err)
+	}
+	m.cfg.Store.Put(fp, g)
+	s.fp, s.ref = fp, fp
+	s.leaveLocked(StateComplete, "")
+	return s.statusLocked(), nil
+}
+
+var errCancelled = Refusef(http.StatusGatewayTimeout, "request cancelled while decoding")
+
+// partsLocked checks a complete of totalChunks chunks against what arrived
+// and returns the chunk bytes in index order. A settled session answers
+// with its status, or its failure, and no parts.
+func (s *session) partsLocked(totalChunks int) ([][]byte, *Status, error) {
 	s.lastActive = time.Now()
 	switch s.state {
 	case StateComplete, StateShortCircuit:
-		st := s.statusLocked()
-		s.mu.Unlock()
-		return st, nil
+		return nil, s.statusLocked(), nil
 	case StateFailed:
-		msg := s.failure
-		s.mu.Unlock()
-		return nil, Refusef(http.StatusConflict, "session failed: %s", msg)
+		return nil, nil, Refusef(http.StatusConflict, "session failed: %s", s.failure)
 	}
 	if totalChunks <= 0 {
-		s.mu.Unlock()
-		return nil, Refusef(http.StatusBadRequest, "chunks must be positive, got %d", totalChunks)
+		return nil, nil, Refusef(http.StatusBadRequest, "chunks must be positive, got %d", totalChunks)
 	}
 	var missing []int
-	for i := 0; i < totalChunks; i++ {
+	for i := 0; i < totalChunks && len(missing) < 8; i++ {
 		if _, ok := s.chunks[i]; !ok {
 			missing = append(missing, i)
-			if len(missing) >= 8 {
-				break
-			}
 		}
 	}
 	if len(missing) > 0 {
-		s.mu.Unlock()
-		return nil, Refusef(http.StatusConflict, "cannot complete: %d chunks received of %d declared; first missing %v", len(s.chunks), totalChunks, missing)
+		return nil, nil, Refusef(http.StatusConflict, "cannot complete: %d chunks received of %d declared; first missing %v", len(s.chunks), totalChunks, missing)
 	}
 	if len(s.chunks) > totalChunks {
-		s.mu.Unlock()
-		return nil, Refusef(http.StatusConflict, "%d chunks received exceed the %d declared", len(s.chunks), totalChunks)
+		return nil, nil, Refusef(http.StatusConflict, "%d chunks received exceed the %d declared", len(s.chunks), totalChunks)
 	}
 	if s.shortIdx >= 0 && s.shortIdx != totalChunks-1 {
-		s.mu.Unlock()
-		return nil, Refusef(http.StatusConflict, "short chunk %d is not the final chunk %d", s.shortIdx, totalChunks-1)
+		return nil, nil, Refusef(http.StatusConflict, "short chunk %d is not the final chunk %d", s.shortIdx, totalChunks-1)
 	}
-	s.finalized = true
-	s.total = totalChunks
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	parts := make([][]byte, totalChunks)
+	for i := range parts {
+		parts[i] = s.chunks[i].data
+	}
+	return parts, nil, nil
+}
 
-	select {
-	case <-s.decodedCh:
-	case <-cancel:
-		return nil, Refusef(http.StatusGatewayTimeout, "request cancelled while decoding")
-	}
-
-	s.mu.Lock()
-	// Deferred LIFO: unlock first, then settle (settle retakes the lock).
-	defer s.settle()
-	defer s.mu.Unlock()
-	s.lastActive = time.Now()
-	if s.state == StateShortCircuit {
-		return s.statusLocked(), nil
-	}
-	res := s.decoded
-	if res.err != nil {
-		if s.state == StateUploading {
-			s.state = StateFailed
-			s.failure = res.err.Error()
-			s.pending = nil
+// decodeParts decodes a whole upload. A DMGB stream keeps the fingerprint
+// its decoder has verified against the content; text is fingerprinted after
+// it parses.
+func decodeParts(chunk0 []byte, r io.Reader) (*graph.Graph, string, error) {
+	if graph.IsDMGB(chunk0) {
+		g, hdr, err := graph.ReadDMGBWithHeader(r)
+		if err != nil {
+			return nil, "", err
 		}
-		m.failed.Inc()
-		return nil, Refusef(http.StatusUnprocessableEntity, "decoding upload: %v", res.err)
+		return g, hdr.Fingerprint, nil
 	}
-	if s.state != StateUploading {
-		return nil, Refusef(http.StatusConflict, "session failed: %s", s.failure)
+	g, err := graph.ReadText(r)
+	if err != nil {
+		return nil, "", err
 	}
-	m.cfg.Store.Put(res.fp, res.g)
-	s.state = StateComplete
-	s.fp = res.fp
-	s.ref = res.fp
-	s.pending = nil
-	return s.statusLocked(), nil
+	return g, graph.Fingerprint(g), nil
+}
+
+// cancelReader fails its reads once cancel is closed, so a complete whose
+// request went away stops decoding.
+type cancelReader struct {
+	r         io.Reader
+	cancel    <-chan struct{}
+	cancelled bool
+}
+
+func (c *cancelReader) Read(p []byte) (int, error) {
+	select {
+	case <-c.cancel:
+		c.cancelled = true
+		return 0, errCancelled
+	default:
+		return c.r.Read(p)
+	}
 }
 
 // Abort discards a session.
@@ -642,11 +500,10 @@ func (m *Manager) Abort(id string) bool {
 		m.openGauge.Set(int64(len(m.sessions)))
 	}
 	m.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		s.end("aborted by client")
 	}
-	s.end(StateFailed, "aborted by client")
-	return true
+	return ok
 }
 
 // Status is the session state a client sees — the body of every chunk,
@@ -708,10 +565,8 @@ func (s *session) statusLocked() *Status {
 			}
 			st.ReceivedRanges = append(st.ReceivedRanges, [2]int{i, i + 1})
 		}
-		for _, r := range st.ReceivedRanges {
-			if r[0] == st.NextMissing {
-				st.NextMissing = r[1]
-			}
+		if r := st.ReceivedRanges; len(r) > 0 && r[0][0] == 0 {
+			st.NextMissing = r[0][1]
 		}
 	}
 	return st
@@ -807,27 +662,20 @@ func (m *Manager) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	var release func()
 	if m.cfg.Admit != nil {
-		rel, refusal := m.cfg.Admit(r)
-		if refusal != nil {
+		var refusal *Refusal
+		if release, refusal = m.cfg.Admit(r); refusal != nil {
 			refusal.Write(w)
 			return
 		}
-		release = rel
 	}
-	s, err := m.Open(req.ChunkBytes)
+	s, err := m.Open(req.ChunkBytes, release)
 	if err != nil {
-		if release != nil {
-			release()
-		}
 		if errors.Is(err, errTooManySessions) {
 			(&Refusal{Status: http.StatusTooManyRequests, RetryAfter: 1, Msg: fmt.Sprintf("%v: retry later", err)}).Write(w)
 			return
 		}
 		Refusef(http.StatusBadRequest, "%v", err).Write(w)
 		return
-	}
-	if release != nil {
-		s.setRelease(release)
 	}
 	jsonStatus(w, m.Status(s))
 }

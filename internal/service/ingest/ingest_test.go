@@ -1,11 +1,13 @@
 package ingest
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,7 +85,7 @@ func TestUploadInOrder(t *testing.T) {
 	if len(chunks) < 4 {
 		t.Fatalf("want >=4 chunks, got %d (grow the test graph)", len(chunks))
 	}
-	s, err := m.Open(2048)
+	s, err := m.Open(2048, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestUploadOutOfOrderAndReplay(t *testing.T) {
 	g := ingestTestGraph(t)
 	enc, _ := graph.EncodeDMGB(g)
 	chunks := chunksOf(enc, 2048)
-	s, err := m.Open(2048)
+	s, err := m.Open(2048, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestUploadChecksumEnforced(t *testing.T) {
 	g := ingestTestGraph(t)
 	enc, _ := graph.EncodeDMGB(g)
 	chunks := chunksOf(enc, 2048)
-	s, _ := m.Open(2048)
+	s, _ := m.Open(2048, nil)
 	sum := sha256.Sum256(chunks[0])
 	if _, err := m.Append(s, 0, chunks[0], hex.EncodeToString(sum[:])); err != nil {
 		t.Fatalf("correct checksum rejected: %v", err)
@@ -167,7 +169,7 @@ func TestUploadChecksumEnforced(t *testing.T) {
 
 func TestUploadShortChunkRules(t *testing.T) {
 	m, _ := newTestManager(t, nil)
-	s, _ := m.Open(2048)
+	s, _ := m.Open(2048, nil)
 	shortChunk := make([]byte, 100)
 	full := make([]byte, 2048)
 	mustAppend(t, m, s, 3, shortChunk) // provisional last chunk
@@ -181,14 +183,11 @@ func TestUploadShortChunkRules(t *testing.T) {
 }
 
 func TestUploadTTLExpiryMidUpload(t *testing.T) {
-	m, reg := newTestManager(t, func(c *Config) {
-		c.TTL = 40 * time.Millisecond
-		c.SweepEvery = 10 * time.Millisecond
-	})
+	m, reg := newTestManager(t, func(c *Config) { c.TTL = 40 * time.Millisecond })
 	g := ingestTestGraph(t)
 	enc, _ := graph.EncodeDMGB(g)
 	chunks := chunksOf(enc, 2048)
-	s, err := m.Open(2048)
+	s, err := m.Open(2048, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +207,6 @@ func TestUploadTTLExpiryMidUpload(t *testing.T) {
 	if v := reg.Snapshot().Counters["ingest.sessions_expired"]; v != 1 {
 		t.Fatalf("sessions_expired = %d, want 1", v)
 	}
-	// The abandoned session's goroutines must have been released: its
-	// decoder saw the aborted pipe.
-	select {
-	case <-s.decodedCh:
-	case <-time.After(2 * time.Second):
-		t.Fatal("decoder still running after expiry")
-	}
 }
 
 func TestUploadShortCircuitOnKnownFingerprint(t *testing.T) {
@@ -225,7 +217,7 @@ func TestUploadShortCircuitOnKnownFingerprint(t *testing.T) {
 	enc, _ := graph.EncodeDMGB(g)
 	chunks := chunksOf(enc, 2048)
 
-	s, _ := m.Open(2048)
+	s, _ := m.Open(2048, nil)
 	st := mustAppend(t, m, s, 0, chunks[0])
 	if st.State != StateShortCircuit {
 		t.Fatalf("state after chunk 0 = %s, want short_circuit", st.State)
@@ -265,7 +257,7 @@ func TestUploadTextGraphNoShortCircuit(t *testing.T) {
 		enc = b.data
 	}
 	chunks := chunksOf(enc, 4096)
-	s, _ := m.Open(4096)
+	s, _ := m.Open(4096, nil)
 	for i, c := range chunks {
 		mustAppend(t, m, s, i, c)
 	}
@@ -288,7 +280,7 @@ func TestUploadCorruptStreamFails(t *testing.T) {
 	enc, _ := graph.EncodeDMGB(g)
 	enc[len(enc)-1] ^= 0x01 // break the last weight; fingerprint mismatch
 	chunks := chunksOf(enc, 2048)
-	s, _ := m.Open(2048)
+	s, _ := m.Open(2048, nil)
 	for i, c := range chunks {
 		mustAppend(t, m, s, i, c)
 	}
@@ -310,7 +302,7 @@ func TestUploadIncompleteRejected(t *testing.T) {
 	g := ingestTestGraph(t)
 	enc, _ := graph.EncodeDMGB(g)
 	chunks := chunksOf(enc, 2048)
-	s, _ := m.Open(2048)
+	s, _ := m.Open(2048, nil)
 	for i, c := range chunks {
 		if i == 2 {
 			continue // hole
@@ -334,7 +326,7 @@ func TestUploadIncompleteRejected(t *testing.T) {
 
 func TestUploadStatusRanges(t *testing.T) {
 	m, _ := newTestManager(t, nil)
-	s, _ := m.Open(2048)
+	s, _ := m.Open(2048, nil)
 	full := make([]byte, 2048)
 	for _, i := range []int{0, 1, 3, 4, 7} {
 		mustAppend(t, m, s, i, full)
@@ -355,28 +347,122 @@ func TestUploadStatusRanges(t *testing.T) {
 }
 
 func TestUploadSessionLimit(t *testing.T) {
-	m, _ := newTestManager(t, func(c *Config) { c.MaxSessions = 2 })
-	if _, err := m.Open(0); err != nil {
-		t.Fatal(err)
+	m, _ := newTestManager(t, nil)
+	var last *session
+	for i := 0; i < maxSessions; i++ {
+		s, err := m.Open(0, nil)
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		last = s
 	}
-	s2, err := m.Open(0)
+	released := false
+	if _, err := m.Open(0, func() { released = true }); err == nil {
+		t.Fatalf("session %d admitted past the bound of %d", maxSessions+1, maxSessions)
+	}
+	if !released {
+		t.Fatal("a refused open kept its release hook")
+	}
+	if !m.Abort(last.id) {
+		t.Fatal("abort failed")
+	}
+	if _, err := m.Open(0, nil); err != nil {
+		t.Fatalf("open after abort: %v", err)
+	}
+}
+
+// TestUploadCompleteCancelled: a complete whose request went away answers
+// 504 and leaves the session uploading; the next complete settles it.
+func TestUploadCompleteCancelled(t *testing.T) {
+	m, _ := newTestManager(t, nil)
+	g := ingestTestGraph(t)
+	enc, _ := graph.EncodeDMGB(g)
+	chunks := chunksOf(enc, 2048)
+	released := 0
+	s, err := m.Open(2048, func() { released++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Open(0); err == nil {
-		t.Fatal("third session admitted past MaxSessions=2")
+	for i, c := range chunks {
+		mustAppend(t, m, s, i, c)
 	}
-	if !m.Abort(s2.id) {
-		t.Fatal("abort failed")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 8; i++ { // the slot and the cancel are both ready: either way, 504
+		_, err = m.Complete(s, len(chunks), ctx.Done())
+		if ce, ok := err.(*Refusal); !ok || ce.Status != http.StatusGatewayTimeout {
+			t.Fatalf("cancelled complete: %v, want 504", err)
+		}
 	}
-	if _, err := m.Open(0); err != nil {
-		t.Fatalf("open after abort: %v", err)
+	if st := m.Status(s); st.State != StateUploading || st.ReceivedChunks != len(chunks) {
+		t.Fatalf("after a cancelled complete: %+v, want uploading with every chunk", st)
+	}
+	if released != 0 {
+		t.Fatal("a cancelled complete released the admission slot")
+	}
+	st := mustComplete(t, m, s, len(chunks))
+	if st.State != StateComplete || st.GraphRef != graph.Fingerprint(g) {
+		t.Fatalf("complete after the cancelled one: %+v", st)
+	}
+	if released != 1 {
+		t.Fatalf("release ran %d times, want 1", released)
+	}
+}
+
+// TestUploadSessionConcurrentCalls races one session's calls: chunks (and
+// replays) from many goroutines, then four completes at once. Completes
+// take turns on the decode; each answers the one settled status, and the
+// release hook runs once. Run under -race.
+func TestUploadSessionConcurrentCalls(t *testing.T) {
+	m, _ := newTestManager(t, nil)
+	g := ingestTestGraph(t)
+	enc, _ := graph.EncodeDMGB(g)
+	chunks := chunksOf(enc, 2048)
+	var released atomic.Int32
+	s, err := m.Open(2048, func() { released.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range chunks {
+		for rep := 0; rep < 2; rep++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if _, err := m.Append(s, i, chunks[i], ""); err != nil {
+					t.Errorf("append %d: %v", i, err)
+				}
+			}(i)
+		}
+	}
+	wg.Wait()
+	refs := make([]string, 4)
+	for k := range refs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			st, err := m.Complete(s, len(chunks), nil)
+			if err != nil {
+				t.Errorf("complete %d: %v", k, err)
+				return
+			}
+			refs[k] = st.GraphRef
+		}(k)
+	}
+	wg.Wait()
+	for k, ref := range refs {
+		if ref != graph.Fingerprint(g) {
+			t.Fatalf("complete %d: graph_ref %q, want the fingerprint", k, ref)
+		}
+	}
+	if n := released.Load(); n != 1 {
+		t.Fatalf("release ran %d times, want 1", n)
 	}
 }
 
 func TestUploadByteBudget(t *testing.T) {
 	m, _ := newTestManager(t, func(c *Config) { c.MaxBytes = 4096 })
-	s, _ := m.Open(2048)
+	s, _ := m.Open(2048, nil)
 	full := make([]byte, 2048)
 	mustAppend(t, m, s, 0, full)
 	mustAppend(t, m, s, 1, full)
@@ -386,6 +472,32 @@ func TestUploadByteBudget(t *testing.T) {
 	}
 	if ce := err.(*Refusal); ce.Status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-budget status %d, want 413", ce.Status)
+	}
+}
+
+// TestRefusedShortChunkIsNotFinal: a short chunk refused with 413 does not
+// become the session's final chunk, so the real final chunk still lands and
+// the upload completes.
+func TestRefusedShortChunkIsNotFinal(t *testing.T) {
+	g := ingestTestGraph(t)
+	enc, _ := graph.EncodeDMGB(g)
+	m, _ := newTestManager(t, func(c *Config) { c.MaxBytes = int64(len(enc)) })
+	chunks := chunksOf(enc, 2048)
+	last := len(chunks) - 1
+	if len(chunks[last])+1 >= 2048 {
+		t.Fatalf("the final chunk (%d bytes) must leave room for a longer short one", len(chunks[last]))
+	}
+	s, _ := m.Open(2048, nil)
+	for i := 0; i < last; i++ {
+		mustAppend(t, m, s, i, chunks[i])
+	}
+	_, err := m.Append(s, last+1, make([]byte, len(chunks[last])+1), "")
+	if ce, ok := err.(*Refusal); !ok || ce.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("short chunk past the byte bound: %v, want 413", err)
+	}
+	mustAppend(t, m, s, last, chunks[last])
+	if st := mustComplete(t, m, s, len(chunks)); st.GraphRef != graph.Fingerprint(g) {
+		t.Fatalf("complete: %+v", st)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestSpillShortCircuitFromDiskOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks := chunksOf(enc, 2048)
-	s, err := m.Open(2048)
+	s, err := m.Open(2048, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,22 +248,58 @@ func TestInlineJobAfterUpload(t *testing.T) {
 }
 
 // TestUploadFaultInjectionRetries drives the load generator's fault mode
-// end to end: every faulted chunk is retried and the upload still lands.
+// end to end: the transport fails the first PUT of every third chunk, each
+// one is retried, and the upload still lands.
 func TestUploadFaultInjectionRetries(t *testing.T) {
 	g, _ := testGraph(t)
 	_, cl := startServer(t, service.Config{Workers: 1}, true)
-	ref, stats, err := cl.UploadGraph(context.Background(), g, client.UploadOptions{
-		ChunkBytes: uploadChunkSize,
-		FaultEvery: 3,
-	})
+	ft := &client.FaultTransport{Every: 3}
+	cl.HTTP = &http.Client{Transport: ft}
+	ref, stats, err := cl.UploadGraph(context.Background(), g, client.UploadOptions{ChunkBytes: uploadChunkSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref != graph.Fingerprint(g) {
 		t.Fatalf("graph_ref %s after faulted upload", ref)
 	}
-	if stats.ChunksRetried == 0 {
-		t.Fatal("fault injection produced no retries")
+	total := (len(encodeDMGB(t, g)) + uploadChunkSize - 1) / uploadChunkSize
+	faults := int(ft.Faults.Load())
+	if faults != total/3 || faults == 0 {
+		t.Fatalf("%d faults injected over %d chunks, want %d", faults, total, total/3)
+	}
+	if stats.ChunksRetried != faults || stats.ChunksSent != total+faults {
+		t.Fatalf("%d chunks sent, %d retried for %d faults over %d chunks", stats.ChunksSent, stats.ChunksRetried, faults, total)
+	}
+}
+
+// TestFailedUploadReleasesItsSlot: an upload that fails gives its tenant's
+// upload slot back at once, rather than when its session expires. An empty
+// payload is refused before a session opens; a refused chunk aborts the
+// session it was sent to.
+func TestFailedUploadReleasesItsSlot(t *testing.T) {
+	g, _ := testGraph(t)
+	_, cl := startServer(t, service.Config{Workers: 1, MaxUploadBytes: 8 << 10,
+		Policies: &service.TenantPolicies{Tenants: map[string]service.TenantPolicy{"up": {MaxUploads: 1}}}}, true)
+	up := asTenant(cl, "up")
+	ctx := context.Background()
+	if _, _, err := up.Upload(ctx, nil, client.UploadOptions{}); err == nil {
+		t.Fatal("an empty upload succeeded")
+	}
+	big := encodeDMGB(t, g)
+	if len(big) <= 8<<10 {
+		t.Fatalf("test graph encodes to %d bytes, need more than the 8 KiB bound", len(big))
+	}
+	_, _, err := up.Upload(ctx, big, client.UploadOptions{ChunkBytes: uploadChunkSize})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("upload past the byte bound: %v, want 413", err)
+	}
+	small, err := gen.ErdosRenyi(40, 80, true, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := up.UploadGraph(ctx, small, client.UploadOptions{ChunkBytes: uploadChunkSize}); err != nil {
+		t.Fatalf("upload after two failed ones: %v", err)
 	}
 }
 
