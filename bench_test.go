@@ -622,11 +622,18 @@ func BenchmarkDistribute(b *testing.B) {
 		}
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var shares []*dgraph.DistGraph
 			for i := 0; i < b.N; i++ {
-				if _, err := dgraph.Distribute(in.g, part); err != nil {
+				if shares, err = dgraph.Distribute(in.g, part); err != nil {
 					b.Fatal(err)
 				}
 			}
+			// What a retained placement costs per vertex of the graph.
+			var bytes int64
+			for _, d := range shares {
+				bytes += d.Bytes()
+			}
+			b.ReportMetric(float64(bytes)/float64(in.g.NumVertices()), "B/vertex")
 		})
 	}
 }

@@ -133,11 +133,18 @@ func (s *colorState) result() *ParallelResult {
 	return &ParallelResult{Colors: s.colors, Rounds: s.rounds, Conflicts: s.conflicts, NumColors: int(globalMax + 1)}
 }
 
-// allOwned lists the owned vertices in natural local order.
-func (s *colorState) allOwned() []int32 {
-	u := make([]int32, s.d.NLocal)
-	for v := range u {
-		u[v] = int32(v)
+// ascending lists the owned vertices in ascending global id — the share's
+// boundary and interior groups merged — the order in which the kernels that
+// do not tell the two apart color.
+func (s *colorState) ascending() []int32 {
+	d, u := s.d, make([]int32, s.d.NLocal)
+	b, i := 0, d.NumBoundary
+	for k := range u {
+		if i == d.NLocal || (b < d.NumBoundary && d.GlobalID[b] < d.GlobalID[i]) {
+			u[k], b = int32(b), b+1
+		} else {
+			u[k], i = int32(i), i+1
+		}
 	}
 	return u
 }
@@ -191,26 +198,29 @@ func (s *colorState) drain() {
 		if !recolor && m.Tag != colorTag {
 			panic(fmt.Sprintf("coloring: unexpected tag %d", m.Tag))
 		}
-		pair := s.d.PairWith(m.From)
-		table := pair.Ghosts
+		// The sender's vertices that are ghosts here are one run of local
+		// indices; the vertices shown to it are its pair's Shown list.
+		lo, hi := s.d.GhostsOf(m.From)
+		count, shown := uint64(hi-lo), []int32(nil)
 		if recolor {
-			table = pair.Shown
+			shown = s.d.PairWith(m.From).Shown
+			count = uint64(len(shown))
 		}
 		var notices int64
 		for data := m.Data; len(data) > 0; notices++ {
 			index, color, n := readNotice(data)
-			elsewhere := !recolor && index == uint64(len(table))
-			if n == 0 || (index >= uint64(len(table)) && !elsewhere) {
+			elsewhere := !recolor && index == count
+			if n == 0 || (index >= count && !elsewhere) {
 				panic(fmt.Sprintf("coloring: rank %d: notice %d of a %d-byte bundle with tag %d from rank %d is cut short or names none of the %d vertices it could",
-					s.d.Rank, notices, len(m.Data), m.Tag, m.From, len(table)))
+					s.d.Rank, notices, len(m.Data), m.Tag, m.From, count))
 			}
 			data = data[n:]
 			switch {
 			case elsewhere:
 			case recolor:
-				s.onRecolor(table[index], color)
+				s.onRecolor(shown[index], color)
 			default:
-				s.color[table[index]] = color
+				s.color[lo+int32(index)] = color
 			}
 		}
 		if !recolor {
@@ -237,50 +247,64 @@ func (s *colorState) endRound(tok uint64, remaining int) bool {
 	return done
 }
 
-// speculate runs the framework's rounds over the work list u until no rank
-// has a vertex left to re-color. A round colors u tentatively, step vertices
-// per superstep — pick, ship the chunk's boundary vertices, drain what has
-// arrived — then fences with a barrier so that every notice of the round is
-// in, and asks detect for the vertices that must re-color; they are the next
-// round's u. A nil pick is first fit, called directly. detect gets u, whose
-// storage it may reuse, and the round's boundary vertices in u order, kept
+// speculate runs the framework's rounds until no rank has a vertex left to
+// re-color. Round 1 colors u or, when first ≥ 0, every owned vertex in local
+// order from first on, wrapping round to 0 — the boundary group first from
+// 0, the interior one from NumBoundary — with no list. A round colors its
+// work tentatively, step vertices per superstep — pick, ship the chunk's
+// boundary vertices, drain what has arrived — then fences with a barrier so
+// that every notice of the round is in, and asks detect for the vertices that
+// must re-color; they are the next round's u. A nil pick is first fit, called
+// directly. detect gets u, whose storage it may reuse (nil after a round 1
+// without a list), and the round's boundary vertices in color order, kept
 // apart. A canceled world stops it at the next superstep with mpi.ErrCanceled.
-func (s *colorState) speculate(kernel string, u []int32, step, maxRounds int,
+func (s *colorState) speculate(kernel string, u []int32, first, step, maxRounds int,
 	pick func(v int32) int32, ship func(boundary []int32), detect func(u, boundary []int32) []int32) error {
-	boundary := make([]int32, 0, s.d.NumBoundary)
+	nLocal, nb := s.d.NLocal, int32(s.d.NumBoundary)
+	boundary := make([]int32, 0, nb)
 	for {
 		roundTok, err := s.beginRound(kernel, maxRounds)
 		if err != nil {
 			return err
 		}
 		boundary = boundary[:0]
-		for lo := 0; lo < len(u); lo += step {
+		n := len(u)
+		if first >= 0 {
+			n = nLocal
+		}
+		for lo := 0; lo < n; lo += step {
 			if err := s.c.Err(); err != nil {
 				return err
 			}
-			chunk, from := u[lo:min(lo+step, len(u))], len(boundary)
+			hi, from := min(lo+step, n), len(boundary)
 			stepTok := s.tr.BeginDetail("color.superstep")
 			var arcs int64
-			for _, v := range chunk {
+			for i := lo; i < hi; i++ {
+				v := int32(i + first) // the i-th vertex of the round
+				if first < 0 {
+					v = u[i]
+				} else if int(v) >= nLocal {
+					v -= int32(nLocal)
+				}
 				if pick == nil {
 					arcs += int64(s.colorFirstFit(v))
 				} else {
 					s.colors[v], arcs = pick(v), arcs+int64(s.d.Degree(v))
 				}
-				if s.d.IsBoundary[v] {
+				if v < nb {
 					boundary = append(boundary, v)
 				}
 			}
-			s.c.ChargeOps(arcs, int64(len(chunk)))
+			s.c.ChargeOps(arcs, int64(hi-lo))
 			ship(boundary[from:])
 			s.drain()
-			s.tr.EndN(stepTok, int64(len(chunk)))
+			s.tr.EndN(stepTok, int64(hi-lo))
 		}
 		s.c.Barrier()
 		s.drain()
 
 		detectTok := s.tr.BeginDetail("color.detect")
-		u = detect(u, boundary)
+		u, first = detect(u, boundary), -1
 		s.conflicts += int64(len(u))
 		s.tr.EndN(detectTok, int64(len(u)))
 		if s.endRound(roundTok, len(u)) {

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -106,7 +107,7 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	s.onRecolor = func(v, color int32) { k.pending = append(k.pending, noticeRec{v, color}) }
 	// Boundary colors ship to every neighbor rank: they may be
 	// two-hop-relevant there.
-	if err := s.speculate("distance-2", s.allOwned(), opt.SuperstepSize, opt.MaxRounds, k.pickColor, s.announce, k.detect); err != nil {
+	if err := s.speculate("distance-2", s.ascending(), -1, opt.SuperstepSize, opt.MaxRounds, k.pickColor, s.announce, k.detect); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
@@ -115,7 +116,7 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 // detect finds conflicts at middle vertices. For every owned middle vertex,
 // equal-colored neighbor pairs produce a loser; owned losers queue locally,
 // remote losers get a RECOLOR notice. It returns the owned vertices that must
-// re-color, ascending, with their colors cleared.
+// re-color, ascending in global id, with their colors cleared.
 func (k *d2Kernel) detect(u, _ []int32) []int32 {
 	d := k.d
 	// The owned vertices to re-color, each once: u's storage is free (the
@@ -140,7 +141,8 @@ func (k *d2Kernel) detect(u, _ []int32) []int32 {
 			return
 		}
 		var rec [noticeMax]byte
-		k.notices.Add(d.OwnerOf(loser), appendNotice(rec[:0], d.GhostAt[int(loser)-d.NLocal], col))
+		i := d.NeighborOf(loser)
+		k.notices.Add(d.NeighborRanks[i], appendNotice(rec[:0], loser-d.GhostBase[i], col))
 	}
 	var arcs int64
 	color := k.color
@@ -183,12 +185,13 @@ func (k *d2Kernel) detect(u, _ []int32) []int32 {
 	for _, v := range u {
 		k.colors[v] = -1 // do not let stale colors mask new conflicts
 	}
-	// Ascending, so that the recolor order (and hence the final coloring)
-	// does not depend on the order conflicts and notices were found in.
-	// Cleared colors are not re-announced: losers re-color next round and
-	// ship fresh colors then; peers comparing against the stale value may
-	// raise a spurious extra notice, which is harmless.
-	slices.Sort(u)
+	// Ascending in global id, so that the recolor order (and hence the final
+	// coloring) does not depend on the order conflicts and notices were
+	// found in, nor on the share's layout. Cleared colors are not
+	// re-announced: losers re-color next round and ship fresh colors then;
+	// peers comparing against the stale value may raise a spurious extra
+	// notice, which is harmless.
+	slices.SortFunc(u, func(a, b int32) int { return cmp.Compare(d.GlobalID[a], d.GlobalID[b]) })
 	return u
 }
 

@@ -31,7 +31,8 @@ func FuzzNoticeWalk(f *testing.F) {
 		f.Fatal(err)
 	}
 	d := shares[0]
-	table := int32(len(d.PairWith(1).Ghosts)) // as many shown vertices: every boundary vertex has one neighbor over there
+	lo, hi := d.GhostsOf(1)
+	table := hi - lo // as many shown vertices: every boundary vertex has one neighbor over there
 	notices := func(pairs ...int32) []byte {
 		var b []byte
 		for i := 0; i < len(pairs); i += 2 {
@@ -74,7 +75,7 @@ func FuzzNoticeWalk(f *testing.F) {
 				return nil
 			}
 			s.onRecolor = func(v, color int32) {
-				if v < 0 || int(v) >= d.NLocal || !d.IsBoundary[v] || sender != 1 {
+				if v < 0 || int(v) >= d.NumBoundary || sender != 1 {
 					t.Errorf("RECOLOR from rank %d handed the kernel vertex %d", sender, v)
 				}
 			}
@@ -86,9 +87,9 @@ func FuzzNoticeWalk(f *testing.F) {
 					t.Errorf("bundle with tag %d from rank %d colored owned vertex %d", tag, sender, v)
 				}
 			}
-			for gi, col := range s.color[d.NLocal:] {
-				if col != -1 && (recolor || sender != int(d.GhostOwner[gi])) {
-					t.Errorf("bundle with tag %d from rank %d colored ghost slot %d of rank %d", tag, sender, gi, d.GhostOwner[gi])
+			for l := int32(d.NLocal); int(l) < len(s.color); l++ {
+				if col := s.color[l]; col != -1 && (recolor || sender != d.OwnerOf(l)) {
+					t.Errorf("bundle with tag %d from rank %d colored ghost %d of rank %d", tag, sender, l, d.OwnerOf(l))
 				}
 			}
 			if _, pending := c.TryRecv(); pending {

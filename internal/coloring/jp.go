@@ -34,7 +34,7 @@ func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int
 		return true
 	}
 
-	uncolored := s.allOwned()
+	uncolored := s.ascending()
 	var winners []int32
 	for {
 		roundTok, err := s.beginRound("jones-plassmann", maxRounds)
@@ -49,7 +49,9 @@ func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int
 		for _, v := range uncolored {
 			if wins(v) {
 				s.colorFirstFit(v)
-				winners = append(winners, v)
+				if int(v) < d.NumBoundary { // only the boundary is shown to anyone
+					winners = append(winners, v)
+				}
 			} else {
 				waiting = append(waiting, v)
 			}

@@ -166,8 +166,14 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 		k.index = slices.Clone(k.elsewhere)
 	}
 
-	// U starts as all owned vertices in the configured order.
-	u := k.initialOrder()
+	// Round 1 colors in the configured order: the share's local order, from
+	// the boundary or from the interior group on, or ascending global id.
+	first, u := 0, []int32(nil)
+	if opt.Order == InteriorFirst {
+		first = d.NumBoundary
+	} else if opt.Order != BoundaryFirst {
+		first, u = -1, s.ascending()
+	}
 	// The paper's defaults — first fit, NEW — are the core's own pick (nil)
 	// and ship; the other strategies and FIAC / FIAB are this kernel's.
 	var pick func(v int32) int32
@@ -178,7 +184,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	if opt.CommMode != CommNeighbors {
 		ship = k.shipToAll
 	}
-	if err := s.speculate("distance-1", u, opt.SuperstepSize, opt.MaxRounds, pick, ship, k.detect); err != nil {
+	if err := s.speculate("distance-1", u, first, opt.SuperstepSize, opt.MaxRounds, pick, ship, k.detect); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
@@ -195,39 +201,6 @@ type d1Kernel struct {
 	elsewhere []int32  // FIAB, per rank: the index one past its table of this rank's shown vertices
 	bufs      [][]byte // FIAB / FIAC, per rank: the message being built
 	index     []int32  // FIAB, per rank: the vertex at hand's index there; elsewhere between vertices
-}
-
-// initialOrder lists the owned vertices in the configured interior/boundary
-// order, each group ascending. The share gives the first group's size; one
-// pass places every vertex at its group's cursor — front from the start, back
-// from where the first group ends — picked by a conditional move, not a branch.
-func (k *d1Kernel) initialOrder() []int32 {
-	boundaryFirst := k.opt.Order == BoundaryFirst
-	if !boundaryFirst && k.opt.Order != InteriorFirst {
-		return k.allOwned()
-	}
-	back := k.d.NumBoundary
-	if !boundaryFirst {
-		back = k.d.NLocal - back
-	}
-	u, front := make([]int32, k.d.NLocal), 0
-	for v, b := range k.d.IsBoundary {
-		f, at := bit(b == boundaryFirst), back
-		if f == 1 {
-			at = front
-		}
-		u[at] = int32(v)
-		front, back = front+f, back+1-f
-	}
-	return u
-}
-
-// bit is 1 for true and 0 for false, without a branch.
-func bit(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // pickColor selects a permissible color for owned vertex v, given current
@@ -328,6 +301,9 @@ func (k *d1Kernel) shipToAll(boundary []int32) {
 // walked, and the global ids are read only on an actual conflict.
 func (k *d1Kernel) detect(u, boundary []int32) []int32 {
 	d, color := k.d, k.color
+	if u == nil { // round 1 colored a range: the re-color lists, all boundary, get a buffer here
+		u = make([]int32, 0, len(boundary))
+	}
 	recolor := u[:0]
 	var arcs int64
 	for _, v := range boundary {

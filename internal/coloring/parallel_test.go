@@ -416,7 +416,7 @@ func TestGatherRejectsInconsistentResults(t *testing.T) {
 func ghostScanDetect(d *dgraph.DistGraph, color []int32, opt ParallelOptions, u []int32) []int32 {
 	var recolor []int32
 	for _, v := range u {
-		if !d.IsBoundary[v] {
+		if int(v) >= d.NumBoundary {
 			continue
 		}
 		cv, gv := color[v], d.GlobalOf(v)
@@ -496,7 +496,7 @@ func TestDetectMatchesGhostScan(t *testing.T) {
 							want := ghostScanDetect(d, color, opt, u)
 							var boundary []int32 // what speculate collects: u's boundary vertices, in u order
 							for _, v := range u {
-								if d.IsBoundary[v] {
+								if int(v) < d.NumBoundary {
 									boundary = append(boundary, v)
 								}
 							}
@@ -530,7 +530,7 @@ func plantedColoring(d *dgraph.DistGraph, rng *gen.RNG) []int32 {
 	}
 	var ghosts []int32
 	for v := int32(0); int(v) < d.NLocal; v++ {
-		if !d.IsBoundary[v] || rng.Intn(3) != 0 {
+		if int(v) >= d.NumBoundary || rng.Intn(3) != 0 {
 			continue
 		}
 		ghosts = ghosts[:0]
@@ -544,10 +544,13 @@ func plantedColoring(d *dgraph.DistGraph, rng *gen.RNG) []int32 {
 	return color
 }
 
-// TestInitialOrder holds initialOrder's one pass to the two-pass listing —
-// the first group ascending, then the other — for all three orders, on every
-// share of a boundary-heavy cut (RMAT, random parts) and a boundary-light one
-// (a grid in strips).
+// TestInitialOrder holds the order in which round 1 colors — the share's
+// local order from the boundary or the interior group on, or the merge of
+// the two — to the listing by global id it stands for: the first group
+// ascending, then the other, or all owned vertices ascending, for all three
+// orders, on every share of a boundary-heavy cut (RMAT, random parts) and a
+// boundary-light one (a grid in strips). Distance-2 and Jones–Plassmann color
+// in the merged order too.
 func TestInitialOrder(t *testing.T) {
 	rmat, err := gen.RMAT(10, 8, false, 1)
 	if err != nil {
@@ -565,48 +568,75 @@ func TestInitialOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name     string
-		g        *graph.Graph
-		part     *partition.Partition
-		min, max float64 // bounds on the boundary share of each rank's vertices
-	}{{"rmat-random", rmat, heavy, 0.5, 1}, {"grid-strips", grid, light, 0, 0.1}} {
-		shares, err := dgraph.Distribute(tc.g, tc.part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range shares {
-			if frac := float64(d.NumBoundary) / float64(d.NLocal); frac < tc.min || frac > tc.max {
-				t.Fatalf("%s rank %d: boundary share %.2f, outside [%g, %g]", tc.name, d.Rank, frac, tc.min, tc.max)
+	err = mpi.Run(1, func(c *mpi.Comm) error {
+		for _, tc := range []struct {
+			name     string
+			g        *graph.Graph
+			part     *partition.Partition
+			min, max float64 // bounds on the boundary share of each rank's vertices
+		}{{"rmat-random", rmat, heavy, 0.5, 1}, {"grid-strips", grid, light, 0, 0.1}} {
+			shares, err := dgraph.Distribute(tc.g, tc.part)
+			if err != nil {
+				return err
 			}
-			for _, o := range []VertexOrder{BoundaryFirst, InteriorFirst, Interleaved} {
-				k := &d1Kernel{colorState: &colorState{d: d}, opt: ParallelOptions{Order: o}}
-				if got, want := k.initialOrder(), twoPassOrder(d, o); !slices.Equal(got, want) {
-					t.Errorf("%s rank %d %v: initialOrder %v, two passes %v", tc.name, d.Rank, o, got, want)
+			for _, d := range shares {
+				if frac := float64(d.NumBoundary) / float64(d.NLocal); frac < tc.min || frac > tc.max {
+					t.Fatalf("%s rank %d: boundary share %.2f, outside [%g, %g]", tc.name, d.Rank, frac, tc.min, tc.max)
+				}
+				s := &colorState{c: c, d: d, tr: c.Tracer()}
+				for _, o := range []VertexOrder{BoundaryFirst, InteriorFirst, Interleaved} {
+					first, u := 0, []int32(nil)
+					switch o {
+					case InteriorFirst:
+						first = d.NumBoundary
+					case Interleaved:
+						first, u = -1, s.ascending()
+					}
+					var got []int64 // round 1's vertices, by global id
+					pick := func(v int32) int32 { got = append(got, d.GlobalOf(v)); return 0 }
+					s.rounds, s.colors = 0, make([]int32, d.NLocal)
+					done := func(u, _ []int32) []int32 { return nil }
+					if err := s.speculate("order", u, first, 1+d.NLocal/3, 1, pick, func([]int32) {}, done); err != nil {
+						return err
+					}
+					if want := globalOrder(tc.g, tc.part, d.Rank, o); !slices.Equal(got, want) {
+						t.Errorf("%s rank %d %v: round 1 colors %v, want %v", tc.name, d.Rank, o, got, want)
+					}
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// twoPassOrder lists d's owned vertices in order o the way initialOrder used
-// to: one ascending pass per group.
-func twoPassOrder(d *dgraph.DistGraph, o VertexOrder) []int32 {
-	var u []int32
-	if o == Interleaved {
-		for v := 0; v < d.NLocal; v++ {
-			u = append(u, int32(v))
+// globalOrder lists, by global id, the vertices part gives rank in order o,
+// read off the graph rather than the share: the boundary vertices (with a
+// neighbor in another part) ascending and then the interior ones, the other
+// way round, or all of them ascending.
+func globalOrder(g *graph.Graph, part *partition.Partition, rank int, o VertexOrder) []int64 {
+	var groups [2][]int64 // interior, boundary
+	for v, r := range part.Part {
+		if int(r) != rank {
+			continue
 		}
-		return u
-	}
-	for _, boundary := range []bool{o == BoundaryFirst, o != BoundaryFirst} {
-		for v, b := range d.IsBoundary {
-			if b == boundary {
-				u = append(u, int32(v))
+		boundary := 0
+		for _, u := range g.Neighbors(graph.Vertex(v)) {
+			if part.Part[u] != r {
+				boundary = 1
 			}
 		}
+		if o == Interleaved {
+			boundary = 0
+		}
+		groups[boundary] = append(groups[boundary], int64(v))
 	}
-	return u
+	if o == InteriorFirst {
+		return append(groups[0], groups[1]...)
+	}
+	return append(groups[1], groups[0]...)
 }
 
 // TestParallelStopsWhenCanceled pins speculate's check of the cancel signal:

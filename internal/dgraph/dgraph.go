@@ -5,23 +5,30 @@
 // p(u) as well as on every other processor p(v) such that (u, v) is a cross
 // edge" (Section 3.3).
 //
-// Local indices are dense: owned vertices occupy [0, NLocal) in ascending
-// global-id order, ghosts occupy [NLocal, NLocal+NGhost), also in ascending
-// global-id order. The CSR rows cover owned vertices only; columns may point
-// at ghosts, and every row keeps the global graph's order: ascending global
-// id. The matching kernels read that order: their candidate-mate scan gives a
-// weight tie to the earlier arc, which is the smaller global id, so no rank
-// loads a neighbor's id to break it (Validate checks the order). The graph's
-// Δ, interior and boundary vertices, every matching's first candidates
-// (Preferred), the cross-edge counts that end the matching's outer loop, each
-// row's arcs to ghosts (CrossOff/CrossPos), and the pair tables (pairs.go)
-// under which two neighboring ranks name their shared cross edges and
-// boundary vertices on the wire are all precomputed here.
+// Local indices are dense and laid out for the exchanges between ranks.
+// Owned vertices occupy [0, NLocal): the boundary vertices (with a ghost
+// neighbor) in [0, NumBoundary), then the interior ones. Ghosts occupy
+// [NLocal, NLocal+NGhost), grouped by owner in NeighborRanks order: group i
+// starts at GhostBase[i] and is, index for index, the Shown list of the pair
+// table NeighborRanks[i] keeps with this rank (pairs.go). Each group ascends
+// in global id. So v is a boundary vertex iff v < NumBoundary, a ghost's owner
+// and its pair-local index are one offset away, and every per-vertex index
+// over the boundary (CrossOff, ShownOff, EdgeAt) ends where the boundary does.
+//
+// The CSR rows cover owned vertices only; columns may point at ghosts, and
+// every row keeps the global graph's order: ascending global id. The matching
+// kernels read that order: their candidate-mate scan gives a weight tie to
+// the earlier arc, which is the smaller global id, so no rank loads a
+// neighbor's id to break it (Validate checks the order). The graph's Δ, every
+// matching's first candidates (Preferred), the cross-edge counts that end the
+// matching's outer loop, the boundary rows' arcs to ghosts (CrossOff/CrossPos)
+// and the pair tables are all built here, in one pass over the rows.
 package dgraph
 
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -38,11 +45,12 @@ type DistGraph struct {
 
 	NLocal int // owned vertices
 	NGhost int // distinct remote endpoints of cross edges
+	// NumBoundary counts the owned vertices with at least one ghost
+	// neighbor; they are the owned vertices [0, NumBoundary).
+	NumBoundary int
 
 	// GlobalID maps local index -> global id, for owned vertices and ghosts.
 	GlobalID []int64
-	// GhostOwner maps ghost slot (local index - NLocal) -> owning rank.
-	GhostOwner []int32
 
 	// CSR over owned vertices; Adj holds local indices (owned or ghost).
 	Xadj []int64
@@ -52,15 +60,11 @@ type DistGraph struct {
 	// Preferred is, per owned vertex, the position in its row of the arc
 	// graph.BestArc picks with nothing gone (-1: isolated): its first candidate.
 	Preferred []int32
-	// IsBoundary marks owned vertices with at least one ghost neighbor.
-	IsBoundary []bool
-	// NumBoundary counts owned boundary vertices.
-	NumBoundary int
 	// CrossArcs counts arcs from owned vertices to ghosts (each cross edge
 	// once per side).
 	CrossArcs int64
-	// CrossOff/CrossPos is a CSR over owned vertices: the positions within
-	// each row, ascending, of its arcs to ghosts. An interior vertex has none.
+	// CrossOff/CrossPos is a CSR over the boundary vertices: the positions
+	// within each row, ascending, of its arcs to ghosts.
 	CrossOff []int32
 	CrossPos []int32
 
@@ -68,20 +72,21 @@ type DistGraph struct {
 	// ascending — the "neighboring processors" the paper's NEW coloring
 	// variant restricts communication to.
 	NeighborRanks []int
+	// GhostBase[i] is the local index of the first ghost NeighborRanks[i]
+	// owns; GhostBase[len(NeighborRanks)] is NLocal+NGhost.
+	GhostBase []int32
 
 	// Pairs[i] is this share's half of the pair table it keeps with
-	// NeighborRanks[i]; EdgeAt, GhostAt and ShownOff/ShownList are the tables
-	// read the other way, from a local index to its pair-local one. See
-	// pairs.go.
+	// NeighborRanks[i]; EdgeAt and ShownOff/ShownList are the tables read
+	// the other way, from a local index to its pair-local one. See pairs.go.
 	Pairs []Pair
-	// EdgeAt is aligned with Adj: for an arc to a ghost, the index of that
-	// cross edge in the pair table kept with the ghost's owner. Entries of
-	// interior arcs are zero and mean nothing.
+	// EdgeAt is aligned with the boundary rows, Adj[:Xadj[NumBoundary]]: for
+	// an arc to a ghost, the index of that cross edge in the pair table kept
+	// with the ghost's owner. Entries of arcs between owned vertices are zero
+	// and mean nothing.
 	EdgeAt []int32
-	// GhostAt maps ghost slot -> the ghost's index in its owner's Ghosts.
-	GhostAt []int32
-	// ShownOff/ShownList is a CSR over owned vertices: under which index each
-	// boundary vertex is shown to each rank owning a neighbor of it.
+	// ShownOff/ShownList is a CSR over the boundary vertices: under which
+	// index each is shown to each rank owning a neighbor of it.
 	ShownOff  []int32
 	ShownList []ShownAt
 }
@@ -92,7 +97,8 @@ func (d *DistGraph) Degree(v int32) int { return int(d.Xadj[v+1] - d.Xadj[v]) }
 // Neighbors returns the local-index neighbor list of owned vertex v.
 func (d *DistGraph) Neighbors(v int32) []int32 { return d.Adj[d.Xadj[v]:d.Xadj[v+1]] }
 
-// CrossArcsOf returns the row positions of owned vertex v's arcs to ghosts.
+// CrossArcsOf returns the row positions of boundary vertex v's arcs to
+// ghosts. An interior vertex (v ≥ NumBoundary) has none and no entry.
 func (d *DistGraph) CrossArcsOf(v int32) []int32 { return d.CrossPos[d.CrossOff[v]:d.CrossOff[v+1]] }
 
 // Weights returns the arc weights aligned with Neighbors(v); nil if the
@@ -115,25 +121,46 @@ func (d *DistGraph) Weight(i int64) float64 {
 // IsGhost reports whether local index v refers to a ghost vertex.
 func (d *DistGraph) IsGhost(v int32) bool { return int(v) >= d.NLocal }
 
+// NeighborOf returns, for ghost v, the index i in NeighborRanks of its
+// owner: v is the vertex at index v - GhostBase[i] of the owner's Shown list
+// for this rank.
+func (d *DistGraph) NeighborOf(v int32) int {
+	lo, hi := 0, len(d.GhostBase)-1 // GhostBase[lo] ≤ v < GhostBase[hi]
+	for hi-lo > 1 {
+		if m := int(uint(lo+hi) >> 1); d.GhostBase[m] <= v {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // OwnerOf reports the rank owning the vertex at local index v.
 func (d *DistGraph) OwnerOf(v int32) int {
 	if d.IsGhost(v) {
-		return int(d.GhostOwner[int(v)-d.NLocal])
+		return d.NeighborRanks[d.NeighborOf(v)]
 	}
 	return d.Rank
 }
 
 // LocalOf resolves a global id to a local index (owned or ghost): a binary
-// search of the owned ids, then of the ghost ids. Any id that is neither —
-// negative, beyond GlobalN, or simply not on this rank — yields (0, false).
-// Nothing on a kernel's path asks: records on the wire carry pair-local
-// indices (pairs.go), not global ids.
+// search of each ascending run of ids — the boundary vertices, the interior
+// ones, each owner's ghosts. Any id that is in none — negative, beyond
+// GlobalN, or simply not on this rank — yields (0, false). Nothing on a
+// kernel's path asks: records on the wire carry pair-local indices
+// (pairs.go), not global ids.
 func (d *DistGraph) LocalOf(global int64) (int32, bool) {
-	if l, ok := slices.BinarySearch(d.GlobalID[:d.NLocal], global); ok {
-		return int32(l), true
-	}
-	if l, ok := slices.BinarySearch(d.GlobalID[d.NLocal:], global); ok {
-		return int32(d.NLocal + l), true
+	lo := 0
+	for k := -1; k < len(d.GhostBase); k++ { // the runs end at NumBoundary and at each GhostBase
+		hi := d.NumBoundary
+		if k >= 0 {
+			hi = int(d.GhostBase[k])
+		}
+		if i, ok := slices.BinarySearch(d.GlobalID[lo:hi], global); ok {
+			return int32(lo + i), true
+		}
+		lo = hi
 	}
 	return 0, false
 }
@@ -144,84 +171,108 @@ func (d *DistGraph) GlobalOf(v int32) int64 { return d.GlobalID[v] }
 // Bytes estimates the resident size of the share — the unit a holder of
 // shares budgets them in, as ingest.GraphBytes is for whole graphs.
 func (d *DistGraph) Bytes() int64 {
-	n := int64(len(d.GlobalID))*8 + int64(len(d.GhostOwner))*4 +
-		int64(len(d.Xadj))*8 + int64(len(d.Adj))*4 + int64(len(d.W))*8 +
-		int64(len(d.Preferred))*4 + int64(len(d.IsBoundary)) + int64(len(d.CrossOff))*4 + int64(len(d.CrossPos))*4 +
-		int64(len(d.NeighborRanks))*8 + int64(len(d.EdgeAt))*4 + int64(len(d.GhostAt))*4 +
-		int64(len(d.ShownOff))*4 + int64(len(d.ShownList))*8
+	n := int64(len(d.GlobalID))*8 + int64(len(d.Xadj))*8 + int64(len(d.Adj))*4 + int64(len(d.W))*8 +
+		int64(len(d.Preferred))*4 + int64(len(d.CrossOff))*4 + int64(len(d.CrossPos))*4 +
+		int64(len(d.NeighborRanks))*8 + int64(len(d.GhostBase))*4 + int64(len(d.EdgeAt))*4 +
+		int64(len(d.ShownOff))*4 + int64(len(d.ShownList))*8 + int64(len(d.Pairs))*int64(unsafe.Sizeof(Pair{}))
 	for _, p := range d.Pairs {
-		n += int64(len(p.Edges))*8 + int64(len(p.Shown))*4 + int64(len(p.Ghosts))*4
+		n += int64(len(p.Edges))*8 + int64(len(p.Shown))*4
 	}
 	return n
 }
 
-// Validate checks the structural invariants of the distributed view.
+// Validate checks the structural invariants of the distributed view. It
+// refuses a malformed share with an error, whatever its arrays hold: every
+// length is checked before anything is indexed through it.
 func (d *DistGraph) Validate() error {
-	if d.NLocal < 0 || d.NGhost < 0 {
-		return fmt.Errorf("dgraph: negative counts NLocal=%d NGhost=%d", d.NLocal, d.NGhost)
+	if d.P < 1 || d.Rank < 0 || d.Rank >= d.P {
+		return fmt.Errorf("dgraph: rank %d of %d", d.Rank, d.P)
 	}
-	if len(d.GlobalID) != d.NLocal+d.NGhost {
-		return fmt.Errorf("dgraph: GlobalID len %d, want %d", len(d.GlobalID), d.NLocal+d.NGhost)
+	if d.NLocal < 0 || d.NGhost < 0 || d.NumBoundary < 0 || d.NumBoundary > d.NLocal {
+		return fmt.Errorf("dgraph: counts NLocal=%d NGhost=%d NumBoundary=%d", d.NLocal, d.NGhost, d.NumBoundary)
 	}
-	if len(d.Xadj) != d.NLocal+1 {
-		return fmt.Errorf("dgraph: Xadj len %d, want %d", len(d.Xadj), d.NLocal+1)
+	if int64(len(d.Adj)) > 2*d.GlobalEdges {
+		return fmt.Errorf("dgraph: %d arcs, more than the whole graph's %d edges hold", len(d.Adj), d.GlobalEdges)
 	}
-	if len(d.GhostOwner) != d.NGhost {
-		return fmt.Errorf("dgraph: GhostOwner len %d, want %d", len(d.GhostOwner), d.NGhost)
-	}
-	for i := 1; i < d.NLocal; i++ {
-		if d.GlobalID[i-1] >= d.GlobalID[i] {
-			return fmt.Errorf("dgraph: owned global ids not ascending at %d", i)
+	np := len(d.NeighborRanks)
+	for _, l := range []struct {
+		name      string
+		got, want int
+	}{
+		{"GlobalID", len(d.GlobalID), d.NLocal + d.NGhost},
+		{"Xadj", len(d.Xadj), d.NLocal + 1},
+		{"Preferred", len(d.Preferred), d.NLocal},
+		{"CrossOff", len(d.CrossOff), d.NumBoundary + 1},
+		{"GhostBase", len(d.GhostBase), np + 1},
+	} {
+		if l.got != l.want {
+			return fmt.Errorf("dgraph: %s has %d entries, want %d", l.name, l.got, l.want)
 		}
 	}
-	for i := d.NLocal + 1; i < len(d.GlobalID); i++ {
-		if d.GlobalID[i-1] >= d.GlobalID[i] {
-			return fmt.Errorf("dgraph: ghost global ids not ascending at %d", i)
-		}
+	if d.Xadj[0] != 0 || d.Xadj[d.NLocal] != int64(len(d.Adj)) || !slices.IsSorted(d.Xadj) {
+		return fmt.Errorf("dgraph: Xadj does not rise from 0 to the %d arcs of Adj", len(d.Adj))
 	}
-	var cross int64
-	numBoundary := 0
-	for v := 0; v < d.NLocal; v++ {
-		boundary := false
-		row := d.Neighbors(int32(v))
-		if len(row) > d.GlobalMaxDegree {
-			return fmt.Errorf("dgraph: vertex %d has degree %d, above GlobalMaxDegree %d", v, len(row), d.GlobalMaxDegree)
-		}
-		for k, u := range row {
-			if u < 0 || int(u) >= d.NLocal+d.NGhost {
-				return fmt.Errorf("dgraph: vertex %d has out-of-range neighbor %d", v, u)
-			}
-			if k > 0 && d.GlobalID[row[k-1]] >= d.GlobalID[u] {
-				return fmt.Errorf("dgraph: row of vertex %d not ascending in global id at %d", v, k)
-			}
-			if d.IsGhost(u) {
-				boundary = true
-				cross++
-			}
-		}
-		if boundary != d.IsBoundary[v] {
-			return fmt.Errorf("dgraph: vertex %d boundary flag %v, computed %v", v, d.IsBoundary[v], boundary)
-		}
-		if boundary {
-			numBoundary++
-		}
+	if len(d.W) != 0 && len(d.W) != len(d.Adj) {
+		return fmt.Errorf("dgraph: W has %d weights for %d arcs", len(d.W), len(d.Adj))
 	}
-	if cross != d.CrossArcs || numBoundary != d.NumBoundary {
-		return fmt.Errorf("dgraph: CrossArcs %d and NumBoundary %d, computed %d and %d", d.CrossArcs, d.NumBoundary, cross, numBoundary)
+	if !ascending(d.NeighborRanks) || slices.Contains(d.NeighborRanks, d.Rank) ||
+		(np > 0 && (d.NeighborRanks[0] < 0 || d.NeighborRanks[np-1] >= d.P)) {
+		return fmt.Errorf("dgraph: NeighborRanks %v not ascending ranks other than %d of %d", d.NeighborRanks, d.Rank, d.P)
 	}
-	if err := d.validateCross(); err != nil {
-		return err
+	// Every neighbor owns a group of ghosts, and the groups tile the ghosts.
+	if d.GhostBase[0] != int32(d.NLocal) || int(d.GhostBase[np]) != d.NLocal+d.NGhost || !ascending(d.GhostBase) {
+		return fmt.Errorf("dgraph: GhostBase %v does not cut [%d, %d) into one non-empty group per neighbor", d.GhostBase, d.NLocal, d.NLocal+d.NGhost)
 	}
-	if !slices.Equal(d.Preferred, d.preferred(make([]bool, len(d.GlobalID)))) {
-		return fmt.Errorf("dgraph: Preferred is not what the scan of each row picks")
+	runs := append([]int32{0, int32(d.NumBoundary)}, d.GhostBase...)
+	for i := 1; i < len(runs); i++ {
+		if !ascending(d.GlobalID[runs[i-1]:runs[i]]) {
+			return fmt.Errorf("dgraph: global ids of locals [%d, %d) not ascending", runs[i-1], runs[i])
+		}
 	}
 	for l, g := range d.GlobalID {
 		if g < 0 || g >= d.GlobalN {
 			return fmt.Errorf("dgraph: local %d has global id %d outside [0, %d)", l, g, d.GlobalN)
 		}
-		if got, ok := d.LocalOf(g); !ok || int(got) != l { // an id both owned and ghost
+		if got, ok := d.LocalOf(g); !ok || int(got) != l { // an id held twice
 			return fmt.Errorf("dgraph: LocalOf(%d) = (%d, %v), want local %d", g, got, ok, l)
 		}
+	}
+	// The rows, and with them the boundary prefix and the cross-arc index:
+	// CrossPos is each boundary row filtered for its arcs to ghosts.
+	var cross int64
+	for v := 0; v < d.NLocal; v++ {
+		row := d.Neighbors(int32(v))
+		if len(row) > d.GlobalMaxDegree {
+			return fmt.Errorf("dgraph: vertex %d has degree %d, above GlobalMaxDegree %d", v, len(row), d.GlobalMaxDegree)
+		}
+		from := cross
+		for k, u := range row {
+			if u < 0 || int(u) >= len(d.GlobalID) {
+				return fmt.Errorf("dgraph: vertex %d has out-of-range neighbor %d", v, u)
+			}
+			if k > 0 && d.GlobalID[row[k-1]] >= d.GlobalID[u] {
+				return fmt.Errorf("dgraph: row of vertex %d not ascending in global id at %d", v, k)
+			}
+			if !d.IsGhost(u) {
+				continue
+			}
+			if cross >= int64(len(d.CrossPos)) || d.CrossPos[cross] != int32(k) {
+				return fmt.Errorf("dgraph: cross-arc index misses arc %d of vertex %d, to a ghost", k, v)
+			}
+			cross++
+		}
+		if (v < d.NumBoundary) != (cross > from) {
+			return fmt.Errorf("dgraph: vertex %d has %d ghost neighbors, NumBoundary is %d", v, cross-from, d.NumBoundary)
+		}
+		if v < d.NumBoundary && int64(d.CrossOff[v+1]) != cross {
+			return fmt.Errorf("dgraph: CrossOff of vertex %d ends at %d, its arcs to ghosts at %d", v, d.CrossOff[v+1], cross)
+		}
+	}
+	if d.CrossOff[0] != 0 || cross != d.CrossArcs || int64(len(d.CrossPos)) != cross {
+		return fmt.Errorf("dgraph: CrossArcs %d, CrossPos %d arcs from %d, the rows have %d", d.CrossArcs, len(d.CrossPos), d.CrossOff[0], cross)
+	}
+	if !slices.Equal(d.Preferred, d.preferred(make([]bool, len(d.GlobalID)))) {
+		return fmt.Errorf("dgraph: Preferred is not what the scan of each row picks")
 	}
 	return d.validatePairs()
 }
@@ -230,39 +281,37 @@ func (d *DistGraph) Validate() error {
 // every rank's DistGraph. Since the runtime is in-process, ranks typically
 // index into the returned slice rather than deserializing anything.
 //
-// The build works over dense arrays indexed by global id — every vertex's
-// position within its part, and the current rank's ghost slots — so that an
-// arc is translated by two array reads instead of a hash lookup. The arrays
-// are per call: concurrent calls on the same (g, part) share nothing.
+// The build works over dense arrays indexed by global id and by rank — each
+// vertex's local index on the rank being built, each rank's ghost cursor —
+// so that an arc is translated by one array read instead of a hash lookup.
+// The arrays are per call: concurrent calls on the same (g, part) share
+// nothing.
 func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error) {
 	if err := part.Validate(g); err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()
 	owned := partition.PartVertices(part) // ascending ids per part
-	local := make([]int32, n)             // every vertex's index on its owner
-	for _, vs := range owned {
-		for i, v := range vs {
-			local[v] = int32(i)
-		}
-	}
-	ghostAt := make([]int32, n)   // local index + 1 of a ghost of the rank being built, else 0
-	isNbr := make([]bool, part.P) // ranks owning a ghost of the rank being built
-	none := make([]bool, n)       // no local index is gone, for preferred
-	var ghosts []graph.Vertex     // the rank being built's ghosts, unsorted and then sorted
+	at := make([]int32, n)                // scratch of buildLocal
+	slot := make([]int32, part.P)         // scratch of buildLocal
+	none := make([]bool, n)               // no local index is gone, for preferred
+	var ghosts []graph.Vertex             // the rank being built's ghosts, unsorted and then sorted
 	maxDeg := g.MaxDegree()
 	out := make([]*DistGraph, part.P)
 	for rank := range out {
-		out[rank], ghosts = buildLocal(g, part, rank, owned[rank], local, ghostAt, isNbr, none, ghosts[:0])
+		out[rank], ghosts = buildLocal(g, part, rank, owned[rank], at, slot, none, ghosts[:0])
 		out[rank].GlobalMaxDegree = maxDeg
 	}
 	return out, nil
 }
 
-// buildLocal builds one rank's share. ghostAt and isNbr are scratch: all
-// zero on entry and on return; none is all false and never written; ghosts
-// is empty scratch, returned with what the build grew it to.
-func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex, local, ghostAt []int32, isNbr, none []bool, ghosts []graph.Vertex) (*DistGraph, []graph.Vertex) {
+// buildLocal builds one rank's share. at and slot are scratch, all zero on
+// entry and on return: at, by global id, first counts each ghost's owned
+// neighbors and marks the boundary vertices, then holds local indices; slot,
+// by rank, is first a ghost count, then a ghost cursor, then a pair index.
+// none is all false and never written; ghosts is empty scratch, returned with
+// what the build grew it to.
+func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex, at, slot []int32, none []bool, ghosts []graph.Vertex) (*DistGraph, []graph.Vertex) {
 	d := &DistGraph{
 		Rank:        rank,
 		P:           part.P,
@@ -270,106 +319,108 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 		GlobalEdges: g.NumEdges(),
 		NLocal:      len(owned),
 	}
-	// Discover ghosts: each remote endpoint once — counting its owned
-	// neighbors in ghostAt meanwhile — then ascending.
-	var arcs, crossArcs int64
+	// Discover ghosts — each remote endpoint once, counting its owned
+	// neighbors in at — and mark the boundary vertices (at 1).
+	var arcs, boundaryArcs int64
 	for _, v := range owned {
 		adj := g.Neighbors(v)
 		arcs += int64(len(adj))
+		var cross int64
 		for _, u := range adj {
 			if part.Part[u] != int32(rank) {
-				if ghostAt[u] == 0 {
+				if at[u] == 0 {
 					ghosts = append(ghosts, u)
 				}
-				ghostAt[u]++
-				crossArcs++
+				at[u]++
+				cross++
 			}
 		}
-	}
-	slices.Sort(ghosts)
-	d.NGhost = len(ghosts)
-	d.GlobalID = make([]int64, d.NLocal+d.NGhost)
-	for i, v := range owned {
-		d.GlobalID[i] = int64(v)
-	}
-	d.GhostOwner = make([]int32, d.NGhost)
-	deg := make([]int32, d.NGhost)
-	for i, u := range ghosts {
-		d.GlobalID[d.NLocal+i] = int64(u)
-		deg[i] = ghostAt[u]
-		ghostAt[u] = int32(d.NLocal+i) + 1
-		d.GhostOwner[i] = part.Part[u]
-		isNbr[part.Part[u]] = true
-	}
-	for r, is := range isNbr {
-		if is {
-			d.NeighborRanks = append(d.NeighborRanks, r)
-			isNbr[r] = false
+		if cross > 0 {
+			at[v] = 1
+			d.NumBoundary++
+			boundaryArcs += int64(len(adj))
+			d.CrossArcs += cross
 		}
 	}
-	// CSR rows for owned vertices.
+	// Owned local indices: the boundary vertices first, each group ascending.
+	d.NGhost = len(ghosts)
+	d.GlobalID = make([]int64, d.NLocal+d.NGhost)
+	next := [2]int32{int32(d.NumBoundary), 0} // the interior's and the boundary's cursor
+	for _, v := range owned {
+		b := at[v]
+		at[v] = next[b]
+		next[b]++
+		d.GlobalID[at[v]] = int64(v)
+	}
+	// Ghost local indices: grouped by owner, ascending rank, each group
+	// ascending. A ghost's owned-neighbor count moves to deg.
+	slices.Sort(ghosts)
+	for _, u := range ghosts {
+		slot[part.Part[u]]++
+	}
+	base := int32(d.NLocal)
+	for r, c := range slot {
+		if c > 0 {
+			d.NeighborRanks = append(d.NeighborRanks, r)
+			d.GhostBase = append(d.GhostBase, base)
+			slot[r], base = base, base+c
+		}
+	}
+	d.GhostBase = append(d.GhostBase, base)
+	deg := make([]int32, d.NGhost)
+	for _, u := range ghosts {
+		l := slot[part.Part[u]]
+		slot[part.Part[u]]++
+		deg[l-int32(d.NLocal)], at[u] = at[u], l
+		d.GlobalID[l] = int64(u)
+	}
+	for i, r := range d.NeighborRanks {
+		slot[r] = int32(i)
+	}
+	// CSR rows in local order — the boundary rows, which also fill the
+	// cross-arc index and the pair tables, then the interior ones.
 	d.Xadj = make([]int64, d.NLocal+1)
 	d.Adj = make([]int32, arcs)
 	if g.W != nil {
 		d.W = make([]float64, arcs)
 	}
-	d.IsBoundary = make([]bool, d.NLocal)
-	d.CrossArcs = crossArcs
-	d.CrossOff = make([]int32, d.NLocal+1)
-	d.CrossPos = make([]int32, 0, crossArcs)
+	d.CrossOff = make([]int32, d.NumBoundary+1)
+	d.CrossPos = make([]int32, 0, d.CrossArcs)
+	addCross := d.newPairs(deg, boundaryArcs)
 	var pos int64
-	for i, v := range owned {
+	for l, gid := range d.GlobalID[:d.NLocal] {
+		v := graph.Vertex(gid)
 		adj := g.Neighbors(v)
 		row := d.Adj[pos : pos+int64(len(adj))]
 		for k, u := range adj {
-			if gl := ghostAt[u]; gl != 0 {
-				row[k] = gl - 1
-				d.CrossPos = append(d.CrossPos, int32(k))
-			} else {
-				row[k] = local[u]
-			}
+			row[k] = at[u]
 		}
-		d.CrossOff[i+1] = int32(len(d.CrossPos))
-		if d.CrossOff[i+1] > d.CrossOff[i] {
-			d.IsBoundary[i] = true
-			d.NumBoundary++
+		if l < d.NumBoundary {
+			for k, u := range row {
+				if d.IsGhost(u) {
+					d.CrossPos = append(d.CrossPos, int32(k))
+					addCross(int32(l), u, slot[part.Part[adj[k]]], pos+int64(k))
+				}
+			}
+			d.CrossOff[l+1] = int32(len(d.CrossPos))
 		}
 		if d.W != nil {
 			copy(d.W[pos:], g.W[g.Xadj[v]:g.Xadj[v+1]])
 		}
 		pos += int64(len(adj))
-		d.Xadj[i+1] = pos
+		d.Xadj[l+1] = pos
+	}
+	for _, v := range owned {
+		at[v] = 0
 	}
 	for _, u := range ghosts {
-		ghostAt[u] = 0
+		at[u] = 0
+	}
+	for _, r := range d.NeighborRanks {
+		slot[r] = 0
 	}
 	d.Preferred = d.preferred(none)
-	d.buildPairs(deg)
 	return d, ghosts
-}
-
-// validateCross holds CrossOff/CrossPos to a filter of each row for its arcs
-// to ghosts.
-func (d *DistGraph) validateCross() error {
-	if len(d.CrossOff) != d.NLocal+1 || d.CrossOff[0] != 0 || int64(len(d.CrossPos)) != d.CrossArcs {
-		return fmt.Errorf("dgraph: cross-arc index sized %d rows / %d arcs, want %d / %d", len(d.CrossOff)-1, len(d.CrossPos), d.NLocal, d.CrossArcs)
-	}
-	var next int32
-	for v := int32(0); int(v) < d.NLocal; v++ {
-		for k, u := range d.Neighbors(v) {
-			if !d.IsGhost(u) {
-				continue
-			}
-			if next >= d.CrossOff[v+1] || d.CrossPos[next] != int32(k) {
-				return fmt.Errorf("dgraph: cross-arc index of vertex %d misses its arc %d to a ghost", v, k)
-			}
-			next++
-		}
-		if next != d.CrossOff[v+1] {
-			return fmt.Errorf("dgraph: cross-arc index of vertex %d lists %d arcs, its row has %d to ghosts", v, d.CrossOff[v+1]-d.CrossOff[v], next-d.CrossOff[v])
-		}
-	}
-	return nil
 }
 
 // preferred scans each owned row with none (all false) marking nothing gone.

@@ -96,18 +96,23 @@ func TestDistributeGhostOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range shares {
-		for gi := 0; gi < d.NGhost; gi++ {
-			l := int32(d.NLocal + gi)
-			gid := d.GlobalOf(l)
-			if want := part.Part[gid]; d.GhostOwner[gi] != want {
-				t.Fatalf("rank %d ghost %d owner %d, want %d", d.Rank, gid, d.GhostOwner[gi], want)
+		for i, r := range d.NeighborRanks {
+			lo, hi := d.GhostsOf(r)
+			if lo != d.GhostBase[i] || hi != d.GhostBase[i+1] || lo >= hi {
+				t.Fatalf("rank %d: GhostsOf(%d) = [%d, %d), GhostBase %v", d.Rank, r, lo, hi, d.GhostBase)
 			}
-			if d.OwnerOf(l) != int(part.Part[gid]) {
-				t.Fatal("OwnerOf disagrees with GhostOwner")
+		}
+		for l := int32(d.NLocal); int(l) < d.NLocal+d.NGhost; l++ {
+			gid := d.GlobalOf(l)
+			if want := int(part.Part[gid]); d.OwnerOf(l) != want || d.NeighborRanks[d.NeighborOf(l)] != want {
+				t.Fatalf("rank %d ghost %d owner %d, want %d", d.Rank, gid, d.OwnerOf(l), want)
 			}
 		}
 		if d.OwnerOf(0) != d.Rank {
 			t.Fatal("OwnerOf(owned) != own rank")
+		}
+		if lo, hi := d.GhostsOf(d.Rank); lo != hi {
+			t.Fatalf("rank %d owns ghosts of itself: [%d, %d)", d.Rank, lo, hi)
 		}
 	}
 }
@@ -250,7 +255,7 @@ func TestValidateCatchesBrokenIndex(t *testing.T) {
 	d.GlobalMaxDegree++
 	d.NumBoundary++
 	if err := d.Validate(); err == nil {
-		t.Error("accepted a NumBoundary one above the boundary flags")
+		t.Error("accepted a NumBoundary one above the boundary prefix")
 	}
 	d.NumBoundary--
 	if err := d.Validate(); err != nil {
@@ -303,7 +308,7 @@ func TestValidateRecomputesCross(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for v := int32(0); int(v) < d.NLocal; v++ {
+	for v := int32(0); int(v) < d.NumBoundary; v++ {
 		if d.Degree(v) < 2 {
 			continue // no other position to shift to
 		}
@@ -328,7 +333,7 @@ func TestValidateRecomputesCross(t *testing.T) {
 	off := d.CrossOff
 	d.CrossOff = off[:len(off)-1]
 	if err := d.Validate(); err == nil {
-		t.Error("accepted a CrossOff one row short")
+		t.Error("accepted a CrossOff one boundary row short")
 	}
 	d.CrossOff = off
 	if err := d.Validate(); err != nil {
@@ -435,8 +440,9 @@ func exportedDiff(got, want *DistGraph) string {
 }
 
 // referenceBuildLocal is the map-based construction Distribute used before
-// it went map-free, kept as the oracle the dense-array build is compared
-// against: same fields, same order, one hash lookup per arc.
+// it went map-free, in today's layout, kept as the oracle the dense-array
+// build is compared against: same fields, same order, one hash lookup per
+// arc, and the layout by sorting rather than by counting.
 func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex) *DistGraph {
 	d := &DistGraph{
 		Rank:        rank,
@@ -450,41 +456,49 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 	for v := 0; v < g.NumVertices(); v++ {
 		d.GlobalMaxDegree = max(d.GlobalMaxDegree, len(g.Neighbors(graph.Vertex(v))))
 	}
-	globalToLocal := make(map[int64]int32, len(owned)*2)
-	d.GlobalID = make([]int64, len(owned), len(owned)*2)
-	for i, v := range owned {
-		d.GlobalID[i] = int64(v)
-		globalToLocal[int64(v)] = int32(i)
-	}
 	ghostSet := make(map[int64]int32) // global id -> owner
+	boundary := map[graph.Vertex]bool{}
 	for _, v := range owned {
 		for _, u := range g.Neighbors(v) {
 			if part.Part[u] != int32(rank) {
 				ghostSet[int64(u)] = part.Part[u]
+				boundary[v] = true
 			}
 		}
 	}
+	// Owned: the boundary vertices, then the interior ones, each ascending.
+	ownedIDs := make([]graph.Vertex, len(owned))
+	copy(ownedIDs, owned)
+	sort.SliceStable(ownedIDs, func(i, j int) bool { return boundary[ownedIDs[i]] && !boundary[ownedIDs[j]] })
+	d.NumBoundary = len(boundary)
+	globalToLocal := make(map[int64]int32, len(owned)*2)
+	d.GlobalID = make([]int64, len(owned), len(owned)*2)
+	for i, v := range ownedIDs {
+		d.GlobalID[i] = int64(v)
+		globalToLocal[int64(v)] = int32(i)
+	}
+	// Ghosts: by owner, then by id.
 	ghosts := make([]int64, 0, len(ghostSet))
 	for gid := range ghostSet {
 		ghosts = append(ghosts, gid)
 	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	sort.Slice(ghosts, func(i, j int) bool {
+		a, b := ghosts[i], ghosts[j]
+		return ghostSet[a] < ghostSet[b] || (ghostSet[a] == ghostSet[b] && a < b)
+	})
 	d.NGhost = len(ghosts)
-	d.GhostOwner = make([]int32, len(ghosts))
-	neighborRanks := map[int]bool{}
 	for i, gid := range ghosts {
 		d.GlobalID = append(d.GlobalID, gid)
 		globalToLocal[gid] = int32(d.NLocal + i)
-		d.GhostOwner[i] = ghostSet[gid]
-		neighborRanks[int(ghostSet[gid])] = true
+		if r := int(ghostSet[gid]); i == 0 || r != d.NeighborRanks[len(d.NeighborRanks)-1] {
+			d.NeighborRanks = append(d.NeighborRanks, r)
+			d.GhostBase = append(d.GhostBase, int32(d.NLocal+i))
+		}
 	}
-	for r := range neighborRanks {
-		d.NeighborRanks = append(d.NeighborRanks, r)
-	}
-	sort.Ints(d.NeighborRanks)
+	d.GhostBase = append(d.GhostBase, int32(d.NLocal+d.NGhost))
 	d.Xadj = make([]int64, d.NLocal+1)
 	var arcs int64
-	for i, v := range owned {
+	for i, v := range ownedIDs {
 		arcs += int64(g.Degree(v))
 		d.Xadj[i+1] = arcs
 	}
@@ -492,11 +506,10 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 	if g.W != nil {
 		d.W = make([]float64, arcs)
 	}
-	d.IsBoundary = make([]bool, d.NLocal)
 	// Preferred, by the rule rather than by row order: the heaviest edge, and
 	// of equally heavy ones the one to the smallest global id.
 	d.Preferred = make([]int32, d.NLocal)
-	for i, v := range owned {
+	for i, v := range ownedIDs {
 		d.Preferred[i] = -1
 		var bestW float64
 		var bestU graph.Vertex
@@ -507,7 +520,7 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 			}
 		}
 	}
-	for i, v := range owned {
+	for i, v := range ownedIDs {
 		pos := d.Xadj[i]
 		for k, u := range g.Neighbors(v) {
 			lu := globalToLocal[int64(u)]
@@ -516,21 +529,15 @@ func referenceBuildLocal(g *graph.Graph, part *partition.Partition, rank int, ow
 				d.W[pos] = g.W[g.Xadj[v]+int64(k)]
 			}
 			if d.IsGhost(lu) {
-				d.IsBoundary[i] = true
 				d.CrossArcs++
 			}
 			pos++
 		}
 	}
-	for _, b := range d.IsBoundary {
-		if b {
-			d.NumBoundary++
-		}
-	}
-	// The cross-arc index, by filtering each row for ghosts.
-	d.CrossOff = make([]int32, d.NLocal+1)
+	// The cross-arc index, by filtering each boundary row for ghosts.
+	d.CrossOff = make([]int32, d.NumBoundary+1)
 	d.CrossPos = []int32{}
-	for v := 0; v < d.NLocal; v++ {
+	for v := 0; v < d.NumBoundary; v++ {
 		for k, u := range d.Neighbors(int32(v)) {
 			if d.IsGhost(u) {
 				d.CrossPos = append(d.CrossPos, int32(k))
@@ -694,12 +701,14 @@ func TestAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestPlacementBytesCountEverySlice holds Bytes — what a retained share is
-// charged against the daemon's byte budget — to the struct by reflection: the
-// sum over every slice a share holds, the pair tables' included, of length
-// times element size. A slice field added to DistGraph or Pair later fails
-// here until Bytes counts it.
-func TestPlacementBytesCountEverySlice(t *testing.T) {
+// TestBytesCountsEveryField holds Bytes — what a retained share is charged
+// against the daemon's byte budget — to the struct by reflection, one field
+// at a time: emptying any slice field of DistGraph, or of one of its Pairs,
+// takes exactly what that field holds off Bytes — its length times its
+// element size, and for Pairs what each table holds besides. A slice
+// field added to either later fails here until Bytes counts it, and so does
+// a field Bytes counts at the wrong width.
+func TestBytesCountsEveryField(t *testing.T) {
 	g, err := gen.ErdosRenyi(300, 1500, true, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -712,29 +721,107 @@ func TestPlacementBytesCountEverySlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slices func(v reflect.Value) int64
-	slices = func(v reflect.Value) int64 {
+	// size is what a value's slices hold, nested ones included.
+	var size func(v reflect.Value) int64
+	size = func(v reflect.Value) int64 {
 		var n int64
 		switch v.Kind() {
 		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
-				n += slices(v.Field(i))
+				n += size(v.Field(i))
 			}
 		case reflect.Slice:
 			n += int64(v.Len()) * int64(v.Type().Elem().Size())
-			if k := v.Type().Elem().Kind(); k == reflect.Struct || k == reflect.Slice {
-				for i := 0; i < v.Len(); i++ {
-					n += slices(v.Index(i))
-				}
+			for i := 0; i < v.Len(); i++ {
+				n += size(v.Index(i))
 			}
 		}
 		return n
 	}
+	// drop empties slice field i of the struct v points at and reports the
+	// bytes that took off Bytes, against what the field held.
+	drop := func(d *DistGraph, v reflect.Value, i int) (took, held int64) {
+		f := v.Elem().Field(i)
+		saved := reflect.ValueOf(f.Interface())
+		held = size(f)
+		before := d.Bytes()
+		f.Set(reflect.Zero(f.Type()))
+		took = before - d.Bytes()
+		f.Set(saved)
+		return took, held
+	}
 	for rank, d := range shares {
-		// A Pair is three slice headers; Bytes charges what they point at.
-		want := slices(reflect.ValueOf(*d)) - int64(len(d.Pairs))*int64(reflect.TypeOf(Pair{}).Size())
-		if got := d.Bytes(); got != want || got == 0 {
-			t.Errorf("rank %d: Bytes() = %d, the share's slices hold %d", rank, got, want)
+		if len(d.Pairs) == 0 {
+			t.Fatalf("rank %d has no pair table to check", rank)
 		}
+		for _, s := range []reflect.Value{reflect.ValueOf(d), reflect.ValueOf(&d.Pairs[0])} {
+			typ := s.Elem().Type()
+			for i := 0; i < typ.NumField(); i++ {
+				if typ.Field(i).Type.Kind() != reflect.Slice {
+					continue
+				}
+				took, held := drop(d, s, i)
+				if took != held || held == 0 {
+					t.Errorf("rank %d: emptying %s.%s takes %d bytes off Bytes(), it holds %d", rank, typ.Name(), typ.Field(i).Name, took, held)
+				}
+			}
+		}
+	}
+}
+
+// TestValidateRefusesMalformedShares corrupts one field of a good share per
+// case — every field of DistGraph and of Pair has one — and wants an error
+// from Validate, not a panic: a share arrives as data, and its arrays are
+// only as long as they say.
+func TestValidateRefusesMalformedShares(t *testing.T) {
+	cases := map[string]func(d *DistGraph){
+		"Rank":            func(d *DistGraph) { d.Rank = d.P },
+		"P":               func(d *DistGraph) { d.P = 0 },
+		"GlobalN":         func(d *DistGraph) { d.GlobalN = 1 },
+		"GlobalEdges":     func(d *DistGraph) { d.GlobalEdges = 1 },
+		"GlobalMaxDegree": func(d *DistGraph) { d.GlobalMaxDegree = 1 },
+		"NLocal":          func(d *DistGraph) { d.NLocal++ },
+		"NGhost":          func(d *DistGraph) { d.NGhost-- },
+		"NumBoundary":     func(d *DistGraph) { d.NumBoundary = d.NLocal + 1 },
+		"GlobalID":        func(d *DistGraph) { d.GlobalID = d.GlobalID[:len(d.GlobalID)-1] },
+		"Xadj":            func(d *DistGraph) { d.Xadj[1] = d.Xadj[2] + 1 },
+		"Adj":             func(d *DistGraph) { d.Adj = d.Adj[:len(d.Adj)-5] }, // Xadj runs past it
+		"W":               func(d *DistGraph) { d.W = d.W[:len(d.W)-1] },
+		"Preferred":       func(d *DistGraph) { d.Preferred = d.Preferred[:len(d.Preferred)-1] },
+		"CrossArcs":       func(d *DistGraph) { d.CrossArcs++ },
+		"CrossOff":        func(d *DistGraph) { d.CrossOff = d.CrossOff[:len(d.CrossOff)-1] },
+		"CrossPos":        func(d *DistGraph) { d.CrossPos[0] = 1 << 20 },
+		"NeighborRanks":   func(d *DistGraph) { d.NeighborRanks[0] = d.Rank },
+		"GhostBase":       func(d *DistGraph) { d.GhostBase[len(d.GhostBase)-1] += 3 },
+		"Pairs":           func(d *DistGraph) { d.Pairs = d.Pairs[:len(d.Pairs)-1] },
+		"EdgeAt":          func(d *DistGraph) { d.EdgeAt = d.EdgeAt[:len(d.EdgeAt)-1] },
+		"ShownOff":        func(d *DistGraph) { d.ShownOff[1] = 1 << 20 },
+		"ShownList":       func(d *DistGraph) { d.ShownList[0].Index = -1 },
+		"Pair.Edges":      func(d *DistGraph) { d.Pairs[0].Edges[0].U = 1 << 20 },
+		"Pair.Shown":      func(d *DistGraph) { d.Pairs[0].Shown[0] = -1 },
+	}
+	for prefix, typ := range map[string]reflect.Type{"": reflect.TypeOf(DistGraph{}), "Pair.": reflect.TypeOf(Pair{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if _, ok := cases[prefix+typ.Field(i).Name]; !ok {
+				t.Errorf("no malformed case for %s%s", prefix, typ.Field(i).Name)
+			}
+		}
+	}
+	for name, corrupt := range cases {
+		d := gridShares(t, GridSpec{K1: 8, K2: 8, PR: 2, PC: 2}, true, 3)[1]
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(d)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Validate panics: %v", name, r)
+				}
+			}()
+			if err := d.Validate(); err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		}()
 	}
 }

@@ -37,8 +37,7 @@ func referencePairs(d *DistGraph) {
 		}
 	}
 	d.Pairs = make([]Pair, len(d.NeighborRanks))
-	d.EdgeAt = make([]int32, len(d.Adj))
-	d.GhostAt = make([]int32, d.NGhost)
+	d.EdgeAt = make([]int32, d.Xadj[d.NumBoundary])
 	shownAt := map[[2]int32]int32{} // (vertex, rank) -> index
 	for s, r := range d.NeighborRanks {
 		p := &d.Pairs[s]
@@ -58,16 +57,10 @@ func referencePairs(d *DistGraph) {
 		for k, v := range p.Shown {
 			shownAt[[2]int32{v, int32(r)}] = int32(k)
 		}
-		for gi, owner := range d.GhostOwner {
-			if int(owner) == r {
-				d.GhostAt[gi] = int32(len(p.Ghosts))
-				p.Ghosts = append(p.Ghosts, int32(d.NLocal+gi))
-			}
-		}
 	}
-	d.ShownOff = make([]int32, d.NLocal+1)
+	d.ShownOff = make([]int32, d.NumBoundary+1)
 	d.ShownList = make([]ShownAt, 0, len(shownAt))
-	for v := int32(0); int(v) < d.NLocal; v++ {
+	for v := int32(0); int(v) < d.NumBoundary; v++ {
 		// In the order v's row first reaches each rank.
 		for _, u := range d.Neighbors(v) {
 			if !d.IsGhost(u) {
@@ -103,11 +96,13 @@ func checkPairTables(t *testing.T, name string, shares []*DistGraph) {
 			b := da.NeighborRanks[s]
 			db := shares[b]
 			q := db.PairWith(a)
-			if len(p.Edges) != len(q.Edges) || len(p.Shown) != len(q.Ghosts) || len(p.Ghosts) != len(q.Shown) {
+			lo, hi := db.GhostsOf(a) // what a shows b
+			ghostsA, ghostsB := da.GhostBase[s+1]-da.GhostBase[s], hi-lo
+			if len(p.Edges) != len(q.Edges) || len(p.Shown) != int(ghostsB) || int(ghostsA) != len(q.Shown) {
 				t.Fatalf("%s ranks %d, %d: tables of %d/%d/%d entries against %d/%d/%d", name, a, b,
-					len(p.Edges), len(p.Shown), len(p.Ghosts), len(q.Edges), len(q.Ghosts), len(q.Shown))
+					len(p.Edges), len(p.Shown), ghostsA, len(q.Edges), ghostsB, len(q.Shown))
 			}
-			if len(p.Edges) == 0 || len(p.Shown) == 0 || len(p.Ghosts) == 0 {
+			if len(p.Edges) == 0 || len(p.Shown) == 0 || ghostsA == 0 {
 				t.Fatalf("%s ranks %d, %d: neighbors with an empty table", name, a, b)
 			}
 			for k, e := range p.Edges {
@@ -119,9 +114,9 @@ func checkPairTables(t *testing.T, name string, shares []*DistGraph) {
 				arcs[e]++
 			}
 			for k, v := range p.Shown {
-				if da.GlobalOf(v) != db.GlobalOf(q.Ghosts[k]) {
+				if da.GlobalOf(v) != db.GlobalOf(lo+int32(k)) {
 					t.Fatalf("%s ranks %d, %d: shown vertex %d is %d on one side, %d on the other", name, a, b, k,
-						da.GlobalOf(v), db.GlobalOf(q.Ghosts[k]))
+						da.GlobalOf(v), db.GlobalOf(lo+int32(k)))
 				}
 				shown[ShownAt{Rank: int32(b), Index: v}]++
 			}
@@ -223,6 +218,7 @@ func TestValidateRejectsCorruptPairTables(t *testing.T) {
 		beside = arc - 1
 	}
 	swap32 := func(xs []int32) func() { return func() { xs[0], xs[1] = xs[1], xs[0] } }
+	swap64 := func(xs []int64) { xs[0], xs[1] = xs[1], xs[0] }
 	for _, tc := range []struct {
 		name        string
 		corrupt, un func()
@@ -233,8 +229,8 @@ func TestValidateRejectsCorruptPairTables(t *testing.T) {
 		{"EdgeAt off by one", func() { d.EdgeAt[arc]++ }, func() { d.EdgeAt[arc]-- }},
 		{"EdgeAt negative", func() { d.EdgeAt[arc] -= 100 }, func() { d.EdgeAt[arc] += 100 }},
 		{"shown vertices swapped", swap32(p.Shown), swap32(p.Shown)},
-		{"ghosts swapped", swap32(p.Ghosts), swap32(p.Ghosts)},
-		{"GhostAt off by one", func() { d.GhostAt[0]++ }, func() { d.GhostAt[0]-- }},
+		{"ghosts swapped", func() { swap64(d.GlobalID[d.NLocal:]) }, func() { swap64(d.GlobalID[d.NLocal:]) }},
+		{"GhostBase shifted", func() { d.GhostBase[1]++ }, func() { d.GhostBase[1]-- }},
 		{"a ShownAt index off by one", func() { d.ShownList[0].Index++ }, func() { d.ShownList[0].Index-- }},
 		{"a ShownAt naming the wrong rank", func() { d.ShownList[0].Rank = int32(d.NeighborRanks[1]) }, func() { d.ShownList[0].Rank = int32(d.NeighborRanks[0]) }},
 		{"ShownOff shifted", func() { d.ShownOff[boundary+1]++ }, func() { d.ShownOff[boundary+1]-- }},

@@ -210,8 +210,11 @@ func (s *matchState) retire(v int32, kind byte) {
 	s.undecided--
 	s.queue = append(s.queue, v)
 	d := s.d
+	if int(v) >= d.NumBoundary {
+		return // an interior vertex: no arc to a ghost
+	}
 	row := d.Xadj[v]
-	for _, k := range d.CrossArcsOf(v) { // none for an interior vertex
+	for _, k := range d.CrossArcsOf(v) {
 		if i := row + int64(k); d.Adj[i] != s.cm[v] && !s.gone[d.Adj[i]] {
 			s.match.send(kind, i)
 		}

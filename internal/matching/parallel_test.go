@@ -467,7 +467,8 @@ func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
 									row = append(row, w)
 								}
 							}
-							slices.Sort(list)
+							slices.Sort(list) // as sets: a row ascends in global id, not in local index
+							slices.Sort(row)
 							if !slices.Equal(list, row) {
 								t.Errorf("%s rank %d: drain of %d walks %v, the row walk finds %v", name, c.Rank(), v, list, row)
 							}
