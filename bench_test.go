@@ -389,18 +389,56 @@ func BenchmarkParallelMatching(b *testing.B) {
 		{"rmat16_unbundled", rmat16, matching.ParallelOptions{MaxBundleBytes: matching.RecordBytes}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			results := make([]*matching.ParallelResult, 4)
-			benchKernel(b, tc.in, func(w *mpi.World, shares []*dgraph.DistGraph, _ int) error {
-				if err := w.Run(func(c *mpi.Comm) (err error) {
-					results[c.Rank()], err = matching.Parallel(c, shares[c.Rank()], tc.opt)
-					return err
-				}); err != nil {
-					return err
-				}
-				_, err := matching.Gather(shares, results)
-				return err
-			})
+			benchKernel(b, tc.in, matchingJob(tc.opt))
 		})
+	}
+}
+
+// oneRank is in's graph on a single rank, where every vertex is interior
+// and the distributed kernel runs as a sequential one.
+func oneRank(in *kernelShare) *kernelShare {
+	return &kernelShare{build: func() (*graph.Graph, *partition.Partition, error) {
+		g, _, err := in.build()
+		if err != nil {
+			return nil, nil, err
+		}
+		part, err := partition.Block1D(g, 1)
+		return g, part, err
+	}}
+}
+
+var grid512One, rmat16One = oneRank(grid512), oneRank(rmat16)
+
+// BenchmarkMatchingOneRank times the distributed matching kernel on one rank
+// (Reset + Run + Gather), the rank-local loop alone, to be read beside
+// BenchmarkSequentialMatching* and the best sequential code.
+func BenchmarkMatchingOneRank(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		in   *kernelShare
+	}{{"grid512", grid512One}, {"rmat16", rmat16One}} {
+		b.Run(tc.name, func(b *testing.B) {
+			benchKernel(b, tc.in, matchingJob(matching.ParallelOptions{}))
+		})
+	}
+}
+
+// matchingJob is one solve_* matching job for benchKernel: the distributed
+// matching with opt, then Gather.
+func matchingJob(opt matching.ParallelOptions) func(w *mpi.World, shares []*dgraph.DistGraph, i int) error {
+	var results []*matching.ParallelResult
+	return func(w *mpi.World, shares []*dgraph.DistGraph, _ int) error {
+		if results == nil {
+			results = make([]*matching.ParallelResult, len(shares))
+		}
+		if err := w.Run(func(c *mpi.Comm) (err error) {
+			results[c.Rank()], err = matching.Parallel(c, shares[c.Rank()], opt)
+			return err
+		}); err != nil {
+			return err
+		}
+		_, err := matching.Gather(shares, results)
+		return err
 	}
 }
 

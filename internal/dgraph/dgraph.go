@@ -404,11 +404,18 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 			}
 			d.CrossOff[l+1] = int32(len(d.CrossPos))
 		}
-		if d.W != nil {
-			copy(d.W[pos:], g.W[g.Xadj[v]:g.Xadj[v+1]])
-		}
 		pos += int64(len(adj))
 		d.Xadj[l+1] = pos
+	}
+	// Owned vertices with consecutive global ids have adjacent rows in g.W
+	// as in d.W: the weights are copied once per such run.
+	for l := 0; d.W != nil && l < d.NLocal; {
+		e := l + 1
+		for e < d.NLocal && d.GlobalID[e] == d.GlobalID[e-1]+1 {
+			e++
+		}
+		copy(d.W[d.Xadj[l]:d.Xadj[e]], g.W[g.Xadj[d.GlobalID[l]]:])
+		l = e
 	}
 	for _, v := range owned {
 		at[v] = 0

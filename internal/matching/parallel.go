@@ -34,6 +34,7 @@ type ParallelResult struct {
 	// LocalWeight sums matched edge weights with the convention that a cross
 	// edge counts on the rank owning its smaller-global-id endpoint, so that
 	// summing LocalWeight over ranks counts every matched edge exactly once.
+	// It adds them in local order, so its bits are the same on every run.
 	LocalWeight float64
 	// OuterIterations counts how many times the rank re-entered its
 	// outer (communication) loop — the paper's outer-loop round count.
@@ -63,25 +64,27 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	return s.result(), nil
 }
 
-// result reads this rank's share of the matching off the finished state.
+// result hands over the mates retire wrote and sums LocalWeight.
 func (s *matchState) result() *ParallelResult {
-	d := s.d
 	res := &ParallelResult{
-		MateGlobal:      make([]int64, d.NLocal),
+		MateGlobal:      s.mate,
 		OuterIterations: s.outerIters,
 		Bundles:         s.match.out.Flushes,
 		Records:         s.match.out.Records,
 	}
-	for v := int32(0); int(v) < d.NLocal; v++ {
-		res.MateGlobal[v] = -1
-		if s.cm[v] != noCM { // every owned vertex is retired; only a failed one has no candidate
-			res.MateGlobal[v] = d.GlobalOf(s.cm[v])
-			if d.GlobalOf(v) < res.MateGlobal[v] { // the LocalWeight convention
-				res.LocalWeight += d.Weight(s.cmArc[v])
-			}
+	for v, m := range s.mate {
+		if m > s.d.GlobalID[v] { // the LocalWeight convention
+			res.LocalWeight += s.d.Weight(s.d.Xadj[v] + int64(s.off[v]))
 		}
 	}
 	return res
+}
+
+// vertexState is what a drain step reads of an owned vertex. A "by list" (the
+// owned vertices that took one as candidate) is linked one up: zero ends it.
+type vertexState struct {
+	cm   int32 // candidate mate (local index), or noCM; once matched, the mate
+	next int32 // 1 + the vertex after this one on its candidate's by list; 0 at the end
 }
 
 // matchState carries the per-rank protocol state.
@@ -94,17 +97,18 @@ type matchState struct {
 	// SUCCEEDED / FAILED is in. A retired vertex is matched iff it has a
 	// candidate, since a vertex only fails with none.
 	gone       []bool
-	cm         []int32 // candidate mate (local index), or -1; once matched, the mate
-	cmArc      []int64 // position in the CSR of the arc to cm; once matched, of the matched edge
-	by         []int32 // per owned vertex: the last owned vertex that took it as candidate, or noCM
-	next       []int32 // per owned vertex w: the vertex before w in its candidate's by list
-	reqTo      []int32 // per ghost: owned vertex it currently requests (the sets R), or noCM
-	undecided  int     // owned vertices still free
-	queue      []int32 // owned vertices that just became unavailable
+	st         []vertexState // per owned vertex
+	off        []int32       // per owned vertex: row position of the arc to cm (of the matched edge)
+	by         []int32       // per owned vertex: 1 + the head of its by list; 0 for an empty list
+	mate       []int64       // per owned vertex: the answer, written by retire
+	reqTo      []int32       // per ghost: 1 + the owned vertex it requests (the sets R), or 0
+	undecided  int           // owned vertices still free
+	queue      []int32       // owned vertices that just became unavailable
+	swept      int32         // the last owned vertex the initial sweep has reached
 	outerIters int64
 
-	// onDrain, set only by tests, sees each queued vertex just before
-	// drainQueue walks its by list.
+	// onDrain, set only by tests, sees each queued vertex just before the
+	// drain walks its by list.
 	onDrain func(v int32)
 }
 
@@ -114,35 +118,49 @@ func (s *matchState) run() error {
 	d := s.d
 	n := d.NLocal
 	s.gone = make([]bool, n+d.NGhost)
-	s.cm = make([]int32, n)
-	s.cmArc = make([]int64, n)
+	s.st = make([]vertexState, n)
+	s.off = make([]int32, n)
 	s.by = make([]int32, n)
-	s.next = make([]int32, n)
-	for i := range s.by {
-		s.by[i] = noCM
-	}
+	s.mate = make([]int64, n)
 	s.reqTo = make([]int32, d.NGhost)
-	for i := range s.reqTo {
-		s.reqTo[i] = noCM
-	}
 	s.undecided = n
 	s.match = s.newLink(matchTag)
 
 	// Initialization: every candidate mate is the share's preferred arc —
-	// what the scan finds while nothing is gone; request across cross edges;
-	// match mutual local pairs. Virtual-time accounting stays the paper's:
-	// one edge op per arc scanned, one vertex op per vertex initialized.
+	// what the scan finds while nothing is gone. A sweep in local order then
+	// requests across cross edges and matches mutual local pairs. Over the
+	// interior group it drains after every vertex, while the rows the cascade
+	// walks are in cache: a drain recomputes only vertices the sweep has
+	// passed, and the sweep recomputes one whose candidate is gone (and so
+	// drained already). Virtual-time accounting stays the paper's: one edge
+	// op per arc scanned, one vertex op per vertex initialized.
 	initTok := s.tr.Begin("match.init")
 	s.c.ChargeOps(d.Xadj[n], int64(n))
 	for v := int32(0); int(v) < n; v++ {
-		s.setCandidate(v, int(d.Preferred[v]))
+		s.setCandidate(v, d.Preferred[v])
 	}
-	for v := int32(0); int(v) < n; v++ {
+	for v := int32(0); int(v) < d.NumBoundary; v++ {
 		if !s.gone[v] { // not yet matched by a smaller mutual candidate
 			s.pursue(v)
 		}
 	}
-	s.drainQueue()
+	innerTok := s.tr.BeginDetail("match.inner")
+	s.swept = int32(d.NumBoundary) - 1
+	drained := s.drain()
+	for v := int32(d.NumBoundary); int(v) < n; v++ {
+		s.swept = v
+		if !s.gone[v] {
+			if c := s.st[v].cm; c != noCM && s.gone[c] {
+				s.recompute(v)
+			} else {
+				s.pursue(v)
+			}
+		}
+		if len(s.queue) > 0 {
+			drained += s.drain()
+		}
+	}
+	s.tr.EndN(innerTok, int64(drained))
 	s.tr.EndN(initTok, int64(n))
 
 	// Outer loop: flush bundles, block for traffic, process, repeat, until
@@ -161,17 +179,18 @@ func (s *matchState) run() error {
 		for m, ok := s.c.TryRecv(); ok; m, ok = s.c.TryRecv() {
 			s.match.receive(m, s.handle)
 		}
-		s.drainQueue()
+		if len(s.queue) > 0 {
+			tok := s.tr.BeginDetail("match.inner")
+			s.tr.EndN(tok, int64(s.drain()))
+		}
 		s.tr.EndN(outerTok, s.outerIters)
 	}
 	finTok := s.tr.Begin("match.finalize")
 	s.match.out.Flush()
-	// Termination is local (the paper's outer loop stops when this rank's
-	// cross edges are resolved), so slower peers' stale SUCCEEDED/FAILED
+	// Termination is local, so slower peers' stale SUCCEEDED/FAILED
 	// messages may still be addressed to us. Align on a barrier — by which
 	// point every rank has sent everything — and clear them, so that a
-	// subsequent phase on the same world starts clean. The algorithm itself
-	// is complete before this fence.
+	// later phase on the same world starts clean.
 	s.c.Barrier()
 	s.c.DrainTag(matchTag)
 	s.tr.End(finTok)
@@ -181,81 +200,82 @@ func (s *matchState) run() error {
 // setCandidate makes the neighbor at position k of owned vertex v's row its
 // candidate mate (noCM for k < 0), and puts v on that candidate's by list if
 // it is owned. It is the one place an owned vertex's candidate is written.
-//
-// No list is ever unlinked. cm[v] changes only once its candidate is gone:
-// from drainQueue walking that candidate's list, which has read next[v]
-// already, or from handle for a ghost, which keeps no list. So of the lists
-// v has been pushed onto, only the last can still be walked, and overwriting
-// next[v] cuts nothing that will be read.
-func (s *matchState) setCandidate(v int32, k int) {
+// No list is ever unlinked: v's candidate changes only once that candidate
+// is gone and its list walked past v (a ghost keeps none), so overwriting
+// v's next cuts nothing that will be read.
+func (s *matchState) setCandidate(v int32, k int32) {
+	sv := &s.st[v]
 	if k < 0 {
-		s.cm[v], s.cmArc[v] = noCM, -1
+		sv.cm, s.off[v] = noCM, -1
 		return
 	}
-	arc := s.d.Xadj[v] + int64(k)
-	c := s.d.Adj[arc]
-	s.cm[v], s.cmArc[v] = c, arc
+	c := s.d.Adj[s.d.Xadj[v]+int64(k)]
+	sv.cm, s.off[v] = c, k
 	if int(c) < s.d.NLocal {
-		s.next[v], s.by[c] = s.by[c], v
+		sv.next, s.by[c] = s.by[c], v+1
 	}
 }
 
 // retire takes owned vertex v out of the free set — matched to its candidate
-// cm[v] (owned or ghost), or failed with cm[v] = noCM — queues the fallout,
-// and tells every remaining neighbor but the mate: SUCCEEDED / FAILED records
-// across cross edges; owned neighbors learn during the queue drain. Pending
-// requests R(v) are implicitly cleared because v is no longer free.
+// (owned or ghost), or failed with none — writes its answer, queues the
+// fallout, and tells every remaining neighbor but the mate: SUCCEEDED /
+// FAILED records across cross edges; owned neighbors learn during the queue
+// drain. Pending requests R(v) are implicitly cleared because v is no longer
+// free.
 func (s *matchState) retire(v int32, kind byte) {
+	d := s.d
+	cm := s.st[v].cm
 	s.gone[v] = true
 	s.undecided--
 	s.queue = append(s.queue, v)
-	d := s.d
+	s.mate[v] = -1
+	if cm != noCM {
+		s.mate[v] = d.GlobalOf(cm)
+	}
 	if int(v) >= d.NumBoundary {
 		return // an interior vertex: no arc to a ghost
 	}
 	row := d.Xadj[v]
 	for _, k := range d.CrossArcsOf(v) {
-		if i := row + int64(k); d.Adj[i] != s.cm[v] && !s.gone[d.Adj[i]] {
-			s.match.send(kind, i)
+		if u := d.Adj[row+int64(k)]; u != cm && !s.gone[u] {
+			s.match.send(kind, row+int64(k))
 		}
 	}
 }
 
-// drainQueue is the inner loop: every queued vertex just became unavailable,
-// so each free owned neighbor pointing at it recomputes its candidate and may
+// drain is the inner loop: every queued vertex just became unavailable, so
+// each free owned neighbor pointing at it recomputes its candidate and may
 // match, request, or fail — cascading without any communication (messages to
 // ghosts are only *buffered* here; the outer loop ships them). Those
 // neighbors are found on the retired vertex's by list, not by a walk of its
-// row; the list also holds vertices that have since retired, which the guard
-// skips. The queue is walked by index, so what recompute appends is reached
-// in turn, and its backing array serves the next drain.
-func (s *matchState) drainQueue() {
-	if len(s.queue) == 0 {
-		return
-	}
-	tok := s.tr.BeginDetail("match.inner")
+// row; the guard skips what has since retired or lies beyond the sweep. The
+// queue is walked by index, so what recompute appends is reached in turn.
+// drain returns how many vertices it took off the queue.
+func (s *matchState) drain() int {
 	for i := 0; i < len(s.queue); i++ {
 		v := s.queue[i]
 		if s.onDrain != nil {
 			s.onDrain(v)
 		}
-		for w := s.by[v]; w != noCM; {
-			next := s.next[w] // recompute pushes w onto its new candidate's list
-			if s.cm[w] == v && !s.gone[w] {
+		for x := s.by[v]; x != 0; {
+			w := x - 1
+			sw := &s.st[w]
+			x = sw.next // recompute pushes w onto its new candidate's list
+			if sw.cm == v && w <= s.swept && !s.gone[w] {
 				s.recompute(w)
 			}
-			w = next
 		}
 	}
-	s.tr.EndN(tok, int64(len(s.queue)))
+	n := len(s.queue)
 	s.queue = s.queue[:0]
+	return n
 }
 
 // recompute refreshes the candidate mate of free owned vertex w after its
 // previous candidate became unavailable, and acts on the new one.
 func (s *matchState) recompute(w int32) {
 	s.c.ChargeOps(int64(s.d.Degree(w)), 1)
-	s.setCandidate(w, graph.BestArc(s.d.Neighbors(w), s.d.Weights(w), s.gone))
+	s.setCandidate(w, int32(graph.BestArc(s.d.Neighbors(w), s.d.Weights(w), s.gone)))
 	s.pursue(w)
 }
 
@@ -263,18 +283,18 @@ func (s *matchState) recompute(w int32) {
 // (Algorithm 3.3's PROCESSSUCCEEDEDMESSAGE body): fail without one, request
 // a ghost, match an owned vertex that points back.
 func (s *matchState) pursue(w int32) {
-	nc := s.cm[w]
+	nc := s.st[w].cm
 	switch {
 	case nc == noCM:
 		s.retire(w, msgFailed)
 	case s.d.IsGhost(nc):
-		s.match.send(msgRequest, s.cmArc[w])
-		if s.reqTo[int(nc)-s.d.NLocal] == w {
+		s.match.send(msgRequest, s.d.Xadj[w]+int64(s.off[w]))
+		if s.reqTo[int(nc)-s.d.NLocal] == w+1 {
 			// The ghost already asked for w: handshake complete
 			// (Algorithm 3.3's "if candidateMate(v) is in R(v)" branch).
 			s.retire(w, msgSucceeded)
 		}
-	case s.cm[nc] == w && !s.gone[nc]:
+	case s.st[nc].cm == w && !s.gone[nc]:
 		s.retire(w, msgSucceeded)
 		s.retire(nc, msgSucceeded)
 	}
@@ -291,18 +311,18 @@ func (s *matchState) handle(kind byte, v, u int32) {
 		if s.gone[v] {
 			return // v already matched or failed; u was informed then
 		}
-		if s.cm[v] == u {
+		if s.st[v].cm == u {
 			s.retire(v, msgSucceeded)
 		} else {
 			// Remember the request; a later REQUEST from the same ghost
 			// (after it recomputed) supersedes this one.
-			s.reqTo[int(u)-s.d.NLocal] = v
+			s.reqTo[int(u)-s.d.NLocal] = v + 1
 		}
 	case msgSucceeded, msgFailed:
 		// Algorithm 3.3 (FAILED differs only in skipping the handshake
 		// bookkeeping; both remove u from S(v)).
 		s.gone[u] = true
-		if !s.gone[v] && s.cm[v] == u {
+		if !s.gone[v] && s.st[v].cm == u {
 			s.recompute(v)
 		}
 	default:

@@ -1,8 +1,10 @@
 package matching
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/mpi/transport"
 	"repro/internal/partition"
 )
 
@@ -225,31 +228,6 @@ func TestParallelBundlingReducesMessages(t *testing.T) {
 	}
 }
 
-func TestParallelMessageBoundPerCrossEdge(t *testing.T) {
-	// Section 3.2: at least two and at most three messages cross any edge.
-	g, err := gen.ErdosRenyi(80, 400, true, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := partition.Random(g, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := partition.Measure(g, part)
-	_, results := runParallel(t, g, part, ParallelOptions{})
-	var recs int64
-	for _, r := range results {
-		recs += r.Records
-	}
-	if recs < 2*m.EdgeCut-int64(g.NumVertices()) {
-		// Lower bound is loose: fully-failed vertices may send fewer.
-		t.Logf("records %d below nominal 2*cut %d (acceptable: failures)", recs, 2*m.EdgeCut)
-	}
-	if recs > 3*m.EdgeCut {
-		t.Fatalf("records %d exceed 3 per cross edge (cut %d)", recs, m.EdgeCut)
-	}
-}
-
 func TestParallelSingleRankNoTraffic(t *testing.T) {
 	g, err := gen.ErdosRenyi(100, 400, true, 23)
 	if err != nil {
@@ -416,12 +394,44 @@ func TestParallelStopsWhenCanceled(t *testing.T) {
 	}
 }
 
-// TestDrainWalksWhatTheRowWalkFinds: drainQueue finds the free owned
-// vertices whose candidate just retired on the retired vertex's by list, not
-// by walking its row. At every step of every drain — small random graphs,
+// runHooked runs the kernel on every rank of shares like Parallel does,
+// under perturbation seed pert (0: none), but lets hook, if set, set the
+// test-only observers of each rank's state before it runs.
+func runHooked(t *testing.T, shares []*dgraph.DistGraph, opt ParallelOptions, pert uint64, hook func(rank int, s *matchState), mpiOpts ...mpi.Option) []*ParallelResult {
+	t.Helper()
+	mpiOpts = append(mpiOpts, mpi.WithDeadline(30*time.Second))
+	if pert > 0 {
+		mpiOpts = append(mpiOpts, mpi.WithPerturbation(pert))
+	}
+	results := make([]*ParallelResult, len(shares))
+	err := mpi.Run(len(shares), func(c *mpi.Comm) error {
+		r, err := newRank(c, shares[c.Rank()], opt)
+		if err != nil {
+			return err
+		}
+		s := &matchState{rank: r}
+		if hook != nil {
+			hook(c.Rank(), s)
+		}
+		if err := s.run(); err != nil {
+			return err
+		}
+		results[c.Rank()] = s.result()
+		return nil
+	}, mpiOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// TestDrainWalksWhatTheRowWalkFinds: a drain finds the free owned vertices
+// whose candidate just retired on the retired vertex's by list, not by
+// walking its row. At every step of every drain — small random graphs,
 // weighted and all-ties, over 1 to 4 ranks, bundled and unbundled, plain and
-// under perturbation — the list walk through the guard finds exactly the
-// vertices the row walk finds, and the matching is the sequential one.
+// under perturbation — the walk of the packed records' list through the
+// guard finds exactly the vertices the row walk finds, and the matching is
+// the sequential one.
 func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		n := 20 + int(seed)*7
@@ -442,46 +452,28 @@ func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
 			for _, opt := range []ParallelOptions{{}, {MaxBundleBytes: RecordBytes}} {
 				for pert := uint64(0); pert <= 3; pert++ {
 					name := fmt.Sprintf("n=%d p=%d bundle=%d perturbation=%d", n, p, opt.MaxBundleBytes, pert)
-					mpiOpts := []mpi.Option{mpi.WithDeadline(30 * time.Second)}
-					if pert > 0 {
-						mpiOpts = append(mpiOpts, mpi.WithPerturbation(pert))
-					}
-					results := make([]*ParallelResult, p)
 					steps := make([]int, p)
-					err := mpi.Run(p, func(c *mpi.Comm) error {
-						r, err := newRank(c, shares[c.Rank()], opt)
-						if err != nil {
-							return err
-						}
-						s := &matchState{rank: r}
+					results := runHooked(t, shares, opt, pert, func(rank int, s *matchState) {
 						s.onDrain = func(v int32) {
-							steps[c.Rank()]++
+							steps[rank]++
 							var list, row []int32
-							for w := s.by[v]; w != noCM; w = s.next[w] {
-								if s.cm[w] == v && !s.gone[w] {
+							for x := s.by[v]; x != 0; x = s.st[x-1].next {
+								if w := x - 1; s.st[w].cm == v && !s.gone[w] {
 									list = append(list, w)
 								}
 							}
 							for _, w := range s.d.Neighbors(v) {
-								if !s.d.IsGhost(w) && s.cm[w] == v && !s.gone[w] {
+								if !s.d.IsGhost(w) && s.st[w].cm == v && !s.gone[w] {
 									row = append(row, w)
 								}
 							}
 							slices.Sort(list) // as sets: a row ascends in global id, not in local index
 							slices.Sort(row)
 							if !slices.Equal(list, row) {
-								t.Errorf("%s rank %d: drain of %d walks %v, the row walk finds %v", name, c.Rank(), v, list, row)
+								t.Errorf("%s rank %d: drain of %d walks %v, the row walk finds %v", name, rank, v, list, row)
 							}
 						}
-						if err := s.run(); err != nil {
-							return err
-						}
-						results[c.Rank()] = s.result()
-						return nil
-					}, mpiOpts...)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
+					})
 					mates, err := Gather(shares, results)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -496,6 +488,190 @@ func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
 					if total != n {
 						t.Fatalf("%s: %d drain steps, want one per vertex (%d)", name, total, n)
 					}
+				}
+			}
+		}
+	}
+}
+
+// ledgerInput is a graph distributed for the per-edge tests.
+type ledgerInput struct {
+	name   string
+	g      *graph.Graph
+	shares []*dgraph.DistGraph
+}
+
+// ledgerInputs are the graphs and cuts the per-edge tests run on: an ER
+// graph, a grid and a small RMAT graph, each on a random and on a multilevel
+// 4-way cut.
+func ledgerInputs(t *testing.T) []ledgerInput {
+	t.Helper()
+	er, err := gen.ErdosRenyi(150, 600, true, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.Grid2D(16, 16, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmat, err := gen.RMAT(8, 6, true, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []ledgerInput
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"er", er}, {"grid", grid}, {"rmat", rmat}} {
+		random, err := partition.Random(in.g, 4, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multilevel, err := partition.Multilevel(in.g, 4, partition.MultilevelOptions{Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cut := range []struct {
+			name string
+			part *partition.Partition
+		}{{"random", random}, {"multilevel", multilevel}} {
+			shares, err := dgraph.Distribute(in.g, cut.part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ledgerInput{in.name + "/" + cut.name, in.g, shares})
+		}
+	}
+	return out
+}
+
+// ledgerWire is an in-process transport that books every matching record
+// put on it against the directed arc it crosses, named by global ids: a
+// record's edge index is looked up in the pair table the receiving share
+// keeps with the sender, whose ghost end is the sending vertex.
+type ledgerWire struct {
+	*transport.Inproc
+	shares []*dgraph.DistGraph
+	mu     sync.Mutex
+	arcs   map[[2]int64]*[2]int // REQUESTs, then SUCCEEDED/FAILED
+}
+
+func (w *ledgerWire) Send(m transport.Msg) error {
+	if m.Tag == matchTag {
+		d := w.shares[m.To]
+		edges := d.PairWith(m.From).Edges
+		w.mu.Lock()
+		for data := m.Payload; len(data) > 0; {
+			x, n := binary.Uvarint(data)
+			data = data[n:]
+			e := edges[x>>kindBits]
+			a := [2]int64{d.GlobalOf(e.U), d.GlobalOf(e.V)}
+			if w.arcs[a] == nil {
+				w.arcs[a] = new([2]int)
+			}
+			if x&(1<<kindBits-1) == msgRequest {
+				w.arcs[a][0]++
+			} else {
+				w.arcs[a][1]++
+			}
+		}
+		w.mu.Unlock()
+	}
+	return w.Inproc.Send(m)
+}
+
+// TestParallelRecordLedger holds Section 3.2's message bound edge by edge,
+// after Hoepman's analysis, on every record the ranks put on the wire: each
+// directed cross arc carries at most one REQUEST and at most one SUCCEEDED or
+// FAILED, each cross edge at most three records, and two REQUESTs cross an
+// edge only if it is matched — bundled and unbundled, plain and under
+// perturbation seeds. A vertex that acted on a candidate twice, say once
+// from a drain and once from the initial sweep, would show as a second
+// REQUEST.
+func TestParallelRecordLedger(t *testing.T) {
+	for _, in := range ledgerInputs(t) {
+		seq := LocallyDominant(in.g)
+		for _, opt := range []ParallelOptions{{}, {MaxBundleBytes: RecordBytes}} {
+			for pert := uint64(0); pert <= 3; pert++ {
+				name := fmt.Sprintf("%s bundle=%d perturbation=%d", in.name, opt.MaxBundleBytes, pert)
+				on := &ledgerWire{Inproc: transport.NewInproc(len(in.shares)), shares: in.shares, arcs: map[[2]int64]*[2]int{}}
+				results := runHooked(t, in.shares, opt, pert, nil, mpi.WithTransport(on))
+				mates, err := Gather(in.shares, results)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !slices.Equal(mates, seq) {
+					t.Fatalf("%s: differs from the sequential locally-dominant matching", name)
+				}
+				var records int64
+				for _, r := range results {
+					records += r.Records
+				}
+				for a, n := range on.arcs {
+					records -= int64(n[0] + n[1])
+					if n[0] > 1 || n[1] > 1 {
+						t.Errorf("%s: arc %d->%d carries %d REQUESTs and %d SUCCEEDED/FAILED, at most one each", name, a[0], a[1], n[0], n[1])
+					}
+					if a[0] > a[1] {
+						continue // each edge once, from its smaller end
+					}
+					back := on.arcs[[2]int64{a[1], a[0]}]
+					if back == nil {
+						back = new([2]int)
+					}
+					if total := n[0] + n[1] + back[0] + back[1]; total > 3 {
+						t.Errorf("%s: edge %d-%d carries %d records, at most three", name, a[0], a[1], total)
+					}
+					if n[0] > 0 && back[0] > 0 && mates[a[0]] != graph.Vertex(a[1]) {
+						t.Errorf("%s: REQUESTs cross edge %d-%d both ways, but it is not matched", name, a[0], a[1])
+					}
+				}
+				if records != 0 {
+					t.Errorf("%s: the ranks count %d records more than the wire carried", name, records)
+				}
+			}
+		}
+	}
+}
+
+// TestLocalWeightIsDeterministic: a rank's LocalWeight is a float sum, so
+// its last bits depend on the order of its terms. Under every perturbation
+// seed, bundled and unbundled, each rank's LocalWeight is bit for bit the
+// same, and equal to the sum this test recomputes: over the rank's owned
+// vertices in local order, the weight of each matched edge whose other end
+// has the larger global id, read off the share and MateGlobal. A kernel that
+// summed as it decided would add in message-driven order.
+func TestLocalWeightIsDeterministic(t *testing.T) {
+	for _, in := range ledgerInputs(t) {
+		var want []uint64
+		for _, opt := range []ParallelOptions{{}, {MaxBundleBytes: RecordBytes}} {
+			for pert := uint64(0); pert <= 6; pert++ {
+				name := fmt.Sprintf("%s bundle=%d perturbation=%d", in.name, opt.MaxBundleBytes, pert)
+				results := runHooked(t, in.shares, opt, pert, nil)
+				got := make([]uint64, len(results))
+				for rank, r := range results {
+					got[rank] = math.Float64bits(r.LocalWeight)
+					d := in.shares[rank]
+					var sum float64
+					for v, m := range r.MateGlobal {
+						if m <= d.GlobalID[v] {
+							continue
+						}
+						row := d.Xadj[v]
+						k := slices.IndexFunc(d.Neighbors(int32(v)), func(u int32) bool { return d.GlobalOf(u) == m })
+						if k < 0 {
+							t.Fatalf("%s rank %d: vertex %d's mate %d is not its neighbor", name, rank, d.GlobalID[v], m)
+						}
+						sum += d.Weight(row + int64(k))
+					}
+					if got[rank] != math.Float64bits(sum) {
+						t.Errorf("%s rank %d: LocalWeight %v, the sum in local order is %v", name, rank, r.LocalWeight, sum)
+					}
+				}
+				if want == nil {
+					want = got
+				} else if !slices.Equal(got, want) {
+					t.Errorf("%s: LocalWeight bits %x, the first run's %x", name, got, want)
 				}
 			}
 		}
