@@ -307,8 +307,10 @@ func BenchmarkSequentialMatchingGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkSequentialMatchingRMAT runs the sequential matching on rmat16's
+// graph, the instance BenchmarkMatchingOneRank/rmat16 runs on one rank.
 func BenchmarkSequentialMatchingRMAT(b *testing.B) {
-	g, err := gen.RMAT(14, 8, true, 1)
+	g, err := rmat16Graph()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,13 +335,16 @@ var grid512, rmat16 = &kernelShare{build: func() (*graph.Graph, *partition.Parti
 	part, err := partition.Grid2D(512, 512, 2, 2)
 	return g, part, err
 }}, &kernelShare{build: func() (*graph.Graph, *partition.Partition, error) {
-	g, err := gen.RMAT(16, 8, true, 1)
+	g, err := rmat16Graph()
 	if err != nil {
 		return nil, nil, err
 	}
 	part, err := partition.Multilevel(g, 4, partition.MultilevelOptions{Seed: 1})
 	return g, part, err
 }}
+
+// rmat16Graph is the RMAT-16 graph of the solve_rmat* workloads.
+func rmat16Graph() (*graph.Graph, error) { return gen.RMAT(16, 8, true, 1) }
 
 // world returns in's shares, built on first use, and a world to run them on.
 func (in *kernelShare) world(tb testing.TB) ([]*dgraph.DistGraph, *mpi.World) {
@@ -544,7 +549,7 @@ func BenchmarkMultilevelPartition(b *testing.B) {
 	}{
 		{"circuit150", 16, func() (*graph.Graph, error) { return gen.Circuit(150, 150, 0.45, true, 1) }},
 		{"circuit128", 4, func() (*graph.Graph, error) { return gen.Circuit(128, 128, 0.45, true, 1) }},
-		{"rmat16", 4, func() (*graph.Graph, error) { return gen.RMAT(16, 8, true, 1) }},
+		{"rmat16", 4, rmat16Graph},
 	} {
 		b.Run(fmt.Sprintf("%s/P=%d", c.name, c.p), func(b *testing.B) {
 			g, err := c.input()
@@ -646,7 +651,7 @@ func BenchmarkDistribute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rmat, err := gen.RMAT(16, 8, true, 1)
+	rmat, err := rmat16Graph()
 	if err != nil {
 		b.Fatal(err)
 	}

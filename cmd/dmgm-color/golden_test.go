@@ -45,19 +45,18 @@ func TestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, args := range map[string][]string{
-		"seq":             {},
-		"seq_order":       {"-order", "smallest-last"},
-		"seq_distance2":   {"-distance2"},
-		"seq_json":        {"-json"},
-		"p4":              {"-p", "4", "-seed", "5"},
-		"p4_json":         {"-p", "4", "-seed", "5", "-json"},
-		"p4_distance2":    {"-p", "4", "-seed", "5", "-distance2"},
-		"p4_broadcast":    {"-p", "4", "-seed", "5", "-comm", "broadcast", "-partition", "bfs"},
-		"p4_norefine":     {"-p", "4", "-seed", "5", "-norefine", "-superstep", "500"},
-		"p4_jp":           {"-p", "4", "-seed", "5", "-algo", "jp"},
-		"p4_jp_json":      {"-p", "4", "-seed", "5", "-algo", "jp", "-json"},
-		"usage_badcomm":   {"-p", "4", "-comm", "bogus"},
-		"usage_jp_remote": {"-p", "4", "-algo", "jp", "-transport", "tcp"},
+		"seq":           {},
+		"seq_order":     {"-order", "smallest-last"},
+		"seq_distance2": {"-distance2"},
+		"seq_json":      {"-json"},
+		"p4":            {"-p", "4", "-seed", "5"},
+		"p4_json":       {"-p", "4", "-seed", "5", "-json"},
+		"p4_distance2":  {"-p", "4", "-seed", "5", "-distance2"},
+		"p4_broadcast":  {"-p", "4", "-seed", "5", "-comm", "broadcast", "-partition", "bfs"},
+		"p4_norefine":   {"-p", "4", "-seed", "5", "-norefine", "-superstep", "500"},
+		"p4_jp":         {"-p", "4", "-seed", "5", "-algo", "jp"},
+		"p4_jp_json":    {"-p", "4", "-seed", "5", "-algo", "jp", "-json"},
+		"usage_badcomm": {"-p", "4", "-comm", "bogus"},
 		// Refused by dmgm.Job.Normalize, in the daemon's words, where the
 		// -comm check runs: after the partition, before any rank starts.
 		"usage_badsuperstep": {"-p", "4", "-superstep", "-5"},

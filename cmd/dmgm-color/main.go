@@ -65,9 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		default:
 			return launch.Usagef("unknown -algo %q: want speculative | jp", *algo)
 		}
-		if c.Transport.Remote() && job.Algorithm == dmgm.AlgoJP {
-			return launch.Usagef("-algo jp runs in-process only (no -transport tcp)")
-		}
 		g, err := c.ReadGraph()
 		if err != nil {
 			return err

@@ -3,33 +3,33 @@
 // Gebremedhin, Halappanavar and Pothen, "Distributed-Memory Parallel
 // Algorithms for Matching and Coloring" (IPDPS Workshops, 2011).
 //
-// The package re-exports the graph substrate and offers one-call entry
-// points for the four algorithm families:
+// The package re-exports the graph substrate, the sequential algorithms and
+// one way to run the distributed ones:
 //
-//   - Match / MatchParallel — the ½-approximate edge-weighted matching by
-//     locally dominant edges, sequential and distributed (REQUEST /
-//     SUCCEEDED / FAILED message protocol with aggressive bundling).
-//   - MatchExactBipartite — the exact maximum-weight bipartite reference.
-//   - Color / ColorParallel — greedy distance-1 coloring, sequential over
-//     the ColPack orderings, and the distributed speculative/iterative
-//     framework with FIAB / FIAC / neighbor-customized communication.
+//   - Match — the ½-approximate edge-weighted matching by locally dominant
+//     edges; MatchExactBipartite — the exact maximum-weight bipartite
+//     reference; Color — greedy distance-1 coloring over the ColPack
+//     orderings.
+//   - Solve and RunJob — every distributed run, named by a Job: the matching
+//     (REQUEST / SUCCEEDED / FAILED message protocol with aggressive
+//     bundling), the speculative iterative coloring (FIAB / FIAC /
+//     neighbor-customized communication, distance 1 or 2) and the
+//     Jones–Plassmann baseline. Both return one JobResult: the gathered
+//     vector, its verified text and the summary numbers.
 //
-// The distributed entry points run every rank as a goroutine over the
-// in-process message-passing runtime (internal/mpi), this repository's
-// substitute for MPI; see DESIGN.md for the substitution inventory. They
-// are kernel closures around one driver (distributed) that is handed a
-// Placement — a partition and the shares Place cuts by it — and RunJob is
-// the one function that takes a named job through run, verification and text
-// serialization — what the CLIs and the daemon call (DESIGN.md §9). Lower
-// level control (building per-rank shares, running inside your own world,
-// collecting traffic statistics) is available through the internal packages
-// for in-module code, and mirrors what the examples under examples/ do.
+// A distributed run is handed a Placement — a partition and the shares Place
+// cuts by it — and a world of ranks over the in-process message-passing
+// runtime (internal/mpi, this repository's substitute for MPI; see DESIGN.md
+// for the substitution inventory) or over a wire transport. RunJob takes a
+// job through run, verification and text serialization on the world it is
+// given; it is what the CLIs and the daemon call (DESIGN.md §9). Solve is
+// Place, then RunJob on a fresh in-process world with one goroutine rank per
+// part — what the examples under examples/ call.
 package dmgm
 
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/dgraph"
@@ -144,74 +144,50 @@ func VerifyColoringDistance2(g *Graph, c Colors) error {
 // ColoringBounds returns simple lower/upper bounds on the chromatic number.
 func ColoringBounds(g *Graph) (lower, upper int) { return coloring.Bounds(g) }
 
-// MatchParallelOptions configures MatchParallel.
+// MatchParallelOptions configures MatchParallelWorld.
 type MatchParallelOptions struct {
 	// BundleBytes caps the message-aggregation buffers (0 = 64 KiB). A
 	// buffer ships once another record of matching.RecordBytes — the upper
 	// bound on a record — might not fit, so matching.RecordBytes itself
 	// disables the paper's bundling: one record per message.
 	BundleBytes int
-	// Deadline aborts a wedged run (0 = 10 minutes).
-	Deadline time.Duration
 }
 
-// MatchParallelResult reports a distributed matching run.
-type MatchParallelResult struct {
-	Mates  Mates
-	Weight float64
-	// OuterIterations is the maximum outer-loop count over ranks.
-	OuterIterations int64
-	// Messages and Bytes total the runtime traffic.
-	Messages, Bytes int64
-}
-
-// MatchParallel distributes g by part, runs the asynchronous distributed
-// matching with one goroutine rank per part, and gathers the global result.
-// The matching is identical to Match(g) for any partition.
-func MatchParallel(g *Graph, part *Partition, opt MatchParallelOptions) (*MatchParallelResult, error) {
-	w, err := newWorld(part, opt.Deadline)
-	if err != nil {
-		return nil, err
-	}
-	return MatchParallelWorld(w, g, part, opt)
-}
-
-// MatchParallelWorld runs the distributed matching over an existing world,
-// which may span multiple processes through a remote transport (see
-// mpi.WithTransport). Every process must call it with the same graph and
-// partition; the global result is assembled through collectives, so it is
-// returned on the process hosting rank 0 and is nil (with a nil error) on
-// every other process.
-func MatchParallelWorld(w *mpi.World, g *Graph, part *Partition, opt MatchParallelOptions) (*MatchParallelResult, error) {
+// MatchParallelWorld places g by part and runs the distributed matching on
+// w: the kernel and the gather, with no verification and no text. Every
+// process must call it with the same graph and partition; the result is
+// returned on the process hosting rank 0 and is nil (with a nil error)
+// elsewhere. Only the benchmark's API-overhead probe calls it; everything
+// else runs a Job (Solve, RunJob).
+func MatchParallelWorld(w *mpi.World, g *Graph, part *Partition, opt MatchParallelOptions) (*JobResult, error) {
 	pl, err := placeFor(w, g, part)
 	if err != nil {
 		return nil, err
 	}
-	return matchPlaced(w, pl, opt)
+	return matchPlaced(w, pl, opt.BundleBytes)
 }
 
-// matchPlaced is MatchParallelWorld on shares already cut.
-func matchPlaced(w *mpi.World, pl *Placement, opt MatchParallelOptions) (*MatchParallelResult, error) {
+// matchPlaced runs the distributed matching on shares already cut, its
+// bundles capped at bundleBytes, and fills a JobResult's matching half.
+func matchPlaced(w *mpi.World, pl *Placement, bundleBytes int) (*JobResult, error) {
 	return distributed(w, pl,
-		func(c *mpi.Comm, d *dgraph.DistGraph) (*MatchParallelResult, []byte, error) {
-			res, err := matching.Parallel(c, d, matching.ParallelOptions{MaxBundleBytes: opt.BundleBytes})
+		func(c *mpi.Comm, d *dgraph.DistGraph) (*JobResult, []byte, error) {
+			res, err := matching.Parallel(c, d, matching.ParallelOptions{MaxBundleBytes: bundleBytes})
 			if err != nil {
 				return nil, nil, err
 			}
-			return &MatchParallelResult{
+			return &JobResult{
 				Weight:          c.AllreduceFloat64(res.LocalWeight, mpi.OpSum),
 				OuterIterations: c.AllreduceInt64(res.OuterIterations, mpi.OpMax),
 			}, encodeInts(res.MateGlobal), nil
 		},
-		func(out *MatchParallelResult, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (*MatchParallelResult, error) {
+		func(out *JobResult, shares []*dgraph.DistGraph, payloads [][]byte) (err error) {
 			results := make([]*matching.ParallelResult, len(payloads))
 			for rank, p := range payloads {
 				results[rank] = &matching.ParallelResult{MateGlobal: decodeInts[int64](p)}
 			}
-			var err error
 			out.Mates, err = matching.Gather(shares, results)
-			out.Messages, out.Bytes = t.messages, t.bytes
-			return out, err
+			return err
 		})
 }
 
@@ -222,99 +198,62 @@ const (
 	CommBroadcast     = coloring.CommBroadcast
 )
 
-// ColorParallelOptions configures ColorParallel; the zero value selects the
-// paper's preferred configuration (superstep 1000, neighbor-customized
-// communication, first fit, randomized conflict resolution).
+// ColorParallelOptions configures ColorParallelWorld: the superstep size
+// (0 = 1000), the communication mode and the seed of the speculative
+// distance-1 coloring.
 type ColorParallelOptions struct {
 	SuperstepSize int
 	CommMode      coloring.CommMode
-	Strategy      coloring.Strategy
-	Order         coloring.VertexOrder
-	Conflict      coloring.ConflictPolicy
 	Seed          uint64
-	Deadline      time.Duration
 }
 
-// ColorParallelResult reports a distributed coloring run.
-type ColorParallelResult struct {
-	Colors    Colors
-	NumColors int
-	Rounds    int
-	Conflicts int64
-	// Messages and Bytes total the runtime traffic.
-	Messages, Bytes int64
-}
-
-// ColorParallel distributes g by part and runs the speculative iterative
-// distance-1 coloring with one goroutine rank per part.
-func ColorParallel(g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
-	w, err := newWorld(part, opt.Deadline)
-	if err != nil {
-		return nil, err
-	}
-	return ColorParallelWorld(w, g, part, opt)
-}
-
-// ColorParallelWorld runs the speculative distance-1 coloring over an
-// existing world, which may span multiple processes through a remote
-// transport. Every process must call it with the same graph and partition;
-// the global result is returned on the process hosting rank 0 and is nil
-// (with a nil error) elsewhere.
-func ColorParallelWorld(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions) (*ColorParallelResult, error) {
+// ColorParallelWorld is MatchParallelWorld for the speculative distance-1
+// coloring: place, kernel, gather.
+func ColorParallelWorld(w *mpi.World, g *Graph, part *Partition, opt ColorParallelOptions) (*JobResult, error) {
 	pl, err := placeFor(w, g, part)
 	if err != nil {
 		return nil, err
 	}
-	return colorDistributed(w, pl, distance1(opt))
+	return colorDistributed(w, pl, distance1(coloring.ParallelOptions{
+		SuperstepSize: opt.SuperstepSize, CommMode: opt.CommMode, Seed: opt.Seed}))
 }
 
 // colorKernel is what one rank of a coloring run executes on its share.
 type colorKernel func(*mpi.Comm, *dgraph.DistGraph) (*coloring.ParallelResult, error)
 
 // distance1 is the speculative distance-1 kernel under opt.
-func distance1(opt ColorParallelOptions) colorKernel {
+func distance1(opt coloring.ParallelOptions) colorKernel {
 	return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
-		return coloring.Parallel(c, d, coloring.ParallelOptions{
-			SuperstepSize: opt.SuperstepSize,
-			CommMode:      opt.CommMode,
-			Strategy:      opt.Strategy,
-			Order:         opt.Order,
-			Conflict:      opt.Conflict,
-			Seed:          opt.Seed,
-		})
+		return coloring.Parallel(c, d, opt)
 	}
 }
 
 // colorDistributed is the driver of every coloring kernel — speculative
-// distance-1 and distance-2, and the Jones–Plassmann baseline of RunJob —
-// which all hand back a coloring.ParallelResult per rank.
-func colorDistributed(w *mpi.World, pl *Placement, kernel colorKernel) (*ColorParallelResult, error) {
+// distance-1 and distance-2, and the Jones–Plassmann baseline — which all
+// hand back a coloring.ParallelResult per rank; it fills a JobResult's
+// coloring half.
+func colorDistributed(w *mpi.World, pl *Placement, kernel colorKernel) (*JobResult, error) {
 	return distributed(w, pl,
-		func(c *mpi.Comm, d *dgraph.DistGraph) (*ColorParallelResult, []byte, error) {
+		func(c *mpi.Comm, d *dgraph.DistGraph) (*JobResult, []byte, error) {
 			res, err := kernel(c, d)
 			if err != nil {
 				return nil, nil, err
 			}
-			return &ColorParallelResult{
-				NumColors: res.NumColors, // identical on every rank
+			return &JobResult{
+				Colors:    res.NumColors, // identical on every rank
 				Rounds:    res.Rounds,
 				Conflicts: c.AllreduceInt64(res.Conflicts, mpi.OpSum),
 			}, encodeInts(res.Colors), nil
 		},
-		func(out *ColorParallelResult, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (*ColorParallelResult, error) {
+		func(out *JobResult, shares []*dgraph.DistGraph, payloads [][]byte) (err error) {
 			results := make([]*coloring.ParallelResult, len(payloads))
 			for rank, p := range payloads {
 				results[rank] = &coloring.ParallelResult{Colors: decodeInts[int32](p)}
 			}
-			var err error
-			out.Colors, err = coloring.Gather(shares, results)
-			out.Messages, out.Bytes = t.messages, t.bytes
-			return out, err
+			out.Coloring, err = coloring.Gather(shares, results)
+			return err
 		})
 }
-
-// traffic totals a run's point-to-point messages over all ranks.
-type traffic struct{ messages, bytes int64 }
 
 // Placement is a graph placed on ranks: a partition together with the
 // per-rank shares cut from the graph by it — the already-distributed input
@@ -366,8 +305,9 @@ func fits(w *mpi.World, part *Partition) error {
 	return nil
 }
 
-// placeFor is the "place, then run" of the (g, part) entry points: the world
-// is checked against the partition before the shares are paid for.
+// placeFor is the "place, then run" of MatchParallelWorld and
+// ColorParallelWorld: the world is checked against the partition before the
+// shares are paid for.
 func placeFor(w *mpi.World, g *Graph, part *Partition) (*Placement, error) {
 	if err := fits(w, part); err != nil {
 		return nil, err
@@ -375,54 +315,46 @@ func placeFor(w *mpi.World, g *Graph, part *Partition) (*Placement, error) {
 	return Place(g, part)
 }
 
-// distributed is the one driver every distributed entry point of this
-// package is a kernel closure around: check the placement against the world,
-// run kernel on every rank's share, reduce the traffic totals, allgather the
-// ranks' per-vertex payloads, and assemble the global result on rank 0.
-// Everything after the kernel goes through collectives, so the path is the
-// same for in-process and wire-transport worlds; on a process that does not
-// host rank 0 the result is the zero R (nil) with a nil error.
+// distributed is the one driver every distributed run of this package is a
+// kernel closure around: check the placement against the world, run kernel
+// on every rank's share, reduce the traffic totals, allgather the ranks'
+// per-vertex payloads, and assemble the global result on rank 0. Everything
+// after the kernel goes through collectives, so the path is the same for
+// in-process and wire-transport worlds; on a process that does not host
+// rank 0 the result is nil with a nil error.
 //
 // kernel runs one rank's share: it returns the rank's per-owned-vertex
 // payload, encoded for the wire, and a partial result holding the scalars
 // it has already allreduced (which scalars, and under which operator, is the
 // algorithm's business). assemble runs on rank 0 only and completes rank 0's
 // partial result from every rank's payload.
-func distributed[R any](w *mpi.World, pl *Placement,
-	kernel func(*mpi.Comm, *dgraph.DistGraph) (R, []byte, error),
-	assemble func(partial R, t traffic, shares []*dgraph.DistGraph, payloads [][]byte) (R, error)) (R, error) {
-	var out R
+func distributed(w *mpi.World, pl *Placement,
+	kernel func(*mpi.Comm, *dgraph.DistGraph) (*JobResult, []byte, error),
+	assemble func(out *JobResult, shares []*dgraph.DistGraph, payloads [][]byte) error) (*JobResult, error) {
 	if err := fits(w, pl.part); err != nil {
-		return out, err
+		return nil, err
 	}
-	shares := pl.shares
+	var out *JobResult
 	err := w.Run(func(c *mpi.Comm) error {
-		partial, payload, err := kernel(c, shares[c.Rank()])
+		partial, payload, err := kernel(c, pl.shares[c.Rank()])
 		if err != nil {
 			return err
 		}
 		snap := c.StatsSnapshot() // collectives are uncounted, so this is final
-		t := traffic{
-			messages: c.AllreduceInt64(snap.SentMsgs, mpi.OpSum),
-			bytes:    c.AllreduceInt64(snap.SentBytes, mpi.OpSum),
-		}
+		messages := c.AllreduceInt64(snap.SentMsgs, mpi.OpSum)
+		bytes := c.AllreduceInt64(snap.SentBytes, mpi.OpSum)
 		payloads := c.Allgather(payload)
 		if c.Rank() != 0 {
 			return nil
 		}
-		out, err = assemble(partial, t, shares, payloads)
-		return err
+		out = partial
+		out.Messages, out.Bytes = messages, bytes
+		return assemble(out, pl.shares, payloads)
 	})
-	return out, err
-}
-
-// newWorld builds the in-process world of the one-call entry points: one
-// goroutine rank per part, aborted after deadline (0 = 10 minutes).
-func newWorld(part *Partition, deadline time.Duration) (*mpi.World, error) {
-	if deadline == 0 {
-		deadline = 10 * time.Minute
+	if err != nil {
+		return nil, err
 	}
-	return mpi.NewWorld(part.P, mpi.WithDeadline(deadline))
+	return out, nil
 }
 
 // encodeInts / decodeInts carry a rank's per-vertex integers through

@@ -21,7 +21,7 @@ func TestEndToEndMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MatchParallel(g, part, MatchParallelOptions{})
+	res, err := Solve(g, part, Job{Algorithm: AlgoMatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +59,16 @@ func TestEndToEndColoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ColorParallel(g, part, ColorParallelOptions{Seed: 11})
+	res, err := Solve(g, part, Job{Algorithm: AlgoColor, Params: Params{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyColoring(g, res.Colors); err != nil {
+	if err := VerifyColoring(g, res.Coloring); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := ColoringBounds(g)
-	if res.NumColors < lo || res.NumColors > hi {
-		t.Fatalf("parallel colors %d outside bounds [%d,%d]", res.NumColors, lo, hi)
+	if res.Colors < lo || res.Colors > hi {
+		t.Fatalf("parallel colors %d outside bounds [%d,%d]", res.Colors, lo, hi)
 	}
 	if res.Rounds < 1 {
 		t.Fatalf("rounds = %d", res.Rounds)
@@ -96,11 +96,10 @@ func TestFacadeRejectsBadPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &Partition{P: 2, Part: []int32{0}}
-	if _, err := MatchParallel(g, bad, MatchParallelOptions{}); err == nil {
-		t.Error("MatchParallel accepted bad partition")
-	}
-	if _, err := ColorParallel(g, bad, ColorParallelOptions{}); err == nil {
-		t.Error("ColorParallel accepted bad partition")
+	for _, algo := range []string{AlgoMatch, AlgoColor, AlgoJP} {
+		if _, err := Solve(g, bad, Job{Algorithm: algo}); err == nil {
+			t.Errorf("Solve accepted a bad partition for a %s job", algo)
+		}
 	}
 }
 
@@ -117,12 +116,22 @@ func TestMismatchedWorldRefusedBeforeDistribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const want = "world of 3 ranks for a 2-way partition"
 	// The second partition is also invalid for g, which only distributing
 	// would find out: the world-size refusal must come first.
 	for name, part := range map[string]*Partition{"valid": good, "invalid": {P: 2, Part: []int32{0}}} {
-		_, err := MatchParallelWorld(w, g, part, MatchParallelOptions{})
-		if err == nil || !strings.Contains(err.Error(), "world of 3 ranks for a 2-way partition") {
+		if _, err := placeFor(w, g, part); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s partition on a mismatched world: %v", name, err)
+		}
+	}
+	// A placement already cut is refused by the driver before any rank runs.
+	pl, err := Place(g, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{AlgoMatch, AlgoColor, AlgoJP} {
+		if _, err := RunJob(w, g, pl, Job{Algorithm: algo}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s job on a mismatched world: %v", algo, err)
 		}
 	}
 }
@@ -161,18 +170,10 @@ func TestDistance2Facade(t *testing.T) {
 	}
 }
 
-// runJob runs job on a fresh in-process world over part's shares of g.
+// runJob runs job on part's shares of g through Solve.
 func runJob(t *testing.T, g *Graph, part *Partition, job Job) *JobResult {
 	t.Helper()
-	w, err := mpi.NewWorld(part.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Place(g, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunJob(w, g, pl, job)
+	res, err := Solve(g, part, job)
 	if err != nil {
 		t.Fatalf("%+v: %v", job, err)
 	}

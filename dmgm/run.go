@@ -95,20 +95,23 @@ func (j Job) Key() string {
 	return fmt.Sprintf("color|s%d|ss%d|%s", j.Seed, j.Superstep, j.Comm)
 }
 
-// JobResult is a verified run: the text serialization dmgm-match /
-// dmgm-color write with -o and the daemon returns as "result", plus the
-// summary numbers both print.
+// JobResult is a verified run: the gathered vector, the text serialization
+// dmgm-match / dmgm-color write with -o and the daemon returns as "result",
+// and the summary numbers both print. It is the one result type of every
+// distributed run.
 type JobResult struct {
 	// Text is the matching (matching.WriteMates) or the coloring
 	// (coloring.WriteColors).
 	Text string
 
-	// Matching summary.
+	// Matching: the gathered mates and their summary.
+	Mates           Mates
 	Weight          float64
 	Cardinality     int
 	OuterIterations int64
 
-	// Coloring summary.
+	// Coloring: the gathered colors and their summary; Colors counts them.
+	Coloring  Colors
 	Colors    int
 	Rounds    int
 	Conflicts int64
@@ -122,13 +125,27 @@ type JobResult struct {
 	Elapsed time.Duration
 }
 
+// Solve runs job on g cut by part with one goroutine rank per part: Place,
+// then RunJob on a fresh in-process world, aborted after 10 minutes. It is
+// the one-call form of a distributed run.
+func Solve(g *Graph, part *Partition, job Job) (*JobResult, error) {
+	pl, err := Place(g, part)
+	if err != nil {
+		return nil, err
+	}
+	w, err := mpi.NewWorld(part.P, mpi.WithDeadline(10*time.Minute))
+	if err != nil {
+		return nil, err
+	}
+	return RunJob(w, g, pl, job)
+}
+
 // RunJob takes a job from its names to a verified text result on the given
 // world: Normalize, names → kernel options, the distributed run, the verifier
-// that matches the job, the text serializer, the summary numbers. The CLIs, the
-// daemon and the conformance reference all call it, which is what makes
-// their results byte-identical for equal (graph, partition, job). Like the
-// *World drivers it returns nil (and a nil error) on a process that does not
-// host rank 0.
+// that matches the job, the text serializer, the summary numbers. The CLIs,
+// the daemon, Solve and the conformance suite all call it, which is what
+// makes their results byte-identical for equal (graph, partition, job). It
+// returns nil (and a nil error) on a process that does not host rank 0.
 func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) {
 	if err := job.Normalize(); err != nil {
 		return nil, err
@@ -136,63 +153,49 @@ func RunJob(w *mpi.World, g *Graph, pl *Placement, job Job) (*JobResult, error) 
 	if err := pl.cutFrom(g); err != nil {
 		return nil, err
 	}
-	var (
-		out     *JobResult
-		verdict error
-		render  func([]byte) []byte
-		start   = time.Now()
-	)
-	switch job.Algorithm {
-	case AlgoMatch:
-		opt := MatchParallelOptions{}
+	start := time.Now()
+	if job.Algorithm == AlgoMatch {
+		bundleBytes := 0
 		if job.NoBundle {
-			opt.BundleBytes = matching.RecordBytes
+			bundleBytes = matching.RecordBytes
 		}
-		res, err := matchPlaced(w, pl, opt)
-		if err != nil || res == nil {
+		out, err := matchPlaced(w, pl, bundleBytes)
+		if err != nil || out == nil {
 			return nil, err
 		}
-		out = &JobResult{
-			Weight: res.Weight, Cardinality: res.Mates.Cardinality(), OuterIterations: res.OuterIterations,
-			Messages: res.Messages, Bytes: res.Bytes, Elapsed: time.Since(start),
+		out.Elapsed, out.Cardinality = time.Since(start), out.Mates.Cardinality()
+		if err := out.Mates.VerifyMaximal(g); err != nil {
+			return nil, fmt.Errorf("result verification: %w", err)
 		}
-		verdict = res.Mates.VerifyMaximal(g)
-		render = func(b []byte) []byte { return matching.AppendMates(b, res.Mates) }
-	case AlgoColor, AlgoJP:
-		res, verify, err := runColor(w, pl, job)
-		if err != nil || res == nil {
-			return nil, err
-		}
-		out = &JobResult{
-			Colors: res.NumColors, Rounds: res.Rounds, Conflicts: res.Conflicts,
-			Messages: res.Messages, Bytes: res.Bytes, Elapsed: time.Since(start),
-		}
-		verdict = verify(g, res.Colors)
-		render = func(b []byte) []byte { return coloring.AppendColors(b, res.Colors) }
+		out.Text = string(matching.AppendMates(nil, out.Mates))
+		return out, nil
 	}
-	if verdict != nil {
-		return nil, fmt.Errorf("result verification: %w", verdict)
+	kernel, verify := colorKernelFor(job)
+	out, err := colorDistributed(w, pl, kernel)
+	if err != nil || out == nil {
+		return nil, err
 	}
-	out.Text = string(render(nil))
+	out.Elapsed = time.Since(start)
+	if err := verify(g, out.Coloring); err != nil {
+		return nil, fmt.Errorf("result verification: %w", err)
+	}
+	out.Text = string(coloring.AppendColors(nil, out.Coloring))
 	return out, nil
 }
 
-// runColor runs the coloring kernel the job names and returns the verifier
-// that matches it.
-func runColor(w *mpi.World, pl *Placement, job Job) (*ColorParallelResult, func(*Graph, Colors) error, error) {
-	mode, _ := coloring.ParseCommMode(job.Comm) // Normalize checked it
-	kernel, verify := distance1(ColorParallelOptions{SuperstepSize: job.Superstep, CommMode: mode, Seed: job.Seed}), VerifyColoring
+// colorKernelFor returns the coloring kernel a normalized color or jp job
+// names and the verifier that matches it.
+func colorKernelFor(job Job) (colorKernel, func(*Graph, Colors) error) {
 	switch {
 	case job.Algorithm == AlgoJP:
-		kernel = func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
 			return coloring.JonesPlassmann(c, d, job.Seed, 0)
-		}
+		}, VerifyColoring
 	case job.Distance2:
-		kernel = func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
+		return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
 			return coloring.ParallelDistance2(c, d, coloring.ParallelOptions{SuperstepSize: job.Superstep, Seed: job.Seed})
-		}
-		verify = VerifyColoringDistance2
+		}, VerifyColoringDistance2
 	}
-	res, err := colorDistributed(w, pl, kernel)
-	return res, verify, err
+	mode, _ := coloring.ParseCommMode(job.Comm) // Normalize checked it
+	return distance1(coloring.ParallelOptions{SuperstepSize: job.Superstep, CommMode: mode, Seed: job.Seed}), VerifyColoring
 }

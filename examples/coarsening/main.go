@@ -64,11 +64,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := dmgm.MatchParallel(g, part, dmgm.MatchParallelOptions{})
+		res, err := dmgm.Solve(g, part, dmgm.Job{Algorithm: dmgm.AlgoMatch})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := dmgm.VerifyMatching(g, res.Mates); err != nil {
 			log.Fatal(err)
 		}
 		before := g.NumVertices()

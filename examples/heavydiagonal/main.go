@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dmgm.MatchParallel(b.Graph, part, dmgm.MatchParallelOptions{})
+	res, err := dmgm.Solve(b.Graph, part, dmgm.Job{Algorithm: dmgm.AlgoMatch})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,23 +69,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dmgm.ColorParallel(g, part, dmgm.ColorParallelOptions{Seed: 5})
+	res, err := dmgm.Solve(g, part, dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Seed: 5}})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := dmgm.VerifyColoring(g, res.Colors); err != nil {
 		log.Fatal(err)
 	}
 	lo, hi := dmgm.ColoringBounds(g)
 	fmt.Printf("coloring: %d groups (bounds [%d,%d]) in %d rounds\n",
-		res.NumColors, lo, hi, res.Rounds)
+		res.Colors, lo, hi, res.Rounds)
 
 	// Verify structural orthogonality: within a color class no two columns
 	// share a row — so one matrix-vector probe per class recovers all
 	// entries of the class.
 	seen := make(map[int64]int32) // (color, row) -> column
 	for j, rows := range cols {
-		c := res.Colors[j]
+		c := res.Coloring[j]
 		for _, r := range rows {
 			key := int64(c)<<32 | int64(r)
 			if prev, clash := seen[key]; clash {
@@ -95,5 +92,5 @@ func main() {
 		}
 	}
 	fmt.Printf("compression verified: %d derivative evaluations instead of %d (%.1fx)\n",
-		res.NumColors, nCols, float64(nCols)/float64(res.NumColors))
+		res.Colors, nCols, float64(nCols)/float64(res.Colors))
 }

@@ -51,7 +51,7 @@ func main() {
 	// Distributed matching: REQUEST/SUCCEEDED/FAILED protocol with message
 	// bundling. The weight is identical to the sequential run — Section
 	// 5.2's invariance observation.
-	mres, err := dmgm.MatchParallel(g, part, dmgm.MatchParallelOptions{})
+	mres, err := dmgm.Solve(g, part, dmgm.Job{Algorithm: dmgm.AlgoMatch})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,13 +63,10 @@ func main() {
 
 	// Distributed speculative coloring (Algorithm 4.1) with the paper's new
 	// neighbor-customized communication.
-	cres, err := dmgm.ColorParallel(g, part, dmgm.ColorParallelOptions{Seed: 7})
+	cres, err := dmgm.Solve(g, part, dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Seed: 7}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dmgm.VerifyColoring(g, cres.Colors); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("parallel coloring (4 ranks): %d colors in %d rounds (%d conflicts resolved)\n",
-		cres.NumColors, cres.Rounds, cres.Conflicts)
+		cres.Colors, cres.Rounds, cres.Conflicts)
 }

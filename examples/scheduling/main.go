@@ -53,20 +53,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dmgm.ColorParallel(g, part, dmgm.ColorParallelOptions{Seed: 11})
+	res, err := dmgm.Solve(g, part, dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Seed: 11}})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := dmgm.VerifyColoring(g, res.Colors); err != nil {
 		log.Fatal(err)
 	}
 
 	// Build the schedule: phase c runs every task with color c.
-	phases := make([][]int32, res.NumColors)
-	for t, c := range res.Colors {
+	phases := make([][]int32, res.Colors)
+	for t, c := range res.Coloring {
 		phases[c] = append(phases[c], int32(t))
 	}
-	// Verify phase independence explicitly (beyond the coloring check):
+	// Verify phase independence explicitly (beyond the coloring check Solve ran):
 	// no two tasks in one phase may share an edge.
 	for c, tasks := range phases {
 		inPhase := map[int32]bool{}
@@ -83,7 +80,7 @@ func main() {
 	}
 	lo, _ := dmgm.ColoringBounds(g)
 	fmt.Printf("schedule: %d phases for %d tasks (clique lower bound: %d phases)\n",
-		res.NumColors, nTasks, lo)
+		res.Colors, nTasks, lo)
 	min, max := nTasks, 0
 	for _, tasks := range phases {
 		if len(tasks) < min {
@@ -94,5 +91,5 @@ func main() {
 		}
 	}
 	fmt.Printf("phase sizes: %d..%d tasks (ideal parallelism %.0fx)\n",
-		min, max, float64(nTasks)/float64(res.NumColors))
+		min, max, float64(nTasks)/float64(res.Colors))
 }

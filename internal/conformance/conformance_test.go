@@ -12,13 +12,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/dmgm"
-	"repro/internal/coloring"
 	"repro/internal/gen"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
@@ -141,113 +140,95 @@ func buildInstances(t *testing.T) []instance {
 	}
 }
 
-func TestMatchingConformance(t *testing.T) {
+// jobKinds is every distributed job kind the CLIs and the daemon run, as the
+// conformance tests name them. The colorings run one superstep per round
+// (superstep = n), which makes them fully deterministic — colors, rounds and
+// message counts — because ghost colors only change in the post-barrier
+// drain; Jones–Plassmann is deterministic at any superstep.
+var jobKinds = []struct {
+	name string
+	job  func(n int) dmgm.Job
+}{
+	{"match", func(int) dmgm.Job { return dmgm.Job{Algorithm: dmgm.AlgoMatch} }},
+	{"match-nobundle", func(int) dmgm.Job {
+		return dmgm.Job{Algorithm: dmgm.AlgoMatch, Params: dmgm.Params{NoBundle: true}}
+	}},
+	{"neighbors", colorJob("neighbors", false)},
+	{"customized-all", colorJob("customized-all", false)},
+	{"broadcast", colorJob("broadcast", false)},
+	{"distance2", colorJob("", true)},
+	{"jp", func(int) dmgm.Job { return dmgm.Job{Algorithm: dmgm.AlgoJP, Params: dmgm.Params{Seed: 3}} }},
+}
+
+// colorJob is a speculative coloring job at superstep = n.
+func colorJob(comm string, distance2 bool) func(n int) dmgm.Job {
+	return func(n int) dmgm.Job {
+		return dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Superstep: n, Seed: 3, Comm: comm, Distance2: distance2}}
+	}
+}
+
+// placed runs job through Place and RunJob on w.
+func placed(w *mpi.World, ins instance, job dmgm.Job) (*dmgm.JobResult, error) {
+	placement, err := dmgm.Place(ins.g, ins.part)
+	if err != nil {
+		return nil, err
+	}
+	return dmgm.RunJob(w, ins.g, placement, job)
+}
+
+// inproc runs job through Place and RunJob on a fresh in-process world.
+func inproc(t *testing.T, ins instance, job dmgm.Job, opts ...mpi.Option) *dmgm.JobResult {
+	t.Helper()
+	w, err := mpi.NewWorld(nRanks, append([]mpi.Option{mpi.WithDeadline(60 * time.Second)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := placed(w, ins, job)
+	if err != nil {
+		t.Fatalf("%+v: %v", job, err)
+	}
+	return res
+}
+
+// conform runs every job kind whose algorithm is one of algos on every
+// instance, inproc and over tcp, and requires the same text, the same summary
+// and — where the run is deterministic — the same traffic.
+func conform(t *testing.T, algos ...string) {
 	for _, ins := range buildInstances(t) {
 		t.Run(ins.name, func(t *testing.T) {
-			opt := dmgm.MatchParallelOptions{Deadline: 60 * time.Second}
-			inproc, err := dmgm.MatchParallel(ins.g, ins.part, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tcp := overTCP(t, nRanks, func(w *mpi.World) (*dmgm.MatchParallelResult, error) {
-				return dmgm.MatchParallelWorld(w, ins.g, ins.part, opt)
-			})
-			if err := dmgm.VerifyMatching(ins.g, tcp.Mates); err != nil {
-				t.Fatal(err)
-			}
-			for v := range inproc.Mates {
-				if inproc.Mates[v] != tcp.Mates[v] {
-					t.Fatalf("vertex %d: inproc mate %d, tcp mate %d", v, inproc.Mates[v], tcp.Mates[v])
+			for _, kind := range jobKinds {
+				job := kind.job(ins.g.NumVertices())
+				if !slices.Contains(algos, job.Algorithm) {
+					continue
 				}
-			}
-			if inproc.Weight != tcp.Weight {
-				t.Fatalf("weight: inproc %v, tcp %v", inproc.Weight, tcp.Weight)
-			}
-			// The asynchronous protocol's traffic is timing-dependent in
-			// general (REQUEST-skipping races), but on the monotone path the
-			// cascade is sequential and the counts must agree exactly.
-			if ins.deterministic {
-				if inproc.Messages != tcp.Messages || inproc.Bytes != tcp.Bytes {
-					t.Fatalf("traffic: inproc %d msgs/%d B, tcp %d msgs/%d B",
-						inproc.Messages, inproc.Bytes, tcp.Messages, tcp.Bytes)
-				}
+				t.Run(kind.name, func(t *testing.T) {
+					a := inproc(t, ins, job)
+					b := overTCP(t, nRanks, func(w *mpi.World) (*dmgm.JobResult, error) { return placed(w, ins, job) })
+					if a.Text != b.Text {
+						t.Fatal("inproc and tcp results differ")
+					}
+					if a.Weight != b.Weight || a.Cardinality != b.Cardinality {
+						t.Fatalf("matching: inproc weight %v (%d pairs), tcp %v (%d)", a.Weight, a.Cardinality, b.Weight, b.Cardinality)
+					}
+					if a.Colors != b.Colors || a.Rounds != b.Rounds || a.Conflicts != b.Conflicts {
+						t.Fatalf("inproc (colors %d, rounds %d, conflicts %d) vs tcp (%d, %d, %d)",
+							a.Colors, a.Rounds, a.Conflicts, b.Colors, b.Rounds, b.Conflicts)
+					}
+					// The asynchronous matching's traffic is timing-dependent in
+					// general (REQUEST-skipping races), but on the monotone path
+					// the cascade is sequential and the counts must agree exactly.
+					if (job.Algorithm != dmgm.AlgoMatch || ins.deterministic) && (a.Messages != b.Messages || a.Bytes != b.Bytes) {
+						t.Fatalf("traffic: inproc %d msgs/%d B, tcp %d msgs/%d B", a.Messages, a.Bytes, b.Messages, b.Bytes)
+					}
+				})
 			}
 		})
 	}
 }
 
-func TestColoringConformance(t *testing.T) {
-	for _, ins := range buildInstances(t) {
-		t.Run(ins.name, func(t *testing.T) {
-			// One superstep chunk per round makes the speculative coloring
-			// fully deterministic — colors, rounds, and message counts —
-			// because ghost colors only change in the post-barrier drain.
-			opt := dmgm.ColorParallelOptions{
-				SuperstepSize: ins.g.NumVertices(),
-				Seed:          3,
-				Deadline:      60 * time.Second,
-			}
-			inproc, err := dmgm.ColorParallel(ins.g, ins.part, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tcp := overTCP(t, nRanks, func(w *mpi.World) (*dmgm.ColorParallelResult, error) {
-				return dmgm.ColorParallelWorld(w, ins.g, ins.part, opt)
-			})
-			if err := dmgm.VerifyColoring(ins.g, tcp.Colors); err != nil {
-				t.Fatal(err)
-			}
-			for v := range inproc.Colors {
-				if inproc.Colors[v] != tcp.Colors[v] {
-					t.Fatalf("vertex %d: inproc color %d, tcp color %d", v, inproc.Colors[v], tcp.Colors[v])
-				}
-			}
-			if inproc.NumColors != tcp.NumColors || inproc.Rounds != tcp.Rounds || inproc.Conflicts != tcp.Conflicts {
-				t.Fatalf("inproc (colors %d, rounds %d, conflicts %d) vs tcp (%d, %d, %d)",
-					inproc.NumColors, inproc.Rounds, inproc.Conflicts,
-					tcp.NumColors, tcp.Rounds, tcp.Conflicts)
-			}
-			if inproc.Messages != tcp.Messages || inproc.Bytes != tcp.Bytes {
-				t.Fatalf("traffic: inproc %d msgs/%d B, tcp %d msgs/%d B",
-					inproc.Messages, inproc.Bytes, tcp.Messages, tcp.Bytes)
-			}
-		})
-	}
-}
+func TestMatchingConformance(t *testing.T) { conform(t, dmgm.AlgoMatch) }
 
-func TestDistance2ColoringConformance(t *testing.T) {
-	ins := buildInstances(t)[0]
-	job := dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Superstep: ins.g.NumVertices(), Seed: 3, Distance2: true}}
-	run := func(w *mpi.World) (*dmgm.JobResult, error) {
-		placement, err := dmgm.Place(ins.g, ins.part)
-		if err != nil {
-			return nil, err
-		}
-		return dmgm.RunJob(w, ins.g, placement, job)
-	}
-	w, err := mpi.NewWorld(nRanks, mpi.WithDeadline(60*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp := overTCP(t, nRanks, run)
-	colors, err := coloring.ReadColors(strings.NewReader(tcp.Text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dmgm.VerifyColoringDistance2(ins.g, colors); err != nil {
-		t.Fatal(err)
-	}
-	if inproc.Text != tcp.Text {
-		t.Fatal("inproc and tcp distance-2 colorings differ")
-	}
-	if inproc.Colors != tcp.Colors {
-		t.Fatalf("inproc %d colors, tcp %d", inproc.Colors, tcp.Colors)
-	}
-}
+func TestColoringConformance(t *testing.T) { conform(t, dmgm.AlgoColor, dmgm.AlgoJP) }
 
 // TestTracingInvariance checks that observability is purely passive: the
 // same instance run with a full observer (tracing + metrics) must produce
@@ -255,19 +236,9 @@ func TestDistance2ColoringConformance(t *testing.T) {
 func TestTracingInvariance(t *testing.T) {
 	for _, ins := range buildInstances(t) {
 		t.Run(ins.name, func(t *testing.T) {
-			runMatch := func(opts ...mpi.Option) *dmgm.MatchParallelResult {
-				w, err := mpi.NewWorld(nRanks, append([]mpi.Option{mpi.WithDeadline(60 * time.Second)}, opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := dmgm.MatchParallelWorld(w, ins.g, ins.part, dmgm.MatchParallelOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
+			match := dmgm.Job{Algorithm: dmgm.AlgoMatch}
 			obsr := obs.NewObserver(nRanks, 0)
-			plain, traced := runMatch(), runMatch(mpi.WithObserver(obsr))
+			plain, traced := inproc(t, ins, match), inproc(t, ins, match, mpi.WithObserver(obsr))
 			if fmt.Sprint(plain.Mates) != fmt.Sprint(traced.Mates) || plain.Weight != traced.Weight {
 				t.Fatalf("matching differs with tracing on: weight %v vs %v", plain.Weight, traced.Weight)
 			}
@@ -287,22 +258,7 @@ func TestTracingInvariance(t *testing.T) {
 				{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Comm: "neighbors", Superstep: ins.g.NumVertices(), Seed: 3, Distance2: true}},
 				{Algorithm: dmgm.AlgoJP, Params: dmgm.Params{Seed: 3}},
 			} {
-				runColor := func(opts ...mpi.Option) *dmgm.JobResult {
-					w, err := mpi.NewWorld(nRanks, append([]mpi.Option{mpi.WithDeadline(60 * time.Second)}, opts...)...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					placement, err := dmgm.Place(ins.g, ins.part)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := dmgm.RunJob(w, ins.g, placement, job)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				cplain, ctraced := runColor(), runColor(mpi.WithObserver(obs.NewObserver(nRanks, 0)))
+				cplain, ctraced := inproc(t, ins, job), inproc(t, ins, job, mpi.WithObserver(obs.NewObserver(nRanks, 0)))
 				if cplain.Text != ctraced.Text ||
 					cplain.Colors != ctraced.Colors || cplain.Rounds != ctraced.Rounds ||
 					cplain.Messages != ctraced.Messages || cplain.Bytes != ctraced.Bytes {
@@ -319,10 +275,9 @@ func TestTracingInvariance(t *testing.T) {
 // harness itself is stable (fresh mesh, same answer).
 func TestTCPMatchingRepeatable(t *testing.T) {
 	ins := buildInstances(t)[2]
-	opt := dmgm.MatchParallelOptions{Deadline: 60 * time.Second}
-	run := func() *dmgm.MatchParallelResult {
-		return overTCP(t, nRanks, func(w *mpi.World) (*dmgm.MatchParallelResult, error) {
-			return dmgm.MatchParallelWorld(w, ins.g, ins.part, opt)
+	run := func() *dmgm.JobResult {
+		return overTCP(t, nRanks, func(w *mpi.World) (*dmgm.JobResult, error) {
+			return placed(w, ins, dmgm.Job{Algorithm: dmgm.AlgoMatch})
 		})
 	}
 	a, b := run(), run()
@@ -338,18 +293,18 @@ func TestTCPMatchingRepeatable(t *testing.T) {
 // collectives are shared-memory, nothing crosses a wire.
 func TestTagFamilyReconciliation(t *testing.T) {
 	ins := buildInstances(t)[0]
-	newWorld := func() *mpi.World {
+	run := func(job dmgm.Job) *mpi.World {
 		w, err := mpi.NewWorld(nRanks, mpi.WithDeadline(60*time.Second))
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := placed(w, ins, job); err != nil {
 			t.Fatal(err)
 		}
 		return w
 	}
 
-	w := newWorld()
-	if _, err := dmgm.MatchParallelWorld(w, ins.g, ins.part, dmgm.MatchParallelOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	w := run(dmgm.Job{Algorithm: dmgm.AlgoMatch})
 	assertFamiliesReconcile(t, w, "inproc match")
 	total := w.TotalStats()
 	if fam := total.ByFamily[mpi.FamilyMatch]; fam.SentMsgs == 0 || fam.SentBytes != total.SentBytes {
@@ -359,11 +314,7 @@ func TestTagFamilyReconciliation(t *testing.T) {
 		t.Errorf("inproc run metered runtime wire traffic: %+v", rt)
 	}
 
-	w = newWorld()
-	copt := dmgm.ColorParallelOptions{SuperstepSize: ins.g.NumVertices(), Seed: 3, Deadline: 60 * time.Second}
-	if _, err := dmgm.ColorParallelWorld(w, ins.g, ins.part, copt); err != nil {
-		t.Fatal(err)
-	}
+	w = run(dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Superstep: ins.g.NumVertices(), Seed: 3}})
 	assertFamiliesReconcile(t, w, "inproc color")
 	total = w.TotalStats()
 	if fam := total.ByFamily[mpi.FamilyColor]; fam.SentMsgs == 0 || fam.SentBytes != total.SentBytes {
@@ -377,22 +328,10 @@ func TestTagFamilyReconciliation(t *testing.T) {
 // exactly with what the observer recorded.
 func TestOTLPExportInvariance(t *testing.T) {
 	ins := buildInstances(t)[0]
-	run := func(obsr *obs.Observer) *dmgm.MatchParallelResult {
-		opts := []mpi.Option{mpi.WithDeadline(60 * time.Second)}
-		if obsr != nil {
-			opts = append(opts, mpi.WithObserver(obsr))
-		}
-		w, err := mpi.NewWorld(nRanks, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := dmgm.MatchParallelWorld(w, ins.g, ins.part, dmgm.MatchParallelOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	run := func(obsr *obs.Observer) *dmgm.JobResult {
+		return inproc(t, ins, dmgm.Job{Algorithm: dmgm.AlgoMatch}, mpi.WithObserver(obsr))
 	}
-	plain := run(nil)
+	plain := inproc(t, ins, dmgm.Job{Algorithm: dmgm.AlgoMatch})
 
 	// Healthy collector: the export reconciles with the observer.
 	var mu sync.Mutex
@@ -440,7 +379,7 @@ func TestOTLPExportInvariance(t *testing.T) {
 	broken := run(obsr2)
 	dead.ExportObserver(obsr2, []int{0, 1, 2, 3})
 	dead.Close(10 * time.Second) //nolint:errcheck // drops are the point
-	for name, res := range map[string]*dmgm.MatchParallelResult{"healthy": healthy, "broken": broken} {
+	for name, res := range map[string]*dmgm.JobResult{"healthy": healthy, "broken": broken} {
 		if fmt.Sprint(plain.Mates) != fmt.Sprint(res.Mates) || plain.Weight != res.Weight {
 			t.Fatalf("%s export changed the matching: weight %v vs %v", name, plain.Weight, res.Weight)
 		}

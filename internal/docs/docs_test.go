@@ -6,10 +6,10 @@
 // TestMatchingHasNoMaps and TestColoringHasNoMaps hold the tree to claims
 // DESIGN.md makes; TestSignalCatalogue and TestObservabilityWrittenOnce hold
 // it to docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt
-// row, TestSharesAreCutInOnePlace to its §9, TestRunPatternsNameTests
-// holds CI's and the verify skill's -run patterns to the tests they name, and
-// TestDaemonFlagsHaveReaders holds dmgm-serve's flags to docs/OPERATIONS.md's
-// flag reference.
+// row, TestSharesAreCutInOnePlace and TestFacadeHasOneRunner to its §9,
+// TestRunPatternsNameTests holds CI's and the verify skill's -run patterns to
+// the tests they name, and TestDaemonFlagsHaveReaders holds dmgm-serve's flags
+// to docs/OPERATIONS.md's flag reference.
 package docs
 
 import (
@@ -651,6 +651,53 @@ func TestSharesAreCutInOnePlace(t *testing.T) {
 	}
 	if want := "dmgm/dmgm.go:Place"; len(callers) != 1 || callers[0] != want {
 		t.Errorf("dgraph.Distribute is called from %v, want %s only", callers, want)
+	}
+}
+
+// TestFacadeHasOneRunner pins what DESIGN.md §9 says of the facade: every
+// distributed run outside bench/ goes through dmgm.RunJob, so the conformance
+// suites test the path the CLIs and the daemon serve. No file of the root
+// module, tests included, calls MatchParallelWorld or ColorParallelWorld,
+// and the facade builds a world in one function only, the in-process Solve.
+func TestFacadeHasOneRunner(t *testing.T) {
+	var worldCalls, builders []string
+	for _, tests := range []bool{false, true} {
+		for name, file := range repoFiles(t, tests) {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					var callee string
+					switch fun := call.Fun.(type) {
+					case *ast.SelectorExpr:
+						callee = fun.Sel.Name
+						if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "mpi" && callee == "NewWorld" && !tests && path.Dir(name) == "dmgm" {
+							builders = append(builders, name+":"+fn.Name.Name)
+						}
+					case *ast.Ident:
+						callee = fun.Name
+					}
+					if callee == "MatchParallelWorld" || callee == "ColorParallelWorld" {
+						worldCalls = append(worldCalls, name+":"+fn.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(worldCalls) > 0 {
+		sort.Strings(worldCalls)
+		t.Errorf("MatchParallelWorld / ColorParallelWorld are called from %v; run a dmgm.Job through Solve or RunJob instead. "+
+			"The pair stays only for bench/profile.go's api_overhead probe: a benchmark change that moves that probe onto RunJob lets it be deleted", worldCalls)
+	}
+	if want := "dmgm/run.go:Solve"; len(builders) != 1 || builders[0] != want {
+		t.Errorf("dmgm builds a world in %v, want %s only", builders, want)
 	}
 }
 
