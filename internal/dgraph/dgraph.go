@@ -305,6 +305,19 @@ func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error)
 	return out, nil
 }
 
+// Whole views g as the one share of a ghost-free world: every vertex owned
+// and interior, local index = vertex id, the rows g's own (aliased, not
+// copied) and Preferred filled by the same scan Distribute runs. It is the
+// matching kernel's sequential input, not a share Validate accepts: it
+// carries no GlobalID, cross-arc index or pair table, having nothing to
+// exchange.
+func Whole(g *graph.Graph) *DistGraph {
+	n := g.NumVertices()
+	d := &DistGraph{P: 1, GlobalN: int64(n), GlobalEdges: g.NumEdges(), NLocal: n, Xadj: g.Xadj, Adj: g.Adj, W: g.W}
+	d.Preferred = d.preferred(make([]bool, n))
+	return d
+}
+
 // buildLocal builds one rank's share. at and slot are scratch, all zero on
 // entry and on return: at, by global id, first counts each ghost's owned
 // neighbors and marks the boundary vertices, then holds local indices; slot,

@@ -581,6 +581,32 @@ func differentialGraphs(t *testing.T) map[string]*graph.Graph {
 	return graphs
 }
 
+// TestWholeIsTheOneRankShare: the ghost-free view of a graph has the rows
+// and first candidates of the graph's one-rank share, and aliases the graph's
+// arrays instead of copying them.
+func TestWholeIsTheOneRankShare(t *testing.T) {
+	for name, g := range differentialGraphs(t) {
+		part, err := partition.Block1D(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares, err := Distribute(g, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, w := shares[0], Whole(g)
+		if w.NLocal != one.NLocal || w.NGhost != 0 || w.NumBoundary != 0 || w.GlobalN != one.GlobalN || w.GlobalEdges != one.GlobalEdges {
+			t.Fatalf("%s: Whole counts %+v, one-rank share %+v", name, w, one)
+		}
+		if !reflect.DeepEqual(w.Xadj, one.Xadj) || !reflect.DeepEqual(w.Adj, one.Adj) || !reflect.DeepEqual(w.W, one.W) || !reflect.DeepEqual(w.Preferred, one.Preferred) {
+			t.Fatalf("%s: Whole's rows or first candidates differ from the one-rank share's", name)
+		}
+		if &w.Xadj[0] != &g.Xadj[0] || (len(g.Adj) > 0 && &w.Adj[0] != &g.Adj[0]) || (g.W != nil && &w.W[0] != &g.W[0]) {
+			t.Fatalf("%s: Whole copied the graph's arrays", name)
+		}
+	}
+}
+
 // TestDistributeMatchesMapReference pins every exported field of every share
 // against the old construction, including on a partition one of whose parts
 // owns nothing (partition.Validate permits it).

@@ -9,9 +9,11 @@
 //     (one varint per record: pair-local edge index and kind), the bundle
 //     receive and rank set-up — so that a kernel owns only its protocol;
 //   - parallel.go (result assembled by gather.go): the asynchronous
-//     REQUEST/SUCCEEDED/FAILED kernel with aggressive message bundling;
-//   - localdom.go: the sequential reference it is tested against
-//     (Algorithm 3.1, candidate mates);
+//     REQUEST/SUCCEEDED/FAILED kernel with aggressive message bundling, split
+//     into its rank-local loop and the protocol around it. The loop alone,
+//     run over the whole graph as one ghost-free share, is LocallyDominant,
+//     the sequential algorithm (Algorithm 3.1, candidate mates). Being one
+//     loop, neither can vouch for the other: the tests hold both to Greedy;
 //   - exact.go, the maximum-weight bipartite solver behind Table 1.1's
 //     quality ratios; io.go.
 package matching

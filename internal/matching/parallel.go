@@ -64,6 +64,26 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	return s.result(), nil
 }
 
+// LocallyDominant computes the half-approximate matching sequentially —
+// Section 3.1's algorithm, whose loop is the kernel's rank-local part: it runs
+// over g as one ghost-free share (dgraph.Whole), where the sweep and its
+// drains decide every vertex and nothing is ever sent. A retired vertex's
+// candidate is its mate, or noCM (graph.None) if it failed, so the answer is
+// read off the records.
+//
+// The result is deterministic and, under the one edge order, identical to
+// the sorted-edge Greedy matching, but the computation touches edges only
+// locally, which is the property the parallel version exploits.
+func LocallyDominant(g *graph.Graph) Mates {
+	s := &matchState{rank: rank{d: dgraph.Whole(g)}}
+	s.local()
+	m := make(Mates, len(s.st))
+	for v, sv := range s.st {
+		m[v] = sv.cm
+	}
+	return m
+}
+
 // result hands over the mates retire wrote and sums LocalWeight.
 func (s *matchState) result() *ParallelResult {
 	res := &ParallelResult{
@@ -100,7 +120,7 @@ type matchState struct {
 	st         []vertexState // per owned vertex
 	off        []int32       // per owned vertex: row position of the arc to cm (of the matched edge)
 	by         []int32       // per owned vertex: 1 + the head of its by list; 0 for an empty list
-	mate       []int64       // per owned vertex: the answer, written by retire
+	mate       []int64       // per owned vertex: the answer, written by retire (nil in a sequential run)
 	reqTo      []int32       // per ghost: 1 + the owned vertex it requests (the sets R), or 0
 	undecided  int           // owned vertices still free
 	queue      []int32       // owned vertices that just became unavailable
@@ -114,17 +134,30 @@ type matchState struct {
 
 const noCM int32 = -1
 
+// run is the distributed kernel: the rank-local part with a record link and
+// an answer array, then the protocol.
 func (s *matchState) run() error {
+	s.mate = make([]int64, s.d.NLocal)
+	s.match = s.newLink(matchTag)
+	s.local()
+	return s.protocol()
+}
+
+// local is the rank-local part of the kernel: it allocates the state, sets
+// the first candidates, sweeps the boundary group and then the interior
+// group, draining as it goes. It touches the runtime only to charge virtual
+// time and trace (both skipped with no Comm), and through the two ghost
+// branches, pursue's REQUEST and retire's cross-arc walk, which a share with
+// no boundary never reaches.
+func (s *matchState) local() {
 	d := s.d
 	n := d.NLocal
 	s.gone = make([]bool, n+d.NGhost)
 	s.st = make([]vertexState, n)
 	s.off = make([]int32, n)
 	s.by = make([]int32, n)
-	s.mate = make([]int64, n)
 	s.reqTo = make([]int32, d.NGhost)
 	s.undecided = n
-	s.match = s.newLink(matchTag)
 
 	// Initialization: every candidate mate is the share's preferred arc —
 	// what the scan finds while nothing is gone. A sweep in local order then
@@ -162,7 +195,10 @@ func (s *matchState) run() error {
 	}
 	s.tr.EndN(innerTok, int64(drained))
 	s.tr.EndN(initTok, int64(n))
+}
 
+// protocol is the rest of the kernel, run once local has swept the share.
+func (s *matchState) protocol() error {
 	// Outer loop: flush bundles, block for traffic, process, repeat, until
 	// every owned vertex is decided. Ranks whose vertices are all decided
 	// have already informed every neighbor (SUCCEEDED/FAILED were sent at
@@ -217,8 +253,8 @@ func (s *matchState) setCandidate(v int32, k int32) {
 }
 
 // retire takes owned vertex v out of the free set — matched to its candidate
-// (owned or ghost), or failed with none — writes its answer, queues the
-// fallout, and tells every remaining neighbor but the mate: SUCCEEDED /
+// (owned or ghost), or failed with none — writes its answer if the run keeps
+// an answer array, queues the fallout, and tells every remaining neighbor but the mate: SUCCEEDED /
 // FAILED records across cross edges; owned neighbors learn during the queue
 // drain. Pending requests R(v) are implicitly cleared because v is no longer
 // free.
@@ -228,9 +264,11 @@ func (s *matchState) retire(v int32, kind byte) {
 	s.gone[v] = true
 	s.undecided--
 	s.queue = append(s.queue, v)
-	s.mate[v] = -1
-	if cm != noCM {
-		s.mate[v] = d.GlobalOf(cm)
+	if s.mate != nil {
+		s.mate[v] = -1
+		if cm != noCM {
+			s.mate[v] = d.GlobalOf(cm)
+		}
 	}
 	if int(v) >= d.NumBoundary {
 		return // an interior vertex: no arc to a ghost

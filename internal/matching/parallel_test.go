@@ -64,7 +64,7 @@ func TestParallelMatchesSequentialOnGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := LocallyDominant(g)
+	gr := Greedy(g)
 	for _, p := range []int{1, 2, 4, 9} {
 		pr, pc := partition.ProcessorGrid(p)
 		part, err := partition.Grid2D(20, 20, pr, pc)
@@ -76,8 +76,8 @@ func TestParallelMatchesSequentialOnGrid(t *testing.T) {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		for v := range mates {
-			if mates[v] != seq[v] {
-				t.Fatalf("p=%d: vertex %d mate %d, sequential %d", p, v, mates[v], seq[v])
+			if mates[v] != gr[v] {
+				t.Fatalf("p=%d: vertex %d mate %d, greedy %d", p, v, mates[v], gr[v])
 			}
 		}
 	}
@@ -90,7 +90,7 @@ func TestParallelWeightInvariantAcrossP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := LocallyDominant(g).Weight(g)
+	want := Greedy(g).Weight(g)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		part, err := partition.BFS(g, p, 99)
 		if err != nil {
@@ -120,13 +120,13 @@ func TestParallelOnCircuitWithMultilevelPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := LocallyDominant(g)
+	gr := Greedy(g)
 	mates, _ := runParallel(t, g, part, ParallelOptions{})
 	if err := mates.VerifyMaximal(g); err != nil {
 		t.Fatal(err)
 	}
-	if mates.Weight(g) != seq.Weight(g) {
-		t.Fatalf("weight %g, sequential %g", mates.Weight(g), seq.Weight(g))
+	if mates.Weight(g) != gr.Weight(g) {
+		t.Fatalf("weight %g, greedy %g", mates.Weight(g), gr.Weight(g))
 	}
 }
 
@@ -138,7 +138,7 @@ func TestParallelUnderMessagePerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := LocallyDominant(g).Weight(g)
+	want := Greedy(g).Weight(g)
 	part, err := partition.Random(g, 7, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -164,15 +164,15 @@ func TestParallelWithTiedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := LocallyDominant(g)
+	gr := Greedy(g)
 	part, err := partition.Grid2D(12, 12, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mates, _ := runParallel(t, g, part, ParallelOptions{})
 	for v := range mates {
-		if mates[v] != seq[v] {
-			t.Fatalf("vertex %d mate %d, sequential %d", v, mates[v], seq[v])
+		if mates[v] != gr[v] {
+			t.Fatalf("vertex %d mate %d, greedy %d", v, mates[v], gr[v])
 		}
 	}
 }
@@ -191,10 +191,10 @@ func TestParallelUnweightedGraph(t *testing.T) {
 	if err := mates.VerifyMaximal(g); err != nil {
 		t.Fatal(err)
 	}
-	seq := LocallyDominant(g)
+	gr := Greedy(g)
 	for v := range mates {
-		if mates[v] != seq[v] {
-			t.Fatalf("vertex %d mate %d, sequential %d", v, mates[v], seq[v])
+		if mates[v] != gr[v] {
+			t.Fatalf("vertex %d mate %d, greedy %d", v, mates[v], gr[v])
 		}
 	}
 }
@@ -278,14 +278,14 @@ func TestParallelManyRandomGraphsAndPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := LocallyDominant(g)
+		gr := Greedy(g)
 		mates, _ := runParallel(t, g, part, ParallelOptions{})
 		if err := mates.VerifyMaximal(g); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if mates.Weight(g) != seq.Weight(g) {
-			t.Fatalf("seed %d (n=%d p=%d): weight %g, sequential %g",
-				seed, n, p, mates.Weight(g), seq.Weight(g))
+		if mates.Weight(g) != gr.Weight(g) {
+			t.Fatalf("seed %d (n=%d p=%d): weight %g, greedy %g",
+				seed, n, p, mates.Weight(g), gr.Weight(g))
 		}
 	}
 }
@@ -431,7 +431,7 @@ func runHooked(t *testing.T, shares []*dgraph.DistGraph, opt ParallelOptions, pe
 // weighted and all-ties, over 1 to 4 ranks, bundled and unbundled, plain and
 // under perturbation — the walk of the packed records' list through the
 // guard finds exactly the vertices the row walk finds, and the matching is
-// the sequential one.
+// the greedy one.
 func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		n := 20 + int(seed)*7
@@ -439,7 +439,7 @@ func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := LocallyDominant(g)
+		gr := Greedy(g)
 		for p := 1; p <= 4; p++ {
 			part, err := partition.Random(g, p, seed)
 			if err != nil {
@@ -478,8 +478,8 @@ func TestDrainWalksWhatTheRowWalkFinds(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if !slices.Equal(mates, seq) {
-						t.Fatalf("%s: differs from the sequential locally-dominant matching", name)
+					if !slices.Equal(mates, gr) {
+						t.Fatalf("%s: differs from the greedy matching", name)
 					}
 					total := 0
 					for _, k := range steps {
@@ -590,7 +590,7 @@ func (w *ledgerWire) Send(m transport.Msg) error {
 // REQUEST.
 func TestParallelRecordLedger(t *testing.T) {
 	for _, in := range ledgerInputs(t) {
-		seq := LocallyDominant(in.g)
+		gr := Greedy(in.g)
 		for _, opt := range []ParallelOptions{{}, {MaxBundleBytes: RecordBytes}} {
 			for pert := uint64(0); pert <= 3; pert++ {
 				name := fmt.Sprintf("%s bundle=%d perturbation=%d", in.name, opt.MaxBundleBytes, pert)
@@ -600,8 +600,8 @@ func TestParallelRecordLedger(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !slices.Equal(mates, seq) {
-					t.Fatalf("%s: differs from the sequential locally-dominant matching", name)
+				if !slices.Equal(mates, gr) {
+					t.Fatalf("%s: differs from the greedy matching", name)
 				}
 				var records int64
 				for _, r := range results {

@@ -1,7 +1,9 @@
 package matching
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -98,21 +100,69 @@ func TestLocallyDominantPathWhereGreedyIsHalf(t *testing.T) {
 	}
 }
 
-func TestLocallyDominantEqualsGreedy(t *testing.T) {
-	for seed := uint64(0); seed < 20; seed++ {
-		g, err := gen.ErdosRenyi(60, 250, true, seed)
+// shapedGraph builds one of the shapes the sequential matching is held to
+// Greedy on: weighted Erdős–Rényi graphs (shape 0); rows without weights
+// (W == nil, 1); a hub joined to every vertex by the heaviest edges, so that
+// its by list holds the whole graph (2); mostly isolated vertices (3); and an
+// RMAT graph of about n vertices, weighted (4) and unweighted (5).
+func shapedGraph(shape, n int, m int64, seed uint64) (*graph.Graph, error) {
+	switch shape {
+	case 0:
+		return gen.ErdosRenyi(n, m, true, seed)
+	case 1:
+		g, err := gen.ErdosRenyi(n, m, false, seed)
+		if err == nil {
+			g.W = nil
+		}
+		return g, err
+	case 2:
+		g, err := gen.ErdosRenyi(n, m, true, seed)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		ld := LocallyDominant(g)
-		gr := Greedy(g)
-		if err := ld.VerifyMaximal(g); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		edges := g.Edges()
+		for v := 1; v < n; v++ {
+			edges = append(edges, graph.Edge{U: 0, V: graph.Vertex(v), W: 1 + gen.EdgeWeight(seed, 0, int64(v))})
 		}
-		for v := range ld {
-			if ld[v] != gr[v] {
-				t.Fatalf("seed %d: vertex %d mates differ: LD %d, greedy %d",
-					seed, v, ld[v], gr[v])
+		return graph.BuildUndirected(n, edges, graph.DedupeFirst)
+	case 3:
+		return gen.ErdosRenyi(n, m/8, true, seed)
+	default:
+		g, err := gen.RMAT(bits.Len(uint(n)), 4, shape == 4, seed)
+		if err == nil && shape == 5 {
+			g.W = nil
+		}
+		return g, err
+	}
+}
+
+const numShapes = 6
+
+// sameAsGreedy reports the first vertex at which LocallyDominant's maximal
+// matching of g differs from Greedy's, or an error if it is not maximal.
+func sameAsGreedy(g *graph.Graph) error {
+	ld := LocallyDominant(g)
+	if err := ld.VerifyMaximal(g); err != nil {
+		return err
+	}
+	gr := Greedy(g)
+	for v := range ld {
+		if ld[v] != gr[v] {
+			return fmt.Errorf("vertex %d mates differ: LD %d, greedy %d", v, ld[v], gr[v])
+		}
+	}
+	return nil
+}
+
+func TestLocallyDominantEqualsGreedy(t *testing.T) {
+	for shape := 0; shape < numShapes; shape++ {
+		for seed := uint64(0); seed < 20; seed++ {
+			g, err := shapedGraph(shape, 60, 250, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameAsGreedy(g); err != nil {
+				t.Fatalf("shape %d seed %d: %v", shape, seed, err)
 			}
 		}
 	}
@@ -131,7 +181,8 @@ func TestLocallyDominantWithTies(t *testing.T) {
 	if m[0] != 1 || m[2] != 3 {
 		t.Fatalf("mates = %v, want 0-1 and 2-3", m)
 	}
-	// Unit-weight integer-tie stress across random graphs.
+	// Integer weights tie often; the strict edge order still leaves one
+	// matching, so it is compared mate for mate.
 	for seed := uint64(0); seed < 10; seed++ {
 		rg, err := gen.ErdosRenyi(40, 120, false, seed)
 		if err != nil {
@@ -141,13 +192,8 @@ func TestLocallyDominantWithTies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ld := LocallyDominant(u)
-		if err := ld.VerifyMaximal(u); err != nil {
+		if err := sameAsGreedy(u); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		gr := Greedy(u)
-		if ld.Weight(u) != gr.Weight(u) {
-			t.Fatalf("seed %d: LD weight %g != greedy %g", seed, ld.Weight(u), gr.Weight(u))
 		}
 	}
 }
@@ -296,27 +342,12 @@ func TestHalfApproximationBoundOnBipartite(t *testing.T) {
 	}
 }
 
-// Property: on arbitrary weighted graphs the locally-dominant matching is a
+// Property: on graphs of every shape the locally-dominant matching is a
 // valid maximal matching that equals the sorted greedy matching.
 func TestQuickLocallyDominant(t *testing.T) {
-	f := func(nRaw, mRaw uint8, seed uint64) bool {
-		n := int(nRaw)%50 + 1
-		m := int64(mRaw) * 2
-		g, err := gen.ErdosRenyi(n, m, true, seed)
-		if err != nil {
-			return false
-		}
-		ld := LocallyDominant(g)
-		if ld.VerifyMaximal(g) != nil {
-			return false
-		}
-		gr := Greedy(g)
-		for v := range ld {
-			if ld[v] != gr[v] {
-				return false
-			}
-		}
-		return true
+	f := func(shape, nRaw, mRaw uint8, seed uint64) bool {
+		g, err := shapedGraph(int(shape)%numShapes, int(nRaw)%50+1, int64(mRaw)*2, seed)
+		return err == nil && sameAsGreedy(g) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

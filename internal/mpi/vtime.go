@@ -41,8 +41,12 @@ func WithVirtualTime(vt VirtualTime) Option {
 // given operation counts, and feeds the same counts into the observability
 // registry (mpi.vertex_ops / mpi.edge_ops) when an observer is attached —
 // the per-rank compute profile that perfmodel consumes. A near-no-op when
-// both are disabled, so algorithms may charge unconditionally.
+// both are disabled, and a no-op on a nil Comm (a kernel run with no world),
+// so algorithms may charge unconditionally.
 func (c *Comm) ChargeOps(edgeOps, vertexOps int64) {
+	if c == nil {
+		return
+	}
 	if c.eops != nil {
 		c.eops.Add(edgeOps)
 		c.vops.Add(vertexOps)
