@@ -273,7 +273,7 @@ func BenchmarkAblationJonesPlassmannBaseline(b *testing.B) {
 		results := make([]*coloring.ParallelResult, len(shares))
 		var mu sync.Mutex
 		err := mpi.Run(len(shares), func(c *mpi.Comm) error {
-			res, err := coloring.JonesPlassmann(c, shares[c.Rank()], 1, 0)
+			res, err := coloring.JonesPlassmann(c, shares[c.Rank()], 1)
 			if err != nil {
 				return err
 			}

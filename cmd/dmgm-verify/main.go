@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("graph: %s\n", graph.Summarize(g))
 
 	if *matchPath != "" {
-		m, err := matching.ReadMatesFile(*matchPath)
+		m, err := matching.ReadMatesFile(*matchPath, g.NumVertices())
 		if err != nil {
 			fail(err)
 		}

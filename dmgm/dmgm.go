@@ -81,32 +81,14 @@ var (
 	NewBipartite = func(nrows, ncols int, entries []Entry) (*Bipartite, error) {
 		return graph.BuildBipartite(nrows, ncols, entries, graph.DedupeMax)
 	}
-	// ReadGraphFile reads either graph format, sniffed by content;
-	// WriteGraphFile writes DMGB for a ".dmgb" or ".bin" name, text
-	// otherwise.
-	ReadGraphFile  = graph.ReadFile
-	WriteGraphFile = graph.WriteFile
 
 	// Grid2D generates the paper's five-point grid model problem.
 	Grid2D = gen.Grid2D
-	// Circuit generates a circuit-simulation-like graph (G3_circuit
-	// stand-in).
-	Circuit = gen.Circuit
-	// CircuitBipartite is its bipartite (matrix) form.
-	CircuitBipartite = gen.CircuitBipartite
-	// ErdosRenyi, RMAT, Geometric, RandomBipartite generate irregular
-	// families.
-	ErdosRenyi      = gen.ErdosRenyi
-	RMAT            = gen.RMAT
-	Geometric       = gen.Geometric
-	RandomBipartite = gen.RandomBipartite
 
-	// PartitionBlock1D, PartitionGrid2D, PartitionBFS, PartitionRandom and
-	// PartitionMultilevel distribute vertices over processors.
-	PartitionBlock1D = partition.Block1D
-	PartitionGrid2D  = partition.Grid2D
-	PartitionBFS     = partition.BFS
-	PartitionRandom  = partition.Random
+	// PartitionGrid2D, PartitionBFS and PartitionMultilevel distribute
+	// vertices over processors.
+	PartitionGrid2D = partition.Grid2D
+	PartitionBFS    = partition.BFS
 )
 
 // PartitionMultilevel computes a METIS-like multilevel k-way partition.
@@ -115,14 +97,8 @@ func PartitionMultilevel(g *Graph, p int, refine bool, seed uint64) (*Partition,
 	return partition.Multilevel(g, p, partition.MultilevelOptions{Seed: seed, NoRefine: !refine})
 }
 
-// Vertex ordering names for Color.
-const (
-	OrderNatural         = order.Natural
-	OrderRandom          = order.Random
-	OrderLargestFirst    = order.LargestFirst
-	OrderSmallestLast    = order.SmallestLast
-	OrderIncidenceDegree = order.IncidenceDegree
-)
+// OrderSmallestLast is the smallest-last vertex ordering for Color.
+const OrderSmallestLast = order.SmallestLast
 
 // Match computes the sequential locally-dominant ½-approximate matching.
 func Match(g *Graph) Mates { return matching.LocallyDominant(g) }
@@ -190,13 +166,6 @@ func matchPlaced(w *mpi.World, pl *Placement, bundleBytes int) (*JobResult, erro
 			return err
 		})
 }
-
-// Coloring communication modes (Section 4.2).
-const (
-	CommNeighbors     = coloring.CommNeighbors
-	CommCustomizedAll = coloring.CommCustomizedAll
-	CommBroadcast     = coloring.CommBroadcast
-)
 
 // ColorParallelOptions configures ColorParallelWorld: the superstep size
 // (0 = 1000), the communication mode and the seed of the speculative

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/coloring"
+	"repro/internal/gen"
 	"repro/internal/mpi"
+	"repro/internal/order"
+	"repro/internal/partition"
 )
 
 func TestEndToEndMatching(t *testing.T) {
@@ -44,7 +47,7 @@ func TestEndToEndMatching(t *testing.T) {
 }
 
 func TestEndToEndColoring(t *testing.T) {
-	g, err := Circuit(30, 30, 0.45, false, 5)
+	g, err := gen.Circuit(30, 30, 0.45, false, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestEndToEndColoring(t *testing.T) {
 }
 
 func TestExactBipartiteFacade(t *testing.T) {
-	b, err := RandomBipartite(20, 20, 4, 7)
+	b, err := gen.RandomBipartite(20, 20, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestMismatchedWorldRefusedBeforeDistribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := PartitionBlock1D(g, 2)
+	good, err := partition.Block1D(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +146,11 @@ func TestBanner(t *testing.T) {
 }
 
 func TestDistance2Facade(t *testing.T) {
-	g, err := Circuit(16, 16, 0.45, false, 3)
+	g, err := gen.Circuit(16, 16, 0.45, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := coloring.GreedyDistance2(g, OrderNatural, 0)
+	seq, err := coloring.GreedyDistance2(g, order.Natural, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestDistance2Facade(t *testing.T) {
 	// RunJob verifies the distance-2 coloring before it serializes it.
 	res := runJob(t, g, part, Job{Algorithm: AlgoColor, Params: Params{Seed: 5, Distance2: true}})
 	// Distance-2 needs at least as many colors as distance-1.
-	d1, err := Color(g, OrderNatural, 0)
+	d1, err := Color(g, order.Natural, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +190,7 @@ func TestZeroJobRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionBlock1D(g, 3)
+	part, err := partition.Block1D(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +234,13 @@ func TestRunJobRefusesForeignPlacement(t *testing.T) {
 	job := Job{Algorithm: AlgoMatch}
 	for name, other := range map[string]func() (*Graph, error){
 		"another size":            func() (*Graph, error) { return Grid2D(6, 7, true, 1) },
-		"same size, another edge": func() (*Graph, error) { return ErdosRenyi(36, 59, true, 1) },
+		"same size, another edge": func() (*Graph, error) { return gen.ErdosRenyi(36, 59, true, 1) },
 	} {
 		og, err := other()
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := PartitionBlock1D(og, 2)
+		part, err := partition.Block1D(og, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,7 +189,7 @@ func colorKernelFor(job Job) (colorKernel, func(*Graph, Colors) error) {
 	switch {
 	case job.Algorithm == AlgoJP:
 		return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
-			return coloring.JonesPlassmann(c, d, job.Seed, 0)
+			return coloring.JonesPlassmann(c, d, job.Seed)
 		}, VerifyColoring
 	case job.Distance2:
 		return func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {

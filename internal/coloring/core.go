@@ -17,7 +17,7 @@ import (
 // and its set-up, the color-notice exchange, the tentative phase and round
 // bookkeeping, and the two rules (first fit over the visible colors, who
 // loses a conflict). The kernels on top of it own only what tells them
-// apart: Parallel the strategy / order / FIAC-FIAB shipping and ghost-edge
+// apart: Parallel the order / FIAC-FIAB shipping and ghost-edge
 // detection, ParallelDistance2 the two-hop marking, middle-vertex detection
 // and RECOLOR notices, JonesPlassmann its wins rule and round loop.
 
@@ -229,6 +229,16 @@ func (s *colorState) drain() {
 		s.out.Recycle(m.Data) // fully consumed; reuse for outbound bundles
 	}
 }
+
+// The round limits abort a run that fails to converge, a safety net: the
+// speculative kernels converge in a handful of rounds, Jones–Plassmann in
+// about one per layer of the priority order. maxRoundsD2 also sizes
+// distance-2's palette headroom.
+const (
+	maxRoundsD1 = 64
+	maxRoundsD2 = 128
+	maxRoundsJP = 10000
+)
 
 // beginRound opens the next round, refusing to go past maxRounds.
 func (s *colorState) beginRound(kernel string, maxRounds int) (uint64, error) {

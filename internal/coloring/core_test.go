@@ -23,7 +23,7 @@ var distributedKernels = []goldenKernel{
 		return ParallelDistance2(c, d, ParallelOptions{Seed: 5, SuperstepSize: 40})
 	}},
 	{"jp", func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
-		return JonesPlassmann(c, d, 5, 0)
+		return JonesPlassmann(c, d, 5)
 	}},
 }
 
@@ -123,6 +123,28 @@ func TestForeignTagPanics(t *testing.T) {
 			if want := fmt.Sprintf("unexpected tag %d", tag); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: foreign tag %d: got %v, want a panic naming %q", k.name, tag, err, want)
 			}
+		}
+	}
+}
+
+// TestRoundLimitRefuses opens rounds up to each kernel's limit and checks
+// that the next one is refused with the error a run that does not converge
+// returns.
+func TestRoundLimitRefuses(t *testing.T) {
+	for _, k := range []struct {
+		kernel string
+		limit  int
+	}{{"distance-1", maxRoundsD1}, {"distance-2", maxRoundsD2}, {"jones-plassmann", maxRoundsJP}} {
+		s := &colorState{}
+		for r := 1; r <= k.limit; r++ {
+			if _, err := s.beginRound(k.kernel, k.limit); err != nil {
+				t.Fatalf("%s: round %d of %d refused: %v", k.kernel, r, k.limit, err)
+			}
+		}
+		_, err := s.beginRound(k.kernel, k.limit)
+		want := fmt.Sprintf("coloring: %s did not converge in %d rounds", k.kernel, k.limit)
+		if err == nil || err.Error() != want || s.rounds != k.limit {
+			t.Errorf("%s: round %d gave %v after %d rounds, want %q", k.kernel, k.limit+1, err, s.rounds, want)
 		}
 	}
 }

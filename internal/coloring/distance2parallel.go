@@ -81,12 +81,6 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	if opt.SuperstepSize < 1 {
 		return nil, fmt.Errorf("coloring: non-positive superstep size %d", opt.SuperstepSize)
 	}
-	if opt.MaxRounds < 0 {
-		return nil, fmt.Errorf("coloring: negative round limit %d", opt.MaxRounds)
-	}
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 128
-	}
 	s, err := newColorState(c, d)
 	if err != nil {
 		return nil, err
@@ -96,7 +90,7 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	// stale forbidden color per round beyond its live distance-2
 	// neighborhood, so the first-fit palette must not be able to fill up.
 	maxColors := max(1, min(d.GlobalMaxDegree*d.GlobalMaxDegree+1, int(d.GlobalN)))
-	s.picker = newFirstFit(maxColors + opt.MaxRounds)
+	s.picker = newFirstFit(maxColors + maxRoundsD2)
 	k := &d2Kernel{
 		colorState: s,
 		opt:        opt,
@@ -107,7 +101,7 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	s.onRecolor = func(v, color int32) { k.pending = append(k.pending, noticeRec{v, color}) }
 	// Boundary colors ship to every neighbor rank: they may be
 	// two-hop-relevant there.
-	if err := s.speculate("distance-2", s.ascending(), -1, opt.SuperstepSize, opt.MaxRounds, k.pickColor, s.announce, k.detect); err != nil {
+	if err := s.speculate("distance-2", s.ascending(), -1, opt.SuperstepSize, maxRoundsD2, k.pickColor, s.announce, k.detect); err != nil {
 		return nil, err
 	}
 	return s.result(), nil

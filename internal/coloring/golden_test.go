@@ -74,32 +74,29 @@ type goldenKernel struct {
 }
 
 // goldenKernels lists the configurations recorded per (graph, partition, P)
-// cell: D1 with every comm mode, order, strategy and conflict policy varied
+// cell: D1 (first fit) with every comm mode, order and conflict policy varied
 // alone from the default plus two all-non-default mixes, D2 under both
 // conflict policies, and Jones–Plassmann.
 func goldenKernels(n int) []goldenKernel {
 	type d1 struct {
 		m CommMode
 		o VertexOrder
-		s Strategy
 		c ConflictPolicy
 	}
 	var ks []goldenKernel
 	for _, k := range []d1{
-		{CommNeighbors, BoundaryFirst, FirstFit, ConflictRandom},
-		{CommCustomizedAll, BoundaryFirst, FirstFit, ConflictRandom},
-		{CommBroadcast, BoundaryFirst, FirstFit, ConflictRandom},
-		{CommNeighbors, InteriorFirst, FirstFit, ConflictRandom},
-		{CommNeighbors, Interleaved, FirstFit, ConflictRandom},
-		{CommNeighbors, BoundaryFirst, StaggeredFirstFit, ConflictRandom},
-		{CommNeighbors, BoundaryFirst, LeastUsed, ConflictRandom},
-		{CommNeighbors, BoundaryFirst, FirstFit, ConflictMinID},
-		{CommCustomizedAll, InteriorFirst, StaggeredFirstFit, ConflictMinID},
-		{CommBroadcast, Interleaved, LeastUsed, ConflictMinID},
+		{CommNeighbors, BoundaryFirst, ConflictRandom},
+		{CommCustomizedAll, BoundaryFirst, ConflictRandom},
+		{CommBroadcast, BoundaryFirst, ConflictRandom},
+		{CommNeighbors, InteriorFirst, ConflictRandom},
+		{CommNeighbors, Interleaved, ConflictRandom},
+		{CommNeighbors, BoundaryFirst, ConflictMinID},
+		{CommCustomizedAll, InteriorFirst, ConflictMinID},
+		{CommBroadcast, Interleaved, ConflictMinID},
 	} {
-		opt := ParallelOptions{Seed: 7, SuperstepSize: n + 1, CommMode: k.m, Order: k.o, Strategy: k.s, Conflict: k.c}
+		opt := ParallelOptions{Seed: 7, SuperstepSize: n + 1, CommMode: k.m, Order: k.o, Conflict: k.c}
 		ks = append(ks, goldenKernel{
-			name: fmt.Sprintf("d1/%v/%v/%v/%v", k.m, k.o, k.s, k.c),
+			name: fmt.Sprintf("d1/%v/%v/first-fit/%v", k.m, k.o, k.c),
 			run: func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
 				return Parallel(c, d, opt)
 			},
@@ -117,7 +114,7 @@ func goldenKernels(n int) []goldenKernel {
 	return append(ks, goldenKernel{
 		name: "jp",
 		run: func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
-			return JonesPlassmann(c, d, 7, 0)
+			return JonesPlassmann(c, d, 7)
 		},
 	})
 }

@@ -47,37 +47,6 @@ func (c Colors) Verify(g *graph.Graph) error {
 	return nil
 }
 
-// Strategy selects how a permissible color is chosen for a vertex — the
-// framework's "How should a processor choose a color?" knob.
-type Strategy int
-
-const (
-	// FirstFit picks the smallest color not used by any colored neighbor —
-	// the choice the paper's experiments settled on.
-	FirstFit Strategy = iota
-	// StaggeredFirstFit starts the search at a per-processor base color
-	// (base = rank * initial-estimate / p) and wraps, trading a few more
-	// colors for fewer conflicts between processors.
-	StaggeredFirstFit
-	// LeastUsed picks, among permissible colors up to the current maximum,
-	// the one used least so far (globally tracked per processor), balancing
-	// color-class sizes.
-	LeastUsed
-)
-
-// String names the strategy as in the framework literature.
-func (s Strategy) String() string {
-	switch s {
-	case FirstFit:
-		return "first-fit"
-	case StaggeredFirstFit:
-		return "staggered-first-fit"
-	case LeastUsed:
-		return "least-used"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
 // Greedy colors g sequentially, visiting vertices in the given ordering and
 // assigning each the first-fit color. It uses at most Δ+1 colors.
 func Greedy(g *graph.Graph, o order.Ordering, seed uint64) (Colors, error) {

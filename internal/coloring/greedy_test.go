@@ -2,8 +2,10 @@ package coloring
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,11 +142,6 @@ func TestBounds(t *testing.T) {
 }
 
 func TestStrategyAndModeStrings(t *testing.T) {
-	for _, s := range []Strategy{FirstFit, StaggeredFirstFit, LeastUsed, Strategy(9)} {
-		if s.String() == "" {
-			t.Error("empty Strategy string")
-		}
-	}
 	for _, m := range []CommMode{CommNeighbors, CommCustomizedAll, CommBroadcast, CommMode(9)} {
 		if m.String() == "" {
 			t.Error("empty CommMode string")
@@ -240,11 +237,31 @@ func TestReadColorsErrors(t *testing.T) {
 		"garbage":             "coloring 1\nzzz\n",
 		"no header":           "# nothing\n",
 		"second header":       "coloring 3\n1\n2\n3\ncoloring 5\n7\n8\n", // two result files concatenated
+		"past int32":          "coloring 2147483648\n0\n",
+		"past int":            "coloring 99999999999999999999\n0\n",
 	} {
 		if _, err := ReadColors(bytes.NewBufferString(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if name == "second header" && !strings.Contains(err.Error(), "line 5") {
 			t.Errorf("%s: %v, want the header's line named", name, err)
 		}
+	}
+}
+
+// TestReadColorsRefusesUnbackedCount reads a file whose header claims 2^26
+// vertices and which colors one: it is refused, and reading it allocates
+// nothing near the 256 MiB the claim would cost.
+func TestReadColorsRefusesUnbackedCount(t *testing.T) {
+	const claim = 1 << 26
+	in := fmt.Sprintf("coloring %d\n0\n", claim)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadColors(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("header claiming %d vertices over one color line accepted", claim)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("reading a %d-byte file allocated %d bytes", len(in), alloc)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -43,14 +44,17 @@ func AppendColors(dst []byte, c Colors) []byte {
 	return dst
 }
 
-// ReadColors parses the format written by WriteColors.
+// ReadColors parses the format written by WriteColors. The array grows with
+// the color lines read, never to the header's count ahead of them, and a
+// count past math.MaxInt32 is refused: a short file cannot make the reader
+// allocate for vertices it does not color.
 func ReadColors(r io.Reader) (Colors, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var (
-		c      Colors
-		filled int
-		lineNo int
+		c        Colors
+		declared = -1
+		lineNo   int
 	)
 	for sc.Scan() {
 		lineNo++
@@ -59,37 +63,36 @@ func ReadColors(r io.Reader) (Colors, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "coloring ") {
-			if c != nil {
+			if declared >= 0 {
 				return nil, fmt.Errorf("coloring: line %d: second header", lineNo)
 			}
 			n, err := strconv.Atoi(strings.TrimSpace(line[len("coloring "):]))
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > math.MaxInt32 {
 				return nil, fmt.Errorf("coloring: line %d: bad header", lineNo)
 			}
-			c = make(Colors, n)
+			declared = n
 			continue
 		}
-		if c == nil {
+		if declared < 0 {
 			return nil, fmt.Errorf("coloring: line %d: color before header", lineNo)
 		}
-		if filled >= len(c) {
+		if len(c) == declared {
 			return nil, fmt.Errorf("coloring: line %d: more colors than declared", lineNo)
 		}
 		v, err := strconv.ParseInt(line, 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("coloring: line %d: %v", lineNo, err)
 		}
-		c[filled] = int32(v)
-		filled++
+		c = append(c, int32(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if c == nil {
+	if declared < 0 {
 		return nil, fmt.Errorf("coloring: missing header")
 	}
-	if filled != len(c) {
-		return nil, fmt.Errorf("coloring: %d colors for %d declared vertices", filled, len(c))
+	if len(c) != declared {
+		return nil, fmt.Errorf("coloring: %d colors for %d declared vertices", len(c), declared)
 	}
 	return c, nil
 }

@@ -13,10 +13,7 @@ import (
 // owning its neighbors. Unlike the speculative framework it never produces
 // conflicts, but it needs more rounds — one per "layer" of the random
 // priority order rather than one per surviving conflict generation.
-func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int) (*ParallelResult, error) {
-	if maxRounds <= 0 {
-		maxRounds = 10000
-	}
+func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64) (*ParallelResult, error) {
 	s, err := newColorState(c, d)
 	if err != nil {
 		return nil, err
@@ -37,7 +34,7 @@ func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64, maxRounds int
 	uncolored := s.ascending()
 	var winners []int32
 	for {
-		roundTok, err := s.beginRound("jones-plassmann", maxRounds)
+		roundTok, err := s.beginRound("jones-plassmann", maxRoundsJP)
 		if err != nil {
 			return nil, err
 		}

@@ -109,16 +109,10 @@ type ParallelOptions struct {
 	// Order places interior vertices before, after, or interleaved with
 	// boundary vertices.
 	Order VertexOrder
-	// Strategy picks the color-selection rule.
-	Strategy Strategy
 	// Conflict picks the conflict-resolution policy.
 	Conflict ConflictPolicy
 	// Seed drives r(v); all ranks must pass the same value.
 	Seed uint64
-	// MaxRounds aborts a run that fails to converge (safety net; the
-	// framework converges in a handful of rounds). 0 selects 64; negative
-	// values are refused.
-	MaxRounds int
 }
 
 // ParallelResult is one rank's share of the distributed coloring.
@@ -143,21 +137,13 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	if opt.SuperstepSize < 1 {
 		return nil, fmt.Errorf("coloring: non-positive superstep size %d", opt.SuperstepSize)
 	}
-	if opt.MaxRounds < 0 {
-		return nil, fmt.Errorf("coloring: negative round limit %d", opt.MaxRounds)
-	}
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 64
-	}
 	s, err := newColorState(c, d)
 	if err != nil {
 		return nil, err
 	}
 	// Global Δ bounds every first-fit color.
-	k := &d1Kernel{colorState: s, opt: opt, maxColors: d.GlobalMaxDegree + 1, bufs: make([][]byte, d.P)}
-	s.picker = newFirstFit(k.maxColors)
-	k.usage = make([]int64, k.maxColors+1)
-	k.staggerAt = d.Rank * k.maxColors / d.P
+	s.picker = newFirstFit(d.GlobalMaxDegree + 1)
+	k := &d1Kernel{colorState: s, opt: opt, bufs: make([][]byte, d.P)}
 	if opt.CommMode == CommBroadcast {
 		k.elsewhere = make([]int32, d.P)
 		for rk := range k.elsewhere {
@@ -174,79 +160,26 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	} else if opt.Order != BoundaryFirst {
 		first, u = -1, s.ascending()
 	}
-	// The paper's defaults — first fit, NEW — are the core's own pick (nil)
-	// and ship; the other strategies and FIAC / FIAB are this kernel's.
-	var pick func(v int32) int32
+	// First fit and NEW are the core's own pick (nil) and ship; FIAC / FIAB
+	// are this kernel's.
 	ship := s.announce
-	if opt.Strategy != FirstFit {
-		pick = k.pickColor
-	}
 	if opt.CommMode != CommNeighbors {
 		ship = k.shipToAll
 	}
-	if err := s.speculate("distance-1", u, first, opt.SuperstepSize, opt.MaxRounds, pick, ship, k.detect); err != nil {
+	if err := s.speculate("distance-1", u, first, opt.SuperstepSize, maxRoundsD1, nil, ship, k.detect); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
 }
 
-// d1Kernel is what distance-1 coloring adds to the core: the color-selection
-// strategies and their bookkeeping.
+// d1Kernel is what distance-1 coloring adds to the core: FIAC / FIAB
+// shipping and the conflict detection over ghost edges.
 type d1Kernel struct {
 	*colorState
 	opt       ParallelOptions
-	usage     []int64  // per-color local usage, for LeastUsed
-	maxColors int      // palette size (global Δ + 1)
-	staggerAt int      // starting color for StaggeredFirstFit
 	elsewhere []int32  // FIAB, per rank: the index one past its table of this rank's shown vertices
 	bufs      [][]byte // FIAB / FIAC, per rank: the message being built
 	index     []int32  // FIAB, per rank: the vertex at hand's index there; elsewhere between vertices
-}
-
-// pickColor selects a permissible color for owned vertex v, given current
-// knowledge of neighbor colors, by a strategy other than plain first fit
-// (which is the fallback when the strategy finds nothing to prefer).
-func (k *d1Kernel) pickColor(v int32) int32 {
-	f := k.picker
-	f.stamp++
-	k.markAdjacent(v)
-	switch k.opt.Strategy {
-	case StaggeredFirstFit:
-		// Scan from the per-rank base, wrapping once over [0, maxColors).
-		for i := 0; i < k.maxColors; i++ {
-			c := (k.staggerAt + i) % k.maxColors
-			if f.mark[c] != f.stamp {
-				return int32(c)
-			}
-		}
-	case LeastUsed:
-		// Among permissible colors not exceeding the locally used palette,
-		// prefer the least used.
-		best, bestUse := int32(-1), int64(1)<<62
-		limit := k.paletteSize()
-		for c := 0; c < limit; c++ {
-			if f.mark[c] != f.stamp && k.usage[c] < bestUse {
-				best, bestUse = int32(c), k.usage[c]
-			}
-		}
-		if best < 0 {
-			best = f.firstFree()
-		}
-		k.usage[best]++
-		return best
-	}
-	return f.firstFree()
-}
-
-// paletteSize reports how many colors this rank has used so far, plus one
-// (capped at the usage array so LeastUsed never scans out of range).
-func (k *d1Kernel) paletteSize() int {
-	for c := len(k.usage) - 1; c >= 0; c-- {
-		if k.usage[c] > 0 {
-			return min(c+2, len(k.usage))
-		}
-	}
-	return 1
 }
 
 // shipToAll sends the freshly assigned colors of boundary vertices in one

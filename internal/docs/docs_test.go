@@ -8,8 +8,9 @@
 // it to docs/OBSERVABILITY.md, TestEvaluationWrittenOnce to DESIGN.md's expt
 // row, TestSharesAreCutInOnePlace and TestFacadeHasOneRunner to its §9,
 // TestRunPatternsNameTests holds CI's and the verify skill's -run patterns to
-// the tests they name, and TestDaemonFlagsHaveReaders holds dmgm-serve's flags
-// to docs/OPERATIONS.md's flag reference.
+// the tests they name, TestDaemonFlagsHaveReaders holds dmgm-serve's flags
+// to docs/OPERATIONS.md's flag reference, and TestLibraryNamesHaveCallers
+// holds the library packages' exports and option fields to ROADMAP item 9.
 package docs
 
 import (
@@ -489,7 +490,7 @@ func TestSignalCatalogue(t *testing.T) {
 // describes: pprof is mounted by one function, the traffic and bundler key
 // names are spelled only by the package that owns the key shape
 // (internal/obs) and by their producers (internal/mpi), the transports meter
-// nothing themselves, and the OTLP exporter has at most four options.
+// nothing themselves, and the OTLP exporter has at most three options.
 func TestObservabilityWrittenOnce(t *testing.T) {
 	pprofIn := map[string]bool{}
 	for name, file := range repoFiles(t, false) {
@@ -513,8 +514,8 @@ func TestObservabilityWrittenOnce(t *testing.T) {
 						t.Errorf("%s: a transport has a SetMetrics method again", name)
 					}
 				case *ast.TypeSpec:
-					if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "OTLPOptions" && st.Fields.NumFields() > 4 {
-						t.Errorf("%s: OTLPOptions has %d fields, want at most 4", name, st.Fields.NumFields())
+					if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "OTLPOptions" && st.Fields.NumFields() > 3 {
+						t.Errorf("%s: OTLPOptions has %d fields, want at most 3", name, st.Fields.NumFields())
 					}
 				}
 				return true
@@ -947,6 +948,19 @@ func splitTopLevel(pattern string) []string {
 // repository root. bench/ is a module of its own and is not walked.
 func repoFiles(t *testing.T, tests bool) map[string]*ast.File {
 	t.Helper()
+	files := goFiles(t, false)
+	for name := range files {
+		if strings.HasSuffix(name, "_test.go") != tests {
+			delete(files, name)
+		}
+	}
+	return files
+}
+
+// goFiles parses every Go file in the repository, test files included, keyed
+// by its slash-separated path from the root; bench/'s only if withBench.
+func goFiles(t *testing.T, withBench bool) map[string]*ast.File {
+	t.Helper()
 	root := repoRoot(t)
 	files := map[string]*ast.File{}
 	fset := token.NewFileSet()
@@ -955,12 +969,12 @@ func repoFiles(t *testing.T, tests bool) map[string]*ast.File {
 			return err
 		}
 		if d.IsDir() {
-			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "bench") {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || (d.Name() == "bench" && !withBench)) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") != tests {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, p, nil, 0)
@@ -994,4 +1008,264 @@ func nonTestFiles(t *testing.T, pkg string, mode parser.Mode) map[string]*ast.Fi
 		}
 	}
 	return files
+}
+
+// stdlibMethods are methods the standard library calls through its
+// interfaces (error, fmt.Stringer, http.Handler, io, sort, heap, json), so no
+// selector in the repository needs to name them.
+var stdlibMethods = map[string]bool{
+	"Error": true, "Unwrap": true, "Is": true, "String": true, "ServeHTTP": true,
+	"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true,
+	"Push": true, "Pop": true, "MarshalJSON": true, "UnmarshalJSON": true,
+}
+
+// fieldSetter is where an &x.F or an assignment to x.F was found.
+type fieldSetter struct {
+	dir          string
+	test, assign bool
+}
+
+// TestLibraryNamesHaveCallers holds the library half of the tree to ROADMAP
+// item 9's rule. An exported package-level name declared in a non-test file
+// under internal/ or dmgm/ must be reached from non-test code somewhere in the
+// repository, bench/ included, or from another package's tests: as a
+// qualified pkg.Name through an import, or bare inside its own package. A
+// method counts as reached by any selector of its name. An exported field of
+// a *Options struct must be set somewhere outside its own package's tests: a
+// key of a literal of that struct, an &x.Field, or an assignment to x.Field
+// made from another package. What only its own tests reach is a knob or an
+// export no caller needs, and goes.
+func TestLibraryNamesHaveCallers(t *testing.T) {
+	files := goFiles(t, true)
+	library := func(dir string) bool { return dir == "dmgm" || strings.HasPrefix(dir, "internal/") }
+	ownTest := func(file, dir string) bool { return strings.HasSuffix(file, "_test.go") && path.Dir(file) == dir }
+	pkgOf := func(name string) string { return strings.TrimSuffix(name, path.Ext(name)) } // "dir.Name" -> "dir"
+
+	// Declarations: names and option structs are keyed "dir.Name".
+	names := map[string]string{}     // exported package-level name -> its file
+	methods := map[string][]string{} // exported method name -> "file: Recv.Name" of each declaration
+	options := map[string][]string{} // *Options struct -> its exported fields
+	for file, f := range files {
+		dir := path.Dir(file)
+		if strings.HasSuffix(file, "_test.go") || !library(dir) {
+			continue
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				switch {
+				case !d.Name.IsExported():
+				case d.Recv == nil:
+					names[dir+"."+d.Name.Name] = file
+				case !stdlibMethods[d.Name.Name]:
+					methods[d.Name.Name] = append(methods[d.Name.Name], file+": "+recvName(d.Recv)+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
+							continue
+						}
+						names[dir+"."+s.Name.Name] = file
+						if st, ok := s.Type.(*ast.StructType); ok && strings.HasSuffix(s.Name.Name, "Options") {
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									if id.IsExported() {
+										options[dir+"."+s.Name.Name] = append(options[dir+"."+s.Name.Name], id.Name)
+									}
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							if id.IsExported() {
+								names[dir+"."+id.Name] = file
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// References.
+	reached := map[string]bool{}                 // "dir.Name"
+	selectedFrom := map[string]map[string]bool{} // selector name -> dirs of the test files using it, "" for non-test code
+	setInLiteral := map[string]bool{}            // "dir.XOptions.Field"
+	setters := map[string][]fieldSetter{}        // field name -> its &x.F and x.F = sites
+	for file, f := range files {
+		dir, test := path.Dir(file), strings.HasSuffix(file, "_test.go")
+		imports := map[string]string{} // local name -> package dir
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if !strings.HasPrefix(p, "repro/") {
+				continue
+			}
+			local := path.Base(p)
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = strings.TrimPrefix(p, "repro/")
+		}
+		// typeName names the type a literal's type expression denotes, as
+		// "dir.Name", or "" for an unnamed or foreign one.
+		typeName := func(e ast.Expr) string {
+			switch e := e.(type) {
+			case *ast.Ident:
+				return dir + "." + e.Name
+			case *ast.SelectorExpr:
+				if pkg, ok := e.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+					return imports[pkg.Name] + "." + e.Sel.Name
+				}
+			}
+			return ""
+		}
+		notRefs := map[*ast.Ident]bool{}           // identifiers that declare, name a field or key a struct literal
+		elided := map[*ast.CompositeLit]ast.Expr{} // an elided literal's type: its parent's element type
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				notRefs[n.Name] = true
+				if n.Recv != nil { // a type's own methods do not reach it
+					ast.Inspect(n.Recv, func(m ast.Node) bool {
+						if id, ok := m.(*ast.Ident); ok {
+							notRefs[id] = true
+						}
+						return true
+					})
+				}
+			case *ast.TypeSpec:
+				notRefs[n.Name] = true
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					notRefs[id] = true
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					notRefs[id] = true
+				}
+			case *ast.CompositeLit:
+				typ := n.Type
+				if typ == nil {
+					typ = elided[n]
+				}
+				var elt ast.Expr
+				switch t := typ.(type) {
+				case *ast.ArrayType:
+					elt = t.Elt
+				case *ast.MapType:
+					elt = t.Value
+				}
+				if star, ok := elt.(*ast.StarExpr); ok {
+					elt = star.X
+				}
+				lit := typeName(typ)
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok && elt == nil { // a struct's field, not an index or a map key
+							notRefs[key] = true
+							if lit != "" && !ownTest(file, pkgOf(lit)) {
+								setInLiteral[lit+"."+key.Name] = true
+							}
+						}
+						e = kv.Value
+					}
+					if inner, ok := e.(*ast.CompositeLit); ok && inner.Type == nil {
+						elided[inner] = elt
+					}
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					setters[sel.Sel.Name] = append(setters[sel.Sel.Name], fieldSetter{dir: dir, test: test})
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						setters[sel.Sel.Name] = append(setters[sel.Sel.Name], fieldSetter{dir: dir, test: test, assign: true})
+					}
+				}
+			case *ast.SelectorExpr:
+				notRefs[n.Sel] = true
+				if pkg, ok := n.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+					if target := imports[pkg.Name]; !ownTest(file, target) {
+						reached[target+"."+n.Sel.Name] = true
+					}
+					return false
+				}
+				from := ""
+				if test {
+					from = dir
+				}
+				if selectedFrom[n.Sel.Name] == nil {
+					selectedFrom[n.Sel.Name] = map[string]bool{}
+				}
+				selectedFrom[n.Sel.Name][from] = true
+			}
+			return true
+		})
+		if test || !library(dir) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !notRefs[id] {
+				reached[dir+"."+id.Name] = true
+			}
+			return true
+		})
+	}
+
+	var unreached []string
+	for name, file := range names {
+		if !reached[name] {
+			unreached = append(unreached, file+": "+path.Base(name))
+		}
+	}
+	for name, decls := range methods {
+		for _, decl := range decls {
+			own, used := path.Dir(decl[:strings.Index(decl, ":")]), false
+			for from := range selectedFrom[name] {
+				used = used || from != own
+			}
+			if !used {
+				unreached = append(unreached, decl)
+			}
+		}
+	}
+	var unset []string
+	for typ, fields := range options {
+		dir := pkgOf(typ)
+		for _, field := range fields {
+			set := setInLiteral[typ+"."+field] || slices.ContainsFunc(setters[field], func(s fieldSetter) bool {
+				return s.dir != dir || !s.test && !s.assign
+			})
+			if !set {
+				unset = append(unset, path.Base(typ)+"."+field)
+			}
+		}
+	}
+	sort.Strings(unreached)
+	sort.Strings(unset)
+	for _, name := range unreached {
+		t.Errorf("%s is reached by nothing but its own package's tests: delete it, or move it into them (ROADMAP item 9)", name)
+	}
+	for _, field := range unset {
+		t.Errorf("option field %s is set by nothing but its own package's tests: make it a constant (ROADMAP item 9)", field)
+	}
+}
+
+// recvName names a method's receiver type, without pointer or type
+// parameters.
+func recvName(recv *ast.FieldList) string {
+	e := recv.List[0].Type
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if index, ok := e.(*ast.IndexExpr); ok {
+		e = index.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
 }

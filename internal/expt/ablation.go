@@ -154,7 +154,7 @@ func Ablations(o Options) error {
 	}
 	t.AddRow("speculative (this paper)", m.Epochs, m.NumColors, m.Traffic.SentMsgs)
 	m, _, err = measureColoring(shares, func(c *mpi.Comm, d *dgraph.DistGraph) (*coloring.ParallelResult, error) {
-		return coloring.JonesPlassmann(c, d, o.Seed, 0)
+		return coloring.JonesPlassmann(c, d, o.Seed)
 	})
 	if err != nil {
 		return err

@@ -133,73 +133,3 @@ func fromSortedEdges(n int, edges []Edge) *Graph {
 	}
 	return g
 }
-
-// FromAdjacency builds a graph directly from per-vertex neighbor lists,
-// symmetrizing and deduplicating as needed. Weights default to 1.
-func FromAdjacency(adj [][]Vertex) (*Graph, error) {
-	var edges []Edge
-	for u, list := range adj {
-		for _, v := range list {
-			edges = append(edges, Edge{U: Vertex(u), V: v, W: 1})
-		}
-	}
-	return BuildUndirected(len(adj), edges, DedupeFirst)
-}
-
-// Permute relabels the graph: vertex v becomes perm[v]. perm must be a
-// permutation of [0, n).
-func Permute(g *Graph, perm []Vertex) (*Graph, error) {
-	n := g.NumVertices()
-	if len(perm) != n {
-		return nil, fmt.Errorf("graph: permutation length %d, want %d", len(perm), n)
-	}
-	seen := make([]bool, n)
-	for _, p := range perm {
-		if p < 0 || int(p) >= n || seen[p] {
-			return nil, fmt.Errorf("graph: invalid permutation entry %d", p)
-		}
-		seen[p] = true
-	}
-	edges := make([]Edge, 0, g.NumEdges())
-	g.ForEachEdge(func(u, v Vertex, w float64) {
-		edges = append(edges, Edge{U: perm[u], V: perm[v], W: w})
-	})
-	out, err := BuildUndirected(n, edges, DedupeFirst)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InducedSubgraph extracts the subgraph induced by the given vertices.
-// It returns the subgraph plus the mapping from new ids to original ids.
-func InducedSubgraph(g *Graph, vertices []Vertex) (*Graph, []Vertex, error) {
-	toNew := make(map[Vertex]Vertex, len(vertices))
-	toOld := make([]Vertex, len(vertices))
-	for i, v := range vertices {
-		if v < 0 || int(v) >= g.NumVertices() {
-			return nil, nil, fmt.Errorf("graph: subgraph vertex %d out of range", v)
-		}
-		if _, dup := toNew[v]; dup {
-			return nil, nil, fmt.Errorf("graph: subgraph vertex %d repeated", v)
-		}
-		toNew[v] = Vertex(i)
-		toOld[i] = v
-	}
-	var edges []Edge
-	for i, v := range toOld {
-		adj := g.Neighbors(v)
-		for k, u := range adj {
-			nu, ok := toNew[u]
-			if !ok || nu <= Vertex(i) {
-				continue
-			}
-			edges = append(edges, Edge{U: Vertex(i), V: nu, W: g.Weight(g.Xadj[v] + int64(k))})
-		}
-	}
-	sub, err := BuildUndirected(len(vertices), edges, DedupeFirst)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, toOld, nil
-}

@@ -154,18 +154,6 @@ func (g *Graph) MinDegree() int {
 	return min
 }
 
-// TotalWeight reports the sum of undirected edge weights.
-func (g *Graph) TotalWeight() float64 {
-	if g.W == nil {
-		return float64(g.NumEdges())
-	}
-	var sum float64
-	for _, w := range g.W {
-		sum += w
-	}
-	return sum / 2
-}
-
 // Validate checks structural invariants: monotone Xadj, in-range sorted
 // duplicate-free neighbor lists, no self loops, symmetric adjacency with
 // matching weights, and finite weights. It returns the first violation found.

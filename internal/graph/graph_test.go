@@ -46,9 +46,6 @@ func TestBuildTriangle(t *testing.T) {
 	if g.HasEdge(0, 0) {
 		t.Error("HasEdge(0,0) = true on simple graph")
 	}
-	if got := g.TotalWeight(); got != 6 {
-		t.Errorf("TotalWeight = %g, want 6", got)
-	}
 }
 
 func TestBuildDropsSelfLoops(t *testing.T) {
@@ -199,81 +196,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPermuteIdentityAndReverse(t *testing.T) {
-	g := randomTestGraph(t, 30, 80, 7)
-	id := make([]Vertex, g.NumVertices())
-	for i := range id {
-		id[i] = Vertex(i)
-	}
-	same, err := Permute(g, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.Adj, same.Adj) {
-		t.Fatal("identity permutation changed graph")
-	}
-	rev := make([]Vertex, len(id))
-	for i := range rev {
-		rev[i] = Vertex(len(rev) - 1 - i)
-	}
-	p, err := Permute(g, rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("permuted graph invalid: %v", err)
-	}
-	// Permuting back must restore the original.
-	back, err := Permute(p, rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.Adj, back.Adj) || !reflect.DeepEqual(g.W, back.W) {
-		t.Fatal("double reverse permutation is not identity")
-	}
-}
-
-func TestPermuteRejectsBadPermutation(t *testing.T) {
-	g := triangle(t)
-	if _, err := Permute(g, []Vertex{0, 0, 1}); err == nil {
-		t.Error("accepted duplicate permutation entry")
-	}
-	if _, err := Permute(g, []Vertex{0, 1}); err == nil {
-		t.Error("accepted short permutation")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := randomTestGraph(t, 40, 120, 3)
-	verts := []Vertex{0, 5, 6, 7, 20, 39}
-	sub, toOld, err := InducedSubgraph(g, verts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Every subgraph edge must exist in the original with equal weight.
-	sub.ForEachEdge(func(u, v Vertex, w float64) {
-		ow, ok := g.EdgeWeight(toOld[u], toOld[v])
-		if !ok || ow != w {
-			t.Errorf("subgraph edge {%d,%d} w=%g not in original (ok=%v w=%g)", u, v, w, ok, ow)
-		}
-	})
-	// Every original edge between chosen vertices must appear in the subgraph.
-	inSet := map[Vertex]Vertex{}
-	for i, v := range verts {
-		inSet[v] = Vertex(i)
-	}
-	g.ForEachEdge(func(u, v Vertex, w float64) {
-		nu, ok1 := inSet[u]
-		nv, ok2 := inSet[v]
-		if ok1 && ok2 && !sub.HasEdge(nu, nv) {
-			t.Errorf("original edge {%d,%d} missing from subgraph", u, v)
-		}
-	})
-}
-
 func TestTextRoundTrip(t *testing.T) {
 	g := randomTestGraph(t, 25, 60, 11)
 	var buf bytes.Buffer
@@ -396,19 +318,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g, err := BuildUndirected(4, []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}, DedupeFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, cnt := DegreeHistogram(g)
-	if !reflect.DeepEqual(deg, []int{0, 1, 2}) || !reflect.DeepEqual(cnt, []int64{1, 2, 1}) {
-		t.Fatalf("histogram = %v %v", deg, cnt)
-	}
-}
-
-// randomTestGraph builds a random simple graph for tests; density is rough
-// since duplicates merge.
 func randomTestGraph(t *testing.T, n, m int, seed int64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -496,9 +405,6 @@ func TestWeightsAccessors(t *testing.T) {
 	if unweighted.Weight(0) != 1 {
 		t.Fatal("unweighted Weight != 1")
 	}
-	if unweighted.TotalWeight() != 3 {
-		t.Fatalf("unweighted TotalWeight = %g, want edge count", unweighted.TotalWeight())
-	}
 	if w, ok := unweighted.EdgeWeight(0, 1); !ok || w != 1 {
 		t.Fatalf("unweighted EdgeWeight = %g,%v", w, ok)
 	}
@@ -517,22 +423,6 @@ func TestIsConnected(t *testing.T) {
 	two, _ := BuildUndirected(2, nil, DedupeFirst)
 	if IsConnected(two) {
 		t.Fatal("two isolated vertices connected")
-	}
-}
-
-func TestFromAdjacency(t *testing.T) {
-	g, err := FromAdjacency([][]Vertex{{1, 2}, {0}, {0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("m = %d, want 2", g.NumEdges())
-	}
-	if _, err := FromAdjacency([][]Vertex{{5}}); err == nil {
-		t.Fatal("accepted out-of-range adjacency")
 	}
 }
 

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes a graph for experiment headers and logs.
 type Stats struct {
@@ -62,24 +59,6 @@ func CountComponents(g *Graph) int {
 		}
 	}
 	return comps
-}
-
-// DegreeHistogram returns the sorted distinct degrees and their counts.
-func DegreeHistogram(g *Graph) (degrees []int, counts []int64) {
-	hist := make(map[int]int64)
-	for v := 0; v < g.NumVertices(); v++ {
-		hist[g.Degree(Vertex(v))]++
-	}
-	degrees = make([]int, 0, len(hist))
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int64, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
 }
 
 // IsConnected reports whether the graph has at most one component.

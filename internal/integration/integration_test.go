@@ -324,7 +324,7 @@ func TestSharesAreReadOnly(t *testing.T) {
 			return err
 		}},
 		{"jones-plassmann", func(c *mpi.Comm, d *dgraph.DistGraph) error {
-			_, err := coloring.JonesPlassmann(c, d, 3, 0)
+			_, err := coloring.JonesPlassmann(c, d, 3)
 			return err
 		}},
 	} {

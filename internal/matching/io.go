@@ -42,8 +42,11 @@ func AppendMates(dst []byte, m Mates) []byte {
 	return dst
 }
 
-// ReadMates parses the format written by WriteMates.
-func ReadMates(r io.Reader) (Mates, error) {
+// ReadMates parses the format written by WriteMates, for a graph of n
+// vertices: a header naming any other count is refused before anything is
+// allocated, so a file cannot make the reader allocate for vertices the
+// graph does not have.
+func ReadMates(r io.Reader, n int) (Mates, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var m Mates
@@ -62,9 +65,8 @@ func ReadMates(r io.Reader) (Mates, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("matching: line %d: malformed header", lineNo)
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("matching: line %d: bad vertex count", lineNo)
+			if count, err := strconv.Atoi(fields[1]); err != nil || count != n {
+				return nil, fmt.Errorf("matching: line %d: vertex count %q, want %d", lineNo, fields[1], n)
 			}
 			m = unmatched(n)
 			continue
@@ -97,12 +99,12 @@ func ReadMates(r io.Reader) (Mates, error) {
 	return m, nil
 }
 
-// ReadMatesFile reads a matching from path.
-func ReadMatesFile(path string) (Mates, error) {
+// ReadMatesFile reads a matching of a graph of n vertices from path.
+func ReadMatesFile(path string, n int) (Mates, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadMates(f)
+	return ReadMates(f, n)
 }

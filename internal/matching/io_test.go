@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestMatesRoundTrip(t *testing.T) {
 	if err := WriteMates(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMates(&buf)
+	got, err := ReadMates(&buf, len(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,40 +51,63 @@ func TestMatesFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMatesFile(path)
+	got, err := ReadMatesFile(path, len(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Verify(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMatesFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if _, err := ReadMatesFile(filepath.Join(t.TempDir(), "missing"), len(m)); err == nil {
 		t.Fatal("read missing file")
 	}
 }
 
 func TestReadMatesErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"pair before header": "0 1\n",
-		"bad header":         "matching x\n",
-		"odd pair":           "matching 3\n0\n",
-		"self pair":          "matching 3\n1 1\n",
-		"out of range":       "matching 2\n0 5\n",
-		"double match":       "matching 3\n0 1\n1 2\n",
-		"garbage":            "matching 2\na b\n",
-		"no header":          "# only a comment\n",
-		"second header":      "matching 4\n0 1\nmatching 4\n2 3\n", // two result files concatenated
+	for name, tc := range map[string]struct {
+		in string
+		n  int
+	}{
+		"pair before header": {"0 1\n", 2},
+		"bad header":         {"matching x\n", 2},
+		"odd pair":           {"matching 3\n0\n", 3},
+		"self pair":          {"matching 3\n1 1\n", 3},
+		"out of range":       {"matching 2\n0 5\n", 2},
+		"double match":       {"matching 3\n0 1\n1 2\n", 3},
+		"garbage":            {"matching 2\na b\n", 2},
+		"no header":          {"# only a comment\n", 2},
+		"second header":      {"matching 4\n0 1\nmatching 4\n2 3\n", 4}, // two result files concatenated
+		"other graph":        {"matching 5\n0 1\n", 4},
+		"past int":           {"matching 99999999999999999999\n", 4},
 	} {
-		if _, err := ReadMates(bytes.NewBufferString(in)); err == nil {
+		if _, err := ReadMates(bytes.NewBufferString(tc.in), tc.n); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if name == "second header" && !strings.Contains(err.Error(), "line 3") {
 			t.Errorf("%s: %v, want the header's line named", name, err)
 		}
 	}
 	// Comments and empty matching are fine.
-	m, err := ReadMates(bytes.NewBufferString("# c\nmatching 4\n"))
+	m, err := ReadMates(bytes.NewBufferString("# c\nmatching 4\n"), 4)
 	if err != nil || len(m) != 4 || m.Cardinality() != 0 {
 		t.Fatalf("empty matching parse: %v %v", m, err)
+	}
+}
+
+// TestReadMatesRefusesUnbackedCount reads a 21-byte file whose header claims
+// 2^26 vertices for a graph of 10: it is refused, and reading it allocates
+// nothing near the 256 MiB the claim would cost.
+func TestReadMatesRefusesUnbackedCount(t *testing.T) {
+	const claim = 1 << 26
+	in := fmt.Sprintf("matching %d\n0 1\n", claim)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMates(strings.NewReader(in), 10)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "want 10") {
+		t.Errorf("header claiming %d vertices for a graph of 10: %v, want a refusal", claim, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("reading a %d-byte file allocated %d bytes", len(in), alloc)
 	}
 }
 
@@ -139,7 +163,7 @@ func TestWriteMatesPinnedToFmtRendering(t *testing.T) {
 		if !tc.roundTrip {
 			continue
 		}
-		back, err := ReadMates(&buf)
+		back, err := ReadMates(&buf, len(tc.m))
 		if err != nil {
 			t.Fatalf("%s: ReadMates: %v", name, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -48,6 +47,9 @@ type TCP struct {
 	regDone  chan struct{}
 }
 
+// rendezvousTimeout bounds an endpoint's whole bind/registry/connect phase.
+const rendezvousTimeout = 30 * time.Second
+
 // TCPOptions configures a TCP transport endpoint.
 type TCPOptions struct {
 	// Rank and Size identify this endpoint within the job.
@@ -64,9 +66,6 @@ type TCPOptions struct {
 	// Listener is a pre-bound listener for this rank, used by in-process
 	// clusters and tests to avoid port races. The transport takes ownership.
 	Listener net.Listener
-	// RendezvousTimeout bounds the whole bind/registry/connect phase
-	// (default 30s).
-	RendezvousTimeout time.Duration
 	// ShutdownGrace bounds how long Close waits for peers to finish closing
 	// before forcing connections shut (default 10s).
 	ShutdownGrace time.Duration
@@ -125,9 +124,6 @@ func NewTCP(opt TCPOptions) (*TCP, error) {
 	if opt.Bind == "" {
 		opt.Bind = "127.0.0.1:0"
 	}
-	if opt.RendezvousTimeout == 0 {
-		opt.RendezvousTimeout = 30 * time.Second
-	}
 	if opt.ShutdownGrace == 0 {
 		opt.ShutdownGrace = 10 * time.Second
 	}
@@ -175,7 +171,7 @@ func (t *TCP) Start() error {
 	}
 	t.started = true
 	t.mu.Unlock()
-	deadline := time.Now().Add(t.opt.RendezvousTimeout)
+	deadline := time.Now().Add(rendezvousTimeout)
 
 	if err := t.bind(); err != nil {
 		return err
@@ -625,30 +621,4 @@ func NewLocalTCPCluster(n int) ([]*TCP, error) {
 		eps[i] = ep
 	}
 	return eps, nil
-}
-
-// StartCluster starts every endpoint concurrently (the mesh handshake needs
-// all accept loops up) and returns the first error.
-func StartCluster(eps []*TCP) error {
-	errs := make([]error, len(eps))
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(i int, ep *TCP) {
-			defer wg.Done()
-			errs[i] = ep.Start()
-		}(i, ep)
-	}
-	wg.Wait()
-	ranks := []int{}
-	for i, err := range errs {
-		if err != nil {
-			ranks = append(ranks, i)
-		}
-	}
-	if len(ranks) > 0 {
-		sort.Ints(ranks)
-		return fmt.Errorf("transport: cluster start failed on ranks %v: %w", ranks, errs[ranks[0]])
-	}
-	return nil
 }

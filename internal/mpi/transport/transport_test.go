@@ -93,7 +93,7 @@ func collectCluster(t *testing.T, n int) ([]*TCP, []*[]Msg, []*sync.Mutex) {
 			mu.Unlock()
 		})
 	}
-	if err := StartCluster(eps); err != nil {
+	if err := startCluster(eps); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { closeAll(eps) })
@@ -208,7 +208,7 @@ func TestTCPRegistryRendezvous(t *testing.T) {
 
 	eps := make([]*TCP, n)
 	for i := 0; i < n; i++ {
-		ep, err := NewTCP(TCPOptions{Rank: i, Size: n, Registry: registry, RendezvousTimeout: 15 * time.Second})
+		ep, err := NewTCP(TCPOptions{Rank: i, Size: n, Registry: registry})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestTCPRegistryRendezvous(t *testing.T) {
 		i := i
 		ep.Register(i, func(m Msg) { inboxes[i] <- m })
 	}
-	if err := StartCluster(eps); err != nil {
+	if err := startCluster(eps); err != nil {
 		t.Fatal(err)
 	}
 	defer closeAll(eps)
@@ -259,4 +259,29 @@ func TestTCPCloseFlushes(t *testing.T) {
 		defer locks[1].Unlock()
 		return len(*inboxes[1]) == count
 	})
+}
+
+// startCluster starts every endpoint concurrently (the mesh handshake needs
+// all accept loops up) and returns the first error.
+func startCluster(eps []*TCP) error {
+	errs := make([]error, len(eps))
+	var wg sync.WaitGroup
+	for i, ep := range eps {
+		wg.Add(1)
+		go func(i int, ep *TCP) {
+			defer wg.Done()
+			errs[i] = ep.Start()
+		}(i, ep)
+	}
+	wg.Wait()
+	ranks := []int{}
+	for i, err := range errs {
+		if err != nil {
+			ranks = append(ranks, i)
+		}
+	}
+	if len(ranks) > 0 {
+		return fmt.Errorf("transport: cluster start failed on ranks %v: %w", ranks, errs[ranks[0]])
+	}
+	return nil
 }

@@ -273,8 +273,8 @@ func TestOTLPRetryBackoff(t *testing.T) {
 	if exported := reg.Counter("obs.otlp_exported").Load(); exported != 1 || exp.Dropped() != 0 {
 		t.Fatalf("exported=%d dropped=%d, want 1/0", exported, exp.Dropped())
 	}
-	if exp.Retries() != 2 {
-		t.Errorf("retries=%d, want 2", exp.Retries())
+	if exp.retried() != 2 {
+		t.Errorf("retries=%d, want 2", exp.retried())
 	}
 	sleptMu.Lock()
 	defer sleptMu.Unlock()
@@ -371,18 +371,17 @@ func TestOTLPSlowCollectorBoundedQueue(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	const queueCap = 2
-	exp := NewOTLPExporter(srv.URL, OTLPOptions{Identity: testIdentity, QueueCap: queueCap, MaxRetries: 1})
+	exp := NewOTLPExporter(srv.URL, OTLPOptions{Identity: testIdentity, MaxRetries: 1})
 	span := func(seq uint64) []Span { return []Span{{Seq: seq, Rank: 0, Name: "phase", Start: 1, Dur: 2}} }
 	exp.ExportSpans(span(1)) // picked up by the delivery goroutine, wedges
 	wedged.Wait()
-	// Fill the queue, then overflow it: every batch past queueCap must drop.
+	// Fill the queue, then overflow it: every batch past otlpQueueCap must drop.
 	const extra = 5
-	for i := 0; i < queueCap+extra; i++ {
+	for i := 0; i < otlpQueueCap+extra; i++ {
 		exp.ExportSpans(span(uint64(i + 2)))
 	}
 	if got := exp.Dropped(); got != extra {
-		t.Errorf("dropped=%d, want %d (queue holds %d)", got, extra, queueCap)
+		t.Errorf("dropped=%d, want %d (queue holds %d)", got, extra, otlpQueueCap)
 	}
 	// Close with the collector still wedged: bounded by the timeout, and the
 	// pending batches are accounted, not silently lost.
@@ -404,7 +403,7 @@ func TestOTLPNilExporter(t *testing.T) {
 	if err := exp.Close(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if exp.Dropped() != 0 || exp.Retries() != 0 {
+	if exp.Dropped() != 0 || exp.retried() != 0 {
 		t.Error("nil exporter must report zeros")
 	}
 }

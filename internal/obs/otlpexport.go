@@ -58,6 +58,7 @@ type otlpBatch struct {
 // Delivery constants: no caller ever needed another value.
 const (
 	otlpBatchSpans  = 512                    // spans per trace request
+	otlpQueueCap    = 64                     // in-flight batches; a full queue drops and counts new ones, never blocks
 	otlpBackoffBase = 250 * time.Millisecond // first retry delay; doubles per attempt
 	otlpBackoffMax  = 5 * time.Second        // cap on that delay; a Retry-After header overrides both
 	otlpHTTPTimeout = 10 * time.Second       // per POST
@@ -71,9 +72,6 @@ type OTLPOptions struct {
 	// Registry, when set, receives the obs.otlp_dropped / obs.otlp_exported
 	// counters.
 	Registry *Registry
-	// QueueCap bounds the number of in-flight batches (default 64); when the
-	// queue is full new batches are dropped and counted, never blocked on.
-	QueueCap int
 	// MaxRetries bounds delivery attempts per batch (default 4 retries).
 	MaxRetries int
 }
@@ -86,9 +84,6 @@ func NewOTLPExporter(endpoint string, opt OTLPOptions) *OTLPExporter {
 	if endpoint == "" {
 		return nil
 	}
-	if opt.QueueCap <= 0 {
-		opt.QueueCap = 64
-	}
 	if opt.MaxRetries <= 0 {
 		opt.MaxRetries = 4
 	}
@@ -96,7 +91,7 @@ func NewOTLPExporter(endpoint string, opt OTLPOptions) *OTLPExporter {
 		endpoint:    strings.TrimRight(endpoint, "/"),
 		id:          opt.Identity,
 		client:      &http.Client{Timeout: otlpHTTPTimeout},
-		queue:       make(chan otlpBatch, opt.QueueCap),
+		queue:       make(chan otlpBatch, otlpQueueCap),
 		done:        make(chan struct{}),
 		maxRetries:  opt.MaxRetries,
 		sleep:       time.Sleep,
@@ -281,8 +276,8 @@ func (e *OTLPExporter) Dropped() int64 {
 	return e.dropped.Load()
 }
 
-// Retries reports delivery attempts beyond each batch's first (0 on nil).
-func (e *OTLPExporter) Retries() int64 {
+// retried reports delivery attempts beyond each batch's first (0 on nil).
+func (e *OTLPExporter) retried() int64 {
 	if e == nil {
 		return 0
 	}

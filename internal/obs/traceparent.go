@@ -42,9 +42,6 @@ func randHex(nbytes int) string {
 // NewTraceID mints a random 16-byte trace id, lowercase hex.
 func NewTraceID() string { return randHex(16) }
 
-// NewSpanID mints a random 8-byte span id, lowercase hex.
-func NewSpanID() string { return randHex(8) }
-
 // ParseTraceparent reads a traceparent header value and returns the caller's
 // trace id and parent span id (both lowercase hex). ok is false on anything
 // malformed — the wrong shape, non-hex digits, the forbidden all-zero ids,

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTraceparentMintParseRoundtrip(t *testing.T) {
-	tid, sid := NewTraceID(), NewSpanID()
+	tid, sid := NewTraceID(), randHex(SpanIDLen/2)
 	if len(tid) != TraceIDLen || len(sid) != SpanIDLen {
 		t.Fatalf("id lengths: trace=%d span=%d", len(tid), len(sid))
 	}

@@ -231,19 +231,3 @@ func incidence(g *graph.Graph, saturation bool) []graph.Vertex {
 	}
 	return out
 }
-
-// Validate checks that ord is a permutation of the vertices of g.
-func Validate(g *graph.Graph, ord []graph.Vertex) error {
-	n := g.NumVertices()
-	if len(ord) != n {
-		return fmt.Errorf("order: length %d, want %d", len(ord), n)
-	}
-	seen := make([]bool, n)
-	for _, v := range ord {
-		if v < 0 || int(v) >= n || seen[v] {
-			return fmt.Errorf("order: not a permutation at %d", v)
-		}
-		seen[v] = true
-	}
-	return nil
-}

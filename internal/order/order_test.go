@@ -1,6 +1,7 @@
 package order
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestAllOrderingsArePermutations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", o, err)
 		}
-		if err := Validate(g, ord); err != nil {
+		if err := validate(g, ord); err != nil {
 			t.Fatalf("%v: %v", o, err)
 		}
 	}
@@ -112,13 +113,13 @@ func TestParseOrderingRoundTrip(t *testing.T) {
 
 func TestValidateRejectsBadOrders(t *testing.T) {
 	g, _ := gen.Grid2D(2, 2, false, 0)
-	if err := Validate(g, []graph.Vertex{0, 1, 2}); err == nil {
+	if err := validate(g, []graph.Vertex{0, 1, 2}); err == nil {
 		t.Error("accepted short order")
 	}
-	if err := Validate(g, []graph.Vertex{0, 1, 2, 2}); err == nil {
+	if err := validate(g, []graph.Vertex{0, 1, 2, 2}); err == nil {
 		t.Error("accepted duplicate")
 	}
-	if err := Validate(g, []graph.Vertex{0, 1, 2, 9}); err == nil {
+	if err := validate(g, []graph.Vertex{0, 1, 2, 9}); err == nil {
 		t.Error("accepted out-of-range")
 	}
 }
@@ -132,7 +133,7 @@ func TestOrderingsOnEmptyAndSingleton(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v on n=%d: %v", o, g.NumVertices(), err)
 			}
-			if err := Validate(g, ord); err != nil {
+			if err := validate(g, ord); err != nil {
 				t.Fatalf("%v on n=%d: %v", o, g.NumVertices(), err)
 			}
 		}
@@ -150,7 +151,7 @@ func TestQuickOrderingsPermute(t *testing.T) {
 		}
 		for _, o := range allOrderings() {
 			ord, err := Compute(g, o, seed)
-			if err != nil || Validate(g, ord) != nil {
+			if err != nil || validate(g, ord) != nil {
 				return false
 			}
 		}
@@ -159,4 +160,20 @@ func TestQuickOrderingsPermute(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// validate checks that ord is a permutation of the vertices of g.
+func validate(g *graph.Graph, ord []graph.Vertex) error {
+	n := g.NumVertices()
+	if len(ord) != n {
+		return fmt.Errorf("order: length %d, want %d", len(ord), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range ord {
+		if v < 0 || int(v) >= n || seen[v] {
+			return fmt.Errorf("order: not a permutation at %d", v)
+		}
+		seen[v] = true
+	}
+	return nil
 }

@@ -14,24 +14,21 @@ type MultilevelOptions struct {
 	// CoarsenTo stops coarsening once the graph has at most this many
 	// vertices. Zero selects max(32*p, 256).
 	CoarsenTo int
-	// RefinePasses is the number of greedy boundary-refinement sweeps per
-	// uncoarsening level. Zero disables refinement entirely, which is how the
-	// "ParMETIS-like" lower-quality regime of Fig. 5.4 is produced; the
-	// METIS-like regime of Fig. 5.3 uses the default (set by Multilevel to 4
-	// when the struct is zero-valued... see DefaultRefinePasses).
-	RefinePasses int
-	// NoRefine forces zero refinement passes even when RefinePasses is 0 and
-	// the default would apply.
+	// NoRefine skips refinement, which is how the "ParMETIS-like"
+	// lower-quality regime of Fig. 5.4 is produced; the METIS-like regime of
+	// Fig. 5.3 refines DefaultRefinePasses times per level.
 	NoRefine bool
-	// Imbalance is the allowed load imbalance (default 0.05 = 5 %).
-	Imbalance float64
 	// Seed drives the randomized matching and seed selection.
 	Seed uint64
 }
 
-// DefaultRefinePasses is the refinement effort used when
-// MultilevelOptions.RefinePasses is zero and NoRefine is false.
-const DefaultRefinePasses = 4
+const (
+	// DefaultRefinePasses is the number of greedy boundary-refinement sweeps
+	// per uncoarsening level unless NoRefine is set.
+	DefaultRefinePasses = 4
+	// maxImbalance is the load imbalance refinement allows, 5 %.
+	maxImbalance = 0.05
+)
 
 // Multilevel computes a k-way partition with the classic three-phase scheme
 // (Karypis–Kumar, the paper's reference [13]): heavy-edge-matching
@@ -60,13 +57,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 			opt.CoarsenTo = 256
 		}
 	}
-	if opt.Imbalance == 0 {
-		opt.Imbalance = 0.05
-	}
-	passes := opt.RefinePasses
-	if passes == 0 && !opt.NoRefine {
-		passes = DefaultRefinePasses
-	}
+	passes := DefaultRefinePasses
 	if opt.NoRefine {
 		passes = 0
 	}
@@ -94,7 +85,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 	s.mark = make([]int32, len(all))
 	bisect(lev, all, 0, p, part, rng, s)
 	s.ext, s.touched = make([]float64, p), make([]int32, 0, p)
-	refine(lev, part, p, passes, opt.Imbalance, rng, s)
+	refine(lev, part, p, passes, rng, s)
 
 	// Uncoarsen, projecting and refining at each level.
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -105,7 +96,7 @@ func Multilevel(g *graph.Graph, p int, opt MultilevelOptions) (*Partition, error
 		}
 		part = finePart
 		s.cut, s.coarseCut = s.coarseCut, s.cut
-		refine(fine, part, p, passes, opt.Imbalance, rng, s)
+		refine(fine, part, p, passes, rng, s)
 	}
 	return &Partition{P: p, Part: part}, nil
 }
@@ -384,7 +375,7 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 // refine performs greedy boundary-move passes: each boundary vertex moves to
 // the neighboring part with the largest positive gain (external minus
 // internal edge weight) provided the move keeps both parts within the load
-// bound; of several parts with that gain, to the one with the lowest id. This
+// bound (maxImbalance over the mean); of several parts with that gain, to the one with the lowest id. This
 // is the lightweight cousin of Kernighan–Lin/Fiduccia–Mattheyses refinement
 // used at every level of the multilevel scheme.
 //
@@ -394,7 +385,7 @@ func bisect(lev *level, verts []graph.Vertex, base, p int, part []int32, rng *ge
 // A settled vertex is skipped too: its gains depend on its own and its
 // neighbours' parts alone, so evaluating it again would sum the same row in
 // the same order and again find no positive gain, whatever the loads.
-func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng *gen.RNG, s *scratch) {
+func refine(lev *level, part []int32, p int, passes int, rng *gen.RNG, s *scratch) {
 	if passes <= 0 {
 		return
 	}
@@ -410,7 +401,7 @@ func refine(lev *level, part []int32, p int, passes int, imbalance float64, rng 
 			cut[v] = arcsOut(g, part, graph.Vertex(v))
 		}
 	}
-	maxLoad := int64(float64(total)/float64(p)*(1+imbalance)) + 1
+	maxLoad := int64(float64(total)/float64(p)*(1+maxImbalance)) + 1
 	ext := s.ext
 	order := s.perm[:n]
 	for pass := 0; pass < passes; pass++ {

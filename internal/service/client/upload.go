@@ -40,9 +40,10 @@ type UploadStats struct {
 type UploadOptions struct {
 	// ChunkBytes is the chunk size to request (0: the server default).
 	ChunkBytes int64
-	// MaxChunkRetries bounds per-chunk retry attempts (default 3).
-	MaxChunkRetries int
 }
+
+// maxChunkRetries bounds Upload's and UploadResume's retries of one chunk.
+const maxChunkRetries = 3
 
 // Upload ships an encoded graph to the daemon through the chunked upload
 // API (docs/PROTOCOL.md §7) and returns the graph_ref to submit jobs
@@ -56,15 +57,12 @@ func (c *Client) Upload(ctx context.Context, enc []byte, opts UploadOptions) (st
 	if len(enc) == 0 {
 		return "", stats, errors.New("upload: empty payload")
 	}
-	if opts.MaxChunkRetries <= 0 {
-		opts.MaxChunkRetries = 3
-	}
 	start := time.Now()
 	st, err := c.UploadOpen(ctx, opts.ChunkBytes)
 	if err != nil {
 		return "", stats, err
 	}
-	ref, err := c.uploadChunks(ctx, st, enc, opts, stats)
+	ref, err := c.uploadChunks(ctx, st, enc, stats)
 	stats.Elapsed = time.Since(start)
 	if err != nil {
 		// Best effort, and even when ctx is what failed; the TTL is the backstop.
@@ -149,19 +147,16 @@ func (c *Client) UploadAbort(ctx context.Context, id string) error {
 // UploadResume continues an interrupted upload: it reads the session's
 // received ranges and sends only the missing chunks. Stats accumulate into
 // stats.
-func (c *Client) UploadResume(ctx context.Context, id string, enc []byte, opts UploadOptions, stats *UploadStats) (string, error) {
-	if opts.MaxChunkRetries <= 0 {
-		opts.MaxChunkRetries = 3
-	}
+func (c *Client) UploadResume(ctx context.Context, id string, enc []byte, stats *UploadStats) (string, error) {
 	st, err := c.UploadStatus(ctx, id)
 	if err != nil {
 		return "", err
 	}
-	return c.uploadChunks(ctx, st, enc, opts, stats)
+	return c.uploadChunks(ctx, st, enc, stats)
 }
 
 // uploadChunks drives a session from its current status to completion.
-func (c *Client) uploadChunks(ctx context.Context, st *ingest.Status, enc []byte, opts UploadOptions, stats *UploadStats) (string, error) {
+func (c *Client) uploadChunks(ctx context.Context, st *ingest.Status, enc []byte, stats *UploadStats) (string, error) {
 	if ref := settledRef(st, stats); ref != "" {
 		return ref, nil
 	}
@@ -183,7 +178,7 @@ func (c *Client) uploadChunks(ctx context.Context, st *ingest.Status, enc []byte
 			end = int64(len(enc))
 		}
 		data := enc[off:end]
-		cst, retries, err := c.UploadChunk(ctx, id, idx, data, opts.MaxChunkRetries)
+		cst, retries, err := c.UploadChunk(ctx, id, idx, data, maxChunkRetries)
 		stats.ChunksSent += 1 + retries
 		stats.ChunksRetried += retries
 		stats.BytesSent += int64(len(data)) * int64(1+retries)

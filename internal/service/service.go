@@ -408,9 +408,6 @@ func (s *Server) Stop() {
 	})
 }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the HTTP surface:
 //
 //	POST   /v1/jobs                      submit a job, wait for its result

@@ -76,7 +76,7 @@ func TestUploadedGraphMatchesInlineResult(t *testing.T) {
 	// Resume after the disconnect: a fresh driver learns what arrived from
 	// the status answer and sends only the remainder.
 	stats := &client.UploadStats{}
-	ref, err := cl.UploadResume(ctx, id, enc, client.UploadOptions{}, stats)
+	ref, err := cl.UploadResume(ctx, id, enc, stats)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
