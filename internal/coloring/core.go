@@ -19,7 +19,8 @@ import (
 // loses a conflict). The kernels on top of it own only what tells them
 // apart: Parallel the order / FIAC-FIAB shipping and ghost-edge
 // detection, ParallelDistance2 the two-hop marking, middle-vertex detection
-// and RECOLOR notices, JonesPlassmann its wins rule and round loop.
+// and RECOLOR exchange, JonesPlassmann its wins rule (its rounds are the
+// core's, one superstep each).
 
 const (
 	// colorTag is the color-notice tag, shared by every communication
@@ -27,7 +28,7 @@ const (
 	// range of the tag-space contract (docs/PROTOCOL.md), metered as the
 	// "color" family.
 	colorTag = mpi.TagColorBase
-	// recolorTag carries distance-2 RECOLOR notices: the addressed vertex
+	// recolorTag is distance-2's RECOLOR exchange: the addressed vertex
 	// lost a distance-2 conflict against the carried color.
 	recolorTag = mpi.TagColorBase + 10
 	// noticeMax bounds the one record layout both tags use:
@@ -93,11 +94,9 @@ type colorState struct {
 	picker        *firstFit
 
 	out *mpi.Bundler
-
-	// onRecolor, when set, is handed every record of a RECOLOR bundle — the
-	// owned vertex addressed and the color it lost to (distance-2 only). Any
-	// other foreign tag is a protocol violation.
-	onRecolor func(v, color int32)
+	// peers are the ranks a round's fence exchanges with: the neighbor
+	// ranks, or under FIAC / FIAB every other rank.
+	peers []int
 
 	rounds    int
 	conflicts int64
@@ -120,6 +119,7 @@ func newColorState(c *mpi.Comm, d *dgraph.DistGraph) (*colorState, error) {
 	}
 	s.colors = s.color[:d.NLocal:d.NLocal]
 	s.out = mpi.NewBundler(c, colorTag, noticeMax, 0)
+	s.peers = d.NeighborRanks
 	return s, nil
 }
 
@@ -150,84 +150,80 @@ func (s *colorState) ascending() []int32 {
 }
 
 // markAdjacent marks the colors visible on v's neighbors, owned and ghost,
-// under the picker's current stamp, and reports v's degree.
-func (s *colorState) markAdjacent(v int32) int {
-	f, color, adj := s.picker, s.color, s.d.Neighbors(v)
-	for _, u := range adj {
+// under the picker's current stamp.
+func (s *colorState) markAdjacent(v int32) {
+	f, color := s.picker, s.color
+	for _, u := range s.d.Neighbors(v) {
 		f.use(color[u])
 	}
-	return len(adj)
-}
-
-// colorFirstFit gives v the smallest color no neighbor of v is known to hold,
-// and reports v's degree.
-func (s *colorState) colorFirstFit(v int32) int {
-	s.picker.stamp++
-	deg := s.markAdjacent(v)
-	s.colors[v] = s.picker.firstFree()
-	return deg
 }
 
 // announce ships the colors of boundary vertices to the ranks owning their
 // neighbors — the paper's NEW scheme, one bundle per neighbor rank. Interior
-// vertices are shown to nobody and never generate traffic.
-func (s *colorState) announce(boundary []int32) {
+// vertices are shown to nobody and never generate traffic. At the round's
+// fence the bundles are the exchange's payloads, and what the peers sent is
+// returned.
+func (s *colorState) announce(boundary []int32, fence bool) [][]byte {
 	var rec [noticeMax]byte
 	for _, v := range boundary {
 		for _, at := range s.d.ShownTo(v) {
 			s.out.Add(int(at.Rank), appendNotice(rec[:0], at.Index, s.colors[v]))
 		}
 	}
+	if fence {
+		return s.out.Exchange(s.peers)
+	}
 	s.out.Flush()
+	return nil
 }
 
-// drain consumes pending notices without blocking; completeness at a round
-// boundary comes from the barrier that precedes the drain there. A notice's
-// index is read against the pair table kept with the sender: a color notice
-// names one of the sender's vertices that are ghosts here — or, one past the
-// last of them, a vertex that is not (FIAB tells every rank about every
-// boundary vertex); a RECOLOR names one of the vertices shown to the sender.
-// Anything else is a protocol violation.
-func (s *colorState) drain() {
+// drain consumes the notices that have arrived, without blocking, then the
+// fence payloads in, one per peer (none between supersteps). After a fence
+// every notice of the round is in: a peer sends its fence payload after all
+// its other bundles.
+func (s *colorState) drain(in [][]byte) {
 	for {
 		m, ok := s.c.TryRecv()
 		if !ok {
-			return
+			break
 		}
-		recolor := m.Tag == recolorTag && s.onRecolor != nil
-		if !recolor && m.Tag != colorTag {
+		if m.Tag != colorTag {
 			panic(fmt.Sprintf("coloring: unexpected tag %d", m.Tag))
 		}
-		// The sender's vertices that are ghosts here are one run of local
-		// indices; the vertices shown to it are its pair's Shown list.
-		lo, hi := s.d.GhostsOf(m.From)
-		count, shown := uint64(hi-lo), []int32(nil)
-		if recolor {
-			shown = s.d.PairWith(m.From).Shown
-			count = uint64(len(shown))
-		}
-		var notices int64
-		for data := m.Data; len(data) > 0; notices++ {
-			index, color, n := readNotice(data)
-			elsewhere := !recolor && index == count
-			if n == 0 || (index >= count && !elsewhere) {
-				panic(fmt.Sprintf("coloring: rank %d: notice %d of a %d-byte bundle with tag %d from rank %d is cut short or names none of the %d vertices it could",
-					s.d.Rank, notices, len(m.Data), m.Tag, m.From, count))
-			}
-			data = data[n:]
-			switch {
-			case elsewhere:
-			case recolor:
-				s.onRecolor(shown[index], color)
-			default:
-				s.color[lo+int32(index)] = color
-			}
-		}
-		if !recolor {
-			s.c.ChargeOps(notices, 0)
-		}
-		s.out.Recycle(m.Data) // fully consumed; reuse for outbound bundles
+		s.takeColors(m.From, m.Data)
 	}
+	for i, data := range in {
+		s.takeColors(s.peers[i], data)
+	}
+}
+
+// takeColors applies one bundle of color notices from rank from. A notice's
+// index is an offset into the sender's run of ghosts here — or, one past the
+// last of them, names a vertex that is no ghost here (FIAB tells every rank
+// about every boundary vertex). Anything else is a protocol violation.
+func (s *colorState) takeColors(from int, data []byte) {
+	lo, hi := s.d.GhostsOf(from)
+	count := uint64(hi - lo)
+	var notices int64
+	for rest := data; len(rest) > 0; notices++ {
+		index, color, n := readNotice(rest)
+		if n == 0 || index > count {
+			s.violation(notices, data, colorTag, from, count)
+		}
+		rest = rest[n:]
+		if index < count {
+			s.color[lo+int32(index)] = color
+		}
+	}
+	s.c.ChargeOps(notices, 0)
+	s.out.Recycle(data) // fully consumed; reuse for outbound bundles
+}
+
+// violation is the protocol panic of a notice walk: notice k of a bundle is
+// cut short or names none of the count vertices it could.
+func (s *colorState) violation(k int64, data []byte, tag, from int, count uint64) {
+	panic(fmt.Sprintf("coloring: rank %d: notice %d of a %d-byte bundle with tag %d from rank %d is cut short or names none of the %d vertices it could",
+		s.d.Rank, k, len(data), tag, from, count))
 }
 
 // The round limits abort a run that fails to converge, a safety net: the
@@ -262,14 +258,17 @@ func (s *colorState) endRound(tok uint64, remaining int) bool {
 // order from first on, wrapping round to 0 — the boundary group first from
 // 0, the interior one from NumBoundary — with no list. A round colors its
 // work tentatively, step vertices per superstep — pick, ship the chunk's
-// boundary vertices, drain what has arrived — then fences with a barrier so
-// that every notice of the round is in, and asks detect for the vertices that
-// must re-color; they are the next round's u. A nil pick is first fit, called
-// directly. detect gets u, whose storage it may reuse (nil after a round 1
-// without a list), and the round's boundary vertices in color order, kept
-// apart. A canceled world stops it at the next superstep with mpi.ErrCanceled.
+// boundary vertices, drain what has arrived. The last superstep (the only
+// one, empty, when the rank has no work) ships its chunk as the round's fence
+// exchange with the peers, after which every notice of the round is in; then
+// detect names the vertices that must re-color, the next round's u. A nil
+// pick is first fit, called directly; a pick may also return -1, leaving v
+// uncolored and unshipped. detect gets u, whose storage it may reuse (nil
+// after a round 1 without a list), and the round's boundary vertices in color
+// order, kept apart. A canceled world stops it at the next superstep with
+// mpi.ErrCanceled.
 func (s *colorState) speculate(kernel string, u []int32, first, step, maxRounds int,
-	pick func(v int32) int32, ship func(boundary []int32), detect func(u, boundary []int32) []int32) error {
+	pick func(v int32) int32, ship func(boundary []int32, fence bool) [][]byte, detect func(u, boundary []int32) []int32) error {
 	nLocal, nb := s.d.NLocal, int32(s.d.NumBoundary)
 	boundary := make([]int32, 0, nb)
 	for {
@@ -282,11 +281,12 @@ func (s *colorState) speculate(kernel string, u []int32, first, step, maxRounds 
 		if first >= 0 {
 			n = nLocal
 		}
-		for lo := 0; lo < n; lo += step {
+		for lo, fence := 0, false; !fence; lo += step {
 			if err := s.c.Err(); err != nil {
 				return err
 			}
 			hi, from := min(lo+step, n), len(boundary)
+			fence = hi == n
 			stepTok := s.tr.BeginDetail("color.superstep")
 			var arcs int64
 			for i := lo; i < hi; i++ {
@@ -296,26 +296,23 @@ func (s *colorState) speculate(kernel string, u []int32, first, step, maxRounds 
 				} else if int(v) >= nLocal {
 					v -= int32(nLocal)
 				}
-				if pick == nil {
-					arcs += int64(s.colorFirstFit(v))
+				if pick == nil { // first fit over the colors v's neighbors are known to hold
+					adj := s.d.Neighbors(v)
+					s.colors[v], arcs = s.picker.pick(s.color, adj), arcs+int64(len(adj))
 				} else {
 					s.colors[v], arcs = pick(v), arcs+int64(s.d.Degree(v))
 				}
-				if v < nb {
+				if v < nb && s.colors[v] >= 0 {
 					boundary = append(boundary, v)
 				}
 			}
 			s.c.ChargeOps(arcs, int64(hi-lo))
-			ship(boundary[from:])
-			s.drain()
+			s.drain(ship(boundary[from:], fence))
 			s.tr.EndN(stepTok, int64(hi-lo))
 		}
-		s.c.Barrier()
-		s.drain()
 
 		detectTok := s.tr.BeginDetail("color.detect")
 		u, first = detect(u, boundary), -1
-		s.conflicts += int64(len(u))
 		s.tr.EndN(detectTok, int64(len(u)))
 		if s.endRound(roundTok, len(u)) {
 			return nil

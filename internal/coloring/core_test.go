@@ -30,8 +30,8 @@ var distributedKernels = []goldenKernel{
 // TestKernelsRecordRoundSpans checks the observability the shared round
 // bookkeeping gives every kernel: with an observer attached, each rank
 // records exactly Rounds top-level color.round spans, numbered 1..Rounds,
-// and the kernels that speculate nest color.superstep / color.detect detail
-// spans under the same names distance-1 always had.
+// and nests color.superstep / color.detect detail spans under the same names
+// distance-1 always had.
 func TestKernelsRecordRoundSpans(t *testing.T) {
 	g, err := gen.ErdosRenyi(150, 600, false, 3)
 	if err != nil {
@@ -83,8 +83,8 @@ func TestKernelsRecordRoundSpans(t *testing.T) {
 				t.Errorf("%s rank %d: %d color.round spans for %d rounds", k.name, r, roundSpans, rounds[r])
 			}
 			// One color.detect per round, and at least one superstep in the
-			// first, for the kernels that speculate.
-			if wantDetail := k.name != "jp"; wantDetail != (detail > rounds[r]) {
+			// first: Jones–Plassmann runs its rounds on the same core.
+			if detail <= rounds[r] {
 				t.Errorf("%s rank %d: %d detail spans over %d rounds", k.name, r, detail, rounds[r])
 			}
 		}
@@ -94,9 +94,10 @@ func TestKernelsRecordRoundSpans(t *testing.T) {
 // TestForeignTagPanics checks the one drain refuses traffic that is not the
 // running kernel's: any tag outside the protocol on every kernel (Jones–
 // Plassmann used to apply such a message as color records), and a RECOLOR
-// bundle on the kernels that do not speak RECOLOR. One rank suffices — the
-// message is already in the mailbox when the kernel first drains — and keeps
-// the panic from wedging a peer in a barrier.
+// bundle sent as a plain message, distance-2 included: RECOLOR notices travel
+// only in its exchange. One rank suffices — the message is already in the
+// mailbox when the kernel first drains — and keeps the panic from wedging a
+// peer in a fence.
 func TestForeignTagPanics(t *testing.T) {
 	g, err := gen.Grid2D(4, 4, false, 0)
 	if err != nil {
@@ -112,9 +113,6 @@ func TestForeignTagPanics(t *testing.T) {
 	}
 	for _, k := range distributedKernels {
 		for _, tag := range []int{7, recolorTag} {
-			if k.name == "d2" && tag == recolorTag {
-				continue
-			}
 			err := mpi.Run(1, func(c *mpi.Comm) error {
 				c.Send(0, tag, make([]byte, noticeMax))
 				_, err := k.run(c, shares[0])

@@ -23,17 +23,14 @@ import (
 //   - in the conflict phase each rank scans, for every owned middle vertex,
 //     the pairs of equal-colored neighbors; the loser (smaller r) is
 //     re-colored — locally if owned, by a RECOLOR notice to its owner if
-//     not;
+//     not, all of a round's notices in one exchange with the neighbor ranks;
 //   - rounds repeat until a global Allreduce finds no re-color work.
 type d2Kernel struct {
 	*colorState
-	opt     ParallelOptions
-	notices *mpi.Bundler // outbound RECOLOR notices
-	// pending buffers RECOLOR notices until the conflict phase reads them —
-	// they can arrive early: a fast peer can pass the post-coloring barrier
-	// and start sending detection notices while this rank is still draining
-	// color updates. Each notice carries the winner's color.
-	pending []noticeRec
+	opt ParallelOptions
+	// recolors holds, per neighbor rank, the round's outbound RECOLOR
+	// notices; each carries the winner's color.
+	recolors [][]byte
 	// forbidden accumulates, per owned vertex, colors of remote two-hop
 	// conflictors learned from notices. A loser cannot see the winner's
 	// color through its one-layer ghosts (the conflict's middle vertex lives
@@ -64,12 +61,6 @@ func (l *colorLists) add(v, c int32) {
 	l.head[v] = int32(len(l.color))
 }
 
-// noticeRec is one received RECOLOR notice: the losing owned vertex and the
-// color it must avoid.
-type noticeRec struct {
-	v, color int32
-}
-
 // ParallelDistance2 runs the speculative distance-2 coloring on this rank's
 // share. Options are interpreted as for Parallel (CommMode is ignored: the
 // distance-2 scheme always uses neighbor-customized messages, the paper's
@@ -94,11 +85,10 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 	k := &d2Kernel{
 		colorState: s,
 		opt:        opt,
-		notices:    mpi.NewBundler(c, recolorTag, noticeMax, 0),
+		recolors:   make([][]byte, len(d.NeighborRanks)),
 		forbidden:  colorLists{head: make([]int32, d.NLocal)},
 		queued:     make([]int32, d.NLocal),
 	}
-	s.onRecolor = func(v, color int32) { k.pending = append(k.pending, noticeRec{v, color}) }
 	// Boundary colors ship to every neighbor rank: they may be
 	// two-hop-relevant there.
 	if err := s.speculate("distance-2", s.ascending(), -1, opt.SuperstepSize, maxRoundsD2, k.pickColor, s.announce, k.detect); err != nil {
@@ -134,9 +124,8 @@ func (k *d2Kernel) detect(u, _ []int32) []int32 {
 			recolor(loser)
 			return
 		}
-		var rec [noticeMax]byte
 		i := d.NeighborOf(loser)
-		k.notices.Add(d.NeighborRanks[i], appendNotice(rec[:0], loser-d.GhostBase[i], col))
+		k.recolors[i] = appendNotice(k.recolors[i], loser-d.GhostBase[i], col)
 	}
 	var arcs int64
 	color := k.color
@@ -167,15 +156,14 @@ func (k *d2Kernel) detect(u, _ []int32) []int32 {
 		}
 	}
 	k.c.ChargeOps(arcs, 0)
-	k.notices.Flush()
-	k.c.Barrier()
-	// Collect remote recolor notices (buffered early arrivals included).
-	k.drain()
-	for _, nr := range k.pending {
-		recolor(nr.v)
-		k.forbidden.add(nr.v, nr.color)
+	// A consumed payload is the next round's buffer for that neighbor.
+	for i, data := range k.c.NeighborExchange(recolorTag, d.NeighborRanks, k.recolors) {
+		k.takeRecolors(d.NeighborRanks[i], data, func(v, color int32) {
+			recolor(v)
+			k.forbidden.add(v, color)
+		})
+		k.recolors[i] = data[:0]
 	}
-	k.pending = k.pending[:0]
 	for _, v := range u {
 		k.colors[v] = -1 // do not let stale colors mask new conflicts
 	}
@@ -186,7 +174,23 @@ func (k *d2Kernel) detect(u, _ []int32) []int32 {
 	// peers comparing against the stale value may raise a spurious extra
 	// notice, which is harmless.
 	slices.SortFunc(u, func(a, b int32) int { return cmp.Compare(d.GlobalID[a], d.GlobalID[b]) })
+	k.conflicts += int64(len(u))
 	return u
+}
+
+// takeRecolors walks the RECOLOR notices rank from sent, handing lost each
+// vertex it names — one shown to that rank, by its index in their pair table —
+// and the color it lost to. Any other index is a protocol violation.
+func (k *d2Kernel) takeRecolors(from int, data []byte, lost func(v, color int32)) {
+	shown := k.d.PairWith(from).Shown
+	for rest, notices := data, int64(0); len(rest) > 0; notices++ {
+		index, color, n := readNotice(rest)
+		if n == 0 || index >= uint64(len(shown)) {
+			k.violation(notices, data, recolorTag, from, uint64(len(shown)))
+		}
+		rest = rest[n:]
+		lost(shown[index], color)
+	}
 }
 
 // pickColor selects the smallest color not used in v's known distance-2

@@ -1,6 +1,8 @@
 package coloring
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,12 +13,14 @@ import (
 	"repro/internal/partition"
 )
 
-// FuzzNoticeWalk has a rank send arbitrary bytes as a color or a RECOLOR
-// bundle to rank 0 of a 6 × 6 grid cut into three strips — rank 1 its one
-// neighbor, rank 2 none — and rank 0 drain it. The drain ends cleanly, having
-// touched only ghosts of the sender (or, for a RECOLOR, vertices shown to
-// it), or in the protocol panic; never in an index out of range, never in a
-// color on an owned vertex, and never without consuming the bundle.
+// FuzzNoticeWalk hands rank 0 of a 6 × 6 grid cut into three strips — rank 1
+// its one neighbor, rank 2 none — arbitrary bytes from one of them: as a color
+// bundle, which rank 0 drains after the round's fence exchange, or as that
+// rank's RECOLOR exchange payload, which rank 0's distance-2 kernel walks. The
+// walk ends cleanly, having touched only ghosts of the sender (or, for a
+// RECOLOR, vertices shown to it), or in the protocol panic; never in an index
+// out of range, never in a color on an owned vertex, and never without
+// consuming the bundle.
 func FuzzNoticeWalk(f *testing.F) {
 	g, err := gen.Grid2D(6, 6, false, 0)
 	if err != nil {
@@ -46,7 +50,7 @@ func FuzzNoticeWalk(f *testing.F) {
 	f.Add(false, false, notices(table+1, 2))     // past even that
 	f.Add(true, false, notices(0, 5))            // a non-neighbor may only say "not adjacent"
 	f.Add(true, false, notices(1, 5))
-	f.Add(false, true, notices(table-1, 4))
+	f.Add(false, true, notices(table-1, 4, 0, 2, table-1, 6))
 	f.Add(false, true, notices(table, 4)) // a RECOLOR has no "elsewhere"
 	f.Add(true, true, notices(0, 4))
 	f.Add(false, false, []byte{0x00})                               // index without a color
@@ -55,41 +59,38 @@ func FuzzNoticeWalk(f *testing.F) {
 	f.Add(false, false, []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x7f}) // color beyond 32 bits
 	f.Add(false, false, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00})
 	f.Fuzz(func(t *testing.T, stranger, recolor bool, bundle []byte) {
-		sender, tag := 1, colorTag
+		sender := 1
 		if stranger {
 			sender = 2
 		}
 		if recolor {
-			tag = recolorTag
+			walkRecolors(t, d, sender, bundle)
+			return
 		}
 		err := mpi.Run(3, func(c *mpi.Comm) error {
 			s, err := newColorState(c, shares[c.Rank()])
 			if err != nil {
 				return err
 			}
-			if c.Rank() == sender {
-				c.Send(0, tag, append([]byte(nil), bundle...))
-			}
-			c.Barrier()
 			if c.Rank() != 0 {
+				if c.Rank() == sender {
+					c.Send(0, colorTag, append([]byte(nil), bundle...))
+				}
+				c.NeighborExchange(colorTag, []int{0}, [][]byte{nil})
 				return nil
 			}
-			s.onRecolor = func(v, color int32) {
-				if v < 0 || int(v) >= d.NumBoundary || sender != 1 {
-					t.Errorf("RECOLOR from rank %d handed the kernel vertex %d", sender, v)
-				}
-			}
-			s.drain()
+			s.peers = []int{1, 2}
+			s.drain(c.NeighborExchange(colorTag, s.peers, [][]byte{nil, nil}))
 			// One array holds owned and ghost colors: a bad table entry would
 			// color an owned slot here rather than fail an index check.
 			for v, col := range s.color[:d.NLocal] {
 				if col != -1 {
-					t.Errorf("bundle with tag %d from rank %d colored owned vertex %d", tag, sender, v)
+					t.Errorf("bundle from rank %d colored owned vertex %d", sender, v)
 				}
 			}
 			for l := int32(d.NLocal); int(l) < len(s.color); l++ {
-				if col := s.color[l]; col != -1 && (recolor || sender != d.OwnerOf(l)) {
-					t.Errorf("bundle with tag %d from rank %d colored ghost %d of rank %d", tag, sender, l, d.OwnerOf(l))
+				if col := s.color[l]; col != -1 && sender != d.OwnerOf(l) {
+					t.Errorf("bundle from rank %d colored ghost %d of rank %d", sender, l, d.OwnerOf(l))
 				}
 			}
 			if _, pending := c.TryRecv(); pending {
@@ -98,7 +99,25 @@ func FuzzNoticeWalk(f *testing.F) {
 			return nil
 		}, mpi.WithDeadline(10*time.Second))
 		if err != nil && !strings.Contains(err.Error(), "coloring: rank 0: notice ") {
-			t.Fatalf("bundle %x with tag %d from rank %d: %v", bundle, tag, sender, err)
+			t.Fatalf("bundle %x from rank %d: %v", bundle, sender, err)
+		}
+	})
+}
+
+// walkRecolors has rank 0's distance-2 kernel walk a RECOLOR payload from
+// sender and checks that it named vertices shown to the sender only, or
+// stopped in the protocol panic.
+func walkRecolors(t *testing.T, d *dgraph.DistGraph, sender int, payload []byte) {
+	defer func() {
+		if p := recover(); p != nil && !strings.HasPrefix(fmt.Sprint(p), "coloring: rank 0: notice ") {
+			t.Fatalf("RECOLOR payload %x from rank %d: %v", payload, sender, p)
+		}
+	}()
+	shown := d.PairWith(sender).Shown
+	k := &d2Kernel{colorState: &colorState{d: d}}
+	k.takeRecolors(sender, payload, func(v, _ int32) {
+		if !slices.Contains(shown, v) {
+			t.Errorf("RECOLOR from rank %d named vertex %d, not shown to it", sender, v)
 		}
 	})
 }

@@ -50,7 +50,7 @@ func AppendColors(dst []byte, c Colors) []byte {
 // allocate for vertices it does not color.
 func ReadColors(r io.Reader) (Colors, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows with the longest line, up to 1 MiB
 	var (
 		c        Colors
 		declared = -1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -68,5 +69,23 @@ func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 func TestWriteColorsReportsWriteError(t *testing.T) {
 	if err := WriteColors(failWriter{}, Colors{0, 1}); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("WriteColors on a failing writer returned %v", err)
+	}
+}
+
+// TestReadColorsAllocatesForItsInput pins the scanner's buffer to the input:
+// ten reads of a 16-byte coloring allocate well under the 1 MiB line limit
+// (an eager 1 MiB buffer made it 10 MiB).
+func TestReadColorsAllocatesForItsInput(t *testing.T) {
+	const in = "coloring 3\n0\n1\n2\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		if _, err := ReadColors(strings.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
+		t.Errorf("ten reads of a %d-byte coloring allocated %d bytes", len(in), alloc)
 	}
 }

@@ -1,6 +1,8 @@
 package coloring
 
 import (
+	"slices"
+
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
 )
@@ -12,7 +14,8 @@ import (
 // with the smallest permissible color, then announces the color to the ranks
 // owning its neighbors. Unlike the speculative framework it never produces
 // conflicts, but it needs more rounds — one per "layer" of the random
-// priority order rather than one per surviving conflict generation.
+// priority order rather than one per surviving conflict generation. On the
+// core, a round is one superstep, its winners riding the round's fence.
 func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64) (*ParallelResult, error) {
 	s, err := newColorState(c, d)
 	if err != nil {
@@ -20,45 +23,23 @@ func JonesPlassmann(c *mpi.Comm, d *dgraph.DistGraph, seed uint64) (*ParallelRes
 	}
 	s.picker = newFirstFit(d.GlobalMaxDegree + 1)
 
-	// wins: no uncolored neighbor of v outranks it in the random priority
-	// order (global-id tie-breaking folded in).
-	wins := func(v int32) bool {
+	// v wins when no uncolored neighbor outranks it in the random priority
+	// order (global-id tie-breaking folded in), and then takes first fit. A
+	// vertex colored earlier in the sweep no longer blocks its neighbors, so
+	// local chains of the priority order resolve in one round.
+	pick := func(v int32) int32 {
 		for _, u := range d.Neighbors(v) {
 			if s.color[u] < 0 && loses(ConflictRandom, seed, d.GlobalOf(v), d.GlobalOf(u)) {
-				return false
+				return -1
 			}
 		}
-		return true
+		return s.picker.pick(s.color, d.Neighbors(v))
 	}
-
-	uncolored := s.ascending()
-	var winners []int32
-	for {
-		roundTok, err := s.beginRound("jones-plassmann", maxRoundsJP)
-		if err != nil {
-			return nil, err
-		}
-		// A vertex colored earlier in the sweep no longer blocks its
-		// neighbors, so local chains of the priority order resolve in one
-		// round.
-		winners = winners[:0]
-		waiting := uncolored[:0]
-		for _, v := range uncolored {
-			if wins(v) {
-				s.colorFirstFit(v)
-				if int(v) < d.NumBoundary { // only the boundary is shown to anyone
-					winners = append(winners, v)
-				}
-			} else {
-				waiting = append(waiting, v)
-			}
-		}
-		uncolored = waiting
-		s.announce(winners)
-		s.c.Barrier()
-		s.drain()
-		if s.endRound(roundTok, len(uncolored)) {
-			return s.result(), nil
-		}
+	uncolored := func(u, _ []int32) []int32 {
+		return slices.DeleteFunc(u, func(v int32) bool { return s.colors[v] >= 0 })
 	}
+	if err := s.speculate("jones-plassmann", s.ascending(), -1, max(1, d.NLocal), maxRoundsJP, pick, s.announce, uncolored); err != nil {
+		return nil, err
+	}
+	return s.result(), nil
 }

@@ -143,7 +143,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	}
 	// Global Δ bounds every first-fit color.
 	s.picker = newFirstFit(d.GlobalMaxDegree + 1)
-	k := &d1Kernel{colorState: s, opt: opt, bufs: make([][]byte, d.P)}
+	k := &d1Kernel{colorState: s, opt: opt}
 	if opt.CommMode == CommBroadcast {
 		k.elsewhere = make([]int32, d.P)
 		for rk := range k.elsewhere {
@@ -164,6 +164,13 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 	// are this kernel's.
 	ship := s.announce
 	if opt.CommMode != CommNeighbors {
+		s.peers = make([]int, 0, d.P-1)
+		for rk := range d.P {
+			if rk != d.Rank {
+				s.peers = append(s.peers, rk)
+			}
+		}
+		k.bufs = make([][]byte, d.P-1)
 		ship = k.shipToAll
 	}
 	if err := s.speculate("distance-1", u, first, opt.SuperstepSize, maxRoundsD1, nil, ship, k.detect); err != nil {
@@ -178,7 +185,7 @@ type d1Kernel struct {
 	*colorState
 	opt       ParallelOptions
 	elsewhere []int32  // FIAB, per rank: the index one past its table of this rank's shown vertices
-	bufs      [][]byte // FIAB / FIAC, per rank: the message being built
+	bufs      [][]byte // FIAB / FIAC, per peer: the message being built
 	index     []int32  // FIAB, per rank: the vertex at hand's index there; elsewhere between vertices
 }
 
@@ -188,44 +195,47 @@ type d1Kernel struct {
 // boundary vertex — under the index one past the rank's table ("not adjacent
 // to you") where the vertex is no ghost — in a consumed inbound bundle that
 // out spares, or else a piece of one block with room for a notice per vertex.
-func (k *d1Kernel) shipToAll(boundary []int32) {
+// At the round's fence the messages are the exchange's payloads.
+func (k *d1Kernel) shipToAll(boundary []int32, fence bool) [][]byte {
 	d, bufs, index := k.d, k.bufs, k.index
 	need, block := len(boundary)*noticeMax, []byte(nil)
-	for rk := range bufs {
-		if rk != d.Rank {
-			if bufs[rk] = k.out.Spare(); bufs[rk] == nil {
-				if len(block) < need {
-					block = make([]byte, (d.P-1)*need)
-				}
-				bufs[rk], block = block[:0:need], block[need:]
+	for i := range bufs {
+		if bufs[i] = k.out.Spare(); bufs[i] == nil {
+			if len(block) < need {
+				block = make([]byte, len(bufs)*need)
 			}
+			bufs[i], block = block[:0:need], block[need:]
 		}
 	}
 	for _, v := range boundary {
 		shown := d.ShownTo(v)
 		if index == nil { // FIAC
 			for _, at := range shown {
-				bufs[at.Rank] = appendNotice(bufs[at.Rank], at.Index, k.colors[v])
+				i := int(at.Rank)
+				if i > d.Rank { // bufs skips this rank
+					i--
+				}
+				bufs[i] = appendNotice(bufs[i], at.Index, k.colors[v])
 			}
 			continue
 		}
 		for _, at := range shown {
 			index[at.Rank] = at.Index
 		}
-		for rk := range bufs {
-			if rk != d.Rank {
-				bufs[rk] = appendNotice(bufs[rk], index[rk], k.colors[v])
-			}
+		for i, rk := range k.peers {
+			bufs[i] = appendNotice(bufs[i], index[rk], k.colors[v])
 		}
 		for _, at := range shown {
 			index[at.Rank] = k.elsewhere[at.Rank]
 		}
 	}
-	for rk := 0; rk < d.P; rk++ {
-		if rk != d.Rank {
-			k.c.Send(rk, colorTag, bufs[rk])
-		}
+	if fence {
+		return k.c.NeighborExchange(colorTag, k.peers, bufs)
 	}
+	for i, rk := range k.peers {
+		k.c.Send(rk, colorTag, bufs[i])
+	}
+	return nil
 }
 
 // detect is the communication-free conflict detection: it returns, in u's
@@ -251,5 +261,6 @@ func (k *d1Kernel) detect(u, boundary []int32) []int32 {
 		}
 	}
 	k.c.ChargeOps(arcs, 0)
+	k.conflicts += int64(len(recolor))
 	return recolor
 }

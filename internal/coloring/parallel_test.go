@@ -163,6 +163,85 @@ func TestParallelCommModeTrafficOrdering(t *testing.T) {
 	}
 }
 
+// TestFenceMessageCount pins what a round costs in messages at s ≥ n, where
+// a round is one superstep whose bundles ride the fence: each rank sends and
+// receives exactly one color message per peer per round — its neighbor ranks
+// under NEW, distance-2 and Jones–Plassmann, every other rank under FIAC and
+// FIAB — and distance-2 one RECOLOR message per neighbor rank per round on
+// top, however many of those are empty. No bundle here nears the cap.
+func TestFenceMessageCount(t *testing.T) {
+	g, err := gen.ErdosRenyi(300, 1200, false, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.Random(g, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := dgraph.Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := func(mode CommMode) ParallelOptions {
+		return ParallelOptions{Seed: 9, SuperstepSize: g.NumVertices() + 1, CommMode: mode}
+	}
+	for _, k := range []struct {
+		name string
+		// exchanges per round, and whether the peers are every other rank
+		fences, all bool
+		run         func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error)
+	}{
+		{"neighbors", false, false, func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
+			return Parallel(c, d, opt(CommNeighbors))
+		}},
+		{"customized-all", false, true, func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
+			return Parallel(c, d, opt(CommCustomizedAll))
+		}},
+		{"broadcast", false, true, func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
+			return Parallel(c, d, opt(CommBroadcast))
+		}},
+		{"distance2", true, false, func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
+			return ParallelDistance2(c, d, opt(CommNeighbors))
+		}},
+		{"jp", false, false, func(c *mpi.Comm, d *dgraph.DistGraph) (*ParallelResult, error) {
+			return JonesPlassmann(c, d, 9)
+		}},
+	} {
+		w, err := mpi.NewWorld(part.P, mpi.WithDeadline(30*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := make([]int, part.P)
+		err = w.Run(func(c *mpi.Comm) error {
+			res, err := k.run(c, shares[c.Rank()])
+			if err == nil {
+				rounds[c.Rank()] = res.Rounds
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if rounds[0] < 2 {
+			t.Errorf("%s: %d round(s); the count is only telling over several", k.name, rounds[0])
+		}
+		for r, d := range shares {
+			peers := len(d.NeighborRanks)
+			if k.all {
+				peers = part.P - 1
+			}
+			want := int64(rounds[r] * peers)
+			if k.fences {
+				want += int64(rounds[r] * len(d.NeighborRanks))
+			}
+			if got := w.RankStats(r).ByFamily[mpi.FamilyColor]; got.SentMsgs != want || got.RecvMsgs != want {
+				t.Errorf("%s rank %d: sent %d and received %d color-family messages over %d rounds, want %d each",
+					k.name, r, got.SentMsgs, got.RecvMsgs, rounds[r], want)
+			}
+		}
+	}
+}
+
 func TestParallelAllOrders(t *testing.T) {
 	g, err := gen.Circuit(25, 25, 0.45, false, 4)
 	if err != nil {
@@ -571,7 +650,7 @@ func TestInitialOrder(t *testing.T) {
 					pick := func(v int32) int32 { got = append(got, d.GlobalOf(v)); return 0 }
 					s.rounds, s.colors = 0, make([]int32, d.NLocal)
 					done := func(u, _ []int32) []int32 { return nil }
-					if err := s.speculate("order", u, first, 1+d.NLocal/3, 1, pick, func([]int32) {}, done); err != nil {
+					if err := s.speculate("order", u, first, 1+d.NLocal/3, 1, pick, func([]int32, bool) [][]byte { return nil }, done); err != nil {
 						return err
 					}
 					if want := globalOrder(tc.g, tc.part, d.Rank, o); !slices.Equal(got, want) {

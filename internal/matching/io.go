@@ -48,7 +48,7 @@ func AppendMates(dst []byte, m Mates) []byte {
 // graph does not have.
 func ReadMates(r io.Reader, n int) (Mates, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows with the longest line, up to 1 MiB
 	var m Mates
 	lineNo := 0
 	for sc.Scan() {

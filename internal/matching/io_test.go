@@ -188,3 +188,20 @@ func TestWriteMatesReportsWriteError(t *testing.T) {
 		t.Fatalf("WriteMates on a failing writer returned %v", err)
 	}
 }
+
+// TestReadMatesAllocatesForItsInput pins the scanner's buffer to the input:
+// ten reads of a small matching allocate well under the 1 MiB line limit.
+func TestReadMatesAllocatesForItsInput(t *testing.T) {
+	const in = "matching 4\n0 1\n2 3\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		if _, err := ReadMates(strings.NewReader(in), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
+		t.Errorf("ten reads of a %d-byte matching allocated %d bytes", len(in), alloc)
+	}
+}

@@ -10,11 +10,12 @@ import (
 // "aggressive message bundling, where messages sent between the same pair of
 // processors are grouped as often as possible" (Section 1). Algorithm-level
 // records destined for the same rank accumulate in a per-destination buffer
-// and ship as one runtime message when the algorithm flushes, or as soon as
-// another record of the maximal size might not fit under MaxBytes. Records
-// may be shorter than that size (the kernels' are varints); how a bundle
-// splits back into records is then the family's codec's business. Bundles of
-// records all of the maximal size split with Records.
+// and ship as one runtime message when the algorithm flushes (or exchanges,
+// see Exchange), or as soon as another record of the maximal size might not
+// fit under MaxBytes. Records may be shorter than that size (the kernels' are
+// varints); how a bundle splits back into records is then the family's
+// codec's business. Bundles of records all of the maximal size split with
+// Records.
 //
 // With bundling disabled (MaxBytes ≤ 1 maximal record), every record travels
 // alone — the configuration the ablation benchmarks compare against.
@@ -163,14 +164,32 @@ func (b *Bundler) Flush() {
 	}
 }
 
+// Exchange ships the buffers in one NeighborExchange with peers, in place of
+// a last Flush: each peer gets its buffer, empty if no record is pending for
+// it, and the payloads the peers sent are returned in peers order. Every
+// pending record must be for a peer.
+func (b *Bundler) Exchange(peers []int) [][]byte {
+	out := make([][]byte, len(peers))
+	for i, to := range peers {
+		out[i], b.bufs[to] = b.bufs[to], nil
+		b.flushed(len(out[i]))
+	}
+	return b.c.NeighborExchange(b.tag, peers, out)
+}
+
 func (b *Bundler) flushOne(to int) {
 	buf := b.bufs[to]
 	b.bufs[to] = nil
 	b.c.Send(to, b.tag, buf)
+	b.flushed(len(buf))
+}
+
+// flushed counts one bundle of n bytes sent.
+func (b *Bundler) flushed(n int) {
 	b.Flushes++
 	b.flushCtr.Inc()
 	b.famFlushCtr.Inc()
-	b.sizeHist.Observe(int64(len(buf)))
+	b.sizeHist.Observe(int64(n))
 }
 
 // Records splits a received bundle of fixed-size records back into them. The

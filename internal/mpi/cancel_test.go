@@ -117,6 +117,51 @@ func TestCancelWakesBlockedRanks(t *testing.T) {
 	})
 }
 
+// TestCancelWakesExchange parks rank 0 in a NeighborExchange whose peer never
+// exchanges — rank 1 waits in Recv, which stashes rank 0's exchange message —
+// inproc and over tcp, and cancels: both must unwind with ErrCanceled.
+func TestCancelWakesExchange(t *testing.T) {
+	park := func(c *Comm, arrive func()) error {
+		arrive()
+		if c.Rank() == 0 {
+			c.NeighborExchange(TagColorBase, []int{1}, [][]byte{{1}})
+		} else {
+			c.Recv()
+		}
+		return fmt.Errorf("rank %d left its wait", c.Rank())
+	}
+	t.Run("inproc", func(t *testing.T) {
+		w, err := NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitCanceled(t, []*World{w}, []<-chan error{parkAll(t, w, park)})
+	})
+	t.Run("tcp", func(t *testing.T) {
+		eps, err := transport.NewLocalTCPCluster(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dones := make([]<-chan error, 2)
+		worlds := make([]*World, 2)
+		for i, ep := range eps {
+			if worlds[i], err = NewWorld(2, WithTransport(ep)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var started sync.WaitGroup
+		for i, w := range worlds {
+			started.Add(1)
+			go func(i int, w *World) {
+				defer started.Done()
+				dones[i] = parkAll(t, w, park)
+			}(i, w)
+		}
+		started.Wait()
+		awaitCanceled(t, worlds, dones)
+	})
+}
+
 // TestCancelBeforeRun pins that the signal holds until Reset: a Run on a
 // canceled world runs no rank and returns ErrCanceled.
 func TestCancelBeforeRun(t *testing.T) {

@@ -1,9 +1,11 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -78,6 +80,7 @@ func (p probe) recv() {
 
 // drainAll takes everything TryRecv offers and records it as a sorted set:
 // cross-sender order is the one thing backends and seeds may disagree on.
+// TryRecv must never offer a reserved tag.
 func (p probe) drainAll() {
 	var got []string
 	for {
@@ -85,10 +88,31 @@ func (p probe) drainAll() {
 		if !ok {
 			break
 		}
+		if m.Tag < 0 {
+			panic(fmt.Sprintf("rank %d: TryRecv surfaced reserved tag %d", p.c.Rank(), m.Tag))
+		}
 		got = append(got, fmt.Sprintf("%d/%d/%v", m.From, m.Tag, m.Data))
 	}
 	sort.Strings(got)
 	p.step("drained %v", got)
+}
+
+// exchange runs one NeighborExchange on tag with each of peers, sending it
+// bytes that depend on both ends and the round, and records what came back.
+func (p probe) exchange(tag, round int, peers []int) {
+	out := make([][]byte, len(peers))
+	for i, to := range peers {
+		out[i] = bytes.Repeat([]byte{byte(p.c.Rank())}, (p.c.Rank()+to+round)%4)
+	}
+	p.step("exchanged on %d with %v: %v", tag, peers, p.c.NeighborExchange(tag, peers, out))
+}
+
+// ringPeers lists the rank's ring neighbours, each once, itself never.
+func ringPeers(c *Comm) []int {
+	n := c.Size()
+	peers := []int{(c.Rank() + n - 1) % n, (c.Rank() + 1) % n}
+	slices.Sort(peers)
+	return slices.DeleteFunc(slices.Compact(peers), func(r int) bool { return r == c.Rank() })
 }
 
 // Contributions whose reductions are order- and width-sensitive: int64
@@ -195,6 +219,38 @@ var contractTable = []struct {
 			p.drainAll()
 			p.step("left %d", c.AllreduceInt64(int64(round+c.Rank()), OpMax))
 		}
+	}},
+	// The coloring round on the neighbour exchange: a send ahead of the
+	// exchange is in once it returns, TryRecv and DrainTag on the same tag
+	// see no exchange message, and a second exchange on that tag fences the
+	// drain. A peer done with this rank's messages races on into its next
+	// exchange while this rank still collects the current one's from its
+	// other peer, so exchange messages of two rounds share a queue.
+	{"ring exchanges on one tag", equal, func(p probe) {
+		c := p.c
+		peers := ringPeers(c)
+		for round := 0; round < 20; round++ {
+			p.work(round)
+			p.sendNext(TagColorBase, round%3)
+			p.exchange(TagColorBase, round, peers)
+			p.drainAll()
+			p.step("dropped %d", c.DrainTag(TagColorBase))
+			p.exchange(TagColorBase, round+1, peers)
+		}
+	}},
+	{"exchanges with every rank", equal, func(p probe) {
+		var peers []int
+		for r := range p.c.Size() {
+			if r != p.c.Rank() {
+				peers = append(peers, r)
+			}
+		}
+		for round := 0; round < 10; round++ {
+			p.work(round)
+			p.exchange(TagMatchBase+round%2, round, peers)
+			p.exchange(7, round, peers)
+		}
+		p.barrier()
 	}},
 }
 

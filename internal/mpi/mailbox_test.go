@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestMailboxModel drives one mailbox the way a world does — concurrent
@@ -130,7 +131,7 @@ func (m *mailboxModel) phase(rng *rand.Rand) {
 			}
 		}
 		block := rng.Intn(3) > 0
-		msg, ok := m.mb.get(block, from, pick)
+		msg, ok := m.mb.get(block, from, anyUserTag, pick)
 		if !ok {
 			if block {
 				m.t.Fatal("a blocking get came back empty in a world nobody canceled")
@@ -329,7 +330,7 @@ func TestMailboxCycleAllocatesNothing(t *testing.T) {
 	cycle := func() {
 		putN()
 		for range n / 2 {
-			mb.get(false, anySender, 0)
+			mb.get(false, anySender, anyUserTag, 0)
 		}
 		mb.drainAll()
 		putN()
@@ -338,5 +339,17 @@ func TestMailboxCycleAllocatesNothing(t *testing.T) {
 	cycle() // the arrays grow on both sides
 	if got := testing.AllocsPerRun(10, cycle); got != 0 {
 		t.Fatalf("a put / get / drainAll / put cycle allocates %.1f objects, want 0", got)
+	}
+}
+
+// TestMailboxOwnerSideOwnsItsCacheLine pins the mailbox layout the owner's
+// lock-free pops rely on: the owner's side starts at least a cache line past
+// every field a put reads or writes, so no line holds both, and a stream of
+// puts does not pull the lines the owner writes on every pop away from it.
+func TestMailboxOwnerSideOwnsItsCacheLine(t *testing.T) {
+	var mb mailbox
+	senders := unsafe.Offsetof(mb.stop) + unsafe.Sizeof(mb.stop)
+	if off := unsafe.Offsetof(mb.out); off < senders+64 {
+		t.Errorf("the owner's side starts at byte %d, %d past the senders' fields; want at least 64", off, off-senders)
 	}
 }

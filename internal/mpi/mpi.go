@@ -602,6 +602,28 @@ func (c *Comm) Send(to, tag int, data []byte) {
 	c.send(transport.Msg{From: c.rank, To: to, Tag: tag, ArriveV: c.stampSend(len(data)), Payload: data})
 }
 
+// NeighborExchange sends out[i], possibly empty, to peers[i] on tag and
+// returns, in the same order, the one payload each peer sent this rank in its
+// matching exchange: MPI's neighbourhood all-to-all. Every peer must name this
+// rank among its own peers. The messages travel on a reserved wire tag (see
+// exchangeTag), so Recv, TryRecv and DrainTag never see them, and are metered
+// under tag's family like Send's. Since a peer sends everything else before
+// its exchange message, everything it sent this rank earlier has arrived
+// (stashed, or still in the mailbox) once the exchange returns.
+func (c *Comm) NeighborExchange(tag int, peers []int, out [][]byte) [][]byte {
+	wire := exchangeTag(tag)
+	for i, to := range peers {
+		c.world.stats[c.rank].countSent(FamilyOf(tag), int64(len(out[i])))
+		c.send(transport.Msg{From: c.rank, To: to, Tag: wire, ArriveV: c.stampSend(len(out[i])), Payload: out[i]})
+	}
+	in := make([][]byte, len(peers))
+	for i, from := range peers {
+		m, _ := c.take(true, from, wire)
+		in[i] = m.Data
+	}
+	return in
+}
+
 // send ships a message through the transport. A transport error means the
 // job is broken (a peer died mid-run), which no algorithm here can recover
 // from, so it surfaces as a rank panic that Run captures.
@@ -649,13 +671,18 @@ func wanted(m Message, from, tag int) bool {
 func (c *Comm) take(block bool, from, tag int) (Message, bool) {
 	for i, m := range c.stash {
 		if wanted(m, from, tag) {
-			c.stash = slices.Delete(c.stash, i, i+1)
+			if i == 0 { // O(1), so that draining a long stash is linear
+				c.stash[0] = Message{}
+				c.stash = c.stash[1:]
+			} else {
+				c.stash = slices.Delete(c.stash, i, i+1)
+			}
 			c.observeArrival(m.ArriveV)
 			return m, true
 		}
 	}
 	for {
-		m, ok := c.world.boxes[c.rank].get(block, from, c.nextPick())
+		m, ok := c.world.boxes[c.rank].get(block, from, tag, c.nextPick())
 		if !ok {
 			if block {
 				panic(ErrCanceled)
@@ -727,21 +754,25 @@ func (c *Comm) DrainTag(tag int) int {
 // since, comes off there. The count can run over what is queued by at most
 // what the owner's side held at that lock, never under it.
 type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	in      [][]Message  // the senders' side, one queue per sender; under mu
-	pending int          // messages in in; under mu
-	bytes   int64        // what the mailbox holds, as counted above; under mu
-	peak    int64        // the high-water mark of bytes; under mu
-	refused bool         // a put passed limit; the run is failing; under mu
-	limit   int64        // the bound on bytes
-	keep    int64        // drainAll keeps the queue arrays up to this size
-	rank    int          // the owner, for the error
-	full    func(error)  // told of the first refused put, with mu released
-	stop    *atomic.Bool // the world's cancel signal, see World.Cancel
+	mu       sync.Mutex
+	cond     *sync.Cond
+	in       [][]Message  // the senders' side, one queue per sender; under mu
+	pending  int          // messages in in; under mu
+	bytes    int64        // what the mailbox holds, as counted above; under mu
+	peak     int64        // the high-water mark of bytes; under mu
+	refused  bool         // a put passed limit; the run is failing; under mu
+	wantFrom int          // the sender the owner last slept waiting for; under mu
+	wantTag  int          // and the tag: a put wakes it only for such a message
+	limit    int64        // the bound on bytes
+	keep     int64        // drainAll keeps the queue arrays up to this size
+	rank     int          // the owner, for the error
+	full     func(error)  // told of the first refused put, with mu released
+	stop     *atomic.Bool // the world's cancel signal, see World.Cancel
 
 	// The owner's side, touched by the owning rank's goroutine alone (and by
-	// Reset, when no rank runs).
+	// Reset, when no rank runs). The pad keeps it off every cache line a put
+	// touches, wherever the mailbox is allocated.
+	_      [64]byte
 	out    []ownerQueue // one per sender
 	local  int          // messages in out
 	popped int64        // bytes popped since the owner last held mu
@@ -799,8 +830,11 @@ func (mb *mailbox) put(m Message) {
 	if mb.bytes += cost; mb.bytes > mb.peak {
 		mb.peak = mb.bytes
 	}
+	wake := wanted(m, mb.wantFrom, mb.wantTag)
 	mb.mu.Unlock()
-	mb.cond.Signal()
+	if wake {
+		mb.cond.Signal()
+	}
 }
 
 // peakBytes reports the mailbox's high-water mark since it was made or last
@@ -824,10 +858,12 @@ func (mb *mailbox) holds(from int) bool {
 // anySender a non-empty owner-side queue selected by pick (see choose). It is
 // the only place a rank waits for a message: when the owner's side holds
 // nothing for the request it refills under mu, and with block set it sleeps
-// until a refill brings something. Only the owning rank's goroutine receives,
-// so one condition variable serves both kinds of wait. A blocking get
-// returns false only when the world is canceled.
-func (mb *mailbox) get(block bool, from int, pick uint64) (Message, bool) {
+// until a put brings a message take would hand out for (from, tag) — not on
+// every put, so a rank waiting for one peer's exchange message sleeps through
+// the peer's other traffic, which it then pops in one pass. Only the owning
+// rank's goroutine receives, so one condition variable serves both kinds of
+// wait. A blocking get returns false only when the world is canceled.
+func (mb *mailbox) get(block bool, from, tag int, pick uint64) (Message, bool) {
 	if !mb.holds(from) {
 		mb.mu.Lock()
 		for mb.refill(); !mb.holds(from); mb.refill() {
@@ -835,6 +871,7 @@ func (mb *mailbox) get(block bool, from int, pick uint64) (Message, bool) {
 				mb.mu.Unlock()
 				return Message{}, false
 			}
+			mb.wantFrom, mb.wantTag = from, tag
 			mb.cond.Wait()
 		}
 		mb.mu.Unlock()

@@ -66,6 +66,101 @@ func TestPerPairFIFO(t *testing.T) {
 	}
 }
 
+// TestNeighborExchangeStashDrainsInOrder has two ranks send rank 0 thousands
+// of user messages each and then exchange with it: collecting their exchange
+// messages moves every one of those into rank 0's stash, and the TryRecv loop
+// after it must hand them out exactly once, in per-pair FIFO order, leaving
+// the stash empty — inproc, perturbed and over tcp.
+func TestNeighborExchangeStashDrainsInOrder(t *testing.T) {
+	const n, p = 3000, 3
+	prog := func(c *Comm) error {
+		if c.Rank() != 0 {
+			for i := 0; i < n; i++ {
+				c.Send(0, 5, binary.LittleEndian.AppendUint32(nil, uint32(i)))
+			}
+			in := c.NeighborExchange(5, []int{0}, [][]byte{{byte(c.Rank())}})
+			if len(in) != 1 || len(in[0]) != 0 {
+				return fmt.Errorf("rank %d: exchange gave %v, want one empty payload", c.Rank(), in)
+			}
+			return nil
+		}
+		in := c.NeighborExchange(5, []int{1, 2}, make([][]byte, 2))
+		if len(in) != 2 || !bytes.Equal(in[0], []byte{1}) || !bytes.Equal(in[1], []byte{2}) {
+			return fmt.Errorf("exchange gave %v, want [[1] [2]]", in)
+		}
+		if len(c.stash) != (p-1)*n {
+			return fmt.Errorf("%d messages stashed, want %d", len(c.stash), (p-1)*n)
+		}
+		next := make([]uint32, p)
+		for got := 0; got < (p-1)*n; got++ {
+			m, ok := c.TryRecv()
+			if !ok {
+				return fmt.Errorf("TryRecv empty after %d of %d messages", got, (p-1)*n)
+			}
+			if seq := binary.LittleEndian.Uint32(m.Data); seq != next[m.From] {
+				return fmt.Errorf("from %d: seq %d, want %d", m.From, seq, next[m.From])
+			}
+			next[m.From]++
+		}
+		if m, ok := c.TryRecv(); ok || len(c.stash) != 0 {
+			return fmt.Errorf("left over: %v (stash %d)", m, len(c.stash))
+		}
+		return nil
+	}
+	for _, opts := range [][]Option{nil, {WithPerturbation(3)}} {
+		if err := Run(p, prog, append(opts, WithDeadline(30*time.Second))...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runOverTCP(t, p, prog)
+}
+
+// TestNeighborExchangeMetering checks that an exchange's messages, empty ones
+// included, count under the caller's tag family on both sides and in the
+// aggregates, never in the runtime family, and that a negative tag is refused
+// as Send refuses it.
+func TestNeighborExchangeMetering(t *testing.T) {
+	const p = 3
+	w, err := NewWorld(p, WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *Comm) error {
+		var peers [][]byte
+		var to []int
+		for r := range p {
+			if r != c.Rank() {
+				to, peers = append(to, r), append(peers, make([]byte, c.Rank()))
+			}
+		}
+		c.NeighborExchange(TagMatchBase, to, peers)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range p {
+		s := w.RankStats(r)
+		want := FamilyStats{SentMsgs: p - 1, SentBytes: int64((p - 1) * r), RecvMsgs: p - 1, RecvBytes: int64(p*(p-1)/2 - r)}
+		if got := s.ByFamily[FamilyMatch]; got != want {
+			t.Errorf("rank %d: match family %+v, want %+v", r, got, want)
+		}
+		if got := (FamilyStats{SentMsgs: s.SentMsgs, SentBytes: s.SentBytes, RecvMsgs: s.RecvMsgs, RecvBytes: s.RecvBytes}); got != want {
+			t.Errorf("rank %d: aggregates %+v, want %+v", r, got, want)
+		}
+		if got := s.ByFamily[FamilyRuntime]; got != (FamilyStats{}) {
+			t.Errorf("rank %d: runtime family %+v, want silence", r, got)
+		}
+	}
+	err = Run(1, func(c *Comm) error {
+		c.NeighborExchange(-1, nil, nil)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "non-negative user tag") {
+		t.Errorf("exchange on tag -1: %v, want the refusal", err)
+	}
+}
+
 // TestPerPairFIFOUnderPerturbation holds two senders' streams to per-pair
 // FIFO under two perturbation seeds, and the seeds to their purpose: with
 // every message queued before the receiver starts (the barrier), the

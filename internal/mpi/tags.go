@@ -1,13 +1,16 @@
 package mpi
 
+import "fmt"
+
 // Message-tag space and tag families.
 //
 // The runtime's tag-space contract (documented in docs/PROTOCOL.md) is:
 //
 //   - Non-negative tags belong to user code. Comm.Send rejects negative tags,
 //     so user and runtime traffic can never collide.
-//   - Negative tags are reserved for the runtime's own over-the-wire
-//     collectives (see collectives.go).
+//   - Negative tags are reserved for the runtime: its own over-the-wire
+//     collectives (see collectives.go), and below tagExchange the wire tags
+//     of Comm.NeighborExchange, one per user tag (see exchangeTag).
 //
 // Within the user space the algorithms of this repository carve out fixed
 // ranges, one per protocol phase, so that every byte on the wire can be
@@ -18,9 +21,10 @@ package mpi
 //
 // Every tag maps to exactly one TagFamily via FamilyOf; traffic counters are
 // kept per family (see Stats) and the aggregates are the sum of the user
-// families — the runtime family meters reserved-tag traffic that the
-// aggregates deliberately exclude, so that algorithm message counts stay
-// identical across transport backends.
+// families — the runtime family meters the collectives' reserved-tag traffic,
+// which the aggregates deliberately exclude, so that algorithm message counts
+// stay identical across transport backends. An exchange is the algorithm's
+// own traffic on every backend: its wire tags map to the user tag's family.
 const (
 	// TagMatchBase is the first tag of the matching-bundle range.
 	TagMatchBase = 100
@@ -45,10 +49,10 @@ const (
 	// FamilyUser is any other non-negative tag: application traffic outside
 	// the ranges the built-in algorithms reserve.
 	FamilyUser
-	// FamilyRuntime is the reserved negative-tag traffic: the over-the-wire
-	// barrier, allreduce and allgather of remote transports. It is metered
-	// here but excluded from the aggregate Stats counters, so algorithm
-	// message counts are identical across backends.
+	// FamilyRuntime is the reserved negative-tag traffic bar the exchanges':
+	// the over-the-wire barrier, allreduce and allgather of remote
+	// transports. It is metered here but excluded from the aggregate Stats
+	// counters, so algorithm message counts are identical across backends.
 	FamilyRuntime
 	// NumTagFamilies is the number of tag families (array sizing).
 	NumTagFamilies
@@ -70,10 +74,27 @@ func (f TagFamily) String() string {
 	return tagFamilyNames[f]
 }
 
+// tagExchange is the wire tag of a NeighborExchange on user tag 0; tag t
+// travels as tagExchange - t.
+const tagExchange = -8
+
+// exchangeTag is the wire tag of a NeighborExchange on user tag tag. It
+// panics on a negative tag, and on one so large that the wire tag would wrap.
+func exchangeTag(tag int) int {
+	wire := tagExchange - tag
+	if wire > tagExchange {
+		panic(fmt.Sprintf("mpi: exchange on tag %d; it must be a non-negative user tag", tag))
+	}
+	return wire
+}
+
 // FamilyOf classifies a message tag into its family. The mapping is total:
-// every int maps to exactly one family.
+// every int maps to exactly one family, and an exchange's wire tag maps to
+// the family of the user tag it carries.
 func FamilyOf(tag int) TagFamily {
 	switch {
+	case tag <= tagExchange:
+		return FamilyOf(tagExchange - tag)
 	case tag < 0:
 		return FamilyRuntime
 	case tag >= TagMatchBase && tag < TagMatchBase+10:

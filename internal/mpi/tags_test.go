@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -28,11 +29,31 @@ func TestFamilyOf(t *testing.T) {
 		{TagColorBase, FamilyColor},
 		{TagColorEnd - 1, FamilyColor},
 		{TagColorEnd, FamilyUser},
+		// An exchange's wire tag is its user tag's family; between the
+		// collectives' tags and the exchanges' nothing is user traffic.
+		{-5, FamilyRuntime},
+		{tagExchange + 1, FamilyRuntime},
+		{tagExchange, FamilyUser},
+		{exchangeTag(42), FamilyUser},
+		{exchangeTag(TagMatchBase), FamilyMatch},
+		{exchangeTag(TagColorBase + 10), FamilyColor},
+		{exchangeTag(TagColorEnd), FamilyUser},
+		{math.MinInt, FamilyUser},
 	}
 	for _, c := range cases {
 		if got := FamilyOf(c.tag); got != c.want {
 			t.Errorf("FamilyOf(%d) = %v, want %v", c.tag, got, c.want)
 		}
+	}
+	for _, tag := range []int{-1, tagExchange, math.MaxInt} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("exchangeTag(%d) did not refuse", tag)
+				}
+			}()
+			exchangeTag(tag)
+		}()
 	}
 	if NumTagFamilies != 4 {
 		t.Errorf("NumTagFamilies = %d, want 4 (match, color, user, runtime)", NumTagFamilies)

@@ -29,7 +29,7 @@ func WriteParts(w io.Writer, p *Partition) error {
 // max(part)+1.
 func ReadParts(r io.Reader) (*Partition, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows with the longest line, up to 1 MiB
 	out := &Partition{}
 	declared := -1
 	lineNo := 0

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -84,5 +86,22 @@ func TestPartsFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("read of missing file succeeded")
+	}
+}
+
+// TestReadPartsAllocatesForItsInput pins the scanner's buffer to the input:
+// ten reads of a small partition allocate well under the 1 MiB line limit.
+func TestReadPartsAllocatesForItsInput(t *testing.T) {
+	const in = "p 2\n0\n1\n1\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		if _, err := ReadParts(strings.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
+		t.Errorf("ten reads of a %d-byte partition allocated %d bytes", len(in), alloc)
 	}
 }

@@ -42,7 +42,8 @@ type UploadOptions struct {
 	ChunkBytes int64
 }
 
-// maxChunkRetries bounds Upload's and UploadResume's retries of one chunk.
+// maxChunkRetries bounds UploadChunk's retries of one chunk, and so
+// Upload's and UploadResume's.
 const maxChunkRetries = 3
 
 // Upload ships an encoded graph to the daemon through the chunked upload
@@ -101,9 +102,9 @@ func (c *Client) UploadStatus(ctx context.Context, id string) (*ingest.Status, e
 }
 
 // UploadChunk sends one chunk, with its checksum, retrying transient
-// failures up to maxRetries times. Retries of a received chunk are
+// failures up to maxChunkRetries times. Retries of a received chunk are
 // idempotent on the server.
-func (c *Client) UploadChunk(ctx context.Context, id string, idx int, data []byte, maxRetries int) (*ingest.Status, int, error) {
+func (c *Client) UploadChunk(ctx context.Context, id string, idx int, data []byte) (*ingest.Status, int, error) {
 	sum := sha256.Sum256(data)
 	path := fmt.Sprintf("/v1/uploads/%s/chunks/%d", id, idx)
 	header := http.Header{"Content-Type": {"application/octet-stream"}, "X-Chunk-Sha256": {hex.EncodeToString(sum[:])}}
@@ -117,7 +118,7 @@ func (c *Client) UploadChunk(ctx context.Context, id string, idx int, data []byt
 		if errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError {
 			return nil, attempt, err
 		}
-		if attempt >= maxRetries {
+		if attempt >= maxChunkRetries {
 			return nil, attempt, fmt.Errorf("chunk %d failed after %d retries: %w", idx, attempt, err)
 		}
 		select {
@@ -178,7 +179,7 @@ func (c *Client) uploadChunks(ctx context.Context, st *ingest.Status, enc []byte
 			end = int64(len(enc))
 		}
 		data := enc[off:end]
-		cst, retries, err := c.UploadChunk(ctx, id, idx, data, maxChunkRetries)
+		cst, retries, err := c.UploadChunk(ctx, id, idx, data)
 		stats.ChunksSent += 1 + retries
 		stats.ChunksRetried += retries
 		stats.BytesSent += int64(len(data)) * int64(1+retries)

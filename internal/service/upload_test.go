@@ -63,12 +63,12 @@ func TestUploadedGraphMatchesInlineResult(t *testing.T) {
 		if end > len(enc) {
 			end = len(enc)
 		}
-		if _, _, err := cl.UploadChunk(ctx, id, idx, enc[idx*uploadChunkSize:end], 3); err != nil {
+		if _, _, err := cl.UploadChunk(ctx, id, idx, enc[idx*uploadChunkSize:end]); err != nil {
 			t.Fatalf("chunk %d: %v", idx, err)
 		}
 	}
 	// One chunk retried: replay a chunk that already arrived (idempotent).
-	if _, _, err := cl.UploadChunk(ctx, id, 1, enc[uploadChunkSize:2*uploadChunkSize], 3); err != nil {
+	if _, _, err := cl.UploadChunk(ctx, id, 1, enc[uploadChunkSize:2*uploadChunkSize]); err != nil {
 		t.Fatalf("retried chunk: %v", err)
 	}
 	waitMetric(t, cl, "ingest.chunks_replayed", 1)
@@ -366,7 +366,7 @@ func TestUploadSessionExpiryOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.UploadChunk(ctx, st.UploadID, 0, enc[:uploadChunkSize], 1); err != nil {
+	if _, _, err := cl.UploadChunk(ctx, st.UploadID, 0, enc[:uploadChunkSize]); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -482,7 +482,7 @@ func TestUploadStatusHTTPShape(t *testing.T) {
 	}
 	// Chunks 0 and 2: a hole at 1.
 	for _, idx := range []int{0, 2} {
-		if _, _, err := cl.UploadChunk(ctx, st.UploadID, idx, enc[idx*uploadChunkSize:(idx+1)*uploadChunkSize], 1); err != nil {
+		if _, _, err := cl.UploadChunk(ctx, st.UploadID, idx, enc[idx*uploadChunkSize:(idx+1)*uploadChunkSize]); err != nil {
 			t.Fatal(err)
 		}
 	}
