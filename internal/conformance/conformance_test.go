@@ -3,7 +3,7 @@
 // ranks are goroutines sharing memory (inproc) or endpoints exchanging frames
 // over real localhost sockets (tcp). Where the algorithm is deterministic,
 // message counts must agree too — the negative-tag convention keeps the
-// runtime's own over-the-wire collective traffic out of the counters on both
+// runtime's own collective traffic out of the aggregate counters on both
 // backends.
 package conformance
 
@@ -289,8 +289,8 @@ func TestTCPMatchingRepeatable(t *testing.T) {
 // TestTagFamilyReconciliation pins the per-tag-family accounting on the
 // inproc backend (overTCP asserts the tcp side on every run above): user
 // families sum exactly to the aggregates, the traffic lands in the family the
-// protocol says it should, and the runtime family stays silent — inproc
-// collectives are shared-memory, nothing crosses a wire.
+// protocol says it should, and the runtime family — every collective is a
+// message exchange on both backends — reads the same on each rank as over tcp.
 func TestTagFamilyReconciliation(t *testing.T) {
 	ins := buildInstances(t)[0]
 	run := func(job dmgm.Job) *mpi.World {
@@ -310,8 +310,31 @@ func TestTagFamilyReconciliation(t *testing.T) {
 	if fam := total.ByFamily[mpi.FamilyMatch]; fam.SentMsgs == 0 || fam.SentBytes != total.SentBytes {
 		t.Errorf("matching traffic not attributed to the match family: %+v of %+v", fam, total)
 	}
-	if rt := total.ByFamily[mpi.FamilyRuntime]; rt != (mpi.FamilyStats{}) {
-		t.Errorf("inproc run metered runtime wire traffic: %+v", rt)
+	tcpRuntime := make([]mpi.FamilyStats, nRanks)
+	overTCP(t, nRanks, func(w *mpi.World) (*[]mpi.FamilyStats, error) {
+		if _, err := placed(w, ins, dmgm.Job{Algorithm: dmgm.AlgoMatch}); err != nil {
+			return nil, err
+		}
+		r := w.LocalRanks()[0]
+		tcpRuntime[r] = w.RankStats(r).ByFamily[mpi.FamilyRuntime]
+		if r != 0 {
+			return nil, nil
+		}
+		return &tcpRuntime, nil
+	})
+	// A matching job meets in six collectives — the kernel's closing
+	// Barrier, the weight and iteration allreduces, the message and byte
+	// allreduces and the result Allgather — each one message to and from
+	// every peer.
+	const collectives = 6
+	for r := range nRanks {
+		rt := w.RankStats(r).ByFamily[mpi.FamilyRuntime]
+		if rt.SentMsgs != collectives*(nRanks-1) || rt.RecvMsgs != rt.SentMsgs {
+			t.Errorf("inproc rank %d: runtime family %+v, want %d messages each way", r, rt, collectives*(nRanks-1))
+		}
+		if rt != tcpRuntime[r] {
+			t.Errorf("rank %d: inproc runtime family %+v, tcp %+v", r, rt, tcpRuntime[r])
+		}
 	}
 
 	w = run(dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Superstep: ins.g.NumVertices(), Seed: 3}})

@@ -267,9 +267,10 @@ func TestRecordsAreAddressedPairLocally(t *testing.T) {
 
 // TestRuntimeWaitPoints pins two structural facts DESIGN.md and the ROADMAP's
 // cancellation item state about internal/mpi (its transports aside): a rank
-// blocks on a condition variable in exactly two functions — mailbox.get for a
-// message, barrier.await for its peers — and whether the world hosts every
-// rank is consulted in three, so no collective forks per transport.
+// blocks on a condition variable in exactly one function, mailbox.get, since
+// every collective waits there for its peers' messages; and whether the world
+// hosts every rank is consulted by Reset alone, so no collective forks per
+// transport.
 func TestRuntimeWaitPoints(t *testing.T) {
 	waits, local := map[string]bool{}, map[string]bool{}
 	for _, file := range nonTestFiles(t, "mpi", 0) {
@@ -299,11 +300,11 @@ func TestRuntimeWaitPoints(t *testing.T) {
 			})
 		}
 	}
-	if len(waits) != 2 || !waits["get"] || !waits["await"] {
-		t.Errorf("sync.Cond waits in %v, want exactly mailbox.get and barrier.await", waits)
+	if len(waits) != 1 || !waits["get"] {
+		t.Errorf("sync.Cond waits in %v, want exactly mailbox.get", waits)
 	}
-	if len(local) > 3 || !local["Barrier"] || !local["exchange"] || !local["Reset"] {
-		t.Errorf("allLocal read in %v, want Barrier, exchange and Reset only", local)
+	if len(local) != 1 || !local["Reset"] {
+		t.Errorf("allLocal read in %v, want Reset only", local)
 	}
 }
 

@@ -169,7 +169,8 @@ func Ablations(o Options) error {
 // `dmgm-trace -watch` renders mid-run, recorded here from finished runs so
 // the numbers are reproducible. The user families sum exactly to the
 // aggregate counters (asserted in conformance); the runtime family is the
-// reserved-tag collective traffic, zero on the in-process backend used here.
+// reserved-tag collective traffic, one message to and from every peer per
+// collective, which the aggregates leave out.
 func Traffic(o Options) error {
 	o = o.withDefaults()
 	g, shares, err := AblationInput(o)

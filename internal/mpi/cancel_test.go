@@ -60,8 +60,8 @@ func awaitCanceled(t *testing.T, worlds []*World, dones []<-chan error) {
 
 // TestCancelWakesBlockedRanks parks one rank in Recv, one in Barrier and two
 // inside a collective, and cancels: Run must return ErrCanceled, which means
-// every rank unwound from its wait. Over tcp a collective waits in take, not
-// in the barrier: one rank in Allgather, its peer in Recv.
+// every rank unwound from its wait — a collective's is take's, like Recv's.
+// Over tcp one rank waits in Allgather, its peer in Recv.
 func TestCancelWakesBlockedRanks(t *testing.T) {
 	t.Run("inproc", func(t *testing.T) {
 		w, err := NewWorld(4)
@@ -182,10 +182,10 @@ func TestCancelBeforeRun(t *testing.T) {
 	}
 }
 
-// TestCanceledWorldResets cancels a run that leaves a barrier generation half
-// entered and messages undelivered, then checks that Reset succeeds and that
-// the next runs — barriers, collectives and point-to-point — behave and count
-// exactly as on a fresh world.
+// TestCanceledWorldResets cancels a run that leaves a barrier half entered
+// and messages undelivered, then checks that Reset succeeds and drains an
+// exact count, and that the next runs — barriers, collectives and
+// point-to-point — behave and count exactly as on a fresh world.
 func TestCanceledWorldResets(t *testing.T) {
 	const p = 4
 	w, err := NewWorld(p, WithDeadline(10*time.Second))
@@ -194,12 +194,21 @@ func TestCanceledWorldResets(t *testing.T) {
 	}
 	done := parkAll(t, w, func(c *Comm, arrive func()) error {
 		c.Send((c.Rank()+1)%p, 3, []byte("stale"))
-		arrive()
-		if c.Rank() == 0 {
-			c.Recv() // tag 3 from rank 3 arrives; then nothing more does
-			c.Recv()
+		if c.Rank() != 0 {
+			arrive()
+			c.Barrier() // ranks 1..3 park here, waiting for rank 0
+			return nil
 		}
-		c.Barrier() // ranks 1..3 park here
+		c.Recv() // tag 3 from rank 3
+		// Park only once every peer's barrier message is in the stash, so
+		// that what the mailboxes hold at Reset does not depend on when the
+		// cancel comes.
+		for len(c.stash) < p-1 {
+			c.TryRecv()
+			runtime.Gosched()
+		}
+		arrive()
+		c.Recv() // nothing more arrives
 		return nil
 	})
 	awaitCanceled(t, []*World{w}, []<-chan error{done})
@@ -207,8 +216,14 @@ func TestCanceledWorldResets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reset after a canceled run: %v", err)
 	}
-	if stale != p-1 {
-		t.Fatalf("Reset drained %d stale messages, want %d", stale, p-1)
+	// Rank 0's mailbox is empty. Each parked rank sent its barrier message
+	// to every peer before it waited for rank 0's, and takes from rank 0's
+	// queue only — popping rank 0's stale message to rank 1 into the stash
+	// on the way. So each of the p-1 parked ranks holds the barrier
+	// messages of the other p-2, and ranks 2..p-1 also their predecessor's
+	// stale message: (p-1)(p-2) + (p-2) = p(p-2).
+	if want := p * (p - 2); stale != want {
+		t.Fatalf("Reset drained %d stale messages, want %d", stale, want)
 	}
 	next := func(c *Comm) error {
 		if m, ok := c.TryRecv(); ok {

@@ -6,8 +6,9 @@ import (
 )
 
 // The Coll* micro-benchmarks time one collective per iteration on the
-// in-process world — the shared-memory bodies every BENCHMARK.json workload
-// runs. Compare across commits with -cpu 2 -count=10.
+// in-process world, where each is a message exchange through the ranks'
+// mailboxes, as in every BENCHMARK.json workload. Compare across commits
+// with -cpu 2 -count=10.
 
 func benchColl(b *testing.B, op func(c *Comm)) {
 	for _, p := range []int{4, 8} {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 )
 
 // The runtime contract table: one set of scripted rank programs, run on both
@@ -16,8 +15,9 @@ import (
 // one-rank-per-world over localhost TCP) at several rank counts, with and
 // without the virtual-time model. Per program every backend must agree with
 // the plain in-process run on what each rank observed, on each rank's
-// user-family traffic counters and — bit for bit — on each rank's model clock
-// after every step; and every rank must leave a Barrier on the same clock.
+// traffic counters — the runtime family's collective messages included — and,
+// bit for bit, on each rank's model clock after every step; and every rank
+// must leave a Barrier on the same clock.
 //
 // A row's tcpClocks says how the tcp model clocks relate to the in-process
 // ones: equal, or knownDrift for a divergence recorded (and asserted, so a
@@ -151,8 +151,8 @@ var contractTable = []struct {
 		}
 	}},
 	// A user message sent before the sender's collective and received after
-	// the receiver's: over tcp the collective's own receive pops it first
-	// and must park it without touching the clock.
+	// the receiver's: the collective's own receive pops it first and must
+	// park it without touching the clock.
 	{"send crosses barrier", equal, func(p probe) {
 		p.work(1)
 		p.sendNext(7, 3)
@@ -255,38 +255,24 @@ var contractTable = []struct {
 }
 
 // contractRun is one backend's account of a program: per-rank logs and
-// per-rank traffic with the backend-specific runtime family set aside.
+// per-rank traffic, with the runtime family's counts set apart so that a
+// difference there is reported as such.
 type contractRun struct {
 	logs    []rankLog
 	stats   []Stats
-	runtime FamilyStats
+	runtime []FamilyStats
 }
 
 func runContract(t *testing.T, backend string, p int, prog func(probe), opts ...Option) contractRun {
 	t.Helper()
-	run := contractRun{logs: make([]rankLog, p), stats: make([]Stats, p)}
+	run := contractRun{logs: make([]rankLog, p), stats: make([]Stats, p), runtime: make([]FamilyStats, p)}
 	fn := func(c *Comm) error {
 		prog(probe{c, &run.logs[c.Rank()]})
 		return nil
 	}
-	worlds := make([]*World, p)
-	if backend == "tcp" {
-		worlds = runOverTCP(t, p, fn, opts...)
-	} else {
-		w, err := NewWorld(p, append(opts, WithDeadline(30*time.Second))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(fn); err != nil {
-			t.Fatal(err)
-		}
-		for r := range worlds {
-			worlds[r] = w
-		}
-	}
-	for r, w := range worlds {
+	for r, w := range runOn(t, backend, p, fn, opts...) {
 		s := w.RankStats(r)
-		run.runtime.Add(s.ByFamily[FamilyRuntime])
+		run.runtime[r] = s.ByFamily[FamilyRuntime]
 		s.ByFamily[FamilyRuntime] = FamilyStats{}
 		run.stats[r] = s
 	}
@@ -316,9 +302,6 @@ func TestRuntimeContract(t *testing.T) {
 							opts = append(opts[:len(opts):len(opts)], WithVirtualTime(vt))
 						}
 						got := runContract(t, b.name, p, row.prog, opts...)
-						if b.name != "tcp" && got.runtime != (FamilyStats{}) {
-							t.Errorf("%s: runtime family not silent: %+v", b.name, got.runtime)
-						}
 						if i == 0 {
 							ref = got
 							checkFences(t, b.name, got)
@@ -327,6 +310,9 @@ func TestRuntimeContract(t *testing.T) {
 						if !reflect.DeepEqual(got.stats, ref.stats) {
 							t.Errorf("%s: user-family stats differ from inproc:\n got  %+v\n want %+v", b.name, got.stats, ref.stats)
 						}
+						if !reflect.DeepEqual(got.runtime, ref.runtime) {
+							t.Errorf("%s: runtime family differs from inproc:\n got  %+v\n want %+v", b.name, got.runtime, ref.runtime)
+						}
 						sameClocks := true
 						for r := range got.logs {
 							if !reflect.DeepEqual(got.logs[r].vals, ref.logs[r].vals) {
@@ -334,8 +320,7 @@ func TestRuntimeContract(t *testing.T) {
 							}
 							sameClocks = sameClocks && reflect.DeepEqual(got.logs[r].clocks, ref.logs[r].clocks)
 						}
-						// A world hosting every rank (P = 1, any transport)
-						// runs the shared-memory collectives: nothing to drift.
+						// At P = 1 no message crosses a rank: nothing to drift.
 						drifts := b.name == "tcp" && row.tcpClocks == knownDrift && modeled && p > 1
 						switch {
 						case drifts && sameClocks:

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -16,7 +18,12 @@ import (
 // senders, and the owner alone receiving — with a random mix of the owner's
 // operations (a receive from any sender or from one, blocking or not, under
 // round-robin or perturbed picks; DrainTag; and, between phases, Reset), and
-// checks it against the reference of one FIFO per sender:
+// checks it against the reference of one FIFO per sender. A receive from one
+// sender names the tag it waits for as a collective does: any user tag, the
+// marker's, or a reserved one. A blocked get sleeps until a put brings a
+// message of that sender and tag, so it ends only if the wake rule lets such
+// a put through, and then hands out the sender's oldest message whatever its
+// tag.
 //
 //   - every message is received at most once and in its sender's order, and
 //     every message skipped on the way was taken by a DrainTag of its tag,
@@ -27,9 +34,11 @@ import (
 //     payload.
 //
 // Each sender's last message of a phase carries tag 0, which no DrainTag
-// names, so a blocking receive waits only while such a marker is still due.
-// A few messages follow the marker, for Reset and for a DrainTag with the
-// senders quiet, which must leave no message of its tag on either side.
+// names, and one message before it the reserved tag of a Barrier, so a
+// blocking receive waits only while a marker, or a reserved message it names,
+// is still due. A few messages follow the marker, for Reset and for a
+// DrainTag with the senders quiet, which must leave no message of its tag on
+// either side.
 func TestMailboxModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { runMailboxModel(t, seed) })
@@ -50,6 +59,7 @@ func runMailboxModel(t *testing.T, seed int64) {
 			for range rng.Intn(40) {
 				plan[p][s] = append(plan[p][s], 1+rng.Intn(2))
 			}
+			plan[p][s] = slices.Insert(plan[p][s], rng.Intn(len(plan[p][s])+1), tagBarrier)
 			plan[p][s] = append(plan[p][s], 0)
 			for range rng.Intn(6) {
 				plan[p][s] = append(plan[p][s], 1+rng.Intn(2))
@@ -113,12 +123,13 @@ type mailboxModel struct {
 func (m *mailboxModel) phase(rng *rand.Rand) {
 	markers := modelSenders // markers of this phase still due
 	due := [modelSenders]bool{true, true, true}
+	reserved := due // the reserved messages of this phase still due
 	for markers > 0 {
 		pick := uint64(0)
 		if rng.Intn(2) == 0 {
 			pick = rng.Uint64()
 		}
-		from := anySender
+		from, tag := anySender, anyUserTag
 		switch op := rng.Intn(10); {
 		case op < 2: // DrainTag
 			tag := 1 + rng.Intn(2)
@@ -126,12 +137,20 @@ func (m *mailboxModel) phase(rng *rand.Rand) {
 			m.drained[tag] += n
 			m.ownerSide()
 			continue
-		case op < 5: // from one sender whose marker is still due
+		case op < 5: // from one sender whose marker is still due, for a tag still due
 			for from = rng.Intn(modelSenders); !due[from]; from = (from + 1) % modelSenders {
+			}
+			switch rng.Intn(3) {
+			case 1:
+				tag = 0
+			case 2:
+				if reserved[from] {
+					tag = tagBarrier
+				}
 			}
 		}
 		block := rng.Intn(3) > 0
-		msg, ok := m.mb.get(block, from, anyUserTag, pick)
+		msg, ok := m.mb.get(block, from, tag, pick)
 		if !ok {
 			if block {
 				m.t.Fatal("a blocking get came back empty in a world nobody canceled")
@@ -140,9 +159,12 @@ func (m *mailboxModel) phase(rng *rand.Rand) {
 			continue
 		}
 		m.accept(msg)
-		if msg.Tag == 0 {
+		switch msg.Tag {
+		case 0:
 			due[msg.From] = false
 			markers--
+		case tagBarrier:
+			reserved[msg.From] = false
 		}
 		m.ownerSide()
 	}
@@ -158,14 +180,21 @@ func (m *mailboxModel) accept(msg Message) {
 		m.t.Fatalf("sender %d: message %d has tag %d, want %d", s, k, msg.Tag, want)
 	}
 	for j := m.next[s]; j < k; j++ {
-		tag := m.tags[s][j]
-		if tag == 0 {
-			m.t.Fatalf("sender %d: marker %d skipped; no DrainTag takes tag 0", s, j)
-		}
-		m.skipped[tag]++
+		m.skip(s, j, &m.skipped)
 	}
 	m.next[s] = k + 1
 	m.received++
+}
+
+// skip counts message j of sender s, gone from its FIFO unreceived, into
+// skipped by its tag. Only a DrainTag takes a message so, and none names the
+// marker's tag or a reserved one.
+func (m *mailboxModel) skip(s, j int, skipped *[3]int) {
+	tag := m.tags[s][j]
+	if tag <= 0 {
+		m.t.Fatalf("sender %d: message %d of tag %d skipped; no DrainTag takes it", s, j, tag)
+	}
+	skipped[tag]++
 }
 
 // drainQuiet drains tag while no sender runs and checks that no message of
@@ -244,15 +273,15 @@ func (m *mailboxModel) quiet(seq [modelSenders]int) [3]int {
 				m.t.Fatalf("sender %d: queued message %d (from %d) out of order, %d expected at the earliest", s, k, msg.From, j)
 			}
 			for ; j < k; j++ {
-				skipped[m.tags[s][j]]++
+				m.skip(s, j, &skipped)
 			}
 			j = k + 1
 		}
 		for ; j < seq[s]; j++ {
-			skipped[m.tags[s][j]]++
+			m.skip(s, j, &skipped)
 		}
 	}
-	if skipped[0] != 0 || skipped[1] != m.drained[1] || skipped[2] != m.drained[2] {
+	if skipped[1] != m.drained[1] || skipped[2] != m.drained[2] {
 		m.t.Fatalf("messages gone from the FIFOs by tag %v, DrainTag reported %v", skipped, m.drained)
 	}
 	if got := m.mb.bytes - m.mb.popped; got != bytes {
@@ -311,6 +340,56 @@ func (m *mailboxModel) reset(rng *rand.Rand, seq [modelSenders]int, skipped [3]i
 	}
 	if m.mb.bytes != 0 || m.mb.popped != 0 || m.mb.peak != 0 {
 		m.t.Fatalf("drainAll left bytes %d, popped %d, peak %d", m.mb.bytes, m.mb.popped, m.mb.peak)
+	}
+}
+
+// TestMailboxWaitFiltersWakes pins the half of the wake rule the model cannot
+// see, since a wake it need not have had changes no result: a get blocked for
+// one sender and one tag sleeps through the puts it would not hand out for —
+// another sender's message of its tag, and its sender's message of another
+// tag — which stay on the senders' side, unrefilled, until a put it waits for
+// comes. It then hands out that sender's oldest message.
+func TestMailboxWaitFiltersWakes(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		wait, other, in int // the tag waited for, one it is not, and one it is
+	}{
+		{"reserved", tagBarrier, 7, tagBarrier},
+		{"marker", 0, 7, 0},
+		{"any user tag", anyUserTag, tagBarrier, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stop atomic.Bool
+			mb := newMailbox(0, 2, math.MaxInt64, &stop, nil)
+			got := make(chan Message, 1)
+			go func() {
+				m, _ := mb.get(true, 1, tc.wait, 0)
+				got <- m
+			}()
+			defer func() { stop.Store(true); mb.wake() }() // a failed check leaves the get asleep
+			// get sets what it waits for under mu just before Wait releases
+			// mu, so once it reads so, the owner sleeps.
+			for asleep := false; !asleep; runtime.Gosched() {
+				mb.mu.Lock()
+				asleep = mb.wantFrom == 1 && mb.wantTag == tc.wait
+				mb.mu.Unlock()
+			}
+			mb.put(Message{From: 0, Tag: tc.in, Data: []byte("other sender")})
+			mb.put(Message{From: 1, Tag: tc.other, Data: []byte("oldest")})
+			// No event marks a wake that should not happen: give a wrongly
+			// woken owner the time to refill.
+			time.Sleep(10 * time.Millisecond)
+			mb.mu.Lock()
+			pending := mb.pending
+			mb.mu.Unlock()
+			if pending != 2 {
+				t.Fatalf("%d of 2 puts left on the senders' side: the owner woke for a put it does not wait for", pending)
+			}
+			mb.put(Message{From: 1, Tag: tc.in, Data: []byte("awaited")})
+			if m := <-got; m.From != 1 || string(m.Data) != "oldest" {
+				t.Fatalf("the woken get handed out %q from %d, want sender 1's oldest", m.Data, m.From)
+			}
+		})
 	}
 }
 

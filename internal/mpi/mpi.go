@@ -29,11 +29,12 @@
 // message. The queue arrays survive Reset, up to keepBytes per world, so a
 // reused world does not grow them again.
 //
-// A rank waits in exactly two places, the mailbox and the cyclic barrier.
-// World.Cancel wakes both, and a rank waiting in a canceled world unwinds
-// with ErrCanceled; the kernels also check Comm.Err once per outer iteration
-// or superstep. The first rank to fail cancels its world the same way. A
-// canceled world is runnable again after Reset.
+// A rank waits in exactly one place, its mailbox: every collective is a
+// message exchange (see collectives.go). World.Cancel wakes every mailbox,
+// and a rank waiting in a canceled world unwinds with ErrCanceled; the
+// kernels also check Comm.Err once per outer iteration or superstep. The
+// first rank to fail cancels its world the same way. A canceled world is
+// runnable again after Reset.
 //
 // The runtime also meters traffic: per-rank sent/received message and byte
 // counters, which both the experiments and the α–β performance model
@@ -79,20 +80,18 @@ type World struct {
 	size     int
 	tr       transport.Transport
 	local    []int // ranks hosted by this World instance (ascending)
-	allLocal bool  // every rank is local: shared-memory fast paths apply
+	allLocal bool  // every rank is local: the world can be Reset
 	boxes    []*mailbox
 	stats    []rankCounters // lock-free live traffic counters, one per rank
-	barrier  *barrier
-	slots    [2][][]byte // the local exchange's deposit slots, see Comm.exchange
-	perturb  uint64      // nonzero enables randomized cross-sender receive order
+	perturb  uint64         // nonzero enables randomized cross-sender receive order
 	deadline time.Duration
 	vt       *VirtualTime
 	obs      *obs.Observer
 	// finalVTime records each rank's virtual clock (as Float64bits) when its
 	// Run body returned.
 	finalVTime []atomic.Uint64
-	// stop is the cancel signal (see Cancel); every mailbox and the barrier
-	// read it through a pointer.
+	// stop is the cancel signal (see Cancel); every mailbox reads it through
+	// a pointer.
 	stop atomic.Bool
 	// failed is the run's first failure, which canceled it (see fail).
 	failMu sync.Mutex
@@ -172,10 +171,8 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		size:       size,
 		boxes:      make([]*mailbox, size),
 		stats:      make([]rankCounters, size),
-		slots:      [2][][]byte{make([][]byte, size), make([][]byte, size)},
 		finalVTime: make([]atomic.Uint64, size),
 	}
-	w.barrier = newBarrier(size, &w.stop)
 	for _, o := range opts {
 		o(w)
 	}
@@ -286,9 +283,8 @@ func (w *World) eachTraffic(fn func(rank int, family string, fs FamilyStats)) {
 }
 
 // ErrCanceled is what a rank of a canceled world unwinds with, out of a wait
-// in Comm.take or the barrier, and what the kernels return when they see the
-// signal at the head of an outer iteration or superstep (Comm.Err). Run's
-// error wraps it.
+// in Comm.take, and what the kernels return when they see the signal at the
+// head of an outer iteration or superstep (Comm.Err). Run's error wraps it.
 var ErrCanceled = errors.New("mpi: run canceled")
 
 // ErrMailboxFull is what Run's error wraps (as a *MailboxFullError) when a
@@ -323,18 +319,16 @@ func (e *MailboxFullError) Unwrap() error { return ErrMailboxFull }
 func mailboxBytes() int64 { return debug.SetMemoryLimit(-1) / 4 }
 
 // Cancel stops the world's run in flight, or its next Run until Reset: it
-// raises the cancel signal, then wakes every local mailbox and the barrier.
-// Each wait rechecks the signal after every wake, so every rank blocked in a
-// receive or a collective unwinds with ErrCanceled, and one that is
-// computing stops at its kernel's next check. Once the ranks have returned,
-// Reset makes the world runnable again. Safe to call from any goroutine, any
-// number of times.
+// raises the cancel signal, then wakes every local mailbox. Each wait
+// rechecks the signal after every wake, so every rank blocked in a receive or
+// a collective unwinds with ErrCanceled, and one that is computing stops at
+// its kernel's next check. Once the ranks have returned, Reset makes the world
+// runnable again. Safe to call from any goroutine, any number of times.
 func (w *World) Cancel() {
 	w.stop.Store(true)
 	for _, r := range w.local {
 		w.boxes[r].wake()
 	}
-	w.barrier.wake()
 }
 
 // fail records err as the run's failure unless one is recorded already, and
@@ -449,9 +443,12 @@ func (w *World) setNotRunning() {
 // virtual clocks are zeroed, and the mailbox round-robin cursors rewind so a
 // reused World receives in exactly the same order as a fresh one — results stay
 // bit-identical across pool reuse. A canceled or failed world is
-// un-canceled and its failure forgotten, and the barrier generation its
-// ranks abandoned is cleared; the collective slots need no resetting (each
-// use overwrites them); the inproc transport's Start/Close are stateless.
+// un-canceled and its failure forgotten; the inproc transport's Start/Close
+// are stateless.
+//
+// stale counts what was still in the mailboxes only. A message a rank popped
+// on its way to another one (see Comm.take) sat in that rank's stash, was
+// counted as received there, and went with its Comm when the rank returned.
 //
 // Reset fails on a World with a remote transport (its wire state is
 // genuinely single-use) and on a World whose ranks have not all returned —
@@ -472,11 +469,6 @@ func (w *World) Reset() (stale int, err error) {
 		w.stats[r].reset()
 		w.finalVTime[r].Store(0)
 	}
-	// Drop references to the last run's collective payloads.
-	for i := range w.slots {
-		clear(w.slots[i])
-	}
-	w.barrier.reset()
 	w.stop.Store(false)
 	w.failMu.Lock()
 	w.failed = nil
@@ -554,9 +546,6 @@ type Comm struct {
 	// stash holds, oldest first, the messages take popped on the way to the
 	// one it was asked for; every later take serves from it first.
 	stash []Message
-	// round counts this rank's local exchanges; its parity selects the slot
-	// array (see exchange).
-	round uint
 	// vclock is this rank's virtual clock (see vtime.go).
 	vclock float64
 	// Observability hooks (all nil when the world has no observer; the nil
@@ -589,8 +578,8 @@ func (c *Comm) Size() int { return c.world.size }
 // Send delivers data to rank to with the given tag. It never blocks. The
 // data slice is owned by the receiver after the call; the sender must not
 // modify it. Negative tags are reserved for the runtime's own traffic (the
-// over-the-wire collectives) and are rejected here so that reserved and user
-// messages can never collide.
+// collectives and the neighbour exchanges) and are rejected here so that
+// reserved and user messages can never collide.
 func (c *Comm) Send(to, tag int, data []byte) {
 	if to < 0 || to >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d sends to invalid rank %d", c.rank, to))
@@ -1021,69 +1010,4 @@ func (mb *mailbox) wake() {
 	mb.mu.Lock()
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
-}
-
-// barrier is a reusable (cyclic) barrier that also reduces a float64
-// payload to its maximum (the virtual-clock synchronization).
-type barrier struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	size     int
-	count    int
-	gen      uint64
-	curMax   float64
-	readyMax float64
-	stop     *atomic.Bool // the world's cancel signal, see World.Cancel
-}
-
-func newBarrier(size int, stop *atomic.Bool) *barrier {
-	b := &barrier{size: size, stop: stop}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await blocks until all ranks arrive and returns the maximum payload of
-// this generation. A rank waiting in a canceled world unwinds with
-// ErrCanceled instead, leaving the generation incomplete for Reset to clear.
-func (b *barrier) await(v float64) float64 {
-	b.mu.Lock()
-	gen := b.gen
-	if v > b.curMax {
-		b.curMax = v
-	}
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.readyMax = b.curMax
-		b.curMax = 0
-		b.cond.Broadcast()
-		out := b.readyMax
-		b.mu.Unlock()
-		return out
-	}
-	for gen == b.gen {
-		if b.stop.Load() {
-			b.mu.Unlock()
-			panic(ErrCanceled)
-		}
-		b.cond.Wait()
-	}
-	out := b.readyMax
-	b.mu.Unlock()
-	return out
-}
-
-// reset abandons an incomplete generation (Reset after a cancel).
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.count, b.curMax = 0, 0
-	b.mu.Unlock()
-}
-
-// wake is mailbox.wake for the barrier's waiters.
-func (b *barrier) wake() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,13 +164,19 @@ func TestNeighborExchangeMetering(t *testing.T) {
 
 // TestPerPairFIFOUnderPerturbation holds two senders' streams to per-pair
 // FIFO under two perturbation seeds, and the seeds to their purpose: with
-// every message queued before the receiver starts (the barrier), the
-// cross-sender order is the seed's alone, and two seeds must not agree on it.
+// every message queued before the receiver starts, the cross-sender order is
+// the seed's alone, and two seeds must not agree on it. The receiver waits on
+// a WaitGroup, not a Barrier: a Barrier would pop each sender's queue whole
+// into the stash on its way to that sender's barrier message, and the stash
+// serves in the order it was filled. In-process sends are synchronous
+// hand-offs, so once both senders are done every message is queued.
 func TestPerPairFIFOUnderPerturbation(t *testing.T) {
 	const n = 200
 	orders := map[uint64]string{}
 	for _, seed := range []uint64{12345, 54321} {
 		var order []byte
+		var sent sync.WaitGroup
+		sent.Add(2)
 		err := Run(3, func(c *Comm) error {
 			if c.Rank() != 2 {
 				for i := 0; i < n; i++ {
@@ -177,10 +184,10 @@ func TestPerPairFIFOUnderPerturbation(t *testing.T) {
 					binary.LittleEndian.PutUint64(buf, uint64(c.Rank())<<32|uint64(i))
 					c.Send(2, 0, buf)
 				}
-				c.Barrier()
+				sent.Done()
 				return nil
 			}
-			c.Barrier()
+			sent.Wait()
 			nextFrom := map[int]uint64{}
 			for i := 0; i < 2*n; i++ {
 				m := c.Recv()

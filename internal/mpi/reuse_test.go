@@ -47,33 +47,49 @@ func TestResetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First run leaves garbage behind on purpose: every rank posts one
-	// message to its neighbor on a tag nobody receives.
-	leaky := func(c *Comm) error {
-		c.Send((c.Rank()+1)%p, 99, []byte("stale"))
-		c.Barrier()
-		return nil
-	}
-	if err := w.Run(leaky); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.TotalStats().SentMsgs; got != p {
-		t.Fatalf("leaky run sent %d msgs, want %d", got, p)
-	}
-
-	stale, err := w.Reset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale != p {
-		t.Fatalf("Reset drained %d stale messages, want %d", stale, p)
+	// The first runs leave garbage behind on purpose: every rank posts one
+	// message to its neighbor on a tag nobody receives. Behind a Barrier
+	// the message is no longer in the mailbox: the Barrier pops the
+	// sender's queue up to the sender's barrier message, which per-pair FIFO
+	// puts after it, so every rank has stashed its stale message (and
+	// counted it as received) and Reset drains nothing. With no Barrier all
+	// p are still in the mailboxes. The fenced run goes last, so that the
+	// stats checked below were the runtime family's too.
+	for _, run := range []struct {
+		name            string
+		fenced          bool
+		recvMsgs, stale int
+	}{
+		{"unfenced", false, 0, p},
+		{"behind a Barrier", true, p, 0},
+	} {
+		leaky := func(c *Comm) error {
+			c.Send((c.Rank()+1)%p, 99, []byte("stale"))
+			if run.fenced {
+				c.Barrier()
+			}
+			return nil
+		}
+		if err := w.Run(leaky); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.TotalStats(); got.SentMsgs != p || got.RecvMsgs != int64(run.recvMsgs) {
+			t.Fatalf("leaky run %s sent %d msgs and received %d, want %d and %d", run.name, got.SentMsgs, got.RecvMsgs, p, run.recvMsgs)
+		}
+		stale, err := w.Reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stale != run.stale {
+			t.Fatalf("Reset after the leaky run %s drained %d stale messages, want %d", run.name, stale, run.stale)
+		}
 	}
 	if got := w.TotalStats(); got.SentMsgs != 0 || got.RecvMsgs != 0 || got.SentBytes != 0 || got.RecvBytes != 0 {
 		t.Fatalf("stats not reset: %+v", got)
 	}
 	for r := 0; r < p; r++ {
 		s := w.RankStats(r)
-		if s.SentMsgs != 0 || s.ByFamily[FamilyRuntime].SentMsgs != 0 {
+		if s.SentMsgs != 0 || s.ByFamily[FamilyRuntime] != (FamilyStats{}) {
 			t.Fatalf("rank %d stats survived Reset: %+v", r, s)
 		}
 	}

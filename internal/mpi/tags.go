@@ -8,9 +8,9 @@ import "fmt"
 //
 //   - Non-negative tags belong to user code. Comm.Send rejects negative tags,
 //     so user and runtime traffic can never collide.
-//   - Negative tags are reserved for the runtime: its own over-the-wire
-//     collectives (see collectives.go), and below tagExchange the wire tags
-//     of Comm.NeighborExchange, one per user tag (see exchangeTag).
+//   - Negative tags are reserved for the runtime: its own collectives (see
+//     collectives.go), and below tagExchange the wire tags of
+//     Comm.NeighborExchange, one per user tag (see exchangeTag).
 //
 // Within the user space the algorithms of this repository carve out fixed
 // ranges, one per protocol phase, so that every byte on the wire can be
@@ -23,7 +23,7 @@ import "fmt"
 // kept per family (see Stats) and the aggregates are the sum of the user
 // families — the runtime family meters the collectives' reserved-tag traffic,
 // which the aggregates deliberately exclude, so that algorithm message counts
-// stay identical across transport backends. An exchange is the algorithm's
+// are those of the algorithm's own tags. An exchange is the algorithm's
 // own traffic on every backend: its wire tags map to the user tag's family.
 const (
 	// TagMatchBase is the first tag of the matching-bundle range.
@@ -50,9 +50,9 @@ const (
 	// the ranges the built-in algorithms reserve.
 	FamilyUser
 	// FamilyRuntime is the reserved negative-tag traffic bar the exchanges':
-	// the over-the-wire barrier, allreduce and allgather of remote
-	// transports. It is metered here but excluded from the aggregate Stats
-	// counters, so algorithm message counts are identical across backends.
+	// the barrier, allreduce and allgather messages of every backend. It is
+	// metered here but excluded from the aggregate Stats counters, so an
+	// algorithm's message counts are those of its own tags alone.
 	FamilyRuntime
 	// NumTagFamilies is the number of tag families (array sizing).
 	NumTagFamilies

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,8 +105,9 @@ func TestFamilySumsMatchAggregates(t *testing.T) {
 			FamilyMatch: {SentMsgs: 1, SentBytes: 3, RecvMsgs: 1, RecvBytes: 3},
 			FamilyColor: {SentMsgs: 1, SentBytes: 5, RecvMsgs: 1, RecvBytes: 5},
 			FamilyUser:  {SentMsgs: 1, SentBytes: 7, RecvMsgs: 1, RecvBytes: 7},
-			// inproc collectives are shared-memory: no runtime wire traffic.
-			FamilyRuntime: {},
+			// The Barrier sends an empty message to each of the p-1 peers
+			// and takes one from each.
+			FamilyRuntime: {SentMsgs: p - 1, RecvMsgs: p - 1},
 		} {
 			if s.ByFamily[f] != fwant {
 				t.Errorf("rank %d family %v: %+v, want %+v", r, f, s.ByFamily[f], fwant)
@@ -153,21 +155,39 @@ func TestPublishedFamilyStatsMatchTotals(t *testing.T) {
 			t.Errorf("%s = %d, want %d (nonzero)", name, got, want)
 		}
 	}
-	for _, quiet := range []string{"mpi.sent_msgs.color", "mpi.sent_msgs.user", "mpi.sent_msgs.runtime"} {
+	// The Barrier is one empty message from each rank to its one peer.
+	for name, want := range map[string]int64{
+		"mpi.sent_msgs.runtime":  p,
+		"mpi.sent_bytes.runtime": 0,
+		"mpi.recv_msgs.runtime":  p,
+		"mpi.recv_bytes.runtime": 0,
+	} {
+		if got, ok := snap.PerRank[name]; !ok || sum(name) != want {
+			t.Errorf("%s = %v (published %v), want a sum of %d", name, got, ok, want)
+		}
+	}
+	for _, quiet := range []string{"mpi.sent_msgs.color", "mpi.sent_msgs.user"} {
 		if _, ok := snap.PerRank[quiet]; ok {
 			t.Errorf("zero-traffic family published: %s", quiet)
 		}
 	}
 }
 
-// TestTCPDrainTagLeavesStashedRuntime pins the DrainTag/stash contract when
-// reserved-tag runtime messages are interleaved with user traffic over a real
-// wire: TryRecv stashes the peers' barrier messages while surfacing the user
-// message, a subsequent DrainTag must not discard those stashed runtime
-// messages, and the rank's own Barrier then completes by consuming them.
-func TestTCPDrainTagLeavesStashedRuntime(t *testing.T) {
+// The stash tests below run on both backends: every collective is a message
+// exchange on each, so each interleaving they set up happens on each.
+
+// TestDrainTagLeavesStashedRuntime pins the DrainTag/stash contract when
+// reserved-tag runtime messages are interleaved with user traffic: TryRecv
+// stashes the peers' barrier messages while surfacing the user message, a
+// subsequent DrainTag must not discard those stashed runtime messages, and
+// the rank's own Barrier then completes by consuming them.
+func TestDrainTagLeavesStashedRuntime(t *testing.T) {
+	eachBackend(t, testDrainTagLeavesStashedRuntime)
+}
+
+func testDrainTagLeavesStashedRuntime(t *testing.T, backend string) {
 	const n = 3
-	runOverTCP(t, n, func(c *Comm) error {
+	runOn(t, backend, n, func(c *Comm) error {
 		switch c.Rank() {
 		case 1:
 			c.Send(0, 5, []byte("payload"))
@@ -183,6 +203,7 @@ func TestTCPDrainTagLeavesStashedRuntime(t *testing.T) {
 			for !gotUser || len(c.stash) < n-1 {
 				m, ok := c.TryRecv()
 				if !ok {
+					runtime.Gosched()
 					continue
 				}
 				if m.Tag != 5 || m.From != 1 || gotUser {
@@ -207,21 +228,25 @@ func TestTCPDrainTagLeavesStashedRuntime(t *testing.T) {
 	})
 }
 
-// TestTCPDrainTagStashedUserDuringBarrier covers the complementary
+// TestDrainTagStashedUserDuringBarrier covers the complementary
 // interleaving: a user message sent before the peer's Barrier is popped and
 // stashed by the barrier's own per-peer take, and DrainTag then removes it
 // from the stash — exactly once, with no double counting — while the runtime
 // traffic it crossed paths with stays out of the aggregates.
-func TestTCPDrainTagStashedUserDuringBarrier(t *testing.T) {
-	worlds := runOverTCP(t, 2, func(c *Comm) error {
+func TestDrainTagStashedUserDuringBarrier(t *testing.T) {
+	eachBackend(t, testDrainTagStashedUserDuringBarrier)
+}
+
+func testDrainTagStashedUserDuringBarrier(t *testing.T, backend string) {
+	worlds := runOn(t, backend, 2, func(c *Comm) error {
 		switch c.Rank() {
 		case 1:
 			c.Send(0, 5, []byte("stale"))
 			c.Barrier()
 			c.Send(0, 6, []byte("fresh"))
 		case 0:
-			// The remote barrier pops rank 1's queue looking for tag -1 and
-			// stashes the tag-5 message it finds first (per-pair FIFO).
+			// The barrier pops rank 1's queue looking for tag -1 and stashes
+			// the tag-5 message it finds first (per-pair FIFO).
 			c.Barrier()
 			if len(c.stash) != 1 || c.stash[0].Tag != 5 {
 				t.Errorf("after barrier stash = %+v, want one tag-5 message", c.stash)
@@ -254,14 +279,17 @@ func TestTCPDrainTagStashedUserDuringBarrier(t *testing.T) {
 	}
 }
 
-// Only a remote collective can push a user message into the stash (the
-// in-process ones meet in shared memory and receive nothing), so the two
-// stash-side DrainTag checks run over tcp: both ranks post before the barrier,
-// whose per-peer take pops and stashes what precedes the barrier message.
+// In the two stash-side DrainTag checks below both ranks post before the
+// barrier, whose per-peer take pops and stashes what precedes the barrier
+// message.
 
 // TestDrainTagClearsStash: a stashed message is drained, exactly once.
 func TestDrainTagClearsStash(t *testing.T) {
-	runOverTCP(t, 2, func(c *Comm) error {
+	eachBackend(t, testDrainTagClearsStash)
+}
+
+func testDrainTagClearsStash(t *testing.T, backend string) {
+	runOn(t, backend, 2, func(c *Comm) error {
 		c.Send(1-c.Rank(), 7, []byte{9})
 		c.Barrier()
 		if len(c.stash) != 1 {
@@ -281,7 +309,11 @@ func TestDrainTagClearsStash(t *testing.T) {
 // received traffic, once: DrainTag is a receive-and-discard, not a rollback,
 // so the global sent/received balance holds after a drain from the stash.
 func TestDrainTagStatsAccounting(t *testing.T) {
-	worlds := runOverTCP(t, 2, func(c *Comm) error {
+	eachBackend(t, testDrainTagStatsAccounting)
+}
+
+func testDrainTagStatsAccounting(t *testing.T, backend string) {
+	worlds := runOn(t, backend, 2, func(c *Comm) error {
 		c.Send(1-c.Rank(), 5, make([]byte, 40))
 		c.Send(1-c.Rank(), 7, make([]byte, 8))
 		c.Barrier() // stashes both

@@ -10,6 +10,36 @@ import (
 	"repro/internal/mpi/transport"
 )
 
+// eachBackend runs test once per backend, as a subtest named after it: all
+// ranks in one in-process World, or one World per rank over localhost TCP.
+func eachBackend(t *testing.T, test func(t *testing.T, backend string)) {
+	for _, backend := range []string{"inproc", "tcp"} {
+		t.Run(backend, func(t *testing.T) { test(t, backend) })
+	}
+}
+
+// runOn runs fn on an n-rank job over backend and returns its worlds indexed
+// by rank, for stats inspection: the one in-process World n times over, or
+// the tcp World hosting each rank.
+func runOn(t *testing.T, backend string, n int, fn func(c *Comm) error, opts ...Option) []*World {
+	t.Helper()
+	if backend == "tcp" {
+		return runOverTCP(t, n, fn, opts...)
+	}
+	w, err := NewWorld(n, append([]Option{WithDeadline(30 * time.Second)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(fn); err != nil {
+		t.Fatal(err)
+	}
+	worlds := make([]*World, n)
+	for r := range worlds {
+		worlds[r] = w
+	}
+	return worlds
+}
+
 // runOverTCP runs fn once per rank of an n-rank job in which every rank owns
 // its own World over a real localhost TCP mesh — the same topology as n
 // separate processes, collapsed into one test binary. It returns the per-rank
@@ -104,17 +134,21 @@ func TestTCPPerPairFIFOOverWire(t *testing.T) {
 	})
 }
 
-// TestTCPBarrierIsFence checks the delivery-fence property over the wire:
+// TestBarrierIsFence checks the delivery-fence property on both backends:
 // everything sent before the senders' Barrier is receivable without blocking
 // after it — the invariant the matching and coloring round structure relies
 // on. It also checks exact traffic balance: with all sends barrier-fenced,
 // every rank's receive counters match what was addressed to it, and the
-// runtime's own barrier traffic stays invisible.
-func TestTCPBarrierIsFence(t *testing.T) {
+// runtime's own barrier traffic stays out of them, in its own family.
+func TestBarrierIsFence(t *testing.T) {
+	eachBackend(t, testBarrierIsFence)
+}
+
+func testBarrierIsFence(t *testing.T, backend string) {
 	const n = 4
 	const rounds = 3
 	const per = 5
-	worlds := runOverTCP(t, n, func(c *Comm) error {
+	worlds := runOn(t, backend, n, func(c *Comm) error {
 		for round := 0; round < rounds; round++ {
 			for to := 0; to < n; to++ {
 				if to == c.Rank() {
@@ -150,6 +184,11 @@ func TestTCPBarrierIsFence(t *testing.T) {
 		if s.SentMsgs != want || s.RecvMsgs != want {
 			t.Fatalf("rank %d stats %v, want %d sent and received", i, s, want)
 		}
+		// Two barriers a round, each one empty message to and from every
+		// peer.
+		if rt, want := s.ByFamily[FamilyRuntime], int64(rounds*2*(n-1)); rt != (FamilyStats{SentMsgs: want, RecvMsgs: want}) {
+			t.Fatalf("rank %d runtime family %+v, want %d empty messages each way", i, rt, want)
+		}
 		total.Add(s)
 	}
 	if total.SentMsgs != total.RecvMsgs || total.SentBytes != total.RecvBytes {
@@ -178,8 +217,8 @@ func TestTCPDrainTagOverWire(t *testing.T) {
 	})
 }
 
-// TestTCPVirtualTime checks that virtual clocks synchronize through the
-// remote barrier exactly as through the shared-memory one.
+// TestTCPVirtualTime checks that virtual clocks synchronize through a barrier
+// over the wire exactly as in process.
 func TestTCPVirtualTime(t *testing.T) {
 	const n = 3
 	vt := VirtualTime{Alpha: 1, Beta: 0.5, Sync: 10}

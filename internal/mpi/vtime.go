@@ -83,8 +83,9 @@ func (c *Comm) stampSend(bytes int) float64 {
 	return c.vclock + vt.Alpha + vt.Beta*float64(bytes)
 }
 
-// observeArrival pulls this rank's clock forward to an arrival time: that of
-// a message handed to it, or the latest entry into a barrier it just left.
+// observeArrival pulls this rank's clock forward to the arrival time of a
+// message handed to it — for a collective's message, the sender's entry
+// clock.
 func (c *Comm) observeArrival(t float64) {
 	if c.world.vt != nil && t > c.vclock {
 		c.vclock = t
