@@ -126,14 +126,14 @@ type JobResult struct {
 }
 
 // Solve runs job on g cut by part with one goroutine rank per part: Place,
-// then RunJob on a fresh in-process world, aborted after 10 minutes. It is
-// the one-call form of a distributed run.
+// then RunJob on a fresh in-process world, under the runtime's 10-minute
+// watchdog. It is the one-call form of a distributed run.
 func Solve(g *Graph, part *Partition, job Job) (*JobResult, error) {
 	pl, err := Place(g, part)
 	if err != nil {
 		return nil, err
 	}
-	w, err := mpi.NewWorld(part.P, mpi.WithDeadline(10*time.Minute))
+	w, err := mpi.NewWorld(part.P)
 	if err != nil {
 		return nil, err
 	}

@@ -42,36 +42,20 @@ func GreedyDistance2Order(g *graph.Graph, ord []graph.Vertex) Colors {
 	if bound < 1 {
 		bound = 1
 	}
-	mark := make([]int64, bound+1)
-	var stamp int64
-	markColor := func(u graph.Vertex) {
-		if c := colors[u]; c >= 0 && int(c) < len(mark) {
-			mark[c] = stamp
-		}
-	}
+	picker := newFirstFit(bound)
 	for _, v := range ord {
-		stamp++
+		picker.stamp++
 		for _, u := range g.Neighbors(v) {
-			markColor(u)
+			picker.use(colors[u])
 			for _, w := range g.Neighbors(u) {
 				if w != v {
-					markColor(w)
+					picker.use(colors[w])
 				}
 			}
 		}
-		assigned := false
-		for c := range mark {
-			if mark[c] != stamp {
-				colors[v] = int32(c)
-				assigned = true
-				break
-			}
-		}
-		if !assigned {
-			// Cannot happen: a vertex has at most Δ² distance-<=2 neighbors
-			// and the mark array has Δ²+1 (capped at n) usable slots.
-			panic("coloring: distance-2 first fit ran out of colors")
-		}
+		// A vertex has at most Δ² distance-≤2 neighbors and the picker
+		// has Δ²+1 (capped at n) usable slots, so firstFree always finds one.
+		colors[v] = picker.firstFree()
 	}
 	return colors
 }

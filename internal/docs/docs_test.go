@@ -10,7 +10,8 @@
 // TestRunPatternsNameTests holds CI's and the verify skill's -run patterns to
 // the tests they name, TestDaemonFlagsHaveReaders holds dmgm-serve's flags
 // to docs/OPERATIONS.md's flag reference, and TestLibraryNamesHaveCallers
-// holds the library packages' exports and option fields to ROADMAP item 9.
+// holds the library packages' declarations and their *Options and *Config
+// fields to ROADMAP item 9.
 package docs
 
 import (
@@ -1012,10 +1013,10 @@ func nonTestFiles(t *testing.T, pkg string, mode parser.Mode) map[string]*ast.Fi
 }
 
 // stdlibMethods are methods the standard library calls through its
-// interfaces (error, fmt.Stringer, http.Handler, io, sort, heap, json), so no
-// selector in the repository needs to name them.
+// interfaces (error, fmt.Stringer, http.Handler, http.RoundTripper, io, sort,
+// heap, json), so no selector in the repository needs to name them.
 var stdlibMethods = map[string]bool{
-	"Error": true, "Unwrap": true, "Is": true, "String": true, "ServeHTTP": true,
+	"Error": true, "Unwrap": true, "Is": true, "String": true, "ServeHTTP": true, "RoundTrip": true,
 	"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true,
 	"Push": true, "Pop": true, "MarshalJSON": true, "UnmarshalJSON": true,
 }
@@ -1027,74 +1028,73 @@ type fieldSetter struct {
 }
 
 // TestLibraryNamesHaveCallers holds the library half of the tree to ROADMAP
-// item 9's rule. An exported package-level name declared in a non-test file
-// under internal/ or dmgm/ must be reached from non-test code somewhere in the
-// repository, bench/ included, or from another package's tests: as a
-// qualified pkg.Name through an import, or bare inside its own package. A
-// method counts as reached by any selector of its name. An exported field of
-// a *Options struct must be set somewhere outside its own package's tests: a
-// key of a literal of that struct, an &x.Field, or an assignment to x.Field
-// made from another package. What only its own tests reach is a knob or an
-// export no caller needs, and goes.
+// item 9's rule (see libraryGaps).
 func TestLibraryNamesHaveCallers(t *testing.T) {
-	files := goFiles(t, true)
+	unreached, unset := libraryGaps(goFiles(t, true))
+	for _, name := range unreached {
+		t.Errorf("%s is reached by nothing but its own package's tests or dead code: delete it, or move it into the tests (ROADMAP item 9)", name)
+	}
+	for _, field := range unset {
+		t.Errorf("field %s is set by nothing but its own package's tests: make it a constant (ROADMAP item 9)", field)
+	}
+}
+
+// liveRegion is one unit of code the liveness fixpoint of libraryGaps
+// judges: a top-level declaration of a library package, or a whole file
+// outside the library's non-test code.
+type liveRegion struct {
+	file, dir string
+	names     []string // "dir.Name" it declares
+	method    string   // a method declaration's name
+	recv      string   // and its receiver type, "dir.Recv"
+	root      bool     // live whatever reaches it
+	refs      []string // package-level names it refers to, "dir.Name"
+	sels      []string // selector names it uses
+	from      string   // "" for non-test code, else the test file's directory
+}
+
+// live reports whether a region is reached by what is live so far.
+func (r *liveRegion) live(reached map[string]bool, selectedFrom map[string]map[string]bool) bool {
+	switch {
+	case r.root:
+		return true
+	case r.method != "":
+		if !reached[r.recv] {
+			return false
+		}
+		for from := range selectedFrom[r.method] {
+			if from != r.dir {
+				return true
+			}
+		}
+		return stdlibMethods[r.method]
+	}
+	return slices.ContainsFunc(r.names, func(n string) bool { return reached[n] })
+}
+
+// libraryGaps applies ROADMAP item 9's rule to a tree parsed by goFiles. A
+// package-level name or method, exported or not, declared in a non-test file
+// under internal/ or dmgm/ must be reached from live code: non-test code
+// outside the library (bench/ included), another package's tests, or a
+// declaration of the library that is itself live. A reference is a qualified
+// pkg.Name through an import, or a bare Name inside its own package; a method
+// is reached by a selector of its name (or the standard library's call of
+// it), once its type is. Liveness is a fixpoint over the declarations, so
+// what only dead code names is dead too. An exported field
+// of a *Options or *Config struct must be set somewhere outside its own
+// package's tests: a key of a literal of that struct, an &x.Field, or an
+// assignment to x.Field made from another package. What only its own tests
+// reach is a knob or an export no caller needs, and goes.
+func libraryGaps(files map[string]*ast.File) (unreached, unset []string) {
 	library := func(dir string) bool { return dir == "dmgm" || strings.HasPrefix(dir, "internal/") }
 	ownTest := func(file, dir string) bool { return strings.HasSuffix(file, "_test.go") && path.Dir(file) == dir }
 	pkgOf := func(name string) string { return strings.TrimSuffix(name, path.Ext(name)) } // "dir.Name" -> "dir"
 
-	// Declarations: names and option structs are keyed "dir.Name".
-	names := map[string]string{}     // exported package-level name -> its file
-	methods := map[string][]string{} // exported method name -> "file: Recv.Name" of each declaration
-	options := map[string][]string{} // *Options struct -> its exported fields
-	for file, f := range files {
-		dir := path.Dir(file)
-		if strings.HasSuffix(file, "_test.go") || !library(dir) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				switch {
-				case !d.Name.IsExported():
-				case d.Recv == nil:
-					names[dir+"."+d.Name.Name] = file
-				case !stdlibMethods[d.Name.Name]:
-					methods[d.Name.Name] = append(methods[d.Name.Name], file+": "+recvName(d.Recv)+"."+d.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if !s.Name.IsExported() {
-							continue
-						}
-						names[dir+"."+s.Name.Name] = file
-						if st, ok := s.Type.(*ast.StructType); ok && strings.HasSuffix(s.Name.Name, "Options") {
-							for _, field := range st.Fields.List {
-								for _, id := range field.Names {
-									if id.IsExported() {
-										options[dir+"."+s.Name.Name] = append(options[dir+"."+s.Name.Name], id.Name)
-									}
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							if id.IsExported() {
-								names[dir+"."+id.Name] = file
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// References.
-	reached := map[string]bool{}                 // "dir.Name"
-	selectedFrom := map[string]map[string]bool{} // selector name -> dirs of the test files using it, "" for non-test code
-	setInLiteral := map[string]bool{}            // "dir.XOptions.Field"
-	setters := map[string][]fieldSetter{}        // field name -> its &x.F and x.F = sites
+	// References, region by region, and the sites that set fields.
+	var regions []*liveRegion
+	settable := map[string][]string{}     // *Options or *Config struct, "dir.Name" -> its exported fields
+	setInLiteral := map[string]bool{}     // "dir.XOptions.Field"
+	setters := map[string][]fieldSetter{} // field name -> its &x.F and x.F = sites
 	for file, f := range files {
 		dir, test := path.Dir(file), strings.HasSuffix(file, "_test.go")
 		imports := map[string]string{} // local name -> package dir
@@ -1146,6 +1146,8 @@ func TestLibraryNamesHaveCallers(t *testing.T) {
 				for _, id := range n.Names {
 					notRefs[id] = true
 				}
+			case *ast.SelectorExpr:
+				notRefs[n.Sel] = true
 			case *ast.CompositeLit:
 				typ := n.Type
 				if typ == nil {
@@ -1186,55 +1188,129 @@ func TestLibraryNamesHaveCallers(t *testing.T) {
 						setters[sel.Sel.Name] = append(setters[sel.Sel.Name], fieldSetter{dir: dir, test: test, assign: true})
 					}
 				}
-			case *ast.SelectorExpr:
-				notRefs[n.Sel] = true
-				if pkg, ok := n.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
-					if target := imports[pkg.Name]; !ownTest(file, target) {
-						reached[target+"."+n.Sel.Name] = true
-					}
-					return false
-				}
-				from := ""
-				if test {
-					from = dir
-				}
-				if selectedFrom[n.Sel.Name] == nil {
-					selectedFrom[n.Sel.Name] = map[string]bool{}
-				}
-				selectedFrom[n.Sel.Name][from] = true
 			}
 			return true
 		})
+		from := ""
+		if test {
+			from = dir
+		}
+		// collect fills r with what the code under n refers to. Bare names
+		// count only in the library's non-test code, where they name the
+		// package's own declarations.
+		collect := func(r *liveRegion, n ast.Node) *liveRegion {
+			r.file, r.dir, r.from = file, dir, from
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if pkg, ok := n.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+						if target := imports[pkg.Name]; !ownTest(file, target) {
+							r.refs = append(r.refs, target+"."+n.Sel.Name)
+						}
+						return false
+					}
+					r.sels = append(r.sels, n.Sel.Name)
+				case *ast.Ident:
+					if !notRefs[n] && !test && library(dir) {
+						r.refs = append(r.refs, dir+"."+n.Name)
+					}
+				}
+				return true
+			})
+			return r
+		}
 		if test || !library(dir) {
+			regions = append(regions, collect(&liveRegion{root: true}, f))
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !notRefs[id] {
-				reached[dir+"."+id.Name] = true
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				r := &liveRegion{names: []string{dir + "." + d.Name.Name}, root: d.Recv == nil && d.Name.Name == "init"}
+				if d.Recv != nil {
+					r.names, r.method, r.recv = nil, d.Name.Name, dir+"."+recvName(d.Recv)
+				}
+				regions = append(regions, collect(r, d))
+			case *ast.GenDecl:
+				if d.Tok == token.CONST { // one region, so iota's implicit repeats keep their type
+					r := &liveRegion{}
+					for _, spec := range d.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							r.names = append(r.names, dir+"."+id.Name)
+						}
+					}
+					regions = append(regions, collect(r, d))
+					continue
+				}
+				for _, spec := range d.Specs {
+					r := &liveRegion{}
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						r.names = []string{dir + "." + s.Name.Name}
+						st, ok := s.Type.(*ast.StructType)
+						if !ok || !strings.HasSuffix(s.Name.Name, "Options") && !strings.HasSuffix(s.Name.Name, "Config") {
+							break
+						}
+						for _, field := range st.Fields.List {
+							for _, id := range field.Names {
+								if id.IsExported() {
+									settable[r.names[0]] = append(settable[r.names[0]], id.Name)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							r.names = append(r.names, dir+"."+id.Name)
+							r.root = r.root || id.Name == "_" // an assertion such as var _ I = (*T)(nil)
+						}
+					default:
+						continue // imports
+					}
+					regions = append(regions, collect(r, spec))
+				}
 			}
-			return true
-		})
+		}
 	}
 
-	var unreached []string
-	for name, file := range names {
-		if !reached[name] {
-			unreached = append(unreached, file+": "+path.Base(name))
+	// Liveness: what live code names is reached, until nothing changes.
+	reached := map[string]bool{}                 // "dir.Name"
+	selectedFrom := map[string]map[string]bool{} // selector name -> "" for live non-test code, or a test file's directory
+	live := make([]bool, len(regions))
+	for changed := true; changed; {
+		changed = false
+		for i, r := range regions {
+			if live[i] || !r.live(reached, selectedFrom) {
+				continue
+			}
+			live[i], changed = true, true
+			for _, ref := range r.refs {
+				reached[ref] = true
+			}
+			for _, sel := range r.sels {
+				if selectedFrom[sel] == nil {
+					selectedFrom[sel] = map[string]bool{}
+				}
+				selectedFrom[sel][r.from] = true
+			}
 		}
 	}
-	for name, decls := range methods {
-		for _, decl := range decls {
-			own, used := path.Dir(decl[:strings.Index(decl, ":")]), false
-			for from := range selectedFrom[name] {
-				used = used || from != own
+
+	for i, r := range regions {
+		switch {
+		case r.root:
+		case r.method != "":
+			if !live[i] {
+				unreached = append(unreached, r.file+": "+r.recv[len(r.dir)+1:]+"."+r.method)
 			}
-			if !used {
-				unreached = append(unreached, decl)
+		default:
+			for _, name := range r.names {
+				if !reached[name] {
+					unreached = append(unreached, r.file+": "+path.Base(name))
+				}
 			}
 		}
 	}
-	var unset []string
-	for typ, fields := range options {
+	for typ, fields := range settable {
 		dir := pkgOf(typ)
 		for _, field := range fields {
 			set := setInLiteral[typ+"."+field] || slices.ContainsFunc(setters[field], func(s fieldSetter) bool {
@@ -1247,11 +1323,95 @@ func TestLibraryNamesHaveCallers(t *testing.T) {
 	}
 	sort.Strings(unreached)
 	sort.Strings(unset)
-	for _, name := range unreached {
-		t.Errorf("%s is reached by nothing but its own package's tests: delete it, or move it into them (ROADMAP item 9)", name)
+	return unreached, unset
+}
+
+// TestLibraryGapsFindsDeadChains runs the gate on a small synthetic tree:
+// the color-strategy chain of the coloring kernel as it stood once its
+// option field was gone. pickColor, called by nothing but the package's own
+// tests, was the only code naming Strategy and its values, so a rule that
+// counted any same-package reference passed all of them; the fixpoint finds
+// the whole chain. Config.MaxBodyBytes is a field that only the package's own
+// tests set.
+func TestLibraryGapsFindsDeadChains(t *testing.T) {
+	sources := map[string]string{
+		"internal/syn/strategy.go": `package syn
+
+type Options struct{ Seed uint64 }
+
+type Config struct{ Workers, MaxBodyBytes int }
+
+type Strategy int
+
+const (
+	FirstFit Strategy = iota
+	StaggeredFirstFit
+	LeastUsed
+)
+
+func (s Strategy) String() string {
+	if s == LeastUsed {
+		return "least-used"
 	}
-	for _, field := range unset {
-		t.Errorf("option field %s is set by nothing but its own package's tests: make it a constant (ROADMAP item 9)", field)
+	return "first-fit"
+}
+
+type kernel struct {
+	opt   Options
+	usage []int64
+}
+
+func Run(opt Options, cfg Config) int {
+	k := &kernel{opt: opt}
+	return k.firstFit() + cfg.Workers
+}
+
+func (k *kernel) firstFit() int { return 0 }
+
+func (k *kernel) pickColor(s Strategy) int {
+	switch s {
+	case StaggeredFirstFit:
+		return int(k.opt.Seed)
+	case LeastUsed:
+		return leastUsed(k.usage)
+	}
+	return k.firstFit()
+}
+
+func leastUsed(usage []int64) int { return len(usage) }
+`,
+		"internal/syn/strategy_test.go": `package syn
+
+func TestPickColor(t *testing.T) {
+	k := &kernel{}
+	_ = k.pickColor(LeastUsed) + Run(Options{}, Config{MaxBodyBytes: 1})
+}
+`,
+		"cmd/syn/main.go": `package main
+
+import "repro/internal/syn"
+
+func main() { syn.Run(syn.Options{Seed: 1}, syn.Config{Workers: 2}) }
+`,
+	}
+	files := map[string]*ast.File{}
+	fset := token.NewFileSet()
+	for name, src := range sources {
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = f
+	}
+	unreached, unset := libraryGaps(files)
+	const file = "internal/syn/strategy.go: "
+	want := []string{file + "Strategy.String", file + "kernel.pickColor", file + "syn.FirstFit",
+		file + "syn.LeastUsed", file + "syn.StaggeredFirstFit", file + "syn.Strategy", file + "syn.leastUsed"}
+	if !slices.Equal(unreached, want) {
+		t.Errorf("unreached %q, want %q", unreached, want)
+	}
+	if want := []string{"syn.Config.MaxBodyBytes"}; !slices.Equal(unset, want) {
+		t.Errorf("unset %q, want %q", unset, want)
 	}
 }
 
@@ -1262,7 +1422,10 @@ func recvName(recv *ast.FieldList) string {
 	if star, ok := e.(*ast.StarExpr); ok {
 		e = star.X
 	}
-	if index, ok := e.(*ast.IndexExpr); ok {
+	switch index := e.(type) {
+	case *ast.IndexExpr:
+		e = index.X
+	case *ast.IndexListExpr:
 		e = index.X
 	}
 	if id, ok := e.(*ast.Ident); ok {

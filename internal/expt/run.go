@@ -57,9 +57,7 @@ func measuredProfile(reg *obs.Registry, p, r int) perfmodel.Profile {
 func measure[R any](shares []*dgraph.DistGraph, kernel func(*mpi.Comm, *dgraph.DistGraph) (R, error), epochs func(R) int64) (*Measurement, []R, error) {
 	p := len(shares)
 	obsr := obs.NewObserver(p, -1) // metrics only: op counters for the profiles
-	w, err := mpi.NewWorld(p, mpi.WithDeadline(10*time.Minute),
-		mpi.WithVirtualTime(perfmodel.BlueGeneP()),
-		mpi.WithObserver(obsr))
+	w, err := mpi.NewWorld(p, mpi.WithVirtualTime(perfmodel.BlueGeneP()), mpi.WithObserver(obsr))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -209,7 +209,7 @@ func (c *CLI) Run(g *graph.Graph, part *partition.Partition) (*dmgm.JobResult, e
 	// preceded it are recorded retroactively.
 	obsr.Driver().Observe("driver.read_graph", c.readStart, int64(g.NumVertices()))
 	obsr.Driver().Observe("driver.partition", c.partStart, int64(part.P))
-	w, err := c.Transport.World(part.P, mpi.WithDeadline(10*time.Minute), mpi.WithObserver(obsr))
+	w, err := c.Transport.World(part.P, mpi.WithObserver(obsr))
 	if err != nil {
 		return nil, err
 	}

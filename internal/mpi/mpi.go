@@ -33,8 +33,10 @@
 // message exchange (see collectives.go). World.Cancel wakes every mailbox,
 // and a rank waiting in a canceled world unwinds with ErrCanceled; the
 // kernels also check Comm.Err once per outer iteration or superstep. The
-// first rank to fail cancels its world the same way. A canceled world is
-// runnable again after Reset.
+// first rank to fail cancels its world the same way. So does the watchdog
+// every World has: a Run whose ranks have not all returned after 10 minutes
+// (or the WithDeadline that overrides it) is canceled and names the ranks
+// still running. A canceled world is runnable again after Reset.
 //
 // The runtime also meters traffic: per-rank sent/received message and byte
 // counters, which both the experiments and the α–β performance model
@@ -116,9 +118,13 @@ func WithPerturbation(seed uint64) Option {
 	}
 }
 
-// WithDeadline aborts Run if the ranks have not all finished within d,
-// reporting which ranks were still alive — a deadlock watchdog for tests. The
-// abort cancels the world (see Cancel), so ranks stuck in a wait unwind.
+// defaultDeadline is the watchdog of a World made without WithDeadline.
+const defaultDeadline = 10 * time.Minute
+
+// WithDeadline overrides the 10-minute watchdog every World has: Run aborts
+// if the ranks have not all finished within d, reporting which ranks were
+// still alive. The abort cancels the world (see Cancel), so ranks stuck in a
+// wait unwind. NewWorld refuses a non-positive d.
 func WithDeadline(d time.Duration) Option {
 	return func(w *World) { w.deadline = d }
 }
@@ -172,9 +178,13 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		boxes:      make([]*mailbox, size),
 		stats:      make([]rankCounters, size),
 		finalVTime: make([]atomic.Uint64, size),
+		deadline:   defaultDeadline,
 	}
 	for _, o := range opts {
 		o(w)
+	}
+	if w.deadline <= 0 {
+		return nil, fmt.Errorf("mpi: non-positive deadline %v", w.deadline)
 	}
 	if w.tr == nil {
 		w.tr = transport.NewInproc(size)
@@ -401,33 +411,32 @@ func (w *World) run(fn func(c *Comm) error) error {
 		w.setNotRunning()
 		close(finished)
 	}()
-	if w.deadline > 0 {
-		select {
-		case <-finished:
-		case <-time.After(w.deadline):
-			mu.Lock()
-			stuck := []int{}
-			for i, d := range done {
-				if !d {
-					stuck = append(stuck, w.local[i])
-				}
-			}
-			mu.Unlock()
-			// A failure that canceled the run before the deadline usually
-			// explains why ranks are still running; surface it too.
-			firstErr := w.failure()
-			// The stuck ranks unwind in the background; Reset refuses until
-			// they have.
-			w.Cancel()
-			if firstErr != nil {
-				return fmt.Errorf("mpi: deadline exceeded; ranks still running: %v; first failure: %w", stuck, firstErr)
-			}
-			return fmt.Errorf("mpi: deadline exceeded; ranks still running: %v", stuck)
-		}
-	} else {
-		<-finished
+	// Stopped when the ranks return, so no timer outlives the Run.
+	watchdog := time.NewTimer(w.deadline)
+	defer watchdog.Stop()
+	select {
+	case <-finished:
+		return w.failure()
+	case <-watchdog.C:
 	}
-	return w.failure()
+	mu.Lock()
+	stuck := []int{}
+	for i, d := range done {
+		if !d {
+			stuck = append(stuck, w.local[i])
+		}
+	}
+	mu.Unlock()
+	// A failure that canceled the run before the deadline usually explains
+	// why ranks are still running; surface it too.
+	firstErr := w.failure()
+	// The stuck ranks unwind in the background; Reset refuses until they
+	// have.
+	w.Cancel()
+	if firstErr != nil {
+		return fmt.Errorf("mpi: deadline exceeded; ranks still running: %v; first failure: %w", stuck, firstErr)
+	}
+	return fmt.Errorf("mpi: deadline exceeded; ranks still running: %v", stuck)
 }
 
 func (w *World) setNotRunning() {

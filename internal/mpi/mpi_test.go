@@ -404,6 +404,30 @@ func TestDeadlineDetectsDeadlock(t *testing.T) {
 	}
 }
 
+// TestDeadlineDefaultAndRefusal: every World carries the 10-minute watchdog
+// unless WithDeadline overrides it, and a non-positive override is refused
+// rather than read as "no watchdog".
+func TestDeadlineDefaultAndRefusal(t *testing.T) {
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.deadline != 10*time.Minute {
+		t.Fatalf("default deadline %v, want 10m", w.deadline)
+	}
+	if w, err = NewWorld(2, WithDeadline(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if w.deadline != time.Second {
+		t.Fatalf("WithDeadline(1s): deadline %v", w.deadline)
+	}
+	for _, d := range []time.Duration{0, -time.Second} {
+		if _, err := NewWorld(2, WithDeadline(d)); err == nil {
+			t.Errorf("WithDeadline(%v) accepted", d)
+		}
+	}
+}
+
 func TestInvalidWorldSize(t *testing.T) {
 	if err := Run(0, func(c *Comm) error { return nil }); err == nil {
 		t.Fatal("accepted size 0")

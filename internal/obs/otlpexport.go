@@ -275,11 +275,3 @@ func (e *OTLPExporter) Dropped() int64 {
 	}
 	return e.dropped.Load()
 }
-
-// retried reports delivery attempts beyond each batch's first (0 on nil).
-func (e *OTLPExporter) retried() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.retries.Load()
-}

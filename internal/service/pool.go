@@ -2,7 +2,6 @@ package service
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -17,10 +16,9 @@ import (
 // ranks still running after the watchdog deadline gave up on them — is
 // discarded, never handed to another job.
 type worldPool struct {
-	mu       sync.Mutex
-	free     map[int][]*mpi.World
-	maxIdle  int           // per rank count; excess Puts discard
-	deadline time.Duration // watchdog on pooled worlds
+	mu      sync.Mutex
+	free    map[int][]*mpi.World
+	maxIdle int // per rank count; excess Puts discard
 
 	// Pool traffic metrics (nil-safe when the registry is nil).
 	created   *obs.Counter
@@ -28,13 +26,12 @@ type worldPool struct {
 	discarded *obs.Counter
 }
 
-// newWorldPool builds a pool whose worlds carry the given run watchdog.
-// maxIdle bounds the idle worlds kept per rank count.
-func newWorldPool(deadline time.Duration, maxIdle int, reg *obs.Registry) *worldPool {
+// newWorldPool builds a pool that keeps up to maxIdle idle worlds per rank
+// count.
+func newWorldPool(maxIdle int, reg *obs.Registry) *worldPool {
 	return &worldPool{
 		free:      make(map[int][]*mpi.World),
 		maxIdle:   maxIdle,
-		deadline:  deadline,
 		created:   reg.Counter("service.pool_worlds_created"),
 		reused:    reg.Counter("service.pool_worlds_reused"),
 		discarded: reg.Counter("service.pool_worlds_discarded"),
@@ -53,7 +50,7 @@ func (p *worldPool) get(ranks int) (*mpi.World, error) {
 		return w, nil
 	}
 	p.mu.Unlock()
-	w, err := mpi.NewWorld(ranks, mpi.WithDeadline(p.deadline))
+	w, err := mpi.NewWorld(ranks)
 	if err != nil {
 		return nil, err
 	}

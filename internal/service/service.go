@@ -38,9 +38,6 @@ type Config struct {
 	CacheEntries int
 	// MaxRanks bounds Request.Ranks (default 64).
 	MaxRanks int
-	// MaxBodyBytes bounds a request body, inline graph included
-	// (default 256 MiB).
-	MaxBodyBytes int64
 	// StoreBytes bounds the content-addressed graph store (default 512 MiB),
 	// and is the size of the second budget the shares retained under
 	// partition-cache entries are held to (partcache.go).
@@ -123,9 +120,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxRanks == 0 {
 		c.MaxRanks = 64
 	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 256 << 20
-	}
 	if c.StoreBytes == 0 {
 		c.StoreBytes = 512 << 20
 	}
@@ -148,9 +142,9 @@ func (c *Config) fillDefaults() {
 
 // Sizes with one value in use everywhere; constants, not Config fields.
 const (
-	// worldDeadline is the watchdog on pooled worlds — the backstop against
-	// a wedged algorithm outliving every job deadline.
-	worldDeadline = 10 * time.Minute
+	// maxBodyBytes bounds a request body, inline graph included; a larger
+	// graph goes through /v1/uploads.
+	maxBodyBytes = 256 << 20
 	// runtimeSpanCap is the per-rank span-ring capacity of each job's runtime
 	// observer. A long job keeps the tail of its phase spans.
 	runtimeSpanCap = 2048
@@ -197,6 +191,8 @@ type Server struct {
 	ingest *ingest.Manager
 	parts  *partCache
 	sched  *tenantSched
+	// maxBody bounds a request body: maxBodyBytes, lowered only by tests.
+	maxBody int64
 
 	stopOnce sync.Once
 	pumpOnce sync.Once // pump shutdown + exporter drain, once
@@ -242,10 +238,12 @@ func NewServer(cfg Config) (*Server, error) {
 	reg := cfg.Observer.Registry()
 	s := &Server{
 		cfg:   cfg,
-		pool:  newWorldPool(worldDeadline, cfg.Workers*2, reg),
+		pool:  newWorldPool(cfg.Workers*2, reg),
 		cache: newResultCache(cfg.CacheEntries),
 		store: ingest.NewStore(cfg.StoreBytes, reg),
 		sched: newTenantSched(cfg.Policies, cfg.QueueLen, cfg.MaxTenants, reg),
+
+		maxBody: maxBodyBytes,
 
 		failed:      reg.Counter("service.jobs_failed"),
 		drainRejs:   reg.Counter("service.jobs_rejected_draining"),
@@ -674,7 +672,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, tq *tenantQueue, 
 	}
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() { buf.Reset(); bodyBufs.Put(buf) }()
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err == nil {
 		err = decodeRequest(buf.Bytes(), req)
 	}

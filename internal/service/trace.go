@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -277,46 +278,36 @@ func durMillis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 
 // the one way to retain nothing.
 const traceRingCap = 256
 
-// traceRing retains the most recent slow/error job traces, bounded and
-// indexed by job id. Safe for concurrent use.
+// traceRing retains the slow/error job traces most recently retained or
+// fetched, bounded and indexed by job id. Safe for concurrent use.
 type traceRing struct {
 	mu   sync.Mutex
-	fifo []string // job ids, oldest first
-	byID map[string]*JobTrace
+	byID *lru.Cache[string, *JobTrace]
 }
 
 func newTraceRing() *traceRing {
-	return &traceRing{byID: make(map[string]*JobTrace, traceRingCap)}
+	return &traceRing{byID: lru.New[string, *JobTrace](traceRingCap, nil)}
 }
 
-// add retains one trace, evicting the oldest beyond capacity.
+// add retains one trace, evicting the least recently used beyond capacity.
 func (r *traceRing) add(t *JobTrace) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byID[t.JobID]; !dup {
-		if len(r.fifo) == traceRingCap {
-			delete(r.byID, r.fifo[0])
-			copy(r.fifo, r.fifo[1:])
-			r.fifo = r.fifo[:len(r.fifo)-1]
-		}
-		r.fifo = append(r.fifo, t.JobID)
-	}
-	r.byID[t.JobID] = t
+	r.byID.Put(t.JobID, t, 1)
 }
 
-// get looks a retained trace up by job id.
+// get looks a retained trace up by job id, marking it recently used.
 func (r *traceRing) get(jobID string) (*JobTrace, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.byID[jobID]
-	return t, ok
+	return r.byID.Get(jobID)
 }
 
 // len reports the retained-trace count.
 func (r *traceRing) len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.fifo)
+	return r.byID.Len()
 }
 
 // accessEntry is one structured access-log line (JSON, one object per line):

@@ -1,6 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -76,7 +81,7 @@ func TestResultCacheDisabled(t *testing.T) {
 
 func TestWorldPoolReuse(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newWorldPool(time.Minute, 2, reg)
+	p := newWorldPool(2, reg)
 	w1, err := p.get(2)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +118,7 @@ func TestWorldPoolReuse(t *testing.T) {
 
 func TestWorldPoolDiscardsBeyondMaxIdle(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newWorldPool(time.Minute, 1, reg)
+	p := newWorldPool(1, reg)
 	w1, _ := p.get(2)
 	w2, _ := p.get(2)
 	p.put(w1)
@@ -128,7 +133,7 @@ func TestWorldPoolDiscardsBeyondMaxIdle(t *testing.T) {
 
 func TestWorldPoolDiscardsUnresettable(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newWorldPool(time.Minute, 4, reg)
+	p := newWorldPool(4, reg)
 	w, err := p.get(2)
 	if err != nil {
 		t.Fatal(err)
@@ -272,5 +277,77 @@ func TestRequestTimeoutClamped(t *testing.T) {
 	r.TimeoutMillis = (10 * time.Minute).Milliseconds()
 	if got := r.timeout(def); got != def {
 		t.Fatalf("long timeout not clamped: %v", got)
+	}
+}
+
+// TestBodyOverBoundAnswers413 lowers the server's body bound: a job under
+// it runs, and one over it is refused with a 413 that names the bound and
+// the way around it.
+func TestBodyOverBoundAnswers413(t *testing.T) {
+	s, err := NewServer(Config{QueueLen: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 4 << 10
+	s.maxBody = bound
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer s.Stop()
+	defer ts.Close()
+	const graph = "g 6 3\ne 0 1 1\ne 2 3 2\ne 4 5 3\n"
+	for _, tc := range []struct {
+		name  string
+		graph string
+		want  int
+	}{
+		{"under the bound", graph, http.StatusOK},
+		{"over the bound", graph + strings.Repeat(" ", bound), http.StatusRequestEntityTooLarge},
+	} {
+		body, err := json.Marshal(Request{Algorithm: AlgoMatch, Graph: tc.graph, Ranks: 2, Partition: "block"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var answer struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&answer) //nolint:errcheck // the status decides
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d (%q), want %d", tc.name, resp.StatusCode, answer.Error, tc.want)
+		}
+		if tc.want == http.StatusRequestEntityTooLarge &&
+			(!strings.Contains(answer.Error, fmt.Sprint(bound)) || !strings.Contains(answer.Error, "/v1/uploads")) {
+			t.Fatalf("%s: message %q names neither the %d-byte bound nor /v1/uploads", tc.name, answer.Error, bound)
+		}
+	}
+}
+
+// TestTraceRingKeepsMostRecentlyUsed: the ring keeps traceRingCap traces,
+// and the least recently retained or fetched one goes first.
+func TestTraceRingKeepsMostRecentlyUsed(t *testing.T) {
+	r := newTraceRing()
+	id := func(i int) string { return fmt.Sprintf("job-%d", i) }
+	for i := 0; i < traceRingCap; i++ {
+		r.add(&JobTrace{jobSummary: jobSummary{JobID: id(i)}})
+	}
+	if got := r.len(); got != traceRingCap {
+		t.Fatalf("len = %d after %d adds, want %d", got, traceRingCap, traceRingCap)
+	}
+	if _, ok := r.get(id(0)); !ok { // job-0 becomes the most recently used
+		t.Fatal("job-0 gone before the ring was over its bound")
+	}
+	r.add(&JobTrace{jobSummary: jobSummary{JobID: id(traceRingCap)}})
+	if got := r.len(); got != traceRingCap {
+		t.Fatalf("len = %d, want the bound %d", got, traceRingCap)
+	}
+	if _, ok := r.get(id(1)); ok {
+		t.Fatal("job-1, the least recently used, survived an add past the bound")
+	}
+	for _, i := range []int{0, 2, traceRingCap} {
+		if _, ok := r.get(id(i)); !ok {
+			t.Fatalf("%s evicted instead of job-1", id(i))
+		}
 	}
 }
