@@ -69,7 +69,7 @@ import (
 
 func main() {
 	of := &obs.Flags{} // the two of the CLIs' obs flags the daemon reads
-	flag.StringVar(&of.HTTP, "http", "", "also serve live observability on this address: /snapshot and /metrics (as the job port does), /debug/pprof")
+	flag.StringVar(&of.HTTP, "http", "", "also serve live observability on this address: /metrics (as the job port does), /debug/pprof")
 	flag.StringVar(&of.OTLP, "otlp", "", "stream finished jobs' span trees and push the metrics registry to this OTLP/HTTP collector endpoint (e.g. http://localhost:4318)")
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8321", "HTTP listen address for the job API")
@@ -180,10 +180,10 @@ func main() {
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln) //nolint:errcheck // Shutdown's error is the one that matters
-	fmt.Fprintf(os.Stderr, "dmgm-serve: listening on http://%s (POST /v1/jobs, /v1/uploads, GET /healthz /metrics /snapshot)\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "dmgm-serve: listening on http://%s (POST /v1/jobs, /v1/uploads, GET /healthz /metrics)\n", ln.Addr())
 
 	if of.HTTP != "" {
-		liveAddr, err := obs.ServeLive(of.HTTP, srv.LiveSnapshot)
+		liveAddr, err := obs.ServeLive(of.HTTP, srv.Metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dmgm-serve: %v\n", err)
 			os.Exit(1)

@@ -10,7 +10,7 @@
 //	dmgm-trace -metrics-only out.json # just the embedded registry
 //
 // With -watch it becomes a live dashboard instead: point it at the -http
-// endpoint(s) of a running dmgm-match / dmgm-color job and it polls /snapshot
+// endpoint(s) of a running dmgm-match / dmgm-color job and it polls /metrics
 // and redraws a per-rank, per-tag-family traffic and imbalance view until the
 // run exits.
 //

@@ -6,7 +6,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from what dmgm-trace prints now")
@@ -51,29 +54,77 @@ func TestGolden(t *testing.T) {
 		"mailbox_peak":       {"-metrics-only", peakTrace},
 		"mailbox_peak_empty": {"-metrics-only", emptyPeakTrace},
 	} {
-		t.Run(name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], args...)
-			cmd.Env = append(os.Environ(), runMainEnv+"=1")
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			got, err := cmd.Output()
-			if err != nil {
-				t.Fatalf("dmgm-trace %v: %v\n%s", args, err, &stderr)
-			}
-			golden := filepath.Join("testdata", name+".golden")
-			if *update {
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("output differs from %s:\n--- got\n%s\n--- want\n%s", golden, got, want)
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkGolden(t, name, runTrace(t, args)) })
+	}
+}
+
+// TestWatchGolden records one -watch frame polled from two live endpoints,
+// each serving one rank of the surface registry as a -launch worker does:
+// it covers the merge, the per-rank rows, the imbalance line and the family
+// table. The frame's wall-clock time is masked.
+func TestWatchGolden(t *testing.T) {
+	tf, err := obs.ReadTraceFile(surfaceTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-watch", "-watch-iters", "1", "-no-clear"}
+	for r := 0; r < 2; r++ {
+		shard := rankShard(tf.Metrics, r)
+		addr, err := obs.ServeLive("127.0.0.1:0", func() *obs.MetricsSnapshot { return shard })
+		if err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, addr)
+	}
+	clock := regexp.MustCompile(`\d\d:\d\d:\d\d\n`)
+	checkGolden(t, "watch", clock.ReplaceAll(runTrace(t, args), []byte("hh:mm:ss\n")))
+}
+
+// rankShard is rank r's part of the registry m: every per-rank vec keeps
+// only r's cell, and the process-wide counters and histograms ride on rank
+// 0's shard, so the shards merge back into m.
+func rankShard(m *obs.MetricsSnapshot, r int) *obs.MetricsSnapshot {
+	s := &obs.MetricsSnapshot{Gauges: m.Gauges, PerRank: map[string][]int64{}}
+	if r == 0 {
+		s.Counters, s.Histograms = m.Counters, m.Histograms
+	}
+	for k, v := range m.PerRank {
+		s.PerRank[k] = make([]int64, len(v))
+		s.PerRank[k][r] = v[r]
+	}
+	return s
+}
+
+// runTrace runs dmgm-trace with args through main() and returns its stdout.
+func runTrace(t *testing.T, args []string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	got, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("dmgm-trace %v: %v\n%s", args, err, &stderr)
+	}
+	return got
+}
+
+// checkGolden compares got with testdata/<name>.golden, or rewrites the
+// golden under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from %s:\n--- got\n%s\n--- want\n%s", golden, got, want)
 	}
 }

@@ -1,13 +1,12 @@
-// Watch mode: poll the -http /snapshot endpoints of a running dmgm-match /
-// dmgm-color job and render a refreshing per-rank, per-tag-family traffic and
-// imbalance dashboard in the terminal. Multiple endpoints (one per -launch
-// worker) are merged into a single whole-job view each frame.
+// Watch mode: poll the -http /metrics endpoints of a running dmgm-match /
+// dmgm-color job and render a refreshing per-rank traffic, imbalance and
+// per-tag-family dashboard in the terminal. The endpoints' registries (one
+// per -launch worker) merge into a single whole-job view each frame.
 package main
 
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -19,16 +18,17 @@ import (
 // number of frames (0 = until the endpoints disappear, i.e. the run exits).
 // Returns the process exit code.
 func watch(urls []string, interval time.Duration, iters int, clear bool) int {
-	// prevSent remembers each rank's sent-bytes total from the previous frame
-	// so the dashboard can show instantaneous send rates.
-	prevSent := map[int]int64{}
-	var prevNanos int64
+	// prev holds the previous frame's per-rank rows, taken at prevAt, so the
+	// dashboard can show instantaneous send rates.
+	var prev []obs.Traffic
+	var prevAt time.Time
 	connected := false
 	for frame := 0; iters <= 0 || frame < iters; frame++ {
 		if frame > 0 {
 			time.Sleep(interval)
 		}
 		merged, errs := pollAll(urls)
+		at := time.Now()
 		if merged == nil {
 			if connected {
 				// The endpoints answered before and are gone now: the run
@@ -43,19 +43,17 @@ func watch(urls []string, interval time.Duration, iters int, clear bool) int {
 		if clear {
 			fmt.Print("\x1b[H\x1b[2J") // home + clear: redraw in place
 		}
-		renderFrame(merged, urls, errs, frame, prevSent, prevNanos)
-		prevNanos = merged.CapturedUnixNanos
-		for _, r := range merged.Ranks {
-			prevSent[r.Rank] = r.SentBytes
-		}
+		prev, prevAt = renderFrame(merged, urls, errs, frame, at, prev, at.Sub(prevAt)), at
 	}
 	return 0
 }
 
-// pollAll fetches and merges every endpoint's snapshot. Returns nil when no
-// endpoint answered, plus the per-endpoint errors for the status line.
-func pollAll(urls []string) (*obs.LiveSnapshot, []error) {
-	var merged *obs.LiveSnapshot
+// pollAll fetches every endpoint's registry and merges them (obs
+// MetricsSnapshot.Merge: endpoints host disjoint ranks, so their per-rank
+// cells add up to the job's). Returns nil when no endpoint answered, plus the
+// per-endpoint errors for the status lines.
+func pollAll(urls []string) (*obs.MetricsSnapshot, []error) {
+	var merged *obs.MetricsSnapshot
 	errs := make([]error, len(urls))
 	for i, u := range urls {
 		s, err := obs.FetchLive(u)
@@ -72,85 +70,43 @@ func pollAll(urls []string) (*obs.LiveSnapshot, []error) {
 	return merged, errs
 }
 
-func renderFrame(s *obs.LiveSnapshot, urls []string, errs []error, frame int, prevSent map[int]int64, prevNanos int64) {
+// renderFrame draws one frame from the merged registry m: a row per rank of
+// its traffic, with the send rate since the previous frame's rows (prev,
+// elapsed ago), the same per-tag-family table the trace file's metrics view
+// prints, and the endpoints that did not answer. It returns the rows.
+func renderFrame(m *obs.MetricsSnapshot, urls []string, errs []error, frame int, at time.Time, prev []obs.Traffic, elapsed time.Duration) []obs.Traffic {
 	var down int
 	for _, e := range errs {
 		if e != nil {
 			down++
 		}
 	}
-	t := time.Unix(0, s.CapturedUnixNanos)
 	fmt.Printf("dmgm live — world %d, %d/%d endpoints, frame %d, %s\n\n",
-		s.WorldSize, len(urls)-down, len(urls), frame, t.Format("15:04:05"))
+		m.Gauges["mpi.world_size"], len(urls)-down, len(urls), frame, at.Format("15:04:05"))
 
-	// Per-rank traffic with instantaneous send rate (delta since last frame).
-	elapsed := float64(s.CapturedUnixNanos-prevNanos) / 1e9
+	ranks := m.TrafficByRank("")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "rank\tsent msgs\tsent bytes\trecv msgs\trecv bytes\tsend rate\t")
-	var tot obs.RankTraffic
+	var tot obs.Traffic
 	var maxSent int64
-	for _, r := range s.Ranks {
+	for r, t := range ranks {
 		rate := "-"
-		if prev, ok := prevSent[r.Rank]; ok && elapsed > 0 {
-			rate = fmtBytes(int64(float64(r.SentBytes-prev)/elapsed)) + "/s"
+		if r < len(prev) && elapsed > 0 {
+			rate = fmtBytes(int64(float64(t.SentBytes-prev[r].SentBytes)/elapsed.Seconds())) + "/s"
 		}
 		fmt.Fprintf(w, "%d\t%d\t%s\t%d\t%s\t%s\t\n",
-			r.Rank, r.SentMsgs, fmtBytes(r.SentBytes), r.RecvMsgs, fmtBytes(r.RecvBytes), rate)
-		tot.SentMsgs += r.SentMsgs
-		tot.SentBytes += r.SentBytes
-		tot.RecvMsgs += r.RecvMsgs
-		tot.RecvBytes += r.RecvBytes
-		if r.SentBytes > maxSent {
-			maxSent = r.SentBytes
-		}
+			r, t.SentMsgs, fmtBytes(t.SentBytes), t.RecvMsgs, fmtBytes(t.RecvBytes), rate)
+		tot.Add(t)
+		maxSent = max(maxSent, t.SentBytes)
 	}
 	fmt.Fprintf(w, "total\t%d\t%s\t%d\t%s\t\t\n",
 		tot.SentMsgs, fmtBytes(tot.SentBytes), tot.RecvMsgs, fmtBytes(tot.RecvBytes))
 	w.Flush()
-	if n := len(s.Ranks); n > 0 && tot.SentBytes > 0 {
+	if n := len(ranks); n > 0 && tot.SentBytes > 0 {
 		avg := float64(tot.SentBytes) / float64(n)
-		fmt.Printf("imbalance (sent bytes, max/avg over polled ranks): %.2fx\n", float64(maxSent)/avg)
+		fmt.Printf("imbalance (sent bytes, max/avg over ranks): %.2fx\n", float64(maxSent)/avg)
 	}
-
-	// Per-tag-family breakdown, summed across the polled ranks. The "runtime"
-	// family meters the reserved-tag collectives that the aggregates above
-	// exclude, so its bytes appear only here.
-	fams := map[string]*obs.FamilyTraffic{}
-	for _, r := range s.Ranks {
-		for _, f := range r.Families {
-			ft := fams[f.Family]
-			if ft == nil {
-				ft = &obs.FamilyTraffic{Family: f.Family}
-				fams[f.Family] = ft
-			}
-			ft.SentMsgs += f.SentMsgs
-			ft.SentBytes += f.SentBytes
-			ft.RecvMsgs += f.RecvMsgs
-			ft.RecvBytes += f.RecvBytes
-		}
-	}
-	if len(fams) > 0 {
-		names := make([]string, 0, len(fams))
-		var allSent int64
-		for name, f := range fams {
-			names = append(names, name)
-			allSent += f.SentBytes
-		}
-		sort.Strings(names)
-		fmt.Println()
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-		fmt.Fprintln(w, "family\tsent msgs\tsent bytes\trecv msgs\trecv bytes\tshare\t")
-		for _, name := range names {
-			f := fams[name]
-			share := "-"
-			if allSent > 0 {
-				share = fmt.Sprintf("%.1f%%", 100*float64(f.SentBytes)/float64(allSent))
-			}
-			fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%s\t%s\t\n",
-				f.Family, f.SentMsgs, fmtBytes(f.SentBytes), f.RecvMsgs, fmtBytes(f.RecvBytes), share)
-		}
-		w.Flush()
-	}
+	printFamilyTable(m)
 	if down > 0 {
 		fmt.Println()
 		for i, e := range errs {
@@ -159,4 +115,5 @@ func renderFrame(s *obs.LiveSnapshot, urls []string, errs []error, frame int, pr
 			}
 		}
 	}
+	return ranks
 }

@@ -214,11 +214,11 @@ func (c *CLI) Run(g *graph.Graph, part *partition.Partition) (*dmgm.JobResult, e
 		return nil, err
 	}
 	if c.Obs.HTTP != "" {
-		addr, err := obs.ServeLive(obs.OffsetAddr(c.Obs.HTTP, rank, remote), w.LiveSnapshot)
+		addr, err := obs.ServeLive(obs.OffsetAddr(c.Obs.HTTP, rank, remote), w.LiveMetrics)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(c.Stderr, "live: http://%s/snapshot (watch with: dmgm-trace -watch %s)\n", addr, addr)
+		fmt.Fprintf(c.Stderr, "live: http://%s/metrics (watch with: dmgm-trace -watch %s)\n", addr, addr)
 	}
 	start := time.Now()
 	placement, err := dmgm.Place(g, part)

@@ -3,7 +3,6 @@ package launch
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
@@ -16,7 +15,6 @@ type TransportFlags struct {
 	Transport string
 	Rank      int
 	Registry  string
-	Peers     string
 	Bind      string
 	Launch    bool
 }
@@ -27,8 +25,7 @@ func RegisterFlags(fs *flag.FlagSet) *TransportFlags {
 	fs.StringVar(&f.Transport, "transport", "inproc", "rank substrate: inproc (goroutines in this process) | tcp (one process per rank)")
 	fs.IntVar(&f.Rank, "rank", 0, "this process's rank in the tcp job")
 	fs.StringVar(&f.Registry, "registry", "", "rank-0 rendezvous address host:port (tcp)")
-	fs.StringVar(&f.Peers, "peers", "", "comma-separated per-rank listen addresses (tcp; overrides -registry)")
-	fs.StringVar(&f.Bind, "bind", "", "data-listener bind address for this rank (tcp registry mode; default 127.0.0.1:0)")
+	fs.StringVar(&f.Bind, "bind", "", "data-listener bind address for this rank (tcp, ranks other than 0; default 127.0.0.1:0)")
 	fs.BoolVar(&f.Launch, "launch", false, "spawn -p local tcp worker processes of this binary and wait for them")
 	return f
 }
@@ -44,11 +41,7 @@ func (f *TransportFlags) World(p int, opts ...mpi.Option) (*mpi.World, error) {
 	case "inproc":
 		return mpi.NewWorld(p, opts...)
 	case "tcp":
-		topt := transport.TCPOptions{Rank: f.Rank, Size: p, Registry: f.Registry, Bind: f.Bind}
-		if f.Peers != "" {
-			topt.Peers = strings.Split(f.Peers, ",")
-		}
-		ep, err := transport.NewTCP(topt)
+		ep, err := transport.NewTCP(transport.TCPOptions{Rank: f.Rank, Size: p, Registry: f.Registry, Bind: f.Bind})
 		if err != nil {
 			return nil, err
 		}

@@ -43,13 +43,14 @@
 // consume. Counters are kept per message-tag family (see FamilyOf and
 // docs/PROTOCOL.md), so every byte on the wire is attributed to a protocol
 // phase, and the aggregates are the sum of the user families;
-// World.LiveSnapshot exposes the same breakdown for live polling while a run
-// is in flight.
+// World.LiveMetrics reads the same breakdown into the registry's keys while a
+// run is in flight.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime/debug"
 	"slices"
@@ -257,37 +258,38 @@ func (w *World) Run(fn func(c *Comm) error) error {
 // observer's registry, so an exported trace/metrics file reconciles exactly
 // with RankStats/TotalStats. Only local ranks are published: in a
 // multi-process job each worker reports its own rank and the shard merge
-// sums them into the global totals. A per-family vector exists only for a
-// family that saw traffic, so the registry stays readable.
+// sums them into the global totals.
 func (w *World) publishStats() {
 	if w.obs == nil {
 		return
 	}
 	reg := w.obs.Registry()
-	w.eachTraffic(func(rank int, family string, fs FamilyStats) {
-		if family != "" && fs == (FamilyStats{}) {
-			return
-		}
-		reg.Vec(obs.FamilyKey("mpi.sent_msgs", family), w.size).At(rank).Add(fs.SentMsgs)
-		reg.Vec(obs.FamilyKey("mpi.sent_bytes", family), w.size).At(rank).Add(fs.SentBytes)
-		reg.Vec(obs.FamilyKey("mpi.recv_msgs", family), w.size).At(rank).Add(fs.RecvMsgs)
-		reg.Vec(obs.FamilyKey("mpi.recv_bytes", family), w.size).At(rank).Add(fs.RecvBytes)
-	})
+	w.addTraffic(reg)
 	for _, r := range w.local {
 		reg.Vec("mpi.mailbox_peak_bytes", w.size).At(r).Add(w.boxes[r].peakBytes())
 	}
 }
 
-// eachTraffic is the one walk behind both the end-of-run publication and the
-// live view: for every local rank, ascending, it calls fn with the rank's
-// aggregate (family "") and then with each tag family's counts by name, in
-// declaration order.
-func (w *World) eachTraffic(fn func(rank int, family string, fs FamilyStats)) {
+// addTraffic is the one walk behind both the end-of-run publication and the
+// live view (LiveMetrics): it adds every local rank's counters into reg's
+// traffic vecs — the aggregate mpi.{sent,recv}_{msgs,bytes}, then each tag
+// family's four under obs.FamilyKey. A family that saw no traffic is
+// skipped, so its vecs exist only once it has, and the registry stays
+// readable.
+func (w *World) addTraffic(reg *obs.Registry) {
 	for _, r := range w.local {
 		s := w.stats[r].snapshot()
-		fn(r, "", s.UserFamilyTotals())
+		add := func(family string, fs FamilyStats) {
+			reg.Vec(obs.FamilyKey("mpi.sent_msgs", family), w.size).At(r).Add(fs.SentMsgs)
+			reg.Vec(obs.FamilyKey("mpi.sent_bytes", family), w.size).At(r).Add(fs.SentBytes)
+			reg.Vec(obs.FamilyKey("mpi.recv_msgs", family), w.size).At(r).Add(fs.RecvMsgs)
+			reg.Vec(obs.FamilyKey("mpi.recv_bytes", family), w.size).At(r).Add(fs.RecvBytes)
+		}
+		add("", s.UserFamilyTotals())
 		for f, fs := range s.ByFamily {
-			fn(r, TagFamily(f).String(), fs)
+			if fs != (FamilyStats{}) {
+				add(TagFamily(f).String(), fs)
+			}
 		}
 	}
 }
@@ -499,41 +501,17 @@ func (w *World) RankStats(rank int) Stats {
 	return w.stats[rank].snapshot()
 }
 
-// LiveSnapshot builds the serializable live view of this world's traffic —
-// per-rank aggregates plus the per-tag-family breakdown for every local
-// rank, and the registry snapshot when an observer is attached. Safe to call
-// from any goroutine while Run is in flight (the counters are lock-free
-// atomics); it is what the -http endpoint of the CLI tools serves and
-// dmgm-trace -watch polls.
-func (w *World) LiveSnapshot() *obs.LiveSnapshot {
-	s := &obs.LiveSnapshot{
-		CapturedUnixNanos: time.Now().UnixNano(),
-		WorldSize:         w.size,
-		LocalRanks:        w.LocalRanks(),
-	}
-	w.eachTraffic(func(rank int, family string, fs FamilyStats) {
-		if family == "" {
-			s.Ranks = append(s.Ranks, obs.RankTraffic{
-				Rank:      rank,
-				SentMsgs:  fs.SentMsgs,
-				SentBytes: fs.SentBytes,
-				RecvMsgs:  fs.RecvMsgs,
-				RecvBytes: fs.RecvBytes,
-			})
-			return
-		}
-		rt := &s.Ranks[len(s.Ranks)-1]
-		rt.Families = append(rt.Families, obs.FamilyTraffic{
-			Family:    family,
-			SentMsgs:  fs.SentMsgs,
-			SentBytes: fs.SentBytes,
-			RecvMsgs:  fs.RecvMsgs,
-			RecvBytes: fs.RecvBytes,
-		})
-	})
-	if w.obs != nil {
-		s.Metrics = w.obs.Registry().Snapshot()
-	}
+// LiveMetrics is the live document of a run: the observer's registry
+// snapshot, whose traffic vecs are read from the live counters into a scratch
+// registry by the walk publishStats makes when the run ends, so they carry
+// the same keys. Safe to call from any goroutine while Run is in flight (the
+// counters are lock-free atomics); it is what /metrics on the CLIs' -http
+// port serves.
+func (w *World) LiveMetrics() *obs.MetricsSnapshot {
+	live := obs.NewRegistry()
+	w.addTraffic(live)
+	s := w.obs.Registry().Snapshot()
+	maps.Copy(s.PerRank, live.Snapshot().PerRank)
 	return s
 }
 

@@ -21,16 +21,6 @@ func (s *FamilyStats) Add(o FamilyStats) {
 	s.RecvBytes += o.RecvBytes
 }
 
-// Sub returns s - o, for computing per-phase deltas between snapshots.
-func (s FamilyStats) Sub(o FamilyStats) FamilyStats {
-	return FamilyStats{
-		SentMsgs:  s.SentMsgs - o.SentMsgs,
-		SentBytes: s.SentBytes - o.SentBytes,
-		RecvMsgs:  s.RecvMsgs - o.RecvMsgs,
-		RecvBytes: s.RecvBytes - o.RecvBytes,
-	}
-}
-
 // Stats counts a rank's traffic. The experiment harness snapshots these per
 // phase; the α–β performance model consumes (SentMsgs, SentBytes) to predict
 // Blue Gene/P-scale times.
@@ -129,20 +119,6 @@ func (s *Stats) Add(o Stats) {
 	for f := range s.ByFamily {
 		s.ByFamily[f].Add(o.ByFamily[f])
 	}
-}
-
-// Sub returns s - o, for computing per-phase deltas between snapshots.
-func (s Stats) Sub(o Stats) Stats {
-	out := Stats{
-		SentMsgs:  s.SentMsgs - o.SentMsgs,
-		SentBytes: s.SentBytes - o.SentBytes,
-		RecvMsgs:  s.RecvMsgs - o.RecvMsgs,
-		RecvBytes: s.RecvBytes - o.RecvBytes,
-	}
-	for f := range s.ByFamily {
-		out.ByFamily[f] = s.ByFamily[f].Sub(o.ByFamily[f])
-	}
-	return out
 }
 
 // String renders the aggregate counters (families elided).

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,6 +107,117 @@ func TestPublishedStatsMatchTotals(t *testing.T) {
 	}
 	if got := snap.Gauges["mpi.world_size"]; got != p {
 		t.Errorf("mpi.world_size=%d, want %d", got, p)
+	}
+}
+
+// trafficCells is what the live document must read for rank r of a world
+// whose counters are s: the aggregate traffic vecs' cells and each family's
+// that saw traffic, keyed as the registry keys them.
+func trafficCells(s Stats) map[string]int64 {
+	cells := map[string]int64{}
+	put := func(family string, fs FamilyStats) {
+		cells[obs.FamilyKey("mpi.sent_msgs", family)] = fs.SentMsgs
+		cells[obs.FamilyKey("mpi.sent_bytes", family)] = fs.SentBytes
+		cells[obs.FamilyKey("mpi.recv_msgs", family)] = fs.RecvMsgs
+		cells[obs.FamilyKey("mpi.recv_bytes", family)] = fs.RecvBytes
+	}
+	put("", FamilyStats{s.SentMsgs, s.SentBytes, s.RecvMsgs, s.RecvBytes})
+	for f, fs := range s.ByFamily {
+		if fs != (FamilyStats{}) {
+			put(TagFamily(f).String(), fs)
+		}
+	}
+	return cells
+}
+
+// trafficVecs picks the traffic vecs out of a registry snapshot.
+func trafficVecs(m *obs.MetricsSnapshot) map[string][]int64 {
+	out := map[string][]int64{}
+	for k, v := range m.PerRank {
+		if base, _ := obs.SplitFamilyKey(k); base == "mpi.sent_msgs" || base == "mpi.sent_bytes" ||
+			base == "mpi.recv_msgs" || base == "mpi.recv_bytes" {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// TestLiveMetrics holds the live document (World.LiveMetrics, what /metrics
+// serves on -http) to the runtime's counters. Mid-run, with every rank held
+// after its traffic, a scrape's traffic vecs equal RankStats for every rank
+// and family, and a family without traffic has no vec; after Run they equal
+// what publishStats put in the registry. A second goroutine scrapes all the
+// while, so under -race the scrape reads counters as the ranks write them.
+func TestLiveMetrics(t *testing.T) {
+	const p = 4
+	o := obs.NewObserver(p, -1)
+	w, err := NewWorld(p, WithObserver(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held sync.WaitGroup
+	held.Add(p)
+	release := make(chan struct{})
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				w.LiveMetrics()
+			}
+		}
+	}()
+	var runErr error
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		runErr = w.Run(func(c *Comm) error {
+			next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
+			c.Send(next, TagMatchBase, make([]byte, 10+c.Rank()))
+			c.Send(prev, TagColorBase, make([]byte, 3))
+			c.Barrier()
+			c.DrainTag(TagMatchBase)
+			c.DrainTag(TagColorBase)
+			held.Done()
+			<-release
+			c.Barrier() // traffic after the scrape: the final vecs differ
+			return nil
+		})
+	}()
+	held.Wait()
+	live := trafficVecs(w.LiveMetrics())
+	want := map[string][]int64{}
+	for r := 0; r < p; r++ {
+		for k, v := range trafficCells(w.RankStats(r)) {
+			if want[k] == nil {
+				want[k] = make([]int64, p)
+			}
+			want[k][r] = v
+		}
+	}
+	if _, ok := want["mpi.sent_msgs.user"]; ok {
+		t.Fatal("test setup: the user family saw traffic")
+	}
+	if !reflect.DeepEqual(live, want) {
+		t.Errorf("mid-run scrape:\n got %v\nwant %v", live, want)
+	}
+	close(release)
+	<-ran
+	close(stop)
+	<-scraped
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	final, published := trafficVecs(w.LiveMetrics()), trafficVecs(o.Registry().Snapshot())
+	if !reflect.DeepEqual(final, published) {
+		t.Errorf("scrape after Run:\n got %v\npublished %v", final, published)
+	}
+	if reflect.DeepEqual(final, live) {
+		t.Error("the last barrier's traffic is missing from the scrape after Run")
 	}
 }
 

@@ -16,13 +16,10 @@ import (
 // sends never block the caller because each connection has an unbounded
 // outbound queue drained by a writer goroutine.
 //
-// One TCP instance hosts exactly one rank. Rendezvous is either
-//
-//   - registry: rank 0 listens at a well-known address; every other rank
-//     dials it, registers its own data-listener address, and receives the
-//     full address table once everyone has registered; or
-//   - static: the full address table is known up front (Peers), each rank
-//     binding its own entry.
+// One TCP instance hosts exactly one rank. Rendezvous goes through a
+// registry: rank 0 listens at a well-known address; every other rank dials
+// it, registers its own data-listener address, and receives the full address
+// table once everyone has registered.
 //
 // After rendezvous the mesh is established deterministically: rank i dials
 // rank j exactly when i < j, identifying itself with a hello frame; Start
@@ -57,11 +54,8 @@ type TCPOptions struct {
 	// Registry is the rank-0 rendezvous address ("host:port"). Rank 0 binds
 	// it; other ranks dial it to exchange data-listener addresses.
 	Registry string
-	// Peers is the static per-rank address table (len == Size). When set it
-	// overrides Registry and each rank binds its own entry.
-	Peers []string
-	// Bind is the data-listener address for non-zero ranks in registry mode
-	// (default "127.0.0.1:0"). Ignored when Peers or Listener is set.
+	// Bind is the data-listener address for non-zero ranks (default
+	// "127.0.0.1:0"). Ignored when Listener is set.
 	Bind string
 	// Listener is a pre-bound listener for this rank, used by in-process
 	// clusters and tests to avoid port races. The transport takes ownership.
@@ -115,11 +109,8 @@ func NewTCP(opt TCPOptions) (*TCP, error) {
 	if opt.Rank < 0 || opt.Rank >= opt.Size {
 		return nil, fmt.Errorf("transport: rank %d out of range [0,%d)", opt.Rank, opt.Size)
 	}
-	if len(opt.Peers) == 0 && opt.Registry == "" && opt.Size > 1 {
-		return nil, fmt.Errorf("transport: need a registry address or a static peer table")
-	}
-	if len(opt.Peers) > 0 && len(opt.Peers) != opt.Size {
-		return nil, fmt.Errorf("transport: %d peer addresses for %d ranks", len(opt.Peers), opt.Size)
+	if opt.Registry == "" && opt.Size > 1 {
+		return nil, fmt.Errorf("transport: need a registry address")
 	}
 	if opt.Bind == "" {
 		opt.Bind = "127.0.0.1:0"
@@ -235,9 +226,7 @@ func (t *TCP) bind() error {
 		return nil
 	}
 	addr := t.opt.Bind
-	if len(t.opt.Peers) > 0 {
-		addr = t.opt.Peers[t.rank]
-	} else if t.rank == 0 {
+	if t.rank == 0 {
 		addr = t.opt.Registry
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -250,9 +239,6 @@ func (t *TCP) bind() error {
 
 // rendezvous produces the full per-rank address table.
 func (t *TCP) rendezvous(deadline time.Time) ([]string, error) {
-	if len(t.opt.Peers) > 0 {
-		return t.opt.Peers, nil
-	}
 	if t.size == 1 {
 		return []string{t.Addr()}, nil
 	}
@@ -589,36 +575,29 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 	}
 }
 
-// NewLocalTCPCluster builds a fully meshed set of n TCP endpoints on
-// localhost, one per rank, with pre-bound listeners (no port races). It is
-// the in-process harness used by tests and demos to exercise the real socket
-// path; multi-process jobs use NewTCP directly.
+// NewLocalTCPCluster builds a set of n TCP endpoints on localhost, one per
+// rank, that rendezvous through rank 0's pre-bound listener as the registry
+// (no port races), as a -launch fleet does. It is the in-process harness used
+// by tests and demos to exercise the real socket path; multi-process jobs
+// use NewTCP directly.
 func NewLocalTCPCluster(n int) ([]*TCP, error) {
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
-			}
-			return nil, err
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
 	eps := make([]*TCP, n)
-	for i := 0; i < n; i++ {
+	for i := range eps {
+		var own net.Listener // the registry is rank 0's; the others bind 127.0.0.1:0
+		if i == 0 {
+			own = ln
+		}
 		// A short grace keeps lone Closes snappy: an in-process cluster has no
 		// network partitions to be patient about.
-		ep, err := NewTCP(TCPOptions{Rank: i, Size: n, Peers: addrs, Listener: listeners[i], ShutdownGrace: 2 * time.Second})
+		eps[i], err = NewTCP(TCPOptions{Rank: i, Size: n, Registry: ln.Addr().String(), Listener: own, ShutdownGrace: 2 * time.Second})
 		if err != nil {
-			for _, l := range listeners {
-				l.Close()
-			}
+			ln.Close()
 			return nil, err
 		}
-		eps[i] = ep
 	}
 	return eps, nil
 }

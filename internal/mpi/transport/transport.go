@@ -8,8 +8,7 @@
 //   - TCP: every rank (typically) lives in its own process and messages
 //     travel as length-prefixed binary frames over one persistent TCP
 //     connection per rank pair. Per-pair FIFO is inherited from connection
-//     ordering; rendezvous happens either through a rank-0 registry or a
-//     static address list.
+//     ordering; rendezvous happens through a rank-0 registry.
 //
 // A Transport moves transport.Msg values; it knows nothing about mailboxes,
 // tags semantics, collectives, or statistics — those stay in package mpi.

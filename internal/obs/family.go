@@ -36,26 +36,56 @@ func SplitFamilyKey(key string) (base, family string) {
 	return key, ""
 }
 
+// Traffic is the four traffic counts of one rank or one tag family.
+type Traffic struct {
+	SentMsgs, SentBytes, RecvMsgs, RecvBytes int64
+}
+
+// Add accumulates o into t.
+func (t *Traffic) Add(o Traffic) {
+	t.SentMsgs += o.SentMsgs
+	t.SentBytes += o.SentBytes
+	t.RecvMsgs += o.RecvMsgs
+	t.RecvBytes += o.RecvBytes
+}
+
+// FamilyTraffic is one tag family's traffic, summed over ranks.
+type FamilyTraffic struct {
+	// Family is the stable family name (match, color, user, runtime).
+	Family string
+	Traffic
+}
+
+// TrafficByRank reads the traffic vecs of one family ("" is the aggregate)
+// cell by cell: one row per rank of the world, in rank order.
+func (s *MetricsSnapshot) TrafficByRank(family string) []Traffic {
+	cell := func(base string, r int) int64 {
+		if v := s.PerRank[FamilyKey(base, family)]; r < len(v) {
+			return v[r]
+		}
+		return 0
+	}
+	out := make([]Traffic, len(s.PerRank[FamilyKey("mpi.sent_msgs", family)]))
+	for r := range out {
+		out[r] = Traffic{cell("mpi.sent_msgs", r), cell("mpi.sent_bytes", r), cell("mpi.recv_msgs", r), cell("mpi.recv_bytes", r)}
+	}
+	return out
+}
+
 // FamilyTraffic condenses the snapshot's per-family traffic vecs into one row
 // per tag family, summed over ranks, sorted by family name. The runtime
 // publishes a family's four vecs together, so the mpi.sent_msgs.<family> keys
 // name the families. The runtime family meters the reserved-tag collectives
 // that the plain mpi.sent_* / mpi.recv_* aggregates exclude (PROTOCOL.md §3).
 func (s *MetricsSnapshot) FamilyTraffic() []FamilyTraffic {
-	total := func(base, family string) (n int64) {
-		for _, v := range s.PerRank[FamilyKey(base, family)] {
-			n += v
-		}
-		return n
-	}
 	var out []FamilyTraffic
 	for _, key := range SortedKeys(s.PerRank) {
 		if base, family := SplitFamilyKey(key); base == "mpi.sent_msgs" && family != "" {
-			out = append(out, FamilyTraffic{
-				Family:   family,
-				SentMsgs: total("mpi.sent_msgs", family), SentBytes: total("mpi.sent_bytes", family),
-				RecvMsgs: total("mpi.recv_msgs", family), RecvBytes: total("mpi.recv_bytes", family),
-			})
+			ft := FamilyTraffic{Family: family}
+			for _, t := range s.TrafficByRank(family) {
+				ft.Add(t)
+			}
+			out = append(out, ft)
 		}
 	}
 	return out

@@ -17,10 +17,10 @@ type Flags struct {
 	// Trace is the trace output path ("" = off), Chrome trace_event JSON; the
 	// registry snapshot rides along under "dmgmMetrics".
 	Trace string
-	// HTTP is the live-observability listen address ("" = off): /snapshot
-	// serves the per-rank per-tag-family traffic JSON that dmgm-trace -watch
-	// polls, alongside /metrics and /debug/pprof. Multi-process workers
-	// offset a fixed port by their rank so the fleet never collides.
+	// HTTP is the live-observability listen address ("" = off): /metrics
+	// serves the registry, per-rank traffic included, that dmgm-trace -watch
+	// polls, beside /debug/pprof. Multi-process workers offset a fixed port
+	// by their rank so the fleet never collides.
 	HTTP string
 	// SpanCap is the per-rank span ring capacity (0 = default).
 	SpanCap int
@@ -41,7 +41,7 @@ const otlpRunEnv = "DMGM_OTLP_RUN"
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Trace, "trace", "", "write a span trace to this path (Chrome trace_event JSON; read it with dmgm-trace, chrome://tracing or Perfetto)")
-	fs.StringVar(&f.HTTP, "http", "", "serve live observability on this address: /snapshot (per-rank per-tag-family traffic JSON for dmgm-trace -watch), /metrics, /debug/pprof (workers add their rank to a fixed port)")
+	fs.StringVar(&f.HTTP, "http", "", "serve live observability on this address: /metrics (the registry, per-rank traffic included, for dmgm-trace -watch), /debug/pprof (workers add their rank to a fixed port)")
 	fs.IntVar(&f.SpanCap, "trace-spans", 0, "per-rank span ring capacity (0 = 65536; older spans are overwritten)")
 	fs.StringVar(&f.OTLP, "otlp", "", "export spans and metrics to this OTLP/HTTP collector endpoint after the run (e.g. http://localhost:4318)")
 	fs.StringVar(&f.OTLPRun, "otlp-run", "", "run id grouping OTLP spans into one trace (default: inherited from the launch supervisor, or generated)")

@@ -2,95 +2,56 @@ package obs
 
 import (
 	"net/http"
+	"reflect"
 	"testing"
 )
 
-func testSnapshot() *LiveSnapshot {
-	return &LiveSnapshot{
-		CapturedUnixNanos: 12345,
-		WorldSize:         4,
-		LocalRanks:        []int{2},
-		Ranks: []RankTraffic{{
-			Rank: 2, SentMsgs: 10, SentBytes: 170, RecvMsgs: 9, RecvBytes: 150,
-			Families: []FamilyTraffic{
-				{Family: "match", SentMsgs: 10, SentBytes: 170, RecvMsgs: 9, RecvBytes: 150},
-				{Family: "runtime", SentMsgs: 3, SentBytes: 24, RecvMsgs: 3, RecvBytes: 24},
-			},
-		}},
-	}
-}
-
-// TestServeFetchLiveRoundTrip serves a snapshot on an ephemeral port and
+// TestServeFetchLiveRoundTrip serves a registry on an ephemeral port and
 // fetches it back through the same client path dmgm-trace -watch uses.
 func TestServeFetchLiveRoundTrip(t *testing.T) {
-	want := testSnapshot()
-	addr, err := ServeLive("127.0.0.1:0", func() *LiveSnapshot { return want })
+	reg := NewRegistry()
+	reg.Counter("mpi.bundle_flushes").Add(7)
+	reg.Vec("mpi.sent_bytes", 4).At(2).Add(170)
+	reg.Vec("mpi.sent_bytes.runtime", 4).At(2).Add(24)
+	want := reg.Snapshot()
+	addr, err := ServeLive("127.0.0.1:0", func() *MetricsSnapshot { return want })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, target := range []string{addr, "http://" + addr, "http://" + addr + "/snapshot"} {
+	for _, target := range []string{addr, "http://" + addr, "http://" + addr + "/metrics"} {
 		got, err := FetchLive(target)
 		if err != nil {
 			t.Fatalf("FetchLive(%q): %v", target, err)
 		}
-		if got.WorldSize != want.WorldSize || got.CapturedUnixNanos != want.CapturedUnixNanos {
-			t.Fatalf("FetchLive(%q) header = %+v", target, got)
-		}
-		if len(got.Ranks) != 1 {
-			t.Fatalf("FetchLive(%q) ranks = %+v", target, got.Ranks)
-		}
-		r := got.Ranks[0]
-		if r.Rank != 2 || r.SentBytes != 170 || len(r.Families) != 2 || r.Families[1].Family != "runtime" {
-			t.Fatalf("FetchLive(%q) rank = %+v", target, r)
+		if !reflect.DeepEqual(got.Counters, want.Counters) || !reflect.DeepEqual(got.PerRank, want.PerRank) {
+			t.Fatalf("FetchLive(%q) = %+v, want %+v", target, got, want)
 		}
 	}
-	// The other routes answer too.
-	for _, path := range []string{"/", "/metrics", "/debug/pprof/"} {
+	// The other routes answer too, and /snapshot is not one of them.
+	for path, code := range map[string]int{"/": http.StatusOK, "/debug/pprof/": http.StatusOK, "/snapshot": http.StatusNotFound} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: %s", path, resp.Status)
+		if resp.StatusCode != code {
+			t.Errorf("GET %s: %s, want %d", path, resp.Status, code)
 		}
 	}
 }
 
 func TestNormalizeLiveURL(t *testing.T) {
 	cases := map[string]string{
-		"localhost:7070":         "http://localhost:7070/snapshot",
-		"http://localhost:7070":  "http://localhost:7070/snapshot",
+		"localhost:7070":         "http://localhost:7070/metrics",
+		"http://localhost:7070":  "http://localhost:7070/metrics",
 		"http://h:1/custom":      "http://h:1/custom",
-		"https://h:1":            "https://h:1/snapshot",
-		"127.0.0.1:9":            "http://127.0.0.1:9/snapshot",
+		"https://h:1":            "https://h:1/metrics",
+		"127.0.0.1:9":            "http://127.0.0.1:9/metrics",
 		"http://localhost:7070/": "http://localhost:7070/",
 	}
 	for in, want := range cases {
 		if got := NormalizeLiveURL(in); got != want {
 			t.Errorf("NormalizeLiveURL(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestLiveSnapshotMerge folds two worker snapshots into one job view.
-func TestLiveSnapshotMerge(t *testing.T) {
-	a := &LiveSnapshot{CapturedUnixNanos: 10, WorldSize: 2, LocalRanks: []int{1},
-		Ranks: []RankTraffic{{Rank: 1, SentMsgs: 5}}}
-	b := &LiveSnapshot{CapturedUnixNanos: 20, WorldSize: 2, LocalRanks: []int{0},
-		Ranks: []RankTraffic{{Rank: 0, SentMsgs: 7}}}
-	a.Merge(b)
-	if a.CapturedUnixNanos != 20 || a.WorldSize != 2 {
-		t.Fatalf("merged header %+v", a)
-	}
-	if len(a.Ranks) != 2 || a.Ranks[0].Rank != 0 || a.Ranks[1].Rank != 1 {
-		t.Fatalf("merged ranks not sorted: %+v", a.Ranks)
-	}
-	if len(a.LocalRanks) != 2 || a.LocalRanks[0] != 0 || a.LocalRanks[1] != 1 {
-		t.Fatalf("merged local ranks %v", a.LocalRanks)
-	}
-	a.Merge(nil) // no-op
-	if len(a.Ranks) != 2 {
-		t.Fatal("merge with nil changed the snapshot")
 	}
 }

@@ -106,7 +106,7 @@ func httpBody(t *testing.T, url string) []byte {
 
 // TestSurfaceGolden pins the bytes of every rendering of one observer: the
 // trace file (also the input of cmd/dmgm-trace's view goldens), the /metrics
-// and /snapshot bodies, and the OTLP metrics request with its family
+// body, and the OTLP metrics request with its family
 // attributes. Recorded before the encoders, the live routes and
 // the family-key parse were each reduced to one copy; a diff here is a
 // change to what operators and tools read, never noise.
@@ -118,17 +118,11 @@ func TestSurfaceGolden(t *testing.T) {
 	}
 	goldenCheck(t, "surface_trace.json", trace.Bytes())
 
-	live := &LiveSnapshot{
-		CapturedUnixNanos: 12345, WorldSize: 2, LocalRanks: []int{0, 1},
-		Ranks:   []RankTraffic{{Rank: 0, SentMsgs: 10}, {Rank: 1, SentMsgs: 13}},
-		Metrics: o.Registry().Snapshot(),
-	}
-	addr, err := ServeLive("127.0.0.1:0", func() *LiveSnapshot { return live })
+	addr, err := ServeLive("127.0.0.1:0", o.Registry().Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCheck(t, "surface_metrics.json", httpBody(t, "http://"+addr+"/metrics"))
-	goldenCheck(t, "surface_snapshot.json", httpBody(t, "http://"+addr+"/snapshot"))
 
 	otlp, err := json.Marshal(EncodeOTLPMetrics(o.Registry().Snapshot(), testIdentity, 1_000_000, 9_000_000))
 	if err != nil {

@@ -18,9 +18,9 @@
 //
 // A Tracer is owned by a single rank goroutine; the ring is read only after
 // the run completes. A Registry is shared and safe for concurrent use,
-// including live polling while ranks are in flight — the live HTTP surface
-// (ServeLive / LiveSnapshot, polled by dmgm-trace -watch) is built on
-// exactly that property.
+// including live polling while ranks are in flight — the live /metrics
+// scrape (ServeLive, polled by dmgm-trace -watch) is built on exactly that
+// property.
 package obs
 
 import "time"

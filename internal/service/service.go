@@ -351,8 +351,7 @@ func (s *Server) metricsPump() {
 	t := time.NewTicker(s.cfg.OTLPInterval)
 	defer t.Stop()
 	push := func() {
-		s.refreshGauges()
-		s.exporter.ExportMetrics(s.cfg.Observer.Registry().Snapshot(), s.startNanos.Load())
+		s.exporter.ExportMetrics(s.Metrics(), s.startNanos.Load())
 	}
 	for {
 		select {
@@ -417,14 +416,13 @@ func (s *Server) Stop() {
 //	DELETE /v1/uploads/{id}              abort a session
 //	GET    /healthz                      liveness JSON (200 ok / 503 draining)
 //	GET    /metrics                      the metrics registry (obs.MountLive)
-//	GET    /snapshot                     obs.LiveSnapshot, metrics only (same)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.ingest.RegisterRoutes(mux)
 	mux.HandleFunc("/healthz", s.handleHealth)
-	obs.MountLive(mux, s.LiveSnapshot)
+	obs.MountLive(mux, s.Metrics)
 	return mux
 }
 
@@ -443,21 +441,12 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(t) //nolint:errcheck // response already committed
 }
 
-// LiveSnapshot adapts the service registry to the obs live-polling shape,
-// so `dmgm-trace -watch` and the -http pipeline work against a daemon too.
-func (s *Server) LiveSnapshot() *obs.LiveSnapshot {
-	s.refreshGauges()
-	return &obs.LiveSnapshot{
-		CapturedUnixNanos: time.Now().UnixNano(),
-		Metrics:           s.cfg.Observer.Registry().Snapshot(),
-	}
-}
-
-// refreshGauges recomputes the one sampled gauge a scrape observes,
-// service.pool_idle (the scheduler keeps service.queue_depth exact on every
-// enqueue and dispatch).
-func (s *Server) refreshGauges() {
+// Metrics is the registry document a scrape or an OTLP push carries, with
+// the one sampled gauge, service.pool_idle, recomputed first (the scheduler
+// keeps service.queue_depth exact on every enqueue and dispatch).
+func (s *Server) Metrics() *obs.MetricsSnapshot {
 	s.idleWorlds.Set(int64(s.pool.idle()))
+	return s.cfg.Observer.Registry().Snapshot()
 }
 
 // healthBody is the GET /healthz answer (docs/PROTOCOL.md §6): the drain

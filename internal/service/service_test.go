@@ -637,6 +637,8 @@ func TestTenantUploadBudgets(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpointStable: two idle /metrics scrapes are byte-identical,
+// and /metrics is the one registry route (there is no /snapshot).
 func TestMetricsEndpointStable(t *testing.T) {
 	_, cl := startServer(t, service.Config{}, true)
 	read := func() string {
@@ -658,6 +660,14 @@ func TestMetricsEndpointStable(t *testing.T) {
 	}
 	if a, b := read(), read(); a != b {
 		t.Fatal("idle /metrics scrapes not byte-stable")
+	}
+	resp, err := http.Get(cl.Base + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /snapshot = %s, want 404", resp.Status)
 	}
 }
 
