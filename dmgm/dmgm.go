@@ -30,6 +30,8 @@ package dmgm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/coloring"
 	"repro/internal/dgraph"
@@ -147,20 +149,24 @@ func MatchParallelWorld(w *mpi.World, g *Graph, part *Partition, opt MatchParall
 // bundles capped at bundleBytes, and fills a JobResult's matching half.
 func matchPlaced(w *mpi.World, pl *Placement, bundleBytes int) (*JobResult, error) {
 	return distributed(w, pl,
-		func(c *mpi.Comm, d *dgraph.DistGraph) (*JobResult, []byte, error) {
+		func(c *mpi.Comm, d *dgraph.DistGraph, buf []byte) (*JobResult, []byte, error) {
 			res, err := matching.Parallel(c, d, matching.ParallelOptions{MaxBundleBytes: bundleBytes})
 			if err != nil {
 				return nil, nil, err
 			}
-			return &JobResult{
-				Weight:          c.AllreduceFloat64(res.LocalWeight, mpi.OpSum),
-				OuterIterations: c.AllreduceInt64(res.OuterIterations, mpi.OpMax),
-			}, encodeInts(res.MateGlobal), nil
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(res.LocalWeight))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(res.OuterIterations))
+			return &JobResult{}, appendInts(buf, res.MateGlobal), nil
 		},
 		func(out *JobResult, shares []*dgraph.DistGraph, payloads [][]byte) (err error) {
 			results := make([]*matching.ParallelResult, len(payloads))
+			// The weights add in rank order onto −0, which adds nothing to
+			// any float: the same bits on every run and every backend.
+			out.Weight = math.Copysign(0, -1)
 			for rank, p := range payloads {
-				results[rank] = &matching.ParallelResult{MateGlobal: decodeInts[int64](p)}
+				out.Weight += math.Float64frombits(word(p, 0))
+				out.OuterIterations = max(out.OuterIterations, int64(word(p, 1)))
+				results[rank] = &matching.ParallelResult{MateGlobal: decodeInts[int64](p[16:])}
 			}
 			out.Mates, err = matching.Gather(shares, results)
 			return err
@@ -203,21 +209,20 @@ func distance1(opt coloring.ParallelOptions) colorKernel {
 // coloring half.
 func colorDistributed(w *mpi.World, pl *Placement, kernel colorKernel) (*JobResult, error) {
 	return distributed(w, pl,
-		func(c *mpi.Comm, d *dgraph.DistGraph) (*JobResult, []byte, error) {
+		func(c *mpi.Comm, d *dgraph.DistGraph, buf []byte) (*JobResult, []byte, error) {
 			res, err := kernel(c, d)
 			if err != nil {
 				return nil, nil, err
 			}
-			return &JobResult{
-				Colors:    res.NumColors, // identical on every rank
-				Rounds:    res.Rounds,
-				Conflicts: c.AllreduceInt64(res.Conflicts, mpi.OpSum),
-			}, encodeInts(res.Colors), nil
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(res.Conflicts))
+			// The color and round counts are the same on every rank.
+			return &JobResult{Colors: res.NumColors, Rounds: res.Rounds}, appendInts(buf, res.Colors), nil
 		},
 		func(out *JobResult, shares []*dgraph.DistGraph, payloads [][]byte) (err error) {
 			results := make([]*coloring.ParallelResult, len(payloads))
 			for rank, p := range payloads {
-				results[rank] = &coloring.ParallelResult{Colors: decodeInts[int32](p)}
+				out.Conflicts += int64(word(p, 0))
+				results[rank] = &coloring.ParallelResult{Colors: decodeInts[int32](p[8:])}
 			}
 			out.Coloring, err = coloring.Gather(shares, results)
 			return err
@@ -286,38 +291,42 @@ func placeFor(w *mpi.World, g *Graph, part *Partition) (*Placement, error) {
 
 // distributed is the one driver every distributed run of this package is a
 // kernel closure around: check the placement against the world, run kernel
-// on every rank's share, reduce the traffic totals, allgather the ranks'
-// per-vertex payloads, and assemble the global result on rank 0. Everything
-// after the kernel goes through collectives, so the path is the same for
-// in-process and wire-transport worlds; on a process that does not host
-// rank 0 the result is nil with a nil error.
+// on every rank's share, Gather the ranks' payloads on rank 0 and assemble
+// the global result there — the same path for in-process and wire-transport
+// worlds. On a process that does not host rank 0 the result is nil with a
+// nil error.
 //
-// kernel runs one rank's share: it returns the rank's per-owned-vertex
-// payload, encoded for the wire, and a partial result holding the scalars
-// it has already allreduced (which scalars, and under which operator, is the
-// algorithm's business). assemble runs on rank 0 only and completes rank 0's
-// partial result from every rank's payload.
+// A payload is a header of 8-byte little-endian words, then the rank's
+// per-owned-vertex answer. kernel appends to buf its algorithm's words and
+// its answer, and returns a partial result of what is identical on every
+// rank; distributed then fills buf's first two words, the rank's sent
+// messages and bytes. assemble, on rank 0, completes rank 0's partial result
+// from every rank's payload past those two words, in rank order.
 func distributed(w *mpi.World, pl *Placement,
-	kernel func(*mpi.Comm, *dgraph.DistGraph) (*JobResult, []byte, error),
+	kernel func(c *mpi.Comm, d *dgraph.DistGraph, buf []byte) (*JobResult, []byte, error),
 	assemble func(out *JobResult, shares []*dgraph.DistGraph, payloads [][]byte) error) (*JobResult, error) {
 	if err := fits(w, pl.part); err != nil {
 		return nil, err
 	}
 	var out *JobResult
 	err := w.Run(func(c *mpi.Comm) error {
-		partial, payload, err := kernel(c, pl.shares[c.Rank()])
+		partial, payload, err := kernel(c, pl.shares[c.Rank()], make([]byte, 16, 64))
 		if err != nil {
 			return err
 		}
-		snap := c.StatsSnapshot() // collectives are uncounted, so this is final
-		messages := c.AllreduceInt64(snap.SentMsgs, mpi.OpSum)
-		bytes := c.AllreduceInt64(snap.SentBytes, mpi.OpSum)
-		payloads := c.Allgather(payload)
+		snap := c.StatsSnapshot() // the Gather is uncounted, so this is final
+		binary.LittleEndian.PutUint64(payload, uint64(snap.SentMsgs))
+		binary.LittleEndian.PutUint64(payload[8:], uint64(snap.SentBytes))
+		payloads := c.Gather(payload)
 		if c.Rank() != 0 {
 			return nil
 		}
 		out = partial
-		out.Messages, out.Bytes = messages, bytes
+		for rank, p := range payloads {
+			out.Messages += int64(word(p, 0))
+			out.Bytes += int64(word(p, 1))
+			payloads[rank] = p[16:]
+		}
 		return assemble(out, pl.shares, payloads)
 	})
 	if err != nil {
@@ -326,20 +335,23 @@ func distributed(w *mpi.World, pl *Placement,
 	return out, nil
 }
 
-// encodeInts / decodeInts carry a rank's per-vertex integers through
-// Allgather, little-endian at the type's own width.
-func encodeInts[T int32 | int64](xs []T) []byte {
+// appendInts / decodeInts carry a rank's per-vertex integers through the
+// Gather, little-endian at the type's own width.
+func appendInts[T int32 | int64](buf []byte, xs []T) []byte {
 	size := binary.Size(T(0))
-	out := make([]byte, size*len(xs))
-	for i, x := range xs {
+	buf = slices.Grow(buf, size*len(xs))
+	for _, x := range xs {
 		if size == 4 {
-			binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
 		} else {
-			binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
 	}
-	return out
+	return buf
 }
+
+// word reads the i-th 8-byte header word of a gathered payload.
+func word(p []byte, i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
 
 func decodeInts[T int32 | int64](b []byte) []T {
 	size := binary.Size(T(0))

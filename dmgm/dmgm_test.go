@@ -1,11 +1,13 @@
 package dmgm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/coloring"
 	"repro/internal/gen"
+	"repro/internal/matching"
 	"repro/internal/mpi"
 	"repro/internal/order"
 	"repro/internal/partition"
@@ -43,6 +45,49 @@ func TestEndToEndMatching(t *testing.T) {
 	}
 	if res.Messages == 0 {
 		t.Error("no messages recorded for a 4-rank run")
+	}
+}
+
+// TestWeightIsRankOrderSum: a job's weight, folded on rank 0 from the
+// gathered headers, has the bits of the ranks' local weights added in rank
+// order from rank 0's — what every rank's float allreduce gave before the
+// job's tail became one gather.
+func TestWeightIsRankOrderSum(t *testing.T) {
+	g, err := gen.ErdosRenyi(300, 1500, true, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 3, 4, 7} {
+		part, err := partition.Random(g, p, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := Place(g, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := make([]float64, p)
+		err = mpi.Run(p, func(c *mpi.Comm) error {
+			res, err := matching.Parallel(c, pl.shares[c.Rank()], matching.ParallelOptions{})
+			if err == nil {
+				local[c.Rank()] = res.LocalWeight
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := local[0]
+		for _, w := range local[1:] {
+			want += w
+		}
+		res, err := Solve(g, part, Job{Algorithm: AlgoMatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.Weight) != math.Float64bits(want) {
+			t.Errorf("P=%d: weight %v (%x), rank-order sum %v (%x)", p, res.Weight, math.Float64bits(res.Weight), want, math.Float64bits(want))
+		}
 	}
 }
 

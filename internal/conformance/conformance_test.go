@@ -75,7 +75,7 @@ func overTCP[T any](t *testing.T, p int, fn func(w *mpi.World) (*T, error)) *T {
 			runtime.Add(w.RankStats(r).ByFamily[mpi.FamilyRuntime])
 		}
 	}
-	if runtime.SentMsgs == 0 || runtime.RecvMsgs == 0 {
+	if p > 1 && (runtime.SentMsgs == 0 || runtime.RecvMsgs == 0) {
 		t.Errorf("tcp runtime family saw no collective traffic: %+v", runtime)
 	}
 	return results[0]
@@ -288,9 +288,8 @@ func TestTCPMatchingRepeatable(t *testing.T) {
 
 // TestTagFamilyReconciliation pins the per-tag-family accounting on the
 // inproc backend (overTCP asserts the tcp side on every run above): user
-// families sum exactly to the aggregates, the traffic lands in the family the
-// protocol says it should, and the runtime family — every collective is a
-// message exchange on both backends — reads the same on each rank as over tcp.
+// families sum exactly to the aggregates, and the traffic lands in the family
+// the protocol says it should. TestJobRuntimeTraffic pins the runtime family.
 func TestTagFamilyReconciliation(t *testing.T) {
 	ins := buildInstances(t)[0]
 	run := func(job dmgm.Job) *mpi.World {
@@ -310,38 +309,90 @@ func TestTagFamilyReconciliation(t *testing.T) {
 	if fam := total.ByFamily[mpi.FamilyMatch]; fam.SentMsgs == 0 || fam.SentBytes != total.SentBytes {
 		t.Errorf("matching traffic not attributed to the match family: %+v of %+v", fam, total)
 	}
-	tcpRuntime := make([]mpi.FamilyStats, nRanks)
-	overTCP(t, nRanks, func(w *mpi.World) (*[]mpi.FamilyStats, error) {
-		if _, err := placed(w, ins, dmgm.Job{Algorithm: dmgm.AlgoMatch}); err != nil {
-			return nil, err
-		}
-		r := w.LocalRanks()[0]
-		tcpRuntime[r] = w.RankStats(r).ByFamily[mpi.FamilyRuntime]
-		if r != 0 {
-			return nil, nil
-		}
-		return &tcpRuntime, nil
-	})
-	// A matching job meets in six collectives — the kernel's closing
-	// Barrier, the weight and iteration allreduces, the message and byte
-	// allreduces and the result Allgather — each one message to and from
-	// every peer.
-	const collectives = 6
-	for r := range nRanks {
-		rt := w.RankStats(r).ByFamily[mpi.FamilyRuntime]
-		if rt.SentMsgs != collectives*(nRanks-1) || rt.RecvMsgs != rt.SentMsgs {
-			t.Errorf("inproc rank %d: runtime family %+v, want %d messages each way", r, rt, collectives*(nRanks-1))
-		}
-		if rt != tcpRuntime[r] {
-			t.Errorf("rank %d: inproc runtime family %+v, tcp %+v", r, rt, tcpRuntime[r])
-		}
-	}
 
 	w = run(dmgm.Job{Algorithm: dmgm.AlgoColor, Params: dmgm.Params{Superstep: ins.g.NumVertices(), Seed: 3}})
 	assertFamiliesReconcile(t, w, "inproc color")
 	total = w.TotalStats()
 	if fam := total.ByFamily[mpi.FamilyColor]; fam.SentMsgs == 0 || fam.SentBytes != total.SentBytes {
 		t.Errorf("coloring traffic not attributed to the color family: %+v of %+v", fam, total)
+	}
+}
+
+// TestJobRuntimeTraffic pins a job's runtime family — the traffic of its
+// collectives — to its formula at several rank counts, inproc and over tcp,
+// rank by rank. A matching job's one collective is the tail's Gather: every
+// rank but 0 sends rank 0 one message, its four header words and its mates.
+// A coloring job adds an all-to-all allreduce per round and one for the
+// palette, (rounds + 1)·P(P−1) messages of one word, and gathers three header
+// words and its colors.
+func TestJobRuntimeTraffic(t *testing.T) {
+	g, err := gen.Grid2D(12, 12, true, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 3, 4, 5, 8} {
+		part, err := partition.Block1D(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := make([]int64, p)
+		for _, r := range part.Part {
+			owned[r]++
+		}
+		ins := instance{g: g, part: part}
+		for _, job := range []dmgm.Job{{Algorithm: dmgm.AlgoMatch}, colorJob("neighbors", false)(g.NumVertices())} {
+			t.Run(fmt.Sprintf("P=%d/%s", p, job.Algorithm), func(t *testing.T) {
+				// want is rank r's runtime family in a run of res.Rounds rounds.
+				want := func(res *dmgm.JobResult, r int) mpi.FamilyStats {
+					header, width, alltoalls := int64(32), int64(8), int64(0)
+					if job.Algorithm != dmgm.AlgoMatch {
+						header, width, alltoalls = 24, 4, int64(res.Rounds+1)
+					}
+					peers := int64(p - 1)
+					fs := mpi.FamilyStats{SentMsgs: alltoalls * peers, SentBytes: 8 * alltoalls * peers}
+					fs.RecvMsgs, fs.RecvBytes = fs.SentMsgs, fs.SentBytes
+					if r != 0 {
+						fs.SentMsgs++
+						fs.SentBytes += header + width*owned[r]
+						return fs
+					}
+					for q := 1; q < p; q++ {
+						fs.RecvMsgs++
+						fs.RecvBytes += header + width*owned[q]
+					}
+					return fs
+				}
+				check := func(backend string, res *dmgm.JobResult, runtime []mpi.FamilyStats) {
+					t.Helper()
+					for r, got := range runtime {
+						if w := want(res, r); got != w {
+							t.Errorf("%s rank %d: runtime family %+v, want %+v", backend, r, got, w)
+						}
+					}
+				}
+				w, err := mpi.NewWorld(p, mpi.WithDeadline(60*time.Second))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := placed(w, ins, job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime := make([]mpi.FamilyStats, p)
+				for r := range runtime {
+					runtime[r] = w.RankStats(r).ByFamily[mpi.FamilyRuntime]
+				}
+				check("inproc", res, runtime)
+				tcpRuntime := make([]mpi.FamilyStats, p)
+				res = overTCP(t, p, func(w *mpi.World) (*dmgm.JobResult, error) {
+					res, err := placed(w, ins, job)
+					r := w.LocalRanks()[0]
+					tcpRuntime[r] = w.RankStats(r).ByFamily[mpi.FamilyRuntime]
+					return res, err
+				})
+				check("tcp", res, tcpRuntime)
+			})
+		}
 	}
 }
 

@@ -16,8 +16,10 @@ package docs
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path"
 	"path/filepath"
@@ -269,16 +271,21 @@ func TestRecordsAreAddressedPairLocally(t *testing.T) {
 // TestRuntimeWaitPoints pins two structural facts DESIGN.md and the ROADMAP's
 // cancellation item state about internal/mpi (its transports aside): a rank
 // blocks on a condition variable in exactly one function, mailbox.get, since
-// every collective waits there for its peers' messages; and whether the world
+// every collective waits there for its peers' messages; whether the world
 // hosts every rank is consulted by Reset alone, so no collective forks per
-// transport.
+// transport; and the meeting loop under every collective and exchange — send
+// to these ranks, then take one message from each of those — is written
+// once, in meet, which with Send is the only caller of send.
 func TestRuntimeWaitPoints(t *testing.T) {
-	waits, local := map[string]bool{}, map[string]bool{}
+	waits, local, sends, loops := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, file := range nonTestFiles(t, "mpi", 0) {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
+			}
+			if calls(fn, "send") {
+				sends[fn.Name.Name] = true
 			}
 			written := map[ast.Expr]bool{} // NewWorld sets allLocal; only reads count
 			ast.Inspect(fn, func(n ast.Node) bool {
@@ -286,6 +293,9 @@ func TestRuntimeWaitPoints(t *testing.T) {
 					for _, lhs := range as.Lhs {
 						written[lhs] = true
 					}
+				}
+				if loop, ok := n.(*ast.RangeStmt); ok && calls(loop.Body, "take") {
+					loops[fn.Name.Name] = true
 				}
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
@@ -307,6 +317,27 @@ func TestRuntimeWaitPoints(t *testing.T) {
 	if len(local) != 1 || !local["Reset"] {
 		t.Errorf("allLocal read in %v, want Reset only", local)
 	}
+	if len(loops) != 1 || !loops["meet"] {
+		t.Errorf("a loop takes messages in %v, want the meeting loop once, in meet", loops)
+	}
+	if len(sends) != 2 || !sends["Send"] || !sends["meet"] {
+		t.Errorf("send is called from %v, want Send and meet only", sends)
+	}
+}
+
+// calls reports whether the code under n calls a method or function named
+// name.
+func calls(n ast.Node, name string) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // signalCalls maps the methods that take a signal's name as their first
@@ -862,9 +893,11 @@ func TestDaemonFlagsHaveReaders(t *testing.T) {
 
 var (
 	// runFlagRe finds a -run / -test.run pattern or a -fuzz target, quoted
-	// or bare; goCmdRe the go commands a -run can belong to; testFuncRe the
-	// functions go test runs.
-	runFlagRe  = regexp.MustCompile("-(test\\.)?(?:run|fuzz|bench)[= ]('[^']*'|\"[^\"]*\"|[^\\s`'\"]+)")
+	// or bare, where the flag starts a word: at the start of the text or
+	// after whitespace, a quote or a backtick, so that prose such as
+	// "mid-run (the" is not read as one. goCmdRe finds the go commands a
+	// -run can belong to; testFuncRe the functions go test runs.
+	runFlagRe  = regexp.MustCompile("(?:^|[\\s`'\"])-(test\\.)?(?:run|fuzz|bench)[= ]('[^']*'|\"[^\"]*\"|[^\\s`'\"]+)")
 	goCmdRe    = regexp.MustCompile(`\bgo (test|run)\b`)
 	testFuncRe = regexp.MustCompile(`^(Test|Fuzz|Benchmark)`)
 )
@@ -924,6 +957,35 @@ func TestRunPatternsNameTests(t *testing.T) {
 	}
 }
 
+// TestRunFlagStartsAWord holds runFlagRe to flags: hyphenated prose is not a
+// -run pattern, and the flags CI and the verify skill write still are.
+func TestRunFlagStartsAWord(t *testing.T) {
+	for _, prose := range []string{
+		"`World.LiveMetrics` mid-run (the registry with the traffic vecs",
+		"a mid-run scrape taken while the ranks are held in flight",
+		"the dry-run flag of a re-run benchmark",
+		"no pre-fuzz corpus or post-bench step",
+	} {
+		if m := runFlagRe.FindString(prose); m != "" {
+			t.Errorf("prose %q reads as the flag %q", prose, m)
+		}
+	}
+	for text, pattern := range map[string]string{
+		"-run TestX ./internal/docs":                              "TestX",
+		"go test -run 'Barrier|Allreduce' ./internal/mpi":         "'Barrier|Allreduce'",
+		"`go test -run TestSurface ./internal/obs`":               "TestSurface",
+		"go test -race -count=20 -run=\"Cancel\" ./internal/mpi":  "\"Cancel\"",
+		"./k.test -test.run '^$' -test.bench MultilevelPartition": "'^$'",
+		"go test -run '^$' -fuzz=FuzzDecodeRequest -fuzztime=20s": "'^$'",
+		"`-fuzz=FuzzNoticeWalk ... ./internal/coloring`":          "FuzzNoticeWalk",
+	} {
+		m := runFlagRe.FindStringSubmatch(text)
+		if m == nil || m[2] != pattern {
+			t.Errorf("%q: runFlagRe found %q, want the pattern %q", text, m, pattern)
+		}
+	}
+}
+
 // splitTopLevel splits a pattern at the | outside parentheses, so that
 // 'Parallel(Coloring|Matching)' stays one alternative.
 func splitTopLevel(pattern string) []string {
@@ -959,13 +1021,16 @@ func repoFiles(t *testing.T, tests bool) map[string]*ast.File {
 	return files
 }
 
+// fileSet holds the positions of every file goFiles parses, which the type
+// checker of libraryGaps reads them by.
+var fileSet = token.NewFileSet()
+
 // goFiles parses every Go file in the repository, test files included, keyed
 // by its slash-separated path from the root; bench/'s only if withBench.
 func goFiles(t *testing.T, withBench bool) map[string]*ast.File {
 	t.Helper()
 	root := repoRoot(t)
 	files := map[string]*ast.File{}
-	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -979,7 +1044,7 @@ func goFiles(t *testing.T, withBench bool) map[string]*ast.File {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		file, err := parser.ParseFile(fset, p, nil, 0)
+		file, err := parser.ParseFile(fileSet, p, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -1030,7 +1095,7 @@ type fieldSetter struct {
 // TestLibraryNamesHaveCallers holds the library half of the tree to ROADMAP
 // item 9's rule (see libraryGaps).
 func TestLibraryNamesHaveCallers(t *testing.T) {
-	unreached, unset := libraryGaps(goFiles(t, true))
+	unreached, unset := libraryGaps(fileSet, goFiles(t, true))
 	for _, name := range unreached {
 		t.Errorf("%s is reached by nothing but its own package's tests or dead code: delete it, or move it into the tests (ROADMAP item 9)", name)
 	}
@@ -1049,7 +1114,7 @@ type liveRegion struct {
 	recv      string   // and its receiver type, "dir.Recv"
 	root      bool     // live whatever reaches it
 	refs      []string // package-level names it refers to, "dir.Name"
-	sels      []string // selector names it uses
+	sels      []string // methods it selects, "dir.Type.Method", else selector names
 	from      string   // "" for non-test code, else the test file's directory
 }
 
@@ -1062,9 +1127,11 @@ func (r *liveRegion) live(reached map[string]bool, selectedFrom map[string]map[s
 		if !reached[r.recv] {
 			return false
 		}
-		for from := range selectedFrom[r.method] {
-			if from != r.dir {
-				return true
+		for _, sel := range []string{r.recv + "." + r.method, r.method} {
+			for from := range selectedFrom[sel] {
+				if from != r.dir {
+					return true
+				}
 			}
 		}
 		return stdlibMethods[r.method]
@@ -1078,14 +1145,17 @@ func (r *liveRegion) live(reached map[string]bool, selectedFrom map[string]map[s
 // outside the library (bench/ included), another package's tests, or a
 // declaration of the library that is itself live. A reference is a qualified
 // pkg.Name through an import, or a bare Name inside its own package; a method
-// is reached by a selector of its name (or the standard library's call of
-// it), once its type is. Liveness is a fixpoint over the declarations, so
+// is reached, once its type is, by a selector that resolves to it (see
+// methodSelections), by a selector of its name that the type checker leaves
+// open — a call through an interface — or by the standard library's call of
+// it. Liveness is a fixpoint over the declarations, so
 // what only dead code names is dead too. An exported field
 // of a *Options or *Config struct must be set somewhere outside its own
 // package's tests: a key of a literal of that struct, an &x.Field, or an
 // assignment to x.Field made from another package. What only its own tests
 // reach is a knob or an export no caller needs, and goes.
-func libraryGaps(files map[string]*ast.File) (unreached, unset []string) {
+func libraryGaps(fset *token.FileSet, files map[string]*ast.File) (unreached, unset []string) {
+	methods := methodSelections(fset, files)
 	library := func(dir string) bool { return dir == "dmgm" || strings.HasPrefix(dir, "internal/") }
 	ownTest := func(file, dir string) bool { return strings.HasSuffix(file, "_test.go") && path.Dir(file) == dir }
 	pkgOf := func(name string) string { return strings.TrimSuffix(name, path.Ext(name)) } // "dir.Name" -> "dir"
@@ -1209,7 +1279,11 @@ func libraryGaps(files map[string]*ast.File) (unreached, unset []string) {
 						}
 						return false
 					}
-					r.sels = append(r.sels, n.Sel.Name)
+					if method, ok := methods[n]; ok {
+						r.sels = append(r.sels, method)
+					} else {
+						r.sels = append(r.sels, n.Sel.Name)
+					}
 				case *ast.Ident:
 					if !notRefs[n] && !test && library(dir) {
 						r.refs = append(r.refs, dir+"."+n.Name)
@@ -1326,13 +1400,94 @@ func libraryGaps(files map[string]*ast.File) (unreached, unset []string) {
 	return unreached, unset
 }
 
+// methodSelections type-checks every package of files — a directory's
+// non-test files with its in-package tests, and its external tests apart,
+// the standard library from source — and maps each selector that names a
+// method of a concrete type to that method, "dir.Type.Method" (for a
+// foreign type, its import path instead of dir). A selector through an
+// interface, or one the checker could not resolve, is left out. Errors are
+// ignored: what they leave unresolved is counted by name.
+func methodSelections(fset *token.FileSet, files map[string]*ast.File) map[*ast.SelectorExpr]string {
+	dirOf := func(pkgPath string) string {
+		if pkgPath == "repro" {
+			return "."
+		}
+		return strings.TrimPrefix(pkgPath, "repro/")
+	}
+	pathOf := func(dir string) string { return path.Join("repro", dir) }
+	var names []string
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := &types.Config{Error: func(error) {}}
+	std := importer.ForCompiler(fset, "source", nil)
+	imported := map[string]*types.Package{}
+	conf.Importer = importerFunc(func(p string) (*types.Package, error) {
+		if p != "repro" && !strings.HasPrefix(p, "repro/") {
+			return std.Import(p)
+		}
+		if pkg, ok := imported[p]; ok {
+			return pkg, nil
+		}
+		var src []*ast.File
+		for _, name := range names {
+			if path.Dir(name) == dirOf(p) && !strings.HasSuffix(name, "_test.go") {
+				src = append(src, files[name])
+			}
+		}
+		pkg, _ := conf.Check(p, fset, src, info)
+		imported[p] = pkg
+		return pkg, nil
+	})
+	type unit struct{ dir, pkg string }
+	var units []unit
+	byUnit := map[unit][]*ast.File{}
+	for _, name := range names {
+		u := unit{path.Dir(name), files[name].Name.Name}
+		if byUnit[u] == nil {
+			units = append(units, u)
+		}
+		byUnit[u] = append(byUnit[u], files[name])
+	}
+	for _, u := range units {
+		conf.Check(pathOf(u.dir), fset, byUnit[u], info) //nolint:errcheck // see above
+	}
+	out := map[*ast.SelectorExpr]string{}
+	for sel, s := range info.Selections {
+		fn, ok := s.Obj().(*types.Func)
+		if !ok {
+			continue // a field
+		}
+		fn = fn.Origin()
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok || types.IsInterface(named) || named.Obj().Pkg() == nil {
+			continue
+		}
+		obj := named.Origin().Obj()
+		out[sel] = dirOf(obj.Pkg().Path()) + "." + obj.Name() + "." + fn.Name()
+	}
+	return out
+}
+
+// importerFunc is a types.Importer written as a function.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // TestLibraryGapsFindsDeadChains runs the gate on a small synthetic tree:
 // the color-strategy chain of the coloring kernel as it stood once its
 // option field was gone. pickColor, called by nothing but the package's own
 // tests, was the only code naming Strategy and its values, so a rule that
 // counted any same-package reference passed all of them; the fixpoint finds
 // the whole chain. Config.MaxBodyBytes is a field that only the package's own
-// tests set.
+// tests set. Tally.Sub shares its name with time.Time.Sub, which live code
+// calls: a selector counts for the method it resolves to, not for its name.
 func TestLibraryGapsFindsDeadChains(t *testing.T) {
 	sources := map[string]string{
 		"internal/syn/strategy.go": `package syn
@@ -1361,9 +1516,14 @@ type kernel struct {
 	usage []int64
 }
 
+type Tally struct{ N int }
+
+func (a Tally) Sub(b Tally) Tally { return Tally{a.N - b.N} }
+
 func Run(opt Options, cfg Config) int {
 	k := &kernel{opt: opt}
-	return k.firstFit() + cfg.Workers
+	var t Tally
+	return k.firstFit() + cfg.Workers + t.N
 }
 
 func (k *kernel) firstFit() int { return 0 }
@@ -1389,9 +1549,17 @@ func TestPickColor(t *testing.T) {
 `,
 		"cmd/syn/main.go": `package main
 
-import "repro/internal/syn"
+import (
+	"time"
 
-func main() { syn.Run(syn.Options{Seed: 1}, syn.Config{Workers: 2}) }
+	"repro/internal/syn"
+)
+
+func main() {
+	start := time.Now()
+	syn.Run(syn.Options{Seed: 1}, syn.Config{Workers: 2})
+	_ = time.Now().Sub(start)
+}
 `,
 	}
 	files := map[string]*ast.File{}
@@ -1403,9 +1571,9 @@ func main() { syn.Run(syn.Options{Seed: 1}, syn.Config{Workers: 2}) }
 		}
 		files[name] = f
 	}
-	unreached, unset := libraryGaps(files)
+	unreached, unset := libraryGaps(fset, files)
 	const file = "internal/syn/strategy.go: "
-	want := []string{file + "Strategy.String", file + "kernel.pickColor", file + "syn.FirstFit",
+	want := []string{file + "Strategy.String", file + "Tally.Sub", file + "kernel.pickColor", file + "syn.FirstFit",
 		file + "syn.LeastUsed", file + "syn.StaggeredFirstFit", file + "syn.Strategy", file + "syn.leastUsed"}
 	if !slices.Equal(unreached, want) {
 		t.Errorf("unreached %q, want %q", unreached, want)

@@ -168,16 +168,21 @@ func asyncKernel(name string, opt ParallelOptions) goldenKernel {
 		}
 		// What the ranks count as records is what a walk of the bundles on
 		// the wire finds, each of them a varint within the record bound, and
-		// with bundling off each in a message of its own.
+		// with bundling off each in a message of its own. The finalize fence
+		// adds one empty message per neighbour rank of every rank.
 		sent := w.TotalStats().ByFamily[mpi.FamilyMatch]
+		var fence int64
+		for _, d := range cell.shares {
+			fence += int64(len(d.NeighborRanks))
+		}
 		if walked := on.records[matchTag] - before; walked != records {
 			t.Errorf("%s: ranks count %d records sent, the bundles on the wire hold %d", what, records, walked)
 		}
 		if sent.SentBytes < records || sent.SentBytes > records*RecordBytes {
 			t.Errorf("%s: %d match-family bytes for %d records of 1 to %d bytes", what, sent.SentBytes, records, RecordBytes)
 		}
-		if opt.MaxBundleBytes == RecordBytes && sent.SentMsgs != records {
-			t.Errorf("%s: %d messages for %d records with bundling off", what, sent.SentMsgs, records)
+		if opt.MaxBundleBytes == RecordBytes && sent.SentMsgs != records+fence {
+			t.Errorf("%s: %d messages for %d records and %d fence messages with bundling off", what, sent.SentMsgs, records, fence)
 		}
 		if want := mates.Weight(cell.g); math.Abs(weight-want) > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("%s: ranks' LocalWeight sums to %v, matching weighs %v", what, weight, want)

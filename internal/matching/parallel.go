@@ -223,11 +223,11 @@ func (s *matchState) protocol() error {
 	}
 	finTok := s.tr.Begin("match.finalize")
 	s.match.out.Flush()
-	// Termination is local, so slower peers' stale SUCCEEDED/FAILED
-	// messages may still be addressed to us. Align on a barrier — by which
-	// point every rank has sent everything — and clear them, so that a
-	// later phase on the same world starts clean.
-	s.c.Barrier()
+	// Termination is local, so slower peers' stale SUCCEEDED/FAILED records
+	// may still be on their way, from neighbour ranks only (records travel
+	// along edges). One empty exchange with them, entered after each one's
+	// last flush, fences them in, and they are cleared for the next phase.
+	s.c.NeighborExchange(matchTag, s.d.NeighborRanks, make([][]byte, len(s.d.NeighborRanks)))
 	s.c.DrainTag(matchTag)
 	s.tr.End(finTok)
 	return nil

@@ -677,3 +677,114 @@ func TestLocalWeightIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// fenceWire is a transport that counts the matching traffic put on it: the
+// bundles on matchTag, and the finalize fence's messages on the exchange's
+// wire tag, the match family's other tag.
+type fenceWire struct {
+	transport.Transport
+	mu                                  sync.Mutex
+	bundles, bundleBytes, fence, fenceB int64
+}
+
+func (w *fenceWire) Send(m transport.Msg) error {
+	w.mu.Lock()
+	switch {
+	case m.Tag == matchTag:
+		w.bundles++
+		w.bundleBytes += int64(len(m.Payload))
+	case mpi.FamilyOf(m.Tag) == mpi.FamilyMatch:
+		w.fence++
+		w.fenceB += int64(len(m.Payload))
+	}
+	w.mu.Unlock()
+	return w.Transport.Send(m)
+}
+
+// TestFinalizeFence: matching fences on its neighbour ranks alone. At every
+// rank count, inproc and over tcp, the kernel meets in no collective (its
+// runtime family is empty), each rank sends every neighbour rank one empty
+// fence message, and the match family holds exactly the bundles and those:
+// Σ|NeighborRanks| messages more than the bundles, and not a byte more.
+func TestFinalizeFence(t *testing.T) {
+	g, err := gen.ErdosRenyi(150, 600, true, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 3, 4, 5, 8} {
+		part, err := partition.Random(g, p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares, err := dgraph.Distribute(g, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var neighbours int64
+		for _, d := range shares {
+			neighbours += int64(len(d.NeighborRanks))
+		}
+		for _, backend := range []string{"inproc", "tcp"} {
+			t.Run(fmt.Sprintf("P=%d/%s", p, backend), func(t *testing.T) {
+				wires := []*fenceWire{{Transport: transport.NewInproc(p)}}
+				if backend == "tcp" {
+					eps, err := transport.NewLocalTCPCluster(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wires = wires[:0]
+					for _, ep := range eps {
+						wires = append(wires, &fenceWire{Transport: ep})
+					}
+				}
+				worlds := make([]*mpi.World, len(wires))
+				for i, on := range wires {
+					if worlds[i], err = mpi.NewWorld(p, mpi.WithTransport(on), mpi.WithDeadline(60*time.Second)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				results := make([]*ParallelResult, p)
+				errs := make([]error, len(worlds))
+				var wg sync.WaitGroup
+				for i, w := range worlds {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = w.Run(func(c *mpi.Comm) (err error) {
+							results[c.Rank()], err = Parallel(c, shares[c.Rank()], ParallelOptions{})
+							return err
+						})
+					}()
+				}
+				wg.Wait()
+				var on fenceWire
+				var bundles int64
+				var match, runtime mpi.FamilyStats
+				for i, w := range worlds {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					for _, r := range w.LocalRanks() {
+						bundles += results[r].Bundles
+						match.Add(w.RankStats(r).ByFamily[mpi.FamilyMatch])
+						runtime.Add(w.RankStats(r).ByFamily[mpi.FamilyRuntime])
+					}
+					on.bundles += wires[i].bundles
+					on.bundleBytes += wires[i].bundleBytes
+					on.fence += wires[i].fence
+					on.fenceB += wires[i].fenceB
+				}
+				if runtime != (mpi.FamilyStats{}) {
+					t.Errorf("the kernel met in a collective: runtime family %+v", runtime)
+				}
+				if on.bundles != bundles || on.fence != neighbours || on.fenceB != 0 {
+					t.Errorf("wire: %d bundles and %d fence messages of %d bytes; ranks count %d bundles, %d neighbour ranks",
+						on.bundles, on.fence, on.fenceB, bundles, neighbours)
+				}
+				if match.SentMsgs != bundles+neighbours || match.SentBytes != on.bundleBytes || match.RecvMsgs != match.SentMsgs {
+					t.Errorf("match family %+v, want %d messages of %d bytes each way", match, bundles+neighbours, on.bundleBytes)
+				}
+			})
+		}
+	}
+}

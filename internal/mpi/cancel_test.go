@@ -121,13 +121,35 @@ func TestCancelWakesBlockedRanks(t *testing.T) {
 // exchanges — rank 1 waits in Recv, which stashes rank 0's exchange message —
 // inproc and over tcp, and cancels: both must unwind with ErrCanceled.
 func TestCancelWakesExchange(t *testing.T) {
-	park := func(c *Comm, arrive func()) error {
-		arrive()
+	cancelParkedPair(t, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.NeighborExchange(TagColorBase, []int{1}, [][]byte{{1}})
 		} else {
 			c.Recv()
 		}
+	})
+}
+
+// TestCancelWakesGather parks rank 0 in a Gather that rank 1 never joins —
+// rank 1 waits in Recv — inproc and over tcp, and cancels: both must unwind
+// with ErrCanceled.
+func TestCancelWakesGather(t *testing.T) {
+	cancelParkedPair(t, func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Gather([]byte{1})
+		} else {
+			c.Recv()
+		}
+	})
+}
+
+// cancelParkedPair runs wait on both ranks of a 2-rank job, inproc and over
+// tcp, and cancels once both are parked in it: each must unwind with
+// ErrCanceled.
+func cancelParkedPair(t *testing.T, wait func(c *Comm)) {
+	park := func(c *Comm, arrive func()) error {
+		arrive()
+		wait(c)
 		return fmt.Errorf("rank %d left its wait", c.Rank())
 	}
 	t.Run("inproc", func(t *testing.T) {

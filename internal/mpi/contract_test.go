@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -126,6 +127,22 @@ func floatAt(rank, i int) float64 {
 	return [...]float64{1e16, 1, -1e16, math.Copysign(0, -1), 0.1, float64(i) + 0.5}[(rank+i)%6]
 }
 
+// rootSum gathers one float64 per rank on rank 0 and adds them there in rank
+// order from rank 0's, as a job's tail folds the matching weight, and
+// returns the sum's bits on rank 0 and 0 elsewhere.
+func rootSum(c *Comm, x float64) uint64 {
+	parts := c.Gather(binary.BigEndian.AppendUint64(nil, math.Float64bits(x)))
+	var sum float64
+	for r, p := range parts {
+		if v := math.Float64frombits(binary.BigEndian.Uint64(p)); r == 0 {
+			sum = v
+		} else {
+			sum += v
+		}
+	}
+	return math.Float64bits(sum)
+}
+
 var contractTable = []struct {
 	name      string
 	tcpClocks clockRelation
@@ -143,9 +160,8 @@ var contractTable = []struct {
 			p.work(i)
 			p.step("isum %d", c.AllreduceInt64(intAt(c.Rank(), i), OpSum))
 			p.step("imax %d", c.AllreduceInt64(intAt(c.Rank(), i), OpMax))
-			p.step("fsum %x", math.Float64bits(c.AllreduceFloat64(floatAt(c.Rank(), i), OpSum)))
-			p.step("fmax %x", math.Float64bits(c.AllreduceFloat64(floatAt(c.Rank(), i), OpMax)))
-			p.step("zsum %x", math.Float64bits(c.AllreduceFloat64(math.Copysign(0, -1), OpSum)))
+			p.step("fsum %x", rootSum(c, floatAt(c.Rank(), i)))
+			p.step("zsum %x", rootSum(c, math.Copysign(0, -1)))
 			p.step("gather %v", c.Allgather(make([]byte, (c.Rank()+i)%4)))
 			p.barrier()
 		}
@@ -219,6 +235,29 @@ var contractTable = []struct {
 			p.drainAll()
 			p.step("left %d", c.AllreduceInt64(int64(round+c.Rank()), OpMax))
 		}
+	}},
+	// The rooted gather: rank 0 collects every rank's bytes in rank order
+	// and leaves on the latest entry clock, the others get nil and leave on
+	// their own. A user message sent ahead of a rank's Gather is parked by
+	// rank 0's collection without touching its clock, and ranks racing
+	// ahead into the next Gather, or into an Allgather on the same reserved
+	// tag, take nothing from this one.
+	{"rooted gathers", equal, func(p probe) {
+		c := p.c
+		for i := 0; i < 30; i++ {
+			p.work(i)
+			if i%3 == 0 {
+				p.sendNext(7, i%4)
+			}
+			p.step("gather %v", c.Gather(bytes.Repeat([]byte{byte(c.Rank())}, (c.Rank()+i)%4)))
+			if i%3 == 0 {
+				p.recv()
+			}
+			if i%5 == 0 {
+				p.step("allgather %v", c.Allgather([]byte{byte(i)}))
+			}
+		}
+		p.barrier()
 	}},
 	// The coloring round on the neighbour exchange: a send ahead of the
 	// exchange is in once it returns, TryRecv and DrainTag on the same tag

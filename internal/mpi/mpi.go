@@ -587,17 +587,7 @@ func (c *Comm) Send(to, tag int, data []byte) {
 // its exchange message, everything it sent this rank earlier has arrived
 // (stashed, or still in the mailbox) once the exchange returns.
 func (c *Comm) NeighborExchange(tag int, peers []int, out [][]byte) [][]byte {
-	wire := exchangeTag(tag)
-	for i, to := range peers {
-		c.world.stats[c.rank].countSent(FamilyOf(tag), int64(len(out[i])))
-		c.send(transport.Msg{From: c.rank, To: to, Tag: wire, ArriveV: c.stampSend(len(out[i])), Payload: out[i]})
-	}
-	in := make([][]byte, len(peers))
-	for i, from := range peers {
-		m, _ := c.take(true, from, wire)
-		in[i] = m.Data
-	}
-	return in
+	return c.meet(exchangeTag(tag), peers, func(i int) []byte { return out[i] }, peers)
 }
 
 // send ships a message through the transport. A transport error means the
@@ -701,8 +691,8 @@ func (c *Comm) nextPick() uint64 {
 // given tag (stashed or mailboxed), leaving other traffic untouched, and
 // reports how many were dropped. Protocols whose termination is local (a
 // rank may finish before stale peers' messages reach it — the matching
-// algorithm's outer loop) call Barrier and then DrainTag so that a
-// subsequent phase on the same world starts with a clean mailbox.
+// algorithm's outer loop) fence on a NeighborExchange and then DrainTag so
+// that a subsequent phase on the same world starts with a clean mailbox.
 func (c *Comm) DrainTag(tag int) int {
 	stashed := len(c.stash)
 	c.stash = slices.DeleteFunc(c.stash, func(m Message) bool { return m.Tag == tag })

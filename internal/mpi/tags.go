@@ -21,10 +21,9 @@ import "fmt"
 //
 // Every tag maps to exactly one TagFamily via FamilyOf; traffic counters are
 // kept per family (see Stats) and the aggregates are the sum of the user
-// families — the runtime family meters the collectives' reserved-tag traffic,
-// which the aggregates deliberately exclude, so that algorithm message counts
-// are those of the algorithm's own tags. An exchange is the algorithm's
-// own traffic on every backend: its wire tags map to the user tag's family.
+// families, which leaves out the runtime family (the collectives). An
+// exchange is the algorithm's own traffic: its wire tags map to the user
+// tag's family.
 const (
 	// TagMatchBase is the first tag of the matching-bundle range.
 	TagMatchBase = 100
@@ -49,9 +48,8 @@ const (
 	// FamilyUser is any other non-negative tag: application traffic outside
 	// the ranges the built-in algorithms reserve.
 	FamilyUser
-	// FamilyRuntime is the reserved negative-tag traffic bar the exchanges':
-	// the barrier, allreduce and allgather messages of every backend. It is
-	// metered here but excluded from the aggregate Stats counters, so an
+	// FamilyRuntime is the collectives' reserved-tag traffic on every
+	// backend, excluded from the aggregate Stats counters so that an
 	// algorithm's message counts are those of its own tags alone.
 	FamilyRuntime
 	// NumTagFamilies is the number of tag families (array sizing).

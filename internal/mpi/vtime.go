@@ -13,8 +13,8 @@ import (
 //     op),
 //   - a message arrives at senderClock + α + β·bytes; processing it advances
 //     the receiver's clock to at least the arrival time,
-//   - barriers (and thus collectives) synchronize clocks to the maximum,
-//     plus a σ synchronization cost.
+//   - barriers and the all-to-all collectives synchronize clocks to the
+//     maximum, plus a σ synchronization cost; a Gather pulls rank 0's alone.
 //
 // The maximum clock at the end of a run is a makespan estimate for the
 // modeled machine that — unlike the bulk-synchronous α–β–γ model of

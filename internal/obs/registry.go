@@ -65,15 +65,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add shifts the value by d; a no-op on nil. For gauges that track a level
-// maintained by concurrent increments and decrements (in-flight jobs),
-// where Set(Load()+1) would lose updates.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
 // Load reads the current value (0 on nil).
 func (g *Gauge) Load() int64 {
 	if g == nil {

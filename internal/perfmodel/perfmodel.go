@@ -54,17 +54,6 @@ type Profile struct {
 	Epochs    int64 // synchronization epochs participated in
 }
 
-// Add accumulates o into p.
-func (p *Profile) Add(o Profile) {
-	p.VertexOps += o.VertexOps
-	p.EdgeOps += o.EdgeOps
-	p.Msgs += o.Msgs
-	p.Bytes += o.Bytes
-	if o.Epochs > p.Epochs {
-		p.Epochs = o.Epochs
-	}
-}
-
 // Time evaluates the model for one rank profile.
 func (m Machine) Time(p Profile) float64 {
 	return float64(p.VertexOps)*m.GammaVertex +

@@ -44,17 +44,6 @@ func TestBlueGenePSane(t *testing.T) {
 	}
 }
 
-func TestProfileAdd(t *testing.T) {
-	p := Profile{VertexOps: 1, EdgeOps: 2, Msgs: 3, Bytes: 4, Epochs: 5}
-	p.Add(Profile{VertexOps: 10, EdgeOps: 20, Msgs: 30, Bytes: 40, Epochs: 2})
-	if p.VertexOps != 11 || p.EdgeOps != 22 || p.Msgs != 33 || p.Bytes != 44 {
-		t.Fatalf("Add = %+v", p)
-	}
-	if p.Epochs != 5 { // epochs take the max (phases overlap, not add)
-		t.Fatalf("Epochs = %d, want 5", p.Epochs)
-	}
-}
-
 func TestCalibrateReproducesMeasurement(t *testing.T) {
 	m := BlueGeneP()
 	p := Profile{VertexOps: 1e6, EdgeOps: 4e6, Msgs: 100, Bytes: 1e5, Epochs: 10}
