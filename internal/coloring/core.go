@@ -3,7 +3,6 @@ package coloring
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
@@ -31,33 +30,17 @@ const (
 	// recolorTag is distance-2's RECOLOR exchange: the addressed vertex
 	// lost a distance-2 conflict against the carried color.
 	recolorTag = mpi.TagColorBase + 10
-	// noticeMax bounds the one record layout both tags use:
-	// uvarint(pair-local vertex index) | uvarint(color), two to four bytes in
-	// practice.
+	// noticeMax bounds a notice: uvarint(z) | uvarint(color), two to four
+	// bytes in practice.
 	noticeMax = 2 * binary.MaxVarintLen32
 )
 
-// appendNotice appends the notice (index, color) to buf. The index is the
-// vertex's place in the table the sending and the receiving rank keep with
-// each other (dgraph.Pair): among the sender's shown vertices for a color
-// notice, among the receiver's for a RECOLOR.
-func appendNotice(buf []byte, index, color int32) []byte {
-	return binary.AppendUvarint(binary.AppendUvarint(buf, uint64(uint32(index))), uint64(uint32(color)))
-}
-
-// readNotice reads the notice at the head of data and reports its length, or
-// 0 if data does not begin with a whole notice.
-func readNotice(data []byte) (index uint64, color int32, n int) {
-	index, n1 := binary.Uvarint(data)
-	if n1 <= 0 {
-		return 0, 0, 0
-	}
-	col, n2 := binary.Uvarint(data[n1:])
-	if n2 <= 0 || col > math.MaxUint32 {
-		return 0, 0, 0
-	}
-	return index, int32(uint32(col)), n1 + n2
-}
+// noticeCodec is the one layout of both tags' notices: (index, color), where
+// index is the vertex's place in the table the sending and the receiving rank
+// keep with each other (dgraph.Pair) — among the sender's shown vertices for
+// a color notice, among the receiver's for a RECOLOR — coded as the index or
+// its difference from the previous notice's in the message.
+var noticeCodec = mpi.Codec{}
 
 // rnd deterministically maps a global vertex id to its random priority r(v);
 // every rank computes identical values without communication, which is the
@@ -164,10 +147,9 @@ func (s *colorState) markAdjacent(v int32) {
 // fence the bundles are the exchange's payloads, and what the peers sent is
 // returned.
 func (s *colorState) announce(boundary []int32, fence bool) [][]byte {
-	var rec [noticeMax]byte
 	for _, v := range boundary {
 		for _, at := range s.d.ShownTo(v) {
-			s.out.Add(int(at.Rank), appendNotice(rec[:0], at.Index, s.colors[v]))
+			s.out.AddIndexed(int(at.Rank), noticeCodec, at.Index, uint32(s.colors[v]))
 		}
 	}
 	if fence {
@@ -203,27 +185,15 @@ func (s *colorState) drain(in [][]byte) {
 // about every boundary vertex). Anything else is a protocol violation.
 func (s *colorState) takeColors(from int, data []byte) {
 	lo, hi := s.d.GhostsOf(from)
-	count := uint64(hi - lo)
-	var notices int64
-	for rest := data; len(rest) > 0; notices++ {
-		index, color, n := readNotice(rest)
-		if n == 0 || index > count {
-			s.violation(notices, data, colorTag, from, count)
-		}
-		rest = rest[n:]
-		if index < count {
-			s.color[lo+int32(index)] = color
+	count := hi - lo
+	w := noticeCodec.Walk(from, colorTag, data, int(count)+1)
+	for w.Next() {
+		if w.Index < count {
+			s.color[lo+w.Index] = int32(w.X)
 		}
 	}
-	s.c.ChargeOps(notices, 0)
+	s.c.ChargeOps(w.Records(), 0)
 	s.out.Recycle(data) // fully consumed; reuse for outbound bundles
-}
-
-// violation is the protocol panic of a notice walk: notice k of a bundle is
-// cut short or names none of the count vertices it could.
-func (s *colorState) violation(k int64, data []byte, tag, from int, count uint64) {
-	panic(fmt.Sprintf("coloring: rank %d: notice %d of a %d-byte bundle with tag %d from rank %d is cut short or names none of the %d vertices it could",
-		s.d.Rank, k, len(data), tag, from, count))
 }
 
 // The round limits abort a run that fails to converge, a safety net: the

@@ -29,8 +29,10 @@ type d2Kernel struct {
 	*colorState
 	opt ParallelOptions
 	// recolors holds, per neighbor rank, the round's outbound RECOLOR
-	// notices; each carries the winner's color.
+	// notices; each carries the winner's color. last holds the index of each
+	// one's last notice.
 	recolors [][]byte
+	last     []int32
 	// forbidden accumulates, per owned vertex, colors of remote two-hop
 	// conflictors learned from notices. A loser cannot see the winner's
 	// color through its one-layer ghosts (the conflict's middle vertex lives
@@ -86,6 +88,7 @@ func ParallelDistance2(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*
 		colorState: s,
 		opt:        opt,
 		recolors:   make([][]byte, len(d.NeighborRanks)),
+		last:       make([]int32, len(d.NeighborRanks)),
 		forbidden:  colorLists{head: make([]int32, d.NLocal)},
 		queued:     make([]int32, d.NLocal),
 	}
@@ -125,7 +128,8 @@ func (k *d2Kernel) detect(u, _ []int32) []int32 {
 			return
 		}
 		i := d.NeighborOf(loser)
-		k.recolors[i] = appendNotice(k.recolors[i], loser-d.GhostBase[i], col)
+		index := loser - d.GhostBase[i]
+		k.recolors[i], k.last[i] = noticeCodec.Append(k.recolors[i], k.last[i], index, uint32(col)), index
 	}
 	var arcs int64
 	color := k.color
@@ -183,13 +187,9 @@ func (k *d2Kernel) detect(u, _ []int32) []int32 {
 // and the color it lost to. Any other index is a protocol violation.
 func (k *d2Kernel) takeRecolors(from int, data []byte, lost func(v, color int32)) {
 	shown := k.d.PairWith(from).Shown
-	for rest, notices := data, int64(0); len(rest) > 0; notices++ {
-		index, color, n := readNotice(rest)
-		if n == 0 || index >= uint64(len(shown)) {
-			k.violation(notices, data, recolorTag, from, uint64(len(shown)))
-		}
-		rest = rest[n:]
-		lost(shown[index], color)
+	w := noticeCodec.Walk(from, recolorTag, data, len(shown))
+	for w.Next() {
+		lost(shown[w.Index], int32(w.X))
 	}
 }
 

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -20,7 +21,7 @@ import (
 // walk ends cleanly, having touched only ghosts of the sender (or, for a
 // RECOLOR, vertices shown to it), or in the protocol panic; never in an index
 // out of range, never in a color on an owned vertex, and never without
-// consuming the bundle.
+// consuming the bundle. The protocol panic is the codec walker's.
 func FuzzNoticeWalk(f *testing.F) {
 	g, err := gen.Grid2D(6, 6, false, 0)
 	if err != nil {
@@ -37,21 +38,34 @@ func FuzzNoticeWalk(f *testing.F) {
 	d := shares[0]
 	lo, hi := d.GhostsOf(1)
 	table := hi - lo // as many shown vertices: every boundary vertex has one neighbor over there
+	// notices codes (index, color) pairs as the kernels do; raw appends a
+	// notice as is, whatever it says.
 	notices := func(pairs ...int32) []byte {
 		var b []byte
 		for i := 0; i < len(pairs); i += 2 {
-			b = appendNotice(b, pairs[i], pairs[i+1])
+			var prev int32
+			if i > 0 {
+				prev = pairs[i-2]
+			}
+			b = noticeCodec.Append(b, prev, pairs[i], uint32(pairs[i+1]))
 		}
 		return b
 	}
+	raw := func(b []byte, z, color uint64) []byte { return binary.AppendUvarint(binary.AppendUvarint(b, z), color) }
 	f.Add(false, false, []byte{})
 	f.Add(false, false, notices(0, 3, table-1, 0))
-	f.Add(false, false, notices(table, 2, 1, 1)) // FIAB's "not adjacent to you", then a real one
-	f.Add(false, false, notices(table+1, 2))     // past even that
-	f.Add(true, false, notices(0, 5))            // a non-neighbor may only say "not adjacent"
+	f.Add(false, false, notices(table-1, 3, 0, 1, 2, 2)) // a negative difference
+	f.Add(false, false, notices(table, 2, 1, 1))         // FIAB's "not adjacent to you", then a real one
+	f.Add(false, false, notices(1, 2, table, 1, table, 3))
+	f.Add(false, false, notices(table+1, 2))                      // past even that
+	f.Add(false, false, raw(notices(1, 2), 3, 1))                 // 1 - 2: below 0
+	f.Add(false, false, raw(notices(0, 2), 2*uint64(table+1), 1)) // 0 + table + 1: past even FIAB's
+	f.Add(true, false, notices(0, 5))                             // a non-neighbor may only say "not adjacent"
 	f.Add(true, false, notices(1, 5))
 	f.Add(false, true, notices(table-1, 4, 0, 2, table-1, 6))
-	f.Add(false, true, notices(table, 4)) // a RECOLOR has no "elsewhere"
+	f.Add(false, true, notices(table, 4))                              // a RECOLOR has no "elsewhere"
+	f.Add(false, true, raw(notices(0, 4), 2*uint64(table), 1))         // nor reaches it by a difference
+	f.Add(false, true, raw(notices(table-1, 4), 2*uint64(table)-1, 1)) // table-1 - table: below 0
 	f.Add(true, true, notices(0, 4))
 	f.Add(false, false, []byte{0x00})                               // index without a color
 	f.Add(false, false, append(notices(0, 1), 0x80))                // cut short after a whole notice
@@ -98,7 +112,7 @@ func FuzzNoticeWalk(f *testing.F) {
 			}
 			return nil
 		}, mpi.WithDeadline(10*time.Second))
-		if err != nil && !strings.Contains(err.Error(), "coloring: rank 0: notice ") {
+		if err != nil && !strings.Contains(err.Error(), "mpi: rank 0 panicked: mpi: record ") {
 			t.Fatalf("bundle %x from rank %d: %v", bundle, sender, err)
 		}
 	})
@@ -109,7 +123,7 @@ func FuzzNoticeWalk(f *testing.F) {
 // stopped in the protocol panic.
 func walkRecolors(t *testing.T, d *dgraph.DistGraph, sender int, payload []byte) {
 	defer func() {
-		if p := recover(); p != nil && !strings.HasPrefix(fmt.Sprint(p), "coloring: rank 0: notice ") {
+		if p := recover(); p != nil && !strings.HasPrefix(fmt.Sprint(p), "mpi: record ") {
 			t.Fatalf("RECOLOR payload %x from rank %d: %v", payload, sender, p)
 		}
 	}()

@@ -170,7 +170,7 @@ func Parallel(c *mpi.Comm, d *dgraph.DistGraph, opt ParallelOptions) (*ParallelR
 				s.peers = append(s.peers, rk)
 			}
 		}
-		k.bufs = make([][]byte, d.P-1)
+		k.bufs, k.last = make([][]byte, d.P-1), make([]int32, d.P-1)
 		ship = k.shipToAll
 	}
 	if err := s.speculate("distance-1", u, first, opt.SuperstepSize, maxRoundsD1, nil, ship, k.detect); err != nil {
@@ -186,6 +186,7 @@ type d1Kernel struct {
 	opt       ParallelOptions
 	elsewhere []int32  // FIAB, per rank: the index one past its table of this rank's shown vertices
 	bufs      [][]byte // FIAB / FIAC, per peer: the message being built
+	last      []int32  // FIAB / FIAC, per peer: the index of its message's last notice
 	index     []int32  // FIAB, per rank: the vertex at hand's index there; elsewhere between vertices
 }
 
@@ -197,7 +198,7 @@ type d1Kernel struct {
 // out spares, or else a piece of one block with room for a notice per vertex.
 // At the round's fence the messages are the exchange's payloads.
 func (k *d1Kernel) shipToAll(boundary []int32, fence bool) [][]byte {
-	d, bufs, index := k.d, k.bufs, k.index
+	d, bufs, last, index := k.d, k.bufs, k.last, k.index
 	need, block := len(boundary)*noticeMax, []byte(nil)
 	for i := range bufs {
 		if bufs[i] = k.out.Spare(); bufs[i] == nil {
@@ -215,7 +216,7 @@ func (k *d1Kernel) shipToAll(boundary []int32, fence bool) [][]byte {
 				if i > d.Rank { // bufs skips this rank
 					i--
 				}
-				bufs[i] = appendNotice(bufs[i], at.Index, k.colors[v])
+				bufs[i], last[i] = noticeCodec.Append(bufs[i], last[i], at.Index, uint32(k.colors[v])), at.Index
 			}
 			continue
 		}
@@ -223,7 +224,7 @@ func (k *d1Kernel) shipToAll(boundary []int32, fence bool) [][]byte {
 			index[at.Rank] = at.Index
 		}
 		for i, rk := range k.peers {
-			bufs[i] = appendNotice(bufs[i], index[rk], k.colors[v])
+			bufs[i], last[i] = noticeCodec.Append(bufs[i], last[i], index[rk], uint32(k.colors[v])), index[rk]
 		}
 		for _, at := range shown {
 			index[at.Rank] = k.elsewhere[at.Rank]

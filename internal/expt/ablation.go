@@ -184,7 +184,7 @@ func Traffic(o Options) error {
 		return err
 	}
 	if err := emitTrafficTable(o, "Per-tag-family traffic — matching, "+on, m.Traffic,
-		"REQUEST/SUCCEEDED/FAILED records are one varint each - pair-local edge index, kind in its low bits - inside per-destination bundles (docs/PROTOCOL.md)"); err != nil {
+		"REQUEST/SUCCEEDED/FAILED records are one varint each - pair-local edge index, after a bundle's first as the difference from the last, kind in its low bits - inside per-destination bundles (docs/PROTOCOL.md)"); err != nil {
 		return err
 	}
 	m, err = MeasureColoring(shares, coloring.ParallelOptions{Seed: o.Seed, CommMode: coloring.CommNeighbors, SuperstepSize: 100})
@@ -192,7 +192,7 @@ func Traffic(o Options) error {
 		return err
 	}
 	return emitTrafficTable(o, "Per-tag-family traffic — coloring NEW variant, "+on, m.Traffic,
-		"color notices are two varints each - pair-local vertex index, color - sent to affected neighbor ranks only (NEW)")
+		"color notices are two varints each - pair-local vertex index, after a message's first as the difference from the last, color - sent to affected neighbor ranks only (NEW)")
 }
 
 // emitTrafficTable renders one per-family breakdown table with its

@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dgraph"
@@ -10,10 +9,13 @@ import (
 )
 
 // A protocol record names a cross edge and says one of up to four things about
-// it: uvarint(edge << kindBits | kind), where edge is the edge's index in the
-// table the sending and the receiving rank keep with each other
-// (dgraph.Pair) — one to five bytes, two or three on anything but a toy.
+// it, its kind: the edge is named by its index in the table the sending and
+// the receiving rank keep with each other (dgraph.Pair), coded by recordCodec,
+// uvarint(z << kindBits | kind) with z the index or its difference from the
+// previous record's in the bundle — one to five bytes, mostly one.
 const kindBits = 2
+
+var recordCodec = mpi.Codec{KindBits: kindBits}
 
 // RecordBytes is the upper bound on the wire size of one record that the
 // bundlers are built for; no record comes near it. As a MaxBundleBytes value
@@ -69,9 +71,7 @@ func (r *rank) newLink(tag int) link {
 // of the CSR — from its owned end to the owner of its ghost end.
 func (l *link) send(kind byte, arc int64) {
 	d := l.d
-	var rec [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(rec[:], uint64(d.EdgeAt[arc])<<kindBits|uint64(kind))
-	l.out.Add(d.OwnerOf(d.Adj[arc]), rec[:n])
+	l.out.AddIndexed(d.OwnerOf(d.Adj[arc]), recordCodec, d.EdgeAt[arc], uint32(kind))
 }
 
 // receive is the one way a message comes off the wire for a matching kernel:
@@ -80,23 +80,17 @@ func (l *link) send(kind byte, arc int64) {
 // the ghost u it comes from, read out of the pair table kept with the sender —
 // charges one virtual-time edge op per record, and then recycles the buffer
 // for the link's future sends. A record that is cut short, or names an edge
-// the two ranks do not share, is a protocol violation.
+// the two ranks do not share, is a protocol violation (the walker's panic).
 func (l *link) receive(m mpi.Message, each func(kind byte, v, u int32)) {
 	if m.Tag != l.tag {
 		panic(fmt.Sprintf("matching: rank %d speaking tag %d got a %d-byte message with tag %d", l.d.Rank, l.tag, len(m.Data), m.Tag))
 	}
 	edges := l.d.PairWith(m.From).Edges
-	var records int64
-	for data := m.Data; len(data) > 0; records++ {
-		x, n := binary.Uvarint(data)
-		if n <= 0 || x>>kindBits >= uint64(len(edges)) {
-			panic(fmt.Sprintf("matching: rank %d: record %d of a %d-byte bundle from rank %d is cut short or names none of the %d edges the two share",
-				l.d.Rank, records, len(m.Data), m.From, len(edges)))
-		}
-		data = data[n:]
-		e := edges[x>>kindBits]
-		each(byte(x&(1<<kindBits-1)), e.V, e.U)
+	w := recordCodec.Walk(m.From, m.Tag, m.Data, len(edges))
+	for w.Next() {
+		e := edges[w.Index]
+		each(byte(w.X), e.V, e.U)
 	}
-	l.c.ChargeOps(records, 0)
+	l.c.ChargeOps(w.Records(), 0)
 	l.out.Recycle(m.Data)
 }

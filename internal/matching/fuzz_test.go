@@ -17,8 +17,9 @@ import (
 // through link.receive on rank 1 of a 6 × 6 grid cut into three strips — two
 // neighbors, so a rank that is one, one that is not, and ranks that do not
 // exist. The walk ends cleanly, handing the kernel only edges the share holds
-// between an owned vertex and a ghost of the sender, or in the protocol panic;
-// never in an index out of range, and never without consuming the bundle.
+// between an owned vertex and a ghost of the sender, or in the codec walker's
+// protocol panic; never in an index out of range, and never without consuming
+// the bundle.
 func FuzzRecordWalk(f *testing.F) {
 	g, err := gen.Grid2D(6, 6, true, 1)
 	if err != nil {
@@ -33,17 +34,34 @@ func FuzzRecordWalk(f *testing.F) {
 		f.Fatal(err)
 	}
 	d := shares[1]
-	record := func(edge, kind uint64) []byte { return binary.AppendUvarint(nil, edge<<kindBits|kind) }
-	last := uint64(len(d.PairWith(0).Edges) - 1)
+	// bundle codes (edge, kind) pairs as the kernel does; raw appends a
+	// record word as is, whatever it says.
+	bundle := func(pairs ...int32) []byte {
+		var b []byte
+		for i := 0; i < len(pairs); i += 2 {
+			var prev int32
+			if i > 0 {
+				prev = pairs[i-2]
+			}
+			b = recordCodec.Append(b, prev, pairs[i], uint32(pairs[i+1]))
+		}
+		return b
+	}
+	raw := func(b []byte, z, kind uint64) []byte { return binary.AppendUvarint(b, z<<kindBits|kind) }
+	last := int32(len(d.PairWith(0).Edges) - 1)
 	f.Add(int8(0), []byte{})
-	f.Add(int8(0), append(record(0, msgRequest), record(last, msgFailed)...))
-	f.Add(int8(2), append(record(last, msgSucceeded), record(last, 3)...))
-	f.Add(int8(0), record(last+1, msgRequest))                                         // one past the table
-	f.Add(int8(1), record(0, msgRequest))                                              // from itself: no table
-	f.Add(int8(-1), record(0, msgRequest))                                             // from no rank
-	f.Add(int8(3), record(0, msgRequest))                                              // from no rank
+	f.Add(int8(0), bundle(0, msgRequest, last, msgFailed))
+	f.Add(int8(0), bundle(last, msgRequest, 0, msgSucceeded, 1, msgFailed)) // a negative difference
+	f.Add(int8(2), bundle(last, msgSucceeded, last, 3))
+	f.Add(int8(0), bundle(last+1, msgRequest))                                         // one past the table
+	f.Add(int8(0), raw(bundle(1, msgRequest), 3, msgFailed))                           // 1 - 2: below 0
+	f.Add(int8(0), raw(bundle(0, msgRequest), 2*uint64(last+1), msgFailed))            // 0 + last + 1: past the table
+	f.Add(int8(0), raw(bundle(last, msgRequest), 1<<40, msgFailed))                    // a difference beyond 32 bits
+	f.Add(int8(1), bundle(0, msgRequest))                                              // from itself: no table
+	f.Add(int8(-1), bundle(0, msgRequest))                                             // from no rank
+	f.Add(int8(3), bundle(0, msgRequest))                                              // from no rank
 	f.Add(int8(0), []byte{0x80})                                                       // cut short
-	f.Add(int8(0), append(record(1, msgRequest), 0xff, 0xff))                          // cut short after a whole record
+	f.Add(int8(0), append(bundle(1, msgRequest), 0xff, 0xff))                          // cut short after a whole record
 	f.Add(int8(2), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // overflows 64 bits
 	f.Add(int8(2), binary.AppendUvarint(nil, 1<<63))
 	f.Fuzz(func(t *testing.T, from int8, bundle []byte) {
@@ -69,7 +87,7 @@ func FuzzRecordWalk(f *testing.F) {
 			})
 			return nil
 		}, mpi.WithDeadline(10*time.Second))
-		if err != nil && !strings.Contains(err.Error(), "matching: rank 1: record ") {
+		if err != nil && !strings.Contains(err.Error(), "mpi: rank 1 panicked: mpi: record ") {
 			t.Fatalf("bundle %x from rank %d: %v", bundle, from, err)
 		}
 		if err == nil {

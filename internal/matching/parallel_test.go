@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -546,9 +547,10 @@ func ledgerInputs(t *testing.T) []ledgerInput {
 }
 
 // ledgerWire is an in-process transport that books every matching record
-// put on it against the directed arc it crosses, named by global ids: a
-// record's edge index is looked up in the pair table the receiving share
-// keeps with the sender, whose ghost end is the sending vertex.
+// put on it against the directed arc it crosses, named by global ids: the
+// kernel's own walker reads each record's edge index, which is looked up in
+// the pair table the receiving share keeps with the sender, whose ghost end
+// is the sending vertex.
 type ledgerWire struct {
 	*transport.Inproc
 	shares []*dgraph.DistGraph
@@ -561,15 +563,14 @@ func (w *ledgerWire) Send(m transport.Msg) error {
 		d := w.shares[m.To]
 		edges := d.PairWith(m.From).Edges
 		w.mu.Lock()
-		for data := m.Payload; len(data) > 0; {
-			x, n := binary.Uvarint(data)
-			data = data[n:]
-			e := edges[x>>kindBits]
+		rec := recordCodec.Walk(m.From, m.Tag, m.Payload, len(edges))
+		for rec.Next() {
+			e := edges[rec.Index]
 			a := [2]int64{d.GlobalOf(e.U), d.GlobalOf(e.V)}
 			if w.arcs[a] == nil {
 				w.arcs[a] = new([2]int)
 			}
-			if x&(1<<kindBits-1) == msgRequest {
+			if rec.X == msgRequest {
 				w.arcs[a][0]++
 			} else {
 				w.arcs[a][1]++
@@ -629,6 +630,113 @@ func TestParallelRecordLedger(t *testing.T) {
 				if records != 0 {
 					t.Errorf("%s: the ranks count %d records more than the wire carried", name, records)
 				}
+			}
+		}
+	}
+}
+
+// flushWire checks every matching bundle put on it against the plain layout,
+// every index written in full, which is what the bundler's cap counts: no
+// proper prefix of a bundle reaches the flush point (plain bytes plus one
+// more RecordBytes past the cap), so a bundle never ships later than a plain
+// one would. It counts, per sending rank, the bundles that end at the flush
+// point and those that do not, which only a Flush may end.
+type flushWire struct {
+	*transport.Inproc
+	shares     []*dgraph.DistGraph
+	cap        int
+	mu         sync.Mutex
+	full, part []int64
+	records    []int64
+	errs       []string
+}
+
+func (w *flushWire) Send(m transport.Msg) error {
+	if m.Tag == matchTag {
+		n := len(w.shares[m.To].PairWith(m.From).Edges)
+		plain, k := 0, 0
+		var late string
+		rec := recordCodec.Walk(m.From, m.Tag, m.Payload, n)
+		for ; rec.Next(); k++ {
+			if plain > 0 && plain+RecordBytes > w.cap && late == "" {
+				late = fmt.Sprintf("rank %d: a %d-byte bundle to rank %d goes on past the flush point at record %d", m.From, len(m.Payload), m.To, k)
+			}
+			plain += len(binary.AppendUvarint(nil, uint64(rec.Index)<<kindBits|uint64(rec.X)))
+		}
+		w.mu.Lock()
+		w.records[m.From] += int64(k)
+		if late != "" {
+			w.errs = append(w.errs, late)
+		}
+		if plain+RecordBytes > w.cap {
+			w.full[m.From]++
+		} else {
+			w.part[m.From]++
+		}
+		w.mu.Unlock()
+	}
+	return w.Inproc.Send(m)
+}
+
+// TestBundlesShipAtPlainFlushPoints holds the bundler to the plain layout's
+// flush points on RMAT-14 at P = 2 and 4, at the default cap and at 1 KiB,
+// where bundles fill mid-sweep. Records are coded as differences, but the
+// cap counts them at their plain size, so every bundle ships at the record a
+// bundle of plain records ships at: none goes on past that point, and those
+// that end short of it number at most one per Flush — per destination, one
+// per outer iteration and one at the finalize fence. Each rank's Records are
+// the records on the wire, and its match-family messages are its Bundles
+// plus one fence message per neighbour rank. (Which records a rank sends
+// depends on arrival order, so the counts themselves are not a golden.)
+func TestBundlesShipAtPlainFlushPoints(t *testing.T) {
+	g, err := gen.RMAT(14, 8, true, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, 4} {
+		part, err := partition.Multilevel(g, p, partition.MultilevelOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares, err := dgraph.Distribute(g, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxBytes := range []int{0, 1 << 10} {
+			name := fmt.Sprintf("p=%d cap=%d", p, maxBytes)
+			on := &flushWire{Inproc: transport.NewInproc(p), shares: shares, cap: cmp.Or(maxBytes, 64<<10),
+				full: make([]int64, p), part: make([]int64, p), records: make([]int64, p)}
+			w, err := mpi.NewWorld(p, mpi.WithTransport(on), mpi.WithDeadline(time.Minute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := make([]*ParallelResult, p)
+			if err := w.Run(func(c *mpi.Comm) error {
+				r, err := Parallel(c, shares[c.Rank()], ParallelOptions{MaxBundleBytes: maxBytes})
+				results[c.Rank()] = r
+				return err
+			}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, e := range on.errs {
+				t.Errorf("%s: %s", name, e)
+			}
+			var full int64
+			for rk, r := range results {
+				full += on.full[rk]
+				neighbors := int64(len(shares[rk].NeighborRanks))
+				if on.records[rk] != r.Records {
+					t.Errorf("%s rank %d: counts %d records, the wire carried %d", name, rk, r.Records, on.records[rk])
+				}
+				if sent := w.RankStats(rk).ByFamily[mpi.FamilyMatch].SentMsgs; sent != r.Bundles+neighbors {
+					t.Errorf("%s rank %d: %d match messages, %d bundles and %d fence messages", name, rk, sent, r.Bundles, neighbors)
+				}
+				if flushes := (r.OuterIterations + 1) * neighbors; on.part[rk] > flushes {
+					t.Errorf("%s rank %d: %d bundles end short of the flush point, %d Flushes can end at most %d", name, rk, on.part[rk], r.OuterIterations+1, flushes)
+				}
+			}
+			if maxBytes != 0 && full == 0 {
+				t.Errorf("%s: no bundle reached the cap", name)
 			}
 		}
 	}

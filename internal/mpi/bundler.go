@@ -12,10 +12,12 @@ import (
 // records destined for the same rank accumulate in a per-destination buffer
 // and ship as one runtime message when the algorithm flushes (or exchanges,
 // see Exchange), or as soon as another record of the maximal size might not
-// fit under MaxBytes. Records may be shorter than that size (the kernels' are
-// varints); how a bundle splits back into records is then the family's
-// codec's business. Bundles of records all of the maximal size split with
-// Records.
+// fit under MaxBytes. Opaque records (Add) may be shorter than that size;
+// bundles of records all of the maximal size split with Records. The
+// kernels' records are index-addressed (AddIndexed): a Codec writes each
+// after a bundle's first as the difference from the previous one, and the
+// cap counts them at their plain size, so a bundle ships at the record it
+// would ship at if every index were written in full.
 //
 // With bundling disabled (MaxBytes ≤ 1 maximal record), every record travels
 // alone — the configuration the ablation benchmarks compare against.
@@ -43,8 +45,9 @@ type Bundler struct {
 	recordSize int
 	maxBytes   int
 	bufs       [][]byte
-	free       [][]byte // recycled buffers, reused by Add for new bundles
-	slab       []byte   // carved up to len; nil unless maxBytes is small
+	indexed    []pending // per destination, the AddIndexed bundle's state
+	free       [][]byte  // recycled buffers, reused by Add for new bundles
+	slab       []byte    // carved up to len; nil unless maxBytes is small
 	// Flushes counts runtime messages actually sent, for ablation reporting.
 	Flushes int64
 	// Records counts algorithm-level records added.
@@ -59,6 +62,13 @@ type Bundler struct {
 	famFlushCtr  *obs.Counter
 	famRecordCtr *obs.Counter
 	sizeHist     *obs.Histogram // bundle payload bytes at flush time
+}
+
+// pending is what AddIndexed keeps of a bundle under way: its size in the
+// plain layout, which the cap counts, and the index of its last record.
+type pending struct {
+	plain int
+	prev  int32
 }
 
 // Small bundles come from slabs of slabBytes when the cap is at most
@@ -88,6 +98,7 @@ func NewBundler(c *Comm, tag, recordSize, maxBytes int) *Bundler {
 		recordSize: recordSize,
 		maxBytes:   maxBytes,
 		bufs:       make([][]byte, c.Size()),
+		indexed:    make([]pending, c.Size()),
 	}
 	if reg := c.Metrics(); reg != nil {
 		fam := FamilyOf(tag).String()
@@ -116,6 +127,27 @@ func (b *Bundler) Add(to int, rec []byte) {
 	}
 	b.bufs[to] = append(b.bufs[to], rec...)
 	if len(b.bufs[to])+b.recordSize > b.maxBytes {
+		b.flushOne(to)
+	}
+}
+
+// AddIndexed appends the record (index, x) in codec c's layout to the bundle
+// for rank to, shipping it once another maximal record might not fit in the
+// plain layout. A bundler carries AddIndexed or Add records, not both.
+func (b *Bundler) AddIndexed(to int, c Codec, index int32, x uint32) {
+	b.Records++
+	b.recordCtr.Inc()
+	b.famRecordCtr.Inc()
+	buf := b.bufs[to]
+	if buf == nil {
+		if buf = b.Spare(); buf == nil && b.maxBytes <= slabRecords*b.recordSize {
+			buf = b.carve()
+		}
+	}
+	p := &b.indexed[to]
+	b.bufs[to] = c.Append(buf, p.prev, index, x)
+	p.prev = index
+	if p.plain += c.plainSize(index, x); p.plain+b.recordSize > b.maxBytes {
 		b.flushOne(to)
 	}
 }
@@ -171,7 +203,7 @@ func (b *Bundler) Flush() {
 func (b *Bundler) Exchange(peers []int) [][]byte {
 	out := make([][]byte, len(peers))
 	for i, to := range peers {
-		out[i], b.bufs[to] = b.bufs[to], nil
+		out[i], b.bufs[to], b.indexed[to].plain = b.bufs[to], nil, 0
 		b.flushed(len(out[i]))
 	}
 	return b.c.NeighborExchange(b.tag, peers, out)
@@ -179,7 +211,7 @@ func (b *Bundler) Exchange(peers []int) [][]byte {
 
 func (b *Bundler) flushOne(to int) {
 	buf := b.bufs[to]
-	b.bufs[to] = nil
+	b.bufs[to], b.indexed[to].plain = nil, 0
 	b.c.Send(to, b.tag, buf)
 	b.flushed(len(buf))
 }
